@@ -1,4 +1,4 @@
-"""Design-choice ablations called out in DESIGN.md.
+"""Design-choice ablations beyond the paper's own tables and figures.
 
 * EDF static headers vs LSTF dynamic packet state — provably equivalent
   replays (Appendix E); the ablation confirms it at workload scale and

@@ -1,7 +1,7 @@
 """Shared helpers for the benchmark harness.
 
 Every benchmark regenerates one of the paper's tables or figures at 1/100
-bandwidth scale (see DESIGN.md for why the shape survives scaling) and
+bandwidth scale (docs/paper-map.md says why the shape survives scaling) and
 prints the rows/series the paper reports.  Run with::
 
     pytest benchmarks/ --benchmark-only -s

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation lint: links resolve, the paper map matches the registry.
 
-Four checks, all cheap enough for every CI run:
+Seven checks, all cheap enough for every CI run:
 
 1. **Internal links** — every relative markdown link in ``docs/*.md``
    and ``README.md`` must point at a file or directory that exists
@@ -28,6 +28,10 @@ Four checks, all cheap enough for every CI run:
    catalogue table in ``docs/scenarios.md`` must equal the names
    ``repro list --scenarios`` prints, so a newly registered scenario
    cannot ship undocumented and the docs cannot name ghosts.
+7. **Docstrings × files** — every ``*.md`` file a docstring under
+   ``src/`` names (``docs/replay.md``, ``benchmarks/perf/README.md``)
+   must exist, as a path from the repository root — the corpus once
+   carried eight pointers to a ``DESIGN.md`` that was never written.
 
 Usage::
 
@@ -38,6 +42,7 @@ Exits non-zero listing every problem found.
 
 from __future__ import annotations
 
+import ast
 import re
 import sys
 from pathlib import Path
@@ -55,6 +60,8 @@ _RULE_ROW = re.compile(r"^\|\s*`([A-Z]+(?:-[A-Z]+)+)`\s*\|")
 _SCENARIO_ROW = re.compile(r"^\|\s*`([a-z0-9_-]+)`\s*\|")
 #: The heading that opens the scenario catalogue table.
 _CATALOGUE_HEADING = "## The built-in catalogue"
+#: A markdown file named in prose: ``docs/replay.md``, ``README.md``.
+_MD_FILE = re.compile(r"(?<![\w./*-])[\w.-]+(?:/[\w.-]+)*\.md\b")
 
 
 def check_links(paths: list[Path]) -> list[str]:
@@ -220,6 +227,28 @@ def check_scenarios(doc_path: Path) -> list[str]:
     return problems
 
 
+def check_docstring_files(source_root: Path, repo: Path = REPO) -> list[str]:
+    """Every ``*.md`` a docstring under ``source_root`` names exists."""
+    problems = []
+    for path in sorted(source_root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.Module, ast.ClassDef,
+                                     ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            text = ast.get_docstring(node, clean=False)
+            if text is None:
+                continue
+            first = node.body[0].lineno
+            for offset, line in enumerate(text.splitlines()):
+                for target in _MD_FILE.findall(line):
+                    if not (repo / target).is_file():
+                        problems.append(
+                            f"{path.relative_to(repo)}:{first + offset}: "
+                            f"docstring names {target}, which does not exist"
+                        )
+    return problems
+
+
 def main() -> int:
     """Run all checks; print problems; 0 iff the docs are clean."""
     markdown = sorted(DOCS.glob("*.md")) + [REPO / "README.md"]
@@ -229,13 +258,15 @@ def main() -> int:
     problems += check_cli_verbs(markdown)
     problems += check_run_flags(markdown)
     problems += check_scenarios(DOCS / "scenarios.md")
+    problems += check_docstring_files(REPO / "src")
     for problem in problems:
         print(problem, file=sys.stderr)
     if problems:
         print(f"{len(problems)} documentation problem(s)", file=sys.stderr)
         return 1
     print(f"docs OK: {len(markdown)} files, links + paper map + rule "
-          f"table + CLI verbs + run flags + scenario catalogue verified")
+          f"table + CLI verbs + run flags + scenario catalogue + "
+          f"docstring file references verified")
     return 0
 
 

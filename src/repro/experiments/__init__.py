@@ -2,7 +2,7 @@
 
 Every module exposes a laptop-scale ``run_*`` entry point used by both the
 ``examples/`` scripts and the ``benchmarks/`` harness, and accepts
-parameters that restore the paper's full scale (see DESIGN.md for the
+parameters that restore the paper's full scale (docs/paper-map.md has the
 scaling argument: all bandwidth ratios, utilisations, and scheduler logic
 are preserved; only the event count shrinks).
 

@@ -25,7 +25,7 @@ Scale: the defaults run every scenario at 1/100th of the paper's
 bandwidths on a 20-host Internet2 (2 edge routers per core router instead
 of 10).  Utilisation — the quantity the paper sweeps — is set against each
 scenario's bottleneck, so scheduling behaviour is preserved; see
-DESIGN.md.  Passing ``bandwidth_scale=1.0, edges_per_core=10,
+docs/paper-map.md.  Passing ``bandwidth_scale=1.0, edges_per_core=10,
 duration=...`` reproduces the full-scale setup if you have the hours.
 """
 

@@ -21,7 +21,8 @@ much time it waited in the queue" (§2.2):
     s' = s − (td − te)
 
 This same static key doubles as the preemption key for the preemptive
-variant used in the theory results (DESIGN.md §5): keys never change while
+variant used in the theory results (the ``PreemptivePort`` of
+docs/architecture.md's simulation layer): keys never change while
 a packet sits at a port, so "least remaining slack" comparisons between the
 in-service packet and new arrivals are just key comparisons.
 

@@ -61,7 +61,7 @@ class RedAqm:
         ``drop_victim`` — under LSTF that sacrifices the queued packet
         with the *most* remaining slack, extending §3's drop rule to early
         drops.  This is the §5 "incorporating feedback" experiment's
-        slack-aware variant (see EXPERIMENTS.md).
+        slack-aware variant (``benchmarks/bench_feedback_and_pheap.py``).
     """
 
     __slots__ = ("min_threshold", "max_threshold", "max_probability",

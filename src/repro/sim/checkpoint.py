@@ -70,9 +70,11 @@ __all__ = [
 ]
 
 #: On-disk format name and version, written into every header and checked
-#: on load; bump the version when the payload encoding changes shape.
+#: on load; bump the version when the payload encoding changes shape, or
+#: the resume session's anchor numbering does (2: per-packet data travels
+#: by value) — another walk's index would graft onto the wrong object.
 CHECKPOINT_FORMAT = "repro-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class Snapshot:
@@ -172,23 +174,30 @@ def restore_snapshot(snapshot: Snapshot) -> "Network":
     return snapshot.network
 
 
-def snapshot_to_bytes(snapshot: Snapshot) -> bytes:
-    """Serialise: one JSON header line + the pickled network graph."""
-    payload = pickle.dumps(snapshot.network, protocol=pickle.HIGHEST_PROTOCOL)
+def snapshot_to_bytes(snapshot: Snapshot, payload: bytes | None = None) -> bytes:
+    """Serialise: one JSON header line + the pickled network graph.
+
+    ``payload`` is the graph already pickled by the caller (the resume
+    session's anchor-aware pickler); by default it is a plain pickle.
+    """
+    if payload is None:
+        payload = pickle.dumps(snapshot.network, protocol=pickle.HIGHEST_PROTOCOL)
     digest = hashlib.sha256(payload).hexdigest()
     header = json.dumps(snapshot.header(digest), sort_keys=True)
     return header.encode() + b"\n" + payload
 
 
-def snapshot_from_bytes(
+def split_checkpoint(
     data: bytes, where: str = "<bytes>", verify: bool = True
-) -> Snapshot:
-    """Parse bytes written by :func:`snapshot_to_bytes`; verify, unpickle.
+) -> tuple[dict, bytes]:
+    """Header and payload of checkpoint bytes — validated, not unpickled.
 
     Raises :class:`~repro.errors.CheckpointError` for foreign files,
     unsupported versions, and (with ``verify``, the default) payload-hash
-    mismatches.  Verification happens *before* unpickling, so a truncated
-    payload is reported as a checkpoint problem, never as a pickle crash.
+    mismatches.  Everything that can be checked without unpickling is
+    checked here, so a truncated payload is reported as a checkpoint
+    problem, never as a pickle crash — and the resume session can reject
+    a snapshot while its live graph is still untouched.
     """
     head, sep, payload = data.partition(b"\n")
     if not sep:
@@ -211,6 +220,14 @@ def snapshot_from_bytes(
                 f"{where} failed its payload-hash check — the file was "
                 f"truncated or corrupted after it was written"
             )
+    return header, payload
+
+
+def snapshot_from_bytes(
+    data: bytes, where: str = "<bytes>", verify: bool = True
+) -> Snapshot:
+    """Parse bytes written by :func:`snapshot_to_bytes`; verify, unpickle."""
+    header, payload = split_checkpoint(data, where, verify)
     try:
         network = pickle.loads(payload)
     except Exception as exc:  # pickle raises a menagerie; fold it into ours
@@ -287,13 +304,8 @@ class CheckpointStore:
         needs its own fresh graph anyway, and the hash check is the only
         thing standing between a torn pickle and a corrupted branch.
         """
-        path = self.path(key)
         try:
-            data = path.read_bytes()
-        except OSError:
-            return None
-        try:
-            return snapshot_from_bytes(data, str(path), verify=True)
+            return load_checkpoint(self.path(key))
         except CheckpointError:
             return None
 
@@ -350,7 +362,7 @@ class CheckpointStore:
         with ENGINE_PERF.paused(), suspended_resume():
             snapshot = builder()
         self.put(key, snapshot)
-        self._log_build(key)
+        self.log("put", key)
         reloaded = self.get(key)
         return snapshot if reloaded is None else reloaded
 
@@ -431,10 +443,6 @@ class CheckpointStore:
             os.write(fd, line.encode())
         finally:
             os.close(fd)
-
-    def _log_build(self, key: str) -> None:
-        """Append one line for an actual build."""
-        self.log("put", key)
 
     def log_entries(self) -> list[tuple[str, str]]:
         """The audit trail as ``(op, key)`` pairs, in append order.

@@ -16,7 +16,7 @@ propagation delays along the remaining path (store-and-forward).
 
 from __future__ import annotations
 
-import math
+from bisect import insort
 from collections import deque
 from typing import Callable, Iterable
 
@@ -42,7 +42,7 @@ SchedulerFactory = Callable[[str, str], Scheduler | None]
 class Network:
     """A simulated network of hosts and routers."""
 
-    __slots__ = ("engine", "tracer", "obs", "nodes", "links", "_adjacency",
+    __slots__ = ("engine", "tracer", "obs", "nodes", "links", "_upstream",
                  "_next_hop", "_tmin_cache", "_preemptive")
 
     def __init__(self, engine: Engine | None = None, tracer: Tracer | None = None) -> None:
@@ -53,7 +53,7 @@ class Network:
         self.obs = None
         self.nodes: dict[str, Node] = {}
         self.links: dict[tuple[str, str], Link] = {}
-        self._adjacency: dict[str, list[str]] = {}
+        self._upstream: dict[str, list[str]] = {}  # v -> sorted [u: u->v]
         self._next_hop: dict[str, dict[str, str]] = {}  # dst -> {node: next}
         self._tmin_cache: dict[tuple[str, str, int], float] = {}
         self._preemptive = False
@@ -73,7 +73,7 @@ class Network:
         if node.name in self.nodes:
             raise ConfigurationError(f"duplicate node name {node.name!r}")
         self.nodes[node.name] = node
-        self._adjacency[node.name] = []
+        self._upstream[node.name] = []
         return node
 
     def add_link(
@@ -101,11 +101,13 @@ class Network:
             raise ConfigurationError(f"duplicate link {u!r}->{v!r}")
         link = Link(u, v, bandwidth, propagation)
         self.links[(u, v)] = link
-        self._adjacency[u].append(v)
-        self._adjacency[u].sort()
+        insort(self._upstream[v], u)
         node = self.nodes[u]
         node.ports[v] = Port(node, link, FifoScheduler())
-        self._invalidate_routes()
+        # Every route cache is filled through next_hop/tmin, so while both
+        # are empty (the whole of topology construction) nothing is stale.
+        if self._next_hop or self._tmin_cache:
+            self._invalidate_routes()
 
     # --- scheduler / buffer installation ----------------------------------------
 
@@ -169,16 +171,14 @@ class Network:
         """BFS next-hop tree toward ``dst`` (hop count, lexicographic ties)."""
         tree: dict[str, str] = {}
         frontier = deque([dst])
-        visited = {dst}
         while frontier:
             v = frontier.popleft()
-            # Neighbors u with a link u->v can reach dst through v.
-            for u in sorted(self.nodes):
-                if u in visited or (u, v) not in self.links:
-                    continue
-                visited.add(u)
-                tree[u] = v
-                frontier.append(u)
+            # Neighbors u with a link u->v reach dst through v (an unknown
+            # dst has none: empty tree, and next_hop raises RoutingError).
+            for u in self._upstream.get(v, ()):
+                if u != dst and u not in tree:
+                    tree[u] = v
+                    frontier.append(u)
         return tree
 
     def next_hop(self, node: str, dst: str) -> str:

@@ -3,9 +3,9 @@
 Hosts are the *ingress* of the paper's model: packet headers (slack,
 priority, deadline, omniscient timetable) are initialised when a packet is
 injected at its source host, and the host's uplink port participates in
-scheduling like any router port (DESIGN.md §5).  Hosts also carry the
-transport agents (UDP sinks, TCP senders/receivers) for the closed-loop
-experiments of §3.
+scheduling like any router port (docs/architecture.md).  Hosts also carry
+the transport agents (UDP sinks, TCP senders/receivers) for the
+closed-loop experiments of §3.
 
 ``receive``/``forward`` run once per packet per hop, so nodes are slotted
 and keep a per-destination next-hop **port** cache (cleared by the network

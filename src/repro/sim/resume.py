@@ -31,15 +31,17 @@ has already rebuilt the experiment and holds references into it (the
 read after ``Network.run``).  A plain unpickle would produce a *clone*
 graph, leaving every driver-held reference pointing at stale objects.
 Snapshots are therefore *anchor-pickled*: at phase entry the session
-deterministically enumerates the stateful objects reachable from the
-network (:func:`_anchor_walk` — the same walk on every attempt, because
-phase-entry state is part of the byte-identity contract), and the pickler
-reduces each anchored object to ``(anchor index, captured state)``.  The
-retry runs the same walk over *its* freshly built graph, so unpickling
-resolves each index to the retry's live object and grafts the snapshot's
-state onto it — identities the driver holds are preserved, state is the
-killed attempt's.  Objects created mid-phase (packets in flight, new
-timer handles) have no anchor and travel by value, as in any pickle.
+deterministically enumerates the run's stateful *skeleton* — network,
+engine, tracer, nodes, ports, links, schedulers, AQMs, transport agents
+and their stats (:func:`_anchor_walk` — the same walk on every attempt,
+because phase-entry state is part of the byte-identity contract), and
+the pickler reduces each anchored object to ``(anchor index, captured
+state)``.  The retry runs the same walk over *its* freshly built graph,
+so unpickling resolves each index to the retry's live object and grafts
+the snapshot's state onto it — identities the driver holds are
+preserved, state is the killed attempt's.  Per-packet data (packets and
+their trace records) and objects created mid-phase (new timer handles)
+have no anchor and travel by value, as in any pickle.
 
 Snapshot keys are ``resume-<run_id>-p<phase>-<fp>-n<index>``: the run id
 pins the spec, the phase ordinal counts ``Network.run`` calls inside one
@@ -64,23 +66,23 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
-import json
 import pickle
 import types
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
-from repro.core.packet import set_packet_id_counter
+from repro.core.packet import Packet, set_packet_id_counter
 from repro.errors import CheckpointError, ConfigurationError
 from repro.obs.hub import active_metrics_hub
 from repro.sim.checkpoint import (
-    CHECKPOINT_FORMAT,
-    CHECKPOINT_VERSION,
     CheckpointStore,
     snapshot_network,
+    snapshot_to_bytes,
+    split_checkpoint,
 )
 from repro.sim.engine import ENGINE_PERF, Engine
+from repro.sim.tracer import PacketRecord, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.network import Network
@@ -207,24 +209,35 @@ def _detached_observer(network: "Network") -> Iterator[None]:
             port._obs = obs
 
 
-# -- anchor pickling -------------------------------------------------------
-#
-# The identity-preserving half of resume (see the module docstring):
-# objects reachable at phase entry are enumerated deterministically and
-# pickled as (anchor index, state) pairs, so a retry's unpickle applies
-# the snapshot's state onto its own live objects instead of building a
-# disconnected clone.
+# -- anchor pickling (see the module docstring) ---------------------------
 
-#: Leaves the anchor walk never descends into (and can never anchor).
-_ATOMIC = (str, bytes, bytearray, int, float, complex, type(None))
-#: Callables/classes/modules: pickled by reference, never anchored.
-_OPAQUE = (
-    type,
-    types.ModuleType,
-    types.FunctionType,
-    types.BuiltinFunctionType,
-    types.MethodType,
+#: How the anchor walk treats a type: never visited; iterated as a plain
+#: container (which travels by value); or a candidate anchor.
+_LEAF, _DICT, _SEQUENCE, _OBJECT = range(4)
+#: Types the walk skips.  Scalars, and what pickles by reference
+#: (callables, classes, modules), can never anchor.  Sets iterate in
+#: hash-seed order, which differs across processes, so anything reachable
+#: only through one travels by value.  So does per-packet data: packets
+#: and their records are reachable only through plain containers
+#: (``Tracer.records``, heap entries, scheduler queues) that already
+#: travel by value, so anchoring them would preserve no identity a driver
+#: can observe — and would cost O(packets ever sent) at every phase entry.
+_BY_VALUE = (
+    str, bytes, bytearray, int, float, complex, type(None),
+    type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType,
+    types.MethodType, set, frozenset, Packet, PacketRecord,
 )
+
+
+def _walk_kind(cls: type) -> int:
+    """Classify ``cls`` for :func:`_anchor_walk` (once per type per walk)."""
+    if issubclass(cls, _BY_VALUE):
+        return _LEAF
+    if issubclass(cls, dict):
+        return _DICT
+    if issubclass(cls, (list, tuple, deque)):
+        return _SEQUENCE
+    return _OBJECT
 
 
 def _object_state(obj: object) -> object:
@@ -265,39 +278,43 @@ def _anchor_walk(root: object) -> list[object]:
     enters each phase with byte-identical state and container insertion
     orders, so the killed attempt and its retry produce the same list
     and index ``k`` names the same logical object in both processes.
-    Sets are deliberately not descended into — their iteration order is
-    hash-seed-dependent across processes, so anything reachable only
-    through a set travels by value instead.
+    :data:`_BY_VALUE` types are dropped before they are ever stacked, so
+    the walk costs what the skeleton and the packets in flight cost,
+    however many packets the run has already traced.
     """
     anchors: list[object] = []
-    # Walk state dicts are temporaries; keeping every visited object
-    # alive prevents id() reuse from aliasing the seen-set.
-    alive: list[object] = []
+    # States (and the containers inside them) are temporaries; kept alive
+    # so id() reuse cannot alias the seen-set.  The graph holds the rest.
+    states: list[object] = []
+    kinds: dict[type, int] = {}
     seen: set[int] = set()
-    stack: list[object] = [root]
+    stack: list[Iterable[object]] = [(root,)]
     while stack:
-        obj = stack.pop()
-        if obj is None or isinstance(obj, _ATOMIC):
-            continue
-        oid = id(obj)  # repro: allow(DET-ID-ORDER) membership key only; numbering comes from walk order
-        if oid in seen:
-            continue
-        seen.add(oid)
-        alive.append(obj)
-        if isinstance(obj, dict):
-            for key, value in obj.items():
-                stack.append(key)
-                stack.append(value)
-        elif isinstance(obj, (list, tuple, deque)):
-            stack.extend(obj)
-        elif isinstance(obj, (set, frozenset)) or isinstance(obj, _OPAQUE):
-            continue
-        else:
-            state = _object_state(obj)
-            if not state:
+        for obj in stack.pop():
+            cls = type(obj)
+            kind = kinds.get(cls)
+            if kind is None:
+                kind = kinds[cls] = _walk_kind(cls)
+            if kind == _LEAF:
                 continue
-            anchors.append(obj)
-            stack.append(state)
+            oid = id(obj)  # repro: allow(DET-ID-ORDER) membership key only; numbering comes from walk order
+            if oid in seen:
+                continue
+            seen.add(oid)
+            if kind == _SEQUENCE:
+                stack.append(obj)
+            elif kind == _DICT:
+                stack.append(obj.values())
+                stack.append(obj)
+            else:
+                state = _object_state(obj)
+                if state:
+                    anchors.append(obj)
+                    states.append(state)
+                    # A plain Tracer's state is the run's whole history
+                    # and nothing else: nothing in it can anchor.
+                    if cls is not Tracer:
+                        stack.append((state,))
     return anchors
 
 
@@ -391,34 +408,38 @@ class ResumeSession:
             id(obj): i  # repro: allow(DET-ID-ORDER) identity lookup only; the index is walk order
             for i, obj in enumerate(self._anchors)
         }
-        index = self._try_resume(network, prefix)
-        engine._stopped = False
-        every = self.policy.every_sim_s
-        budget = self.policy.every_events
-        while True:
-            if network.obs is not None:
-                network.obs.ensure_sampling(network)
-            bound = until
-            if every is not None:
-                target = engine.now + every
-                heap = engine._heap
-                if heap and heap[0][0] > target:
-                    # Idle gap wider than the period: jump straight to
-                    # the next event instead of snapshotting no-progress
-                    # slices one period at a time.
-                    target = heap[0][0]
-                bound = target if until is None else min(target, until)
-            before = (engine.events_processed, engine.pending_events)
-            engine.run_bounded(until=bound, max_events=budget)
-            if self._phase_finished(engine, until):
-                break
-            if (engine.events_processed, engine.pending_events) != before:
-                index += 1
-                self._record(network, prefix, index)
-        if until is not None and engine.now < until:
-            engine.now = until  # pin once, exactly as Engine.run(until) does
-        self._anchors = []
-        self._anchor_ids = {}
+        try:
+            index = self._try_resume(network, prefix)
+            engine._stopped = False
+            every = self.policy.every_sim_s
+            budget = self.policy.every_events
+            while True:
+                if network.obs is not None:
+                    network.obs.ensure_sampling(network)
+                bound = until
+                if every is not None:
+                    target = engine.now + every
+                    heap = engine._heap
+                    if heap and heap[0][0] > target:
+                        # Idle gap wider than the period: jump straight to
+                        # the next event instead of snapshotting no-progress
+                        # slices one period at a time.
+                        target = heap[0][0]
+                    bound = target if until is None else min(target, until)
+                before = (engine.events_processed, engine.pending_events)
+                engine.run_bounded(until=bound, max_events=budget)
+                if self._phase_finished(engine, until):
+                    break
+                if (engine.events_processed, engine.pending_events) != before:
+                    index += 1
+                    self._record(network, prefix, index)
+            if until is not None and engine.now < until:
+                engine.now = until  # pin once, exactly as Engine.run(until) does
+        finally:
+            # Also on a phase that raises: the session outlives the phase
+            # and must not keep its whole entry graph pinned.
+            self._anchors = []
+            self._anchor_ids = {}
 
     @staticmethod
     def _phase_finished(engine: Engine, until: float | None) -> bool:
@@ -453,10 +474,13 @@ class ResumeSession:
                 continue
         entry_events = network.engine.events_processed
         for index, key in sorted(candidates, reverse=True):
-            loaded = self._read_valid(key)
-            if loaded is None:
-                continue  # torn/corrupt: fall through to the previous one
-            header, payload = loaded
+            try:
+                header, payload = split_checkpoint(
+                    self.store.path(key).read_bytes(), key)
+            except (OSError, CheckpointError):
+                # Torn, corrupt, or from a build whose anchor walk numbers
+                # objects differently (version skew): try the previous one.
+                continue
             if header["engine_events"] < entry_events:
                 continue  # never rewind a phase that is already past it
             # Unpickling grafts the snapshot's state onto this run's live
@@ -491,42 +515,13 @@ class ResumeSession:
             return index
         return 0
 
-    def _read_valid(self, key: str) -> tuple[dict, bytes] | None:
-        """Header and payload of snapshot ``key``, or None if not intact.
-
-        Format, version, and payload-hash checks all happen here, before
-        any unpickling, so a torn snapshot reads as a miss while the
-        live graph is still untouched.
-        """
-        try:
-            data = self.store.path(key).read_bytes()
-        except OSError:
-            return None
-        head, sep, payload = data.partition(b"\n")
-        if not sep:
-            return None
-        try:
-            header = json.loads(head.decode())
-        except (UnicodeDecodeError, ValueError):
-            return None
-        if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
-            return None
-        if header.get("version") != CHECKPOINT_VERSION:
-            return None
-        if hashlib.sha256(payload).hexdigest() != header.get("payload_sha256"):
-            return None
-        return header, payload
-
     def _record(self, network: "Network", prefix: str, index: int) -> None:
         key = f"{prefix}{index:06d}"
+        buffer = io.BytesIO()
         with _detached_observer(network):
-            snapshot = snapshot_network(network, description=key)
-            buffer = io.BytesIO()
             _AnchorPickler(buffer, self._anchor_ids).dump(network)
-        payload = buffer.getvalue()
-        digest = hashlib.sha256(payload).hexdigest()
-        header = json.dumps(snapshot.header(digest), sort_keys=True)
-        self.store.put_bytes(key, header.encode() + b"\n" + payload)
+        snapshot = snapshot_network(network, description=key)
+        self.store.put_bytes(key, snapshot_to_bytes(snapshot, buffer.getvalue()))
         self.snapshots_recorded += 1
         stale = index - self.policy.keep
         if stale >= 1:

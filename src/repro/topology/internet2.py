@@ -20,7 +20,7 @@ The paper's three bandwidth variants map to configs:
 
 ``bandwidth_scale`` scales *every* link, preserving all ratios (and hence
 utilisation and scheduling behaviour) while shrinking the packet-event
-count to laptop scale — see DESIGN.md substitutions.
+count to laptop scale — see the scaling note in docs/paper-map.md.
 """
 
 from __future__ import annotations

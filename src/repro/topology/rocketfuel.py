@@ -11,7 +11,8 @@ reproduction, so we synthesise a deterministic ISP-like graph with exactly
 connectivity) plus seeded preferential-attachment chords (reproducing the
 hub-heavy degree skew of measured ISP maps).  Half the core links (by
 deterministic index) run slower than the access links, matching the
-paper's stated configuration.  See DESIGN.md substitutions.
+paper's stated configuration.  docs/architecture.md ("Everything else")
+lists the topologies.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Units, conversions, and shared constants.
 
-Conventions used throughout the package (documented in DESIGN.md §5):
+Conventions used throughout the package (see docs/architecture.md):
 
 * **time** — ``float`` seconds,
 * **bandwidth** — bits per second,

@@ -1,7 +1,7 @@
 """Determinism guarantees: identical configuration => identical run.
 
 Replay correctness rests on the recorded schedule being exactly
-repeatable (DESIGN.md §5), so these tests pin the whole pipeline —
+repeatable (docs/determinism.md), so these tests pin the whole pipeline —
 workload generation, event ordering, scheduler tie-breaking, RNG use —
 to byte-identical outcomes.
 """

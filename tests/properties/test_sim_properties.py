@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.core.flow import Flow
 from repro.core.packet import Packet
+from repro.errors import RoutingError
 from repro.metrics.fairness import jain_index
 from repro.schedulers import (
     DrrScheduler,
@@ -174,3 +175,72 @@ def test_work_conserving_port_busy_until_backlog_clears(seed):
         free_r2 = max(free_r1 + 0.0005, free_r2) + 8 * s / (2 * bw)
         model.append(free_r2 + 0.0002)
     assert exits == pytest.approx(sorted(model), rel=1e-9)
+
+
+# -- routing trees --------------------------------------------------------------
+
+
+def _reference_tree(net: Network, dst: str) -> dict[str, str]:
+    """The obviously-correct BFS ``Network._build_tree`` replaced: every
+    node, in name order, is probed against every dequeued vertex."""
+    tree: dict[str, str] = {}
+    frontier = [dst]
+    visited = {dst}
+    while frontier:
+        v = frontier.pop(0)
+        for u in sorted(net.nodes):
+            if u in visited or (u, v) not in net.links:
+                continue
+            visited.add(u)
+            tree[u] = v
+            frontier.append(u)
+    return tree
+
+
+@st.composite
+def _topologies(draw):
+    """A connected router graph with extra one-way links.
+
+    Names are drawn so that insertion order and name order disagree, and
+    links are added in a shuffled order: the tie-break must come from the
+    names, never from construction order.
+    """
+    n = draw(st.integers(min_value=2, max_value=9))
+    names = draw(st.permutations([f"n{k:02d}" for k in range(n)]))
+    links = set()
+    for k in range(1, n):  # a random spanning tree, both directions
+        peer = names[draw(st.integers(min_value=0, max_value=k - 1))]
+        links |= {(names[k], peer), (peer, names[k])}
+    pairs = [(u, v) for u in names for v in names if u != v]
+    links |= set(draw(st.lists(st.sampled_from(pairs), max_size=2 * n)))
+    for u, v in draw(st.lists(st.sampled_from(pairs), max_size=n)):
+        if (v, u) in links:  # keep reachability one way only
+            links.discard((u, v))
+    return names, draw(st.permutations(sorted(links)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(topology=_topologies())
+def test_build_tree_equals_the_brute_force_bfs(topology):
+    names, links = topology
+    net = Network()
+    for name in names:
+        net.add_router(name)
+    split = len(links) // 2
+    for u, v in links[:split]:
+        net.add_link(u, v, 8 * MBPS, bidirectional=False)
+    # Routes cached half-way through construction must not go stale.
+    for dst in names:
+        net._next_hop[dst] = net._build_tree(dst)
+    for u, v in links[split:]:
+        net.add_link(u, v, 8 * MBPS, bidirectional=False)
+    for dst in names:
+        reference = _reference_tree(net, dst)
+        assert net._build_tree(dst) == reference
+        assert list(net._build_tree(dst)) == list(reference)  # same order too
+        for src in names:
+            if src in reference:
+                assert net.next_hop(src, dst) == reference[src]
+            elif src != dst:
+                with pytest.raises(RoutingError):
+                    net.next_hop(src, dst)

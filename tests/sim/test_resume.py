@@ -10,14 +10,26 @@ resumed-at-all assertions read.
 
 from __future__ import annotations
 
+import copy
+import json
 import os
 
 import pytest
 
+from repro.api import ExperimentSpec, run
+from repro.api.runner import CHECKPOINT_SUBDIR
+from repro.core.flow import Flow
+from repro.core.packet import Packet, reset_packet_ids
 from repro.errors import ConfigurationError
-from repro.sim.checkpoint import CheckpointStore
+from repro.experiments.branch import BranchPrefix, build_branch_snapshot
+from repro.sim.checkpoint import CHECKPOINT_VERSION, CheckpointStore
 from repro.sim.engine import Engine
-from repro.sim.resume import CheckpointPolicy
+from repro.sim.network import Network
+from repro.sim.resume import CheckpointPolicy, ResumeSession, _anchor_walk
+from repro.sim.tracer import PacketRecord
+from repro.transport.tcp import TcpStats, install_tcp_flows
+from repro.transport.udp import install_udp_flows
+from repro.units import MBPS
 
 
 class TestCheckpointPolicyParse:
@@ -155,3 +167,181 @@ class TestAuditLogSchema:
         store.put_bytes("resume-r1-p0-abcd1234-n000000", b"x")
         store.discard(["resume-r1-p0-abcd1234-n000000"], op="roll")
         assert ("roll", "resume-r1-p0-abcd1234-n000000") in store.log_entries()
+
+
+# -- phase-entry anchoring ---------------------------------------------------
+
+
+def _describe(anchors: list[object]) -> list[tuple[str, object]]:
+    """Anchor numbering in comparable form: (type, name-if-any) per index."""
+    return [(type(obj).__name__, getattr(obj, "name", None)) for obj in anchors]
+
+
+class TestAnchorWalk:
+    """Arming a policy costs the skeleton, never the history."""
+
+    def _warmed(self, warmup: float) -> Network:
+        prefix = BranchPrefix(scheduler="fq", utilization=0.5, warmup=warmup)
+        return build_branch_snapshot(prefix).network
+
+    def test_anchor_count_is_independent_of_traced_history(self):
+        short, long = self._warmed(0.02), self._warmed(0.2)
+        assert len(long.tracer.records) > 10 * len(short.tracer.records)
+        # Same objects anchored; their *order* follows phase-entry state
+        # (which route caches the longer warm-up filled first).
+        assert (sorted(_describe(_anchor_walk(short)), key=repr)
+                == sorted(_describe(_anchor_walk(long)), key=repr))
+
+    def test_numbering_is_identical_across_fresh_builds(self):
+        first = _anchor_walk(self._warmed(0.02))
+        second = _anchor_walk(self._warmed(0.02))
+        assert _describe(first) == _describe(second)
+        assert len({id(obj) for obj in first}) == len(first)  # each object once
+
+    def test_skeleton_is_anchored_and_packets_are_not(self):
+        network = self._warmed(0.02)
+        anchors = _anchor_walk(network)
+        assert any(isinstance(e[3], tuple) and e[3]
+                   and isinstance(e[3][0], Packet)
+                   for e in network.engine._heap), "no packet in flight"
+        assert not [a for a in anchors if isinstance(a, (Packet, PacketRecord))]
+        held = [network, network.engine, network.tracer]
+        for node in network.nodes.values():
+            held.append(node)
+            for port in node.ports.values():
+                held += [port, port.link, port.scheduler]
+        identities = {id(obj) for obj in anchors}
+        assert all(id(obj) in identities for obj in held)
+
+
+class _Crash(Exception):
+    """Stands in for SIGKILL: raised out of the N-th snapshot write."""
+
+
+def _crash_after(monkeypatch, snapshots: int, on_crash=lambda network: None):
+    """Make ``ResumeSession._record`` raise right after its N-th write."""
+    original = ResumeSession._record
+    written = []
+
+    def record_then_crash(self, network, prefix, index):
+        original(self, network, prefix, index)
+        written.append(index)
+        if len(written) == snapshots:
+            on_crash(network)
+            raise _Crash
+
+    monkeypatch.setattr(ResumeSession, "_record", record_then_crash)
+
+
+def _tcp_network() -> tuple[Network, TcpStats]:
+    """a -> r -> b with one TCP and one UDP flow installed, nothing run."""
+    reset_packet_ids()
+    network = Network()
+    network.add_host("a")
+    network.add_host("b")
+    network.add_router("r")
+    network.add_link("a", "r", 8 * MBPS, 0.001)
+    network.add_link("r", "b", 4 * MBPS, 0.001)
+    stats = install_tcp_flows(
+        network, [Flow(fid=1, src="a", dst="b", size=60_000, start=0.0)])
+    install_udp_flows(
+        network, [Flow(fid=2, src="a", dst="b", size=20_000, start=0.001)])
+    return network, stats
+
+
+def _driver_refs(network: Network) -> tuple:
+    """What an experiment driver typically holds across a phase."""
+    return (network, network.engine, network.tracer,
+            network.nodes["r"].ports["b"], network.host("a")._senders[1])
+
+
+def _observable(network: Network, stats: TcpStats) -> dict:
+    sender = network.host("a")._senders[1]
+    port = network.nodes["r"].ports["b"]
+    return {
+        "now": network.engine.now,
+        "events": network.engine.events_processed,
+        # deep-copied: a record's path/hop lists keep growing as it travels
+        "records": copy.deepcopy(
+            [r.__getstate__() for r in network.tracer.records.values()]),
+        "queued": port._queued,
+        "acked": sender.highest_acked,
+        "starts": dict(stats.start),
+        "fct": dict(stats.fct),
+    }
+
+
+class TestResumeIdentity:
+    POLICY = CheckpointPolicy(every_events=40)
+
+    def test_driver_held_references_survive_with_the_killed_attempts_state(
+            self, tmp_path, monkeypatch):
+        store = CheckpointStore(tmp_path)
+        killed: dict = {}
+        network, stats = _tcp_network()
+        _crash_after(monkeypatch, 3,
+                     lambda net: killed.update(_observable(net, stats)))
+        session = ResumeSession("r1", self.POLICY, store)
+        with pytest.raises(_Crash):
+            session.run_phase(network)
+        # a phase that raises must not leave its entry graph pinned
+        assert session._anchors == [] and session._anchor_ids == {}
+        assert killed["events"] > 0 and killed["records"]
+        monkeypatch.undo()
+
+        # The retry's driver rebuilds and takes its references *before*
+        # the phase, exactly as an experiment driver does.
+        network, stats = _tcp_network()
+        held = _driver_refs(network)
+        original = ResumeSession._try_resume
+        restored: dict = {}
+
+        def try_resume_then_look(self, net, prefix):
+            index = original(self, net, prefix)
+            restored.update(_observable(net, stats), index=index)
+            return index
+
+        monkeypatch.setattr(ResumeSession, "_try_resume", try_resume_then_look)
+        retry = ResumeSession("r1", self.POLICY, store)
+        retry.run_phase(network)
+
+        assert restored.pop("index") == 3 and len(retry.resumed_keys) == 1
+        # the killed attempt's state, grafted onto the driver's own objects
+        assert restored == killed
+        assert all(a is b for a, b in zip(held, _driver_refs(network)))
+        assert network.host("a")._senders[1]._stats is stats
+        straight, straight_stats = _tcp_network()
+        straight.run()
+        assert _observable(network, stats) == _observable(straight, straight_stats)
+        assert stats.completed == 1
+
+    @pytest.mark.parametrize("skewed", [False, True])
+    def test_previous_version_snapshot_reads_as_a_miss(
+            self, tmp_path, monkeypatch, skewed):
+        """Snapshots numbered by an older build's walk heal to scratch."""
+        spec = ExperimentSpec(experiment="fig2", schedulers=("fifo",),
+                              duration=0.02, seeds=(3,))
+        reference = run(spec).canonical_json()
+        out = str(tmp_path / "out")
+        _crash_after(monkeypatch, 3)
+        with pytest.raises(_Crash):
+            run(spec, out_dir=out, checkpoint_policy="300ev")
+        monkeypatch.undo()
+        store = CheckpointStore(os.path.join(out, CHECKPOINT_SUBDIR))
+        left = [key for key in store.keys() if key.startswith("resume-")]
+        assert left
+        if skewed:
+            for key in left:
+                head, _, payload = store.path(key).read_bytes().partition(b"\n")
+                header = json.loads(head)
+                header["version"] = CHECKPOINT_VERSION - 1
+                store.path(key).write_bytes(
+                    json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
+
+        artifact = run(spec, out_dir=out, checkpoint_policy="300ev")
+        assert artifact.canonical_json() == reference
+        log = store.log_entries()
+        assert ("resume" in [op for op, _ in log]) is (not skewed)
+        # either way the trail — stale snapshots included — is retired
+        assert {k for op, k in log if op in ("roll", "prune")} >= set(left)
+        assert not [key for key in store.keys() if key.startswith("resume-")]

@@ -47,21 +47,18 @@ class RegisteredExperiment:
     *fields* the driver reads (``"duration"``, ``"seeds"``, …); the CLI
     uses it to reject flags an experiment would ignore.
 
-    ``recordings`` is the record-once/replay-many hook: for drivers
-    built on recorded schedules it maps a spec to the recordings the
-    driver will need, as ``{schedule-store key: zero-arg recorder}``.
-    Recorders must be picklable (``functools.partial`` over a
-    module-level function), because the runner's pre-pass may execute
-    them in worker processes; each returns a
-    :class:`~repro.core.replay.RecordedSchedule`.  ``None`` (the
-    default) means the experiment records nothing reusable.
-
-    ``checkpoints`` is the simulate-once/branch-many analogue: it maps a
-    spec to the warm-up checkpoints the driver will branch from, as
-    ``{checkpoint-store key: zero-arg builder}``.  Builders follow the
-    same contract as recorders (picklable, may run in worker processes)
-    and each returns a :class:`~repro.sim.checkpoint.Snapshot`.  ``None``
-    (the default) means the experiment has no shareable warm-up prefix.
+    ``prerequisites`` is the build-once/share-many hook: it maps a spec
+    to what must exist before the driver runs, grouped by store kind —
+    ``{"schedule": {store key: zero-arg recorder}}`` for drivers that
+    replay recorded schedules, ``{"checkpoint": {store key: zero-arg
+    builder}}`` for drivers that branch from a warm-up prefix (the kinds
+    of :data:`repro.api.runner.STORE_KINDS`).  Builders must be picklable
+    (``functools.partial`` over a module-level function), because the
+    runner's pre-pass may execute them in worker processes; each returns
+    the value its store holds (a
+    :class:`~repro.core.replay.RecordedSchedule`, a
+    :class:`~repro.sim.checkpoint.Snapshot`).  ``None`` (the default)
+    means the experiment builds nothing reusable.
     """
 
     name: str
@@ -70,8 +67,7 @@ class RegisteredExperiment:
     aliases: tuple[str, ...] = ()
     options: tuple[str, ...] = ()
     params: tuple[str, ...] = ()
-    recordings: Callable | None = None
-    checkpoints: Callable | None = None
+    prerequisites: Callable | None = None
 
     def __call__(self, spec):
         """Run the driver on ``spec`` (sugar for ``entry.fn(spec)``)."""
@@ -94,8 +90,7 @@ class ExperimentRegistry:
         aliases: tuple[str, ...] = (),
         options: tuple[str, ...] = (),
         params: tuple[str, ...] = (),
-        recordings: Callable | None = None,
-        checkpoints: Callable | None = None,
+        prerequisites: Callable | None = None,
     ) -> Callable[[Callable], Callable]:
         """Decorator: register ``fn`` as the driver for ``name``."""
 
@@ -108,7 +103,7 @@ class ExperimentRegistry:
             entry = RegisteredExperiment(
                 name=name, fn=fn, help=help, aliases=tuple(aliases),
                 options=tuple(options), params=tuple(params),
-                recordings=recordings, checkpoints=checkpoints,
+                prerequisites=prerequisites,
             )
             self._entries[name] = entry
             for alias in aliases:
@@ -162,21 +157,19 @@ def register_experiment(
     aliases: tuple[str, ...] = (),
     options: tuple[str, ...] = (),
     params: tuple[str, ...] = (),
-    recordings: Callable | None = None,
-    checkpoints: Callable | None = None,
+    prerequisites: Callable | None = None,
 ) -> Callable[[Callable], Callable]:
     """Register a driver on the global :data:`REGISTRY` (decorator).
 
     ``name`` is the canonical experiment id (plus optional ``aliases``);
     ``help`` is the one-liner ``repro list`` shows; ``options`` and
     ``params`` declare the spec options/fields the driver reads (anything
-    else is rejected loudly); ``recordings`` is the record-once hook and
-    ``checkpoints`` the simulate-once/branch-many hook — see
-    :class:`RegisteredExperiment`.
+    else is rejected loudly); ``prerequisites`` is the build-once hook —
+    see :class:`RegisteredExperiment`.
     """
     return REGISTRY.register(
         name, help=help, aliases=aliases, options=options, params=params,
-        recordings=recordings, checkpoints=checkpoints,
+        prerequisites=prerequisites,
     )
 
 

@@ -24,17 +24,15 @@ simulating (see :func:`repro.api.runner.run`).
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
-import os
-import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
 from repro.analysis.tables import Table
 from repro.api.spec import ExperimentSpec
+from repro.core.store import atomic_write
 from repro.errors import ConfigurationError
 
 __all__ = ["RunArtifact", "load_artifact", "spec_run_id"]
@@ -162,29 +160,14 @@ class RunArtifact:
     def save(self, out_dir: str | Path) -> Path:
         """Persist as ``<out_dir>/<run_id>.json``; returns the path.
 
-        The write is atomic (temp file in ``out_dir`` + ``os.replace``),
-        so concurrent workers sharing one cache directory always see
-        either no file or a complete one — never a torn JSON.  Racing
-        savers of the same run-id both succeed; last replace wins, and
-        determinism makes the contents identical anyway.
+        The write is atomic (:func:`~repro.core.store.atomic_write`), so
+        concurrent workers sharing one cache directory always see either
+        no file or a complete one — never a torn JSON.  Racing savers of
+        the same run-id both succeed; last replace wins, and determinism
+        makes the contents identical anyway.
         """
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        path = out / f"{self.run_id()}.json"
-        # O_EXCL + an owner-unique name prevents temp collisions; mode
-        # 0o666 (kernel-masked by umask, no global state touched) keeps a
-        # shared artifact store readable by other workers' users.
-        tmp_name = str(out / f".{path.name}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp")
-        fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(self.to_json(indent=2) + "\n")
-            os.replace(tmp_name, path)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp_name)
-            raise
-        return path
+        data = (self.to_json(indent=2) + "\n").encode()
+        return atomic_write(Path(out_dir) / f"{self.run_id()}.json", data)
 
 
 def load_artifact(path: str | Path) -> RunArtifact:

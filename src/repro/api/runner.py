@@ -40,6 +40,7 @@ from repro.api.registry import REGISTRY, ExperimentRegistry
 from repro.api.results import RunArtifact, load_artifact, spec_run_id
 from repro.api.spec import ExperimentSpec
 from repro.core.packet import reset_packet_ids
+from repro.core.store import ContentStore
 from repro.core.trace_io import ScheduleStore, use_schedule_store
 from repro.errors import ConfigurationError, require_positive_int
 from repro.obs.hub import MetricsHub, use_metrics_hub
@@ -74,13 +75,18 @@ def _resolve_obs(obs: "bool | MetricsHub | None") -> MetricsHub | None:
         return None
     return obs
 
-#: Subdirectory (of an ``out_dir`` or a queue's ``artifacts/``) holding
-#: the sweep's shared recorded-schedule cache.
+#: Subdirectories (of an ``out_dir`` or a queue's ``artifacts/``) holding
+#: a sweep's shared recorded-schedule and warm-up checkpoint caches.
 SCHEDULE_SUBDIR = "schedules"
-
-#: Subdirectory (of an ``out_dir`` or a queue's ``artifacts/``) holding
-#: the sweep's shared warm-up checkpoint cache.
 CHECKPOINT_SUBDIR = "checkpoints"
+
+#: The prerequisite stores, by the kind an experiment's ``prerequisites``
+#: hook tags its entries with: kind → (subdirectory, store class, name of
+#: the pre-pass's pipeline span).
+STORE_KINDS: dict[str, tuple[str, type[ContentStore], str]] = {
+    "schedule": (SCHEDULE_SUBDIR, ScheduleStore, "record-schedules"),
+    "checkpoint": (CHECKPOINT_SUBDIR, CheckpointStore, "build-checkpoints"),
+}
 
 
 def cached_artifact(spec: ExperimentSpec, out_dir: str | Path) -> RunArtifact | None:
@@ -167,14 +173,8 @@ def run(
         cached = cached_artifact(spec, out_dir)
         if cached is not None:
             return cached
-    if schedule_dir is None and out_dir is not None:
-        schedule_dir = Path(out_dir) / SCHEDULE_SUBDIR
-    if checkpoint_dir is None and out_dir is not None:
-        checkpoint_dir = Path(out_dir) / CHECKPOINT_SUBDIR
-    store = ScheduleStore(schedule_dir) if schedule_dir is not None else None
-    ckpt_store = (
-        CheckpointStore(checkpoint_dir) if checkpoint_dir is not None else None
-    )
+    store = _open_store("schedule", out_dir, schedule_dir)
+    ckpt_store = _open_store("checkpoint", out_dir, checkpoint_dir)
     if isinstance(checkpoint_policy, str):
         checkpoint_policy = CheckpointPolicy.parse(checkpoint_policy)
     session = None
@@ -249,214 +249,119 @@ def _pool(processes: int) -> multiprocessing.pool.Pool:
     )
 
 
-def _sweep_recordings(
+def _plan_sweep(
     spec_list: Sequence[ExperimentSpec],
     out_dir: str | Path | None,
     force: bool,
-) -> dict[str, Callable]:
-    """The recordings a sweep needs, deduplicated across its specs.
+) -> tuple[dict[int, RunArtifact], dict[str, dict[str, Callable]], set[str]]:
+    """What a sweep already has and what it needs before its legs fan out.
 
-    Specs already answered by the ``out_dir`` artifact cache are skipped
-    — they will never touch the schedule store — and specs whose
-    experiment registers no ``recordings`` hook contribute nothing.
+    One pass that evaluates each spec's ``out_dir`` artifact-cache lookup
+    and its experiment's ``prerequisites`` hook exactly once.  Returns
+    ``(cached, needed, shared)``: the artifacts the cache already answers,
+    by spec index (those legs never touch a store, so they contribute
+    nothing further); the remaining legs' prerequisites as
+    ``kind → {key: builder}``, deduplicated; and the kinds in which some
+    key is needed by more than one leg — the only case an *ephemeral*
+    store earns its serialise/reload round trips, since an unshared key
+    is built exactly once by its own leg anyway.
     """
-    needed: dict[str, Callable] = {}
-    for spec in spec_list:
-        entry = REGISTRY.get(spec.experiment)
-        if entry.recordings is None:
-            continue
-        if out_dir is not None and not force \
-                and cached_artifact(spec, out_dir) is not None:
-            continue
-        needed.update(entry.recordings(spec))
-    return needed
+    cached: dict[int, RunArtifact] = {}
+    needed: dict[str, dict[str, Callable]] = {kind: {} for kind in STORE_KINDS}
+    shared: set[str] = set()
+    for index, spec in enumerate(spec_list):
+        if out_dir is not None and not force:
+            artifact = cached_artifact(spec, out_dir)
+            if artifact is not None:
+                cached[index] = artifact
+                continue
+        hook = REGISTRY.get(spec.experiment).prerequisites
+        for kind, builders in (hook(spec) if hook is not None else {}).items():
+            if not needed[kind].keys().isdisjoint(builders):
+                shared.add(kind)
+            needed[kind].update(builders)
+    return cached, needed, shared
 
 
-def _record_one(schedule_dir: str, key: str, recorder: Callable) -> str:
-    """Record one schedule into a store (module-level: picklable for pools)."""
-    ScheduleStore(schedule_dir).get_or_record(key, recorder)
-    return key
-
-
-def _record_sweep_schedules(
-    spec_list: Sequence[ExperimentSpec],
-    schedule_dir: str | Path,
-    workers: int,
-    out_dir: str | Path | None,
-    force: bool,
-) -> list[str]:
-    """The record-once pre-pass: simulate each missing schedule exactly once.
-
-    Runs before any leg of the sweep, so concurrently executing legs
-    (process pool, queue workers) only ever *read* the store and the
-    "recorded exactly once" guarantee holds under every executor.
-    Recording is itself embarrassingly parallel, so with ``workers > 1``
-    and several missing schedules the pre-pass fans out over a process
-    pool; returns the keys it recorded.
-    """
-    store = ScheduleStore(schedule_dir)
-    needed = _sweep_recordings(spec_list, out_dir, force)
-    missing = [(k, rec) for k, rec in needed.items() if not store.has(k)]
-    if not missing:
-        return []
-    if len(missing) > 1 and workers > 1:
-        with _pool(min(workers, len(missing))) as pool:
-            return pool.starmap(
-                _record_one,
-                [(str(schedule_dir), k, rec) for k, rec in missing],
-            )
-    return [_record_one(str(schedule_dir), k, rec) for k, rec in missing]
-
-
-def _sweep_shares_recordings(spec_list: Sequence[ExperimentSpec]) -> bool:
-    """True when some recorded schedule is needed by more than one leg.
-
-    This is the only case an *ephemeral* store earns its keep: with no
-    key shared, every schedule is recorded exactly once by its own leg
-    anyway, and the store's serialise/reload round trips would be pure
-    overhead (measurable at bench scales).
-    """
-    seen: set[str] = set()
-    for spec in spec_list:
-        entry = REGISTRY.get(spec.experiment)
-        if entry.recordings is None:
-            continue
-        for key in entry.recordings(spec):
-            if key in seen:
-                return True
-            seen.add(key)
-    return False
-
-
-@contextlib.contextmanager
-def _sweep_schedule_dir(
-    spec_list: Sequence[ExperimentSpec],
-    out_dir: str | Path | None,
-) -> Iterator[Path | None]:
-    """Where this sweep's shared schedule store lives.
-
-    ``out_dir`` given → its ``schedules/`` subdirectory (durable: later
-    sweeps reuse the recordings, so the store pays off even without
-    sharing inside this sweep).  Otherwise, a temporary directory scoped
-    to the sweep — but only when the sweep actually shares a recording
-    between legs; ``None`` (no store, legs record in-memory) when
-    nothing would be reused.
-    """
-    if out_dir is not None:
-        yield Path(out_dir) / SCHEDULE_SUBDIR
-        return
-    if not _sweep_shares_recordings(spec_list):
-        yield None
-        return
-    with tempfile.TemporaryDirectory(prefix="repro-schedules-") as tmp:
-        yield Path(tmp)
-
-
-def _sweep_checkpoints(
-    spec_list: Sequence[ExperimentSpec],
-    out_dir: str | Path | None,
-    force: bool,
-) -> dict[str, Callable]:
-    """The warm-up checkpoints a sweep needs, deduplicated across specs.
-
-    The checkpoint mirror of :func:`_sweep_recordings`: specs already
-    answered by the ``out_dir`` artifact cache are skipped, and specs
-    whose experiment registers no ``checkpoints`` hook contribute
-    nothing.
-    """
-    needed: dict[str, Callable] = {}
-    for spec in spec_list:
-        entry = REGISTRY.get(spec.experiment)
-        if entry.checkpoints is None:
-            continue
-        if out_dir is not None and not force \
-                and cached_artifact(spec, out_dir) is not None:
-            continue
-        needed.update(entry.checkpoints(spec))
-    return needed
-
-
-def _build_one(checkpoint_dir: str, key: str, builder: Callable) -> str:
-    """Build one checkpoint into a store (module-level: picklable for pools)."""
-    CheckpointStore(checkpoint_dir).get_or_build(key, builder)
-    return key
-
-
-def _build_sweep_checkpoints(
-    spec_list: Sequence[ExperimentSpec],
-    checkpoint_dir: str | Path,
-    workers: int,
-    out_dir: str | Path | None,
-    force: bool,
-) -> list[str]:
-    """The simulate-once pre-pass: warm each missing prefix exactly once.
-
-    Runs before any leg of the sweep, so concurrently executing legs
-    (process pool, queue workers) only ever *read* the store and the
-    "simulated exactly once" guarantee holds under every executor.
-    Distinct prefixes are independent, so with ``workers > 1`` and
-    several missing checkpoints the pre-pass fans out over a process
-    pool; returns the keys it built.
-    """
-    store = CheckpointStore(checkpoint_dir)
-    needed = _sweep_checkpoints(spec_list, out_dir, force)
-    missing = [(k, b) for k, b in needed.items() if not store.has(k)]
-    if not missing:
-        return []
-    if len(missing) > 1 and workers > 1:
-        with _pool(min(workers, len(missing))) as pool:
-            return pool.starmap(
-                _build_one,
-                [(str(checkpoint_dir), k, b) for k, b in missing],
-            )
-    return [_build_one(str(checkpoint_dir), k, b) for k, b in missing]
-
-
-def _sweep_shares_checkpoints(spec_list: Sequence[ExperimentSpec]) -> bool:
-    """True when some warm-up checkpoint is needed by more than one leg.
-
-    Same economics as :func:`_sweep_shares_recordings`: an ephemeral
-    store only earns its serialise/reload round trips when at least two
-    legs branch from one prefix.
-    """
-    seen: set[str] = set()
-    for spec in spec_list:
-        entry = REGISTRY.get(spec.experiment)
-        if entry.checkpoints is None:
-            continue
-        for key in entry.checkpoints(spec):
-            if key in seen:
-                return True
-            seen.add(key)
-    return False
-
-
-@contextlib.contextmanager
-def _sweep_checkpoint_dir(
-    spec_list: Sequence[ExperimentSpec],
-    out_dir: str | Path | None,
-    override: str | Path | None,
-) -> Iterator[Path | None]:
-    """Where this sweep's shared checkpoint store lives.
-
-    An explicit ``override`` (``run_many(checkpoint_dir=...)``, the CLI's
-    ``--branch-from``) wins and is durable.  Otherwise the policy of
-    :func:`_sweep_schedule_dir`, applied to checkpoints: ``out_dir``'s
-    ``checkpoints/`` subdirectory when given, a sweep-scoped temporary
-    directory when legs share a prefix, ``None`` when nothing would be
-    reused (legs warm up in memory — no round-trip overhead).
-    """
+def _store_dir(
+    kind: str, base: str | Path | None, override: str | Path | None
+) -> Path | None:
+    """Where the ``kind`` store of a run lives: an explicit ``override``,
+    else under ``base`` (an ``out_dir`` or a queue's ``artifacts/``),
+    else nowhere (``None`` — build in memory)."""
     if override is not None:
-        yield Path(override)
-        return
-    if out_dir is not None:
-        yield Path(out_dir) / CHECKPOINT_SUBDIR
-        return
-    if not _sweep_shares_checkpoints(spec_list):
-        yield None
-        return
-    with tempfile.TemporaryDirectory(prefix="repro-checkpoints-") as tmp:
-        yield Path(tmp)
+        return Path(override)
+    return None if base is None else Path(base) / STORE_KINDS[kind][0]
+
+
+def _open_store(
+    kind: str, base: str | Path | None, override: str | Path | None
+) -> ContentStore | None:
+    """The ``kind`` store at :func:`_store_dir`, or None when that is nowhere."""
+    root = _store_dir(kind, base, override)
+    return None if root is None else STORE_KINDS[kind][1](root)
+
+
+@contextlib.contextmanager
+def _sweep_store_dirs(
+    shared: set[str],
+    base: str | Path | None,
+    overrides: dict[str, str | Path | None],
+) -> Iterator[dict[str, Path | None]]:
+    """Where this sweep's shared prerequisite stores live, by kind.
+
+    :func:`_store_dir` when that names a place — durable, so later sweeps
+    reuse the entries and the store pays off even without sharing inside
+    this one.  Otherwise a temporary directory scoped to the sweep, but
+    only for a ``shared`` kind; ``None`` (no store, legs build in memory
+    — no round-trip overhead) when nothing would be reused.
+    """
+    with contextlib.ExitStack() as stack:
+        dirs = {}
+        for kind, (subdir, _cls, _span) in STORE_KINDS.items():
+            dirs[kind] = _store_dir(kind, base, overrides.get(kind))
+            if dirs[kind] is None and kind in shared:
+                dirs[kind] = Path(stack.enter_context(
+                    tempfile.TemporaryDirectory(prefix=f"repro-{subdir}-")))
+        yield dirs
+
+
+def _build_one(kind: str, root: str, key: str, builder: Callable) -> None:
+    """Build one prerequisite into its store (module-level: picklable)."""
+    STORE_KINDS[kind][1](root).get_or_build(key, builder)
+
+
+def _build_prerequisites(
+    needed: dict[str, dict[str, Callable]],
+    dirs: dict[str, Path | None],
+    workers: int,
+    legs: int,
+) -> None:
+    """The build-once pre-pass: simulate each missing prerequisite once.
+
+    Runs before any leg of the sweep, so concurrently executing legs
+    (process pool, queue workers) only ever *read* the stores and the
+    "recorded / warmed up exactly once" guarantee holds under every
+    executor.  Missing means *no readable entry* — a torn file is
+    rebuilt here, once, not by every leg that trips over it.  Builds are
+    independent, so with ``workers > 1`` and several missing entries of
+    a kind the pre-pass fans out over a process pool.
+    """
+    for kind, builders in needed.items():
+        if dirs[kind] is None:
+            continue
+        _subdir, store_cls, span = STORE_KINDS[kind]
+        with SPANS.span(span, legs=legs):
+            store = store_cls(dirs[kind])
+            missing = [(kind, str(dirs[kind]), key, builder)
+                       for key, builder in builders.items()
+                       if not store.readable(key)]
+            if len(missing) > 1 and workers > 1:
+                with _pool(min(workers, len(missing))) as pool:
+                    pool.starmap(_build_one, missing)
+            else:
+                for job in missing:
+                    _build_one(*job)
 
 
 def run_many(
@@ -497,26 +402,22 @@ def run_many(
     :func:`run`; with a warm cache a sweep only simulates the specs it
     has never seen.
 
-    Record once, replay many: before fanning out, the sweep is
-    partitioned by the recorded schedules its specs need (each
-    experiment's registered ``recordings`` hook) and every unique
-    original schedule is simulated exactly once into the sweep's shared
-    :class:`~repro.core.trace_io.ScheduleStore` — rooted at
-    ``<out_dir>/schedules``, the queue's ``artifacts/schedules``, or a
-    temporary directory scoped to this call.  The legs then replay from
-    the store, so a ``replay_modes`` sweep over M modes pays the
-    recording cost once, not M times, under all three executors.
-
-    Simulate once, branch many: the same pre-pass runs for warm-up
-    checkpoints (each experiment's registered ``checkpoints`` hook) —
-    the sweep is partitioned by shared warm-up prefix and every unique
-    prefix is simulated exactly once into the sweep's shared
-    :class:`~repro.sim.checkpoint.CheckpointStore`; the legs then branch
-    from the snapshot, turning an N-leg sweep from O(N × horizon) into
-    O(horizon + N × delta).  ``checkpoint_dir`` overrides where that
-    store lives (the CLI's ``--branch-from``), e.g. to reuse warm-ups
-    across sweeps without adopting a full ``out_dir`` cache; with the
-    queue executor the store always lives in the queue's shared
+    Build once, share many: before fanning out, the sweep is partitioned
+    by what its specs need built first (each experiment's registered
+    ``prerequisites`` hook) and every unique prerequisite is simulated
+    exactly once into the sweep's shared store of its kind — recorded
+    schedules into a :class:`~repro.core.trace_io.ScheduleStore`,
+    warm-up prefixes into a
+    :class:`~repro.sim.checkpoint.CheckpointStore` — rooted under
+    ``out_dir``, the queue's ``artifacts/``, or a temporary directory
+    scoped to this call.  The legs then replay (or branch) from the
+    store, so a ``replay_modes`` sweep over M modes pays the recording
+    cost once, not M times, and an N-leg branch sweep costs
+    O(horizon + N × delta), not O(N × horizon), under all three
+    executors.  ``checkpoint_dir`` overrides where the checkpoint store
+    lives (the CLI's ``--branch-from``), e.g. to reuse warm-ups across
+    sweeps without adopting a full ``out_dir`` cache; with the queue
+    executor it always lives in the queue's shared
     ``artifacts/checkpoints`` — where the workers look — so an override
     is rejected there.
 
@@ -574,31 +475,24 @@ def run_many(
         raise ConfigurationError(
             f"batch_size= only applies to executor='queue', not {executor!r}"
         )
-    with _sweep_schedule_dir(spec_list, out_dir) as schedule_dir, \
-            _sweep_checkpoint_dir(spec_list, out_dir, checkpoint_dir) as ckpt_dir:
-        if schedule_dir is not None:
-            with SPANS.span("record-schedules", legs=len(spec_list)):
-                _record_sweep_schedules(
-                    spec_list, schedule_dir, workers, out_dir, force
-                )
-        if ckpt_dir is not None:
-            with SPANS.span("build-checkpoints", legs=len(spec_list)):
-                _build_sweep_checkpoints(
-                    spec_list, ckpt_dir, workers, out_dir, force
-                )
-        if executor == "serial" or workers == 1 or len(spec_list) <= 1:
-            return [
-                run(spec, out_dir=out_dir, force=force,
-                    schedule_dir=schedule_dir, checkpoint_dir=ckpt_dir,
-                    checkpoint_policy=checkpoint_policy)
-                for spec in spec_list
-            ]
-        worker = functools.partial(
-            run, out_dir=out_dir, force=force, schedule_dir=schedule_dir,
-            checkpoint_dir=ckpt_dir, checkpoint_policy=checkpoint_policy,
+    results, needed, shared = _plan_sweep(spec_list, out_dir, force)
+    misses = [i for i in range(len(spec_list)) if i not in results]
+    missed_specs = [spec_list[i] for i in misses]
+    with _sweep_store_dirs(
+            shared, out_dir, {"checkpoint": checkpoint_dir}) as dirs:
+        _build_prerequisites(needed, dirs, workers, legs=len(spec_list))
+        leg = functools.partial(
+            run, out_dir=out_dir, force=force, schedule_dir=dirs["schedule"],
+            checkpoint_dir=dirs["checkpoint"],
+            checkpoint_policy=checkpoint_policy,
         )
-        with _pool(min(workers, len(spec_list))) as pool:
-            return pool.map(worker, spec_list)
+        if executor == "serial" or workers == 1 or len(misses) <= 1:
+            fresh = [leg(spec) for spec in missed_specs]
+        else:
+            with _pool(min(workers, len(misses))) as pool:
+                fresh = pool.map(leg, missed_specs)
+    results.update(zip(misses, fresh))
+    return [results[i] for i in range(len(spec_list))]
 
 
 def _run_many_queue(
@@ -620,12 +514,7 @@ def _run_many_queue(
 
     # out_dir keeps its run()/run_many() cache contract: specs already
     # answered there never reach the queue at all.
-    results: dict[int, RunArtifact] = {}
-    if out_dir is not None and not force:
-        for index, spec in enumerate(spec_list):
-            cached = cached_artifact(spec, out_dir)
-            if cached is not None:
-                results[index] = cached
+    results, needed, shared = _plan_sweep(spec_list, out_dir, force)
     misses = [i for i in range(len(spec_list)) if i not in results]
     if misses:
         missed_specs = [spec_list[i] for i in misses]
@@ -636,32 +525,19 @@ def _run_many_queue(
             # a batch (an explicit batch_size= is honored as given).
             per_worker = -(-len(misses) // workers)  # ceil division
             batch_size = max(1, min(DEFAULT_BATCH_SIZE, per_worker))
-        # Record-once pre-pass into the queue's shared artifact store:
-        # workers run jobs with out_dir=<queue>/artifacts, so they fetch
-        # recorded schedules from <queue>/artifacts/schedules instead of
-        # re-simulating the originals once per replay-mode leg.  Only
-        # worth the parent's time when some key IS shared between legs —
-        # otherwise each key belongs to exactly one leg, that leg
-        # records it into the store itself, and the exactly-once
+        # Pre-pass into the queue's shared artifact store: workers run
+        # jobs with out_dir=<queue>/artifacts, so they fetch recorded
+        # schedules and warm-up checkpoints from its subdirectories
+        # instead of re-simulating them once per leg.  Only worth the
+        # parent's time for a kind some key of which IS shared between
+        # legs — otherwise each key belongs to exactly one leg, that leg
+        # builds it into the store itself, and the exactly-once
         # guarantee holds with no pre-pass (and no pre-pass pool).
-        if _sweep_shares_recordings(missed_specs):
-            queue_schedule_dir = Path(queue_dir) / "artifacts" / SCHEDULE_SUBDIR
-            with SPANS.span("record-schedules", legs=len(missed_specs)):
-                _record_sweep_schedules(
-                    missed_specs, queue_schedule_dir, workers, out_dir, force,
-                )
-        # Simulate-once pre-pass, same placement logic: workers run jobs
-        # with out_dir=<queue>/artifacts, so they restore shared warm-up
-        # checkpoints from <queue>/artifacts/checkpoints instead of
-        # re-simulating the prefix once per leg.
-        if _sweep_shares_checkpoints(missed_specs):
-            queue_checkpoint_dir = (
-                Path(queue_dir) / "artifacts" / CHECKPOINT_SUBDIR
+        with _sweep_store_dirs(shared, Path(queue_dir) / "artifacts", {}) as dirs:
+            _build_prerequisites(
+                {kind: needed[kind] for kind in shared}, dirs, workers,
+                legs=len(missed_specs),
             )
-            with SPANS.span("build-checkpoints", legs=len(missed_specs)):
-                _build_sweep_checkpoints(
-                    missed_specs, queue_checkpoint_dir, workers, out_dir, force,
-                )
         with SPANS.span("queue-submit", jobs=len(misses)):
             job_ids = submit(missed_specs, queue_dir, force=force)
         context = multiprocessing.get_context()

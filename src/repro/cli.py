@@ -401,20 +401,17 @@ def _cmd_gc(args: argparse.Namespace) -> int:
     from repro.cluster import client
 
     try:
-        removed, kept = client.prune_schedules(args.queue,
-                                               dry_run=args.dry_run)
-        ckpt_removed, ckpt_kept = client.prune_checkpoints(
-            args.queue, dry_run=args.dry_run)
+        report = client.prune_stores(args.queue, dry_run=args.dry_run)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     verb = "would remove" if args.dry_run else "removed"
-    for key in (*removed, *ckpt_removed):
-        print(f"{verb} {key}", file=sys.stderr)
-    print(f"{verb} {len(removed)} schedule(s), kept {len(kept)} in use "
-          f"({args.queue})")
-    print(f"{verb} {len(ckpt_removed)} checkpoint(s), kept "
-          f"{len(ckpt_kept)} in use ({args.queue})")
+    for removed, _kept in report.values():
+        for key in removed:
+            print(f"{verb} {key}", file=sys.stderr)
+    for kind, (removed, kept) in report.items():
+        print(f"{verb} {len(removed)} {kind}(s), kept {len(kept)} in use "
+              f"({args.queue})")
     return 0
 
 
@@ -625,15 +622,19 @@ def _cmd_record(args: argparse.Namespace) -> int:
 
     try:
         entry = REGISTRY.get(args.experiment)
-        if entry.recordings is None:
-            raise ConfigurationError(
-                f"experiment {entry.name!r} records no replayable "
-                f"schedules — only record-once/replay-many experiments "
-                f"(a registered `recordings` hook) can be exported"
-            )
+        refusal = ConfigurationError(
+            f"experiment {entry.name!r} records no replayable "
+            f"schedules — only record-once/replay-many experiments "
+            f"(`schedule` entries in a registered `prerequisites` hook) "
+            f"can be exported"
+        )
+        if entry.prerequisites is None:
+            raise refusal
         _reject_unused_flags(entry, args)
         spec = spec_from_args(args.experiment, args)
-        recorders = entry.recordings(spec)
+        recorders = entry.prerequisites(spec).get("schedule")
+        if recorders is None:
+            raise refusal
         if not recorders:
             raise ConfigurationError(
                 f"spec for {entry.name!r} yields no recordings "
@@ -677,12 +678,14 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
 
     try:
         entry = REGISTRY.get(args.experiment)
-        if entry.checkpoints is None:
-            raise ConfigurationError(
-                f"experiment {entry.name!r} has no branchable warm-up — "
-                f"only simulate-once/branch-many experiments (a registered "
-                f"`checkpoints` hook) can be checkpointed"
-            )
+        refusal = ConfigurationError(
+            f"experiment {entry.name!r} has no branchable warm-up — "
+            f"only simulate-once/branch-many experiments (`checkpoint` "
+            f"entries in a registered `prerequisites` hook) can be "
+            f"checkpointed"
+        )
+        if entry.prerequisites is None:
+            raise refusal
         _reject_unused_flags(entry, args)
         spec = spec_from_args(args.experiment, args)
         if args.at is not None:
@@ -693,7 +696,9 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
                 )
             spec = spec.with_(
                 options={**dict(spec.options), "warmup": args.at})
-        builders = entry.checkpoints(spec)
+        builders = entry.prerequisites(spec).get("checkpoint")
+        if builders is None:
+            raise refusal
         if not builders:
             raise ConfigurationError(
                 f"spec for {entry.name!r} yields no checkpoints "

@@ -27,8 +27,7 @@ simulate exactly once; determinism makes that sharing sound.
 from repro.cluster.client import (
     QueueStatus,
     gather,
-    prune_schedules,
-    schedule_keys_in_use,
+    prune_stores,
     status,
     submit,
 )
@@ -49,8 +48,7 @@ __all__ = [
     "Worker",
     "drain_queue",
     "gather",
-    "prune_schedules",
-    "schedule_keys_in_use",
+    "prune_stores",
     "status",
     "submit",
 ]

@@ -33,11 +33,8 @@ from repro.errors import ClusterError, ConfigurationError, JobFailedError
 
 __all__ = [
     "QueueStatus",
-    "checkpoint_keys_in_use",
     "gather",
-    "prune_checkpoints",
-    "prune_schedules",
-    "schedule_keys_in_use",
+    "prune_stores",
     "status",
     "submit",
 ]
@@ -236,123 +233,47 @@ def gather(
         sleep_s = min(sleep_s * 2.0, float(poll_s))
 
 
-# -- schedule-store garbage collection ------------------------------------
+# -- prerequisite-store garbage collection ---------------------------------
 
 
-def _keys_in_use(queue: JobQueue) -> set[str]:
-    """The in-use key set of :func:`schedule_keys_in_use`, given a queue."""
+def _keep_sets(queue: JobQueue) -> dict[str, tuple]:
+    """Per kind, ``(store, {present key: does a live job still need it})``.
+
+    A key is in use while any pending or running job's experiment
+    declares it through the registry's ``prerequisites`` hook — those
+    jobs will fetch it from the store when a worker picks them up — or,
+    for a store with run-private keys (``RUN_PREFIX``: the mid-run resume
+    snapshots of :mod:`repro.sim.resume`), while it sits under a live
+    job's run id: a retry fast-forwards from any of them.  Terminal jobs
+    contribute nothing: their artifacts are cached, so they never touch a
+    store again (a done job never retries, a ``--force`` resubmission
+    rebuilds from scratch).
+    """
     from repro.api.registry import REGISTRY
+    from repro.api.runner import STORE_KINDS
     from repro.cluster.jobs import PENDING, RUNNING
 
-    keys: set[str] = set()
+    stores = {kind: store_cls(queue.artifact_dir / subdir)
+              for kind, (subdir, store_cls, _span) in STORE_KINDS.items()}
+    declared: dict[str, set[str]] = {kind: set() for kind in stores}
+    run_ids = []
     # query the live states only: a long-lived queue dir holds thousands
     # of terminal rows, and rebuilding their specs just to skip them
     # would make every gc run O(history)
     for state in (PENDING, RUNNING):
         for job in queue.jobs(state=state):
-            entry = REGISTRY.get(job.spec.experiment)
-            if entry.recordings is None:
-                continue
-            keys.update(entry.recordings(job.spec))
-    return keys
-
-
-def schedule_keys_in_use(queue_dir: str | Path) -> set[str]:
-    """The recorded-schedule keys the queue's *live* jobs still need.
-
-    A key is in use while any pending or running job's experiment
-    declares it through the registry's ``recordings`` hook — those jobs
-    will fetch the schedule from the store when a worker picks them up.
-    Terminal jobs contribute nothing: their artifacts are already in the
-    cache, so they never touch the schedule store again (a ``--force``
-    resubmission re-records from scratch).  ``queue_dir`` must be an
-    existing queue; a typo'd path raises
-    :class:`~repro.errors.ClusterError` rather than reporting an empty
-    working set and licensing a full wipe.
-    """
-    return _keys_in_use(JobQueue(queue_dir, create=False))
-
-
-def prune_schedules(
-    queue_dir: str | Path, dry_run: bool = False
-) -> tuple[list[str], list[str]]:
-    """Garbage-collect a queue's recorded-schedule store (``repro gc``).
-
-    Long-lived queue directories accumulate schedules for sweeps that
-    finished long ago; this removes every store entry whose key is not
-    in :func:`schedule_keys_in_use` and returns ``(removed, kept)`` key
-    lists.  Removal is atomic per entry (one ``unlink`` each), so a
-    worker racing the GC sees either a complete schedule file or a
-    clean miss it re-records — never a torn one.  ``dry_run=True`` only
-    reports what would go.
-    """
-    from repro.api.runner import SCHEDULE_SUBDIR
-    from repro.core.trace_io import ScheduleStore
-
-    queue = JobQueue(queue_dir, create=False)
-    in_use = _keys_in_use(queue)
-    store = ScheduleStore(queue.artifact_dir / SCHEDULE_SUBDIR)
-    if dry_run:
-        present = store.keys()
-        removed = sorted(k for k in present if k not in in_use)
-        kept = sorted(k for k in present if k in in_use)
-        return removed, kept
-    removed = store.prune(in_use)
-    return removed, sorted(set(store.keys()) & in_use)
-
-
-# -- checkpoint-store garbage collection -----------------------------------
-
-
-def _checkpoint_store(queue: JobQueue):
-    from repro.api.runner import CHECKPOINT_SUBDIR
-    from repro.sim.checkpoint import CheckpointStore
-
-    return CheckpointStore(queue.artifact_dir / CHECKPOINT_SUBDIR)
-
-
-def _checkpoint_keys_in_use(queue: JobQueue) -> set[str]:
-    """The in-use key set of :func:`checkpoint_keys_in_use`, given a queue."""
-    from repro.api.registry import REGISTRY
-    from repro.cluster.jobs import PENDING, RUNNING
-
-    keys: set[str] = set()
-    for state in (PENDING, RUNNING):
-        for job in queue.jobs(state=state):
-            entry = REGISTRY.get(job.spec.experiment)
-            if entry.checkpoints is None:
-                continue
-            keys.update(entry.checkpoints(job.spec))
-    return keys
-
-
-def _resume_prefixes_in_use(queue: JobQueue) -> set[str]:
-    """Key prefixes of mid-run resume snapshots live jobs may still need.
-
-    Resume snapshots (:mod:`repro.sim.resume`) are keyed
-    ``resume-<run_id>-p<phase>-<fingerprint>-n<index>``; a pending or
-    running job's retry fast-forwards from any snapshot under its run
-    id's prefix, so GC must keep them all.  Terminal jobs contribute
-    nothing: a done job never retries, a permanently failed one restarts
-    its attempt counter from scratch anyway.
-    """
-    from repro.cluster.jobs import PENDING, RUNNING
-
-    prefixes: set[str] = set()
-    for state in (PENDING, RUNNING):
-        for job in queue.jobs(state=state):
-            prefixes.add(f"resume-{job.run_id}-")
-    return prefixes
-
-
-def _checkpoint_keep_set(queue: JobQueue, present: list[str]) -> set[str]:
-    """Of ``present`` store keys, the ones a live job still needs."""
-    declared = _checkpoint_keys_in_use(queue)
-    prefixes = _resume_prefixes_in_use(queue)
-    keep = set()
-    for key in present:
-        if key in declared or any(key.startswith(p) for p in prefixes):
-            keep.add(key)
+            run_ids.append(job.run_id)
+            hook = REGISTRY.get(job.spec.experiment).prerequisites
+            if hook is not None:
+                for kind, builders in hook(job.spec).items():
+                    declared[kind].update(builders)
+    keep = {}
+    for kind, store in stores.items():
+        live = tuple(f"{store.RUN_PREFIX}{run_id}-" for run_id in run_ids
+                     if store.RUN_PREFIX is not None)
+        keep[kind] = (store, {
+            key: key in declared[kind] or key.startswith(live)
+            for key in store.keys()})
     return keep
 
 
@@ -360,54 +281,38 @@ def _checkpoint_rows(queue: JobQueue) -> list[dict]:
     """The ``repro status`` checkpoint rows: every stored key with its
     kind (warm-up prefix vs mid-run resume snapshot), flagged in-use
     when a live job still needs it."""
-    store = _checkpoint_store(queue)
-    present = store.keys()
-    if not present:
-        return []
-    keep = _checkpoint_keep_set(queue, present)
+    store, in_use = _keep_sets(queue)["checkpoint"]
     return [
         {
             "key": key,
-            "kind": "resume" if key.startswith("resume-") else "warmup",
-            "in_use": key in keep,
+            "kind": "resume" if key.startswith(store.RUN_PREFIX) else "warmup",
+            "in_use": used,
         }
-        for key in present
+        for key, used in in_use.items()
     ]
 
 
-def checkpoint_keys_in_use(queue_dir: str | Path) -> set[str]:
-    """The warm-up checkpoint keys the queue's *live* jobs still need.
-
-    The simulate-once/branch-many analogue of
-    :func:`schedule_keys_in_use`: a key is in use while any pending or
-    running job's experiment declares it through the registry's
-    ``checkpoints`` hook.  Terminal jobs contribute nothing — their
-    artifacts are cached, so they never branch again.
-    """
-    return _checkpoint_keys_in_use(JobQueue(queue_dir, create=False))
-
-
-def prune_checkpoints(
+def prune_stores(
     queue_dir: str | Path, dry_run: bool = False
-) -> tuple[list[str], list[str]]:
-    """Garbage-collect a queue's checkpoint store (``repro gc``).
+) -> dict[str, tuple[list[str], list[str]]]:
+    """Garbage-collect a queue's prerequisite stores (``repro gc``).
 
-    Removes every store entry no live job needs — neither declared via
-    :func:`checkpoint_keys_in_use` (warm-up prefixes) nor covered by a
-    pending/running job's resume-snapshot prefix (mid-run snapshots a
-    preempted retry would fast-forward from) — and returns ``(removed,
-    kept)`` key lists.  Removal is atomic per entry (one ``unlink``), so
-    a worker racing the GC sees either a complete checkpoint or a clean
-    miss it rebuilds from scratch — never a torn file.  ``dry_run=True``
-    only reports what would go.
+    Long-lived queue directories accumulate recorded schedules and
+    checkpoints for sweeps that finished long ago; this removes every
+    store entry no live job needs (see :func:`_keep_sets`) and returns
+    ``kind → (removed, kept)`` key lists.  Removal is atomic per entry
+    (one ``unlink`` each), so a worker racing the GC sees either a
+    complete file or a clean miss it rebuilds — never a torn one.
+    ``dry_run=True`` only reports what would go.  ``queue_dir`` must be
+    an existing queue; a typo'd path raises
+    :class:`~repro.errors.ClusterError` rather than reporting an empty
+    working set and licensing a full wipe.
     """
-    queue = JobQueue(queue_dir, create=False)
-    store = _checkpoint_store(queue)
-    present = store.keys()
-    keep = _checkpoint_keep_set(queue, present)
-    if dry_run:
-        removed = sorted(k for k in present if k not in keep)
-        kept = sorted(k for k in present if k in keep)
-        return removed, kept
-    removed = store.prune(keep)
-    return removed, sorted(set(store.keys()) & keep)
+    report = {}
+    for kind, (store, in_use) in _keep_sets(
+            JobQueue(queue_dir, create=False)).items():
+        removed = [key for key, used in in_use.items() if not used]
+        if not dry_run:
+            removed = store.discard(removed)
+        report[kind] = (removed, [key for key, used in in_use.items() if used])
+    return report

@@ -15,9 +15,8 @@ artifact:
   files keyed by *recording inputs* (see
   :func:`repro.experiments.replayability.scenario_schedule_key`), the
   record-once/replay-many cache the experiment runner shares across the
-  legs of a replay-mode sweep.  Writes are atomic (temp file +
-  ``os.replace``), mirroring :meth:`repro.api.results.RunArtifact.save`,
-  so concurrent workers on one directory never observe a torn JSON.
+  legs of a replay-mode sweep; a :class:`~repro.core.store.ContentStore`
+  codec, so puts are atomic and torn entries read as misses.
 * :func:`use_schedule_store` / :func:`active_schedule_store` — the
   process-wide "current store" the runner activates around a driver
   call; :func:`repro.experiments.replayability.get_recorded_schedule`
@@ -32,17 +31,15 @@ the correctness bar the record-once sweep machinery is held to.
 
 from __future__ import annotations
 
-import contextlib
 import gzip
 import hashlib
 import json
-import os
-import uuid
 from collections import OrderedDict
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator
+from typing import IO, ContextManager
 
 from repro.core.replay import RecordedSchedule
+from repro.core.store import ContentStore
 from repro.errors import ReplayError
 
 __all__ = [
@@ -151,205 +148,69 @@ def _memo_put(key: tuple, schedule: RecordedSchedule) -> None:
         _PARSE_MEMO.popitem(last=False)
 
 
-class ScheduleStore:
+class ScheduleStore(ContentStore):
     """A content-addressed, on-disk cache of recorded schedules.
 
-    One directory, one file per schedule, named ``<key>.json`` where the
-    key is derived from the *recording inputs* (topology, original
-    scheduler, load, seed, …) so any leg of any sweep that needs the same
-    original run addresses the same file.  The store also keeps an
-    append-only ``recordings.log`` — one line per *actual* recording —
-    which is how the test suite (and the ``sweep-replay`` bench) assert
-    the record-once guarantee: a sweep over M replay modes must grow the
-    log by exactly the number of unique schedules, not M times that.
+    The :class:`~repro.core.store.ContentStore` codec for
+    ``<key>.json`` schedule documents, keyed by *recording inputs*
+    (topology, original scheduler, load, seed, …).  Its audit log,
+    ``recordings.log``, is how the test suite (and the ``sweep-replay``
+    bench) assert the record-once guarantee: a sweep over M replay modes
+    must grow it by one ``put`` line per unique schedule, not M.
     """
 
-    #: File name of the append-only record of actual recordings.
+    __slots__ = ()
+
+    SUFFIX = ".json"
     LOG_NAME = "recordings.log"
 
-    def __init__(self, root: str | Path) -> None:
-        self.root = Path(root)
+    def encode(self, schedule: RecordedSchedule) -> bytes:
+        """The schedule-file bytes (see :func:`save_schedule`)."""
+        return _document_text(schedule).encode()
 
-    def path(self, key: str) -> Path:
-        """The file a schedule with ``key`` lives at (may not exist yet)."""
-        return self.root / f"{key}.json"
-
-    def has(self, key: str) -> bool:
-        """True when a schedule file for ``key`` exists (content untested)."""
-        return self.path(key).is_file()
+    def load(self, path: Path) -> RecordedSchedule:
+        """Read a schedule document, skipping the content-hash check:
+        entries are written atomically by this same store, and
+        re-hashing on the sweep hot path would cost more than the
+        simulation it saves at small scales."""
+        return load_schedule(path, verify=False)
 
     def get(self, key: str) -> RecordedSchedule | None:
         """The cached schedule for ``key``, or None.
 
-        Unreadable or corrupt entries (truncated writes by a killed
-        process) are treated as misses, not errors — the caller records
-        afresh and the atomic :meth:`put` heals the entry.  Store reads
-        skip the content-hash check (entries are written atomically by
-        this same store, and re-hashing on the sweep hot path would cost
-        more than the simulation it saves at small scales) and are
-        memoised per process on the file's stat identity, so the legs of
+        Memoised per process on the file's stat identity, so the legs of
         a serial sweep parse each schedule once, not once per leg.
         """
-        path = self.path(key)
-        memo_key = _memo_key(path)
+        memo_key = _memo_key(self.path(key))
         if memo_key is not None and memo_key in _PARSE_MEMO:
             _PARSE_MEMO.move_to_end(memo_key)
             return _PARSE_MEMO[memo_key]
-        try:
-            schedule = load_schedule(path, verify=False)
-        except (OSError, ValueError, TypeError, KeyError, ReplayError):
-            return None
-        if memo_key is not None:
+        schedule = super().get(key)
+        if schedule is not None and memo_key is not None:
             _memo_put(memo_key, schedule)
         return schedule
 
-    def put(self, key: str, schedule: RecordedSchedule) -> Path:
-        """Persist ``schedule`` under ``key`` atomically; returns the path.
-
-        Temp file + ``os.replace`` in the store directory: concurrent
-        readers see either no file or a complete, hash-verified one.
-        Racing writers of the same key both succeed (last replace wins;
-        recording is deterministic, so the contents agree anyway).
-        """
-        self.root.mkdir(parents=True, exist_ok=True)
-        path = self.path(key)
-        tmp_name = str(
-            self.root / f".{path.name}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp"
-        )
-        fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(_document_text(schedule))
-            os.replace(tmp_name, path)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp_name)
-            raise
-        return path
-
-    def get_or_record(
-        self, key: str, recorder: Callable[[], RecordedSchedule]
-    ) -> RecordedSchedule:
-        """The schedule for ``key`` — from cache, or by running ``recorder``.
-
-        A cache miss records, persists, logs the recording, and returns
-        the schedule *reloaded from disk*, so every consumer — the leg
-        that paid for the recording and every later one — replays the
-        identical post-round-trip object (round-trips are lossless, but
-        structural identity makes the byte-identity argument airtight).
-        """
-        cached = self.get(key)
-        if cached is not None:
-            return cached
-        # Recorders run their own simulation, but only on a miss; were a
-        # resume session (repro.sim.resume) left active, the extra phases
-        # would shift later phase ordinals and orphan their snapshots.
-        from repro.sim.resume import suspended_resume  # local: avoids cycle
-
-        with suspended_resume():
-            schedule = recorder()
-        self.put(key, schedule)
-        self._log_recording(key)
-        reloaded = self.get(key)
-        return schedule if reloaded is None else reloaded
-
-    def keys(self) -> list[str]:
-        """The keys currently present in the store, sorted.
-
-        Scans the store directory for ``<key>.json`` entries; in-flight
-        temp files (dot-prefixed) are not entries and are skipped.
-        """
-        if not self.root.is_dir():
-            return []
-        return sorted(
-            path.stem
-            for path in self.root.glob("*.json")
-            if not path.name.startswith(".")
-        )
-
-    def prune(self, in_use: Iterable[str]) -> list[str]:
-        """Remove every entry whose key is not in ``in_use``; GC for
-        long-lived stores.
-
-        Returns the removed keys, sorted.  Each removal is a single
-        ``unlink`` — atomic, so a concurrent reader sees either the
-        complete file or a miss it can re-record — and an entry someone
-        else already removed is skipped silently.  The
-        ``recordings.log`` audit trail is deliberately left intact: it
-        records history (how many simulations were ever paid for), not
-        current contents.
-        """
-        keep = set(in_use)
-        removed = []
-        for key in self.keys():
-            if key in keep:
-                continue
-            with contextlib.suppress(FileNotFoundError):
-                self.path(key).unlink()
-                removed.append(key)
-        return sorted(removed)
-
-    # -- the record-once audit trail --------------------------------------
-
-    def _log_recording(self, key: str) -> None:
-        """Append one line for an actual recording (O_APPEND: atomic for
-        short lines, so concurrent workers interleave but never tear)."""
-        line = f"{key} pid={os.getpid()}\n"
-        fd = os.open(
-            str(self.root / self.LOG_NAME),
-            os.O_WRONLY | os.O_CREAT | os.O_APPEND,
-            0o666,
-        )
-        try:
-            os.write(fd, line.encode())
-        finally:
-            os.close(fd)
-
     def recorded_keys(self) -> list[str]:
-        """Keys actually recorded into this store, in recording order.
-
-        Reads ``recordings.log``; a key appears once per recording, so
-        ``len(store.recorded_keys())`` is the number of simulations the
-        store paid for — the quantity the record-once tests assert on.
-        """
-        try:
-            text = (self.root / self.LOG_NAME).read_text()
-        except OSError:
-            return []
-        return [line.split()[0] for line in text.splitlines() if line.strip()]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<ScheduleStore {self.root}>"
-
-
-#: The store :func:`active_schedule_store` answers with (None = no cache).
-_ACTIVE_STORE: ScheduleStore | None = None
+        """Keys actually recorded into this store, in recording order
+        (:meth:`~repro.core.store.ContentStore.built_keys`, by the name
+        the record-once tests use)."""
+        return self.built_keys()
 
 
 def active_schedule_store() -> ScheduleStore | None:
-    """The schedule store the current run records into / reads from.
-
-    Set by :func:`use_schedule_store`; ``None`` means "no cache — record
-    in memory every time", the behaviour of a bare driver call outside
-    the runner.
-    """
-    return _ACTIVE_STORE
+    """The schedule store the current run records into / reads from
+    (see :meth:`~repro.core.store.ContentStore.active`)."""
+    return ScheduleStore.active()
 
 
-@contextlib.contextmanager
-def use_schedule_store(store: ScheduleStore | None) -> Iterator[ScheduleStore | None]:
-    """Make ``store`` the active schedule store for the enclosed block.
+def use_schedule_store(
+    store: ScheduleStore | None,
+) -> ContextManager[ScheduleStore | None]:
+    """Make ``store`` the active schedule store for a ``with`` block.
 
     The experiment runner wraps each driver call in this so
     :func:`repro.experiments.replayability.get_recorded_schedule` can
-    answer recordings from the sweep's shared cache.  Nests and restores
-    the previous store on exit; passing ``None`` disables caching inside
-    the block.
+    answer recordings from the sweep's shared cache (see
+    :meth:`~repro.core.store.ContentStore.activated`).
     """
-    global _ACTIVE_STORE
-    previous = _ACTIVE_STORE
-    _ACTIVE_STORE = store
-    try:
-        yield store
-    finally:
-        _ACTIVE_STORE = previous
+    return ScheduleStore.activated(store)

@@ -35,7 +35,6 @@ import functools
 import hashlib
 import json
 from dataclasses import dataclass, fields, replace
-from typing import Callable
 
 from repro.analysis.tables import Table
 from repro.api.registry import register_experiment
@@ -214,14 +213,14 @@ def prefix_from_spec(spec: ExperimentSpec) -> BranchPrefix:
     )
 
 
-def _branch_checkpoints(spec: ExperimentSpec) -> dict[str, Callable]:
-    """Registry hook: the checkpoints a branch spec needs (key → builder)."""
+def _branch_prerequisites(spec: ExperimentSpec) -> dict:
+    """Registry hook: the warm-up checkpoint a branch spec branches from."""
     prefix = prefix_from_spec(spec)
-    return {
+    return {"checkpoint": {
         branch_checkpoint_key(prefix): functools.partial(
             build_branch_snapshot, prefix
         )
-    }
+    }}
 
 
 def _leg_flows(network: Network, prefix: BranchPrefix, spec: ExperimentSpec):
@@ -249,7 +248,7 @@ def _leg_flows(network: Network, prefix: BranchPrefix, spec: ExperimentSpec):
     help="Branch-from-checkpoint sweep: one shared warm-up, one leg per seed",
     options=("warmup", "warmup_seed"),
     params=("duration", "seeds", "bandwidth_scale", "schedulers"),
-    checkpoints=_branch_checkpoints,
+    prerequisites=_branch_prerequisites,
 )
 def _run_branch(spec: ExperimentSpec) -> tuple[Table, dict]:
     prefix = prefix_from_spec(spec)

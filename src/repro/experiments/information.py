@@ -24,7 +24,6 @@ have satisfied) and ``"nearest"`` (unbiased noise).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -35,10 +34,9 @@ from repro.core.replay import RecordedPacket, RecordedSchedule, replay_schedule
 from repro.errors import ConfigurationError
 from repro.experiments.replayability import (
     ReplayScenario,
-    build_recorded_schedule,
     get_recorded_schedule,
     scenario_from_spec,
-    scenario_schedule_key,
+    schedule_prerequisites,
     topology_factory,
 )
 
@@ -103,14 +101,9 @@ def run_information_experiment(
     return points
 
 
-def _info_recordings(spec: ExperimentSpec) -> dict:
+def _info_prerequisites(spec: ExperimentSpec) -> dict:
     """Registry hook: the single recording an info spec sweeps over."""
-    scenario = scenario_from_spec(spec)
-    return {
-        scenario_schedule_key(scenario): functools.partial(
-            build_recorded_schedule, scenario
-        )
-    }
+    return schedule_prerequisites([scenario_from_spec(spec)])
 
 
 @register_experiment(
@@ -119,7 +112,7 @@ def _info_recordings(spec: ExperimentSpec) -> dict:
     options=("rounding", "steps_in_t"),
     params=("duration", "seeds", "bandwidth_scale", "schedulers",
             "topology", "utilization"),
-    recordings=_info_recordings,
+    prerequisites=_info_prerequisites,
 )
 def _run_info(spec: ExperimentSpec) -> tuple[Table, dict]:
     scenario = scenario_from_spec(spec)

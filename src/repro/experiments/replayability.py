@@ -76,6 +76,7 @@ __all__ = [
     "run_replay",
     "scenario_from_spec",
     "scenario_schedule_key",
+    "schedule_prerequisites",
     "table1_scenarios",
     "validate_row_indices",
 ]
@@ -309,7 +310,7 @@ def get_recorded_schedule(scenario: ReplayScenario) -> RecordedSchedule:
     store = active_schedule_store()
     if store is None:
         return build_recorded_schedule(scenario)
-    return store.get_or_record(
+    return store.get_or_build(
         scenario_schedule_key(scenario),
         functools.partial(build_recorded_schedule, scenario),
     )
@@ -418,12 +419,18 @@ def _table1_row_scenarios(spec: ExperimentSpec) -> list[ReplayScenario]:
     return scenarios
 
 
-def _table1_recordings(spec: ExperimentSpec) -> dict[str, Callable]:
-    """Registry hook: the recordings a table1 spec needs (key → recorder)."""
-    return {
+def schedule_prerequisites(scenarios: Iterable[ReplayScenario]) -> dict:
+    """The registry ``prerequisites`` value for drivers that replay
+    ``scenarios``: one recording each, keyed into the schedule store."""
+    return {"schedule": {
         scenario_schedule_key(s): functools.partial(build_recorded_schedule, s)
-        for s in _table1_row_scenarios(spec)
-    }
+        for s in scenarios
+    }}
+
+
+def _table1_prerequisites(spec: ExperimentSpec) -> dict:
+    """Registry hook: the recordings a table1 spec needs."""
+    return schedule_prerequisites(_table1_row_scenarios(spec))
 
 
 @register_experiment(
@@ -431,7 +438,7 @@ def _table1_recordings(spec: ExperimentSpec) -> dict[str, Callable]:
     help="Table 1: LSTF replayability across topologies, loads, schedulers",
     options=("rows",),
     params=("duration", "seeds", "bandwidth_scale", "replay_modes"),
-    recordings=_table1_recordings,
+    prerequisites=_table1_prerequisites,
 )
 def _run_table1(spec: ExperimentSpec) -> tuple[Table, dict]:
     mode = spec.replay_mode
@@ -467,12 +474,9 @@ def _fig1_scenarios(spec: ExperimentSpec) -> list[ReplayScenario]:
     ]
 
 
-def _fig1_recordings(spec: ExperimentSpec) -> dict[str, Callable]:
-    """Registry hook: the recordings a fig1 spec needs (key → recorder)."""
-    return {
-        scenario_schedule_key(s): functools.partial(build_recorded_schedule, s)
-        for s in _fig1_scenarios(spec)
-    }
+def _fig1_prerequisites(spec: ExperimentSpec) -> dict:
+    """Registry hook: the recordings a fig1 spec needs."""
+    return schedule_prerequisites(_fig1_scenarios(spec))
 
 
 @register_experiment(
@@ -480,7 +484,7 @@ def _fig1_recordings(spec: ExperimentSpec) -> dict[str, Callable]:
     help="Figure 1: LSTF:original queueing-delay-ratio quantiles",
     params=("duration", "seeds", "bandwidth_scale", "schedulers",
             "topology", "utilization", "replay_modes"),
-    recordings=_fig1_recordings,
+    prerequisites=_fig1_prerequisites,
 )
 def _run_fig1(spec: ExperimentSpec) -> tuple[Table, dict]:
     import numpy as np

@@ -60,8 +60,8 @@ class RedAqm:
         the port instead asks its scheduler for a victim via
         ``drop_victim`` — under LSTF that sacrifices the queued packet
         with the *most* remaining slack, extending §3's drop rule to early
-        drops.  This is the §5 "incorporating feedback" experiment's
-        slack-aware variant (``benchmarks/bench_feedback_and_pheap.py``).
+        drops — the §5 "incorporating feedback" direction; the victim
+        choice is pinned by ``tests/sim/test_aqm.py``.
     """
 
     __slots__ = ("min_threshold", "max_threshold", "max_probability",

@@ -23,10 +23,10 @@ snapshot.
   bit-rotted checkpoint fails loudly (or, in the store, falls through to
   a from-scratch rebuild) instead of branching subtly wrong.
 * :class:`CheckpointStore` — a content-addressed directory of checkpoint
-  files keyed by *warm-up inputs*, mirroring
-  :class:`~repro.core.trace_io.ScheduleStore`: atomic puts, corrupt
-  entries read as misses, and an append-only ``checkpoints.log`` audit
-  trail that lets tests assert the build-once guarantee.
+  files keyed by *warm-up inputs*; a
+  :class:`~repro.core.store.ContentStore` codec, so puts are atomic,
+  corrupt entries read as misses, and ``checkpoints.log`` lets tests
+  assert the build-once guarantee.
 * :func:`use_checkpoint_store` / :func:`active_checkpoint_store` — the
   process-wide "current store" the runner activates around a driver call.
 
@@ -41,16 +41,14 @@ get a *fresh* unpickled graph, because branching mutates the network.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
-import os
 import pickle
-import uuid
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, ContextManager
 
 from repro.core.packet import packet_id_counter, set_packet_id_counter
+from repro.core.store import ContentStore
 from repro.errors import CheckpointError
 from repro.obs.hub import active_metrics_hub
 from repro.sim.engine import ENGINE_PERF
@@ -256,261 +254,61 @@ def load_checkpoint(path: str | Path, verify: bool = True) -> Snapshot:
     return snapshot_from_bytes(data, str(path), verify)
 
 
-class CheckpointStore:
+class CheckpointStore(ContentStore):
     """A content-addressed, on-disk cache of warm-up checkpoints.
 
-    One directory, one file per checkpoint, named ``<key>.ckpt`` where
-    the key is derived from the *warm-up inputs* (topology, scheduler,
-    load, warm-up horizon, seed, …) so any leg of any sweep that shares
-    the prefix addresses the same file.  The store also keeps an
-    append-only ``checkpoints.log`` audit trail — one
-    ``<op> <key> pid=<pid>`` line per store mutation, where the op is
-    ``put`` (an actual build), ``prune``/``roll`` (an entry retired), or
-    ``resume`` (a mid-run snapshot restored after a preemption) — which
-    is how the test suite (and the ``sweep-branch`` bench) assert the
-    build-once guarantee: a sweep over N legs with one shared prefix must
-    grow the log by exactly one ``put`` line, not N.
+    The :class:`~repro.core.store.ContentStore` codec for ``<key>.ckpt``
+    files, keyed by *warm-up inputs* (topology, scheduler, load, warm-up
+    horizon, seed, …) — and, under ``resume-<run_id>-…`` keys, the
+    mid-run snapshots of :mod:`repro.sim.resume`.  Its audit log,
+    ``checkpoints.log``, is how the test suite (and the ``sweep-branch``
+    bench) assert the build-once guarantee: a sweep over N legs with one
+    shared prefix must grow it by exactly one ``put`` line, not N.
 
-    Every read re-verifies the payload hash and returns a *fresh*
-    unpickled graph (no memo — consumers mutate what they restore); a
-    truncated or corrupt entry reads as a miss, so a killed writer can
-    never poison a sweep — the next leg rebuilds from scratch and the
-    atomic :meth:`put` heals the entry.
+    Every read re-verifies the payload hash — the only thing standing
+    between a torn pickle and a corrupted branch — and returns a *fresh*
+    unpickled graph (no memo: consumers mutate what they restore).
     """
 
-    __slots__ = ("root",)
+    __slots__ = ()
 
-    #: File name of the append-only record of actual checkpoint builds.
+    SUFFIX = ".ckpt"
     LOG_NAME = "checkpoints.log"
+    RUN_PREFIX = "resume-"
 
-    def __init__(self, root: str | Path) -> None:
-        self.root = Path(root)
+    encode = staticmethod(snapshot_to_bytes)
+    load = staticmethod(load_checkpoint)
 
-    def path(self, key: str) -> Path:
-        """The file a checkpoint with ``key`` lives at (may not exist yet)."""
-        return self.root / f"{key}.ckpt"
-
-    def has(self, key: str) -> bool:
-        """True when a checkpoint file for ``key`` exists (content untested)."""
-        return self.path(key).is_file()
-
-    def get(self, key: str) -> Snapshot | None:
-        """The cached snapshot for ``key``, or None.
-
-        Unreadable, truncated, or hash-mismatched entries are treated as
-        misses, not errors — the caller rebuilds from scratch and
-        :meth:`put` heals the entry.  Unlike the schedule store there is
-        no parse memo and no ``verify=False`` fast path: each consumer
-        needs its own fresh graph anyway, and the hash check is the only
-        thing standing between a torn pickle and a corrupted branch.
-        """
+    def readable(self, key: str) -> bool:
+        """True when the entry's header and payload hash check out —
+        everything :meth:`get` verifies, short of unpickling."""
         try:
-            return load_checkpoint(self.path(key))
-        except CheckpointError:
-            return None
+            split_checkpoint(self.path(key).read_bytes(), key)
+        except (OSError, CheckpointError):
+            return False
+        return True
 
-    def put(self, key: str, snapshot: Snapshot) -> Path:
-        """Persist ``snapshot`` under ``key`` atomically; returns the path."""
-        return self.put_bytes(key, snapshot_to_bytes(snapshot))
-
-    def put_bytes(self, key: str, data: bytes) -> Path:
-        """Write pre-serialised checkpoint bytes under ``key`` atomically.
-
-        Temp file + ``os.replace`` in the store directory: concurrent
-        readers see either no file or a complete, hash-verified one.
-        Racing writers of the same key both succeed (last replace wins;
-        warm-ups are deterministic, so the contents agree anyway).  The
-        resume session serialises with its own anchor-aware pickler and
-        lands the bytes through this entry point.
-        """
-        self.root.mkdir(parents=True, exist_ok=True)
-        path = self.path(key)
-        tmp_name = str(
-            self.root / f".{path.name}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp"
-        )
-        fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
-            os.replace(tmp_name, path)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp_name)
-            raise
-        return path
-
-    def get_or_build(self, key: str, builder: Callable[[], Snapshot]) -> Snapshot:
-        """The snapshot for ``key`` — from cache, or by running ``builder``.
-
-        A cache miss builds (under ``ENGINE_PERF.paused()``, so the
-        warm-up simulation never leaks into the calling leg's
-        deterministic event count — the restore credit is the only way
-        warm-up events reach the accumulator), persists, logs the build,
-        and returns the snapshot *reloaded from disk*, so every consumer
-        — the leg that paid for the build and every later one — branches
-        from the identical post-round-trip graph.
-        """
-        cached = self.get(key)
-        if cached is not None:
-            return cached
-        # Builders run their own simulation phases; were a resume session
-        # (repro.sim.resume) left active, a cache miss would add phases a
-        # cache hit does not, shifting every later phase's ordinal and
-        # orphaning its snapshots.  Suspend it for the build.
-        from repro.sim.resume import suspended_resume  # local: avoids cycle
-
-        with ENGINE_PERF.paused(), suspended_resume():
-            snapshot = builder()
-        self.put(key, snapshot)
-        self.log("put", key)
-        reloaded = self.get(key)
-        return snapshot if reloaded is None else reloaded
-
-    def keys(self) -> list[str]:
-        """The keys currently present in the store, sorted.
-
-        Scans the store directory for ``<key>.ckpt`` entries; in-flight
-        temp files (dot-prefixed) are not entries and are skipped.
-        """
-        if not self.root.is_dir():
-            return []
-        return sorted(
-            path.stem
-            for path in self.root.glob("*.ckpt")
-            if not path.name.startswith(".")
-        )
-
-    def prune(self, in_use: Iterable[str]) -> list[str]:
-        """Remove every entry whose key is not in ``in_use``; GC for
-        long-lived stores.
-
-        Returns the removed keys, sorted.  Each removal is a single
-        ``unlink`` — atomic, so a concurrent reader sees either the
-        complete file or a miss it can rebuild from — and an entry
-        someone else already removed is skipped silently.  Removals are
-        appended to the ``checkpoints.log`` audit trail as ``prune``
-        lines, so the log reads as the store's full history: what was
-        paid for, and what was let go.
-        """
-        keep = set(in_use)
-        removed = []
-        for key in self.keys():
-            if key in keep:
-                continue
-            with contextlib.suppress(FileNotFoundError):
-                self.path(key).unlink()
-                removed.append(key)
-                self.log("prune", key)
-        return sorted(removed)
-
-    def discard(self, keys: Iterable[str], op: str = "prune") -> list[str]:
-        """Remove the named entries (missing ones skipped); audit as ``op``.
-
-        The targeted sibling of :meth:`prune`: the resume session uses it
-        with ``op="roll"`` to retire superseded mid-run snapshots and
-        with ``op="prune"`` when a finished run clears its trail.
-        Returns the keys actually removed, in input order.
-        """
-        removed = []
-        for key in keys:
-            try:
-                self.path(key).unlink()
-            except FileNotFoundError:
-                continue
-            removed.append(key)
-            self.log(op, key)
-        return removed
-
-    # -- the audit trail ---------------------------------------------------
-
-    #: Operations the audit log records.  Legacy lines (written before the
-    #: log carried an op column) have no leading op and parse as ``put``.
-    LOG_OPS = ("put", "prune", "roll", "resume")
-
-    def log(self, op: str, key: str) -> None:
-        """Append one ``<op> <key> pid=<pid>`` audit line (O_APPEND:
-        atomic for short lines, so concurrent workers interleave but
-        never tear)."""
-        if op not in self.LOG_OPS:
-            raise ValueError(f"unknown checkpoint log op {op!r}")
-        line = f"{op} {key} pid={os.getpid()}\n"
-        fd = os.open(
-            str(self.root / self.LOG_NAME),
-            os.O_WRONLY | os.O_CREAT | os.O_APPEND,
-            0o666,
-        )
-        try:
-            os.write(fd, line.encode())
-        finally:
-            os.close(fd)
-
-    def log_entries(self) -> list[tuple[str, str]]:
-        """The audit trail as ``(op, key)`` pairs, in append order.
-
-        Legacy lines — ``<key> pid=<pid>``, from before the log carried
-        an op column — parse as ``("put", key)``, so old stores keep
-        counting correctly.
-        """
-        try:
-            text = (self.root / self.LOG_NAME).read_text()
-        except OSError:
-            return []
-        entries = []
-        for line in text.splitlines():
-            tokens = line.split()
-            if not tokens:
-                continue
-            if tokens[0] in self.LOG_OPS:
-                entries.append((tokens[0], tokens[1] if len(tokens) > 1 else ""))
-            else:
-                entries.append(("put", tokens[0]))
-        return entries
-
-    def built_keys(self) -> list[str]:
-        """Keys actually built into this store, in build order.
-
-        Reads the ``put`` lines of ``checkpoints.log``; a key appears
-        once per build, so ``len(store.built_keys())`` is the number of
-        warm-up simulations the store paid for — the quantity the
-        build-once tests assert on.  Prune/roll/resume audit lines are
-        history of a different kind and are not counted here.
-        """
-        return [key for op, key in self.log_entries() if op == "put"]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<CheckpointStore {self.root}>"
-
-
-#: The store :func:`active_checkpoint_store` answers with (None = no cache).
-_ACTIVE_STORE: CheckpointStore | None = None
+    def building(self) -> ContextManager:
+        """Builders run under ``ENGINE_PERF.paused()``: the warm-up never
+        leaks into the calling leg's deterministic event count — the
+        restore credit is the only way its events reach the accumulator."""
+        return ENGINE_PERF.paused()
 
 
 def active_checkpoint_store() -> CheckpointStore | None:
-    """The checkpoint store the current run builds into / reads from.
-
-    Set by :func:`use_checkpoint_store`; ``None`` means "no cache — warm
-    up in memory every time", the behaviour of a bare driver call outside
-    the runner.
-    """
-    return _ACTIVE_STORE
+    """The checkpoint store the current run builds into / reads from
+    (see :meth:`~repro.core.store.ContentStore.active`)."""
+    return CheckpointStore.active()
 
 
-@contextlib.contextmanager
 def use_checkpoint_store(
     store: CheckpointStore | None,
-) -> Iterator[CheckpointStore | None]:
-    """Make ``store`` the active checkpoint store for the enclosed block.
+) -> ContextManager[CheckpointStore | None]:
+    """Make ``store`` the active checkpoint store for a ``with`` block.
 
     The experiment runner wraps each driver call in this so
     :func:`repro.experiments.branch.get_branch_network` can answer
-    warm-ups from the sweep's shared cache.  Nests and restores the
-    previous store on exit; passing ``None`` disables caching inside the
-    block.
+    warm-ups from the sweep's shared cache (see
+    :meth:`~repro.core.store.ContentStore.activated`).
     """
-    global _ACTIVE_STORE
-    previous = _ACTIVE_STORE
-    _ACTIVE_STORE = store
-    try:
-        yield store
-    finally:
-        _ACTIVE_STORE = previous
+    return CheckpointStore.activated(store)

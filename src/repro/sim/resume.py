@@ -54,11 +54,11 @@ prunes its whole trail.  Torn or corrupt snapshots read as misses
 (hash-verified before unpickling), so healing is a ladder: newest valid
 snapshot → older one → from scratch.
 
-Builder/recorder passes (:meth:`CheckpointStore.get_or_build`,
-:meth:`ScheduleStore.get_or_record`) run only on cache misses; were the
-session active inside them, a miss would add phases a hit does not and
-orphan every later phase's snapshots.  They suspend the session via
-:func:`suspended_resume`.
+Builder/recorder passes
+(:meth:`~repro.core.store.ContentStore.get_or_build`) run only on cache
+misses; were the session active inside them, a miss would add phases a
+hit does not and orphan every later phase's snapshots.  They suspend the
+session via :func:`suspended_resume`.
 """
 
 from __future__ import annotations
@@ -395,7 +395,7 @@ class ResumeSession:
         engine = network.engine
         phase = self._phase = self._phase + 1
         prefix = (
-            f"resume-{self.run_id}-p{phase}-"
+            f"{CheckpointStore.RUN_PREFIX}{self.run_id}-p{phase}-"
             f"{_entry_fingerprint(engine, until)}-n"
         )
         # Anchor numbering must be telemetry-independent (a retry may run
@@ -534,7 +534,7 @@ class ResumeSession:
         behind, they are what the retry resumes from.  Returns the pruned
         keys.
         """
-        prefix = f"resume-{self.run_id}-"
+        prefix = f"{CheckpointStore.RUN_PREFIX}{self.run_id}-"
         stale = [key for key in self.store.keys() if key.startswith(prefix)]
         return self.store.discard(stale, op="prune")
 

@@ -23,6 +23,7 @@ from repro.topology.simple import build_dumbbell, build_parking_lot
 from repro.transport.udp import install_udp_flows
 from repro.workload.distributions import BoundedPareto
 from repro.workload.flows import PoissonWorkload, poisson_flows
+from tests.store_contract import StoreContract
 
 
 @pytest.fixture
@@ -175,86 +176,42 @@ def test_content_hash_distinguishes_schedules():
 # --- the schedule store ------------------------------------------------------
 
 
-class TestScheduleStore:
-    def _schedule(self):
-        schedule, _make = _record("dumbbell", "fifo")
-        return schedule
+class TestScheduleStore(StoreContract):
+    """The store contract over the schedule codec, plus what is
+    particular to it: the strict-load document and the parse memo."""
 
-    def test_put_get_round_trip(self, tmp_path):
-        store = ScheduleStore(tmp_path)
-        schedule = self._schedule()
-        store.put("sched-abc", schedule)
-        loaded = store.get("sched-abc")
-        assert loaded is not None
-        assert loaded.content_hash() == schedule.content_hash()
+    STORE = ScheduleStore
 
-    def test_get_miss_and_corrupt_entry_return_none(self, tmp_path):
-        store = ScheduleStore(tmp_path)
-        assert store.get("nope") is None
-        store.path("torn").parent.mkdir(parents=True, exist_ok=True)
-        store.path("torn").write_text('{"format": "repro.recorded_sche')
-        assert store.get("torn") is None
+    @staticmethod
+    def make_values():
+        return [_record("dumbbell", name)[0] for name in ("fifo", "lifo", "sjf")]
 
-    def test_get_or_record_records_once_and_logs(self, tmp_path):
-        store = ScheduleStore(tmp_path)
-        calls = []
-
-        def recorder():
-            calls.append(1)
-            return self._schedule()
-
-        first = store.get_or_record("k", recorder)
-        second = store.get_or_record("k", recorder)
-        assert len(calls) == 1
-        assert store.recorded_keys() == ["k"]
-        assert first.content_hash() == second.content_hash()
-
-    def test_get_or_record_returns_post_round_trip_object(self, tmp_path):
-        """Every consumer replays the reloaded object, recorder included."""
-        store = ScheduleStore(tmp_path)
-        in_memory = self._schedule()
-        stored = store.get_or_record("k", lambda: in_memory)
-        assert stored is not in_memory
-        assert stored.content_hash() == in_memory.content_hash()
+    @staticmethod
+    def fingerprint(schedule):
+        return schedule.content_hash()
 
     def test_saved_file_verifies_under_the_strict_load_path(self, tmp_path):
         """The spliced-hash write path produces exactly the document the
         hash-verifying loader (and the v2 format contract) expects."""
         store = ScheduleStore(tmp_path)
-        schedule = self._schedule()
+        schedule = self.value()
         store.put("k", schedule)
         strict = load_schedule(store.path("k"), verify=True)
         assert strict.content_hash() == schedule.content_hash()
         document = json.loads(store.path("k").read_text())
         assert document["content_hash"] == schedule.content_hash()
 
-    def test_keys_lists_entries_and_skips_temp_files(self, tmp_path):
+    def test_get_parses_once_per_process_until_the_entry_is_replaced(
+        self, tmp_path
+    ):
         store = ScheduleStore(tmp_path)
-        assert store.keys() == []  # missing directory is an empty store
-        store.put("b", self._schedule())
-        store.put("a", self._schedule())
-        (tmp_path / ".a.json.123.tmp").write_text("partial")
-        assert store.keys() == ["a", "b"]
-
-    def test_prune_removes_orphans_and_keeps_live_keys(self, tmp_path):
-        store = ScheduleStore(tmp_path)
-        schedule = self._schedule()
-        for key in ("live", "orphan-1", "orphan-2"):
-            store.get_or_record(key, lambda: schedule)
-        removed = store.prune({"live", "never-recorded"})
-        assert removed == ["orphan-1", "orphan-2"]
-        assert store.keys() == ["live"]
-        # the survivor is intact and loadable, not half-deleted
-        assert store.get("live").content_hash() == schedule.content_hash()
-        # pruning never rewrites history: the audit log keeps every line
-        assert sorted(store.recorded_keys()) == ["live", "orphan-1", "orphan-2"]
-
-    def test_prune_everything_and_empty_store(self, tmp_path):
-        store = ScheduleStore(tmp_path)
-        assert store.prune(set()) == []  # empty store: nothing to do
-        store.put("k", self._schedule())
-        assert store.prune(set()) == ["k"]
-        assert store.keys() == []
+        first, second = self.values()[:2]
+        store.put("k", first)
+        parsed = store.get("k")
+        assert store.get("k") is parsed  # the memo, not a second parse
+        assert ScheduleStore(tmp_path).get("k") is parsed  # per process
+        store.put("k", second)
+        assert store.get("k").content_hash() == second.content_hash()
 
 
 def test_use_schedule_store_nests_and_restores(tmp_path):

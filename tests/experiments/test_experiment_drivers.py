@@ -8,6 +8,7 @@ directional claims (who wins, what converges).
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
@@ -53,6 +54,34 @@ class TestReplayability:
         plain = run_replay(sc, mode="lstf", schedule=schedule)
         preempt = run_replay(sc, mode="lstf-preemptive", schedule=schedule)
         assert preempt.fraction_overdue <= plain.fraction_overdue
+
+    def test_preemption_collapses_lifo_failures(self):
+        """§2.3(5), the other half: LIFO originals collapse too."""
+        sc = ReplayScenario(name="t", scheduler="lifo", **TINY)
+        schedule = build_recorded_schedule(sc)
+        plain = run_replay(sc, mode="lstf", schedule=schedule)
+        preempt = run_replay(sc, mode="lstf-preemptive", schedule=schedule)
+        assert preempt.fraction_overdue < 0.5 * plain.fraction_overdue
+
+    @pytest.mark.parametrize(
+        "scenario", table1_scenarios(duration=0.05), ids=lambda s: s.name)
+    def test_table1_row_is_mostly_on_time(self, scenario):
+        """§2.3's summary of Table 1: "in almost all cases, less than 1%
+        of the packets are overdue with LSTF by more than T" — with slack
+        for 1/100-scale noise, but catching regressions an order away."""
+        outcome = run_replay(scenario)
+        assert outcome.fraction_overdue_beyond_t < 0.10
+        assert outcome.fraction_overdue < 0.5
+
+    @pytest.mark.parametrize(
+        "scheduler", ["random", "fifo", "fq", "sjf", "lifo", "fq+fifo+"])
+    def test_fig1_median_packet_queues_no_longer_than_originally(
+        self, scheduler
+    ):
+        """§2.3(6), Figure 1's shape: LSTF eliminates "wasted waiting"."""
+        sc = ReplayScenario(name="t", scheduler=scheduler, **TINY)
+        ratios = run_replay(sc).result.queueing_delay_ratios()
+        assert np.quantile(ratios, 0.5) <= 1.1
 
     def test_table1_has_every_paper_row(self):
         rows = table1_scenarios()
@@ -153,6 +182,15 @@ class TestFairness:
         )
         assert results["fq"].final_fairness > 0.9
         assert results["fifo"].final_fairness < results["fq"].final_fairness
+
+    def test_conclusion_does_not_depend_on_the_fair_baseline(self):
+        """Figure 4 against DRR instead of FQ: same convergence."""
+        results = run_fairness_experiment(
+            rest_fractions=(0.1,), baselines=("fq", "drr"), horizon=1.5,
+            num_flows=6,
+        )
+        for name in ("fq", "drr", "lstf@0.1"):
+            assert results[name].final_fairness > 0.9, name
 
     def test_closer_estimate_converges_no_later(self):
         results = run_fairness_experiment(

@@ -39,6 +39,7 @@ from repro.sim.checkpoint import (
 from repro.sim.engine import ENGINE_PERF, Engine
 from repro.sim.network import Network
 from repro.units import MBPS
+from tests.store_contract import StoreContract
 
 
 def _fire_log_engine() -> tuple[Engine, list]:
@@ -201,68 +202,41 @@ class TestFormatVerification:
             load_checkpoint(tmp_path / "absent.ckpt")
 
 
-class TestCheckpointStore:
-    def _snapshot(self) -> Snapshot:
-        return snapshot_network(_tiny_network())
+class TestCheckpointStore(StoreContract):
+    """The store contract over the checkpoint codec, plus what is
+    particular to it: fresh graphs, hash-only readability, and
+    ``ENGINE_PERF`` neutrality of builds."""
 
-    def test_put_get_round_trip(self, tmp_path):
+    STORE = CheckpointStore
+
+    @staticmethod
+    def make_values():
+        return [snapshot_network(_tiny_network(until))
+                for until in (0.05, 0.02, 0.03)]
+
+    @staticmethod
+    def fingerprint(snapshot):
+        return (snapshot.time, snapshot.engine_events, snapshot.packet_counter)
+
+    def test_every_get_returns_a_fresh_graph(self, tmp_path):
         store = CheckpointStore(tmp_path)
-        snap = self._snapshot()
-        store.put("k1", snap)
-        assert store.has("k1")
-        got = store.get("k1")
-        assert got is not None and got.time == snap.time
-        assert store.keys() == ["k1"]
-
-    def test_corrupt_entry_reads_as_miss(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        store.put("k1", self._snapshot())
-        path = store.path("k1")
-        path.write_bytes(path.read_bytes()[:-50])
-        assert store.get("k1") is None  # miss, not an exception
-
-    def test_get_or_build_builds_exactly_once(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        calls = []
-
-        def builder() -> Snapshot:
-            calls.append(1)
-            return self._snapshot()
-
-        first = store.get_or_build("k", builder)
-        second = store.get_or_build("k", builder)
-        assert len(calls) == 1
-        assert store.built_keys() == ["k"]
-        # every consumer gets a fresh graph, never a shared one
+        first = store.get_or_build("k", self.value)
+        second = store.get_or_build("k", self.value)
+        # consumers mutate what they restore: never a shared graph
         assert first.network is not second.network
 
-    def test_get_or_build_heals_truncated_entry(self, tmp_path):
+    def test_readable_checks_the_hash_without_unpickling(self, tmp_path):
         store = CheckpointStore(tmp_path)
-        store.get_or_build("k", self._snapshot)
-        path = store.path("k")
-        path.write_bytes(path.read_bytes()[:-50])
-        again = store.get_or_build("k", self._snapshot)
-        assert again is not None
-        assert store.get("k") is not None  # the entry healed on disk
-        assert store.built_keys() == ["k", "k"]  # the rebuild was logged
+        # a well-formed header over a payload that is not a pickle at all
+        store.put_bytes("k", snapshot_to_bytes(self.value(), b"not a pickle"))
+        assert store.readable("k")
+        assert store.get("k") is None
 
     def test_build_never_leaks_into_engine_perf(self, tmp_path):
         store = CheckpointStore(tmp_path)
         baseline = ENGINE_PERF.events
-        store.get_or_build("k", self._snapshot)
+        store.get_or_build("k", self.value)
         assert ENGINE_PERF.events == baseline
-
-    def test_prune_keeps_in_use_and_logs_nothing(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        store.get_or_build("keep", self._snapshot)
-        store.get_or_build("drop", self._snapshot)
-        removed = store.prune({"keep"})
-        assert removed == ["drop"]
-        assert store.keys() == ["keep"]
-        # the audit log records history, not current contents
-        assert store.built_keys() == ["drop", "keep"] or store.built_keys() == [
-            "keep", "drop",
-        ]
 
     def test_use_checkpoint_store_nests_and_restores(self, tmp_path):
         assert active_checkpoint_store() is None

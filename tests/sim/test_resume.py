@@ -137,7 +137,7 @@ class TestAuditLogSchema:
         )
 
     def test_unknown_op_is_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown checkpoint log op"):
+        with pytest.raises(ValueError, match="unknown checkpoints.log op"):
             CheckpointStore(tmp_path).log("evict", "some-key")
 
     def test_legacy_opless_lines_parse_as_put(self, tmp_path):

@@ -139,20 +139,20 @@ class RecordedPacket:
         Uses the paper's short names for the two schedule-defining times:
         ``"i"`` is the ingress time ``i(p)``, ``"o"`` the output time
         ``o(p)``.  Lossless under :meth:`from_dict` (floats survive JSON
-        round-trips exactly).
+        round-trips exactly).  Keys in sorted order: see ``canonical_json``.
         """
         return {
-            "pid": self.pid,
+            "dst": self.dst,
             "flow_id": self.flow_id,
             "flow_size": self.flow_size,
-            "size": self.size,
-            "src": self.src,
-            "dst": self.dst,
+            "hop_tx": list(self.hop_tx),
+            "hop_waits": list(self.hop_waits),
             "i": self.ingress_time,
             "o": self.output_time,
             "path": list(self.path),
-            "hop_tx": list(self.hop_tx),
-            "hop_waits": list(self.hop_waits),
+            "pid": self.pid,
+            "size": self.size,
+            "src": self.src,
         }
 
     @classmethod
@@ -222,11 +222,11 @@ class RecordedSchedule:
         reloaded schedule is byte-identical to a replay of this object.
         """
         return {
-            "format": SCHEDULE_FORMAT,
-            "version": SCHEDULE_FORMAT_VERSION,
             "description": self.description,
-            "threshold": self.threshold,
+            "format": SCHEDULE_FORMAT,
             "packets": [p.to_dict() for p in self.packets],
+            "threshold": self.threshold,
+            "version": SCHEDULE_FORMAT_VERSION,
         }
 
     @classmethod
@@ -254,8 +254,9 @@ class RecordedSchedule:
         )
 
     def canonical_json(self) -> str:
-        """Key-sorted, separator-free JSON — the content-hash preimage."""
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        """Key-sorted, separator-free JSON — the content-hash preimage
+        (both ``to_dict`` emit sorted keys, sparing a sort per packet)."""
+        return json.dumps(self.to_dict(), separators=(",", ":"))
 
     def content_hash(self) -> str:
         """SHA-256 over :meth:`canonical_json` — a stable schedule identity.

@@ -73,6 +73,9 @@ class ContentStore:
     #: Codec: entry file suffix and audit-log file name.
     SUFFIX = ""
     LOG_NAME = ""
+    #: Suffixes earlier codec versions wrote: misses to :meth:`get`, but
+    #: :meth:`keys` lists and :meth:`discard` removes them, so GC works.
+    RETIRED_SUFFIXES: tuple[str, ...] = ()
     #: Prefix of keys private to one run (``<RUN_PREFIX><run_id>-…``, the
     #: mid-run snapshots its retry resumes from), or None: GC keeps such
     #: an entry exactly while that run's job is live.
@@ -128,11 +131,11 @@ class ContentStore:
     def get_or_build(self, key: str, builder: Callable[[], Any]) -> Any:
         """The value for ``key`` — from the store, or by running ``builder``.
 
-        A miss builds, persists, logs a ``put``, and returns the value
-        *reloaded from disk*, so every consumer — the leg that paid for
-        the build and every later one — works from the identical
-        post-round-trip object.  Builders run their own simulation
-        phases, but only on a miss; were a resume session
+        A miss builds, persists, logs a ``put``, and returns what
+        :meth:`get` then answers (reloaded from disk, or the value a
+        lossless codec's ``put`` memoised), so every consumer works from
+        the identical post-round-trip value.  Builders run their own
+        simulation phases, but only on a miss; were a resume session
         (:mod:`repro.sim.resume`) left active, those phases would shift
         later phase ordinals and orphan their snapshots, so it is
         suspended for the build.
@@ -157,11 +160,12 @@ class ContentStore:
         """
         if not self.root.is_dir():
             return []
-        return sorted(
-            path.name[: -len(self.SUFFIX)]
-            for path in self.root.glob(f"*{self.SUFFIX}")
+        return sorted({
+            path.name[: -len(suffix)]
+            for suffix in (self.SUFFIX, *self.RETIRED_SUFFIXES)
+            for path in self.root.glob(f"*{suffix}")
             if not path.name.startswith(".")
-        )
+        })
 
     def prune(self, in_use: Iterable[str]) -> list[str]:
         """Remove every entry whose key is not in ``in_use``; GC for
@@ -179,12 +183,14 @@ class ContentStore:
         """
         removed = []
         for key in keys:
-            try:
-                self.path(key).unlink()
-            except FileNotFoundError:
-                continue
-            removed.append(key)
-            self.log(op, key)
+            found = 0
+            for suffix in (self.SUFFIX, *self.RETIRED_SUFFIXES):
+                with contextlib.suppress(FileNotFoundError):
+                    (self.root / f"{key}{suffix}").unlink()
+                    found += 1
+            if found:
+                removed.append(key)
+                self.log(op, key)
         return removed
 
     # -- the audit trail ---------------------------------------------------

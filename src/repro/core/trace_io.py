@@ -11,8 +11,8 @@ artifact:
   ``content_hash`` (SHA-256 of the canonical JSON) verified on load, so
   a truncated or hand-edited trace fails loudly instead of replaying
   subtly wrong.  Paths ending ``.gz`` are gzipped transparently.
-* :class:`ScheduleStore` — a content-addressed directory of schedule
-  files keyed by *recording inputs* (see
+* :class:`ScheduleStore` — a content-addressed directory of ``.sched``
+  entries keyed by *recording inputs* (see
   :func:`repro.experiments.replayability.scenario_schedule_key`), the
   record-once/replay-many cache the experiment runner shares across the
   legs of a replay-mode sweep; a :class:`~repro.core.store.ContentStore`
@@ -22,11 +22,12 @@ artifact:
   call; :func:`repro.experiments.replayability.get_recorded_schedule`
   answers recordings from it.
 
-Format: JSON keeps traces diffable and language-neutral; gzip brings the
-size within ~2x of a binary encoding.  Floats round-trip exactly
-(``json`` serialises via ``repr``), which is what makes a replay of a
-reloaded schedule byte-identical to a replay of the in-memory original —
-the correctness bar the record-once sweep machinery is held to.
+Formats: the *portable trace* is JSON — diffable, language-neutral,
+floats exact (``json`` serialises via ``repr``).  The *store entry* is
+the columnar binary document of :class:`ScheduleStore`: the record→replay
+hand-off of every leg, CRC-checked on every read.  Both are lossless, so
+a replay of a reloaded schedule is byte-identical to a replay of the
+in-memory original — the bar the record-once machinery is held to.
 """
 
 from __future__ import annotations
@@ -34,11 +35,16 @@ from __future__ import annotations
 import gzip
 import hashlib
 import json
+import sys
+import zlib
+from array import array
 from collections import OrderedDict
+from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 from typing import IO, ContextManager
 
-from repro.core.replay import RecordedSchedule
+from repro.core.replay import RecordedPacket, RecordedSchedule
 from repro.core.store import ContentStore
 from repro.errors import ReplayError
 
@@ -57,77 +63,74 @@ def _open(path: Path, mode: str) -> IO:
     return open(path, mode, encoding="utf-8")
 
 
-def _document_text(schedule: RecordedSchedule) -> str:
-    """The schedule-file bytes: canonical JSON with its hash spliced in.
+def save_schedule(schedule: RecordedSchedule, path: str | Path) -> None:
+    """Write a recorded schedule to ``path`` (gzipped iff it ends ``.gz``).
 
-    One ``to_dict`` + one serialisation produce both the content hash
-    (SHA-256 over the canonical text, exactly
-    :meth:`~repro.core.replay.RecordedSchedule.content_hash`) and the
-    file body — serialising a multi-thousand-packet schedule twice per
-    save used to cost as much as the recording simulation itself.  The
-    hash is prepended as the first key of the same canonical object,
-    which keeps the on-disk format identical to the one
-    :func:`load_schedule` always read: a flat JSON document whose
-    ``content_hash`` key is detached before ``from_dict``.
+    The document is the canonical JSON with the schedule's content hash
+    (SHA-256 over that same text, exactly
+    :meth:`~repro.core.replay.RecordedSchedule.content_hash`) spliced in
+    as its first key — one serialisation yields both — and
+    :func:`load_schedule` detaches and verifies it.
     """
     canonical = schedule.canonical_json()
     digest = hashlib.sha256(canonical.encode()).hexdigest()
     # to_dict() always carries format/version keys, so the canonical
     # text is a non-empty object we can splice a first key into.
-    return f'{{"content_hash":"{digest}",{canonical[1:]}'
+    with _open(Path(path), "w") as fh:
+        fh.write(f'{{"content_hash":"{digest}",{canonical[1:]}')
 
 
-def _schedule_from_document(
-    document: dict, where: str, verify: bool
-) -> RecordedSchedule:
+def load_schedule(path: str | Path) -> RecordedSchedule:
+    """Read and verify a schedule previously written by :func:`save_schedule`.
+
+    Raises :class:`~repro.errors.ReplayError` for foreign files,
+    unsupported format versions, and content-hash mismatches.
+    """
+    path = Path(path)
+    with _open(path, "r") as fh:
+        document = json.load(fh)
     if not isinstance(document, dict) or "format" not in document:
-        raise ReplayError(f"{where} is not a recorded-schedule file")
+        raise ReplayError(f"{path} is not a recorded-schedule file")
     expected = document.pop("content_hash", None)
     schedule = RecordedSchedule.from_dict(document)
-    if verify and expected is not None and schedule.content_hash() != expected:
+    if expected is not None and schedule.content_hash() != expected:
         raise ReplayError(
-            f"{where} failed its content-hash check — the file was "
+            f"{path} failed its content-hash check — the file was "
             f"corrupted or edited after recording"
         )
     return schedule
 
 
-def save_schedule(schedule: RecordedSchedule, path: str | Path) -> None:
-    """Write a recorded schedule to ``path`` (gzipped iff it ends ``.gz``).
-
-    The document embeds the schedule's content hash;
-    :func:`load_schedule` verifies it.
-    """
-    path = Path(path)
-    with _open(path, "w") as fh:
-        fh.write(_document_text(schedule))
+_MAGIC = b"repro.sched\x01"
+_SCALARS = (("pid", "q"), ("flow_id", "q"), ("flow_size", "q"), ("size", "q"),
+            ("ingress_time", "d"), ("output_time", "d"))
 
 
-def load_schedule(path: str | Path, verify: bool = True) -> RecordedSchedule:
-    """Read and verify a schedule previously written by :func:`save_schedule`.
+def _column(code: str, values: list) -> bytes:
+    """``values`` as one little-endian column; only exact ints / floats
+    (a bool, or an int-valued time, would come back as different JSON)."""
+    kind = float if code == "d" else int
+    if not set(map(type, values)) <= {kind}:
+        raise ReplayError(f"a schedule column holds a non-{kind.__name__}")
+    try:
+        column = array(code, values)
+    except OverflowError as exc:
+        raise ReplayError(f"a schedule column exceeds its width: {exc}") from exc
+    if sys.byteorder == "big":
+        column.byteswap()
+    return column.tobytes()
 
-    Raises :class:`~repro.errors.ReplayError` for foreign files,
-    unsupported format versions, and (with ``verify``, the default)
-    content-hash mismatches.  ``verify=False`` skips the hash check —
-    it costs a full canonical re-serialisation, which the hot
-    :class:`ScheduleStore` read path cannot afford; hand-carried trace
-    files should keep the default.
-    """
-    path = Path(path)
-    with _open(path, "r") as fh:
-        document = json.load(fh)
-    return _schedule_from_document(document, str(path), verify)
 
-
-#: Process-wide parse memo for store reads: (path, mtime_ns, size) →
-#: parsed schedule.  Legs of a serial sweep share one process, so
-#: without this every leg would re-parse the same multi-thousand-packet
-#: JSON it just helped write; with it, only the first read per process
-#: parses.  Keyed on stat identity: an atomic replace changes mtime/size
-#: and misses (and recording is deterministic, so even a theoretical
-#: stale hit could only return identical content).  Bounded because
-#: schedules are large, but sized to hold a full Table 1 sweep (14
-#: scenarios) with room to spare — an LRU smaller than the sweep's
+#: Process-wide memo for store entries: (path, mtime_ns, size) → the
+#: schedule that file holds — parsed by :meth:`ScheduleStore.get`, or
+#: handed over by :meth:`ScheduleStore.put`, which just wrote it.  Legs
+#: of a serial sweep share one process, so without this every leg would
+#: re-parse the same multi-thousand-packet schedule; with it, only a
+#: cold process parses.  Keyed on stat identity: an atomic replace
+#: changes mtime/size and misses (and recording is deterministic, so even
+#: a theoretical stale hit could only return identical content).  Bounded
+#: because schedules are large, but sized to hold a full Table 1 sweep
+#: (14 scenarios) with room to spare — an LRU smaller than the sweep's
 #: working set would thrash to zero hits under the legs' cyclic reads.
 _PARSE_MEMO: "OrderedDict[tuple, RecordedSchedule]" = OrderedDict()
 _PARSE_MEMO_MAX = 32
@@ -141,7 +144,9 @@ def _memo_key(path: Path) -> tuple | None:
     return (str(path), st.st_mtime_ns, st.st_size)
 
 
-def _memo_put(key: tuple, schedule: RecordedSchedule) -> None:
+def _memo_put(key: tuple | None, schedule: RecordedSchedule) -> None:
+    if key is None:
+        return
     _PARSE_MEMO[key] = schedule
     _PARSE_MEMO.move_to_end(key)
     while len(_PARSE_MEMO) > _PARSE_MEMO_MAX:
@@ -151,42 +156,120 @@ def _memo_put(key: tuple, schedule: RecordedSchedule) -> None:
 class ScheduleStore(ContentStore):
     """A content-addressed, on-disk cache of recorded schedules.
 
-    The :class:`~repro.core.store.ContentStore` codec for
-    ``<key>.json`` schedule documents, keyed by *recording inputs*
-    (topology, original scheduler, load, seed, …).  Its audit log,
-    ``recordings.log``, is how the test suite (and the ``sweep-replay``
-    bench) assert the record-once guarantee: a sweep over M replay modes
-    must grow it by one ``put`` line per unique schedule, not M.
+    The :class:`~repro.core.store.ContentStore` codec for ``<key>.sched``
+    entries, keyed by *recording inputs* (topology, original scheduler,
+    load, seed, …).  Its audit log, ``recordings.log``, is how the test
+    suite (and the ``sweep-replay`` bench) assert the record-once
+    guarantee: a sweep over M replay modes must grow it by one ``put``
+    line per unique schedule, not M.
+
+    An entry is a columnar binary document, all little-endian::
+
+        magic (12) | crc32 of the rest (4) | header length (4) | header JSON:
+        description, threshold, sorted node table, N packets, H total hops
+        | int64 pid, flow_id, flow_size, size [N] | float64 i, o [N]
+        | uint32 hops [N] | uint32 path, as node-table indices [N + H]
+        | float64 hop_tx [H] | float64 hop_waits [H]
+        (``src``/``dst`` are not stored: they are the ends of the path)
     """
 
     __slots__ = ()
 
-    SUFFIX = ".json"
+    SUFFIX = ".sched"
+    RETIRED_SUFFIXES = (".json",)  # the pre-columnar JSON entries
     LOG_NAME = "recordings.log"
 
     def encode(self, schedule: RecordedSchedule) -> bytes:
-        """The schedule-file bytes (see :func:`save_schedule`)."""
-        return _document_text(schedule).encode()
+        """The store-entry bytes; refuses (``ReplayError``) what the layout
+        cannot give back exactly, so every entry loads to what was put."""
+        packets = schedule.packets
+        for p in packets:
+            hops = len(p.hop_tx)
+            if not (len(p.path) == hops + 1 and len(p.hop_waits) == hops
+                    and p.path[0] == p.src and p.path[-1] == p.dst):
+                raise ReplayError(
+                    f"packet {p.pid}: src/dst must be the ends of its path, "
+                    f"with one hop_tx and one hop_waits per link")
+        path, hop_tx, hop_waits = (
+            list(chain.from_iterable(map(attrgetter(name), packets)))
+            for name in ("path", "hop_tx", "hop_waits"))
+        if not set(map(type, path)) <= {str}:
+            raise ReplayError("a recorded path holds a non-string node name")
+        nodes = sorted(set(path))
+        index = {name: i for i, name in enumerate(nodes)}
+        header = json.dumps({
+            "description": schedule.description,
+            "threshold": schedule.threshold, "nodes": nodes,
+            "packets": len(packets), "hops": len(hop_tx),
+        }).encode()
+        body = b"".join([
+            len(header).to_bytes(4, "little"), header,
+            *(_column(code, list(map(attrgetter(name), packets)))
+              for name, code in _SCALARS),
+            _column("I", [len(p.hop_tx) for p in packets]),
+            _column("I", list(map(index.__getitem__, path))),
+            _column("d", hop_tx), _column("d", hop_waits),
+        ])
+        return _MAGIC + zlib.crc32(body).to_bytes(4, "little") + body
 
     def load(self, path: Path) -> RecordedSchedule:
-        """Read a schedule document, skipping the content-hash check:
-        entries are written atomically by this same store, and
-        re-hashing on the sweep hot path would cost more than the
-        simulation it saves at small scales."""
-        return load_schedule(path, verify=False)
+        """Read a store entry, checksum first: a foreign, truncated or
+        bit-flipped file is a :class:`~repro.errors.ReplayError`."""
+        data = path.read_bytes()
+        body = memoryview(data)[len(_MAGIC) + 4:]
+        if data[:len(_MAGIC)] != _MAGIC or zlib.crc32(body) != int.from_bytes(
+                data[len(_MAGIC):len(_MAGIC) + 4], "little"):
+            raise ReplayError(f"{path} is not an intact schedule-store entry "
+                              f"(bad magic or checksum)")
+        try:  # checksummed, so only a foreign writer's document fails below
+            at = 4 + int.from_bytes(body[:4], "little")
+            header = json.loads(bytes(body[4:at]))
+            n, h, nodes = header["packets"], header["hops"], header["nodes"]
+            columns = []
+            for code, count in (*((code, n) for _name, code in _SCALARS),
+                                ("I", n), ("I", n + h), ("d", h), ("d", h)):
+                column = array(code)
+                column.frombytes(body[at:(at := at + column.itemsize * count)])
+                if sys.byteorder == "big":
+                    column.byteswap()
+                columns.append(column.tolist())
+            *scalars, hops, via, hop_tx, hop_waits = columns
+            if at != len(body) or len(hops) != n or sum(hops) != h:
+                raise ValueError("columns disagree with the header counts")
+            via = [nodes[i] for i in via]
+            packets, a, b = [], 0, 0
+            for pid, flow_id, flow_size, size, i, o, k in zip(*scalars, hops):
+                route = tuple(via[b:b + k + 1])
+                packets.append(RecordedPacket(
+                    pid, flow_id, flow_size, size, route[0], route[-1], i, o,
+                    route, tuple(hop_tx[a:a + k]), tuple(hop_waits[a:a + k])))
+                a, b = a + k, b + k + 1
+            return RecordedSchedule(packets, threshold=header["threshold"],
+                                    description=header["description"])
+        except (ValueError, KeyError, TypeError, IndexError) as exc:
+            raise ReplayError(f"{path} is not a schedule-store entry: "
+                              f"{exc!r}") from exc
+
+    def put(self, key: str, schedule: RecordedSchedule) -> Path:
+        """Persist ``schedule`` and memoise it as that entry's parse: the
+        ``get`` after a build is a dict hit.  Sound because :meth:`encode`
+        is lossless and refuses what it cannot represent."""
+        path = super().put(key, schedule)
+        _memo_put(_memo_key(path), schedule)
+        return path
 
     def get(self, key: str) -> RecordedSchedule | None:
         """The cached schedule for ``key``, or None.
 
         Memoised per process on the file's stat identity, so the legs of
-        a serial sweep parse each schedule once, not once per leg.
+        a serial sweep parse each schedule at most once, not once per leg.
         """
         memo_key = _memo_key(self.path(key))
         if memo_key is not None and memo_key in _PARSE_MEMO:
             _PARSE_MEMO.move_to_end(memo_key)
             return _PARSE_MEMO[memo_key]
         schedule = super().get(key)
-        if schedule is not None and memo_key is not None:
+        if schedule is not None:
             _memo_put(memo_key, schedule)
         return schedule
 

@@ -5,10 +5,14 @@ from __future__ import annotations
 
 import functools
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from repro.core import trace_io
 from repro.core.replay import RecordedSchedule, record_schedule, replay_schedule
 from repro.core.trace_io import (
     ScheduleStore,
@@ -178,7 +182,9 @@ def test_content_hash_distinguishes_schedules():
 
 class TestScheduleStore(StoreContract):
     """The store contract over the schedule codec, plus what is
-    particular to it: the strict-load document and the parse memo."""
+    particular to it: the memo ``put`` and ``get`` share, cold reads, and
+    the export to a portable trace (``tests/core/test_schedule_codec.py``
+    has the codec's own properties)."""
 
     STORE = ScheduleStore
 
@@ -190,15 +196,38 @@ class TestScheduleStore(StoreContract):
     def fingerprint(schedule):
         return schedule.content_hash()
 
-    def test_saved_file_verifies_under_the_strict_load_path(self, tmp_path):
-        """The spliced-hash write path produces exactly the document the
-        hash-verifying loader (and the v2 format contract) expects."""
+    def test_builders_leg_same_process_get_and_cold_reads_agree(self, tmp_path):
+        """``put`` hands the built schedule to the next ``get``; a cold
+        reader — memo cleared, then a new process — parses the entry to
+        the same canonical JSON."""
+        store = ScheduleStore(tmp_path)
+        built_by = self.value()
+        built = store.get_or_build("k", lambda: built_by)
+        assert built is built_by  # the memoised built value: no parse
+        assert store.get("k") is built
+        trace_io._PARSE_MEMO.clear()
+        cold = store.get("k")
+        assert cold is not built
+        assert cold.canonical_json() == built.canonical_json()
+        script = ("import sys; from repro import ScheduleStore; "
+                  "print(ScheduleStore(sys.argv[1]).get('k').content_hash())")
+        other = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)], text=True,
+            capture_output=True, check=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert other.stdout.strip() == built.content_hash()
+
+    def test_store_entry_exports_as_a_verified_portable_trace(self, tmp_path):
+        """A ``.sched`` entry is not the portable format, but what it
+        holds exports to one: ``save_schedule``'s spliced-hash document,
+        which ``load_schedule`` verifies."""
         store = ScheduleStore(tmp_path)
         schedule = self.value()
         store.put("k", schedule)
-        strict = load_schedule(store.path("k"), verify=True)
-        assert strict.content_hash() == schedule.content_hash()
-        document = json.loads(store.path("k").read_text())
+        trace = tmp_path / "trace.json"
+        save_schedule(store.load(store.path("k")), trace)
+        assert load_schedule(trace).content_hash() == schedule.content_hash()
+        document = json.loads(trace.read_text())
         assert document["content_hash"] == schedule.content_hash()
 
     def test_get_parses_once_per_process_until_the_entry_is_replaced(

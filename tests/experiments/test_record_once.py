@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from repro.api import ExperimentSpec, run, run_many
+from repro.core import trace_io
 from repro.core.trace_io import ScheduleStore, use_schedule_store
 from repro.errors import ConfigurationError
 from repro.experiments import replayability
@@ -119,6 +120,21 @@ class TestByteIdentity:
             kwargs["queue_dir"] = tmp_path / "q"
         artifacts = run_many(_legs(), **kwargs)
         assert [a.canonical_json() for a in artifacts] == per_leg_reference
+
+    def test_built_memo_hit_and_cold_read_schedules_give_one_artifact(
+        self, tmp_path, per_leg_reference
+    ):
+        """The three ways a leg can come by its schedule — it recorded it
+        (``put`` hands the built value back), a same-process memo hit, a
+        cold parse of the ``.sched`` entry — are one artifact."""
+        leg = _legs()[0]
+        built = run(leg, out_dir=tmp_path, force=True)
+        memo_hit = run(leg, out_dir=tmp_path, force=True)
+        trace_io._PARSE_MEMO.clear()
+        cold = run(leg, out_dir=tmp_path, force=True)
+        assert len(ScheduleStore(tmp_path / "schedules").recorded_keys()) == 1
+        assert [a.canonical_json() for a in (built, memo_hit, cold)] == (
+            per_leg_reference[:1] * 3)
 
     def test_recordings_are_pid_stream_independent(self):
         """A recording is byte-identical no matter what ran before it in

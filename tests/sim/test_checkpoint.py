@@ -220,9 +220,13 @@ class TestCheckpointStore(StoreContract):
 
     def test_every_get_returns_a_fresh_graph(self, tmp_path):
         store = CheckpointStore(tmp_path)
-        first = store.get_or_build("k", self.value)
+        in_memory = self.value()
+        first = store.get_or_build("k", lambda: in_memory)
         second = store.get_or_build("k", self.value)
-        # consumers mutate what they restore: never a shared graph
+        # consumers mutate what they restore: never a shared graph, and
+        # never the builder's own — not even on the leg that built it
+        assert first is not in_memory
+        assert first.network is not in_memory.network
         assert first.network is not second.network
 
     def test_readable_checks_the_hash_without_unpickling(self, tmp_path):

@@ -153,11 +153,19 @@ class StoreContract:
         assert line == f"put k pid={os.getpid()}\n"
 
     def test_get_or_build_returns_post_round_trip_object(self, tmp_path):
-        """Every consumer works from the reloaded object, builder included."""
+        """Every consumer works from the post-round-trip value: the
+        builder's leg, a later ``get`` and a cold parse of the entry all
+        agree.  Whether the builder's leg may be handed the very object
+        it built is the codec's call — ``TestCheckpointStore`` pins "a
+        fresh object, never the builder's", ``TestScheduleStore`` pins
+        the three agreeing on ``canonical_json()``."""
         in_memory = self.value()
-        stored = self.STORE(tmp_path).get_or_build("k", lambda: in_memory)
-        assert stored is not in_memory
-        assert self.fingerprint(stored) == self.fingerprint(in_memory)
+        store = self.STORE(tmp_path)
+        built = store.get_or_build("k", lambda: in_memory)
+        cold = store.load(store.path("k"))  # the codec's parse: no memo
+        assert cold is not in_memory
+        assert (self.fingerprint(built) == self.fingerprint(store.get("k"))
+                == self.fingerprint(cold) == self.fingerprint(in_memory))
 
     def test_get_or_build_heals_truncated_entry(self, tmp_path):
         store = self.STORE(tmp_path)

@@ -252,15 +252,22 @@ def test_gc_prunes_orphaned_schedules_and_keeps_live_ones(tmp_path, capsys):
     assert main(["worker", "--queue", queue_dir, "--drain"]) == 0
     capsys.readouterr()
     schedules = tmp_path / "q" / "artifacts" / "schedules"
-    (live,) = [p for p in schedules.glob("*.json")]
+    (live,) = [p for p in schedules.glob("*.sched")]
+    # version skew: entries a pre-`.sched` worker left in the same queue
+    # directory — one under the live key, one under a key nobody needs
+    twin = live.with_suffix(".json")
+    stray = schedules / "sched-0123456789ab.json"
+    for legacy in (twin, stray):
+        legacy.write_text('{"format": "repro.recorded_schedule"}')
 
     # a second identical submission: pending, so its key is in use
     assert main(["submit", "table1", "--rows", "0", "--duration", "0.04",
                  "--queue", queue_dir]) == 0
     capsys.readouterr()
     assert main(["gc", "--queue", queue_dir]) == 0
-    assert "removed 0 schedule(s), kept 1" in capsys.readouterr().out
-    assert live.is_file()  # the live hash survived
+    assert "removed 1 schedule(s), kept 1" in capsys.readouterr().out
+    assert live.is_file() and twin.is_file()  # the live hash survived
+    assert not stray.exists()  # the legacy orphan did not
 
     # drain the pending job; now nothing needs the schedule
     assert main(["worker", "--queue", queue_dir, "--drain"]) == 0
@@ -270,7 +277,7 @@ def test_gc_prunes_orphaned_schedules_and_keeps_live_ones(tmp_path, capsys):
     assert live.is_file()  # dry run touches nothing
     assert main(["gc", "--queue", queue_dir]) == 0
     assert "removed 1 schedule(s), kept 0" in capsys.readouterr().out
-    assert not live.exists()
+    assert not live.exists() and not twin.exists()
 
 
 def test_gc_on_a_nonexistent_queue_is_an_error(tmp_path, capsys):
@@ -325,6 +332,27 @@ def test_record_exports_a_standalone_verified_trace(tmp_path, capsys):
     schedule = load_schedule(out)  # hash-verified on load
     assert len(schedule) > 0
     assert schedule.threshold > 0
+
+
+def test_record_and_a_sched_store_entry_export_the_same_trace(tmp_path, capsys):
+    """The portable trace is one format whatever produced it: ``repro
+    record`` and a cold read of the run's ``.sched`` entry save to the
+    same bytes, under the content hash pinned before the columnar store
+    (a deliberate change of simulated results re-pins it with
+    ``benchmarks/suite/golden.json``)."""
+    from repro.core.trace_io import ScheduleStore, load_schedule, save_schedule
+
+    spec = ["table1", "--rows", "0", "--duration", "0.05"]
+    assert main(["run", *spec, "--out", str(tmp_path / "run")]) == 0
+    assert main(["record", *spec, "--out", str(tmp_path / "trace.json")]) == 0
+    capsys.readouterr()
+    store = ScheduleStore(tmp_path / "run" / "schedules")
+    (key,) = store.keys()
+    save_schedule(store.load(store.path(key)), tmp_path / "from-store.json")
+    assert ((tmp_path / "from-store.json").read_bytes()
+            == (tmp_path / "trace.json").read_bytes())
+    assert load_schedule(tmp_path / "trace.json").content_hash() == (
+        "2ee5f35d90ea616009f5790fc5fca02b61acf5b0ed65f4025600fa2832d423f6")
 
 
 def test_record_directory_mode_writes_one_file_per_recording(tmp_path, capsys):

@@ -37,7 +37,9 @@ from repro.errors import ConfigurationError
 
 __all__ = ["RunArtifact", "load_artifact", "spec_run_id"]
 
-_ARTIFACT_VERSION = 1
+#: 2: ``metadata["engine_events"]`` counts one event per uncontended hop;
+#: an artifact a two-events-per-hop build cached reads as a miss.
+_ARTIFACT_VERSION = 2
 
 
 def spec_run_id(spec: ExperimentSpec) -> str:

@@ -80,32 +80,54 @@ class _NetSampler:
     only while the engine still has work queued, so sampling can never
     keep :meth:`Engine.run` alive on its own; the hub re-arms it at the
     top of every :meth:`Network.run`.
+
+    A tick walks ``plan``: one ``(port, link, key, depth series, util
+    series)`` row per port in sorted (node, peer) order — no key to
+    format, no series to look up.  Every :meth:`ensure` resolves it:
+    ports can be swapped between runs (``use_preemptive_ports``).
     """
 
-    __slots__ = ("hub", "network", "pending")
+    __slots__ = ("hub", "network", "pending", "plan")
 
     def __init__(self, hub: "MetricsHub", network: "Network") -> None:
         self.hub = hub
         self.network = network
         self.pending = False
+        self.plan: list[tuple] = []
 
     def ensure(self) -> None:
-        """Arm the next tick unless one is already queued."""
+        """Resolve the plan; arm the next tick unless one is queued."""
+        hub = self.hub
+        nodes = self.network.nodes
+        self.plan = plan = []
+        for name in sorted(nodes):
+            for peer, port in sorted(nodes[name].ports.items()):
+                key = f"{name}->{peer}"
+                plan.append((port, port.link, key,
+                             hub._series(f"queue_depth:{key}"),
+                             hub._series(f"link_util:{key}")))
         if not self.pending:
             engine = self.network.engine
             self.pending = True
-            engine.schedule_sample(engine.now + self.hub.interval, self.tick)
+            engine.schedule_sample(engine.now + hub.interval, self.tick)
 
     def tick(self) -> None:
-        """Take one sample; re-arm while the simulation still has work."""
+        """Take one sample (queue depth and link utilisation per port,
+        then the custom gauges); re-arm while the simulation has work."""
         engine = self.network.engine
         now = engine.now
         hub = self.hub
-        hub.sample_network(self.network, now)
+        window = hub._tx_window
+        interval = hub.interval
+        for port, link, key, depth, util in self.plan:
+            depth.append((now, port._queued))
+            sent = window.pop(key, 0)
+            util.append(
+                (now, link.utilisation(sent, interval) if sent else 0.0))
         for name, fn in hub._samplers:
             hub.record(name, now, fn(now))
         if engine.pending_events or engine.pending_deferred:
-            engine.schedule_sample(now + hub.interval, self.tick)
+            engine.schedule_sample(now + interval, self.tick)
         else:
             self.pending = False
 
@@ -120,7 +142,7 @@ class MetricsHub:
     """
 
     __slots__ = ("interval", "flight", "counters", "series", "_samplers",
-                 "_net_samplers", "_tx_window")
+                 "_net_samplers", "_tx_window", "_link_keys")
 
     def __init__(self, interval: float = 0.001,
                  flight: "FlightRecorder | None" = None) -> None:
@@ -133,13 +155,16 @@ class MetricsHub:
         #: Monotonic event counters, e.g. ``"drops"``,
         #: ``"drops.codel:r1->r2"``, ``"tx_bytes:h1->r1"``.
         self.counters: dict[str, int] = {}
-        #: Time series: name -> list of ``(sim_time, value)`` samples.
+        #: Time series: name -> list of ``(sim_time, value)`` samples
+        #: (empty for a planned port that was never sampled).
         self.series: dict[str, list[tuple[float, float]]] = {}
         self._samplers: list[tuple[str, Callable[[float], float]]] = []
         self._net_samplers: list[tuple["Network", _NetSampler]] = []
         #: Bytes transmitted per link since that link's last sample —
         #: drained by the utilisation gauge.
         self._tx_window: dict[str, int] = {}
+        #: link -> (counter key, window key), built on first transmission.
+        self._link_keys: dict["Link", tuple[str, str]] = {}
 
     # -- wiring ------------------------------------------------------------
 
@@ -211,42 +236,28 @@ class MetricsHub:
 
     def tx(self, link: "Link", size: int) -> None:
         """``size`` bytes put on the wire of ``link``."""
-        key = f"{link.src}->{link.dst}"
+        keys = self._link_keys.get(link)
+        if keys is None:
+            key = f"{link.src}->{link.dst}"
+            keys = self._link_keys[link] = (f"tx_bytes:{key}", key)
+        ckey, key = keys
         counters = self.counters
-        ckey = f"tx_bytes:{key}"
         counters[ckey] = counters.get(ckey, 0) + size
         window = self._tx_window
         window[key] = window.get(key, 0) + size
 
     # -- sampling ----------------------------------------------------------
 
-    def record(self, name: str, now: float, value: float) -> None:
-        """Append one ``(now, value)`` sample to series ``name``."""
+    def _series(self, name: str) -> list[tuple[float, float]]:
+        """Series ``name``'s sample list, created on first use."""
         series = self.series.get(name)
         if series is None:
             series = self.series[name] = []
-        series.append((now, value))
+        return series
 
-    def sample_network(self, network: "Network", now: float) -> None:
-        """The built-in gauges: queue depth and link utilisation per port.
-
-        Iterates ports in sorted (node, peer) order so the series are
-        laid down deterministically; AQM mark counts ride along as
-        counters wherever an AQM is installed.
-        """
-        window = self._tx_window
-        interval = self.interval
-        for name in sorted(network.nodes):
-            node = network.nodes[name]
-            ports = node.ports
-            for peer in sorted(ports):
-                port = ports[peer]
-                key = f"{name}->{peer}"
-                self.record(f"queue_depth:{key}", now, port._queued)
-                self.record(
-                    f"link_util:{key}", now,
-                    port.link.utilisation(window.pop(key, 0), interval),
-                )
+    def record(self, name: str, now: float, value: float) -> None:
+        """Append one ``(now, value)`` sample to series ``name``."""
+        self._series(name).append((now, value))
 
     # -- reporting ---------------------------------------------------------
 
@@ -264,6 +275,8 @@ class MetricsHub:
         series = {}
         for name in sorted(self.series):
             points = self.series[name]
+            if not points:
+                continue  # planned for a port that was never sampled
             values = [v for _, v in points]
             series[name] = {
                 "samples": len(points),

@@ -68,11 +68,12 @@ __all__ = [
 ]
 
 #: On-disk format name and version, written into every header and checked
-#: on load; bump the version when the payload encoding changes shape, or
-#: the resume session's anchor numbering does (2: per-packet data travels
-#: by value) — another walk's index would graft onto the wrong object.
+#: on load; bump the version when the payload encoding changes shape (3:
+#: heap entries carry ``born``, ports ``_free_at``), or the resume
+#: session's anchor numbering does (2: per-packet data travels by value)
+#: — another walk's index would graft onto the wrong object.
 CHECKPOINT_FORMAT = "repro-checkpoint"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 class Snapshot:

@@ -1,18 +1,29 @@
 """Deterministic discrete-event engine.
 
-The engine is a binary heap of flat ``(time, sequence, callback, args)``
-entries.  The monotonically increasing sequence number breaks ties between
-events scheduled for the same instant, which makes every run fully
-deterministic — a hard requirement for the record/replay experiments,
-where the recorded schedule must be byte-for-byte repeatable.
+The engine is a binary heap of flat ``(time, born, sequence, callback,
+args)`` entries.  Events of one instant fire by *logical creation
+instant* (``born``), then by the monotonically increasing creation
+sequence number; deferred decisions (:meth:`Engine.defer`) run after all
+of them, FIFO.  That written rule (``docs/determinism.md``, "Same-instant
+order") makes every run fully deterministic — a hard requirement for the
+record/replay experiments, where the recorded schedule must be
+byte-for-byte repeatable.
+
+``born`` is :attr:`Engine.now` for every ``schedule*`` call.  The one
+producer that post-dates it is the output port
+(:meth:`repro.sim.port.Port._try_send`), the engine's one privileged
+client: at service start it pushes the far end's ``receive`` onto
+``_heap`` itself, born at the last-bit departure time, and reserves the
+next ``_seq`` for a completion it only pushes if something is waiting —
+so an uncontended hop costs one heap entry and no engine call.
 
 Two scheduling paths share the heap:
 
 * :meth:`Engine.schedule` / :meth:`Engine.schedule_at` — the hot path.
   Entries are plain tuples; no per-event object is allocated and nothing
-  is returned.  The overwhelming majority of events (transmission
-  completions, propagation deliveries, packet injections) are never
-  cancelled, so they never need a handle.
+  is returned.  The overwhelming majority of events (propagation
+  deliveries, packet injections) are never cancelled, so they never need
+  a handle.
 * :meth:`Engine.schedule_cancellable` /
   :meth:`Engine.schedule_cancellable_at` — returns an
   :class:`EventHandle` whose :meth:`~EventHandle.cancel` marks the entry
@@ -21,7 +32,7 @@ Two scheduling paths share the heap:
   transmission-complete event.
 
 Because sequence numbers are unique, heap comparisons never reach the
-third tuple element, so callbacks and handles can share the heap without
+fourth tuple element, so callbacks and handles can share the heap without
 being comparable themselves.
 """
 
@@ -128,10 +139,6 @@ class EventHandle:
     def cancelled(self) -> bool:
         return self._callback is None
 
-    def _fire(self) -> None:
-        if self._callback is not None:
-            self._callback(*self._args)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
         return f"<EventHandle t={self.time:.9f} {state}>"
@@ -168,13 +175,14 @@ class Engine:
         cancelled.  Use :meth:`schedule_cancellable` for timers that may
         need to be aborted.
         """
-        time = self.now + delay
-        if time < self.now:
+        now = self.now
+        time = now + delay
+        if time < now:
             raise SimulationError(
-                f"cannot schedule event in the past: {time!r} < now={self.now!r}"
+                f"cannot schedule event in the past: {time!r} < now={now!r}"
             )
         self._seq = seq = self._seq + 1
-        heappush(self._heap, (time, seq, callback, args))
+        heappush(self._heap, (time, now, seq, callback, args))
 
     def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> None:
         """Schedule ``callback(*args)`` at absolute ``time`` (hot path)."""
@@ -183,7 +191,7 @@ class Engine:
                 f"cannot schedule event in the past: {time!r} < now={self.now!r}"
             )
         self._seq = seq = self._seq + 1
-        heappush(self._heap, (time, seq, callback, args))
+        heappush(self._heap, (time, self.now, seq, callback, args))
 
     def schedule_cancellable(
         self, delay: float, callback: Callable[..., None], *args: Any
@@ -201,7 +209,7 @@ class Engine:
             )
         handle = EventHandle(time, callback, args)
         self._seq = seq = self._seq + 1
-        heappush(self._heap, (time, seq, handle, _CANCELLABLE))
+        heappush(self._heap, (time, self.now, seq, handle, _CANCELLABLE))
         return handle
 
     def schedule_sample(self, time: float, callback: Callable[[], None]) -> None:
@@ -222,7 +230,7 @@ class Engine:
                 f"cannot schedule event in the past: {time!r} < now={self.now!r}"
             )
         self._seq = seq = self._seq + 1
-        heappush(self._heap, (time, seq, callback, _SAMPLER))
+        heappush(self._heap, (time, self.now, seq, callback, _SAMPLER))
 
     def defer(self, callback: Callable[[], None]) -> None:
         """Run ``callback`` after every event at the *current* timestamp.
@@ -247,11 +255,45 @@ class Engine:
         given) until the next event would fire strictly after ``until``; in
         that case the clock is advanced to ``until`` and the pending events
         stay queued.  Deferred callbacks queued at exactly ``until`` always
-        flush before the clock is pinned: the horizon break below is only
-        reachable with an empty deferred queue, because the two-phase
-        branch drains decisions before the heap is ever consulted.
+        flush before the clock is pinned (see :meth:`_drain`).
         """
         self._stopped = False
+        self._drain(until, inf)
+        if until is not None and self.now < until:
+            self.now = until
+
+    def run_bounded(self, until: float | None = None,
+                    max_events: int | None = None) -> None:
+        """Process events like :meth:`run`, but stop at a safe slice boundary.
+
+        The primitive behind periodic mid-run checkpointing
+        (:mod:`repro.sim.resume`): a phase runs as bounded slices with a
+        snapshot between them.  Two properties make slice boundaries
+        invisible, which keeps resumed runs byte-identical to straight ones:
+
+        * the clock is **never** pinned to ``until`` — only the caller
+          pins it, once, when the whole phase is done;
+        * the loop only breaks with an **empty deferred queue** (neither
+          budget nor horizon is consulted while same-instant decisions
+          are pending), so a snapshot never serialises decision closures.
+
+        Unlike :meth:`run` the stop flag is *not* reset on entry — a
+        phase spans many slices and its owner resets the flag once.
+        """
+        self._drain(until, inf if max_events is None else max_events)
+
+    def _drain(self, until: float | None, budget: float) -> None:
+        """The one dispatch loop behind :meth:`run` and :meth:`run_bounded`.
+
+        Within one instant every heap event fires first, in ``(born,
+        seq)`` order, then the deferred decisions, FIFO (a decision may
+        create events at the same instant; they fire before the next
+        decision).  Horizon and budget are read only with the deferred
+        queue empty, the horizon by peeking ``heap[0]``.  Processed events
+        land in :attr:`events_processed` and :data:`ENGINE_PERF`;
+        cancelled entries and sampler ticks are invisible to both and to
+        the flight recorder.
+        """
         heap = self._heap
         deferred = self._deferred
         flight = self._flight
@@ -263,156 +305,39 @@ class Engine:
         processed = 0
         start = perf_counter()  # repro: allow(DET-WALLCLOCK) ENGINE_PERF accounting, never feeds simulation state
         try:
-            # Two copies of the drain loop, chosen once per run: with no
-            # flight recorder attached (the default, and the path the
-            # obs-off overhead gate holds to the uninstrumented
-            # trajectory) events pay only the two sentinel identity
-            # checks below — no telemetry branch at all.  Keep the
-            # bodies in lockstep when editing.
-            if flight is None:
-                while heap or deferred:
-                    if deferred and (not heap or heap[0][0] > now):
+            while True:
+                if deferred:
+                    if not heap or heap[0][0] > now:
                         # Flush decisions once no further event shares
-                        # this timestamp.  Runs even when the next heap
-                        # event lies beyond `until`, so same-instant
-                        # scheduling decisions are never lost at the
-                        # horizon.
+                        # this timestamp — even when the next heap event
+                        # lies beyond `until`, so same-instant decisions
+                        # are never lost at the horizon.
                         deferred.popleft()()
                         if self._stopped:
                             break
                         continue
-                    entry = heappop(heap)
-                    time = entry[0]
-                    if time > limit:
-                        heappush(heap, entry)
-                        break
-                    callback = entry[2]
-                    args = entry[3]
-                    if args is cancellable:
-                        if callback._callback is None:  # cancelled: skip
-                            continue
-                        self.now = now = time
-                        processed += 1
-                        callback._fire()
-                    elif args is sampler:
-                        # A telemetry tick: fired in time order but
-                        # excluded from event accounting (see
-                        # schedule_sample).
-                        self.now = now = time
-                        callback()
-                    else:
-                        self.now = now = time
-                        processed += 1
-                        callback(*args)
-                    if self._stopped:
-                        break
-            else:
-                while heap or deferred:
-                    if deferred and (not heap or heap[0][0] > now):
-                        deferred.popleft()()
-                        if self._stopped:
-                            break
-                        continue
-                    entry = heappop(heap)
-                    time = entry[0]
-                    if time > limit:
-                        heappush(heap, entry)
-                        break
-                    callback = entry[2]
-                    args = entry[3]
-                    if args is cancellable:
-                        if callback._callback is None:  # cancelled: skip
-                            continue
-                        self.now = now = time
-                        processed += 1
-                        flight.note(time, callback._callback)
-                        callback._fire()
-                    elif args is sampler:
-                        self.now = now = time
-                        callback()
-                    else:
-                        self.now = now = time
-                        processed += 1
-                        flight.note(time, callback)
-                        callback(*args)
-                    if self._stopped:
-                        break
-        finally:
-            self._events_processed += processed
-            ENGINE_PERF.record(processed, perf_counter() - start)  # repro: allow(DET-WALLCLOCK) ENGINE_PERF accounting, never feeds simulation state
-        if until is not None and self.now < until:
-            self.now = until
-
-    def run_bounded(self, until: float | None = None,
-                    max_events: int | None = None) -> None:
-        """Process events like :meth:`run`, but stop at a safe slice boundary.
-
-        This is the primitive behind periodic mid-run checkpointing
-        (:mod:`repro.sim.resume`): a phase of simulation is executed as a
-        sequence of bounded slices with a snapshot taken between slices.
-        Two properties make slice boundaries invisible to the simulation,
-        which is what keeps resumed runs byte-identical to straight runs:
-
-        * the clock is **never** pinned to ``until`` — only the caller
-          pins it, once, when the whole phase is done — so splitting a
-          horizon into sub-horizons cannot perturb event times;
-        * the loop only breaks with an **empty deferred queue** (the
-          ``max_events`` budget is not honoured while same-instant
-          decisions are pending, and the horizon break is only reachable
-          with the deferred queue drained, exactly as in :meth:`run`), so
-          a snapshot never has to serialise mid-instant decision
-          closures.
-
-        Unlike :meth:`run` the stop flag is *not* reset on entry — a
-        phase spans many slices and its owner resets the flag once.
-        Accounting is identical to :meth:`run`: processed events land in
-        :attr:`events_processed` and :data:`ENGINE_PERF`; cancelled
-        entries and sampler ticks stay invisible.  Cold path: one loop
-        copy serves both flight modes.
-        """
-        heap = self._heap
-        deferred = self._deferred
-        flight = self._flight
-        limit = inf if until is None else until
-        now = self.now
-        cancellable = _CANCELLABLE
-        sampler = _SAMPLER
-        budget = inf if max_events is None else max_events
-        processed = 0
-        start = perf_counter()  # repro: allow(DET-WALLCLOCK) ENGINE_PERF accounting, never feeds simulation state
-        try:
-            while heap or deferred:
-                if processed >= budget and not deferred:
+                elif not heap or heap[0][0] > limit or processed >= budget:
                     break
-                if deferred and (not heap or heap[0][0] > now):
-                    deferred.popleft()()
+                time, _born, _seq, callback, args = heappop(heap)
+                if args is cancellable:
+                    handle = callback
+                    callback = handle._callback
+                    if callback is None:  # cancelled: skip
+                        continue
+                    args = handle._args
+                elif args is sampler:
+                    # A telemetry tick: fired in time order but excluded
+                    # from event accounting (see schedule_sample).
+                    self.now = now = time
+                    callback()
                     if self._stopped:
                         break
                     continue
-                entry = heappop(heap)
-                time = entry[0]
-                if time > limit:
-                    heappush(heap, entry)
-                    break
-                callback = entry[2]
-                args = entry[3]
-                if args is cancellable:
-                    if callback._callback is None:  # cancelled: skip
-                        continue
-                    self.now = now = time
-                    processed += 1
-                    if flight is not None:
-                        flight.note(time, callback._callback)
-                    callback._fire()
-                elif args is sampler:
-                    self.now = now = time
-                    callback()
-                else:
-                    self.now = now = time
-                    processed += 1
-                    if flight is not None:
-                        flight.note(time, callback)
-                    callback(*args)
+                self.now = now = time
+                processed += 1
+                if flight is not None:
+                    flight.note(time, callback)
+                callback(*args)
                 if self._stopped:
                     break
         finally:
@@ -444,16 +369,17 @@ class Engine:
         never the observer.
         """
         heap = [
-            (time, seq, callback,
+            (time, born, seq, callback,
              _CANCELLABLE_MARKER if args is _CANCELLABLE else args)
-            for (time, seq, callback, args) in self._heap
+            for (time, born, seq, callback, args) in self._heap
             if args is not _SAMPLER
         ]
         if len(heap) != len(self._heap):
             # Removing interior elements can break the heap invariant;
-            # a fully sorted list is always a valid heap, and (time, seq)
-            # keys never tie, so sorting cannot reorder equal elements.
-            heap.sort(key=lambda entry: entry[:2])
+            # a fully sorted list is always a valid heap, and (time,
+            # born, seq) keys never tie, so sorting cannot reorder equal
+            # elements.
+            heap.sort(key=lambda entry: entry[:3])
         return {
             "now": self.now,
             "heap": heap,
@@ -469,14 +395,14 @@ class Engine:
         The marker strings in the args slot are swapped back for the
         module's live sentinel, so the run loop's identity test keeps
         working on restored entries.  The entry order is preserved
-        as-is: the (time, seq) sort keys were untouched, so the list is
+        as-is: the (time, born, seq) sort keys were untouched, so the list is
         still a valid heap.
         """
         self.now = state["now"]
         self._heap = [
-            (time, seq, callback,
+            (time, born, seq, callback,
              _CANCELLABLE if args == _CANCELLABLE_MARKER else args)
-            for (time, seq, callback, args) in state["heap"]
+            for (time, born, seq, callback, args) in state["heap"]
         ]
         self._seq = state["seq"]
         self._events_processed = state["events_processed"]

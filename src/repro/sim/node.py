@@ -48,8 +48,10 @@ class Node:
 
     # --- data path ----------------------------------------------------------
 
-    def receive(self, packet: "Packet") -> None:
-        """Last bit of ``packet`` has arrived here."""
+    def receive(self, packet: "Packet", tail: bool = False) -> None:
+        """Last bit of ``packet`` has arrived here.  ``tail``: dispatched
+        straight from the event heap, so nothing follows within this event
+        (:meth:`Port._request_decision`); synchronous callers leave it off."""
         packet.path_pos += 1
         tracer = self._tracer
         tracer.on_hop(packet, self.name)
@@ -62,7 +64,7 @@ class Node:
             if port is None:
                 port = self.ports[self.network.next_hop(self.name, dst)]
                 self._out_port[dst] = port
-            port.enqueue(packet)
+            port.enqueue(packet, tail)
 
     def forward(self, packet: "Packet") -> None:
         port = self._out_port.get(packet.dst)

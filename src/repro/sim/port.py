@@ -12,6 +12,15 @@ and the busy/idle state machine of the transmitter:
   (store-and-forward: the next node sees the packet only when its last bit
   has arrived).
 
+A hop is **one heap event or two**.  The delivery is pushed at service
+start, born at the last-bit departure time ``t_done`` (when a
+transmission-complete event would have created it), and the port only
+remembers ``_free_at = t_done``.  A completion event — free the wire,
+decide the next packet — exists only if something is queued at service
+start or arrives while the wire is busy; it is pushed at ``t_done`` under
+the sequence number reserved at service start, so it fires exactly where
+an eager one would have (``docs/determinism.md``, "Same-instant order").
+
 This is the per-packet hot path, so ports cache everything that is
 invariant for the port's lifetime — the engine, the tracer, the link's
 per-byte serialisation cost, the peer node's bound ``receive`` — instead
@@ -33,8 +42,8 @@ packet is paused — only time spent actually transmitting is "free"
 
 from __future__ import annotations
 
-import heapq
 import math
+from heapq import heappop, heappush
 from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError, SimulationError
@@ -48,28 +57,19 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["Port", "PreemptivePort"]
 
+#: ``Port._free_at`` when it is not a time: the wire was seen idle / the
+#: completion is an event in the heap.
+_IDLE, _ARMED = -math.inf, math.inf
+
 
 class Port:
     """Non-preemptive output port (the default service model)."""
 
     __slots__ = (
-        "node",
-        "link",
-        "scheduler",
-        "buffer_bytes",
-        "buffered",
-        "busy",
-        "aqm",
-        "_queued",
-        "_wakeup",
-        "_decision_pending",
-        "_dst_node",
-        "_receive",
-        "_engine",
-        "_tracer",
-        "_obs",
-        "_tx_per_byte",
-        "_prop",
+        "node", "link", "scheduler", "buffer_bytes", "buffered", "aqm",
+        "_queued", "_wakeup", "_decision_pending",
+        "_free_at", "_done_born", "_done_seq",
+        "_receive", "_engine", "_tracer", "_obs", "_tx_per_byte", "_prop",
     )
 
     def __init__(
@@ -88,15 +88,19 @@ class Port:
         self.scheduler = scheduler
         self.buffer_bytes = buffer_bytes
         self.buffered = 0
-        self.busy = False
         self.aqm = None  # optional RedAqm (see repro.sim.aqm)
         # Queue depth mirrored here: the port mediates every scheduler
         # mutation, and an int attribute beats two Python calls per len().
         self._queued = 0
         self._wakeup = None
         self._decision_pending = False
-        self._dst_node: "Node | None" = None  # resolved lazily from the network
-        self._receive = None  # the peer's bound ``receive``, cached with it
+        # When the wire frees: the last-bit departure time while the
+        # completion is not (yet) an event — its reserved heap key is
+        # (_free_at, _done_born, _done_seq) — else _IDLE or _ARMED.
+        self._free_at = _IDLE
+        self._done_born = 0.0
+        self._done_seq = 0
+        self._receive = None  # the peer's bound ``receive``, resolved lazily
         self._engine = node.network.engine
         self._tracer = node.network.tracer
         # The metrics hub, cached like the tracer: None (one is-None test
@@ -109,22 +113,18 @@ class Port:
 
     # --- wiring -----------------------------------------------------------
 
-    @property
-    def engine(self):
-        return self._engine
-
-    def _peer(self) -> "Node":
-        if self._dst_node is None:
-            self._dst_node = self.node.network.nodes[self.link.dst]
-            self._receive = self._dst_node.receive
-        return self._dst_node
-
     def _peer_receive(self):
         receive = self._receive
         if receive is None:
-            self._peer()
-            receive = self._receive
+            receive = self._receive = self.node.network.nodes[self.link.dst].receive
         return receive
+
+    @property
+    def busy(self) -> bool:
+        """A transmission occupies the wire right now — compared against
+        the clock on every read, so an end nobody observed leaves no flag
+        behind to go stale."""
+        return self._engine.now < self._free_at
 
     def set_scheduler(self, scheduler: "Scheduler") -> None:
         """Swap the scheduling discipline.  Only legal on an empty, idle port."""
@@ -146,13 +146,17 @@ class Port:
 
     # --- data path ----------------------------------------------------------
 
-    def enqueue(self, packet: "Packet") -> None:
-        """Admit a fully received packet; apply the drop policy if full."""
+    def enqueue(self, packet: "Packet", tail: bool = False) -> None:
+        """Admit a fully received packet; apply the drop policy if full.
+        ``tail``: nothing follows within this event (:meth:`Node.receive`)."""
         now = self._engine.now
         tracer = self._tracer
         scheduler = self.scheduler
+        # At now == _free_at an unobserved completion still counts as
+        # ahead of this arrival: it is pushed below and fires next.
+        idle = now > self._free_at
         if (
-            not self.busy
+            idle
             and self._queued == 0
             and self._prop == 0.0
             and packet.size * self._tx_per_byte == 0.0
@@ -165,23 +169,30 @@ class Port:
             tracer.on_tx_start(packet, 0.0, now)
             self._peer_receive()(packet)
             return
-        if self.aqm is not None and self.aqm.should_drop(packet, self.buffered, now):
-            if getattr(self.aqm, "slack_aware", False):
-                # Early-drop the scheduler's victim (highest remaining
-                # slack under LSTF) instead of the arrival.
-                victim = scheduler.drop_victim(packet, now)
-                tracer.on_drop(victim, self.node.name)
-                if self._obs is not None:
-                    self._obs.drop(self.link, "red")
-                if victim is packet:
+        aqm = self.aqm
+        if aqm is not None:
+            if idle and self._free_at != _IDLE:
+                # The last transmission ended unobserved, on an empty
+                # queue: tell the AQM when, before it ages its average.
+                aqm.on_idle(self._free_at)
+                self._free_at = _IDLE
+            if aqm.should_drop(packet, self.buffered, now):
+                if getattr(aqm, "slack_aware", False):
+                    # Early-drop the scheduler's victim (highest remaining
+                    # slack under LSTF) instead of the arrival.
+                    victim = scheduler.drop_victim(packet, now)
+                    tracer.on_drop(victim, self.node.name)
+                    if self._obs is not None:
+                        self._obs.drop(self.link, "red")
+                    if victim is packet:
+                        return
+                    self.buffered -= victim.size
+                    self._queued -= 1
+                else:
+                    tracer.on_drop(packet, self.node.name)
+                    if self._obs is not None:
+                        self._obs.drop(self.link, "red")
                     return
-                self.buffered -= victim.size
-                self._queued -= 1
-            else:
-                tracer.on_drop(packet, self.node.name)
-                if self._obs is not None:
-                    self._obs.drop(self.link, "red")
-                return
         while self.buffered + packet.size > self.buffer_bytes:
             victim = scheduler.drop_victim(packet, now)
             tracer.on_drop(victim, self.node.name)
@@ -195,21 +206,36 @@ class Port:
         scheduler.push(packet, now)
         self.buffered += packet.size
         self._queued += 1
-        if not self.busy and not self._decision_pending:
-            self._decision_pending = True
-            self._engine.defer(self._decide)
+        if idle:
+            self._request_decision(tail)
+        elif self._free_at != _ARMED:
+            # First arrival of this busy period: the completion becomes a
+            # real event, under the key reserved for it at service start.
+            heappush(self._engine._heap, (
+                self._free_at, self._done_born, self._done_seq,
+                self._complete, ()))
+            self._free_at = _ARMED
 
-    def _request_decision(self) -> None:
-        """Defer the next service decision to the end of this timestamp.
+    def _request_decision(self, tail: bool = False) -> None:
+        """Decide the next service at the end of this timestamp.
 
         All packets arriving at the current instant must be queued before
         the scheduler chooses (the paper's simultaneity convention); the
         engine's two-phase loop guarantees that for deferred callbacks.
+        From an event's ``tail``, with no decision queued anywhere and no
+        further event at this instant, the deferred decision would be the
+        very next thing to run — so it runs now.
         """
         if self._decision_pending:
             return
+        engine = self._engine
+        if tail and not engine._deferred:
+            heap = engine._heap
+            if not heap or heap[0][0] > engine.now:
+                self._try_send()
+                return
         self._decision_pending = True
-        self._engine.defer(self._decide)
+        engine.defer(self._decide)
 
     def _decide(self) -> None:
         self._decision_pending = False
@@ -219,8 +245,8 @@ class Port:
         engine = self._engine
         scheduler = self.scheduler
         tracer = self._tracer
-        while not self.busy and self._queued:
-            now = engine.now
+        now = engine.now
+        while self._queued and now > self._free_at:
             packet = scheduler.pop(now)
             if packet is None:
                 self._arm_wakeup(now)
@@ -244,29 +270,41 @@ class Port:
             if self._obs is not None:
                 self._obs.tx(self.link, packet.size)
             tx = packet.size * self._tx_per_byte
-            if tx == 0.0 and self._prop == 0.0:
+            prop = self._prop
+            receive = self._receive or self._peer_receive()
+            if tx == 0.0 and prop == 0.0:
                 # Infinitely fast hop: deliver synchronously.  Routing
                 # same-instant traversals through the event heap would let
                 # a packet arriving at time t lose a tie against a
                 # transmit-completion at t purely by event-creation order;
                 # the theory gadgets (and common sense) require arrivals at
                 # t to be visible to scheduling decisions at t.
-                self._peer_receive()(packet)
+                receive(packet)
                 continue
-            self.busy = True
-            engine.schedule(tx, self._tx_done, packet)
+            # One event for the whole hop: the far end receives at
+            # (now + tx) + prop, born when the last bit leaves (over zero
+            # propagation: at service start, like the completion that
+            # used to deliver it).  The next sequence number is the
+            # completion's, pushed now only if a packet already waits.
+            t_done = now + tx
+            engine._seq = seq = engine._seq + 2
+            heappush(engine._heap, (
+                t_done + prop, t_done if prop else now, seq - 1,
+                receive, (packet, True)))
+            if self._queued:
+                heappush(engine._heap, (t_done, now, seq, self._complete, ()))
+                self._free_at = _ARMED
+            else:
+                self._free_at = t_done
+                self._done_born = now
+                self._done_seq = seq
             return
 
-    def _tx_done(self, packet: "Packet") -> None:
-        self.busy = False
-        if self._prop == 0.0:
-            self._peer_receive()(packet)
-        else:
-            self._engine.schedule(self._prop, self._peer_receive(), packet)
-        if self._queued:
-            self._request_decision()
-        elif self.aqm is not None:
-            self.aqm.on_idle(self._engine.now)
+    def _complete(self) -> None:
+        """The last bit has left and a packet is waiting (one was queued
+        when this event was pushed, and queues only shrink by service)."""
+        self._free_at = _IDLE
+        self._request_decision(True)
 
     # --- non-work-conserving support --------------------------------------
 
@@ -334,7 +372,7 @@ class PreemptivePort(Port):
 
     # --- data path ------------------------------------------------------------
 
-    def enqueue(self, packet: "Packet") -> None:
+    def enqueue(self, packet: "Packet", tail: bool = False) -> None:
         now = self._engine.now
         tx = packet.size * self._tx_per_byte
         if tx == 0.0 and self._prop == 0.0:
@@ -351,7 +389,7 @@ class PreemptivePort(Port):
                 f"scheduler {self.scheduler.name} does not support preemption"
             )
         self._seq += 1
-        heapq.heappush(self._heap, (key, self._seq, packet))
+        heappush(self._heap, (key, self._seq, packet))
         self._state[packet.pid] = _PreemptedState(tx)
         self._request_decision()
 
@@ -374,13 +412,13 @@ class PreemptivePort(Port):
         state = self._state[packet.pid]
         state.remaining_tx -= now - self._serve_start
         self._seq += 1
-        heapq.heappush(self._heap, (self._current_key, self._seq, packet))
+        heappush(self._heap, (self._current_key, self._seq, packet))
         self._current = None
 
     def _start_best(self, now: float) -> None:
         if not self._heap:
             return
-        key, _seq, packet = heapq.heappop(self._heap)
+        key, _seq, packet = heappop(self._heap)
         state = self._state[packet.pid]
         if state.first_service is None:
             state.first_service = now
@@ -391,7 +429,7 @@ class PreemptivePort(Port):
         self._current = packet
         self._current_key = key
         self._serve_start = now
-        self.busy = True
+        self._free_at = _ARMED  # busy until _finish; preemption moves the end
         self._done_handle = self._engine.schedule_cancellable(
             state.remaining_tx, self._finish, packet
         )
@@ -400,7 +438,7 @@ class PreemptivePort(Port):
         now = self._engine.now
         self._current = None
         self._current_key = math.inf
-        self.busy = False
+        self._free_at = _IDLE
         del self._state[packet.pid]
         # Header/accounting update: everything between arrival and last-bit
         # departure except the serialisation time itself was "waiting"

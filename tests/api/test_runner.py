@@ -90,6 +90,27 @@ def test_artifact_rejects_unknown_version():
         RunArtifact.from_dict(data)
 
 
+def test_artifact_cached_by_the_two_event_build_reads_as_a_miss(tmp_path):
+    """``metadata.engine_events`` is canonical and dropped with hop
+    fusion: a version-1 artifact must be re-simulated, not served."""
+    from repro.api.runner import cached_artifact
+
+    fresh = run(TINY_TABLE1, out_dir=tmp_path)
+    path = tmp_path / f"{fresh.run_id()}.json"
+    assert json.loads(path.read_text())["version"] == 2
+    assert cached_artifact(TINY_TABLE1, tmp_path) is not None
+
+    stale = json.loads(path.read_text())
+    stale["version"] = 1
+    stale["metadata"]["engine_events"] *= 2
+    path.write_text(json.dumps(stale))
+    assert cached_artifact(TINY_TABLE1, tmp_path) is None
+    again = run(TINY_TABLE1, out_dir=tmp_path)
+    assert not again.from_cache
+    assert again.canonical_json() == fresh.canonical_json()
+    assert cached_artifact(TINY_TABLE1, tmp_path) is not None  # healed
+
+
 def test_artifact_table_renders_like_the_driver_table():
     artifact = run(ExperimentSpec("gadgets"))
     rendered = artifact.table().render()

@@ -37,7 +37,8 @@ from repro.sim.checkpoint import CheckpointStore
 #: Scale knob for the scheduled CI stress job (see ``test_stress.py``).
 SCALE = max(1, int(os.environ.get("REPRO_STRESS_SCALE", "1")))
 
-POLICY = "300ev"
+POLICY_EVENTS = 300
+POLICY = f"{POLICY_EVENTS}ev"
 LEASE_S = 0.5
 
 FIG2 = dict(experiment="fig2", schedulers=("fifo",), duration=0.02, seeds=(3,))
@@ -124,29 +125,37 @@ def test_resume_smoke_serial(tmp_path):
 # Kill points are spread early / middle / late; schedulers x topologies
 # ride on the `info` experiment (whose record-once pre-pass must stay
 # outside the snapshot phases) and on fig2 (whose driver holds TcpStats
-# the restore must graft state into).
+# the restore must graft state into).  A kill point is a *fraction* of
+# the snapshots the run can write — its own event count over the policy
+# period — never a constant: how many events a run takes is the
+# engine's business (a contended hop is two, an uncontended hop one),
+# and a constant past the last snapshot would never kill anything.  (The
+# ``k<n>`` test ids are the constants of the two-events-per-hop engine.)
 MATRIX = [
-    ("fig2", {"schedulers": ("fifo",)}, 1),
-    ("fig2", {"schedulers": ("sjf",)}, 6),
-    ("info", {"schedulers": ("fifo",), "topology": "i2-1g-10g"}, 3),
-    ("info", {"schedulers": ("fifo",), "topology": "i2-1g-1g"}, 9),
-    ("info", {"schedulers": ("fq",), "topology": "i2-1g-10g"}, 12),
-    ("info", {"schedulers": ("fq",), "topology": "i2-1g-1g"}, 5),
+    ("fig2", {"schedulers": ("fifo",)}, 0.1, "k1"),
+    ("fig2", {"schedulers": ("sjf",)}, 0.67, "k6"),
+    ("info", {"schedulers": ("fifo",), "topology": "i2-1g-10g"}, 0.1, "k3"),
+    ("info", {"schedulers": ("fifo",), "topology": "i2-1g-1g"}, 0.3, "k9"),
+    ("info", {"schedulers": ("fq",), "topology": "i2-1g-10g"}, 0.4, "k12"),
+    ("info", {"schedulers": ("fq",), "topology": "i2-1g-1g"}, 0.17, "k5"),
 ]
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize(
-    "experiment,fields,kill_after",
-    MATRIX,
-    ids=[f"{e}-{'-'.join(str(v) for v in f.values())}-k{k}"
-         for e, f, k in MATRIX],
+    "experiment,fields,kill_at",
+    [row[:3] for row in MATRIX],
+    ids=[f"{e}-{'-'.join(str(v) for v in f.values())}-{label}"
+         for e, f, _, label in MATRIX],
 )
-def test_resume_matrix_byte_identity(tmp_path, experiment, fields, kill_after):
+def test_resume_matrix_byte_identity(tmp_path, experiment, fields, kill_at):
     spec_kwargs = dict(experiment=experiment, duration=0.02, seeds=(3,),
                        **fields)
     spec = ExperimentSpec(**spec_kwargs)
-    reference = run(spec).canonical_json()
+    straight = run(spec)
+    reference = straight.canonical_json()
+    snapshots = straight.metadata["engine_events"] // POLICY_EVENTS
+    kill_after = max(1, int(kill_at * snapshots))
     out = _spawn_killed_run(tmp_path, spec_kwargs, kill_after)
     _assert_resumed_identical(out, spec, reference)
 

@@ -100,9 +100,10 @@ def test_sampler_entries_are_dropped_from_checkpoints():
     observed.schedule_sample(0.001, lambda: samples.append(observed.now))
     observed.schedule_sample(0.003, lambda: samples.append(observed.now))
     state = observed.checkpoint()
-    # Only the two simulation events survive, with heap keys untouched.
-    assert [entry[:2] for entry in state["heap"]] == \
-        [entry[:2] for entry in bare.checkpoint()["heap"]]
+    # Only the two simulation events survive, with their whole
+    # (time, born, seq) heap keys untouched.
+    assert [entry[:3] for entry in state["heap"]] == \
+        [entry[:3] for entry in bare.checkpoint()["heap"]]
     # The live engine still fires its samplers in time order.
     observed.run()
     assert samples == [0.001, 0.003]

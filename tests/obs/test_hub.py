@@ -107,3 +107,87 @@ def test_custom_sampler_called_each_tick():
     points = hub.series_points("queued_total")
     assert points
     assert hub.series["queue_depth:a->SW"][0][0] == pytest.approx(hub.interval)
+
+
+# --- the sampling plan -----------------------------------------------------
+
+
+def test_summary_bytes_match_the_parent_hub():
+    """Pinned at the parent commit (``sample_network`` + ``record`` per
+    sample): the plan-driven tick must digest to the very same bytes —
+    integer queue depths stay integers, floats round the same way."""
+    import hashlib
+    import json
+
+    summary = _run_traffic(MetricsHub()).summary()
+    payload = json.dumps(summary, sort_keys=True).encode()
+    assert len(payload) == 821
+    assert hashlib.sha256(payload).hexdigest() == (
+        "c1a9b931fe0d0d30f80d34eea67ab8cfac52f49a02f9f8b345424886a1cac792")
+    depth = summary["series"]["queue_depth:SW->b"]
+    assert isinstance(depth["min"], int) and isinstance(depth["max"], int)
+
+
+def test_series_points_is_a_copy_and_unsampled_series_stay_out_of_summary():
+    hub = _run_traffic(MetricsHub())
+    points = hub.series_points("queue_depth:SW->b")
+    assert points and points == hub.series["queue_depth:SW->b"]
+    assert all(isinstance(depth, int) for _, depth in points)
+    points.clear()  # a copy: mutating it cannot corrupt the hub
+    assert hub.series_points("queue_depth:SW->b")
+    assert hub.series_points("never-sampled") == []
+    # The plan creates a port's series before its first tick.
+    hub._series("queue_depth:planned->only")
+    assert "queue_depth:planned->only" not in hub.summary()["series"]
+
+
+def test_one_hub_shared_by_two_networks_appends_to_the_same_series():
+    """A record network and a replay network under one hub share link
+    names: the second run keeps appending where the first stopped."""
+    hub = MetricsHub()
+    _run_traffic(hub)
+    first = hub.series_points("queue_depth:SW->b")
+    sent = hub.counters["tx_bytes:SW->b"]
+    _run_traffic(hub)
+    both = hub.series_points("queue_depth:SW->b")
+    assert both[:len(first)] == first and len(both) == 2 * len(first)
+    assert hub.counters["tx_bytes:SW->b"] == 2 * sent
+    assert len(hub._net_samplers) == 2
+
+
+def test_plan_is_rebuilt_after_a_port_swap():
+    from repro.schedulers import LstfScheduler
+
+    hub = MetricsHub()
+    with use_metrics_hub(hub):
+        net = _net()
+        net.run()  # arms sampling (one tick) on the original ports
+        (_, sampler), = hub._net_samplers
+        stale = {row[0] for row in sampler.plan}
+        net.use_preemptive_ports(LstfScheduler)
+        for _ in range(3):
+            net.inject_at(0.002, make_packet(slack=0.0))
+        net.run()
+    live = {port for node in net.nodes.values() for port in node.ports.values()}
+    assert {row[0] for row in sampler.plan} == live
+    assert not stale & live
+
+
+def test_no_link_key_is_built_until_a_link_transmits():
+    hub = MetricsHub()
+    with use_metrics_hub(hub):
+        net = _net()
+        assert hub._link_keys == {}
+        net.inject_at(0.0, make_packet())
+        net.run()
+    assert sorted(hub._link_keys.values()) == [
+        ("tx_bytes:SW->b", "SW->b"), ("tx_bytes:a->SW", "a->SW")]
+
+
+def test_record_takes_integers_and_floats_in_one_series():
+    hub = MetricsHub()
+    hub.record("gauge", 0.001, 3)
+    hub.record("gauge", 0.002, 4)
+    assert hub.summary()["series"]["gauge"]["max"] == 4
+    hub.record("gauge", 0.003, 0.5)
+    assert hub.series_points("gauge") == [(0.001, 3), (0.002, 4), (0.003, 0.5)]

@@ -101,8 +101,7 @@ def _clone_recorder(clone: Engine) -> Recorder | None:
     keeps it single); its ``seen`` list already carries the pre-split
     head, so after running the clone it holds the full resumed log.
     """
-    for entry in clone._heap:
-        callback = entry[2]
+    for _time, _born, _seq, callback, _args in clone._heap:
         callback = getattr(callback, "_callback", None) or callback
         owner = getattr(callback, "__self__", None)
         if isinstance(owner, Recorder):
@@ -150,20 +149,25 @@ def test_checkpoint_drops_samplers_and_keeps_cancellations(specs, split):
 
     from repro.sim.engine import _CANCELLABLE_MARKER, _SAMPLER
 
-    assert all(entry[3] is not _SAMPLER for entry in state["heap"])
+    # Entries are (time, born, seq, callback, args); the sentinels live
+    # in the args slot.
+    assert all(args is not _SAMPLER for *_, args in state["heap"])
     # Cancelled timers survive as cancelled: their handles carry no
     # callback, so a restored engine skips them just as the live one
     # would have.
     live_cancelled = sum(
-        1 for entry in engine._heap
-        if entry[3] is not _SAMPLER
-        and hasattr(entry[2], "_callback") and entry[2]._callback is None
+        1 for *_, callback, args in engine._heap
+        if args is not _SAMPLER
+        and hasattr(callback, "_callback") and callback._callback is None
     )
     ckpt_cancelled = sum(
-        1 for entry in state["heap"]
-        if entry[3] == _CANCELLABLE_MARKER and entry[2]._callback is None
+        1 for *_, callback, args in state["heap"]
+        if args == _CANCELLABLE_MARKER and callback._callback is None
     )
     assert ckpt_cancelled == live_cancelled
+    # What survives keeps its full (time, born, seq) key.
+    kept = [entry[:3] for entry in engine._heap if entry[4] is not _SAMPLER]
+    assert sorted(entry[:3] for entry in state["heap"]) == sorted(kept)
     # The counters a resume fingerprint is built from travel verbatim.
     assert state["now"] == engine.now
     assert state["events_processed"] == engine.events_processed

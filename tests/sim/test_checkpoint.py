@@ -236,6 +236,22 @@ class TestCheckpointStore(StoreContract):
         assert store.readable("k")
         assert store.get("k") is None
 
+    def test_version_2_entry_reads_as_a_miss_and_is_rebuilt(self, tmp_path):
+        """A warm-up cached by the two-events-per-hop build (v2: 4-tuple
+        heap entries, ``Port.busy``) must never be branched from."""
+        store = CheckpointStore(tmp_path)
+        store.get_or_build("k", self.value)
+        path = store.path("k")
+        head, _, payload = path.read_bytes().partition(b"\n")
+        assert b'"version": 3' in head
+        path.write_bytes(head.replace(b'"version": 3', b'"version": 2')
+                         + b"\n" + payload)
+        assert not store.readable("k") and store.get("k") is None
+        rebuilt = store.get_or_build("k", self.value)
+        assert self.fingerprint(rebuilt) == self.fingerprint(self.value())
+        assert store.readable("k")
+        assert [op for op, _ in store.log_entries()].count("put") == 2
+
     def test_build_never_leaks_into_engine_perf(self, tmp_path):
         store = CheckpointStore(tmp_path)
         baseline = ENGINE_PERF.events

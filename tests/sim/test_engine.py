@@ -294,3 +294,63 @@ class TestCancelDeterminism:
             return fired
 
         assert run_once() == run_once()
+
+
+class TestSameInstantOrder:
+    """The written rule (docs/determinism.md): same instant => by logical
+    creation instant, then creation sequence; decisions after, FIFO."""
+
+    def test_entries_carry_time_born_seq(self):
+        engine = Engine()
+        engine.schedule(1.0, lambda: None)
+        engine.run(until=0.5)
+        engine.schedule_at(1.0, lambda: None)
+        assert [entry[:3] for entry in sorted(engine._heap)] == \
+            [(1.0, 0.0, 1), (1.0, 0.5, 2)]
+
+    def test_a_post_dated_entry_fires_where_a_later_creator_would_have_put_it(self):
+        """What the port does at service start: push now an event whose
+        creator (the transmission-complete event) would only have run at
+        ``born`` — it sorts behind everything created earlier than that
+        instant, ahead of everything created at or after it."""
+        from heapq import heappush
+
+        engine = Engine()
+        order = []
+        # pushed first, but logically created at t=0.6:
+        engine._seq += 1
+        heappush(engine._heap, (1.0, 0.6, engine._seq, order.append, ("fused",)))
+        engine.schedule_at(0.3, engine.schedule_at, 1.0, order.append, "born-0.3")
+        engine.schedule_at(0.6, engine.schedule_at, 1.0, order.append, "born-0.6")
+        engine.schedule_at(0.9, engine.schedule_at, 1.0, order.append, "born-0.9")
+        engine.schedule_at(1.0, engine.defer, lambda: order.append("decision"))
+        engine.run()
+        assert order == ["born-0.3", "fused", "born-0.6", "born-0.9", "decision"]
+
+    def test_horizon_is_peeked_not_popped(self, monkeypatch):
+        """run(until) leaves the first event beyond the horizon where it
+        was: nothing is popped to be pushed back."""
+        import repro.sim.engine as engine_module
+
+        pops = []
+        real_pop = engine_module.heappop
+        monkeypatch.setattr(engine_module, "heappop",
+                            lambda heap: (pops.append(heap[0][0]), real_pop(heap))[1])
+        engine = Engine()
+        engine.schedule(1.0, lambda: None)
+        engine.schedule(10.0, lambda: None)
+        engine.run(until=5.0)
+        assert pops == [1.0]
+        assert engine.pending_events == 1 and engine.now == 5.0
+
+    def test_run_and_run_bounded_share_one_loop(self):
+        engine = Engine()
+        fired = []
+        for k in range(6):
+            engine.schedule_at(float(k), fired.append, k)
+        engine.run_bounded(max_events=2)
+        assert fired == [0, 1] and engine.now == 1.0
+        engine.run_bounded(until=3.5)
+        assert fired == [0, 1, 2, 3] and engine.now == 3.0  # never pinned
+        engine.run(until=4.5)
+        assert fired == [0, 1, 2, 3, 4] and engine.now == 4.5  # pinned

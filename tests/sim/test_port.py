@@ -136,3 +136,160 @@ def test_zero_delay_link_is_synchronous():
     rec = net.tracer.records[p.pid]
     assert rec.exit == pytest.approx(0.001)
     assert rec.path == ["a", "R1", "R2", "b"]
+
+
+# --- the fused hop: one heap event or two ----------------------------------
+
+
+def _wan_net(prop=0.004):
+    """``a -> SW -> b`` with non-zero propagation on both links."""
+    net = Network()
+    net.add_host("a")
+    net.add_host("b")
+    net.add_router("SW")
+    net.add_link("a", "SW", 80 * MBPS, 0.001)
+    net.add_link("SW", "b", 8 * MBPS, prop)
+    return net
+
+
+def test_uncontended_hop_is_one_event_and_a_contended_one_two():
+    lone = _wan_net()
+    lone.inject_at(0.0, make_packet())
+    lone.run()
+    # one injection + one delivery per hop; no completion was ever needed
+    assert lone.engine.events_processed == 1 + 2
+
+    pair = _wan_net()
+    pair.inject_at(0.0, make_packet())
+    pair.inject_at(0.0, make_packet())
+    pair.run()
+    # the second packet waits behind the first at both ports: each port
+    # pushes one completion (to start it), never one for the last packet
+    assert pair.engine.events_processed == 2 + 4 + 2
+
+
+def test_completion_armed_by_an_arrival_fires_before_later_events_of_its_instant():
+    """An arrival while the wire is busy turns the completion into a real
+    event under the key reserved at service start — so at ``_free_at`` it
+    still sorts ahead of everything created since, the arrival included."""
+    net = _simple_net(prop=0.001)
+    port = net.nodes["SW"].ports["b"]
+    order: list[str] = []
+    first, second = make_packet(), make_packet()
+    net.inject_at(0.0, first)
+    net.engine.run(until=0.0005)
+    assert port.busy and port._free_at == pytest.approx(0.001, rel=1e-2)
+    free_at = port._free_at
+    # Created *after* the service start, for the very instant it ends:
+    net.engine.schedule_at(free_at, order.append, "marker")
+    net.engine.schedule_at(0.0007, net.host("a").inject, second)
+    original = port._complete
+    net.engine.run(until=0.0008)  # the arrival armed the completion ...
+    assert port._free_at == float("inf") and port.busy
+    armed = [e for e in net.engine._heap if e[3] == original]
+    assert len(armed) == 1 and armed[0][0] == free_at
+    assert armed[0][:3] < min(e[:3] for e in net.engine._heap if e[3] != original)
+    net.run()
+    rec = net.tracer.records[second.pid]
+    # ... which started the second packet exactly when the wire freed.
+    assert rec.hop_tx[-1] == free_at
+    assert order == ["marker"]
+
+
+def test_set_scheduler_succeeds_once_an_unobserved_transmission_has_ended():
+    net = _simple_net(prop=0.001)
+    port = net.nodes["SW"].ports["b"]
+    net.inject_at(0.0, make_packet())
+    net.engine.run(until=0.0005)
+    with pytest.raises(ConfigurationError):
+        port.set_scheduler(FifoScheduler())  # first bit still on the wire
+    net.run()
+    # No completion event ever ran for that transmission, yet the port
+    # knows it is over: busy is a comparison against the clock.
+    assert port._free_at != float("-inf")
+    assert not port.busy
+    port.set_scheduler(LstfScheduler())
+
+
+def test_busy_is_a_read_only_comparison_against_the_clock():
+    net = _simple_net()
+    port = net.nodes["SW"].ports["b"]
+    net.inject_at(0.0, make_packet())
+    assert not port.busy
+    net.engine.run(until=0.0005)
+    assert port.busy
+    net.engine.run(until=0.002)
+    assert not port.busy
+    with pytest.raises(AttributeError):
+        port.busy = True
+
+
+def test_aqm_learns_the_idle_instant_not_the_next_arrival_time():
+    """RED ages its average over the *idle* period.  With no completion
+    event to tell it, the port reports ``_free_at`` on the next arrival —
+    once — and never the arrival's own time."""
+
+    class Spy:
+        def __init__(self):
+            self.idle_calls: list[float] = []
+            self.arrivals: list[float] = []
+
+        def on_idle(self, now):
+            self.idle_calls.append(now)
+
+        def should_drop(self, packet, queue_bytes, now):
+            self.arrivals.append(now)
+            return len(self.arrivals) == 2  # drop the second arrival
+
+    net = _simple_net()
+    port = net.nodes["SW"].ports["b"]
+    spy = Spy()
+    port.set_aqm(spy)
+    for at in (0.0, 0.010, 0.020):
+        net.inject_at(at, make_packet())
+    net.run()
+    t_done = 1e-6 + 0.001  # host hop + 1 ms at the bottleneck
+    assert spy.arrivals == pytest.approx([1e-6, 0.010 + 1e-6, 0.020 + 1e-6])
+    # Reported at the second arrival, stamped when the wire went idle;
+    # the third arrival follows a *dropped* one — nothing was sent in
+    # between, so there is no new idle instant to report.
+    assert spy.idle_calls == pytest.approx([t_done])
+
+
+def test_tail_delivery_decides_at_once_only_when_nothing_else_is_due(monkeypatch):
+    """A lone delivery finds the deferred queue empty and no other event
+    at its instant: the port starts service without a deferred decision.
+    Two same-instant deliveries must both be queued before it chooses."""
+    from repro.sim.engine import Engine
+
+    deferred = []
+    real_defer = Engine.defer
+    monkeypatch.setattr(
+        Engine, "defer", lambda self, cb: (deferred.append(cb), real_defer(self, cb)))
+
+    lone = _wan_net()
+    lone.inject_at(0.0, make_packet())
+    lone.run()
+    # The host's decision follows a synchronous inject (deferred); SW's
+    # follows a delivery in tail position with nothing else due (not).
+    assert [cb.__self__.link.src for cb in deferred] == ["a"]
+
+    del deferred[:]
+    net = Network()
+    for host in ("a1", "a2", "b"):
+        net.add_host(host)
+    net.add_router("SW")
+    net.add_link("a1", "SW", 80 * MBPS, 0.001)
+    net.add_link("a2", "SW", 80 * MBPS, 0.001)
+    net.add_link("SW", "b", 8 * MBPS, 0.001)
+    net.install_uniform(LstfScheduler)
+    lax = make_packet(src="a1", slack=9.0)
+    urgent = make_packet(src="a2", slack=0.0)
+    net.inject_at(0.0, lax)
+    net.inject_at(0.0, urgent)
+    net.run()
+    # Both reach SW at the same instant, the lax one first: its delivery
+    # sees the other still due and defers, so LSTF chooses between both.
+    assert [cb.__self__.link.src for cb in deferred] == ["a1", "a2", "SW"]
+    sw_tx = {p.pid: net.tracer.records[p.pid].hop_tx[1] for p in (lax, urgent)}
+    assert sw_tx[urgent.pid] < sw_tx[lax.pid]

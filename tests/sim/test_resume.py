@@ -201,9 +201,11 @@ class TestAnchorWalk:
     def test_skeleton_is_anchored_and_packets_are_not(self):
         network = self._warmed(0.02)
         anchors = _anchor_walk(network)
-        assert any(isinstance(e[3], tuple) and e[3]
-                   and isinstance(e[3][0], Packet)
-                   for e in network.engine._heap), "no packet in flight"
+        # Heap entries are (time, born, seq, callback, args).
+        assert any(isinstance(args, tuple) and args
+                   and isinstance(args[0], Packet)
+                   for *_key, _callback, args in network.engine._heap), \
+            "no packet in flight"
         assert not [a for a in anchors if isinstance(a, (Packet, PacketRecord))]
         held = [network, network.engine, network.tracer]
         for node in network.nodes.values():

@@ -29,7 +29,7 @@ Seven checks, all cheap enough for every CI run:
    ``repro list --scenarios`` prints, so a newly registered scenario
    cannot ship undocumented and the docs cannot name ghosts.
 7. **Docstrings × files** — every ``*.md`` file a docstring under
-   ``src/`` names (``docs/replay.md``, ``benchmarks/perf/README.md``)
+   ``src/`` names (``docs/replay.md``, ``benchmarks/suite/README.md``)
    must exist, as a path from the repository root — the corpus once
    carried eight pointers to a ``DESIGN.md`` that was never written.
 

@@ -52,10 +52,6 @@ spec's run-id: re-running the same spec answers from the saved artifact
 (``--force`` re-simulates), and its ``schedules/`` subdirectory caches
 recorded schedules the same way.
 
-``repro bench`` (registered like any experiment) runs the substrate
-micro-benchmarks of :mod:`repro.experiments.perf`; see
-``benchmarks/perf/README.md`` for the trajectory workflow.
-
 Three maintenance verbs round out the surface: ``repro record EXPERIMENT
 --out PATH`` exports a record-once experiment's recorded schedule(s) as
 standalone hash-verified trace files (:mod:`repro.core.trace_io`
@@ -226,6 +222,8 @@ def spec_from_args(experiment: str, args: argparse.Namespace) -> ExperimentSpec:
     rows = getattr(args, "rows", None)
     if rows:  # a bare `--rows` (no indices) means "all rows", like before
         options["rows"] = tuple(rows)
+    if getattr(args, "at", None) is not None:  # `repro checkpoint --at T`
+        options["warmup"] = args.at
     scenarios = tuple(
         name
         for token in (getattr(args, "scenarios", None) or ())
@@ -269,39 +267,32 @@ def _emit_artifacts(args: argparse.Namespace, artifacts: list) -> None:
             print(artifact.table().render())
 
 
-def _sweep_specs(spec: ExperimentSpec) -> list[ExperimentSpec]:
-    """Expand multi-valued scenario/seed/replay-mode axes, one spec per leg."""
-    if (len(spec.seeds) > 1 or len(spec.replay_modes) > 1
-            or len(spec.scenarios) > 1):
-        return spec.sweep()
-    return [spec]
+def _legs(experiment: str, args: argparse.Namespace):
+    """``(registry entry, one spec per leg)`` for an invocation.
+
+    The lookup comes first, so an unknown name fails before any work with
+    the list of valid names; then flags the experiment ignores are
+    rejected, and the spec's seed/replay-mode/scenario axes expanded.
+    """
+    entry = REGISTRY.get(experiment)
+    _reject_unused_flags(entry, args)
+    return entry, spec_from_args(experiment, args).sweep()
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    experiment = getattr(args, "experiment", None) or args.command
-    try:
-        # Validate the execution knobs before any simulation work: a raw
-        # multiprocessing traceback is not an error message.
-        if args.workers < 1:
-            raise ConfigurationError(
-                f"--workers must be >= 1, got {args.workers}"
-            )
-        if args.executor == "queue" and not args.queue:
-            raise ConfigurationError("--executor queue needs --queue DIR")
-        # Registry lookup up front so an unknown `run NAME` fails before
-        # any simulation work, with the list of valid names.
-        entry = REGISTRY.get(experiment)
-        _reject_unused_flags(entry, args)
-        spec = spec_from_args(experiment, args)
-        artifacts = run_many(
-            _sweep_specs(spec), workers=args.workers, out_dir=args.out,
-            force=args.force, executor=args.executor, queue_dir=args.queue,
-            batch_size=args.batch_size, checkpoint_dir=args.branch_from,
-            checkpoint_policy=args.checkpoint_every,
-        )
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # Validate the execution knobs before any simulation work: a raw
+    # multiprocessing traceback is not an error message.
+    if args.workers < 1:
+        raise ConfigurationError(f"--workers must be >= 1, got {args.workers}")
+    if args.executor == "queue" and not args.queue:
+        raise ConfigurationError("--executor queue needs --queue DIR")
+    _, specs = _legs(args.experiment, args)
+    artifacts = run_many(
+        specs, workers=args.workers, out_dir=args.out,
+        force=args.force, executor=args.executor, queue_dir=args.queue,
+        batch_size=args.batch_size, checkpoint_dir=args.branch_from,
+        checkpoint_policy=args.checkpoint_every,
+    )
     if args.out:
         out = Path(args.out)
         for artifact in artifacts:
@@ -316,29 +307,21 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     """Enqueue a sweep onto a job queue (workers run it, now or later)."""
     from repro.cluster import client
 
-    try:
-        entry = REGISTRY.get(args.experiment)
-        _reject_unused_flags(entry, args)
-        spec = spec_from_args(args.experiment, args)
-        specs = _sweep_specs(spec)
-        job_ids = client.submit(specs, args.queue, force=args.force,
-                                max_attempts=args.max_attempts)
-        for job_id, job_spec in zip(job_ids, specs):
-            print(f"queued job {job_id}: {job_spec.experiment} "
-                  f"seed={job_spec.seed} ({spec_run_id(job_spec)})",
-                  file=sys.stderr)
-        print(f"submitted {len(job_ids)} job(s) to {args.queue}; "
-              f"run `repro worker --queue {args.queue}` to execute them",
+    _, specs = _legs(args.experiment, args)
+    job_ids = client.submit(specs, args.queue, force=args.force,
+                            max_attempts=args.max_attempts)
+    for job_id, job_spec in zip(job_ids, specs):
+        print(f"queued job {job_id}: {job_spec.experiment} "
+              f"seed={job_spec.seed} ({spec_run_id(job_spec)})",
               file=sys.stderr)
-        if args.wait:
-            artifacts = client.gather(args.queue, job_ids,
-                                      timeout=args.timeout)
-            _emit_artifacts(args, artifacts)
-        else:
-            print(json.dumps({"queue": str(args.queue), "jobs": job_ids}))
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    print(f"submitted {len(job_ids)} job(s) to {args.queue}; "
+          f"run `repro worker --queue {args.queue}` to execute them",
+          file=sys.stderr)
+    if args.wait:
+        _emit_artifacts(
+            args, client.gather(args.queue, job_ids, timeout=args.timeout))
+    else:
+        print(json.dumps({"queue": str(args.queue), "jobs": job_ids}))
     return 0
 
 
@@ -346,14 +329,10 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     """Run a worker daemon against a queue directory."""
     from repro.cluster import JobQueue, Worker
 
-    try:
-        queue = JobQueue(args.queue)
-        worker = Worker(queue, worker_id=args.id, lease_s=args.lease,
-                        poll_s=args.poll, batch_size=args.batch_size,
-                        checkpoint_policy=args.checkpoint_every)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    queue = JobQueue(args.queue)
+    worker = Worker(queue, worker_id=args.id, lease_s=args.lease,
+                    poll_s=args.poll, batch_size=args.batch_size,
+                    checkpoint_policy=args.checkpoint_every)
     worker.install_signal_handlers()
     print(f"worker {worker.worker_id} serving {queue.queue_dir} "
           f"(lease {worker.lease_s:g}s, batch {worker.batch_size}, "
@@ -376,22 +355,18 @@ def _cmd_gather(args: argparse.Namespace) -> int:
     """
     from repro.cluster import client
 
-    try:
-        job_ids = args.jobs
-        if job_ids is None:
-            job_ids = [job.id for job in client.status(args.queue).jobs]
-            if not job_ids:
-                raise ConfigurationError(
-                    f"queue {args.queue} has no jobs to gather — nothing "
-                    f"was submitted yet?"
-                )
-        artifacts = client.gather(args.queue, job_ids, timeout=args.timeout)
-        if args.out:
-            for artifact in artifacts:
-                print(f"wrote {artifact.save(args.out)}", file=sys.stderr)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    job_ids = args.jobs
+    if job_ids is None:
+        job_ids = [job.id for job in client.status(args.queue).jobs]
+        if not job_ids:
+            raise ConfigurationError(
+                f"queue {args.queue} has no jobs to gather — nothing "
+                f"was submitted yet?"
+            )
+    artifacts = client.gather(args.queue, job_ids, timeout=args.timeout)
+    if args.out:
+        for artifact in artifacts:
+            print(f"wrote {artifact.save(args.out)}", file=sys.stderr)
     _emit_artifacts(args, artifacts)
     return 0
 
@@ -400,11 +375,7 @@ def _cmd_gc(args: argparse.Namespace) -> int:
     """Prune recorded schedules and warm-up checkpoints no live job needs."""
     from repro.cluster import client
 
-    try:
-        report = client.prune_stores(args.queue, dry_run=args.dry_run)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = client.prune_stores(args.queue, dry_run=args.dry_run)
     verb = "would remove" if args.dry_run else "removed"
     for removed, _kept in report.values():
         for key in removed:
@@ -419,12 +390,7 @@ def _cmd_status(args: argparse.Namespace) -> int:
     """Snapshot a queue: per-state counts and one row per job."""
     from repro.cluster import client
 
-    try:
-        snapshot = client.status(args.queue, job_ids=args.jobs,
-                                 events=args.events)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    snapshot = client.status(args.queue, job_ids=args.jobs, events=args.events)
     if args.as_json:
         print(json.dumps(snapshot.to_dict(), indent=2))
     else:
@@ -437,11 +403,7 @@ def _cmd_tail(args: argparse.Namespace) -> int:
     from repro.cluster import JobQueue
     from repro.obs.events import follow_events, format_event, read_events
 
-    try:
-        JobQueue(args.queue, create=False)  # typo'd path -> clean error
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    JobQueue(args.queue, create=False)  # typo'd path -> clean error
     printed = 0
     for event in read_events(args.queue, limit=args.lines):
         print(format_event(event))
@@ -486,21 +448,14 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.obs.hub import MetricsHub
     from repro.obs.spans import SPANS, write_chrome_trace
 
+    _, specs = _legs(args.experiment, args)
+    hub = MetricsHub(flight=FlightRecorder(capacity=1024))
+    SPANS.clear()
+    SPANS.enable()
     try:
-        entry = REGISTRY.get(args.experiment)
-        _reject_unused_flags(entry, args)
-        spec = spec_from_args(args.experiment, args)
-        specs = _sweep_specs(spec)
-        hub = MetricsHub(flight=FlightRecorder(capacity=1024))
-        SPANS.clear()
-        SPANS.enable()
-        try:
-            events, wall = _run_profiled(specs, hub)
-        finally:
-            SPANS.disable()
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        events, wall = _run_profiled(specs, hub)
+    finally:
+        SPANS.disable()
     breakdown = SPANS.breakdown()
     rate = events / wall if wall > 0 else 0.0
     top = hub.flight.top(args.top)
@@ -542,29 +497,23 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     """Export spans as Chrome trace-event JSON (queue or experiment mode)."""
     from repro.obs.spans import SPANS, read_span_records, write_chrome_trace
 
-    try:
-        target = Path(args.target)
-        if target.is_dir():
-            records = read_span_records(target)
-            if not records:
-                raise ConfigurationError(
-                    f"{target} has no span records (spans.jsonl) — workers "
-                    f"write one per executed job; run the queue first"
-                )
-        else:
-            entry = REGISTRY.get(args.target)
-            _reject_unused_flags(entry, args)
-            specs = _sweep_specs(spec_from_args(args.target, args))
-            SPANS.clear()
-            SPANS.enable()
-            try:
-                _run_profiled(specs, hub=None)
-            finally:
-                SPANS.disable()
-            records = list(SPANS.records)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    target = Path(args.target)
+    if target.is_dir():
+        records = read_span_records(target)
+        if not records:
+            raise ConfigurationError(
+                f"{target} has no span records (spans.jsonl) — workers "
+                f"write one per executed job; run the queue first"
+            )
+    else:
+        _, specs = _legs(args.target, args)
+        SPANS.clear()
+        SPANS.enable()
+        try:
+            _run_profiled(specs, hub=None)
+        finally:
+            SPANS.disable()
+        records = list(SPANS.records)
     write_chrome_trace(args.out, records)
     print(f"wrote {args.out} ({len(records)} span(s)) — load in Perfetto "
           f"or chrome://tracing", file=sys.stderr)
@@ -581,33 +530,70 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     from repro.lintkit import JSON_SCHEMA_VERSION, lint_paths, load_baseline
     from repro.lintkit.rules import load_rules
 
-    try:
-        if args.list_rules:
-            rules = load_rules()
-            if args.format == "json":
-                print(json.dumps(
-                    {"version": JSON_SCHEMA_VERSION,
-                     "rules": [rules[rid].to_dict() for rid in sorted(rules)]},
-                    indent=2))
-            else:
-                table = Table(["rule", "scopes", "summary"],
-                              title="repro lint rules")
-                for rule_id in sorted(rules):
-                    rule = rules[rule_id]
-                    table.add_row([rule.id, ",".join(rule.scopes),
-                                   rule.summary])
-                print(table.render())
-            return 0
-        baseline = load_baseline(args.baseline) if args.baseline else None
-        report = lint_paths(args.paths or ["src"], baseline=baseline)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.list_rules:
+        rules = load_rules()
+        if args.format == "json":
+            print(json.dumps(
+                {"version": JSON_SCHEMA_VERSION,
+                 "rules": [rules[rid].to_dict() for rid in sorted(rules)]},
+                indent=2))
+        else:
+            table = Table(["rule", "scopes", "summary"],
+                          title="repro lint rules")
+            for rule_id in sorted(rules):
+                rule = rules[rule_id]
+                table.add_row([rule.id, ",".join(rule.scopes), rule.summary])
+            print(table.render())
+        return 0
+    baseline = load_baseline(args.baseline) if args.baseline else None
+    report = lint_paths(args.paths or ["src"], baseline=baseline)
     if args.format == "json":
         print(json.dumps(report.to_dict(), indent=2))
     else:
         print(report.render(verbose=args.verbose))
     return 0 if report.clean else 1
+
+
+def _export_prerequisites(
+    args: argparse.Namespace, kind: str, noun: str, suffixes: tuple[str, ...],
+    save, load, detail, refusal: str, narrow: str,
+) -> int:
+    """``repro record`` / ``repro checkpoint``: build each ``kind`` entry
+    the legs' ``prerequisites`` declare, ``save`` it and re-``load`` it
+    (hash-verified) before reporting.  ``--out`` is one file when its
+    suffix is in ``suffixes``, else a directory of ``<key><suffixes[0]>``
+    files; ``refusal`` is the error when no ``kind`` entries are declared.
+    """
+    entry, legs = _legs(args.experiment, args)
+    hook = entry.prerequisites
+    builders = {}
+    for leg in legs:
+        declared = hook(leg).get(kind) if hook is not None else None
+        if declared is None:
+            raise ConfigurationError(refusal.format(name=entry.name))
+        builders.update(declared)
+    if not builders:
+        raise ConfigurationError(f"spec for {entry.name!r} yields no "
+                                 f"{noun}s (empty sweep?)")
+    out = Path(args.out)
+    single_file = out.suffix in suffixes
+    if single_file and len(builders) > 1:
+        raise ConfigurationError(
+            f"spec yields {len(builders)} {noun}s but --out {args.out} "
+            f"names a single file; pass a directory, or narrow the spec "
+            f"({narrow})"
+        )
+    if not single_file:
+        out.mkdir(parents=True, exist_ok=True)
+    for key in sorted(builders):
+        value = builders[key]()
+        path = out if single_file else out / f"{key}{suffixes[0]}"
+        save(value, path)
+        load(path)  # verify the round trip before reporting
+        print(f"wrote {path} ({key}: {detail(value)})", file=sys.stderr)
+    print(json.dumps({"experiment": entry.name, f"{noun}s": sorted(builders),
+                      "out": str(out)}))
+    return 0
 
 
 def _cmd_record(args: argparse.Namespace) -> int:
@@ -620,50 +606,16 @@ def _cmd_record(args: argparse.Namespace) -> int:
     """
     from repro.core.trace_io import load_schedule, save_schedule
 
-    try:
-        entry = REGISTRY.get(args.experiment)
-        refusal = ConfigurationError(
-            f"experiment {entry.name!r} records no replayable "
-            f"schedules — only record-once/replay-many experiments "
-            f"(`schedule` entries in a registered `prerequisites` hook) "
-            f"can be exported"
-        )
-        if entry.prerequisites is None:
-            raise refusal
-        _reject_unused_flags(entry, args)
-        spec = spec_from_args(args.experiment, args)
-        recorders = entry.prerequisites(spec).get("schedule")
-        if recorders is None:
-            raise refusal
-        if not recorders:
-            raise ConfigurationError(
-                f"spec for {entry.name!r} yields no recordings "
-                f"(empty sweep?)"
-            )
-        out = Path(args.out)
-        single_file = out.suffix in (".json", ".gz")
-        if single_file and len(recorders) > 1:
-            raise ConfigurationError(
-                f"spec yields {len(recorders)} recordings but --out "
-                f"{args.out} names a single file; pass a directory, or "
-                f"narrow the spec (e.g. --rows N, one seed)"
-            )
-        if not single_file:
-            out.mkdir(parents=True, exist_ok=True)
-        for key in sorted(recorders):
-            schedule = recorders[key]()
-            path = out if single_file else out / f"{key}.json"
-            save_schedule(schedule, path)
-            load_schedule(path)  # verify the round trip before reporting
-            print(f"wrote {path} ({key}: {len(schedule)} "
-                  f"packet record(s))", file=sys.stderr)
-        print(json.dumps({"experiment": entry.name,
-                          "recordings": sorted(recorders),
-                          "out": str(out)}))
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return 0
+    return _export_prerequisites(
+        args, "schedule", "recording", (".json", ".gz"),
+        save_schedule, load_schedule,
+        detail=lambda schedule: f"{len(schedule)} packet record(s)",
+        refusal="experiment {name!r} records no replayable schedules — "
+                "only record-once/replay-many experiments (`schedule` "
+                "entries in a registered `prerequisites` hook) can be "
+                "exported",
+        narrow="e.g. --rows N, one seed",
+    )
 
 
 def _cmd_checkpoint(args: argparse.Namespace) -> int:
@@ -676,59 +628,21 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
     """
     from repro.sim.checkpoint import load_checkpoint, save_checkpoint
 
-    try:
-        entry = REGISTRY.get(args.experiment)
-        refusal = ConfigurationError(
-            f"experiment {entry.name!r} has no branchable warm-up — "
-            f"only simulate-once/branch-many experiments (`checkpoint` "
-            f"entries in a registered `prerequisites` hook) can be "
-            f"checkpointed"
-        )
-        if entry.prerequisites is None:
-            raise refusal
-        _reject_unused_flags(entry, args)
-        spec = spec_from_args(args.experiment, args)
-        if args.at is not None:
-            if "warmup" not in entry.options:
-                raise ConfigurationError(
-                    f"experiment {entry.name!r} has no warm-up horizon; "
-                    f"--at does not apply"
-                )
-            spec = spec.with_(
-                options={**dict(spec.options), "warmup": args.at})
-        builders = entry.prerequisites(spec).get("checkpoint")
-        if builders is None:
-            raise refusal
-        if not builders:
-            raise ConfigurationError(
-                f"spec for {entry.name!r} yields no checkpoints "
-                f"(empty sweep?)"
-            )
-        out = Path(args.out)
-        single_file = out.suffix == ".ckpt"
-        if single_file and len(builders) > 1:
-            raise ConfigurationError(
-                f"spec yields {len(builders)} checkpoints but --out "
-                f"{args.out} names a single file; pass a directory, or "
-                f"narrow the spec (one scheduler, one warm-up)"
-            )
-        if not single_file:
-            out.mkdir(parents=True, exist_ok=True)
-        for key in sorted(builders):
-            snapshot = builders[key]()
-            path = out if single_file else out / f"{key}.ckpt"
-            save_checkpoint(snapshot, path)
-            load_checkpoint(path)  # verify the round trip before reporting
-            print(f"wrote {path} ({key}: t={snapshot.time:g}, "
-                  f"{snapshot.engine_events} engine event(s))",
-                  file=sys.stderr)
-        print(json.dumps({"experiment": entry.name,
-                          "checkpoints": sorted(builders),
-                          "out": str(out)}))
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return 0
+    entry = REGISTRY.get(args.experiment)
+    if args.at is not None and "warmup" not in entry.options:
+        raise ConfigurationError(f"experiment {entry.name!r} has no warm-up "
+                                 f"horizon; --at does not apply")
+    return _export_prerequisites(
+        args, "checkpoint", "checkpoint", (".ckpt",),
+        save_checkpoint, load_checkpoint,
+        detail=lambda snapshot: (f"t={snapshot.time:g}, "
+                                 f"{snapshot.engine_events} engine event(s)"),
+        refusal="experiment {name!r} has no branchable warm-up — only "
+                "simulate-once/branch-many experiments (`checkpoint` "
+                "entries in a registered `prerequisites` hook) can be "
+                "checkpointed",
+        narrow="one scheduler, one warm-up",
+    )
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
@@ -953,6 +867,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except ReproError as exc:
+        # Every handler's usage/configuration errors end here, as one
+        # line on stderr and exit 2 (lint's exit 1 means findings).
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # stdout went away (e.g. `repro list | head`); exit quietly.
         devnull = os.open(os.devnull, os.O_WRONLY)

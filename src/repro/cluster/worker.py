@@ -62,11 +62,11 @@ from repro.sim.resume import CheckpointPolicy
 __all__ = ["DEFAULT_BATCH_SIZE", "Worker", "drain_queue"]
 
 #: How many jobs one loop iteration claims (and one report commits) by
-#: default.  Chosen from BENCH_pr5 data: on the tiny-job ``sweep-queue``
-#: bench, batches of 4+ put the queue executor within ~1x of the local
-#: process pool, and larger batches stop helping while costing work-
-#: sharing granularity (jobs held in a batch cannot be stolen by idle
-#: workers).  ``--batch-size 1`` recovers the per-job protocol exactly.
+#: default.  Measured on a tiny-job queue sweep, batches of 4+ put the
+#: queue executor within ~1x of the local process pool, and larger
+#: batches stop helping while costing work-sharing granularity (jobs
+#: held in a batch cannot be stolen by idle workers).  ``--batch-size 1``
+#: recovers the per-job protocol exactly.
 DEFAULT_BATCH_SIZE = 4
 
 

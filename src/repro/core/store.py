@@ -18,7 +18,7 @@ stated once for :class:`~repro.core.trace_io.ScheduleStore`,
 * **Audit log** — an append-only ``<op> <key> pid=<pid>`` line per store
   mutation: ``put`` (a value actually built), ``prune``/``roll`` (an
   entry retired), ``resume`` (a mid-run snapshot adopted).  Counting
-  ``put`` lines is how tests and benches assert build-once guarantees.
+  ``put`` lines is how the tests assert build-once guarantees.
 
 A subclass is a codec: file suffix, log name, ``encode``/``load``.
 """

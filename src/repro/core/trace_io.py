@@ -159,9 +159,8 @@ class ScheduleStore(ContentStore):
     The :class:`~repro.core.store.ContentStore` codec for ``<key>.sched``
     entries, keyed by *recording inputs* (topology, original scheduler,
     load, seed, …).  Its audit log, ``recordings.log``, is how the test
-    suite (and the ``sweep-replay`` bench) assert the record-once
-    guarantee: a sweep over M replay modes must grow it by one ``put``
-    line per unique schedule, not M.
+    suite asserts the record-once guarantee: a sweep over M replay modes
+    must grow it by one ``put`` line per unique schedule, not M.
 
     An entry is a columnar binary document, all little-endian::
 

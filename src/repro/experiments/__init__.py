@@ -1,8 +1,8 @@
 """Experiment orchestration: one module per paper artefact.
 
-Every module exposes a laptop-scale ``run_*`` entry point used by both the
-``examples/`` scripts and the ``benchmarks/`` harness, and accepts
-parameters that restore the paper's full scale (docs/paper-map.md has the
+Every module exposes a laptop-scale ``run_*`` entry point used by the
+``examples/`` scripts, and accepts parameters that restore the paper's
+full scale (docs/paper-map.md has the
 scaling argument: all bandwidth ratios, utilisations, and scheduler logic
 are preserved; only the event count shrinks).
 
@@ -49,7 +49,6 @@ from repro.experiments.fairness import (
 )
 from repro.experiments.information import QuantisationPoint, run_information_experiment
 from repro.experiments.gadgets import run_gadget_experiment
-from repro.experiments.perf import run_perf_bench
 from repro.experiments.branch import (
     BranchPrefix,
     branch_checkpoint_key,
@@ -77,7 +76,6 @@ __all__ = [
     "run_fct_experiment",
     "run_gadget_experiment",
     "run_information_experiment",
-    "run_perf_bench",
     "run_replay",
     "run_scenario_leg",
     "run_tail_experiment",

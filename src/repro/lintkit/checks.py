@@ -107,10 +107,10 @@ _WALLCLOCK = frozenset({
 def check_det_wallclock(ctx: ModuleContext) -> Iterator[Finding]:
     """Flag ``time.time()`` / ``perf_counter()`` / ``datetime.now()`` calls.
 
-    The only legitimate wall-clock reads near the simulator are the
-    ``ENGINE_PERF`` throughput accounting in ``sim/engine.py`` and the
-    benchmark harness in ``experiments/perf.py`` — both carry reasoned
-    ``allow`` comments, which is exactly the visibility this rule wants.
+    The only legitimate wall-clock reads near the simulator are the two
+    of the ``ENGINE_PERF`` throughput accounting in ``sim/engine.py`` —
+    both carry reasoned ``allow`` comments, which is exactly the
+    visibility this rule wants.
     """
     for call in ctx.calls():
         name = ctx.dotted(call.func)

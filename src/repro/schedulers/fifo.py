@@ -16,7 +16,8 @@ class FifoScheduler(Scheduler):
 
     A deque is already O(1) on both ends, so FIFO bypasses the shared
     indexed heap entirely — it is the floor every keyed discipline's
-    constant factor is compared against in ``benchmarks/perf``.
+    constant factor is compared against (the ``schedulers.*_ns`` probes
+    of ``benchmarks/suite/``).
     """
 
     __slots__ = ("_queue",)

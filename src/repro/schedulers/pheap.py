@@ -19,9 +19,10 @@ Each level ``i`` holds ``2**i`` slots and a per-subtree *vacancy count*
 that steers insertions toward subtrees with room, exactly the bookkeeping
 the hardware keeps per node.
 
-:class:`PHeapScheduler` wires the structure into the scheduler interface
-as a drop-in alternative backend for LSTF, and the property tests check
-it against ``heapq`` on random workloads.
+:class:`PHeapLstfScheduler` (registered as ``lstf-pheap``) wires the
+structure into the scheduler interface as a drop-in alternative backend
+for LSTF, and the property tests check it against ``heapq`` on random
+workloads.
 """
 
 from __future__ import annotations
@@ -147,7 +148,8 @@ class PHeapLstfScheduler(LstfScheduler):
     Semantically identical to :class:`~repro.schedulers.lstf.LstfScheduler`
     (same keys, same FIFO tie-breaking via a push counter); only the
     priority queue implementation differs.  The equivalence is enforced by
-    property tests and the ``bench_pheap`` benchmark.
+    the property tests of ``tests/schedulers/test_pheap.py`` and, hop by
+    hop in a network, by ``tests/sim/test_port_differential.py``.
     """
 
     __slots__ = ("_pheap",)

@@ -262,9 +262,9 @@ class CheckpointStore(ContentStore):
     files, keyed by *warm-up inputs* (topology, scheduler, load, warm-up
     horizon, seed, …) — and, under ``resume-<run_id>-…`` keys, the
     mid-run snapshots of :mod:`repro.sim.resume`.  Its audit log,
-    ``checkpoints.log``, is how the test suite (and the ``sweep-branch``
-    bench) assert the build-once guarantee: a sweep over N legs with one
-    shared prefix must grow it by exactly one ``put`` line, not N.
+    ``checkpoints.log``, is how the test suite asserts the build-once
+    guarantee: a sweep over N legs with one shared prefix must grow it
+    by exactly one ``put`` line, not N.
 
     Every read re-verifies the payload hash — the only thing standing
     between a torn pickle and a corrupted branch — and returns a *fresh*

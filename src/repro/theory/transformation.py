@@ -20,9 +20,9 @@ discrete-time single switch:
   feasibility after every swap, and verifies the fixed point equals the
   directly simulated (preemptive, bit-level) LSTF schedule.
 
-The tests and the ``bench_theory_gadgets`` harness use this to check the
-lemma on randomized feasible instances — a mechanical confirmation of the
-paper's central replay argument.
+``tests/theory/test_transformation.py`` uses this to check the lemma on
+randomized feasible instances — a mechanical confirmation of the paper's
+central replay argument.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Content-addressed artifact cache + the CSV/bench surfaces of PR 2."""
+"""Content-addressed artifact cache + the CSV surface of the CLI."""
 
 from __future__ import annotations
 
@@ -189,18 +189,3 @@ class TestCliSurfaces:
         assert "cached" in capsys.readouterr().err
         assert main(["run", "gadgets", "--out", str(tmp_path), "--force"]) == 0
         assert "wrote" in capsys.readouterr().err
-
-    def test_bench_experiment_runs_from_a_tiny_spec(self):
-        artifact = run(
-            ExperimentSpec(
-                "bench",
-                duration=0.005,
-                schedulers=("fifo",),
-                options={"events": 300, "packets": 100, "repeats": 1},
-            )
-        )
-        names = [row[0] for row in artifact.rows]
-        assert names[:3] == ["engine-chain", "engine-fan", "engine-defer"]
-        assert "sched-fifo" in names and "e2e-fig2" in names
-        assert artifact.metadata["bench_schema_version"] == 1
-        assert all(row[4] > 0 for row in artifact.rows)  # ops_per_sec

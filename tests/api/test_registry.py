@@ -15,7 +15,6 @@ from repro.errors import ConfigurationError
 
 EXPECTED = {
     "table1", "fig1", "fig2", "fig3", "fig4", "gadgets", "info", "weighted",
-    "bench",  # substrate micro-benchmarks (PR 2), not a paper artefact
     "branch",  # branch-from-checkpoint sweeps (PR 7), not a paper artefact
     "scenario-matrix",  # declarative scenario sweeps (PR 10)
 }
@@ -34,11 +33,6 @@ TINY = {
     "weighted": dict(schedulers=("lstf",), options={"horizon": 0.4}),
     "info": dict(duration=0.04, options={"steps_in_t": (0.0, 4.0)}),
     "gadgets": dict(),
-    "bench": dict(
-        duration=0.005,
-        schedulers=("fifo", "lstf"),
-        options={"events": 500, "packets": 200, "repeats": 1},
-    ),
     "branch": dict(duration=0.01, options={"warmup": 0.02}),
     "scenario-matrix": dict(
         duration=0.006, schedulers=("fifo",), scenarios=("websearch-incast",),

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.obs.flight import FlightRecorder
 from repro.sim.checkpoint import restore_snapshot, snapshot_network
 from repro.sim.engine import ENGINE_PERF, Engine, EnginePerf
 from repro.sim.network import Network
@@ -82,13 +83,20 @@ def test_engine_run_reports_into_the_global_accumulator():
     assert ENGINE_PERF.wall_s > 0.0
 
 
-def test_sampler_events_never_reach_the_accumulator():
+@pytest.mark.parametrize("flight", [False, True], ids=["flight-off", "flight-on"])
+def test_sampler_events_never_reach_the_accumulator(flight):
+    # Telemetry armed the way REPRO_OBS=1 arms the engine (a flight
+    # recorder beside the sampler) must not move the event count.
     engine = Engine()
+    if flight:
+        engine.flight = FlightRecorder()
     engine.schedule(0.002, lambda: None)
     engine.schedule_sample(0.001, lambda: None)
     engine.run()
     assert engine.events_processed == 1
     assert ENGINE_PERF.events == 1
+    if flight:
+        assert engine.flight.total == 1  # the sampler tick is not noted
 
 
 def _warm_net():

@@ -364,6 +364,16 @@ def test_record_directory_mode_writes_one_file_per_recording(tmp_path, capsys):
     assert sorted(p.stem for p in out.glob("*.json")) == payload["recordings"]
 
 
+def test_record_exports_every_seed_of_a_sweep(tmp_path, capsys):
+    """Each seed is its own recording, as the sweep's legs record them."""
+    out = tmp_path / "traces"
+    assert main(["record", "table1", "--rows", "0", "--seeds", "1", "2",
+                 "--duration", "0.03", "--out", str(out)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert len(payload["recordings"]) == 2
+    assert sorted(p.stem for p in out.glob("*.json")) == payload["recordings"]
+
+
 def test_record_rejects_multi_recording_spec_into_single_file(tmp_path, capsys):
     assert main(["record", "table1", "--rows", "0", "1", "--duration", "0.05",
                  "--out", str(tmp_path / "one.json")]) == 2
@@ -374,6 +384,199 @@ def test_record_rejects_experiments_without_recordings(tmp_path, capsys):
     assert main(["record", "gadgets",
                  "--out", str(tmp_path / "x.json")]) == 2
     assert "records no replayable schedules" in capsys.readouterr().err
+
+
+@pytest.fixture
+def two_warmups(monkeypatch):
+    """Make ``branch`` yield two checkpoints (warm-ups 0.01 s and 0.02 s):
+    no registered experiment yields more than one from a CLI spec."""
+    import dataclasses
+
+    entry = REGISTRY.get("branch")
+
+    def prerequisites(spec):
+        builders = {}
+        for warmup in (0.01, 0.02):
+            narrowed = spec.with_(options={"warmup": warmup})
+            builders.update(entry.prerequisites(narrowed)["checkpoint"])
+        return {"checkpoint": builders}
+
+    monkeypatch.setitem(REGISTRY._entries, "branch",
+                        dataclasses.replace(entry, prerequisites=prerequisites))
+
+
+def test_checkpoint_exports_a_standalone_verified_file(tmp_path, capsys):
+    """``repro checkpoint`` writes a snapshot ``load_checkpoint`` verifies."""
+    from repro.sim.checkpoint import load_checkpoint
+
+    out = tmp_path / "warm.ckpt"
+    assert main(["checkpoint", "branch", "--at", "0.02",
+                 "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert f"wrote {out}" in captured.err
+    payload = json.loads(captured.out)
+    assert payload["experiment"] == "branch"
+    assert len(payload["checkpoints"]) == 1
+    snapshot = load_checkpoint(out)  # hash-verified on load
+    assert snapshot.time == pytest.approx(0.02)
+    assert snapshot.engine_events > 0
+
+
+def test_checkpoint_directory_mode_writes_one_file_per_builder(
+        tmp_path, capsys, two_warmups):
+    out = tmp_path / "warmups"
+    assert main(["checkpoint", "branch", "--out", str(out)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert len(payload["checkpoints"]) == 2
+    assert sorted(p.stem for p in out.glob("*.ckpt")) == payload["checkpoints"]
+
+
+def test_checkpoint_rejects_multiple_checkpoints_into_single_file(
+        tmp_path, capsys, two_warmups):
+    assert main(["checkpoint", "branch",
+                 "--out", str(tmp_path / "one.ckpt")]) == 2
+    assert "names a single file" in capsys.readouterr().err
+    assert not (tmp_path / "one.ckpt").exists()
+
+
+def test_checkpoint_rejects_experiments_without_a_warmup(tmp_path, capsys):
+    assert main(["checkpoint", "gadgets",
+                 "--out", str(tmp_path / "x.ckpt")]) == 2
+    assert "no branchable warm-up" in capsys.readouterr().err
+
+
+def test_checkpoint_at_needs_a_warmup_option(tmp_path, capsys):
+    assert main(["checkpoint", "table1", "--at", "0.05",
+                 "--out", str(tmp_path / "x.ckpt")]) == 2
+    assert "--at does not apply" in capsys.readouterr().err
+
+
+def test_checkpoint_directory_files_each_load_at_their_warmup(
+        tmp_path, capsys, two_warmups):
+    from repro.sim.checkpoint import load_checkpoint
+
+    out = tmp_path / "warmups"
+    assert main(["checkpoint", "branch", "--out", str(out)]) == 0
+    assert capsys.readouterr().err.count("wrote ") == 2
+    times = sorted(load_checkpoint(p).time for p in out.glob("*.ckpt"))
+    assert times == pytest.approx([0.01, 0.02])
+
+
+def test_checkpoint_at_sets_the_warmup_horizon(tmp_path, capsys):
+    """``--at`` is the spec's ``warmup`` option: each horizon is its own
+    checkpoint key, snapshotted at that simulated time."""
+    from repro.sim.checkpoint import load_checkpoint
+
+    keys = []
+    for at in ("0.01", "0.02"):
+        out = tmp_path / at
+        assert main(["checkpoint", "branch", "--at", at,
+                     "--out", str(out)]) == 0
+        (key,) = json.loads(capsys.readouterr().out)["checkpoints"]
+        keys.append(key)
+        assert load_checkpoint(out / f"{key}.ckpt").time == pytest.approx(
+            float(at))
+    assert keys[0] != keys[1]
+
+
+def test_record_gz_out_is_one_compressed_trace(tmp_path, capsys):
+    """``.gz`` names a single file too: the same trace, gzipped."""
+    import gzip
+
+    from repro.core.trace_io import load_schedule
+
+    out = tmp_path / "trace.json.gz"
+    assert main(["record", "table1", "--rows", "0", "--duration", "0.05",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert out.is_file()
+    json.loads(gzip.decompress(out.read_bytes()))
+    assert load_schedule(out).content_hash() == (
+        "2ee5f35d90ea616009f5790fc5fca02b61acf5b0ed65f4025600fa2832d423f6")
+
+
+# Verbs that turn an experiment name plus spec flags into legs, with the
+# extra arguments each needs to run from a scratch directory.
+SPEC_VERBS = {
+    "run": ["--out", "{tmp}/out"],
+    "submit": ["--queue", "{tmp}/q"],
+    "record": ["--out", "{tmp}/out"],
+    "checkpoint": ["--out", "{tmp}/out"],
+    "profile": [],
+    "trace": ["--out", "{tmp}/trace.json"],
+}
+
+
+def _spec_verb(verb, experiment, tmp_path, *flags):
+    extra = [arg.format(tmp=tmp_path) for arg in SPEC_VERBS[verb]]
+    return [verb, experiment, *extra, *flags]
+
+
+@pytest.mark.parametrize("verb", sorted(SPEC_VERBS))
+def test_spec_verbs_reject_an_unknown_experiment_before_any_work(
+        verb, tmp_path, capsys):
+    assert main(_spec_verb(verb, "nosuch", tmp_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: unknown experiment 'nosuch'; "
+                                   "registered: (")
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []  # no output, no queue created
+
+
+@pytest.mark.parametrize("verb", sorted(SPEC_VERBS))
+def test_spec_verbs_reject_flags_the_experiment_ignores(
+        verb, tmp_path, capsys):
+    assert main(_spec_verb(verb, "gadgets", tmp_path,
+                           "--duration", "9")) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: experiment 'gadgets' does not use --duration\n")
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_run_bench_is_an_unknown_experiment(capsys):
+    """The substrate micro-benchmarks are not a registered experiment;
+    ``benchmarks/suite/`` measures the simulator end to end instead."""
+    assert "bench" not in REGISTRY.names()
+    assert main(["run", "bench"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: unknown experiment 'bench'")
+
+
+def test_bench_has_no_legacy_alias(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "table1", "--workers", "0"], "--workers must be >= 1, got 0"),
+    (["run", "table1", "--executor", "queue"],
+     "--executor queue needs --queue DIR"),
+    (["submit", "table1", "--rows", "0", "--duration", "0.04",
+      "--queue", "{tmp}/q", "--max-attempts", "0"],
+     "max_attempts must be >= 1, got 0"),
+    (["worker", "--queue", "{tmp}/q", "--lease", "0", "--drain"],
+     "lease_s must be > 0"),
+    (["status", "--queue", "{tmp}/typo"], "is not a job queue"),
+    (["gather", "{tmp}/typo"], "is not a job queue"),
+    (["gc", "--queue", "{tmp}/typo"], "is not a job queue"),
+    (["tail", "{tmp}/typo", "--once"], "is not a job queue"),
+    (["lint", "{tmp}/missing.py"], "missing.py' does not exist"),
+], ids=["run-workers", "run-executor", "submit", "worker", "status",
+        "gather", "gc", "tail", "lint"])
+def test_handler_errors_are_one_stderr_line_and_exit_2(
+        argv, message, tmp_path, capsys):
+    """Every verb's configuration error leaves through ``main()`` the
+    same way: exit 2, one ``error: …`` line on stderr, nothing on stdout."""
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.endswith("\n") and captured.err.count("\n") == 1
+    assert message in captured.err
 
 
 def test_requires_a_command():

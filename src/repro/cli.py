@@ -653,7 +653,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
                       title="Registered scenarios")
         for scenario in SCENARIOS.entries():
             table.add_row([scenario.name, scenario.pattern,
-                           scenario.distribution, scenario.topology])
+                           scenario.size_law, scenario.topology])
         print(table.render())
         return 0
     table = Table(["experiment", "description"], title="Registered experiments")

@@ -1,10 +1,15 @@
 """Experiment orchestration: one module per paper artefact.
 
 Every module exposes a laptop-scale ``run_*`` entry point used by the
-``examples/`` scripts, and accepts parameters that restore the paper's
-full scale (docs/paper-map.md has the
-scaling argument: all bandwidth ratios, utilisations, and scheduler logic
-are preserved; only the event count shrinks).
+``examples/`` scripts.  None builds a network or traffic inline: each
+names a registered :class:`~repro.scenarios.Scenario` — one of the
+paper's five topologies under Poisson load, or the long-lived dumbbell —
+and varies it with ``with_()``, so the scenario catalogue is the one
+description of every simulated setting.  What a driver keeps is what
+its comparison varies: the scheduler, transport, buffers and slack
+policy (docs/paper-map.md has the scaling argument: all bandwidth
+ratios, utilisations, and scheduler logic are preserved; only the event
+count shrinks).
 
 Each module also registers a declarative driver with
 :mod:`repro.api.registry` (``table1``, ``fig1`` … ``gadgets``), so the
@@ -35,8 +40,8 @@ from repro.experiments.replayability import (
     build_recorded_schedule,
     get_recorded_schedule,
     run_replay,
-    scenario_from_spec,
     scenario_schedule_key,
+    spec_recording,
     table1_scenarios,
     validate_row_indices,
 )
@@ -80,8 +85,8 @@ __all__ = [
     "run_scenario_leg",
     "run_tail_experiment",
     "run_weighted_fairness_experiment",
-    "scenario_from_spec",
     "scenario_schedule_key",
+    "spec_recording",
     "table1_scenarios",
     "validate_row_indices",
 ]

@@ -41,15 +41,9 @@ from repro.api.registry import register_experiment
 from repro.api.spec import ExperimentSpec
 from repro.core.packet import reset_packet_ids
 from repro.errors import ConfigurationError
-from repro.experiments.replayability import (
-    ORIGINALS,
-    ReplayScenario,
-    _original_scheduler_factory,
-    _size_distribution,
-    reference_bandwidth,
-    topology_factory,
-)
+from repro.experiments.replayability import check_original_setting
 from repro.metrics.delay import percentile
+from repro.scenarios import Scenario, get_scenario, scenario_flows, udp_network
 from repro.sim.checkpoint import (
     Snapshot,
     active_checkpoint_store,
@@ -59,7 +53,6 @@ from repro.sim.checkpoint import (
 from repro.sim.engine import ENGINE_PERF
 from repro.sim.network import Network
 from repro.transport.udp import install_udp_flows
-from repro.workload.flows import PoissonWorkload, poisson_flows
 
 __all__ = [
     "BranchPrefix",
@@ -89,8 +82,16 @@ class BranchPrefix:
     bandwidth_scale: float = 0.01
     warmup_seed: int = 1
 
+    def __post_init__(self) -> None:
+        check_original_setting(self.topology, self.scheduler)
+
     def with_(self, **kwargs) -> "BranchPrefix":
         return replace(self, **kwargs)
+
+    @property
+    def setting(self) -> Scenario:
+        """The registered scenario ``topology`` names, at ``utilization``."""
+        return get_scenario(self.topology).with_(utilization=self.utilization)
 
 
 def branch_checkpoint_key(prefix: BranchPrefix) -> str:
@@ -107,19 +108,6 @@ def branch_checkpoint_key(prefix: BranchPrefix) -> str:
     return f"ckpt-{digest[:12]}"
 
 
-def _warmup_scenario(prefix: BranchPrefix) -> ReplayScenario:
-    """The replayability scenario describing the warm-up run."""
-    return ReplayScenario(
-        name="",
-        topology=prefix.topology,
-        scheduler=prefix.scheduler,
-        utilization=prefix.utilization,
-        duration=prefix.warmup,
-        seed=prefix.warmup_seed,
-        bandwidth_scale=prefix.bandwidth_scale,
-    )
-
-
 def build_branch_snapshot(prefix: BranchPrefix) -> Snapshot:
     """Simulate the warm-up prefix from t=0 and capture it (no cache).
 
@@ -134,20 +122,10 @@ def build_branch_snapshot(prefix: BranchPrefix) -> Snapshot:
     """
     with ENGINE_PERF.paused():
         reset_packet_ids()
-        scenario = _warmup_scenario(prefix)
-        network = topology_factory(scenario)()
-        network.install_schedulers(_original_scheduler_factory(scenario))
-        flows = poisson_flows(
-            hosts=[h.name for h in network.hosts],
-            sizes=_size_distribution(scenario),
-            workload=PoissonWorkload(
-                utilization=prefix.utilization,
-                reference_bandwidth=reference_bandwidth(scenario),
-                duration=prefix.warmup,
-                seed=prefix.warmup_seed,
-            ),
+        network, _flows = udp_network(
+            prefix.setting, prefix.scheduler, prefix.warmup_seed,
+            prefix.warmup, prefix.bandwidth_scale,
         )
-        install_udp_flows(network, flows)
         network.run(until=prefix.warmup)
         snapshot = snapshot_network(
             network,
@@ -198,14 +176,9 @@ def prefix_from_spec(spec: ExperimentSpec) -> BranchPrefix:
         raise ConfigurationError(
             f"warmup_seed must be an integer, got {warmup_seed!r}"
         )
-    scheduler = spec.schedulers[0] if spec.schedulers else "fifo"
-    if scheduler not in ORIGINALS:
-        raise ConfigurationError(
-            f"unknown branch scheduler {scheduler!r}; choose from {ORIGINALS}"
-        )
     return BranchPrefix(
         topology=spec.topology,
-        scheduler=scheduler,
+        scheduler=spec.schedulers[0] if spec.schedulers else "fifo",
         utilization=spec.utilization,
         warmup=float(warmup),
         bandwidth_scale=spec.bandwidth_scale,
@@ -223,20 +196,12 @@ def _branch_prerequisites(spec: ExperimentSpec) -> dict:
     }}
 
 
-def _leg_flows(network: Network, prefix: BranchPrefix, spec: ExperimentSpec):
+def _leg_flows(prefix: BranchPrefix, spec: ExperimentSpec):
     """The branch leg's own traffic: seeded per leg, shifted past the
     warm-up horizon, fids offset into the leg range."""
-    scenario = _warmup_scenario(prefix)
-    flows = poisson_flows(
-        hosts=[h.name for h in network.hosts],
-        sizes=_size_distribution(scenario),
-        workload=PoissonWorkload(
-            utilization=prefix.utilization,
-            reference_bandwidth=reference_bandwidth(scenario),
-            duration=spec.duration,
-            seed=spec.seed,
-        ),
-    )
+    flows = scenario_flows(prefix.setting, seed=spec.seed,
+                           duration=spec.duration,
+                           bandwidth_scale=prefix.bandwidth_scale)
     return [
         replace(flow, fid=flow.fid + LEG_FID_BASE, start=flow.start + prefix.warmup)
         for flow in flows
@@ -253,7 +218,7 @@ def _leg_flows(network: Network, prefix: BranchPrefix, spec: ExperimentSpec):
 def _run_branch(spec: ExperimentSpec) -> tuple[Table, dict]:
     prefix = prefix_from_spec(spec)
     network = get_branch_network(prefix)
-    leg_flows = _leg_flows(network, prefix, spec)
+    leg_flows = _leg_flows(prefix, spec)
     install_udp_flows(network, leg_flows)
     network.run()
 

@@ -9,15 +9,16 @@ virtual-clock slack heuristic at several fair-share-rate estimates
 off.
 
 The paper runs 90 flows on Internet2 with a ~1 Gbps fair share; the scaled
-default shares a dumbbell bottleneck among ``num_flows`` flows, preserving
-the one-shared-bottleneck structure that determines convergence while
-keeping the event count tractable.  (The congestion in the paper's setup
-is also engineered to happen only in the core.)
+default (the registered ``long-lived-dumbbell`` scenario) shares a 10 Mbps
+dumbbell bottleneck among ``num_flows`` flows, preserving the
+one-shared-bottleneck structure that determines convergence while keeping
+the event count tractable.  (The congestion in the paper's setup is also
+engineered to happen only in the core.)
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,17 +27,23 @@ from repro.api.registry import register_experiment
 from repro.api.spec import ExperimentSpec
 from repro.core.heuristics import VirtualClockSlack
 from repro.metrics.fairness import fairness_timeseries, jain_index, throughput_timeseries
-from repro.schedulers import DrrScheduler, FifoScheduler, FqScheduler, LstfScheduler
-from repro.topology.simple import build_dumbbell
+from repro.scenarios import (
+    build_scenario_network,
+    get_scenario,
+    install_router_schedulers,
+    scenario_bottleneck,
+    scenario_flows,
+)
 from repro.transport.tcp import install_tcp_flows
-from repro.units import MBPS
-from repro.workload.flows import long_lived_flows
 
 __all__ = [
     "FairnessExperimentResult",
     "run_fairness_experiment",
     "run_weighted_fairness_experiment",
 ]
+
+#: Throughput is measured over windows of this many simulated seconds.
+INTERVAL = 0.05
 
 
 @dataclass(slots=True)
@@ -65,20 +72,15 @@ class FairnessExperimentResult:
 def run_weighted_fairness_experiment(
     weights: tuple[float, ...] = (1.0, 2.0, 4.0),
     scheme: str = "lstf",
-    rate_fraction: float = 0.1,
-    bottleneck_bw: float = 10 * MBPS,
-    host_bw: float = 100 * MBPS,
     horizon: float = 3.0,
-    interval: float = 0.05,
     seed: int = 1,
-    min_rto: float = 0.05,
 ) -> tuple[np.ndarray, np.ndarray, FairnessExperimentResult]:
     """§3.3's weighted-fairness extension.
 
     "We can also extend the slack assignment heuristic to achieve weighted
     fairness by using different values of r_est for different flows, in
     proportion to the desired weights."  Each flow ``i`` gets
-    ``r_est_i = weight_i * rate_fraction * r*`` (via ``Flow.weight``
+    ``r_est_i = weight_i * r* / 10`` (via ``Flow.weight``
     feeding :class:`~repro.core.heuristics.VirtualClockSlack`), or, for
     ``scheme="fq"``, the corresponding weighted-FQ configuration.
 
@@ -90,46 +92,32 @@ def run_weighted_fairness_experiment(
     num_flows = len(weights)
     if num_flows < 2:
         raise ValueError("need at least two flows for a weighted comparison")
-    fair_share = bottleneck_bw / sum(weights)
-
-    network = build_dumbbell(
-        num_pairs=num_flows, host_bw=host_bw, bottleneck_bw=bottleneck_bw
-    )
-    flows = long_lived_flows(
-        pairs=[(f"s_{i}", f"d_{i}") for i in range(num_flows)],
-        size=10**9,
-        jitter=0.05,
-        seed=seed,
-        weights=list(weights),
-    )
-    if scheme == "lstf":
-        policy = VirtualClockSlack(fair_share * rate_fraction)
-        network.install_schedulers(
-            lambda node, _p: LstfScheduler() if node in ("L", "R") else None
-        )
-    elif scheme == "fq":
-        policy = None
-
-        def factory(node: str, _peer: str):
-            if node not in ("L", "R"):
-                return None
-            fq = FqScheduler()
-            for flow in flows:
-                fq.set_weight(flow.fid, flow.weight)
-            return fq
-
-        network.install_schedulers(factory)
-    else:
+    if scheme not in ("lstf", "fq"):
         raise ValueError(f"unknown weighted-fairness scheme {scheme!r}")
+    setting = get_scenario("long-lived-dumbbell").with_(hosts=num_flows)
+    fair_share = scenario_bottleneck(setting) / sum(weights)
 
-    install_tcp_flows(network, flows, slack_policy=policy, min_rto=min_rto)
+    network = build_scenario_network(setting)
+    flows = [replace(flow, weight=weights[flow.fid - 1])
+             for flow in scenario_flows(setting, seed=seed, duration=horizon)]
+    install_router_schedulers(network, scheme, seed)
+    policy = None
+    if scheme == "lstf":
+        policy = VirtualClockSlack(fair_share * 0.1)
+    else:
+        for router in network.routers:
+            for port in router.ports.values():
+                for flow in flows:
+                    port.scheduler.set_weight(flow.fid, flow.weight)
+
+    install_tcp_flows(network, flows, slack_policy=policy, min_rto=0.05)
     network.run(until=horizon)
 
     # long_lived_flows sorts by start time; align the rate columns and the
     # weight vector by flow id so index i is flow i's entitlement.
     by_fid = sorted(flows, key=lambda f: f.fid)
     times, rates = throughput_timeseries(
-        network.tracer, [f.fid for f in by_fid], interval, horizon
+        network.tracer, [f.fid for f in by_fid], INTERVAL, horizon
     )
     steady = rates[len(rates) // 2:]
     achieved = steady.mean(axis=0)
@@ -146,47 +134,30 @@ def run_fairness_experiment(
     rest_fractions: tuple[float, ...] = (1.0, 0.5, 0.1, 0.05, 0.01),
     baselines: tuple[str, ...] = ("fifo", "fq"),
     num_flows: int = 10,
-    bottleneck_bw: float = 10 * MBPS,
-    host_bw: float = 100 * MBPS,
     horizon: float = 3.0,
-    interval: float = 0.05,
-    jitter: float = 0.05,
     seed: int = 1,
-    min_rto: float = 0.05,
 ) -> dict[str, FairnessExperimentResult]:
     """Run each discipline on the same long-lived-flow workload.
 
     LSTF entries are keyed ``"lstf@<fraction>"`` where the fraction is
-    ``r_est / r*`` (``r* = bottleneck_bw / num_flows``).
+    ``r_est / r*`` (``r*`` = the bottleneck over ``num_flows``).
     """
-    fair_share = bottleneck_bw / num_flows
-    schemes: list[tuple[str, object, object]] = []
-    for b in baselines:
-        factory = {"fifo": FifoScheduler, "fq": FqScheduler, "drr": DrrScheduler}[b]
-        schemes.append((b, factory, None))
-    for frac in rest_fractions:
-        schemes.append(
-            (f"lstf@{frac:g}", LstfScheduler, VirtualClockSlack(fair_share * frac))
-        )
+    setting = get_scenario("long-lived-dumbbell").with_(hosts=num_flows)
+    fair_share = scenario_bottleneck(setting) / num_flows
+    flows = scenario_flows(setting, seed=seed, duration=horizon)
+    schemes = [(b, b, None) for b in baselines] + [
+        (f"lstf@{frac:g}", "lstf", VirtualClockSlack(fair_share * frac))
+        for frac in rest_fractions
+    ]
 
     results: dict[str, FairnessExperimentResult] = {}
-    for name, factory, slack_policy in schemes:
-        network = build_dumbbell(
-            num_pairs=num_flows, host_bw=host_bw, bottleneck_bw=bottleneck_bw
-        )
-        network.install_schedulers(
-            lambda node, _peer, cls=factory: cls() if node in ("L", "R") else None
-        )
-        flows = long_lived_flows(
-            pairs=[(f"s_{i}", f"d_{i}") for i in range(num_flows)],
-            size=10**9,  # effectively infinite: outlasts any horizon
-            jitter=jitter,
-            seed=seed,
-        )
-        install_tcp_flows(network, flows, slack_policy=slack_policy, min_rto=min_rto)
+    for name, scheduler, slack_policy in schemes:
+        network = build_scenario_network(setting)
+        install_router_schedulers(network, scheduler, seed)
+        install_tcp_flows(network, flows, slack_policy=slack_policy, min_rto=0.05)
         network.run(until=horizon)
         times, fairness = fairness_timeseries(
-            network.tracer, [f.fid for f in flows], interval, horizon
+            network.tracer, [f.fid for f in flows], INTERVAL, horizon
         )
         results[name] = FairnessExperimentResult(name, times, fairness)
     return results

@@ -16,21 +16,17 @@ from repro.api.registry import register_experiment
 from repro.api.spec import ExperimentSpec
 from repro.core.heuristics import FlowSizeSlack, SlackPolicy, parse_slack_policy
 from repro.errors import ConfigurationError
+from repro.experiments.replayability import validate_row_indices
 from repro.metrics.fct import FctBucket, bucket_mean_fct
-from repro.schedulers import (
-    FifoScheduler,
-    LstfScheduler,
-    Scheduler,
-    SjfScheduler,
-    SrptScheduler,
+from repro.scenarios import (
+    build_scenario_network,
+    get_scenario,
+    install_router_schedulers,
+    scenario_flows,
 )
-from repro.sim.network import Network
 from repro.sim.node import Router
-from repro.topology.internet2 import Internet2Config, build_internet2
 from repro.transport.tcp import TcpStats, install_tcp_flows
 from repro.units import MB
-from repro.workload.distributions import BoundedPareto
-from repro.workload.flows import PoissonWorkload, poisson_flows
 
 __all__ = ["FctExperimentResult", "run_fct_experiment", "FCT_SCHEMES"]
 
@@ -50,30 +46,12 @@ class FctExperimentResult:
         return self.stats.mean_fct()
 
 
-def _scheme_scheduler(scheme: str) -> tuple[type[Scheduler], SlackPolicy | None]:
-    if scheme == "fifo":
-        return FifoScheduler, None
-    if scheme == "sjf":
-        return SjfScheduler, None
-    if scheme == "srpt":
-        return SrptScheduler, None
-    if scheme == "lstf":
-        # D = 1 second per flow byte dwarfs any queueing delay, exactly the
-        # paper's "D much larger than the delay seen by any packet".
-        return LstfScheduler, FlowSizeSlack(d=1.0)
-    raise ConfigurationError(f"unknown FCT scheme {scheme!r}; choose from {FCT_SCHEMES}")
-
-
 def run_fct_experiment(
     schemes: tuple[str, ...] = FCT_SCHEMES,
     utilization: float = 0.7,
     duration: float = 0.3,
     seed: int = 1,
     bandwidth_scale: float = 0.01,
-    edges_per_core: int = 2,
-    buffer_bytes: float | None = None,
-    min_rto: float = 0.05,
-    max_flow_bytes: int = 2_500_000,
     lstf_slack: SlackPolicy | None = None,
 ) -> dict[str, FctExperimentResult]:
     """Run the same TCP workload under each scheme; returns results by name.
@@ -84,39 +62,29 @@ def run_fct_experiment(
     ``lstf_slack`` overrides the default flow-size heuristic for the
     ``"lstf"`` scheme (e.g. to ablate against a constant slack).
     """
-    cfg = Internet2Config(
-        edges_per_core=edges_per_core, bandwidth_scale=bandwidth_scale
-    )
-    if buffer_bytes is None:
-        # The paper's 5 MB buffer at full scale, scaled with bandwidth so
-        # it stays at about one delay-bandwidth product.
-        buffer_bytes = 5 * MB * bandwidth_scale
-
-    sizes = BoundedPareto(alpha=1.2, low=1_500, high=max_flow_bytes)
-    reference_bw = min(cfg.access_bw, cfg.host_bw) * bandwidth_scale
+    setting = get_scenario("i2-1g-10g").with_(
+        utilization=utilization, size_cap=2_500_000)
+    flows = scenario_flows(setting, seed=seed, duration=duration,
+                           bandwidth_scale=bandwidth_scale)
+    # The paper's 5 MB buffer at full scale, scaled with bandwidth so it
+    # stays at about one delay-bandwidth product.
+    buffer_bytes = 5 * MB * bandwidth_scale
 
     results: dict[str, FctExperimentResult] = {}
     for scheme in schemes:
-        scheduler_cls, slack_policy = _scheme_scheduler(scheme)
-        if scheme == "lstf" and lstf_slack is not None:
-            slack_policy = lstf_slack
-        network = build_internet2(cfg)
-        network.install_schedulers(
-            lambda node, _peer, cls=scheduler_cls: None if node.startswith("h") else cls()
-        )
+        if scheme not in FCT_SCHEMES:
+            raise ConfigurationError(
+                f"unknown FCT scheme {scheme!r}; choose from {FCT_SCHEMES}")
+        slack_policy = None
+        if scheme == "lstf":
+            # D = 1 second per flow byte dwarfs any queueing delay, exactly
+            # the paper's "D much larger than the delay seen by any packet".
+            slack_policy = FlowSizeSlack(d=1.0) if lstf_slack is None else lstf_slack
+        network = build_scenario_network(setting, bandwidth_scale)
+        install_router_schedulers(network, scheme, seed)
         network.set_buffers(buffer_bytes, node_filter=lambda n: isinstance(n, Router))
-        flows = poisson_flows(
-            hosts=[h.name for h in network.hosts],
-            sizes=sizes,
-            workload=PoissonWorkload(
-                utilization=utilization,
-                reference_bandwidth=reference_bw,
-                duration=duration,
-                seed=seed,
-            ),
-        )
         stats = install_tcp_flows(
-            network, flows, slack_policy=slack_policy, min_rto=min_rto
+            network, flows, slack_policy=slack_policy, min_rto=0.05
         )
         # Closed-loop flows with retransmission timers can in principle
         # tail on; run long enough for every flow to finish several times
@@ -141,15 +109,8 @@ def _run_fig2(spec: ExperimentSpec) -> tuple[Table, dict]:
     if rows is not None:
         # Like table1's --rows: 0-based indices into the scheme sweep, so
         # `repro profile fig2 --rows 1` runs a single-scheme slice.
-        if not isinstance(rows, tuple):
-            rows = (rows,)
-        bad = [i for i in rows if not 0 <= i < len(schemes)]
-        if bad:
-            raise ConfigurationError(
-                f"fig2 rows out of range {bad}; schemes are "
-                f"{list(enumerate(schemes))}"
-            )
-        schemes = tuple(schemes[i] for i in rows)
+        schemes = tuple(schemes[i] for i in validate_row_indices(
+            rows, len(schemes), f"fig2's scheme sweep {schemes}"))
     results = run_fct_experiment(
         schemes=tuple(schemes),
         utilization=spec.utilization,

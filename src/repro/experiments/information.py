@@ -30,14 +30,13 @@ from dataclasses import dataclass
 from repro.analysis.tables import Table
 from repro.api.registry import register_experiment
 from repro.api.spec import ExperimentSpec
-from repro.core.replay import RecordedPacket, RecordedSchedule, replay_schedule
+from repro.core.replay import replay_schedule
 from repro.errors import ConfigurationError
 from repro.experiments.replayability import (
     ReplayScenario,
     get_recorded_schedule,
-    scenario_from_spec,
     schedule_prerequisites,
-    topology_factory,
+    spec_recording,
 )
 
 __all__ = ["QuantisationPoint", "run_information_experiment"]
@@ -65,7 +64,6 @@ def run_information_experiment(
     steps_in_t: tuple[float, ...] = (0.0, 0.5, 1.0, 4.0, 16.0, 64.0),
     rounding: str = "down",
     scenario: ReplayScenario | None = None,
-    schedule: RecordedSchedule | None = None,
 ) -> list[QuantisationPoint]:
     """Sweep quantisation steps and measure LSTF replay degradation.
 
@@ -74,9 +72,7 @@ def run_information_experiment(
     """
     if scenario is None:
         scenario = ReplayScenario(name="information", duration=0.15, seed=1)
-    if schedule is None:
-        schedule = get_recorded_schedule(scenario)
-    factory = topology_factory(scenario)
+    schedule = get_recorded_schedule(scenario)
     threshold = schedule.threshold
 
     points: list[QuantisationPoint] = []
@@ -88,7 +84,8 @@ def run_information_experiment(
         else:
             output_time_fn = _quantiser(step_t * threshold, rounding)
         result = replay_schedule(
-            schedule, factory, mode="lstf", output_time_fn=output_time_fn
+            schedule, scenario.network, mode="lstf",
+            output_time_fn=output_time_fn,
         )
         points.append(
             QuantisationPoint(
@@ -101,9 +98,15 @@ def run_information_experiment(
     return points
 
 
+def _info_scenario(spec: ExperimentSpec) -> ReplayScenario:
+    """The single recording an info spec sweeps over."""
+    return spec_recording(
+        spec, spec.schedulers[0] if spec.schedulers else "random")
+
+
 def _info_prerequisites(spec: ExperimentSpec) -> dict:
-    """Registry hook: the single recording an info spec sweeps over."""
-    return schedule_prerequisites([scenario_from_spec(spec)])
+    """Registry hook: the recording :func:`_info_scenario` names."""
+    return schedule_prerequisites([_info_scenario(spec)])
 
 
 @register_experiment(
@@ -115,7 +118,7 @@ def _info_prerequisites(spec: ExperimentSpec) -> dict:
     prerequisites=_info_prerequisites,
 )
 def _run_info(spec: ExperimentSpec) -> tuple[Table, dict]:
-    scenario = scenario_from_spec(spec)
+    scenario = _info_scenario(spec)
     rounding = spec.option("rounding", "down")
     steps = spec.option("steps_in_t")
     kwargs: dict = {"scenario": scenario, "rounding": str(rounding)}

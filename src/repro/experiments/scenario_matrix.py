@@ -15,47 +15,18 @@ one leg.
 
 from __future__ import annotations
 
-import random
-
 from repro.analysis.tables import Table
 from repro.api.registry import register_experiment
 from repro.api.spec import ExperimentSpec
-from repro.errors import ConfigurationError
 from repro.metrics.congestion import link_utilisation
 from repro.metrics.fairness import artifact_fairness, flow_throughputs
-from repro.scenarios import (
-    Scenario,
-    build_scenario_network,
-    get_scenario,
-    scenario_flows,
-)
-from repro.schedulers import make_scheduler, scheduler_names
-from repro.transport.udp import install_udp_flows
+from repro.scenarios import Scenario, get_scenario, udp_network
 
 __all__ = ["DEFAULT_SCHEDULERS", "run_scenario_leg"]
 
 #: Schedulers a matrix leg compares when the spec does not pick its own:
 #: the FIFO baseline, the fairness gold standard, and a size-aware queue.
 DEFAULT_SCHEDULERS = ("fifo", "fq", "sjf")
-
-
-def _scheduler_factory(name: str, seed: int, routers: frozenset[str]):
-    """Per-port factory installing ``name`` on router ports only.
-
-    Host uplinks keep their natural FIFO pacing (``None``), matching the
-    other drivers; the ``random`` scheduler gets a seed-derived RNG so
-    the leg stays deterministic.
-    """
-    rng = random.Random(seed)
-
-    def factory(node: str, _neighbor: str):
-        if node not in routers:
-            return None
-        if name == "random":
-            return make_scheduler(name, rng=rng)
-        return make_scheduler(name)
-
-    return factory
 
 
 def run_scenario_leg(
@@ -71,13 +42,14 @@ def run_scenario_leg(
     per-flow throughput, and the per-link utilisation map — all already
     rounded for artifact embedding.
     """
-    network = build_scenario_network(scenario, bandwidth_scale)
-    routers = frozenset(r.name for r in network.routers)
-    network.install_schedulers(_scheduler_factory(scheduler, seed, routers))
-    flows = scenario_flows(scenario, seed=seed, duration=duration)
-    install_udp_flows(network, flows)
+    network, flows = udp_network(scenario, scheduler, seed, duration,
+                                 bandwidth_scale)
     network.run()
-    window = network.engine.now if network.engine.now > 0 else duration
+    # The window closes at the last delivery, not at ``engine.now``:
+    # telemetry ticks may advance the clock past the last real event.
+    last = max((r.exit for r in network.tracer.delivered_records()),
+               default=0.0)
+    window = last if last > 0 else duration
     rates = flow_throughputs(network.tracer, [f.fid for f in flows], window)
     utilisation = link_utilisation(network.tracer, network.links, window)
     delivered = sum(1 for r in rates.values() if r > 0)
@@ -99,12 +71,6 @@ def run_scenario_leg(
 def _run_scenario_matrix(spec: ExperimentSpec) -> tuple[Table, dict]:
     scenario = get_scenario(spec.scenario)
     schedulers = spec.schedulers or DEFAULT_SCHEDULERS
-    known = scheduler_names()
-    unknown = [s for s in schedulers if s not in known]
-    if unknown:
-        raise ConfigurationError(
-            f"unknown scheduler(s) {unknown}; choose from {known}"
-        )
     table = Table(
         ["scenario", "pattern", "scheduler", "seed", "flows", "delivered",
          "Jain", "max util"],
@@ -125,7 +91,7 @@ def _run_scenario_matrix(spec: ExperimentSpec) -> tuple[Table, dict]:
     return table, {
         "scenario": scenario.name,
         "pattern": scenario.pattern,
-        "distribution": scenario.distribution,
+        "distribution": scenario.size_law,
         "topology": scenario.topology,
         "seed": spec.seed,
         "fairness": {s: c["jain"] for s, c in per_scheduler.items()},

@@ -19,15 +19,19 @@ from repro.api.spec import ExperimentSpec
 from repro.core.heuristics import ConstantSlack, SlackPolicy, parse_slack_policy
 from repro.errors import ConfigurationError
 from repro.metrics.delay import packet_delays, percentile
-from repro.schedulers import FifoPlusScheduler, FifoScheduler, LstfScheduler
-from repro.topology.internet2 import Internet2Config, build_internet2
+from repro.scenarios import (
+    build_scenario_network,
+    get_scenario,
+    install_router_schedulers,
+    scenario_flows,
+)
 from repro.transport.udp import install_udp_flows
-from repro.workload.distributions import BoundedPareto
-from repro.workload.flows import PoissonWorkload, poisson_flows
 
 __all__ = ["TailExperimentResult", "run_tail_experiment", "TAIL_SCHEMES"]
 
-TAIL_SCHEMES = ("fifo", "lstf-constant", "fifo+")
+#: Each scheme's router discipline.
+_SCHEDULERS = {"fifo": "fifo", "lstf-constant": "lstf", "fifo+": "fifo+"}
+TAIL_SCHEMES = tuple(_SCHEDULERS)
 
 
 @dataclass(slots=True)
@@ -60,8 +64,6 @@ def run_tail_experiment(
     duration: float = 0.3,
     seed: int = 1,
     bandwidth_scale: float = 0.01,
-    edges_per_core: int = 2,
-    max_flow_bytes: int = 1_000_000,
     lstf_slack: SlackPolicy | None = None,
 ) -> dict[str, TailExperimentResult]:
     """Identical UDP workload under each scheme; returns results by name.
@@ -73,37 +75,21 @@ def run_tail_experiment(
     the default :class:`ConstantSlack` for the ``"lstf-constant"`` scheme
     (e.g. a flow-size policy, to see size-awareness reshape the tail).
     """
-    cfg = Internet2Config(edges_per_core=edges_per_core, bandwidth_scale=bandwidth_scale)
-    sizes = BoundedPareto(alpha=1.2, low=1_500, high=max_flow_bytes)
-    reference_bw = min(cfg.access_bw, cfg.host_bw) * bandwidth_scale
+    setting = get_scenario("i2-1g-10g").with_(utilization=utilization)
+    flows = scenario_flows(setting, seed=seed, duration=duration,
+                           bandwidth_scale=bandwidth_scale)
 
     results: dict[str, TailExperimentResult] = {}
     for scheme in schemes:
-        if scheme == "fifo":
-            make, slack_policy = FifoScheduler, None
-        elif scheme == "fifo+":
-            make, slack_policy = FifoPlusScheduler, None
-        elif scheme == "lstf-constant":
-            make = LstfScheduler
-            slack_policy = ConstantSlack(1.0) if lstf_slack is None else lstf_slack
-        else:
+        if scheme not in TAIL_SCHEMES:
             raise ConfigurationError(
                 f"unknown tail scheme {scheme!r}; choose from {TAIL_SCHEMES}"
             )
-        network = build_internet2(cfg)
-        network.install_schedulers(
-            lambda node, _peer, cls=make: None if node.startswith("h") else cls()
-        )
-        flows = poisson_flows(
-            hosts=[h.name for h in network.hosts],
-            sizes=sizes,
-            workload=PoissonWorkload(
-                utilization=utilization,
-                reference_bandwidth=reference_bw,
-                duration=duration,
-                seed=seed,
-            ),
-        )
+        slack_policy = None
+        if scheme == "lstf-constant":
+            slack_policy = ConstantSlack(1.0) if lstf_slack is None else lstf_slack
+        network = build_scenario_network(setting, bandwidth_scale)
+        install_router_schedulers(network, _SCHEDULERS[scheme], seed)
         install_udp_flows(network, flows, slack_policy=slack_policy)
         network.run()
         results[scheme] = TailExperimentResult(

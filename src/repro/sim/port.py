@@ -351,6 +351,9 @@ class PreemptivePort(Port):
     The attached scheduler is consulted only for ``preemption_key`` (and
     for header rewriting conventions); the port keeps its own heap so that
     pausing and resuming does not disturb the scheduler's queue invariants.
+    ``_queued`` mirrors that heap's length, as :class:`Port` mirrors its
+    scheduler's, for the telemetry queue-depth gauge — nothing here reads
+    it.
     Finite buffers are deliberately unsupported — preemption is used only
     by the replay/theory machinery, which runs dropless.
     """
@@ -390,6 +393,7 @@ class PreemptivePort(Port):
             )
         self._seq += 1
         heappush(self._heap, (key, self._seq, packet))
+        self._queued += 1
         self._state[packet.pid] = _PreemptedState(tx)
         self._request_decision()
 
@@ -413,12 +417,14 @@ class PreemptivePort(Port):
         state.remaining_tx -= now - self._serve_start
         self._seq += 1
         heappush(self._heap, (self._current_key, self._seq, packet))
+        self._queued += 1
         self._current = None
 
     def _start_best(self, now: float) -> None:
         if not self._heap:
             return
         key, _seq, packet = heappop(self._heap)
+        self._queued -= 1
         state = self._state[packet.pid]
         if state.first_service is None:
             state.first_service = now

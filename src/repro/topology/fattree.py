@@ -40,6 +40,13 @@ class FatTreeConfig:
     def bottleneck_bw(self) -> float:
         return self.link_bw * self.bandwidth_scale
 
+    def host_names(self) -> list[str]:
+        """Every host :func:`build_fattree` creates, sorted as
+        ``Network.hosts`` lists them."""
+        half = self.k // 2
+        return sorted(f"h_{pod}_{edge}_{h}" for pod in range(self.k)
+                      for edge in range(half) for h in range(half))
+
 
 def build_fattree(config: FatTreeConfig | None = None) -> Network:
     """Build a k-ary fat tree; hosts are named ``h_<pod>_<edge>_<i>``."""

@@ -76,6 +76,15 @@ class Internet2Config:
             * self.bandwidth_scale
         )
 
+    def host_names(self) -> list[str]:
+        """Every host :func:`build_internet2` creates, sorted as
+        ``Network.hosts`` lists them."""
+        return sorted(
+            f"h_{core}_{i}_{j}" for core in CORE_ROUTERS
+            for i in range(self.edges_per_core)
+            for j in range(self.hosts_per_edge)
+        )
+
 
 def build_internet2(config: Internet2Config | None = None) -> Network:
     """Build the Internet2 topology; hosts are named ``h_<core>_<i>_<j>``."""

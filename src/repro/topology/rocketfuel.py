@@ -52,6 +52,11 @@ class RocketFuelConfig:
             * self.bandwidth_scale
         )
 
+    def host_names(self) -> list[str]:
+        """Every host :func:`build_rocketfuel` creates, sorted as
+        ``Network.hosts`` lists them."""
+        return sorted(f"h_{k:02d}" for k in range(self.num_hosts))
+
 
 def _chord_edges(cfg: RocketFuelConfig) -> list[tuple[int, int]]:
     """Ring + preferential-attachment chords, exactly ``num_core_links``."""

@@ -180,25 +180,6 @@ def datacenter_distribution() -> EmpiricalCdf:
     )
 
 
-#: The named-distribution catalogue: declarative configs (scenario specs,
-#: CLI flags) reference these keys instead of constructing classes.  Each
-#: entry is a zero-argument factory returning a fresh, stateless sampler.
-_NAMED: dict[str, Callable[[], SizeDistribution]] = {}
-
-
-def _named(name: str) -> Callable[[Callable[[], SizeDistribution]],
-                                  Callable[[], SizeDistribution]]:
-    """Decorator: register ``factory`` under ``name`` in the catalogue."""
-
-    def decorator(factory: Callable[[], SizeDistribution]):
-        if name in _NAMED:
-            raise WorkloadError(f"distribution {name!r} is already registered")
-        _NAMED[name] = factory
-        return factory
-
-    return decorator
-
-
 def distribution_names() -> tuple[str, ...]:
     """Names accepted by :func:`make_distribution`, sorted."""
     return tuple(sorted(_NAMED))
@@ -221,18 +202,6 @@ def make_distribution(name: str) -> SizeDistribution:
             f"{list(distribution_names())}"
         ) from None
     return factory()
-
-
-@_named("pareto")
-def _pareto_entry() -> BoundedPareto:
-    """The default heavy-tail model with its canonical parameters."""
-    return BoundedPareto()
-
-
-@_named("exponential")
-def _exponential_entry() -> ExponentialSize:
-    """The light-tailed ablation baseline with its default mean."""
-    return ExponentialSize()
 
 
 def internet_distribution() -> EmpiricalCdf:
@@ -259,8 +228,15 @@ def internet_distribution() -> EmpiricalCdf:
     )
 
 
-# The empirical presets join the catalogue under the names their CDF
-# tables carry, so ``EmpiricalCdf.name`` and the registry key agree.
-_named("web-search")(web_search_distribution)
-_named("data-mining")(datacenter_distribution)
-_named("internet")(internet_distribution)
+#: The named-distribution catalogue: declarative configs (scenario specs,
+#: CLI flags) reference these keys instead of constructing classes.  Each
+#: entry is a zero-argument factory returning a fresh, stateless sampler;
+#: the analytic laws take their canonical parameters, and the empirical
+#: presets are keyed by the names their CDF tables carry.
+_NAMED: dict[str, Callable[[], SizeDistribution]] = {
+    "pareto": BoundedPareto,
+    "exponential": ExponentialSize,
+    "web-search": web_search_distribution,
+    "data-mining": datacenter_distribution,
+    "internet": internet_distribution,
+}

@@ -97,7 +97,6 @@ def long_lived_flows(
     jitter: float = 0.005,
     seed: int = 1,
     mtu: int = MTU,
-    weights: list[float] | None = None,
 ) -> list[Flow]:
     """Permanent flows with jittered starts (fairness experiment, §3.3).
 
@@ -107,8 +106,6 @@ def long_lived_flows(
     """
     if not pairs:
         raise WorkloadError("need at least one src/dst pair")
-    if weights is not None and len(weights) != len(pairs):
-        raise WorkloadError("weights must match pairs one-to-one")
     rng = np.random.default_rng(seed)
     flows = []
     for idx, (src, dst) in enumerate(pairs):
@@ -120,7 +117,6 @@ def long_lived_flows(
                 size=size,
                 start=float(rng.uniform(0.0, jitter)),
                 mtu=mtu,
-                weight=1.0 if weights is None else weights[idx],
             )
         )
     flows.sort(key=lambda f: (f.start, f.fid))

@@ -166,3 +166,15 @@ class TestSpecValidation:
                     options={"warmup": WARMUP},
                 )
             )
+
+    @pytest.mark.parametrize(
+        "topology", ["websearch-incast", "long-lived-dumbbell"])
+    def test_topology_must_be_a_paper_topology(self, topology):
+        """A registered setting outside the paper's five — a gadget, or
+        the open-loop long-lived dumbbell that would never drain — is
+        refused before any warm-up is simulated."""
+        with pytest.raises(ConfigurationError, match="unknown topology"):
+            run(ExperimentSpec("branch", topology=topology, duration=DURATION,
+                               options={"warmup": WARMUP}))
+        with pytest.raises(ConfigurationError, match="unknown topology"):
+            BranchPrefix(topology=topology)

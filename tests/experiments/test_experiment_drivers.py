@@ -11,18 +11,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import ExperimentSpec, run
 from repro.errors import ConfigurationError
 from repro.experiments.fairness import run_fairness_experiment
 from repro.experiments.fct import run_fct_experiment
 from repro.experiments.replayability import (
     ReplayScenario,
     build_recorded_schedule,
-    reference_bandwidth,
     run_replay,
     table1_scenarios,
-    topology_factory,
 )
 from repro.experiments.tail import run_tail_experiment
+from repro.scenarios import get_scenario
 
 TINY = dict(duration=0.08, seed=1)
 
@@ -86,7 +86,7 @@ class TestReplayability:
     def test_table1_has_every_paper_row(self):
         rows = table1_scenarios()
         assert len(rows) == 14
-        topologies = {r.topology for r in rows}
+        topologies = {r.scenario.topology for r in rows}
         assert topologies == {
             "i2-1g-10g", "i2-1g-1g", "i2-10g-10g", "rocketfuel", "fattree"
         }
@@ -95,7 +95,8 @@ class TestReplayability:
 
     @pytest.mark.parametrize("topology", ["i2-1g-1g", "i2-10g-10g", "rocketfuel", "fattree"])
     def test_each_topology_variant_records_and_replays(self, topology):
-        sc = ReplayScenario(name="t", topology=topology, duration=0.04)
+        sc = ReplayScenario(name="t", scenario=get_scenario(topology),
+                            duration=0.04)
         outcome = run_replay(sc)
         assert outcome.result.num_packets > 50
 
@@ -106,16 +107,29 @@ class TestReplayability:
 
     def test_unknown_topology_or_scheduler_rejected(self):
         with pytest.raises(ConfigurationError):
-            topology_factory(ReplayScenario(name="t", topology="torus"))
+            get_scenario("torus")
         with pytest.raises(ConfigurationError):
             build_recorded_schedule(ReplayScenario(name="t", scheduler="wfq"))
+        # schedulers that exist, but never as one of the paper's originals
+        for scheduler in ("srpt", "lstf", "omniscient"):
+            with pytest.raises(ConfigurationError, match="unknown original"):
+                ReplayScenario(name="t", scheduler=scheduler)
 
-    def test_reference_bandwidth_uses_bottleneck(self):
-        scale = ReplayScenario(name="t").bandwidth_scale
-        default = reference_bandwidth(ReplayScenario(name="t"))
-        ten_ten = reference_bandwidth(ReplayScenario(name="t", topology="i2-10g-10g"))
-        assert default == pytest.approx(1e9 * scale)      # 1G access links
-        assert ten_ten == pytest.approx(2.5e9 * scale)    # slow core links
+    @pytest.mark.parametrize(
+        "topology", ["websearch-incast", "long-lived-dumbbell"])
+    def test_fig1_refuses_settings_outside_the_paper(self, topology):
+        """Only the paper's five topologies are recordable: a gadget, or the
+        open-loop long-lived dumbbell whose flows would record forever,
+        fails fast."""
+        with pytest.raises(ConfigurationError, match="unknown topology"):
+            run(ExperimentSpec("fig1", topology=topology, duration=0.02))
+        with pytest.raises(ConfigurationError, match="unknown topology"):
+            ReplayScenario(name="t", scenario=get_scenario(topology))
+
+    def test_default_request_is_table1_row_0(self):
+        row0 = table1_scenarios()[0]
+        assert ReplayScenario(name=row0.name) == row0
+        assert row0.scenario == get_scenario("i2-1g-10g")
 
 
 class TestFct:

@@ -24,6 +24,16 @@ class TestWeightedFairness:
         # And the raw rates should be ordered by weight.
         assert achieved[0] < achieved[1] < achieved[2]
 
+    def test_weights_applied(self):
+        """Flow ``i`` (by flow id) carries ``weights[i]``: the normalised
+        rates are the achieved ones divided by exactly that vector."""
+        weights = (3.0, 1.0)
+        achieved, normalised, _ = run_weighted_fairness_experiment(
+            weights=weights, horizon=0.5
+        )
+        assert achieved.all()
+        np.testing.assert_allclose(normalised * np.asarray(weights), achieved)
+
     def test_requires_two_flows(self):
         with pytest.raises(ValueError):
             run_weighted_fairness_experiment(weights=(1.0,), horizon=0.5)

@@ -3,8 +3,8 @@
 The whole point of sim-time telemetry riding the engine's own heap is
 that it must be *free* in the only currency that matters here: the
 canonical artifact bytes.  These tests pin that invariant for the
-``run`` entry point, the process-pool executor, the queue executor, and
-the checkpoint/branch machinery.
+``run`` entry point over every registered experiment, the process-pool
+executor, the queue executor, and the checkpoint/branch machinery.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from repro.sim.checkpoint import (
 from repro.sim.engine import Engine
 from repro.sim.network import Network
 from repro.units import MBPS
+from tests.api.test_registry import TINY as TINY_SPECS
 from tests.conftest import make_packet
 
 TINY = ExperimentSpec("table1", duration=0.04, options={"rows": (0,)})
@@ -43,9 +44,11 @@ def test_obs_env_switch(monkeypatch):
     assert obs_enabled_from_env()
 
 
-def test_run_bytes_identical_with_obs_on_and_off():
-    off = run(TINY)
-    on = run(TINY, obs=True)
+@pytest.mark.parametrize("name", sorted(TINY_SPECS))
+def test_run_bytes_identical_with_obs_on_and_off(name):
+    spec = ExperimentSpec(name, **TINY_SPECS[name])
+    off = run(spec)
+    on = run(spec, obs=True)
     assert on.canonical_json() == off.canonical_json()
     assert on.metadata["engine_events"] == off.metadata["engine_events"]
     # ... but the on-run carries telemetry next to the timing section.
@@ -54,6 +57,23 @@ def test_run_bytes_identical_with_obs_on_and_off():
     assert on.obs["counters"]
     assert "obs" in on.to_dict()
     assert "obs" not in off.to_dict()
+
+
+def test_preemptive_ports_feed_the_queue_depth_gauge(tmp_path):
+    """PreemptivePort queues in its own heap; the hub's depth gauge must
+    still see that queue, without moving an event or a byte."""
+    spec = ExperimentSpec("table1", duration=0.04, options={"rows": (0,)},
+                          replay_modes=("lstf-preemptive",))
+    off = run(spec, out_dir=tmp_path)
+    # The recording now comes from the store, so the hub sees only the
+    # preemptive replay network.
+    hub = MetricsHub()
+    on = run(spec, out_dir=tmp_path, force=True, obs=hub)
+    assert on.canonical_json() == off.canonical_json()
+    assert on.metadata["engine_events"] == off.metadata["engine_events"]
+    depths = [depth for name, points in hub.series.items()
+              if name.startswith("queue_depth:") for _, depth in points]
+    assert depths and max(depths) > 0
 
 
 def test_obs_section_rides_with_timings_not_canonical_json():

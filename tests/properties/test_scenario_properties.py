@@ -5,8 +5,9 @@ The tentpole guarantees, stated as properties over randomized inputs:
 * empirical CDF inverse-transform sampling is monotone in the uniform
   draw, and the declared mean matches the piecewise-linear table;
 * the flow list is a pure function of (scenario, seed, duration) —
-  byte-identical on repetition;
-* distinct seeds yield disjoint flow-id streams (legs can always merge);
+  byte-identical on repetition, over the whole catalogue;
+* for the gadget patterns, distinct seeds yield disjoint flow-id streams
+  (legs can always merge);
 * Jain's index lands in (0, 1] on positive rates and is exactly 1 on
   equal allocations — the fairness figure embedded in every matrix leg.
 """
@@ -18,7 +19,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.metrics.fairness import artifact_fairness, jain_index
-from repro.scenarios import get_scenario, scenario_flows, scenario_names
+from repro.scenarios import (
+    GADGET_PATTERNS,
+    get_scenario,
+    scenario_flows,
+    scenario_names,
+)
 from repro.workload.distributions import EmpiricalCdf, make_distribution
 
 #: The empirical presets: the distributions defined by CDF tables.
@@ -26,6 +32,11 @@ _CDF_PRESETS = ("web-search", "data-mining", "internet")
 
 seeds = st.integers(min_value=0, max_value=2**31)
 builtin = st.sampled_from(scenario_names())
+#: The paper's generators (``poisson``, ``long-lived``) number flows from
+#: 1 under every seed, as per-flow scheduler state expects; the seed-range
+#: fid promise is the gadget patterns' alone.
+gadget = st.sampled_from([name for name in scenario_names()
+                          if get_scenario(name).pattern in GADGET_PATTERNS])
 
 
 # -- CDF inverse-transform sampling -------------------------------------
@@ -80,6 +91,8 @@ def test_random_cdf_tables_sample_within_their_support(sizes, seed):
 @settings(max_examples=25, deadline=None)
 @given(name=builtin, seed=seeds)
 def test_same_seed_yields_byte_identical_flow_lists(name, seed):
+    # 6 ms at the default bandwidth scale is hundreds of Poisson flows
+    # per paper topology (poisson_flows refuses an empty workload).
     scenario = get_scenario(name)
     a = scenario_flows(scenario, seed, 0.006)
     b = scenario_flows(scenario, seed, 0.006)
@@ -88,7 +101,7 @@ def test_same_seed_yields_byte_identical_flow_lists(name, seed):
 
 @settings(max_examples=25, deadline=None)
 @given(
-    name=builtin,
+    name=gadget,
     seed_a=st.integers(min_value=0, max_value=10_000),
     seed_b=st.integers(min_value=0, max_value=10_000),
 )

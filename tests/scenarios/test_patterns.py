@@ -8,11 +8,14 @@ from repro.errors import WorkloadError
 from repro.scenarios import (
     SEED_FID_STRIDE,
     Scenario,
+    build_scenario_network,
     get_scenario,
     scenario_flows,
     scenario_hosts,
     scenario_names,
 )
+from repro.workload.distributions import BoundedPareto
+from repro.workload.flows import PoissonWorkload, poisson_flows
 
 
 @pytest.mark.parametrize("name", sorted(
@@ -110,3 +113,36 @@ def test_custom_scenario_generates_too():
                         hosts=4, flows_per_host=1)
     flows = scenario_flows(scenario, 9, 0.01)
     assert {f.dst for f in flows} == {"sink"}  # single receiver topology
+
+
+def test_poisson_is_the_paper_generator_in_its_draw_order():
+    """``poisson`` is poisson_flows over the built hosts, at the
+    topology's bottleneck, with the paper's truncated Pareto sizes."""
+    scenario = get_scenario("i2-1g-10g").with_(utilization=0.5,
+                                               size_cap=2_500_000)
+    hosts = [h.name for h in build_scenario_network(scenario, 0.01).hosts]
+    direct = poisson_flows(
+        hosts=hosts,
+        sizes=BoundedPareto(alpha=1.2, low=1_500, high=2_500_000),
+        workload=PoissonWorkload(utilization=0.5, reference_bandwidth=1e7,
+                                 duration=0.05, seed=3),
+    )
+    assert scenario_flows(scenario, 3, 0.05, bandwidth_scale=0.01) == direct
+    assert min(f.fid for f in direct) == 1  # the generator's own numbering
+
+
+def test_poisson_load_follows_the_bandwidth_scale():
+    scenario = get_scenario("rocketfuel")
+    slow = scenario_flows(scenario, 1, 0.05, bandwidth_scale=0.01)
+    fast = scenario_flows(scenario, 1, 0.05, bandwidth_scale=0.1)
+    assert len(fast) > 5 * len(slow)
+
+
+def test_long_lived_pairs_each_sender_with_its_receiver():
+    scenario = get_scenario("long-lived-dumbbell").with_(hosts=4)
+    flows = scenario_flows(scenario, 2, 1.0)
+    assert sorted((f.src, f.dst) for f in flows) == [
+        (f"s_{i}", f"d_{i}") for i in range(4)]
+    assert sorted(f.fid for f in flows) == [1, 2, 3, 4]
+    assert all(f.size == 10**9 for f in flows)
+    assert all(0.0 <= f.start <= scenario.jitter for f in flows)

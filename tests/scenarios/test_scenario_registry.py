@@ -13,6 +13,8 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.scenarios import (
+    GADGET_TOPOLOGIES,
+    PAPER_TOPOLOGIES,
     PATTERNS,
     SCENARIOS,
     SCENARIO_TOPOLOGIES,
@@ -20,6 +22,7 @@ from repro.scenarios import (
     ScenarioRegistry,
     build_scenario_network,
     get_scenario,
+    scenario_bottleneck,
     scenario_hosts,
     scenario_names,
 )
@@ -30,6 +33,13 @@ EXPECTED = {
     "internet-permutation",
     "pareto-burst",
     "datamining-incast-slow",
+    # the paper's settings
+    "i2-1g-10g",
+    "i2-1g-1g",
+    "i2-10g-10g",
+    "rocketfuel",
+    "fattree",
+    "long-lived-dumbbell",
 }
 
 
@@ -64,10 +74,37 @@ class TestScenarioSpec:
         dict(name="x", jitter=-0.001),
         dict(name="x", delay=-1.0),
         dict(name="x", bottleneck_scale=0.0),
+        dict(name="x", utilization=0.0),
+        dict(name="x", pattern="poisson", utilization=True),
     ])
     def test_validation_rejects(self, bad):
         with pytest.raises(ConfigurationError):
             Scenario(**bad)
+
+    @pytest.mark.parametrize("unread", [
+        dict(utilization=0.5),                        # incast: no load knob
+        dict(pattern="poisson", distribution="internet"),
+        dict(pattern="poisson", flows_per_host=3),
+        dict(pattern="long-lived", size_cap=1_000),
+        dict(pattern="long-lived", interval=0.01),
+        dict(pattern="poisson", topology="i2-1g-10g", hosts=4),
+        dict(pattern="poisson", topology="fattree", delay=0.001),
+        dict(pattern="poisson", topology="rocketfuel", bottleneck_scale=0.5),
+    ])
+    def test_a_field_nothing_reads_is_rejected(self, unread):
+        with pytest.raises(ConfigurationError, match="reads"):
+            Scenario("x", **unread)
+
+    @pytest.mark.parametrize("pattern", ["incast", "long-lived"])
+    def test_paper_topologies_carry_poisson_traffic_only(self, pattern):
+        with pytest.raises(ConfigurationError, match="only poisson"):
+            Scenario("x", pattern=pattern, topology="i2-1g-10g")
+
+    def test_size_law_names_what_each_pattern_draws(self):
+        assert get_scenario("websearch-incast").size_law == "web-search"
+        assert (get_scenario("i2-1g-10g").with_(size_cap=2_500_000).size_law
+                == "bounded-pareto[1500,2500000]")
+        assert get_scenario("long-lived-dumbbell").size_law == "unbounded"
 
 
 class TestRegistry:
@@ -102,7 +139,7 @@ class TestRegistry:
 
 
 class TestTopologies:
-    @pytest.mark.parametrize("topology", SCENARIO_TOPOLOGIES)
+    @pytest.mark.parametrize("topology", GADGET_TOPOLOGIES)
     def test_hosts_exist_in_the_built_network(self, topology):
         scenario = Scenario("t", topology=topology, hosts=3)
         network = build_scenario_network(scenario, bandwidth_scale=0.01)
@@ -111,6 +148,26 @@ class TestTopologies:
         assert set(senders) <= node_names
         assert set(receivers) <= node_names
         assert len(senders) == 3
+
+    @pytest.mark.parametrize("topology", PAPER_TOPOLOGIES)
+    def test_paper_hosts_are_listed_without_a_build(self, topology):
+        """Listing a paper topology's hosts never builds it, yet names
+        exactly the built network's hosts, in its order."""
+        scenario = get_scenario(topology)
+        network = build_scenario_network(scenario, bandwidth_scale=0.01)
+        senders, receivers = scenario_hosts(scenario)
+        assert senders == receivers == [h.name for h in network.hosts]
+
+    @pytest.mark.parametrize("topology, bottleneck", [
+        ("i2-1g-10g", 1e9), ("i2-1g-1g", 1e9),
+        ("i2-10g-10g", 2.5e9),      # the slow core links, not the access
+        ("rocketfuel", 622e6), ("fattree", 10e9),
+    ])
+    def test_load_is_measured_against_the_bottleneck(self, topology,
+                                                     bottleneck):
+        scenario = get_scenario(topology)
+        assert scenario_bottleneck(scenario, 0.01) == pytest.approx(
+            bottleneck * 0.01)
 
     def test_rejects_bad_bandwidth_scale(self):
         with pytest.raises(ConfigurationError, match="bandwidth_scale"):

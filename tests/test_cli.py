@@ -189,6 +189,22 @@ def test_unknown_scenario_is_rejected_cleanly(capsys):
     assert "unknown scenario" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("original", ["srpt", "omniscient"])
+def test_fig1_originals_validated_before_simulation(capsys, monkeypatch,
+                                                    original):
+    """An original the paper never defines exits 2 before any recording,
+    even when a valid original precedes it in the sweep."""
+    from repro.experiments import replayability
+
+    def no_recording(*_args, **_kwargs):
+        raise AssertionError("recorded a schedule before validating")
+
+    monkeypatch.setattr(replayability, "record_schedule", no_recording)
+    assert main(["run", "fig1", "--schedulers", "random", original,
+                 "--duration", "0.02"]) == 2
+    assert "unknown original scheduler" in capsys.readouterr().err
+
+
 def test_replay_modes_validated_before_simulation(capsys):
     assert main(["run", "table1", "--replay-modes", "clairvoyant"]) == 2
     assert "unknown replay mode" in capsys.readouterr().err

@@ -74,16 +74,6 @@ class TestLongLivedFlows:
         assert all(0 <= f.start <= 0.005 for f in flows)
         assert all(f.size == 10**8 for f in flows)
 
-    def test_weights_applied(self):
-        flows = long_lived_flows(
-            [("a", "b"), ("c", "d")], size=10**6, weights=[1.0, 3.0]
-        )
-        assert [f.weight for f in flows if f.src == "c"] == [3.0]
-
-    def test_weight_length_mismatch_rejected(self):
-        with pytest.raises(WorkloadError):
-            long_lived_flows([("a", "b")], size=10**6, weights=[1.0, 2.0])
-
     def test_empty_pairs_rejected(self):
         with pytest.raises(WorkloadError):
             long_lived_flows([], size=10**6)

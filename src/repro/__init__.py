@@ -101,7 +101,6 @@ from repro.core.replay import (
     record_schedule,
     replay_schedule,
 )
-from repro.core.slack import initialize_replay_slack, replay_slack
 from repro.core.trace_io import (
     ScheduleStore,
     active_schedule_store,
@@ -262,7 +261,6 @@ __all__ = [
     "datacenter_distribution",
     "distribution_names",
     "get_scenario",
-    "initialize_replay_slack",
     "install_tcp_flows",
     "install_udp_flows",
     "internet_distribution",
@@ -278,7 +276,6 @@ __all__ = [
     "register_experiment",
     "register_scenario",
     "replay_schedule",
-    "replay_slack",
     "restore_snapshot",
     "run",
     "run_many",

@@ -446,14 +446,15 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     """
     from repro.obs.flight import FlightRecorder
     from repro.obs.hub import MetricsHub
-    from repro.obs.spans import SPANS, write_chrome_trace
+    from repro.obs.spans import SPANS, gc_activity, write_chrome_trace
 
     _, specs = _legs(args.experiment, args)
     hub = MetricsHub(flight=FlightRecorder(capacity=1024))
     SPANS.clear()
     SPANS.enable()
     try:
-        events, wall = _run_profiled(specs, hub)
+        with gc_activity() as gc_stats:
+            events, wall = _run_profiled(specs, hub)
     finally:
         SPANS.disable()
     breakdown = SPANS.breakdown()
@@ -472,6 +473,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             "events_per_sec": rate,
             "phases": [{"name": n, "seconds": s} for n, s in breakdown],
             "top_callbacks": [{"name": n, "events": c} for n, c in top],
+            "gc": gc_stats,
             "obs": hub.summary(),
         }, indent=2))
         return 0
@@ -483,6 +485,11 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         table.add_row([name, f"{seconds:.4f}", f"{100 * seconds / total:.1f}%"])
     print(table.render())
     print(f"engine events: {events}  ({rate:,.0f} events/s wall)")
+    collector = Table(["generation", "collections"],
+                      title=f"garbage collector: {gc_stats['seconds']:.4f} s")
+    for generation, count in enumerate(gc_stats["collections"]):
+        collector.add_row([generation, count])
+    print(collector.render())
     if top:
         attribution = Table(["callback", "events", "share"],
                             title="top callbacks (flight recorder)")

@@ -7,7 +7,6 @@ plus the packet/flow data model everything else shares.
 
 from repro.core.flow import Flow
 from repro.core.packet import Packet
-from repro.core.slack import initialize_replay_slack, path_tmin, remaining_tmin
 from repro.core.replay import (
     RecordedPacket,
     RecordedSchedule,
@@ -32,9 +31,6 @@ __all__ = [
     "ReplayResult",
     "SlackPolicy",
     "VirtualClockSlack",
-    "initialize_replay_slack",
-    "path_tmin",
     "record_schedule",
-    "remaining_tmin",
     "replay_schedule",
 ]

@@ -108,8 +108,8 @@ class Packet:
         self.enqueue_time: float = 0.0
         self.queue_wait: float = 0.0
         self.retx: int = 0
-        # The tracer's PacketRecord, cached here at ingress so per-hop
-        # hooks skip the records-dict lookup (see Tracer.on_created).
+        # The packet's row (slot) in the tracer's table, set at ingress;
+        # None while untraced (see Tracer.on_created).
         self.trace = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

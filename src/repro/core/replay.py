@@ -3,8 +3,8 @@
 The workflow the theory section defines, made executable:
 
 1. **Record.**  Run any workload under any collection of per-router
-   scheduling algorithms.  :func:`record_schedule` turns the tracer output
-   into a :class:`RecordedSchedule` — the set
+   scheduling algorithms.  :func:`record_schedule` turns the tracer's
+   packet table into a :class:`RecordedSchedule` — the set
    ``{(path(p), i(p), o(p))}`` plus, for the omniscient mode, the per-hop
    output times ``o(p, α)``.
 2. **Replay.**  :func:`replay_schedule` rebuilds a *fresh* network of the
@@ -18,6 +18,11 @@ The workflow the theory section defines, made executable:
    Following §2.3 we report both the raw overdue fraction and the fraction
    overdue by more than ``T``, one bottleneck transmission time.
 
+One packet table runs through all three: the tracer's columns become the
+schedule's columns, replay stamps headers from them in bulk, and the judge
+subtracts arrays aligned row for row.  :class:`RecordedPacket` is a view
+for callers that want one packet at a time.
+
 Replay modes
 ------------
 ``"lstf"``        non-preemptive LSTF, the paper's default (§2.3)
@@ -29,23 +34,29 @@ Replay modes
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
+import math
+from itertools import repeat
+from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 import numpy as np
 
 from repro.core.packet import Packet
-from repro.core.slack import initialize_replay_slack
+from repro.core.slack import replay_headers
 from repro.errors import ReplayError, RoutingError
 from repro.schedulers.edf import EdfScheduler
 from repro.schedulers.lstf import LstfScheduler
 from repro.schedulers.omniscient import OmniscientScheduler
 from repro.schedulers.priority import PriorityScheduler
+from repro.sim.tracer import group_log, segment_sums
 from repro.units import MTU, TIME_EPSILON
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.network import Network
+    from repro.sim.tracer import Tracer
 
 __all__ = [
     "REPLAY_MODES",
@@ -67,6 +78,9 @@ REPLAY_MODES = (
     "priority",
     "omniscient",
 )
+
+#: Modes whose headers are a slack and a deadline (§2.1, Appendix E).
+_SLACK_MODES = ("lstf", "lstf-preemptive", "edf", "edf-preemptive")
 
 #: Magic string identifying a serialised :class:`RecordedSchedule` document.
 SCHEDULE_FORMAT = "repro.recorded_schedule"
@@ -124,15 +138,6 @@ class RecordedPacket:
         self.hop_tx = hop_tx
         self.hop_waits = hop_waits
 
-    @property
-    def total_wait(self) -> float:
-        """Total queueing delay the packet accumulated, summed over hops."""
-        return sum(self.hop_waits)
-
-    def congestion_points(self, epsilon: float = 1e-12) -> int:
-        """Hops at which the packet was forced to wait (§2.2)."""
-        return sum(1 for w in self.hop_waits if w > epsilon)
-
     def to_dict(self) -> dict[str, Any]:
         """One JSON-scalar row of the serialised schedule document.
 
@@ -179,37 +184,198 @@ class RecordedPacket:
         )
 
 
+def _column(values: list, kind: type, dtype: type) -> np.ndarray:
+    """``values`` as one column; only exact ints / floats (a bool, or an
+    int-valued time, would come back as different JSON)."""
+    if not set(map(type, values)) <= {kind}:
+        raise ReplayError(f"a schedule column holds a non-{kind.__name__}")
+    try:
+        return np.array(values, dtype=dtype)
+    except OverflowError as exc:
+        raise ReplayError(f"a schedule column exceeds its width: {exc}") from exc
+
+
+def _node_table(names: Sequence[str], codes: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
+    """The sorted table of the node names ``codes`` use, and ``codes``
+    re-pointed into it."""
+    used = np.flatnonzero(np.bincount(codes, minlength=len(names)))
+    table = sorted({names[k] for k in used.tolist()})
+    rank = {name: k for k, name in enumerate(table)}
+    return tuple(table), np.array([rank.get(name, -1) for name in names],
+                                  dtype=np.int64)[codes]
+
+
+def _texts(column: np.ndarray) -> list[str]:
+    """The JSON text of each float: ``float.__repr__``, as ``json`` writes it."""
+    return list(map(float.__repr__, column.tolist()))
+
+
+def _runs(counts: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """Positions, in a log grouped by slot (``counts`` entries each), of
+    the entries of ``slots`` — their runs laid end to end in that order."""
+    starts = (np.cumsum(counts) - counts)[slots]
+    lengths = counts[slots]
+    return (np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+            + np.arange(lengths.sum()))
+
+
 class RecordedSchedule:
-    """The set ``{(path(p), i(p), o(p))}`` produced by an original run."""
+    """The set ``{(path(p), i(p), o(p))}`` produced by an original run.
+
+    Stored as columns with one entry per packet, in ``(i, pid)`` order:
+    ``pid``, ``flow_id``, ``flow_size``, ``size`` (int64), ``ingress`` and
+    ``output`` (``i(p)`` and ``o(p)``, float64) and ``hops`` (links
+    crossed); then the per-packet runs laid end to end — ``path`` (``hops
+    + 1`` indices into the sorted node table ``nodes`` each), ``hop_tx``
+    and ``hop_waits`` (``hops`` each).  These are the ``.sched`` store
+    entry's columns (:class:`~repro.core.trace_io.ScheduleStore`), and
+    :attr:`packets` is a view built on first use.
+    """
+
+    #: The columns, in ``.sched`` order.
+    COLUMNS = ("pid", "flow_id", "flow_size", "size", "ingress", "output",
+               "hops", "path", "hop_tx", "hop_waits")
+
+    __slots__ = ("threshold", "description", "nodes", *COLUMNS, "_packets")
 
     def __init__(
         self,
-        packets: list[RecordedPacket],
+        packets: Sequence[RecordedPacket],
         threshold: float,
         description: str = "",
     ) -> None:
-        if not packets:
+        """Tabulate ``packets``; a :class:`~repro.errors.ReplayError` for
+        anything the columns cannot give back exactly."""
+        for p in packets:
+            hops = len(p.hop_tx)
+            if not (len(p.path) == hops + 1 and len(p.hop_waits) == hops
+                    and p.path[0] == p.src and p.path[-1] == p.dst):
+                raise ReplayError(
+                    f"packet {p.pid}: src/dst must be the ends of its path, "
+                    f"with one hop_tx and one hop_waits per link")
+        path = [name for p in packets for name in p.path]
+        if not set(map(type, path)) <= {str}:
+            raise ReplayError("a recorded path holds a non-string node name")
+        nodes = sorted(set(path))
+        index = {name: k for k, name in enumerate(nodes)}
+        self._fill(
+            threshold, description, nodes,
+            *[_column([getattr(p, name) for p in packets], int, np.int64)
+              for name in ("pid", "flow_id", "flow_size", "size")],
+            *[_column([getattr(p, name) for p in packets], float, np.float64)
+              for name in ("ingress_time", "output_time")],
+            np.array([len(p.hop_tx) for p in packets], dtype=np.int64),
+            np.array([index[name] for name in path], dtype=np.int64),
+            _column([t for p in packets for t in p.hop_tx], float, np.float64),
+            _column([w for p in packets for w in p.hop_waits], float, np.float64),
+        )
+
+    def _fill(self, threshold: float, description: str,
+              nodes: Sequence[str], *columns: np.ndarray) -> None:
+        if not len(columns[0]):
             raise ReplayError("recorded schedule contains no delivered packets")
-        self.packets = packets
         #: Overdue threshold ``T`` — one bottleneck transmission time (§2.3).
         self.threshold = threshold
         self.description = description
+        self.nodes = tuple(nodes)
+        for name, column in zip(self.COLUMNS, columns):
+            setattr(self, name, column)
+        self._packets: list[RecordedPacket] | None = None
+
+    @classmethod
+    def from_columns(cls, threshold: float, description: str,
+                     nodes: Sequence[str], *columns: np.ndarray) -> "RecordedSchedule":
+        """A schedule over ready-made :attr:`COLUMNS` (``nodes`` sorted,
+        every name used) — what the recorder and the ``.sched`` codec build."""
+        schedule = cls.__new__(cls)
+        schedule._fill(threshold, description, nodes, *columns)
+        return schedule
+
+    @classmethod
+    def from_tracer(cls, tracer: "Tracer", threshold: float,
+                    description: str = "") -> "RecordedSchedule":
+        """The packets ``tracer`` saw delivered, sorted by ``(i, pid)``.
+
+        One stable argsort per log groups its entries by slot (in event
+        order), and the schedule's runs are gathered from the groups.
+        """
+        rows = len(tracer)
+        exit = tracer.exit_times()
+        pid = np.array(tracer.pid, dtype=np.int64)
+        created = np.array(tracer.created, dtype=np.float64)
+        slots = np.flatnonzero(~np.isnan(exit))
+        slots = slots[np.lexsort((pid[slots], created[slots]))]
+        path_order, path_counts = group_log(tracer.path_slot, rows)
+        tx_order, tx_counts = group_log(tracer.tx_slot, rows)
+        hops = tx_counts[slots]
+        if not np.array_equal(path_counts[slots], hops + 1):
+            raise ReplayError("a delivered packet's trace is missing hops "
+                              "(was the tracer toggled while it travelled?)")
+        names = list(dict.fromkeys(tracer.path_node))
+        code = {name: k for k, name in enumerate(names)}
+        codes = np.fromiter(map(code.__getitem__, tracer.path_node),
+                            np.int64, len(tracer.path_node))
+        nodes, path = _node_table(names, codes[path_order[_runs(path_counts, slots)]])
+        hop_entries = tx_order[_runs(tx_counts, slots)]
+        size = np.array(tracer.size, dtype=np.int64)[slots]
+        return cls.from_columns(
+            threshold, description, nodes,
+            pid[slots], np.array(tracer.flow_id, dtype=np.int64)[slots],
+            size, size, created[slots], exit[slots], hops, path,
+            np.array(tracer.hop_tx, dtype=np.float64)[hop_entries],
+            np.array(tracer.hop_waits, dtype=np.float64)[hop_entries],
+        )
 
     def __len__(self) -> int:
         """Number of recorded (delivered) packets."""
-        return len(self.packets)
+        return len(self.pid)
+
+    # -- the columns, packet-wise --------------------------------------------
+
+    def _path_starts(self) -> np.ndarray:
+        return np.cumsum(self.hops + 1) - (self.hops + 1)
+
+    def endpoints(self) -> tuple[list[str], list[str]]:
+        """Per packet, the names of its source and destination hosts."""
+        starts = self._path_starts()
+        nodes = self.nodes
+        return ([nodes[k] for k in self.path[starts].tolist()],
+                [nodes[k] for k in self.path[starts + self.hops].tolist()])
+
+    def total_waits(self) -> np.ndarray:
+        """Per packet, its queueing delays summed hop by hop (``sum`` order)."""
+        return segment_sums(self.hop_waits, self.hops)
+
+    def congestion_points(self, epsilon: float = 1e-12) -> np.ndarray:
+        """Per packet, the hops at which it waited more than ``epsilon`` (§2.2)."""
+        owner = np.repeat(np.arange(len(self)), self.hops)
+        return np.bincount(owner[self.hop_waits > epsilon], minlength=len(self))
 
     def max_congestion_points(self) -> int:
         """Largest per-packet congestion point count (drives replayability)."""
-        return max(p.congestion_points() for p in self.packets)
+        return int(self.congestion_points().max())
 
-    def congestion_point_histogram(self) -> dict[int, int]:
+    def congestion_point_histogram(self, epsilon: float = 1e-12) -> dict[int, int]:
         """Map congestion-point count → number of packets with that count."""
-        hist: dict[int, int] = {}
-        for p in self.packets:
-            c = p.congestion_points()
-            hist[c] = hist.get(c, 0) + 1
-        return dict(sorted(hist.items()))
+        counts = np.bincount(self.congestion_points(epsilon))
+        return {k: int(c) for k, c in enumerate(counts.tolist()) if c}
+
+    @property
+    def packets(self) -> list[RecordedPacket]:
+        """The schedule as one :class:`RecordedPacket` per row (built once)."""
+        if self._packets is None:
+            names = [self.nodes[k] for k in self.path.tolist()]
+            hop_tx, hop_waits = self.hop_tx.tolist(), self.hop_waits.tolist()
+            packets, a, b = [], 0, 0
+            for pid, flow_id, flow_size, size, i, o, k in zip(
+                    *(getattr(self, name).tolist() for name in self.COLUMNS[:7])):
+                route = tuple(names[b:b + k + 1])
+                packets.append(RecordedPacket(
+                    pid, flow_id, flow_size, size, route[0], route[-1], i, o,
+                    route, tuple(hop_tx[a:a + k]), tuple(hop_waits[a:a + k])))
+                a, b = a + k, b + k + 1
+            self._packets = packets
+        return self._packets
 
     # -- the stable serialised format -------------------------------------
 
@@ -254,9 +420,41 @@ class RecordedSchedule:
         )
 
     def canonical_json(self) -> str:
-        """Key-sorted, separator-free JSON — the content-hash preimage
-        (both ``to_dict`` emit sorted keys, sparing a sort per packet)."""
-        return json.dumps(self.to_dict(), separators=(",", ":"))
+        """``json.dumps(self.to_dict(), separators=(",", ":"))`` — the
+        content-hash preimage, keys sorted by construction.
+
+        Written straight from the columns: ``float.__repr__`` is what
+        ``json`` writes for a finite float, each node name is quoted once,
+        and a flow's packets, which share ``i(p)``, share its text.  A
+        non-finite time has no JSON form and is refused.
+        """
+        times = (self.ingress, self.output, self.hop_tx, self.hop_waits)
+        if not all([np.isfinite(column).all() for column in times]) or (
+                isinstance(self.threshold, float)
+                and not math.isfinite(self.threshold)):
+            raise ReplayError("a schedule time is not finite; JSON cannot carry it")
+        bits, first = np.unique(self.ingress.view(np.int64), return_inverse=True)
+        ingress = np.array(_texts(bits.view(np.float64)), dtype=object)[first]
+        quoted = [json.dumps(name) for name in self.nodes]
+        path = [quoted[k] for k in self.path.tolist()]
+        hop_tx, hop_waits = _texts(self.hop_tx), _texts(self.hop_waits)
+        rows, a, b = [], 0, 0
+        for pid, flow_id, flow_size, size, i, o, k in zip(
+                self.pid.tolist(), self.flow_id.tolist(), self.flow_size.tolist(),
+                self.size.tolist(), ingress.tolist(), _texts(self.output),
+                self.hops.tolist()):
+            rows.append(
+                f'{{"dst":{path[b + k]},"flow_id":{flow_id},'
+                f'"flow_size":{flow_size},"hop_tx":[{",".join(hop_tx[a:a + k])}],'
+                f'"hop_waits":[{",".join(hop_waits[a:a + k])}],"i":{i},"o":{o},'
+                f'"path":[{",".join(path[b:b + k + 1])}],"pid":{pid},'
+                f'"size":{size},"src":{path[b]}}}')
+            a, b = a + k, b + k + 1
+        head = json.dumps({"description": self.description,
+                           "format": SCHEDULE_FORMAT}, separators=(",", ":"))
+        return (f'{head[:-1]},"packets":[{",".join(rows)}],'
+                f'"threshold":{json.dumps(self.threshold)},'
+                f'"version":{SCHEDULE_FORMAT_VERSION}}}')
 
     def content_hash(self) -> str:
         """SHA-256 over :meth:`canonical_json` — a stable schedule identity.
@@ -270,7 +468,7 @@ class RecordedSchedule:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<RecordedSchedule {len(self.packets)} packets "
+            f"<RecordedSchedule {len(self)} packets "
             f"T={self.threshold:.3g}s {self.description!r}>"
         )
 
@@ -296,31 +494,14 @@ def record_schedule(
                 f"original run dropped {tracer.drops} packets; replay is only "
                 "defined for dropless schedules (use larger buffers)"
             )
-        undelivered = len(tracer.records) - tracer.delivered_count()
+        undelivered = len(tracer) - tracer.delivered_count()
         if undelivered:
             raise ReplayError(
                 f"{undelivered} packets still in flight; run the original "
                 "schedule to completion (until=None) before recording"
             )
-    packets = [
-        RecordedPacket(
-            pid=rec.pid,
-            flow_id=rec.flow_id,
-            flow_size=rec.size,
-            size=rec.size,
-            src=rec.src,
-            dst=rec.dst,
-            ingress_time=rec.created,
-            output_time=rec.exit,
-            path=tuple(rec.path),
-            hop_tx=tuple(rec.hop_tx),
-            hop_waits=tuple(rec.hop_waits),
-        )
-        for rec in tracer.delivered_records()
-    ]
-    packets.sort(key=lambda p: (p.ingress_time, p.pid))
-    return RecordedSchedule(
-        packets, threshold=network.bottleneck_tx_time(MTU), description=description
+    return RecordedSchedule.from_tracer(
+        tracer, threshold=network.bottleneck_tx_time(MTU), description=description
     )
 
 
@@ -331,17 +512,16 @@ class ReplayResult:
         self,
         schedule: RecordedSchedule,
         mode: str,
-        replay_outputs: dict[int, float],
-        replay_waits: dict[int, float],
+        replay_outputs: np.ndarray,
+        replay_waits: np.ndarray,
     ) -> None:
+        """``replay_outputs`` / ``replay_waits``: ``o'(p)`` and the total
+        queueing delay of each schedule row, in row order."""
         self.schedule = schedule
         self.mode = mode
-        records = schedule.packets
-        self.lateness = np.array(
-            [replay_outputs[p.pid] - p.output_time for p in records]
-        )
-        self._original_waits = np.array([p.total_wait for p in records])
-        self._replay_waits = np.array([replay_waits[p.pid] for p in records])
+        self.lateness = replay_outputs - schedule.output
+        self._original_waits = schedule.total_waits()
+        self._replay_waits = replay_waits
 
     # --- §2.3 metrics -----------------------------------------------------
 
@@ -416,6 +596,29 @@ def _install_mode(network: "Network", mode: str) -> None:
         raise ReplayError(f"unknown replay mode {mode!r}; choose from {REPLAY_MODES}")
 
 
+def _verify_routes(schedule: RecordedSchedule, network: "Network",
+                   pairs: list[tuple[str, str]]) -> None:
+    """Check, once per src/dst pair, that ``network`` routes along the
+    path the pair's first packet was recorded on."""
+    first = dict(zip(reversed(pairs), reversed(range(len(pairs)))))
+    starts = schedule._path_starts()
+    for (src, dst), row in sorted(first.items(), key=itemgetter(1)):
+        try:
+            route = network.route(src, dst)
+        except RoutingError as exc:
+            raise ReplayError(
+                f"replay network cannot route {src!r}->{dst!r}: {exc}"
+            ) from exc
+        start = int(starts[row])
+        recorded = tuple([schedule.nodes[k] for k in schedule.path[
+            start:start + int(schedule.hops[row]) + 1].tolist()])
+        if route != recorded:
+            raise ReplayError(
+                f"replay network routes {src!r}->{dst!r} via {route}, but "
+                f"the schedule was recorded along {recorded}"
+            )
+
+
 def replay_schedule(
     schedule: RecordedSchedule,
     network_factory: Callable[[], "Network"],
@@ -448,60 +651,79 @@ def replay_schedule(
         initialisation only* — packets are still judged against the true
         recorded output times.  This powers the §5 "least information"
         study: e.g. quantising ``o(p)`` models an ingress that learns the
-        target at reduced precision.  Values below the uncongested
-        traversal time are clamped to zero slack.
+        target at reduced precision.  Degraded values below the
+        uncongested traversal time are clamped to zero slack; a *true*
+        target below it means the schedule is not viable on this
+        topology, a :class:`~repro.errors.ReplayError`.
     """
     network = network_factory()
     _install_mode(network, mode)
-    if priority_fn is None:
-        priority_fn = lambda rec: rec.output_time  # noqa: E731 - tiny default
+    src, dst = schedule.endpoints()
+    sizes = schedule.size.tolist()
+    if verify_routes:
+        _verify_routes(schedule, network, list(zip(src, dst)))
+    # One header value per row (slack, priority or timetable), plus the
+    # deadline the slack modes also carry.
+    deadlines = repeat(None)
+    if mode in _SLACK_MODES:
+        keys = list(zip(src, dst, sizes))
+        tmin = {key: network.tmin(*key) for key in dict.fromkeys(keys)}
+        target = schedule.output
+        if output_time_fn is not None:
+            target = np.array([output_time_fn(rec) for rec in schedule.packets],
+                              dtype=np.float64)
+        values, deadlines = (column.tolist() for column in replay_headers(
+            schedule.ingress, target,
+            np.fromiter(map(tmin.__getitem__, keys), np.float64, len(keys)),
+            degraded=output_time_fn is not None))
+    elif mode == "priority":
+        values = (schedule.output.tolist() if priority_fn is None
+                  else [priority_fn(rec) for rec in schedule.packets])
+    else:
+        hop_tx = schedule.hop_tx.tolist()
+        values = [tuple(hop_tx[end - k:end]) for end, k in zip(
+            np.cumsum(schedule.hops).tolist(), schedule.hops.tolist())]
 
-    verified_pairs: set[tuple[str, str]] = set()
-    for rec in schedule.packets:
-        if verify_routes and (rec.src, rec.dst) not in verified_pairs:
-            try:
-                route = network.route(rec.src, rec.dst)
-            except RoutingError as exc:
-                raise ReplayError(
-                    f"replay network cannot route {rec.src!r}->{rec.dst!r}: {exc}"
-                ) from exc
-            if route != rec.path:
-                raise ReplayError(
-                    f"replay network routes {rec.src!r}->{rec.dst!r} via "
-                    f"{route}, but the schedule was recorded along {rec.path}"
-                )
-            verified_pairs.add((rec.src, rec.dst))
-        packet = Packet(
-            flow_id=rec.flow_id,
-            size=rec.size,
-            src=rec.src,
-            dst=rec.dst,
-            created=rec.ingress_time,
-            pid=rec.pid,
-        )
-        packet.flow_size = rec.flow_size
-        header_target = (
-            rec.output_time if output_time_fn is None else output_time_fn(rec)
-        )
-        if mode in ("lstf", "lstf-preemptive", "edf", "edf-preemptive"):
-            # Clamp degraded targets below the uncongested floor to "zero
-            # slack" rather than rejecting the replay.
-            floor = rec.ingress_time + network.tmin(rec.src, rec.dst, rec.size)
-            initialize_replay_slack(packet, network, max(header_target, floor))
-        elif mode == "priority":
-            packet.priority = priority_fn(rec)
-        elif mode == "omniscient":
-            packet.hop_times = rec.hop_tx
-        network.inject_at(rec.ingress_time, packet)
+    schedule_at = network.engine.schedule_at
+    inject = {name: network.host(name).inject for name in dict.fromkeys(src)}
+    slack_headers = mode in _SLACK_MODES
+    # Everything this loop allocates (packets, heap entries) lives until
+    # injection, so a cyclic collection in it could free nothing.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for pid, flow_id, flow_size, size, s, d, i, value, deadline in zip(
+                schedule.pid.tolist(), schedule.flow_id.tolist(),
+                schedule.flow_size.tolist(), sizes, src, dst,
+                schedule.ingress.tolist(), values, deadlines):
+            packet = Packet(flow_id, size, s, d, i, pid=pid)
+            packet.flow_size = flow_size
+            if slack_headers:
+                packet.slack = value
+                packet.deadline = deadline
+            elif mode == "priority":
+                packet.priority = value
+            else:
+                packet.hop_times = value
+            schedule_at(i, inject[s], packet)
+    finally:
+        if collecting:
+            gc.enable()
 
     network.run()
-    tracer = network.tracer
-    outputs: dict[int, float] = {}
-    waits: dict[int, float] = {}
-    for rec in tracer.delivered_records():
-        outputs[rec.pid] = rec.exit
-        waits[rec.pid] = rec.total_wait
-    missing = len(schedule.packets) - len(outputs)
+    # Injections fire in row order, so slot k is row k; align by pid only
+    # when the replay network traced anything else.
+    with network:  # the replay network dies here
+        tracer = network.tracer
+        slots = np.arange(len(schedule))
+        if not np.array_equal(tracer.pid, schedule.pid):
+            slot_of = dict(zip(tracer.pid, range(len(tracer))))
+            slots = np.fromiter(
+                map(slot_of.get, schedule.pid.tolist(), repeat(len(tracer))),
+                np.int64, len(schedule))
+        outputs = np.append(tracer.exit_times(), np.nan)[slots]
+        waits = np.append(tracer.wait_totals(), 0.0)[slots]
+    missing = int(np.isnan(outputs).sum())
     if missing:
         raise ReplayError(f"replay lost {missing} packets (drops or deadlock)")
     return ReplayResult(schedule, mode, outputs, waits)

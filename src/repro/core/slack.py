@@ -15,56 +15,41 @@ Routers then maintain the invariant of Appendix D,
     slack(p, α, t) = o(p) − t − tmin(p, α, dest(p)) + T(p, α)
 
 by rewriting the header on every dequeue (see
-:class:`repro.schedulers.lstf.LstfScheduler`).  The functions here cover
-the ingress side and the bookkeeping the replay engine needs.
+:class:`repro.schedulers.lstf.LstfScheduler`).  :func:`replay_headers`
+here is the ingress side, for a whole recorded schedule at once.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+import numpy as np
 
 from repro.errors import ReplayError
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.packet import Packet
-    from repro.sim.network import Network
-
-__all__ = ["initialize_replay_slack", "path_tmin", "remaining_tmin", "replay_slack"]
+__all__ = ["replay_headers"]
 
 
-def path_tmin(network: "Network", size: int, path: Iterable[str]) -> float:
-    """Uncongested last-bit traversal time of a ``size``-byte packet along
-    ``path`` (a sequence of node names)."""
-    return network.path_tmin(size, path)
+def replay_headers(ingress: np.ndarray, target: np.ndarray, tmin: np.ndarray,
+                   degraded: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The ingress headers of a replayed schedule: ``(slack, deadline)``.
 
-
-def remaining_tmin(network: "Network", node: str, dst: str, size: int) -> float:
-    """``tmin(p, α, dest)``: uncongested time from node ``α`` to delivery."""
-    return network.remaining_tmin(node, dst, size)
-
-
-def replay_slack(network: "Network", size: int, src: str, dst: str,
-                 ingress_time: float, output_time: float) -> float:
-    """The ingress slack assignment for replay: ``o(p) − i(p) − tmin``.
-
-    A negative result means the requested output time is faster than the
-    uncongested traversal — no scheduler can achieve it, so the recorded
-    schedule and the replay topology disagree.
+    Per packet, ``slack = o(p) − i(p) − tmin`` and ``deadline = o(p)``.
+    ``target`` is each packet's ``o(p)`` — or, with ``degraded``, a lossy
+    view of it (§5), whose values under the uncongested floor
+    ``i(p) + tmin`` are clamped to that floor (zero slack).  A true
+    target more than 1 ns under the floor is faster than any scheduler
+    can deliver: the recorded schedule is not viable on the replay
+    topology, a :class:`~repro.errors.ReplayError`.  Within that 1 ns
+    the floor absorbs float rounding.
     """
-    slack = output_time - ingress_time - network.tmin(src, dst, size)
-    if slack < -1e-9:
-        raise ReplayError(
-            f"target output time {output_time!r} for a {size}B packet "
-            f"{src!r}->{dst!r} entering at {ingress_time!r} is below the "
-            f"uncongested traversal time; the schedule is not viable on "
-            "this topology"
-        )
-    return max(slack, 0.0)
-
-
-def initialize_replay_slack(packet: "Packet", network: "Network", output_time: float) -> None:
-    """Stamp a packet's header for LSTF replay of a recorded schedule."""
-    packet.slack = replay_slack(
-        network, packet.size, packet.src, packet.dst, packet.created, output_time
-    )
-    packet.deadline = output_time
+    if not degraded:
+        short = np.flatnonzero((target - ingress) - tmin < -1e-9)
+        if short.size:
+            k = int(short[0])
+            raise ReplayError(
+                f"{short.size} target output times are below the uncongested "
+                f"traversal time (first: i={float(ingress[k])!r}, "
+                f"o={float(target[k])!r}, tmin={float(tmin[k])!r}); the "
+                f"schedule is not viable on this topology"
+            )
+    deadline = np.maximum(target, ingress + tmin)
+    return np.maximum((deadline - ingress) - tmin, 0.0), deadline

@@ -103,6 +103,10 @@ class ContentStore:
         """What :meth:`get_or_build` wraps around a builder call."""
         return contextlib.nullcontext()
 
+    def release(self, value: Any) -> None:
+        """Let go of a built value :meth:`get_or_build` answered with its
+        reload instead (nothing to do by default)."""
+
     # -- entries -----------------------------------------------------------
 
     def path(self, key: str) -> Path:
@@ -150,7 +154,10 @@ class ContentStore:
         self.put(key, value)
         self.log("put", key)
         reloaded = self.get(key)
-        return value if reloaded is None else reloaded
+        if reloaded is None or reloaded is value:
+            return value
+        self.release(value)
+        return reloaded
 
     def keys(self) -> list[str]:
         """The keys currently present, sorted (content untested).

@@ -35,16 +35,14 @@ from __future__ import annotations
 import gzip
 import hashlib
 import json
-import sys
 import zlib
-from array import array
 from collections import OrderedDict
-from itertools import chain
-from operator import attrgetter
 from pathlib import Path
 from typing import IO, ContextManager
 
-from repro.core.replay import RecordedPacket, RecordedSchedule
+import numpy as np
+
+from repro.core.replay import RecordedSchedule
 from repro.core.store import ContentStore
 from repro.errors import ReplayError
 
@@ -102,23 +100,8 @@ def load_schedule(path: str | Path) -> RecordedSchedule:
 
 
 _MAGIC = b"repro.sched\x01"
-_SCALARS = (("pid", "q"), ("flow_id", "q"), ("flow_size", "q"), ("size", "q"),
-            ("ingress_time", "d"), ("output_time", "d"))
-
-
-def _column(code: str, values: list) -> bytes:
-    """``values`` as one little-endian column; only exact ints / floats
-    (a bool, or an int-valued time, would come back as different JSON)."""
-    kind = float if code == "d" else int
-    if not set(map(type, values)) <= {kind}:
-        raise ReplayError(f"a schedule column holds a non-{kind.__name__}")
-    try:
-        column = array(code, values)
-    except OverflowError as exc:
-        raise ReplayError(f"a schedule column exceeds its width: {exc}") from exc
-    if sys.byteorder == "big":
-        column.byteswap()
-    return column.tobytes()
+#: The on-disk type of each of :attr:`RecordedSchedule.COLUMNS`.
+_LAYOUT = ("<i8", "<i8", "<i8", "<i8", "<f8", "<f8", "<u4", "<u4", "<f8", "<f8")
 
 
 #: Process-wide memo for store entries: (path, mtime_ns, size) → the
@@ -179,35 +162,17 @@ class ScheduleStore(ContentStore):
     LOG_NAME = "recordings.log"
 
     def encode(self, schedule: RecordedSchedule) -> bytes:
-        """The store-entry bytes; refuses (``ReplayError``) what the layout
-        cannot give back exactly, so every entry loads to what was put."""
-        packets = schedule.packets
-        for p in packets:
-            hops = len(p.hop_tx)
-            if not (len(p.path) == hops + 1 and len(p.hop_waits) == hops
-                    and p.path[0] == p.src and p.path[-1] == p.dst):
-                raise ReplayError(
-                    f"packet {p.pid}: src/dst must be the ends of its path, "
-                    f"with one hop_tx and one hop_waits per link")
-        path, hop_tx, hop_waits = (
-            list(chain.from_iterable(map(attrgetter(name), packets)))
-            for name in ("path", "hop_tx", "hop_waits"))
-        if not set(map(type, path)) <= {str}:
-            raise ReplayError("a recorded path holds a non-string node name")
-        nodes = sorted(set(path))
-        index = {name: i for i, name in enumerate(nodes)}
+        """The store-entry bytes: the schedule's columns as they are (a
+        :class:`RecordedSchedule` only holds what the layout gives back)."""
         header = json.dumps({
             "description": schedule.description,
-            "threshold": schedule.threshold, "nodes": nodes,
-            "packets": len(packets), "hops": len(hop_tx),
+            "threshold": schedule.threshold, "nodes": list(schedule.nodes),
+            "packets": len(schedule), "hops": len(schedule.hop_tx),
         }).encode()
         body = b"".join([
             len(header).to_bytes(4, "little"), header,
-            *(_column(code, list(map(attrgetter(name), packets)))
-              for name, code in _SCALARS),
-            _column("I", [len(p.hop_tx) for p in packets]),
-            _column("I", list(map(index.__getitem__, path))),
-            _column("d", hop_tx), _column("d", hop_waits),
+            *(getattr(schedule, name).astype(code).tobytes()
+              for name, code in zip(RecordedSchedule.COLUMNS, _LAYOUT)),
         ])
         return _MAGIC + zlib.crc32(body).to_bytes(4, "little") + body
 
@@ -224,27 +189,24 @@ class ScheduleStore(ContentStore):
             at = 4 + int.from_bytes(body[:4], "little")
             header = json.loads(bytes(body[4:at]))
             n, h, nodes = header["packets"], header["hops"], header["nodes"]
+            if not (type(n) is type(h) is int and n >= 0 and h >= 0
+                    and isinstance(nodes, list)
+                    and set(map(type, nodes)) <= {str}):
+                raise ValueError("malformed counts or node table")
             columns = []
-            for code, count in (*((code, n) for _name, code in _SCALARS),
-                                ("I", n), ("I", n + h), ("d", h), ("d", h)):
-                column = array(code)
-                column.frombytes(body[at:(at := at + column.itemsize * count)])
-                if sys.byteorder == "big":
-                    column.byteswap()
-                columns.append(column.tolist())
+            for code, count in zip(_LAYOUT, (n,) * 7 + (n + h, h, h)):
+                columns.append(np.frombuffer(body, code, count, at))
+                at += columns[-1].nbytes
             *scalars, hops, via, hop_tx, hop_waits = columns
-            if at != len(body) or len(hops) != n or sum(hops) != h:
-                raise ValueError("columns disagree with the header counts")
-            via = [nodes[i] for i in via]
-            packets, a, b = [], 0, 0
-            for pid, flow_id, flow_size, size, i, o, k in zip(*scalars, hops):
-                route = tuple(via[b:b + k + 1])
-                packets.append(RecordedPacket(
-                    pid, flow_id, flow_size, size, route[0], route[-1], i, o,
-                    route, tuple(hop_tx[a:a + k]), tuple(hop_waits[a:a + k])))
-                a, b = a + k, b + k + 1
-            return RecordedSchedule(packets, threshold=header["threshold"],
-                                    description=header["description"])
+            hops, via = hops.astype(np.int64), via.astype(np.int64)
+            # What encode writes: the sorted table of exactly the names used.
+            if (at != len(body) or hops.sum() != h or nodes != sorted(set(nodes))
+                    or via.max(initial=0) >= len(nodes)
+                    or not np.bincount(via, minlength=len(nodes)).all()):
+                raise ValueError("columns disagree with the header")
+            return RecordedSchedule.from_columns(
+                header["threshold"], header["description"], nodes,
+                *scalars, hops, via, hop_tx, hop_waits)
         except (ValueError, KeyError, TypeError, IndexError) as exc:
             raise ReplayError(f"{path} is not a schedule-store entry: "
                               f"{exc!r}") from exc

@@ -116,9 +116,10 @@ def run_weighted_fairness_experiment(
     # long_lived_flows sorts by start time; align the rate columns and the
     # weight vector by flow id so index i is flow i's entitlement.
     by_fid = sorted(flows, key=lambda f: f.fid)
-    times, rates = throughput_timeseries(
-        network.tracer, [f.fid for f in by_fid], INTERVAL, horizon
-    )
+    with network:
+        times, rates = throughput_timeseries(
+            network.tracer, [f.fid for f in by_fid], INTERVAL, horizon
+        )
     steady = rates[len(rates) // 2:]
     achieved = steady.mean(axis=0)
     weight_vec = np.asarray([f.weight for f in by_fid], dtype=float)
@@ -152,13 +153,14 @@ def run_fairness_experiment(
 
     results: dict[str, FairnessExperimentResult] = {}
     for name, scheduler, slack_policy in schemes:
-        network = build_scenario_network(setting)
-        install_router_schedulers(network, scheduler, seed)
-        install_tcp_flows(network, flows, slack_policy=slack_policy, min_rto=0.05)
-        network.run(until=horizon)
-        times, fairness = fairness_timeseries(
-            network.tracer, [f.fid for f in flows], INTERVAL, horizon
-        )
+        with build_scenario_network(setting) as network:
+            install_router_schedulers(network, scheduler, seed)
+            install_tcp_flows(network, flows, slack_policy=slack_policy,
+                              min_rto=0.05)
+            network.run(until=horizon)
+            times, fairness = fairness_timeseries(
+                network.tracer, [f.fid for f in flows], INTERVAL, horizon
+            )
         results[name] = FairnessExperimentResult(name, times, fairness)
     return results
 

@@ -81,6 +81,7 @@ def run_fct_experiment(
             # the paper's "D much larger than the delay seen by any packet".
             slack_policy = FlowSizeSlack(d=1.0) if lstf_slack is None else lstf_slack
         network = build_scenario_network(setting, bandwidth_scale)
+        network.tracer.enabled = False  # FCTs come from the TCP agents
         install_router_schedulers(network, scheme, seed)
         network.set_buffers(buffer_bytes, node_filter=lambda n: isinstance(n, Router))
         stats = install_tcp_flows(

@@ -199,9 +199,10 @@ def build_recorded_schedule(scenario: ReplayScenario) -> RecordedSchedule:
             scenario.scenario, scenario.scheduler, scenario.seed,
             scenario.duration, scenario.bandwidth_scale,
         )
-        schedule = record_schedule(
-            network, description=_recording_description(scenario)
-        )
+        with network:
+            schedule = record_schedule(
+                network, description=_recording_description(scenario)
+            )
         reset_packet_ids()
     return schedule
 

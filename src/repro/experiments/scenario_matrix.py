@@ -15,6 +15,8 @@ one leg.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.analysis.tables import Table
 from repro.api.registry import register_experiment
 from repro.api.spec import ExperimentSpec
@@ -47,11 +49,11 @@ def run_scenario_leg(
     network.run()
     # The window closes at the last delivery, not at ``engine.now``:
     # telemetry ticks may advance the clock past the last real event.
-    last = max((r.exit for r in network.tracer.delivered_records()),
-               default=0.0)
-    window = last if last > 0 else duration
-    rates = flow_throughputs(network.tracer, [f.fid for f in flows], window)
-    utilisation = link_utilisation(network.tracer, network.links, window)
+    with network:
+        last = float(np.nanmax(network.tracer.exit_times(), initial=0.0))
+        window = last if last > 0 else duration
+        rates = flow_throughputs(network.tracer, [f.fid for f in flows], window)
+        utilisation = link_utilisation(network.tracer, network.links, window)
     delivered = sum(1 for r in rates.values() if r > 0)
     return {
         "scheduler": scheduler,

@@ -88,13 +88,12 @@ def run_tail_experiment(
         slack_policy = None
         if scheme == "lstf-constant":
             slack_policy = ConstantSlack(1.0) if lstf_slack is None else lstf_slack
-        network = build_scenario_network(setting, bandwidth_scale)
-        install_router_schedulers(network, _SCHEDULERS[scheme], seed)
-        install_udp_flows(network, flows, slack_policy=slack_policy)
-        network.run()
-        results[scheme] = TailExperimentResult(
-            scheme=scheme, delays=packet_delays(network.tracer)
-        )
+        with build_scenario_network(setting, bandwidth_scale) as network:
+            install_router_schedulers(network, _SCHEDULERS[scheme], seed)
+            install_udp_flows(network, flows, slack_policy=slack_policy)
+            network.run()
+            delays = packet_delays(network.tracer)
+        results[scheme] = TailExperimentResult(scheme=scheme, delays=delays)
     return results
 
 

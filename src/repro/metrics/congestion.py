@@ -9,12 +9,15 @@ a live tracer.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Mapping, Union
+
+import numpy as np
 
 from repro.core.replay import RecordedSchedule
 from repro.metrics.fairness import ARTIFACT_DIGITS
 from repro.sim.link import Link
-from repro.sim.tracer import Tracer
+from repro.sim.tracer import Tracer, group_log
 
 __all__ = [
     "congestion_point_histogram",
@@ -25,19 +28,15 @@ __all__ = [
 _Source = Union[Tracer, RecordedSchedule]
 
 
-def _wait_lists(source: _Source):
-    if isinstance(source, RecordedSchedule):
-        return (p.hop_waits for p in source.packets)
-    return (rec.hop_waits for rec in source.delivered_records())
-
-
 def congestion_point_histogram(source: _Source, epsilon: float = 1e-12) -> dict[int, int]:
-    """Map congestion-point count -> number of packets with that count."""
-    hist: dict[int, int] = {}
-    for waits in _wait_lists(source):
-        c = sum(1 for w in waits if w > epsilon)
-        hist[c] = hist.get(c, 0) + 1
-    return dict(sorted(hist.items()))
+    """Map congestion-point count -> number of packets with that count
+    (over a tracer, its delivered packets)."""
+    if isinstance(source, RecordedSchedule):
+        return source.congestion_point_histogram(epsilon)
+    slots = np.asarray(source.tx_slot, dtype=np.int64)
+    waited = slots[np.asarray(source.hop_waits, dtype=float) > epsilon]
+    counts = np.bincount(waited, minlength=len(source))[source.delivered_slots()]
+    return {k: int(c) for k, c in enumerate(np.bincount(counts).tolist()) if c}
 
 
 def link_utilisation(
@@ -56,17 +55,23 @@ def link_utilisation(
     """
     if window <= 0:
         raise ValueError("window must be positive")
-    nbytes: dict[tuple[str, str], int] = {key: 0 for key in links}
-    for rec in tracer.delivered_records():
-        if rec.exit > window:
-            continue
-        for hop in zip(rec.path, rec.path[1:]):
-            if hop in nbytes:
-                nbytes[hop] += rec.size
+    # Path-log entries grouped by packet: two in a row of one packet are
+    # a hop it crossed.
+    order, _counts = group_log(tracer.path_slot, len(tracer))
+    slots = np.asarray(tracer.path_slot, dtype=np.int64)[order]
+    nodes = [tracer.path_node[e] for e in order.tolist()]
+    keys = sorted(links)
+    index = {key: k for k, key in enumerate(keys)}
+    link = np.fromiter(map(index.get, zip(nodes, nodes[1:]), repeat(-1)),
+                       np.int64, len(nodes) - 1)
+    owner = slots[:-1]
+    keep = ((slots[1:] == owner) & (link >= 0)
+            & (tracer.exit_times()[owner] <= window))  # undelivered: NaN
+    nbytes = np.bincount(link[keep], np.asarray(tracer.size)[owner[keep]],
+                         minlength=len(keys))
     return {
-        f"{u}->{v}": round(links[u, v].utilisation(nbytes[u, v], window),
-                           ARTIFACT_DIGITS)
-        for u, v in sorted(nbytes)
+        f"{u}->{v}": round(links[u, v].utilisation(count, window), ARTIFACT_DIGITS)
+        for (u, v), count in zip(keys, nbytes.tolist())
     }
 
 

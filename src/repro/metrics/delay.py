@@ -21,19 +21,16 @@ def packet_delays(tracer: Tracer, data_only: bool = True) -> np.ndarray:
     ``data_only`` skips ACKs (flows' reverse-path 40-byte packets), which
     is what the tail-latency comparison plots.
     """
-    delays = [
-        rec.exit - rec.created
-        for rec in tracer.delivered_records()
-        if not (data_only and rec.size <= 64)
-    ]
-    return np.asarray(delays, dtype=float)
+    exit = tracer.exit_times()
+    keep = ~np.isnan(exit)
+    if data_only:
+        keep &= np.asarray(tracer.size) > 64
+    return exit[keep] - np.asarray(tracer.created, dtype=float)[keep]
 
 
 def queueing_delays(tracer: Tracer) -> np.ndarray:
     """Total queueing delay per delivered packet."""
-    return np.asarray(
-        [sum(rec.hop_waits) for rec in tracer.delivered_records()], dtype=float
-    )
+    return tracer.wait_totals()[tracer.delivered_slots()]
 
 
 def cdf(samples: Iterable[float]) -> tuple[np.ndarray, np.ndarray]:

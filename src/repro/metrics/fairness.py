@@ -8,6 +8,7 @@ interval over the set of flows that have started.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -57,16 +58,13 @@ def throughput_timeseries(
     """
     if interval <= 0 or horizon <= 0:
         raise ValueError("interval and horizon must be positive")
-    index = {fid: k for k, fid in enumerate(flow_ids)}
     num_bins = int(np.ceil(horizon / interval))
     bytes_per_bin = np.zeros((num_bins, len(flow_ids)))
-    for rec in tracer.delivered_records():
-        col = index.get(rec.flow_id)
-        if col is None or (data_only and rec.size <= 64):
-            continue
-        b = int(rec.exit / interval)
-        if b < num_bins:
-            bytes_per_bin[b, col] += rec.size
+    exits, cols, sizes = _delivered(tracer, flow_ids, data_only)
+    bins = (exits / interval).astype(np.int64)  # int(), not floor division
+    inside = bins < num_bins
+    # Byte counts are integers, exact in float64 in any order.
+    np.add.at(bytes_per_bin, (bins[inside], cols[inside]), sizes[inside])
     times = (np.arange(num_bins) + 1) * interval
     return times, bytes_per_bin * 8.0 / interval
 
@@ -85,13 +83,26 @@ def flow_throughputs(
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    delivered = {fid: 0 for fid in flow_ids}
-    for rec in tracer.delivered_records():
-        if rec.flow_id not in delivered or (data_only and rec.size <= 64):
-            continue
-        if rec.exit <= horizon:
-            delivered[rec.flow_id] += rec.size
-    return {fid: nbytes * 8.0 / horizon for fid, nbytes in delivered.items()}
+    exits, cols, sizes = _delivered(tracer, flow_ids, data_only)
+    inside = exits <= horizon
+    delivered = np.bincount(cols[inside], sizes[inside], minlength=len(flow_ids))
+    return {fid: nbytes * 8.0 / horizon
+            for fid, nbytes in zip(flow_ids, delivered.tolist())}
+
+
+def _delivered(tracer: Tracer, flow_ids: Sequence[int], data_only: bool
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(exits, columns, sizes)`` of the delivered packets of ``flow_ids``
+    (column = position in ``flow_ids``), ACKs skipped if ``data_only``."""
+    index = {fid: k for k, fid in enumerate(flow_ids)}
+    cols = np.fromiter(map(index.get, tracer.flow_id, repeat(-1)), np.int64,
+                       len(tracer))
+    exits = tracer.exit_times()
+    sizes = np.array(tracer.size, dtype=np.int64)
+    keep = (cols >= 0) & ~np.isnan(exits)
+    if data_only:
+        keep &= sizes > 64
+    return exits[keep], cols[keep], sizes[keep]
 
 
 def artifact_fairness(rates: Iterable[float]) -> float:

@@ -20,11 +20,13 @@ Two producers share the format:
   Chrome trace document.
 
 Spans are wall-clock by nature (they measure the pipeline, not the
-simulation) and never feed simulation state or artifacts.
+simulation) and never feed simulation state or artifacts; so is
+:func:`gc_activity`, the cyclic collector's share of a run.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import time
@@ -37,6 +39,7 @@ __all__ = [
     "SpanRecorder",
     "append_span_record",
     "chrome_trace_document",
+    "gc_activity",
     "read_span_records",
     "span_record",
     "spans_path",
@@ -113,6 +116,27 @@ class SpanRecorder:
 
 #: The process-global recorder the runner's phases report into.
 SPANS = SpanRecorder()
+
+
+@contextmanager
+def gc_activity() -> Iterator[dict]:
+    """``{"collections": [g0, g1, g2], "seconds": s}``: the cyclic
+    collector's passes while the block runs (via ``gc.callbacks``)."""
+    activity = {"collections": [0, 0, 0], "seconds": 0.0}
+    started: list[float] = []
+
+    def observe(phase: str, info: dict) -> None:
+        if phase == "start":
+            started.append(time.perf_counter())
+        elif started:
+            activity["collections"][info["generation"]] += 1
+            activity["seconds"] += time.perf_counter() - started.pop()
+
+    gc.callbacks.append(observe)
+    try:
+        yield activity
+    finally:
+        gc.callbacks.remove(observe)
 
 
 # -- queue-side span log ---------------------------------------------------

@@ -7,8 +7,8 @@ This subpackage replaces the paper's use of ns-2.  It provides:
   pluggable schedulers, finite buffers, and an optional preemptive mode,
 * :mod:`repro.sim.node` — hosts (with transport agents) and routers,
 * :mod:`repro.sim.network` — topology container, routing, ``tmin`` algebra,
-* :mod:`repro.sim.tracer` — per-packet records (arrival, exit, per-hop waits
-  and transmit times) that the replay engine and all metrics consume.
+* :mod:`repro.sim.tracer` — the packet table (arrival, exit, path, per-hop
+  waits and transmit times) that the replay engine and all metrics consume.
 """
 
 from repro.sim.engine import ENGINE_PERF, Engine, EnginePerf, EventHandle

@@ -32,20 +32,27 @@ snapshot.
 
 The payload is a pickle, not JSON: a snapshot is a live object graph
 (bound-method callbacks in the heap must reattach to their restored
-owners), which pickle's memo handles and JSON cannot.  Checkpoints are
-therefore *local build artifacts* with the same trust model as any other
-build cache — the hash detects corruption, not tampering.  Unlike the
-schedule store there is deliberately no parse memo: every consumer must
-get a *fresh* unpickled graph, because branching mutates the network.
+owners), which pickle's memo handles and JSON cannot.  The hash detects
+corruption, not tampering (it sits in the same file), so the payload is
+read by :func:`unpickle_payload`: it resolves only the simulation's own
+classes, their plain methods and the few stdlib types its state pickles
+to, and refuses any other global as it meets it.  What a payload can
+build and call is thus simulation code, which computes and touches no
+file a payload chooses.
+Unlike the schedule store there is deliberately no parse memo: every
+consumer must get a *fresh* unpickled graph, because branching mutates
+the network.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import pickle
+import types
 from pathlib import Path
-from typing import TYPE_CHECKING, ContextManager
+from typing import TYPE_CHECKING, Any, ContextManager
 
 from repro.core.packet import packet_id_counter, set_packet_id_counter
 from repro.core.store import ContentStore
@@ -68,12 +75,86 @@ __all__ = [
 ]
 
 #: On-disk format name and version, written into every header and checked
-#: on load; bump the version when the payload encoding changes shape (3:
-#: heap entries carry ``born``, ports ``_free_at``), or the resume
-#: session's anchor numbering does (2: per-packet data travels by value)
-#: — another walk's index would graft onto the wrong object.
+#: on load; bump the version when the payload encoding changes shape (4:
+#: the tracer is a table of columns; 3: heap entries carry ``born``, ports
+#: ``_free_at``), or the resume session's anchor numbering does (2:
+#: per-packet data travels by value) — another walk's index would graft
+#: onto the wrong object.
 CHECKPOINT_FORMAT = "repro-checkpoint"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
+
+#: The modules whose classes a simulation's state pickles to: the network
+#: graph, schedulers, transports with their flows and slack policies, and
+#: the telemetry that can ride along.  None of them opens a file, starts a
+#: process or touches a socket (``tests/sim/test_checkpoint.py`` checks
+#: their imports), so building their objects and calling their methods
+#: only computes.  The one way from them to disk is ``Network.run`` handing
+#: a phase to an active resume session, which writes its own snapshots.
+_STATE_MODULES = frozenset({
+    "repro.core.flow", "repro.core.heuristics", "repro.core.packet",
+    "repro.obs.flight", "repro.obs.hub", "repro.sim.aqm", "repro.sim.engine",
+    "repro.sim.link", "repro.sim.network", "repro.sim.node", "repro.sim.port",
+    "repro.sim.tracer",
+})
+_STATE_PACKAGES = ("repro.schedulers.", "repro.transport.")
+
+#: The other globals a payload may name: how a resume snapshot points at
+#: an object of the live run, and what FIFO queues, DRR's flow table and
+#: seeded RNGs pickle to.
+_OTHER_GLOBALS = frozenset({
+    ("repro.sim.resume", "_load_anchor"),
+    ("collections", "deque"), ("collections", "OrderedDict"),
+    ("random", "Random"),
+})
+
+
+def _is_state_module(module: str) -> bool:
+    return module in _STATE_MODULES or module.startswith(_STATE_PACKAGES)
+
+
+def _bound_method(owner: object, name: str) -> Any:
+    """What ``builtins.getattr`` means in a payload — how pickle rebuilds
+    a bound method: a plain method of a simulation class, never a dunder.
+    It is looked up on the class, so no property or ``__getattr__`` runs."""
+    cls = type(owner)
+    found = None
+    if _is_state_module(cls.__module__) and not name.startswith("__"):
+        found = next((vars(k)[name] for k in cls.__mro__ if name in vars(k)), None)
+    if not (isinstance(found, types.FunctionType)
+            and _is_state_module(found.__module__)):
+        raise CheckpointError(
+            f"checkpoint payload reaches for {cls.__qualname__}.{name}, "
+            f"which is not a simulation method"
+        )
+    return types.MethodType(found, owner)
+
+
+class _Unpickler(pickle.Unpickler):  # repro: allow(PERF-SLOTS) one per payload, never per packet
+    """Resolves the classes of :data:`_STATE_MODULES`,
+    :data:`_OTHER_GLOBALS` and a guarded ``getattr``; any other global is
+    a :class:`CheckpointError`, raised as the unpickler meets the name,
+    before anything can call it."""
+
+    def find_class(self, module: str, name: str) -> Any:
+        if (module, name) == ("builtins", "getattr"):
+            return _bound_method
+        if (module, name) in _OTHER_GLOBALS:
+            return super().find_class(module, name)
+        if (_is_state_module(module) and name.isidentifier()
+                and not name.startswith("__")):
+            found = super().find_class(module, name)
+            if isinstance(found, type) and _is_state_module(found.__module__):
+                return found
+        raise CheckpointError(
+            f"checkpoint payload names {module}.{name}, which no simulation "
+            f"state pickles to"
+        )
+
+
+def unpickle_payload(payload: bytes) -> Any:
+    """Unpickle a checkpoint payload through the allowlist (see the
+    module docstring); a refused global raises :class:`CheckpointError`."""
+    return _Unpickler(io.BytesIO(payload)).load()
 
 
 class Snapshot:
@@ -228,7 +309,7 @@ def snapshot_from_bytes(
     """Parse bytes written by :func:`snapshot_to_bytes`; verify, unpickle."""
     header, payload = split_checkpoint(data, where, verify)
     try:
-        network = pickle.loads(payload)
+        network = unpickle_payload(payload)
     except Exception as exc:  # pickle raises a menagerie; fold it into ours
         raise CheckpointError(f"{where} payload failed to unpickle: {exc}") from exc
     return Snapshot(
@@ -294,6 +375,11 @@ class CheckpointStore(ContentStore):
         leaks into the calling leg's deterministic event count — the
         restore credit is the only way its events reach the accumulator."""
         return ENGINE_PERF.paused()
+
+    def release(self, snapshot: Snapshot) -> None:
+        """The builder's graph is never branched from (a consumer gets a
+        fresh unpickle): release its network."""
+        snapshot.network.release()
 
 
 def active_checkpoint_store() -> CheckpointStore | None:

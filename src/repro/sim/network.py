@@ -135,7 +135,7 @@ class Network:
         Used by the theoretical replay mode (§2.1 allows the candidate UPS
         to preempt).  Must be called before any packet is injected.
         """
-        if self.tracer.records:
+        if len(self.tracer):
             raise ConfigurationError("cannot switch to preemptive ports mid-run")
         for name in sorted(self.nodes):
             node = self.nodes[name]
@@ -285,6 +285,22 @@ class Network:
         if self.obs is not None:
             self.obs.ensure_sampling(self)
         self.engine.run(until=until)
+
+    def release(self) -> None:
+        """Let go of a network that has been read: empty its packet table.
+
+        A dropped network is freed only by a full cyclic collection, which
+        its table (few objects, many bytes) does little to bring on, so
+        code that builds a network and drops it releases it first —
+        usually as ``with network:``, which releases on exit.
+        """
+        self.tracer.clear()
+
+    def __enter__(self) -> "Network":
+        return self
+
+    def __exit__(self, *_exc: object) -> None:
+        self.release()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

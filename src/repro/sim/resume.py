@@ -40,7 +40,7 @@ state)``.  The retry runs the same walk over *its* freshly built graph,
 so unpickling resolves each index to the retry's live object and grafts
 the snapshot's state onto it — identities the driver holds are
 preserved, state is the killed attempt's.  Per-packet data (packets and
-their trace records) and objects created mid-phase (new timer handles)
+the tracer's columns) and objects created mid-phase (new timer handles)
 have no anchor and travel by value, as in any pickle.
 
 Snapshot keys are ``resume-<run_id>-p<phase>-<fp>-n<index>``: the run id
@@ -80,9 +80,10 @@ from repro.sim.checkpoint import (
     snapshot_network,
     snapshot_to_bytes,
     split_checkpoint,
+    unpickle_payload,
 )
 from repro.sim.engine import ENGINE_PERF, Engine
-from repro.sim.tracer import PacketRecord, Tracer
+from repro.sim.tracer import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.network import Network
@@ -217,15 +218,15 @@ _LEAF, _DICT, _SEQUENCE, _OBJECT = range(4)
 #: Types the walk skips.  Scalars, and what pickles by reference
 #: (callables, classes, modules), can never anchor.  Sets iterate in
 #: hash-seed order, which differs across processes, so anything reachable
-#: only through one travels by value.  So does per-packet data: packets
-#: and their records are reachable only through plain containers
-#: (``Tracer.records``, heap entries, scheduler queues) that already
-#: travel by value, so anchoring them would preserve no identity a driver
-#: can observe — and would cost O(packets ever sent) at every phase entry.
+#: only through one travels by value.  So do packets: they are reachable
+#: only through plain containers (heap entries, scheduler queues) that
+#: already travel by value, so anchoring them would preserve no identity a
+#: driver can observe — and would cost O(packets in flight) at every phase
+#: entry.  (The tracer's table is columns of scalars, never walked.)
 _BY_VALUE = (
     str, bytes, bytearray, int, float, complex, type(None),
     type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType,
-    types.MethodType, set, frozenset, Packet, PacketRecord,
+    types.MethodType, set, frozenset, Packet,
 )
 
 
@@ -488,7 +489,7 @@ class ResumeSession:
             # mutated, so a failure is fatal, not a heal-to-scratch.
             _RESTORE_ANCHORS = self._anchors
             try:
-                restored = pickle.loads(payload)
+                restored = unpickle_payload(payload)
             except Exception as exc:
                 raise CheckpointError(
                     f"resume snapshot {key} failed while restoring into the "

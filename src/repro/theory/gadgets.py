@@ -124,7 +124,8 @@ class Gadget:
                 pid=self._pids[spec.name],
             )
             network.inject_at(spec.ingress_time, packet)
-        return record_schedule(network, description=self.name)
+        with network:
+            return record_schedule(network, description=self.name)
 
     # --- replay -------------------------------------------------------------
 

@@ -15,6 +15,8 @@ from repro.core.replay import (
     replay_schedule,
 )
 from repro.errors import ReplayError
+from repro.experiments.replayability import ReplayScenario, build_recorded_schedule
+from repro.scenarios import build_scenario_network
 from repro.topology.simple import build_dumbbell, build_single_switch
 from repro.transport.udp import install_udp_flows
 from repro.workload.distributions import BoundedPareto
@@ -122,6 +124,58 @@ class TestReplay:
         for mode in REPLAY_MODES:
             result = replay_schedule(schedule, make, mode=mode)
             assert result.num_packets == len(schedule)
+
+    def test_a_schedule_faster_than_the_replay_topology_is_not_viable(self):
+        """Recorded on i2-1g-10g, replayed where every link is half as
+        fast: the routes match, but many o(p) now lie below i(p) + tmin.
+        True targets are refused, not clamped and reported overdue;
+        degraded ones (§5) are still clamped to zero slack."""
+        scenario = ReplayScenario(name="viability", duration=0.02, seed=1)
+        schedule = build_recorded_schedule(scenario)
+        slower = functools.partial(build_scenario_network, scenario.scenario,
+                                   scenario.bandwidth_scale / 2)
+        for mode in ("lstf", "edf", "lstf-preemptive"):
+            with pytest.raises(ReplayError, match="not viable"):
+                replay_schedule(schedule, slower, mode=mode)
+        degraded = replay_schedule(schedule, slower, mode="lstf",
+                                   output_time_fn=lambda rec: rec.ingress_time)
+        assert degraded.num_packets == len(schedule)
+        on_its_own = replay_schedule(schedule, scenario.network, mode="lstf")
+        assert on_its_own.num_packets == len(schedule)
+
+
+class TestJudge:
+    """Replayed packets are matched to schedule rows by pid, whatever else
+    the replay network carries."""
+
+    def test_traffic_outside_the_schedule_is_not_judged(self):
+        net, make = _loaded_dumbbell(duration=0.01)
+        schedule = record_schedule(net)
+        last_exit = float(schedule.output.max())
+
+        def busier():
+            network = make()
+            install_udp_flows(network, [Flow(fid=999, src="s_0", dst="d_1",
+                                             size=20_000, start=last_exit + 1.0)])
+            return network
+
+        plain = replay_schedule(schedule, make, mode="lstf")
+        padded = replay_schedule(schedule, busier, mode="lstf")
+        assert np.array_equal(padded.lateness, plain.lateness)
+        assert np.array_equal(padded.queueing_delay_ratios(),
+                              plain.queueing_delay_ratios())
+
+    def test_an_untraced_replay_loses_every_packet(self):
+        net, make = _loaded_dumbbell(duration=0.01)
+        schedule = record_schedule(net)
+
+        def untraced():
+            network = make()
+            network.tracer.enabled = False
+            return network
+
+        with pytest.raises(ReplayError, match=f"lost {len(schedule)} packets"):
+            replay_schedule(schedule, untraced, mode="lstf")
 
 
 class TestReplayResultMetrics:

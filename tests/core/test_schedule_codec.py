@@ -10,14 +10,17 @@ Three contracts of :class:`~repro.core.trace_io.ScheduleStore`'s codec:
   header counts, a foreign file — is a ``ReplayError`` inside the codec,
   a miss at ``ScheduleStore.get`` and one healing ``put`` through
   ``get_or_build``; never another exception, never a schedule;
-* the portable JSON trace did not move: ``canonical_json()`` is still
-  the key-sorted text and its SHA-256 on a fixture is written below.
+* the portable JSON trace did not move: ``canonical_json()`` — formatted
+  straight from the columns — is still the key-sorted ``json.dumps`` text
+  and its SHA-256 on a fixture is written below; a time JSON cannot
+  carry is refused, never written as ``NaN``/``Infinity``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 import zlib
 
@@ -30,10 +33,10 @@ from repro.core.replay import RecordedPacket, RecordedSchedule
 from repro.core.trace_io import ScheduleStore, load_schedule, save_schedule
 from repro.errors import ReplayError
 
-_floats = st.one_of(
-    st.floats(allow_nan=False),
-    st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e308]),
-)
+_EDGES = [-0.0, 5e-324, 2.2250738585072014e-308, 1e308]
+_floats = st.one_of(st.floats(allow_nan=False), st.sampled_from(_EDGES))
+_finite = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from(_EDGES))
 _ints = st.one_of(
     st.integers(-(2**63), 2**63 - 1),
     st.sampled_from([2**63 - 1, -(2**63), 0]),
@@ -41,30 +44,34 @@ _ints = st.one_of(
 
 
 @st.composite
-def packets(draw, nodes):
+def packets(draw, nodes, floats):
     path = tuple(draw(st.lists(st.sampled_from(nodes), min_size=2, max_size=12)))
-    hops = st.lists(_floats, min_size=len(path) - 1, max_size=len(path) - 1)
+    hops = st.lists(floats, min_size=len(path) - 1, max_size=len(path) - 1)
     return RecordedPacket(
         draw(_ints), draw(_ints), draw(_ints), draw(_ints), path[0], path[-1],
-        draw(_floats), draw(_floats), path, tuple(draw(hops)), tuple(draw(hops)),
+        draw(floats), draw(floats), path, tuple(draw(hops)), tuple(draw(hops)),
     )
 
 
 @st.composite
-def schedules(draw):
+def schedules(draw, floats=_floats):
     nodes = draw(st.lists(st.text(max_size=6), min_size=1, max_size=12,
                           unique=True))
     return RecordedSchedule(
-        draw(st.lists(packets(nodes), min_size=1, max_size=8)),
-        threshold=draw(_floats), description=draw(st.text(max_size=20)),
+        draw(st.lists(packets(nodes, floats), min_size=1, max_size=8)),
+        threshold=draw(floats), description=draw(st.text(max_size=20)),
     )
 
 
-def _fixture() -> RecordedSchedule:
+def _fixture(**first) -> RecordedSchedule:
+    """Two packets; ``first`` overrides fields of the first one."""
+    head = RecordedPacket(7, 1, 3000, 1500, "hé", "z", 0.0, 0.00375,
+                          ("hé", "r1", "z"), (0.0, 0.0015), (0.0, 2.5e-4))
+    for field, value in first.items():
+        setattr(head, field, value)
     return RecordedSchedule(
         [
-            RecordedPacket(7, 1, 3000, 1500, "hé", "z", 0.0, 0.00375,
-                           ("hé", "r1", "z"), (0.0, 0.0015), (0.0, 2.5e-4)),
+            head,
             RecordedPacket(8, 1, 3000, 1500, "a", "z", -0.0, 1e308,
                            ("a", "r1", "r2", "z"), (5e-324, 0.1, 0.2),
                            (0.0, 0.0, 1e-9)),
@@ -102,9 +109,8 @@ def test_unpack_of_pack_is_the_schedule(schedule):
     data = pack(schedule)
     assert pack(schedule) == data  # byte-deterministic
     back = unpack(data)
-    # canonical_json tells -0.0 from 0.0 and 1 from 1.0; the rows tell
-    # tuples from lists
-    assert back.canonical_json() == schedule.canonical_json()
+    # repr tells -0.0 from 0.0, 1 from 1.0 and tuples from lists (and,
+    # unlike canonical_json, carries infinities)
     assert _rows(back) == _rows(schedule)
     assert repr(_rows(back)) == repr(_rows(schedule))
     assert (back.threshold, back.description) == (
@@ -135,11 +141,11 @@ def test_pack_ignores_how_the_schedule_was_built():
 ])
 def test_put_refuses_what_the_layout_cannot_give_back(
         tmp_path, field, value, message):
-    schedule = _fixture()
-    setattr(schedule.packets[0], field, value)
+    """A schedule holds only what its columns give back exactly, so what
+    the layout cannot carry never gets as far as the store."""
     store = ScheduleStore(tmp_path)
     with pytest.raises(ReplayError, match=message):
-        store.put("k", schedule)
+        store.put("k", _fixture(**{field: value}))
     assert store.keys() == []  # nothing half-written, nothing memoised
     assert store.get("k") is None
 
@@ -190,6 +196,10 @@ def _damaged_entries(data: bytes) -> dict[str, bytes]:
         "packets-not-a-count": {"packets": "many"},
         "nodes-too-few": {"nodes": header["nodes"][:1]},
         "nodes-not-a-table": {"nodes": 7},
+        # still indexable, but not the table encode writes: names would
+        # silently swap, or a name no path uses would ride along
+        "nodes-unsorted": {"nodes": header["nodes"][::-1]},
+        "nodes-unused-name": {"nodes": [*header["nodes"], "~unused"]},
     }.items():
         doctored = json.dumps({**header, **change}).encode()
         damaged[f"header:{name}"] = _resealed(data, doctored, columns)
@@ -231,13 +241,41 @@ def test_every_damaged_entry_is_a_replay_error_a_miss_and_heals(tmp_path):
 
 
 @settings(max_examples=100, deadline=None)
-@given(schedule=schedules())
+@given(schedule=schedules(_finite))
 def test_canonical_json_is_still_the_key_sorted_text(schedule):
     assert schedule.canonical_json() == json.dumps(
         schedule.to_dict(), sort_keys=True, separators=(",", ":"))
     assert list(schedule.to_dict()) == sorted(schedule.to_dict())
     row = schedule.packets[0].to_dict()
     assert list(row) == sorted(row)
+
+
+@settings(max_examples=200, deadline=None)
+@given(schedule=schedules(_finite))
+def test_column_formatted_json_is_json_dumps_of_the_document(schedule):
+    """The fast writer against the reference one: −0.0, subnormals,
+    1e308, the int64 bounds and unicode names included (and ASCII-escaped
+    exactly as ``json`` escapes them)."""
+    reference = json.dumps(schedule.to_dict(), separators=(",", ":"))
+    assert schedule.canonical_json() == reference
+    assert schedule.content_hash() == hashlib.sha256(reference.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("where", ["ingress_time", "output_time", "hop_tx",
+                                   "hop_waits", "threshold"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_canonical_json_refuses_a_time_json_cannot_carry(tmp_path, where, value):
+    if where == "threshold":
+        schedule = _fixture()
+        schedule.threshold = value
+    elif where.startswith("hop_"):
+        schedule = _fixture(**{where: (0.0, value)})
+    else:
+        schedule = _fixture(**{where: value})
+    with pytest.raises(ReplayError, match="not finite"):
+        schedule.canonical_json()
+    with pytest.raises(ReplayError, match="not finite"):
+        save_schedule(schedule, tmp_path / "trace.json")
 
 
 def test_fixture_hashes_are_the_parents(tmp_path):

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.core.slack import initialize_replay_slack, replay_slack
+from repro.core.slack import replay_headers
 from repro.errors import ReplayError
 from repro.sim.network import Network
 from repro.units import MBPS
@@ -23,39 +24,51 @@ def _chain():
     return net
 
 
+def _headers(net, ingress_time, output_time, degraded=False):
+    """One 1000 B a->b packet's ``(slack, deadline)``."""
+    slack, deadline = replay_headers(
+        np.array([ingress_time]), np.array([output_time]),
+        np.array([net.tmin("a", "b", 1000)]), degraded=degraded)
+    return float(slack[0]), float(deadline[0])
+
+
 def test_replay_slack_is_output_minus_input_minus_tmin():
     net = _chain()
     tmin = net.tmin("a", "b", 1000)
     assert tmin == pytest.approx(0.008)
-    slack = replay_slack(net, 1000, "a", "b", ingress_time=1.0, output_time=1.020)
+    slack, _ = _headers(net, ingress_time=1.0, output_time=1.020)
     assert slack == pytest.approx(0.020 - tmin)
 
 
 def test_zero_slack_for_uncongested_target():
     net = _chain()
     tmin = net.tmin("a", "b", 1000)
-    assert replay_slack(net, 1000, "a", "b", 0.0, tmin) == pytest.approx(0.0)
+    assert _headers(net, 0.0, tmin)[0] == pytest.approx(0.0)
 
 
 def test_unviable_target_rejected():
     net = _chain()
-    with pytest.raises(ReplayError):
-        replay_slack(net, 1000, "a", "b", ingress_time=0.0, output_time=0.001)
+    with pytest.raises(ReplayError, match="not viable"):
+        _headers(net, ingress_time=0.0, output_time=0.001)
+
+
+def test_a_degraded_unviable_target_is_clamped_to_zero_slack():
+    net = _chain()
+    tmin = net.tmin("a", "b", 1000)
+    assert _headers(net, 0.0, 0.001, degraded=True) == (0.0, tmin)
 
 
 def test_float_jitter_clamped_to_zero():
     net = _chain()
     tmin = net.tmin("a", "b", 1000)
-    slack = replay_slack(net, 1000, "a", "b", 0.0, tmin - 1e-12)
-    assert slack == 0.0
+    assert _headers(net, 0.0, tmin - 1e-12) == (0.0, tmin)
 
 
-def test_initialize_replay_slack_stamps_header():
+def test_the_deadline_is_the_target_output_time():
     net = _chain()
-    p = make_packet(src="a", dst="b", size=1000, created=0.5)
-    initialize_replay_slack(p, net, output_time=0.520)
-    assert p.slack == pytest.approx(0.020 - net.tmin("a", "b", 1000))
-    assert p.deadline == 0.520
+    slack, deadline = _headers(net, 0.5, 0.520)
+    assert slack == pytest.approx(0.020 - net.tmin("a", "b", 1000))
+    assert deadline == 0.520
 
 
 def test_slack_conservation_end_to_end():

@@ -8,6 +8,8 @@ directional claims (who wins, what converges).
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,8 @@ from repro.experiments.replayability import (
 )
 from repro.experiments.tail import run_tail_experiment
 from repro.scenarios import get_scenario
+from repro.sim.tracer import Tracer
+from tests.api.test_registry import TINY as REGISTRY_TINY
 
 TINY = dict(duration=0.08, seed=1)
 
@@ -214,3 +218,22 @@ class TestFairness:
         t_rough = results["lstf@0.01"].time_to_reach(0.9)
         assert t_good is not None and t_rough is not None
         assert t_good <= t_rough + 1e-9
+
+
+@pytest.mark.parametrize("stored", [False, True], ids=["in-memory", "stored"])
+@pytest.mark.parametrize("name", sorted(REGISTRY_TINY))
+def test_a_run_leaves_no_traced_network_behind(name, stored, tmp_path):
+    """A dropped network lives until a full cyclic collection, which a
+    packet table (few objects, many bytes) does little to bring on: every
+    network a run builds, for the store too, is released with its table
+    emptied, so none is left for the collector to find."""
+    gc.collect()
+    gc.disable()
+    try:
+        run(ExperimentSpec(experiment=name, **REGISTRY_TINY[name]),
+            out_dir=str(tmp_path) if stored else None)
+        left = [obj for obj in gc.get_objects()
+                if isinstance(obj, Tracer) and len(obj)]
+    finally:
+        gc.enable()
+    assert left == []

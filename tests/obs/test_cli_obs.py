@@ -53,6 +53,20 @@ def test_profile_json_payload_and_trace_export(tmp_path, capsys):
     assert any(e["name"] == "simulate" for e in doc["traceEvents"])
 
 
+def test_profile_reports_the_garbage_collector(capsys):
+    """Collections per generation and their seconds, as text and JSON."""
+    argv = ["profile", "table1", "--rows", "0", "--duration", "0.04"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "garbage collector:" in out and "generation" in out
+    assert main([*argv, "--json"]) == 0
+    gc = json.loads(capsys.readouterr().out)["gc"]
+    assert len(gc["collections"]) == 3
+    assert all(isinstance(n, int) and n >= 0 for n in gc["collections"])
+    assert gc["collections"][0] > 0  # a recording and a replay allocate
+    assert gc["seconds"] >= 0.0
+
+
 def test_profile_rejects_bad_rows(capsys):
     assert main(["profile", "fig2", "--rows", "99",
                  "--duration", "0.02"]) == 2

@@ -130,9 +130,9 @@ def test_pheap_scheduler_end_to_end_matches_lstf():
     """Full replay with the p-heap backend produces identical lateness."""
     import functools
 
-    from repro.core.replay import record_schedule, replay_schedule
+    from repro.core.replay import record_schedule
     from repro.core.packet import Packet
-    from repro.core.slack import initialize_replay_slack
+    from repro.core.slack import replay_headers
     from repro.schedulers.lstf import LstfScheduler
     from repro.topology.simple import build_dumbbell
     from repro.transport.udp import install_udp_flows
@@ -152,10 +152,13 @@ def test_pheap_scheduler_end_to_end_matches_lstf():
     def run(scheduler_factory):
         replay_net = make()
         replay_net.install_uniform(scheduler_factory)
-        for rec in schedule.packets:
+        tmin = np.array([replay_net.tmin(r.src, r.dst, r.size)
+                         for r in schedule.packets])
+        slack, deadline = replay_headers(schedule.ingress, schedule.output, tmin)
+        for rec, s, d in zip(schedule.packets, slack.tolist(), deadline.tolist()):
             p = Packet(flow_id=rec.flow_id, size=rec.size, src=rec.src,
                        dst=rec.dst, created=rec.ingress_time, pid=rec.pid)
-            initialize_replay_slack(p, replay_net, rec.output_time)
+            p.slack, p.deadline = s, d
             replay_net.inject_at(rec.ingress_time, p)
         replay_net.run()
         return {r.pid: r.exit for r in replay_net.tracer.delivered_records()}

@@ -16,17 +16,27 @@ own ``checkpoint()``/``restore()`` hooks:
 
 from __future__ import annotations
 
+import ast
+import importlib.util
+import os
 import pickle
+import pkgutil
 from functools import partial
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core.packet import packet_id_counter, set_packet_id_counter
+from repro.core.store import ContentStore
 from repro.errors import CheckpointError
 from repro.sim.checkpoint import (
+    _STATE_MODULES,
     CHECKPOINT_VERSION,
     CheckpointStore,
     Snapshot,
+    _bound_method,
+    _is_state_module,
     active_checkpoint_store,
     load_checkpoint,
     restore_snapshot,
@@ -34,12 +44,38 @@ from repro.sim.checkpoint import (
     snapshot_from_bytes,
     snapshot_network,
     snapshot_to_bytes,
+    unpickle_payload,
     use_checkpoint_store,
 )
 from repro.sim.engine import ENGINE_PERF, Engine
 from repro.sim.network import Network
+from repro.sim.tracer import Tracer, group_log
 from repro.units import MBPS
 from tests.store_contract import StoreContract
+
+#: What a module that only computes never imports or calls.
+_IO_NAMES = frozenset({
+    "os", "io", "pathlib", "shutil", "subprocess", "socket", "tempfile",
+    "pickle", "importlib", "ctypes", "multiprocessing", "sys",
+    "open", "exec", "eval", "compile", "__import__",
+})
+
+
+class _Call:
+    """Pickles as ``fn(*args)``: how a hostile payload calls things."""
+
+    def __init__(self, fn, *args) -> None:
+        self.fn, self.args = fn, args
+
+    def __reduce__(self):
+        return self.fn, self.args
+
+    def __call__(self):  # pragma: no cover - pickle only checks it exists
+        raise AssertionError("a payload is built, never run, here")
+
+
+def _hostile(fn, *args) -> bytes:
+    return pickle.dumps(_Call(fn, *args), protocol=pickle.HIGHEST_PROTOCOL)
 
 
 def _fire_log_engine() -> tuple[Engine, list]:
@@ -201,6 +237,82 @@ class TestFormatVerification:
         with pytest.raises(CheckpointError, match="cannot read"):
             load_checkpoint(tmp_path / "absent.ckpt")
 
+    @pytest.mark.parametrize("payload,named", [
+        (_hostile(os.system, "true"), "posix.system"),
+        (_hostile(eval, "1+1"), "builtins.eval"),
+        (b"crepro.core.store\nos\n.", "repro.core.store.os"),
+        (b"crepro.sim.tracer\nnp\n.", "repro.sim.tracer.np"),
+        (b"crepro.sim.network\n__builtins__\n.", "__builtins__"),
+        (_hostile(unpickle_payload, b"."), "repro.sim.checkpoint.unpickle_payload"),
+        (_hostile(group_log, [0], 1), "repro.sim.tracer.group_log"),
+        (_hostile(ContentStore, "store"), "repro.core.store.ContentStore"),
+        (_hostile(getattr, _Call(Network), "__init__"), r"Network\.__init__"),
+        (_hostile(getattr, _Call(Network), "engine"), r"Network\.engine"),
+        (_hostile(getattr, Network, "run"), r"type\.run"),
+    ], ids=["os.system", "eval", "store.os", "tracer.np", "__builtins__",
+            "unpickle_payload", "group_log", "ContentStore", "dunder",
+            "attribute", "class-method"])
+    def test_only_simulation_state_unpickles(self, payload, named):
+        """Simulation classes and their plain methods, FIFO deques, DRR's
+        ordered dict and seeded RNGs; never a function, a module, another
+        ``repro`` class, an attribute or a dunder."""
+        data = snapshot_to_bytes(snapshot_network(_tiny_network()), payload)
+        with pytest.raises(CheckpointError, match=named):
+            snapshot_from_bytes(data)
+        with pytest.raises(CheckpointError):
+            unpickle_payload(payload)
+
+    def test_a_simulation_method_unpickles_bound_to_its_owner(self):
+        method = unpickle_payload(pickle.dumps(Tracer().clear))
+        assert isinstance(method.__self__, Tracer)
+        assert method.__func__ is Tracer.clear
+
+    def test_a_chain_to_the_file_system_is_refused_before_it_writes(
+            self, tmp_path):
+        """``ContentStore(dir).root.joinpath(name).write_text(...)``, and
+        the store's own ``put`` and ``prune``: refused at the first name,
+        with nothing written."""
+        store = _Call(ContentStore, str(tmp_path / "store"))
+        target = _Call(_Call(getattr, _Call(getattr, store, "root"),
+                             "joinpath"), "pwned")
+        for payload in (
+            _hostile(_Call(getattr, target, "write_text"), "owned"),
+            _hostile(_Call(getattr, store, "put"), "k", b"owned"),
+            _hostile(_Call(getattr, store, "prune"), []),
+        ):
+            with pytest.raises(CheckpointError, match="ContentStore"):
+                unpickle_payload(payload)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_store_method_is_not_a_simulation_method(self, tmp_path):
+        for store in (ContentStore(tmp_path / "a"), CheckpointStore(tmp_path / "b")):
+            store.put_bytes("k", b"kept")
+            before = sorted(store.root.iterdir())
+            for name in ("put", "put_bytes", "prune", "root"):
+                with pytest.raises(CheckpointError, match=f"Store.{name}"):
+                    _bound_method(store, name)
+            assert sorted(store.root.iterdir()) == before
+            assert store.path("k").read_bytes() == b"kept"
+
+    def test_what_a_payload_can_build_only_computes(self):
+        """No module whose classes a payload may build imports an I/O
+        library or calls ``open``/``exec``/``eval``."""
+        names = [m.name for m in pkgutil.walk_packages(repro.__path__, "repro.")]
+        state = [name for name in names if _is_state_module(name)]
+        assert set(_STATE_MODULES) < set(state)
+        for name in state:
+            tree = ast.parse(Path(importlib.util.find_spec(name).origin).read_text())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    used = {alias.name.split(".")[0] for alias in node.names}
+                elif isinstance(node, ast.ImportFrom):
+                    used = {(node.module or "").split(".")[0]}
+                elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                    used = {node.func.id}
+                else:
+                    continue
+                assert not used & _IO_NAMES, (name, node.lineno, used)
+
 
 class TestCheckpointStore(StoreContract):
     """The store contract over the checkpoint codec, plus what is
@@ -236,21 +348,55 @@ class TestCheckpointStore(StoreContract):
         assert store.readable("k")
         assert store.get("k") is None
 
-    def test_version_2_entry_reads_as_a_miss_and_is_rebuilt(self, tmp_path):
-        """A warm-up cached by the two-events-per-hop build (v2: 4-tuple
-        heap entries, ``Port.busy``) must never be branched from."""
+    def _relabelled_entry_is_a_miss_and_heals(self, tmp_path, version):
         store = CheckpointStore(tmp_path)
         store.get_or_build("k", self.value)
         path = store.path("k")
         head, _, payload = path.read_bytes().partition(b"\n")
-        assert b'"version": 3' in head
-        path.write_bytes(head.replace(b'"version": 3', b'"version": 2')
+        current = f'"version": {CHECKPOINT_VERSION}'.encode()
+        assert current in head
+        path.write_bytes(head.replace(current, f'"version": {version}'.encode())
                          + b"\n" + payload)
         assert not store.readable("k") and store.get("k") is None
         rebuilt = store.get_or_build("k", self.value)
         assert self.fingerprint(rebuilt) == self.fingerprint(self.value())
         assert store.readable("k")
         assert [op for op, _ in store.log_entries()].count("put") == 2
+
+    def test_version_2_entry_reads_as_a_miss_and_is_rebuilt(self, tmp_path):
+        """A warm-up cached by the two-events-per-hop build (v2: 4-tuple
+        heap entries, ``Port.busy``) must never be branched from."""
+        self._relabelled_entry_is_a_miss_and_heals(tmp_path, 2)
+
+    def test_version_3_entry_reads_as_a_miss_and_is_rebuilt(self, tmp_path):
+        """Nor one cached while the tracer built an object per packet
+        (v3); version 4 pickles the tracer's table of columns."""
+        assert CHECKPOINT_VERSION == 4
+        self._relabelled_entry_is_a_miss_and_heals(tmp_path, 3)
+
+    @pytest.mark.parametrize("via", ["os.system", "ContentStore"])
+    def test_a_payload_naming_a_foreign_global_is_a_miss_and_heals(
+            self, tmp_path, via):
+        """The payload hash lives in the same file, so it proves nothing
+        about who wrote it: a payload that would run a shell command or
+        write a file through a ``repro`` store, re-sealed under a valid
+        header, is refused before it runs."""
+        store = CheckpointStore(tmp_path / "store")
+        marker = tmp_path / "ran"
+        if via == "os.system":
+            payload = _hostile(os.system, f"touch {marker}")
+        else:
+            write = _Call(getattr, _Call(getattr, _Call(ContentStore, str(tmp_path)),
+                                         "root"), "joinpath")
+            payload = _hostile(_Call(getattr, _Call(write, "ran"), "write_text"), "")
+        store.put_bytes("k", snapshot_to_bytes(self.value(), payload))
+        assert store.readable("k")  # the header and its hash check out
+        assert store.get("k") is None
+        assert not marker.exists()
+        healed = store.get_or_build("k", self.value)
+        assert self.fingerprint(healed) == self.fingerprint(self.value())
+        assert store.get("k") is not None and not marker.exists()
+        assert store.built_keys() == ["k"]
 
     def test_build_never_leaks_into_engine_perf(self, tmp_path):
         store = CheckpointStore(tmp_path)

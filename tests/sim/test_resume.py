@@ -10,9 +10,9 @@ resumed-at-all assertions read.
 
 from __future__ import annotations
 
-import copy
 import json
 import os
+import types
 
 import pytest
 
@@ -22,14 +22,26 @@ from repro.core.flow import Flow
 from repro.core.packet import Packet, reset_packet_ids
 from repro.errors import ConfigurationError
 from repro.experiments.branch import BranchPrefix, build_branch_snapshot
-from repro.sim.checkpoint import CHECKPOINT_VERSION, CheckpointStore
+from repro.sim.checkpoint import (
+    _OTHER_GLOBALS,
+    CHECKPOINT_VERSION,
+    CheckpointStore,
+    _bound_method,
+    _is_state_module,
+)
 from repro.sim.engine import Engine
 from repro.sim.network import Network
-from repro.sim.resume import CheckpointPolicy, ResumeSession, _anchor_walk
+from repro.sim.resume import (
+    CheckpointPolicy,
+    ResumeSession,
+    _anchor_walk,
+    _AnchorPickler,
+)
 from repro.sim.tracer import PacketRecord
 from repro.transport.tcp import TcpStats, install_tcp_flows
 from repro.transport.udp import install_udp_flows
 from repro.units import MBPS
+from tests.api.test_registry import TINY
 
 
 class TestCheckpointPolicyParse:
@@ -263,9 +275,10 @@ def _observable(network: Network, stats: TcpStats) -> dict:
     return {
         "now": network.engine.now,
         "events": network.engine.events_processed,
-        # deep-copied: a record's path/hop lists keep growing as it travels
-        "records": copy.deepcopy(
-            [r.__getstate__() for r in network.tracer.records.values()]),
+        # records are views built on demand: later hops never reach them
+        "records": [(r.pid, r.flow_id, r.size, r.src, r.dst, r.created,
+                     r.exit, r.path, r.hop_tx, r.hop_waits, r.dropped_at)
+                    for r in network.tracer.records.values()],
         "queued": port._queued,
         "acked": sender.highest_acked,
         "starts": dict(stats.start),
@@ -347,3 +360,36 @@ class TestResumeIdentity:
         # either way the trail — stale snapshots included — is retired
         assert {k for op, k in log if op in ("roll", "prune")} >= set(left)
         assert not [key for key in store.keys() if key.startswith("resume-")]
+
+
+@pytest.mark.parametrize("name", sorted(TINY))
+def test_every_experiments_snapshots_unpickle_through_the_allowlist(
+        name, tmp_path, monkeypatch):
+    """Whatever a registered experiment's mid-run state pickles to, the
+    checkpoint allowlist resolves: a class outside its modules would make
+    every resume of that experiment fail."""
+    pickled: dict[int, object] = {}
+    note = _AnchorPickler.reducer_override
+
+    def noting(self, obj):
+        pickled.setdefault(id(obj), obj)
+        return note(self, obj)
+
+    monkeypatch.setattr(_AnchorPickler, "reducer_override", noting)
+    run(ExperimentSpec(experiment=name, **TINY[name]), out_dir=str(tmp_path),
+        checkpoint_policy="200ev")
+    refused = set()
+    for obj in pickled.values():
+        if isinstance(obj, types.MethodType):
+            _bound_method(obj.__self__, obj.__func__.__name__)  # raises if refused
+            continue
+        by_name = isinstance(obj, (type, types.FunctionType,
+                                   types.BuiltinFunctionType))
+        named = obj if by_name else type(obj)
+        where = (named.__module__, named.__qualname__)
+        if not (_is_state_module(where[0]) or where in _OTHER_GLOBALS
+                or where == ("builtins", "getattr")
+                or where[0] == "builtins" and not by_name):
+            refused.add(where)
+    assert name == "gadgets" or pickled, "no snapshot was taken"
+    assert not refused

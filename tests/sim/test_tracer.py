@@ -2,7 +2,14 @@
 
 from __future__ import annotations
 
+import functools
+import operator
+import sys
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.network import Network
 from repro.units import MBPS
@@ -102,3 +109,45 @@ def test_delivered_records_iterates_only_exited():
     delivered = list(net.tracer.delivered_records())
     assert [r.pid for r in delivered] == [p1.pid]
     assert net.tracer.delivered_count() == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(runs=st.lists(st.lists(st.floats(-1e6, 1e6), max_size=12), max_size=20),
+       through_sum=st.booleans())
+def test_segment_sums_add_each_run_the_way_sum_does(runs, through_sum):
+    """The loop it replaces, ``sum(run)``, on any CPython: left to right
+    from zero up to 3.11, compensated from 3.12.  Both of its paths are
+    checked here, the one this interpreter takes and ``sum`` per run."""
+    from repro.sim import tracer as module
+
+    assert module._PLAIN_SUM is (sys.version_info < (3, 12))
+    if module._PLAIN_SUM:
+        assert [sum(run) for run in runs] == [
+            functools.reduce(operator.add, run, 0.0) for run in runs]
+    values = np.array([v for run in runs for v in run], dtype=float)
+    counts = np.array([len(run) for run in runs], dtype=np.int64)
+    plain = module._PLAIN_SUM
+    module._PLAIN_SUM = plain and not through_sum
+    try:
+        sums = module.segment_sums(values, counts).tolist()
+    finally:
+        module._PLAIN_SUM = plain
+    assert sums == [sum(run) for run in runs]
+
+
+def test_columns_agree_with_the_records_view_and_clear_forgets():
+    net = _net()
+    packets = [make_packet() for _ in range(4)]
+    for p in packets:
+        net.inject_at(0.0, p)
+    net.run(until=2.5e-3)  # some delivered, some still queued
+    tracer = net.tracer
+    records = list(tracer.records.values())
+    assert tracer.pid == [p.pid for p in packets]
+    assert [p.trace for p in packets] == [0, 1, 2, 3]
+    assert tracer.delivered_slots().tolist() == [
+        k for k, r in enumerate(records) if r.delivered]
+    assert 0 < tracer.delivered_count() < len(packets)
+    assert tracer.wait_totals().tolist() == [r.total_wait for r in records]
+    tracer.clear()
+    assert len(tracer) == 0 and tracer.drops == 0 and not tracer.records

@@ -45,12 +45,14 @@ def main() -> None:
     for case in (1, 2):
         gadget = blackbox_gadget(case)
         schedule = gadget.record()
-        a = next(p for p in schedule.packets if gadget.packet_name(p.pid) == "a")
-        x = next(p for p in schedule.packets if gadget.packet_name(p.pid) == "x")
+        # The schedule is columns, one row per packet.
+        row = {gadget.packet_name(pid): k for k, pid in enumerate(schedule.pid.tolist())}
+        i, o = schedule.ingress.tolist(), schedule.output.tolist()
+        a, x = row["a"], row["x"]
         lstf = gadget.replay("lstf")
         print(
-            f"case {case}: a=(i={a.ingress_time:g}, o={a.output_time:g}) "
-            f"x=(i={x.ingress_time:g}, o={x.output_time:g})  "
+            f"case {case}: a=(i={i[a]:g}, o={o[a]:g}) "
+            f"x=(i={i[x]:g}, o={o[x]:g})  "
             f"LSTF perfect? {lstf.perfect}"
         )
     print("-> packets a and x look identical to the ingress in both cases,")

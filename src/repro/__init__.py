@@ -95,7 +95,6 @@ from repro.core.heuristics import (
 from repro.core.packet import Packet
 from repro.core.replay import (
     REPLAY_MODES,
-    RecordedPacket,
     RecordedSchedule,
     ReplayResult,
     record_schedule,
@@ -225,7 +224,6 @@ __all__ = [
     "PriorityScheduler",
     "REPLAY_MODES",
     "RandomScheduler",
-    "RecordedPacket",
     "RecordedSchedule",
     "RedAqm",
     "ReplayError",

@@ -468,32 +468,6 @@ class JobQueue:
             for worker, registered_at, lease_expires_at, running in rows
         ]
 
-    def heartbeat(
-        self, job_id: int, worker_id: str, lease_s: float | None = None
-    ) -> bool:
-        """Extend one job's lease; ``False`` means the job is no longer ours.
-
-        The legacy per-job beat (``lease_s`` overrides the default lease);
-        batch workers renew everything at once with
-        :meth:`heartbeat_worker` instead.
-        """
-        lease = self.default_lease_s if lease_s is None else float(lease_s)
-        now = time.time()
-        with closing(self._connect()) as conn:
-            conn.execute("BEGIN IMMEDIATE")
-            cursor = conn.execute(
-                "UPDATE jobs SET lease_expires_at = ?"
-                " WHERE id = ? AND worker = ? AND state = ?",
-                (now + lease, job_id, worker_id, RUNNING),
-            )
-            if cursor.rowcount == 1:
-                self._log_events(
-                    [{"ts": now, "kind": "heartbeat", "worker": worker_id,
-                      "job": job_id}]
-                )
-            conn.execute("COMMIT")
-        return cursor.rowcount == 1
-
     def ack(self, job_id: int, worker_id: str) -> bool:
         """Mark a claimed job done; ``False`` if the lease was lost.
 

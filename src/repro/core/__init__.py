@@ -8,7 +8,6 @@ plus the packet/flow data model everything else shares.
 from repro.core.flow import Flow
 from repro.core.packet import Packet
 from repro.core.replay import (
-    RecordedPacket,
     RecordedSchedule,
     ReplayResult,
     record_schedule,
@@ -26,7 +25,6 @@ __all__ = [
     "Flow",
     "FlowSizeSlack",
     "Packet",
-    "RecordedPacket",
     "RecordedSchedule",
     "ReplayResult",
     "SlackPolicy",

@@ -20,8 +20,8 @@ The workflow the theory section defines, made executable:
 
 One packet table runs through all three: the tracer's columns become the
 schedule's columns, replay stamps headers from them in bulk, and the judge
-subtracts arrays aligned row for row.  :class:`RecordedPacket` is a view
-for callers that want one packet at a time.
+subtracts arrays aligned row for row.  No step builds an object per
+packet beyond the simulator's own :class:`~repro.core.packet.Packet`.
 
 Replay modes
 ------------
@@ -62,7 +62,6 @@ __all__ = [
     "REPLAY_MODES",
     "SCHEDULE_FORMAT",
     "SCHEDULE_FORMAT_VERSION",
-    "RecordedPacket",
     "RecordedSchedule",
     "ReplayResult",
     "record_schedule",
@@ -86,7 +85,7 @@ _SLACK_MODES = ("lstf", "lstf-preemptive", "edf", "edf-preemptive")
 SCHEDULE_FORMAT = "repro.recorded_schedule"
 
 #: Version of the serialised document layout (see
-#: :meth:`RecordedSchedule.to_dict`).  v2 added the detached
+#: :meth:`RecordedSchedule.canonical_json`).  v2 added the detached
 #: ``content_hash`` written by :func:`repro.core.trace_io.save_schedule`;
 #: the packet rows are unchanged from v1, so both versions load.
 SCHEDULE_FORMAT_VERSION = 2
@@ -94,94 +93,9 @@ SCHEDULE_FORMAT_VERSION = 2
 #: Document versions :meth:`RecordedSchedule.from_dict` accepts.
 _READABLE_VERSIONS = (1, SCHEDULE_FORMAT_VERSION)
 
-
-class RecordedPacket:
-    """One packet of a recorded schedule (Appendix A notation)."""
-
-    __slots__ = (
-        "pid",
-        "flow_id",
-        "flow_size",
-        "size",
-        "src",
-        "dst",
-        "ingress_time",
-        "output_time",
-        "path",
-        "hop_tx",
-        "hop_waits",
-    )
-
-    def __init__(
-        self,
-        pid: int,
-        flow_id: int,
-        flow_size: int,
-        size: int,
-        src: str,
-        dst: str,
-        ingress_time: float,
-        output_time: float,
-        path: tuple[str, ...],
-        hop_tx: tuple[float, ...],
-        hop_waits: tuple[float, ...],
-    ) -> None:
-        self.pid = pid
-        self.flow_id = flow_id
-        self.flow_size = flow_size
-        self.size = size
-        self.src = src
-        self.dst = dst
-        self.ingress_time = ingress_time
-        self.output_time = output_time
-        self.path = path
-        self.hop_tx = hop_tx
-        self.hop_waits = hop_waits
-
-    def to_dict(self) -> dict[str, Any]:
-        """One JSON-scalar row of the serialised schedule document.
-
-        Uses the paper's short names for the two schedule-defining times:
-        ``"i"`` is the ingress time ``i(p)``, ``"o"`` the output time
-        ``o(p)``.  Lossless under :meth:`from_dict` (floats survive JSON
-        round-trips exactly).  Keys in sorted order: see ``canonical_json``.
-        """
-        return {
-            "dst": self.dst,
-            "flow_id": self.flow_id,
-            "flow_size": self.flow_size,
-            "hop_tx": list(self.hop_tx),
-            "hop_waits": list(self.hop_waits),
-            "i": self.ingress_time,
-            "o": self.output_time,
-            "path": list(self.path),
-            "pid": self.pid,
-            "size": self.size,
-            "src": self.src,
-        }
-
-    @classmethod
-    def from_dict(cls, row: Mapping[str, Any]) -> "RecordedPacket":
-        """Rebuild one packet from a :meth:`to_dict` row."""
-        return cls(
-            pid=row["pid"],
-            flow_id=row["flow_id"],
-            flow_size=row["flow_size"],
-            size=row["size"],
-            src=row["src"],
-            dst=row["dst"],
-            ingress_time=row["i"],
-            output_time=row["o"],
-            path=tuple(row["path"]),
-            hop_tx=tuple(row["hop_tx"]),
-            hop_waits=tuple(row["hop_waits"]),
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<RecordedPacket #{self.pid} {self.src}->{self.dst} "
-            f"i={self.ingress_time:.6f} o={self.output_time:.6f}>"
-        )
+#: The keys of one packet row of the document.
+_ROW_KEYS = ("pid", "flow_id", "flow_size", "size", "src", "dst", "i", "o",
+             "path", "hop_tx", "hop_waits")
 
 
 def _column(values: list, kind: type, dtype: type) -> np.ndarray:
@@ -228,50 +142,20 @@ class RecordedSchedule:
     crossed); then the per-packet runs laid end to end — ``path`` (``hops
     + 1`` indices into the sorted node table ``nodes`` each), ``hop_tx``
     and ``hop_waits`` (``hops`` each).  These are the ``.sched`` store
-    entry's columns (:class:`~repro.core.trace_io.ScheduleStore`), and
-    :attr:`packets` is a view built on first use.
+    entry's columns (:class:`~repro.core.trace_io.ScheduleStore`).
     """
 
     #: The columns, in ``.sched`` order.
     COLUMNS = ("pid", "flow_id", "flow_size", "size", "ingress", "output",
                "hops", "path", "hop_tx", "hop_waits")
 
-    __slots__ = ("threshold", "description", "nodes", *COLUMNS, "_packets")
+    __slots__ = ("threshold", "description", "nodes", *COLUMNS)
 
-    def __init__(
-        self,
-        packets: Sequence[RecordedPacket],
-        threshold: float,
-        description: str = "",
-    ) -> None:
-        """Tabulate ``packets``; a :class:`~repro.errors.ReplayError` for
-        anything the columns cannot give back exactly."""
-        for p in packets:
-            hops = len(p.hop_tx)
-            if not (len(p.path) == hops + 1 and len(p.hop_waits) == hops
-                    and p.path[0] == p.src and p.path[-1] == p.dst):
-                raise ReplayError(
-                    f"packet {p.pid}: src/dst must be the ends of its path, "
-                    f"with one hop_tx and one hop_waits per link")
-        path = [name for p in packets for name in p.path]
-        if not set(map(type, path)) <= {str}:
-            raise ReplayError("a recorded path holds a non-string node name")
-        nodes = sorted(set(path))
-        index = {name: k for k, name in enumerate(nodes)}
-        self._fill(
-            threshold, description, nodes,
-            *[_column([getattr(p, name) for p in packets], int, np.int64)
-              for name in ("pid", "flow_id", "flow_size", "size")],
-            *[_column([getattr(p, name) for p in packets], float, np.float64)
-              for name in ("ingress_time", "output_time")],
-            np.array([len(p.hop_tx) for p in packets], dtype=np.int64),
-            np.array([index[name] for name in path], dtype=np.int64),
-            _column([t for p in packets for t in p.hop_tx], float, np.float64),
-            _column([w for p in packets for w in p.hop_waits], float, np.float64),
-        )
-
-    def _fill(self, threshold: float, description: str,
-              nodes: Sequence[str], *columns: np.ndarray) -> None:
+    def __init__(self, threshold: float, description: str,
+                 nodes: Sequence[str], *columns: np.ndarray) -> None:
+        """A schedule over ready-made :attr:`COLUMNS` (``nodes`` sorted,
+        every name used) — what the recorder, the ``.sched`` codec and
+        :meth:`from_dict` build."""
         if not len(columns[0]):
             raise ReplayError("recorded schedule contains no delivered packets")
         #: Overdue threshold ``T`` — one bottleneck transmission time (§2.3).
@@ -280,16 +164,6 @@ class RecordedSchedule:
         self.nodes = tuple(nodes)
         for name, column in zip(self.COLUMNS, columns):
             setattr(self, name, column)
-        self._packets: list[RecordedPacket] | None = None
-
-    @classmethod
-    def from_columns(cls, threshold: float, description: str,
-                     nodes: Sequence[str], *columns: np.ndarray) -> "RecordedSchedule":
-        """A schedule over ready-made :attr:`COLUMNS` (``nodes`` sorted,
-        every name used) — what the recorder and the ``.sched`` codec build."""
-        schedule = cls.__new__(cls)
-        schedule._fill(threshold, description, nodes, *columns)
-        return schedule
 
     @classmethod
     def from_tracer(cls, tracer: "Tracer", threshold: float,
@@ -318,7 +192,7 @@ class RecordedSchedule:
         nodes, path = _node_table(names, codes[path_order[_runs(path_counts, slots)]])
         hop_entries = tx_order[_runs(tx_counts, slots)]
         size = np.array(tracer.size, dtype=np.int64)[slots]
-        return cls.from_columns(
+        return cls(
             threshold, description, nodes,
             pid[slots], np.array(tracer.flow_id, dtype=np.int64)[slots],
             size, size, created[slots], exit[slots], hops, path,
@@ -360,47 +234,21 @@ class RecordedSchedule:
         counts = np.bincount(self.congestion_points(epsilon))
         return {k: int(c) for k, c in enumerate(counts.tolist()) if c}
 
-    @property
-    def packets(self) -> list[RecordedPacket]:
-        """The schedule as one :class:`RecordedPacket` per row (built once)."""
-        if self._packets is None:
-            names = [self.nodes[k] for k in self.path.tolist()]
-            hop_tx, hop_waits = self.hop_tx.tolist(), self.hop_waits.tolist()
-            packets, a, b = [], 0, 0
-            for pid, flow_id, flow_size, size, i, o, k in zip(
-                    *(getattr(self, name).tolist() for name in self.COLUMNS[:7])):
-                route = tuple(names[b:b + k + 1])
-                packets.append(RecordedPacket(
-                    pid, flow_id, flow_size, size, route[0], route[-1], i, o,
-                    route, tuple(hop_tx[a:a + k]), tuple(hop_waits[a:a + k])))
-                a, b = a + k, b + k + 1
-            self._packets = packets
-        return self._packets
-
     # -- the stable serialised format -------------------------------------
-
-    def to_dict(self) -> dict[str, Any]:
-        """The schedule as a versioned, JSON-serialisable document.
-
-        Lossless under :meth:`from_dict` — every field (including float
-        times, which JSON round-trips exactly via ``repr``) survives a
-        serialise → deserialise cycle bit-for-bit, so a replay of the
-        reloaded schedule is byte-identical to a replay of this object.
-        """
-        return {
-            "description": self.description,
-            "format": SCHEDULE_FORMAT,
-            "packets": [p.to_dict() for p in self.packets],
-            "threshold": self.threshold,
-            "version": SCHEDULE_FORMAT_VERSION,
-        }
 
     @classmethod
     def from_dict(cls, document: Mapping[str, Any]) -> "RecordedSchedule":
-        """Rebuild a schedule from :meth:`to_dict` output.
+        """Rebuild a schedule from a parsed :meth:`canonical_json` document,
+        one row per packet (keys ``pid, flow_id, flow_size, size, src, dst,
+        i, o, path, hop_tx, hop_waits``; ``"i"`` and ``"o"`` are the
+        paper's ``i(p)`` and ``o(p)``), in the document's row order.
 
-        Raises :class:`~repro.errors.ReplayError` on a foreign document
-        or an unsupported format version.
+        Raises :class:`~repro.errors.ReplayError` on a foreign document,
+        an unsupported format version, a malformed row, and anything the
+        columns cannot give back exactly — a ``src``/``dst`` that is not an
+        end of the path, a path without one ``hop_tx``/``hop_waits`` per
+        link, a non-string node name, an int beyond int64, an int where a
+        float belongs.
         """
         if document.get("format") != SCHEDULE_FORMAT:
             raise ReplayError(
@@ -413,15 +261,47 @@ class RecordedSchedule:
                 f"not supported; this library reads versions "
                 f"{_READABLE_VERSIONS}"
             )
+        rows, threshold = document.get("packets"), document.get("threshold")
+        description = document.get("description", "")
+        if not (isinstance(rows, list) and all(isinstance(row, dict) for row in rows)):
+            raise ReplayError("a recorded-schedule document needs a list of "
+                              "packet rows")
+        if type(threshold) not in (int, float) or type(description) is not str:
+            raise ReplayError("a recorded schedule's threshold must be a number "
+                              "and its description a string")
+        try:
+            pid, flow_id, flow_size, size, src, dst, i, o, paths, hop_tx, hop_waits = (
+                [row[key] for row in rows] for key in _ROW_KEYS)
+        except KeyError as exc:
+            raise ReplayError(f"a packet row has no {exc.args[0]!r}") from None
+        for row_pid, first, last, route, tx, waits in zip(
+                pid, src, dst, paths, hop_tx, hop_waits):
+            if not (type(route) is type(tx) is type(waits) is list
+                    and len(route) == len(tx) + 1 == len(waits) + 1
+                    and route[0] == first and route[-1] == last):
+                raise ReplayError(
+                    f"packet {row_pid}: src/dst must be the ends of its path, "
+                    f"with one hop_tx and one hop_waits per link")
+        path = [name for route in paths for name in route]
+        if not set(map(type, path)) <= {str}:
+            raise ReplayError("a recorded path holds a non-string node name")
+        nodes = sorted(set(path))
+        index = {name: k for k, name in enumerate(nodes)}
         return cls(
-            [RecordedPacket.from_dict(row) for row in document["packets"]],
-            threshold=document["threshold"],
-            description=document.get("description", ""),
+            threshold, description, nodes,
+            *[_column(column, int, np.int64)
+              for column in (pid, flow_id, flow_size, size)],
+            _column(i, float, np.float64), _column(o, float, np.float64),
+            np.array([len(tx) for tx in hop_tx], dtype=np.int64),
+            np.array([index[name] for name in path], dtype=np.int64),
+            _column([t for tx in hop_tx for t in tx], float, np.float64),
+            _column([w for waits in hop_waits for w in waits], float, np.float64),
         )
 
     def canonical_json(self) -> str:
-        """``json.dumps(self.to_dict(), separators=(",", ":"))`` — the
-        content-hash preimage, keys sorted by construction.
+        """The portable document, as ``json.dumps(document, sort_keys=True,
+        separators=(",", ":"))`` would write it — the content-hash preimage
+        and the one writer of the JSON trace.
 
         Written straight from the columns: ``float.__repr__`` is what
         ``json`` writes for a finite float, each node name is quoted once,
@@ -623,9 +503,8 @@ def replay_schedule(
     schedule: RecordedSchedule,
     network_factory: Callable[[], "Network"],
     mode: str = "lstf",
-    priority_fn: Callable[[RecordedPacket], float] | None = None,
+    targets: np.ndarray | None = None,
     verify_routes: bool = True,
-    output_time_fn: Callable[[RecordedPacket], float] | None = None,
 ) -> ReplayResult:
     """Replay a recorded schedule under a candidate UPS.
 
@@ -638,24 +517,31 @@ def replay_schedule(
         (the replay starts from empty queues at time zero).
     mode:
         One of :data:`REPLAY_MODES`.
-    priority_fn:
-        Only for ``mode="priority"``: maps a recorded packet to its static
-        priority.  Defaults to ``o(p)``, the paper's "most intuitive"
-        assignment (§2.3(7)).
+    targets:
+        One value per schedule row, stamped into the headers in place of
+        the recorded ``o(p)`` — packets are still judged against the true
+        recorded output times.  In the slack modes it is a degraded view
+        of ``o(p)`` (the §5 "least information" study quantises it);
+        values below the uncongested traversal time are clamped to zero
+        slack, while a *true* target below it means the schedule is not
+        viable on this topology, a :class:`~repro.errors.ReplayError`.  In
+        ``"priority"`` mode it is the static priority, which defaults to
+        ``o(p)``, the paper's "most intuitive" assignment (§2.3(7)).  The
+        omniscient mode stamps timetables and takes none.
     verify_routes:
         Check (once per src/dst pair) that the fresh network routes
         packets along the recorded paths — a topology mismatch would make
         slack values meaningless.
-    output_time_fn:
-        Optional degraded view of ``o(p)`` used for *header
-        initialisation only* — packets are still judged against the true
-        recorded output times.  This powers the §5 "least information"
-        study: e.g. quantising ``o(p)`` models an ingress that learns the
-        target at reduced precision.  Degraded values below the
-        uncongested traversal time are clamped to zero slack; a *true*
-        target below it means the schedule is not viable on this
-        topology, a :class:`~repro.errors.ReplayError`.
     """
+    if targets is not None:
+        targets = np.asarray(targets, dtype=np.float64)
+        if mode == "omniscient":
+            raise ReplayError("the omniscient replay stamps per-hop timetables "
+                              "and takes no targets")
+        if targets.shape != (len(schedule),):
+            raise ReplayError(f"targets must hold one value per schedule row "
+                              f"({len(schedule)}), not shape {targets.shape}")
+    stamped = schedule.output if targets is None else targets
     network = network_factory()
     _install_mode(network, mode)
     src, dst = schedule.endpoints()
@@ -668,17 +554,12 @@ def replay_schedule(
     if mode in _SLACK_MODES:
         keys = list(zip(src, dst, sizes))
         tmin = {key: network.tmin(*key) for key in dict.fromkeys(keys)}
-        target = schedule.output
-        if output_time_fn is not None:
-            target = np.array([output_time_fn(rec) for rec in schedule.packets],
-                              dtype=np.float64)
         values, deadlines = (column.tolist() for column in replay_headers(
-            schedule.ingress, target,
+            schedule.ingress, stamped,
             np.fromiter(map(tmin.__getitem__, keys), np.float64, len(keys)),
-            degraded=output_time_fn is not None))
+            degraded=targets is not None))
     elif mode == "priority":
-        values = (schedule.output.tolist() if priority_fn is None
-                  else [priority_fn(rec) for rec in schedule.packets])
+        values = stamped.tolist()
     else:
         hop_tx = schedule.hop_tx.tolist()
         values = [tuple(hop_tx[end - k:end]) for end, k in zip(

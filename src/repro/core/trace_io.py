@@ -7,7 +7,7 @@ artifact:
 
 * :func:`save_schedule` / :func:`load_schedule` — one schedule to/from
   one file.  The document is the versioned JSON of
-  :meth:`~repro.core.replay.RecordedSchedule.to_dict` plus a detached
+  :meth:`~repro.core.replay.RecordedSchedule.canonical_json` plus a detached
   ``content_hash`` (SHA-256 of the canonical JSON) verified on load, so
   a truncated or hand-edited trace fails loudly instead of replaying
   subtly wrong.  Paths ending ``.gz`` are gzipped transparently.
@@ -72,8 +72,8 @@ def save_schedule(schedule: RecordedSchedule, path: str | Path) -> None:
     """
     canonical = schedule.canonical_json()
     digest = hashlib.sha256(canonical.encode()).hexdigest()
-    # to_dict() always carries format/version keys, so the canonical
-    # text is a non-empty object we can splice a first key into.
+    # The canonical text always carries format/version keys, so it is a
+    # non-empty object we can splice a first key into.
     with _open(Path(path), "w") as fh:
         fh.write(f'{{"content_hash":"{digest}",{canonical[1:]}')
 
@@ -204,7 +204,7 @@ class ScheduleStore(ContentStore):
                     or via.max(initial=0) >= len(nodes)
                     or not np.bincount(via, minlength=len(nodes)).all()):
                 raise ValueError("columns disagree with the header")
-            return RecordedSchedule.from_columns(
+            return RecordedSchedule(
                 header["threshold"], header["description"], nodes,
                 *scalars, hops, via, hop_tx, hop_waits)
         except (ValueError, KeyError, TypeError, IndexError) as exc:

@@ -9,17 +9,14 @@ from repro.metrics.delay import (
     queueing_delays,
 )
 from repro.metrics.fairness import jain_index, throughput_timeseries, fairness_timeseries
-from repro.metrics.congestion import congestion_point_histogram, max_congestion_points
 
 __all__ = [
     "FctBucket",
     "bucket_mean_fct",
     "ccdf",
     "cdf",
-    "congestion_point_histogram",
     "fairness_timeseries",
     "jain_index",
-    "max_congestion_points",
     "mean_fct",
     "packet_delays",
     "percentile",

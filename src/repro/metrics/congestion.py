@@ -1,42 +1,21 @@
-"""Congestion-point analysis (§2.2).
+"""Per-link utilisation over a traced run.
 
-A congestion point is "a node where a packet is forced to wait during a
-given schedule".  The count per packet is the paper's central structural
-parameter: priorities replay ≤ 1, LSTF replays ≤ 2, nothing replays 3+ in
-general.  These helpers summarise the counts over a recorded schedule or
-a live tracer.
+The per-packet congestion-point counts of §2.2 are a schedule's own
+columns: see :meth:`repro.core.replay.RecordedSchedule.congestion_points`.
 """
 
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Mapping, Union
+from typing import Mapping
 
 import numpy as np
 
-from repro.core.replay import RecordedSchedule
 from repro.metrics.fairness import ARTIFACT_DIGITS
 from repro.sim.link import Link
 from repro.sim.tracer import Tracer, group_log
 
-__all__ = [
-    "congestion_point_histogram",
-    "link_utilisation",
-    "max_congestion_points",
-]
-
-_Source = Union[Tracer, RecordedSchedule]
-
-
-def congestion_point_histogram(source: _Source, epsilon: float = 1e-12) -> dict[int, int]:
-    """Map congestion-point count -> number of packets with that count
-    (over a tracer, its delivered packets)."""
-    if isinstance(source, RecordedSchedule):
-        return source.congestion_point_histogram(epsilon)
-    slots = np.asarray(source.tx_slot, dtype=np.int64)
-    waited = slots[np.asarray(source.hop_waits, dtype=float) > epsilon]
-    counts = np.bincount(waited, minlength=len(source))[source.delivered_slots()]
-    return {k: int(c) for k, c in enumerate(np.bincount(counts).tolist()) if c}
+__all__ = ["link_utilisation"]
 
 
 def link_utilisation(
@@ -74,8 +53,3 @@ def link_utilisation(
         for (u, v), count in zip(keys, nbytes.tolist())
     }
 
-
-def max_congestion_points(source: _Source, epsilon: float = 1e-12) -> int:
-    """Largest per-packet congestion point count in the schedule."""
-    hist = congestion_point_histogram(source, epsilon)
-    return max(hist) if hist else 0

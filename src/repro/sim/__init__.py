@@ -16,7 +16,7 @@ from repro.sim.link import Link
 from repro.sim.network import Network
 from repro.sim.node import Host, Node, Router
 from repro.sim.port import Port, PreemptivePort
-from repro.sim.tracer import PacketRecord, Tracer
+from repro.sim.tracer import Tracer
 
 __all__ = [
     "ENGINE_PERF",
@@ -27,7 +27,6 @@ __all__ = [
     "Link",
     "Network",
     "Node",
-    "PacketRecord",
     "Port",
     "PreemptivePort",
     "Router",

@@ -22,19 +22,19 @@ and one per receiving node, and the transmit log ``(slot, hop_tx, wait)``,
 one entry per service start.  Every column is a plain list: an append is
 the cheapest thing a per-hop hook can do.  Consumers read the columns
 (:meth:`Tracer.exit_times`, :meth:`Tracer.wait_totals`,
-:func:`group_log`); :class:`PacketRecord` is a view built on demand.
+:func:`group_log`); nothing builds an object per packet.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.packet import Packet
 
-__all__ = ["PacketRecord", "Tracer", "group_log", "segment_sums"]
+__all__ = ["Tracer", "group_log", "segment_sums"]
 
 
 def group_log(slots: Sequence[int], rows: int) -> tuple[np.ndarray, np.ndarray]:
@@ -72,55 +72,6 @@ def segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
         live = counts > k
         totals[live] += values[starts[live] + k]
     return totals
-
-
-class PacketRecord:
-    """One packet's trace, materialised from a :class:`Tracer`'s table."""
-
-    __slots__ = ("pid", "flow_id", "size", "src", "dst", "created", "exit",
-                 "path", "hop_tx", "hop_waits", "dropped_at")
-
-    def __init__(self, pid: int, flow_id: int, size: int, src: str, dst: str,
-                 created: float, exit: float | None, path: list[str],
-                 hop_tx: list[float], hop_waits: list[float],
-                 dropped_at: str | None) -> None:
-        self.pid = pid
-        self.flow_id = flow_id
-        self.size = size
-        self.src = src
-        self.dst = dst
-        self.created = created
-        self.exit = exit
-        self.path = path
-        self.hop_tx = hop_tx
-        self.hop_waits = hop_waits
-        self.dropped_at = dropped_at
-
-    @property
-    def delivered(self) -> bool:
-        return self.exit is not None
-
-    @property
-    def total_delay(self) -> float:
-        """End-to-end delay; raises if the packet never exited."""
-        if self.exit is None:
-            raise ValueError(f"packet {self.pid} was not delivered")
-        return self.exit - self.created
-
-    @property
-    def total_wait(self) -> float:
-        """Total queueing delay over all hops."""
-        return sum(self.hop_waits)
-
-    def congestion_points(self, epsilon: float = 1e-12) -> int:
-        """Number of hops at which the packet was forced to wait (§2.2)."""
-        return sum(1 for w in self.hop_waits if w > epsilon)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = f"exit={self.exit:.6f}" if self.exit is not None else "in-flight"
-        if self.dropped_at is not None:
-            state = f"dropped@{self.dropped_at}"
-        return f"<PacketRecord #{self.pid} {self.src}->{self.dst} {state}>"
 
 
 class Tracer:
@@ -217,31 +168,6 @@ class Tracer:
         """Per slot, its queueing delays summed hop by hop (``sum`` order)."""
         order, counts = group_log(self.tx_slot, len(self.pid))
         return segment_sums(np.asarray(self.hop_waits, dtype=float)[order], counts)
-
-    # --- object views, for callers that want one packet at a time ------------
-
-    @property
-    def records(self) -> dict[int, PacketRecord]:
-        """``pid -> PacketRecord``, in slot order, built from the table."""
-        rows = len(self.pid)
-        paths: list[list[str]] = [[] for _ in range(rows)]
-        for slot, node in zip(self.path_slot, self.path_node):
-            paths[slot].append(node)
-        hop_tx: list[list[float]] = [[] for _ in range(rows)]
-        hop_waits: list[list[float]] = [[] for _ in range(rows)]
-        for slot, now, wait in zip(self.tx_slot, self.hop_tx, self.hop_waits):
-            hop_tx[slot].append(now)
-            hop_waits[slot].append(wait)
-        return {
-            pid: PacketRecord(pid, *row)
-            for pid, *row in zip(self.pid, self.flow_id, self.size, self.src,
-                                 self.dst, self.created, self.exit, paths,
-                                 hop_tx, hop_waits, self.dropped_at)
-        }
-
-    def delivered_records(self) -> Iterable[PacketRecord]:
-        """Records of packets that exited the network."""
-        return (r for r in self.records.values() if r.exit is not None)
 
     def delivered_count(self) -> int:
         return len(self.exit) - self.exit.count(None)

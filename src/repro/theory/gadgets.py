@@ -135,8 +135,6 @@ class Gadget:
 
     def overdue_names(self, result: ReplayResult) -> list[str]:
         """Names of packets that missed their targets in ``result``."""
-        late = []
-        for rec, lateness in zip(result.schedule.packets, result.lateness):
-            if lateness > 1e-9:
-                late.append(self.packet_name(rec.pid))
-        return sorted(late)
+        return sorted(self.packet_name(pid) for pid, lateness in zip(
+            result.schedule.pid.tolist(), result.lateness.tolist())
+            if lateness > 1e-9)

@@ -30,7 +30,9 @@ from __future__ import annotations
 
 import itertools
 
-from repro.core.replay import RecordedPacket, replay_schedule
+import numpy as np
+
+from repro.core.replay import replay_schedule
 from repro.sim.network import Network
 from repro.theory.gadgets import Gadget, GadgetPacket, INFINITE_BW, bw_for_tx_time
 
@@ -93,12 +95,9 @@ def all_priority_orderings_fail(gadget: Gadget) -> bool:
     names = [p.name for p in gadget.packets]
     for perm in itertools.permutations(names):
         rank = {gadget.pid(name): float(i) for i, name in enumerate(perm)}
-
-        def priority_fn(rec: RecordedPacket, _rank=rank) -> float:
-            return _rank[rec.pid]
-
         outcome = replay_schedule(
-            schedule, gadget.network_factory, mode="priority", priority_fn=priority_fn
+            schedule, gadget.network_factory, mode="priority",
+            targets=np.array([rank[pid] for pid in schedule.pid.tolist()]),
         )
         if outcome.perfect:
             return False

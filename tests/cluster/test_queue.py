@@ -250,26 +250,6 @@ class TestLeases:
         assert "lease expired" in state.error
         assert "w1" in state.error
 
-    def test_heartbeat_extends_the_lease(self, tmp_path):
-        queue = JobQueue(tmp_path)
-        queue.submit([TINY])
-        job = queue.claim("w1", lease_s=0.15)
-        for _ in range(4):
-            time.sleep(0.05)
-            assert queue.heartbeat(job.id, "w1", lease_s=0.15)
-        # 0.2s elapsed > the original lease, but the beats kept it alive
-        assert queue.claim("w2") is None
-        assert queue.ack(job.id, "w1")
-
-    def test_heartbeat_reports_a_lost_lease(self, tmp_path):
-        queue = JobQueue(tmp_path)
-        queue.submit([TINY])
-        job = queue.claim("w1", lease_s=0.05)
-        time.sleep(0.08)
-        reclaimed = queue.claim("w2")
-        assert reclaimed.id == job.id
-        assert not queue.heartbeat(job.id, "w1")
-
 
 class TestObservation:
     def test_states_is_a_cheap_id_to_state_map(self, tmp_path):

@@ -10,7 +10,6 @@ import pytest
 from repro.core.flow import Flow
 from repro.core.replay import (
     REPLAY_MODES,
-    RecordedPacket,
     record_schedule,
     replay_schedule,
 )
@@ -40,12 +39,12 @@ class TestRecord:
         net, _make = _loaded_dumbbell()
         schedule = record_schedule(net)
         assert len(schedule) == net.tracer.delivered_count()
-        assert all(p.output_time > p.ingress_time for p in schedule.packets)
+        assert np.all(schedule.output > schedule.ingress)
 
     def test_packets_sorted_by_ingress(self):
         net, _make = _loaded_dumbbell()
         schedule = record_schedule(net)
-        times = [p.ingress_time for p in schedule.packets]
+        times = schedule.ingress.tolist()
         assert times == sorted(times)
 
     def test_rejects_undelivered_packets(self):
@@ -106,10 +105,30 @@ class TestReplay:
         schedule = record_schedule(net)
         default = replay_schedule(schedule, make, mode="priority")
         flipped = replay_schedule(
-            schedule, make, mode="priority", priority_fn=lambda r: -r.output_time
+            schedule, make, mode="priority", targets=-schedule.output
         )
         # Reversing priorities must change the outcome (sanity of plumbing).
         assert default.fraction_overdue != flipped.fraction_overdue
+        # The default is priority(p) = o(p) (§2.3(7)), spelled out.
+        explicit = replay_schedule(
+            schedule, make, mode="priority", targets=schedule.output.copy())
+        assert np.array_equal(explicit.lateness, default.lateness)
+
+    @pytest.mark.parametrize("mode", ["lstf", "edf", "priority"])
+    def test_targets_must_hold_one_value_per_row(self, mode):
+        net, make = _loaded_dumbbell(duration=0.01)
+        schedule = record_schedule(net)
+        for targets in (schedule.output[:-1], np.append(schedule.output, 1.0),
+                        schedule.output.reshape(1, -1)):
+            with pytest.raises(ReplayError, match="one value per schedule row"):
+                replay_schedule(schedule, make, mode=mode, targets=targets)
+
+    def test_the_omniscient_mode_takes_no_targets(self):
+        net, make = _loaded_dumbbell(duration=0.01)
+        schedule = record_schedule(net)
+        with pytest.raises(ReplayError, match="takes no targets"):
+            replay_schedule(schedule, make, mode="omniscient",
+                            targets=schedule.output)
 
     def test_route_mismatch_detected(self):
         net, _make = _loaded_dumbbell(pairs=4)
@@ -138,7 +157,7 @@ class TestReplay:
             with pytest.raises(ReplayError, match="not viable"):
                 replay_schedule(schedule, slower, mode=mode)
         degraded = replay_schedule(schedule, slower, mode="lstf",
-                                   output_time_fn=lambda rec: rec.ingress_time)
+                                   targets=schedule.ingress)
         assert degraded.num_packets == len(schedule)
         on_its_own = replay_schedule(schedule, scenario.network, mode="lstf")
         assert on_its_own.num_packets == len(schedule)

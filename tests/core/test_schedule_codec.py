@@ -11,9 +11,13 @@ Three contracts of :class:`~repro.core.trace_io.ScheduleStore`'s codec:
   a miss at ``ScheduleStore.get`` and one healing ``put`` through
   ``get_or_build``; never another exception, never a schedule;
 * the portable JSON trace did not move: ``canonical_json()`` — formatted
-  straight from the columns — is still the key-sorted ``json.dumps`` text
-  and its SHA-256 on a fixture is written below; a time JSON cannot
-  carry is refused, never written as ``NaN``/``Infinity``.
+  straight from the columns — is the key-sorted ``json.dumps`` text of
+  the very document ``from_dict`` read, and its SHA-256 on a fixture is
+  written below; a time JSON cannot carry is refused, never written as
+  ``NaN``/``Infinity``.
+
+Schedules are built the way a trace reader builds them: hypothesis draws
+the portable document's rows, and ``RecordedSchedule.from_dict`` reads them.
 """
 
 from __future__ import annotations
@@ -29,7 +33,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import trace_io
-from repro.core.replay import RecordedPacket, RecordedSchedule
+from repro.core.replay import (
+    SCHEDULE_FORMAT,
+    SCHEDULE_FORMAT_VERSION,
+    RecordedSchedule,
+)
 from repro.core.trace_io import ScheduleStore, load_schedule, save_schedule
 from repro.errors import ReplayError
 
@@ -44,40 +52,43 @@ _ints = st.one_of(
 
 
 @st.composite
-def packets(draw, nodes, floats):
-    path = tuple(draw(st.lists(st.sampled_from(nodes), min_size=2, max_size=12)))
+def rows(draw, nodes, floats):
+    """One packet row of the portable document."""
+    path = draw(st.lists(st.sampled_from(nodes), min_size=2, max_size=12))
     hops = st.lists(floats, min_size=len(path) - 1, max_size=len(path) - 1)
-    return RecordedPacket(
-        draw(_ints), draw(_ints), draw(_ints), draw(_ints), path[0], path[-1],
-        draw(floats), draw(floats), path, tuple(draw(hops)), tuple(draw(hops)),
-    )
+    return {"dst": path[-1], "flow_id": draw(_ints), "flow_size": draw(_ints),
+            "hop_tx": draw(hops), "hop_waits": draw(hops), "i": draw(floats),
+            "o": draw(floats), "path": path, "pid": draw(_ints),
+            "size": draw(_ints), "src": path[0]}
 
 
 @st.composite
-def schedules(draw, floats=_floats):
+def documents(draw, floats=_floats):
     nodes = draw(st.lists(st.text(max_size=6), min_size=1, max_size=12,
                           unique=True))
-    return RecordedSchedule(
-        draw(st.lists(packets(nodes, floats), min_size=1, max_size=8)),
-        threshold=draw(floats), description=draw(st.text(max_size=20)),
-    )
+    return {
+        "description": draw(st.text(max_size=20)), "format": SCHEDULE_FORMAT,
+        "packets": draw(st.lists(rows(nodes, floats), min_size=1, max_size=8)),
+        "threshold": draw(floats), "version": SCHEDULE_FORMAT_VERSION,
+    }
+
+
+def _document(**first) -> dict:
+    """Two packets; ``first`` overrides keys of the first row."""
+    head = {"dst": "z", "flow_id": 1, "flow_size": 3000, "hop_tx": [0.0, 0.0015],
+            "hop_waits": [0.0, 2.5e-4], "i": 0.0, "o": 0.00375,
+            "path": ["hé", "r1", "z"], "pid": 7, "size": 1500, "src": "hé"}
+    tail = {"dst": "z", "flow_id": 1, "flow_size": 3000,
+            "hop_tx": [5e-324, 0.1, 0.2], "hop_waits": [0.0, 0.0, 1e-9],
+            "i": -0.0, "o": 1e308, "path": ["a", "r1", "r2", "z"], "pid": 8,
+            "size": 1500, "src": "a"}
+    return {"description": "fixture/α", "format": SCHEDULE_FORMAT,
+            "packets": [{**head, **first}, tail], "threshold": 0.0012,
+            "version": SCHEDULE_FORMAT_VERSION}
 
 
 def _fixture(**first) -> RecordedSchedule:
-    """Two packets; ``first`` overrides fields of the first one."""
-    head = RecordedPacket(7, 1, 3000, 1500, "hé", "z", 0.0, 0.00375,
-                          ("hé", "r1", "z"), (0.0, 0.0015), (0.0, 2.5e-4))
-    for field, value in first.items():
-        setattr(head, field, value)
-    return RecordedSchedule(
-        [
-            head,
-            RecordedPacket(8, 1, 3000, 1500, "a", "z", -0.0, 1e308,
-                           ("a", "r1", "r2", "z"), (5e-324, 0.1, 0.2),
-                           (0.0, 0.0, 1e-9)),
-        ],
-        threshold=0.0012, description="fixture/α",
-    )
+    return RecordedSchedule.from_dict(_document(**first))
 
 
 class _Entry:
@@ -95,24 +106,30 @@ def unpack(data: bytes) -> RecordedSchedule:
     return ScheduleStore("unused").load(_Entry(data))
 
 
-def _rows(schedule: RecordedSchedule) -> list[tuple]:
-    return [tuple(getattr(p, name) for name in RecordedPacket.__slots__)
-            for p in schedule.packets]
+def _columns(schedule: RecordedSchedule) -> list:
+    return [schedule.nodes, *(getattr(schedule, name).tolist()
+                              for name in RecordedSchedule.COLUMNS)]
 
 
 # --- lossless and deterministic ------------------------------------------------
 
 
 @settings(max_examples=150, deadline=None)
-@given(schedule=schedules())
-def test_unpack_of_pack_is_the_schedule(schedule):
+@given(doc=documents())
+def test_unpack_of_pack_is_the_schedule(doc):
+    schedule = RecordedSchedule.from_dict(doc)
     data = pack(schedule)
     assert pack(schedule) == data  # byte-deterministic
     back = unpack(data)
-    # repr tells -0.0 from 0.0, 1 from 1.0 and tuples from lists (and,
-    # unlike canonical_json, carries infinities)
-    assert _rows(back) == _rows(schedule)
-    assert repr(_rows(back)) == repr(_rows(schedule))
+    # repr tells -0.0 from 0.0 and 1 from 1.0 (and, unlike canonical_json,
+    # carries infinities)
+    assert _columns(back) == _columns(schedule)
+    assert repr(_columns(back)) == repr(_columns(schedule))
+    packets = doc["packets"]
+    for key, column in (("pid", back.pid), ("i", back.ingress), ("o", back.output)):
+        assert repr(column.tolist()) == repr([row[key] for row in packets])
+    assert back.endpoints() == ([row["src"] for row in packets],
+                                [row["dst"] for row in packets])
     assert (back.threshold, back.description) == (
         schedule.threshold, schedule.description)
     assert pack(back) == data
@@ -131,18 +148,20 @@ def test_pack_ignores_how_the_schedule_was_built():
     ("size", -(2**63) - 1, "width"),
     ("flow_id", True, "non-int"),
     ("flow_size", 1500.0, "non-int"),
-    ("ingress_time", 0, "non-float"),
-    ("hop_waits", (0.0, 1), "non-float"),
+    pytest.param("i", 0, "non-float", id="ingress_time-0-non-float"),
+    ("hop_waits", [0.0, 1], "non-float"),
     ("src", "elsewhere", "ends of its path"),
     ("dst", "r1", "ends of its path"),
-    ("hop_tx", (0.0,), "ends of its path"),
-    ("path", ("hé", "z"), "ends of its path"),
-    ("path", ("hé", 3, "z"), "non-string"),
+    ("hop_tx", [0.0], "ends of its path"),
+    ("path", ["hé", "z"], "ends of its path"),
+    ("path", ["hé", 3, "z"], "non-string"),
+    ("path", ("hé", "r1", "z"), "ends of its path"),
 ])
 def test_put_refuses_what_the_layout_cannot_give_back(
         tmp_path, field, value, message):
     """A schedule holds only what its columns give back exactly, so what
-    the layout cannot carry never gets as far as the store."""
+    the layout cannot carry is refused as the document is read and never
+    gets as far as the store."""
     store = ScheduleStore(tmp_path)
     with pytest.raises(ReplayError, match=message):
         store.put("k", _fixture(**{field: value}))
@@ -240,36 +259,29 @@ def test_every_damaged_entry_is_a_replay_error_a_miss_and_heals(tmp_path):
 # --- the portable trace did not move ---------------------------------------------
 
 
-@settings(max_examples=100, deadline=None)
-@given(schedule=schedules(_finite))
-def test_canonical_json_is_still_the_key_sorted_text(schedule):
-    assert schedule.canonical_json() == json.dumps(
-        schedule.to_dict(), sort_keys=True, separators=(",", ":"))
-    assert list(schedule.to_dict()) == sorted(schedule.to_dict())
-    row = schedule.packets[0].to_dict()
-    assert list(row) == sorted(row)
-
-
 @settings(max_examples=200, deadline=None)
-@given(schedule=schedules(_finite))
-def test_column_formatted_json_is_json_dumps_of_the_document(schedule):
-    """The fast writer against the reference one: −0.0, subnormals,
-    1e308, the int64 bounds and unicode names included (and ASCII-escaped
-    exactly as ``json`` escapes them)."""
-    reference = json.dumps(schedule.to_dict(), separators=(",", ":"))
+@given(doc=documents(_finite))
+def test_column_formatted_json_is_json_dumps_of_the_document(doc):
+    """The fast writer against ``json`` itself, on the document the
+    schedule was read from: −0.0, subnormals, 1e308, the int64 bounds and
+    unicode names included (and ASCII-escaped exactly as ``json`` escapes
+    them)."""
+    reference = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    schedule = RecordedSchedule.from_dict(doc)
     assert schedule.canonical_json() == reference
     assert schedule.content_hash() == hashlib.sha256(reference.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("where", ["ingress_time", "output_time", "hop_tx",
-                                   "hop_waits", "threshold"])
+@pytest.mark.parametrize("where", ["i", "o", "hop_tx", "hop_waits", "threshold"],
+                         ids=["ingress_time", "output_time", "hop_tx", "hop_waits",
+                              "threshold"])
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 def test_canonical_json_refuses_a_time_json_cannot_carry(tmp_path, where, value):
     if where == "threshold":
         schedule = _fixture()
         schedule.threshold = value
     elif where.startswith("hop_"):
-        schedule = _fixture(**{where: (0.0, value)})
+        schedule = _fixture(**{where: [0.0, value]})
     else:
         schedule = _fixture(**{where: value})
     with pytest.raises(ReplayError, match="not finite"):

@@ -10,6 +10,7 @@ from repro.errors import ReplayError
 from repro.sim.network import Network
 from repro.units import MBPS
 from tests.conftest import make_packet
+from tests.sim.reference_tracer import records
 
 
 def _chain():
@@ -80,6 +81,6 @@ def test_slack_conservation_end_to_end():
     net.inject_at(0.0, blocker)
     net.inject_at(0.0, probe)
     net.run()
-    rec = net.tracer.records[probe.pid]
+    rec = records(net.tracer)[probe.pid]
     expected_exit = rec.created + net.tmin("a", "b", 1000) + sum(rec.hop_waits)
     assert rec.exit == pytest.approx(expected_exit)

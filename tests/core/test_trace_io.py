@@ -51,22 +51,16 @@ def test_round_trip_preserves_everything(tmp_path, schedule_and_factory):
     assert len(loaded) == len(schedule)
     assert loaded.threshold == schedule.threshold
     assert loaded.description == "io-test"
-    for a, b in zip(schedule.packets, loaded.packets):
-        assert (a.pid, a.src, a.dst, a.size, a.flow_id) == (
-            b.pid, b.src, b.dst, b.size, b.flow_id
-        )
-        assert a.ingress_time == b.ingress_time
-        assert a.output_time == b.output_time
-        assert a.path == b.path
-        assert a.hop_tx == b.hop_tx
-        assert a.hop_waits == b.hop_waits
+    assert loaded.nodes == schedule.nodes
+    for name in RecordedSchedule.COLUMNS:
+        assert np.array_equal(getattr(loaded, name), getattr(schedule, name)), name
 
 
 def test_gzip_round_trip(tmp_path, schedule_and_factory):
     schedule, _make = schedule_and_factory
     path = tmp_path / "trace.json.gz"
     save_schedule(schedule, path)
-    assert load_schedule(path).packets[0].pid == schedule.packets[0].pid
+    assert np.array_equal(load_schedule(path).pid, schedule.pid)
 
 
 def test_replay_from_loaded_schedule_is_identical(tmp_path, schedule_and_factory):
@@ -109,7 +103,7 @@ def test_reads_version1_files(tmp_path, schedule_and_factory):
     path.write_text(json.dumps(doc))
     loaded = load_schedule(path)
     assert len(loaded) == len(schedule)
-    assert loaded.packets[0].hop_waits == schedule.packets[0].hop_waits
+    assert np.array_equal(loaded.hop_waits, schedule.hop_waits)
 
 
 def test_rejects_tampered_content(tmp_path, schedule_and_factory):
@@ -121,6 +115,45 @@ def test_rejects_tampered_content(tmp_path, schedule_and_factory):
     doc["packets"][0]["o"] += 1e-3  # a subtly corrupted target time
     path.write_text(json.dumps(doc))
     with pytest.raises(ReplayError, match="content-hash"):
+        load_schedule(path)
+
+
+_ROW = {"dst": "b", "flow_id": 1, "flow_size": 1500, "hop_tx": [0.0],
+        "hop_waits": [0.0], "i": 0.0, "o": 0.001, "path": ["a", "b"],
+        "pid": 1, "size": 1500, "src": "a"}
+
+
+def _drop_path(doc):
+    del doc["packets"][0]["path"]
+
+
+def _drop_packets(doc):
+    del doc["packets"]
+
+
+def _non_dict_row(doc):
+    doc["packets"].append(["a", "b"])
+
+
+def _text_threshold(doc):
+    doc["threshold"] = "x"
+
+
+@pytest.mark.parametrize("damage", [_drop_path, _drop_packets, _non_dict_row,
+                                    _text_threshold])
+def test_a_malformed_trace_is_a_replay_error(tmp_path, damage):
+    """Whatever is wrong inside a trace document surfaces as the library's
+    ``ReplayError`` (``repro`` prints one ``error:`` line and exits 2),
+    never a ``KeyError``/``TypeError`` — and is never loaded.  No content
+    hash rides along, so the document's own checks must catch it."""
+    doc = {"format": "repro.recorded_schedule", "version": 2,
+           "description": "", "threshold": 0.001, "packets": [dict(_ROW)]}
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps(doc))
+    assert len(load_schedule(path)) == 1  # intact, it loads
+    damage(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ReplayError):
         load_schedule(path)
 
 

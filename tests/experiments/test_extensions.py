@@ -3,12 +3,16 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.experiments.fairness import run_weighted_fairness_experiment
-from repro.experiments.information import run_information_experiment
+from repro.experiments.information import _ROUNDINGS, run_information_experiment
 from repro.experiments.replayability import ReplayScenario
 
 
@@ -78,3 +82,16 @@ class TestInformationExperiment:
             run_information_experiment(
                 steps_in_t=(1.0,), rounding="up", scenario=scenario
             )
+
+    @given(outputs=st.lists(st.floats(0.0, 1e3), max_size=20),
+           step=st.floats(1e-9, 1.0),
+           halves=st.lists(st.integers(0, 1_000), max_size=10))
+    def test_column_quantisation_is_the_per_packet_loop(self, outputs, step, halves):
+        """``np.floor`` / ``np.rint`` of ``o / q`` give the targets the
+        per-packet ``math.floor`` / ``round`` (half to even) loop gave, bit
+        for bit — ties included."""
+        outputs = outputs + [(k + 0.5) * step for k in halves]
+        column = np.array(outputs, dtype=np.float64)
+        for rounding, reference in (("down", math.floor), ("nearest", round)):
+            got = (_ROUNDINGS[rounding](column / step) * step).tolist()
+            assert got == [reference(o / step) * step for o in outputs]

@@ -2,17 +2,17 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
-from repro.core.replay import record_schedule
-from repro.metrics.congestion import (
-    congestion_point_histogram,
-    link_utilisation,
-    max_congestion_points,
-)
+from repro.core.replay import RecordedSchedule, record_schedule
+from repro.errors import ReplayError
+from repro.metrics.congestion import link_utilisation
 from repro.sim.network import Network
 from repro.units import MBPS
 from tests.conftest import make_packet
+from tests.sim.reference_tracer import delivered
 
 
 def _congested_net():
@@ -30,7 +30,8 @@ def _congested_net():
 def test_histogram_from_tracer():
     net = _congested_net()
     net.run()
-    hist = congestion_point_histogram(net.tracer)
+    schedule = RecordedSchedule.from_tracer(net.tracer, threshold=0.0)
+    hist = schedule.congestion_point_histogram()
     assert sum(hist.values()) == 3
     assert hist.get(0) == 1  # first packet never waits
 
@@ -38,14 +39,19 @@ def test_histogram_from_tracer():
 def test_histogram_from_recorded_schedule():
     net = _congested_net()
     schedule = record_schedule(net)
-    assert congestion_point_histogram(schedule) == congestion_point_histogram(net.tracer)
-    assert max_congestion_points(schedule) == max(congestion_point_histogram(schedule))
+    counts = schedule.congestion_points().tolist()
+    assert counts == [r.congestion_points() for r in delivered(net.tracer)]
+    hist = schedule.congestion_point_histogram()
+    assert hist == Counter(counts)
+    assert schedule.max_congestion_points() == max(hist)
 
 
 def test_empty_source():
+    """An empty tracer has no schedule, and so no congestion points."""
     net = Network()
     net.add_host("a")
-    assert max_congestion_points(net.tracer) == 0
+    with pytest.raises(ReplayError, match="no delivered packets"):
+        RecordedSchedule.from_tracer(net.tracer, threshold=0.0)
 
 
 class TestLinkUtilisation:

@@ -21,6 +21,7 @@ from repro.schedulers import (
 from repro.sim.network import Network
 from repro.transport.udp import install_udp_flows
 from repro.units import MBPS
+from tests.sim.reference_tracer import delivered, records
 
 
 def _chain_net(bw=8 * MBPS):
@@ -59,7 +60,7 @@ def test_exit_time_decomposition(sizes, offsets):
         net.inject_at(p.created, p)
     net.run()
     for p in packets:
-        rec = net.tracer.records[p.pid]
+        rec = records(net.tracer)[p.pid]
         expected = rec.created + net.tmin("a", "b", p.size) + sum(rec.hop_waits)
         assert rec.exit == pytest.approx(expected, abs=1e-9)
 
@@ -109,7 +110,8 @@ def test_fifo_preserves_per_flow_order(n_packets, seed):
         packets.append(p)
         net.inject_at(t, p)
     net.run()
-    exits = [net.tracer.records[p.pid].exit for p in packets]
+    table = records(net.tracer)
+    exits = [table[p.pid].exit for p in packets]
     assert exits == sorted(exits)
 
 
@@ -164,7 +166,7 @@ def test_work_conserving_port_busy_until_backlog_clears(seed):
     for s in sizes:
         net.inject_at(0.0, Packet(flow_id=1, size=s, src="a", dst="b", created=0.0))
     net.run()
-    exits = sorted(r.exit for r in net.tracer.delivered_records())
+    exits = sorted(r.exit for r in delivered(net.tracer))
     bw = 8e6  # _chain_net's bottleneck; host link 10x, egress 2x
     arrive_r1 = 0.0  # FIFO at every hop: injection order is service order
     free_r1 = free_r2 = 0.0

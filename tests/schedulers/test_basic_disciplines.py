@@ -21,6 +21,7 @@ from repro.schedulers import (
 from repro.sim.network import Network
 from repro.units import MBPS
 from tests.conftest import make_packet
+from tests.sim.reference_tracer import records
 
 
 def _drain(scheduler, now=0.0):
@@ -101,7 +102,7 @@ def test_lifo_end_to_end_reverses_queue():
     for p in packets:
         net.inject_at(0.0, p)
     net.run()
-    exits = {p.pid: net.tracer.records[p.pid].exit for p in packets}
+    exits = {p.pid: records(net.tracer)[p.pid].exit for p in packets}
     order = [pid for pid, _ in sorted(exits.items(), key=lambda kv: kv[1])]
     # First packet grabs the wire; everything queued behind exits LIFO.
     assert order == [packets[0].pid] + [p.pid for p in packets[1:]][::-1]

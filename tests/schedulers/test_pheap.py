@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro.errors import SchedulerError
 from repro.schedulers.pheap import PHeap, PHeapLstfScheduler
+from tests.sim.reference_tracer import delivered, rows
 
 
 class TestPHeap:
@@ -152,15 +153,16 @@ def test_pheap_scheduler_end_to_end_matches_lstf():
     def run(scheduler_factory):
         replay_net = make()
         replay_net.install_uniform(scheduler_factory)
-        tmin = np.array([replay_net.tmin(r.src, r.dst, r.size)
-                         for r in schedule.packets])
+        packets = rows(schedule)
+        tmin = np.array([replay_net.tmin(r["src"], r["dst"], r["size"])
+                         for r in packets])
         slack, deadline = replay_headers(schedule.ingress, schedule.output, tmin)
-        for rec, s, d in zip(schedule.packets, slack.tolist(), deadline.tolist()):
-            p = Packet(flow_id=rec.flow_id, size=rec.size, src=rec.src,
-                       dst=rec.dst, created=rec.ingress_time, pid=rec.pid)
+        for rec, s, d in zip(packets, slack.tolist(), deadline.tolist()):
+            p = Packet(flow_id=rec["flow_id"], size=rec["size"], src=rec["src"],
+                       dst=rec["dst"], created=rec["i"], pid=rec["pid"])
             p.slack, p.deadline = s, d
-            replay_net.inject_at(rec.ingress_time, p)
+            replay_net.inject_at(rec["i"], p)
         replay_net.run()
-        return {r.pid: r.exit for r in replay_net.tracer.delivered_records()}
+        return {r.pid: r.exit for r in delivered(replay_net.tracer)}
 
     assert run(LstfScheduler) == run(PHeapLstfScheduler)

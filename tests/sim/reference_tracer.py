@@ -1,5 +1,5 @@
 """The object-per-packet tracer the columnar :class:`~repro.sim.tracer.Tracer`
-replaced.
+replaced, and the tests' one way to read that table a packet at a time.
 
 Test-only.  Every traced packet is a :class:`ReferenceRecord` with three
 growing lists, cached on ``packet.trace`` and keyed by pid in
@@ -7,16 +7,24 @@ growing lists, cached on ``packet.trace`` and keyed by pid in
 same hook protocol, so a network runs with either tracer, and
 ``tests/sim/test_tracer_differential.py`` demands that both tell every
 packet's story identically.
+
+:func:`records` is the column → record glue: it reads a columnar
+tracer's table back as the same ``pid -> ReferenceRecord`` mapping, for
+tests that assert on one packet at a time; :func:`rows` does the same for
+a recorded schedule.  The library itself never builds a record per packet.
 """
 
 from __future__ import annotations
 
+import json
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.packet import Packet
+    from repro.core.replay import RecordedSchedule
+    from repro.sim.tracer import Tracer
 
-__all__ = ["ReferenceRecord", "ReferenceTracer"]
+__all__ = ["ReferenceRecord", "ReferenceTracer", "delivered", "records", "rows"]
 
 
 class ReferenceRecord:
@@ -37,6 +45,34 @@ class ReferenceRecord:
         self.hop_tx: list[float] = []
         self.hop_waits: list[float] = []
         self.dropped_at: str | None = None
+
+    @classmethod
+    def from_row(cls, *row) -> "ReferenceRecord":
+        """A record holding ``row``, one value per slot in ``__slots__`` order."""
+        rec = cls.__new__(cls)
+        for name, value in zip(cls.__slots__, row, strict=True):
+            setattr(rec, name, value)
+        return rec
+
+    @property
+    def delivered(self) -> bool:
+        return self.exit is not None
+
+    @property
+    def total_delay(self) -> float:
+        """End-to-end delay; raises if the packet never exited."""
+        if self.exit is None:
+            raise ValueError(f"packet {self.pid} was not delivered")
+        return self.exit - self.created
+
+    @property
+    def total_wait(self) -> float:
+        """Total queueing delay over all hops."""
+        return sum(self.hop_waits)
+
+    def congestion_points(self, epsilon: float = 1e-12) -> int:
+        """Number of hops at which the packet was forced to wait (§2.2)."""
+        return sum(1 for w in self.hop_waits if w > epsilon)
 
 
 class ReferenceTracer:
@@ -90,3 +126,35 @@ class ReferenceTracer:
 
     def __len__(self) -> int:
         return len(self.records)
+
+
+def records(tracer: "Tracer") -> dict[int, ReferenceRecord]:
+    """``pid -> ReferenceRecord`` read back from a columnar tracer's
+    table, in slot order."""
+    rows = len(tracer)
+    paths: list[list[str]] = [[] for _ in range(rows)]
+    for slot, node in zip(tracer.path_slot, tracer.path_node):
+        paths[slot].append(node)
+    hop_tx: list[list[float]] = [[] for _ in range(rows)]
+    hop_waits: list[list[float]] = [[] for _ in range(rows)]
+    for slot, now, wait in zip(tracer.tx_slot, tracer.hop_tx, tracer.hop_waits):
+        hop_tx[slot].append(now)
+        hop_waits[slot].append(wait)
+    return {
+        row[0]: ReferenceRecord.from_row(*row)
+        for row in zip(tracer.pid, tracer.flow_id, tracer.size, tracer.src,
+                       tracer.dst, tracer.created, tracer.exit, paths, hop_tx,
+                       hop_waits, tracer.dropped_at)
+    }
+
+
+def delivered(tracer: "Tracer") -> list[ReferenceRecord]:
+    """The records of the packets that exited the network, in slot order."""
+    return [r for r in records(tracer).values() if r.delivered]
+
+
+def rows(schedule: "RecordedSchedule") -> list[dict]:
+    """A recorded schedule's packets in row order, as its portable document
+    has them: ``pid, flow_id, flow_size, size, src, dst, i, o, path,
+    hop_tx, hop_waits`` (finite times only)."""
+    return json.loads(schedule.canonical_json())["packets"]

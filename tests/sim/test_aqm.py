@@ -13,6 +13,7 @@ from repro.sim.network import Network
 from repro.transport.tcp import install_tcp_flows
 from repro.units import MBPS
 from tests.conftest import make_packet
+from tests.sim.reference_tracer import records
 
 
 def _aqm(**kwargs):
@@ -87,9 +88,9 @@ class TestSlackAwareRed:
             net.inject_at(0.0, p)
         net.run()
         # The lax queued packet is sacrificed; both urgent packets survive.
-        assert net.tracer.records[lax.pid].dropped_at == "SW"
-        assert net.tracer.records[urgent1.pid].delivered
-        assert net.tracer.records[urgent2.pid].delivered
+        assert records(net.tracer)[lax.pid].dropped_at == "SW"
+        assert records(net.tracer)[urgent1.pid].delivered
+        assert records(net.tracer)[urgent2.pid].delivered
 
     def test_arrival_dropped_when_it_is_the_laxest(self):
         from repro.schedulers import LstfScheduler
@@ -110,8 +111,8 @@ class TestSlackAwareRed:
         for p in (urgent1, urgent2, lax):
             net.inject_at(0.0, p)
         net.run()
-        assert net.tracer.records[lax.pid].dropped_at == "SW"
-        assert net.tracer.records[urgent2.pid].delivered
+        assert records(net.tracer)[lax.pid].dropped_at == "SW"
+        assert records(net.tracer)[urgent2.pid].delivered
 
 
 class TestRedOnPort:

@@ -51,6 +51,7 @@ from repro.sim.engine import ENGINE_PERF, Engine
 from repro.sim.network import Network
 from repro.sim.tracer import Tracer, group_log
 from repro.units import MBPS
+from tests.sim.reference_tracer import records
 from tests.store_contract import StoreContract
 
 #: What a module that only computes never imports or calls.
@@ -176,8 +177,8 @@ class TestSnapshotRoundTrip:
         restored = restore_snapshot(load_checkpoint(path))
         net.run()
         restored.run()
-        a = [(r.pid, r.exit) for r in net.tracer.records.values()]
-        b = [(r.pid, r.exit) for r in restored.tracer.records.values()]
+        a = [(r.pid, r.exit) for r in records(net.tracer).values()]
+        b = [(r.pid, r.exit) for r in records(restored.tracer).values()]
         assert a == b
 
     def test_restore_reinstalls_packet_counter(self):

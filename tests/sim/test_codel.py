@@ -11,6 +11,7 @@ from repro.sim.network import Network
 from repro.transport.tcp import install_tcp_flows
 from repro.units import MBPS
 from tests.conftest import make_packet
+from tests.sim.reference_tracer import delivered
 
 
 class TestCoDelStateMachine:
@@ -77,7 +78,7 @@ class TestCoDelOnPort:
         # The controlled queue keeps most delivered packets' SW waits in
         # the vicinity of the target, far below the uncontrolled case.
         waits = [
-            max(r.hop_waits) for r in net.tracer.delivered_records()
+            max(r.hop_waits) for r in delivered(net.tracer)
             if r.size > 64 and r.hop_waits
         ]
         waits.sort()

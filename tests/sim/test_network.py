@@ -10,6 +10,7 @@ from repro.sim.network import Network
 from repro.sim.node import Router
 from repro.units import GBPS, MBPS
 from tests.conftest import make_packet
+from tests.sim.reference_tracer import records
 
 
 def _diamond() -> Network:
@@ -125,7 +126,7 @@ class TestTmin:
         p = make_packet(src="ha", dst="hb", size=1500)
         net.inject_at(0.0, p)
         net.run()
-        rec = net.tracer.records[p.pid]
+        rec = records(net.tracer)[p.pid]
         assert rec.exit - rec.created == pytest.approx(net.tmin("ha", "hb", 1500))
 
     def test_bottleneck_tx_time(self):

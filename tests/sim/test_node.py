@@ -8,6 +8,7 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.sim.network import Network
 from repro.units import MBPS
 from tests.conftest import make_packet
+from tests.sim.reference_tracer import records
 
 
 def _net():
@@ -107,4 +108,4 @@ def test_path_position_advances_per_hop():
     net.inject_at(0.0, p)
     net.run()
     assert p.path_pos == 2  # a (0) -> SW (1) -> b (2)
-    assert net.tracer.records[p.pid].path == ["a", "SW", "b"]
+    assert records(net.tracer)[p.pid].path == ["a", "SW", "b"]

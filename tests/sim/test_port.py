@@ -9,6 +9,7 @@ from repro.schedulers import FifoScheduler, LstfScheduler, TimetableScheduler
 from repro.sim.network import Network
 from repro.units import MBPS
 from tests.conftest import make_packet
+from tests.sim.reference_tracer import records
 
 
 def _simple_net(bottleneck_bw=8 * MBPS, prop=0.0, host_bw=8000 * MBPS):
@@ -27,7 +28,7 @@ def test_store_and_forward_timing():
     p = make_packet()
     net.inject_at(0.0, p)
     net.run()
-    rec = net.tracer.records[p.pid]
+    rec = records(net.tracer)[p.pid]
     # host tx (1000B @ 8Gbps = 1us) + SW tx (1ms) + prop (4ms)
     assert rec.exit == pytest.approx(1e-6 + 0.001 + 0.004)
 
@@ -38,7 +39,7 @@ def test_back_to_back_packets_serialise():
     for p in packets:
         net.inject_at(0.0, p)
     net.run()
-    exits = sorted(net.tracer.records[p.pid].exit for p in packets)
+    exits = sorted(records(net.tracer)[p.pid].exit for p in packets)
     assert exits[1] - exits[0] == pytest.approx(0.001)
     assert exits[2] - exits[1] == pytest.approx(0.001)
 
@@ -50,7 +51,7 @@ def test_queue_wait_accounting():
     net.inject_at(0.0, first)
     net.inject_at(0.0, second)
     net.run()
-    rec2 = net.tracer.records[second.pid]
+    rec2 = records(net.tracer)[second.pid]
     # Second packet waits one transmission time at SW (and a hair at the host).
     assert sum(rec2.hop_waits) == pytest.approx(0.001 + 1e-6, rel=1e-3)
     assert rec2.congestion_points() == 2
@@ -67,7 +68,7 @@ def test_tail_drop_on_full_buffer():
     # One transmits immediately, two queue, one is tail-dropped.
     assert delivered == 3
     assert net.tracer.drops == 1
-    dropped = [r for r in net.tracer.records.values() if r.dropped_at]
+    dropped = [r for r in records(net.tracer).values() if r.dropped_at]
     assert dropped and dropped[0].dropped_at == "SW"
 
 
@@ -83,9 +84,9 @@ def test_lstf_drop_victim_is_highest_slack():
     net.inject_at(0.0, lax)
     net.inject_at(0.0, urgent[2])
     net.run()
-    lax_rec = net.tracer.records[lax.pid]
+    lax_rec = records(net.tracer)[lax.pid]
     assert lax_rec.dropped_at == "SW"
-    assert all(net.tracer.records[p.pid].delivered for p in urgent)
+    assert all(records(net.tracer)[p.pid].delivered for p in urgent)
 
 
 def test_buffer_rejects_nonpositive():
@@ -112,7 +113,7 @@ def test_timetable_port_waits_for_release_time():
     sw_port.set_scheduler(TimetableScheduler({p.pid: 0.005}))
     net.inject_at(0.0, p)
     net.run()
-    rec = net.tracer.records[p.pid]
+    rec = records(net.tracer)[p.pid]
     assert rec.exit == pytest.approx(0.005 + 0.001)
     # The wait before transmission is the idle-until-release time.
     assert max(rec.hop_waits) == pytest.approx(0.005, rel=1e-3)
@@ -133,7 +134,7 @@ def test_zero_delay_link_is_synchronous():
     p = make_packet()
     net.inject_at(0.0, p)
     net.run()
-    rec = net.tracer.records[p.pid]
+    rec = records(net.tracer)[p.pid]
     assert rec.exit == pytest.approx(0.001)
     assert rec.path == ["a", "R1", "R2", "b"]
 
@@ -190,7 +191,7 @@ def test_completion_armed_by_an_arrival_fires_before_later_events_of_its_instant
     assert len(armed) == 1 and armed[0][0] == free_at
     assert armed[0][:3] < min(e[:3] for e in net.engine._heap if e[3] != original)
     net.run()
-    rec = net.tracer.records[second.pid]
+    rec = records(net.tracer)[second.pid]
     # ... which started the second packet exactly when the wire freed.
     assert rec.hop_tx[-1] == free_at
     assert order == ["marker"]
@@ -291,5 +292,5 @@ def test_tail_delivery_decides_at_once_only_when_nothing_else_is_due(monkeypatch
     # Both reach SW at the same instant, the lax one first: its delivery
     # sees the other still due and defers, so LSTF chooses between both.
     assert [cb.__self__.link.src for cb in deferred] == ["a1", "a2", "SW"]
-    sw_tx = {p.pid: net.tracer.records[p.pid].hop_tx[1] for p in (lax, urgent)}
+    sw_tx = {p.pid: records(net.tracer)[p.pid].hop_tx[1] for p in (lax, urgent)}
     assert sw_tx[urgent.pid] < sw_tx[lax.pid]

@@ -29,6 +29,7 @@ from repro.sim.aqm import CoDelAqm, RedAqm
 from repro.sim.network import Network
 from repro.units import MBPS
 from tests.sim.reference_port import use_reference_ports
+from tests.sim.reference_tracer import records
 
 SCALE = max(1, int(os.environ.get("REPRO_STRESS_SCALE", "1")))
 
@@ -139,7 +140,7 @@ def _run(scenario, reference: bool, hop_times=None):
     trace = {
         pid: (tuple(r.path), r.created, r.exit, tuple(r.hop_tx),
               tuple(r.hop_waits), r.dropped_at)
-        for pid, r in net.tracer.records.items()
+        for pid, r in records(net.tracer).items()
     }
     return trace, [rng.getstate() for rng in rngs], net
 

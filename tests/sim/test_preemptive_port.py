@@ -10,6 +10,7 @@ from repro.sim.network import Network
 from repro.sim.port import PreemptivePort
 from repro.units import MBPS
 from tests.conftest import make_packet
+from tests.sim.reference_tracer import records
 
 
 def _preemptive_net():
@@ -30,8 +31,8 @@ def test_urgent_arrival_preempts_in_service_packet():
     net.inject_at(0.0, lax)
     net.inject_at(0.5e-3, urgent)
     net.run()
-    lax_exit = net.tracer.records[lax.pid].exit
-    urgent_exit = net.tracer.records[urgent.pid].exit
+    lax_exit = records(net.tracer)[lax.pid].exit
+    urgent_exit = records(net.tracer)[urgent.pid].exit
     # Urgent transmits 0.5ms..1.5ms; lax resumes and finishes at 2.0ms.
     assert urgent_exit == pytest.approx(1.5e-3, rel=1e-3)
     assert lax_exit == pytest.approx(2.0e-3, rel=1e-3)
@@ -46,10 +47,10 @@ def test_preempted_packet_resumes_with_remaining_time():
     net.inject_at(0.5e-3, u1)   # preempts with 0.5 ms of lax remaining
     net.inject_at(1.6e-3, u2)   # preempts the resumed lax again
     net.run()
-    assert net.tracer.records[u1.pid].exit == pytest.approx(1.5e-3, rel=1e-3)
-    assert net.tracer.records[u2.pid].exit == pytest.approx(2.6e-3, rel=1e-3)
+    assert records(net.tracer)[u1.pid].exit == pytest.approx(1.5e-3, rel=1e-3)
+    assert records(net.tracer)[u2.pid].exit == pytest.approx(2.6e-3, rel=1e-3)
     # lax transmitted 0.5ms + 0.1ms + 0.4ms in three fragments.
-    assert net.tracer.records[lax.pid].exit == pytest.approx(3.0e-3, rel=1e-3)
+    assert records(net.tracer)[lax.pid].exit == pytest.approx(3.0e-3, rel=1e-3)
 
 
 def test_no_preemption_between_equal_slack_packets():
@@ -60,8 +61,8 @@ def test_no_preemption_between_equal_slack_packets():
     net.inject_at(0.2e-3, second)
     net.run()
     # second's key (slack + te) is larger; first must not be preempted.
-    assert net.tracer.records[first.pid].exit == pytest.approx(1.0e-3, rel=1e-3)
-    assert net.tracer.records[second.pid].exit == pytest.approx(2.0e-3, rel=1e-3)
+    assert records(net.tracer)[first.pid].exit == pytest.approx(1.0e-3, rel=1e-3)
+    assert records(net.tracer)[second.pid].exit == pytest.approx(2.0e-3, rel=1e-3)
 
 
 def test_slack_header_charged_for_pause_time():
@@ -106,6 +107,6 @@ def test_work_conservation_under_preemption():
     for i, p in enumerate(packets):
         net.inject_at(i * 0.3e-3, p)
     net.run()
-    last_exit = max(net.tracer.records[p.pid].exit for p in packets)
+    last_exit = max(records(net.tracer)[p.pid].exit for p in packets)
     # 5 packets x 1ms back to back from t~0 (host link is instant-ish).
     assert last_exit == pytest.approx(5e-3, rel=1e-2)

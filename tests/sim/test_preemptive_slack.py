@@ -24,6 +24,7 @@ from repro.core.packet import Packet, reset_packet_ids
 from repro.schedulers import LstfScheduler
 from repro.sim.network import Network
 from repro.units import MBPS
+from tests.sim.reference_tracer import records
 
 BOTTLENECK_BPS = 8 * MBPS  # 1000 B = 1 ms
 
@@ -48,7 +49,7 @@ def _tx(size: int) -> float:
 
 def _assert_slack_identity(net: Network, packets, injections, slacks) -> None:
     for packet in packets:
-        rec = net.tracer.records[packet.pid]
+        rec = records(net.tracer)[packet.pid]
         assert rec.exit is not None, f"packet {packet.pid} never exited"
         wait = rec.exit - injections[packet.pid] - _tx(packet.size)
         assert wait >= -1e-12
@@ -73,7 +74,7 @@ def test_triple_preemption_resumes_with_remaining_time_and_charges_pauses():
     net.inject_at(1.6e-3, urgents[1])
     net.inject_at(2.9e-3, urgents[2])
     net.run()
-    rec = net.tracer.records[lax.pid]
+    rec = records(net.tracer)[lax.pid]
     # 4 packets x 1 ms back to back: lax's last bit leaves at 4 ms.
     assert rec.exit == pytest.approx(4.0e-3, rel=1e-9)
     # 3 ms of pause across three preemptions, 1 ms on the wire.
@@ -94,7 +95,7 @@ def test_pause_time_is_charged_but_transmission_time_is_not():
     net.inject_at(1.0e-3, urgent)  # pauses lax halfway
     net.run()
     # lax: 0–1 ms transmitting, 1–2 ms paused, 2–3 ms transmitting.
-    assert net.tracer.records[lax.pid].exit == pytest.approx(3.0e-3, rel=1e-9)
+    assert records(net.tracer)[lax.pid].exit == pytest.approx(3.0e-3, rel=1e-9)
     assert lax.queue_wait == pytest.approx(1.0e-3, rel=1e-9)
     assert lax.slack == pytest.approx(10e-3 - 1.0e-3, rel=1e-9)
 
@@ -122,7 +123,7 @@ def test_property_slack_identity_under_random_preemption_storms(seed):
     # Work conservation: the port is never idle while work is pending, so
     # the last exit can't beat (first arrival + total serialisation).
     total_tx = sum(_tx(p.size) for p in packets)
-    last_exit = max(net.tracer.records[p.pid].exit for p in packets)
+    last_exit = max(records(net.tracer)[p.pid].exit for p in packets)
     first_in = min(injections.values())
     assert last_exit >= first_in + total_tx - 1e-12
     busy_possible = max(injections.values()) + total_tx
@@ -146,6 +147,6 @@ def test_property_preemptive_runs_are_deterministic(seed):
             net.inject_at(clock, packet)
             pids.append(packet.pid)
         net.run()
-        return [(pid, net.tracer.records[pid].exit) for pid in pids]
+        return [(pid, records(net.tracer)[pid].exit) for pid in pids]
 
     assert run_once() == run_once()

@@ -37,11 +37,11 @@ from repro.sim.resume import (
     _anchor_walk,
     _AnchorPickler,
 )
-from repro.sim.tracer import PacketRecord
 from repro.transport.tcp import TcpStats, install_tcp_flows
 from repro.transport.udp import install_udp_flows
 from repro.units import MBPS
 from tests.api.test_registry import TINY
+from tests.sim.reference_tracer import records
 
 
 class TestCheckpointPolicyParse:
@@ -198,7 +198,7 @@ class TestAnchorWalk:
 
     def test_anchor_count_is_independent_of_traced_history(self):
         short, long = self._warmed(0.02), self._warmed(0.2)
-        assert len(long.tracer.records) > 10 * len(short.tracer.records)
+        assert len(records(long.tracer)) > 10 * len(records(short.tracer))
         # Same objects anchored; their *order* follows phase-entry state
         # (which route caches the longer warm-up filled first).
         assert (sorted(_describe(_anchor_walk(short)), key=repr)
@@ -218,7 +218,7 @@ class TestAnchorWalk:
                    and isinstance(args[0], Packet)
                    for *_key, _callback, args in network.engine._heap), \
             "no packet in flight"
-        assert not [a for a in anchors if isinstance(a, (Packet, PacketRecord))]
+        assert not [a for a in anchors if isinstance(a, Packet)]
         held = [network, network.engine, network.tracer]
         for node in network.nodes.values():
             held.append(node)
@@ -275,10 +275,10 @@ def _observable(network: Network, stats: TcpStats) -> dict:
     return {
         "now": network.engine.now,
         "events": network.engine.events_processed,
-        # records are views built on demand: later hops never reach them
+        # records are read back from the table: later hops never reach them
         "records": [(r.pid, r.flow_id, r.size, r.src, r.dst, r.created,
                      r.exit, r.path, r.hop_tx, r.hop_waits, r.dropped_at)
-                    for r in network.tracer.records.values()],
+                    for r in records(network.tracer).values()],
         "queued": port._queued,
         "acked": sender.highest_acked,
         "starts": dict(stats.start),

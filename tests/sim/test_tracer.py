@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from repro.sim.network import Network
 from repro.units import MBPS
 from tests.conftest import make_packet
+from tests.sim.reference_tracer import delivered, records
 
 
 def _net():
@@ -31,7 +32,7 @@ def test_record_lifecycle():
     p = make_packet()
     net.inject_at(0.0, p)
     net.run()
-    rec = net.tracer.records[p.pid]
+    rec = records(net.tracer)[p.pid]
     assert rec.delivered
     assert rec.path == ["a", "SW", "b"]
     assert len(rec.hop_tx) == 2  # a and SW transmit; b only receives
@@ -43,7 +44,7 @@ def test_total_delay_raises_for_undelivered():
     p = make_packet()
     net.inject_at(0.0, p)
     net.run(until=1e-5)  # still in flight
-    rec = net.tracer.records[p.pid]
+    rec = records(net.tracer)[p.pid]
     assert not rec.delivered
     with pytest.raises(ValueError):
         _ = rec.total_delay
@@ -55,8 +56,8 @@ def test_congestion_points_counts_positive_waits():
     for p in (first, second, third):
         net.inject_at(0.0, p)
     net.run()
-    assert net.tracer.records[first.pid].congestion_points() == 0
-    assert net.tracer.records[third.pid].congestion_points() >= 1
+    assert records(net.tracer)[first.pid].congestion_points() == 0
+    assert records(net.tracer)[third.pid].congestion_points() >= 1
 
 
 def test_disabled_tracer_records_nothing():
@@ -106,8 +107,7 @@ def test_delivered_records_iterates_only_exited():
     net.inject_at(0.0, p1)
     net.inject_at(5.0, p2)
     net.run(until=1.0)
-    delivered = list(net.tracer.delivered_records())
-    assert [r.pid for r in delivered] == [p1.pid]
+    assert [r.pid for r in delivered(net.tracer)] == [p1.pid]
     assert net.tracer.delivered_count() == 1
 
 
@@ -142,12 +142,12 @@ def test_columns_agree_with_the_records_view_and_clear_forgets():
         net.inject_at(0.0, p)
     net.run(until=2.5e-3)  # some delivered, some still queued
     tracer = net.tracer
-    records = list(tracer.records.values())
+    rows = list(records(tracer).values())
     assert tracer.pid == [p.pid for p in packets]
     assert [p.trace for p in packets] == [0, 1, 2, 3]
     assert tracer.delivered_slots().tolist() == [
-        k for k, r in enumerate(records) if r.delivered]
+        k for k, r in enumerate(rows) if r.delivered]
     assert 0 < tracer.delivered_count() < len(packets)
-    assert tracer.wait_totals().tolist() == [r.total_wait for r in records]
+    assert tracer.wait_totals().tolist() == [r.total_wait for r in rows]
     tracer.clear()
-    assert len(tracer) == 0 and tracer.drops == 0 and not tracer.records
+    assert len(tracer) == 0 and tracer.drops == 0 and not records(tracer)

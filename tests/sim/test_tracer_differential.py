@@ -2,7 +2,7 @@
 
 Hypothesis draws small networks and runs each twice, once traced by
 :class:`~repro.sim.tracer.Tracer` (a table of columns, read back through
-its ``records`` view) and once by
+:func:`tests.sim.reference_tracer.records`) and once by
 :class:`tests.sim.reference_tracer.ReferenceTracer` (one record object per
 packet), and demands the same per-packet ``(pid, flow_id, size, src, dst,
 created, exit, path, hop_tx, hop_waits, dropped_at)``.  The draws cover
@@ -39,7 +39,7 @@ from repro.sim.network import Network
 from repro.sim.tracer import Tracer
 from repro.transport.tcp import install_tcp_flows
 from repro.units import MBPS
-from tests.sim.reference_tracer import ReferenceTracer
+from tests.sim.reference_tracer import ReferenceRecord, ReferenceTracer, records
 
 SCALE = max(1, int(os.environ.get("REPRO_STRESS_SCALE", "1")))
 
@@ -144,9 +144,9 @@ def _run(case, tracer) -> Network:
     return net
 
 
-def _story(tracer) -> list[tuple]:
+def _story(table: dict[int, ReferenceRecord]) -> list[tuple]:
     return [(pid, *(getattr(r, name) for name in FIELDS))
-            for pid, r in tracer.records.items()]
+            for pid, r in table.items()]
 
 
 @settings(max_examples=300 * SCALE, deadline=None,
@@ -155,6 +155,6 @@ def _story(tracer) -> list[tuple]:
 def test_the_packet_table_tells_every_packet_s_story_like_the_records_did(case):
     want = _run(case, ReferenceTracer()).tracer
     got = _run(case, Tracer()).tracer
-    assert _story(got) == _story(want)
+    assert _story(records(got)) == _story(want.records)
     assert (got.drops, len(got), got.delivered_count()) == (
         want.drops, len(want), want.delivered_count())

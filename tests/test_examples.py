@@ -1,12 +1,15 @@
 """Smoke tests: the example scripts run and print their expected shapes.
 
-Only the two fastest examples run in-process here (the full set is
-exercised manually / by CI at longer horizons); this guards against the
-examples drifting out of sync with the library API.
+Only the fastest examples run in-process here (the full set is exercised
+manually / by CI at longer horizons); this guards against the examples
+drifting out of sync with the library API.  Every example, run or not,
+has each name it imports from ``repro`` resolved against the library.
 """
 
 from __future__ import annotations
 
+import ast
+import importlib
 import runpy
 import sys
 from pathlib import Path
@@ -58,3 +61,29 @@ def test_other_examples_importable(name):
     namespace: dict = {"__name__": "not_main"}
     exec(code, namespace)  # definitions only; main() guarded
     assert callable(namespace["main"])
+
+
+def _repro_imports(path: Path) -> list[tuple[str, str | None]]:
+    """``(module, name)`` per ``from repro… import name`` in ``path``, and
+    ``(module, None)`` per ``import repro…``, wherever they appear."""
+    def ours(module: str | None) -> bool:
+        return (module or "").split(".")[0] == "repro"
+
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and ours(node.module):
+            found += [(node.module, alias.name) for alias in node.names]
+        elif isinstance(node, ast.Import):
+            found += [(alias.name, None) for alias in node.names if ours(alias.name)]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(EXAMPLES.glob("*.py")), ids=lambda p: p.name)
+def test_every_repro_import_in_an_example_resolves(path):
+    """An export removed from the library cannot hide in an example that
+    no test runs."""
+    imports = _repro_imports(path)
+    assert imports, f"{path.name} imports nothing from repro"
+    for module, name in imports:
+        target = importlib.import_module(module)
+        assert name is None or hasattr(target, name), f"{path.name}: {module}.{name}"

@@ -16,9 +16,10 @@ import numpy as np
 import pytest
 
 from repro.core.flow import Flow
-from repro.core.replay import RecordedPacket, record_schedule, replay_schedule
+from repro.core.replay import record_schedule, replay_schedule
 from repro.topology.simple import build_single_switch
 from repro.transport.udp import install_udp_flows
+from tests.sim.reference_tracer import rows
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -40,14 +41,11 @@ def test_priorities_replay_one_congestion_point_perfectly(seed):
     assert schedule.max_congestion_points() <= 1  # the theorem's premise
     ref = make()
 
-    def priority(rec: RecordedPacket) -> float:
-        # α_p = SW; remaining tmin from SW includes the SW->sink hop.
-        return (
-            rec.output_time
-            - ref.remaining_tmin("SW", rec.dst, rec.size)
-            + ref.links[("SW", "sink")].tx_time(rec.size)
-        )
-
-    outcome = replay_schedule(schedule, make, mode="priority",
-                              priority_fn=priority)
+    # α_p = SW; remaining tmin from SW includes the SW->sink hop.
+    priority = np.array([
+        rec["o"] - ref.remaining_tmin("SW", rec["dst"], rec["size"])
+        + ref.links[("SW", "sink")].tx_time(rec["size"])
+        for rec in rows(schedule)
+    ])
+    outcome = replay_schedule(schedule, make, mode="priority", targets=priority)
     assert outcome.perfect, f"late by {outcome.max_lateness}"

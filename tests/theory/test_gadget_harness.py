@@ -8,6 +8,7 @@ from repro.errors import ConfigurationError
 from repro.sim.network import Network
 from repro.theory.gadgets import Gadget, GadgetPacket, bw_for_tx_time
 from repro.units import INFINITY
+from tests.sim.reference_tracer import rows
 
 
 def _tiny_network() -> Network:
@@ -61,15 +62,15 @@ def test_duplicate_packet_names_rejected():
 def test_record_follows_the_timetable():
     g = _tiny_gadget()
     schedule = g.record()
-    out = {g.packet_name(p.pid): p.output_time for p in schedule.packets}
+    out = {g.packet_name(r["pid"]): r["o"] for r in rows(schedule)}
     # q is released at 0 (exits at 1); p is held until 1 (exits at 2).
     assert out == pytest.approx({"q": 1.0, "p": 2.0})
 
 
 def test_record_is_repeatable():
     g = _tiny_gadget()
-    a = {p.pid: p.output_time for p in g.record().packets}
-    b = {p.pid: p.output_time for p in g.record().packets}
+    a = {r["pid"]: r["o"] for r in rows(g.record())}
+    b = {r["pid"]: r["o"] for r in rows(g.record())}
     assert a == b
 
 

@@ -12,6 +12,7 @@ import pytest
 from repro.theory.blackbox import blackbox_gadget
 from repro.theory.lstf_failure import lstf_three_congestion_gadget
 from repro.theory.priority_cycle import all_priority_orderings_fail, priority_cycle_gadget
+from tests.sim.reference_tracer import rows
 
 
 class TestFigure7LstfFailure:
@@ -19,18 +20,16 @@ class TestFigure7LstfFailure:
 
     def test_original_schedule_matches_the_figure(self):
         g = lstf_three_congestion_gadget()
-        schedule = g.record()
-        out = {g.packet_name(p.pid): p.output_time for p in schedule.packets}
+        out = {g.packet_name(r["pid"]): r["o"] for r in rows(g.record())}
         assert out == pytest.approx(
             {"a": 5.0, "b": 2.0, "c1": 3.0, "c2": 4.0, "d1": 3.0, "d2": 4.0}
         )
 
     def test_packet_a_crosses_three_congestion_points_with_slack_2(self):
         g = lstf_three_congestion_gadget()
-        schedule = g.record()
-        a = next(p for p in schedule.packets if g.packet_name(p.pid) == "a")
-        assert a.output_time - a.ingress_time - 3.0 == pytest.approx(2.0)
-        assert {"a0", "a1", "a2"} <= set(a.path)
+        a = next(r for r in rows(g.record()) if g.packet_name(r["pid"]) == "a")
+        assert a["o"] - a["i"] - 3.0 == pytest.approx(2.0)
+        assert {"a0", "a1", "a2"} <= set(a["path"])
 
     @pytest.mark.parametrize("mode", ["lstf", "edf", "lstf-preemptive"])
     def test_lstf_family_cannot_replay(self, mode):
@@ -50,8 +49,7 @@ class TestFigure6PriorityCycle:
 
     def test_original_schedule_matches_the_figure(self):
         g = priority_cycle_gadget()
-        schedule = g.record()
-        out = {g.packet_name(p.pid): p.output_time for p in schedule.packets}
+        out = {g.packet_name(r["pid"]): r["o"] for r in rows(g.record())}
         assert out == pytest.approx({"a": 3.4, "b": 2.5, "c": 3.2})
 
     def test_every_static_priority_assignment_fails(self):
@@ -75,11 +73,10 @@ class TestFigure5Blackbox:
         views = {}
         for case in (1, 2):
             g = blackbox_gadget(case)
-            schedule = g.record()
             views[case] = {
-                g.packet_name(p.pid): (p.ingress_time, p.output_time, p.path)
-                for p in schedule.packets
-                if g.packet_name(p.pid) in ("a", "x")
+                g.packet_name(r["pid"]): (r["i"], r["o"], r["path"])
+                for r in rows(g.record())
+                if g.packet_name(r["pid"]) in ("a", "x")
             }
         assert views[1] == views[2]
 

@@ -8,6 +8,7 @@ from repro.core.flow import Flow
 from repro.sim.network import Network
 from repro.transport.tcp import TcpSender, install_tcp_flows
 from repro.units import MBPS
+from tests.sim.reference_tracer import records
 
 
 def _net(bottleneck=8 * MBPS, prop=0.0005, buffer_bytes=None):
@@ -86,7 +87,7 @@ def test_acks_are_small_and_urgent():
     flow = Flow(1, "a", "b", 3_000, start=0.0)
     install_tcp_flows(net, [flow], min_rto=0.05)
     net.run(until=2.0)
-    acks = [r for r in net.tracer.records.values() if r.size == 40]
+    acks = [r for r in records(net.tracer).values() if r.size == 40]
     assert acks, "receiver should have generated ACKs"
     assert all(r.src == "b" and r.dst == "a" for r in acks)
 

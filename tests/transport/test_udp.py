@@ -9,6 +9,7 @@ from repro.core.heuristics import ConstantSlack
 from repro.sim.network import Network
 from repro.transport.udp import install_udp_flows
 from repro.units import MBPS
+from tests.sim.reference_tracer import delivered
 
 
 def _net():
@@ -26,7 +27,7 @@ def test_flow_fully_delivered_and_segmented():
     flow = Flow(1, "a", "b", 4000, start=0.01)
     install_udp_flows(net, [flow])
     net.run()
-    recs = list(net.tracer.delivered_records())
+    recs = list(delivered(net.tracer))
     assert len(recs) == 3  # 1500 + 1500 + 1000
     assert sum(r.size for r in recs) == 4000
     assert all(r.created == pytest.approx(0.01) for r in recs)
@@ -37,7 +38,7 @@ def test_host_link_paces_the_burst():
     flow = Flow(1, "a", "b", 3000, start=0.0)
     install_udp_flows(net, [flow])
     net.run()
-    exits = sorted(r.exit for r in net.tracer.delivered_records())
+    exits = sorted(r.exit for r in delivered(net.tracer))
     # 1500B at 8Mbps = 1.5ms per serialisation.
     assert exits[1] - exits[0] == pytest.approx(1.5e-3)
 
@@ -77,6 +78,6 @@ def test_multiple_flows_independent():
     install_udp_flows(net, flows)
     net.run()
     by_flow = {}
-    for rec in net.tracer.delivered_records():
+    for rec in delivered(net.tracer):
         by_flow.setdefault(rec.flow_id, []).append(rec)
     assert set(by_flow) == {1, 2}

@@ -6,8 +6,9 @@ experiment across many seeds — and those are embarrassingly parallel.
 This example shards one sweep three ways and shows they all agree
 byte-for-byte:
 
-1. the one-liner: ``run_many(..., executor="queue")`` (submits, spawns
-   local drain workers, gathers);
+1. the one-liner: ``run_many(..., queue_dir=...)`` (a queue directory
+   picks the queue mode: it submits, spawns local drain workers,
+   gathers);
 2. the explicit client API: ``submit`` → ``Worker.drain`` → ``status``
    → ``gather``, the same calls `repro submit/worker/status` make from
    the shell;
@@ -35,11 +36,9 @@ def main() -> None:
     ).sweep()
 
     with tempfile.TemporaryDirectory() as tmp:
-        # --- 1. the one-liner: queue executor through run_many -----------
+        # --- 1. the one-liner: run_many through a queue directory ---------
         queue_dir = Path(tmp) / "q1"
-        distributed = run_many(
-            sweep, workers=2, executor="queue", queue_dir=queue_dir
-        )
+        distributed = run_many(sweep, workers=2, queue_dir=queue_dir)
         print(f"queue executor: gathered {len(distributed)} artifacts "
               f"via {queue_dir}")
 

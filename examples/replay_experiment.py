@@ -37,7 +37,7 @@ def main(modes: list[str]) -> None:
 
     with tempfile.TemporaryDirectory() as tmp:
         artifacts = run_many(legs, out_dir=tmp)
-        recorded = ScheduleStore(Path(tmp) / "schedules").recorded_keys()
+        recorded = ScheduleStore(Path(tmp) / "schedules").built_keys()
 
     merged = Table(
         ["replay mode", "packets", "overdue", "overdue > T"],

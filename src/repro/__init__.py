@@ -18,14 +18,14 @@ rebuilds their entire evaluation stack in pure Python:
   structured JSON artifacts,
 * queue-backed distributed execution (:mod:`repro.cluster`): a durable
   SQLite job queue with crash-safe leases, worker daemons
-  (``repro worker``), and ``run_many(..., executor="queue")`` /
+  (``repro worker``), and ``run_many(..., queue_dir=...)`` /
   ``submit``/``status``/``gather`` for sharding sweeps across local
   processes — byte-identical to serial runs,
 * record-once/replay-many (:mod:`repro.core.trace_io`): recorded
   schedules are content-addressed artifacts in a shared
   :class:`ScheduleStore`, ``ExperimentSpec(replay_modes=...)`` sweeps
   candidate UPSes over one recording, and ``run_many`` simulates each
-  unique original schedule exactly once under every executor (see
+  unique original schedule exactly once in every execution mode (see
   ``docs/replay.md``),
 * simulate-once/branch-many (:mod:`repro.sim.checkpoint`): engine and
   network state checkpoint/restore, warm-up snapshots as hash-verified
@@ -102,10 +102,8 @@ from repro.core.replay import (
 )
 from repro.core.trace_io import (
     ScheduleStore,
-    active_schedule_store,
     load_schedule,
     save_schedule,
-    use_schedule_store,
 )
 from repro.errors import (
     CheckpointError,
@@ -154,12 +152,10 @@ from repro.sim.aqm import CoDelAqm, RedAqm
 from repro.sim.checkpoint import (
     CheckpointStore,
     Snapshot,
-    active_checkpoint_store,
     load_checkpoint,
     restore_snapshot,
     save_checkpoint,
     snapshot_network,
-    use_checkpoint_store,
 )
 from repro.sim.engine import Engine
 from repro.sim.network import Network
@@ -245,9 +241,7 @@ __all__ = [
     "TimetableScheduler",
     "VirtualClockSlack",
     "WorkloadError",
-    "active_checkpoint_store",
     "active_metrics_hub",
-    "active_schedule_store",
     "build_dumbbell",
     "build_fattree",
     "build_internet2",
@@ -283,8 +277,6 @@ __all__ = [
     "scenario_names",
     "scheduler_names",
     "snapshot_network",
-    "use_checkpoint_store",
     "use_metrics_hub",
-    "use_schedule_store",
     "web_search_distribution",
 ]

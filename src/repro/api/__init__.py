@@ -18,8 +18,8 @@ The pieces:
   JSON-round-trippable description of one run or sweep;
 * :mod:`repro.api.registry` — ``@register_experiment`` and
   :func:`get`, mapping names like ``"fig2"`` to spec-driven drivers;
-* :mod:`repro.api.runner` — :func:`run` / :func:`run_many`, serial or
-  ``multiprocessing`` execution with wall-time capture;
+* :mod:`repro.api.runner` — :func:`run` / :func:`run_many`, serial,
+  ``multiprocessing`` or job-queue execution with wall-time capture;
 * :mod:`repro.api.results` — :class:`RunArtifact`, the structured
   result that serialises to JSON and renders through
   :class:`~repro.analysis.tables.Table`.
@@ -34,11 +34,10 @@ from repro.api.registry import (
     register_experiment,
 )
 from repro.api.results import RunArtifact, load_artifact, spec_run_id
-from repro.api.runner import EXECUTORS, cached_artifact, run, run_many
+from repro.api.runner import cached_artifact, run, run_many
 from repro.api.spec import ExperimentSpec
 
 __all__ = [
-    "EXECUTORS",
     "ExperimentRegistry",
     "ExperimentSpec",
     "REGISTRY",

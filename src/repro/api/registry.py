@@ -64,7 +64,6 @@ class RegisteredExperiment:
     name: str
     fn: Callable
     help: str = ""
-    aliases: tuple[str, ...] = ()
     options: tuple[str, ...] = ()
     params: tuple[str, ...] = ()
     prerequisites: Callable | None = None
@@ -79,7 +78,6 @@ class ExperimentRegistry:
     """A name → driver mapping with decorator-based registration."""
 
     _entries: dict[str, RegisteredExperiment] = field(default_factory=dict)
-    _aliases: dict[str, str] = field(default_factory=dict)
     _loaded: bool = False
 
     def register(
@@ -87,7 +85,6 @@ class ExperimentRegistry:
         name: str,
         *,
         help: str = "",
-        aliases: tuple[str, ...] = (),
         options: tuple[str, ...] = (),
         params: tuple[str, ...] = (),
         prerequisites: Callable | None = None,
@@ -95,19 +92,14 @@ class ExperimentRegistry:
         """Decorator: register ``fn`` as the driver for ``name``."""
 
         def decorator(fn: Callable) -> Callable:
-            for key in (name, *aliases):
-                if key in self._entries or key in self._aliases:
-                    raise ConfigurationError(
-                        f"experiment {key!r} is already registered"
-                    )
-            entry = RegisteredExperiment(
-                name=name, fn=fn, help=help, aliases=tuple(aliases),
-                options=tuple(options), params=tuple(params),
-                prerequisites=prerequisites,
+            if name in self._entries:
+                raise ConfigurationError(
+                    f"experiment {name!r} is already registered"
+                )
+            self._entries[name] = RegisteredExperiment(
+                name=name, fn=fn, help=help, options=tuple(options),
+                params=tuple(params), prerequisites=prerequisites,
             )
-            self._entries[name] = entry
-            for alias in aliases:
-                self._aliases[alias] = name
             return fn
 
         return decorator
@@ -120,30 +112,29 @@ class ExperimentRegistry:
             importlib.import_module(module)
 
     def get(self, name: str) -> RegisteredExperiment:
-        """Resolve a name or alias to its entry (loading built-ins)."""
+        """Resolve a name to its entry (loading built-ins)."""
         self._load_builtins()
-        canonical = self._aliases.get(name, name)
         try:
-            return self._entries[canonical]
+            return self._entries[name]
         except KeyError:
             raise ConfigurationError(
                 f"unknown experiment {name!r}; registered: {self.names()}"
             ) from None
 
     def names(self) -> tuple[str, ...]:
-        """Registered canonical names, sorted."""
+        """Registered names, sorted."""
         self._load_builtins()
         return tuple(sorted(self._entries))
 
     def entries(self) -> tuple[RegisteredExperiment, ...]:
-        """Every registry entry, in canonical-name order."""
+        """Every registry entry, in name order."""
         self._load_builtins()
         return tuple(self._entries[n] for n in self.names())
 
     def __contains__(self, name: str) -> bool:
-        """True when ``name`` is a registered name or alias."""
+        """True when ``name`` is a registered name."""
         self._load_builtins()
-        return name in self._entries or name in self._aliases
+        return name in self._entries
 
 
 #: The process-wide registry the decorators below write into.
@@ -154,27 +145,26 @@ def register_experiment(
     name: str,
     *,
     help: str = "",
-    aliases: tuple[str, ...] = (),
     options: tuple[str, ...] = (),
     params: tuple[str, ...] = (),
     prerequisites: Callable | None = None,
 ) -> Callable[[Callable], Callable]:
     """Register a driver on the global :data:`REGISTRY` (decorator).
 
-    ``name`` is the canonical experiment id (plus optional ``aliases``);
-    ``help`` is the one-liner ``repro list`` shows; ``options`` and
-    ``params`` declare the spec options/fields the driver reads (anything
-    else is rejected loudly); ``prerequisites`` is the build-once hook —
-    see :class:`RegisteredExperiment`.
+    ``name`` is the experiment id; ``help`` is the one-liner ``repro
+    list`` shows; ``options`` and ``params`` declare the spec
+    options/fields the driver reads (anything else is rejected loudly);
+    ``prerequisites`` is the build-once hook — see
+    :class:`RegisteredExperiment`.
     """
     return REGISTRY.register(
-        name, help=help, aliases=aliases, options=options, params=params,
+        name, help=help, options=options, params=params,
         prerequisites=prerequisites,
     )
 
 
 def get(name: str) -> RegisteredExperiment:
-    """Look up a registered experiment by name or alias."""
+    """Look up a registered experiment by name."""
     return REGISTRY.get(name)
 
 

@@ -16,12 +16,12 @@ already holds the spec's run-id the saved artifact *is* the answer.
 
 :func:`run_many` maps :func:`run` over a list of specs — a seed or
 scheduler sweep built with :meth:`ExperimentSpec.sweep` — in this
-process, via a ``multiprocessing`` pool, or through the durable job
-queue of :mod:`repro.cluster` (``executor="queue"``).  Worker processes
-are safe because the simulator is deterministic and single-threaded per
-run and specs/artifacts are plain picklable data; parallel and
-distributed results are required to be byte-identical to serial ones
-(guarded by the test suite).
+process, via a ``multiprocessing`` pool (``workers > 1``), or through
+the durable job queue of :mod:`repro.cluster` (``queue_dir=``).  Worker
+processes are safe because the simulator is deterministic and
+single-threaded per run and specs/artifacts are plain picklable data;
+parallel and distributed results are required to be byte-identical to
+serial ones (guarded by the test suite).
 """
 
 from __future__ import annotations
@@ -36,21 +36,20 @@ import time
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
-from repro.api.registry import REGISTRY, ExperimentRegistry
+from repro.api.registry import REGISTRY
 from repro.api.results import RunArtifact, load_artifact, spec_run_id
 from repro.api.spec import ExperimentSpec
 from repro.core.packet import reset_packet_ids
 from repro.core.store import ContentStore
-from repro.core.trace_io import ScheduleStore, use_schedule_store
+from repro.core.trace_io import ScheduleStore
 from repro.errors import ConfigurationError, require_positive_int
 from repro.obs.hub import MetricsHub, use_metrics_hub
 from repro.obs.spans import SPANS
-from repro.sim.checkpoint import CheckpointStore, use_checkpoint_store
+from repro.sim.checkpoint import CheckpointStore
 from repro.sim.engine import ENGINE_PERF
 from repro.sim.resume import CheckpointPolicy, ResumeSession, use_resume_session
 
-__all__ = ["EXECUTORS", "cached_artifact", "obs_enabled_from_env", "run",
-           "run_many"]
+__all__ = ["cached_artifact", "obs_enabled_from_env", "run", "run_many"]
 
 #: Environment switch for run telemetry: set to anything but ""/"0" and
 #: ``run(obs=None)`` attaches a fresh :class:`~repro.obs.hub.MetricsHub`.
@@ -111,7 +110,6 @@ def cached_artifact(spec: ExperimentSpec, out_dir: str | Path) -> RunArtifact | 
 
 def run(
     spec: ExperimentSpec,
-    registry: ExperimentRegistry | None = None,
     out_dir: str | Path | None = None,
     force: bool = False,
     schedule_dir: str | Path | None = None,
@@ -161,7 +159,7 @@ def run(
     The policy never reaches the artifact — resumed and straight runs
     are byte-identical (the fault-injection suite proves it).
     """
-    entry = (registry or REGISTRY).get(spec.experiment)
+    entry = REGISTRY.get(spec.experiment)
     unknown = [key for key, _ in spec.options if key not in entry.options]
     if unknown:
         accepted = ", ".join(entry.options) or "none"
@@ -190,8 +188,9 @@ def run(
     ENGINE_PERF.reset()
     start = time.perf_counter()
     try:
-        with use_schedule_store(store), use_checkpoint_store(ckpt_store), \
-                use_metrics_hub(hub), use_resume_session(session), \
+        with ScheduleStore.activated(store), \
+                CheckpointStore.activated(ckpt_store), use_metrics_hub(hub), \
+                use_resume_session(session), \
                 SPANS.span("simulate", experiment=spec.experiment,
                            run_id=spec_run_id(spec)):
             output = entry.fn(spec)
@@ -224,10 +223,6 @@ def run(
     return artifact
 
 
-#: The execution modes :func:`run_many` understands.
-EXECUTORS = ("serial", "process", "queue")
-
-
 def _pool_worker_init() -> None:
     """Restore default signal dispositions in a fresh pool worker.
 
@@ -253,18 +248,18 @@ def _plan_sweep(
     spec_list: Sequence[ExperimentSpec],
     out_dir: str | Path | None,
     force: bool,
-) -> tuple[dict[int, RunArtifact], dict[str, dict[str, Callable]], set[str]]:
-    """What a sweep already has and what it needs before its legs fan out.
+) -> tuple[dict[int, RunArtifact], dict[str, dict[str, Callable]]]:
+    """What a sweep already has and what it must build before its legs fan out.
 
     One pass that evaluates each spec's ``out_dir`` artifact-cache lookup
     and its experiment's ``prerequisites`` hook exactly once.  Returns
-    ``(cached, needed, shared)``: the artifacts the cache already answers,
-    by spec index (those legs never touch a store, so they contribute
-    nothing further); the remaining legs' prerequisites as
-    ``kind → {key: builder}``, deduplicated; and the kinds in which some
-    key is needed by more than one leg — the only case an *ephemeral*
-    store earns its serialise/reload round trips, since an unshared key
-    is built exactly once by its own leg anyway.
+    ``(cached, shared)``: the artifacts the cache already answers, by spec
+    index (those legs never touch a store), and, for each kind in which
+    some key is needed by more than one remaining leg, every key of that
+    kind the remaining legs need → its builder.  Only those kinds earn
+    the pre-pass (and, with nowhere durable, an ephemeral store's
+    serialise/reload round trips): an unshared key is built exactly once
+    by its own leg anyway, into the same store.
     """
     cached: dict[int, RunArtifact] = {}
     needed: dict[str, dict[str, Callable]] = {kind: {} for kind in STORE_KINDS}
@@ -280,7 +275,8 @@ def _plan_sweep(
             if not needed[kind].keys().isdisjoint(builders):
                 shared.add(kind)
             needed[kind].update(builders)
-    return cached, needed, shared
+    return cached, {kind: builders for kind, builders in needed.items()
+                    if kind in shared}
 
 
 def _store_dir(
@@ -304,11 +300,11 @@ def _open_store(
 
 @contextlib.contextmanager
 def _sweep_store_dirs(
-    shared: set[str],
+    shared: dict[str, dict[str, Callable]],
     base: str | Path | None,
-    overrides: dict[str, str | Path | None],
+    checkpoint_dir: str | Path | None,
 ) -> Iterator[dict[str, Path | None]]:
-    """Where this sweep's shared prerequisite stores live, by kind.
+    """Where this sweep's prerequisite stores live, by kind.
 
     :func:`_store_dir` when that names a place — durable, so later sweeps
     reuse the entries and the store pays off even without sharing inside
@@ -316,6 +312,7 @@ def _sweep_store_dirs(
     only for a ``shared`` kind; ``None`` (no store, legs build in memory
     — no round-trip overhead) when nothing would be reused.
     """
+    overrides = {"checkpoint": checkpoint_dir}
     with contextlib.ExitStack() as stack:
         dirs = {}
         for kind, (subdir, _cls, _span) in STORE_KINDS.items():
@@ -332,24 +329,23 @@ def _build_one(kind: str, root: str, key: str, builder: Callable) -> None:
 
 
 def _build_prerequisites(
-    needed: dict[str, dict[str, Callable]],
+    shared: dict[str, dict[str, Callable]],
     dirs: dict[str, Path | None],
     workers: int,
     legs: int,
 ) -> None:
-    """The build-once pre-pass: simulate each missing prerequisite once.
+    """The build-once pre-pass: simulate each missing shared prerequisite
+    once.
 
     Runs before any leg of the sweep, so concurrently executing legs
-    (process pool, queue workers) only ever *read* the stores and the
-    "recorded / warmed up exactly once" guarantee holds under every
-    executor.  Missing means *no readable entry* — a torn file is
-    rebuilt here, once, not by every leg that trips over it.  Builds are
-    independent, so with ``workers > 1`` and several missing entries of
-    a kind the pre-pass fans out over a process pool.
+    (process pool, queue workers) only ever *read* a shared entry and the
+    "recorded / warmed up exactly once" guarantee holds in every mode.
+    Missing means *no readable entry* — a torn file is rebuilt here,
+    once, not by every leg that trips over it.  Builds are independent,
+    so with ``workers > 1`` and several missing entries of a kind the
+    pre-pass fans out over a process pool.
     """
-    for kind, builders in needed.items():
-        if dirs[kind] is None:
-            continue
+    for kind, builders in shared.items():
         _subdir, store_cls, span = STORE_KINDS[kind]
         with SPANS.span(span, legs=legs):
             store = store_cls(dirs[kind])
@@ -369,17 +365,14 @@ def run_many(
     workers: int = 1,
     out_dir: str | Path | None = None,
     force: bool = False,
-    executor: str | None = None,
     queue_dir: str | Path | None = None,
     batch_size: int | None = None,
     checkpoint_dir: str | Path | None = None,
     checkpoint_policy: "CheckpointPolicy | str | None" = None,
 ) -> list[RunArtifact]:
-    """Execute several specs under one of three executors.
+    """Execute several specs; the inputs pick how.
 
-    * ``"serial"`` — this process, one spec at a time;
-    * ``"process"`` — a local ``multiprocessing`` pool of ``workers``;
-    * ``"queue"`` — the durable job queue at ``queue_dir``
+    * ``queue_dir`` given — the durable job queue there
       (:mod:`repro.cluster`): specs are enqueued, ``workers`` local
       drain-worker processes are spawned, and the call blocks until the
       sweep's artifacts can be gathered.  External ``repro worker``
@@ -391,191 +384,150 @@ def run_many(
       (:data:`repro.cluster.worker.DEFAULT_BATCH_SIZE`) is clamped to
       ``ceil(jobs / workers)`` so batching never serialises a sweep
       onto fewer workers than requested.
+    * else ``workers > 1`` — a local ``multiprocessing`` pool;
+    * else this process, one spec at a time.
 
-    ``executor=None`` infers the mode: ``"queue"`` when ``queue_dir`` is
-    given, else ``"serial"``/``"process"`` from ``workers`` (the
-    pre-cluster behaviour, unchanged).
-
-    Whatever the executor, results come back in input order and are
+    Whatever the mode, results come back in input order and are
     byte-identical (``canonical_json``) across modes — the determinism
     contract the test suite guards.  ``out_dir``/``force`` behave as in
     :func:`run`; with a warm cache a sweep only simulates the specs it
     has never seen.
 
-    Build once, share many: before fanning out, the sweep is partitioned
-    by what its specs need built first (each experiment's registered
-    ``prerequisites`` hook) and every unique prerequisite is simulated
-    exactly once into the sweep's shared store of its kind — recorded
-    schedules into a :class:`~repro.core.trace_io.ScheduleStore`,
-    warm-up prefixes into a
-    :class:`~repro.sim.checkpoint.CheckpointStore` — rooted under
-    ``out_dir``, the queue's ``artifacts/``, or a temporary directory
-    scoped to this call.  The legs then replay (or branch) from the
-    store, so a ``replay_modes`` sweep over M modes pays the recording
-    cost once, not M times, and an N-leg branch sweep costs
-    O(horizon + N × delta), not O(N × horizon), under all three
-    executors.  ``checkpoint_dir`` overrides where the checkpoint store
+    Build once, share many: one body plans the sweep (each experiment's
+    registered ``prerequisites`` hook), pre-passes, then runs the legs.
+    Every prerequisite that more than one leg needs is simulated exactly
+    once, before fan-out, into the sweep's store of its kind — recorded
+    schedules into a :class:`~repro.core.trace_io.ScheduleStore`, warm-up
+    prefixes into a :class:`~repro.sim.checkpoint.CheckpointStore` —
+    rooted under ``out_dir``, the queue's ``artifacts/``, or a temporary
+    directory scoped to this call; a prerequisite only one leg needs is
+    built by that leg, into the same store.  So a ``replay_modes`` sweep
+    over M modes pays the recording cost once, not M times, and an N-leg
+    branch sweep costs O(horizon + N × delta), not O(N × horizon), in
+    every mode.  ``checkpoint_dir`` overrides where the checkpoint store
     lives (the CLI's ``--branch-from``), e.g. to reuse warm-ups across
-    sweeps without adopting a full ``out_dir`` cache; with the queue
-    executor it always lives in the queue's shared
-    ``artifacts/checkpoints`` — where the workers look — so an override
-    is rejected there.
+    sweeps without adopting a full ``out_dir`` cache; queue workers
+    always use the queue's shared ``artifacts/checkpoints``, so it is
+    rejected together with ``queue_dir``, as is ``batch_size`` without
+    one.
 
     ``checkpoint_policy`` arms preemption-safe resume for every leg (see
     :func:`run`): each leg writes periodic mid-flight snapshots and a
-    retried leg resumes from the newest valid one instead of t=0.  With
-    the queue executor the policy is handed to the spawned drain
-    workers; otherwise it needs a durable store (``out_dir`` or
+    retried leg resumes from the newest valid one instead of t=0.
+    Through the queue the policy is handed to the spawned drain workers;
+    otherwise it needs a durable store (``out_dir`` or
     ``checkpoint_dir``).
     """
     spec_list: Sequence[ExperimentSpec] = list(specs)
     require_positive_int(workers, "workers")
-    if isinstance(checkpoint_policy, str):
-        checkpoint_policy = CheckpointPolicy.parse(checkpoint_policy)
-    if executor is None:
-        executor = (
-            "queue" if queue_dir is not None
-            else ("serial" if workers == 1 else "process")
-        )
-    if executor not in EXECUTORS:
-        raise ConfigurationError(
-            f"unknown executor {executor!r}; one of {EXECUTORS}"
-        )
     if batch_size is not None:
         require_positive_int(batch_size, "batch_size")
-    if executor == "queue":
-        if queue_dir is None:
-            raise ConfigurationError(
-                "executor='queue' needs queue_dir= (the queue directory "
-                "workers share)"
-            )
-        if checkpoint_dir is not None:
-            raise ConfigurationError(
-                "checkpoint_dir= does not apply to executor='queue': queue "
-                "workers fetch checkpoints from the queue's own "
-                "artifacts/checkpoints store"
-            )
-        return _run_many_queue(
-            spec_list, workers, queue_dir, out_dir, force, batch_size,
-            checkpoint_policy,
+    if isinstance(checkpoint_policy, str):
+        checkpoint_policy = CheckpointPolicy.parse(checkpoint_policy)
+    if queue_dir is not None and checkpoint_dir is not None:
+        raise ConfigurationError(
+            "checkpoint_dir= does not apply with queue_dir=: queue workers "
+            "fetch checkpoints from the queue's own artifacts/checkpoints "
+            "store"
         )
-    if checkpoint_policy is not None and out_dir is None \
-            and checkpoint_dir is None:
+    if queue_dir is None and batch_size is not None:
+        raise ConfigurationError(
+            "batch_size= only applies with queue_dir= (it sizes the jobs "
+            "a queue worker leases at once)"
+        )
+    if queue_dir is None and checkpoint_policy is not None \
+            and out_dir is None and checkpoint_dir is None:
         raise ConfigurationError(
             "checkpoint_policy needs a durable checkpoint store to write "
             "snapshots into — pass out_dir= or checkpoint_dir= (a "
             "sweep-scoped temporary store would die with the process the "
             "policy is guarding against)"
         )
-    if queue_dir is not None:
-        raise ConfigurationError(
-            f"queue_dir= only applies to executor='queue', not {executor!r}"
-        )
-    if batch_size is not None:
-        raise ConfigurationError(
-            f"batch_size= only applies to executor='queue', not {executor!r}"
-        )
-    results, needed, shared = _plan_sweep(spec_list, out_dir, force)
+    base = out_dir if queue_dir is None else Path(queue_dir) / "artifacts"
+    results, shared = _plan_sweep(spec_list, out_dir, force)
     misses = [i for i in range(len(spec_list)) if i not in results]
-    missed_specs = [spec_list[i] for i in misses]
-    with _sweep_store_dirs(
-            shared, out_dir, {"checkpoint": checkpoint_dir}) as dirs:
-        _build_prerequisites(needed, dirs, workers, legs=len(spec_list))
-        leg = functools.partial(
-            run, out_dir=out_dir, force=force, schedule_dir=dirs["schedule"],
-            checkpoint_dir=dirs["checkpoint"],
-            checkpoint_policy=checkpoint_policy,
-        )
-        if executor == "serial" or workers == 1 or len(misses) <= 1:
-            fresh = [leg(spec) for spec in missed_specs]
+    missed = [spec_list[i] for i in misses]
+    with _sweep_store_dirs(shared, base, checkpoint_dir) as dirs:
+        _build_prerequisites(shared, dirs, workers, legs=len(missed))
+        if queue_dir is not None:
+            fresh = _through_queue(missed, queue_dir, workers, force,
+                                   batch_size, checkpoint_policy)
         else:
-            with _pool(min(workers, len(misses))) as pool:
-                fresh = pool.map(leg, missed_specs)
+            leg = functools.partial(
+                run, out_dir=out_dir, force=force,
+                schedule_dir=dirs["schedule"],
+                checkpoint_dir=dirs["checkpoint"],
+                checkpoint_policy=checkpoint_policy,
+            )
+            if workers == 1 or len(missed) <= 1:
+                fresh = [leg(spec) for spec in missed]
+            else:
+                with _pool(min(workers, len(missed))) as pool:
+                    fresh = pool.map(leg, missed)
     results.update(zip(misses, fresh))
+    if queue_dir is not None and out_dir is not None \
+            and Path(out_dir).resolve() != base.resolve():
+        for index in misses:
+            results[index].save(out_dir)
     return [results[i] for i in range(len(spec_list))]
 
 
-def _run_many_queue(
-    spec_list: Sequence[ExperimentSpec],
-    workers: int,
+def _through_queue(
+    specs: Sequence[ExperimentSpec],
     queue_dir: str | Path,
-    out_dir: str | Path | None,
+    workers: int,
     force: bool,
     batch_size: int | None,
-    checkpoint_policy: "CheckpointPolicy | None" = None,
+    checkpoint_policy: "CheckpointPolicy | None",
 ) -> list[RunArtifact]:
-    """Queue-executor backend: submit, spawn drain workers, gather.
+    """The queue mode's legs: submit, spawn local drain workers, gather.
 
     Imports :mod:`repro.cluster` lazily — the cluster package is built on
     top of this module, so a top-level import would be circular.
     """
+    if not specs:
+        return []
     from repro.cluster.client import gather, submit
     from repro.cluster.worker import DEFAULT_BATCH_SIZE, drain_queue
 
-    # out_dir keeps its run()/run_many() cache contract: specs already
-    # answered there never reach the queue at all.
-    results, needed, shared = _plan_sweep(spec_list, out_dir, force)
-    misses = [i for i in range(len(spec_list)) if i not in results]
-    if misses:
-        missed_specs = [spec_list[i] for i in misses]
-        if batch_size is None:
-            # The default trades broker round trips against work-sharing
-            # granularity — but it must never cost parallelism the caller
-            # asked for.  Clamp so all `workers` drain workers can claim
-            # a batch (an explicit batch_size= is honored as given).
-            per_worker = -(-len(misses) // workers)  # ceil division
-            batch_size = max(1, min(DEFAULT_BATCH_SIZE, per_worker))
-        # Pre-pass into the queue's shared artifact store: workers run
-        # jobs with out_dir=<queue>/artifacts, so they fetch recorded
-        # schedules and warm-up checkpoints from its subdirectories
-        # instead of re-simulating them once per leg.  Only worth the
-        # parent's time for a kind some key of which IS shared between
-        # legs — otherwise each key belongs to exactly one leg, that leg
-        # builds it into the store itself, and the exactly-once
-        # guarantee holds with no pre-pass (and no pre-pass pool).
-        with _sweep_store_dirs(shared, Path(queue_dir) / "artifacts", {}) as dirs:
-            _build_prerequisites(
-                {kind: needed[kind] for kind in shared}, dirs, workers,
-                legs=len(missed_specs),
-            )
-        with SPANS.span("queue-submit", jobs=len(misses)):
-            job_ids = submit(missed_specs, queue_dir, force=force)
-        context = multiprocessing.get_context()
-        # Workers beyond one per claimable batch can never claim on the
-        # happy path (the first ceil(jobs/batch) claims empty the
-        # queue), so don't pay their fork/poll/join.  poll_s well under
-        # the drain default: these workers exist only for this call, and
-        # every poll interval they sleep after the last job lands is
-        # latency the gathering caller eats.
-        batches = -(-len(misses) // batch_size)  # ceil division
-        procs = [
-            context.Process(
-                target=drain_queue,
-                args=(str(queue_dir),),
-                kwargs={"batch_size": batch_size, "poll_s": 0.05,
-                        "checkpoint_policy": checkpoint_policy},
-            )
-            for _ in range(min(workers, batches))
-        ]
+    if batch_size is None:
+        # The default trades broker round trips against work-sharing
+        # granularity — but it must never cost parallelism the caller
+        # asked for.  Clamp so all `workers` drain workers can claim a
+        # batch (an explicit batch_size= is honored as given).
+        per_worker = -(-len(specs) // workers)  # ceil division
+        batch_size = max(1, min(DEFAULT_BATCH_SIZE, per_worker))
+    with SPANS.span("queue-submit", jobs=len(specs)):
+        job_ids = submit(specs, queue_dir, force=force)
+    context = multiprocessing.get_context()
+    # Workers beyond one per claimable batch can never claim on the
+    # happy path (the first ceil(jobs/batch) claims empty the queue), so
+    # don't pay their fork/poll/join.  poll_s well under the drain
+    # default: these workers exist only for this call, and every poll
+    # interval they sleep after the last job lands is latency the
+    # gathering caller eats.
+    batches = -(-len(specs) // batch_size)  # ceil division
+    procs = [
+        context.Process(
+            target=drain_queue,
+            args=(str(queue_dir),),
+            kwargs={"batch_size": batch_size, "poll_s": 0.05,
+                    "checkpoint_policy": checkpoint_policy},
+        )
+        for _ in range(min(workers, batches))
+    ]
+    for proc in procs:
+        proc.start()
+    try:
+        # A tight poll ceiling: the workers are local children, the
+        # state read is two indexed columns, and every interval past the
+        # last report is pure caller latency.
+        with SPANS.span("queue-gather", jobs=len(specs)):
+            return gather(queue_dir, job_ids, poll_s=0.02)
+    finally:
         for proc in procs:
-            proc.start()
-        try:
-            # A tight poll ceiling: the workers are local children, the
-            # state read is two indexed columns, and every interval past
-            # the last report is pure caller latency.
-            with SPANS.span("queue-gather", jobs=len(misses)):
-                gathered = gather(queue_dir, job_ids, poll_s=0.02)
-        finally:
-            for proc in procs:
-                proc.join(timeout=60.0)
-            for proc in procs:
-                if proc.is_alive():  # a wedged drain; don't hang the caller
-                    proc.terminate()
-                    proc.join(timeout=5.0)
-        results.update(zip(misses, gathered))
-        if out_dir is not None:
-            queue_store = (Path(queue_dir) / "artifacts").resolve()
-            if Path(out_dir).resolve() != queue_store:
-                for index in misses:
-                    results[index].save(out_dir)
-    return [results[i] for i in range(len(spec_list))]
+            proc.join(timeout=60.0)
+        for proc in procs:
+            if proc.is_alive():  # a wedged drain; don't hang the caller
+                proc.terminate()
+                proc.join(timeout=5.0)

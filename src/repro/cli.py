@@ -20,7 +20,7 @@ Distributed sweeps ride the same registry through the job queue of
     python -m repro gather runs/q                                # collect
     python -m repro gc --queue runs/q                            # GC schedules
     python -m repro submit fig3 --seeds 1 2 3 4 --queue runs/q --wait
-    python -m repro run fig3 --seeds 1 2 3 4 --executor queue --queue runs/q
+    python -m repro run fig3 --seeds 1 2 3 4 --queue runs/q
 
 Workers lease jobs in batches (``--batch-size``, default 4) under one
 persistent worker lease, which amortises the broker's claim/heartbeat/
@@ -45,7 +45,8 @@ run per candidate UPS, all legs sharing each recorded original schedule
 declarative-scenario sweep for scenario-driven experiments; enumerate
 with ``repro list --scenarios``, semantics in ``docs/scenarios.md``),
 ``--workers`` (parallel seed sweeps via
-multiprocessing), ``--json`` / ``--csv`` (emit the RunArtifact or a CSV
+multiprocessing; with ``--queue DIR``, drain workers of the job queue
+there), ``--json`` / ``--csv`` (emit the RunArtifact or a CSV
 table instead of ASCII), and ``--out DIR`` (persist artifacts as JSON
 files).  ``--out`` doubles as a content-addressed cache keyed by the
 spec's run-id: re-running the same spec answers from the saved artifact
@@ -73,7 +74,7 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.analysis.tables import Table
-from repro.api import EXECUTORS, REGISTRY, ExperimentSpec, run_many, spec_run_id
+from repro.api import REGISTRY, ExperimentSpec, run_many, spec_run_id
 from repro.cluster.worker import DEFAULT_BATCH_SIZE
 from repro.errors import ConfigurationError, ReproError
 
@@ -175,19 +176,18 @@ def _add_output_args(parser: argparse.ArgumentParser) -> None:
 def _add_experiment_args(parser: argparse.ArgumentParser, with_rows: bool) -> None:
     _add_spec_args(parser, with_rows)
     parser.add_argument("--workers", type=int, default=1,
-                        help="worker processes for seed sweeps (default: serial)")
-    parser.add_argument("--executor", default=None, choices=EXECUTORS,
-                        help="execution mode (default: serial, or process "
-                             "when --workers > 1; queue needs --queue)")
+                        help="worker processes for seed sweeps (default 1: "
+                             "serial; more: a process pool, or drain workers "
+                             "with --queue)")
     parser.add_argument("--queue", default=None, metavar="DIR",
-                        help="job-queue directory for --executor queue "
-                             "(implies it); local drain workers are spawned "
-                             "and external `repro worker` daemons join in")
+                        help="run the sweep through the job queue in DIR; "
+                             "local drain workers are spawned and external "
+                             "`repro worker` daemons join in")
     parser.add_argument("--batch-size", type=int, default=None, metavar="N",
                         dest="batch_size",
-                        help="with --executor queue: jobs each worker leases "
-                             "per broker round trip (default 4; 1 = the "
-                             "per-job protocol)")
+                        help="with --queue: jobs each worker leases per "
+                             "broker round trip (default 4; 1 = the per-job "
+                             "protocol)")
     _add_output_args(parser)
     parser.add_argument("--out", default=None, metavar="DIR",
                         help="persist each artifact under DIR; DIR doubles "
@@ -200,8 +200,8 @@ def _add_experiment_args(parser: argparse.ArgumentParser, with_rows: bool) -> No
                         dest="branch_from",
                         help="checkpoint store directory to branch shared "
                              "warm-ups from (simulate once, branch many; "
-                             "serial/process executors — queue workers use "
-                             "the queue's own store)")
+                             "not with --queue — queue workers use the "
+                             "queue's own store)")
     parser.add_argument("--checkpoint-every", default=None, metavar="POLICY",
                         dest="checkpoint_every",
                         help="take mid-run snapshots so a killed run resumes "
@@ -280,17 +280,11 @@ def _legs(experiment: str, args: argparse.Namespace):
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    # Validate the execution knobs before any simulation work: a raw
-    # multiprocessing traceback is not an error message.
-    if args.workers < 1:
-        raise ConfigurationError(f"--workers must be >= 1, got {args.workers}")
-    if args.executor == "queue" and not args.queue:
-        raise ConfigurationError("--executor queue needs --queue DIR")
     _, specs = _legs(args.experiment, args)
     artifacts = run_many(
-        specs, workers=args.workers, out_dir=args.out,
-        force=args.force, executor=args.executor, queue_dir=args.queue,
-        batch_size=args.batch_size, checkpoint_dir=args.branch_from,
+        specs, workers=args.workers, out_dir=args.out, force=args.force,
+        queue_dir=args.queue, batch_size=args.batch_size,
+        checkpoint_dir=args.branch_from,
         checkpoint_policy=args.checkpoint_every,
     )
     if args.out:
@@ -534,7 +528,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     2 usage/configuration error — so CI can distinguish "the tree is
     dirty" from "the invocation is broken".
     """
-    from repro.lintkit import JSON_SCHEMA_VERSION, lint_paths, load_baseline
+    from repro.lintkit import JSON_SCHEMA_VERSION, lint_paths
     from repro.lintkit.rules import load_rules
 
     if args.list_rules:
@@ -552,8 +546,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
                 table.add_row([rule.id, ",".join(rule.scopes), rule.summary])
             print(table.render())
         return 0
-    baseline = load_baseline(args.baseline) if args.baseline else None
-    report = lint_paths(args.paths or ["src"], baseline=baseline)
+    report = lint_paths(args.paths or ["src"])
     if args.format == "json":
         print(json.dumps(report.to_dict(), indent=2))
     else:
@@ -770,9 +763,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="files or directories to lint (default: src)")
     p.add_argument("--format", choices=("text", "json"), default="text",
                    help="report format (default: text)")
-    p.add_argument("--baseline", default=None, metavar="FILE",
-                   help="JSON baseline whose (path, rule, line) findings "
-                        "are waived (e.g. lint-baseline.json)")
     p.add_argument("--list-rules", action="store_true", dest="list_rules",
                    help="print the rule registry instead of linting")
     p.add_argument("--verbose", action="store_true",

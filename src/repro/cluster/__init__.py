@@ -9,9 +9,9 @@ artifacts byte-identical to a serial ``run_many``.
 
 Three ways in:
 
-* **Library** — ``run_many(specs, executor="queue", queue_dir=...)``
-  submits, spawns local drain workers, and gathers: the third execution
-  mode next to serial and multiprocessing.
+* **Library** — ``run_many(specs, queue_dir=...)`` submits, spawns
+  local drain workers, and gathers: the third execution mode next to
+  serial and multiprocessing, picked by passing a queue directory.
 * **CLI** — ``repro submit`` / ``repro worker`` / ``repro status`` shard
   a sweep across any processes on the host that share the queue
   directory (single-host scope: the SQLite/WAL broker cannot span

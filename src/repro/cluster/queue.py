@@ -306,15 +306,6 @@ class JobQueue:
             (worker_id, now, deadline),
         )
 
-    def claim(self, worker_id: str, lease_s: float | None = None) -> Job | None:
-        """Atomically claim the oldest pending job (or ``None``).
-
-        The single-job special case of :meth:`claim_batch`; ``lease_s``
-        overrides the queue's default lease.
-        """
-        jobs = self.claim_batch(worker_id, 1, lease_s=lease_s)
-        return jobs[0] if jobs else None
-
     def claim_batch(
         self, worker_id: str, n: int, lease_s: float | None = None
     ) -> list[Job]:
@@ -467,25 +458,6 @@ class JobQueue:
             }
             for worker, registered_at, lease_expires_at, running in rows
         ]
-
-    def ack(self, job_id: int, worker_id: str) -> bool:
-        """Mark a claimed job done; ``False`` if the lease was lost.
-
-        A lost ack is harmless: it means the lease expired and someone
-        else (re)ran the job — and runs are deterministic, so the shared
-        artifact cache holds the same bytes either way.
-        """
-        return self.report_batch(worker_id, [(job_id, None, True)])[job_id]
-
-    def fail(
-        self, job_id: int, worker_id: str, error: str, retry: bool = True
-    ) -> bool:
-        """Record a failed attempt; retries until the budget runs out.
-
-        ``retry=False`` fails the job terminally regardless of budget —
-        for deterministic errors (bad spec) that re-running cannot fix.
-        """
-        return self.report_batch(worker_id, [(job_id, error, retry)])[job_id]
 
     def report_batch(
         self,

@@ -30,8 +30,8 @@ Two loops:
 * :meth:`Worker.drain` — run until the queue has nothing pending *and*
   nothing running (it waits out other workers' running jobs, because a
   failure would requeue them), then return.  This is what
-  ``run_many(executor="queue")`` spawns and what ``repro worker
-  --drain`` runs.
+  ``run_many(queue_dir=...)`` spawns and what ``repro worker --drain``
+  runs.
 * :meth:`Worker.serve` — poll forever (a daemon).  ``repro worker``
   runs this; SIGTERM/SIGINT request a *graceful drain*: the current
   batch finishes and reports (claimed jobs are ours to finish — a
@@ -49,7 +49,6 @@ import threading
 import time
 from pathlib import Path
 
-from repro.api.registry import ExperimentRegistry
 from repro.api.runner import obs_enabled_from_env, run
 from repro.cluster.jobs import Job
 from repro.cluster.queue import JobQueue
@@ -79,7 +78,6 @@ class Worker:
         worker_id: str | None = None,
         lease_s: float | None = None,
         poll_s: float = 0.2,
-        registry: ExperimentRegistry | None = None,
         batch_size: int = DEFAULT_BATCH_SIZE,
         checkpoint_policy: "CheckpointPolicy | str | None" = None,
     ) -> None:
@@ -102,7 +100,6 @@ class Worker:
             raise ConfigurationError(f"lease_s must be > 0, got {lease_s!r}")
         self.batch_size = require_positive_int(batch_size, "batch_size")
         self.poll_s = float(poll_s)
-        self.registry = registry
         if isinstance(checkpoint_policy, str):
             checkpoint_policy = CheckpointPolicy.parse(checkpoint_policy)
         self.checkpoint_policy = checkpoint_policy
@@ -194,7 +191,6 @@ class Worker:
         try:
             run(
                 job.spec,
-                registry=self.registry,
                 out_dir=self.queue.artifact_dir,
                 force=job.force,
                 obs=obs,
@@ -221,7 +217,7 @@ class Worker:
             pass
         return result
 
-    def _run_claimed(self, jobs: list[Job]) -> dict[int, bool]:
+    def _run_claimed(self, jobs: list[Job]) -> None:
         """Execute claimed jobs under one heartbeat; report them in one commit.
 
         The single worker-lease heartbeat covers the whole batch (the
@@ -248,22 +244,8 @@ class Worker:
         finally:
             done.set()
             beat.join(timeout=self.lease_s)
-            accepted = self.queue.report_batch(self.worker_id, results)
+            self.queue.report_batch(self.worker_id, results)
             self.jobs_run += len(results)
-        # acked = ran clean AND the queue took our done report; a failure
-        # report being accepted is not an ack
-        return {
-            job_id: error is None and accepted.get(job_id, False)
-            for job_id, error, _retry in results
-        }
-
-    def process(self, job: Job) -> bool:
-        """Execute one already-claimed job; returns True if we acked it."""
-        return self._run_claimed([job]).get(job.id, False)
-
-    def run_one(self) -> bool:
-        """Claim and execute one job; ``False`` when nothing was claimable."""
-        return self.run_batch(limit=1) > 0
 
     def run_batch(self, limit: int | None = None) -> int:
         """Claim up to ``batch_size`` jobs (capped at ``limit``) and run them.

@@ -357,29 +357,27 @@ def record_schedule(
     network: "Network",
     until: float | None = None,
     description: str = "",
-    require_all_delivered: bool = True,
 ) -> RecordedSchedule:
     """Run ``network`` to completion and capture the schedule it produced.
 
     Traffic must already be installed (e.g. via
     :func:`repro.transport.udp.install_udp_flows`).  Replay semantics
-    require a dropless original (§2.1 assumes no losses), so by default any
-    drop or undelivered packet is an error.
+    require a dropless original (§2.1 assumes no losses), so any drop or
+    undelivered packet is an error.
     """
     network.run(until=until)
     tracer = network.tracer
-    if require_all_delivered:
-        if tracer.drops:
-            raise ReplayError(
-                f"original run dropped {tracer.drops} packets; replay is only "
-                "defined for dropless schedules (use larger buffers)"
-            )
-        undelivered = len(tracer) - tracer.delivered_count()
-        if undelivered:
-            raise ReplayError(
-                f"{undelivered} packets still in flight; run the original "
-                "schedule to completion (until=None) before recording"
-            )
+    if tracer.drops:
+        raise ReplayError(
+            f"original run dropped {tracer.drops} packets; replay is only "
+            "defined for dropless schedules (use larger buffers)"
+        )
+    undelivered = len(tracer) - tracer.delivered_count()
+    if undelivered:
+        raise ReplayError(
+            f"{undelivered} packets still in flight; run the original "
+            "schedule to completion (until=None) before recording"
+        )
     return RecordedSchedule.from_tracer(
         tracer, threshold=network.bottleneck_tx_time(MTU), description=description
     )
@@ -504,7 +502,6 @@ def replay_schedule(
     network_factory: Callable[[], "Network"],
     mode: str = "lstf",
     targets: np.ndarray | None = None,
-    verify_routes: bool = True,
 ) -> ReplayResult:
     """Replay a recorded schedule under a candidate UPS.
 
@@ -528,10 +525,10 @@ def replay_schedule(
         ``"priority"`` mode it is the static priority, which defaults to
         ``o(p)``, the paper's "most intuitive" assignment (§2.3(7)).  The
         omniscient mode stamps timetables and takes none.
-    verify_routes:
-        Check (once per src/dst pair) that the fresh network routes
-        packets along the recorded paths — a topology mismatch would make
-        slack values meaningless.
+
+    The fresh network must route each src/dst pair along its recorded
+    path (checked once per pair) — a topology mismatch would make slack
+    values meaningless.
     """
     if targets is not None:
         targets = np.asarray(targets, dtype=np.float64)
@@ -546,8 +543,7 @@ def replay_schedule(
     _install_mode(network, mode)
     src, dst = schedule.endpoints()
     sizes = schedule.size.tolist()
-    if verify_routes:
-        _verify_routes(schedule, network, list(zip(src, dst)))
+    _verify_routes(schedule, network, list(zip(src, dst)))
     # One header value per row (slack, priority or timetable), plus the
     # deadline the slack modes also carry.
     deadlines = repeat(None)

@@ -21,19 +21,23 @@ stated once for :class:`~repro.core.trace_io.ScheduleStore`,
   ``put`` lines is how the tests assert build-once guarantees.
 
 A subclass is a codec: file suffix, log name, ``encode``/``load``.
+Drivers reach a codec's store through one door, :meth:`ContentStore.fetch`,
+with a key from :func:`content_key`.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
+import json
 import os
 import uuid
 from pathlib import Path
-from typing import Any, Callable, ContextManager, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.errors import ReproError
 
-__all__ = ["ContentStore", "atomic_write"]
+__all__ = ["ContentStore", "atomic_write", "content_key"]
 
 
 def atomic_write(path: Path, data: bytes) -> Path:
@@ -59,6 +63,18 @@ def atomic_write(path: Path, data: bytes) -> Path:
             os.unlink(tmp_name)
         raise
     return path
+
+
+def content_key(prefix: str, fields: dict) -> str:
+    """``<prefix>-<12 hex digits>``: the store key of a build request, a
+    SHA-256 over its ``fields`` as sorted-key JSON.
+
+    The one key rule of every prerequisite kind.  Keys name files in
+    existing stores and ride in artifacts (``checkpoint_key``), so the
+    digest must never change shape.
+    """
+    digest = hashlib.sha256(json.dumps(fields, sort_keys=True).encode())
+    return f"{prefix}-{digest.hexdigest()[:12]}"
 
 
 #: The store each codec class's :meth:`ContentStore.active` answers with.
@@ -98,10 +114,6 @@ class ContentStore:
         unreadable.  (A path, not bytes: a codec may stream the file
         rather than hold it next to what it parses into.)"""
         raise NotImplementedError
-
-    def building(self) -> ContextManager:
-        """What :meth:`get_or_build` wraps around a builder call."""
-        return contextlib.nullcontext()
 
     def release(self, value: Any) -> None:
         """Let go of a built value :meth:`get_or_build` answered with its
@@ -149,7 +161,7 @@ class ContentStore:
             return cached
         from repro.sim.resume import suspended_resume  # local: avoids cycle
 
-        with suspended_resume(), self.building():
+        with suspended_resume():
             value = builder()
         self.put(key, value)
         self.log("put", key)
@@ -252,6 +264,14 @@ class ContentStore:
         into; ``None`` (a bare driver call outside the runner) means no
         cache — build in memory every time."""
         return _ACTIVE.get(cls)
+
+    @classmethod
+    def fetch(cls, key: str, builder: Callable[[], Any]) -> Any:
+        """The value for ``key`` through this codec's active store —
+        :meth:`get_or_build` — or, with none active, ``builder()`` in
+        memory.  How every driver reaches a prerequisite."""
+        store = cls.active()
+        return builder() if store is None else store.get_or_build(key, builder)
 
     @classmethod
     @contextlib.contextmanager

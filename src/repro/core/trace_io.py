@@ -16,11 +16,10 @@ artifact:
   :func:`repro.experiments.replayability.scenario_schedule_key`), the
   record-once/replay-many cache the experiment runner shares across the
   legs of a replay-mode sweep; a :class:`~repro.core.store.ContentStore`
-  codec, so puts are atomic and torn entries read as misses.
-* :func:`use_schedule_store` / :func:`active_schedule_store` — the
-  process-wide "current store" the runner activates around a driver
-  call; :func:`repro.experiments.replayability.get_recorded_schedule`
-  answers recordings from it.
+  codec, so puts are atomic and torn entries read as misses.  The
+  runner activates one around a driver call (``ScheduleStore.activated``)
+  and :func:`repro.experiments.replayability.get_recorded_schedule`
+  answers recordings from it (``ScheduleStore.fetch``).
 
 Formats: the *portable trace* is JSON — diffable, language-neutral,
 floats exact (``json`` serialises via ``repr``).  The *store entry* is
@@ -38,7 +37,7 @@ import json
 import zlib
 from collections import OrderedDict
 from pathlib import Path
-from typing import IO, ContextManager
+from typing import IO
 
 import numpy as np
 
@@ -46,13 +45,7 @@ from repro.core.replay import RecordedSchedule
 from repro.core.store import ContentStore
 from repro.errors import ReplayError
 
-__all__ = [
-    "ScheduleStore",
-    "active_schedule_store",
-    "load_schedule",
-    "save_schedule",
-    "use_schedule_store",
-]
+__all__ = ["ScheduleStore", "load_schedule", "save_schedule"]
 
 
 def _open(path: Path, mode: str) -> IO:
@@ -233,28 +226,3 @@ class ScheduleStore(ContentStore):
         if schedule is not None:
             _memo_put(memo_key, schedule)
         return schedule
-
-    def recorded_keys(self) -> list[str]:
-        """Keys actually recorded into this store, in recording order
-        (:meth:`~repro.core.store.ContentStore.built_keys`, by the name
-        the record-once tests use)."""
-        return self.built_keys()
-
-
-def active_schedule_store() -> ScheduleStore | None:
-    """The schedule store the current run records into / reads from
-    (see :meth:`~repro.core.store.ContentStore.active`)."""
-    return ScheduleStore.active()
-
-
-def use_schedule_store(
-    store: ScheduleStore | None,
-) -> ContextManager[ScheduleStore | None]:
-    """Make ``store`` the active schedule store for a ``with`` block.
-
-    The experiment runner wraps each driver call in this so
-    :func:`repro.experiments.replayability.get_recorded_schedule` can
-    answer recordings from the sweep's shared cache (see
-    :meth:`~repro.core.store.ContentStore.activated`).
-    """
-    return ScheduleStore.activated(store)

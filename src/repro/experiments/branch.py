@@ -15,8 +15,10 @@ than the per-leg delta — needs to be simulated exactly once per sweep:
   :func:`branch_checkpoint_key`; without a store it builds in memory and
   branches the live graph — the pre-checkpoint behaviour.
 
-Builds are pid-stream independent (the packet-id counter is reset before
-the warm-up and captured with the snapshot) and excluded from the run's
+Builds share the recording's prologue
+(:func:`~repro.experiments.replayability.builder_network`): they are
+pid-stream independent (the packet-id counter is reset before the
+warm-up and captured with the snapshot) and excluded from the run's
 deterministic ``engine_events`` accounting (the restore credit is the
 only path warm-up events take into the accumulator), so a leg's artifact
 is byte-identical whether its prefix was simulated in-process or fetched
@@ -32,27 +34,28 @@ packets are cleanly separable in the tracer.
 from __future__ import annotations
 
 import functools
-import hashlib
-import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from repro.analysis.tables import Table
 from repro.api.registry import register_experiment
 from repro.api.spec import ExperimentSpec
-from repro.core.packet import reset_packet_ids
+from repro.core.store import content_key
 from repro.errors import ConfigurationError
-from repro.experiments.replayability import check_original_setting
+from repro.experiments.replayability import (
+    builder_network,
+    check_original_setting,
+    prerequisites,
+)
 from repro.metrics.delay import percentile
-from repro.scenarios import Scenario, get_scenario, scenario_flows, udp_network
+from repro.scenarios import Scenario, get_scenario, scenario_flows
 from repro.sim.checkpoint import (
+    CheckpointStore,
     Snapshot,
-    active_checkpoint_store,
     restore_snapshot,
     snapshot_network,
 )
-from repro.sim.engine import ENGINE_PERF
 from repro.sim.network import Network
 from repro.transport.udp import install_udp_flows
 
@@ -103,33 +106,21 @@ def branch_checkpoint_key(prefix: BranchPrefix) -> str:
     legs share (topology, scheduler, load, horizon, warm-up seed)
     addresses the same cache entry.
     """
-    payload = {f.name: getattr(prefix, f.name) for f in fields(BranchPrefix)}
-    digest = hashlib.sha256(
-        json.dumps(payload, sort_keys=True).encode()
-    ).hexdigest()
-    return f"ckpt-{digest[:12]}"
+    return content_key("ckpt", asdict(prefix))
 
 
 def build_branch_snapshot(prefix: BranchPrefix) -> Snapshot:
     """Simulate the warm-up prefix from t=0 and capture it (no cache).
 
-    Context-independent by construction, which is what makes checkpoints
-    cacheable: the packet-id counter is reset so warm-up pids never
-    depend on what ran earlier in the process, and the warm-up's engine
-    work is excluded from :data:`~repro.sim.engine.ENGINE_PERF` — the
-    snapshot carries the deterministic event count instead, and
-    :func:`~repro.sim.checkpoint.restore_snapshot` credits it, so a
-    leg's ``engine_events`` is the same whether the prefix was simulated
-    here or loaded from a :class:`~repro.sim.checkpoint.CheckpointStore`.
+    The snapshot carries the warm-up's deterministic event count, which
+    :func:`~repro.sim.checkpoint.restore_snapshot` credits, so a leg's
+    ``engine_events`` is the same whether the prefix was simulated here
+    or loaded from a :class:`~repro.sim.checkpoint.CheckpointStore`.
     """
-    with ENGINE_PERF.paused():
-        reset_packet_ids()
-        network, _flows = udp_network(
-            prefix.setting, prefix.scheduler, prefix.warmup_seed,
-            prefix.warmup, prefix.bandwidth_scale,
-        )
+    with builder_network(prefix.setting, prefix.scheduler, prefix.warmup_seed,
+                         prefix.warmup, prefix.bandwidth_scale) as network:
         network.run(until=prefix.warmup)
-        snapshot = snapshot_network(
+        return snapshot_network(
             network,
             description=(
                 f"{prefix.topology}/{prefix.scheduler}"
@@ -137,28 +128,19 @@ def build_branch_snapshot(prefix: BranchPrefix) -> Snapshot:
                 f"/seed={prefix.warmup_seed}/scale={prefix.bandwidth_scale:g}"
             ),
         )
-    return snapshot
 
 
 def get_branch_network(prefix: BranchPrefix) -> Network:
-    """A network warmed to ``prefix.warmup`` — cached when a store is active.
-
-    With an active :class:`~repro.sim.checkpoint.CheckpointStore` (the
-    runner opens one around every driver call that has somewhere durable
-    to put it), the warm-up is answered from the store and simulated at
-    most once per key; without one the prefix is simulated in memory and
-    the live graph is branched directly.  Both paths go through
+    """A network warmed to ``prefix.warmup``, through the active
+    :class:`~repro.sim.checkpoint.CheckpointStore` (simulated at most once
+    per key) or, with none active, simulated in memory and branched live.
+    Either way it goes through
     :func:`~repro.sim.checkpoint.restore_snapshot`, so the packet-id
-    counter and the ``ENGINE_PERF`` credit are identical either way.
-    """
-    store = active_checkpoint_store()
-    if store is None:
-        return restore_snapshot(build_branch_snapshot(prefix))
-    snapshot = store.get_or_build(
+    counter and the ``ENGINE_PERF`` credit are identical."""
+    return restore_snapshot(CheckpointStore.fetch(
         branch_checkpoint_key(prefix),
         functools.partial(build_branch_snapshot, prefix),
-    )
-    return restore_snapshot(snapshot)
+    ))
 
 
 def prefix_from_spec(spec: ExperimentSpec) -> BranchPrefix:
@@ -190,12 +172,8 @@ def prefix_from_spec(spec: ExperimentSpec) -> BranchPrefix:
 
 def _branch_prerequisites(spec: ExperimentSpec) -> dict:
     """Registry hook: the warm-up checkpoint a branch spec branches from."""
-    prefix = prefix_from_spec(spec)
-    return {"checkpoint": {
-        branch_checkpoint_key(prefix): functools.partial(
-            build_branch_snapshot, prefix
-        )
-    }}
+    return prerequisites("checkpoint", branch_checkpoint_key,
+                         build_branch_snapshot, [prefix_from_spec(spec)])
 
 
 def _leg_flows(prefix: BranchPrefix, spec: ExperimentSpec):

@@ -18,10 +18,11 @@ active :class:`~repro.core.trace_io.ScheduleStore` when the runner has
 one open (``run_many`` over a ``replay_modes`` sweep, ``--out`` caches,
 queue workers), keyed by :func:`scenario_schedule_key`; each unique
 schedule simulates once and every replay-mode leg reloads it.
-Recordings are pid-stream independent (:func:`build_recorded_schedule`
-resets the packet-id counter) and excluded from the run's deterministic
-``engine_events`` accounting, so a leg's artifact is byte-identical
-whether its schedule was recorded in-process or fetched from the store.
+Recordings are pid-stream independent and excluded from the run's
+deterministic ``engine_events`` accounting (:func:`builder_network`, the
+prologue they share with branch warm-ups), so a leg's artifact is
+byte-identical whether its schedule was recorded in-process or fetched
+from the store.
 
 Scale: the scenario catalogue sizes the paper's topologies for a laptop
 (a 20-host Internet2: 2 edge routers per core router instead of 10), and
@@ -32,11 +33,10 @@ bottleneck, so scheduling behaviour is preserved; see docs/paper-map.md.
 
 from __future__ import annotations
 
+import contextlib
 import functools
-import hashlib
-import json
 from dataclasses import asdict, dataclass, field, replace
-from typing import Iterable
+from typing import Callable, Iterable, Iterator
 
 from repro.analysis.tables import Table
 from repro.api.registry import register_experiment
@@ -48,7 +48,8 @@ from repro.core.replay import (
     record_schedule,
     replay_schedule,
 )
-from repro.core.trace_io import active_schedule_store
+from repro.core.store import content_key
+from repro.core.trace_io import ScheduleStore
 from repro.errors import ConfigurationError
 from repro.scenarios import (
     PAPER_TOPOLOGIES,
@@ -64,8 +65,10 @@ __all__ = [
     "ReplayOutcome",
     "ReplayScenario",
     "build_recorded_schedule",
+    "builder_network",
     "check_original_setting",
     "get_recorded_schedule",
+    "prerequisites",
     "run_replay",
     "scenario_schedule_key",
     "schedule_prerequisites",
@@ -162,10 +165,7 @@ def scenario_schedule_key(scenario: ReplayScenario) -> str:
     """
     payload = asdict(scenario)
     del payload["name"], payload["scenario"]["name"]
-    digest = hashlib.sha256(
-        json.dumps(payload, sort_keys=True).encode()
-    ).hexdigest()
-    return f"sched-{digest[:12]}"
+    return content_key("sched", payload)
 
 
 def _recording_description(scenario: ReplayScenario) -> str:
@@ -182,47 +182,55 @@ def _recording_description(scenario: ReplayScenario) -> str:
     )
 
 
-def build_recorded_schedule(scenario: ReplayScenario) -> RecordedSchedule:
-    """Record the original schedule for a scenario (no replay, no cache).
+@contextlib.contextmanager
+def builder_network(
+    setting: Scenario, scheduler: str, seed: int, horizon: float,
+    bandwidth_scale: float,
+) -> Iterator[Network]:
+    """The prologue of both prerequisite builders (a recording here, a
+    warm-up in :mod:`repro.experiments.branch`): ``setting``'s UDP
+    network under ``scheduler``, traffic for ``horizon`` seconds.
 
-    Context-independent by construction, which is what makes recordings
-    cacheable: the packet-id counter is reset so the recorded pids never
-    depend on what ran earlier in the process, and the recording's
-    engine work is excluded from :data:`~repro.sim.engine.ENGINE_PERF`
+    Context-independent by construction, which is what makes the built
+    value cacheable: the packet-id counter is reset on entry (and again
+    on exit), so pids never depend on what ran earlier in the process,
+    and the block runs with :data:`~repro.sim.engine.ENGINE_PERF` paused,
     so a run's deterministic event count is the same whether its
-    schedule was recorded here or loaded from a
-    :class:`~repro.core.trace_io.ScheduleStore`.
+    prerequisite was built here or loaded from a store.
     """
     with ENGINE_PERF.paused():
         reset_packet_ids()
-        network, _flows = udp_network(
-            scenario.scenario, scenario.scheduler, scenario.seed,
-            scenario.duration, scenario.bandwidth_scale,
-        )
-        with network:
-            schedule = record_schedule(
-                network, description=_recording_description(scenario)
-            )
+        network, _flows = udp_network(setting, scheduler, seed, horizon,
+                                      bandwidth_scale)
+        yield network
         reset_packet_ids()
-    return schedule
+
+
+def build_recorded_schedule(scenario: ReplayScenario) -> RecordedSchedule:
+    """Record the original schedule for a scenario (no replay, no cache)."""
+    with builder_network(scenario.scenario, scenario.scheduler, scenario.seed,
+                         scenario.duration, scenario.bandwidth_scale
+                         ) as network, network:
+        return record_schedule(
+            network, description=_recording_description(scenario))
 
 
 def get_recorded_schedule(scenario: ReplayScenario) -> RecordedSchedule:
-    """The scenario's recorded schedule — cached when a store is active.
-
-    With an active :class:`~repro.core.trace_io.ScheduleStore` (the
-    runner opens one around every driver call that has somewhere durable
-    to put it), the schedule is answered from the store and recorded at
-    most once per key; without one it is recorded in memory, the
-    pre-store behaviour.
-    """
-    store = active_schedule_store()
-    if store is None:
-        return build_recorded_schedule(scenario)
-    return store.get_or_build(
+    """The scenario's recorded schedule, through the active
+    :class:`~repro.core.trace_io.ScheduleStore` (recorded at most once per
+    key) or, with none active, recorded in memory."""
+    return ScheduleStore.fetch(
         scenario_schedule_key(scenario),
         functools.partial(build_recorded_schedule, scenario),
     )
+
+
+def prerequisites(kind: str, key: Callable, build: Callable,
+                  requests: Iterable) -> dict:
+    """A registry ``prerequisites`` value: under ``kind``, each request's
+    store ``key`` → a picklable zero-arg ``build`` of it."""
+    return {kind: {key(request): functools.partial(build, request)
+                   for request in requests}}
 
 
 def run_replay(
@@ -320,12 +328,9 @@ def _table1_row_scenarios(spec: ExperimentSpec) -> list[ReplayScenario]:
 
 
 def schedule_prerequisites(scenarios: Iterable[ReplayScenario]) -> dict:
-    """The registry ``prerequisites`` value for drivers that replay
-    ``scenarios``: one recording each, keyed into the schedule store."""
-    return {"schedule": {
-        scenario_schedule_key(s): functools.partial(build_recorded_schedule, s)
-        for s in scenarios
-    }}
+    """The recordings a driver that replays ``scenarios`` needs."""
+    return prerequisites("schedule", scenario_schedule_key,
+                         build_recorded_schedule, scenarios)
 
 
 def _table1_prerequisites(spec: ExperimentSpec) -> dict:

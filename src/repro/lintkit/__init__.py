@@ -1,7 +1,7 @@
 """Static analysis for the reproduction's determinism & concurrency rules.
 
 Every correctness claim this repo makes — byte-identical artifacts
-across the serial/process/queue executors, replayed schedules matching
+across serial, process-pool and queue runs, replayed schedules matching
 recorded ones, exactly-once queue semantics — rests on coding
 invariants that no test can watch all the time: RNG must be injected
 and seeded, simulation code must never read the wall clock, queue
@@ -18,8 +18,7 @@ rules into machine-checked ones:
   transaction/thread rules, cli gets almost nothing.
 * :mod:`~repro.lintkit.runner` — walks files, applies suppressions
   (``# repro: allow(RULE-ID) reason`` — the reason is mandatory and
-  itself linted), subtracts a committed baseline, and renders text or
-  JSON.
+  itself linted), and renders text or JSON.
 
 The CLI front end is ``repro lint`` (see :mod:`repro.cli`); the
 enforced invariants are catalogued in ``docs/determinism.md``.
@@ -30,7 +29,7 @@ from __future__ import annotations
 from repro.lintkit.config import rules_for_path
 from repro.lintkit.findings import JSON_SCHEMA_VERSION, Finding, LintReport
 from repro.lintkit.rules import RULES, Rule, rule_ids
-from repro.lintkit.runner import lint_file, lint_paths, load_baseline
+from repro.lintkit.runner import lint_file, lint_paths
 
 __all__ = [
     "Finding",
@@ -40,7 +39,6 @@ __all__ = [
     "Rule",
     "lint_file",
     "lint_paths",
-    "load_baseline",
     "rule_ids",
     "rules_for_path",
 ]

@@ -24,9 +24,8 @@ class Finding:
     """One rule violation at one source location.
 
     ``suppressed`` marks a finding covered by a reasoned
-    ``# repro: allow(...)`` comment (or by the committed baseline);
-    suppressed findings are reported but do not fail the run, and
-    ``reason`` carries the justification text.
+    ``# repro: allow(...)`` comment; suppressed findings are reported but
+    do not fail the run, and ``reason`` carries the justification text.
     """
 
     path: str
@@ -64,7 +63,7 @@ class LintReport:
 
     @property
     def unsuppressed(self) -> list[Finding]:
-        """The findings that fail the run (not allow-listed, not baselined)."""
+        """The findings that fail the run (not allow-listed)."""
         return [f for f in self.findings if not f.suppressed]
 
     @property

@@ -11,18 +11,12 @@ Suppression syntax — one comment on the offending line::
   (``ALW-UNUSED``) — so the suppression inventory in the tree is always
   current, justified, and greppable.
 * The ALW-* rules themselves (and ``LNT-PARSE``) cannot be suppressed.
-
-A committed baseline file (``lint-baseline.json``) can additionally
-waive known findings by ``(path, rule, line)`` — this repo's baseline
-is empty and CI keeps it that way, but the mechanism is what makes
-introducing a new rule against a dirty tree tractable.
 """
 
 from __future__ import annotations
 
 import ast
 import io
-import json
 import re
 import tokenize
 from dataclasses import dataclass
@@ -34,7 +28,7 @@ from repro.lintkit.config import rules_for_path
 from repro.lintkit.findings import Finding, LintReport
 from repro.lintkit.rules import ModuleContext, load_rules
 
-__all__ = ["lint_file", "lint_paths", "load_baseline"]
+__all__ = ["lint_file", "lint_paths"]
 
 #: The allow-comment shape: comma-separated rule ids in parens, then the
 #: mandatory reason text (see the module docstring for the full syntax).
@@ -172,43 +166,10 @@ def _python_files(paths: Sequence[str | Path]) -> list[Path]:
     return sorted(files)
 
 
-def load_baseline(path: str | Path) -> set[tuple[str, str, int]]:
-    """The committed waivers: a set of ``(path, rule, line)`` triples."""
-    try:
-        document = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise ConfigurationError(f"cannot read lint baseline {path}: {exc}")
-    entries = document.get("findings") if isinstance(document, dict) else None
-    if entries is None:
-        raise ConfigurationError(
-            f"lint baseline {path} must be a JSON object with a "
-            f"'findings' array"
-        )
-    return {
-        (entry["path"], entry["rule"], int(entry["line"]))
-        for entry in entries
-    }
-
-
-def lint_paths(
-    paths: Sequence[str | Path],
-    baseline: set[tuple[str, str, int]] | None = None,
-) -> LintReport:
-    """Lint every Python file under ``paths``; the ``repro lint`` core.
-
-    ``baseline`` waives known findings by ``(path, rule, line)`` —
-    waived findings stay in the report, marked suppressed with a
-    "baseline" reason, so the JSON output never hides them.
-    """
+def lint_paths(paths: Sequence[str | Path]) -> LintReport:
+    """Lint every Python file under ``paths``; the ``repro lint`` core."""
     report = LintReport()
     for file in _python_files(paths):
-        findings = lint_file(file)
-        if baseline:
-            for finding in findings:
-                key = (finding.path, finding.rule, finding.line)
-                if not finding.suppressed and key in baseline:
-                    finding.suppressed = True
-                    finding.reason = "baseline"
-        report.findings.extend(findings)
+        report.findings.extend(lint_file(file))
         report.files_checked += 1
     return report

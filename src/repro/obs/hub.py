@@ -59,7 +59,7 @@ def active_metrics_hub() -> "MetricsHub | None":
 def use_metrics_hub(hub: "MetricsHub | None") -> Iterator["MetricsHub | None"]:
     """Make ``hub`` ambient for the block (``None`` = telemetry off).
 
-    Mirrors :func:`~repro.core.trace_io.use_schedule_store`: the runner
+    Mirrors :meth:`~repro.core.store.ContentStore.activated`: the runner
     wraps the driver call in this, so every network the driver builds —
     including ones deep inside record/replay helpers — is instrumented
     without threading a parameter through the stack.

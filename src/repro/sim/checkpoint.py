@@ -26,9 +26,8 @@ snapshot.
   files keyed by *warm-up inputs*; a
   :class:`~repro.core.store.ContentStore` codec, so puts are atomic,
   corrupt entries read as misses, and ``checkpoints.log`` lets tests
-  assert the build-once guarantee.
-* :func:`use_checkpoint_store` / :func:`active_checkpoint_store` — the
-  process-wide "current store" the runner activates around a driver call.
+  assert the build-once guarantee.  The runner activates one around a
+  driver call (``CheckpointStore.activated``).
 
 The payload is a pickle, not JSON: a snapshot is a live object graph
 (bound-method callbacks in the heap must reattach to their restored
@@ -52,7 +51,7 @@ import json
 import pickle
 import types
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, ContextManager
+from typing import TYPE_CHECKING, Any
 
 from repro.core.packet import packet_id_counter, set_packet_id_counter
 from repro.core.store import ContentStore
@@ -66,12 +65,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "CheckpointStore",
     "Snapshot",
-    "active_checkpoint_store",
     "load_checkpoint",
     "restore_snapshot",
     "save_checkpoint",
     "snapshot_network",
-    "use_checkpoint_store",
 ]
 
 #: On-disk format name and version, written into every header and checked
@@ -268,16 +265,16 @@ def snapshot_to_bytes(snapshot: Snapshot, payload: bytes | None = None) -> bytes
 
 
 def split_checkpoint(
-    data: bytes, where: str = "<bytes>", verify: bool = True
+    data: bytes, where: str = "<bytes>"
 ) -> tuple[dict, bytes]:
     """Header and payload of checkpoint bytes — validated, not unpickled.
 
     Raises :class:`~repro.errors.CheckpointError` for foreign files,
-    unsupported versions, and (with ``verify``, the default) payload-hash
-    mismatches.  Everything that can be checked without unpickling is
-    checked here, so a truncated payload is reported as a checkpoint
-    problem, never as a pickle crash — and the resume session can reject
-    a snapshot while its live graph is still untouched.
+    unsupported versions, and payload-hash mismatches.  Everything that
+    can be checked without unpickling is checked here, so a truncated
+    payload is reported as a checkpoint problem, never as a pickle crash
+    — and the resume session can reject a snapshot while its live graph
+    is still untouched.
     """
     head, sep, payload = data.partition(b"\n")
     if not sep:
@@ -293,21 +290,17 @@ def split_checkpoint(
             f"{where} has checkpoint format version {header.get('version')!r}; "
             f"this build reads version {CHECKPOINT_VERSION}"
         )
-    if verify:
-        digest = hashlib.sha256(payload).hexdigest()
-        if digest != header.get("payload_sha256"):
-            raise CheckpointError(
-                f"{where} failed its payload-hash check — the file was "
-                f"truncated or corrupted after it was written"
-            )
+    if hashlib.sha256(payload).hexdigest() != header.get("payload_sha256"):
+        raise CheckpointError(
+            f"{where} failed its payload-hash check — the file was "
+            f"truncated or corrupted after it was written"
+        )
     return header, payload
 
 
-def snapshot_from_bytes(
-    data: bytes, where: str = "<bytes>", verify: bool = True
-) -> Snapshot:
+def snapshot_from_bytes(data: bytes, where: str = "<bytes>") -> Snapshot:
     """Parse bytes written by :func:`snapshot_to_bytes`; verify, unpickle."""
-    header, payload = split_checkpoint(data, where, verify)
+    header, payload = split_checkpoint(data, where)
     try:
         network = unpickle_payload(payload)
     except Exception as exc:  # pickle raises a menagerie; fold it into ours
@@ -326,14 +319,14 @@ def save_checkpoint(snapshot: Snapshot, path: str | Path) -> None:
     Path(path).write_bytes(snapshot_to_bytes(snapshot))
 
 
-def load_checkpoint(path: str | Path, verify: bool = True) -> Snapshot:
+def load_checkpoint(path: str | Path) -> Snapshot:
     """Read and verify a checkpoint written by :func:`save_checkpoint`."""
     path = Path(path)
     try:
         data = path.read_bytes()
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    return snapshot_from_bytes(data, str(path), verify)
+    return snapshot_from_bytes(data, str(path))
 
 
 class CheckpointStore(ContentStore):
@@ -370,32 +363,8 @@ class CheckpointStore(ContentStore):
             return False
         return True
 
-    def building(self) -> ContextManager:
-        """Builders run under ``ENGINE_PERF.paused()``: the warm-up never
-        leaks into the calling leg's deterministic event count — the
-        restore credit is the only way its events reach the accumulator."""
-        return ENGINE_PERF.paused()
-
     def release(self, snapshot: Snapshot) -> None:
         """The builder's graph is never branched from (a consumer gets a
         fresh unpickle): release its network."""
         snapshot.network.release()
 
-
-def active_checkpoint_store() -> CheckpointStore | None:
-    """The checkpoint store the current run builds into / reads from
-    (see :meth:`~repro.core.store.ContentStore.active`)."""
-    return CheckpointStore.active()
-
-
-def use_checkpoint_store(
-    store: CheckpointStore | None,
-) -> ContextManager[CheckpointStore | None]:
-    """Make ``store`` the active checkpoint store for a ``with`` block.
-
-    The experiment runner wraps each driver call in this so
-    :func:`repro.experiments.branch.get_branch_network` can answer
-    warm-ups from the sweep's shared cache (see
-    :meth:`~repro.core.store.ContentStore.activated`).
-    """
-    return CheckpointStore.activated(store)

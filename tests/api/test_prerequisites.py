@@ -4,8 +4,9 @@ Whatever an experiment needs built before its legs fan out — a recorded
 schedule, a warm-up checkpoint — goes through the same plan
 (:func:`repro.api.runner._plan_sweep`) and the same pre-pass, so the
 guarantees are stated once, over both kinds: built exactly once per
-sweep under every executor, a torn entry healed exactly once *before*
-fan-out, and a warm artifact cache consulted exactly once per spec.
+sweep in every execution mode (serial, process pool, queue), a torn
+entry healed exactly once *before* fan-out, and a warm artifact cache
+consulted exactly once per spec.
 """
 
 from __future__ import annotations
@@ -31,13 +32,15 @@ SWEEPS = {
 
 
 def _run(legs, tmp_path, executor, **kwargs):
-    """Run ``legs``; returns (artifacts, {kind: that kind's store})."""
+    """Run ``legs`` in the ``executor`` mode ("serial", "process",
+    "queue"); returns (artifacts, {kind: that kind's store})."""
     if executor == "queue":
         kwargs["queue_dir"] = tmp_path / "q"
         base = tmp_path / "q" / "artifacts"
     else:
         kwargs["out_dir"] = base = tmp_path / "out"
-    artifacts = run_many(legs, executor=executor, workers=4, **kwargs)
+    workers = 1 if executor == "serial" else 4
+    artifacts = run_many(legs, workers=workers, **kwargs)
     return artifacts, {kind: store_cls(base / subdir)
                        for kind, (subdir, store_cls, _) in STORE_KINDS.items()}
 

@@ -69,11 +69,10 @@ def test_get_resolves_and_rejects():
 def test_duplicate_registration_rejected():
     registry = ExperimentRegistry()
 
-    @registry.register("demo", help="x", aliases=("demo2",))
+    @registry.register("demo", help="x")
     def _demo(spec):
         raise AssertionError("never run")
 
-    for clash in ("demo", "demo2"):
-        with pytest.raises(ConfigurationError):
-            registry.register(clash)(lambda spec: None)
-    assert registry.get("demo2").name == "demo"
+    with pytest.raises(ConfigurationError, match="already registered"):
+        registry.register("demo")(lambda spec: None)
+    assert registry.get("demo").fn is _demo

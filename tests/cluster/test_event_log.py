@@ -28,8 +28,8 @@ def test_submit_logs_one_event_per_job(tmp_path):
 def test_claim_ack_lifecycle_is_logged_in_order(tmp_path):
     queue = JobQueue(tmp_path)
     (job_id,) = queue.submit([TINY])
-    job = queue.claim("w1")
-    queue.ack(job.id, "w1")
+    queue.claim_batch("w1", 1)
+    queue.report_batch("w1", [(job_id, None, True)])
     kinds = _kinds(tmp_path)
     assert kinds == ["submit", "claim", "ack"]
     claim = read_events(tmp_path, kinds=("claim",))[0]
@@ -40,11 +40,11 @@ def test_claim_ack_lifecycle_is_logged_in_order(tmp_path):
 
 def test_failures_log_requeue_then_terminal_fail(tmp_path):
     queue = JobQueue(tmp_path, max_attempts=2)
-    queue.submit([TINY])
-    job = queue.claim("w1")
-    queue.fail(job.id, "w1", "x" * 500)
-    job = queue.claim("w1")
-    queue.fail(job.id, "w1", "second strike")
+    (job_id,) = queue.submit([TINY])
+    queue.claim_batch("w1", 1)
+    queue.report_batch("w1", [(job_id, "x" * 500, True)])
+    queue.claim_batch("w1", 1)
+    queue.report_batch("w1", [(job_id, "second strike", True)])
     fails = read_events(tmp_path, kinds=("requeue", "fail"))
     assert [e["kind"] for e in fails] == ["requeue", "fail"]
     # Long error strings are truncated in the log, not stored verbatim.
@@ -54,7 +54,7 @@ def test_failures_log_requeue_then_terminal_fail(tmp_path):
 def test_lease_expiry_and_reclaim_are_logged(tmp_path):
     queue = JobQueue(tmp_path, default_lease_s=0.01)
     queue.submit([TINY])
-    queue.claim("w1")
+    queue.claim_batch("w1", 1)
     import time
 
     time.sleep(0.05)
@@ -100,9 +100,8 @@ def test_event_log_failure_does_not_poison_the_transaction(tmp_path, monkeypatch
         raise OSError("disk full")
 
     monkeypatch.setattr("repro.cluster.queue.append_events", boom)
-    job = queue.claim("w1")  # must not raise
-    assert job is not None
-    queue.ack(job.id, "w1")
+    (job,) = queue.claim_batch("w1", 1)  # must not raise
+    queue.report_batch("w1", [(job.id, None, True)])
     assert queue.counts()["done"] == 1
 
 

@@ -55,28 +55,31 @@ class TestClaim:
     def test_fifo_order_and_exclusivity(self, tmp_path):
         queue = JobQueue(tmp_path)
         ids = queue.submit(SWEEP)
-        first = queue.claim("w1")
-        second = queue.claim("w2")
-        third = queue.claim("w1")
+        (first,) = queue.claim_batch("w1", 1)
+        (second,) = queue.claim_batch("w2", 1)
+        (third,) = queue.claim_batch("w1", 1)
         assert [first.id, second.id, third.id] == ids
-        assert queue.claim("w3") is None  # nothing pending remains
+        assert queue.claim_batch("w3", 1) == []  # nothing pending remains
         assert first.state == RUNNING
         assert first.worker == "w1"
         assert first.attempts == 1
         assert first.lease_expires_at > time.time()
 
     def test_claim_on_empty_queue(self, tmp_path):
-        assert JobQueue(tmp_path).claim("w") is None
+        assert JobQueue(tmp_path).claim_batch("w", 1) == []
 
     def test_ack_requires_ownership(self, tmp_path):
         queue = JobQueue(tmp_path)
         (job_id,) = queue.submit([TINY])
-        job = queue.claim("w1")
-        assert not queue.ack(job.id, "w2")  # not the lease holder
+        queue.claim_batch("w1", 1)
+        ack = [(job_id, None, True)]
+        # not the lease holder
+        assert queue.report_batch("w2", ack) == {job_id: False}
         assert queue.job(job_id).state == RUNNING
-        assert queue.ack(job.id, "w1")
+        assert queue.report_batch("w1", ack) == {job_id: True}
         assert queue.job(job_id).state == DONE
-        assert not queue.ack(job.id, "w1")  # already terminal
+        # already terminal
+        assert queue.report_batch("w1", ack) == {job_id: False}
 
     def test_unknown_job_lookup_raises(self, tmp_path):
         queue = JobQueue(tmp_path)
@@ -198,53 +201,54 @@ class TestRetries:
     def test_fail_requeues_until_budget_runs_out(self, tmp_path):
         queue = JobQueue(tmp_path, max_attempts=2)
         (job_id,) = queue.submit([TINY])
-        job = queue.claim("w1")
-        assert queue.fail(job.id, "w1", "boom 1")
+        queue.claim_batch("w1", 1)
+        assert queue.report_batch("w1", [(job_id, "boom 1", True)])[job_id]
         state = queue.job(job_id)
         assert state.state == PENDING
         assert state.error == "boom 1"
-        job = queue.claim("w1")
+        (job,) = queue.claim_batch("w1", 1)
         assert job.attempts == 2
-        assert queue.fail(job.id, "w1", "boom 2")
+        assert queue.report_batch("w1", [(job_id, "boom 2", True)])[job_id]
         state = queue.job(job_id)
         assert state.state == FAILED  # budget exhausted -> terminal record
         assert state.error == "boom 2"
-        assert queue.claim("w1") is None
+        assert queue.claim_batch("w1", 1) == []
         assert not queue.active()
 
     def test_fatal_failure_skips_the_retry_budget(self, tmp_path):
         queue = JobQueue(tmp_path, max_attempts=3)
         (job_id,) = queue.submit([TINY])
-        job = queue.claim("w1")
-        assert queue.fail(job.id, "w1", "bad spec", retry=False)
+        queue.claim_batch("w1", 1)
+        assert queue.report_batch("w1", [(job_id, "bad spec", False)])[job_id]
         assert queue.job(job_id).state == FAILED
 
     def test_fail_requires_ownership(self, tmp_path):
         queue = JobQueue(tmp_path)
-        queue.submit([TINY])
-        job = queue.claim("w1")
-        assert not queue.fail(job.id, "w2", "not mine")
-        assert queue.job(job.id).state == RUNNING
+        (job_id,) = queue.submit([TINY])
+        queue.claim_batch("w1", 1)
+        assert queue.report_batch("w2", [(job_id, "not mine", True)]) == {
+            job_id: False}
+        assert queue.job(job_id).state == RUNNING
 
 
 class TestLeases:
     def test_expired_lease_is_reclaimed_by_the_next_claim(self, tmp_path):
         queue = JobQueue(tmp_path)
         (job_id,) = queue.submit([TINY])
-        queue.claim("w1", lease_s=0.05)
-        assert queue.claim("w2") is None  # still leased
+        queue.claim_batch("w1", 1, lease_s=0.05)
+        assert queue.claim_batch("w2", 1) == []  # still leased
         time.sleep(0.08)
-        job = queue.claim("w2")
-        assert job is not None and job.id == job_id
+        (job,) = queue.claim_batch("w2", 1)
+        assert job.id == job_id
         assert job.worker == "w2"
         assert job.attempts == 2  # the lost lease burned an attempt
 
     def test_expiry_with_no_budget_left_is_terminal(self, tmp_path):
         queue = JobQueue(tmp_path, max_attempts=1)
         (job_id,) = queue.submit([TINY])
-        queue.claim("w1", lease_s=0.05)
+        queue.claim_batch("w1", 1, lease_s=0.05)
         time.sleep(0.08)
-        assert queue.claim("w2") is None
+        assert queue.claim_batch("w2", 1) == []
         state = queue.job(job_id)
         assert state.state == FAILED
         assert "lease expired" in state.error
@@ -255,8 +259,8 @@ class TestObservation:
     def test_states_is_a_cheap_id_to_state_map(self, tmp_path):
         queue = JobQueue(tmp_path)
         ids = queue.submit(SWEEP)
-        job = queue.claim("w")
-        queue.ack(job.id, "w")
+        queue.claim_batch("w", 1)
+        queue.report_batch("w", [(ids[0], None, True)])
         states = queue.states(ids=ids)
         assert states[ids[0]] == DONE
         assert all(states[i] == PENDING for i in ids[1:])
@@ -267,7 +271,7 @@ class TestObservation:
     def test_reap_lets_an_observer_drive_expired_leases(self, tmp_path):
         queue = JobQueue(tmp_path, max_attempts=1)
         (job_id,) = queue.submit([TINY])
-        queue.claim("w1", lease_s=0.05)
+        queue.claim_batch("w1", 1, lease_s=0.05)
         time.sleep(0.08)
         queue.reap()  # no claim involved: a pure observer reaps
         assert queue.job(job_id).state == FAILED
@@ -290,13 +294,13 @@ class TestDurability:
 
     def test_counts_track_the_lifecycle(self, tmp_path):
         queue = JobQueue(tmp_path)
-        queue.submit([TINY, TINY.with_(seeds=(2,))])
-        job = queue.claim("w")
+        first, second = queue.submit([TINY, TINY.with_(seeds=(2,))])
+        queue.claim_batch("w", 1)
         counts = queue.counts()
         assert counts[PENDING] == 1 and counts[RUNNING] == 1
-        queue.ack(job.id, "w")
-        job = queue.claim("w")
-        queue.fail(job.id, "w", "x", retry=False)
+        queue.report_batch("w", [(first, None, True)])
+        queue.claim_batch("w", 1)
+        queue.report_batch("w", [(second, "x", False)])
         counts = queue.counts()
         assert counts[DONE] == 1 and counts[FAILED] == 1
         assert not queue.active()

@@ -2,7 +2,7 @@
 
 These are the acceptance tests of the distributed subsystem:
 
-* ``run_many(executor="queue")`` with concurrent worker processes is
+* ``run_many(queue_dir=...)`` with concurrent worker processes is
   byte-identical to the serial path (the determinism suite, extended);
 * a worker SIGKILLed mid-job loses its lease and a surviving worker
   completes the job;
@@ -60,9 +60,7 @@ class TestDeterminism:
     def test_queue_executor_matches_serial_byte_for_byte(self, tmp_path):
         """The headline guarantee: distribution changes nothing."""
         serial = run_many(SWEEP)
-        queued = run_many(
-            SWEEP, workers=2, executor="queue", queue_dir=tmp_path / "q"
-        )
+        queued = run_many(SWEEP, workers=2, queue_dir=tmp_path / "q")
         assert [a.canonical_json() for a in queued] == [
             a.canonical_json() for a in serial
         ]
@@ -73,8 +71,8 @@ class TestDeterminism:
 
     def test_queue_dir_doubles_as_warm_cache_across_sweeps(self, tmp_path):
         queue_dir = tmp_path / "q"
-        first = run_many(SWEEP, executor="queue", queue_dir=queue_dir)
-        again = run_many(SWEEP, executor="queue", queue_dir=queue_dir)
+        first = run_many(SWEEP, queue_dir=queue_dir)
+        again = run_many(SWEEP, queue_dir=queue_dir)
         assert [a.canonical_json() for a in again] == [
             a.canonical_json() for a in first
         ]
@@ -84,8 +82,7 @@ class TestDeterminism:
 
     def test_out_dir_receives_copies_of_gathered_artifacts(self, tmp_path):
         out = tmp_path / "out"
-        run_many(SWEEP[:2], executor="queue", queue_dir=tmp_path / "q",
-                 out_dir=out)
+        run_many(SWEEP[:2], queue_dir=tmp_path / "q", out_dir=out)
         assert sorted(p.name for p in out.glob("*.json")) == sorted(
             f"{spec_run_id(s)}.json" for s in SWEEP[:2]
         )
@@ -96,8 +93,8 @@ class TestDeterminism:
         out = tmp_path / "out"
         warm = run_many(SWEEP, out_dir=out)  # serial warm-up
         queue_dir = tmp_path / "q"
-        answered = run_many(SWEEP, workers=2, executor="queue",
-                            queue_dir=queue_dir, out_dir=out)
+        answered = run_many(SWEEP, workers=2, queue_dir=queue_dir,
+                            out_dir=out)
         assert all(a.from_cache for a in answered)
         assert [a.canonical_json() for a in answered] == [
             a.canonical_json() for a in warm
@@ -110,31 +107,32 @@ class TestDeterminism:
 
     def test_per_job_protocol_matches_batched_byte_for_byte(self, tmp_path):
         """--batch-size is an overhead knob, never a results knob."""
-        batched = run_many(SWEEP, workers=2, executor="queue",
+        batched = run_many(SWEEP, workers=2,
                            queue_dir=tmp_path / "qb")  # default batch
-        per_job = run_many(SWEEP, workers=2, executor="queue",
-                           queue_dir=tmp_path / "q1", batch_size=1)
+        per_job = run_many(SWEEP, workers=2, queue_dir=tmp_path / "q1",
+                           batch_size=1)
         assert [a.canonical_json() for a in per_job] == [
             a.canonical_json() for a in batched
         ]
 
     def test_executor_validation(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="unknown executor"):
-            run_many(SWEEP, executor="carrier-pigeon")
-        with pytest.raises(ConfigurationError, match="needs queue_dir"):
-            run_many(SWEEP, executor="queue")
-        with pytest.raises(ConfigurationError, match="only applies"):
-            run_many(SWEEP, executor="serial", queue_dir=tmp_path)
+        """The mode follows from the inputs; what is left to check is a
+        combination the inputs can still get wrong."""
         with pytest.raises(ConfigurationError, match="workers must be"):
             run_many(SWEEP, workers=0)
         with pytest.raises(ConfigurationError, match="workers must be"):
             run_many(SWEEP, workers=2.5)
         with pytest.raises(ConfigurationError, match="batch_size must be"):
-            run_many(SWEEP, executor="queue", queue_dir=tmp_path / "q",
-                     batch_size=0)
+            run_many(SWEEP, queue_dir=tmp_path / "q", batch_size=0)
         with pytest.raises(ConfigurationError, match="batch_size= only applies"):
-            run_many(SWEEP, executor="serial", batch_size=4)
-        assert run_many([], executor="queue", queue_dir=tmp_path / "q") == []
+            run_many(SWEEP, workers=2, batch_size=4)
+        with pytest.raises(ConfigurationError, match="checkpoint_dir= does not"):
+            run_many(SWEEP, queue_dir=tmp_path / "q",
+                     checkpoint_dir=tmp_path / "ckpt")
+        with pytest.raises(ConfigurationError, match="durable checkpoint store"):
+            run_many(SWEEP, checkpoint_policy="100ev")
+        assert not (tmp_path / "q").exists()  # refused before any work
+        assert run_many([], queue_dir=tmp_path / "q") == []
 
 
 class TestCrashSafety:
@@ -280,26 +278,21 @@ class TestCli:
             daemon.terminate()
             daemon.wait(timeout=30)
 
-    def test_run_executor_queue_flag(self, tmp_path, capsys):
+    def test_run_queue_flag(self, tmp_path, capsys):
         queue_dir = str(tmp_path / "q")
         assert main(["run", "table1", "--rows", "0", "--duration", "0.04",
                      "--seeds", "1", "2", "--workers", "2",
-                     "--executor", "queue", "--queue", queue_dir,
-                     "--json"]) == 0
+                     "--queue", queue_dir, "--json"]) == 0
         payloads = json.loads(capsys.readouterr().out)
         assert len(payloads) == 2
         counts = status(queue_dir).counts
         assert counts["done"] == 2
 
-    def test_run_rejects_queue_executor_without_queue(self, capsys):
-        assert main(["run", "gadgets", "--executor", "queue"]) == 2
-        assert "needs --queue" in capsys.readouterr().err
-
     def test_run_rejects_nonpositive_workers_cleanly(self, capsys):
         """A clear ConfigurationError, not a multiprocessing traceback."""
         assert main(["run", "gadgets", "--workers", "0"]) == 2
         err = capsys.readouterr().err
-        assert "error: --workers must be >= 1" in err
+        assert "error: workers must be an integer >= 1" in err
         assert "Traceback" not in err
 
     def test_status_on_a_nonexistent_queue_is_an_error_not_empty(

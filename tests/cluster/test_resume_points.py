@@ -9,7 +9,7 @@ a checkpoint policy may never change results, only how much work a
 second attempt repeats.
 
 The matrix covers kill points early/middle/late in a run, two schedulers
-by two topologies, all three executors (serial, process pool, durable
+by two topologies, all three execution modes (serial, process pool, durable
 queue with a genuinely preempted worker), torn-snapshot healing, and the
 interactions that historically make mid-run state capture wrong: branch
 warm-up checkpoints, the record-once pre-pass, and metrics-hub sampler
@@ -206,7 +206,7 @@ def test_resume_process_executor_sweep(tmp_path):
     reference = [run(s).canonical_json() for s in legs]
     out = _spawn_killed_run(tmp_path, FIG2, kill_after=3)  # kills seed 3
 
-    artifacts = run_many(legs, workers=2, executor="process", out_dir=out,
+    artifacts = run_many(legs, workers=2, out_dir=out,
                          checkpoint_policy=POLICY)
     assert [a.canonical_json() for a in artifacts] == reference
     store = CheckpointStore(os.path.join(out, CHECKPOINT_SUBDIR))
@@ -294,7 +294,7 @@ def test_resume_record_once_pre_pass_stays_single(tmp_path):
     out = _spawn_killed_run(tmp_path, spec_kwargs, kill_after=4)
     _assert_resumed_identical(out, spec, reference)
     schedules = ScheduleStore(os.path.join(out, "schedules"))
-    assert len(schedules.recorded_keys()) == 1
+    assert len(schedules.built_keys()) == 1
 
 
 @pytest.mark.slow

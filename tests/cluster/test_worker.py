@@ -8,18 +8,18 @@ import pytest
 
 import repro.cluster.worker as worker_mod
 from repro.api import ExperimentSpec, load_artifact
-from repro.cluster import DONE, FAILED, JobQueue, Worker, gather
+from repro.cluster import DONE, FAILED, PENDING, JobQueue, Worker, gather
 from repro.errors import JobFailedError
 
 TINY = ExperimentSpec("table1", duration=0.04, options={"rows": (0,)})
 
 
-def test_run_one_executes_and_acks(tmp_path):
+def test_run_batch_of_one_executes_and_acks(tmp_path):
     queue = JobQueue(tmp_path)
     (job_id,) = queue.submit([TINY])
     worker = Worker(queue, worker_id="w1")
-    assert worker.run_one()
-    assert not worker.run_one()  # queue is empty now
+    assert worker.run_batch(limit=1) == 1
+    assert worker.run_batch(limit=1) == 0  # queue is empty now
     assert worker.jobs_run == 1
     job = queue.job(job_id)
     assert job.state == DONE
@@ -175,21 +175,24 @@ def test_idle_daemon_stays_registered_until_stopped(tmp_path):
     assert queue.workers() == []  # unregistered on the way out
 
 
-def test_process_returns_false_for_failed_jobs(tmp_path, monkeypatch):
-    """`process` means 'acked done' — an accepted failure report is not
-    an ack, even though the queue took the report."""
+def test_a_failed_job_is_reported_as_a_failure_not_an_ack(
+        tmp_path, monkeypatch):
+    """A run that raises is reported with its error and requeued while
+    budget remains — the queue takes the report, but the job is not done."""
     def exploding_run(*args, **kwargs):
         raise RuntimeError("boom")
 
     queue = JobQueue(tmp_path)
-    queue.submit([TINY, TINY.with_(seeds=(2,))])
+    (job_id, other) = queue.submit([TINY, TINY.with_(seeds=(2,))])
     worker = Worker(queue, worker_id="w1")
-    (job,) = queue.claim_batch("w1", 1)
     monkeypatch.setattr(worker_mod, "run", exploding_run)
-    assert worker.process(job) is False
+    assert worker.run_batch(limit=1) == 1
+    job = queue.job(job_id)
+    assert (job.state, job.attempts) == (PENDING, 1)
+    assert "RuntimeError: boom" in job.error
     monkeypatch.undo()
-    (job2,) = queue.claim_batch("w1", 1)
-    assert worker.process(job2) is True
+    assert worker.run_batch(limit=1) == 1  # the requeued job, oldest first
+    assert queue.states(ids=[job_id, other]) == {job_id: DONE, other: PENDING}
 
 
 def test_bad_batch_size_is_rejected(tmp_path):
@@ -226,7 +229,7 @@ def test_worker_heartbeats_outlive_a_short_lease(tmp_path):
         "table1", duration=0.3, options={"rows": (0,)}
     )])
     worker = Worker(queue, worker_id="w1", lease_s=0.1)
-    assert worker.run_one()
+    assert worker.run_batch(limit=1) == 1
     job = queue.job(job_id)
     assert job.state == DONE
     assert job.attempts == 1  # never reclaimed, despite lease << runtime

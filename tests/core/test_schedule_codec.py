@@ -249,11 +249,11 @@ def test_every_damaged_entry_is_a_replay_error_a_miss_and_heals(tmp_path):
         trace_io._PARSE_MEMO.clear()  # a cold reader: another process
         assert store.get("k") is None, name
         assert not store.readable("k"), name
-    puts = len(store.recorded_keys())
+    puts = len(store.built_keys())
     healed = store.get_or_build("k", _fixture)
     assert healed.content_hash() == schedule.content_hash()
     assert store.path("k").read_bytes() == good
-    assert len(store.recorded_keys()) == puts + 1  # one put line heals it
+    assert len(store.built_keys()) == puts + 1  # one put line heals it
 
 
 # --- the portable trace did not move ---------------------------------------------

@@ -14,13 +14,7 @@ import pytest
 
 from repro.core import trace_io
 from repro.core.replay import RecordedSchedule, record_schedule, replay_schedule
-from repro.core.trace_io import (
-    ScheduleStore,
-    active_schedule_store,
-    load_schedule,
-    save_schedule,
-    use_schedule_store,
-)
+from repro.core.trace_io import ScheduleStore, load_schedule, save_schedule
 from repro.errors import ReplayError
 from repro.schedulers import FifoScheduler, FqScheduler, LifoScheduler, SjfScheduler
 from repro.topology.simple import build_dumbbell, build_parking_lot
@@ -275,16 +269,3 @@ class TestScheduleStore(StoreContract):
         store.put("k", second)
         assert store.get("k").content_hash() == second.content_hash()
 
-
-def test_use_schedule_store_nests_and_restores(tmp_path):
-    assert active_schedule_store() is None
-    outer = ScheduleStore(tmp_path / "outer")
-    inner = ScheduleStore(tmp_path / "inner")
-    with use_schedule_store(outer):
-        assert active_schedule_store() is outer
-        with use_schedule_store(inner):
-            assert active_schedule_store() is inner
-        with use_schedule_store(None):  # explicit opt-out
-            assert active_schedule_store() is None
-        assert active_schedule_store() is outer
-    assert active_schedule_store() is None

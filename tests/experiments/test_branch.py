@@ -3,8 +3,8 @@
 The contract: a ``branch`` sweep over N seeds simulates its shared
 warm-up prefix *exactly once* (the checkpoint store's audit log) and
 every branched leg's artifact is *byte-identical* to simulating that leg
-from scratch — across schedulers × topologies and under all three
-executors.
+from scratch — across schedulers × topologies and in all three
+execution modes.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ class TestByteIdentity:
     def test_executors_match_scratch(self, tmp_path, executor):
         legs = _legs(schedulers=("fq",))
         reference = [run(s).canonical_json() for s in legs]
-        kwargs: dict = {"executor": executor, "workers": 2}
+        kwargs: dict = {"workers": 1 if executor == "serial" else 2}
         if executor == "queue":
             kwargs["queue_dir"] = tmp_path / "q"
         else:

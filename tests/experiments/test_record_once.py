@@ -3,7 +3,7 @@
 The contract: a replay-mode sweep over M modes records each unique
 original schedule *exactly once* (recorder call counts / the store's
 ``recordings.log``) and its gathered artifacts are *byte-identical* to
-the record-per-leg path, under all three executors.
+the record-per-leg path, in all three execution modes.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import pytest
 
 from repro.api import ExperimentSpec, run, run_many
 from repro.core import trace_io
-from repro.core.trace_io import ScheduleStore, use_schedule_store
+from repro.core.trace_io import ScheduleStore
 from repro.errors import ConfigurationError
 from repro.experiments import replayability
 from repro.experiments.replayability import (
@@ -26,6 +26,9 @@ from repro.experiments.replayability import (
 )
 
 MODES = ("lstf", "priority", "edf")
+
+#: Workers per execution mode; the queue mode also passes a queue_dir.
+WORKERS = {"serial": 1, "process": 2, "queue": 2}
 
 
 def _legs(**overrides) -> list[ExperimentSpec]:
@@ -76,7 +79,7 @@ class TestExactlyOnce:
     def test_store_log_shows_one_recording_per_executor(
         self, tmp_path, executor
     ):
-        kwargs: dict = {"executor": executor, "workers": 2}
+        kwargs: dict = {"workers": WORKERS[executor]}
         if executor == "queue":
             kwargs["queue_dir"] = tmp_path / "q"
             store_root = tmp_path / "q" / "artifacts" / "schedules"
@@ -84,7 +87,7 @@ class TestExactlyOnce:
             kwargs["out_dir"] = tmp_path / "out"
             store_root = tmp_path / "out" / "schedules"
         run_many(_legs(), **kwargs)
-        assert ScheduleStore(store_root).recorded_keys() == [
+        assert ScheduleStore(store_root).built_keys() == [
             scenario_schedule_key(replayability.table1_scenarios(
                 duration=0.03, seed=1, bandwidth_scale=0.01
             )[0])
@@ -115,7 +118,7 @@ class TestByteIdentity:
     def test_executors_match_per_leg_recording(
         self, tmp_path, executor, per_leg_reference
     ):
-        kwargs: dict = {"executor": executor, "workers": 2}
+        kwargs: dict = {"workers": WORKERS[executor]}
         if executor == "queue":
             kwargs["queue_dir"] = tmp_path / "q"
         artifacts = run_many(_legs(), **kwargs)
@@ -132,7 +135,7 @@ class TestByteIdentity:
         memo_hit = run(leg, out_dir=tmp_path, force=True)
         trace_io._PARSE_MEMO.clear()
         cold = run(leg, out_dir=tmp_path, force=True)
-        assert len(ScheduleStore(tmp_path / "schedules").recorded_keys()) == 1
+        assert len(ScheduleStore(tmp_path / "schedules").built_keys()) == 1
         assert [a.canonical_json() for a in (built, memo_hit, cold)] == (
             per_leg_reference[:1] * 3)
 
@@ -189,7 +192,7 @@ class TestScheduleKeyAndStore:
     ):
         scenario = ReplayScenario(name="store-path", duration=0.03)
         store = ScheduleStore(tmp_path)
-        with use_schedule_store(store):
+        with ScheduleStore.activated(store):
             first = get_recorded_schedule(scenario)
             second = get_recorded_schedule(scenario)
         assert len(recorder_calls) == 1

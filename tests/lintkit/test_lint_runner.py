@@ -1,4 +1,4 @@
-"""Runner semantics: suppressions, baseline, walking, JSON, CLI, meta.
+"""Runner semantics: suppressions, walking, JSON, CLI, meta.
 
 The meta-test at the bottom is the PR's standing guarantee: ``repro
 lint src/`` is clean at HEAD, so any commit that introduces an
@@ -14,12 +14,7 @@ import pytest
 
 from repro.cli import main
 from repro.errors import ConfigurationError
-from repro.lintkit import (
-    JSON_SCHEMA_VERSION,
-    lint_file,
-    lint_paths,
-    load_baseline,
-)
+from repro.lintkit import JSON_SCHEMA_VERSION, lint_file, lint_paths
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -101,7 +96,7 @@ def test_syntax_error_becomes_lnt_parse():
     assert [f.rule for f in findings] == ["LNT-PARSE"]
 
 
-# --- path walking and baseline ----------------------------------------------
+# --- path walking --------------------------------------------------------------
 
 def test_lint_paths_walks_directories(tmp_path):
     (tmp_path / "sim").mkdir()
@@ -116,29 +111,6 @@ def test_lint_paths_walks_directories(tmp_path):
 def test_lint_paths_missing_path_is_config_error(tmp_path):
     with pytest.raises(ConfigurationError, match="does not exist"):
         lint_paths([tmp_path / "nope"])
-
-
-def test_baseline_waives_without_hiding(tmp_path):
-    bad = tmp_path / "sim" / "bad.py"
-    bad.parent.mkdir()
-    bad.write_text(BAD_SIM)
-    baseline = tmp_path / "baseline.json"
-    baseline.write_text(json.dumps(
-        {"version": 1,
-         "findings": [{"path": str(bad), "rule": "DET-RANDOM", "line": 2}]}
-    ))
-    report = lint_paths([bad], baseline=load_baseline(baseline))
-    assert report.clean
-    assert [(f.rule, f.reason) for f in report.findings] == [
-        ("DET-RANDOM", "baseline"),
-    ]
-
-
-def test_malformed_baseline_is_config_error(tmp_path):
-    path = tmp_path / "b.json"
-    path.write_text("[]")
-    with pytest.raises(ConfigurationError, match="findings"):
-        load_baseline(path)
 
 
 # --- JSON schema -------------------------------------------------------------
@@ -184,16 +156,16 @@ def test_cli_json_format(tmp_path, capsys):
     assert doc["findings"][0]["rule"] == "SQL-TXN"
 
 
-def test_cli_baseline_flag(tmp_path, capsys):
+def test_cli_has_no_second_waiver_layer(tmp_path, capsys):
+    """A finding is fixed or ``allow()``-ed with a reason on its line;
+    there is no baseline file that waives it from somewhere else."""
     bad = tmp_path / "sim" / "bad.py"
     bad.parent.mkdir()
     bad.write_text(BAD_SIM)
-    baseline = tmp_path / "baseline.json"
-    baseline.write_text(json.dumps(
-        {"findings": [{"path": str(bad), "rule": "DET-RANDOM", "line": 2}]}
-    ))
-    assert main(["lint", str(bad), "--baseline", str(baseline)]) == 0
-    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["lint", str(bad), "--baseline", str(tmp_path / "b.json")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --baseline" in capsys.readouterr().err
 
 
 def test_cli_list_rules(capsys):

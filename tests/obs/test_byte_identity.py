@@ -88,12 +88,11 @@ def test_caller_supplied_hub_is_used_and_populated():
     assert artifact.obs == hub.summary()
 
 
-@pytest.mark.parametrize("kwargs", [{"workers": 2}, {"executor": "queue"}])
+@pytest.mark.parametrize("kwargs", [{"workers": 2}, {"queue_dir": "q"}])
 def test_executors_byte_identical_with_obs_enabled(tmp_path, monkeypatch,
                                                    kwargs):
-    if "executor" in kwargs:
-        kwargs = dict(kwargs, queue_dir=tmp_path / "q",
-                      out_dir=tmp_path / "artifacts")
+    if "queue_dir" in kwargs:
+        kwargs = dict(queue_dir=tmp_path / "q", out_dir=tmp_path / "artifacts")
     monkeypatch.delenv(OBS_ENV, raising=False)
     baseline = run_many(SWEEP, workers=1)
     monkeypatch.setenv(OBS_ENV, "1")

@@ -101,8 +101,7 @@ class TestByteIdentity:
 
     def test_queue_executor_matches_serial(self, tmp_path):
         serial = run_many(SWEEP)
-        queued = run_many(SWEEP, workers=2, executor="queue",
-                          queue_dir=tmp_path / "q")
+        queued = run_many(SWEEP, workers=2, queue_dir=tmp_path / "q")
         assert [a.canonical_json() for a in queued] == [
             a.canonical_json() for a in serial
         ]
@@ -124,8 +123,7 @@ def test_stress_scaled_matrix_stays_byte_identical(tmp_path):
         bandwidth_scale=0.01,
     ).sweep()
     serial = run_many(sweep)
-    queued = run_many(sweep, workers=4, executor="queue",
-                      queue_dir=tmp_path / "q")
+    queued = run_many(sweep, workers=4, queue_dir=tmp_path / "q")
     assert [a.canonical_json() for a in queued] == [
         a.canonical_json() for a in serial
     ]

@@ -2,7 +2,8 @@
 
 Every codec must pass the same mechanics: atomic put, corrupt entry →
 miss → heal, build-once with an audit line per build, GC with an audit
-line per retirement.  :class:`StoreContract` states them once; a codec's
+line per retirement, and one door for drivers (``fetch`` through the
+active store).  :class:`StoreContract` states them once; a codec's
 test class subclasses it and supplies ``STORE``, ``make_values`` and
 ``fingerprint`` (``tests/core/test_trace_io.py::TestScheduleStore``,
 ``tests/sim/test_checkpoint.py::TestCheckpointStore``), next to the
@@ -176,6 +177,44 @@ class StoreContract:
         assert self.fingerprint(again) == self.fingerprint(self.value())
         assert store.get("k") is not None  # the entry healed on disk
         assert store.built_keys() == ["k", "k"]  # the rebuild was logged
+
+    # -- the active store and fetch ------------------------------------------
+
+    def test_activated_nests_and_restores(self, tmp_path):
+        assert self.STORE.active() is None
+        outer = self.STORE(tmp_path / "outer")
+        inner = self.STORE(tmp_path / "inner")
+        with self.STORE.activated(outer):
+            assert self.STORE.active() is outer
+            with self.STORE.activated(inner):
+                assert self.STORE.active() is inner
+            with self.STORE.activated(None):  # explicit opt-out
+                assert self.STORE.active() is None
+            assert self.STORE.active() is outer
+        assert self.STORE.active() is None
+
+    def test_fetch_builds_in_memory_or_once_through_the_active_store(
+            self, tmp_path):
+        calls = []
+
+        def builder():
+            calls.append(1)
+            return self.value()
+
+        # No active store: the builder's own value, built on every call,
+        # and nothing written anywhere.
+        assert self.STORE.fetch("k", builder) is self.value()
+        assert self.STORE.fetch("k", builder) is self.value()
+        assert len(calls) == 2 and list(tmp_path.iterdir()) == []
+        # An active store: built once, then reloaded from the entry.
+        store = self.STORE(tmp_path)
+        with self.STORE.activated(store):
+            built = self.STORE.fetch("k", builder)
+            reloaded = self.STORE.fetch("k", builder)
+        assert len(calls) == 3
+        assert store.built_keys() == ["k"]
+        assert (self.fingerprint(built) == self.fingerprint(reloaded)
+                == self.fingerprint(self.value()))
 
     # -- keys / prune / discard ------------------------------------------------
 

@@ -568,9 +568,14 @@ def test_bench_has_no_legacy_alias(capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["run", "table1", "--workers", "0"], "--workers must be >= 1, got 0"),
-    (["run", "table1", "--executor", "queue"],
-     "--executor queue needs --queue DIR"),
+    (["run", "table1", "--workers", "0"],
+     "workers must be an integer >= 1, got 0"),
+    (["run", "table1", "--batch-size", "4"],
+     "batch_size= only applies with queue_dir="),
+    (["run", "branch", "--queue", "{tmp}/q", "--branch-from", "{tmp}/ckpt"],
+     "checkpoint_dir= does not apply with queue_dir="),
+    (["run", "branch", "--checkpoint-every", "100ev"],
+     "checkpoint_policy needs a durable checkpoint store"),
     (["submit", "table1", "--rows", "0", "--duration", "0.04",
       "--queue", "{tmp}/q", "--max-attempts", "0"],
      "max_attempts must be >= 1, got 0"),
@@ -581,7 +586,8 @@ def test_bench_has_no_legacy_alias(capsys):
     (["gc", "--queue", "{tmp}/typo"], "is not a job queue"),
     (["tail", "{tmp}/typo", "--once"], "is not a job queue"),
     (["lint", "{tmp}/missing.py"], "missing.py' does not exist"),
-], ids=["run-workers", "run-executor", "submit", "worker", "status",
+], ids=["run-workers", "run-batch-size", "run-queue-branch-from",
+        "run-checkpoint-every", "submit", "worker", "status",
         "gather", "gc", "tail", "lint"])
 def test_handler_errors_are_one_stderr_line_and_exit_2(
         argv, message, tmp_path, capsys):

@@ -115,12 +115,7 @@ from repro.errors import (
     SimulationError,
     WorkloadError,
 )
-from repro.obs import (
-    FlightRecorder,
-    MetricsHub,
-    active_metrics_hub,
-    use_metrics_hub,
-)
+from repro.obs import FlightRecorder, MetricsHub
 from repro.scenarios import (
     Scenario,
     build_scenario_network,
@@ -241,7 +236,6 @@ __all__ = [
     "TimetableScheduler",
     "VirtualClockSlack",
     "WorkloadError",
-    "active_metrics_hub",
     "build_dumbbell",
     "build_fattree",
     "build_internet2",
@@ -277,6 +271,5 @@ __all__ = [
     "scenario_names",
     "scheduler_names",
     "snapshot_network",
-    "use_metrics_hub",
     "web_search_distribution",
 ]

@@ -40,14 +40,14 @@ from repro.api.registry import REGISTRY
 from repro.api.results import RunArtifact, load_artifact, spec_run_id
 from repro.api.spec import ExperimentSpec
 from repro.core.packet import reset_packet_ids
-from repro.core.store import ContentStore
+from repro.core.store import ContentStore, RunContext
 from repro.core.trace_io import ScheduleStore
 from repro.errors import ConfigurationError, require_positive_int
-from repro.obs.hub import MetricsHub, use_metrics_hub
+from repro.obs.hub import MetricsHub
 from repro.obs.spans import SPANS
 from repro.sim.checkpoint import CheckpointStore
 from repro.sim.engine import ENGINE_PERF
-from repro.sim.resume import CheckpointPolicy, ResumeSession, use_resume_session
+from repro.sim.resume import CheckpointPolicy, ResumeSession
 
 __all__ = ["cached_artifact", "obs_enabled_from_env", "run", "run_many"]
 
@@ -124,31 +124,36 @@ def run(
     (``artifact.from_cache`` is set), and fresh results are saved there.
     ``force=True`` always re-simulates (and overwrites the cache entry).
 
+    The driver runs inside one :class:`~repro.core.store.RunContext`
+    holding the run's two prerequisite stores, its metrics hub and its
+    resume session, each possibly absent.
+
     ``schedule_dir`` names the recorded-schedule cache
-    (:class:`~repro.core.trace_io.ScheduleStore`) activated around the
-    driver call; replay-driven experiments record each original schedule
-    into it at most once and answer later requests from disk.  It
+    (:class:`~repro.core.trace_io.ScheduleStore`); replay-driven
+    experiments record each original schedule into it at most once and
+    answer later requests from disk.  It
     defaults to ``<out_dir>/schedules`` when ``out_dir`` is given, so a
     warm ``--out`` directory caches both halves of a replay experiment.
     ``force`` does not invalidate recorded schedules — recording is
     deterministic, so re-recording could only reproduce the same bytes.
 
     ``checkpoint_dir`` is the simulate-once analogue: the warm-up
-    checkpoint cache (:class:`~repro.sim.checkpoint.CheckpointStore`)
-    activated around the driver call, defaulting to
-    ``<out_dir>/checkpoints`` when ``out_dir`` is given.  Branch-driven
-    experiments simulate each shared warm-up prefix into it at most once
-    and restore later legs from disk; artifacts are byte-identical
-    either way (same events, same pids — the store credits the restored
-    run's accounting), which is what lets the cache be transparent.
+    checkpoint cache (:class:`~repro.sim.checkpoint.CheckpointStore`),
+    defaulting to ``<out_dir>/checkpoints`` when ``out_dir`` is given.
+    Branch-driven experiments simulate each shared warm-up prefix into
+    it at most once and restore later legs from disk; artifacts are
+    byte-identical either way (same events, same pids — the store
+    credits the restored run's accounting), which is what lets the cache
+    be transparent.
 
     ``obs`` controls run telemetry (:mod:`repro.obs`): pass a
     :class:`~repro.obs.hub.MetricsHub` to collect into it, ``True`` for a
     fresh hub, ``False`` to force it off, or leave the default ``None``
-    to consult the :data:`OBS_ENV` environment switch.  When a hub is
-    active its deterministic summary lands on ``artifact.obs`` — next to
-    the timing section, excluded from the canonical JSON, so artifacts
-    stay byte-identical with telemetry on or off.
+    to consult the :data:`OBS_ENV` environment switch.  The hub observes
+    the run's own simulation, never a prerequisite build; its
+    deterministic summary lands on ``artifact.obs`` — next to the timing
+    section, excluded from the canonical JSON, so artifacts stay
+    byte-identical with telemetry on or off.
 
     ``checkpoint_policy`` (a :class:`~repro.sim.resume.CheckpointPolicy`
     or its ``--checkpoint-every`` string form) arms preemption-safe
@@ -171,7 +176,6 @@ def run(
         cached = cached_artifact(spec, out_dir)
         if cached is not None:
             return cached
-    store = _open_store("schedule", out_dir, schedule_dir)
     ckpt_store = _open_store("checkpoint", out_dir, checkpoint_dir)
     if isinstance(checkpoint_policy, str):
         checkpoint_policy = CheckpointPolicy.parse(checkpoint_policy)
@@ -184,15 +188,16 @@ def run(
             )
         session = ResumeSession(spec_run_id(spec), checkpoint_policy, ckpt_store)
     hub = _resolve_obs(obs)
+    context = RunContext(
+        (_open_store("schedule", out_dir, schedule_dir), ckpt_store),
+        hub, session)
     reset_packet_ids()
     ENGINE_PERF.reset()
     start = time.perf_counter()
     try:
-        with ScheduleStore.activated(store), \
-                CheckpointStore.activated(ckpt_store), use_metrics_hub(hub), \
-                use_resume_session(session), \
-                SPANS.span("simulate", experiment=spec.experiment,
-                           run_id=spec_run_id(spec)):
+        with context.entered(), SPANS.span(
+                "simulate", experiment=spec.experiment,
+                run_id=spec_run_id(spec)):
             output = entry.fn(spec)
     finally:
         reset_packet_ids()

@@ -23,6 +23,13 @@ stated once for :class:`~repro.core.trace_io.ScheduleStore`,
 A subclass is a codec: file suffix, log name, ``encode``/``load``.
 Drivers reach a codec's store through one door, :meth:`ContentStore.fetch`,
 with a key from :func:`content_key`.
+
+Which stores a run reads is not a switch per codec: the run's
+:class:`RunContext` holds them, next to its metrics hub and resume
+session, and :func:`repro.api.runner.run` enters it once around the
+driver call.  Outside a run, and inside every prerequisite build, the
+current context is :data:`CLEAN` — nothing cached, observed or
+snapshotted.
 """
 
 from __future__ import annotations
@@ -33,11 +40,16 @@ import json
 import os
 import uuid
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 from repro.errors import ReproError
 
-__all__ = ["ContentStore", "atomic_write", "content_key"]
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.obs.hub import MetricsHub
+    from repro.sim.resume import ResumeSession
+
+__all__ = ["CLEAN", "ContentStore", "RunContext", "atomic_write",
+           "content_key", "run_context"]
 
 
 def atomic_write(path: Path, data: bytes) -> Path:
@@ -75,10 +87,6 @@ def content_key(prefix: str, fields: dict) -> str:
     """
     digest = hashlib.sha256(json.dumps(fields, sort_keys=True).encode())
     return f"{prefix}-{digest.hexdigest()[:12]}"
-
-
-#: The store each codec class's :meth:`ContentStore.active` answers with.
-_ACTIVE: dict[type, "ContentStore | None"] = {}
 
 
 class ContentStore:
@@ -150,19 +158,14 @@ class ContentStore:
         A miss builds, persists, logs a ``put``, and returns what
         :meth:`get` then answers (reloaded from disk, or the value a
         lossless codec's ``put`` memoised), so every consumer works from
-        the identical post-round-trip value.  Builders run their own
-        simulation phases, but only on a miss; were a resume session
-        (:mod:`repro.sim.resume`) left active, those phases would shift
-        later phase ordinals and orphan their snapshots, so it is
-        suspended for the build.
+        the identical post-round-trip value.  A builder that simulates
+        enters :data:`CLEAN` itself, so a miss adds no phase to the
+        run's resume session and nothing to its hub.
         """
         cached = self.get(key)
         if cached is not None:
             return cached
-        from repro.sim.resume import suspended_resume  # local: avoids cycle
-
-        with suspended_resume():
-            value = builder()
+        value = builder()
         self.put(key, value)
         self.log("put", key)
         reloaded = self.get(key)
@@ -256,37 +259,60 @@ class ContentStore:
         """
         return [key for op, key in self.log_entries() if op == "put"]
 
-    # -- the process-wide "current store" of each codec ----------------------
-
-    @classmethod
-    def active(cls) -> "ContentStore | None":
-        """The store of this class the current run reads from / builds
-        into; ``None`` (a bare driver call outside the runner) means no
-        cache — build in memory every time."""
-        return _ACTIVE.get(cls)
-
     @classmethod
     def fetch(cls, key: str, builder: Callable[[], Any]) -> Any:
-        """The value for ``key`` through this codec's active store —
-        :meth:`get_or_build` — or, with none active, ``builder()`` in
+        """The value for ``key`` through the current run's store of this
+        codec — :meth:`get_or_build` — or, with none, ``builder()`` in
         memory.  How every driver reaches a prerequisite."""
-        store = cls.active()
+        store = run_context().store(cls)
         return builder() if store is None else store.get_or_build(key, builder)
-
-    @classmethod
-    @contextlib.contextmanager
-    def activated(cls, store: "ContentStore | None") -> Iterator["ContentStore | None"]:
-        """Make ``store`` the active store of this class for the block.
-
-        Nests and restores the previous store on exit; ``None`` disables
-        caching inside the block.
-        """
-        previous = _ACTIVE.get(cls)
-        _ACTIVE[cls] = store
-        try:
-            yield store
-        finally:
-            _ACTIVE[cls] = previous
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.root}>"
+
+
+class RunContext:
+    """What code running inside a run reads from it: the run's
+    prerequisite stores (one per codec), its
+    :class:`~repro.obs.hub.MetricsHub` and its
+    :class:`~repro.sim.resume.ResumeSession` — each possibly absent.
+
+    Read in four places: :meth:`ContentStore.fetch`, network
+    construction (a new network attaches the hub), ``Network.run`` (a
+    phase runs under the session) and the restore path
+    (:func:`~repro.sim.checkpoint.reinstate`).
+    """
+
+    __slots__ = ("stores", "hub", "session")
+
+    def __init__(self, stores: Iterable["ContentStore | None"] = (),
+                 hub: "MetricsHub | None" = None,
+                 session: "ResumeSession | None" = None) -> None:
+        self.stores = tuple(store for store in stores if store is not None)
+        self.hub = hub
+        self.session = session
+
+    def store(self, cls: type[ContentStore]) -> ContentStore | None:
+        """This run's store of codec ``cls``, or None (build in memory)."""
+        return next((s for s in self.stores if isinstance(s, cls)), None)
+
+    @contextlib.contextmanager
+    def entered(self) -> Iterator["RunContext"]:
+        """Make this the current context for the block; nests, and
+        restores the previous one on exit."""
+        global _CURRENT
+        previous, _CURRENT = _CURRENT, self
+        try:
+            yield self
+        finally:
+            _CURRENT = previous
+
+
+#: The context outside any run and inside every prerequisite build.
+CLEAN = RunContext()
+_CURRENT = CLEAN
+
+
+def run_context() -> RunContext:
+    """The context the code running now belongs to."""
+    return _CURRENT

@@ -17,8 +17,9 @@ artifact:
   record-once/replay-many cache the experiment runner shares across the
   legs of a replay-mode sweep; a :class:`~repro.core.store.ContentStore`
   codec, so puts are atomic and torn entries read as misses.  The
-  runner activates one around a driver call (``ScheduleStore.activated``)
-  and :func:`repro.experiments.replayability.get_recorded_schedule`
+  runner puts one in the run context around a driver call
+  (:class:`~repro.core.store.RunContext`) and
+  :func:`repro.experiments.replayability.get_recorded_schedule`
   answers recordings from it (``ScheduleStore.fetch``).
 
 Formats: the *portable trace* is JSON — diffable, language-neutral,

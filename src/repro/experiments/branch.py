@@ -9,7 +9,7 @@ than the per-leg delta — needs to be simulated exactly once per sweep:
 
 * :func:`build_branch_snapshot` simulates the prefix from t=0 and
   captures it as a :class:`~repro.sim.checkpoint.Snapshot`;
-* :func:`get_branch_network` answers warm-ups through the active
+* :func:`get_branch_network` answers warm-ups through the run's
   :class:`~repro.sim.checkpoint.CheckpointStore` when the runner has one
   open (``run_many`` sweeps, ``--out`` caches, queue workers), keyed by
   :func:`branch_checkpoint_key`; without a store it builds in memory and
@@ -131,12 +131,13 @@ def build_branch_snapshot(prefix: BranchPrefix) -> Snapshot:
 
 
 def get_branch_network(prefix: BranchPrefix) -> Network:
-    """A network warmed to ``prefix.warmup``, through the active
+    """A network warmed to ``prefix.warmup``, through the run's
     :class:`~repro.sim.checkpoint.CheckpointStore` (simulated at most once
-    per key) or, with none active, simulated in memory and branched live.
+    per key) or, with none, simulated in memory and branched live.
     Either way it goes through
     :func:`~repro.sim.checkpoint.restore_snapshot`, so the packet-id
-    counter and the ``ENGINE_PERF`` credit are identical."""
+    counter, the ``ENGINE_PERF`` credit and the attached hub are
+    identical."""
     return restore_snapshot(CheckpointStore.fetch(
         branch_checkpoint_key(prefix),
         functools.partial(build_branch_snapshot, prefix),

@@ -14,15 +14,15 @@ expensive half of every replay experiment, and it depends only on the
 request's *recording inputs* (setting, original scheduler, seed,
 duration, scale) — never on the replay mode or slack policy under test.
 :func:`get_recorded_schedule` therefore answers recordings through the
-active :class:`~repro.core.trace_io.ScheduleStore` when the runner has
+run's :class:`~repro.core.trace_io.ScheduleStore` when the runner has
 one open (``run_many`` over a ``replay_modes`` sweep, ``--out`` caches,
 queue workers), keyed by :func:`scenario_schedule_key`; each unique
 schedule simulates once and every replay-mode leg reloads it.
-Recordings are pid-stream independent and excluded from the run's
-deterministic ``engine_events`` accounting (:func:`builder_network`, the
-prologue they share with branch warm-ups), so a leg's artifact is
-byte-identical whether its schedule was recorded in-process or fetched
-from the store.
+Recordings are pid-stream independent, unobserved, and excluded from
+the run's deterministic ``engine_events`` accounting
+(:func:`builder_network`, the prologue they share with branch warm-ups),
+so a leg's artifact and telemetry are identical whether its schedule was
+recorded in-process or fetched from the store.
 
 Scale: the scenario catalogue sizes the paper's topologies for a laptop
 (a 20-host Internet2: 2 edge routers per core router instead of 10), and
@@ -48,7 +48,7 @@ from repro.core.replay import (
     record_schedule,
     replay_schedule,
 )
-from repro.core.store import content_key
+from repro.core.store import CLEAN, content_key
 from repro.core.trace_io import ScheduleStore
 from repro.errors import ConfigurationError
 from repro.scenarios import (
@@ -192,13 +192,16 @@ def builder_network(
     network under ``scheduler``, traffic for ``horizon`` seconds.
 
     Context-independent by construction, which is what makes the built
-    value cacheable: the packet-id counter is reset on entry (and again
-    on exit), so pids never depend on what ran earlier in the process,
-    and the block runs with :data:`~repro.sim.engine.ENGINE_PERF` paused,
-    so a run's deterministic event count is the same whether its
-    prerequisite was built here or loaded from a store.
+    value cacheable: the block runs in the clean
+    :class:`~repro.core.store.RunContext`, so the run's hub never
+    observes it and its resume session never snapshots it; the
+    packet-id counter is reset on entry (and again on exit), so pids
+    never depend on what ran earlier in the process; and
+    :data:`~repro.sim.engine.ENGINE_PERF` is paused, so a run's
+    deterministic event count is the same whether its prerequisite was
+    built here or loaded from a store.
     """
-    with ENGINE_PERF.paused():
+    with CLEAN.entered(), ENGINE_PERF.paused():
         reset_packet_ids()
         network, _flows = udp_network(setting, scheduler, seed, horizon,
                                       bandwidth_scale)
@@ -216,9 +219,9 @@ def build_recorded_schedule(scenario: ReplayScenario) -> RecordedSchedule:
 
 
 def get_recorded_schedule(scenario: ReplayScenario) -> RecordedSchedule:
-    """The scenario's recorded schedule, through the active
+    """The scenario's recorded schedule, through the run's
     :class:`~repro.core.trace_io.ScheduleStore` (recorded at most once per
-    key) or, with none active, recorded in memory."""
+    key) or, with none, recorded in memory."""
     return ScheduleStore.fetch(
         scenario_schedule_key(scenario),
         functools.partial(build_recorded_schedule, scenario),

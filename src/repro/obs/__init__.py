@@ -23,8 +23,10 @@ run's artifacts:
 The determinism contract is spelled out in ``docs/observability.md``:
 sampler ticks ride the engine heap but are excluded from every
 accounting surface, telemetry lives in the artifact's non-canonical
-``obs`` section, and sampler callbacks must be pure readers (lint rule
-``OBS-SAMPLER-PURE``).
+``obs`` section, sampler callbacks must be pure readers (lint rule
+``OBS-SAMPLER-PURE``), and the hub — which reaches a run's networks
+through its :class:`~repro.core.store.RunContext` — never observes a
+prerequisite build and never rides in a snapshot.
 """
 
 from repro.obs.events import (
@@ -36,7 +38,7 @@ from repro.obs.events import (
     read_events,
 )
 from repro.obs.flight import FlightRecorder
-from repro.obs.hub import MetricsHub, active_metrics_hub, use_metrics_hub
+from repro.obs.hub import MetricsHub
 from repro.obs.spans import (
     SPANS,
     SpanRecorder,
@@ -53,7 +55,6 @@ __all__ = [
     "MetricsHub",
     "SPANS",
     "SpanRecorder",
-    "active_metrics_hub",
     "append_events",
     "append_span_record",
     "chrome_trace_document",
@@ -63,6 +64,5 @@ __all__ = [
     "read_events",
     "read_span_records",
     "spans_path",
-    "use_metrics_hub",
     "write_chrome_trace",
 ]

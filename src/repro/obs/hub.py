@@ -23,18 +23,19 @@ The determinism contract (guarded by the byte-identity suite):
   :meth:`~repro.api.results.RunArtifact.canonical_json`.
 * Sampler callbacks must be pure readers of simulation state (lint
   rule ``OBS-SAMPLER-PURE``).
+* A prerequisite build is never observed, and no snapshot carries the
+  hub: builds run in the clean run context, and a pickled network or
+  port leaves its hub behind.
 
-Hubs activate like the schedule/checkpoint stores: ``with
-use_metrics_hub(hub):`` makes the hub ambient, and every
-:class:`~repro.sim.network.Network` constructed inside the block
-attaches itself — which is how the hub reaches the networks an
-experiment driver builds internally.
+A hub reaches the networks an experiment driver builds internally
+through the run's :class:`~repro.core.store.RunContext`: every
+:class:`~repro.sim.network.Network` constructed while the context
+holds a hub attaches itself, and a restored one is re-attached.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Callable
 
 from repro.errors import ConfigurationError
 
@@ -44,33 +45,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.link import Link
     from repro.sim.network import Network
 
-__all__ = ["MetricsHub", "active_metrics_hub", "use_metrics_hub"]
-
-#: The ambient hub new networks attach to (see :func:`use_metrics_hub`).
-_ACTIVE_HUB: "MetricsHub | None" = None
-
-
-def active_metrics_hub() -> "MetricsHub | None":
-    """The hub networks built right now attach to, or ``None``."""
-    return _ACTIVE_HUB
-
-
-@contextmanager
-def use_metrics_hub(hub: "MetricsHub | None") -> Iterator["MetricsHub | None"]:
-    """Make ``hub`` ambient for the block (``None`` = telemetry off).
-
-    Mirrors :meth:`~repro.core.store.ContentStore.activated`: the runner
-    wraps the driver call in this, so every network the driver builds —
-    including ones deep inside record/replay helpers — is instrumented
-    without threading a parameter through the stack.
-    """
-    global _ACTIVE_HUB
-    previous = _ACTIVE_HUB
-    _ACTIVE_HUB = hub
-    try:
-        yield hub
-    finally:
-        _ACTIVE_HUB = previous
+__all__ = ["MetricsHub"]
 
 
 class _NetSampler:
@@ -171,45 +146,31 @@ class MetricsHub:
     def attach(self, network: "Network") -> "MetricsHub":
         """Instrument ``network``: ports report here, sampling is armed.
 
-        Idempotent per network.  Called automatically from
-        :class:`~repro.sim.network.Network` construction while this hub
-        is ambient, and again from
-        :func:`~repro.sim.checkpoint.restore_snapshot` so branch legs
-        restored from a checkpoint report into the live hub rather than
-        the pickled clone inside the snapshot.
+        Idempotent while ``network`` stays wired to this hub.  Called
+        from :class:`~repro.sim.network.Network` construction while the
+        run context holds this hub, and again after a restore
+        (:func:`~repro.sim.checkpoint.reinstate`): a restored network
+        carries no hub, and its engine no sampler tick, so it gets a
+        fresh sampler that the next :meth:`ensure_sampling` arms.
         """
+        if network.obs is self:
+            return self
         network.obs = self
         for node in network.nodes.values():
             for port in node.ports.values():
                 port._obs = self
         network.engine.flight = self.flight
-        for seen, _sampler in self._net_samplers:
-            if seen is network:
-                return self
+        self._net_samplers = [entry for entry in self._net_samplers
+                              if entry[0] is not network]
         self._net_samplers.append((network, _NetSampler(self, network)))
         return self
 
     def ensure_sampling(self, network: "Network") -> None:
         """Arm the periodic sampler for ``network`` (idempotent)."""
+        self.attach(network)
         for seen, sampler in self._net_samplers:
             if seen is network:
                 sampler.ensure()
-                return
-        self.attach(network)
-        self._net_samplers[-1][1].ensure()
-
-    def reset_sampling(self, network: "Network") -> None:
-        """Forget any armed-tick state for ``network``.
-
-        Called after a snapshot restore replaced the network's engine:
-        checkpoints drop pending sampler entries, so a sampler that
-        believed its tick was queued would otherwise never re-arm.  The
-        next :meth:`ensure_sampling` arms a fresh tick on the restored
-        engine.
-        """
-        for seen, sampler in self._net_samplers:
-            if seen is network:
-                sampler.pending = False
                 return
 
     def add_sampler(self, name: str, fn: Callable[[float], float]) -> None:

@@ -10,12 +10,15 @@ for the shared warm-up horizon exactly once and branch each leg from the
 snapshot.
 
 * :func:`snapshot_network` / :func:`restore_snapshot` — the in-memory
-  protocol.  Restoring credits the warm-up's deterministic event count to
-  :data:`~repro.sim.engine.ENGINE_PERF` and reinstalls the packet-id
-  counter, so a branched leg's ``engine_events`` and pids are identical
-  to a from-scratch run's.  Builders run under ``ENGINE_PERF.paused()``
-  for the same reason: the warm-up is accounted exactly once per leg,
-  through the credit, never through live accumulation.
+  protocol.  Restoring (:func:`reinstate`, shared with the resume
+  session) credits the warm-up's deterministic event count to
+  :data:`~repro.sim.engine.ENGINE_PERF`, reinstalls the packet-id
+  counter and attaches the run's metrics hub, so a branched leg's
+  ``engine_events``, pids and telemetry are identical to a from-scratch
+  run's.  Builders run in the clean run context, under
+  ``ENGINE_PERF.paused()``, for the same reason: the warm-up is
+  accounted exactly once per leg, through the credit, never through
+  live accumulation, and never observed.
 * :func:`save_checkpoint` / :func:`load_checkpoint` — one snapshot
   to/from one file.  The format is a one-line JSON header (format name,
   version, SHA-256 of the payload, summary fields) followed by the
@@ -26,8 +29,8 @@ snapshot.
   files keyed by *warm-up inputs*; a
   :class:`~repro.core.store.ContentStore` codec, so puts are atomic,
   corrupt entries read as misses, and ``checkpoints.log`` lets tests
-  assert the build-once guarantee.  The runner activates one around a
-  driver call (``CheckpointStore.activated``).
+  assert the build-once guarantee.  The runner puts one in the run
+  context (:class:`~repro.core.store.RunContext`) around a driver call.
 
 The payload is a pickle, not JSON: a snapshot is a live object graph
 (bound-method callbacks in the heap must reattach to their restored
@@ -54,9 +57,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from repro.core.packet import packet_id_counter, set_packet_id_counter
-from repro.core.store import ContentStore
+from repro.core.store import ContentStore, run_context
 from repro.errors import CheckpointError
-from repro.obs.hub import active_metrics_hub
 from repro.sim.engine import ENGINE_PERF
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -66,6 +68,7 @@ __all__ = [
     "CheckpointStore",
     "Snapshot",
     "load_checkpoint",
+    "reinstate",
     "restore_snapshot",
     "save_checkpoint",
     "snapshot_network",
@@ -81,17 +84,18 @@ CHECKPOINT_FORMAT = "repro-checkpoint"
 CHECKPOINT_VERSION = 4
 
 #: The modules whose classes a simulation's state pickles to: the network
-#: graph, schedulers, transports with their flows and slack policies, and
-#: the telemetry that can ride along.  None of them opens a file, starts a
-#: process or touches a socket (``tests/sim/test_checkpoint.py`` checks
-#: their imports), so building their objects and calling their methods
-#: only computes.  The one way from them to disk is ``Network.run`` handing
-#: a phase to an active resume session, which writes its own snapshots.
+#: graph, schedulers, and transports with their flows and slack policies.
+#: Telemetry never rides along (a pickled network or port leaves its hub
+#: behind, an engine its flight recorder).  None of them opens a file,
+#: starts a process or touches a socket (``tests/sim/test_checkpoint.py``
+#: checks their imports), so building their objects and calling their
+#: methods only computes.  The one way from them to disk is ``Network.run``
+#: handing a phase to the run's resume session, which writes its own
+#: snapshots.
 _STATE_MODULES = frozenset({
     "repro.core.flow", "repro.core.heuristics", "repro.core.packet",
-    "repro.obs.flight", "repro.obs.hub", "repro.sim.aqm", "repro.sim.engine",
-    "repro.sim.link", "repro.sim.network", "repro.sim.node", "repro.sim.port",
-    "repro.sim.tracer",
+    "repro.sim.aqm", "repro.sim.engine", "repro.sim.link", "repro.sim.network",
+    "repro.sim.node", "repro.sim.port", "repro.sim.tracer",
 })
 _STATE_PACKAGES = ("repro.schedulers.", "repro.transport.")
 
@@ -221,34 +225,40 @@ def snapshot_network(network: "Network", description: str = "") -> Snapshot:
     )
 
 
-def restore_snapshot(snapshot: Snapshot) -> "Network":
-    """Reinstall process state for ``snapshot`` and return its network.
+def reinstate(network: "Network", packet_counter: int,
+              engine_events: int) -> "Network":
+    """Put process state back after a restore — a branch from a warm-up
+    or a resume from a mid-run snapshot — and return ``network``.
 
-    Two things happen beyond handing back the graph, and both are what
-    makes a branched leg byte-identical to a from-scratch run:
+    Three things happen beyond handing back the graph, and all are what
+    make a restored run byte-identical to a from-scratch one:
 
-    * the process-global packet-id counter is set to its capture-time
-      value, so packets injected after the branch get the pids the
-      uninterrupted simulation would have assigned;
-    * the warm-up's deterministic event count is credited to
-      ``ENGINE_PERF`` (with zero wall time — the work was not paid for
-      here), so the leg's reported ``engine_events`` is the same whether
-      the warm-up was simulated live, served from the in-process
-      snapshot, or reloaded from a checkpoint file.
-
-    When a metrics hub is ambient (:func:`~repro.obs.hub.use_metrics_hub`)
-    it is re-attached to the restored network, so a branched leg's
-    telemetry reports into the *live* hub rather than whatever clone a
-    pickled checkpoint may carry.  Telemetry never changes the restored
-    simulation — sampler events are excluded from checkpoints and from
-    all event accounting (see :meth:`repro.sim.engine.Engine.checkpoint`).
+    * the process-global packet-id counter is set to ``packet_counter``,
+      so packets injected from here get the pids the uninterrupted
+      simulation would have assigned;
+    * ``engine_events`` — the restored work this run did not simulate —
+      is credited to ``ENGINE_PERF`` (with zero wall time), so the run's
+      ``engine_events`` is the same whether that work was simulated
+      live, served from memory, or reloaded from a file;
+    * the run context's metrics hub, if any, is attached: a pickled
+      network carries none, and one built in memory was built unobserved.
+      Telemetry never changes the restored simulation — sampler events
+      are excluded from checkpoints and from all event accounting (see
+      :meth:`repro.sim.engine.Engine.checkpoint`).
     """
-    set_packet_id_counter(snapshot.packet_counter)
-    ENGINE_PERF.record(snapshot.engine_events, 0.0)
-    hub = active_metrics_hub()
+    set_packet_id_counter(packet_counter)
+    ENGINE_PERF.record(engine_events, 0.0)
+    hub = run_context().hub
     if hub is not None:
-        hub.attach(snapshot.network)
-    return snapshot.network
+        hub.attach(network)
+    return network
+
+
+def restore_snapshot(snapshot: Snapshot) -> "Network":
+    """Reinstate process state for ``snapshot`` (:func:`reinstate`, which
+    credits its whole warm-up) and return its network."""
+    return reinstate(snapshot.network, snapshot.packet_counter,
+                     snapshot.engine_events)
 
 
 def snapshot_to_bytes(snapshot: Snapshot, payload: bytes | None = None) -> bytes:
@@ -256,6 +266,7 @@ def snapshot_to_bytes(snapshot: Snapshot, payload: bytes | None = None) -> bytes
 
     ``payload`` is the graph already pickled by the caller (the resume
     session's anchor-aware pickler); by default it is a plain pickle.
+    Either way the bytes are the same with telemetry on or off.
     """
     if payload is None:
         payload = pickle.dumps(snapshot.network, protocol=pickle.HIGHEST_PROTOCOL)

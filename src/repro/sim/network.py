@@ -20,14 +20,14 @@ from bisect import insort
 from collections import deque
 from typing import Callable, Iterable
 
+from repro.core.store import run_context
 from repro.errors import ConfigurationError, RoutingError
-from repro.obs.hub import active_metrics_hub
 from repro.schedulers.base import Scheduler
 from repro.schedulers.fifo import FifoScheduler
 from repro.sim.engine import Engine
 from repro.sim.link import Link
 from repro.sim.node import Host, Node, Router
-from repro.sim.port import Port, PreemptivePort
+from repro.sim.port import Port, PreemptivePort, state_without_hub
 from repro.sim.tracer import Tracer
 from repro.units import MTU, tx_time
 
@@ -57,9 +57,12 @@ class Network:
         self._next_hop: dict[str, dict[str, str]] = {}  # dst -> {node: next}
         self._tmin_cache: dict[tuple[str, str, int], float] = {}
         self._preemptive = False
-        hub = active_metrics_hub()
+        hub = run_context().hub
         if hub is not None:
             hub.attach(self)
+
+    def __getstate__(self) -> tuple:
+        return state_without_hub(self, "obs")
 
     # --- topology construction -------------------------------------------------
 
@@ -271,14 +274,13 @@ class Network:
     def run(self, until: float | None = None) -> None:
         """Run the simulation (one *phase* of the hosting experiment).
 
-        With a resume session active (:mod:`repro.sim.resume`) the phase
-        executes as snapshot-separated slices — same event sequence, same
-        final clock — and may fast-forward through a snapshot a killed
-        attempt left behind.  Otherwise it is a plain ``Engine.run``.
+        When the run context holds a resume session
+        (:mod:`repro.sim.resume`) the phase executes as snapshot-separated
+        slices — same event sequence, same final clock — and may
+        fast-forward through a snapshot a killed attempt left behind.
+        Otherwise it is a plain ``Engine.run``.
         """
-        from repro.sim.resume import active_resume_session  # local: avoids cycle
-
-        session = active_resume_session()
+        session = run_context().session
         if session is not None:
             session.run_phase(self, until=until)
             return

@@ -42,6 +42,7 @@ packet is paused — only time spent actually transmitting is "free"
 
 from __future__ import annotations
 
+import copyreg
 import math
 from heapq import heappop, heappush
 from typing import TYPE_CHECKING
@@ -60,6 +61,17 @@ __all__ = ["Port", "PreemptivePort"]
 #: ``Port._free_at`` when it is not a time: the wire was seen idle / the
 #: completion is an event in the heap.
 _IDLE, _ARMED = -math.inf, math.inf
+
+
+def state_without_hub(obj: object, slot: str) -> tuple:
+    """``obj``'s default pickle state, slot ``slot`` (its metrics hub)
+    cleared: a snapshot describes the simulation, never its observer, and
+    a restore attaches the run's own hub.  The state has the default's
+    shape, so a snapshot's bytes are the same with telemetry on or off."""
+    slots = {name: getattr(obj, name) for name in copyreg._slotnames(type(obj))
+             if hasattr(obj, name)}
+    slots[slot] = None
+    return getattr(obj, "__dict__", None) or None, slots
 
 
 class Port:
@@ -110,6 +122,9 @@ class Port:
         self._tx_per_byte = link.tx_per_byte
         self._prop = link.propagation
         scheduler.attach(self)
+
+    def __getstate__(self) -> tuple:
+        return state_without_hub(self, "_obs")
 
     # --- wiring -----------------------------------------------------------
 

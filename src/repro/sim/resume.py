@@ -20,10 +20,11 @@ Correctness rests on two invariants:
   (``tests/cluster/test_resume_points.py``) proves this, not just
   asserts it.
 * **Snapshots describe the simulation, never the observer.**  Sampler
-  entries and the flight recorder are already excluded by
-  :meth:`Engine.checkpoint`; the session additionally detaches the
-  metrics hub from the graph while pickling and re-attaches the live
-  ambient hub (re-arming sampling) after a restore.
+  entries and the flight recorder are excluded by
+  :meth:`Engine.checkpoint`, and a pickled network or port leaves its
+  metrics hub behind, so the anchor walk and the snapshot bytes are the
+  same with telemetry on or off; a restore re-attaches the run's hub
+  (:func:`~repro.sim.checkpoint.reinstate`).
 
 Restoring has a constraint branch checkpoints do not: the retry's driver
 has already rebuilt the experiment and holds references into it (the
@@ -54,47 +55,40 @@ prunes its whole trail.  Torn or corrupt snapshots read as misses
 (hash-verified before unpickling), so healing is a ladder: newest valid
 snapshot → older one → from scratch.
 
-Builder/recorder passes
-(:meth:`~repro.core.store.ContentStore.get_or_build`) run only on cache
-misses; were the session active inside them, a miss would add phases a
-hit does not and orphan every later phase's snapshots.  They suspend the
-session via :func:`suspended_resume`.
+The session is the run context's (:class:`~repro.core.store.RunContext`),
+so a phase is sliced exactly when ``Network.run`` finds it there.
+Builder/recorder passes run only on cache misses; were the session
+reachable inside them, a miss would add phases a hit does not and orphan
+every later phase's snapshots.  They run in the clean context instead.
 """
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import io
 import pickle
 import types
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable
 
-from repro.core.packet import Packet, set_packet_id_counter
+from repro.core.packet import Packet
 from repro.errors import CheckpointError, ConfigurationError
-from repro.obs.hub import active_metrics_hub
 from repro.sim.checkpoint import (
     CheckpointStore,
+    reinstate,
     snapshot_network,
     snapshot_to_bytes,
     split_checkpoint,
     unpickle_payload,
 )
-from repro.sim.engine import ENGINE_PERF, Engine
+from repro.sim.engine import Engine
 from repro.sim.tracer import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.network import Network
 
-__all__ = [
-    "CheckpointPolicy",
-    "ResumeSession",
-    "active_resume_session",
-    "suspended_resume",
-    "use_resume_session",
-]
+__all__ = ["CheckpointPolicy", "ResumeSession"]
 
 
 @dataclass(frozen=True)
@@ -178,36 +172,6 @@ def _entry_fingerprint(engine: Engine, until: float | None) -> str:
     """
     payload = f"{engine.now!r}:{engine.events_processed}:{until!r}"
     return hashlib.sha256(payload.encode()).hexdigest()[:8]
-
-
-@contextlib.contextmanager
-def _detached_observer(network: "Network") -> Iterator[None]:
-    """Strip the metrics hub out of ``network`` for the enclosed block.
-
-    Pickled mid-run snapshots must describe the simulation, never the
-    observer: the hub holds telemetry series (and possibly caller
-    closures via ``add_sampler``) that have no business in a resume
-    snapshot.  The live hub is re-attached on restore instead.
-    """
-    hub = network.obs
-    if hub is None:
-        yield
-        return
-    ports = [
-        port
-        for name in sorted(network.nodes)
-        for port in network.nodes[name].ports.values()
-    ]
-    saved = [(port, port._obs) for port in ports]
-    network.obs = None
-    for port in ports:
-        port._obs = None
-    try:
-        yield
-    finally:
-        network.obs = hub
-        for port, obs in saved:
-            port._obs = obs
 
 
 # -- anchor pickling (see the module docstring) ---------------------------
@@ -359,8 +323,8 @@ class ResumeSession:
     """One run's mid-flight snapshot trail: record, resume, roll, prune.
 
     Created by :func:`repro.api.runner.run` when a
-    :class:`CheckpointPolicy` is in force, activated around the driver
-    call with :func:`use_resume_session`, and consulted by
+    :class:`CheckpointPolicy` is in force, held by the run's
+    :class:`~repro.core.store.RunContext`, and consulted by
     :meth:`Network.run <repro.sim.network.Network.run>`: each simulation
     phase runs through :meth:`run_phase` instead of ``Engine.run``.
     """
@@ -399,12 +363,11 @@ class ResumeSession:
             f"{CheckpointStore.RUN_PREFIX}{self.run_id}-p{phase}-"
             f"{_entry_fingerprint(engine, until)}-n"
         )
-        # Anchor numbering must be telemetry-independent (a retry may run
-        # with different REPRO_OBS settings), so the walk sees the graph
-        # the way snapshots are pickled: observer detached.  It must also
-        # happen before the resume below mutates entry state.
-        with _detached_observer(network):
-            self._anchors = _anchor_walk(network)
+        # The walk sees the graph the way snapshots pickle it — without
+        # the hub — so a retry numbers anchors alike whatever its
+        # REPRO_OBS setting.  It must happen before the resume below
+        # mutates entry state.
+        self._anchors = _anchor_walk(network)
         self._anchor_ids = {
             id(obj): i  # repro: allow(DET-ID-ORDER) identity lookup only; the index is walk order
             for i, obj in enumerate(self._anchors)
@@ -502,15 +465,11 @@ class ResumeSession:
                     f"resume snapshot {key} did not anchor onto the live "
                     f"network — its attempt walked a different object graph"
                 )
-            set_packet_id_counter(header["packet_counter"])
             # The phase entered with `entry_events` already accounted
             # (live warm-up or a branch-checkpoint credit); only the
             # killed attempt's progress beyond that is credited here.
-            ENGINE_PERF.record(header["engine_events"] - entry_events, 0.0)
-            hub = active_metrics_hub()
-            if hub is not None:
-                hub.attach(network)
-                hub.reset_sampling(network)
+            reinstate(network, header["packet_counter"],
+                      header["engine_events"] - entry_events)
             self.store.log("resume", key)
             self.resumed_keys.append(key)
             return index
@@ -519,8 +478,7 @@ class ResumeSession:
     def _record(self, network: "Network", prefix: str, index: int) -> None:
         key = f"{prefix}{index:06d}"
         buffer = io.BytesIO()
-        with _detached_observer(network):
-            _AnchorPickler(buffer, self._anchor_ids).dump(network)
+        _AnchorPickler(buffer, self._anchor_ids).dump(network)
         snapshot = snapshot_network(network, description=key)
         self.store.put_bytes(key, snapshot_to_bytes(snapshot, buffer.getvalue()))
         self.snapshots_recorded += 1
@@ -538,54 +496,3 @@ class ResumeSession:
         prefix = f"{CheckpointStore.RUN_PREFIX}{self.run_id}-"
         stale = [key for key in self.store.keys() if key.startswith(prefix)]
         return self.store.discard(stale, op="prune")
-
-
-#: The session :func:`active_resume_session` answers with (None = run
-#: phases straight through, the default).
-_ACTIVE_SESSION: ResumeSession | None = None
-#: Suspension depth: > 0 hides the active session (builder/recorder passes).
-_SUSPEND_DEPTH = 0
-
-
-def active_resume_session() -> ResumeSession | None:
-    """The resume session the current phase should run under, if any."""
-    if _SUSPEND_DEPTH:
-        return None
-    return _ACTIVE_SESSION
-
-
-@contextlib.contextmanager
-def use_resume_session(
-    session: ResumeSession | None,
-) -> Iterator[ResumeSession | None]:
-    """Make ``session`` the active resume session for the enclosed block.
-
-    The experiment runner wraps the driver call in this when a
-    :class:`CheckpointPolicy` is in force.  Nests and restores the
-    previous session on exit; ``None`` disables mid-run snapshots inside
-    the block.
-    """
-    global _ACTIVE_SESSION
-    previous = _ACTIVE_SESSION
-    _ACTIVE_SESSION = session
-    try:
-        yield session
-    finally:
-        _ACTIVE_SESSION = previous
-
-
-@contextlib.contextmanager
-def suspended_resume() -> Iterator[None]:
-    """Hide the active resume session for the enclosed block.
-
-    Cache-building passes (warm-up builders, schedule recorders) run
-    their own simulation phases, but only on cache misses — phases that
-    sometimes happen would shift every later phase's ordinal and orphan
-    its snapshots, so those passes run unsnapshotted.
-    """
-    global _SUSPEND_DEPTH
-    _SUSPEND_DEPTH += 1
-    try:
-        yield
-    finally:
-        _SUSPEND_DEPTH -= 1

@@ -14,6 +14,7 @@ import pytest
 
 from repro.api import ExperimentSpec, run, run_many
 from repro.core import trace_io
+from repro.core.store import RunContext
 from repro.core.trace_io import ScheduleStore
 from repro.errors import ConfigurationError
 from repro.experiments import replayability
@@ -187,12 +188,12 @@ class TestScheduleKeyAndStore:
         assert scenario_schedule_key(a) == scenario_schedule_key(b)
         assert scenario_schedule_key(a) != scenario_schedule_key(c)
 
-    def test_get_recorded_schedule_uses_active_store(
+    def test_get_recorded_schedule_uses_the_runs_store(
         self, tmp_path, recorder_calls
     ):
         scenario = ReplayScenario(name="store-path", duration=0.03)
         store = ScheduleStore(tmp_path)
-        with ScheduleStore.activated(store):
+        with RunContext((store,)).entered():
             first = get_recorded_schedule(scenario)
             second = get_recorded_schedule(scenario)
         assert len(recorder_calls) == 1

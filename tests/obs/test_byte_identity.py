@@ -13,7 +13,8 @@ import pytest
 
 from repro.api import ExperimentSpec, run, run_many
 from repro.api.runner import OBS_ENV, obs_enabled_from_env
-from repro.obs import MetricsHub, use_metrics_hub
+from repro.core.store import RunContext
+from repro.obs import MetricsHub
 from repro.sim.checkpoint import (
     restore_snapshot,
     snapshot_from_bytes,
@@ -136,7 +137,7 @@ def test_branch_from_pickled_checkpoint_reports_into_the_live_hub():
     baseline_events = plain.engine.events_processed
 
     hub = MetricsHub()
-    with use_metrics_hub(hub):
+    with RunContext(hub=hub).entered():
         warm = _loaded_net()
         warm.run(until=0.001)
         frozen = snapshot_to_bytes(snapshot_network(warm))
@@ -147,3 +148,48 @@ def test_branch_from_pickled_checkpoint_reports_into_the_live_hub():
     assert branch.engine.events_processed == baseline_events
     assert branch.obs is hub
     assert hub.series_points("queue_depth:a->b")
+
+
+# --- prerequisite builds are never observed, snapshots never carry the hub --
+
+BRANCH_FQ = ExperimentSpec("branch", duration=0.01, schedulers=("fq",),
+                           utilization=0.5, options={"warmup": 0.02})
+
+
+def test_warm_up_checkpoint_bytes_identical_with_obs_on_and_off(tmp_path):
+    """The ``BranchPrefix(scheduler="fq", utilization=0.5, warmup=0.02)``
+    warm-up a branch run builds into its store: the same file, byte for
+    byte, whether the run that built it had telemetry armed."""
+    from repro.experiments.branch import branch_checkpoint_key, prefix_from_spec
+    from repro.sim.checkpoint import CheckpointStore
+
+    key = branch_checkpoint_key(prefix_from_spec(BRANCH_FQ))
+    files = {}
+    for obs in (False, True):
+        run(BRANCH_FQ, out_dir=tmp_path / str(obs), obs=obs)
+        store = CheckpointStore(tmp_path / str(obs) / "checkpoints")
+        assert store.built_keys() == [key]
+        files[obs] = store.path(key).read_bytes()
+    assert files[True] == files[False]
+
+
+def test_obs_summary_is_the_same_on_a_cold_and_a_warm_store(tmp_path):
+    """The hub observes the replay, never the recording it reads: the
+    first run records into a cold store, the second loads the schedule,
+    and both report the same telemetry."""
+    spec = ExperimentSpec("table1", duration=0.02, options={"rows": (0,)})
+    cold = run(spec, out_dir=tmp_path, obs=True, force=True)
+    warm = run(spec, out_dir=tmp_path, obs=True, force=True)
+    assert cold.obs is not None and cold.obs["counters"]
+    assert warm.obs == cold.obs
+
+
+def test_obs_on_branch_run_with_a_closure_sampler_completes(tmp_path):
+    """A hub holding a lambda cannot be pickled; the warm-up the run puts
+    into its checkpoint store must not try."""
+    hub = MetricsHub()
+    hub.add_sampler("c", lambda now: 1.0)
+    on = run(BRANCH_FQ, out_dir=tmp_path / "on", obs=hub)
+    off = run(BRANCH_FQ, out_dir=tmp_path / "off")
+    assert on.canonical_json() == off.canonical_json()
+    assert hub.series_points("c")

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.obs import MetricsHub, active_metrics_hub, use_metrics_hub
+from repro.core.store import CLEAN, RunContext, run_context
+from repro.obs import MetricsHub
 from repro.sim.network import Network
 from repro.units import MBPS
 from tests.conftest import make_packet
@@ -22,7 +23,7 @@ def _net():
 
 
 def _run_traffic(hub: MetricsHub | None = None) -> MetricsHub | None:
-    with use_metrics_hub(hub):
+    with RunContext(hub=hub).entered():
         net = _net()
         for _ in range(5):
             net.inject_at(0.0, make_packet())
@@ -35,15 +36,57 @@ def test_interval_must_be_positive():
         MetricsHub(interval=0.0)
 
 
-def test_ambient_hub_attaches_to_networks_built_inside_the_block():
+def test_run_context_hub_attaches_to_networks_built_inside_the_block():
     hub = MetricsHub()
-    with use_metrics_hub(hub):
-        assert active_metrics_hub() is hub
+    with RunContext(hub=hub).entered() as context:
+        assert run_context() is context and context.hub is hub
         net = _net()
         assert net.obs is hub
-    assert active_metrics_hub() is None
+        with CLEAN.entered():  # how a prerequisite build runs
+            assert run_context().hub is None
+            assert _net().obs is None
+        assert run_context() is context
+    assert run_context() is CLEAN
     outside = _net()
     assert outside.obs is None
+
+
+def test_a_pickled_network_or_port_never_carries_its_hub():
+    import pickle
+
+    bare = _net()
+    hub = MetricsHub()
+    hub.add_sampler("c", lambda now: 1.0)  # a closure pickle cannot take
+    with RunContext(hub=hub).entered():
+        observed = _net()
+    port = observed.nodes["SW"].ports["b"]
+    assert port._obs is hub
+    assert pickle.dumps(observed) == pickle.dumps(bare)
+    assert pickle.loads(pickle.dumps(port))._obs is None
+    assert observed.obs is hub and port._obs is hub  # the live graph keeps it
+
+
+def test_reattaching_a_restored_network_arms_a_fresh_sampler():
+    """A restore grafts hub-free state onto the graph and drops the
+    engine's sampler tick; attaching again must re-arm sampling."""
+    import pickle
+
+    hub = MetricsHub()
+    with RunContext(hub=hub).entered():
+        net = _net()
+        net.inject_at(0.0, make_packet())
+        net.run(until=0.0005)  # a tick is queued for t = 0.001
+        (_, before), = hub._net_samplers
+        assert before.pending
+        clone = pickle.loads(pickle.dumps(net))
+        assert clone.obs is None
+        hub.attach(net)  # still wired: a no-op
+        assert hub._net_samplers == [(net, before)]
+        hub.attach(clone)
+        clone.run()
+    (_, _), (seen, after) = hub._net_samplers
+    assert seen is clone and after is not before
+    assert clone.obs is hub and hub.series_points("queue_depth:SW->b")
 
 
 def test_counters_and_series_populate_during_a_run():
@@ -74,13 +117,13 @@ def test_summary_series_digest_shape():
 
 
 def test_run_without_hub_records_nothing_and_matches_event_count():
-    with use_metrics_hub(None):
+    with CLEAN.entered():
         bare = _net()
         for _ in range(5):
             bare.inject_at(0.0, make_packet())
         bare.run()
     hub = MetricsHub()
-    with use_metrics_hub(hub):
+    with RunContext(hub=hub).entered():
         observed = _net()
         for _ in range(5):
             observed.inject_at(0.0, make_packet())
@@ -99,7 +142,7 @@ def test_attach_is_idempotent_per_network():
 
 def test_custom_sampler_called_each_tick():
     hub = MetricsHub()
-    with use_metrics_hub(hub):
+    with RunContext(hub=hub).entered():
         net = _net()
         hub.add_sampler("queued_total", lambda now: float(net.engine.pending_events))
         net.inject_at(0.0, make_packet())
@@ -159,7 +202,7 @@ def test_plan_is_rebuilt_after_a_port_swap():
     from repro.schedulers import LstfScheduler
 
     hub = MetricsHub()
-    with use_metrics_hub(hub):
+    with RunContext(hub=hub).entered():
         net = _net()
         net.run()  # arms sampling (one tick) on the original ports
         (_, sampler), = hub._net_samplers
@@ -175,7 +218,7 @@ def test_plan_is_rebuilt_after_a_port_swap():
 
 def test_no_link_key_is_built_until_a_link_transmits():
     hub = MetricsHub()
-    with use_metrics_hub(hub):
+    with RunContext(hub=hub).entered():
         net = _net()
         assert hub._link_keys == {}
         net.inject_at(0.0, make_packet())

@@ -30,6 +30,7 @@ import repro
 from repro.core.packet import packet_id_counter, set_packet_id_counter
 from repro.core.store import ContentStore
 from repro.errors import CheckpointError
+from repro.obs.hub import MetricsHub
 from repro.sim.checkpoint import (
     _STATE_MODULES,
     CHECKPOINT_VERSION,
@@ -248,13 +249,15 @@ class TestFormatVerification:
         (_hostile(getattr, _Call(Network), "__init__"), r"Network\.__init__"),
         (_hostile(getattr, _Call(Network), "engine"), r"Network\.engine"),
         (_hostile(getattr, Network, "run"), r"type\.run"),
+        (_hostile(MetricsHub, 0.001), r"repro\.obs\.hub\.MetricsHub"),
     ], ids=["os.system", "eval", "store.os", "tracer.np", "__builtins__",
             "unpickle_payload", "group_log", "ContentStore", "dunder",
-            "attribute", "class-method"])
+            "attribute", "class-method", "MetricsHub"])
     def test_only_simulation_state_unpickles(self, payload, named):
         """Simulation classes and their plain methods, FIFO deques, DRR's
         ordered dict and seeded RNGs; never a function, a module, another
-        ``repro`` class, an attribute or a dunder."""
+        ``repro`` class (telemetry included: no snapshot carries the
+        observer), an attribute or a dunder."""
         data = snapshot_to_bytes(snapshot_network(_tiny_network()), payload)
         with pytest.raises(CheckpointError, match=named):
             snapshot_from_bytes(data)
@@ -299,6 +302,7 @@ class TestFormatVerification:
         names = [m.name for m in pkgutil.walk_packages(repro.__path__, "repro.")]
         state = [name for name in names if _is_state_module(name)]
         assert set(_STATE_MODULES) < set(state)
+        assert not [name for name in state if name.startswith("repro.obs")]
         for name in state:
             tree = ast.parse(Path(importlib.util.find_spec(name).origin).read_text())
             for node in ast.walk(tree):

@@ -362,12 +362,15 @@ class TestResumeIdentity:
         assert not [key for key in store.keys() if key.startswith("resume-")]
 
 
+@pytest.mark.parametrize("obs", [False, True], ids=["obs-off", "obs-on"])
 @pytest.mark.parametrize("name", sorted(TINY))
 def test_every_experiments_snapshots_unpickle_through_the_allowlist(
-        name, tmp_path, monkeypatch):
+        name, obs, tmp_path, monkeypatch):
     """Whatever a registered experiment's mid-run state pickles to, the
     checkpoint allowlist resolves: a class outside its modules would make
-    every resume of that experiment fail."""
+    every resume of that experiment fail.  Telemetry adds nothing to it —
+    the allowlist names no ``repro.obs`` module — and every entry the run
+    leaves in its store (a branch warm-up) loads too."""
     pickled: dict[int, object] = {}
     note = _AnchorPickler.reducer_override
 
@@ -377,7 +380,9 @@ def test_every_experiments_snapshots_unpickle_through_the_allowlist(
 
     monkeypatch.setattr(_AnchorPickler, "reducer_override", noting)
     run(ExperimentSpec(experiment=name, **TINY[name]), out_dir=str(tmp_path),
-        checkpoint_policy="200ev")
+        checkpoint_policy="200ev", obs=obs)
+    store = CheckpointStore(os.path.join(str(tmp_path), CHECKPOINT_SUBDIR))
+    assert all(store.get(key) is not None for key in store.keys())
     refused = set()
     for obj in pickled.values():
         if isinstance(obj, types.MethodType):

@@ -3,7 +3,7 @@
 Every codec must pass the same mechanics: atomic put, corrupt entry →
 miss → heal, build-once with an audit line per build, GC with an audit
 line per retirement, and one door for drivers (``fetch`` through the
-active store).  :class:`StoreContract` states them once; a codec's
+run context's store).  :class:`StoreContract` states them once; a codec's
 test class subclasses it and supplies ``STORE``, ``make_values`` and
 ``fingerprint`` (``tests/core/test_trace_io.py::TestScheduleStore``,
 ``tests/sim/test_checkpoint.py::TestCheckpointStore``), next to the
@@ -21,7 +21,15 @@ from typing import Any, Hashable
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.store import ContentStore
+from repro.core.store import CLEAN, ContentStore, RunContext, run_context
+
+
+class _OtherCodec(ContentStore):
+    """A codec no contract suite tests: the run context must not hand it
+    out for another codec's fetch."""
+
+    __slots__ = ()
+
 
 _KEYS = ("a", "b")
 #: Ways to ruin an entry in place; each must read as a miss.
@@ -178,22 +186,24 @@ class StoreContract:
         assert store.get("k") is not None  # the entry healed on disk
         assert store.built_keys() == ["k", "k"]  # the rebuild was logged
 
-    # -- the active store and fetch ------------------------------------------
+    # -- the run context and fetch ---------------------------------------------
 
-    def test_activated_nests_and_restores(self, tmp_path):
-        assert self.STORE.active() is None
+    def test_run_context_nests_and_restores(self, tmp_path):
+        assert run_context() is CLEAN and CLEAN.store(self.STORE) is None
         outer = self.STORE(tmp_path / "outer")
         inner = self.STORE(tmp_path / "inner")
-        with self.STORE.activated(outer):
-            assert self.STORE.active() is outer
-            with self.STORE.activated(inner):
-                assert self.STORE.active() is inner
-            with self.STORE.activated(None):  # explicit opt-out
-                assert self.STORE.active() is None
-            assert self.STORE.active() is outer
-        assert self.STORE.active() is None
+        other = _OtherCodec(tmp_path / "other")
+        with RunContext((other, outer)).entered():
+            assert run_context().store(self.STORE) is outer
+            with RunContext((inner, None)).entered():
+                assert run_context().store(self.STORE) is inner
+            with CLEAN.entered():  # a prerequisite build's context
+                assert run_context().store(self.STORE) is None
+            assert run_context().store(self.STORE) is outer
+            assert run_context().store(_OtherCodec) is other
+        assert run_context() is CLEAN
 
-    def test_fetch_builds_in_memory_or_once_through_the_active_store(
+    def test_fetch_builds_in_memory_or_once_through_the_runs_store(
             self, tmp_path):
         calls = []
 
@@ -201,14 +211,15 @@ class StoreContract:
             calls.append(1)
             return self.value()
 
-        # No active store: the builder's own value, built on every call,
-        # and nothing written anywhere.
+        # No store in the run context: the builder's own value, built on
+        # every call, and nothing written anywhere.
         assert self.STORE.fetch("k", builder) is self.value()
         assert self.STORE.fetch("k", builder) is self.value()
         assert len(calls) == 2 and list(tmp_path.iterdir()) == []
-        # An active store: built once, then reloaded from the entry.
+        # A store in the run context: built once, then reloaded from the
+        # entry.
         store = self.STORE(tmp_path)
-        with self.STORE.activated(store):
+        with RunContext((store,)).entered():
             built = self.STORE.fetch("k", builder)
             reloaded = self.STORE.fetch("k", builder)
         assert len(calls) == 3

@@ -19,14 +19,25 @@ and diff between runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Mapping
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, WorkloadError, require_fields
 
 __all__ = ["ExperimentSpec"]
 
 _SCALARS = (bool, int, float, str, type(None))
+
+#: The JSON kind of every field :meth:`ExperimentSpec.from_dict` reads.
+_FIELD_KINDS = {
+    **dict.fromkeys(("experiment", "name", "topology"), "string"),
+    **dict.fromkeys(("schedulers", "replay_modes", "scenarios"),
+                    "array of string"),
+    **dict.fromkeys(("utilization", "duration", "bandwidth_scale"), "number"),
+    "seeds": "array of integer",
+    "slack_policy": "string or null",
+    "options": "object",
+}
 
 
 def _freeze_option(key: str, value: object) -> object:
@@ -111,7 +122,10 @@ class ExperimentSpec:
         if self.slack_policy is not None:
             from repro.core.heuristics import parse_slack_policy
 
-            parse_slack_policy(self.slack_policy)  # fail fast on bad grammar
+            try:  # fail fast on bad grammar
+                parse_slack_policy(self.slack_policy)
+            except WorkloadError as exc:
+                raise ConfigurationError(f"slack_policy: {exc}") from exc
         modes = tuple(str(m) for m in self.replay_modes)
         if modes:
             from repro.core.replay import REPLAY_MODES
@@ -277,21 +291,16 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentSpec":
-        """Rebuild a spec from :meth:`to_dict` output (or hand-written JSON)."""
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown spec fields {sorted(unknown)}; known: {sorted(known)}"
-            )
-        kwargs = dict(data)
+        """Rebuild a spec from :meth:`to_dict` output (or hand-written JSON);
+        a malformed document raises :class:`ConfigurationError`."""
+        kwargs = require_fields("spec", data, _FIELD_KINDS,
+                                required=("experiment",))
         for key in ("schedulers", "seeds", "replay_modes", "scenarios"):
             if key in kwargs:
                 kwargs[key] = tuple(kwargs[key])
-        options = kwargs.get("options")
-        if isinstance(options, Mapping):
+        if "options" in kwargs:
             kwargs["options"] = {
                 k: (tuple(v) if isinstance(v, list) else v)
-                for k, v in options.items()
+                for k, v in kwargs["options"].items()
             }
         return cls(**kwargs)

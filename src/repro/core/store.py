@@ -11,10 +11,12 @@ stated once for :class:`~repro.core.trace_io.ScheduleStore`,
   directory + ``os.replace``.  Readers see no file or a complete one;
   racing writers of one key both succeed (last replace wins, and
   builders are deterministic, so the contents agree anyway).
-* **Miss and heal** — an entry that cannot be read or decoded (a writer
-  killed mid-write by hand, a foreign file, version skew) reads as a
-  miss, never an error; :meth:`ContentStore.get_or_build` rebuilds and
-  the atomic put heals it.
+* **Miss and heal** — a missing entry, or one that cannot be decoded (a
+  writer killed mid-write by hand, a foreign file, version skew), reads
+  as a miss; :meth:`ContentStore.get_or_build` rebuilds and the atomic
+  put heals it.  A read the filesystem refuses (``EIO``, ``EACCES``) is
+  not a miss: it raises :class:`~repro.errors.StoreError`, since a
+  rebuild would only fail again at the put.
 * **Audit log** — an append-only ``<op> <key> pid=<pid>`` line per store
   mutation: ``put`` (a value actually built), ``prune``/``roll`` (an
   entry retired), ``resume`` (a mid-run snapshot adopted).  Counting
@@ -42,7 +44,7 @@ import uuid
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
-from repro.errors import ReproError
+from repro.errors import ReproError, StoreError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.hub import MetricsHub
@@ -134,11 +136,21 @@ class ContentStore:
         return self.root / f"{key}{self.SUFFIX}"
 
     def get(self, key: str) -> Any:
-        """The stored value for ``key``, or None (missing *or* unreadable)."""
+        """The stored value for ``key``, or None (missing or not intact)."""
+        return self.read(key, self.load)
+
+    def read(self, key: str, parse: Callable[[Path], Any]) -> Any:
+        """``parse`` of the entry file for ``key``, under the miss rule:
+        None when the entry is missing or ``parse`` finds it corrupt,
+        :class:`~repro.errors.StoreError` when the filesystem refuses the
+        read."""
+        path = self.path(key)
         try:
-            return self.load(self.path(key))
-        except (OSError, ValueError, TypeError, KeyError, ReproError):
+            return parse(path)
+        except (FileNotFoundError, ValueError, TypeError, KeyError, ReproError):
             return None
+        except OSError as exc:
+            raise StoreError(f"cannot read store entry {path}: {exc}") from exc
 
     def readable(self, key: str) -> bool:
         """True when ``key`` has an entry a :meth:`get` would return."""

@@ -7,6 +7,8 @@ still being able to distinguish configuration mistakes from runtime events.
 
 from __future__ import annotations
 
+from typing import Mapping
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the ``repro`` package."""
@@ -54,6 +56,15 @@ class CheckpointError(ReproError):
     """
 
 
+class StoreError(ReproError):
+    """A content-store entry exists but the filesystem refuses to read it.
+
+    Examples: ``EIO`` from a failing disk, or ``EACCES`` on an entry
+    another user wrote.  A missing or corrupt entry is not this error —
+    it is a miss the store rebuilds and heals.
+    """
+
+
 class WorkloadError(ReproError):
     """A workload generator received unsatisfiable parameters."""
 
@@ -87,3 +98,49 @@ def require_positive_int(value: object, name: str) -> int:
             f"{name} must be an integer >= 1, got {value!r}"
         )
     return value
+
+
+#: The JSON value kinds :func:`require_fields` checks (a bool is none of them).
+_JSON_KINDS = {"string": str, "integer": int, "number": (int, float),
+               "object": Mapping}
+
+
+def _is_kind(value: object, kind: str) -> bool:
+    if kind.endswith(" or null"):
+        return value is None or _is_kind(value, kind[:-len(" or null")])
+    if kind.startswith("array of "):
+        return isinstance(value, (list, tuple)) and all(
+            _is_kind(item, kind[len("array of "):]) for item in value)
+    return isinstance(value, _JSON_KINDS[kind]) and not isinstance(value, bool)
+
+
+def require_fields(what: str, data: object, kinds: Mapping[str, str],
+                   required: tuple[str, ...]) -> dict:
+    """Validate a loaded JSON document; returns it as a new dict.
+
+    The front half of every ``from_dict`` that accepts hand-written JSON:
+    ``data`` must be an object holding every ``required`` field and no
+    field ``kinds`` does not name, and each value must be of its declared
+    kind — ``"string"``, ``"integer"``, ``"number"`` or ``"object"``,
+    optionally as ``"array of <kind>"`` or ``"<kind> or null"``.  Anything
+    else raises :class:`ConfigurationError` naming the field, so a
+    malformed document never surfaces as a ``TypeError`` from deep inside
+    a constructor.
+    """
+    if not isinstance(data, Mapping):
+        raise ConfigurationError(f"a {what} must be a JSON object, got {data!r}")
+    unknown = set(data) - set(kinds)
+    if unknown:
+        raise ConfigurationError(
+            f"unknown {what} fields {sorted(map(str, unknown))}; "
+            f"known: {sorted(kinds)}"
+        )
+    missing = [name for name in required if name not in data]
+    if missing:
+        raise ConfigurationError(f"{what} is missing required field(s) {missing}")
+    for name, value in data.items():
+        if not _is_kind(value, kinds[name]):
+            raise ConfigurationError(
+                f"{what} field {name!r} must be {kinds[name]}, got {value!r}"
+            )
+    return dict(data)

@@ -12,12 +12,13 @@ principle, from strict to lax:
   byte-identity suite compares, so a wall-clock read or an unseeded RNG
   there is an artifact-corrupting bug, not a style issue.
 * **Cluster code** (queue, worker, client — and the cluster test suite
-  when pointed at it) gets the transaction- and thread-discipline
-  families plus the RNG rule, but *not* the wall-clock rule: leases and
+  when pointed at it) gets the transaction rule plus the RNG and
+  set-iteration rules, but *not* the wall-clock rule: leases and
   heartbeats are wall-clock by design.
-* **Everything else** (cli, api glue, analysis) gets only the always-on
-  rules about the suppression machinery itself — scheduling policy does
-  not live there, so the strict families would only generate noise.
+* **Everything else** (cli, api glue, analysis, obs) gets only the
+  always-on rules about the suppression machinery itself — scheduling
+  policy does not live there, so the strict families would only generate
+  noise.
 
 A rule with scope ``("*",)`` applies to every linted file.
 """
@@ -28,8 +29,7 @@ from pathlib import PurePath
 
 from repro.lintkit.rules import Rule, load_rules
 
-__all__ = ["CLUSTER_SCOPE", "HOT_PATH_SCOPE", "OBS_SCOPE", "SIM_SCOPE",
-           "rules_for_path"]
+__all__ = ["CLUSTER_SCOPE", "SIM_SCOPE", "rules_for_path"]
 
 #: Directories whose code feeds deterministic artifacts (strict rules).
 SIM_SCOPE = (
@@ -48,15 +48,6 @@ SIM_SCOPE = (
 #: Directories holding the distributed queue/worker machinery.
 CLUSTER_SCOPE = ("cluster",)
 
-#: Directories holding the observability layer (metrics hub, spans,
-#: flight recorder).  Telemetry code is *not* simulation-facing — it may
-#: read wall clocks — but its sampler callbacks ride the engine's event
-#: heap, so the sampler-purity rule bites here as well as in SIM_SCOPE.
-OBS_SCOPE = ("obs",)
-
-#: Directories whose classes sit on the simulation hot path.
-HOT_PATH_SCOPE = ("sim", "schedulers")
-
 
 def rules_for_path(path: str | PurePath) -> tuple[Rule, ...]:
     """The rules that apply to ``path``, per its directory segments."""
@@ -64,6 +55,5 @@ def rules_for_path(path: str | PurePath) -> tuple[Rule, ...]:
     return tuple(
         rule
         for rule in load_rules().values()
-        if (rule.scopes == ("*",) or parts.intersection(rule.scopes))
-        and not parts.intersection(rule.exclude)
+        if rule.scopes == ("*",) or parts.intersection(rule.scopes)
     )

@@ -5,8 +5,8 @@ A :class:`Finding` is one rule violation at one source location; a
 Findings are value objects — the runner produces them, the CLI renders
 them, the tests assert on them — and their JSON form (see
 :meth:`Finding.to_dict`) is a stable schema: ``repro lint --format
-json`` output is consumed by CI, so keys are only ever added, never
-renamed.
+json`` output is consumed by CI, so a key is never renamed or dropped
+without bumping :data:`JSON_SCHEMA_VERSION`.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 __all__ = ["Finding", "LintReport"]
 
 #: Version of the ``--format json`` schema (bump only on breaking change).
-JSON_SCHEMA_VERSION = 1
+#: 2: ``--list-rules`` rows no longer carry an ``exclude`` key.
+JSON_SCHEMA_VERSION = 2
 
 
 @dataclass(order=True, slots=True)

@@ -12,8 +12,7 @@ the registry is populated exactly once however the package is entered.
 The :class:`ModuleContext` does the shared AST bookkeeping one parse
 pays for once per file: an import table that resolves local names to
 canonical dotted origins (``np.random.default_rng`` →
-``numpy.random.default_rng``), a child→parent map for
-expression-context checks, and cached node lists per syntax kind.
+``numpy.random.default_rng``) and cached call and function lists.
 """
 
 from __future__ import annotations
@@ -50,9 +49,6 @@ class Rule:
     check: Checker
     #: Rules about the suppression machinery itself cannot be suppressed.
     suppressible: bool = True
-    #: Path segments that veto the rule even inside its scopes — e.g. the
-    #: PERF family is about production hot paths, so ``tests`` opts out.
-    exclude: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
         """The ``--list-rules --format json`` row."""
@@ -61,7 +57,6 @@ class Rule:
             "summary": self.summary,
             "invariant": self.invariant,
             "scopes": list(self.scopes),
-            "exclude": list(self.exclude),
             "suppressible": self.suppressible,
         }
 
@@ -76,7 +71,6 @@ def register_rule(
     invariant: str,
     scopes: tuple[str, ...],
     suppressible: bool = True,
-    exclude: tuple[str, ...] = (),
 ) -> Callable[[Checker], Checker]:
     """Decorator: register ``fn`` as the checker behind rule ``id``."""
 
@@ -85,7 +79,7 @@ def register_rule(
             raise ValueError(f"lint rule {id!r} is already registered")
         RULES[id] = Rule(
             id=id, summary=summary, invariant=invariant, scopes=scopes,
-            check=fn, suppressible=suppressible, exclude=exclude,
+            check=fn, suppressible=suppressible,
         )
         return fn
 
@@ -127,16 +121,13 @@ def _import_table(tree: ast.Module) -> dict[str, str]:
 class ModuleContext:
     """One parsed module plus the derived tables every checker shares."""
 
-    __slots__ = ("path", "tree", "imports", "_parents", "_calls", "_classes",
-                 "_functions")
+    __slots__ = ("path", "tree", "imports", "_calls", "_functions")
 
     def __init__(self, path: str | Path, tree: ast.Module) -> None:
         self.path = str(path)
         self.tree = tree
         self.imports = _import_table(tree)
-        self._parents: dict[ast.AST, ast.AST] | None = None
         self._calls: list[ast.Call] | None = None
-        self._classes: list[ast.ClassDef] | None = None
         self._functions: list[ast.FunctionDef | ast.AsyncFunctionDef] | None = None
 
     # -- node inventories (walked once, cached) ----------------------------
@@ -147,12 +138,6 @@ class ModuleContext:
                            if isinstance(n, ast.Call)]
         return self._calls
 
-    def classes(self) -> list[ast.ClassDef]:
-        if self._classes is None:
-            self._classes = [n for n in ast.walk(self.tree)
-                             if isinstance(n, ast.ClassDef)]
-        return self._classes
-
     def functions(self) -> list[ast.FunctionDef | ast.AsyncFunctionDef]:
         if self._functions is None:
             self._functions = [
@@ -160,16 +145,6 @@ class ModuleContext:
                 if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
             ]
         return self._functions
-
-    def parent(self, node: ast.AST) -> ast.AST | None:
-        """The syntactic parent of ``node`` (None for the module root)."""
-        if self._parents is None:
-            self._parents = {
-                child: parent
-                for parent in ast.walk(self.tree)
-                for child in ast.iter_child_nodes(parent)
-            }
-        return self._parents.get(node)
 
     # -- name resolution ---------------------------------------------------
 
@@ -208,9 +183,9 @@ def shallow_body(
 ) -> Iterator[ast.AST]:
     """Walk a function body without descending into nested defs/classes.
 
-    The SQL and thread rules reason about *one* function's statement
-    sequence; a nested helper has its own discipline and is visited on
-    its own turn through :meth:`ModuleContext.functions`.
+    The SQL rule reasons about *one* function's statement sequence; a
+    nested helper has its own discipline and is visited on its own turn
+    through :meth:`ModuleContext.functions`.
     """
     stack: list[ast.AST] = list(fn.body)
     while stack:

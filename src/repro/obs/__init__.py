@@ -23,8 +23,9 @@ run's artifacts:
 The determinism contract is spelled out in ``docs/observability.md``:
 sampler ticks ride the engine heap but are excluded from every
 accounting surface, telemetry lives in the artifact's non-canonical
-``obs`` section, sampler callbacks must be pure readers (lint rule
-``OBS-SAMPLER-PURE``), and the hub — which reaches a run's networks
+``obs`` section, sampler callbacks must be pure readers (every
+experiment's bytes are compared with telemetry on and off by
+``test_run_bytes_identical_with_obs_on_and_off``), and the hub — which reaches a run's networks
 through its :class:`~repro.core.store.RunContext` — never observes a
 prerequisite build and never rides in a snapshot.
 """

@@ -21,8 +21,9 @@ The determinism contract (guarded by the byte-identity suite):
 * The hub's :meth:`summary` is embedded in the artifact's
   non-canonical ``obs`` section, next to ``timings`` — never part of
   :meth:`~repro.api.results.RunArtifact.canonical_json`.
-* Sampler callbacks must be pure readers of simulation state (lint
-  rule ``OBS-SAMPLER-PURE``).
+* Sampler callbacks must be pure readers of simulation state; every
+  experiment's artifact bytes are compared with telemetry on and off
+  (``test_run_bytes_identical_with_obs_on_and_off``).
 * A prerequisite build is never observed, and no snapshot carries the
   hub: builds run in the clean run context, and a pickled network or
   port leaves its hub behind.
@@ -177,7 +178,9 @@ class MetricsHub:
         """Register a custom gauge: ``fn(now) -> value``, sampled each tick.
 
         The callback runs on the engine's sampler path and must not
-        mutate simulation state (lint rule ``OBS-SAMPLER-PURE``).
+        mutate simulation state: a run's bytes are the same with
+        telemetry on and off
+        (``test_run_bytes_identical_with_obs_on_and_off``).
         """
         self._samplers.append((name, fn))
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from typing import Any, Mapping
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, require_fields
 
 __all__ = [
     "GADGET_PATTERNS",
@@ -64,6 +64,14 @@ _READS: dict[str, tuple[str, ...]] = {
     **dict.fromkeys(PAPER_TOPOLOGIES, ()),
 }
 _OWNED = frozenset(name for names in _READS.values() for name in names)
+
+#: The JSON kind of every field :meth:`Scenario.from_dict` reads.
+_FIELD_KINDS = {
+    **dict.fromkeys(("name", "pattern", "distribution", "topology"), "string"),
+    **dict.fromkeys(("hosts", "flows_per_host", "size_cap"), "integer"),
+    **dict.fromkeys(("interval", "jitter", "delay", "bottleneck_scale",
+                     "utilization"), "number"),
+}
 
 
 def _require_number(name: str, value: object, *, minimum: float | None = None,
@@ -187,12 +195,7 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "Scenario":
-        """Rebuild a scenario from :meth:`to_dict` output (or hand JSON)."""
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown scenario fields {sorted(unknown)}; "
-                f"known: {sorted(known)}"
-            )
-        return cls(**dict(data))
+        """Rebuild a scenario from :meth:`to_dict` output (or hand JSON);
+        a malformed document raises :class:`ConfigurationError`."""
+        return cls(**require_fields("scenario", data, _FIELD_KINDS,
+                                    required=("name",)))

@@ -130,7 +130,7 @@ def _bound_method(owner: object, name: str) -> Any:
     return types.MethodType(found, owner)
 
 
-class _Unpickler(pickle.Unpickler):  # repro: allow(PERF-SLOTS) one per payload, never per packet
+class _Unpickler(pickle.Unpickler):
     """Resolves the classes of :data:`_STATE_MODULES`,
     :data:`_OTHER_GLOBALS` and a guarded ``getattr``; any other global is
     a :class:`CheckpointError`, raised as the unpickler meets the name,
@@ -363,16 +363,18 @@ class CheckpointStore(ContentStore):
     RUN_PREFIX = "resume-"
 
     encode = staticmethod(snapshot_to_bytes)
-    load = staticmethod(load_checkpoint)
+
+    def load(self, path: Path) -> Snapshot:
+        """Read and verify an entry; an ``OSError`` is left for
+        :meth:`~repro.core.store.ContentStore.read` to judge."""
+        return snapshot_from_bytes(path.read_bytes(), str(path))
 
     def readable(self, key: str) -> bool:
         """True when the entry's header and payload hash check out —
         everything :meth:`get` verifies, short of unpickling."""
-        try:
-            split_checkpoint(self.path(key).read_bytes(), key)
-        except (OSError, CheckpointError):
-            return False
-        return True
+        return self.read(
+            key, lambda path: split_checkpoint(path.read_bytes(), key)
+        ) is not None
 
     def release(self, snapshot: Snapshot) -> None:
         """The builder's graph is never branched from (a consumer gets a

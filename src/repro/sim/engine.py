@@ -222,8 +222,10 @@ class Engine:
         and the flight recorder, and :meth:`checkpoint` drops them (the
         metrics hub re-arms sampling after a restore).  Telemetry
         therefore cannot perturb a run's deterministic event counts.
-        The callback must be a pure reader of simulation state (lint
-        rule ``OBS-SAMPLER-PURE``).
+        The callback must be a pure reader of simulation state; the
+        byte-identity test
+        ``tests/obs/test_byte_identity.py::test_run_bytes_identical_with_obs_on_and_off``
+        holds every experiment to it.
         """
         if time < self.now:
             raise SimulationError(

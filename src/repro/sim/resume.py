@@ -92,7 +92,7 @@ __all__ = ["CheckpointPolicy", "ResumeSession"]
 
 
 @dataclass(frozen=True)
-class CheckpointPolicy:  # repro: allow(PERF-SLOTS) one per run, never per packet
+class CheckpointPolicy:
     """When to take mid-run snapshots: every N sim-seconds and/or M events.
 
     At least one trigger must be set.  ``keep`` is the rolling-GC depth:
@@ -305,7 +305,7 @@ def _load_anchor(index: int) -> object:
     return objects[index]
 
 
-class _AnchorPickler(pickle.Pickler):  # repro: allow(PERF-SLOTS) one per snapshot, never per packet
+class _AnchorPickler(pickle.Pickler):
     """Pickler that reduces anchored objects to ``(index, state)``."""
 
     def __init__(self, buffer: io.BytesIO, anchor_ids: dict[int, int]) -> None:

@@ -48,6 +48,17 @@ def test_allow_unknown_rule_rejected():
     assert rules == {"ALW-UNKNOWN"}
 
 
+def test_allow_naming_a_retired_rule_is_unknown():
+    # The rules that never caught a bug were deleted; an allow() still
+    # naming one guards nothing and must be removed.
+    src = ("class C:  # repro: allow(PERF-SLOTS) one per run, never per packet\n"
+           "    pass\n")
+    findings = lint_file("sim/f.py", source=src)
+    assert [(f.rule, f.suppressed) for f in findings] == [
+        ("ALW-UNKNOWN", False),
+    ]
+
+
 def test_allow_matching_nothing_is_stale():
     src = "x = 1  # repro: allow(DET-RANDOM) nothing here\n"
     rules = {f.rule for f in lint_file("sim/f.py", source=src)}
@@ -175,9 +186,14 @@ def test_cli_list_rules(capsys):
     assert "SQL-TXN" in out
     assert main(["lint", "--list-rules", "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    ids = [rule["id"] for rule in doc["rules"]]
-    assert ids == sorted(ids)
-    assert "PERF-SLOTS" in ids
+    assert doc["version"] == JSON_SCHEMA_VERSION == 2
+    assert [rule["id"] for rule in doc["rules"]] == [
+        "ALW-REASON", "ALW-UNKNOWN", "ALW-UNUSED", "DET-ID-ORDER",
+        "DET-OBJECT-HASH", "DET-RANDOM", "DET-SET-ITER", "DET-WALLCLOCK",
+        "LNT-PARSE", "SQL-TXN",
+    ]
+    assert set(doc["rules"][0]) == {"id", "summary", "invariant", "scopes",
+                                    "suppressible"}
 
 
 # --- the meta-test: this repo lints clean at HEAD ----------------------------

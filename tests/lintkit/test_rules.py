@@ -2,7 +2,7 @@
 
 Each case lints an in-memory snippet under a synthetic path whose
 directory segments put it in the scope under test (``sim/x.py`` for the
-determinism family, ``cluster/x.py`` for the transaction/thread family),
+determinism family, ``cluster/x.py`` for the transaction rule),
 via :func:`repro.lintkit.lint_file`'s ``source`` override.
 """
 
@@ -153,203 +153,13 @@ def test_sql_rule_silent_outside_cluster():
     assert findings_for("sim/fine.py", src) == []
 
 
-# --- THR-* -------------------------------------------------------------------
-
-def test_thread_target_mutating_self_flagged():
-    src = (
-        "import threading\n"
-        "class W:\n"
-        "    def start(self):\n"
-        "        threading.Thread(target=self._loop).start()\n"
-        "    def _loop(self):\n"
-        "        self.counter = 1\n"
-    )
-    assert findings_for("cluster/bad.py", src) == [("THR-THREAD-MUT", 6)]
-
-
-def test_thread_target_signalling_event_clean():
-    src = (
-        "import threading\n"
-        "class W:\n"
-        "    def __init__(self):\n"
-        "        self._dead = threading.Event()\n"
-        "    def start(self):\n"
-        "        threading.Thread(target=self._loop).start()\n"
-        "    def _loop(self):\n"
-        "        self._dead.set()\n"
-    )
-    assert findings_for("cluster/good.py", src) == []
-
-
-def test_time_sleep_in_event_owning_class_flagged():
-    src = (
-        "import threading\n"
-        "import time\n"
-        "class W:\n"
-        "    def __init__(self):\n"
-        "        self._stop = threading.Event()\n"
-        "    def serve(self):\n"
-        "        time.sleep(1)\n"
-    )
-    assert findings_for("cluster/bad.py", src) == [("THR-SLEEP", 7)]
-
-
-def test_event_wait_clean():
-    src = (
-        "import threading\n"
-        "class W:\n"
-        "    def __init__(self):\n"
-        "        self._stop = threading.Event()\n"
-        "    def serve(self):\n"
-        "        self._stop.wait(1)\n"
-    )
-    assert findings_for("cluster/good.py", src) == []
-
-
-# --- PERF-* ------------------------------------------------------------------
-
-def test_slotless_class_flagged_in_sim():
-    src = "class Port:\n    def __init__(self):\n        self.q = []\n"
-    assert findings_for("sim/bad.py", src) == [("PERF-SLOTS", 1)]
-
-
-def test_slotted_class_clean():
-    src = "class Port:\n    __slots__ = ('q',)\n"
-    assert findings_for("sim/good.py", src) == []
-
-
-def test_slotted_dataclass_clean():
-    src = (
-        "from dataclasses import dataclass\n"
-        "@dataclass(slots=True)\n"
-        "class Port:\n"
-        "    q: int\n"
-    )
-    assert findings_for("sim/good.py", src) == []
-
-
-def test_protocol_and_exception_exempt_from_slots():
-    src = (
-        "from typing import Protocol\n"
-        "class Agent(Protocol):\n"
-        "    def deliver(self): ...\n"
-        "class SimError(ValueError):\n"
-        "    pass\n"
-    )
-    assert findings_for("sim/good.py", src) == []
-
-
-def test_perf_rules_skip_test_trees():
-    src = "class TestPort:\n    def test_x(self):\n        pass\n"
-    assert findings_for("tests/sim/test_port.py", src) == []
-
-
-def test_schedule_handle_consumption_flagged():
-    src = "def f(engine, cb):\n    h = engine.schedule(1.0, cb)\n"
-    assert findings_for("sim/bad.py", src) == [("PERF-SCHEDULE-HANDLE", 2)]
-
-
-def test_schedule_as_statement_clean():
-    src = (
-        "def f(engine, cb):\n"
-        "    engine.schedule(1.0, cb)\n"
-        "    h = engine.schedule_cancellable(1.0, cb)\n"
-        "    return h\n"
-    )
-    assert findings_for("sim/good.py", src) == []
-
-
-# --- OBS-SAMPLER-PURE --------------------------------------------------------
-
-def test_sampler_callback_mutating_attribute_flagged():
-    src = (
-        "def depth(now):\n"
-        "    port.backlog = 0\n"
-        "    return port.backlog\n"
-        "hub.add_sampler('depth', depth)\n"
-    )
-    assert findings_for("obs/bad.py", src) == [("OBS-SAMPLER-PURE", 2)]
-
-
-def test_sampler_callback_augmented_assignment_flagged():
-    src = (
-        "def drain(now):\n"
-        "    flow.slack -= now\n"
-        "    return flow.slack\n"
-        "engine.schedule_sample(1.0, drain)\n"
-    )
-    assert findings_for("sim/bad.py", src) == [("OBS-SAMPLER-PURE", 2)]
-
-
-def test_sampler_callback_subscript_write_flagged():
-    src = (
-        "def poke(now):\n"
-        "    net.nodes['a'] = None\n"
-        "    return 0.0\n"
-        "hub.add_sampler('poke', poke)\n"
-    )
-    assert findings_for("obs/bad.py", src) == [("OBS-SAMPLER-PURE", 2)]
-
-
-def test_sampler_callback_keyword_argument_resolved():
-    src = (
-        "def depth(now):\n"
-        "    port.backlog = 0\n"
-        "    return 0.0\n"
-        "hub.add_sampler('depth', fn=depth)\n"
-    )
-    assert findings_for("obs/bad.py", src) == [("OBS-SAMPLER-PURE", 2)]
-
-
-def test_pure_reader_sampler_clean():
-    src = (
-        "def depth(now):\n"
-        "    total = sum(p.backlog for p in ports)\n"
-        "    return float(total)\n"
-        "hub.add_sampler('depth', depth)\n"
-        "hub.add_sampler('const', lambda now: 1.0)\n"
-    )
-    assert findings_for("obs/good.py", src) == []
-
-
-def test_unresolvable_bound_method_callback_skipped():
-    # The hub's own re-arming tick passes `self.tick` — syntactically
-    # unresolvable, deliberately not guessed at.
-    src = "engine.schedule_sample(1.0, self.tick)\n"
-    assert findings_for("obs/good.py", src) == []
-
-
-def test_local_assignments_inside_sampler_clean():
-    src = (
-        "def depth(now):\n"
-        "    acc = 0\n"
-        "    acc += 1\n"
-        "    return float(acc)\n"
-        "engine.schedule_sample(1.0, depth)\n"
-    )
-    assert findings_for("sim/good.py", src) == []
-
-
-def test_sampler_rule_bites_in_sim_and_obs_scopes_only():
-    src = (
-        "def bad(now):\n"
-        "    port.backlog = 0\n"
-        "hub.add_sampler('bad', bad)\n"
-    )
-    assert findings_for("analysis/fine.py", src) == []
-    assert findings_for("obs/bad.py", src) == [("OBS-SAMPLER-PURE", 2)]
-    assert findings_for("sim/bad.py", src) == [("OBS-SAMPLER-PURE", 2)]
-
-
 # --- registry / scoping ------------------------------------------------------
 
 def test_rule_ids_are_stable_and_sorted():
     ids = rule_ids()
     assert list(ids) == sorted(ids)
     assert {"DET-RANDOM", "DET-WALLCLOCK", "DET-SET-ITER", "SQL-TXN",
-            "THR-THREAD-MUT", "THR-SLEEP", "PERF-SLOTS",
-            "PERF-SCHEDULE-HANDLE", "OBS-SAMPLER-PURE", "ALW-REASON",
-            "ALW-UNKNOWN", "ALW-UNUSED", "LNT-PARSE"} <= set(ids)
+            "ALW-REASON", "ALW-UNKNOWN", "ALW-UNUSED", "LNT-PARSE"} <= set(ids)
 
 
 def test_every_rule_documents_its_invariant():
@@ -369,7 +179,6 @@ def test_scoping_sim_stricter_than_cli():
 def test_cluster_scope_gets_sql_not_wallclock():
     cluster = {r.id for r in rules_for_path("src/repro/cluster/queue.py")}
     assert "SQL-TXN" in cluster
-    assert "THR-THREAD-MUT" in cluster
     assert "DET-RANDOM" in cluster
     assert "DET-WALLCLOCK" not in cluster
 

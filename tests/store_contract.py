@@ -1,9 +1,10 @@
 """The :class:`~repro.core.store.ContentStore` contract, as one suite.
 
-Every codec must pass the same mechanics: atomic put, corrupt entry →
-miss → heal, build-once with an audit line per build, GC with an audit
-line per retirement, and one door for drivers (``fetch`` through the
-run context's store).  :class:`StoreContract` states them once; a codec's
+Every codec must pass the same mechanics: atomic put, missing or
+corrupt entry → miss → heal, a refused read → a typed error (never a
+miss), build-once with an audit line per build, GC with an audit line
+per retirement, and one door for drivers (``fetch`` through the run
+context's store).  :class:`StoreContract` states them once; a codec's
 test class subclasses it and supplies ``STORE``, ``make_values`` and
 ``fingerprint`` (``tests/core/test_trace_io.py::TestScheduleStore``,
 ``tests/sim/test_checkpoint.py::TestCheckpointStore``), next to the
@@ -12,16 +13,20 @@ tests of whatever is particular to its format.
 
 from __future__ import annotations
 
+import errno
 import os
 import sys
 import tempfile
 import threading
+from pathlib import Path
 from typing import Any, Hashable
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.store import CLEAN, ContentStore, RunContext, run_context
+from repro.errors import ReproError, StoreError
 
 
 class _OtherCodec(ContentStore):
@@ -185,6 +190,53 @@ class StoreContract:
         assert self.fingerprint(again) == self.fingerprint(self.value())
         assert store.get("k") is not None  # the entry healed on disk
         assert store.built_keys() == ["k", "k"]  # the rebuild was logged
+
+    @pytest.mark.parametrize("error", [
+        FileNotFoundError(errno.ENOENT, "No such file or directory"),
+        ValueError("torn"),
+        TypeError("torn"),
+        KeyError("torn"),
+        ReproError("torn"),
+    ], ids=["ENOENT", "ValueError", "TypeError", "KeyError", "ReproError"])
+    def test_missing_or_torn_read_is_a_miss_that_heals(self, tmp_path,
+                                                       monkeypatch, error):
+        """A read that finds no entry, or one it cannot decode, is a
+        miss: the builder runs once, the put is logged, the entry heals."""
+        store = self.STORE(tmp_path)
+
+        def torn(_path):
+            raise error
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Path, "read_bytes", torn)  # the codec's load
+            assert store.get("k") is None and not store.readable("k")
+            built = store.get_or_build("k", self.value)
+        assert self.fingerprint(built) == self.fingerprint(self.value())
+        assert store.built_keys() == ["k"]
+        assert self.fingerprint(store.get("k")) == self.fingerprint(self.value())
+
+    @pytest.mark.parametrize("error", [
+        PermissionError(errno.EACCES, "Permission denied"),
+        OSError(errno.EIO, "Input/output error"),
+    ], ids=["EACCES", "EIO"])
+    def test_refused_read_is_an_error_not_a_miss(self, tmp_path, monkeypatch,
+                                                 error):
+        """A read the filesystem refuses raises StoreError: rebuilding
+        would re-simulate only to fail at the put, so nothing is built
+        and nothing is logged."""
+        store = self.STORE(tmp_path)
+
+        def refuse(_path):
+            raise error
+
+        monkeypatch.setattr(Path, "read_bytes", refuse)  # the codec's load
+        calls = []
+        with pytest.raises(StoreError) as info:
+            store.get_or_build("k", lambda: calls.append(1) or self.value())
+        assert info.value.__cause__ is error
+        assert calls == [] and store.built_keys() == []
+        with pytest.raises(StoreError):
+            store.readable("k")
 
     # -- the run context and fetch ---------------------------------------------
 

@@ -384,7 +384,7 @@ def _cmd_status(args: argparse.Namespace) -> int:
     """Snapshot a queue: per-state counts and one row per job."""
     from repro.cluster import client
 
-    snapshot = client.status(args.queue, job_ids=args.jobs, events=args.events)
+    snapshot = client.status(args.queue, job_ids=args.jobs)
     if args.as_json:
         print(json.dumps(snapshot.to_dict(), indent=2))
     else:
@@ -417,20 +417,6 @@ def _cmd_tail(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_profiled(specs: list, hub) -> tuple[int, float]:
-    """Run a profile's legs serially into one shared hub; returns
-    ``(engine_events, wall_seconds)`` totals."""
-    from repro.api.runner import run
-
-    events = 0
-    wall = 0.0
-    for leg in specs:
-        artifact = run(leg, obs=hub)
-        events += int(artifact.metadata.get("engine_events", 0))
-        wall += artifact.wall_time_s
-    return events, wall
-
-
 def _cmd_profile(args: argparse.Namespace) -> int:
     """Run an experiment under full telemetry and print the breakdown.
 
@@ -438,17 +424,22 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     :class:`~repro.obs.hub.MetricsHub` + flight recorder, with phase
     spans enabled — profiling trades parallelism for attribution.
     """
+    from repro.api.runner import run
     from repro.obs.flight import FlightRecorder
     from repro.obs.hub import MetricsHub
     from repro.obs.spans import SPANS, gc_activity, write_chrome_trace
 
     _, specs = _legs(args.experiment, args)
     hub = MetricsHub(flight=FlightRecorder(capacity=1024))
+    events, wall = 0, 0.0
     SPANS.clear()
     SPANS.enable()
     try:
         with gc_activity() as gc_stats:
-            events, wall = _run_profiled(specs, hub)
+            for leg in specs:
+                artifact = run(leg, obs=hub)
+                events += int(artifact.metadata.get("engine_events", 0))
+                wall += artifact.wall_time_s
     finally:
         SPANS.disable()
     breakdown = SPANS.breakdown()
@@ -495,26 +486,18 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    """Export spans as Chrome trace-event JSON (queue or experiment mode)."""
-    from repro.obs.spans import SPANS, read_span_records, write_chrome_trace
+    """Export a queue's span log as Chrome trace-event JSON (an
+    experiment's spans come from ``repro profile --trace FILE``)."""
+    from repro.cluster import JobQueue
+    from repro.obs.spans import read_span_records, write_chrome_trace
 
-    target = Path(args.target)
-    if target.is_dir():
-        records = read_span_records(target)
-        if not records:
-            raise ConfigurationError(
-                f"{target} has no span records (spans.jsonl) — workers "
-                f"write one per executed job; run the queue first"
-            )
-    else:
-        _, specs = _legs(args.target, args)
-        SPANS.clear()
-        SPANS.enable()
-        try:
-            _run_profiled(specs, hub=None)
-        finally:
-            SPANS.disable()
-        records = list(SPANS.records)
+    JobQueue(args.queue, create=False)  # typo'd path -> clean error
+    records = read_span_records(args.queue)
+    if not records:
+        raise ConfigurationError(
+            f"{args.queue} has no span records (spans.jsonl) — workers "
+            f"write one per executed job; run the queue first"
+        )
     write_chrome_trace(args.out, records)
     print(f"wrote {args.out} ({len(records)} span(s)) — load in Perfetto "
           f"or chrome://tracing", file=sys.stderr)
@@ -803,10 +786,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--queue", required=True, metavar="DIR")
     p.add_argument("--jobs", type=int, nargs="+", default=None, metavar="ID",
                    help="only these job ids (default: all)")
-    p.add_argument("--events", type=int, default=0, metavar="N",
-                   help="also show the last N records of the queue's "
-                        "structured event log (claim/ack/fail/heartbeat/"
-                        "lease-expiry/...)")
     p.add_argument("--json", action="store_true", dest="as_json",
                    help="emit the snapshot as JSON instead of a table")
     p.set_defaults(fn=_cmd_status)
@@ -841,14 +820,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "trace",
-        help="export wall-clock spans as Chrome trace-event JSON: from a "
-             "queue's spans.jsonl, or by running an experiment")
-    p.add_argument("target", metavar="QUEUE_DIR|EXPERIMENT",
-                   help="a queue directory (convert its per-job spans) or "
-                        "an experiment name (run it with spans enabled)")
+        help="export a queue's per-job spans (spans.jsonl) as Chrome "
+             "trace-event JSON; for an experiment's, use `repro profile "
+             "--trace FILE`")
+    p.add_argument("queue", metavar="QUEUE_DIR",
+                   help="queue directory whose spans.jsonl to convert")
     p.add_argument("--out", default="trace.json", metavar="FILE",
                    help="output file (default trace.json)")
-    _add_spec_args(p, with_rows=True)
     p.set_defaults(fn=_cmd_trace)
 
     # One legacy-style alias per registered experiment (`repro table1` ==

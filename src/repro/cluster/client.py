@@ -74,9 +74,6 @@ class QueueStatus:
     #: from), and ``in_use`` (a pending/running job still needs it — the
     #: ``repro gc`` keep criterion).
     checkpoints: list[dict] = field(default_factory=list)
-    #: Tail of the queue's structured event log (``repro status
-    #: --events N``); empty unless ``status(..., events=N)`` asked.
-    events: list[dict] = field(default_factory=list)
 
     @property
     def done(self) -> bool:
@@ -85,16 +82,13 @@ class QueueStatus:
 
     def to_dict(self) -> dict[str, Any]:
         """The snapshot as JSON-serialisable data (``repro status --json``)."""
-        payload = {
+        return {
             "queue_dir": str(self.queue_dir),
             "counts": dict(self.counts),
             "jobs": [job.to_dict() for job in self.jobs],
             "workers": [dict(worker) for worker in self.workers],
             "checkpoints": [dict(ckpt) for ckpt in self.checkpoints],
         }
-        if self.events:
-            payload["events"] = [dict(event) for event in self.events]
-        return payload
 
     def table(self) -> Table:
         """The ``repro status`` view: one row per job."""
@@ -129,29 +123,19 @@ class QueueStatus:
                 for ckpt in self.checkpoints
             ]
             text += "\ncheckpoints:\n" + "\n".join(lines)
-        if self.events:
-            from repro.obs.events import format_event
-
-            text += "\nrecent events:\n" + "\n".join(
-                f"  {format_event(event)}" for event in self.events
-            )
         return text
 
 
 def status(
     queue_dir: str | Path,
     job_ids: Sequence[int] | None = None,
-    events: int = 0,
 ) -> QueueStatus:
-    """Snapshot a queue (optionally only the given jobs).
+    """Snapshot a queue (optionally only the given jobs); its event log
+    is ``repro tail``'s.
 
-    ``events=N`` also loads the last N records of the queue's structured
-    event log (:mod:`repro.obs.events`) into ``QueueStatus.events``.
     Raises :class:`~repro.errors.ClusterError` when ``queue_dir`` holds
     no queue — a typo'd path must not masquerade as an empty one.
     """
-    from repro.obs.events import read_events
-
     queue = JobQueue(queue_dir, create=False)
     return QueueStatus(
         queue_dir=queue.queue_dir,
@@ -159,7 +143,6 @@ def status(
         jobs=queue.jobs(ids=job_ids),
         workers=queue.workers(),
         checkpoints=_checkpoint_rows(queue),
-        events=read_events(queue.queue_dir, limit=events) if events else [],
     )
 
 

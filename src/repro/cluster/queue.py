@@ -10,11 +10,11 @@ Every state transition the broker commits also appends a JSON line to
 ``events.jsonl`` (:mod:`repro.obs.events`): submit, claim, ack, fail,
 requeue, heartbeat, register/unregister, lease-expiry and reclaim.  The
 log is telemetry, not state — the database never reads it back — but it
-turns "what did the cluster do last night?" into ``repro tail`` /
-``repro status --events`` instead of SQL archaeology.  Lines are written
-inside the mutating transaction (single ``O_APPEND`` writes, atomic at
-line granularity), so the log can at worst over-report a transaction
-that failed to commit, never misorder within one writer.
+turns "what did the cluster do last night?" into ``repro tail`` instead
+of SQL archaeology.  Lines are written inside the mutating transaction
+(single ``O_APPEND`` writes, atomic at line granularity), so the log can
+at worst over-report a transaction that failed to commit, never misorder
+within one writer.
 
 Any number of submitting clients and worker processes open the same
 queue concurrently; SQLite's locking makes each operation atomic, and

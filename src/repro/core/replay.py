@@ -6,7 +6,9 @@ The workflow the theory section defines, made executable:
    scheduling algorithms.  :func:`record_schedule` turns the tracer's
    packet table into a :class:`RecordedSchedule` — the set
    ``{(path(p), i(p), o(p))}`` plus, for the omniscient mode, the per-hop
-   output times ``o(p, α)``.
+   output times ``o(p, α)``.  Routing is deterministic, so ``path(p)`` is
+   ``network.route(src, dst)``: the recorder looks it up, the tracer never
+   logs it.
 2. **Replay.**  :func:`replay_schedule` rebuilds a *fresh* network of the
    same topology, installs a candidate UPS on every port, stamps each
    packet's header from the recorded black-box information (or the per-hop
@@ -56,7 +58,6 @@ from repro.units import MTU, TIME_EPSILON
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.network import Network
-    from repro.sim.tracer import Tracer
 
 __all__ = [
     "REPLAY_MODES",
@@ -109,16 +110,6 @@ def _column(values: list, kind: type, dtype: type) -> np.ndarray:
         raise ReplayError(f"a schedule column exceeds its width: {exc}") from exc
 
 
-def _node_table(names: Sequence[str], codes: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
-    """The sorted table of the node names ``codes`` use, and ``codes``
-    re-pointed into it."""
-    used = np.flatnonzero(np.bincount(codes, minlength=len(names)))
-    table = sorted({names[k] for k in used.tolist()})
-    rank = {name: k for k, name in enumerate(table)}
-    return tuple(table), np.array([rank.get(name, -1) for name in names],
-                                  dtype=np.int64)[codes]
-
-
 def _texts(column: np.ndarray) -> list[str]:
     """The JSON text of each float: ``float.__repr__``, as ``json`` writes it."""
     return list(map(float.__repr__, column.tolist()))
@@ -126,7 +117,8 @@ def _texts(column: np.ndarray) -> list[str]:
 
 def _runs(counts: np.ndarray, slots: np.ndarray) -> np.ndarray:
     """Positions, in a log grouped by slot (``counts`` entries each), of
-    the entries of ``slots`` — their runs laid end to end in that order."""
+    the entries of ``slots`` — their runs laid end to end in that order.
+    A slot is a packet's in the transmit log, a route's in the routes."""
     starts = (np.cumsum(counts) - counts)[slots]
     lengths = counts[slots]
     return (np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
@@ -166,30 +158,40 @@ class RecordedSchedule:
             setattr(self, name, column)
 
     @classmethod
-    def from_tracer(cls, tracer: "Tracer", threshold: float,
-                    description: str = "") -> "RecordedSchedule":
-        """The packets ``tracer`` saw delivered, sorted by ``(i, pid)``.
+    def from_network(cls, network: "Network", threshold: float,
+                     description: str = "") -> "RecordedSchedule":
+        """The packets ``network``'s tracer saw delivered, sorted by
+        ``(i, pid)``.
 
-        One stable argsort per log groups its entries by slot (in event
-        order), and the schedule's runs are gathered from the groups.
+        A packet's path is its route, looked up once per distinct
+        ``(src, dst)``; one stable argsort groups the transmit log by slot
+        (in event order), and the schedule's runs are gathered from the
+        routes and the groups.  A delivered packet must have transmitted
+        once per link of its route: fewer means the tracer was off for
+        part of its journey, and its hops cannot be told apart.
         """
-        rows = len(tracer)
+        tracer = network.tracer
         exit = tracer.exit_times()
         pid = np.array(tracer.pid, dtype=np.int64)
         created = np.array(tracer.created, dtype=np.float64)
         slots = np.flatnonzero(~np.isnan(exit))
         slots = slots[np.lexsort((pid[slots], created[slots]))]
-        path_order, path_counts = group_log(tracer.path_slot, rows)
-        tx_order, tx_counts = group_log(tracer.tx_slot, rows)
+        ends = [(tracer.src[k], tracer.dst[k]) for k in slots.tolist()]
+        pairs = {pair: k for k, pair in enumerate(dict.fromkeys(ends))}
+        routes = [network.route(*pair) for pair in pairs]
+        nodes = sorted({name for route in routes for name in route})
+        code = {name: k for k, name in enumerate(nodes)}
+        route_codes = np.array([code[name] for route in routes for name in route],
+                               dtype=np.int64)
+        route_counts = np.array(list(map(len, routes)), dtype=np.int64)
+        row_route = np.fromiter(map(pairs.__getitem__, ends), np.int64, len(ends))
+        tx_order, tx_counts = group_log(tracer.tx_slot, len(tracer))
         hops = tx_counts[slots]
-        if not np.array_equal(path_counts[slots], hops + 1):
-            raise ReplayError("a delivered packet's trace is missing hops "
-                              "(was the tracer toggled while it travelled?)")
-        names = list(dict.fromkeys(tracer.path_node))
-        code = {name: k for k, name in enumerate(names)}
-        codes = np.fromiter(map(code.__getitem__, tracer.path_node),
-                            np.int64, len(tracer.path_node))
-        nodes, path = _node_table(names, codes[path_order[_runs(path_counts, slots)]])
+        if not np.array_equal(route_counts[row_route], hops + 1):
+            raise ReplayError("a delivered packet transmitted other than once per "
+                              "link of its route (was the tracer toggled while it "
+                              "travelled?)")
+        path = route_codes[_runs(route_counts, row_route)]
         hop_entries = tx_order[_runs(tx_counts, slots)]
         size = np.array(tracer.size, dtype=np.int64)[slots]
         return cls(
@@ -378,8 +380,8 @@ def record_schedule(
             f"{undelivered} packets still in flight; run the original "
             "schedule to completion (until=None) before recording"
         )
-    return RecordedSchedule.from_tracer(
-        tracer, threshold=network.bottleneck_tx_time(MTU), description=description
+    return RecordedSchedule.from_network(
+        network, threshold=network.bottleneck_tx_time(MTU), description=description
     )
 
 

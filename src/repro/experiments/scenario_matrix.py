@@ -53,7 +53,7 @@ def run_scenario_leg(
         last = float(np.nanmax(network.tracer.exit_times(), initial=0.0))
         window = last if last > 0 else duration
         rates = flow_throughputs(network.tracer, [f.fid for f in flows], window)
-        utilisation = link_utilisation(network.tracer, network.links, window)
+        utilisation = link_utilisation(network, window)
     delivered = sum(1 for r in rates.values() if r > 0)
     return {
         "scheduler": scheduler,

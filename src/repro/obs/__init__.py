@@ -15,7 +15,7 @@ run's artifacts:
 * :mod:`repro.obs.events` — the cluster's append-only JSONL event log
   (claim/ack/fail/heartbeat/lease-expiry/reclaim), written by
   :class:`~repro.cluster.queue.JobQueue` inside its transactions and
-  surfaced by ``repro status --events`` / ``repro tail``.
+  surfaced by ``repro tail``.
 * :class:`~repro.obs.flight.FlightRecorder` — a bounded ring buffer of
   recent engine events for post-mortem of hung or crashed legs,
   attached to worker failure records and dumpable via ``SIGUSR1``.

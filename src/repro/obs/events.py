@@ -10,9 +10,9 @@ broker's serialised history.  Records are small flat dicts::
     {"ts": 1754640000.123456, "kind": "claim", "job": 7, "worker": "h:42"}
 
 The log is append-only and never read by the queue itself — it exists
-for humans and tooling: ``repro status --events`` shows the tail,
-``repro tail QUEUE_DIR`` follows it live, and post-mortems grep it for
-the lease-expiry/reclaim history of a crashed sweep.
+for humans and tooling: ``repro tail QUEUE_DIR`` shows the tail and
+follows it live, and post-mortems grep it for the lease-expiry/reclaim
+history of a crashed sweep.
 
 Writes are single ``O_APPEND`` syscalls of whole lines, the same
 atomicity argument as the checkpoint store's build log: concurrent

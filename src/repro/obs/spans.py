@@ -11,8 +11,8 @@ worker (the worker id is the ``tid``).
 Two producers share the format:
 
 * :data:`SPANS`, the process-global :class:`SpanRecorder` — disabled
-  by default; ``repro profile`` / ``repro trace`` enable it around a
-  run and the runner's phases record into it.
+  by default; ``repro profile`` enables it around a run and the
+  runner's phases record into it (``--trace FILE`` writes them out).
 * Cluster workers, which append one span record per executed job to
   ``<queue_dir>/spans.jsonl`` (:func:`append_span_record` — O_APPEND,
   one line per record, safe under concurrent writers like the queue's

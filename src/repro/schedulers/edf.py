@@ -12,8 +12,8 @@ at every instant — because ``slack(p, α, t) = priority(p, α) − t`` and the
 ``tests/schedulers/test_edf_lstf_equivalence.py`` exercises this theorem
 end-to-end on random networks.
 
-The router-side ``tmin`` lookups are served by the network's routing/
-``remaining_tmin`` API and memoised per (destination, size).
+The router-side ``tmin`` lookups are served by ``Network.tmin`` from the
+router itself and memoised per (destination, size).
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ class EdfScheduler(KeyedScheduler):
         remaining = self._tmin_cache.get(key)
         if remaining is None:
             network = self.port.node.network
-            remaining = network.remaining_tmin(self.port.node.name, packet.dst, packet.size)
+            remaining = network.tmin(self.port.node.name, packet.dst, packet.size)
             self._tmin_cache[key] = remaining
         return packet.deadline - remaining + packet.size * self._tx_per_byte
 

@@ -75,13 +75,13 @@ __all__ = [
 ]
 
 #: On-disk format name and version, written into every header and checked
-#: on load; bump the version when the payload encoding changes shape (4:
-#: the tracer is a table of columns; 3: heap entries carry ``born``, ports
-#: ``_free_at``), or the resume session's anchor numbering does (2:
-#: per-packet data travels by value) — another walk's index would graft
-#: onto the wrong object.
+#: on load; bump the version when the payload encoding changes shape (5:
+#: the tracer keeps no path log; 4: the tracer is a table of columns; 3:
+#: heap entries carry ``born``, ports ``_free_at``), or the resume
+#: session's anchor numbering does (2: per-packet data travels by value) —
+#: another walk's index would graft onto the wrong object.
 CHECKPOINT_FORMAT = "repro-checkpoint"
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 #: The modules whose classes a simulation's state pickles to: the network
 #: graph, schedulers, and transports with their flows and slack policies.

@@ -224,17 +224,14 @@ class Network:
         return total
 
     def tmin(self, src: str, dst: str, size: int) -> float:
-        """``tmin(p, src, dst)`` for a packet of ``size`` bytes (memoised)."""
+        """``tmin(p, src, dst)`` for a packet of ``size`` bytes (memoised);
+        ``src`` may be any node on the way, as EDF's routers ask it."""
         key = (src, dst, size)
         cached = self._tmin_cache.get(key)
         if cached is None:
             cached = self.path_tmin(size, self.route(src, dst))
             self._tmin_cache[key] = cached
         return cached
-
-    def remaining_tmin(self, node: str, dst: str, size: int) -> float:
-        """``tmin`` from an interior node to the destination (EDF's lookup)."""
-        return self.tmin(node, dst, size)
 
     # --- convenience -----------------------------------------------------------------
 

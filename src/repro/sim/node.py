@@ -11,6 +11,9 @@ closed-loop experiments of §3.
 and keep a per-destination next-hop **port** cache (cleared by the network
 whenever topology or port objects change) instead of walking
 ``network.next_hop`` + ``ports[...]`` dictionaries for every packet.
+Following the next-hop tree is the whole of a packet's path, so a hop
+tells the tracer nothing: it hears of a packet at ingress, at each
+service start and at its exit.
 """
 
 from __future__ import annotations
@@ -53,11 +56,9 @@ class Node:
         straight from the event heap, so nothing follows within this event
         (:meth:`Port._request_decision`); synchronous callers leave it off."""
         packet.path_pos += 1
-        tracer = self._tracer
-        tracer.on_hop(packet, self.name)
         dst = packet.dst
         if dst == self.name:
-            tracer.on_exit(packet, self._engine.now)
+            self._tracer.on_exit(packet, self._engine.now)
             self.deliver(packet)
         else:
             port = self._out_port.get(dst)
@@ -121,7 +122,7 @@ class Host(Node):
             raise ConfigurationError(f"packet {packet.pid} addressed to its own source")
         packet.created = self._engine.now
         packet.path_pos = 0
-        self._tracer.on_created(packet, self.name)
+        self._tracer.on_created(packet)
         self.forward(packet)
 
     # --- transport agents --------------------------------------------------------

@@ -5,7 +5,6 @@ is built on (Appendix A notation in parentheses):
 
 * ``created`` — ingress arrival time (``i(p)``),
 * ``exit`` — last-bit network exit time (``o(p)``),
-* ``path`` — the ordered node names the packet traversed,
 * ``hop_tx`` — per transmitting hop, the time the first bit was scheduled
   (``o(p, α)``), which feeds the omniscient replay of Appendix B,
 * ``hop_waits`` — per transmitting hop, the queueing delay, which feeds the
@@ -13,14 +12,18 @@ is built on (Appendix A notation in parentheses):
   (Figure 1),
 * drop bookkeeping for the finite-buffer experiments of §3.
 
+The paper's ``path(p)`` is not recorded: routing is deterministic, so a
+packet travels ``network.route(src, dst)``, and the recorder and the
+link-utilisation metric derive it from there.  The tracer keeps only what
+the run decides.
+
 Millions of packets flow through one experiment, so none of this is an
 object per packet.  The tracer is a table: one *row* per traced packet at
 a dense *slot* (``pid, flow_id, size, src, dst, created, exit,
-dropped_at``; the packet carries its slot in ``packet.trace``), and two
-logs in event order — the path log ``(slot, node)``, one entry at ingress
-and one per receiving node, and the transmit log ``(slot, hop_tx, wait)``,
-one entry per service start.  Every column is a plain list: an append is
-the cheapest thing a per-hop hook can do.  Consumers read the columns
+dropped_at``; the packet carries its slot in ``packet.trace``), and one
+log in event order, the transmit log ``(slot, hop_tx, wait)``, one entry
+per service start.  Every column is a plain list: an append is the
+cheapest thing a per-hop hook can do.  Consumers read the columns
 (:meth:`Tracer.exit_times`, :meth:`Tracer.wait_totals`,
 :func:`group_log`); nothing builds an object per packet.
 """
@@ -77,10 +80,10 @@ def segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
 class Tracer:
     """Collects a simulation run's packet table (see the module docstring)."""
 
-    #: Row columns, one entry per slot, then the two logs.
+    #: Row columns, one entry per slot, then the transmit log.
     ROWS = ("pid", "flow_id", "size", "src", "dst", "created", "exit",
             "dropped_at")
-    LOGS = ("path_slot", "path_node", "tx_slot", "hop_tx", "hop_waits")
+    LOGS = ("tx_slot", "hop_tx", "hop_waits")
 
     __slots__ = ("enabled", "drops", *ROWS, *LOGS)
 
@@ -97,10 +100,11 @@ class Tracer:
 
     # --- hooks called by the simulator -------------------------------------
 
-    def on_created(self, packet: "Packet", node: str) -> None:
+    def on_created(self, packet: "Packet") -> None:
+        """Packet injected at its source host (its ingress, ``i(p)``)."""
         if not self.enabled:
             return
-        slot = packet.trace = len(self.pid)
+        packet.trace = len(self.pid)
         self.pid.append(packet.pid)
         self.flow_id.append(packet.flow_id)
         self.size.append(packet.size)
@@ -109,8 +113,6 @@ class Tracer:
         self.created.append(packet.created)
         self.exit.append(None)
         self.dropped_at.append(None)
-        self.path_slot.append(slot)
-        self.path_node.append(node)
 
     # Every per-hop hook below guards the same two ways: a disabled
     # tracer records nothing (not even the ``drops`` counter — a
@@ -118,15 +120,6 @@ class Tracer:
     # differ only in what is *observed*), and ``packet.trace`` may be
     # ``None`` for a packet created while the tracer was disabled (or
     # toggled mid-run) — such packets are simply invisible.
-
-    def on_hop(self, packet: "Packet", node: str) -> None:
-        """Packet fully received (last bit) at an intermediate node."""
-        if not self.enabled:
-            return
-        slot = packet.trace
-        if slot is not None:
-            self.path_slot.append(slot)
-            self.path_node.append(node)
 
     def on_tx_start(self, packet: "Packet", wait: float, now: float) -> None:
         """Packet selected for transmission after ``wait`` seconds in queue."""

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from repro.api import ExperimentSpec, spec_run_id
+from repro.cli import main
 from repro.cluster import JobQueue
 from repro.cluster.client import status
-from repro.obs.events import events_path, read_events
+from repro.obs.events import events_path, format_event, read_events
 
 TINY = ExperimentSpec("table1", duration=0.04, options={"rows": (0,)})
 SWEEP = ExperimentSpec(
@@ -78,18 +79,16 @@ def test_worker_registration_and_heartbeat_logged(tmp_path):
     assert "unregister" in kinds
 
 
-def test_status_surfaces_the_event_tail(tmp_path):
-    queue = JobQueue(tmp_path)
-    queue.submit(SWEEP)
-    snap = status(tmp_path, events=1)
-    assert len(snap.events) == 1
-    assert snap.events[0]["kind"] == "submit"
-    assert "recent events:" in snap.render()
-    assert "events" in snap.to_dict()
-    # And stays out of the payload when not requested.
-    bare = status(tmp_path)
-    assert bare.events == []
-    assert "events" not in bare.to_dict()
+def test_tail_prints_the_last_lines_and_status_none(tmp_path, capsys):
+    """The event tail is ``repro tail``'s; a status snapshot carries none."""
+    JobQueue(tmp_path).submit(SWEEP)
+    assert main(["tail", str(tmp_path), "--once", "--lines", "1"]) == 0
+    last = read_events(tmp_path)[-1]
+    assert last["kind"] == "submit"
+    assert capsys.readouterr().out.splitlines() == [format_event(last)]
+    snap = status(tmp_path)
+    assert "events" not in snap.to_dict()
+    assert "events" not in snap.render()
 
 
 def test_event_log_failure_does_not_poison_the_transaction(tmp_path, monkeypatch):

@@ -16,10 +16,13 @@ from repro.core.replay import (
 from repro.errors import ReplayError
 from repro.experiments.replayability import ReplayScenario, build_recorded_schedule
 from repro.scenarios import build_scenario_network
+from repro.sim.network import Network
 from repro.topology.simple import build_dumbbell, build_single_switch
 from repro.transport.udp import install_udp_flows
+from repro.units import MBPS
 from repro.workload.distributions import BoundedPareto
 from repro.workload.flows import PoissonWorkload, poisson_flows
+from tests.conftest import make_packet
 
 
 def _loaded_dumbbell(seed=3, duration=0.03, pairs=4):
@@ -56,6 +59,24 @@ class TestRecord:
         net, _make = _loaded_dumbbell()
         net.set_buffers(3000)
         with pytest.raises(ReplayError):
+            record_schedule(net)
+
+    def test_refuses_a_router_hop_the_tracer_missed(self):
+        """A tracer off for exactly one router hop loses that hop's
+        transmit: one transmit for a two-link route is refused, never
+        recorded as a path ``a -> b`` whose one hop is no link."""
+        net = Network()
+        for host in ("a", "b"):
+            net.add_host(host)
+        net.add_router("SW")
+        net.add_link("a", "SW", 8 * MBPS, 0.0)
+        net.add_link("SW", "b", 8 * MBPS, 0.0)
+        net.inject_at(0.0, make_packet())
+        net.run(until=0.0005)  # on the wire a -> SW
+        net.tracer.enabled = False
+        net.run(until=0.0015)  # received by SW and sent on
+        net.tracer.enabled = True
+        with pytest.raises(ReplayError, match="once per link of its route"):
             record_schedule(net)
 
     def test_empty_schedule_rejected(self):

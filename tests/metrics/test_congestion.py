@@ -27,10 +27,10 @@ def _congested_net():
     return net
 
 
-def test_histogram_from_tracer():
+def test_histogram_from_network():
     net = _congested_net()
     net.run()
-    schedule = RecordedSchedule.from_tracer(net.tracer, threshold=0.0)
+    schedule = RecordedSchedule.from_network(net, threshold=0.0)
     hist = schedule.congestion_point_histogram()
     assert sum(hist.values()) == 3
     assert hist.get(0) == 1  # first packet never waits
@@ -51,7 +51,7 @@ def test_empty_source():
     net = Network()
     net.add_host("a")
     with pytest.raises(ReplayError, match="no delivered packets"):
-        RecordedSchedule.from_tracer(net.tracer, threshold=0.0)
+        RecordedSchedule.from_network(net, threshold=0.0)
 
 
 class TestLinkUtilisation:
@@ -62,7 +62,7 @@ class TestLinkUtilisation:
         net.run()
         # 3 x 1000 B cross both links; over a 10 ms window each link could
         # have carried 8e6 * 0.01 bits, so utilisation = 24000/80000 = 0.3.
-        utils = link_utilisation(net.tracer, net.links, window=0.01)
+        utils = link_utilisation(net, window=0.01)
         assert utils == {"a->SW": 0.3, "SW->b": 0.3,
                          "SW->a": 0.0, "b->SW": 0.0}
         assert list(utils) == sorted(utils)  # embedding order is canonical
@@ -71,7 +71,7 @@ class TestLinkUtilisation:
         net = _congested_net()
         net.run()
         # 24000 bits / (8e6 * 0.007) = 3/7 = 0.428571428... -> 6 decimals.
-        utils = link_utilisation(net.tracer, net.links, window=0.007)
+        utils = link_utilisation(net, window=0.007)
         assert utils["a->SW"] == 0.428571
 
     def test_zero_traffic_edge_case(self):
@@ -80,11 +80,11 @@ class TestLinkUtilisation:
         net.add_host("b")
         net.add_link("a", "b", 8 * MBPS, 0.0)
         net.run()
-        assert link_utilisation(net.tracer, net.links, window=0.01) == {
+        assert link_utilisation(net, window=0.01) == {
             "a->b": 0.0, "b->a": 0.0,
         }
 
     def test_rejects_bad_window(self):
         net = _congested_net()
         with pytest.raises(ValueError):
-            link_utilisation(net.tracer, net.links, window=0.0)
+            link_utilisation(net, window=0.0)

@@ -9,7 +9,8 @@ from repro.cli import main
 from repro.cluster import JobQueue
 from repro.obs.spans import append_span_record, span_record
 
-TINY = ExperimentSpec("table1", duration=0.04, options={"rows": (0,)})
+SWEEP = ExperimentSpec("table1", duration=0.04, seeds=(1, 2),
+                       options={"rows": (0,)}).sweep()
 
 
 def _chrome_doc(path):
@@ -73,13 +74,6 @@ def test_profile_rejects_bad_rows(capsys):
     assert "out of range" in capsys.readouterr().err
 
 
-def test_trace_experiment_mode_writes_chrome_json(tmp_path, capsys):
-    out = tmp_path / "t.json"
-    assert main(["trace", "table1", "--rows", "0", "--duration", "0.04",
-                 "--out", str(out)]) == 0
-    _chrome_doc(out)
-
-
 def test_trace_queue_mode_folds_span_log(tmp_path, capsys):
     queue_dir = tmp_path / "q"
     JobQueue(queue_dir)
@@ -98,12 +92,19 @@ def test_trace_queue_mode_without_spans_is_a_clean_error(tmp_path, capsys):
     assert "no span records" in capsys.readouterr().err
 
 
+def test_trace_takes_a_queue_not_an_experiment(tmp_path, capsys):
+    """An experiment's spans come from ``repro profile --trace FILE``."""
+    assert main(["trace", "table1", "--out", str(tmp_path / "t.json")]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_tail_once_prints_recent_events(tmp_path, capsys):
     queue_dir = tmp_path / "q"
-    JobQueue(queue_dir).submit([TINY])
-    assert main(["tail", str(queue_dir), "--once"]) == 0
-    out = capsys.readouterr().out
-    assert "submit" in out
+    JobQueue(queue_dir).submit(SWEEP)  # one submit record per job
+    assert main(["tail", str(queue_dir), "--once", "--lines", "5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and all("submit" in line for line in lines)
 
 
 def test_tail_rejects_a_nonexistent_queue(tmp_path, capsys):
@@ -121,10 +122,3 @@ def test_tail_once_without_events_reports_and_exits_zero(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "no events" in out
     assert str(queue_dir) in out
-
-
-def test_status_events_flag(tmp_path, capsys):
-    queue_dir = tmp_path / "q"
-    JobQueue(queue_dir).submit([TINY])
-    assert main(["status", "--queue", str(queue_dir), "--events", "5"]) == 0
-    assert "recent events:" in capsys.readouterr().out

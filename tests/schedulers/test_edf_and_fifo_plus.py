@@ -32,11 +32,11 @@ def test_edf_orders_by_deadline():
     assert s.pop(0.0) is later
 
 
-def test_edf_local_priority_uses_remaining_tmin():
+def test_edf_local_priority_uses_the_router_s_tmin():
     net, s = _edf_net()
     p = make_packet(deadline=0.050, size=1000)
     # priority = o(p) - tmin(SW,b) + T(SW)  [Appendix E]
-    tmin_rest = net.remaining_tmin("SW", "b", 1000)
+    tmin_rest = net.tmin("SW", "b", 1000)
     t_here = net.links[("SW", "b")].tx_time(1000)
     assert s._local_priority(p) == pytest.approx(0.050 - tmin_rest + t_here)
     assert s.preemption_key(p) == pytest.approx(s._local_priority(p))

@@ -1,17 +1,20 @@
 """The object-per-packet tracer the columnar :class:`~repro.sim.tracer.Tracer`
 replaced, and the tests' one way to read that table a packet at a time.
 
-Test-only.  Every traced packet is a :class:`ReferenceRecord` with three
+Test-only.  Every traced packet is a :class:`ReferenceRecord` with two
 growing lists, cached on ``packet.trace`` and keyed by pid in
 ``records``; the hooks append to them in event order.  It implements the
 same hook protocol, so a network runs with either tracer, and
 ``tests/sim/test_tracer_differential.py`` demands that both tell every
-packet's story identically.
+packet's story identically.  Neither tracer logs a packet's path: routing
+is deterministic, so the path is ``network.route(src, dst)``.
 
 :func:`records` is the column → record glue: it reads a columnar
 tracer's table back as the same ``pid -> ReferenceRecord`` mapping, for
-tests that assert on one packet at a time; :func:`rows` does the same for
-a recorded schedule.  The library itself never builds a record per packet.
+tests that assert on one packet at a time, with each record's ``path``
+derived from the route when given the network; :func:`rows` does the same
+for a recorded schedule.  The library itself never builds a record per
+packet.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.packet import Packet
     from repro.core.replay import RecordedSchedule
+    from repro.sim.network import Network
     from repro.sim.tracer import Tracer
 
 __all__ = ["ReferenceRecord", "ReferenceTracer", "delivered", "records", "rows"]
@@ -41,7 +45,7 @@ class ReferenceRecord:
         self.dst = packet.dst
         self.created = packet.created
         self.exit: float | None = None
-        self.path: list[str] = []
+        self.path: list[str] | None = None  # see records(tracer, network)
         self.hop_tx: list[float] = []
         self.hop_waits: list[float] = []
         self.dropped_at: str | None = None
@@ -83,20 +87,12 @@ class ReferenceTracer:
         self.drops = 0
         self.enabled = enabled
 
-    def on_created(self, packet: "Packet", node: str) -> None:
+    def on_created(self, packet: "Packet") -> None:
         if not self.enabled:
             return
         rec = ReferenceRecord(packet)
-        rec.path.append(node)
         self.records[packet.pid] = rec
         packet.trace = rec
-
-    def on_hop(self, packet: "Packet", node: str) -> None:
-        if not self.enabled:
-            return
-        rec = packet.trace
-        if rec is not None:
-            rec.path.append(node)
 
     def on_tx_start(self, packet: "Packet", wait: float, now: float) -> None:
         if not self.enabled:
@@ -128,13 +124,14 @@ class ReferenceTracer:
         return len(self.records)
 
 
-def records(tracer: "Tracer") -> dict[int, ReferenceRecord]:
+def records(tracer: "Tracer", network: "Network | None" = None
+            ) -> dict[int, ReferenceRecord]:
     """``pid -> ReferenceRecord`` read back from a columnar tracer's
-    table, in slot order."""
+    table, in slot order; with ``network``, each ``path`` is the packet's
+    route (for one that was dropped, the route it was on)."""
     rows = len(tracer)
-    paths: list[list[str]] = [[] for _ in range(rows)]
-    for slot, node in zip(tracer.path_slot, tracer.path_node):
-        paths[slot].append(node)
+    paths = ([list(network.route(s, d)) for s, d in zip(tracer.src, tracer.dst)]
+             if network is not None else [None] * rows)
     hop_tx: list[list[float]] = [[] for _ in range(rows)]
     hop_waits: list[list[float]] = [[] for _ in range(rows)]
     for slot, now, wait in zip(tracer.tx_slot, tracer.hop_tx, tracer.hop_waits):

@@ -374,8 +374,13 @@ class TestCheckpointStore(StoreContract):
     def test_version_3_entry_reads_as_a_miss_and_is_rebuilt(self, tmp_path):
         """Nor one cached while the tracer built an object per packet
         (v3); version 4 pickles the tracer's table of columns."""
-        assert CHECKPOINT_VERSION == 4
         self._relabelled_entry_is_a_miss_and_heals(tmp_path, 3)
+
+    def test_version_4_entry_reads_as_a_miss_and_is_rebuilt(self, tmp_path):
+        """Nor one whose table still carries the path log (v4); version 5
+        pickles a tracer without it, since a packet's path is its route."""
+        assert CHECKPOINT_VERSION == 5
+        self._relabelled_entry_is_a_miss_and_heals(tmp_path, 4)
 
     @pytest.mark.parametrize("via", ["os.system", "ContentStore"])
     def test_a_payload_naming_a_foreign_global_is_a_miss_and_heals(

@@ -138,7 +138,7 @@ def _run(scenario, reference: bool, hop_times=None):
         net.inject_at(spec["at"], packet)
     net.run()
     trace = {
-        pid: (tuple(r.path), r.created, r.exit, tuple(r.hop_tx),
+        pid: (r.created, r.exit, tuple(r.hop_tx),
               tuple(r.hop_waits), r.dropped_at)
         for pid, r in records(net.tracer).items()
     }

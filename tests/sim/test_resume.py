@@ -277,7 +277,7 @@ def _observable(network: Network, stats: TcpStats) -> dict:
         "events": network.engine.events_processed,
         # records are read back from the table: later hops never reach them
         "records": [(r.pid, r.flow_id, r.size, r.src, r.dst, r.created,
-                     r.exit, r.path, r.hop_tx, r.hop_waits, r.dropped_at)
+                     r.exit, r.hop_tx, r.hop_waits, r.dropped_at)
                     for r in records(network.tracer).values()],
         "queued": port._queued,
         "acked": sender.highest_acked,

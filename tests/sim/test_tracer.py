@@ -32,9 +32,9 @@ def test_record_lifecycle():
     p = make_packet()
     net.inject_at(0.0, p)
     net.run()
-    rec = records(net.tracer)[p.pid]
+    rec = records(net.tracer, net)[p.pid]
     assert rec.delivered
-    assert rec.path == ["a", "SW", "b"]
+    assert rec.path == ["a", "SW", "b"]  # the route, which the tracer never logs
     assert len(rec.hop_tx) == 2  # a and SW transmit; b only receives
     assert rec.total_delay == pytest.approx(rec.exit - rec.created)
 
@@ -90,10 +90,9 @@ def test_hooks_tolerate_packets_without_a_trace_record():
 
     tracer = Tracer(enabled=False)
     p = make_packet()
-    tracer.on_created(p, "a")  # disabled: no record, p.trace stays None
+    tracer.on_created(p)  # disabled: no record, p.trace stays None
     assert p.trace is None
     tracer.enabled = True
-    tracer.on_hop(p, "SW")
     tracer.on_tx_start(p, wait=0.0, now=0.0)
     tracer.on_exit(p, now=1.0)
     tracer.on_drop(p, "SW")

@@ -5,12 +5,16 @@ Hypothesis draws small networks and runs each twice, once traced by
 :func:`tests.sim.reference_tracer.records`) and once by
 :class:`tests.sim.reference_tracer.ReferenceTracer` (one record object per
 packet), and demands the same per-packet ``(pid, flow_id, size, src, dst,
-created, exit, path, hop_tx, hop_waits, dropped_at)``.  The draws cover
-what moves a packet's story off the happy path: finite buffers and AQMs
-that drop, preemptive ports, TCP with its ACKs and retransmissions, the
-tracer switched off and on again mid-run, and — on the columnar side
-only — a checkpoint written and restored mid-run, whose table must carry
-on as if nothing happened.
+created, exit, hop_tx, hop_waits, dropped_at)``.  The draws cover what
+moves a packet's story off the happy path: finite buffers and AQMs that
+drop, preemptive ports, TCP with its ACKs and retransmissions, the tracer
+switched off and on again mid-run, and — on the columnar side only — a
+checkpoint written and restored mid-run, whose table must carry on as if
+nothing happened.
+
+Neither tracer logs ``path(p)``: the recorder and the utilisation metric
+take it to be ``network.route(src, dst)``.  The same draws check that
+premise by watching every ``Node.receive``.
 
 Bounded examples here; the nightly stress job scales them up with
 ``REPRO_STRESS_SCALE``.
@@ -18,9 +22,11 @@ Bounded examples here; the nightly stress job scales them up with
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import random
+from unittest import mock
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -36,6 +42,7 @@ from repro.sim.checkpoint import (
     snapshot_to_bytes,
 )
 from repro.sim.network import Network
+from repro.sim.node import Node
 from repro.sim.tracer import Tracer
 from repro.transport.tcp import install_tcp_flows
 from repro.units import MBPS
@@ -51,7 +58,7 @@ SCHEDULERS = ("fifo", "lifo", "sjf", "srpt", "fq", "drr", "fifo+", "random",
               "lstf", "edf", "priority")
 PREEMPTIBLE = ("lstf", "edf", "priority")
 
-FIELDS = ("pid", "flow_id", "size", "src", "dst", "created", "exit", "path",
+FIELDS = ("pid", "flow_id", "size", "src", "dst", "created", "exit",
           "hop_tx", "hop_waits", "dropped_at")
 
 link_params = st.tuples(st.sampled_from(BANDWIDTHS), st.sampled_from(PROPAGATIONS))
@@ -158,3 +165,31 @@ def test_the_packet_table_tells_every_packet_s_story_like_the_records_did(case):
     assert _story(records(got)) == _story(want.records)
     assert (got.drops, len(got), got.delivered_count()) == (
         want.drops, len(want), want.delivered_count())
+
+
+@settings(max_examples=150 * SCALE, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(case=cases())
+def test_every_packet_travels_its_route(case):
+    """What the recorder takes on trust: the nodes ``Node.receive`` sees a
+    packet at, after its source, are its route — all of it once it is
+    delivered, a prefix while it is in flight or once it is dropped.  A
+    restored checkpoint re-binds ``receive`` by name, so the packets of
+    the restored copy are watched too."""
+    travelled: dict[int, tuple[str, list[str]]] = {}
+    receive = Node.receive
+
+    @functools.wraps(receive)  # so the checkpoint loader takes it for the original
+    def watched(self, packet, tail=False):
+        travelled.setdefault(packet.pid, (packet.dst, [packet.src]))[1].append(
+            self.name)
+        receive(self, packet, tail)
+
+    with mock.patch.object(Node, "receive", watched):
+        net = _run(case, Tracer())
+    for dst, nodes in travelled.values():
+        assert nodes == list(net.route(nodes[0], dst))[:len(nodes)]
+    tracer = net.tracer
+    for slot in tracer.delivered_slots().tolist():
+        dst, nodes = travelled[tracer.pid[slot]]
+        assert nodes == list(net.route(tracer.src[slot], dst))

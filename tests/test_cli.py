@@ -519,7 +519,6 @@ SPEC_VERBS = {
     "record": ["--out", "{tmp}/out"],
     "checkpoint": ["--out", "{tmp}/out"],
     "profile": [],
-    "trace": ["--out", "{tmp}/trace.json"],
 }
 
 

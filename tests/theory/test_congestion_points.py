@@ -43,7 +43,7 @@ def test_priorities_replay_one_congestion_point_perfectly(seed):
 
     # α_p = SW; remaining tmin from SW includes the SW->sink hop.
     priority = np.array([
-        rec["o"] - ref.remaining_tmin("SW", rec["dst"], rec["size"])
+        rec["o"] - ref.tmin("SW", rec["dst"], rec["size"])
         + ref.links[("SW", "sink")].tx_time(rec["size"])
         for rec in rows(schedule)
     ])

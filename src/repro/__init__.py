@@ -143,7 +143,6 @@ from repro.schedulers import (
     scheduler_names,
 )
 from repro.schedulers.pheap import PHeap, PHeapLstfScheduler
-from repro.sim.aqm import CoDelAqm, RedAqm
 from repro.sim.checkpoint import (
     CheckpointStore,
     Snapshot,
@@ -186,7 +185,6 @@ __all__ = [
     "BoundedPareto",
     "CheckpointError",
     "CheckpointStore",
-    "CoDelAqm",
     "ConfigurationError",
     "ConstantSlack",
     "DrrScheduler",
@@ -216,7 +214,6 @@ __all__ = [
     "REPLAY_MODES",
     "RandomScheduler",
     "RecordedSchedule",
-    "RedAqm",
     "ReplayError",
     "ReplayResult",
     "ReproError",

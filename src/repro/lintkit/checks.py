@@ -51,8 +51,8 @@ def check_det_random(ctx: ModuleContext) -> Iterator[Finding]:
     """Flag ``random.*`` / ``np.random.*`` calls and unseeded constructors.
 
     ``random.Random(seed)`` and ``np.random.default_rng(seed)`` are the
-    approved entry points (the pattern ``sim/aqm.py`` and the workload
-    generators use); called with *no* seed they are still
+    approved entry points (the pattern the ``random`` scheduler and the
+    workload generators use); called with *no* seed they are still
     nondeterministic across runs and are flagged too.
     """
     for call in ctx.calls():

@@ -6,9 +6,9 @@ run's artifacts:
 
 * :class:`~repro.obs.hub.MetricsHub` — sim-time counters, gauges and
   engine-scheduled periodic samplers producing deterministic time
-  series of per-port queue depth, per-link utilisation, drops, and AQM
-  marks.  The hot path (:mod:`repro.sim.port`) pays exactly one ``is
-  None`` check per instrumented event while a hub is not attached.
+  series of per-port queue depth, per-link utilisation and drops.  The
+  hot path (:mod:`repro.sim.port`) pays exactly one ``is None`` check
+  per instrumented event while a hub is not attached.
 * :class:`~repro.obs.spans.SpanRecorder` — wall-clock phase/span
   tracing around the experiment pipeline, exported as Chrome trace
   event JSON (loadable in Perfetto / ``chrome://tracing``).

@@ -2,7 +2,7 @@
 
 A :class:`MetricsHub` collects what the paper's analysis talks about
 but the figures never show: per-port queue depth over time, per-link
-utilisation, where drops happen and which AQM caused them.  It is
+utilisation, and where drops happen.  It is
 *sim-time* telemetry — samples are taken by callbacks riding the
 engine's own event heap (:meth:`repro.sim.engine.Engine.schedule_sample`),
 so the recorded series are a deterministic function of the simulation,
@@ -129,7 +129,7 @@ class MetricsHub:
         self.interval = interval
         self.flight = flight
         #: Monotonic event counters, e.g. ``"drops"``,
-        #: ``"drops.codel:r1->r2"``, ``"tx_bytes:h1->r1"``.
+        #: ``"drops.overflow:r1->r2"``, ``"tx_bytes:h1->r1"``.
         self.counters: dict[str, int] = {}
         #: Time series: name -> list of ``(sim_time, value)`` samples
         #: (empty for a planned port that was never sampled).
@@ -191,11 +191,11 @@ class MetricsHub:
         counters = self.counters
         counters[name] = counters.get(name, 0) + value
 
-    def drop(self, link: "Link", kind: str) -> None:
-        """One packet dropped on ``link`` (``kind``: overflow/red/codel)."""
+    def drop(self, link: "Link") -> None:
+        """One packet dropped on ``link`` by buffer overflow."""
         counters = self.counters
         counters["drops"] = counters.get("drops", 0) + 1
-        key = f"drops.{kind}:{link.src}->{link.dst}"
+        key = f"drops.overflow:{link.src}->{link.dst}"
         counters[key] = counters.get(key, 0) + 1
 
     def tx(self, link: "Link", size: int) -> None:

@@ -4,7 +4,7 @@ The paper's experiment shape is "run the same warmed-up network under many
 variants".  Record-once (:mod:`repro.core.trace_io`) deduplicated the
 *recording* half of that; this module deduplicates the *simulation* half:
 a :class:`Snapshot` captures a network mid-run — engine heap, clock,
-sequence counter, deferred decision deque, every node/port/scheduler/AQM,
+sequence counter, deferred decision deque, every node/port/scheduler,
 the tracer, and the process-global packet-id counter — so a sweep can pay
 for the shared warm-up horizon exactly once and branch each leg from the
 snapshot.
@@ -75,13 +75,14 @@ __all__ = [
 ]
 
 #: On-disk format name and version, written into every header and checked
-#: on load; bump the version when the payload encoding changes shape (5:
-#: the tracer keeps no path log; 4: the tracer is a table of columns; 3:
-#: heap entries carry ``born``, ports ``_free_at``), or the resume
+#: on load; bump the version when the payload encoding changes shape (6:
+#: ports carry no early-drop queue-manager slot; 5: the tracer keeps no
+#: path log; 4: the tracer is a table of columns; 3: heap entries carry
+#: ``born``, ports ``_free_at``), or the resume
 #: session's anchor numbering does (2: per-packet data travels by value) —
 #: another walk's index would graft onto the wrong object.
 CHECKPOINT_FORMAT = "repro-checkpoint"
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 
 #: The modules whose classes a simulation's state pickles to: the network
 #: graph, schedulers, and transports with their flows and slack policies.
@@ -94,7 +95,7 @@ CHECKPOINT_VERSION = 5
 #: snapshots.
 _STATE_MODULES = frozenset({
     "repro.core.flow", "repro.core.heuristics", "repro.core.packet",
-    "repro.sim.aqm", "repro.sim.engine", "repro.sim.link", "repro.sim.network",
+    "repro.sim.engine", "repro.sim.link", "repro.sim.network",
     "repro.sim.node", "repro.sim.port", "repro.sim.tracer",
 })
 _STATE_PACKAGES = ("repro.schedulers.", "repro.transport.")

@@ -86,13 +86,11 @@ class Network:
         bandwidth: float,
         propagation: float = 0.0,
         bidirectional: bool = True,
-        bandwidth_reverse: float | None = None,
     ) -> None:
         """Connect ``a`` and ``b``; by default both directions share parameters."""
         self._add_directed_link(a, b, bandwidth, propagation)
         if bidirectional:
-            reverse_bw = bandwidth if bandwidth_reverse is None else bandwidth_reverse
-            self._add_directed_link(b, a, reverse_bw, propagation)
+            self._add_directed_link(b, a, bandwidth, propagation)
 
     def _add_directed_link(self, u: str, v: str, bandwidth: float, propagation: float) -> None:
         if u not in self.nodes or v not in self.nodes:

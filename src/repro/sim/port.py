@@ -78,7 +78,7 @@ class Port:
     """Non-preemptive output port (the default service model)."""
 
     __slots__ = (
-        "node", "link", "scheduler", "buffer_bytes", "buffered", "aqm",
+        "node", "link", "scheduler", "buffer_bytes", "buffered",
         "_queued", "_wakeup", "_decision_pending",
         "_free_at", "_done_born", "_done_seq",
         "_receive", "_engine", "_tracer", "_obs", "_tx_per_byte", "_prop",
@@ -91,16 +91,11 @@ class Port:
         scheduler: "Scheduler",
         buffer_bytes: float = math.inf,
     ) -> None:
-        if buffer_bytes <= 0:
-            raise ConfigurationError(
-                f"port {link.src}->{link.dst}: buffer must be positive bytes or inf"
-            )
         self.node = node
         self.link = link
         self.scheduler = scheduler
-        self.buffer_bytes = buffer_bytes
+        self.set_buffer(buffer_bytes)
         self.buffered = 0
-        self.aqm = None  # optional RedAqm (see repro.sim.aqm)
         # Queue depth mirrored here: the port mediates every scheduler
         # mutation, and an int attribute beats two Python calls per len().
         self._queued = 0
@@ -152,12 +147,10 @@ class Port:
 
     def set_buffer(self, buffer_bytes: float) -> None:
         if buffer_bytes <= 0:
-            raise ConfigurationError("buffer must be positive bytes or inf")
+            raise ConfigurationError(
+                f"port {self.link.src}->{self.link.dst}: buffer must be "
+                f"positive bytes or inf")
         self.buffer_bytes = buffer_bytes
-
-    def set_aqm(self, aqm) -> None:
-        """Attach an active queue manager (early-drop decisions on arrival)."""
-        self.aqm = aqm
 
     # --- data path ----------------------------------------------------------
 
@@ -184,35 +177,11 @@ class Port:
             tracer.on_tx_start(packet, 0.0, now)
             self._peer_receive()(packet)
             return
-        aqm = self.aqm
-        if aqm is not None:
-            if idle and self._free_at != _IDLE:
-                # The last transmission ended unobserved, on an empty
-                # queue: tell the AQM when, before it ages its average.
-                aqm.on_idle(self._free_at)
-                self._free_at = _IDLE
-            if aqm.should_drop(packet, self.buffered, now):
-                if getattr(aqm, "slack_aware", False):
-                    # Early-drop the scheduler's victim (highest remaining
-                    # slack under LSTF) instead of the arrival.
-                    victim = scheduler.drop_victim(packet, now)
-                    tracer.on_drop(victim, self.node.name)
-                    if self._obs is not None:
-                        self._obs.drop(self.link, "red")
-                    if victim is packet:
-                        return
-                    self.buffered -= victim.size
-                    self._queued -= 1
-                else:
-                    tracer.on_drop(packet, self.node.name)
-                    if self._obs is not None:
-                        self._obs.drop(self.link, "red")
-                    return
         while self.buffered + packet.size > self.buffer_bytes:
             victim = scheduler.drop_victim(packet, now)
             tracer.on_drop(victim, self.node.name)
             if self._obs is not None:
-                self._obs.drop(self.link, "overflow")
+                self._obs.drop(self.link)
             if victim is packet:
                 return
             self.buffered -= victim.size
@@ -269,17 +238,6 @@ class Port:
             self._queued -= 1
             self.buffered -= packet.size
             wait = now - packet.enqueue_time
-            aqm = self.aqm
-            if (
-                aqm is not None
-                and getattr(aqm, "dequeue_side", False)
-                and aqm.on_dequeue(packet, wait, now)
-            ):
-                # Dequeue-side AQM (CoDel): head drop, try the next packet.
-                tracer.on_drop(packet, self.node.name)
-                if self._obs is not None:
-                    self._obs.drop(self.link, "codel")
-                continue
             packet.queue_wait += wait
             tracer.on_tx_start(packet, wait, now)
             if self._obs is not None:
@@ -377,8 +335,6 @@ class PreemptivePort(Port):
                  "_serve_start", "_done_handle")
 
     def __init__(self, node, link, scheduler, buffer_bytes: float = math.inf) -> None:
-        if not math.isinf(buffer_bytes):
-            raise ConfigurationError("PreemptivePort does not support finite buffers")
         super().__init__(node, link, scheduler, buffer_bytes)
         self._heap: list[tuple[float, int, "Packet"]] = []
         self._seq = 0
@@ -387,6 +343,12 @@ class PreemptivePort(Port):
         self._current_key = math.inf
         self._serve_start = 0.0
         self._done_handle = None
+
+    def set_buffer(self, buffer_bytes: float) -> None:
+        """Finite buffers are refused here, at construction and after."""
+        if buffer_bytes != math.inf:
+            raise ConfigurationError("PreemptivePort does not support finite buffers")
+        self.buffer_bytes = buffer_bytes
 
     # --- data path ------------------------------------------------------------
 

@@ -33,8 +33,8 @@ read after ``Network.run``).  A plain unpickle would produce a *clone*
 graph, leaving every driver-held reference pointing at stale objects.
 Snapshots are therefore *anchor-pickled*: at phase entry the session
 deterministically enumerates the run's stateful *skeleton* — network,
-engine, tracer, nodes, ports, links, schedulers, AQMs, transport agents
-and their stats (:func:`_anchor_walk` — the same walk on every attempt,
+engine, tracer, nodes, ports, links, schedulers, transport agents and
+their stats (:func:`_anchor_walk` — the same walk on every attempt,
 because phase-entry state is part of the byte-identity contract), and
 the pickler reduces each anchored object to ``(anchor index, captured
 state)``.  The retry runs the same walk over *its* freshly built graph,

@@ -85,8 +85,3 @@ def packets_for(flow_bytes: int, mtu: int = MTU) -> int:
     if flow_bytes <= 0:
         return 1
     return -(-flow_bytes // mtu)  # ceil division
-
-
-def almost_leq(a: float, b: float, eps: float = TIME_EPSILON) -> bool:
-    """``a <= b`` with a float guard band (replay condition o'(p) <= o(p))."""
-    return a <= b + eps

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.core.store import CLEAN, RunContext, run_context
 from repro.obs import MetricsHub
+from repro.schedulers import LstfScheduler, make_scheduler
 from repro.sim.network import Network
 from repro.units import MBPS
 from tests.conftest import make_packet
@@ -99,6 +102,67 @@ def test_counters_and_series_populate_during_a_run():
     assert max(v for _, v in points) >= 1  # the 8 Mbps hop queues
     util = hub.series_points("link_util:SW->b")
     assert util and all(0.0 <= v <= 1.0 for _, v in util)
+
+
+def _drop_counters(hub: MetricsHub) -> dict[str, int]:
+    return {k: v for k, v in hub.counters.items() if k.startswith("drops")}
+
+
+def test_a_dropless_run_counts_no_drops():
+    assert _drop_counters(_run_traffic(MetricsHub())) == {}
+
+
+def test_a_tail_drop_counts_once_on_the_overflowing_link():
+    hub = MetricsHub()
+    with RunContext(hub=hub).entered():
+        net = _net()
+        net.nodes["SW"].ports["b"].set_buffer(2500)
+        for _ in range(4):  # one on the wire, two queued, one overflows
+            net.inject_at(0.0, make_packet())
+        net.run()
+    assert net.tracer.drops == 1
+    assert _drop_counters(hub) == {"drops": 1, "drops.overflow:SW->b": 1}
+
+
+def test_each_evicted_queued_packet_counts_as_one_drop():
+    hub = MetricsHub()
+    with RunContext(hub=hub).entered():
+        net = _net()
+        port = net.nodes["SW"].ports["b"]
+        port.set_scheduler(LstfScheduler())
+        port.set_buffer(2500)
+        net.inject_at(0.0, make_packet(slack=0.0))
+        for _ in range(2):
+            net.inject_at(0.0, make_packet(slack=9.0))
+        # Needs 2 000 bytes: LSTF evicts both lax packets to admit it.
+        net.inject_at(0.0, make_packet(size=2000, slack=0.0))
+        net.run()
+    assert net.tracer.drops == 2
+    assert _drop_counters(hub) == {"drops": 2, "drops.overflow:SW->b": 2}
+
+
+@pytest.mark.parametrize("name", ["fifo", "lstf"])
+def test_drop_counters_match_the_tracer_per_link_under_sustained_overflow(name):
+    """Two bottlenecks behind one switch: each overflowing link keeps its
+    own counter, and together they account for every traced drop."""
+    rng = random.Random(3)
+    hub = MetricsHub()
+    with RunContext(hub=hub).entered():
+        net = _net()
+        net.add_host("c")
+        net.add_link("SW", "c", 8 * MBPS, 0.0)
+        net.install_uniform(lambda: make_scheduler(name))
+        net.set_buffers(3000, node_filter=lambda node: node.name == "SW")
+        for k in range(60):
+            net.inject_at(0.0002 * k, make_packet(
+                dst="bc"[k % 2], size=rng.choice((500, 1000, 1500)),
+                slack=rng.uniform(0.0, 0.01)))
+        net.run()
+    counters = _drop_counters(hub)
+    per_link = [counters.get(f"drops.overflow:SW->{dst}", 0) for dst in "bc"]
+    assert all(per_link), counters
+    assert set(counters) == {"drops", "drops.overflow:SW->b", "drops.overflow:SW->c"}
+    assert counters["drops"] == sum(per_link) == net.tracer.drops
 
 
 def test_summary_is_deterministic_across_runs():

@@ -38,13 +38,6 @@ class ReferencePort(Port):
             self._queued -= 1
             self.buffered -= packet.size
             wait = now - packet.enqueue_time
-            aqm = self.aqm
-            if (aqm is not None and getattr(aqm, "dequeue_side", False)
-                    and aqm.on_dequeue(packet, wait, now)):
-                self._tracer.on_drop(packet, self.node.name)
-                if self._obs is not None:
-                    self._obs.drop(self.link, "codel")
-                continue
             packet.queue_wait += wait
             self._tracer.on_tx_start(packet, wait, now)
             if self._obs is not None:
@@ -65,20 +58,17 @@ class ReferencePort(Port):
             self._engine.schedule(self._prop, self._peer_receive(), packet)
         if self._queued:
             self._request_decision()
-        elif self.aqm is not None:
-            self.aqm.on_idle(self._engine.now)
 
 
 def use_reference_ports(network: Network) -> Network:
     """Swap every port of an idle ``network`` for a :class:`ReferencePort`
-    (same link, scheduler, buffer and AQM).  Call before injecting."""
+    (same link, scheduler and buffer).  Call before injecting."""
     for name in sorted(network.nodes):
         node = network.nodes[name]
         for peer, port in sorted(node.ports.items()):
             assert type(port) is Port and not port.busy and not port._queued
             port.scheduler._port = None  # schedulers bind once; rebind here
-            twin = ReferencePort(node, port.link, port.scheduler, port.buffer_bytes)
-            twin.aqm = port.aqm
-            node.ports[peer] = twin
+            node.ports[peer] = ReferencePort(node, port.link, port.scheduler,
+                                             port.buffer_bytes)
         node.invalidate_route_cache()
     return network

@@ -27,10 +27,12 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.core.packet import packet_id_counter, set_packet_id_counter
+from repro.core.packet import (packet_id_counter, reset_packet_ids,
+                               set_packet_id_counter)
 from repro.core.store import ContentStore
 from repro.errors import CheckpointError
 from repro.obs.hub import MetricsHub
+from repro.schedulers import LstfScheduler
 from repro.sim.checkpoint import (
     _STATE_MODULES,
     CHECKPOINT_VERSION,
@@ -50,6 +52,7 @@ from repro.sim.engine import ENGINE_PERF, Engine
 from repro.sim.network import Network
 from repro.sim.tracer import Tracer, group_log
 from repro.units import MBPS
+from tests.conftest import make_packet
 from tests.sim.reference_tracer import records
 from tests.store_contract import StoreContract
 
@@ -179,6 +182,53 @@ class TestSnapshotRoundTrip:
         a = [(r.pid, r.exit) for r in records(net.tracer).values()]
         b = [(r.pid, r.exit) for r in records(restored.tracer).values()]
         assert a == b
+
+    def test_a_finite_buffer_run_resumes_mid_overflow_with_the_same_drops(
+            self, tmp_path):
+        def build():
+            reset_packet_ids()
+            net = Network()
+            net.add_host("a")
+            net.add_host("b")
+            net.add_router("SW")
+            net.add_link("a", "SW", 8000 * MBPS, 0.0)
+            net.add_link("SW", "b", 8 * MBPS, 0.0)
+            net.install_uniform(LstfScheduler)
+            net.set_buffers(2500)
+            for k in range(12):
+                net.inject_at(0.0005 * (k // 4), make_packet(slack=float(k % 5)))
+            return net
+
+        def outcome(net):
+            return {pid: (r.dropped_at, r.exit)
+                    for pid, r in records(net.tracer).items()}
+
+        straight = build()
+        straight.run()
+        net = build()
+        net.run(until=0.0006)
+        assert net.nodes["SW"].ports["b"].buffered == 2000  # the queue is full
+        path = tmp_path / "full.ckpt"
+        save_checkpoint(snapshot_network(net), path)
+        restored = restore_snapshot(load_checkpoint(path))
+        restored.run()
+        assert straight.tracer.drops > 0
+        assert outcome(restored) == outcome(straight)
+
+    def test_what_a_port_pickles_is_pinned_to_the_checkpoint_version(self):
+        """A port's pickled shape is part of the checkpoint format: adding
+        or removing a slot must come with a ``CHECKPOINT_VERSION`` bump
+        (6: ports carry no AQM slot), and then an update of this pin."""
+        port = _tiny_network().nodes["a"].ports["b"]
+        _dict, slots = port.__getstate__()
+        assert CHECKPOINT_VERSION == 6
+        assert sorted(slots) == sorted((
+            "node", "link", "scheduler", "buffer_bytes", "buffered",
+            "_queued", "_wakeup", "_decision_pending",
+            "_free_at", "_done_born", "_done_seq",
+            "_receive", "_engine", "_tracer", "_obs", "_tx_per_byte", "_prop",
+        ))
+        assert slots["_obs"] is None
 
     def test_restore_reinstalls_packet_counter(self):
         net = _tiny_network()
@@ -379,8 +429,13 @@ class TestCheckpointStore(StoreContract):
     def test_version_4_entry_reads_as_a_miss_and_is_rebuilt(self, tmp_path):
         """Nor one whose table still carries the path log (v4); version 5
         pickles a tracer without it, since a packet's path is its route."""
-        assert CHECKPOINT_VERSION == 5
         self._relabelled_entry_is_a_miss_and_heals(tmp_path, 4)
+
+    def test_version_5_entry_reads_as_a_miss_and_is_rebuilt(self, tmp_path):
+        """Nor one whose ports still carry an AQM slot (v5); version 6
+        pickles ports without it."""
+        assert CHECKPOINT_VERSION == 6
+        self._relabelled_entry_is_a_miss_and_heals(tmp_path, 5)
 
     @pytest.mark.parametrize("via", ["os.system", "ContentStore"])
     def test_a_payload_naming_a_foreign_global_is_a_miss_and_heals(

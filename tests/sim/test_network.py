@@ -56,13 +56,23 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             net.add_link("a", "b", GBPS)
 
-    def test_asymmetric_bandwidth(self):
+    def test_both_directions_share_bandwidth_and_propagation(self):
         net = Network()
         net.add_host("a")
         net.add_host("b")
-        net.add_link("a", "b", GBPS, bandwidth_reverse=100 * MBPS)
-        assert net.links[("a", "b")].bandwidth == GBPS
-        assert net.links[("b", "a")].bandwidth == 100 * MBPS
+        net.add_link("a", "b", GBPS, 0.002)
+        for u, v in (("a", "b"), ("b", "a")):
+            link = net.links[(u, v)]
+            assert (link.bandwidth, link.propagation) == (GBPS, 0.002)
+            assert net.nodes[u].ports[v].link is link
+
+    def test_unidirectional_link_has_no_reverse_port(self):
+        net = Network()
+        net.add_host("a")
+        net.add_host("b")
+        net.add_link("a", "b", GBPS, bidirectional=False)
+        assert list(net.links) == [("a", "b")]
+        assert "a" not in net.nodes["b"].ports
 
     def test_host_accessor_type_checks(self):
         net = Network()
@@ -158,3 +168,11 @@ class TestInstallation:
         net.set_buffers(5000, node_filter=lambda n: isinstance(n, Router))
         assert net.nodes["A"].ports["N"].buffer_bytes == 5000
         assert net.nodes["ha"].ports["A"].buffer_bytes == float("inf")
+
+    def test_set_buffers_without_filter_bounds_every_port(self):
+        net = _diamond()
+        net.set_buffers(5000)
+        assert {port.buffer_bytes for node in net.nodes.values()
+                for port in node.ports.values()} == {5000}
+        with pytest.raises(ConfigurationError):
+            net.set_buffers(0)

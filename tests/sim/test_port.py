@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ConfigurationError
-from repro.schedulers import FifoScheduler, LstfScheduler, TimetableScheduler
+from repro.errors import ConfigurationError, SchedulerError
+from repro.schedulers import (FifoScheduler, LstfScheduler, Scheduler,
+                              TimetableScheduler, make_scheduler)
 from repro.sim.network import Network
 from repro.units import MBPS
 from tests.conftest import make_packet
@@ -87,6 +88,87 @@ def test_lstf_drop_victim_is_highest_slack():
     lax_rec = records(net.tracer)[lax.pid]
     assert lax_rec.dropped_at == "SW"
     assert all(records(net.tracer)[p.pid].delivered for p in urgent)
+
+
+#: Registry schedulers that keep the base ``drop_victim``: on overflow the
+#: arrival itself is the victim.  (``omniscient`` needs recorded per-hop
+#: timetables, ``lstf`` and ``lstf-pheap`` are covered on their own.)
+TAIL_DROP = ("drr", "edf", "fifo", "fifo+", "fq", "lifo", "priority",
+             "random", "sjf", "srpt")
+
+
+@pytest.mark.parametrize("name", TAIL_DROP)
+def test_tail_drop_discards_the_arrival_under(name):
+    """The host feeds SW in injection order, 1 us apart: the first packet
+    takes the wire, two fill the 2 500-byte buffer, the fourth overflows."""
+    net = _simple_net()
+    port = net.nodes["SW"].ports["b"]
+    port.set_scheduler(make_scheduler(name))
+    port.set_buffer(2500)
+    assert type(port.scheduler).drop_victim is Scheduler.drop_victim
+    packets = [make_packet() for _ in range(4)]
+    for p in packets:
+        net.inject_at(0.0, p)
+    net.engine.run(until=0.0001)  # all four have reached SW
+    assert port.buffered == 2000
+    assert port._queued == len(port.scheduler) == 2
+    net.run()
+    dropped = [p.pid for p in packets if records(net.tracer)[p.pid].dropped_at]
+    assert dropped == [packets[3].pid]
+    assert records(net.tracer)[packets[3].pid].dropped_at == "SW"
+    assert net.tracer.delivered_count() == 3
+    assert port.buffered == 0 and port._queued == 0
+
+
+def test_pheap_lstf_refuses_to_pick_a_drop_victim():
+    net = _simple_net()
+    port = net.nodes["SW"].ports["b"]
+    port.set_scheduler(make_scheduler("lstf-pheap"))
+    port.set_buffer(2500)
+    for _ in range(4):
+        net.inject_at(0.0, make_packet())
+    with pytest.raises(SchedulerError):
+        net.run()
+
+
+def test_lstf_arrival_evicts_as_many_queued_packets_as_it_needs():
+    """A 2 000-byte urgent arrival finds two 1 000-byte lax packets filling
+    a 2 500-byte buffer: both are evicted, one per pass of the drop loop."""
+    net = _simple_net()
+    port = net.nodes["SW"].ports["b"]
+    port.set_scheduler(LstfScheduler())
+    port.set_buffer(2500)
+    head = make_packet(slack=0.0)
+    lax = [make_packet(slack=9.0) for _ in range(2)]
+    urgent = make_packet(size=2000, slack=0.0)
+    for p in (head, *lax, urgent):
+        net.inject_at(0.0, p)
+    net.engine.run(until=0.0001)
+    assert port.buffered == 2000
+    assert port._queued == len(port.scheduler) == 1
+    net.run()
+    recs = records(net.tracer)
+    assert [recs[p.pid].dropped_at for p in lax] == ["SW", "SW"]
+    assert recs[head.pid].delivered and recs[urgent.pid].delivered
+    assert net.tracer.drops == 2
+    assert port.buffered == 0 and port._queued == 0
+
+
+def test_lstf_drops_an_arrival_laxer_than_everything_queued():
+    net = _simple_net()
+    port = net.nodes["SW"].ports["b"]
+    port.set_scheduler(LstfScheduler())
+    port.set_buffer(2500)
+    urgent = [make_packet(slack=0.0) for _ in range(3)]
+    lax = make_packet(slack=99.0)
+    for p in (*urgent, lax):
+        net.inject_at(0.0, p)
+    net.engine.run(until=0.0001)
+    assert port.buffered == 2000 and port._queued == 2
+    net.run()
+    recs = records(net.tracer)
+    assert recs[lax.pid].dropped_at == "SW"
+    assert all(recs[p.pid].delivered for p in urgent)
 
 
 def test_buffer_rejects_nonpositive():
@@ -223,38 +305,6 @@ def test_busy_is_a_read_only_comparison_against_the_clock():
     assert not port.busy
     with pytest.raises(AttributeError):
         port.busy = True
-
-
-def test_aqm_learns_the_idle_instant_not_the_next_arrival_time():
-    """RED ages its average over the *idle* period.  With no completion
-    event to tell it, the port reports ``_free_at`` on the next arrival —
-    once — and never the arrival's own time."""
-
-    class Spy:
-        def __init__(self):
-            self.idle_calls: list[float] = []
-            self.arrivals: list[float] = []
-
-        def on_idle(self, now):
-            self.idle_calls.append(now)
-
-        def should_drop(self, packet, queue_bytes, now):
-            self.arrivals.append(now)
-            return len(self.arrivals) == 2  # drop the second arrival
-
-    net = _simple_net()
-    port = net.nodes["SW"].ports["b"]
-    spy = Spy()
-    port.set_aqm(spy)
-    for at in (0.0, 0.010, 0.020):
-        net.inject_at(at, make_packet())
-    net.run()
-    t_done = 1e-6 + 0.001  # host hop + 1 ms at the bottleneck
-    assert spy.arrivals == pytest.approx([1e-6, 0.010 + 1e-6, 0.020 + 1e-6])
-    # Reported at the second arrival, stamped when the wire went idle;
-    # the third arrival follows a *dropped* one — nothing was sent in
-    # between, so there is no new idle instant to report.
-    assert spy.idle_calls == pytest.approx([t_done])
 
 
 def test_tail_delivery_decides_at_once_only_when_nothing_else_is_due(monkeypatch):

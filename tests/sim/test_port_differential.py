@@ -6,7 +6,7 @@ injections on a half-millisecond grid, bursts at one instant), runs each
 scenario once on :class:`~repro.sim.port.Port` and once on
 :class:`tests.sim.reference_port.ReferencePort`, and demands the same
 per-packet ``(path, i(p), o(p), hop_tx, hop_waits, dropped_at)`` and the
-same final state of every RNG.  The ``random`` scheduler shares *one* RNG
+same final state of its RNG.  The ``random`` scheduler shares *one* RNG
 across all ports, so a single swapped pair of same-instant decisions
 anywhere desynchronises everything after it.
 
@@ -20,12 +20,11 @@ import math
 import os
 import random
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.packet import Packet, reset_packet_ids
 from repro.schedulers import TimetableScheduler, make_scheduler, scheduler_names
-from repro.sim.aqm import CoDelAqm, RedAqm
 from repro.sim.network import Network
 from repro.units import MBPS
 from tests.sim.reference_port import use_reference_ports
@@ -82,12 +81,28 @@ def scenarios(draw):
         "routers": n_routers, "hosts": n_hosts, "links": links,
         "packets": packets, "scheduler": scheduler,
         "buffer": math.inf if exact else draw(st.sampled_from((math.inf, 2500, 4000))),
-        "aqm": None if exact else draw(st.sampled_from((None, "red", "red-slack", "codel"))),
     }
 
 
+def _burst(src, dst, at, count, slack):
+    return [{"src": src, "dst": dst, "at": at, "slack": slack, "priority": 0,
+             "flow_size": SIZE, "hold": 0.0} for _ in range(count)]
+
+
+#: LSTF's ``drop_victim`` evicting a *queued* packet: one packet holds the
+#: 2 ms wire, two high-slack packets fill the 2 500-byte buffer, and a
+#: zero-slack arrival lands on the full queue while the wire is still busy.
+DROP_QUEUED_VICTIM = {
+    "routers": 0, "hosts": 2, "links": [("h0", "h1", 4 * MBPS, 0.001)],
+    "packets": (_burst("h0", "h1", 0.0, 1, 6 * GRID)
+                + _burst("h0", "h1", GRID, 2, 6 * GRID)
+                + _burst("h0", "h1", 2 * GRID, 1, 0.0)),
+    "scheduler": "lstf", "buffer": 2500,
+}
+
+
 def _run(scenario, reference: bool, hop_times=None):
-    """Build and run one stack; its per-packet trace and final RNG states."""
+    """Build and run one stack; its per-packet trace and final RNG state."""
     reset_packet_ids()
     net = Network()
     for h in range(scenario["hosts"]):
@@ -107,7 +122,7 @@ def _run(scenario, reference: bool, hop_times=None):
         if hop_times is not None:
             packet.hop_times = hop_times[packet.pid]
         packets.append((packet, spec))
-    rngs = [random.Random(7)]  # one RNG shared by every `random` port
+    rng = random.Random(7)  # one RNG shared by every `random` port
     name = scenario["scheduler"]
     if name == "timetable":
         # Non-work-conserving first hops: each host releases a packet
@@ -118,20 +133,10 @@ def _run(scenario, reference: bool, hop_times=None):
             for port in net.nodes[f"h{h}"].ports.values():
                 port.set_scheduler(TimetableScheduler(table))
     elif name == "random":
-        net.install_uniform(lambda: make_scheduler("random", rng=rngs[0]))
+        net.install_uniform(lambda: make_scheduler("random", rng=rng))
     else:
         net.install_uniform(lambda: make_scheduler(name))
     net.set_buffers(scenario["buffer"])
-    for index, node in enumerate(sorted(net.nodes)):
-        for peer, port in sorted(net.nodes[node].ports.items()):
-            if scenario["aqm"] in ("red", "red-slack"):
-                rngs.append(random.Random(index))
-                port.set_aqm(RedAqm(
-                    500, 2500, max_probability=0.5, weight=0.5, rng=rngs[-1],
-                    idle_bandwidth=port.link.bandwidth,
-                    slack_aware=scenario["aqm"] == "red-slack"))
-            elif scenario["aqm"] == "codel":
-                port.set_aqm(CoDelAqm(target=0.001, interval=0.002))
     if reference:
         use_reference_ports(net)
     for packet, spec in packets:
@@ -142,12 +147,13 @@ def _run(scenario, reference: bool, hop_times=None):
               tuple(r.hop_waits), r.dropped_at)
         for pid, r in records(net.tracer).items()
     }
-    return trace, [rng.getstate() for rng in rngs], net
+    return trace, rng.getstate(), net
 
 
 @settings(max_examples=120 * SCALE, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 @given(scenario=scenarios())
+@example(scenario=DROP_QUEUED_VICTIM)
 def test_fused_port_is_indistinguishable_from_the_two_event_port(scenario):
     hop_times = None
     if scenario["scheduler"] == "omniscient":
@@ -155,10 +161,10 @@ def test_fused_port_is_indistinguishable_from_the_two_event_port(scenario):
         # same scenario (on the reference stack).
         recorded, _, _ = _run({**scenario, "scheduler": "fifo"}, reference=True)
         hop_times = {pid: rec[3] for pid, rec in recorded.items()}
-    want, want_rngs, ref_net = _run(scenario, reference=True, hop_times=hop_times)
-    got, got_rngs, net = _run(scenario, reference=False, hop_times=hop_times)
+    want, want_rng, ref_net = _run(scenario, reference=True, hop_times=hop_times)
+    got, got_rng, net = _run(scenario, reference=False, hop_times=hop_times)
     assert got == want
-    assert got_rngs == want_rngs
+    assert got_rng == want_rng
     # A hop is one event or two where it used to be exactly two — except
     # over a zero-propagation link, where the old completion delivered
     # in the same event and a contended hop is now one event dearer.

@@ -87,6 +87,15 @@ def test_preemptive_port_rejects_finite_buffers():
         PreemptivePort(node, link, LstfScheduler(), buffer_bytes=1000)
 
 
+def test_preemptive_ports_refuse_finite_buffers_set_afterwards():
+    net = _preemptive_net()
+    net.set_buffers(float("inf"))
+    with pytest.raises(ConfigurationError):
+        net.set_buffers(3000)
+    assert all(port.buffer_bytes == float("inf")
+               for node in net.nodes.values() for port in node.ports.values())
+
+
 def test_preemptive_port_requires_preemption_keys():
     net = Network()
     net.add_host("a")

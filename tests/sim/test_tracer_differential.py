@@ -6,8 +6,8 @@ Hypothesis draws small networks and runs each twice, once traced by
 :class:`tests.sim.reference_tracer.ReferenceTracer` (one record object per
 packet), and demands the same per-packet ``(pid, flow_id, size, src, dst,
 created, exit, hop_tx, hop_waits, dropped_at)``.  The draws cover what
-moves a packet's story off the happy path: finite buffers and AQMs that
-drop, preemptive ports, TCP with its ACKs and retransmissions, the tracer
+moves a packet's story off the happy path: finite buffers that drop,
+preemptive ports, TCP with its ACKs and retransmissions, the tracer
 switched off and on again mid-run, and — on the columnar side only — a
 checkpoint written and restored mid-run, whose table must carry on as if
 nothing happened.
@@ -34,7 +34,6 @@ from hypothesis import strategies as st
 from repro.core.flow import Flow
 from repro.core.packet import Packet, reset_packet_ids
 from repro.schedulers import make_scheduler
-from repro.sim.aqm import CoDelAqm, RedAqm
 from repro.sim.checkpoint import (
     restore_snapshot,
     snapshot_from_bytes,
@@ -97,7 +96,6 @@ def cases(draw):
         "bursts": bursts, "tcp": tcp, "scheduler": scheduler,
         "preemptive": preemptive,
         "buffer": draw(st.sampled_from((2500, 4000))) if finite else math.inf,
-        "aqm": None if preemptive else draw(st.sampled_from((None, "red", "codel"))),
         # At each stop the tracer flips on/off, or (columnar side only)
         # the network goes through a checkpoint and the run continues on
         # the restored copy.
@@ -124,14 +122,6 @@ def _run(case, tracer) -> Network:
     else:
         net.install_uniform(make)
         net.set_buffers(case["buffer"])
-    for index, node in enumerate(sorted(net.nodes)):
-        for _peer, port in sorted(net.nodes[node].ports.items()):
-            if case["aqm"] == "red":
-                port.set_aqm(RedAqm(500, 2500, max_probability=0.5, weight=0.5,
-                                    rng=random.Random(index),
-                                    idle_bandwidth=port.link.bandwidth))
-            elif case["aqm"] == "codel":
-                port.set_aqm(CoDelAqm(target=0.001, interval=0.002))
     for src, dst, at, count, slack, priority in case["bursts"]:
         for _ in range(count):
             packet = Packet(flow_id=int(src[1:]), size=SIZE, src=src, dst=dst,

@@ -9,8 +9,6 @@ import pytest
 from repro import errors
 from repro.units import (
     MTU,
-    TIME_EPSILON,
-    almost_leq,
     bits,
     packets_for,
     tx_time,
@@ -54,17 +52,6 @@ class TestPacketsFor:
 
     def test_custom_mtu(self):
         assert packets_for(2500, mtu=1000) == 3
-
-
-class TestAlmostLeq:
-    def test_within_epsilon(self):
-        assert almost_leq(1.0 + TIME_EPSILON / 2, 1.0)
-
-    def test_beyond_epsilon(self):
-        assert not almost_leq(1.0 + 10 * TIME_EPSILON, 1.0)
-
-    def test_strictly_less(self):
-        assert almost_leq(0.5, 1.0)
 
 
 class TestErrorHierarchy:

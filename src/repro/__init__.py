@@ -100,11 +100,7 @@ from repro.core.replay import (
     record_schedule,
     replay_schedule,
 )
-from repro.core.trace_io import (
-    ScheduleStore,
-    load_schedule,
-    save_schedule,
-)
+from repro.core.trace_io import ScheduleStore
 from repro.errors import (
     CheckpointError,
     ConfigurationError,
@@ -146,9 +142,7 @@ from repro.schedulers.pheap import PHeap, PHeapLstfScheduler
 from repro.sim.checkpoint import (
     CheckpointStore,
     Snapshot,
-    load_checkpoint,
     restore_snapshot,
-    save_checkpoint,
     snapshot_network,
 )
 from repro.sim.engine import Engine
@@ -248,8 +242,6 @@ __all__ = [
     "install_udp_flows",
     "internet_distribution",
     "load_artifact",
-    "load_checkpoint",
-    "load_schedule",
     "long_lived_flows",
     "make_distribution",
     "make_scheduler",
@@ -262,8 +254,6 @@ __all__ = [
     "restore_snapshot",
     "run",
     "run_many",
-    "save_checkpoint",
-    "save_schedule",
     "scenario_flows",
     "scenario_names",
     "scheduler_names",

@@ -33,13 +33,21 @@ from typing import Any, Mapping
 from repro.analysis.tables import Table
 from repro.api.spec import ExperimentSpec
 from repro.core.store import atomic_write
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, require_fields
 
 __all__ = ["RunArtifact", "load_artifact", "spec_run_id"]
 
 #: 2: ``metadata["engine_events"]`` counts one event per uncontended hop;
 #: an artifact a two-events-per-hop build cached reads as a miss.
 _ARTIFACT_VERSION = 2
+
+#: The JSON kind of every field :meth:`RunArtifact.from_dict` reads.
+_FIELD_KINDS = {
+    "version": "integer", "spec": "object", "title": "string",
+    "headers": "array of string", "rows": "array of array",
+    "metadata": "object", "timings": "object", "obs": "object or null",
+}
+_TIMING_KINDS = {"wall_time_s": "number", "events_per_sec": "number"}
 
 
 def spec_run_id(spec: ExperimentSpec) -> str:
@@ -124,14 +132,18 @@ class RunArtifact:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "RunArtifact":
-        """Rebuild an artifact from :meth:`to_dict` output (or a saved file)."""
+        """Rebuild an artifact from :meth:`to_dict` output (or a saved file);
+        a malformed document raises :class:`ConfigurationError`."""
+        data = require_fields("artifact", data, _FIELD_KINDS,
+                              required=("spec", "headers", "rows"))
         version = data.get("version", _ARTIFACT_VERSION)
         if version != _ARTIFACT_VERSION:
             raise ConfigurationError(
                 f"artifact version {version!r} not supported "
                 f"(expected {_ARTIFACT_VERSION})"
             )
-        timings = data.get("timings", {})
+        timings = require_fields("artifact timings", data.get("timings", {}),
+                                 _TIMING_KINDS, required=())
         return cls(
             spec=ExperimentSpec.from_dict(data["spec"]),
             title=data.get("title", ""),

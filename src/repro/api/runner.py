@@ -100,7 +100,7 @@ def cached_artifact(spec: ExperimentSpec, out_dir: str | Path) -> RunArtifact | 
         return None
     try:
         artifact = load_artifact(path)
-    except (OSError, ValueError, TypeError, KeyError, ConfigurationError):
+    except (OSError, ValueError, ConfigurationError):
         return None  # unreadable/foreign file: fall through to a fresh run
     if artifact.spec != spec:
         return None

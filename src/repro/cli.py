@@ -54,12 +54,12 @@ spec's run-id: re-running the same spec answers from the saved artifact
 recorded schedules the same way.
 
 Three maintenance verbs round out the surface: ``repro record EXPERIMENT
---out PATH`` exports a record-once experiment's recorded schedule(s) as
-standalone hash-verified trace files (:mod:`repro.core.trace_io`
-format), ``repro checkpoint EXPERIMENT --at T --out PATH`` exports a
-branchable experiment's warm-up checkpoint(s) in the
-:mod:`repro.sim.checkpoint` format (the same files ``repro run --branch-from
-DIR`` restores sweeps from; see ``docs/checkpointing.md``), and ``repro
+--out DIR`` records a record-once experiment's original schedule(s) into
+the schedule store at ``DIR`` (what ``repro run --out D`` reads from
+``D/schedules``), ``repro checkpoint EXPERIMENT --at T --out DIR``
+simulates a branchable experiment's warm-up(s) into the checkpoint store
+at ``DIR`` (what ``repro run --branch-from DIR`` restores sweeps from;
+see ``docs/checkpointing.md``), and ``repro
 lint [PATHS]`` runs the determinism/concurrency analyzer of
 :mod:`repro.lintkit` (rule catalogue: ``docs/determinism.md``).
 """
@@ -75,6 +75,7 @@ from typing import Sequence
 
 from repro.analysis.tables import Table
 from repro.api import REGISTRY, ExperimentSpec, run_many, spec_run_id
+from repro.api.runner import STORE_KINDS
 from repro.cluster.worker import DEFAULT_BATCH_SIZE
 from repro.errors import ConfigurationError, ReproError
 
@@ -397,13 +398,15 @@ def _cmd_tail(args: argparse.Namespace) -> int:
     from repro.cluster import JobQueue
     from repro.obs.events import follow_events, format_event, read_events
 
+    if args.lines < 0:
+        raise ConfigurationError(f"--lines must be >= 0, got {args.lines}")
     JobQueue(args.queue, create=False)  # typo'd path -> clean error
     printed = 0
     for event in read_events(args.queue, limit=args.lines):
         print(format_event(event))
         printed += 1
     if args.once:
-        if not printed:
+        if not printed and args.lines:
             # A queue that exists but has not logged yet (no events.jsonl,
             # or an empty one) is not an error — say so instead of exiting
             # in silence that looks like a crash.
@@ -538,14 +541,13 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _export_prerequisites(
-    args: argparse.Namespace, kind: str, noun: str, suffixes: tuple[str, ...],
-    save, load, detail, refusal: str, narrow: str,
+    args: argparse.Namespace, kind: str, noun: str, refusal: str,
 ) -> int:
     """``repro record`` / ``repro checkpoint``: build each ``kind`` entry
-    the legs' ``prerequisites`` declare, ``save`` it and re-``load`` it
-    (hash-verified) before reporting.  ``--out`` is one file when its
-    suffix is in ``suffixes``, else a directory of ``<key><suffixes[0]>``
-    files; ``refusal`` is the error when no ``kind`` entries are declared.
+    the legs' ``prerequisites`` declare into the ``kind`` store at
+    ``--out`` — the directory a run reads that kind from, so a second
+    export (or the run) answers from it.  ``refusal`` is the error when
+    no ``kind`` entries are declared.
     """
     entry, legs = _legs(args.experiment, args)
     hook = entry.prerequisites
@@ -559,72 +561,46 @@ def _export_prerequisites(
         raise ConfigurationError(f"spec for {entry.name!r} yields no "
                                  f"{noun}s (empty sweep?)")
     out = Path(args.out)
-    single_file = out.suffix in suffixes
-    if single_file and len(builders) > 1:
-        raise ConfigurationError(
-            f"spec yields {len(builders)} {noun}s but --out {args.out} "
-            f"names a single file; pass a directory, or narrow the spec "
-            f"({narrow})"
-        )
-    if not single_file:
-        out.mkdir(parents=True, exist_ok=True)
+    if out.exists() and not out.is_dir():
+        raise ConfigurationError(f"--out {out} is a file; pass the store "
+                                 f"directory to build the {noun}s into")
+    store = STORE_KINDS[kind][1](out)
     for key in sorted(builders):
-        value = builders[key]()
-        path = out if single_file else out / f"{key}{suffixes[0]}"
-        save(value, path)
-        load(path)  # verify the round trip before reporting
-        print(f"wrote {path} ({key}: {detail(value)})", file=sys.stderr)
+        verb = "cached" if store.readable(key) else "wrote"
+        store.get_or_build(key, builders[key])
+        print(f"{verb} {store.path(key)}", file=sys.stderr)
     print(json.dumps({"experiment": entry.name, f"{noun}s": sorted(builders),
                       "out": str(out)}))
     return 0
 
 
 def _cmd_record(args: argparse.Namespace) -> int:
-    """Export an experiment's recorded schedule(s) as standalone traces.
-
-    The written files are the hash-verified format of
-    :mod:`repro.core.trace_io`: ``repro record table1 --out trace.json``
-    then ``load_schedule("trace.json")`` anywhere, with no queue, store,
-    or registry in sight.
-    """
-    from repro.core.trace_io import load_schedule, save_schedule
-
+    """Record an experiment's original schedule(s) into a schedule store:
+    ``repro record table1 --out D/schedules`` warms ``repro run table1
+    --out D``."""
     return _export_prerequisites(
-        args, "schedule", "recording", (".json", ".gz"),
-        save_schedule, load_schedule,
-        detail=lambda schedule: f"{len(schedule)} packet record(s)",
+        args, "schedule", "recording",
         refusal="experiment {name!r} records no replayable schedules — "
                 "only record-once/replay-many experiments (`schedule` "
                 "entries in a registered `prerequisites` hook) can be "
                 "exported",
-        narrow="e.g. --rows N, one seed",
     )
 
 
 def _cmd_checkpoint(args: argparse.Namespace) -> int:
-    """Export an experiment's warm-up checkpoint(s) as standalone files.
-
-    The written files are the hash-verified format of
-    :mod:`repro.sim.checkpoint`: ``repro checkpoint branch --at 0.05 --out
-    warm.ckpt`` then ``load_checkpoint("warm.ckpt")`` anywhere — or drop
-    the file into a directory and hand it to ``repro run --branch-from``.
-    """
-    from repro.sim.checkpoint import load_checkpoint, save_checkpoint
-
+    """Simulate an experiment's warm-up(s) into a checkpoint store:
+    ``repro checkpoint branch --out W`` feeds ``repro run branch
+    --branch-from W``."""
     entry = REGISTRY.get(args.experiment)
     if args.at is not None and "warmup" not in entry.options:
         raise ConfigurationError(f"experiment {entry.name!r} has no warm-up "
                                  f"horizon; --at does not apply")
     return _export_prerequisites(
-        args, "checkpoint", "checkpoint", (".ckpt",),
-        save_checkpoint, load_checkpoint,
-        detail=lambda snapshot: (f"t={snapshot.time:g}, "
-                                 f"{snapshot.engine_events} engine event(s)"),
+        args, "checkpoint", "checkpoint",
         refusal="experiment {name!r} has no branchable warm-up — only "
                 "simulate-once/branch-many experiments (`checkpoint` "
                 "entries in a registered `prerequisites` hook) can be "
                 "checkpointed",
-        narrow="one scheduler, one warm-up",
     )
 
 
@@ -754,30 +730,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "record",
-        help="export an experiment's recorded schedule(s) as standalone "
-             "hash-verified trace files")
+        help="record an experiment's original schedule(s) into a schedule "
+             "store")
     p.add_argument("experiment",
                    help="a record-once/replay-many experiment from "
                         "`repro list` (e.g. table1, fig1)")
-    p.add_argument("--out", required=True, metavar="PATH",
-                   help="output file (.json/.json.gz, single recording) "
-                        "or directory (one <key>.json per recording)")
+    p.add_argument("--out", required=True, metavar="DIR",
+                   help="schedule store directory (one <key>.sched per "
+                        "recording; `run --out D` reads D/schedules)")
     _add_spec_args(p, with_rows=True)
     p.set_defaults(fn=_cmd_record)
 
     p = sub.add_parser(
         "checkpoint",
-        help="export an experiment's warm-up checkpoint(s) as standalone "
-             "hash-verified files")
+        help="simulate an experiment's warm-up(s) into a checkpoint store")
     p.add_argument("experiment",
                    help="a simulate-once/branch-many experiment from "
                         "`repro list` (e.g. branch)")
     p.add_argument("--at", type=float, default=None, metavar="T",
                    help="warm-up horizon in simulated seconds "
                         "(overrides the experiment default)")
-    p.add_argument("--out", required=True, metavar="PATH",
-                   help="output file (.ckpt, single checkpoint) or "
-                        "directory (one <key>.ckpt per checkpoint)")
+    p.add_argument("--out", required=True, metavar="DIR",
+                   help="checkpoint store directory (one <key>.ckpt per "
+                        "checkpoint; `run --branch-from DIR` reads it)")
     _add_spec_args(p, with_rows=False)
     p.set_defaults(fn=_cmd_checkpoint)
 

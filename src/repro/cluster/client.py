@@ -150,8 +150,7 @@ def _load_done_artifact(queue: JobQueue, job: Job) -> RunArtifact:
     path = queue.artifact_dir / f"{job.run_id}.json"
     try:
         return load_artifact(path)
-    except (OSError, ValueError, TypeError, KeyError,
-            ConfigurationError) as exc:
+    except (OSError, ValueError, ConfigurationError) as exc:
         raise ClusterError(
             f"job {job.id} is done but its artifact {path} is "
             f"unreadable/corrupt: {exc}"

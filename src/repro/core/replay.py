@@ -42,7 +42,7 @@ import json
 import math
 from itertools import repeat
 from operator import itemgetter
-from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -85,29 +85,9 @@ _SLACK_MODES = ("lstf", "lstf-preemptive", "edf", "edf-preemptive")
 #: Magic string identifying a serialised :class:`RecordedSchedule` document.
 SCHEDULE_FORMAT = "repro.recorded_schedule"
 
-#: Version of the serialised document layout (see
-#: :meth:`RecordedSchedule.canonical_json`).  v2 added the detached
-#: ``content_hash`` written by :func:`repro.core.trace_io.save_schedule`;
-#: the packet rows are unchanged from v1, so both versions load.
+#: Version of the document :meth:`RecordedSchedule.canonical_json` writes;
+#: part of the hash preimage, so it never changes on its own.
 SCHEDULE_FORMAT_VERSION = 2
-
-#: Document versions :meth:`RecordedSchedule.from_dict` accepts.
-_READABLE_VERSIONS = (1, SCHEDULE_FORMAT_VERSION)
-
-#: The keys of one packet row of the document.
-_ROW_KEYS = ("pid", "flow_id", "flow_size", "size", "src", "dst", "i", "o",
-             "path", "hop_tx", "hop_waits")
-
-
-def _column(values: list, kind: type, dtype: type) -> np.ndarray:
-    """``values`` as one column; only exact ints / floats (a bool, or an
-    int-valued time, would come back as different JSON)."""
-    if not set(map(type, values)) <= {kind}:
-        raise ReplayError(f"a schedule column holds a non-{kind.__name__}")
-    try:
-        return np.array(values, dtype=dtype)
-    except OverflowError as exc:
-        raise ReplayError(f"a schedule column exceeds its width: {exc}") from exc
 
 
 def _texts(column: np.ndarray) -> list[str]:
@@ -146,8 +126,8 @@ class RecordedSchedule:
     def __init__(self, threshold: float, description: str,
                  nodes: Sequence[str], *columns: np.ndarray) -> None:
         """A schedule over ready-made :attr:`COLUMNS` (``nodes`` sorted,
-        every name used) — what the recorder, the ``.sched`` codec and
-        :meth:`from_dict` build."""
+        every name used) — what the recorder and the ``.sched`` codec
+        build."""
         if not len(columns[0]):
             raise ReplayError("recorded schedule contains no delivered packets")
         #: Overdue threshold ``T`` — one bottleneck transmission time (§2.3).
@@ -236,74 +216,18 @@ class RecordedSchedule:
         counts = np.bincount(self.congestion_points(epsilon))
         return {k: int(c) for k, c in enumerate(counts.tolist()) if c}
 
-    # -- the stable serialised format -------------------------------------
-
-    @classmethod
-    def from_dict(cls, document: Mapping[str, Any]) -> "RecordedSchedule":
-        """Rebuild a schedule from a parsed :meth:`canonical_json` document,
-        one row per packet (keys ``pid, flow_id, flow_size, size, src, dst,
-        i, o, path, hop_tx, hop_waits``; ``"i"`` and ``"o"`` are the
-        paper's ``i(p)`` and ``o(p)``), in the document's row order.
-
-        Raises :class:`~repro.errors.ReplayError` on a foreign document,
-        an unsupported format version, a malformed row, and anything the
-        columns cannot give back exactly — a ``src``/``dst`` that is not an
-        end of the path, a path without one ``hop_tx``/``hop_waits`` per
-        link, a non-string node name, an int beyond int64, an int where a
-        float belongs.
-        """
-        if document.get("format") != SCHEDULE_FORMAT:
-            raise ReplayError(
-                f"not a recorded-schedule document (format="
-                f"{document.get('format')!r})"
-            )
-        if document.get("version") not in _READABLE_VERSIONS:
-            raise ReplayError(
-                f"recorded-schedule version {document.get('version')!r} is "
-                f"not supported; this library reads versions "
-                f"{_READABLE_VERSIONS}"
-            )
-        rows, threshold = document.get("packets"), document.get("threshold")
-        description = document.get("description", "")
-        if not (isinstance(rows, list) and all(isinstance(row, dict) for row in rows)):
-            raise ReplayError("a recorded-schedule document needs a list of "
-                              "packet rows")
-        if type(threshold) not in (int, float) or type(description) is not str:
-            raise ReplayError("a recorded schedule's threshold must be a number "
-                              "and its description a string")
-        try:
-            pid, flow_id, flow_size, size, src, dst, i, o, paths, hop_tx, hop_waits = (
-                [row[key] for row in rows] for key in _ROW_KEYS)
-        except KeyError as exc:
-            raise ReplayError(f"a packet row has no {exc.args[0]!r}") from None
-        for row_pid, first, last, route, tx, waits in zip(
-                pid, src, dst, paths, hop_tx, hop_waits):
-            if not (type(route) is type(tx) is type(waits) is list
-                    and len(route) == len(tx) + 1 == len(waits) + 1
-                    and route[0] == first and route[-1] == last):
-                raise ReplayError(
-                    f"packet {row_pid}: src/dst must be the ends of its path, "
-                    f"with one hop_tx and one hop_waits per link")
-        path = [name for route in paths for name in route]
-        if not set(map(type, path)) <= {str}:
-            raise ReplayError("a recorded path holds a non-string node name")
-        nodes = sorted(set(path))
-        index = {name: k for k, name in enumerate(nodes)}
-        return cls(
-            threshold, description, nodes,
-            *[_column(column, int, np.int64)
-              for column in (pid, flow_id, flow_size, size)],
-            _column(i, float, np.float64), _column(o, float, np.float64),
-            np.array([len(tx) for tx in hop_tx], dtype=np.int64),
-            np.array([index[name] for name in path], dtype=np.int64),
-            _column([t for tx in hop_tx for t in tx], float, np.float64),
-            _column([w for waits in hop_waits for w in waits], float, np.float64),
-        )
+    # -- the schedule's identity --------------------------------------------
 
     def canonical_json(self) -> str:
-        """The portable document, as ``json.dumps(document, sort_keys=True,
-        separators=(",", ":"))`` would write it — the content-hash preimage
-        and the one writer of the JSON trace.
+        """The schedule as one JSON document — the content-hash preimage.
+
+        Exactly what ``json.dumps(document, sort_keys=True,
+        separators=(",", ":"))`` writes for a document of the schedule's
+        ``description``, ``format``, ``threshold``, ``version`` and one
+        row per packet (keys ``dst, flow_id, flow_size, hop_tx, hop_waits,
+        i, o, path, pid, size, src``; ``"i"`` and ``"o"`` are the paper's
+        ``i(p)`` and ``o(p)``).  No file holds this text: it exists to be
+        hashed, and its bytes are pinned by the recordings' hashes.
 
         Written straight from the columns: ``float.__repr__`` is what
         ``json`` writes for a finite float, each node name is quoted once,
@@ -343,8 +267,7 @@ class RecordedSchedule:
 
         Two recordings hash equal iff they describe the same schedule
         (same packets, times, paths, threshold, description); the hash is
-        what :func:`repro.core.trace_io.save_schedule` embeds for
-        integrity checking and what cache tooling can key on.
+        what goldens pin and what cache tooling can key on.
         """
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
 

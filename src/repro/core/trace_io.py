@@ -1,44 +1,32 @@
-"""Persistence and caching for recorded schedules.
+"""The recorded-schedule store.
 
 Recording a large original schedule is the expensive half of a replay
 experiment (the ``repro_why`` of this reproduction: "large replay traces
-slow").  This module makes a recorded schedule a first-class, reusable
-artifact:
+slow").  :class:`ScheduleStore` makes a recorded schedule a first-class,
+reusable artifact: a content-addressed directory of ``.sched`` entries
+keyed by *recording inputs* (see
+:func:`repro.experiments.replayability.scenario_schedule_key`), the
+record-once/replay-many cache the experiment runner shares across the
+legs of a replay-mode sweep; a :class:`~repro.core.store.ContentStore`
+codec, so puts are atomic and torn entries read as misses.  The runner
+puts one in the run context around a driver call
+(:class:`~repro.core.store.RunContext`) and
+:func:`repro.experiments.replayability.get_recorded_schedule` answers
+recordings from it (``ScheduleStore.fetch``).  ``repro record`` builds
+entries into one too, so an exported recording is the very file a run
+reads.
 
-* :func:`save_schedule` / :func:`load_schedule` — one schedule to/from
-  one file.  The document is the versioned JSON of
-  :meth:`~repro.core.replay.RecordedSchedule.canonical_json` plus a detached
-  ``content_hash`` (SHA-256 of the canonical JSON) verified on load, so
-  a truncated or hand-edited trace fails loudly instead of replaying
-  subtly wrong.  Paths ending ``.gz`` are gzipped transparently.
-* :class:`ScheduleStore` — a content-addressed directory of ``.sched``
-  entries keyed by *recording inputs* (see
-  :func:`repro.experiments.replayability.scenario_schedule_key`), the
-  record-once/replay-many cache the experiment runner shares across the
-  legs of a replay-mode sweep; a :class:`~repro.core.store.ContentStore`
-  codec, so puts are atomic and torn entries read as misses.  The
-  runner puts one in the run context around a driver call
-  (:class:`~repro.core.store.RunContext`) and
-  :func:`repro.experiments.replayability.get_recorded_schedule`
-  answers recordings from it (``ScheduleStore.fetch``).
-
-Formats: the *portable trace* is JSON — diffable, language-neutral,
-floats exact (``json`` serialises via ``repr``).  The *store entry* is
-the columnar binary document of :class:`ScheduleStore`: the record→replay
-hand-off of every leg, CRC-checked on every read.  Both are lossless, so
-a replay of a reloaded schedule is byte-identical to a replay of the
-in-memory original — the bar the record-once machinery is held to.
+The entry is lossless, so a replay of a reloaded schedule is
+byte-identical to a replay of the in-memory original — the bar the
+record-once machinery is held to.
 """
 
 from __future__ import annotations
 
-import gzip
-import hashlib
 import json
 import zlib
 from collections import OrderedDict
 from pathlib import Path
-from typing import IO
 
 import numpy as np
 
@@ -46,51 +34,7 @@ from repro.core.replay import RecordedSchedule
 from repro.core.store import ContentStore
 from repro.errors import ReplayError
 
-__all__ = ["ScheduleStore", "load_schedule", "save_schedule"]
-
-
-def _open(path: Path, mode: str) -> IO:
-    if path.suffix == ".gz":
-        return gzip.open(path, mode + "t", encoding="utf-8")
-    return open(path, mode, encoding="utf-8")
-
-
-def save_schedule(schedule: RecordedSchedule, path: str | Path) -> None:
-    """Write a recorded schedule to ``path`` (gzipped iff it ends ``.gz``).
-
-    The document is the canonical JSON with the schedule's content hash
-    (SHA-256 over that same text, exactly
-    :meth:`~repro.core.replay.RecordedSchedule.content_hash`) spliced in
-    as its first key — one serialisation yields both — and
-    :func:`load_schedule` detaches and verifies it.
-    """
-    canonical = schedule.canonical_json()
-    digest = hashlib.sha256(canonical.encode()).hexdigest()
-    # The canonical text always carries format/version keys, so it is a
-    # non-empty object we can splice a first key into.
-    with _open(Path(path), "w") as fh:
-        fh.write(f'{{"content_hash":"{digest}",{canonical[1:]}')
-
-
-def load_schedule(path: str | Path) -> RecordedSchedule:
-    """Read and verify a schedule previously written by :func:`save_schedule`.
-
-    Raises :class:`~repro.errors.ReplayError` for foreign files,
-    unsupported format versions, and content-hash mismatches.
-    """
-    path = Path(path)
-    with _open(path, "r") as fh:
-        document = json.load(fh)
-    if not isinstance(document, dict) or "format" not in document:
-        raise ReplayError(f"{path} is not a recorded-schedule file")
-    expected = document.pop("content_hash", None)
-    schedule = RecordedSchedule.from_dict(document)
-    if expected is not None and schedule.content_hash() != expected:
-        raise ReplayError(
-            f"{path} failed its content-hash check — the file was "
-            f"corrupted or edited after recording"
-        )
-    return schedule
+__all__ = ["ScheduleStore"]
 
 
 _MAGIC = b"repro.sched\x01"
@@ -187,6 +131,9 @@ class ScheduleStore(ContentStore):
                     and isinstance(nodes, list)
                     and set(map(type, nodes)) <= {str}):
                 raise ValueError("malformed counts or node table")
+            if (type(header["threshold"]) not in (int, float)
+                    or type(header["description"]) is not str):
+                raise ValueError("threshold not a number or description not text")
             columns = []
             for code, count in zip(_LAYOUT, (n,) * 7 + (n + h, h, h)):
                 columns.append(np.frombuffer(body, code, count, at))
@@ -208,7 +155,7 @@ class ScheduleStore(ContentStore):
     def put(self, key: str, schedule: RecordedSchedule) -> Path:
         """Persist ``schedule`` and memoise it as that entry's parse: the
         ``get`` after a build is a dict hit.  Sound because :meth:`encode`
-        is lossless and refuses what it cannot represent."""
+        is lossless: a schedule holds only what its columns give back."""
         path = super().put(key, schedule)
         _memo_put(_memo_key(path), schedule)
         return path

@@ -102,7 +102,7 @@ def require_positive_int(value: object, name: str) -> int:
 
 #: The JSON value kinds :func:`require_fields` checks (a bool is none of them).
 _JSON_KINDS = {"string": str, "integer": int, "number": (int, float),
-               "object": Mapping}
+               "object": Mapping, "array": (list, tuple)}
 
 
 def _is_kind(value: object, kind: str) -> bool:
@@ -121,8 +121,9 @@ def require_fields(what: str, data: object, kinds: Mapping[str, str],
     The front half of every ``from_dict`` that accepts hand-written JSON:
     ``data`` must be an object holding every ``required`` field and no
     field ``kinds`` does not name, and each value must be of its declared
-    kind — ``"string"``, ``"integer"``, ``"number"`` or ``"object"``,
-    optionally as ``"array of <kind>"`` or ``"<kind> or null"``.  Anything
+    kind — ``"string"``, ``"integer"``, ``"number"``, ``"object"`` or
+    ``"array"`` (of anything), optionally as ``"array of <kind>"`` or
+    ``"<kind> or null"``.  Anything
     else raises :class:`ConfigurationError` naming the field, so a
     malformed document never surfaces as a ``TypeError`` from deep inside
     a constructor.

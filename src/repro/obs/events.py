@@ -30,10 +30,12 @@ from typing import Callable, Iterator
 __all__ = [
     "EVENTS_FILENAME",
     "append_events",
+    "append_jsonl",
     "events_path",
     "follow_events",
     "format_event",
     "read_events",
+    "read_jsonl",
 ]
 
 #: File (inside a queue directory) holding one event record per line.
@@ -45,41 +47,57 @@ def events_path(queue_dir: str | Path) -> Path:
     return Path(queue_dir) / EVENTS_FILENAME
 
 
-def append_events(queue_dir: str | Path, events: list[dict]) -> None:
-    """Append ``events`` (one JSON line each) in a single atomic write."""
-    if not events:
+def append_jsonl(path: Path, records: list[dict]) -> None:
+    """Append ``records`` (one JSON line each) in a single ``O_APPEND``
+    write.  A short write (a full disk) leaves a torn last line, which
+    :func:`_parse_record` skips."""
+    if not records:
         return
     payload = "".join(
-        json.dumps(event, sort_keys=True) + "\n" for event in events
+        json.dumps(record, sort_keys=True) + "\n" for record in records
     ).encode()
-    fd = os.open(str(events_path(queue_dir)),
-                 os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o666)
+    fd = os.open(str(path), os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o666)
     try:
         os.write(fd, payload)
     finally:
         os.close(fd)
 
 
+def _parse_record(line: str) -> dict | None:
+    """The record on one log line, or None for a blank or torn line (or
+    one that holds no JSON object)."""
+    try:
+        record = json.loads(line)
+    except ValueError:
+        return None
+    return record if isinstance(record, dict) else None
+
+
+def read_jsonl(path: Path) -> list[dict]:
+    """Every intact record of a JSON-lines log, oldest first; an absent
+    log is an empty one."""
+    if not path.is_file():
+        return []
+    records = map(_parse_record, path.read_text().splitlines())
+    return [record for record in records if record is not None]
+
+
+def append_events(queue_dir: str | Path, events: list[dict]) -> None:
+    """Append ``events`` to the queue's log in a single atomic write."""
+    append_jsonl(events_path(queue_dir), events)
+
+
 def read_events(queue_dir: str | Path, limit: int | None = None,
                 kinds: tuple[str, ...] | None = None) -> list[dict]:
     """The (filtered) tail of the event log, oldest first.
 
-    ``limit`` keeps the last N matching records; ``kinds`` filters by
-    the ``kind`` field.  An absent log is an empty history, not an
-    error — a fresh queue simply has no events yet.
+    ``limit`` keeps the last N matching records (0: none); ``kinds``
+    filters by the ``kind`` field.  An absent log is an empty history,
+    not an error — a fresh queue simply has no events yet.
     """
-    path = events_path(queue_dir)
-    if not path.is_file():
-        return []
-    events = []
-    for line in path.read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        event = json.loads(line)
-        if kinds is None or event.get("kind") in kinds:
-            events.append(event)
-    return events[-limit:] if limit is not None else events
+    events = [event for event in read_jsonl(events_path(queue_dir))
+              if kinds is None or event.get("kind") in kinds]
+    return events if limit is None else events[max(len(events) - limit, 0):]
 
 
 def follow_events(queue_dir: str | Path, poll_s: float = 0.2,
@@ -91,7 +109,7 @@ def follow_events(queue_dir: str | Path, poll_s: float = 0.2,
     ``poll_s`` seconds; returns when ``stop()`` goes true (runs forever
     without one — the CLI's ``repro tail`` leaves it to Ctrl-C).
     Partial lines (a writer mid-append) are left in the buffer until
-    their newline arrives.
+    their newline arrives; a line that is torn for good is skipped.
     """
     path = events_path(queue_dir)
     offset = 0 if from_start or not path.is_file() else path.stat().st_size
@@ -106,9 +124,9 @@ def follow_events(queue_dir: str | Path, poll_s: float = 0.2,
                 buffer += handle.read()
                 offset = handle.tell()
             *lines, buffer = buffer.split("\n")
-            for line in lines:
-                if line.strip():
-                    yield json.loads(line)
+            for record in map(_parse_record, lines):
+                if record is not None:
+                    yield record
         else:
             time.sleep(poll_s)
 

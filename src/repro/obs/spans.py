@@ -34,6 +34,8 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator
 
+from repro.obs.events import append_jsonl, read_jsonl
+
 __all__ = [
     "SPANS",
     "SpanRecorder",
@@ -148,26 +150,12 @@ def spans_path(queue_dir: str | Path) -> Path:
 
 def append_span_record(queue_dir: str | Path, record: dict) -> None:
     """Append one span record to the queue's span log (atomic line write)."""
-    payload = (json.dumps(record, sort_keys=True) + "\n").encode()
-    fd = os.open(str(spans_path(queue_dir)),
-                 os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o666)
-    try:
-        os.write(fd, payload)
-    finally:
-        os.close(fd)
+    append_jsonl(spans_path(queue_dir), [record])
 
 
 def read_span_records(queue_dir: str | Path) -> list[dict]:
-    """Every span record in the queue's span log (empty if none yet)."""
-    path = spans_path(queue_dir)
-    if not path.is_file():
-        return []
-    records = []
-    for line in path.read_text().splitlines():
-        line = line.strip()
-        if line:
-            records.append(json.loads(line))
-    return records
+    """Every intact span record in the queue's span log (empty if none yet)."""
+    return read_jsonl(spans_path(queue_dir))
 
 
 # -- Chrome trace export ---------------------------------------------------

@@ -19,18 +19,18 @@ snapshot.
   ``ENGINE_PERF.paused()``, for the same reason: the warm-up is
   accounted exactly once per leg, through the credit, never through
   live accumulation, and never observed.
-* :func:`save_checkpoint` / :func:`load_checkpoint` — one snapshot
-  to/from one file.  The format is a one-line JSON header (format name,
-  version, SHA-256 of the payload, summary fields) followed by the
-  pickled network graph; the hash is verified on load so a truncated or
-  bit-rotted checkpoint fails loudly (or, in the store, falls through to
-  a from-scratch rebuild) instead of branching subtly wrong.
 * :class:`CheckpointStore` — a content-addressed directory of checkpoint
   files keyed by *warm-up inputs*; a
   :class:`~repro.core.store.ContentStore` codec, so puts are atomic,
   corrupt entries read as misses, and ``checkpoints.log`` lets tests
   assert the build-once guarantee.  The runner puts one in the run
-  context (:class:`~repro.core.store.RunContext`) around a driver call.
+  context (:class:`~repro.core.store.RunContext`) around a driver call,
+  and ``repro checkpoint`` builds entries into one.  An entry
+  (:func:`snapshot_to_bytes`) is a one-line JSON header (format name,
+  version, SHA-256 of the payload, summary fields) followed by the
+  pickled network graph; the hash is verified on every read, so a
+  truncated or bit-rotted checkpoint falls through to a from-scratch
+  rebuild instead of branching subtly wrong.
 
 The payload is a pickle, not JSON: a snapshot is a live object graph
 (bound-method callbacks in the heap must reattach to their restored
@@ -67,10 +67,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "CheckpointStore",
     "Snapshot",
-    "load_checkpoint",
     "reinstate",
     "restore_snapshot",
-    "save_checkpoint",
     "snapshot_network",
 ]
 
@@ -210,7 +208,7 @@ def snapshot_network(network: "Network", description: str = "") -> Snapshot:
     """Capture ``network`` (typically mid-run) as a :class:`Snapshot`.
 
     The snapshot *shares* the live graph — it only becomes an independent
-    copy when serialised (``save_checkpoint`` / ``CheckpointStore.put``)
+    copy when serialised (``CheckpointStore.put``)
     or when the builder hands it straight to :func:`restore_snapshot`,
     which is the no-store fast path: the branched leg then continues on
     the very object graph the warm-up produced, which is exactly what a
@@ -324,21 +322,6 @@ def snapshot_from_bytes(data: bytes, where: str = "<bytes>") -> Snapshot:
         packet_counter=header["packet_counter"],
         description=header.get("description", ""),
     )
-
-
-def save_checkpoint(snapshot: Snapshot, path: str | Path) -> None:
-    """Write ``snapshot`` to ``path`` (header + hash-verified payload)."""
-    Path(path).write_bytes(snapshot_to_bytes(snapshot))
-
-
-def load_checkpoint(path: str | Path) -> Snapshot:
-    """Read and verify a checkpoint written by :func:`save_checkpoint`."""
-    path = Path(path)
-    try:
-        data = path.read_bytes()
-    except OSError as exc:
-        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    return snapshot_from_bytes(data, str(path))
 
 
 class CheckpointStore(ContentStore):

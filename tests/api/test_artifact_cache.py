@@ -67,11 +67,23 @@ class TestArtifactCache:
     def test_malformed_cache_payload_is_a_miss_not_a_crash(self, tmp_path):
         artifact = run(TINY)
         payload = artifact.to_dict()
-        payload["rows"] = [1, 2]  # non-list rows: from_dict raises TypeError
+        payload["rows"] = [1, 2]  # rows that are not arrays
         path = tmp_path / f"{spec_run_id(TINY)}.json"
         path.write_text(json.dumps(payload))
         assert cached_artifact(TINY, tmp_path) is None
         assert not run(TINY, out_dir=tmp_path).from_cache
+
+    @pytest.mark.parametrize("damage", [lambda payload: [],
+                                        lambda payload: {**payload, "timings": []}],
+                             ids=["array", "timings-array"])
+    def test_wrongly_shaped_cache_entry_is_a_miss(self, tmp_path, damage):
+        """Valid JSON of the wrong shape is refused by the loader, so the
+        cache misses and the fresh run heals the entry."""
+        path = tmp_path / f"{spec_run_id(TINY)}.json"
+        path.write_text(json.dumps(damage(run(TINY).to_dict())))
+        assert cached_artifact(TINY, tmp_path) is None
+        assert not run(TINY, out_dir=tmp_path).from_cache
+        load_artifact(path)
 
     def test_stale_entry_with_mismatched_spec_is_a_miss(self, tmp_path):
         artifact = run(TINY)

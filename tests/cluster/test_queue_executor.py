@@ -105,6 +105,20 @@ class TestDeterminism:
         with pytest.raises(ClusterError, match="not a job queue"):
             gather(tmp_path / "typo", [1], timeout=1)
 
+    @pytest.mark.parametrize("damage", [lambda payload: [],
+                                        lambda payload: {**payload, "timings": []}],
+                             ids=["array", "timings-array"])
+    def test_gather_reports_a_malformed_done_artifact(self, tmp_path, damage):
+        """A done job whose artifact file holds valid JSON of the wrong
+        shape is a ``ClusterError`` naming the file, not an
+        ``AttributeError``."""
+        queue_dir = tmp_path / "q"
+        (artifact,) = run_many(SWEEP[:1], queue_dir=queue_dir)
+        path = queue_dir / "artifacts" / f"{spec_run_id(SWEEP[0])}.json"
+        path.write_text(json.dumps(damage(artifact.to_dict())))
+        with pytest.raises(ClusterError, match="unreadable/corrupt"):
+            gather(queue_dir, [1], timeout=5)
+
     def test_per_job_protocol_matches_batched_byte_for_byte(self, tmp_path):
         """--batch-size is an overhead knob, never a results knob."""
         batched = run_many(SWEEP, workers=2,

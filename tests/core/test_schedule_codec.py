@@ -10,14 +10,15 @@ Three contracts of :class:`~repro.core.trace_io.ScheduleStore`'s codec:
   header counts, a foreign file — is a ``ReplayError`` inside the codec,
   a miss at ``ScheduleStore.get`` and one healing ``put`` through
   ``get_or_build``; never another exception, never a schedule;
-* the portable JSON trace did not move: ``canonical_json()`` — formatted
+* the schedule's identity did not move: ``canonical_json()`` — formatted
   straight from the columns — is the key-sorted ``json.dumps`` text of
-  the very document ``from_dict`` read, and its SHA-256 on a fixture is
-  written below; a time JSON cannot carry is refused, never written as
-  ``NaN``/``Infinity``.
+  the document the schedule was built from, and its SHA-256 on a fixture
+  is written below; a time JSON cannot carry is refused, never written
+  as ``NaN``/``Infinity``.
 
-Schedules are built the way a trace reader builds them: hypothesis draws
-the portable document's rows, and ``RecordedSchedule.from_dict`` reads them.
+Hypothesis draws a document's rows, and the test adapter
+(``tests.sim.reference_tracer.schedule``) builds the schedule from them
+through the column constructor.
 """
 
 from __future__ import annotations
@@ -38,8 +39,9 @@ from repro.core.replay import (
     SCHEDULE_FORMAT_VERSION,
     RecordedSchedule,
 )
-from repro.core.trace_io import ScheduleStore, load_schedule, save_schedule
+from repro.core.trace_io import ScheduleStore
 from repro.errors import ReplayError
+from tests.sim.reference_tracer import schedule as from_document
 
 _EDGES = [-0.0, 5e-324, 2.2250738585072014e-308, 1e308]
 _floats = st.one_of(st.floats(allow_nan=False), st.sampled_from(_EDGES))
@@ -53,7 +55,7 @@ _ints = st.one_of(
 
 @st.composite
 def rows(draw, nodes, floats):
-    """One packet row of the portable document."""
+    """One packet row of the canonical document."""
     path = draw(st.lists(st.sampled_from(nodes), min_size=2, max_size=12))
     hops = st.lists(floats, min_size=len(path) - 1, max_size=len(path) - 1)
     return {"dst": path[-1], "flow_id": draw(_ints), "flow_size": draw(_ints),
@@ -88,7 +90,7 @@ def _document(**first) -> dict:
 
 
 def _fixture(**first) -> RecordedSchedule:
-    return RecordedSchedule.from_dict(_document(**first))
+    return from_document(_document(**first))
 
 
 class _Entry:
@@ -117,7 +119,7 @@ def _columns(schedule: RecordedSchedule) -> list:
 @settings(max_examples=150, deadline=None)
 @given(doc=documents())
 def test_unpack_of_pack_is_the_schedule(doc):
-    schedule = RecordedSchedule.from_dict(doc)
+    schedule = from_document(doc)
     data = pack(schedule)
     assert pack(schedule) == data  # byte-deterministic
     back = unpack(data)
@@ -137,36 +139,10 @@ def test_unpack_of_pack_is_the_schedule(doc):
 
 def test_pack_ignores_how_the_schedule_was_built():
     """Equal schedules pack to equal bytes — here, one rebuilt from its
-    portable JSON."""
+    canonical JSON."""
     schedule = _fixture()
-    via_json = RecordedSchedule.from_dict(json.loads(schedule.canonical_json()))
+    via_json = from_document(json.loads(schedule.canonical_json()))
     assert pack(via_json) == pack(schedule)
-
-
-@pytest.mark.parametrize("field,value,message", [
-    ("pid", 2**63, "width"),
-    ("size", -(2**63) - 1, "width"),
-    ("flow_id", True, "non-int"),
-    ("flow_size", 1500.0, "non-int"),
-    pytest.param("i", 0, "non-float", id="ingress_time-0-non-float"),
-    ("hop_waits", [0.0, 1], "non-float"),
-    ("src", "elsewhere", "ends of its path"),
-    ("dst", "r1", "ends of its path"),
-    ("hop_tx", [0.0], "ends of its path"),
-    ("path", ["hé", "z"], "ends of its path"),
-    ("path", ["hé", 3, "z"], "non-string"),
-    ("path", ("hé", "r1", "z"), "ends of its path"),
-])
-def test_put_refuses_what_the_layout_cannot_give_back(
-        tmp_path, field, value, message):
-    """A schedule holds only what its columns give back exactly, so what
-    the layout cannot carry is refused as the document is read and never
-    gets as far as the store."""
-    store = ScheduleStore(tmp_path)
-    with pytest.raises(ReplayError, match=message):
-        store.put("k", _fixture(**{field: value}))
-    assert store.keys() == []  # nothing half-written, nothing memoised
-    assert store.get("k") is None
 
 
 # --- every read is verified ------------------------------------------------------
@@ -256,7 +232,28 @@ def test_every_damaged_entry_is_a_replay_error_a_miss_and_heals(tmp_path):
     assert len(store.built_keys()) == puts + 1  # one put line heals it
 
 
-# --- the portable trace did not move ---------------------------------------------
+@pytest.mark.parametrize("change", [
+    {"threshold": "0.0012"}, {"threshold": None}, {"threshold": True},
+    {"description": 7},
+], ids=["threshold-text", "threshold-null", "threshold-bool", "description-number"])
+def test_a_header_field_of_the_wrong_type_is_a_replay_error(tmp_path, change):
+    """A foreign writer's header, checksummed, whose threshold is not a
+    number or description not text, is refused as it is read — never a
+    schedule that fails later — and is a miss at the store."""
+    data = pack(_fixture())
+    offsets = _boundaries(data)
+    header = json.loads(data[offsets[3]:offsets[4]])
+    doctored = _resealed(data, json.dumps({**header, **change}).encode(),
+                         data[offsets[4]:])
+    with pytest.raises(ReplayError, match="threshold not a number"):
+        unpack(doctored)
+    store = ScheduleStore(tmp_path)
+    store.path("k").parent.mkdir(parents=True, exist_ok=True)
+    store.path("k").write_bytes(doctored)
+    assert store.get("k") is None
+
+
+# --- the schedule's identity did not move ---------------------------------------------
 
 
 @settings(max_examples=200, deadline=None)
@@ -267,7 +264,7 @@ def test_column_formatted_json_is_json_dumps_of_the_document(doc):
     unicode names included (and ASCII-escaped exactly as ``json`` escapes
     them)."""
     reference = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    schedule = RecordedSchedule.from_dict(doc)
+    schedule = from_document(doc)
     assert schedule.canonical_json() == reference
     assert schedule.content_hash() == hashlib.sha256(reference.encode()).hexdigest()
 
@@ -276,7 +273,7 @@ def test_column_formatted_json_is_json_dumps_of_the_document(doc):
                          ids=["ingress_time", "output_time", "hop_tx", "hop_waits",
                               "threshold"])
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
-def test_canonical_json_refuses_a_time_json_cannot_carry(tmp_path, where, value):
+def test_canonical_json_refuses_a_time_json_cannot_carry(where, value):
     if where == "threshold":
         schedule = _fixture()
         schedule.threshold = value
@@ -286,18 +283,10 @@ def test_canonical_json_refuses_a_time_json_cannot_carry(tmp_path, where, value)
         schedule = _fixture(**{where: value})
     with pytest.raises(ReplayError, match="not finite"):
         schedule.canonical_json()
-    with pytest.raises(ReplayError, match="not finite"):
-        save_schedule(schedule, tmp_path / "trace.json")
 
 
-def test_fixture_hashes_are_the_parents(tmp_path):
-    """Pinned at the commit before the columnar store: the content hash
-    and the ``save_schedule`` bytes of the fixture."""
-    schedule = _fixture()
-    assert schedule.content_hash() == (
+def test_fixture_hash_is_the_parents():
+    """Pinned at the commit before the columnar store: the fixture's
+    content hash."""
+    assert _fixture().content_hash() == (
         "9c1c7d63f779ec6883e3d10ae01d364842b7cc755862ea96ef9a3273a956e97a")
-    path = tmp_path / "trace.json"
-    save_schedule(schedule, path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "778fd1faa0c0df79f25fafa6228d02e485d91e24376ca433654a77db6ddd7acb")
-    assert load_schedule(path).content_hash() == schedule.content_hash()

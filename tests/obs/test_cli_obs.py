@@ -107,6 +107,44 @@ def test_tail_once_prints_recent_events(tmp_path, capsys):
     assert len(lines) == 2 and all("submit" in line for line in lines)
 
 
+def test_tail_once_skips_a_torn_last_line(tmp_path, capsys):
+    """A short append (a full disk) leaves a torn line; the intact
+    records still print and the verb exits 0."""
+    queue_dir = tmp_path / "q"
+    JobQueue(queue_dir).submit(SWEEP)
+    with open(queue_dir / "events.jsonl", "a") as log:
+        log.write('{"job": 3, "kind": "cla')
+    assert main(["tail", str(queue_dir), "--once"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and all("submit" in line for line in lines)
+
+
+def test_trace_skips_a_torn_span_line(tmp_path, capsys):
+    queue_dir = tmp_path / "q"
+    JobQueue(queue_dir)
+    append_span_record(queue_dir, span_record("job-1", 1.0, 0.5, cat="job",
+                                              tid="w1"))
+    with open(queue_dir / "spans.jsonl", "a") as log:
+        log.write('{"cat": "job", "na')
+    out = tmp_path / "t.json"
+    assert main(["trace", str(queue_dir), "--out", str(out)]) == 0
+    assert [e["name"] for e in _chrome_doc(out)["traceEvents"]] == ["job-1"]
+
+
+def test_tail_once_lines_zero_prints_nothing(tmp_path, capsys):
+    queue_dir = tmp_path / "q"
+    JobQueue(queue_dir).submit(SWEEP)
+    assert main(["tail", str(queue_dir), "--once", "--lines", "0"]) == 0
+    assert capsys.readouterr().out == ""
+
+
+def test_tail_rejects_negative_lines(tmp_path, capsys):
+    queue_dir = tmp_path / "q"
+    JobQueue(queue_dir).submit(SWEEP)
+    assert main(["tail", str(queue_dir), "--once", "--lines", "-1"]) == 2
+    assert capsys.readouterr().err == "error: --lines must be >= 0, got -1\n"
+
+
 def test_tail_rejects_a_nonexistent_queue(tmp_path, capsys):
     assert main(["tail", str(tmp_path / "nope"), "--once"]) == 2
     assert "error:" in capsys.readouterr().err

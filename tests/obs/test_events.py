@@ -33,6 +33,24 @@ def test_read_limit_keeps_the_tail(tmp_path):
     assert [e["ts"] for e in tail] == [3.0, 4.0]
 
 
+def test_read_limit_zero_keeps_nothing(tmp_path):
+    append_events(tmp_path, [{"ts": float(i), "kind": "hb"} for i in range(5)])
+    assert read_events(tmp_path, limit=0) == []
+
+
+def test_read_and_follow_skip_a_torn_line(tmp_path):
+    """A short append leaves a torn line; the records around it survive."""
+    append_events(tmp_path, [{"ts": 1.0, "kind": "submit"}])
+    with open(events_path(tmp_path), "a") as log:
+        log.write('{"kind": "cla\n[]\n')
+    append_events(tmp_path, [{"ts": 2.0, "kind": "ack"}])
+    assert [e["kind"] for e in read_events(tmp_path)] == ["submit", "ack"]
+    flags = iter([False, True])
+    followed = list(follow_events(tmp_path, poll_s=0.0, from_start=True,
+                                  stop=lambda: next(flags)))
+    assert [e["kind"] for e in followed] == ["submit", "ack"]
+
+
 def test_read_kinds_filters(tmp_path):
     append_events(tmp_path, [
         {"ts": 1.0, "kind": "claim", "job": 1},

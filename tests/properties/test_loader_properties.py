@@ -1,9 +1,11 @@
 """The JSON loaders refuse bad input cleanly.
 
 ``ExperimentSpec.from_dict`` and ``Scenario.from_dict`` accept
-hand-written JSON, so a document with one field dropped or replaced by
-an arbitrary JSON value must either load — into a value whose own
-``to_dict`` round-trips losslessly and that hashes — or raise
+hand-written JSON, and ``RunArtifact.from_dict`` reads whatever an
+``--out`` cache or a queue's artifact directory holds, so a document
+with one field dropped or replaced by an arbitrary JSON value must
+either load — into a value whose own ``to_dict`` round-trips losslessly
+(and that hashes, if its class does) — or raise
 :class:`~repro.errors.ConfigurationError`; never a ``TypeError``,
 ``AttributeError`` or ``ValueError`` from inside a constructor.
 """
@@ -16,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api.results import RunArtifact
 from repro.api.spec import ExperimentSpec
 from repro.errors import ConfigurationError
 from repro.scenarios import SCENARIOS, Scenario
@@ -67,7 +70,8 @@ def _loads_or_refuses(cls, document: dict) -> None:
         return
     wire = json.loads(json.dumps(loaded.to_dict()))
     assert cls.from_dict(wire) == loaded
-    hash(loaded)
+    if cls.__hash__ is not None:
+        hash(loaded)
 
 
 @settings(max_examples=300, deadline=None)
@@ -82,8 +86,23 @@ def test_scenario_loader_loads_or_raises_configuration_error(document):
     _loads_or_refuses(Scenario, document)
 
 
+_ARTIFACTS = [
+    RunArtifact(_SPECS[1], "Table 1", ["row", "overdue"], [[0, 0.25], ["x", None]],
+                metadata={"engine_events": 7}, wall_time_s=0.5,
+                events_per_sec=14.0, obs={"counters": {}}),
+    RunArtifact(_SPECS[0], "", [], []),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(document=_mutated([a.to_dict() for a in _ARTIFACTS]))
+def test_artifact_loader_loads_or_raises_configuration_error(document):
+    _loads_or_refuses(RunArtifact, document)
+
+
 _SPEC = ExperimentSpec("table1").to_dict()
 _SCENARIO = SCENARIOS.entries()[0].to_dict()
+_ARTIFACT = _ARTIFACTS[0].to_dict()
 
 
 def _without(document: dict, key: str) -> dict:
@@ -104,6 +123,11 @@ _ESCAPES = {
                                   {**_SPEC, "slack_policy": "constant:abc"}),
     "spec-options-array": (ExperimentSpec, {**_SPEC, "options": []}),
     "scenario-no-name": (Scenario, _without(_SCENARIO, "name")),
+    "artifact-timings-array": (RunArtifact, {**_ARTIFACT, "timings": []}),
+    "artifact-timings-text": (RunArtifact,
+                              {**_ARTIFACT, "timings": {"wall_time_s": "1"}}),
+    "artifact-rows-of-scalars": (RunArtifact, {**_ARTIFACT, "rows": [1, 2]}),
+    "artifact-no-spec": (RunArtifact, _without(_ARTIFACT, "spec")),
 }
 
 
@@ -114,7 +138,7 @@ def test_a_malformed_field_is_a_configuration_error(cls, document):
         cls.from_dict(document)
 
 
-@pytest.mark.parametrize("cls", [ExperimentSpec, Scenario])
+@pytest.mark.parametrize("cls", [ExperimentSpec, Scenario, RunArtifact])
 @pytest.mark.parametrize("document", [[], "table1", None])
 def test_a_document_that_is_not_an_object_is_refused(cls, document):
     with pytest.raises(ConfigurationError, match="JSON object"):

@@ -13,8 +13,9 @@ is deterministic, so the path is ``network.route(src, dst)``.
 tracer's table back as the same ``pid -> ReferenceRecord`` mapping, for
 tests that assert on one packet at a time, with each record's ``path``
 derived from the route when given the network; :func:`rows` does the same
-for a recorded schedule.  The library itself never builds a record per
-packet.
+for a recorded schedule, and :func:`schedule` is its inverse: a schedule
+built through the column constructor from a document's rows.  The
+library itself never builds a record per packet.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.network import Network
     from repro.sim.tracer import Tracer
 
-__all__ = ["ReferenceRecord", "ReferenceTracer", "delivered", "records", "rows"]
+__all__ = ["ReferenceRecord", "ReferenceTracer", "delivered", "records", "rows",
+           "schedule"]
 
 
 class ReferenceRecord:
@@ -155,3 +157,31 @@ def rows(schedule: "RecordedSchedule") -> list[dict]:
     has them: ``pid, flow_id, flow_size, size, src, dst, i, o, path,
     hop_tx, hop_waits`` (finite times only)."""
     return json.loads(schedule.canonical_json())["packets"]
+
+
+def schedule(document: dict) -> "RecordedSchedule":
+    """The schedule whose :meth:`~repro.core.replay.RecordedSchedule.canonical_json`
+    document is ``document`` (keys ``description``, ``threshold`` and the
+    ``packets`` rows of :func:`rows`), through the column constructor."""
+    import numpy as np
+
+    from repro.core.replay import RecordedSchedule
+
+    packets = document["packets"]
+    paths = [row["path"] for row in packets]
+    nodes = sorted({name for path in paths for name in path})
+    index = {name: k for k, name in enumerate(nodes)}
+
+    def column(key, dtype):
+        return np.array([row[key] for row in packets], dtype=dtype)
+
+    def runs(key):
+        return np.array([t for row in packets for t in row[key]], dtype=np.float64)
+
+    return RecordedSchedule(
+        document["threshold"], document["description"], nodes,
+        *(column(key, np.int64) for key in ("pid", "flow_id", "flow_size", "size")),
+        column("i", np.float64), column("o", np.float64),
+        np.array([len(path) - 1 for path in paths], dtype=np.int64),
+        np.array([index[name] for path in paths for name in path], dtype=np.int64),
+        runs("hop_tx"), runs("hop_waits"))

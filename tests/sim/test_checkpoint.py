@@ -6,8 +6,8 @@ own ``checkpoint()``/``restore()`` hooks:
 * engine state round-trips through plain dicts *and* pickle, including
   the identity-compared cancellable sentinel (swapped for a marker while
   serialised, swapped back on restore);
-* the on-disk format is hash-verified — truncation, corruption, foreign
-  files, and version skew all fail loudly as
+* the entry format is hash-verified — truncation, corruption, foreign
+  bytes, and version skew all fail loudly as
   :class:`~repro.errors.CheckpointError` *before* anything is unpickled;
 * :class:`~repro.sim.checkpoint.CheckpointStore` builds once, heals
   corrupt entries as misses, prunes unreferenced keys, and audit-logs
@@ -40,9 +40,7 @@ from repro.sim.checkpoint import (
     Snapshot,
     _bound_method,
     _is_state_module,
-    load_checkpoint,
     restore_snapshot,
-    save_checkpoint,
     snapshot_from_bytes,
     snapshot_network,
     snapshot_to_bytes,
@@ -159,32 +157,31 @@ def _tiny_network(until: float = 0.05) -> Network:
     return net
 
 
+def _reloaded(snapshot: Snapshot) -> Snapshot:
+    """``snapshot`` serialised to entry bytes and parsed back."""
+    return snapshot_from_bytes(snapshot_to_bytes(snapshot))
+
+
 class TestSnapshotRoundTrip:
-    def test_save_load_preserves_summary_fields(self, tmp_path):
+    def test_serialised_round_trip_preserves_summary_fields(self):
         net = _tiny_network()
         snap = snapshot_network(net, description="tiny")
-        path = tmp_path / "tiny.ckpt"
-        save_checkpoint(snap, path)
-        loaded = load_checkpoint(path)
+        loaded = _reloaded(snap)
         assert loaded.time == snap.time
         assert loaded.engine_events == snap.engine_events
         assert loaded.packet_counter == snap.packet_counter
         assert loaded.description == "tiny"
 
-    def test_restored_network_continues_like_the_original(self, tmp_path):
+    def test_restored_network_continues_like_the_original(self):
         net = _tiny_network()
-        snap = snapshot_network(net)
-        path = tmp_path / "c.ckpt"
-        save_checkpoint(snap, path)
-        restored = restore_snapshot(load_checkpoint(path))
+        restored = restore_snapshot(_reloaded(snapshot_network(net)))
         net.run()
         restored.run()
         a = [(r.pid, r.exit) for r in records(net.tracer).values()]
         b = [(r.pid, r.exit) for r in records(restored.tracer).values()]
         assert a == b
 
-    def test_a_finite_buffer_run_resumes_mid_overflow_with_the_same_drops(
-            self, tmp_path):
+    def test_a_finite_buffer_run_resumes_mid_overflow_with_the_same_drops(self):
         def build():
             reset_packet_ids()
             net = Network()
@@ -208,9 +205,7 @@ class TestSnapshotRoundTrip:
         net = build()
         net.run(until=0.0006)
         assert net.nodes["SW"].ports["b"].buffered == 2000  # the queue is full
-        path = tmp_path / "full.ckpt"
-        save_checkpoint(snapshot_network(net), path)
-        restored = restore_snapshot(load_checkpoint(path))
+        restored = restore_snapshot(_reloaded(snapshot_network(net)))
         restored.run()
         assert straight.tracer.drops > 0
         assert outcome(restored) == outcome(straight)
@@ -251,12 +246,10 @@ class TestFormatVerification:
     def _bytes(self) -> bytes:
         return snapshot_to_bytes(snapshot_network(_tiny_network()))
 
-    def test_truncated_payload_is_a_checkpoint_error(self, tmp_path):
+    def test_truncated_payload_is_a_checkpoint_error(self):
         data = self._bytes()
-        path = tmp_path / "t.ckpt"
-        path.write_bytes(data[: len(data) - 100])
         with pytest.raises(CheckpointError, match="hash"):
-            load_checkpoint(path)
+            snapshot_from_bytes(data[: len(data) - 100])
 
     def test_corrupt_payload_is_a_checkpoint_error(self):
         data = bytearray(self._bytes())
@@ -264,14 +257,11 @@ class TestFormatVerification:
         with pytest.raises(CheckpointError, match="hash"):
             snapshot_from_bytes(bytes(data))
 
-    def test_foreign_file_is_a_checkpoint_error(self, tmp_path):
-        path = tmp_path / "not.ckpt"
-        path.write_bytes(b'{"something": "else"}\npayload')
+    def test_foreign_file_is_a_checkpoint_error(self):
         with pytest.raises(CheckpointError, match="not a checkpoint"):
-            load_checkpoint(path)
-        path.write_bytes(b"no newline at all")
+            snapshot_from_bytes(b'{"something": "else"}\npayload')
         with pytest.raises(CheckpointError):
-            load_checkpoint(path)
+            snapshot_from_bytes(b"no newline at all")
 
     def test_version_skew_is_a_checkpoint_error(self):
         data = self._bytes()
@@ -282,10 +272,6 @@ class TestFormatVerification:
         )
         with pytest.raises(CheckpointError, match="version"):
             snapshot_from_bytes(skewed + b"\n" + payload)
-
-    def test_missing_file_is_a_checkpoint_error(self, tmp_path):
-        with pytest.raises(CheckpointError, match="cannot read"):
-            load_checkpoint(tmp_path / "absent.ckpt")
 
     @pytest.mark.parametrize("payload,named", [
         (_hostile(os.system, "true"), "posix.system"),

@@ -333,72 +333,70 @@ def test_status_and_gc_know_mid_run_resume_snapshots(tmp_path, capsys):
     assert store.keys() == [live_key]
 
 
-def test_record_exports_a_standalone_verified_trace(tmp_path, capsys):
-    """``repro record`` writes a trace ``load_schedule`` verifies."""
-    from repro.core.trace_io import load_schedule
-
-    out = tmp_path / "trace.json"
-    assert main(["record", "table1", "--rows", "0", "--duration", "0.05",
-                 "--out", str(out)]) == 0
-    captured = capsys.readouterr()
-    assert f"wrote {out}" in captured.err
-    payload = json.loads(captured.out)
-    assert payload["experiment"] == "table1"
-    assert len(payload["recordings"]) == 1
-    schedule = load_schedule(out)  # hash-verified on load
-    assert len(schedule) > 0
-    assert schedule.threshold > 0
+_ROW0 = ["table1", "--rows", "0", "--duration", "0.05"]
 
 
-def test_record_and_a_sched_store_entry_export_the_same_trace(tmp_path, capsys):
-    """The portable trace is one format whatever produced it: ``repro
-    record`` and a cold read of the run's ``.sched`` entry save to the
-    same bytes, under the content hash pinned before the columnar store
-    (a deliberate change of simulated results re-pins it with
+def test_record_builds_the_store_entry_a_run_reads(tmp_path, capsys):
+    """``repro record … --out D/schedules`` is the run's own store: the
+    run of the same spec simulates no recording, and the entry carries
+    the content hash pinned before the columnar store (a deliberate
+    change of simulated results re-pins it with
     ``benchmarks/suite/golden.json``)."""
-    from repro.core.trace_io import ScheduleStore, load_schedule, save_schedule
+    from repro.core.trace_io import ScheduleStore
 
-    spec = ["table1", "--rows", "0", "--duration", "0.05"]
-    assert main(["run", *spec, "--out", str(tmp_path / "run")]) == 0
-    assert main(["record", *spec, "--out", str(tmp_path / "trace.json")]) == 0
-    capsys.readouterr()
-    store = ScheduleStore(tmp_path / "run" / "schedules")
-    (key,) = store.keys()
-    save_schedule(store.load(store.path(key)), tmp_path / "from-store.json")
-    assert ((tmp_path / "from-store.json").read_bytes()
-            == (tmp_path / "trace.json").read_bytes())
-    assert load_schedule(tmp_path / "trace.json").content_hash() == (
+    store = ScheduleStore(tmp_path / "schedules")
+    assert main(["record", *_ROW0, "--out", str(store.root)]) == 0
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert payload == {"experiment": "table1", "recordings": store.keys(),
+                       "out": str(store.root)}
+    (key,) = payload["recordings"]
+    assert f"wrote {store.path(key)}" in captured.err
+    assert store.get(key).content_hash() == (
         "2ee5f35d90ea616009f5790fc5fca02b61acf5b0ed65f4025600fa2832d423f6")
+    assert main(["run", *_ROW0, "--out", str(tmp_path)]) == 0
+    assert store.built_keys() == [key]  # the run added no put line
 
 
-def test_record_directory_mode_writes_one_file_per_recording(tmp_path, capsys):
-    out = tmp_path / "traces"
-    assert main(["record", "table1", "--rows", "0", "1", "--duration", "0.05",
+def test_a_second_record_answers_from_the_store(tmp_path, capsys):
+    from repro.core.trace_io import ScheduleStore
+
+    out = tmp_path / "schedules"
+    for verb in ("wrote", "cached"):
+        assert main(["record", *_ROW0, "--out", str(out)]) == 0
+        assert capsys.readouterr().err.startswith(f"{verb} ")
+    assert len(ScheduleStore(out).built_keys()) == 1
+
+
+@pytest.mark.parametrize("flags", [["--rows", "0", "1"],
+                                   ["--rows", "0", "--seeds", "1", "2"]],
+                         ids=["rows", "seeds"])
+def test_record_builds_one_entry_per_recording(tmp_path, capsys, flags):
+    """Each row and each seed is its own recording, as the sweep's legs
+    record them."""
+    out = tmp_path / "schedules"
+    assert main(["record", "table1", *flags, "--duration", "0.03",
                  "--out", str(out)]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert len(payload["recordings"]) == 2
-    assert sorted(p.stem for p in out.glob("*.json")) == payload["recordings"]
+    assert sorted(p.stem for p in out.glob("*.sched")) == payload["recordings"]
 
 
-def test_record_exports_every_seed_of_a_sweep(tmp_path, capsys):
-    """Each seed is its own recording, as the sweep's legs record them."""
-    out = tmp_path / "traces"
-    assert main(["record", "table1", "--rows", "0", "--seeds", "1", "2",
-                 "--duration", "0.03", "--out", str(out)]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert len(payload["recordings"]) == 2
-    assert sorted(p.stem for p in out.glob("*.json")) == payload["recordings"]
-
-
-def test_record_rejects_multi_recording_spec_into_single_file(tmp_path, capsys):
-    assert main(["record", "table1", "--rows", "0", "1", "--duration", "0.05",
-                 "--out", str(tmp_path / "one.json")]) == 2
-    assert "names a single file" in capsys.readouterr().err
+@pytest.mark.parametrize("verb,experiment,noun", [
+    ("record", "table1", "recordings"), ("checkpoint", "branch", "checkpoints")])
+def test_export_verbs_refuse_a_file_as_out(tmp_path, capsys, verb, experiment,
+                                           noun):
+    out = tmp_path / "trace.json"
+    out.write_text("")
+    assert main([verb, experiment, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --out {out} is a file; pass the store directory to build "
+        f"the {noun} into\n")
+    assert out.read_text() == ""
 
 
 def test_record_rejects_experiments_without_recordings(tmp_path, capsys):
-    assert main(["record", "gadgets",
-                 "--out", str(tmp_path / "x.json")]) == 2
+    assert main(["record", "gadgets", "--out", str(tmp_path / "x")]) == 2
     assert "records no replayable schedules" in capsys.readouterr().err
 
 
@@ -421,94 +419,60 @@ def two_warmups(monkeypatch):
                         dataclasses.replace(entry, prerequisites=prerequisites))
 
 
-def test_checkpoint_exports_a_standalone_verified_file(tmp_path, capsys):
-    """``repro checkpoint`` writes a snapshot ``load_checkpoint`` verifies."""
-    from repro.sim.checkpoint import load_checkpoint
+def test_checkpoint_builds_the_store_entry_branch_from_reads(tmp_path, capsys):
+    """``repro checkpoint … --out W`` is what ``--branch-from W`` reads:
+    the branched run simulates no warm-up."""
+    from repro.sim.checkpoint import CheckpointStore
 
-    out = tmp_path / "warm.ckpt"
-    assert main(["checkpoint", "branch", "--at", "0.02",
-                 "--out", str(out)]) == 0
+    store = CheckpointStore(tmp_path / "warmups")
+    spec = ["branch", "--duration", "0.01"]
+    assert main(["checkpoint", *spec, "--out", str(store.root)]) == 0
     captured = capsys.readouterr()
-    assert f"wrote {out}" in captured.err
-    payload = json.loads(captured.out)
-    assert payload["experiment"] == "branch"
-    assert len(payload["checkpoints"]) == 1
-    snapshot = load_checkpoint(out)  # hash-verified on load
-    assert snapshot.time == pytest.approx(0.02)
-    assert snapshot.engine_events > 0
+    (key,) = json.loads(captured.out)["checkpoints"]
+    assert f"wrote {store.path(key)}" in captured.err
+    assert store.get(key).engine_events > 0
+    assert main(["run", *spec, "--branch-from", str(store.root)]) == 0
+    assert store.built_keys() == [key]
 
 
-def test_checkpoint_directory_mode_writes_one_file_per_builder(
-        tmp_path, capsys, two_warmups):
-    out = tmp_path / "warmups"
-    assert main(["checkpoint", "branch", "--out", str(out)]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert len(payload["checkpoints"]) == 2
-    assert sorted(p.stem for p in out.glob("*.ckpt")) == payload["checkpoints"]
+def test_checkpoint_builds_one_entry_per_builder(tmp_path, capsys, two_warmups):
+    from repro.sim.checkpoint import CheckpointStore
 
-
-def test_checkpoint_rejects_multiple_checkpoints_into_single_file(
-        tmp_path, capsys, two_warmups):
-    assert main(["checkpoint", "branch",
-                 "--out", str(tmp_path / "one.ckpt")]) == 2
-    assert "names a single file" in capsys.readouterr().err
-    assert not (tmp_path / "one.ckpt").exists()
+    store = CheckpointStore(tmp_path / "warmups")
+    assert main(["checkpoint", "branch", "--out", str(store.root)]) == 0
+    captured = capsys.readouterr()
+    keys = json.loads(captured.out)["checkpoints"]
+    assert captured.err.count("wrote ") == 2
+    assert store.keys() == keys
+    times = sorted(store.get(key).time for key in keys)
+    assert times == pytest.approx([0.01, 0.02])
 
 
 def test_checkpoint_rejects_experiments_without_a_warmup(tmp_path, capsys):
-    assert main(["checkpoint", "gadgets",
-                 "--out", str(tmp_path / "x.ckpt")]) == 2
+    assert main(["checkpoint", "gadgets", "--out", str(tmp_path / "x")]) == 2
     assert "no branchable warm-up" in capsys.readouterr().err
 
 
 def test_checkpoint_at_needs_a_warmup_option(tmp_path, capsys):
     assert main(["checkpoint", "table1", "--at", "0.05",
-                 "--out", str(tmp_path / "x.ckpt")]) == 2
+                 "--out", str(tmp_path / "x")]) == 2
     assert "--at does not apply" in capsys.readouterr().err
-
-
-def test_checkpoint_directory_files_each_load_at_their_warmup(
-        tmp_path, capsys, two_warmups):
-    from repro.sim.checkpoint import load_checkpoint
-
-    out = tmp_path / "warmups"
-    assert main(["checkpoint", "branch", "--out", str(out)]) == 0
-    assert capsys.readouterr().err.count("wrote ") == 2
-    times = sorted(load_checkpoint(p).time for p in out.glob("*.ckpt"))
-    assert times == pytest.approx([0.01, 0.02])
 
 
 def test_checkpoint_at_sets_the_warmup_horizon(tmp_path, capsys):
     """``--at`` is the spec's ``warmup`` option: each horizon is its own
     checkpoint key, snapshotted at that simulated time."""
-    from repro.sim.checkpoint import load_checkpoint
+    from repro.sim.checkpoint import CheckpointStore
 
+    store = CheckpointStore(tmp_path)
     keys = []
     for at in ("0.01", "0.02"):
-        out = tmp_path / at
         assert main(["checkpoint", "branch", "--at", at,
-                     "--out", str(out)]) == 0
+                     "--out", str(store.root)]) == 0
         (key,) = json.loads(capsys.readouterr().out)["checkpoints"]
         keys.append(key)
-        assert load_checkpoint(out / f"{key}.ckpt").time == pytest.approx(
-            float(at))
+        assert store.get(key).time == pytest.approx(float(at))
     assert keys[0] != keys[1]
-
-
-def test_record_gz_out_is_one_compressed_trace(tmp_path, capsys):
-    """``.gz`` names a single file too: the same trace, gzipped."""
-    import gzip
-
-    from repro.core.trace_io import load_schedule
-
-    out = tmp_path / "trace.json.gz"
-    assert main(["record", "table1", "--rows", "0", "--duration", "0.05",
-                 "--out", str(out)]) == 0
-    capsys.readouterr()
-    assert out.is_file()
-    json.loads(gzip.decompress(out.read_bytes()))
-    assert load_schedule(out).content_hash() == (
-        "2ee5f35d90ea616009f5790fc5fca02b61acf5b0ed65f4025600fa2832d423f6")
 
 
 # Verbs that turn an experiment name plus spec flags into legs, with the

@@ -47,7 +47,7 @@ from repro.obs.hub import MetricsHub
 from repro.obs.spans import SPANS
 from repro.sim.checkpoint import CheckpointStore
 from repro.sim.engine import ENGINE_PERF
-from repro.sim.resume import CheckpointPolicy, ResumeSession
+from repro.sim.resume import ResumeSession, parse_checkpoint_every
 
 __all__ = ["cached_artifact", "obs_enabled_from_env", "run", "run_many"]
 
@@ -115,7 +115,7 @@ def run(
     schedule_dir: str | Path | None = None,
     checkpoint_dir: str | Path | None = None,
     obs: "bool | MetricsHub | None" = None,
-    checkpoint_policy: "CheckpointPolicy | str | None" = None,
+    checkpoint_policy: str | None = None,
 ) -> RunArtifact:
     """Execute one spec and return its artifact.
 
@@ -155,15 +155,19 @@ def run(
     section, excluded from the canonical JSON, so artifacts stay
     byte-identical with telemetry on or off.
 
-    ``checkpoint_policy`` (a :class:`~repro.sim.resume.CheckpointPolicy`
-    or its ``--checkpoint-every`` string form) arms preemption-safe
-    resume: the run writes periodic mid-flight snapshots into the
+    ``checkpoint_policy`` (``"<n>ev"``, as ``--checkpoint-every`` takes
+    it) arms preemption-safe resume: the run writes a mid-flight
+    snapshot every n engine events into the
     checkpoint store and, if an earlier attempt of the same spec was
     killed, fast-forwards through the newest valid snapshot it left
     behind.  Needs a durable store (``out_dir`` or ``checkpoint_dir``).
     The policy never reaches the artifact — resumed and straight runs
-    are byte-identical (the fault-injection suite proves it).
+    are byte-identical (the fault-injection suite proves it).  It is
+    checked before the artifact cache is consulted, so a bad one fails
+    against a warm ``out_dir`` too.
     """
+    every_events = (None if checkpoint_policy is None
+                    else parse_checkpoint_every(checkpoint_policy))
     entry = REGISTRY.get(spec.experiment)
     unknown = [key for key, _ in spec.options if key not in entry.options]
     if unknown:
@@ -177,16 +181,14 @@ def run(
         if cached is not None:
             return cached
     ckpt_store = _open_store("checkpoint", out_dir, checkpoint_dir)
-    if isinstance(checkpoint_policy, str):
-        checkpoint_policy = CheckpointPolicy.parse(checkpoint_policy)
     session = None
-    if checkpoint_policy is not None:
+    if every_events is not None:
         if ckpt_store is None:
             raise ConfigurationError(
                 "checkpoint_policy needs a durable checkpoint store to "
                 "write snapshots into — pass out_dir= or checkpoint_dir="
             )
-        session = ResumeSession(spec_run_id(spec), checkpoint_policy, ckpt_store)
+        session = ResumeSession(spec_run_id(spec), every_events, ckpt_store)
     hub = _resolve_obs(obs)
     context = RunContext(
         (_open_store("schedule", out_dir, schedule_dir), ckpt_store),
@@ -373,7 +375,7 @@ def run_many(
     queue_dir: str | Path | None = None,
     batch_size: int | None = None,
     checkpoint_dir: str | Path | None = None,
-    checkpoint_policy: "CheckpointPolicy | str | None" = None,
+    checkpoint_policy: str | None = None,
 ) -> list[RunArtifact]:
     """Execute several specs; the inputs pick how.
 
@@ -427,8 +429,8 @@ def run_many(
     require_positive_int(workers, "workers")
     if batch_size is not None:
         require_positive_int(batch_size, "batch_size")
-    if isinstance(checkpoint_policy, str):
-        checkpoint_policy = CheckpointPolicy.parse(checkpoint_policy)
+    if checkpoint_policy is not None:
+        parse_checkpoint_every(checkpoint_policy)  # refuse it before any leg
     if queue_dir is not None and checkpoint_dir is not None:
         raise ConfigurationError(
             "checkpoint_dir= does not apply with queue_dir=: queue workers "
@@ -483,7 +485,7 @@ def _through_queue(
     workers: int,
     force: bool,
     batch_size: int | None,
-    checkpoint_policy: "CheckpointPolicy | None",
+    checkpoint_policy: str | None,
 ) -> list[RunArtifact]:
     """The queue mode's legs: submit, spawn local drain workers, gather.
 

@@ -19,6 +19,7 @@ and diff between runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Mapping
 
@@ -112,13 +113,14 @@ class ExperimentSpec:
         seeds = tuple(int(s) for s in self.seeds)
         if not seeds:
             raise ConfigurationError("spec needs at least one seed")
+        if min(seeds) < 0:
+            raise ConfigurationError(f"seeds must be >= 0, got {seeds!r}")
         object.__setattr__(self, "seeds", seeds)
-        if self.duration <= 0:
-            raise ConfigurationError(f"duration must be > 0, got {self.duration!r}")
-        if self.bandwidth_scale <= 0:
-            raise ConfigurationError(
-                f"bandwidth_scale must be > 0, got {self.bandwidth_scale!r}"
-            )
+        for knob in ("duration", "bandwidth_scale", "utilization"):
+            value = getattr(self, knob)
+            if not (value > 0 and math.isfinite(value)):
+                raise ConfigurationError(
+                    f"{knob} must be finite and > 0, got {value!r}")
         if self.slack_policy is not None:
             from repro.core.heuristics import parse_slack_policy
 

@@ -203,14 +203,13 @@ def _add_experiment_args(parser: argparse.ArgumentParser, with_rows: bool) -> No
                              "warm-ups from (simulate once, branch many; "
                              "not with --queue — queue workers use the "
                              "queue's own store)")
-    parser.add_argument("--checkpoint-every", default=None, metavar="POLICY",
+    parser.add_argument("--checkpoint-every", default=None, metavar="<n>ev",
                         dest="checkpoint_every",
-                        help="take mid-run snapshots so a killed run resumes "
-                             "instead of restarting: comma-separated "
-                             "'<seconds>[s]' (simulated seconds), '<n>ev' "
-                             "(engine events), 'keep=<n>' (rolling depth), "
-                             "e.g. '0.05s,5000ev,keep=3'; needs --out or "
-                             "--branch-from for a durable store")
+                        help="'<n>ev': take a mid-run snapshot every n "
+                             "engine events so a killed run resumes instead "
+                             "of restarting (the newest two are kept), e.g. "
+                             "'5000ev'; needs --out or --branch-from for a "
+                             "durable store")
 
 
 def spec_from_args(experiment: str, args: argparse.Namespace) -> ExperimentSpec:
@@ -432,6 +431,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.obs.hub import MetricsHub
     from repro.obs.spans import SPANS, gc_activity, write_chrome_trace
 
+    if args.top < 0:
+        raise ConfigurationError(f"--top must be >= 0, got {args.top}")
     _, specs = _legs(args.experiment, args)
     hub = MetricsHub(flight=FlightRecorder(capacity=1024))
     events, wall = 0, 0.0
@@ -682,11 +683,11 @@ def build_parser() -> argparse.ArgumentParser:
                         f"{DEFAULT_BATCH_SIZE}; 1 = the per-job protocol)")
     p.add_argument("--id", default=None, metavar="NAME",
                    help="worker identity (default host:pid)")
-    p.add_argument("--checkpoint-every", default=None, metavar="POLICY",
+    p.add_argument("--checkpoint-every", default=None, metavar="<n>ev",
                    dest="checkpoint_every",
-                   help="take mid-run snapshots while executing jobs so a "
-                        "preempted worker's retry resumes mid-run (same "
-                        "grammar as `repro run --checkpoint-every`)")
+                   help="'<n>ev': take a mid-run snapshot every n engine "
+                        "events while executing jobs so a preempted "
+                        "worker's retry resumes mid-run")
     p.set_defaults(fn=_cmd_worker)
 
     p = sub.add_parser(

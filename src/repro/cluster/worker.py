@@ -56,7 +56,7 @@ from repro.errors import ConfigurationError, require_positive_int
 from repro.obs.flight import FlightRecorder
 from repro.obs.hub import MetricsHub
 from repro.obs.spans import append_span_record, span_record
-from repro.sim.resume import CheckpointPolicy
+from repro.sim.resume import parse_checkpoint_every
 
 __all__ = ["DEFAULT_BATCH_SIZE", "Worker", "drain_queue"]
 
@@ -79,14 +79,13 @@ class Worker:
         lease_s: float | None = None,
         poll_s: float = 0.2,
         batch_size: int = DEFAULT_BATCH_SIZE,
-        checkpoint_policy: "CheckpointPolicy | str | None" = None,
+        checkpoint_policy: str | None = None,
     ) -> None:
         """Bind a worker to ``queue``; ``batch_size`` caps jobs per claim.
 
-        ``checkpoint_policy`` (a
-        :class:`~repro.sim.resume.CheckpointPolicy` or its
-        ``--checkpoint-every`` string form) makes every executed job
-        write periodic mid-run snapshots into the queue's shared
+        ``checkpoint_policy`` (``"<n>ev"``, as ``--checkpoint-every``
+        takes it) makes every executed job write a mid-run snapshot
+        every n engine events into the queue's shared
         ``artifacts/checkpoints`` store — and *resume* from the newest
         valid one when re-running a job a preempted worker left behind,
         instead of starting over at t=0.
@@ -100,8 +99,8 @@ class Worker:
             raise ConfigurationError(f"lease_s must be > 0, got {lease_s!r}")
         self.batch_size = require_positive_int(batch_size, "batch_size")
         self.poll_s = float(poll_s)
-        if isinstance(checkpoint_policy, str):
-            checkpoint_policy = CheckpointPolicy.parse(checkpoint_policy)
+        if checkpoint_policy is not None:
+            parse_checkpoint_every(checkpoint_policy)  # refuse it before any job
         self.checkpoint_policy = checkpoint_policy
         self.jobs_run = 0
         self._stop = threading.Event()
@@ -330,7 +329,7 @@ def drain_queue(
     lease_s: float | None = None,
     poll_s: float = 0.2,
     batch_size: int = DEFAULT_BATCH_SIZE,
-    checkpoint_policy: "CheckpointPolicy | str | None" = None,
+    checkpoint_policy: str | None = None,
 ) -> int:
     """Module-level drain entry point (picklable for ``multiprocessing``).
 

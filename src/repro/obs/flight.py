@@ -62,14 +62,14 @@ class FlightRecorder:
     # -- queries -----------------------------------------------------------
 
     def tail(self, limit: int | None = None) -> list[tuple[float, str]]:
-        """The most recent events, oldest first (at most ``limit``)."""
+        """The most recent events, oldest first (at most ``limit``; 0: none)."""
         ring, start = self._ring, self._next
         events = [
             entry
             for i in range(self.capacity)
             if (entry := ring[(start + i) % self.capacity]) is not None
         ]
-        return events[-limit:] if limit is not None else events
+        return events if limit is None else events[max(len(events) - limit, 0):]
 
     def top(self, n: int = 10) -> list[tuple[str, int]]:
         """The ``n`` most-fired callbacks as ``(name, count)``, busiest first."""

@@ -2,9 +2,10 @@
 
 PR 7's checkpoint store deduplicates *planned* work (warm-up prefixes a
 sweep shares); this module makes *unplanned* interruption cheap.  A
-:class:`CheckpointPolicy` tells the runner to slice every simulation
-phase into bounded chunks (:meth:`repro.sim.engine.Engine.run_bounded`)
-and snapshot the network between chunks into the run's
+checkpoint policy, ``"<n>ev"`` (:func:`parse_checkpoint_every`), tells
+the runner to slice every simulation phase into chunks of n engine
+events (:meth:`repro.sim.engine.Engine.run_bounded`) and snapshot the
+network between chunks into the run's
 :class:`~repro.sim.checkpoint.CheckpointStore`.  When the hosting process
 is SIGKILLed — a preempted queue worker, an OOM-killed sweep — the retry
 discovers the latest valid snapshot for its spec and resumes from it
@@ -50,7 +51,7 @@ driver invocation (a record pass and a replay pass may enter with
 identical engine state), and the fingerprint hashes the phase's entry
 state so a retry only adopts snapshots taken from the very state it is
 in.  Superseded snapshots are rolled away as the run progresses
-(``keep`` newest survive, audit-logged as ``roll``); a completed run
+(the :data:`KEEP` newest survive, audit-logged as ``roll``); a completed run
 prunes its whole trail.  Torn or corrupt snapshots read as misses
 (hash-verified before unpickling), so healing is a ladder: newest valid
 snapshot → older one → from scratch.
@@ -69,7 +70,6 @@ import io
 import pickle
 import types
 from collections import deque
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 from repro.core.packet import Packet
@@ -88,76 +88,31 @@ from repro.sim.tracer import Tracer
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.network import Network
 
-__all__ = ["CheckpointPolicy", "ResumeSession"]
+__all__ = ["KEEP", "ResumeSession", "parse_checkpoint_every"]
 
 
-@dataclass(frozen=True)
-class CheckpointPolicy:
-    """When to take mid-run snapshots: every N sim-seconds and/or M events.
+#: How many of a phase's newest snapshots survive the rolling GC (older
+#: ones are discarded as ``roll`` audit entries).  Two, because the
+#: newest snapshot may be the one a crash tore, and the healing ladder
+#: then needs its predecessor.
+KEEP = 2
 
-    At least one trigger must be set.  ``keep`` is the rolling-GC depth:
-    how many of a phase's newest snapshots survive (older ones are
-    discarded as ``roll`` audit entries).  Two is the useful minimum —
-    the newest snapshot may be the one a crash tore, and the healing
-    ladder then needs its predecessor.
 
-    The policy is an *executor* knob, not spec data: it never reaches
-    the artifact, so runs with different policies (or none) stay
+def parse_checkpoint_every(text: str) -> int:
+    """The engine events between snapshots that ``"<n>ev"`` names.
+
+    The one form of ``--checkpoint-every`` / ``checkpoint_policy=``,
+    with ``n >= 1``.  It is an *executor* knob, not spec data: it never
+    reaches the artifact, so runs with any cadence (or none) stay
     byte-identical.
     """
-
-    every_sim_s: float | None = None
-    every_events: int | None = None
-    keep: int = 2
-
-    def __post_init__(self) -> None:
-        if self.every_sim_s is None and self.every_events is None:
-            raise ConfigurationError(
-                "checkpoint policy needs a trigger: every_sim_s (simulated "
-                "seconds) and/or every_events (engine events)"
-            )
-        if self.every_sim_s is not None and not self.every_sim_s > 0:
-            raise ConfigurationError(
-                f"every_sim_s must be > 0, got {self.every_sim_s!r}"
-            )
-        if self.every_events is not None and self.every_events < 1:
-            raise ConfigurationError(
-                f"every_events must be >= 1, got {self.every_events!r}"
-            )
-        if self.keep < 1:
-            raise ConfigurationError(f"keep must be >= 1, got {self.keep!r}")
-
-    @classmethod
-    def parse(cls, text: str) -> "CheckpointPolicy":
-        """Parse the ``--checkpoint-every`` grammar.
-
-        Comma-separated terms: ``<seconds>`` or ``<seconds>s`` (simulated
-        seconds between snapshots), ``<n>ev`` (engine events between
-        snapshots), ``keep=<n>`` (rolling-GC depth).  Examples:
-        ``"0.05"``, ``"5000ev"``, ``"0.05s,5000ev,keep=3"``.
-        """
-        every_sim_s: float | None = None
-        every_events: int | None = None
-        keep = 2
-        for raw in text.split(","):
-            term = raw.strip()
-            if not term:
-                continue
-            try:
-                if term.startswith("keep="):
-                    keep = int(term[len("keep="):])
-                elif term.endswith("ev"):
-                    every_events = int(term[:-2])
-                elif term.endswith("s"):
-                    every_sim_s = float(term[:-1])
-                else:
-                    every_sim_s = float(term)
-            except ValueError:
-                raise ConfigurationError(
-                    f"cannot parse checkpoint policy term {term!r} — expected "
-                    f"'<seconds>[s]', '<n>ev', or 'keep=<n>'"
-                ) from None
-        return cls(every_sim_s=every_sim_s, every_events=every_events, keep=keep)
+    digits = text[:-2] if isinstance(text, str) and text.endswith("ev") else ""
+    if not (digits.isdigit() and digits.isascii() and int(digits) >= 1):
+        raise ConfigurationError(
+            f"checkpoint policy must be '<n>ev' (snapshot every n >= 1 "
+            f"engine events), got {text!r}"
+        )
+    return int(digits)
 
 
 def _entry_fingerprint(engine: Engine, until: float | None) -> str:
@@ -322,28 +277,27 @@ class _AnchorPickler(pickle.Pickler):
 class ResumeSession:
     """One run's mid-flight snapshot trail: record, resume, roll, prune.
 
-    Created by :func:`repro.api.runner.run` when a
-    :class:`CheckpointPolicy` is in force, held by the run's
+    Created by :func:`repro.api.runner.run` when a checkpoint policy is
+    in force, held by the run's
     :class:`~repro.core.store.RunContext`, and consulted by
     :meth:`Network.run <repro.sim.network.Network.run>`: each simulation
-    phase runs through :meth:`run_phase` instead of ``Engine.run``.
+    phase runs through :meth:`run_phase` instead of ``Engine.run``,
+    snapshotting every ``every_events`` engine events.
     """
 
-    __slots__ = ("run_id", "policy", "store", "_phase", "_anchors",
-                 "_anchor_ids", "snapshots_recorded", "resumed_keys")
+    __slots__ = ("run_id", "every_events", "store", "_phase", "_anchors",
+                 "_anchor_ids", "resumed_keys")
 
-    def __init__(self, run_id: str, policy: CheckpointPolicy,
+    def __init__(self, run_id: str, every_events: int,
                  store: CheckpointStore) -> None:
         self.run_id = run_id
-        self.policy = policy
+        self.every_events = every_events
         self.store = store
         self._phase = -1
         #: The current phase's entry-reachable objects (anchor numbering)
         #: and their id -> index map; rebuilt at every phase entry.
         self._anchors: list[object] = []
         self._anchor_ids: dict[int, int] = {}
-        #: Mid-run snapshots written so far (all phases).
-        self.snapshots_recorded = 0
         #: Keys this session restored from, in restore order.
         self.resumed_keys: list[str] = []
 
@@ -356,6 +310,8 @@ class ResumeSession:
         sequence, same accounting, same final clock — with a snapshot
         written between slices and, on entry, a resume from the newest
         valid snapshot a killed attempt of this same phase left behind.
+        A slice that does not finish the phase has fired
+        ``every_events`` events, so every snapshot marks progress.
         """
         engine = network.engine
         phase = self._phase = self._phase + 1
@@ -375,28 +331,14 @@ class ResumeSession:
         try:
             index = self._try_resume(network, prefix)
             engine._stopped = False
-            every = self.policy.every_sim_s
-            budget = self.policy.every_events
             while True:
                 if network.obs is not None:
                     network.obs.ensure_sampling(network)
-                bound = until
-                if every is not None:
-                    target = engine.now + every
-                    heap = engine._heap
-                    if heap and heap[0][0] > target:
-                        # Idle gap wider than the period: jump straight to
-                        # the next event instead of snapshotting no-progress
-                        # slices one period at a time.
-                        target = heap[0][0]
-                    bound = target if until is None else min(target, until)
-                before = (engine.events_processed, engine.pending_events)
-                engine.run_bounded(until=bound, max_events=budget)
+                engine.run_bounded(until=until, max_events=self.every_events)
                 if self._phase_finished(engine, until):
                     break
-                if (engine.events_processed, engine.pending_events) != before:
-                    index += 1
-                    self._record(network, prefix, index)
+                index += 1
+                self._record(network, prefix, index)
             if until is not None and engine.now < until:
                 engine.now = until  # pin once, exactly as Engine.run(until) does
         finally:
@@ -481,8 +423,7 @@ class ResumeSession:
         _AnchorPickler(buffer, self._anchor_ids).dump(network)
         snapshot = snapshot_network(network, description=key)
         self.store.put_bytes(key, snapshot_to_bytes(snapshot, buffer.getvalue()))
-        self.snapshots_recorded += 1
-        stale = index - self.policy.keep
+        stale = index - KEEP
         if stale >= 1:
             self.store.discard([f"{prefix}{stale:06d}"], op="roll")
 

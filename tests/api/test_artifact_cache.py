@@ -19,6 +19,7 @@ from repro.api import (
     spec_run_id,
 )
 from repro.cli import main
+from repro.errors import ConfigurationError
 
 TINY = ExperimentSpec("table1", duration=0.04, options={"rows": (0,)})
 
@@ -92,6 +93,13 @@ class TestArtifactCache:
         path = tmp_path / f"{spec_run_id(TINY)}.json"
         path.write_text(json.dumps(payload))
         assert cached_artifact(TINY, tmp_path) is None
+
+    @pytest.mark.parametrize("policy", ["bogus", "0.05s"])
+    def test_a_bad_checkpoint_policy_fails_against_a_warm_cache(
+            self, tmp_path, policy):
+        run(TINY, out_dir=tmp_path)
+        with pytest.raises(ConfigurationError, match="'<n>ev'"):
+            run(TINY, out_dir=tmp_path, checkpoint_policy=policy)
 
     def test_run_many_mixes_cache_hits_and_fresh_runs(self, tmp_path):
         sweep = ExperimentSpec(

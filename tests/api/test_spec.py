@@ -86,6 +86,23 @@ def test_validation_rejects_bad_specs():
         ExperimentSpec("t", options={"nested": {"not": "flat"}})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("duration", float("nan")),
+    ("duration", float("inf")),
+    ("bandwidth_scale", float("nan")),
+    ("bandwidth_scale", float("inf")),
+    ("utilization", float("nan")),
+    ("utilization", float("inf")),
+    ("utilization", 0.0),
+    ("utilization", -0.5),
+    ("seeds", (-1,)),
+    ("seeds", (1, -2)),
+])
+def test_non_finite_non_positive_and_negative_values_are_refused(field, value):
+    with pytest.raises(ConfigurationError, match=field):
+        ExperimentSpec("t", **{field: value})
+
+
 def test_from_dict_rejects_unknown_fields():
     with pytest.raises(ConfigurationError):
         ExperimentSpec.from_dict({"experiment": "t", "warp": 9})

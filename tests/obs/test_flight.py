@@ -39,6 +39,16 @@ def test_tail_limit_returns_most_recent():
     assert [t for t, _ in flight.tail(limit=2)] == [2.0, 3.0]
 
 
+def test_tail_and_dump_of_zero_show_no_events():
+    flight = FlightRecorder(capacity=8)
+    for i in range(4):
+        flight.note(float(i), _cb_a)
+    assert flight.tail(limit=0) == []
+    dump = flight.dump(limit=0)
+    assert "t=" not in dump
+    assert f"top {_cb_a.__qualname__}: 4" in dump
+
+
 def test_top_ranks_by_count_then_name():
     flight = FlightRecorder()
     for _ in range(3):

@@ -138,6 +138,22 @@ def test_a_malformed_field_is_a_configuration_error(cls, document):
         cls.from_dict(document)
 
 
+@pytest.mark.parametrize("field", ["duration", "bandwidth_scale",
+                                   "utilization"])
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_a_non_finite_json_number_is_a_configuration_error(field, token):
+    """``json.loads`` reads these tokens as floats, so they reach the
+    spec constructor as values, past the loader's type check."""
+    document = json.loads(f'{{"experiment": "table1", "{field}": {token}}}')
+    with pytest.raises(ConfigurationError, match="finite"):
+        ExperimentSpec.from_dict(document)
+
+
+def test_a_negative_json_seed_is_a_configuration_error():
+    with pytest.raises(ConfigurationError, match="seeds"):
+        ExperimentSpec.from_dict({**_SPEC, "seeds": [3, -1]})
+
+
 @pytest.mark.parametrize("cls", [ExperimentSpec, Scenario, RunArtifact])
 @pytest.mark.parametrize("document", [[], "table1", None])
 def test_a_document_that_is_not_an_object_is_refused(cls, document):

@@ -1,9 +1,9 @@
-"""Units for the resume layer: policy grammar, slice primitive, audit log.
+"""Units for the resume layer: cadence, slice primitive, audit log.
 
 The end-to-end resume contract (kill a real process, resume, compare
 bytes) lives in ``tests/cluster/test_resume_points.py``; this file locks
-the small parts it is built from — :class:`CheckpointPolicy` parsing and
-validation, :meth:`Engine.run_bounded` slice-boundary semantics, and the
+the small parts it is built from — the ``"<n>ev"`` cadence parser,
+:meth:`Engine.run_bounded` slice-boundary semantics, and the
 ``checkpoints.log`` audit-line schema that the build-once and
 resumed-at-all assertions read.
 """
@@ -32,10 +32,11 @@ from repro.sim.checkpoint import (
 from repro.sim.engine import Engine
 from repro.sim.network import Network
 from repro.sim.resume import (
-    CheckpointPolicy,
+    KEEP,
     ResumeSession,
     _anchor_walk,
     _AnchorPickler,
+    parse_checkpoint_every,
 )
 from repro.transport.tcp import TcpStats, install_tcp_flows
 from repro.transport.udp import install_udp_flows
@@ -44,48 +45,18 @@ from tests.api.test_registry import TINY
 from tests.sim.reference_tracer import records
 
 
-class TestCheckpointPolicyParse:
-    def test_bare_number_is_sim_seconds(self):
-        policy = CheckpointPolicy.parse("0.05")
-        assert policy.every_sim_s == 0.05
-        assert policy.every_events is None
-        assert policy.keep == 2
+class TestParseCheckpointEvery:
+    @pytest.mark.parametrize("text, events", [("1ev", 1), ("20000ev", 20000)])
+    def test_n_ev_is_the_event_cadence(self, text, events):
+        assert parse_checkpoint_every(text) == events
 
-    def test_seconds_suffix(self):
-        assert CheckpointPolicy.parse("0.05s").every_sim_s == 0.05
-
-    def test_events_suffix(self):
-        policy = CheckpointPolicy.parse("5000ev")
-        assert policy.every_events == 5000
-        assert policy.every_sim_s is None
-
-    def test_full_combo(self):
-        policy = CheckpointPolicy.parse("0.05s,5000ev,keep=3")
-        assert policy == CheckpointPolicy(
-            every_sim_s=0.05, every_events=5000, keep=3)
-
-    def test_blank_terms_are_ignored(self):
-        assert CheckpointPolicy.parse("0.05s, ,5000ev") == \
-            CheckpointPolicy.parse("0.05s,5000ev")
-
-    @pytest.mark.parametrize("text", ["bogus", "12ms", "keep=lots", "evev"])
-    def test_unparseable_term_is_a_configuration_error(self, text):
-        with pytest.raises(ConfigurationError, match="checkpoint policy"):
-            CheckpointPolicy.parse(text)
-
-    def test_no_trigger_is_a_configuration_error(self):
-        with pytest.raises(ConfigurationError, match="trigger"):
-            CheckpointPolicy.parse("keep=3")
-
-    @pytest.mark.parametrize("kwargs", [
-        dict(every_sim_s=0.0),
-        dict(every_sim_s=-1.0),
-        dict(every_events=0),
-        dict(every_sim_s=0.05, keep=0),
+    @pytest.mark.parametrize("text", [
+        "0.05", "0.05s", "5000ev,keep=3", "keep=3", "0ev", "ev", "",
+        "-5ev", "5 ev", "bogus",
     ])
-    def test_invalid_values_are_configuration_errors(self, kwargs):
-        with pytest.raises(ConfigurationError):
-            CheckpointPolicy(**kwargs)
+    def test_any_other_form_is_a_configuration_error(self, text):
+        with pytest.raises(ConfigurationError, match="'<n>ev'"):
+            parse_checkpoint_every(text)
 
 
 class _Log:
@@ -287,7 +258,7 @@ def _observable(network: Network, stats: TcpStats) -> dict:
 
 
 class TestResumeIdentity:
-    POLICY = CheckpointPolicy(every_events=40)
+    EVERY = 40
 
     def test_driver_held_references_survive_with_the_killed_attempts_state(
             self, tmp_path, monkeypatch):
@@ -296,7 +267,7 @@ class TestResumeIdentity:
         network, stats = _tcp_network()
         _crash_after(monkeypatch, 3,
                      lambda net: killed.update(_observable(net, stats)))
-        session = ResumeSession("r1", self.POLICY, store)
+        session = ResumeSession("r1", self.EVERY, store)
         with pytest.raises(_Crash):
             session.run_phase(network)
         # a phase that raises must not leave its entry graph pinned
@@ -317,7 +288,7 @@ class TestResumeIdentity:
             return index
 
         monkeypatch.setattr(ResumeSession, "_try_resume", try_resume_then_look)
-        retry = ResumeSession("r1", self.POLICY, store)
+        retry = ResumeSession("r1", self.EVERY, store)
         retry.run_phase(network)
 
         assert restored.pop("index") == 3 and len(retry.resumed_keys) == 1
@@ -329,6 +300,29 @@ class TestResumeIdentity:
         straight.run()
         assert _observable(network, stats) == _observable(straight, straight_stats)
         assert stats.completed == 1
+
+    @pytest.mark.parametrize("cadence", ["1ev", "1000000000ev"],
+                             ids=["every-event", "beyond-the-run"])
+    def test_a_sliced_run_is_byte_identical_to_the_straight_run(
+            self, tmp_path, cadence):
+        spec = ExperimentSpec(experiment="fig2", schedulers=("fifo",),
+                              duration=0.005, seeds=(3,))
+        straight = run(spec)
+        out = str(tmp_path / "out")
+        sliced = run(spec, out_dir=out, checkpoint_policy=cadence)
+        assert sliced.canonical_json() == straight.canonical_json()
+        store = CheckpointStore(os.path.join(out, CHECKPOINT_SUBDIR))
+        log = store.log_entries()
+        retired = [key for op, key in log if op in ("roll", "prune")]
+        if cadence == "1ev":
+            # a snapshot per slice, each retired once: rolled while newer
+            # ones arrive, the newest KEEP pruned when the run completes
+            assert len(retired) > straight.metadata["engine_events"] // 2
+            assert len(set(retired)) == len(retired)
+            assert [op for op, _ in log].count("prune") == KEEP
+        else:
+            assert retired == []
+        assert not [key for key in store.keys() if key.startswith("resume-")]
 
     @pytest.mark.parametrize("skewed", [False, True])
     def test_previous_version_snapshot_reads_as_a_miss(

@@ -539,6 +539,27 @@ def test_bench_has_no_legacy_alias(capsys):
      "checkpoint_dir= does not apply with queue_dir="),
     (["run", "branch", "--checkpoint-every", "100ev"],
      "checkpoint_policy needs a durable checkpoint store"),
+    # non-finite horizons and scales used to hang, a negative seed to
+    # crash in numpy: all are refused when the spec is built
+    (["run", "table1", "--rows", "0", "--duration", "nan"],
+     "duration must be finite and > 0, got nan"),
+    (["run", "table1", "--rows", "0", "--duration", "inf"],
+     "duration must be finite and > 0, got inf"),
+    (["run", "table1", "--rows", "0", "--scale", "nan"],
+     "bandwidth_scale must be finite and > 0, got nan"),
+    (["run", "table1", "--rows", "0", "--scale", "inf"],
+     "bandwidth_scale must be finite and > 0, got inf"),
+    (["run", "table1", "--rows", "0", "--seed", "-1"],
+     "seeds must be >= 0, got (-1,)"),
+    (["run", "table1", "--rows", "0", "--seeds", "-1"],
+     "seeds must be >= 0, got (-1,)"),
+    (["profile", "gadgets", "--top", "-1"], "--top must be >= 0, got -1"),
+    (["run", "table1", "--rows", "0", "--out", "{tmp}/out",
+      "--checkpoint-every", "0.05s"],
+     "checkpoint policy must be '<n>ev'"),
+    (["worker", "--queue", "{tmp}/q", "--drain", "--checkpoint-every",
+      "5000ev,keep=3"],
+     "checkpoint policy must be '<n>ev'"),
     (["submit", "table1", "--rows", "0", "--duration", "0.04",
       "--queue", "{tmp}/q", "--max-attempts", "0"],
      "max_attempts must be >= 1, got 0"),
@@ -550,7 +571,11 @@ def test_bench_has_no_legacy_alias(capsys):
     (["tail", "{tmp}/typo", "--once"], "is not a job queue"),
     (["lint", "{tmp}/missing.py"], "missing.py' does not exist"),
 ], ids=["run-workers", "run-batch-size", "run-queue-branch-from",
-        "run-checkpoint-every", "submit", "worker", "status",
+        "run-checkpoint-every", "run-duration-nan", "run-duration-inf",
+        "run-scale-nan", "run-scale-inf", "run-seed-negative",
+        "run-seeds-negative", "profile-top-negative",
+        "run-checkpoint-every-form",
+        "worker-checkpoint-every-form", "submit", "worker", "status",
         "gather", "gc", "tail", "lint"])
 def test_handler_errors_are_one_stderr_line_and_exit_2(
         argv, message, tmp_path, capsys):

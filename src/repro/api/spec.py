@@ -19,11 +19,15 @@ and diff between runs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Mapping
 
-from repro.errors import ConfigurationError, WorkloadError, require_fields
+from repro.errors import (
+    ConfigurationError,
+    WorkloadError,
+    require_fields,
+    require_positive_finite,
+)
 
 __all__ = ["ExperimentSpec"]
 
@@ -117,10 +121,7 @@ class ExperimentSpec:
             raise ConfigurationError(f"seeds must be >= 0, got {seeds!r}")
         object.__setattr__(self, "seeds", seeds)
         for knob in ("duration", "bandwidth_scale", "utilization"):
-            value = getattr(self, knob)
-            if not (value > 0 and math.isfinite(value)):
-                raise ConfigurationError(
-                    f"{knob} must be finite and > 0, got {value!r}")
+            require_positive_finite(getattr(self, knob), knob)
         if self.slack_policy is not None:
             from repro.core.heuristics import parse_slack_policy
 

@@ -22,12 +22,12 @@ Distributed sweeps ride the same registry through the job queue of
     python -m repro submit fig3 --seeds 1 2 3 4 --queue runs/q --wait
     python -m repro run fig3 --seeds 1 2 3 4 --queue runs/q
 
-Workers lease jobs in batches (``--batch-size``, default 4) under one
-persistent worker lease, which amortises the broker's claim/heartbeat/
-report cost across tiny jobs; ``--batch-size 1`` recovers the per-job
-protocol.  ``repro gather QUEUE_DIR`` lets any process — not just the
-submitter — block on a sweep and collect its artifacts; ``repro gc
---queue DIR`` prunes recorded schedules no live job needs.
+Workers lease jobs in batches (``--batch-size``, default 4) that share
+one deadline, which amortises the broker's claim/heartbeat/report cost
+across tiny jobs; ``--batch-size 1`` recovers the per-job protocol.
+``repro gather QUEUE_DIR`` lets any process — not just the submitter —
+block on a sweep and collect its artifacts; ``repro gc --queue DIR``
+prunes recorded schedules no live job needs.
 
 Flags are honored exactly as given — a spec never lies about the run it
 describes.  (One deliberate divergence from the pre-registry CLI: fig2
@@ -77,7 +77,12 @@ from repro.analysis.tables import Table
 from repro.api import REGISTRY, ExperimentSpec, run_many, spec_run_id
 from repro.api.runner import STORE_KINDS
 from repro.cluster.worker import DEFAULT_BATCH_SIZE
-from repro.errors import ConfigurationError, ReproError
+from repro.errors import (
+    ConfigurationError,
+    ReproError,
+    require_positive_finite,
+    require_positive_int,
+)
 
 __all__ = ["main", "build_parser"]
 
@@ -302,6 +307,8 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     from repro.cluster import client
 
     _, specs = _legs(args.experiment, args)
+    if args.wait and args.timeout is not None:  # refuse it before enqueuing
+        require_positive_finite(args.timeout, "timeout")
     job_ids = client.submit(specs, args.queue, force=args.force,
                             max_attempts=args.max_attempts)
     for job_id, job_spec in zip(job_ids, specs):
@@ -323,6 +330,8 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     """Run a worker daemon against a queue directory."""
     from repro.cluster import JobQueue, Worker
 
+    if args.max_jobs is not None:
+        require_positive_int(args.max_jobs, "--max-jobs")
     queue = JobQueue(args.queue)
     worker = Worker(queue, worker_id=args.id, lease_s=args.lease,
                     poll_s=args.poll, batch_size=args.batch_size,

@@ -29,7 +29,12 @@ from repro.api.results import RunArtifact, load_artifact
 from repro.api.spec import ExperimentSpec
 from repro.cluster.jobs import DONE, FAILED, STATES, Job
 from repro.cluster.queue import JobQueue
-from repro.errors import ClusterError, ConfigurationError, JobFailedError
+from repro.errors import (
+    ClusterError,
+    ConfigurationError,
+    JobFailedError,
+    require_positive_finite,
+)
 
 __all__ = [
     "QueueStatus",
@@ -64,10 +69,6 @@ class QueueStatus:
     queue_dir: Path
     counts: dict[str, int]
     jobs: list[Job]
-    #: Live worker registrations (the batch-claim lease records): one
-    #: dict per worker with ``worker`` / ``registered_at`` /
-    #: ``lease_expires_at`` / ``running`` (jobs currently held).
-    workers: list[dict] = field(default_factory=list)
     #: Checkpoints in the queue's store: one dict per entry with ``key``,
     #: ``kind`` (``warmup`` — a branchable warm-up prefix — or ``resume``
     #: — a mid-run snapshot a preempted job's retry would fast-forward
@@ -86,15 +87,12 @@ class QueueStatus:
             "queue_dir": str(self.queue_dir),
             "counts": dict(self.counts),
             "jobs": [job.to_dict() for job in self.jobs],
-            "workers": [dict(worker) for worker in self.workers],
             "checkpoints": [dict(ckpt) for ckpt in self.checkpoints],
         }
 
     def table(self) -> Table:
         """The ``repro status`` view: one row per job."""
         head = ", ".join(f"{self.counts[s]} {s}" for s in STATES)
-        if self.workers:
-            head += f"; {len(self.workers)} worker(s) registered"
         table = Table(
             ["job", "experiment", "run_id", "state", "attempts", "worker",
              "error"],
@@ -141,7 +139,6 @@ def status(
         queue_dir=queue.queue_dir,
         counts=queue.counts(),
         jobs=queue.jobs(ids=job_ids),
-        workers=queue.workers(),
         checkpoints=_checkpoint_rows(queue),
     )
 
@@ -176,6 +173,8 @@ def gather(
     batch of tiny jobs is noticed within milliseconds of its report
     while a long sweep still costs only ``1/poll_s`` reads a second.
     """
+    if timeout is not None:
+        require_positive_finite(timeout, "timeout")
     queue = JobQueue(queue_dir, create=False)
     ids = list(job_ids)
     deadline = None if timeout is None else time.monotonic() + float(timeout)

@@ -8,7 +8,7 @@ A :class:`JobQueue` lives entirely inside one directory::
 
 Every state transition the broker commits also appends a JSON line to
 ``events.jsonl`` (:mod:`repro.obs.events`): submit, claim, ack, fail,
-requeue, heartbeat, register/unregister, lease-expiry and reclaim.  The
+requeue, heartbeat, lease-expiry and reclaim.  The
 log is telemetry, not state — the database never reads it back — but it
 turns "what did the cluster do last night?" into ``repro tail`` instead
 of SQL archaeology.  Lines are written inside the mutating transaction
@@ -39,19 +39,17 @@ The broker cost is amortised across jobs, not paid per job:
 * :meth:`claim_batch` leases up to *n* runnable jobs in **one**
   ``BEGIN IMMEDIATE`` transaction (claiming four tiny jobs costs one
   SQLite write round trip, not four);
-* workers hold a **persistent lease record** — one row in the
-  ``leases`` table, registered once per worker — and renew it with
-  :meth:`heartbeat_worker`, a single timer-driven transaction that
-  pushes the worker row *and every job the worker holds* forward
-  together, instead of one heartbeat per held job;
+* a job row's deadline is its only lease: a worker renews its whole
+  batch with :meth:`heartbeat_worker`, one timer-driven ``UPDATE``
+  that pushes *every job the worker holds* forward together, instead
+  of one heartbeat per held job;
 * :meth:`report_batch` writes a whole batch of outcomes (acks and
   failures alike) back in one transaction.
 
 Crash semantics are unchanged by batching: all jobs in a SIGKILLed
-worker's batch share the worker's deadline, so the whole batch expires
-and is reclaimed together, each job charged exactly the one attempt its
-claim burned.  The ``leases`` table is created on first open, so a
-queue directory from before batch claims upgrades in place.
+worker's batch share one deadline, so the whole batch expires and is
+reclaimed together, each job charged exactly the one attempt its claim
+burned.
 
 Connections are opened per operation and never cached: cheap for a
 coarse-grained work queue (jobs are whole simulations), and it means the
@@ -80,7 +78,12 @@ from repro.cluster.jobs import (
     Job,
     job_from_row,
 )
-from repro.errors import ClusterError, ConfigurationError, require_positive_int
+from repro.errors import (
+    ClusterError,
+    ConfigurationError,
+    require_positive_finite,
+    require_positive_int,
+)
 from repro.obs.events import append_events
 
 __all__ = ["JobQueue"]
@@ -106,11 +109,6 @@ CREATE TABLE IF NOT EXISTS jobs (
     error            TEXT
 );
 CREATE INDEX IF NOT EXISTS jobs_state ON jobs (state, id);
-CREATE TABLE IF NOT EXISTS leases (
-    worker           TEXT PRIMARY KEY,
-    registered_at    REAL NOT NULL,
-    lease_expires_at REAL NOT NULL
-);
 """
 
 _COLS = ", ".join(JOB_COLUMNS)
@@ -133,16 +131,13 @@ class JobQueue:
         :class:`~repro.errors.ClusterError` instead of silently
         reporting a healthy empty queue.
         """
-        if default_lease_s <= 0:
-            raise ConfigurationError(
-                f"default_lease_s must be > 0, got {default_lease_s!r}"
-            )
         if max_attempts < 1:
             raise ConfigurationError(
                 f"max_attempts must be >= 1, got {max_attempts!r}"
             )
         self.queue_dir = Path(queue_dir)
-        self.default_lease_s = float(default_lease_s)
+        self.default_lease_s = require_positive_finite(
+            default_lease_s, "default_lease_s")
         self.max_attempts = int(max_attempts)
         if not create and not self.db_path.is_file():
             raise ClusterError(
@@ -247,12 +242,11 @@ class JobQueue:
     def _reclaim_expired(self, conn: sqlite3.Connection, now: float) -> list[dict]:
         """Expired leases → back to pending, or terminal once out of budget.
 
-        Also drops expired worker-lease rows: a registration whose
-        deadline passed belongs to a presumed-dead worker.  Caller holds
-        an open ``BEGIN IMMEDIATE`` transaction.  Returns the event
-        records describing what was reclaimed, for the caller to log
-        before its COMMIT (an empty list in the common nothing-expired
-        case — the identifying SELECTs only scan ``running`` rows).
+        Caller holds an open ``BEGIN IMMEDIATE`` transaction.  Returns
+        the event records describing what was reclaimed, for the caller
+        to log before its COMMIT (an empty list in the common
+        nothing-expired case — the identifying SELECT only scans
+        ``running`` rows).
         """
         expired = conn.execute(
             "SELECT id, worker, attempts, max_attempts FROM jobs"
@@ -282,29 +276,7 @@ class JobQueue:
             " WHERE state = ? AND lease_expires_at < ?",
             (PENDING, RUNNING, now),
         )
-        dead = conn.execute(
-            "SELECT worker FROM leases WHERE lease_expires_at < ?", (now,)
-        ).fetchall()
-        events.extend(
-            {"ts": now, "kind": "worker-expired", "worker": worker}
-            for (worker,) in dead
-        )
-        conn.execute(  # repro: allow(SQL-TXN) caller holds BEGIN IMMEDIATE, per contract above
-            "DELETE FROM leases WHERE lease_expires_at < ?", (now,)
-        )
         return events
-
-    def _upsert_lease(
-        self, conn: sqlite3.Connection, worker_id: str, now: float,
-        deadline: float,
-    ) -> None:
-        """Create or renew ``worker_id``'s registration row (open txn)."""
-        conn.execute(  # repro: allow(SQL-TXN) caller holds BEGIN IMMEDIATE, per contract above
-            "INSERT INTO leases (worker, registered_at, lease_expires_at)"
-            " VALUES (?, ?, ?) ON CONFLICT (worker)"
-            " DO UPDATE SET lease_expires_at = excluded.lease_expires_at",
-            (worker_id, now, deadline),
-        )
 
     def claim_batch(
         self, worker_id: str, n: int, lease_s: float | None = None
@@ -315,15 +287,14 @@ class JobQueue:
         expired leases are reclaimed (so a crashed worker's jobs come
         back into rotation on the very next claim by anyone), up to
         ``n`` pending jobs flip to running under ``worker_id``, each
-        charged one attempt, and the worker's persistent lease record is
-        registered or renewed to the same deadline (``lease_s`` seconds
-        out, default the queue's).  Every claimed job shares that
+        charged one attempt and given one deadline ``lease_s`` seconds
+        out (default the queue's).  Every claimed job shares that
         deadline, which is what makes a killed worker's *whole batch*
         expire — and get reclaimed — together.  Returns the claimed jobs
         in id order; an empty list means nothing was claimable.
         """
         require_positive_int(n, "claim_batch n")
-        lease = self.default_lease_s if lease_s is None else float(lease_s)
+        lease = self._lease(lease_s)
         now = time.time()
         with closing(self._connect()) as conn:
             conn.execute("BEGIN IMMEDIATE")
@@ -344,7 +315,6 @@ class JobQueue:
                 f" WHERE id IN ({placeholders})",
                 (RUNNING, worker_id, now + lease, now, *[j.id for j in jobs]),
             )
-            self._upsert_lease(conn, worker_id, now, now + lease)
             events.extend(
                 {"ts": now, "kind": "claim", "job": j.id, "worker": worker_id,
                  "attempts": j.attempts + 1}
@@ -361,103 +331,39 @@ class JobQueue:
             job.error = None
         return jobs
 
-    # -- worker leases -----------------------------------------------------
-
-    def register_worker(
-        self, worker_id: str, lease_s: float | None = None
-    ) -> None:
-        """Create (or renew) ``worker_id``'s persistent lease record.
-
-        Workers register once per lifetime, then keep the single record
-        alive with :meth:`heartbeat_worker` — no per-job lease traffic.
-        ``lease_s`` sets the first deadline (default the queue's).
-        """
-        lease = self.default_lease_s if lease_s is None else float(lease_s)
-        now = time.time()
-        with closing(self._connect()) as conn:
-            conn.execute("BEGIN IMMEDIATE")
-            self._upsert_lease(conn, worker_id, now, now + lease)
-            self._log_events(
-                [{"ts": now, "kind": "register", "worker": worker_id}]
-            )
-            conn.execute("COMMIT")
-
-    def unregister_worker(self, worker_id: str) -> None:
-        """Drop ``worker_id``'s lease record (graceful worker exit).
-
-        Jobs the worker somehow still holds are untouched — their
-        per-job deadlines expire and reclaim them normally.
-        """
-        with closing(self._connect()) as conn:
-            conn.execute("BEGIN IMMEDIATE")
-            conn.execute("DELETE FROM leases WHERE worker = ?", (worker_id,))
-            self._log_events(
-                [{"ts": time.time(), "kind": "unregister", "worker": worker_id}]
-            )
-            conn.execute("COMMIT")
+    def _lease(self, lease_s: float | None) -> float:
+        """``lease_s`` validated, or the queue's default when ``None``."""
+        if lease_s is None:
+            return self.default_lease_s
+        return require_positive_finite(lease_s, "lease_s")
 
     def heartbeat_worker(
         self, worker_id: str, lease_s: float | None = None
     ) -> bool:
-        """Renew the worker's lease and every job it holds, in one commit.
+        """Renew every job ``worker_id`` holds, in one statement.
 
         This is the whole per-interval liveness cost of a worker,
-        however many jobs its current batch holds: one transaction
-        pushes the ``leases`` row and all of ``worker_id``'s running
-        jobs ``lease_s`` seconds out (default the queue's).  ``False``
-        means the registration is gone — the worker was presumed dead
-        and reaped; anything it was running belongs to someone else now.
+        however many jobs its current batch holds: one ``UPDATE`` pushes
+        all of ``worker_id``'s running jobs ``lease_s`` seconds out
+        (default the queue's).  ``False`` means it holds none — its
+        batch shared one deadline, expired and was reclaimed together,
+        so anything it was running belongs to someone else now.
         """
-        lease = self.default_lease_s if lease_s is None else float(lease_s)
+        lease = self._lease(lease_s)
         now = time.time()
         with closing(self._connect()) as conn:
             conn.execute("BEGIN IMMEDIATE")
-            cursor = conn.execute(
-                "UPDATE leases SET lease_expires_at = ? WHERE worker = ?",
-                (now + lease, worker_id),
-            )
-            if cursor.rowcount != 1:
-                conn.execute("COMMIT")
-                return False
-            cursor = conn.execute(
+            renewed = conn.execute(
                 "UPDATE jobs SET lease_expires_at = ?"
                 " WHERE worker = ? AND state = ?",
                 (now + lease, worker_id, RUNNING),
-            )
+            ).rowcount
             self._log_events(
                 [{"ts": now, "kind": "heartbeat", "worker": worker_id,
-                  "jobs": cursor.rowcount}]
+                  "jobs": renewed}]
             )
             conn.execute("COMMIT")
-        return True
-
-    def workers(self) -> list[dict]:
-        """The live worker registrations: one dict per ``leases`` row.
-
-        Each carries ``worker``, ``registered_at``, ``lease_expires_at``
-        and ``running`` (jobs currently held).  Rows whose lease already
-        expired are not reported — that worker is presumed dead, and on
-        a quiescent queue (no claims to trigger a reclaim) its stale row
-        could otherwise haunt ``repro status`` forever.
-        """
-        with closing(self._connect()) as conn:
-            rows = conn.execute(
-                "SELECT l.worker, l.registered_at, l.lease_expires_at,"
-                " (SELECT COUNT(*) FROM jobs j"
-                "   WHERE j.worker = l.worker AND j.state = ?)"
-                " FROM leases l WHERE l.lease_expires_at >= ?"
-                " ORDER BY l.worker",
-                (RUNNING, time.time()),
-            ).fetchall()
-        return [
-            {
-                "worker": worker,
-                "registered_at": registered_at,
-                "lease_expires_at": lease_expires_at,
-                "running": running,
-            }
-            for worker, registered_at, lease_expires_at, running in rows
-        ]
+        return renewed > 0
 
     def report_batch(
         self,

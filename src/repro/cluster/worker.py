@@ -12,13 +12,12 @@ The broker is amortised across jobs (the batch-claim protocol of
 ``batch_size`` jobs in one transaction, executes them in claim order,
 and writes the whole batch of outcomes back with one
 :meth:`~repro.cluster.queue.JobQueue.report_batch` commit.  Liveness is
-a *persistent worker lease*: one registration row, renewed by a single
-heartbeat thread calling
-:meth:`~repro.cluster.queue.JobQueue.heartbeat_worker` every
-``lease_s / 4`` seconds, which pushes every held job's deadline forward
-together.  A worker that dies without reporting (even ``kill -9``)
-simply stops heartbeating and its whole batch is reclaimed, each job
-charged exactly the one attempt its claim burned.
+the claimed jobs' own deadline: while a batch runs, one heartbeat thread
+calls :meth:`~repro.cluster.queue.JobQueue.heartbeat_worker` every
+``lease_s / 4`` seconds, one statement that pushes every held job's
+deadline forward together.  A worker that dies without reporting (even
+``kill -9``) simply stops heartbeating and its whole batch is reclaimed,
+each job charged exactly the one attempt its claim burned.
 
 Failure policy: a :class:`~repro.errors.ConfigurationError` is
 deterministic — re-running cannot help — so it fails the job terminally
@@ -36,7 +35,7 @@ Two loops:
   runs this; SIGTERM/SIGINT request a *graceful drain*: the current
   batch finishes and reports (claimed jobs are ours to finish — a
   requeue would charge them an attempt for our impatience), then the
-  loop exits cleanly and the lease record is unregistered.
+  loop exits cleanly.
 """
 
 from __future__ import annotations
@@ -52,7 +51,11 @@ from pathlib import Path
 from repro.api.runner import obs_enabled_from_env, run
 from repro.cluster.jobs import Job
 from repro.cluster.queue import JobQueue
-from repro.errors import ConfigurationError, require_positive_int
+from repro.errors import (
+    ConfigurationError,
+    require_positive_finite,
+    require_positive_int,
+)
 from repro.obs.flight import FlightRecorder
 from repro.obs.hub import MetricsHub
 from repro.obs.spans import append_span_record, span_record
@@ -93,18 +96,16 @@ class Worker:
         self.queue = queue if isinstance(queue, JobQueue) else JobQueue(queue)
         self.worker_id = worker_id or f"{socket.gethostname()}:{os.getpid()}"
         self.lease_s = (
-            self.queue.default_lease_s if lease_s is None else float(lease_s)
+            self.queue.default_lease_s if lease_s is None
+            else require_positive_finite(lease_s, "lease_s")
         )
-        if self.lease_s <= 0:
-            raise ConfigurationError(f"lease_s must be > 0, got {lease_s!r}")
         self.batch_size = require_positive_int(batch_size, "batch_size")
-        self.poll_s = float(poll_s)
+        self.poll_s = require_positive_finite(poll_s, "poll_s")
         if checkpoint_policy is not None:
             parse_checkpoint_every(checkpoint_policy)  # refuse it before any job
         self.checkpoint_policy = checkpoint_policy
         self.jobs_run = 0
         self._stop = threading.Event()
-        self._renew_at = float("-inf")  # idle-loop lease renewal deadline
         #: Bounded ring of the current job's recent engine events — the
         #: crash flight recorder (:mod:`repro.obs.flight`).  Armed by the
         #: REPRO_OBS environment switch; its dump rides along on failure
@@ -155,7 +156,7 @@ class Worker:
         interval = max(self.lease_s / 4.0, 0.05)
         while not done.wait(interval):
             if not self.queue.heartbeat_worker(self.worker_id, self.lease_s):
-                # lease reaped: our jobs are someone else's now — tell
+                # batch reclaimed: our jobs are someone else's now — tell
                 # the executing loop so it stops burning CPU on a batch
                 # another worker is already re-running
                 lease_lost.set()
@@ -219,12 +220,12 @@ class Worker:
     def _run_claimed(self, jobs: list[Job]) -> None:
         """Execute claimed jobs under one heartbeat; report them in one commit.
 
-        The single worker-lease heartbeat covers the whole batch (the
-        claim already registered our lease row), and the batched report
+        One heartbeat covers the whole batch, and the batched report
         happens even if an execution raises something unexpected — the
-        jobs finished by then must not wait for lease expiry.  If the
-        heartbeat discovers our lease was reaped (we stalled long enough
-        to be presumed dead), the rest of the batch is abandoned: those
+        jobs finished by then must not wait for lease expiry.  If a
+        heartbeat renews none of our jobs (we stalled long enough to be
+        presumed dead and the batch was reclaimed), the rest of the
+        batch is abandoned: those
         jobs already belong to another worker, so executing them here
         would only duplicate work whose report would be rejected anyway.
         """
@@ -266,61 +267,33 @@ class Worker:
         """Jobs this loop may still run (``None`` = unlimited)."""
         return None if max_jobs is None else max_jobs - self.jobs_run
 
-    def _keep_registered(self) -> None:
-        """Keep the lease record alive while the loop idles.
-
-        Claims and in-batch heartbeats renew the row as a side effect;
-        this covers the gaps between them, on the lease timescale (one
-        write per ``lease_s / 4``, not per poll), so an idle daemon
-        stays visible in ``repro status`` instead of being reaped as
-        presumed dead.
-        """
-        now = time.monotonic()
-        if now >= self._renew_at:
-            self.queue.register_worker(self.worker_id, self.lease_s)
-            self._renew_at = now + self.lease_s / 4.0
-
     def drain(self, max_jobs: int | None = None) -> int:
         """Work until the queue is quiescent; returns jobs executed.
 
         Keeps polling while *other* workers still have running jobs —
         one of them failing or dying would requeue work this drain is
         responsible for finishing.  ``max_jobs`` bounds how many jobs
-        this worker executes before returning early.  Registers the
-        worker's lease record on entry and unregisters it on the way
-        out.
+        this worker executes before returning early.
         """
-        try:
-            while not self.stopping:
-                self._keep_registered()
-                budget = self._budget(max_jobs)
-                if budget is not None and budget <= 0:
-                    break
-                if self.run_batch(limit=budget):
-                    continue
-                if not self.queue.active():
-                    break
-                self._stop.wait(self.poll_s)
-        finally:
-            self.queue.unregister_worker(self.worker_id)
+        while not self.stopping:
+            budget = self._budget(max_jobs)
+            if budget is not None and budget <= 0:
+                break
+            if self.run_batch(limit=budget):
+                continue
+            if not self.queue.active():
+                break
+            self._stop.wait(self.poll_s)
         return self.jobs_run
 
     def serve(self, max_jobs: int | None = None) -> int:
-        """Poll until :meth:`request_stop` (or ``max_jobs``); daemon mode.
-
-        Registers the worker's lease record on entry (renewed while
-        idle) and unregisters it on the way out.
-        """
-        try:
-            while not self.stopping:
-                self._keep_registered()
-                budget = self._budget(max_jobs)
-                if budget is not None and budget <= 0:
-                    break
-                if not self.run_batch(limit=budget):
-                    self._stop.wait(self.poll_s)
-        finally:
-            self.queue.unregister_worker(self.worker_id)
+        """Poll until :meth:`request_stop` (or ``max_jobs``); daemon mode."""
+        while not self.stopping:
+            budget = self._budget(max_jobs)
+            if budget is not None and budget <= 0:
+                break
+            if not self.run_batch(limit=budget):
+                self._stop.wait(self.poll_s)
         return self.jobs_run
 
 

@@ -7,6 +7,8 @@ still being able to distinguish configuration mistakes from runtime events.
 
 from __future__ import annotations
 
+import math
+import numbers
 from typing import Mapping
 
 
@@ -98,6 +100,20 @@ def require_positive_int(value: object, name: str) -> int:
             f"{name} must be an integer >= 1, got {value!r}"
         )
     return value
+
+
+def require_positive_finite(value: object, name: str) -> float:
+    """Validate a duration-like knob: a real number, finite and > 0.
+
+    Returns ``float(value)``, or raises :class:`ConfigurationError`
+    naming ``name`` (bools, NaN and infinities rejected) — the one
+    validator behind leases, poll intervals, timeouts and the spec's
+    horizons, so a NaN can never reach a deadline column or a wait.
+    """
+    if (not isinstance(value, numbers.Real) or isinstance(value, bool)
+            or not (value > 0 and math.isfinite(value))):
+        raise ConfigurationError(f"{name} must be finite and > 0, got {value!r}")
+    return float(value)
 
 
 #: The JSON value kinds :func:`require_fields` checks (a bool is none of them).

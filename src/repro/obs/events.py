@@ -1,11 +1,10 @@
 """The cluster's structured event log.
 
 Every state transition the job queue makes — submit, claim, ack, fail,
-requeue, heartbeat, lease-expiry, reclaim, worker register/unregister —
-is appended as one JSON line to ``<queue_dir>/events.jsonl`` from
-*inside* the transaction that makes it (see
-:class:`~repro.cluster.queue.JobQueue`), so the log's order matches the
-broker's serialised history.  Records are small flat dicts::
+requeue, heartbeat, lease-expiry, reclaim — is appended as one JSON
+line to ``<queue_dir>/events.jsonl`` from *inside* the transaction that
+makes it (see :class:`~repro.cluster.queue.JobQueue`), so the log's
+order matches the broker's serialised history.  Records are small flat dicts::
 
     {"ts": 1754640000.123456, "kind": "claim", "job": 7, "worker": "h:42"}
 

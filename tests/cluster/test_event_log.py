@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import re
+import time
+from pathlib import Path
+
 from repro.api import ExperimentSpec, spec_run_id
 from repro.cli import main
 from repro.cluster import JobQueue
 from repro.cluster.client import status
 from repro.obs.events import events_path, format_event, read_events
+
+DOCS = Path(__file__).resolve().parents[2] / "docs"
+OBSERVABILITY_DOC = DOCS / "observability.md"
 
 TINY = ExperimentSpec("table1", duration=0.04, options={"rows": (0,)})
 SWEEP = ExperimentSpec(
@@ -56,27 +63,41 @@ def test_lease_expiry_and_reclaim_are_logged(tmp_path):
     queue = JobQueue(tmp_path, default_lease_s=0.01)
     queue.submit([TINY])
     queue.claim_batch("w1", 1)
-    import time
-
     time.sleep(0.05)
     queue.reap()
-    kinds = _kinds(tmp_path)
-    assert "lease-expiry" in kinds
-    assert "reclaim" in kinds
-    assert "worker-expired" in kinds
+    assert _kinds(tmp_path) == ["submit", "claim", "lease-expiry", "reclaim"]
 
 
-def test_worker_registration_and_heartbeat_logged(tmp_path):
+def test_one_heartbeat_line_per_beat_counts_the_held_jobs(tmp_path):
     queue = JobQueue(tmp_path)
-    queue.submit([TINY])
-    queue.register_worker("w1")
-    queue.claim_batch("w1", 1)
+    queue.submit(SWEEP)
+    queue.claim_batch("w1", 2)
     queue.heartbeat_worker("w1")
-    queue.unregister_worker("w1")
-    kinds = _kinds(tmp_path)
-    assert kinds.count("register") >= 1
-    assert "heartbeat" in kinds
-    assert "unregister" in kinds
+    (beat,) = read_events(tmp_path, kinds=("heartbeat",))
+    assert (beat["worker"], beat["jobs"]) == ("w1", 2)
+
+
+def _documented_kinds() -> set[str]:
+    """The backticked names of the "Kinds:" sentence in observability.md."""
+    text = OBSERVABILITY_DOC.read_text(encoding="utf-8")
+    match = re.search(r"^Kinds:(.*?)\.\s", text, re.MULTILINE | re.DOTALL)
+    assert match, f"no 'Kinds:' list in {OBSERVABILITY_DOC}"
+    return set(re.findall(r"`([^`]+)`", match.group(1)))
+
+
+def test_the_documented_event_kinds_are_exactly_the_emitted_ones(tmp_path):
+    """Drive every transition the broker logs; the set of kinds written
+    must equal the documented list, so neither can drift alone."""
+    queue = JobQueue(tmp_path, max_attempts=2)
+    ack, flaky, doomed, _ = queue.submit(SWEEP + SWEEP)
+    queue.claim_batch("w1", 3)
+    queue.heartbeat_worker("w1")
+    queue.report_batch("w1", [(ack, None, True), (flaky, "boom", True),
+                              (doomed, "bad spec", False)])
+    queue.claim_batch("w2", 2, lease_s=0.01)  # the requeued job + the 4th
+    time.sleep(0.05)
+    queue.reap()  # w2 presumed dead: both jobs reclaimed
+    assert set(_kinds(tmp_path)) == _documented_kinds()
 
 
 def test_tail_prints_the_last_lines_and_status_none(tmp_path, capsys):

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import json
+import math
+import sqlite3
 import time
+from contextlib import closing
 
 import pytest
 
@@ -105,15 +109,6 @@ class TestClaimBatch:
         assert [job.id for job in rest] == ids[2:]  # partial batch is fine
         assert queue.claim_batch("w3", 5) == []
 
-    def test_claim_batch_registers_a_worker_lease_row(self, tmp_path):
-        queue = JobQueue(tmp_path)
-        queue.submit(SWEEP)
-        jobs = queue.claim_batch("w1", 3)
-        (lease,) = queue.workers()
-        assert lease["worker"] == "w1"
-        assert lease["running"] == 3
-        assert lease["lease_expires_at"] == jobs[0].lease_expires_at
-
     def test_claim_batch_rejects_bad_n(self, tmp_path):
         queue = JobQueue(tmp_path)
         for bad in (0, -1, 1.5, True):
@@ -128,7 +123,8 @@ class TestClaimBatch:
         reclaimed = queue.claim_batch("w2", 5)
         assert [job.id for job in reclaimed] == ids
         assert all(job.attempts == 2 for job in reclaimed)
-        assert {w["worker"] for w in queue.workers()} == {"w2"}  # w1 reaped
+        assert all(job.worker == "w2" for job in queue.jobs())
+        assert not queue.heartbeat_worker("w1")  # w1 holds nothing now
 
     def test_report_batch_commits_mixed_outcomes_at_once(self, tmp_path):
         queue = JobQueue(tmp_path, max_attempts=2)
@@ -156,7 +152,7 @@ class TestClaimBatch:
         assert queue.report_batch("w1", []) == {}
 
 
-class TestWorkerLeases:
+class TestHeartbeat:
     def test_heartbeat_worker_renews_every_held_job_in_one_call(self, tmp_path):
         queue = JobQueue(tmp_path)
         ids = queue.submit(SWEEP)
@@ -174,27 +170,64 @@ class TestWorkerLeases:
         queue.submit([TINY])
         queue.claim_batch("w1", 1, lease_s=0.05)
         time.sleep(0.08)
-        queue.reap()  # w1 presumed dead: job requeued, lease row dropped
+        queue.reap()  # w1 presumed dead: its job is requeued
         assert not queue.heartbeat_worker("w1")
 
-    def test_register_and_unregister_roundtrip(self, tmp_path):
+    def test_one_beat_moves_every_held_deadline_and_no_other(self, tmp_path):
+        """A batch shares one deadline, and one beat keeps it shared:
+        every job the worker holds moves to the same new deadline, while
+        another worker's jobs keep theirs."""
         queue = JobQueue(tmp_path)
-        queue.register_worker("idle-daemon", lease_s=60.0)
-        (lease,) = queue.workers()
-        assert lease["worker"] == "idle-daemon"
-        assert lease["running"] == 0
-        queue.unregister_worker("idle-daemon")
-        assert queue.workers() == []
+        queue.submit(SWEEP)
+        mine = queue.claim_batch("w1", 2, lease_s=5.0)
+        (theirs,) = queue.claim_batch("w2", 1, lease_s=5.0)
+        assert queue.heartbeat_worker("w1", lease_s=60.0)
+        renewed = {job.lease_expires_at for job in queue.jobs(
+            ids=[job.id for job in mine])}
+        assert len(renewed) == 1
+        assert renewed.pop() > mine[0].lease_expires_at + 50.0
+        assert queue.job(theirs.id).lease_expires_at == theirs.lease_expires_at
 
-    def test_expired_registrations_are_not_reported(self, tmp_path):
-        """A dead idle daemon must not haunt `repro status` forever: on a
-        quiescent queue nothing triggers a reclaim, so workers() itself
-        filters rows whose lease already lapsed."""
+    def test_a_worker_holding_nothing_gets_false(self, tmp_path):
         queue = JobQueue(tmp_path)
-        queue.register_worker("dead-daemon", lease_s=0.05)
-        assert [w["worker"] for w in queue.workers()] == ["dead-daemon"]
-        time.sleep(0.08)
-        assert queue.workers() == []  # presumed dead, not shown
+        queue.submit([TINY])
+        assert not queue.heartbeat_worker("never-claimed")
+        (job,) = queue.claim_batch("w1", 1)
+        queue.report_batch("w1", [(job.id, None, True)])
+        assert not queue.heartbeat_worker("w1")  # acked jobs are not held
+
+
+#: Lease and timeout values a deadline cannot be built from.  A NaN
+#: deadline would be stored as NULL and its job never reclaimed.
+NON_FINITE = [math.nan, math.inf]
+BAD_SECONDS = [*NON_FINITE, 0.0, -1.0]
+
+
+class TestLeaseValues:
+    @pytest.mark.parametrize("bad", NON_FINITE, ids=str)
+    def test_default_lease_must_be_finite(self, tmp_path, bad):
+        with pytest.raises(ConfigurationError,
+                           match="default_lease_s must be finite and > 0"):
+            JobQueue(tmp_path, default_lease_s=bad)
+
+    @pytest.mark.parametrize("bad", BAD_SECONDS, ids=str)
+    def test_claim_refuses_a_bad_lease_and_claims_nothing(self, tmp_path, bad):
+        queue = JobQueue(tmp_path)
+        queue.submit([TINY])
+        with pytest.raises(ConfigurationError,
+                           match="lease_s must be finite and > 0"):
+            queue.claim_batch("w1", 1, lease_s=bad)
+        assert queue.counts()[PENDING] == 1
+
+    @pytest.mark.parametrize("bad", BAD_SECONDS, ids=str)
+    def test_heartbeat_refuses_a_bad_lease(self, tmp_path, bad):
+        queue = JobQueue(tmp_path)
+        queue.submit([TINY])
+        (job,) = queue.claim_batch("w1", 1)
+        with pytest.raises(ConfigurationError,
+                           match="lease_s must be finite and > 0"):
+            queue.heartbeat_worker("w1", lease_s=bad)
+        assert queue.job(job.id).lease_expires_at == job.lease_expires_at
 
 
 class TestRetries:
@@ -284,6 +317,51 @@ class TestObservation:
         assert reopened.counts()[PENDING] == 1
 
 
+def _parent_queue_db(queue_dir, spec, lease_expires_at):
+    """A ``queue.db`` in the schema that still carried a ``leases`` table
+    (one row per worker beside the per-job deadline), holding one job
+    ``running`` under worker ``w-old`` until ``lease_expires_at``."""
+    queue_dir.mkdir()
+    db = queue_dir / "queue.db"
+    with closing(sqlite3.connect(db, isolation_level=None)) as conn:
+        conn.execute("PRAGMA journal_mode=WAL")
+        conn.executescript("""
+            CREATE TABLE jobs (
+                id               INTEGER PRIMARY KEY AUTOINCREMENT,
+                run_id           TEXT    NOT NULL,
+                spec_json        TEXT    NOT NULL,
+                state            TEXT    NOT NULL DEFAULT 'pending',
+                attempts         INTEGER NOT NULL DEFAULT 0,
+                max_attempts     INTEGER NOT NULL DEFAULT 3,
+                force            INTEGER NOT NULL DEFAULT 0,
+                worker           TEXT,
+                lease_expires_at REAL,
+                submitted_at     REAL    NOT NULL,
+                started_at       REAL,
+                finished_at      REAL,
+                error            TEXT
+            );
+            CREATE INDEX jobs_state ON jobs (state, id);
+            CREATE TABLE leases (
+                worker           TEXT PRIMARY KEY,
+                registered_at    REAL NOT NULL,
+                lease_expires_at REAL NOT NULL
+            );
+        """)
+        now = time.time()
+        conn.execute("BEGIN IMMEDIATE")
+        conn.execute(
+            "INSERT INTO jobs (run_id, spec_json, state, attempts, worker,"
+            " lease_expires_at, submitted_at, started_at)"
+            " VALUES (?, ?, 'running', 1, 'w-old', ?, ?, ?)",
+            (spec_run_id(spec), json.dumps(spec.to_dict(), sort_keys=True),
+             lease_expires_at, now - 10.0, now - 5.0),
+        )
+        conn.execute("INSERT INTO leases VALUES ('w-live', ?, ?)",
+                     (now - 10.0, now + 3600.0))
+        conn.execute("COMMIT")
+
+
 class TestDurability:
     def test_a_new_handle_sees_the_same_queue(self, tmp_path):
         ids = JobQueue(tmp_path).submit(SWEEP)
@@ -304,3 +382,25 @@ class TestDurability:
         counts = queue.counts()
         assert counts[DONE] == 1 and counts[FAILED] == 1
         assert not queue.active()
+
+    def test_a_queue_dir_with_a_leases_table_upgrades_in_place(
+            self, tmp_path, capsys):
+        """The old per-worker ``leases`` table is ignored, neither read,
+        migrated nor dropped: the expired job is reclaimed by its own
+        deadline, drains to done, and ``repro status`` renders the queue."""
+        from repro.cli import main
+        from repro.cluster import Worker
+
+        qdir = tmp_path / "q"
+        _parent_queue_db(qdir, TINY, lease_expires_at=time.time() - 1.0)
+        queue = JobQueue(qdir)
+        assert Worker(queue, worker_id="w-new").drain() == 1
+        (job,) = queue.jobs()
+        assert (job.state, job.attempts, job.worker) == (DONE, 2, "w-new")
+        assert main(["status", "--queue", str(qdir)]) == 0
+        out = capsys.readouterr().out
+        assert "0 pending, 0 running, 1 done, 0 failed" in out
+        assert "w-new" in out
+        with closing(sqlite3.connect(qdir / "queue.db")) as conn:
+            assert conn.execute("SELECT worker FROM leases").fetchall() == [
+                ("w-live",)]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 
 import pytest
@@ -143,36 +144,22 @@ def test_drain_respects_max_jobs_with_batching(tmp_path):
     assert queue.counts()[DONE] == 2
 
 
-def test_loops_unregister_the_worker_lease_on_exit(tmp_path):
-    queue = JobQueue(tmp_path)
-    queue.submit([TINY])
-    worker = Worker(queue, worker_id="w1")
-    assert worker.drain() == 1
-    assert queue.workers() == []  # the lease record left with the worker
-
-
-def test_idle_daemon_stays_registered_until_stopped(tmp_path):
-    """An idle `serve` loop is visible in the lease table the whole time
-    (status must not report a live-but-idle fleet as absent)."""
+def test_an_idle_daemon_writes_nothing_to_the_queue(tmp_path):
+    """A job row's deadline is the only lease: a daemon with nothing to
+    run only reads the queue, so its idle polls log no event."""
     import threading
+
+    from repro.obs.events import events_path
 
     queue = JobQueue(tmp_path)  # empty: the daemon only ever idles
     worker = Worker(queue, worker_id="idle", poll_s=0.01)
     thread = threading.Thread(target=worker.serve)
     thread.start()
-    try:
-        deadline = time.time() + 5.0
-        while time.time() < deadline:
-            if any(w["worker"] == "idle" for w in queue.workers()):
-                break
-            time.sleep(0.01)
-        else:
-            pytest.fail("idle daemon never registered its lease record")
-    finally:
-        worker.request_stop()
-        thread.join(timeout=5.0)
+    time.sleep(0.2)  # ~20 idle polls
+    worker.request_stop()
+    thread.join(timeout=5.0)
     assert not thread.is_alive()
-    assert queue.workers() == []  # unregistered on the way out
+    assert not events_path(tmp_path).exists()
 
 
 def test_a_failed_job_is_reported_as_a_failure_not_an_ack(
@@ -201,6 +188,22 @@ def test_bad_batch_size_is_rejected(tmp_path):
     for bad in (0, -2, 1.5, True):
         with pytest.raises(ConfigurationError, match="batch_size"):
             Worker(JobQueue(tmp_path), batch_size=bad)
+
+
+@pytest.mark.parametrize("knob, bad", [
+    ("lease_s", math.nan), ("lease_s", math.inf),
+    ("poll_s", math.nan), ("poll_s", math.inf), ("poll_s", 0.0),
+    ("poll_s", -1.0),
+])
+def test_non_finite_or_non_positive_seconds_are_rejected(tmp_path, knob, bad):
+    """An infinite lease used to kill the heartbeat thread
+    (``Event.wait(inf)`` overflows), a NaN one to crash the first claim,
+    and a poll of 0 or less to busy-loop the idle drain."""
+    from repro.errors import ConfigurationError
+
+    with pytest.raises(ConfigurationError,
+                       match=f"{knob} must be finite and > 0, got {bad!r}"):
+        Worker(JobQueue(tmp_path), **{knob: bad})
 
 
 def test_requested_stop_exits_the_loops_immediately(tmp_path):

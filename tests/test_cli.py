@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from repro.api import REGISTRY
+from repro.api import REGISTRY, ExperimentSpec
 from repro.cli import build_parser, main
 
 LEGACY_COMMANDS = {"table1", "fig1", "fig2", "fig3", "fig4", "gadgets", "info",
@@ -563,8 +563,24 @@ def test_bench_has_no_legacy_alias(capsys):
     (["submit", "table1", "--rows", "0", "--duration", "0.04",
       "--queue", "{tmp}/q", "--max-attempts", "0"],
      "max_attempts must be >= 1, got 0"),
+    # refused before enqueuing: a "queued job" line would be a 2nd line
+    (["submit", "gadgets", "--queue", "{tmp}/q", "--wait", "--timeout",
+      "nan"], "timeout must be finite and > 0, got nan"),
     (["worker", "--queue", "{tmp}/q", "--lease", "0", "--drain"],
-     "lease_s must be > 0"),
+     "lease_s must be finite and > 0, got 0.0"),
+    # a NaN lease used to crash the first claim with an IntegrityError,
+    # an infinite one to kill the heartbeat thread, a negative poll to
+    # busy-loop, and --max-jobs below 1 to exit silently
+    (["worker", "--queue", "{tmp}/q", "--drain", "--lease", "nan"],
+     "lease_s must be finite and > 0, got nan"),
+    (["worker", "--queue", "{tmp}/q", "--drain", "--lease", "inf"],
+     "lease_s must be finite and > 0, got inf"),
+    (["worker", "--queue", "{tmp}/q", "--drain", "--poll", "-1"],
+     "poll_s must be finite and > 0, got -1.0"),
+    (["worker", "--queue", "{tmp}/q", "--drain", "--max-jobs", "0"],
+     "--max-jobs must be an integer >= 1, got 0"),
+    (["worker", "--queue", "{tmp}/q", "--drain", "--max-jobs", "-1"],
+     "--max-jobs must be an integer >= 1, got -1"),
     (["status", "--queue", "{tmp}/typo"], "is not a job queue"),
     (["gather", "{tmp}/typo"], "is not a job queue"),
     (["gc", "--queue", "{tmp}/typo"], "is not a job queue"),
@@ -575,7 +591,10 @@ def test_bench_has_no_legacy_alias(capsys):
         "run-scale-nan", "run-scale-inf", "run-seed-negative",
         "run-seeds-negative", "profile-top-negative",
         "run-checkpoint-every-form",
-        "worker-checkpoint-every-form", "submit", "worker", "status",
+        "worker-checkpoint-every-form", "submit", "submit-wait-timeout-nan",
+        "worker",
+        "worker-lease-nan", "worker-lease-inf", "worker-poll-negative",
+        "worker-max-jobs-zero", "worker-max-jobs-negative", "status",
         "gather", "gc", "tail", "lint"])
 def test_handler_errors_are_one_stderr_line_and_exit_2(
         argv, message, tmp_path, capsys):
@@ -587,6 +606,22 @@ def test_handler_errors_are_one_stderr_line_and_exit_2(
     assert captured.err.startswith("error: ")
     assert captured.err.endswith("\n") and captured.err.count("\n") == 1
     assert message in captured.err
+
+
+@pytest.mark.parametrize("timeout", ["nan", "inf", "0", "-1"])
+def test_gather_refuses_a_bad_timeout_before_waiting(timeout, tmp_path, capsys):
+    """``monotonic() >= nan`` is never true, so a NaN timeout used to
+    wait forever; a zero or negative one timed out unasked.  The job
+    here already failed, so the old code answered with that instead."""
+    from repro.cluster import JobQueue
+
+    queue = JobQueue(tmp_path / "q")
+    (job_id,) = queue.submit([ExperimentSpec("gadgets")])
+    queue.claim_batch("w", 1)
+    queue.report_batch("w", [(job_id, "bad spec", False)])
+    assert main(["gather", str(tmp_path / "q"), "--timeout", timeout]) == 2
+    assert capsys.readouterr().err == (
+        f"error: timeout must be finite and > 0, got {float(timeout)!r}\n")
 
 
 def test_requires_a_command():

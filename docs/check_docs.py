@@ -17,11 +17,11 @@ Seven checks, all cheap enough for every CI run:
    --list-rules`` knows, so the invariant catalogue can neither
    document retired rules nor silently omit a new one.
 4. **CLI verbs × docs** — every non-experiment subcommand of ``python
-   -m repro`` (``run``, ``gc``, ``checkpoint``, …) must be mentioned as
+   -m repro`` (``run``, ``gc``, ``record``, …) must be mentioned as
    ``repro <verb>`` somewhere in the documentation corpus, so a new
    verb cannot ship undocumented.
 5. **Run flags × docs** — every long option of ``repro run`` (the
-   experiment-facing surface: ``--out``, ``--checkpoint-every``, …)
+   experiment-facing surface: ``--out``, ``--force``, …)
    must appear verbatim somewhere in the corpus, so a new runner knob
    cannot ship undocumented either.
 6. **Scenario catalogue × registry** — the first column of the

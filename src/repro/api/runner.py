@@ -155,9 +155,8 @@ def run(
     section, excluded from the canonical JSON, so artifacts stay
     byte-identical with telemetry on or off.
 
-    ``checkpoint_policy`` (``"<n>ev"``, as ``--checkpoint-every`` takes
-    it) arms preemption-safe resume: the run writes a mid-flight
-    snapshot every n engine events into the
+    ``checkpoint_policy`` (``"<n>ev"``) arms preemption-safe resume: the
+    run writes a mid-flight snapshot every n engine events into the
     checkpoint store and, if an earlier attempt of the same spec was
     killed, fast-forwards through the newest valid snapshot it left
     behind.  Needs a durable store (``out_dir`` or ``checkpoint_dir``).
@@ -286,22 +285,19 @@ def _plan_sweep(
                     if kind in shared}
 
 
-def _store_dir(
-    kind: str, base: str | Path | None, override: str | Path | None
-) -> Path | None:
-    """Where the ``kind`` store of a run lives: an explicit ``override``,
-    else under ``base`` (an ``out_dir`` or a queue's ``artifacts/``),
-    else nowhere (``None`` — build in memory)."""
-    if override is not None:
-        return Path(override)
+def _store_dir(kind: str, base: str | Path | None) -> Path | None:
+    """Where the ``kind`` store of a sweep lives: under ``base`` (an
+    ``out_dir`` or a queue's ``artifacts/``), else nowhere (``None`` —
+    build in memory)."""
     return None if base is None else Path(base) / STORE_KINDS[kind][0]
 
 
 def _open_store(
     kind: str, base: str | Path | None, override: str | Path | None
 ) -> ContentStore | None:
-    """The ``kind`` store at :func:`_store_dir`, or None when that is nowhere."""
-    root = _store_dir(kind, base, override)
+    """A run's ``kind`` store: at an explicit ``override``, else at
+    :func:`_store_dir`, or None when that is nowhere."""
+    root = Path(override) if override is not None else _store_dir(kind, base)
     return None if root is None else STORE_KINDS[kind][1](root)
 
 
@@ -309,7 +305,6 @@ def _open_store(
 def _sweep_store_dirs(
     shared: dict[str, dict[str, Callable]],
     base: str | Path | None,
-    checkpoint_dir: str | Path | None,
 ) -> Iterator[dict[str, Path | None]]:
     """Where this sweep's prerequisite stores live, by kind.
 
@@ -319,11 +314,10 @@ def _sweep_store_dirs(
     only for a ``shared`` kind; ``None`` (no store, legs build in memory
     — no round-trip overhead) when nothing would be reused.
     """
-    overrides = {"checkpoint": checkpoint_dir}
     with contextlib.ExitStack() as stack:
         dirs = {}
         for kind, (subdir, _cls, _span) in STORE_KINDS.items():
-            dirs[kind] = _store_dir(kind, base, overrides.get(kind))
+            dirs[kind] = _store_dir(kind, base)
             if dirs[kind] is None and kind in shared:
                 dirs[kind] = Path(stack.enter_context(
                     tempfile.TemporaryDirectory(prefix=f"repro-{subdir}-")))
@@ -374,7 +368,6 @@ def run_many(
     force: bool = False,
     queue_dir: str | Path | None = None,
     batch_size: int | None = None,
-    checkpoint_dir: str | Path | None = None,
     checkpoint_policy: str | None = None,
 ) -> list[RunArtifact]:
     """Execute several specs; the inputs pick how.
@@ -411,54 +404,42 @@ def run_many(
     built by that leg, into the same store.  So a ``replay_modes`` sweep
     over M modes pays the recording cost once, not M times, and an N-leg
     branch sweep costs O(horizon + N × delta), not O(N × horizon), in
-    every mode.  ``checkpoint_dir`` overrides where the checkpoint store
-    lives (the CLI's ``--branch-from``), e.g. to reuse warm-ups across
-    sweeps without adopting a full ``out_dir`` cache; queue workers
-    always use the queue's shared ``artifacts/checkpoints``, so it is
-    rejected together with ``queue_dir``, as is ``batch_size`` without
-    one.
+    every mode.  ``batch_size`` without ``queue_dir`` is refused.
 
     ``checkpoint_policy`` arms preemption-safe resume for every leg (see
-    :func:`run`): each leg writes periodic mid-flight snapshots and a
-    retried leg resumes from the newest valid one instead of t=0.
-    Through the queue the policy is handed to the spawned drain workers;
-    otherwise it needs a durable store (``out_dir`` or
-    ``checkpoint_dir``).
+    :func:`run`): each leg writes periodic mid-flight snapshots into
+    ``out_dir``'s checkpoint store, and a retried leg resumes from the
+    newest valid one instead of t=0.  It needs ``out_dir`` and is
+    refused with ``queue_dir``: queue workers take no policy.
     """
     spec_list: Sequence[ExperimentSpec] = list(specs)
     require_positive_int(workers, "workers")
     if batch_size is not None:
         require_positive_int(batch_size, "batch_size")
-    if checkpoint_policy is not None:
-        parse_checkpoint_every(checkpoint_policy)  # refuse it before any leg
-    if queue_dir is not None and checkpoint_dir is not None:
-        raise ConfigurationError(
-            "checkpoint_dir= does not apply with queue_dir=: queue workers "
-            "fetch checkpoints from the queue's own artifacts/checkpoints "
-            "store"
-        )
     if queue_dir is None and batch_size is not None:
         raise ConfigurationError(
             "batch_size= only applies with queue_dir= (it sizes the jobs "
             "a queue worker leases at once)"
         )
-    if queue_dir is None and checkpoint_policy is not None \
-            and out_dir is None and checkpoint_dir is None:
-        raise ConfigurationError(
-            "checkpoint_policy needs a durable checkpoint store to write "
-            "snapshots into — pass out_dir= or checkpoint_dir= (a "
-            "sweep-scoped temporary store would die with the process the "
-            "policy is guarding against)"
-        )
+    if checkpoint_policy is not None:
+        parse_checkpoint_every(checkpoint_policy)  # refuse it before any leg
+        if queue_dir is not None or out_dir is None:
+            raise ConfigurationError(
+                "checkpoint_policy needs out_dir= and no queue_dir=: its "
+                "snapshots go into out_dir's checkpoint store (a "
+                "sweep-scoped temporary store would die with the process "
+                "the policy is guarding against), and queue workers take "
+                "no policy"
+            )
     base = out_dir if queue_dir is None else Path(queue_dir) / "artifacts"
     results, shared = _plan_sweep(spec_list, out_dir, force)
     misses = [i for i in range(len(spec_list)) if i not in results]
     missed = [spec_list[i] for i in misses]
-    with _sweep_store_dirs(shared, base, checkpoint_dir) as dirs:
+    with _sweep_store_dirs(shared, base) as dirs:
         _build_prerequisites(shared, dirs, workers, legs=len(missed))
         if queue_dir is not None:
             fresh = _through_queue(missed, queue_dir, workers, force,
-                                   batch_size, checkpoint_policy)
+                                   batch_size)
         else:
             leg = functools.partial(
                 run, out_dir=out_dir, force=force,
@@ -485,7 +466,6 @@ def _through_queue(
     workers: int,
     force: bool,
     batch_size: int | None,
-    checkpoint_policy: str | None,
 ) -> list[RunArtifact]:
     """The queue mode's legs: submit, spawn local drain workers, gather.
 
@@ -518,8 +498,7 @@ def _through_queue(
         context.Process(
             target=drain_queue,
             args=(str(queue_dir),),
-            kwargs={"batch_size": batch_size, "poll_s": 0.05,
-                    "checkpoint_policy": checkpoint_policy},
+            kwargs={"batch_size": batch_size, "poll_s": 0.05},
         )
         for _ in range(min(workers, batches))
     ]

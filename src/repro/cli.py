@@ -53,15 +53,12 @@ spec's run-id: re-running the same spec answers from the saved artifact
 (``--force`` re-simulates), and its ``schedules/`` subdirectory caches
 recorded schedules the same way.
 
-Three maintenance verbs round out the surface: ``repro record EXPERIMENT
+Two maintenance verbs round out the surface: ``repro record EXPERIMENT
 --out DIR`` records a record-once experiment's original schedule(s) into
 the schedule store at ``DIR`` (what ``repro run --out D`` reads from
-``D/schedules``), ``repro checkpoint EXPERIMENT --at T --out DIR``
-simulates a branchable experiment's warm-up(s) into the checkpoint store
-at ``DIR`` (what ``repro run --branch-from DIR`` restores sweeps from;
-see ``docs/checkpointing.md``), and ``repro
-lint [PATHS]`` runs the determinism/concurrency analyzer of
-:mod:`repro.lintkit` (rule catalogue: ``docs/determinism.md``).
+``D/schedules``), and ``repro lint [PATHS]`` runs the
+determinism/concurrency analyzer of :mod:`repro.lintkit` (rule
+catalogue: ``docs/determinism.md``).
 """
 
 from __future__ import annotations
@@ -75,8 +72,8 @@ from typing import Sequence
 
 from repro.analysis.tables import Table
 from repro.api import REGISTRY, ExperimentSpec, run_many, spec_run_id
-from repro.api.runner import STORE_KINDS
 from repro.cluster.worker import DEFAULT_BATCH_SIZE
+from repro.core.trace_io import ScheduleStore
 from repro.errors import (
     ConfigurationError,
     ReproError,
@@ -202,19 +199,6 @@ def _add_experiment_args(parser: argparse.ArgumentParser, with_rows: bool) -> No
     parser.add_argument("--force", action="store_true",
                         help="with --out: re-simulate even when DIR already "
                              "holds this spec's artifact")
-    parser.add_argument("--branch-from", default=None, metavar="DIR",
-                        dest="branch_from",
-                        help="checkpoint store directory to branch shared "
-                             "warm-ups from (simulate once, branch many; "
-                             "not with --queue — queue workers use the "
-                             "queue's own store)")
-    parser.add_argument("--checkpoint-every", default=None, metavar="<n>ev",
-                        dest="checkpoint_every",
-                        help="'<n>ev': take a mid-run snapshot every n "
-                             "engine events so a killed run resumes instead "
-                             "of restarting (the newest two are kept), e.g. "
-                             "'5000ev'; needs --out or --branch-from for a "
-                             "durable store")
 
 
 def spec_from_args(experiment: str, args: argparse.Namespace) -> ExperimentSpec:
@@ -227,8 +211,6 @@ def spec_from_args(experiment: str, args: argparse.Namespace) -> ExperimentSpec:
     rows = getattr(args, "rows", None)
     if rows:  # a bare `--rows` (no indices) means "all rows", like before
         options["rows"] = tuple(rows)
-    if getattr(args, "at", None) is not None:  # `repro checkpoint --at T`
-        options["warmup"] = args.at
     scenarios = tuple(
         name
         for token in (getattr(args, "scenarios", None) or ())
@@ -272,6 +254,26 @@ def _emit_artifacts(args: argparse.Namespace, artifacts: list) -> None:
             print(artifact.table().render())
 
 
+def _out_dir(path: str, purpose: str) -> Path:
+    """``--out`` as a directory to write into, refused when it is a file."""
+    out = Path(path)
+    if out.exists() and not out.is_dir():
+        raise ConfigurationError(f"--out {out} is a file; pass {purpose}")
+    return out
+
+
+def _out_file(path: str, flag: str) -> Path:
+    """An output file path, refused when it cannot be written there."""
+    out = Path(path)
+    if out.is_dir():
+        raise ConfigurationError(f"{flag} {out} is a directory; pass the "
+                                 f"file to write")
+    if not out.parent.is_dir():
+        raise ConfigurationError(f"{flag} {out}: directory {out.parent} "
+                                 f"does not exist")
+    return out
+
+
 def _legs(experiment: str, args: argparse.Namespace):
     """``(registry entry, one spec per leg)`` for an invocation.
 
@@ -286,11 +288,11 @@ def _legs(experiment: str, args: argparse.Namespace):
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     _, specs = _legs(args.experiment, args)
+    if args.out:
+        _out_dir(args.out, "the directory to save the artifacts into")
     artifacts = run_many(
         specs, workers=args.workers, out_dir=args.out, force=args.force,
         queue_dir=args.queue, batch_size=args.batch_size,
-        checkpoint_dir=args.branch_from,
-        checkpoint_policy=args.checkpoint_every,
     )
     if args.out:
         out = Path(args.out)
@@ -307,7 +309,9 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     from repro.cluster import client
 
     _, specs = _legs(args.experiment, args)
-    if args.wait and args.timeout is not None:  # refuse it before enqueuing
+    if args.timeout is not None:  # refuse it before enqueuing
+        if not args.wait:
+            raise ConfigurationError("--timeout only applies with --wait")
         require_positive_finite(args.timeout, "timeout")
     job_ids = client.submit(specs, args.queue, force=args.force,
                             max_attempts=args.max_attempts)
@@ -334,8 +338,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         require_positive_int(args.max_jobs, "--max-jobs")
     queue = JobQueue(args.queue)
     worker = Worker(queue, worker_id=args.id, lease_s=args.lease,
-                    poll_s=args.poll, batch_size=args.batch_size,
-                    checkpoint_policy=args.checkpoint_every)
+                    poll_s=args.poll, batch_size=args.batch_size)
     worker.install_signal_handlers()
     print(f"worker {worker.worker_id} serving {queue.queue_dir} "
           f"(lease {worker.lease_s:g}s, batch {worker.batch_size}, "
@@ -358,6 +361,8 @@ def _cmd_gather(args: argparse.Namespace) -> int:
     """
     from repro.cluster import client
 
+    if args.out:  # refuse it before waiting on the sweep
+        _out_dir(args.out, "the directory to save the artifacts into")
     job_ids = args.jobs
     if job_ids is None:
         job_ids = [job.id for job in client.status(args.queue).jobs]
@@ -443,6 +448,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     if args.top < 0:
         raise ConfigurationError(f"--top must be >= 0, got {args.top}")
     _, specs = _legs(args.experiment, args)
+    if args.trace:  # refuse it before the first leg
+        _out_file(args.trace, "--trace")
     hub = MetricsHub(flight=FlightRecorder(capacity=1024))
     events, wall = 0, 0.0
     SPANS.clear()
@@ -504,6 +511,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.cluster import JobQueue
     from repro.obs.spans import read_span_records, write_chrome_trace
 
+    _out_file(args.out, "--out")
     JobQueue(args.queue, create=False)  # typo'd path -> clean error
     records = read_span_records(args.queue)
     if not records:
@@ -550,68 +558,35 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return 0 if report.clean else 1
 
 
-def _export_prerequisites(
-    args: argparse.Namespace, kind: str, noun: str, refusal: str,
-) -> int:
-    """``repro record`` / ``repro checkpoint``: build each ``kind`` entry
-    the legs' ``prerequisites`` declare into the ``kind`` store at
-    ``--out`` — the directory a run reads that kind from, so a second
-    export (or the run) answers from it.  ``refusal`` is the error when
-    no ``kind`` entries are declared.
-    """
+def _cmd_record(args: argparse.Namespace) -> int:
+    """Record an experiment's original schedule(s) into a schedule store:
+    ``repro record table1 --out D/schedules`` warms ``repro run table1
+    --out D``, so a second record (or the run) answers from it."""
     entry, legs = _legs(args.experiment, args)
     hook = entry.prerequisites
     builders = {}
     for leg in legs:
-        declared = hook(leg).get(kind) if hook is not None else None
+        declared = hook(leg).get("schedule") if hook is not None else None
         if declared is None:
-            raise ConfigurationError(refusal.format(name=entry.name))
+            raise ConfigurationError(
+                f"experiment {entry.name!r} records no replayable schedules "
+                f"— only record-once/replay-many experiments (`schedule` "
+                f"entries in a registered `prerequisites` hook) can be "
+                f"exported")
         builders.update(declared)
     if not builders:
         raise ConfigurationError(f"spec for {entry.name!r} yields no "
-                                 f"{noun}s (empty sweep?)")
-    out = Path(args.out)
-    if out.exists() and not out.is_dir():
-        raise ConfigurationError(f"--out {out} is a file; pass the store "
-                                 f"directory to build the {noun}s into")
-    store = STORE_KINDS[kind][1](out)
+                                 f"recordings (empty sweep?)")
+    out = _out_dir(args.out, "the store directory to build the recordings "
+                             "into")
+    store = ScheduleStore(out)
     for key in sorted(builders):
         verb = "cached" if store.readable(key) else "wrote"
         store.get_or_build(key, builders[key])
         print(f"{verb} {store.path(key)}", file=sys.stderr)
-    print(json.dumps({"experiment": entry.name, f"{noun}s": sorted(builders),
+    print(json.dumps({"experiment": entry.name, "recordings": sorted(builders),
                       "out": str(out)}))
     return 0
-
-
-def _cmd_record(args: argparse.Namespace) -> int:
-    """Record an experiment's original schedule(s) into a schedule store:
-    ``repro record table1 --out D/schedules`` warms ``repro run table1
-    --out D``."""
-    return _export_prerequisites(
-        args, "schedule", "recording",
-        refusal="experiment {name!r} records no replayable schedules — "
-                "only record-once/replay-many experiments (`schedule` "
-                "entries in a registered `prerequisites` hook) can be "
-                "exported",
-    )
-
-
-def _cmd_checkpoint(args: argparse.Namespace) -> int:
-    """Simulate an experiment's warm-up(s) into a checkpoint store:
-    ``repro checkpoint branch --out W`` feeds ``repro run branch
-    --branch-from W``."""
-    entry = REGISTRY.get(args.experiment)
-    if args.at is not None and "warmup" not in entry.options:
-        raise ConfigurationError(f"experiment {entry.name!r} has no warm-up "
-                                 f"horizon; --at does not apply")
-    return _export_prerequisites(
-        args, "checkpoint", "checkpoint",
-        refusal="experiment {name!r} has no branchable warm-up — only "
-                "simulate-once/branch-many experiments (`checkpoint` "
-                "entries in a registered `prerequisites` hook) can be "
-                "checkpointed",
-    )
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
@@ -692,11 +667,6 @@ def build_parser() -> argparse.ArgumentParser:
                         f"{DEFAULT_BATCH_SIZE}; 1 = the per-job protocol)")
     p.add_argument("--id", default=None, metavar="NAME",
                    help="worker identity (default host:pid)")
-    p.add_argument("--checkpoint-every", default=None, metavar="<n>ev",
-                   dest="checkpoint_every",
-                   help="'<n>ev': take a mid-run snapshot every n engine "
-                        "events while executing jobs so a preempted "
-                        "worker's retry resumes mid-run")
     p.set_defaults(fn=_cmd_worker)
 
     p = sub.add_parser(
@@ -750,21 +720,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "recording; `run --out D` reads D/schedules)")
     _add_spec_args(p, with_rows=True)
     p.set_defaults(fn=_cmd_record)
-
-    p = sub.add_parser(
-        "checkpoint",
-        help="simulate an experiment's warm-up(s) into a checkpoint store")
-    p.add_argument("experiment",
-                   help="a simulate-once/branch-many experiment from "
-                        "`repro list` (e.g. branch)")
-    p.add_argument("--at", type=float, default=None, metavar="T",
-                   help="warm-up horizon in simulated seconds "
-                        "(overrides the experiment default)")
-    p.add_argument("--out", required=True, metavar="DIR",
-                   help="checkpoint store directory (one <key>.ckpt per "
-                        "checkpoint; `run --branch-from DIR` reads it)")
-    _add_spec_args(p, with_rows=False)
-    p.set_defaults(fn=_cmd_checkpoint)
 
     p = sub.add_parser(
         "status", help="snapshot a job queue: counts plus one row per job")

@@ -69,10 +69,8 @@ class QueueStatus:
     queue_dir: Path
     counts: dict[str, int]
     jobs: list[Job]
-    #: Checkpoints in the queue's store: one dict per entry with ``key``,
-    #: ``kind`` (``warmup`` — a branchable warm-up prefix — or ``resume``
-    #: — a mid-run snapshot a preempted job's retry would fast-forward
-    #: from), and ``in_use`` (a pending/running job still needs it — the
+    #: Checkpoints in the queue's store: one dict per entry with ``key``
+    #: and ``in_use`` (a pending/running job still needs it — the
     #: ``repro gc`` keep criterion).
     checkpoints: list[dict] = field(default_factory=list)
 
@@ -112,11 +110,11 @@ class QueueStatus:
 
     def render(self) -> str:
         """The snapshot as an ASCII table (``repro status``), plus one
-        line per warm-up checkpoint in the queue's store."""
+        line per checkpoint in the queue's store."""
         text = self.table().render()
         if self.checkpoints:
             lines = [
-                f"  {ckpt['key']}  [{ckpt.get('kind', 'warmup')}]  "
+                f"  {ckpt['key']}  "
                 f"{'in use' if ckpt['in_use'] else 'unreferenced'}"
                 for ckpt in self.checkpoints
             ]
@@ -222,10 +220,9 @@ def _keep_sets(queue: JobQueue) -> dict[str, tuple]:
 
     A key is in use while any pending or running job's experiment
     declares it through the registry's ``prerequisites`` hook — those
-    jobs will fetch it from the store when a worker picks them up — or,
-    for a store with run-private keys (``RUN_PREFIX``: the mid-run resume
-    snapshots of :mod:`repro.sim.resume`), while it sits under a live
-    job's run id: a retry fast-forwards from any of them.  Terminal jobs
+    jobs will fetch it from the store when a worker picks them up.  A
+    mid-run resume snapshot is never in use: queue workers take no
+    checkpoint policy, so no job resumes from one.  Terminal jobs
     contribute nothing: their artifacts are cached, so they never touch a
     store again (a done job never retries, a ``--force`` resubmission
     rebuilds from scratch).
@@ -237,40 +234,25 @@ def _keep_sets(queue: JobQueue) -> dict[str, tuple]:
     stores = {kind: store_cls(queue.artifact_dir / subdir)
               for kind, (subdir, store_cls, _span) in STORE_KINDS.items()}
     declared: dict[str, set[str]] = {kind: set() for kind in stores}
-    run_ids = []
     # query the live states only: a long-lived queue dir holds thousands
     # of terminal rows, and rebuilding their specs just to skip them
     # would make every gc run O(history)
     for state in (PENDING, RUNNING):
         for job in queue.jobs(state=state):
-            run_ids.append(job.run_id)
             hook = REGISTRY.get(job.spec.experiment).prerequisites
             if hook is not None:
                 for kind, builders in hook(job.spec).items():
                     declared[kind].update(builders)
-    keep = {}
-    for kind, store in stores.items():
-        live = tuple(f"{store.RUN_PREFIX}{run_id}-" for run_id in run_ids
-                     if store.RUN_PREFIX is not None)
-        keep[kind] = (store, {
-            key: key in declared[kind] or key.startswith(live)
-            for key in store.keys()})
-    return keep
+    return {kind: (store, {key: key in declared[kind]
+                           for key in store.keys()})
+            for kind, store in stores.items()}
 
 
 def _checkpoint_rows(queue: JobQueue) -> list[dict]:
-    """The ``repro status`` checkpoint rows: every stored key with its
-    kind (warm-up prefix vs mid-run resume snapshot), flagged in-use
-    when a live job still needs it."""
-    store, in_use = _keep_sets(queue)["checkpoint"]
-    return [
-        {
-            "key": key,
-            "kind": "resume" if key.startswith(store.RUN_PREFIX) else "warmup",
-            "in_use": used,
-        }
-        for key, used in in_use.items()
-    ]
+    """The ``repro status`` checkpoint rows: every stored key, flagged
+    in-use when a live job still needs it."""
+    _store, in_use = _keep_sets(queue)["checkpoint"]
+    return [{"key": key, "in_use": used} for key, used in in_use.items()]
 
 
 def prune_stores(

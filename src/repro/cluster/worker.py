@@ -59,7 +59,6 @@ from repro.errors import (
 from repro.obs.flight import FlightRecorder
 from repro.obs.hub import MetricsHub
 from repro.obs.spans import append_span_record, span_record
-from repro.sim.resume import parse_checkpoint_every
 
 __all__ = ["DEFAULT_BATCH_SIZE", "Worker", "drain_queue"]
 
@@ -82,17 +81,8 @@ class Worker:
         lease_s: float | None = None,
         poll_s: float = 0.2,
         batch_size: int = DEFAULT_BATCH_SIZE,
-        checkpoint_policy: str | None = None,
     ) -> None:
-        """Bind a worker to ``queue``; ``batch_size`` caps jobs per claim.
-
-        ``checkpoint_policy`` (``"<n>ev"``, as ``--checkpoint-every``
-        takes it) makes every executed job write a mid-run snapshot
-        every n engine events into the queue's shared
-        ``artifacts/checkpoints`` store — and *resume* from the newest
-        valid one when re-running a job a preempted worker left behind,
-        instead of starting over at t=0.
-        """
+        """Bind a worker to ``queue``; ``batch_size`` caps jobs per claim."""
         self.queue = queue if isinstance(queue, JobQueue) else JobQueue(queue)
         self.worker_id = worker_id or f"{socket.gethostname()}:{os.getpid()}"
         self.lease_s = (
@@ -101,9 +91,6 @@ class Worker:
         )
         self.batch_size = require_positive_int(batch_size, "batch_size")
         self.poll_s = require_positive_finite(poll_s, "poll_s")
-        if checkpoint_policy is not None:
-            parse_checkpoint_every(checkpoint_policy)  # refuse it before any job
-        self.checkpoint_policy = checkpoint_policy
         self.jobs_run = 0
         self._stop = threading.Event()
         #: Bounded ring of the current job's recent engine events — the
@@ -189,13 +176,8 @@ class Worker:
         start = time.perf_counter()
         result: tuple[int, str | None, bool]
         try:
-            run(
-                job.spec,
-                out_dir=self.queue.artifact_dir,
-                force=job.force,
-                obs=obs,
-                checkpoint_policy=self.checkpoint_policy,
-            )
+            run(job.spec, out_dir=self.queue.artifact_dir, force=job.force,
+                obs=obs)
         except ConfigurationError as exc:
             result = (job.id, self._failure(exc), False)
         except Exception as exc:  # noqa: BLE001 - the queue is the error record
@@ -302,22 +284,18 @@ def drain_queue(
     lease_s: float | None = None,
     poll_s: float = 0.2,
     batch_size: int = DEFAULT_BATCH_SIZE,
-    checkpoint_policy: str | None = None,
 ) -> int:
     """Module-level drain entry point (picklable for ``multiprocessing``).
 
-    ``lease_s`` / ``poll_s`` / ``batch_size`` / ``checkpoint_policy``
-    configure the :class:`Worker` exactly as its constructor does.
-    Installs the
+    ``lease_s`` / ``poll_s`` / ``batch_size`` configure the
+    :class:`Worker` exactly as its constructor does.  Installs the
     graceful-drain signal handlers: a parent that ``terminate()``\\ s
     this process (SIGTERM) lets the current batch finish and report
     instead of aborting it mid-run — which matters on a shared queue,
     where the aborted jobs could belong to someone else's sweep and
     would be charged a retry attempt for our impatience.
     """
-    worker = Worker(
-        JobQueue(queue_dir), lease_s=lease_s, poll_s=poll_s,
-        batch_size=batch_size, checkpoint_policy=checkpoint_policy,
-    )
+    worker = Worker(JobQueue(queue_dir), lease_s=lease_s, poll_s=poll_s,
+                    batch_size=batch_size)
     worker.install_signal_handlers()
     return worker.drain()

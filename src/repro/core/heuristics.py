@@ -26,6 +26,7 @@ packet's own flow).
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING
 
 from repro.errors import WorkloadError
@@ -95,8 +96,9 @@ class ConstantSlack(SlackPolicy):
     """
 
     def __init__(self, slack: float = 1.0) -> None:
-        if slack < 0:
-            raise WorkloadError(f"constant slack must be >= 0, got {slack!r}")
+        if not (slack >= 0 and math.isfinite(slack)):
+            raise WorkloadError(
+                f"constant slack must be finite and >= 0, got {slack!r}")
         self.slack = slack
 
     def assign(self, packet: "Packet", flow: "Flow", now: float) -> None:
@@ -112,8 +114,8 @@ class FlowSizeSlack(SlackPolicy):
     """
 
     def __init__(self, d: float = 1.0) -> None:
-        if d <= 0:
-            raise WorkloadError(f"D must be positive, got {d!r}")
+        if not (d > 0 and math.isfinite(d)):
+            raise WorkloadError(f"D must be finite and > 0, got {d!r}")
         self.d = d
 
     def assign(self, packet: "Packet", flow: "Flow", now: float) -> None:
@@ -132,8 +134,9 @@ class VirtualClockSlack(SlackPolicy):
     """
 
     def __init__(self, rate_estimate: float) -> None:
-        if rate_estimate <= 0:
-            raise WorkloadError(f"rate estimate must be positive, got {rate_estimate!r}")
+        if not (rate_estimate > 0 and math.isfinite(rate_estimate)):
+            raise WorkloadError(f"rate estimate must be finite and > 0, "
+                                f"got {rate_estimate!r}")
         self.rate_estimate = rate_estimate
         self._last_slack: dict[int, float] = {}
         self._last_arrival: dict[int, float] = {}

@@ -102,10 +102,6 @@ class ContentStore:
     #: Suffixes earlier codec versions wrote: misses to :meth:`get`, but
     #: :meth:`keys` lists and :meth:`discard` removes them, so GC works.
     RETIRED_SUFFIXES: tuple[str, ...] = ()
-    #: Prefix of keys private to one run (``<RUN_PREFIX><run_id>-…``, the
-    #: mid-run snapshots its retry resumes from), or None: GC keeps such
-    #: an entry exactly while that run's job is live.
-    RUN_PREFIX: str | None = None
     #: Operations the audit log records.  Legacy lines (written before
     #: the log carried an op column) have no leading op and parse as ``put``.
     LOG_OPS = ("put", "prune", "roll", "resume")

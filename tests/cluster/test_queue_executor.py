@@ -140,11 +140,12 @@ class TestDeterminism:
             run_many(SWEEP, queue_dir=tmp_path / "q", batch_size=0)
         with pytest.raises(ConfigurationError, match="batch_size= only applies"):
             run_many(SWEEP, workers=2, batch_size=4)
-        with pytest.raises(ConfigurationError, match="checkpoint_dir= does not"):
-            run_many(SWEEP, queue_dir=tmp_path / "q",
-                     checkpoint_dir=tmp_path / "ckpt")
-        with pytest.raises(ConfigurationError, match="durable checkpoint store"):
+        with pytest.raises(ConfigurationError, match="needs out_dir="):
             run_many(SWEEP, checkpoint_policy="100ev")
+        # queue workers take no policy, not even with a durable out_dir
+        with pytest.raises(ConfigurationError, match="no queue_dir="):
+            run_many(SWEEP, queue_dir=tmp_path / "q", out_dir=tmp_path / "o",
+                     checkpoint_policy="100ev")
         assert not (tmp_path / "q").exists()  # refused before any work
         assert run_many([], queue_dir=tmp_path / "q") == []
 

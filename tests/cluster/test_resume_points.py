@@ -9,8 +9,8 @@ a checkpoint policy may never change results, only how much work a
 second attempt repeats.
 
 The matrix covers kill points early/middle/late in a run, two schedulers
-by two topologies, all three execution modes (serial, process pool, durable
-queue with a genuinely preempted worker), torn-snapshot healing, and the
+by two topologies, both execution modes that take a policy (serial and
+process pool; queue workers take none), torn-snapshot healing, and the
 interactions that historically make mid-run state capture wrong: branch
 warm-up checkpoints, the record-once pre-pass, and metrics-hub sampler
 entries.
@@ -25,13 +25,11 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal
-import time
 
 import pytest
 
 from repro.api import ExperimentSpec, run
 from repro.api.runner import CHECKPOINT_SUBDIR, run_many
-from repro.cluster import DONE, JobQueue, gather, submit
 from repro.sim.checkpoint import CheckpointStore
 
 #: Scale knob for the scheduled CI stress job (see ``test_stress.py``).
@@ -39,7 +37,6 @@ SCALE = max(1, int(os.environ.get("REPRO_STRESS_SCALE", "1")))
 
 POLICY_EVENTS = 300
 POLICY = f"{POLICY_EVENTS}ev"
-LEASE_S = 0.5
 
 FIG2 = dict(experiment="fig2", schedulers=("fifo",), duration=0.02, seeds=(3,))
 
@@ -212,52 +209,6 @@ def test_resume_process_executor_sweep(tmp_path):
     store = CheckpointStore(os.path.join(out, CHECKPOINT_SUBDIR))
     assert any(op == "resume" for op, _ in store.log_entries())
     assert not _resume_keys_left(out)
-
-
-def _drain_with_kill(queue_dir: str, kill_after: int) -> None:
-    """Child target: a policy-armed drain worker that dies mid-job."""
-    from repro.cluster.worker import drain_queue
-
-    _install_kill_hook(kill_after)
-    drain_queue(queue_dir, batch_size=1, lease_s=LEASE_S,
-                checkpoint_policy=POLICY)
-
-
-@pytest.mark.slow
-def test_resume_preempted_queue_worker(tmp_path):
-    """The real preemption story, end to end on the durable queue.
-
-    Worker 1 is SIGKILLed mid-simulation.  Lease expiry reclaims its
-    job; worker 2 (same policy) picks it up, finds the snapshots under
-    the job's run id, resumes, and the gathered sweep is byte-identical
-    to straight runs.
-    """
-    from repro.cluster.worker import drain_queue
-
-    legs = ExperimentSpec(**{**FIG2, "seeds": (3, 4)}).sweep()
-    reference = [run(s).canonical_json() for s in legs]
-
-    qdir = tmp_path / "q"
-    queue = JobQueue(qdir, default_lease_s=LEASE_S)
-    job_ids = submit(legs, qdir)
-    proc = multiprocessing.get_context().Process(
-        target=_drain_with_kill, args=(str(qdir), 3))
-    proc.start()
-    proc.join(timeout=120.0)
-    assert proc.exitcode == -signal.SIGKILL
-
-    time.sleep(LEASE_S * 1.5)  # the corpse's lease must lapse first
-    drain_queue(str(qdir), lease_s=LEASE_S, batch_size=1,
-                checkpoint_policy=POLICY)
-    artifacts = gather(qdir, job_ids, timeout=120.0)
-
-    assert queue.counts()[DONE] == len(legs)
-    assert [a.canonical_json() for a in artifacts] == reference
-    store = CheckpointStore(qdir / "artifacts" / CHECKPOINT_SUBDIR)
-    assert any(op == "resume" for op, _ in store.log_entries()), (
-        "retry worker simulated the preempted job from scratch"
-    )
-    assert not any(k.startswith("resume-") for k in store.keys())
 
 
 @pytest.mark.slow

@@ -56,61 +56,6 @@ def _kill_after_first_done(queue: JobQueue, proc) -> int:
     pytest.fail("first worker never finished a job — queue wedged?")
 
 
-def _drain_killed_mid_job(queue_dir: str, kill_after: int,
-                          policy: str) -> None:
-    """Child target: policy-armed drain worker SIGKILLed mid-simulation."""
-    from repro.cluster.worker import drain_queue
-    from repro.sim import resume
-
-    original = resume.ResumeSession._record
-    state = {"count": 0}
-
-    def record_then_maybe_die(self, network, prefix, index):
-        original(self, network, prefix, index)
-        state["count"] += 1
-        if state["count"] >= kill_after:
-            os.kill(os.getpid(), signal.SIGKILL)
-
-    resume.ResumeSession._record = record_then_maybe_die
-    drain_queue(queue_dir, batch_size=1, lease_s=LEASE_S,
-                checkpoint_policy=policy)
-
-
-def test_sigkilled_mid_job_sweep_resumes_mid_run(tmp_path):
-    """The stress variant of the mid-run resume contract.
-
-    Unlike the between-jobs kill below, the worker here dies *inside* a
-    simulation with a checkpoint policy armed, so the retrying worker
-    must fast-forward from the corpse's mid-run snapshots — and the
-    whole drained sweep must still be byte-identical to scratch runs.
-    """
-    legs = _sweep(4 * SCALE)
-    reference = [run(s).canonical_json() for s in legs]
-
-    queue = JobQueue(tmp_path / "q", default_lease_s=LEASE_S)
-    job_ids = submit(legs, tmp_path / "q")
-    ctx = multiprocessing.get_context()
-    proc = ctx.Process(target=_drain_killed_mid_job,
-                       args=(str(tmp_path / "q"), 2, "300ev"))
-    proc.start()
-    proc.join(timeout=60.0)
-    assert proc.exitcode == -signal.SIGKILL
-
-    time.sleep(LEASE_S * 1.5)
-    drain_queue(str(tmp_path / "q"), lease_s=LEASE_S, batch_size=2,
-                checkpoint_policy="300ev")
-    artifacts = gather(tmp_path / "q", job_ids, timeout=120.0)
-
-    assert queue.counts()[DONE] == len(legs)
-    assert [a.canonical_json() for a in artifacts] == reference
-    store = CheckpointStore(tmp_path / "q" / "artifacts" / "checkpoints")
-    ops = [op for op, _ in store.log_entries()]
-    assert "resume" in ops, "retry worker never fast-forwarded"
-    assert not any(k.startswith("resume-") for k in store.keys()), (
-        "completed sweep left mid-run snapshots behind"
-    )
-
-
 @pytest.mark.parametrize("tear_checkpoint", [False, True],
                          ids=["clean-store", "torn-checkpoint"])
 def test_sigkilled_branch_sweep_resumes_byte_identical(

@@ -149,6 +149,16 @@ def test_a_non_finite_json_number_is_a_configuration_error(field, token):
         ExperimentSpec.from_dict(document)
 
 
+@pytest.mark.parametrize("policy", ["constant:nan", "constant:inf",
+                                    "flow-size:inf", "flow-size:nan",
+                                    "virtual-clock:nan", "virtual-clock:inf"])
+def test_a_non_finite_slack_policy_is_a_configuration_error(policy):
+    """``float()`` parses these values, so they used to reach the LSTF
+    keys as NaN or infinite slack."""
+    with pytest.raises(ConfigurationError, match="finite"):
+        ExperimentSpec.from_dict({**_SPEC, "slack_policy": policy})
+
+
 def test_a_negative_json_seed_is_a_configuration_error():
     with pytest.raises(ConfigurationError, match="seeds"):
         ExperimentSpec.from_dict({**_SPEC, "seeds": [3, -1]})

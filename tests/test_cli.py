@@ -301,11 +301,11 @@ def test_gc_on_a_nonexistent_queue_is_an_error(tmp_path, capsys):
     assert "not a job queue" in capsys.readouterr().err
 
 
-def test_status_and_gc_know_mid_run_resume_snapshots(tmp_path, capsys):
-    """Resume snapshots are tagged ``[resume]`` in ``repro status`` and
-    survive ``repro gc`` exactly while a pending/running job could still
-    adopt them — an orphaned trail (its run finished or was never
-    enqueued) is collected like any other unreferenced entry."""
+def test_gc_prunes_resume_snapshots_a_queue_worker_left(tmp_path, capsys):
+    """Queue workers take no checkpoint policy, so no job resumes from a
+    mid-run snapshot an older worker left in the queue's store: ``repro
+    status`` lists it as unreferenced and ``repro gc`` collects it, even
+    while the job whose run id it carries is still pending."""
     from repro.api import ExperimentSpec
     from repro.api.results import spec_run_id
     from repro.sim.checkpoint import CheckpointStore
@@ -317,20 +317,14 @@ def test_status_and_gc_know_mid_run_resume_snapshots(tmp_path, capsys):
     spec = ExperimentSpec("table1", duration=0.04,
                           options={"rows": (0,)}).sweep()[0]
     store = CheckpointStore(tmp_path / "q" / "artifacts" / "checkpoints")
-    live_key = f"resume-{spec_run_id(spec)}-p0-deadbeef-n000003"
-    orphan_key = "resume-table1-0000000000-p0-deadbeef-n000001"
-    store.put_bytes(live_key, b"snapshot-bytes")
-    store.put_bytes(orphan_key, b"snapshot-bytes")
+    key = f"resume-{spec_run_id(spec)}-p0-deadbeef-n000003"
+    store.put_bytes(key, b"snapshot-bytes")
 
     assert main(["status", "--queue", queue_dir]) == 0
-    out = capsys.readouterr().out
-    assert f"{live_key}  [resume]  in use" in out
-    assert f"{orphan_key}  [resume]  unreferenced" in out
-
-    # gc: the pending job's trail survives, the orphan is collected
+    assert f"{key}  unreferenced" in capsys.readouterr().out
     assert main(["gc", "--queue", queue_dir]) == 0
-    assert "removed 1 checkpoint(s), kept 1" in capsys.readouterr().out
-    assert store.keys() == [live_key]
+    assert "removed 1 checkpoint(s), kept 0" in capsys.readouterr().out
+    assert store.keys() == []
 
 
 _ROW0 = ["table1", "--rows", "0", "--duration", "0.05"]
@@ -382,16 +376,13 @@ def test_record_builds_one_entry_per_recording(tmp_path, capsys, flags):
     assert sorted(p.stem for p in out.glob("*.sched")) == payload["recordings"]
 
 
-@pytest.mark.parametrize("verb,experiment,noun", [
-    ("record", "table1", "recordings"), ("checkpoint", "branch", "checkpoints")])
-def test_export_verbs_refuse_a_file_as_out(tmp_path, capsys, verb, experiment,
-                                           noun):
+def test_record_refuses_a_file_as_out(tmp_path, capsys):
     out = tmp_path / "trace.json"
     out.write_text("")
-    assert main([verb, experiment, "--out", str(out)]) == 2
+    assert main(["record", "table1", "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
         f"error: --out {out} is a file; pass the store directory to build "
-        f"the {noun} into\n")
+        f"the recordings into\n")
     assert out.read_text() == ""
 
 
@@ -400,88 +391,12 @@ def test_record_rejects_experiments_without_recordings(tmp_path, capsys):
     assert "records no replayable schedules" in capsys.readouterr().err
 
 
-@pytest.fixture
-def two_warmups(monkeypatch):
-    """Make ``branch`` yield two checkpoints (warm-ups 0.01 s and 0.02 s):
-    no registered experiment yields more than one from a CLI spec."""
-    import dataclasses
-
-    entry = REGISTRY.get("branch")
-
-    def prerequisites(spec):
-        builders = {}
-        for warmup in (0.01, 0.02):
-            narrowed = spec.with_(options={"warmup": warmup})
-            builders.update(entry.prerequisites(narrowed)["checkpoint"])
-        return {"checkpoint": builders}
-
-    monkeypatch.setitem(REGISTRY._entries, "branch",
-                        dataclasses.replace(entry, prerequisites=prerequisites))
-
-
-def test_checkpoint_builds_the_store_entry_branch_from_reads(tmp_path, capsys):
-    """``repro checkpoint … --out W`` is what ``--branch-from W`` reads:
-    the branched run simulates no warm-up."""
-    from repro.sim.checkpoint import CheckpointStore
-
-    store = CheckpointStore(tmp_path / "warmups")
-    spec = ["branch", "--duration", "0.01"]
-    assert main(["checkpoint", *spec, "--out", str(store.root)]) == 0
-    captured = capsys.readouterr()
-    (key,) = json.loads(captured.out)["checkpoints"]
-    assert f"wrote {store.path(key)}" in captured.err
-    assert store.get(key).engine_events > 0
-    assert main(["run", *spec, "--branch-from", str(store.root)]) == 0
-    assert store.built_keys() == [key]
-
-
-def test_checkpoint_builds_one_entry_per_builder(tmp_path, capsys, two_warmups):
-    from repro.sim.checkpoint import CheckpointStore
-
-    store = CheckpointStore(tmp_path / "warmups")
-    assert main(["checkpoint", "branch", "--out", str(store.root)]) == 0
-    captured = capsys.readouterr()
-    keys = json.loads(captured.out)["checkpoints"]
-    assert captured.err.count("wrote ") == 2
-    assert store.keys() == keys
-    times = sorted(store.get(key).time for key in keys)
-    assert times == pytest.approx([0.01, 0.02])
-
-
-def test_checkpoint_rejects_experiments_without_a_warmup(tmp_path, capsys):
-    assert main(["checkpoint", "gadgets", "--out", str(tmp_path / "x")]) == 2
-    assert "no branchable warm-up" in capsys.readouterr().err
-
-
-def test_checkpoint_at_needs_a_warmup_option(tmp_path, capsys):
-    assert main(["checkpoint", "table1", "--at", "0.05",
-                 "--out", str(tmp_path / "x")]) == 2
-    assert "--at does not apply" in capsys.readouterr().err
-
-
-def test_checkpoint_at_sets_the_warmup_horizon(tmp_path, capsys):
-    """``--at`` is the spec's ``warmup`` option: each horizon is its own
-    checkpoint key, snapshotted at that simulated time."""
-    from repro.sim.checkpoint import CheckpointStore
-
-    store = CheckpointStore(tmp_path)
-    keys = []
-    for at in ("0.01", "0.02"):
-        assert main(["checkpoint", "branch", "--at", at,
-                     "--out", str(store.root)]) == 0
-        (key,) = json.loads(capsys.readouterr().out)["checkpoints"]
-        keys.append(key)
-        assert store.get(key).time == pytest.approx(float(at))
-    assert keys[0] != keys[1]
-
-
 # Verbs that turn an experiment name plus spec flags into legs, with the
 # extra arguments each needs to run from a scratch directory.
 SPEC_VERBS = {
     "run": ["--out", "{tmp}/out"],
     "submit": ["--queue", "{tmp}/q"],
     "record": ["--out", "{tmp}/out"],
-    "checkpoint": ["--out", "{tmp}/out"],
     "profile": [],
 }
 
@@ -535,10 +450,6 @@ def test_bench_has_no_legacy_alias(capsys):
      "workers must be an integer >= 1, got 0"),
     (["run", "table1", "--batch-size", "4"],
      "batch_size= only applies with queue_dir="),
-    (["run", "branch", "--queue", "{tmp}/q", "--branch-from", "{tmp}/ckpt"],
-     "checkpoint_dir= does not apply with queue_dir="),
-    (["run", "branch", "--checkpoint-every", "100ev"],
-     "checkpoint_policy needs a durable checkpoint store"),
     # non-finite horizons and scales used to hang, a negative seed to
     # crash in numpy: all are refused when the spec is built
     (["run", "table1", "--rows", "0", "--duration", "nan"],
@@ -554,15 +465,31 @@ def test_bench_has_no_legacy_alias(capsys):
     (["run", "table1", "--rows", "0", "--seeds", "-1"],
      "seeds must be >= 0, got (-1,)"),
     (["profile", "gadgets", "--top", "-1"], "--top must be >= 0, got -1"),
-    (["run", "table1", "--rows", "0", "--out", "{tmp}/out",
-      "--checkpoint-every", "0.05s"],
-     "checkpoint policy must be '<n>ev'"),
-    (["worker", "--queue", "{tmp}/q", "--drain", "--checkpoint-every",
-      "5000ev,keep=3"],
-     "checkpoint policy must be '<n>ev'"),
+    # a non-finite slack used to run, its table computed from NaN keys
+    (["run", "fig2", "--duration", "0.01", "--slack", "constant:nan"],
+     "constant slack must be finite and >= 0, got nan"),
+    (["run", "fig2", "--duration", "0.01", "--slack", "constant:inf"],
+     "constant slack must be finite and >= 0, got inf"),
+    (["run", "fig2", "--duration", "0.01", "--slack", "flow-size:inf"],
+     "D must be finite and > 0, got inf"),
+    (["run", "fig2", "--duration", "0.01", "--slack", "virtual-clock:nan"],
+     "rate estimate must be finite and > 0, got nan"),
+    # a bad output path used to end in a traceback (profile's only after
+    # every leg), run's in a store-entry error
+    (["run", "table1", "--rows", "0", "--out", "{tmp}/file"],
+     "is a file; pass the directory to save the artifacts into"),
+    (["gather", "{tmp}/q", "--out", "{tmp}/file"],
+     "is a file; pass the directory to save the artifacts into"),
+    (["trace", "{tmp}/q", "--out", "{tmp}/missing/t.json"],
+     "missing does not exist"),
+    (["profile", "gadgets", "--trace", "{tmp}/missing/t.json"],
+     "missing does not exist"),
+    (["profile", "gadgets", "--trace", "{tmp}"], "is a directory"),
     (["submit", "table1", "--rows", "0", "--duration", "0.04",
       "--queue", "{tmp}/q", "--max-attempts", "0"],
      "max_attempts must be >= 1, got 0"),
+    (["submit", "gadgets", "--queue", "{tmp}/q", "--timeout", "5"],
+     "--timeout only applies with --wait"),
     # refused before enqueuing: a "queued job" line would be a 2nd line
     (["submit", "gadgets", "--queue", "{tmp}/q", "--wait", "--timeout",
       "nan"], "timeout must be finite and > 0, got nan"),
@@ -586,12 +513,14 @@ def test_bench_has_no_legacy_alias(capsys):
     (["gc", "--queue", "{tmp}/typo"], "is not a job queue"),
     (["tail", "{tmp}/typo", "--once"], "is not a job queue"),
     (["lint", "{tmp}/missing.py"], "missing.py' does not exist"),
-], ids=["run-workers", "run-batch-size", "run-queue-branch-from",
-        "run-checkpoint-every", "run-duration-nan", "run-duration-inf",
-        "run-scale-nan", "run-scale-inf", "run-seed-negative",
-        "run-seeds-negative", "profile-top-negative",
-        "run-checkpoint-every-form",
-        "worker-checkpoint-every-form", "submit", "submit-wait-timeout-nan",
+], ids=["run-workers", "run-batch-size", "run-duration-nan",
+        "run-duration-inf", "run-scale-nan", "run-scale-inf",
+        "run-seed-negative", "run-seeds-negative", "profile-top-negative",
+        "run-slack-constant-nan", "run-slack-constant-inf",
+        "run-slack-flow-size-inf", "run-slack-virtual-clock-nan",
+        "run-out-file", "gather-out-file", "trace-out-missing-dir",
+        "profile-trace-missing-dir", "profile-trace-dir", "submit", "submit-timeout-without-wait",
+        "submit-wait-timeout-nan",
         "worker",
         "worker-lease-nan", "worker-lease-inf", "worker-poll-negative",
         "worker-max-jobs-zero", "worker-max-jobs-negative", "status",
@@ -600,6 +529,7 @@ def test_handler_errors_are_one_stderr_line_and_exit_2(
         argv, message, tmp_path, capsys):
     """Every verb's configuration error leaves through ``main()`` the
     same way: exit 2, one ``error: …`` line on stderr, nothing on stdout."""
+    (tmp_path / "file").write_text("")  # what a bad ``--out DIR`` names
     assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

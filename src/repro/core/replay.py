@@ -36,6 +36,7 @@ Replay modes
 
 from __future__ import annotations
 
+import functools
 import gc
 import hashlib
 import json
@@ -53,7 +54,7 @@ from repro.schedulers.edf import EdfScheduler
 from repro.schedulers.lstf import LstfScheduler
 from repro.schedulers.omniscient import OmniscientScheduler
 from repro.schedulers.priority import PriorityScheduler
-from repro.sim.tracer import group_log, segment_sums
+from repro.sim.tracer import Tracer, group_log, segment_sums
 from repro.units import MTU, TIME_EPSILON
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -316,15 +317,20 @@ class ReplayResult:
         schedule: RecordedSchedule,
         mode: str,
         replay_outputs: np.ndarray,
-        replay_waits: np.ndarray,
+        replay_log: tuple,
     ) -> None:
-        """``replay_outputs`` / ``replay_waits``: ``o'(p)`` and the total
-        queueing delay of each schedule row, in row order."""
+        """``replay_outputs``: ``o'(p)`` of each schedule row, in row order;
+        ``replay_log``: the replay's transmit log (a detached ``Tracer``) and
+        each row's slot in it, summed into waits only when asked for."""
         self.schedule = schedule
         self.mode = mode
         self.lateness = replay_outputs - schedule.output
-        self._original_waits = schedule.total_waits()
-        self._replay_waits = replay_waits
+        self._replay_log = replay_log
+
+    @functools.cached_property
+    def _replay_waits(self) -> np.ndarray:
+        log, slots = self._replay_log
+        return np.append(log.wait_totals(), 0.0)[slots]
 
     # --- §2.3 metrics -----------------------------------------------------
 
@@ -364,8 +370,9 @@ class ReplayResult:
         excluded (the ratio is undefined); this matches the figure, which
         plots the distribution over queued packets.
         """
-        mask = self._original_waits > 0
-        return self._replay_waits[mask] / self._original_waits[mask]
+        original = self.schedule.total_waits()
+        mask = original > 0
+        return self._replay_waits[mask] / original[mask]
 
     def summary(self) -> str:
         """One human-readable line: mode, packet count, both §2.3 fractions."""
@@ -524,8 +531,11 @@ def replay_schedule(
                 map(slot_of.get, schedule.pid.tolist(), repeat(len(tracer))),
                 np.int64, len(schedule))
         outputs = np.append(tracer.exit_times(), np.nan)[slots]
-        waits = np.append(tracer.wait_totals(), 0.0)[slots]
+        # release() rebinds the tracer's columns: the log keeps these lists,
+        # and nothing keeps the network.
+        log = Tracer()
+        log.pid, log.tx_slot, log.hop_waits = tracer.pid, tracer.tx_slot, tracer.hop_waits
     missing = int(np.isnan(outputs).sum())
     if missing:
         raise ReplayError(f"replay lost {missing} packets (drops or deadlock)")
-    return ReplayResult(schedule, mode, outputs, waits)
+    return ReplayResult(schedule, mode, outputs, (log, slots))

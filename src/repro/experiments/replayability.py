@@ -268,9 +268,12 @@ def run_replay(
 
 
 def table1_scenarios(
-    duration: float = 0.25, seed: int = 1, bandwidth_scale: float = 0.01
+    duration: float = 0.25, seed: int = 1, bandwidth_scale: float = 0.01,
+    rows: Iterable[int] | None = None,
 ) -> list[ReplayScenario]:
-    """The fourteen rows of Table 1 in the paper's order."""
+    """Table 1's rows in the paper's order: all fourteen, or the ``rows``
+    (0-based indices) in the order given."""
+    indices = range(len(TABLE1_ROWS)) if rows is None else rows
     return [
         ReplayScenario(
             name=label,
@@ -280,7 +283,8 @@ def table1_scenarios(
             seed=seed,
             bandwidth_scale=bandwidth_scale,
         )
-        for label, setting, utilization, scheduler in TABLE1_ROWS
+        for label, setting, utilization, scheduler in map(
+            TABLE1_ROWS.__getitem__, indices)
     ]
 
 
@@ -319,15 +323,13 @@ def spec_recording(spec: ExperimentSpec, scheduler: str) -> ReplayScenario:
 
 
 def _table1_row_scenarios(spec: ExperimentSpec) -> list[ReplayScenario]:
-    """The scenarios a table1 spec runs (honouring the ``rows`` option)."""
-    scenarios = table1_scenarios(
+    """The scenarios a table1 spec runs (only the rows it asks for)."""
+    rows = spec.option("rows")
+    return table1_scenarios(
         duration=spec.duration, seed=spec.seed,
         bandwidth_scale=spec.bandwidth_scale,
+        rows=None if rows is None else validate_row_indices(rows, len(TABLE1_ROWS)),
     )
-    rows = spec.option("rows")
-    if rows is None:
-        return scenarios
-    return [scenarios[i] for i in validate_row_indices(rows, len(scenarios))]
 
 
 def schedule_prerequisites(scenarios: Iterable[ReplayScenario]) -> dict:

@@ -18,6 +18,7 @@ from :func:`repro.scenarios.patterns.scenario_flows`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from typing import Any, Mapping
 
@@ -81,6 +82,8 @@ def _require_number(name: str, value: object, *, minimum: float | None = None,
     if isinstance(value, bool) or not isinstance(value, kinds):
         kind = "an integer" if integer else "a number"
         raise ConfigurationError(f"scenario {name} must be {kind}, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigurationError(f"scenario {name} must be finite, got {value!r}")
     if positive and value <= 0:
         raise ConfigurationError(f"scenario {name} must be > 0, got {value!r}")
     if minimum is not None and value < minimum:

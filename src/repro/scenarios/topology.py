@@ -32,7 +32,8 @@ from __future__ import annotations
 
 import random
 
-from repro.errors import ConfigurationError
+from repro.core.store import CLEAN
+from repro.errors import ConfigurationError, require_positive_finite
 from repro.scenarios.spec import PAPER_TOPOLOGIES, Scenario
 from repro.schedulers import (
     FifoPlusScheduler,
@@ -40,7 +41,7 @@ from repro.schedulers import (
     make_scheduler,
     scheduler_names,
 )
-from repro.sim.network import Network
+from repro.sim.network import Blueprint, Network
 from repro.topology.fattree import FatTreeConfig, build_fattree
 from repro.topology.internet2 import Internet2Config, build_internet2
 from repro.topology.rocketfuel import RocketFuelConfig, build_rocketfuel
@@ -80,6 +81,10 @@ _PAPER_CONFIGS = {
 _PAPER_BUILDERS = {Internet2Config: build_internet2,
                    RocketFuelConfig: build_rocketfuel,
                    FatTreeConfig: build_fattree}
+#: A gadget's builder: ``(hosts or parking-lot hops, host_bw, bottleneck, prop)``.
+_GADGET_BUILDERS = {"single-switch": build_single_switch,
+                    "dumbbell": build_dumbbell,
+                    "parking-lot": build_parking_lot}
 
 #: §2.3's mixed original: half the routers FQ, the other half FIFO+.
 _SPLIT_ORIGINAL = "fq+fifo+"
@@ -107,14 +112,15 @@ def scenario_hosts(scenario: Scenario) -> tuple[list[str], list[str]]:
 def scenario_bottleneck(scenario: Scenario,
                         bandwidth_scale: float = 1.0) -> float:
     """The bandwidth (bits/s) the scenario's load is measured against."""
-    if bandwidth_scale <= 0:
-        raise ConfigurationError(
-            f"bandwidth_scale must be > 0, got {bandwidth_scale!r}"
-        )
+    require_positive_finite(bandwidth_scale, "bandwidth_scale")
     if scenario.topology in PAPER_TOPOLOGIES:
         return _PAPER_CONFIGS[scenario.topology](bandwidth_scale).bottleneck_bw
     return (_BOTTLENECK_BW[scenario.topology] * bandwidth_scale
             * scenario.bottleneck_scale)
+
+
+#: (topology, builder arguments) → immutable half, shared process-wide.
+_BLUEPRINTS: dict[tuple, Blueprint] = {}
 
 
 def build_scenario_network(
@@ -127,27 +133,27 @@ def build_scenario_network(
     scenario's own ``bottleneck_scale`` impairment multiplies the
     bottleneck on top of it, and ``delay`` adds propagation to every
     link.
+
+    A topology is built once per process and arguments; each call stamps
+    out only its mutable half (engine, tracer, nodes, ports).
     """
+    bottleneck = scenario_bottleneck(scenario, bandwidth_scale)
     if scenario.topology in PAPER_TOPOLOGIES:
         config = _PAPER_CONFIGS[scenario.topology](bandwidth_scale)
-        return _PAPER_BUILDERS[type(config)](config)
-    bottleneck = scenario_bottleneck(scenario, bandwidth_scale)
-    host_bw = _HOST_BW * bandwidth_scale
-    prop = _BASE_PROP + scenario.delay
-    if scenario.topology == "single-switch":
-        return build_single_switch(
-            num_senders=scenario.hosts, host_bw=host_bw,
-            bottleneck_bw=bottleneck, prop=prop,
-        )
-    if scenario.topology == "dumbbell":
-        return build_dumbbell(
-            num_pairs=scenario.hosts, host_bw=host_bw,
-            bottleneck_bw=bottleneck, prop=prop,
-        )
-    return build_parking_lot(
-        num_hops=scenario.hosts - 1, host_bw=host_bw,
-        core_bw=bottleneck, prop=prop,
-    )
+        builder, args = _PAPER_BUILDERS[type(config)], (config,)
+    else:
+        builder = _GADGET_BUILDERS[scenario.topology]
+        hosts = scenario.hosts - (scenario.topology == "parking-lot")
+        args = (hosts, _HOST_BW * bandwidth_scale, bottleneck,
+                _BASE_PROP + scenario.delay)
+    key = (scenario.topology, args)
+    blueprint = _BLUEPRINTS.get(key)
+    if blueprint is None:
+        # Built outside the run: the throwaway network is never observed.
+        with CLEAN.entered():
+            blueprint = Blueprint(builder(*args))
+        _BLUEPRINTS[key] = blueprint
+    return blueprint.instantiate()
 
 
 def install_router_schedulers(network: Network, scheduler: str,

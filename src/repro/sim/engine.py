@@ -177,19 +177,15 @@ class Engine:
         """
         now = self.now
         time = now + delay
-        if time < now:
-            raise SimulationError(
-                f"cannot schedule event in the past: {time!r} < now={now!r}"
-            )
+        if not time >= now:  # NaN too
+            raise SimulationError(f"cannot schedule an event at {time!r} (now={now!r})")
         self._seq = seq = self._seq + 1
         heappush(self._heap, (time, now, seq, callback, args))
 
     def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> None:
         """Schedule ``callback(*args)`` at absolute ``time`` (hot path)."""
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule event in the past: {time!r} < now={self.now!r}"
-            )
+        if not time >= self.now:  # NaN too
+            raise SimulationError(f"cannot schedule an event at {time!r} (now={self.now!r})")
         self._seq = seq = self._seq + 1
         heappush(self._heap, (time, self.now, seq, callback, args))
 
@@ -203,10 +199,8 @@ class Engine:
         self, time: float, callback: Callable[..., None], *args: Any
     ) -> EventHandle:
         """Like :meth:`schedule_at`, but returns a cancellable handle."""
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule event in the past: {time!r} < now={self.now!r}"
-            )
+        if not time >= self.now:  # NaN too
+            raise SimulationError(f"cannot schedule an event at {time!r} (now={self.now!r})")
         handle = EventHandle(time, callback, args)
         self._seq = seq = self._seq + 1
         heappush(self._heap, (time, self.now, seq, handle, _CANCELLABLE))
@@ -227,10 +221,8 @@ class Engine:
         ``tests/obs/test_byte_identity.py::test_run_bytes_identical_with_obs_on_and_off``
         holds every experiment to it.
         """
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule event in the past: {time!r} < now={self.now!r}"
-            )
+        if not time >= self.now:  # NaN too
+            raise SimulationError(f"cannot schedule an event at {time!r} (now={self.now!r})")
         self._seq = seq = self._seq + 1
         heappush(self._heap, (time, self.now, seq, callback, _SAMPLER))
 

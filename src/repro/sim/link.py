@@ -32,7 +32,7 @@ class Link:
     __slots__ = ("src", "dst", "bandwidth", "propagation", "tx_per_byte")
 
     def __init__(self, src: str, dst: str, bandwidth: float, propagation: float) -> None:
-        if bandwidth <= 0:
+        if not bandwidth > 0:  # NaN too
             raise ConfigurationError(
                 f"link {src}->{dst}: bandwidth must be positive, got {bandwidth!r}"
             )

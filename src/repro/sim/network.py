@@ -12,6 +12,9 @@ where the recorded ``path(p)`` must reoccur.
 ``tmin`` follows Appendix A: the uncongested last-bit traversal time from
 a node to the destination, i.e. the sum of per-link serialisation and
 propagation delays along the remaining path (store-and-forward).
+
+A :class:`Blueprint` holds a network's immutable half — links, route and
+``tmin`` tables — for every instance it stamps out to read in place.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from repro.sim.port import Port, PreemptivePort, state_without_hub
 from repro.sim.tracer import Tracer
 from repro.units import MTU, tx_time
 
-__all__ = ["Network"]
+__all__ = ["Blueprint", "Network"]
 
 #: Signature of a scheduler factory: ``(node_name, neighbor_name) -> Scheduler``.
 #: Returning ``None`` keeps the port's current scheduler — that is how an
@@ -43,7 +46,7 @@ class Network:
     """A simulated network of hosts and routers."""
 
     __slots__ = ("engine", "tracer", "obs", "nodes", "links", "_upstream",
-                 "_next_hop", "_tmin_cache", "_preemptive")
+                 "_next_hop", "_tmin_cache", "_preemptive", "_blueprint")
 
     def __init__(self, engine: Engine | None = None, tracer: Tracer | None = None) -> None:
         self.engine = engine if engine is not None else Engine()
@@ -57,12 +60,36 @@ class Network:
         self._next_hop: dict[str, dict[str, str]] = {}  # dst -> {node: next}
         self._tmin_cache: dict[tuple[str, str, int], float] = {}
         self._preemptive = False
+        self._blueprint: Blueprint | None = None  # whose tables it reads
         hub = run_context().hub
         if hub is not None:
             hub.attach(self)
 
     def __getstate__(self) -> tuple:
-        return state_without_hub(self, "obs")
+        # Route memos are derived (a blueprint's hold what the process has
+        # asked so far): a snapshot carries none; a restore refills its own.
+        _dict, slots = state_without_hub(self, "obs")
+        del slots["_blueprint"]
+        slots.update(_next_hop={}, _tmin_cache={})
+        return _dict, slots
+
+    def __setstate__(self, state: tuple) -> None:
+        for name, value in state[1].items():
+            setattr(self, name, value)
+        self._blueprint = None
+
+    def _before_edit(self) -> None:
+        """Forget the routes a topology edit may change; a blueprint's tables
+        are copied, never edited.  Route caches fill through next_hop/tmin:
+        while both are empty (all of construction) nothing is stale."""
+        if self._blueprint is not None:
+            self._blueprint = None
+            self.links = dict(self.links)
+            self._upstream = {v: list(us) for v, us in self._upstream.items()}
+        if self._next_hop or self._tmin_cache:
+            self._next_hop, self._tmin_cache = {}, {}
+            for node in self.nodes.values():
+                node.invalidate_route_cache()
 
     # --- topology construction -------------------------------------------------
 
@@ -75,6 +102,7 @@ class Network:
     def _add_node(self, node: Node) -> Node:
         if node.name in self.nodes:
             raise ConfigurationError(f"duplicate node name {node.name!r}")
+        self._before_edit()
         self.nodes[node.name] = node
         self._upstream[node.name] = []
         return node
@@ -101,14 +129,11 @@ class Network:
         if (u, v) in self.links:
             raise ConfigurationError(f"duplicate link {u!r}->{v!r}")
         link = Link(u, v, bandwidth, propagation)
+        self._before_edit()
         self.links[(u, v)] = link
         insort(self._upstream[v], u)
         node = self.nodes[u]
         node.ports[v] = Port(node, link, FifoScheduler())
-        # Every route cache is filled through next_hop/tmin, so while both
-        # are empty (the whole of topology construction) nothing is stale.
-        if self._next_hop or self._tmin_cache:
-            self._invalidate_routes()
 
     # --- scheduler / buffer installation ----------------------------------------
 
@@ -162,12 +187,6 @@ class Network:
 
     # --- routing ------------------------------------------------------------------
 
-    def _invalidate_routes(self) -> None:
-        self._next_hop.clear()
-        self._tmin_cache.clear()
-        for node in self.nodes.values():
-            node.invalidate_route_cache()
-
     def _build_tree(self, dst: str) -> dict[str, str]:
         """BFS next-hop tree toward ``dst`` (hop count, lexicographic ties)."""
         tree: dict[str, str] = {}
@@ -185,8 +204,9 @@ class Network:
     def next_hop(self, node: str, dst: str) -> str:
         tree = self._next_hop.get(dst)
         if tree is None:
-            tree = self._build_tree(dst)
-            self._next_hop[dst] = tree
+            if dst not in self.nodes:  # no tree is cached for a stranger
+                raise RoutingError(f"no route from {node!r} to {dst!r}")
+            tree = self._next_hop[dst] = self._build_tree(dst)
         try:
             return tree[node]
         except KeyError:
@@ -304,3 +324,33 @@ class Network:
             f"<Network nodes={len(self.nodes)} links={len(self.links)} "
             f"t={self.engine.now:.6f}>"
         )
+
+
+class Blueprint:
+    """A network's immutable half, copied from a fresh build: nodes and
+    links in build order, upstream lists, a next-hop tree toward every
+    node, and a ``tmin`` memo that fills as instances ask.  Each entry is
+    a function of the topology alone; none reaches a snapshot."""
+
+    __slots__ = ("nodes", "links", "upstream", "next_hop", "tmin")
+
+    def __init__(self, network: Network) -> None:
+        self.nodes = tuple((name, type(node)) for name, node in network.nodes.items())
+        self.links = dict(network.links)
+        self.upstream = {v: list(us) for v, us in network._upstream.items()}
+        self.next_hop = {dst: network._build_tree(dst) for dst in network.nodes}
+        self.tmin = {}  # (src, dst, size) -> s
+
+    def instantiate(self) -> Network:
+        """A fresh, idle network of this topology: its own engine, tracer,
+        nodes and FIFO ports, reading this blueprint's tables."""
+        network = Network()
+        network.links, network._upstream = self.links, self.upstream
+        network._next_hop, network._tmin_cache = self.next_hop, self.tmin
+        network._blueprint = self
+        nodes = network.nodes
+        for name, kind in self.nodes:
+            nodes[name] = kind(name, network)
+        for (u, v), link in self.links.items():
+            nodes[u].ports[v] = Port(nodes[u], link, FifoScheduler())
+        return network

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, require_positive_finite
 from repro.sim.network import Network
 from repro.units import GBPS, MICROSECONDS
 
@@ -54,9 +54,7 @@ def build_fattree(config: FatTreeConfig | None = None) -> Network:
     k = cfg.k
     if k < 2 or k % 2:
         raise ConfigurationError(f"fat-tree arity must be even and >= 2, got {k}")
-    scale = cfg.bandwidth_scale
-    if scale <= 0:
-        raise ConfigurationError(f"bandwidth_scale must be positive, got {scale!r}")
+    scale = require_positive_finite(cfg.bandwidth_scale, "bandwidth_scale")
     bw = cfg.link_bw * scale
     half = k // 2
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, require_positive_finite
 from repro.sim.network import Network
 from repro.units import GBPS, MILLISECONDS
 
@@ -91,9 +91,7 @@ def build_internet2(config: Internet2Config | None = None) -> Network:
     cfg = config if config is not None else Internet2Config()
     if cfg.edges_per_core < 1 or cfg.hosts_per_edge < 1:
         raise ConfigurationError("edges_per_core and hosts_per_edge must be >= 1")
-    scale = cfg.bandwidth_scale
-    if scale <= 0:
-        raise ConfigurationError(f"bandwidth_scale must be positive, got {scale!r}")
+    scale = require_positive_finite(cfg.bandwidth_scale, "bandwidth_scale")
 
     net = Network()
     for name in CORE_ROUTERS:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, require_positive_finite
 from repro.sim.network import Network
 from repro.units import GBPS, MBPS, MILLISECONDS
 
@@ -93,9 +93,7 @@ def build_rocketfuel(config: RocketFuelConfig | None = None) -> Network:
         )
     if cfg.num_hosts < 2 or cfg.num_hosts > cfg.num_routers:
         raise ConfigurationError("num_hosts must be in [2, num_routers]")
-    scale = cfg.bandwidth_scale
-    if scale <= 0:
-        raise ConfigurationError(f"bandwidth_scale must be positive, got {scale!r}")
+    scale = require_positive_finite(cfg.bandwidth_scale, "bandwidth_scale")
 
     net = Network()
     for i in range(cfg.num_routers):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.errors import SimulationError
@@ -42,6 +44,23 @@ def test_cannot_schedule_in_the_past():
     engine.run()
     with pytest.raises(SimulationError):
         engine.schedule_at(0.5, lambda: None)
+
+
+@pytest.mark.parametrize("method", [
+    "schedule", "schedule_at", "schedule_cancellable_at", "schedule_sample"])
+def test_a_nan_event_time_is_refused(method):
+    """NaN compares False against everything, so a ``time < now`` guard
+    would let it into the heap, where it fires out of order and sets
+    ``now`` to NaN."""
+    engine = Engine()
+    fired = []
+    engine.schedule_at(1.0, fired.append, 1.0)
+    with pytest.raises(SimulationError, match="nan"):
+        getattr(engine, method)(math.nan, lambda *_: fired.append(math.nan))
+    engine.schedule_at(2.0, fired.append, 2.0)
+    engine.run()
+    assert fired == [1.0, 2.0]
+    assert engine.now == 2.0
 
 
 def test_cancelled_events_do_not_fire():

@@ -31,6 +31,11 @@ def test_rejects_nonpositive_bandwidth(bandwidth):
         Link("a", "b", bandwidth=bandwidth, propagation=0.0)
 
 
+def test_rejects_nan_bandwidth():
+    with pytest.raises(ConfigurationError, match="bandwidth"):
+        Link("a", "b", bandwidth=math.nan, propagation=0.0)
+
+
 def test_rejects_negative_propagation():
     with pytest.raises(ConfigurationError):
         Link("a", "b", bandwidth=1e6, propagation=-0.1)

@@ -30,9 +30,9 @@ class FlightRecorder:
     __slots__ = ("capacity", "total", "counts", "_ring", "_next")
 
     def __init__(self, capacity: int = 256) -> None:
-        if capacity < 1:
+        if type(capacity) is not int or capacity < 1:
             raise ConfigurationError(
-                f"flight recorder capacity must be >= 1, got {capacity!r}"
+                f"flight recorder capacity must be an int >= 1, got {capacity!r}"
             )
         self.capacity = capacity
         #: Events noted since construction (the ring only keeps the tail).

@@ -36,9 +36,10 @@ holds a hub attaches itself, and a restored one is re-attached.
 
 from __future__ import annotations
 
+from array import array
 from typing import TYPE_CHECKING, Callable
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, require_positive_finite
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.flight import FlightRecorder
@@ -48,6 +49,32 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["MetricsHub"]
 
+_BUILT_IN = ("queue_depth:", "link_util:")  # written by the sampler tick only
+
+
+def _custom(name: str) -> str:
+    if name.startswith(_BUILT_IN):
+        raise ConfigurationError(f"series {name!r} is built in (sampler tick only)")
+    return name
+
+
+class _Segment:
+    """One sampler arm: a network's ports in sorted (node, peer) order,
+    their keys, the interval, and three lists each tick appends to --
+    its time, a row of queue depths and a row of bytes sent since each
+    link's last sample (an ``array`` each: 8 bytes a sample)."""
+
+    __slots__ = ("keys", "ports", "interval", "times", "depth", "sent")
+
+    def __init__(self, network: "Network", interval: float) -> None:
+        plan = [(f"{name}->{peer}", port)
+                for name, node in sorted(network.nodes.items())
+                for peer, port in sorted(node.ports.items())]
+        self.keys = [key for key, _ in plan]
+        self.ports = [port for _, port in plan]
+        self.interval = interval
+        self.times, self.depth, self.sent = [], [], []
+
 
 class _NetSampler:
     """The periodic sampling loop bound to one attached network.
@@ -56,54 +83,45 @@ class _NetSampler:
     only while the engine still has work queued, so sampling can never
     keep :meth:`Engine.run` alive on its own; the hub re-arms it at the
     top of every :meth:`Network.run`.
-
-    A tick walks ``plan``: one ``(port, link, key, depth series, util
-    series)`` row per port in sorted (node, peer) order — no key to
-    format, no series to look up.  Every :meth:`ensure` resolves it:
-    ports can be swapped between runs (``use_preemptive_ports``).
     """
 
-    __slots__ = ("hub", "network", "pending", "plan")
+    __slots__ = ("hub", "network", "pending", "segment")
 
     def __init__(self, hub: "MetricsHub", network: "Network") -> None:
         self.hub = hub
         self.network = network
         self.pending = False
-        self.plan: list[tuple] = []
+        self.segment: _Segment | None = None
 
     def ensure(self) -> None:
-        """Resolve the plan; arm the next tick unless one is queued."""
+        """Open a segment, unless this network's is the hub's newest and
+        its ports are unchanged; arm the next tick unless one is queued."""
         hub = self.hub
-        nodes = self.network.nodes
-        self.plan = plan = []
-        for name in sorted(nodes):
-            for peer, port in sorted(nodes[name].ports.items()):
-                key = f"{name}->{peer}"
-                plan.append((port, port.link, key,
-                             hub._series(f"queue_depth:{key}"),
-                             hub._series(f"link_util:{key}")))
+        segment = _Segment(self.network, hub.interval)
+        newest = hub._segments and hub._segments[-1] is self.segment
+        if not (newest and segment.ports == self.segment.ports):
+            self.segment = segment
+            hub._segments.append(segment)
         if not self.pending:
             engine = self.network.engine
             self.pending = True
             engine.schedule_sample(engine.now + hub.interval, self.tick)
 
     def tick(self) -> None:
-        """Take one sample (queue depth and link utilisation per port,
-        then the custom gauges); re-arm while the simulation has work."""
+        """Append one row (queue depth and bytes sent per port), then
+        sample the custom gauges; re-arm while the simulation has work."""
         engine = self.network.engine
         now = engine.now
         hub = self.hub
-        window = hub._tx_window
-        interval = hub.interval
-        for port, link, key, depth, util in self.plan:
-            depth.append((now, port._queued))
-            sent = window.pop(key, 0)
-            util.append(
-                (now, link.utilisation(sent, interval) if sent else 0.0))
+        segment = self.segment
+        segment.times.append(now)
+        segment.depth.append(array("q", [port._queued for port in segment.ports]))
+        pop = hub._tx_window.pop
+        segment.sent.append(array("q", [pop(key, 0) for key in segment.keys]))
         for name, fn in hub._samplers:
             hub.record(name, now, fn(now))
         if engine.pending_events or engine.pending_deferred:
-            engine.schedule_sample(now + interval, self.tick)
+            engine.schedule_sample(now + hub.interval, self.tick)
         else:
             self.pending = False
 
@@ -117,27 +135,25 @@ class MetricsHub:
     into each attached network's engine.
     """
 
-    __slots__ = ("interval", "flight", "counters", "series", "_samplers",
-                 "_net_samplers", "_tx_window", "_link_keys")
+    __slots__ = ("interval", "flight", "counters", "_samplers", "_gauges",
+                 "_segments", "_net_samplers", "_tx_window", "_link_keys")
 
     def __init__(self, interval: float = 0.001,
                  flight: "FlightRecorder | None" = None) -> None:
-        if not interval > 0.0:
-            raise ConfigurationError(
-                f"sampling interval must be positive, got {interval!r}"
-            )
+        require_positive_finite(interval, "sampling interval")
         self.interval = interval
         self.flight = flight
         #: Monotonic event counters, e.g. ``"drops"``,
         #: ``"drops.overflow:r1->r2"``, ``"tx_bytes:h1->r1"``.
         self.counters: dict[str, int] = {}
-        #: Time series: name -> list of ``(sim_time, value)`` samples
-        #: (empty for a planned port that was never sampled).
-        self.series: dict[str, list[tuple[float, float]]] = {}
         self._samplers: list[tuple[str, Callable[[float], float]]] = []
+        #: Custom gauge name -> its sample times and values.
+        self._gauges: dict[str, tuple[list[float], list[float]]] = {}
+        #: The built-in series, one segment per sampler arm, oldest first.
+        self._segments: list[_Segment] = []
         self._net_samplers: list[tuple["Network", _NetSampler]] = []
         #: Bytes transmitted per link since that link's last sample —
-        #: drained by the utilisation gauge.
+        #: drained by the sampler tick.
         self._tx_window: dict[str, int] = {}
         #: link -> (counter key, window key), built on first transmission.
         self._link_keys: dict["Link", tuple[str, str]] = {}
@@ -182,6 +198,7 @@ class MetricsHub:
         telemetry on and off
         (``test_run_bytes_identical_with_obs_on_and_off``).
         """
+        self._gauges.setdefault(_custom(name), ([], []))
         self._samplers.append((name, fn))
 
     # -- hot-path hooks (called by ports, only while attached) -------------
@@ -210,24 +227,45 @@ class MetricsHub:
         window = self._tx_window
         window[key] = window.get(key, 0) + size
 
-    # -- sampling ----------------------------------------------------------
-
-    def _series(self, name: str) -> list[tuple[float, float]]:
-        """Series ``name``'s sample list, created on first use."""
-        series = self.series.get(name)
-        if series is None:
-            series = self.series[name] = []
-        return series
-
     def record(self, name: str, now: float, value: float) -> None:
-        """Append one ``(now, value)`` sample to series ``name``."""
-        self._series(name).append((now, value))
+        """Append one ``(now, value)`` sample to custom series ``name``."""
+        times, values = self._gauges.setdefault(_custom(name), ([], []))
+        times.append(now)
+        values.append(value)
 
     # -- reporting ---------------------------------------------------------
 
     def series_points(self, name: str) -> list[tuple[float, float]]:
         """The raw samples of one series (empty if never sampled)."""
-        return list(self.series.get(name, ()))
+        return list(zip(*self._column(name)))
+
+    def _column(self, name: str) -> tuple[list[float], list[float]]:
+        """Series ``name`` as its sample times and its values."""
+        if not name.startswith(_BUILT_IN):
+            return self._gauges.get(name, ([], []))
+        kind, _, key = name.partition(":")
+        times, values = [], []
+        for segment in self._segments:
+            if key in segment.keys:
+                i = segment.keys.index(key)
+                times += segment.times
+                if kind == "queue_depth":
+                    values += [row[i] for row in segment.depth]
+                else:
+                    link, interval = segment.ports[i].link, segment.interval
+                    values += [link.utilisation(row[i], interval) if row[i] else 0.0
+                               for row in segment.sent]
+        return times, values
+
+    @property
+    def series(self) -> dict[str, list[tuple[float, float]]]:
+        """Every series by name, as :meth:`series_points` reads it."""
+        return {name: self.series_points(name) for name in self._names()}
+
+    def _names(self) -> list[str]:
+        built_in = {kind + key for segment in self._segments
+                    for key in segment.keys for kind in _BUILT_IN}
+        return sorted(built_in.union(self._gauges))
 
     def summary(self) -> dict:
         """A deterministic digest for the artifact's ``obs`` section.
@@ -237,14 +275,13 @@ class MetricsHub:
         first-order picture without the raw samples.
         """
         series = {}
-        for name in sorted(self.series):
-            points = self.series[name]
-            if not points:
+        for name in self._names():
+            times, values = self._column(name)
+            if not values:
                 continue  # planned for a port that was never sampled
-            values = [v for _, v in points]
             series[name] = {
-                "samples": len(points),
-                "t_last": round(points[-1][0], 9),
+                "samples": len(values),
+                "t_last": round(times[-1], 9),
                 "min": round(min(values), 9),
                 "max": round(max(values), 9),
                 "mean": round(sum(values) / len(values), 9),
@@ -258,5 +295,5 @@ class MetricsHub:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<MetricsHub interval={self.interval} "
-            f"counters={len(self.counters)} series={len(self.series)}>"
+            f"counters={len(self.counters)} segments={len(self._segments)}>"
         )

@@ -216,6 +216,7 @@ class Engine:
         and the flight recorder, and :meth:`checkpoint` drops them (the
         metrics hub re-arms sampling after a restore).  Telemetry
         therefore cannot perturb a run's deterministic event counts.
+        The clock is ``time`` only while it runs: a tick never moves it.
         The callback must be a pure reader of simulation state; the
         byte-identity test
         ``tests/obs/test_byte_identity.py::test_run_bytes_identical_with_obs_on_and_off``
@@ -321,9 +322,11 @@ class Engine:
                     args = handle._args
                 elif args is sampler:
                     # A telemetry tick: fired in time order but excluded
-                    # from event accounting (see schedule_sample).
-                    self.now = now = time
+                    # from event accounting; the clock shows its time
+                    # only while it runs (see schedule_sample).
+                    self.now = time
                     callback()
+                    self.now = now
                     if self._stopped:
                         break
                     continue

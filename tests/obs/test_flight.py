@@ -18,9 +18,10 @@ def _cb_b():
     pass
 
 
-def test_capacity_must_be_positive():
-    with pytest.raises(ConfigurationError):
-        FlightRecorder(capacity=0)
+@pytest.mark.parametrize("capacity", [0, -1, 2.5, float("nan"), True, "8", None])
+def test_capacity_must_be_positive(capacity):
+    with pytest.raises(ConfigurationError, match="capacity"):
+        FlightRecorder(capacity=capacity)
 
 
 def test_ring_keeps_only_the_tail():

@@ -34,9 +34,44 @@ def _run_traffic(hub: MetricsHub | None = None) -> MetricsHub | None:
     return hub
 
 
-def test_interval_must_be_positive():
-    with pytest.raises(ConfigurationError):
-        MetricsHub(interval=0.0)
+@pytest.mark.parametrize("interval", [
+    0.0, -0.001, float("inf"), float("nan"), True, "0.001", None])
+def test_interval_must_be_positive(interval):
+    with pytest.raises(ConfigurationError, match="sampling interval"):
+        MetricsHub(interval=interval)
+
+
+@pytest.mark.parametrize("name", ["queue_depth:a->SW", "link_util:SW->b"])
+def test_built_in_series_names_are_reserved_for_the_tick(name):
+    hub = MetricsHub()
+    with pytest.raises(ConfigurationError, match="built in"):
+        hub.record(name, 0.001, 1.0)
+    with pytest.raises(ConfigurationError, match="built in"):
+        hub.add_sampler(name, lambda now: 1.0)
+    assert hub.series == {} and hub._samplers == []
+
+
+def _clock_after_run(hub: MetricsHub | None):
+    """``engine.now`` after a drained run, then after a second phase
+    injected just after the last event."""
+    with RunContext(hub=hub).entered():
+        net = _net()
+        for _ in range(5):
+            net.inject_at(0.0, make_packet())
+        net.run()
+        first = net.engine.now
+        net.inject_at(0.0052, make_packet())
+        net.run()
+    return first, net.engine.now, net.tracer.delivered_count()
+
+
+def test_a_trailing_tick_never_moves_the_clock():
+    """The last tick fires after the last event (5 packets leave at
+    0.0051, the tick at 0.006); the clock stays at the event, so a
+    second phase may start between the two, as without telemetry."""
+    bare = _clock_after_run(None)
+    assert bare[0] == pytest.approx(0.0051) and bare[2] == 6
+    assert _clock_after_run(MetricsHub()) == bare
 
 
 def test_run_context_hub_attaches_to_networks_built_inside_the_block():
@@ -243,8 +278,13 @@ def test_series_points_is_a_copy_and_unsampled_series_stay_out_of_summary():
     points.clear()  # a copy: mutating it cannot corrupt the hub
     assert hub.series_points("queue_depth:SW->b")
     assert hub.series_points("never-sampled") == []
-    # The plan creates a port's series before its first tick.
-    hub._series("queue_depth:planned->only")
+    # Arming a sampler plans a port's series before its first tick.
+    idle = Network()
+    idle.add_host("planned")
+    idle.add_host("only")
+    idle.add_link("planned", "only", 8 * MBPS, 0.0)
+    hub.ensure_sampling(idle)
+    assert hub.series["queue_depth:planned->only"] == []
     assert "queue_depth:planned->only" not in hub.summary()["series"]
 
 
@@ -270,14 +310,15 @@ def test_plan_is_rebuilt_after_a_port_swap():
         net = _net()
         net.run()  # arms sampling (one tick) on the original ports
         (_, sampler), = hub._net_samplers
-        stale = {row[0] for row in sampler.plan}
+        stale = set(sampler.segment.ports)
         net.use_preemptive_ports(LstfScheduler)
         for _ in range(3):
             net.inject_at(0.002, make_packet(slack=0.0))
         net.run()
     live = {port for node in net.nodes.values() for port in node.ports.values()}
-    assert {row[0] for row in sampler.plan} == live
+    assert set(sampler.segment.ports) == live
     assert not stale & live
+    assert len(hub._segments) == 2 and hub._segments[-1] is sampler.segment
 
 
 def test_no_link_key_is_built_until_a_link_transmits():
@@ -298,3 +339,36 @@ def test_record_takes_integers_and_floats_in_one_series():
     assert hub.summary()["series"]["gauge"]["max"] == 4
     hub.record("gauge", 0.003, 0.5)
     assert hub.series_points("gauge") == [(0.001, 3), (0.002, 4), (0.003, 0.5)]
+
+
+def test_a_stored_sample_costs_at_most_16_bytes():
+    """A storage bound with no timing in it: ``tracemalloc`` counts what
+    the hub's module keeps across a run of a 25-host star (50 ports,
+    over 500 ticks).  The rows keep about 10.5 bytes a sample; one
+    ``(t, value)`` tuple per sample, the layout before them, kept 65."""
+    import tracemalloc
+
+    import repro.obs.hub
+
+    rng = random.Random(5)
+    hub = MetricsHub(interval=0.0001)
+    with RunContext(hub=hub).entered():
+        net = Network()
+        net.add_router("SW")
+        hosts = [f"h{h}" for h in range(25)]
+        for host in hosts:
+            net.add_host(host)
+            net.add_link(host, "SW", 80 * MBPS, 0.0)
+        for k in range(500):
+            src, dst = rng.sample(hosts, 2)
+            net.inject_at(0.0001 * k, make_packet(src=src, dst=dst))
+        tracemalloc.start()
+        before = tracemalloc.take_snapshot()
+        net.run()
+        after = tracemalloc.take_snapshot()
+        tracemalloc.stop()
+    kept = sum(stat.size_diff for stat in after.compare_to(before, "filename")
+               if stat.traceback[0].filename == repro.obs.hub.__file__)
+    samples = sum(len(points) for points in hub.series.values())
+    assert samples >= 2 * 50 * 500
+    assert kept / samples <= 16, f"{kept / samples:.1f} bytes a sample"

@@ -43,7 +43,7 @@ import json
 import math
 from itertools import repeat
 from operator import itemgetter
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -89,6 +89,10 @@ SCHEDULE_FORMAT = "repro.recorded_schedule"
 #: Version of the document :meth:`RecordedSchedule.canonical_json` writes;
 #: part of the hash preimage, so it never changes on its own.
 SCHEDULE_FORMAT_VERSION = 2
+
+#: Rows per block of the canonical document (``RecordedSchedule._blocks``):
+#: what hashing a schedule holds in memory at once.
+_BLOCK_ROWS = 2048
 
 
 def _texts(column: np.ndarray) -> list[str]:
@@ -228,7 +232,14 @@ class RecordedSchedule:
         row per packet (keys ``dst, flow_id, flow_size, hop_tx, hop_waits,
         i, o, path, pid, size, src``; ``"i"`` and ``"o"`` are the paper's
         ``i(p)`` and ``o(p)``).  No file holds this text: it exists to be
-        hashed, and its bytes are pinned by the recordings' hashes.
+        hashed, and its bytes are pinned by the recordings' hashes.  It is
+        :meth:`_blocks` joined; :meth:`content_hash` never joins them.
+        """
+        return b"".join(self._blocks()).decode()
+
+    def _blocks(self) -> Iterator[bytes]:
+        """The bytes of :meth:`canonical_json`, :data:`_BLOCK_ROWS` rows
+        at a time, so no caller needs the whole document at once.
 
         Written straight from the columns: ``float.__repr__`` is what
         ``json`` writes for a finite float, each node name is quoted once,
@@ -240,28 +251,35 @@ class RecordedSchedule:
                 isinstance(self.threshold, float)
                 and not math.isfinite(self.threshold)):
             raise ReplayError("a schedule time is not finite; JSON cannot carry it")
-        bits, first = np.unique(self.ingress.view(np.int64), return_inverse=True)
-        ingress = np.array(_texts(bits.view(np.float64)), dtype=object)[first]
-        quoted = [json.dumps(name) for name in self.nodes]
-        path = [quoted[k] for k in self.path.tolist()]
-        hop_tx, hop_waits = _texts(self.hop_tx), _texts(self.hop_waits)
-        rows, a, b = [], 0, 0
-        for pid, flow_id, flow_size, size, i, o, k in zip(
-                self.pid.tolist(), self.flow_id.tolist(), self.flow_size.tolist(),
-                self.size.tolist(), ingress.tolist(), _texts(self.output),
-                self.hops.tolist()):
-            rows.append(
-                f'{{"dst":{path[b + k]},"flow_id":{flow_id},'
-                f'"flow_size":{flow_size},"hop_tx":[{",".join(hop_tx[a:a + k])}],'
-                f'"hop_waits":[{",".join(hop_waits[a:a + k])}],"i":{i},"o":{o},'
-                f'"path":[{",".join(path[b:b + k + 1])}],"pid":{pid},'
-                f'"size":{size},"src":{path[b]}}}')
-            a, b = a + k, b + k + 1
         head = json.dumps({"description": self.description,
                            "format": SCHEDULE_FORMAT}, separators=(",", ":"))
-        return (f'{head[:-1]},"packets":[{",".join(rows)}],'
-                f'"threshold":{json.dumps(self.threshold)},'
-                f'"version":{SCHEDULE_FORMAT_VERSION}}}')
+        yield f'{head[:-1]},"packets":['.encode()
+        quoted = [json.dumps(name) for name in self.nodes]
+        # Row r's hop entries start at ends[r], its path entries at ends[r] + r.
+        ends = np.concatenate(([0], np.cumsum(self.hops)))
+        ints = (self.pid, self.flow_id, self.flow_size, self.size, self.hops)
+        for lo in range(0, len(self), _BLOCK_ROWS):
+            hi = min(lo + _BLOCK_ROWS, len(self))
+            a0, a1 = int(ends[lo]), int(ends[hi])
+            bits, first = np.unique(self.ingress[lo:hi].view(np.int64),
+                                    return_inverse=True)
+            ingress = np.array(_texts(bits.view(np.float64)), dtype=object)[first]
+            path = [quoted[k] for k in self.path[a0 + lo:a1 + hi].tolist()]
+            hop_tx, hop_waits = _texts(self.hop_tx[a0:a1]), _texts(self.hop_waits[a0:a1])
+            rows, a, b = [], 0, 0
+            for pid, flow_id, flow_size, size, k, i, o in zip(
+                    *(column[lo:hi].tolist() for column in ints),
+                    ingress.tolist(), _texts(self.output[lo:hi])):
+                rows.append(
+                    f'{{"dst":{path[b + k]},"flow_id":{flow_id},'
+                    f'"flow_size":{flow_size},"hop_tx":[{",".join(hop_tx[a:a + k])}],'
+                    f'"hop_waits":[{",".join(hop_waits[a:a + k])}],"i":{i},"o":{o},'
+                    f'"path":[{",".join(path[b:b + k + 1])}],"pid":{pid},'
+                    f'"size":{size},"src":{path[b]}}}')
+                a, b = a + k, b + k + 1
+            yield f'{"," if lo else ""}{",".join(rows)}'.encode()
+        yield (f'],"threshold":{json.dumps(self.threshold)},'
+               f'"version":{SCHEDULE_FORMAT_VERSION}}}').encode()
 
     def content_hash(self) -> str:
         """SHA-256 over :meth:`canonical_json` — a stable schedule identity.
@@ -270,7 +288,10 @@ class RecordedSchedule:
         (same packets, times, paths, threshold, description); the hash is
         what goldens pin and what cache tooling can key on.
         """
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()
+        digest = hashlib.sha256()
+        for block in self._blocks():
+            digest.update(block)
+        return digest.hexdigest()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -429,50 +450,11 @@ def _verify_routes(schedule: RecordedSchedule, network: "Network",
             )
 
 
-def replay_schedule(
-    schedule: RecordedSchedule,
-    network_factory: Callable[[], "Network"],
-    mode: str = "lstf",
-    targets: np.ndarray | None = None,
-) -> ReplayResult:
-    """Replay a recorded schedule under a candidate UPS.
-
-    Parameters
-    ----------
-    schedule:
-        Output of :func:`record_schedule`.
-    network_factory:
-        Builds a fresh network with the same topology as the recording
-        (the replay starts from empty queues at time zero).
-    mode:
-        One of :data:`REPLAY_MODES`.
-    targets:
-        One value per schedule row, stamped into the headers in place of
-        the recorded ``o(p)`` — packets are still judged against the true
-        recorded output times.  In the slack modes it is a degraded view
-        of ``o(p)`` (the §5 "least information" study quantises it);
-        values below the uncongested traversal time are clamped to zero
-        slack, while a *true* target below it means the schedule is not
-        viable on this topology, a :class:`~repro.errors.ReplayError`.  In
-        ``"priority"`` mode it is the static priority, which defaults to
-        ``o(p)``, the paper's "most intuitive" assignment (§2.3(7)).  The
-        omniscient mode stamps timetables and takes none.
-
-    The fresh network must route each src/dst pair along its recorded
-    path (checked once per pair) — a topology mismatch would make slack
-    values meaningless.
-    """
-    if targets is not None:
-        targets = np.asarray(targets, dtype=np.float64)
-        if mode == "omniscient":
-            raise ReplayError("the omniscient replay stamps per-hop timetables "
-                              "and takes no targets")
-        if targets.shape != (len(schedule),):
-            raise ReplayError(f"targets must hold one value per schedule row "
-                              f"({len(schedule)}), not shape {targets.shape}")
+def _schedule_injections(schedule: RecordedSchedule, network: "Network",
+                         mode: str, targets: np.ndarray | None) -> None:
+    """Stamp a packet per schedule row and schedule its injection at
+    ``i(p)``.  Its set-up columns die on return, before the replay runs."""
     stamped = schedule.output if targets is None else targets
-    network = network_factory()
-    _install_mode(network, mode)
     src, dst = schedule.endpoints()
     sizes = schedule.size.tolist()
     _verify_routes(schedule, network, list(zip(src, dst)))
@@ -519,6 +501,54 @@ def replay_schedule(
         if collecting:
             gc.enable()
 
+
+def replay_schedule(
+    schedule: RecordedSchedule,
+    network_factory: Callable[[], "Network"],
+    mode: str = "lstf",
+    targets: np.ndarray | None = None,
+) -> ReplayResult:
+    """Replay a recorded schedule under a candidate UPS.
+
+    Parameters
+    ----------
+    schedule:
+        Output of :func:`record_schedule`.
+    network_factory:
+        Builds a fresh network with the same topology as the recording
+        (the replay starts from empty queues at time zero).
+    mode:
+        One of :data:`REPLAY_MODES`.
+    targets:
+        One value per schedule row, stamped into the headers in place of
+        the recorded ``o(p)`` — packets are still judged against the true
+        recorded output times.  In the slack modes it is a degraded view
+        of ``o(p)`` (the §5 "least information" study quantises it);
+        values below the uncongested traversal time are clamped to zero
+        slack, while a *true* target below it means the schedule is not
+        viable on this topology, a :class:`~repro.errors.ReplayError`.  In
+        ``"priority"`` mode it is the static priority, which defaults to
+        ``o(p)``, the paper's "most intuitive" assignment (§2.3(7)).  The
+        omniscient mode stamps timetables and takes none.
+
+    The fresh network must route each src/dst pair along its recorded
+    path (checked once per pair) — a topology mismatch would make slack
+    values meaningless.
+    """
+    if targets is not None:
+        targets = np.asarray(targets, dtype=np.float64)
+        if mode == "omniscient":
+            raise ReplayError("the omniscient replay stamps per-hop timetables "
+                              "and takes no targets")
+        if targets.shape != (len(schedule),):
+            raise ReplayError(f"targets must hold one value per schedule row "
+                              f"({len(schedule)}), not shape {targets.shape}")
+        if not np.isfinite(targets).all():
+            raise ReplayError("targets must be finite: a NaN or infinite "
+                              "header leaves the queue order undefined")
+    network = network_factory()
+    _install_mode(network, mode)
+    _schedule_injections(schedule, network, mode, targets)
     network.run()
     # Injections fire in row order, so slot k is row k; align by pid only
     # when the replay network traced anything else.
@@ -531,7 +561,7 @@ def replay_schedule(
                 map(slot_of.get, schedule.pid.tolist(), repeat(len(tracer))),
                 np.int64, len(schedule))
         outputs = np.append(tracer.exit_times(), np.nan)[slots]
-        # release() rebinds the tracer's columns: the log keeps these lists,
+        # release() rebinds the tracer's columns: the log keeps these,
         # and nothing keeps the network.
         log = Tracer()
         log.pid, log.tx_slot, log.hop_waits = tracer.pid, tracer.tx_slot, tracer.hop_waits

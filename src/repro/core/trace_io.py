@@ -24,6 +24,7 @@ record-once machinery is held to.
 from __future__ import annotations
 
 import json
+import math
 import zlib
 from collections import OrderedDict
 from pathlib import Path
@@ -140,6 +141,10 @@ class ScheduleStore(ContentStore):
                 at += columns[-1].nbytes
             *scalars, hops, via, hop_tx, hop_waits = columns
             hops, via = hops.astype(np.int64), via.astype(np.int64)
+            # NaN compares false, so its row would be judged on time.
+            if math.isnan(header["threshold"]) or np.isnan(np.concatenate(
+                    (*scalars[4:], hop_tx, hop_waits))).any():  # i, o, hop times
+                raise ValueError("the threshold or a time is NaN")
             # What encode writes: the sorted table of exactly the names used.
             if (at != len(body) or hops.sum() != h or nodes != sorted(set(nodes))
                     or via.max(initial=0) >= len(nodes)

@@ -24,6 +24,7 @@ have satisfied) and ``"nearest"`` (unbiased noise).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,8 +76,9 @@ def run_information_experiment(
 
     points: list[QuantisationPoint] = []
     for step_t in steps_in_t:
-        if step_t < 0:
-            raise ConfigurationError(f"quantisation step must be >= 0, got {step_t!r}")
+        if not 0 <= step_t < math.inf:  # NaN compares false; inf * 0 is NaN
+            raise ConfigurationError(
+                f"quantisation step must be finite and >= 0, got {step_t!r}")
         targets = None
         if step_t != 0:
             if rounding not in _ROUNDINGS:

@@ -73,14 +73,15 @@ __all__ = [
 ]
 
 #: On-disk format name and version, written into every header and checked
-#: on load; bump the version when the payload encoding changes shape (6:
+#: on load; bump the version when the payload encoding changes shape (7:
+#: typed tracer columns, preemptive heap entries carry remaining work; 6:
 #: ports carry no early-drop queue-manager slot; 5: the tracer keeps no
 #: path log; 4: the tracer is a table of columns; 3: heap entries carry
-#: ``born``, ports ``_free_at``), or the resume
-#: session's anchor numbering does (2: per-packet data travels by value) —
-#: another walk's index would graft onto the wrong object.
+#: ``born``, ports ``_free_at``), or the resume session's anchor numbering
+#: does (2: per-packet data travels by value) — another walk's index
+#: would graft onto the wrong object.
 CHECKPOINT_FORMAT = "repro-checkpoint"
-CHECKPOINT_VERSION = 6
+CHECKPOINT_VERSION = 7
 
 #: The modules whose classes a simulation's state pickles to: the network
 #: graph, schedulers, and transports with their flows and slack policies.
@@ -99,12 +100,13 @@ _STATE_MODULES = frozenset({
 _STATE_PACKAGES = ("repro.schedulers.", "repro.transport.")
 
 #: The other globals a payload may name: how a resume snapshot points at
-#: an object of the live run, and what FIFO queues, DRR's flow table and
-#: seeded RNGs pickle to.
+#: an object of the live run, and what FIFO queues, DRR's flow table,
+#: seeded RNGs and the tracer's typed columns pickle to.
 _OTHER_GLOBALS = frozenset({
     ("repro.sim.resume", "_load_anchor"),
     ("collections", "deque"), ("collections", "OrderedDict"),
     ("random", "Random"),
+    ("array", "_array_reconstructor"), ("array", "array"),
 })
 
 

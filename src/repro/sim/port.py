@@ -308,16 +308,6 @@ class Port:
         )
 
 
-class _PreemptedState:
-    """Remaining work and accounting for a packet at a preemptive port."""
-
-    __slots__ = ("remaining_tx", "first_service")
-
-    def __init__(self, remaining_tx: float) -> None:
-        self.remaining_tx = remaining_tx
-        self.first_service: float | None = None
-
-
 class PreemptivePort(Port):
     """Preemptive-resume service ordered by the scheduler's static keys.
 
@@ -331,16 +321,15 @@ class PreemptivePort(Port):
     by the replay/theory machinery, which runs dropless.
     """
 
-    __slots__ = ("_heap", "_seq", "_state", "_current", "_current_key",
-                 "_serve_start", "_done_handle")
+    __slots__ = ("_heap", "_seq", "_current", "_serve_start", "_done_handle")
 
     def __init__(self, node, link, scheduler, buffer_bytes: float = math.inf) -> None:
         super().__init__(node, link, scheduler, buffer_bytes)
-        self._heap: list[tuple[float, int, "Packet"]] = []
+        # (key, seq, packet, remaining_tx, served): the remaining work, and
+        # whether its service start was traced, ride in the entry itself.
+        self._heap: list[tuple[float, int, "Packet", float, bool]] = []
         self._seq = 0
-        self._state: dict[int, _PreemptedState] = {}
-        self._current: "Packet | None" = None
-        self._current_key = math.inf
+        self._current: tuple | None = None  # the entry on the wire
         self._serve_start = 0.0
         self._done_handle = None
 
@@ -369,9 +358,8 @@ class PreemptivePort(Port):
                 f"scheduler {self.scheduler.name} does not support preemption"
             )
         self._seq += 1
-        heappush(self._heap, (key, self._seq, packet))
+        heappush(self._heap, (key, self._seq, packet, tx, False))
         self._queued += 1
-        self._state[packet.pid] = _PreemptedState(tx)
         self._request_decision()
 
     def _decide(self) -> None:
@@ -382,47 +370,40 @@ class PreemptivePort(Port):
         if self._current is None:
             self._start_best(now)
             return
-        if self._heap and self._heap[0][0] < self._current_key - TIME_EPSILON:
+        if self._heap and self._heap[0][0] < self._current[0] - TIME_EPSILON:
             self._preempt(now)
             self._start_best(now)
 
     def _preempt(self, now: float) -> None:
-        packet = self._current
-        assert packet is not None and self._done_handle is not None
+        key, _seq, packet, remaining_tx, _served = self._current
         self._done_handle.cancel()
-        state = self._state[packet.pid]
-        state.remaining_tx -= now - self._serve_start
         self._seq += 1
-        heappush(self._heap, (self._current_key, self._seq, packet))
+        heappush(self._heap, (key, self._seq, packet,
+                              remaining_tx - (now - self._serve_start), True))
         self._queued += 1
         self._current = None
 
     def _start_best(self, now: float) -> None:
         if not self._heap:
             return
-        key, _seq, packet = heappop(self._heap)
+        self._current = entry = heappop(self._heap)
+        _key, _seq, packet, remaining_tx, served = entry
         self._queued -= 1
-        state = self._state[packet.pid]
-        if state.first_service is None:
-            state.first_service = now
+        if not served:
             wait = now - packet.enqueue_time
             self._tracer.on_tx_start(packet, wait, now)
             if self._obs is not None:
                 self._obs.tx(self.link, packet.size)
-        self._current = packet
-        self._current_key = key
         self._serve_start = now
         self._free_at = _ARMED  # busy until _finish; preemption moves the end
         self._done_handle = self._engine.schedule_cancellable(
-            state.remaining_tx, self._finish, packet
+            remaining_tx, self._finish, packet
         )
 
     def _finish(self, packet: "Packet") -> None:
         now = self._engine.now
         self._current = None
-        self._current_key = math.inf
         self._free_at = _IDLE
-        del self._state[packet.pid]
         # Header/accounting update: everything between arrival and last-bit
         # departure except the serialisation time itself was "waiting"
         # (Appendix D: slack drains whenever the last bit is not on the wire).

@@ -22,14 +22,19 @@ object per packet.  The tracer is a table: one *row* per traced packet at
 a dense *slot* (``pid, flow_id, size, src, dst, created, exit,
 dropped_at``; the packet carries its slot in ``packet.trace``), and one
 log in event order, the transmit log ``(slot, hop_tx, wait)``, one entry
-per service start.  Every column is a plain list: an append is the
-cheapest thing a per-hop hook can do.  Consumers read the columns
-(:meth:`Tracer.exit_times`, :meth:`Tracer.wait_totals`,
+per service start.  The append-only columns are typed ``array.array``s
+(:attr:`Tracer.TYPES`): a cell costs its 8 bytes, not a pointer and a
+boxed number, for tens of nanoseconds more per append than a list's.
+``exit`` and ``dropped_at`` stay lists, written by slot and ``None``
+until then; ``src``/``dst`` hold the node names the network shares.
+Consumers read the columns through numpy, where ``np.asarray`` of an
+array is zero-copy (:meth:`Tracer.exit_times`, :meth:`Tracer.wait_totals`,
 :func:`group_log`); nothing builds an object per packet.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -84,6 +89,9 @@ class Tracer:
     ROWS = ("pid", "flow_id", "size", "src", "dst", "created", "exit",
             "dropped_at")
     LOGS = ("tx_slot", "hop_tx", "hop_waits")
+    #: The ``array`` typecode of each typed column; the others are lists.
+    TYPES = {"pid": "q", "flow_id": "q", "size": "q", "created": "d",
+             "tx_slot": "q", "hop_tx": "d", "hop_waits": "d"}
 
     __slots__ = ("enabled", "drops", *ROWS, *LOGS)
 
@@ -96,7 +104,8 @@ class Tracer:
         <repro.sim.network.Network.release>`)."""
         self.drops = 0
         for name in self.ROWS + self.LOGS:
-            setattr(self, name, [])
+            code = self.TYPES.get(name)
+            setattr(self, name, [] if code is None else array(code))
 
     # --- hooks called by the simulator -------------------------------------
 

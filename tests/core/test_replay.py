@@ -144,6 +144,18 @@ class TestReplay:
             with pytest.raises(ReplayError, match="one value per schedule row"):
                 replay_schedule(schedule, make, mode=mode, targets=targets)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("mode", ["lstf", "edf", "priority"])
+    def test_targets_must_be_finite(self, mode, value):
+        """A NaN header makes every key comparison false, so the queue
+        order is undefined; an infinite one is no time at all."""
+        net, make = _loaded_dumbbell(duration=0.01)
+        schedule = record_schedule(net)
+        targets = schedule.output.copy()
+        targets[::2] = value
+        with pytest.raises(ReplayError, match="targets must be finite"):
+            replay_schedule(schedule, make, mode=mode, targets=targets)
+
     def test_the_omniscient_mode_takes_no_targets(self):
         net, make = _loaded_dumbbell(duration=0.01)
         schedule = record_schedule(net)

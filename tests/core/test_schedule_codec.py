@@ -27,13 +27,15 @@ import hashlib
 import json
 import math
 import struct
+import tracemalloc
 import zlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import trace_io
+from repro.core import replay, trace_io
 from repro.core.replay import (
     SCHEDULE_FORMAT,
     SCHEDULE_FORMAT_VERSION,
@@ -232,6 +234,31 @@ def test_every_damaged_entry_is_a_replay_error_a_miss_and_heals(tmp_path):
     assert len(store.built_keys()) == puts + 1  # one put line heals it
 
 
+@pytest.mark.parametrize("where", ["threshold", "i", "o", "hop_tx", "hop_waits"])
+def test_a_nan_time_is_a_replay_error_a_miss_and_heals(tmp_path, where):
+    """Every comparison with NaN is false, so a NaN ``o(p)`` would never
+    count as overdue and a NaN threshold would judge every row on time:
+    an entry holding one is refused as it is read, like a bad checksum,
+    and rebuilt.  (Infinities compare, and stay legal.)"""
+    if where == "threshold":
+        bad = _fixture()
+        bad.threshold = math.nan
+    elif where.startswith("hop_"):
+        bad = _fixture(**{where: [0.0, math.nan]})
+    else:
+        bad = _fixture(**{where: math.nan})
+    with pytest.raises(ReplayError, match="NaN"):
+        unpack(pack(bad))
+    store = ScheduleStore(tmp_path)
+    store.put("k", bad)
+    trace_io._PARSE_MEMO.clear()  # a cold reader: another process
+    assert store.get("k") is None
+    healed = store.get_or_build("k", _fixture)
+    assert healed.content_hash() == _fixture().content_hash()
+    assert store.path("k").read_bytes() == pack(_fixture())
+    assert store.built_keys() == ["k"]  # one put line: the rebuild
+
+
 @pytest.mark.parametrize("change", [
     {"threshold": "0.0012"}, {"threshold": None}, {"threshold": True},
     {"description": 7},
@@ -267,6 +294,71 @@ def test_column_formatted_json_is_json_dumps_of_the_document(doc):
     schedule = from_document(doc)
     assert schedule.canonical_json() == reference
     assert schedule.content_hash() == hashlib.sha256(reference.encode()).hexdigest()
+
+
+#: The block size :func:`test_the_document_is_the_same_across_block_edges`
+#: patches in, so that a handful of rows spans several blocks (and a block
+#: edge splits rows 2 and 3, which share their ingress time).
+_B = 3
+
+
+def _rows_document(count: int) -> dict:
+    """``count`` rows of 1-3 hops; −0.0 times and ingress times shared by
+    pairs of rows."""
+    packets = []
+    for k in range(count):
+        hops = 1 + k % 3
+        path = [f"h{k % 2}", *(f"r{j}" for j in range(hops - 1)), "z"]
+        i = -0.0 if k < 2 else (k // 2) * 1e-3
+        packets.append({
+            "dst": "z", "flow_id": k // 3, "flow_size": 4500,
+            "hop_tx": [i + 1.2e-4 * j for j in range(hops)],
+            "hop_waits": [-0.0, *(1e-5 * k + j for j in range(hops - 1))],
+            "i": i, "o": i + 0.1 / 3, "path": path, "pid": k, "size": 1500,
+            "src": path[0]})
+    return {"description": "blocks", "format": SCHEDULE_FORMAT,
+            "packets": packets, "threshold": 0.0012,
+            "version": SCHEDULE_FORMAT_VERSION}
+
+
+@pytest.mark.parametrize("count", [1, _B - 1, _B, _B + 1, 2 * _B + 3])
+def test_the_document_is_the_same_across_block_edges(monkeypatch, count):
+    """The document is written a block of rows at a time; cut anywhere,
+    it is still ``json.dumps`` of the document, and the hash fed block by
+    block is the hash of the whole text."""
+    monkeypatch.setattr(replay, "_BLOCK_ROWS", _B)
+    doc = _rows_document(count)
+    reference = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    schedule = from_document(doc)
+    assert len(list(schedule._blocks())) == 2 + -(-count // _B)
+    assert schedule.canonical_json() == reference
+    assert schedule.content_hash() == hashlib.sha256(
+        schedule.canonical_json().encode()).hexdigest()
+
+
+def test_hashing_a_deep_schedule_holds_a_block_not_the_document():
+    """``content_hash`` of a 16 384-packet, 2-hop schedule peaks within
+    4 MB of where it starts; building the whole text to hash it took
+    about 20 MB."""
+    n = 16_384
+    rng = np.random.default_rng(1)
+    ingress = np.sort(rng.random(n)) * 0.01
+    hop_tx = (ingress[:, None] + rng.random((n, 2)) * 1e-3).ravel()
+    hop_waits = rng.random(2 * n) * 1e-4
+    ids = np.arange(n, dtype=np.int64)
+    schedule = RecordedSchedule(
+        0.0012, "deep", ["a", "b", "sw"], ids, ids // 8,
+        np.full(n, 12_000), np.full(n, 1500), ingress, hop_tx[1::2] + 1e-3,
+        np.full(n, 2), np.tile([0, 2, 1], n), hop_tx, hop_waits)
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        digest = schedule.content_hash()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert digest == hashlib.sha256(schedule.canonical_json().encode()).hexdigest()
+    assert peak - start <= 4 * 2**20, f"{(peak - start) / 2**20:.1f} MB"
 
 
 @pytest.mark.parametrize("where", ["i", "o", "hop_tx", "hop_waits", "threshold"],

@@ -83,6 +83,14 @@ class TestInformationExperiment:
                 steps_in_t=(1.0,), rounding="up", scenario=scenario
             )
 
+    @pytest.mark.parametrize("step", [math.nan, math.inf])
+    def test_a_non_finite_step_is_rejected(self, step):
+        """A NaN step slips past ``step < 0``, and an infinite one turns
+        every target into NaN (``0 * inf``)."""
+        scenario = ReplayScenario(name="info-test", duration=0.05, seed=2)
+        with pytest.raises(ConfigurationError, match="finite"):
+            run_information_experiment(steps_in_t=(step,), scenario=scenario)
+
     @given(outputs=st.lists(st.floats(0.0, 1e3), max_size=20),
            step=st.floats(1e-9, 1.0),
            halves=st.lists(st.integers(0, 1_000), max_size=10))

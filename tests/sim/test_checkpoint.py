@@ -213,17 +213,27 @@ class TestSnapshotRoundTrip:
     def test_what_a_port_pickles_is_pinned_to_the_checkpoint_version(self):
         """A port's pickled shape is part of the checkpoint format: adding
         or removing a slot must come with a ``CHECKPOINT_VERSION`` bump
-        (6: ports carry no AQM slot), and then an update of this pin."""
+        (7: a preemptive port keeps no per-packet state dict; 6: ports
+        carry no AQM slot), and then an update of this pin."""
         port = _tiny_network().nodes["a"].ports["b"]
         _dict, slots = port.__getstate__()
-        assert CHECKPOINT_VERSION == 6
-        assert sorted(slots) == sorted((
+        assert CHECKPOINT_VERSION == 7
+        common = (
             "node", "link", "scheduler", "buffer_bytes", "buffered",
             "_queued", "_wakeup", "_decision_pending",
             "_free_at", "_done_born", "_done_seq",
             "_receive", "_engine", "_tracer", "_obs", "_tx_per_byte", "_prop",
-        ))
+        )
+        assert sorted(slots) == sorted(common)
         assert slots["_obs"] is None
+        net = Network()
+        net.add_host("a")
+        net.add_host("b")
+        net.add_link("a", "b", 8 * MBPS, 0.001)
+        net.use_preemptive_ports(LstfScheduler)
+        _dict, slots = net.nodes["a"].ports["b"].__getstate__()
+        assert sorted(slots) == sorted((
+            *common, "_heap", "_seq", "_current", "_serve_start", "_done_handle"))
 
     def test_restore_reinstalls_packet_counter(self):
         net = _tiny_network()
@@ -420,8 +430,14 @@ class TestCheckpointStore(StoreContract):
     def test_version_5_entry_reads_as_a_miss_and_is_rebuilt(self, tmp_path):
         """Nor one whose ports still carry an AQM slot (v5); version 6
         pickles ports without it."""
-        assert CHECKPOINT_VERSION == 6
         self._relabelled_entry_is_a_miss_and_heals(tmp_path, 5)
+
+    def test_version_6_entry_reads_as_a_miss_and_is_rebuilt(self, tmp_path):
+        """Nor one whose tracer columns are lists of boxed numbers and
+        whose preemptive ports keep a state object per packet (v6);
+        version 7 pickles typed columns and self-contained heap entries."""
+        assert CHECKPOINT_VERSION == 7
+        self._relabelled_entry_is_a_miss_and_heals(tmp_path, 6)
 
     @pytest.mark.parametrize("via", ["os.system", "ContentStore"])
     def test_a_payload_naming_a_foreign_global_is_a_miss_and_heals(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import operator
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.network import Network
+from repro.transport.udp import install_udp_flows
 from repro.units import MBPS
+from repro.workload.flows import Flow
 from tests.conftest import make_packet
 from tests.sim.reference_tracer import delivered, records
 
@@ -142,7 +145,7 @@ def test_columns_agree_with_the_records_view_and_clear_forgets():
     net.run(until=2.5e-3)  # some delivered, some still queued
     tracer = net.tracer
     rows = list(records(tracer).values())
-    assert tracer.pid == [p.pid for p in packets]
+    assert list(tracer.pid) == [p.pid for p in packets]
     assert [p.trace for p in packets] == [0, 1, 2, 3]
     assert tracer.delivered_slots().tolist() == [
         k for k, r in enumerate(rows) if r.delivered]
@@ -150,3 +153,32 @@ def test_columns_agree_with_the_records_view_and_clear_forgets():
     assert tracer.wait_totals().tolist() == [r.total_wait for r in rows]
     tracer.clear()
     assert len(tracer) == 0 and tracer.drops == 0 and not records(tracer)
+
+
+def test_a_traced_packet_costs_its_bytes_not_a_boxed_number_per_cell():
+    """The table holds machine numbers: on a 2-hop incast, a packet's row
+    plus its two transmit-log entries cost <= 160 bytes, counted as what
+    ``clear()`` frees.  With a boxed number per cell they cost 262."""
+    net = Network()
+    net.add_router("SW")
+    net.add_host("dst")
+    net.add_link("SW", "dst", 80 * MBPS, 0.0)
+    for h in range(8):
+        net.add_host(f"h{h}")
+        net.add_link(f"h{h}", "SW", 80 * MBPS, 0.0)
+    install_udp_flows(net, [Flow(fid=5 * h + k, src=f"h{h}", dst="dst",
+                                 size=75_000, start=k * 1e-3)
+                            for h in range(8) for k in range(5)])
+    tracemalloc.start()
+    try:
+        net.run()
+        tracer = net.tracer
+        packets = len(tracer)
+        assert packets == 2000 and tracer.delivered_count() == packets
+        assert len(tracer.tx_slot) == 2 * packets
+        held, _ = tracemalloc.get_traced_memory()
+        tracer.clear()
+        freed = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert freed / packets <= 160, f"{freed / packets:.1f} B per packet"

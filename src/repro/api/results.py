@@ -19,7 +19,9 @@ in the (canonically excluded) timing section.
 Because :func:`spec_run_id` derives the artifact filename from the spec
 alone, an ``--out`` directory doubles as a content-addressed cache: the
 runner can answer a spec from a previously saved artifact without
-simulating (see :func:`repro.api.runner.run`).
+simulating (see :func:`repro.api.runner.run`).  That cache is
+:class:`ArtifactStore`, a :class:`~repro.core.store.ContentStore` codec
+like the schedule and checkpoint stores, under the same contract.
 """
 
 from __future__ import annotations
@@ -32,10 +34,10 @@ from typing import Any, Mapping
 
 from repro.analysis.tables import Table
 from repro.api.spec import ExperimentSpec
-from repro.core.store import atomic_write
+from repro.core.store import ContentStore
 from repro.errors import ConfigurationError, require_fields
 
-__all__ = ["RunArtifact", "load_artifact", "spec_run_id"]
+__all__ = ["ArtifactStore", "RunArtifact", "load_artifact", "spec_run_id"]
 
 #: 2: ``metadata["engine_events"]`` counts one event per uncontended hop;
 #: an artifact a two-events-per-hop build cached reads as a miss.
@@ -172,18 +174,32 @@ class RunArtifact:
         return spec_run_id(self.spec)
 
     def save(self, out_dir: str | Path) -> Path:
-        """Persist as ``<out_dir>/<run_id>.json``; returns the path.
+        """Persist into the :class:`ArtifactStore` at ``out_dir``; returns
+        the path.  The put is atomic, so concurrent workers sharing one
+        cache directory never see a torn JSON, and racing savers of one
+        run-id both succeed (determinism makes the contents identical)."""
+        return ArtifactStore(out_dir).put(self.run_id(), self)
 
-        The write is atomic (:func:`~repro.core.store.atomic_write`), so
-        concurrent workers sharing one cache directory always see either
-        no file or a complete one — never a torn JSON.  Racing savers of
-        the same run-id both succeed; last replace wins, and determinism
-        makes the contents identical anyway.
-        """
-        data = (self.to_json(indent=2) + "\n").encode()
-        return atomic_write(Path(out_dir) / f"{self.run_id()}.json", data)
+
+class ArtifactStore(ContentStore):
+    """The artifact cache: ``<out_dir>/<run_id>.json``, keyed by
+    :func:`spec_run_id`, one :meth:`RunArtifact.to_json` document per
+    entry.  The runner reads it with :meth:`get` and writes it through
+    :meth:`RunArtifact.save`, neither of which logs."""
+
+    __slots__ = ()
+
+    SUFFIX = ".json"
+    LOG_NAME = "artifacts.log"
+
+    def encode(self, artifact: RunArtifact) -> bytes:
+        return (artifact.to_json(indent=2) + "\n").encode()
+
+    def load(self, path: Path) -> RunArtifact:
+        return RunArtifact.from_dict(json.loads(path.read_bytes()))
 
 
 def load_artifact(path: str | Path) -> RunArtifact:
     """Read an artifact previously written by :meth:`RunArtifact.save`."""
-    return RunArtifact.from_dict(json.loads(Path(path).read_text()))
+    path = Path(path)
+    return ArtifactStore(path.parent).load(path)

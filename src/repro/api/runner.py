@@ -37,7 +37,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.api.registry import REGISTRY
-from repro.api.results import RunArtifact, load_artifact, spec_run_id
+from repro.api.results import ArtifactStore, RunArtifact, spec_run_id
 from repro.api.spec import ExperimentSpec
 from repro.core.packet import reset_packet_ids
 from repro.core.store import ContentStore, RunContext
@@ -89,20 +89,11 @@ STORE_KINDS: dict[str, tuple[str, type[ContentStore], str]] = {
 
 
 def cached_artifact(spec: ExperimentSpec, out_dir: str | Path) -> RunArtifact | None:
-    """The saved artifact for ``spec`` under ``out_dir``, if one exists.
-
-    The artifact's embedded spec must round-trip to the requested one —
-    a guard against hand-edited files and hash collisions; mismatches are
-    treated as a miss, not an error.
-    """
-    path = Path(out_dir) / f"{spec_run_id(spec)}.json"
-    if not path.is_file():
-        return None
-    try:
-        artifact = load_artifact(path)
-    except (OSError, ValueError, ConfigurationError):
-        return None  # unreadable/foreign file: fall through to a fresh run
-    if artifact.spec != spec:
+    """The saved artifact for ``spec`` in the :class:`ArtifactStore` at
+    ``out_dir``, or None: a store miss, or an entry whose embedded spec
+    is not the requested one (a hand-edited file, a hash collision)."""
+    artifact = ArtifactStore(out_dir).get(spec_run_id(spec))
+    if artifact is None or artifact.spec != spec:
         return None
     artifact.from_cache = True
     return artifact
@@ -112,8 +103,6 @@ def run(
     spec: ExperimentSpec,
     out_dir: str | Path | None = None,
     force: bool = False,
-    schedule_dir: str | Path | None = None,
-    checkpoint_dir: str | Path | None = None,
     obs: "bool | MetricsHub | None" = None,
     checkpoint_policy: str | None = None,
 ) -> RunArtifact:
@@ -126,25 +115,14 @@ def run(
 
     The driver runs inside one :class:`~repro.core.store.RunContext`
     holding the run's two prerequisite stores, its metrics hub and its
-    resume session, each possibly absent.
-
-    ``schedule_dir`` names the recorded-schedule cache
-    (:class:`~repro.core.trace_io.ScheduleStore`); replay-driven
-    experiments record each original schedule into it at most once and
-    answer later requests from disk.  It
-    defaults to ``<out_dir>/schedules`` when ``out_dir`` is given, so a
-    warm ``--out`` directory caches both halves of a replay experiment.
-    ``force`` does not invalidate recorded schedules — recording is
-    deterministic, so re-recording could only reproduce the same bytes.
-
-    ``checkpoint_dir`` is the simulate-once analogue: the warm-up
-    checkpoint cache (:class:`~repro.sim.checkpoint.CheckpointStore`),
-    defaulting to ``<out_dir>/checkpoints`` when ``out_dir`` is given.
-    Branch-driven experiments simulate each shared warm-up prefix into
-    it at most once and restore later legs from disk; artifacts are
-    byte-identical either way (same events, same pids — the store
-    credits the restored run's accounting), which is what lets the cache
-    be transparent.
+    resume session, each possibly absent.  The stores live under
+    ``out_dir`` (without it, prerequisites are built in memory):
+    ``schedules/`` (:class:`~repro.core.trace_io.ScheduleStore`) holds
+    each recorded original schedule, ``checkpoints/``
+    (:class:`~repro.sim.checkpoint.CheckpointStore`) each shared warm-up
+    prefix, each built at most once.  ``force`` invalidates neither
+    (builds are deterministic), and artifacts are byte-identical with or
+    without them.
 
     ``obs`` controls run telemetry (:mod:`repro.obs`): pass a
     :class:`~repro.obs.hub.MetricsHub` to collect into it, ``True`` for a
@@ -159,12 +137,22 @@ def run(
     run writes a mid-flight snapshot every n engine events into the
     checkpoint store and, if an earlier attempt of the same spec was
     killed, fast-forwards through the newest valid snapshot it left
-    behind.  Needs a durable store (``out_dir`` or ``checkpoint_dir``).
-    The policy never reaches the artifact — resumed and straight runs
-    are byte-identical (the fault-injection suite proves it).  It is
-    checked before the artifact cache is consulted, so a bad one fails
-    against a warm ``out_dir`` too.
+    behind.  Needs ``out_dir``.  The policy never reaches the artifact —
+    resumed and straight runs are byte-identical (the fault-injection
+    suite proves it).  It is checked before the artifact cache is
+    consulted, so a bad one fails against a warm ``out_dir`` too.
     """
+    dirs = {kind: _store_dir(kind, out_dir) for kind in STORE_KINDS}
+    return _run_leg(spec, dirs, out_dir, force, checkpoint_policy, obs)
+
+
+def _run_leg(spec: ExperimentSpec, dirs: dict[str, Path | None],
+             out_dir: str | Path | None, force: bool,
+             checkpoint_policy: str | None,
+             obs: "bool | MetricsHub | None" = None) -> RunArtifact:
+    """:func:`run` with the prerequisite stores at ``dirs`` (kind →
+    directory, or None to build in memory): a sweep's leg, whose stores
+    may be the sweep's temporary ones rather than ``out_dir``'s."""
     every_events = (None if checkpoint_policy is None
                     else parse_checkpoint_every(checkpoint_policy))
     entry = REGISTRY.get(spec.experiment)
@@ -179,19 +167,19 @@ def run(
         cached = cached_artifact(spec, out_dir)
         if cached is not None:
             return cached
-    ckpt_store = _open_store("checkpoint", out_dir, checkpoint_dir)
+    stores = {kind: None if root is None else STORE_KINDS[kind][1](root)
+              for kind, root in dirs.items()}
     session = None
     if every_events is not None:
-        if ckpt_store is None:
+        if stores["checkpoint"] is None:
             raise ConfigurationError(
-                "checkpoint_policy needs a durable checkpoint store to "
-                "write snapshots into — pass out_dir= or checkpoint_dir="
+                "checkpoint_policy needs out_dir=: its snapshots go into "
+                "a durable checkpoint store"
             )
-        session = ResumeSession(spec_run_id(spec), every_events, ckpt_store)
+        session = ResumeSession(spec_run_id(spec), every_events,
+                                stores["checkpoint"])
     hub = _resolve_obs(obs)
-    context = RunContext(
-        (_open_store("schedule", out_dir, schedule_dir), ckpt_store),
-        hub, session)
+    context = RunContext(stores.values(), hub, session)
     reset_packet_ids()
     ENGINE_PERF.reset()
     start = time.perf_counter()
@@ -292,15 +280,6 @@ def _store_dir(kind: str, base: str | Path | None) -> Path | None:
     return None if base is None else Path(base) / STORE_KINDS[kind][0]
 
 
-def _open_store(
-    kind: str, base: str | Path | None, override: str | Path | None
-) -> ContentStore | None:
-    """A run's ``kind`` store: at an explicit ``override``, else at
-    :func:`_store_dir`, or None when that is nowhere."""
-    root = Path(override) if override is not None else _store_dir(kind, base)
-    return None if root is None else STORE_KINDS[kind][1](root)
-
-
 @contextlib.contextmanager
 def _sweep_store_dirs(
     shared: dict[str, dict[str, Callable]],
@@ -390,7 +369,8 @@ def run_many(
     Whatever the mode, results come back in input order and are
     byte-identical (``canonical_json``) across modes — the determinism
     contract the test suite guards.  ``out_dir``/``force`` behave as in
-    :func:`run`; with a warm cache a sweep only simulates the specs it
+    :func:`run`: ``out_dir``'s :class:`~repro.api.results.ArtifactStore`
+    answers every leg it holds, so a sweep only simulates the specs it
     has never seen.
 
     Build once, share many: one body plans the sweep (each experiment's
@@ -400,8 +380,10 @@ def run_many(
     schedules into a :class:`~repro.core.trace_io.ScheduleStore`, warm-up
     prefixes into a :class:`~repro.sim.checkpoint.CheckpointStore` —
     rooted under ``out_dir``, the queue's ``artifacts/``, or a temporary
-    directory scoped to this call; a prerequisite only one leg needs is
-    built by that leg, into the same store.  So a ``replay_modes`` sweep
+    directory scoped to this call (which is why a leg is :func:`run`
+    with its stores passed in, not derived from ``out_dir``); a
+    prerequisite only one leg needs is built by that leg, into the same
+    store.  So a ``replay_modes`` sweep
     over M modes pays the recording cost once, not M times, and an N-leg
     branch sweep costs O(horizon + N × delta), not O(N × horizon), in
     every mode.  ``batch_size`` without ``queue_dir`` is refused.
@@ -442,9 +424,7 @@ def run_many(
                                    batch_size)
         else:
             leg = functools.partial(
-                run, out_dir=out_dir, force=force,
-                schedule_dir=dirs["schedule"],
-                checkpoint_dir=dirs["checkpoint"],
+                _run_leg, dirs=dirs, out_dir=out_dir, force=force,
                 checkpoint_policy=checkpoint_policy,
             )
             if workers == 1 or len(missed) <= 1:

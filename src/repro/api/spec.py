@@ -19,6 +19,7 @@ and diff between runs.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Mapping
 
@@ -114,9 +115,13 @@ class ExperimentSpec:
         if not self.experiment:
             raise ConfigurationError("spec needs a non-empty experiment name")
         object.__setattr__(self, "schedulers", tuple(self.schedulers))
-        seeds = tuple(int(s) for s in self.seeds)
+        seeds = tuple(self.seeds)
         if not seeds:
             raise ConfigurationError("spec needs at least one seed")
+        if not all(isinstance(s, numbers.Integral) and not isinstance(s, bool)
+                   for s in seeds):  # the rule ``from_dict``'s kinds apply
+            raise ConfigurationError(f"seeds must be integers, got {seeds!r}")
+        seeds = tuple(map(int, seeds))
         if min(seeds) < 0:
             raise ConfigurationError(f"seeds must be >= 0, got {seeds!r}")
         object.__setattr__(self, "seeds", seeds)

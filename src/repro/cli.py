@@ -72,6 +72,7 @@ from typing import Sequence
 
 from repro.analysis.tables import Table
 from repro.api import REGISTRY, ExperimentSpec, run_many, spec_run_id
+from repro.api.results import ArtifactStore
 from repro.cluster.worker import DEFAULT_BATCH_SIZE
 from repro.core.trace_io import ScheduleStore
 from repro.errors import (
@@ -295,11 +296,10 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         queue_dir=args.queue, batch_size=args.batch_size,
     )
     if args.out:
-        out = Path(args.out)
+        store = ArtifactStore(args.out)
         for artifact in artifacts:
             verb = "cached" if artifact.from_cache else "wrote"
-            print(f"{verb} {out / (artifact.run_id() + '.json')}",
-                  file=sys.stderr)
+            print(f"{verb} {store.path(artifact.run_id())}", file=sys.stderr)
     _emit_artifacts(args, artifacts)
     return 0
 

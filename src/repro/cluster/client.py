@@ -25,16 +25,11 @@ from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 from repro.analysis.tables import Table
-from repro.api.results import RunArtifact, load_artifact
+from repro.api.results import ArtifactStore, RunArtifact
 from repro.api.spec import ExperimentSpec
 from repro.cluster.jobs import DONE, FAILED, STATES, Job
 from repro.cluster.queue import JobQueue
-from repro.errors import (
-    ClusterError,
-    ConfigurationError,
-    JobFailedError,
-    require_positive_finite,
-)
+from repro.errors import ClusterError, JobFailedError, require_positive_finite
 
 __all__ = [
     "QueueStatus",
@@ -142,14 +137,15 @@ def status(
 
 
 def _load_done_artifact(queue: JobQueue, job: Job) -> RunArtifact:
-    path = queue.artifact_dir / f"{job.run_id}.json"
-    try:
-        return load_artifact(path)
-    except (OSError, ValueError, ConfigurationError) as exc:
-        raise ClusterError(
-            f"job {job.id} is done but its artifact {path} is "
-            f"unreadable/corrupt: {exc}"
-        ) from exc
+    """A done job's artifact; a missing or damaged one is a
+    :class:`ClusterError` naming the job, a refused read the store's
+    :class:`~repro.errors.StoreError`."""
+    store = ArtifactStore(queue.artifact_dir)
+    artifact = store.get(job.run_id)
+    if artifact is None:
+        raise ClusterError(f"job {job.id} is done but its artifact "
+                           f"{store.path(job.run_id)} is unreadable/corrupt")
+    return artifact
 
 
 def gather(

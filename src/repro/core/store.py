@@ -5,7 +5,7 @@ is derived from the *inputs* that produced the value, so any leg of any
 sweep that needs the same value addresses the same file.  The contract,
 stated once for :class:`~repro.core.trace_io.ScheduleStore`,
 :class:`~repro.sim.checkpoint.CheckpointStore` and the artifact cache
-(:meth:`repro.api.results.RunArtifact.save`):
+:class:`~repro.api.results.ArtifactStore`:
 
 * **Atomic put** — :func:`atomic_write`: temp file in the target
   directory + ``os.replace``.  Readers see no file or a complete one;

@@ -25,7 +25,7 @@ snapshot.
   corrupt entries read as misses, and ``checkpoints.log`` lets tests
   assert the build-once guarantee.  The runner puts one in the run
   context (:class:`~repro.core.store.RunContext`) around a driver call,
-  and ``repro checkpoint`` builds entries into one.  An entry
+  and ``run_many``'s pre-pass builds shared entries into one.  An entry
   (:func:`snapshot_to_bytes`) is a one-line JSON header (format name,
   version, SHA-256 of the payload, summary fields) followed by the
   pickled network graph; the hash is verified on every read, so a

@@ -101,10 +101,9 @@ KEEP = 2
 def parse_checkpoint_every(text: str) -> int:
     """The engine events between snapshots that ``"<n>ev"`` names.
 
-    The one form of ``--checkpoint-every`` / ``checkpoint_policy=``,
-    with ``n >= 1``.  It is an *executor* knob, not spec data: it never
-    reaches the artifact, so runs with any cadence (or none) stay
-    byte-identical.
+    The one form of ``checkpoint_policy=``, with ``n >= 1``.  It is an
+    *executor* knob, not spec data: it never reaches the artifact, so
+    runs with any cadence (or none) stay byte-identical.
     """
     digits = text[:-2] if isinstance(text, str) and text.endswith("ev") else ""
     if not (digits.isdigit() and digits.isascii() and int(digits) >= 1):

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import errno
 import json
 import multiprocessing
 import os
 import time
+from pathlib import Path
 
 import pytest
 
@@ -18,8 +20,10 @@ from repro.api import (
     run_many,
     spec_run_id,
 )
+from repro.api.results import ArtifactStore
 from repro.cli import main
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, StoreError
+from tests.store_contract import StoreContract
 
 TINY = ExperimentSpec("table1", duration=0.04, options={"rows": (0,)})
 
@@ -170,6 +174,64 @@ class TestArtifactCache:
         assert failures == 0
         assert load_artifact(path).canonical_json() == artifact.canonical_json()
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+class TestArtifactStore(StoreContract):
+    """The store contract over the artifact codec, plus what is
+    particular to it: ``RunArtifact.save`` is its put, and a refused
+    read of a cached artifact stops a run instead of overwriting it."""
+
+    STORE = ArtifactStore
+
+    @staticmethod
+    def make_values():
+        return [
+            RunArtifact(spec=ExperimentSpec("gadgets", seeds=(seed,)),
+                        title=f"probe {seed}", headers=["case", "value"],
+                        rows=[["a", seed], ["b", seed / 4]],
+                        metadata={"engine_events": seed},
+                        wall_time_s=seed / 8,
+                        obs=None if seed == 1 else {"samples": seed})
+            for seed in (1, 2, 3)
+        ]
+
+    @staticmethod
+    def fingerprint(artifact):
+        return artifact.to_json()
+
+    def test_save_is_the_codecs_put_under_the_run_id(self, tmp_path):
+        artifact = self.value()
+        path = artifact.save(tmp_path)
+        assert path == ArtifactStore(tmp_path).path(artifact.run_id())
+        assert path.read_bytes() == (artifact.to_json(indent=2) + "\n").encode()
+        assert load_artifact(path) == ArtifactStore(tmp_path).get(
+            artifact.run_id()) == artifact
+
+    @pytest.mark.parametrize("error", [
+        PermissionError(errno.EACCES, "Permission denied"),
+        OSError(errno.EIO, "Input/output error"),
+    ], ids=["EACCES", "EIO"])
+    def test_a_refused_read_of_a_cached_artifact_stops_the_run(
+            self, tmp_path, monkeypatch, error):
+        """The filesystem refusing the cached entry is a StoreError: the
+        run neither re-simulates nor overwrites the entry."""
+        spec = ExperimentSpec("gadgets")
+        run(spec, out_dir=tmp_path)
+        path = ArtifactStore(tmp_path).path(spec_run_id(spec))
+        saved = path.read_bytes()
+        real_open = Path.open
+
+        def refuse(self, *args, **kwargs):
+            if self == path:
+                raise error
+            return real_open(self, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Path, "open", refuse)
+            with pytest.raises(StoreError) as info:
+                run(spec, out_dir=tmp_path)
+        assert info.value.__cause__ is error
+        assert path.read_bytes() == saved
 
 
 class TestEngineAccounting:

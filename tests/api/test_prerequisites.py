@@ -14,7 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.api import ExperimentSpec, REGISTRY, run_many
-from repro.api import runner
+from repro.api.results import ArtifactStore
 from repro.api.runner import STORE_KINDS
 
 MODES = ("lstf", "priority", "edf", "omniscient")
@@ -95,9 +95,9 @@ def test_warm_out_dir_loads_each_cached_artifact_once(tmp_path, monkeypatch):
     legs = SWEEPS["schedule"][:2] + SWEEPS["checkpoint"][:2]
     cold = run_many(legs, out_dir=tmp_path)
     loads = []
-    real = runner.load_artifact
-    monkeypatch.setattr(
-        runner, "load_artifact", lambda path: loads.append(path) or real(path))
+    real = ArtifactStore.load
+    monkeypatch.setattr(ArtifactStore, "load",
+                        lambda store, path: loads.append(path) or real(store, path))
     warm = run_many(legs, out_dir=tmp_path)
     assert len(loads) == len(legs)
     assert all(a.from_cache for a in warm)

@@ -103,6 +103,23 @@ def test_non_finite_non_positive_and_negative_values_are_refused(field, value):
         ExperimentSpec("t", **{field: value})
 
 
+@pytest.mark.parametrize("seed", [1.7, True, "3"], ids=["float", "bool", "str"])
+def test_seeds_are_integers_on_both_paths(seed):
+    """A non-integral seed is refused by the constructor as by
+    ``from_dict`` — never truncated into another run's cache entry."""
+    with pytest.raises(ConfigurationError, match="seeds"):
+        ExperimentSpec("t", seeds=(seed,))
+    with pytest.raises(ConfigurationError, match="seeds"):
+        ExperimentSpec.from_dict({"experiment": "t", "seeds": [seed]})
+
+
+def test_numpy_integer_seeds_are_accepted_as_ints():
+    np = pytest.importorskip("numpy")
+    spec = ExperimentSpec("t", seeds=(np.int64(3),))
+    assert spec.seeds == (3,) and type(spec.seeds[0]) is int
+    assert spec == ExperimentSpec("t", seeds=(3,))
+
+
 def test_from_dict_rejects_unknown_fields():
     with pytest.raises(ConfigurationError):
         ExperimentSpec.from_dict({"experiment": "t", "warp": 9})

@@ -13,8 +13,10 @@ These are the acceptance tests of the distributed subsystem:
 
 from __future__ import annotations
 
+import errno
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -26,7 +28,7 @@ import pytest
 from repro.api import ExperimentSpec, run_many, spec_run_id
 from repro.cli import main
 from repro.cluster import DONE, RUNNING, JobQueue, Worker, gather, status, submit
-from repro.errors import ClusterError, ConfigurationError
+from repro.errors import ClusterError, ConfigurationError, StoreError
 
 SWEEP = ExperimentSpec(
     "table1", duration=0.04, seeds=(1, 2, 3, 4), options={"rows": (0,)}
@@ -118,6 +120,35 @@ class TestDeterminism:
         path.write_text(json.dumps(damage(artifact.to_dict())))
         with pytest.raises(ClusterError, match="unreadable/corrupt"):
             gather(queue_dir, [1], timeout=5)
+
+    def test_gather_names_the_job_whose_artifact_is_truncated(self, tmp_path):
+        queue_dir = tmp_path / "q"
+        run_many(SWEEP[:1], queue_dir=queue_dir)
+        path = queue_dir / "artifacts" / f"{spec_run_id(SWEEP[0])}.json"
+        path.write_bytes(path.read_bytes()[:-50])
+        with pytest.raises(ClusterError, match="job 1 is done but its "
+                           "artifact .* is unreadable/corrupt"):
+            gather(queue_dir, [1], timeout=5)
+
+    def test_gather_raises_store_error_on_a_refused_artifact_read(
+            self, tmp_path, monkeypatch):
+        """A done job's artifact the filesystem refuses to read is the
+        store's error, not a damaged artifact."""
+        queue_dir = tmp_path / "q"
+        run_many(SWEEP[:1], queue_dir=queue_dir)
+        path = queue_dir / "artifacts" / f"{spec_run_id(SWEEP[0])}.json"
+        refused = OSError(errno.EIO, "Input/output error")
+        real_open = Path.open
+
+        def refuse(self, *args, **kwargs):
+            if self == path:
+                raise refused
+            return real_open(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", refuse)
+        with pytest.raises(StoreError, match=re.escape(str(path))) as info:
+            gather(queue_dir, [1], timeout=5)
+        assert info.value.__cause__ is refused
 
     def test_per_job_protocol_matches_batched_byte_for_byte(self, tmp_path):
         """--batch-size is an overhead knob, never a results knob."""

@@ -7,7 +7,8 @@ per retirement, and one door for drivers (``fetch`` through the run
 context's store).  :class:`StoreContract` states them once; a codec's
 test class subclasses it and supplies ``STORE``, ``make_values`` and
 ``fingerprint`` (``tests/core/test_trace_io.py::TestScheduleStore``,
-``tests/sim/test_checkpoint.py::TestCheckpointStore``), next to the
+``tests/sim/test_checkpoint.py::TestCheckpointStore``,
+``tests/api/test_artifact_cache.py::TestArtifactStore``), next to the
 tests of whatever is particular to its format.
 """
 

@@ -14,9 +14,11 @@ path, enqueue time at the current port, and accumulated queueing delay.
 
 from __future__ import annotations
 
+from typing import Any
+
 from repro.units import INFINITY
 
-__all__ = ["Packet", "packet_id_counter", "set_packet_id_counter"]
+__all__ = ["Packet", "PacketRows", "packet_id_counter", "set_packet_id_counter"]
 
 _COUNTER = 0
 
@@ -118,6 +120,33 @@ class Packet:
             f"<Packet #{self.pid} {kind} flow={self.flow_id} "
             f"{self.src}->{self.dst} size={self.size} seq={self.seq}>"
         )
+
+
+class PacketRows:
+    """Packets as typed columns (``array``s: they pickle with a snapshot).
+    Each ``(field, column)`` of ``headers`` sets a header field; with
+    ``bounds``, row ``k``'s ``hop_times`` is ``hop_tx[bounds[k]:bounds[k + 1]]``."""
+
+    __slots__ = ("names", "injectors", "headers", "bounds", "hop_tx", "pid",
+                 "flow_id", "size", "flow_size", "src", "dst", "created")
+
+    def __init__(self, **fields: Any) -> None:
+        self.headers, self.bounds = (), None
+        for name, value in fields.items():
+            setattr(self, name, value)
+
+    def inject(self, row: int) -> None:
+        """Build row ``row``'s packet and hand it to ``injectors[src[row]]``."""
+        src = self.src[row]
+        packet = Packet(self.flow_id[row], self.size[row], self.names[src],
+                        self.names[self.dst[row]], self.created[row],
+                        pid=self.pid[row])
+        packet.flow_size = self.flow_size[row]
+        for name, column in self.headers:
+            setattr(packet, name, column[row])
+        if self.bounds is not None:
+            packet.hop_times = tuple(self.hop_tx[self.bounds[row]:self.bounds[row + 1]])
+        self.injectors[src](packet)
 
 
 def reset_packet_ids() -> None:

@@ -37,24 +37,23 @@ Replay modes
 from __future__ import annotations
 
 import functools
-import gc
 import hashlib
 import json
 import math
+from array import array
 from itertools import repeat
-from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
-from repro.core.packet import Packet
+from repro.core.packet import PacketRows
 from repro.core.slack import replay_headers
 from repro.errors import ReplayError, RoutingError
 from repro.schedulers.edf import EdfScheduler
 from repro.schedulers.lstf import LstfScheduler
 from repro.schedulers.omniscient import OmniscientScheduler
 from repro.schedulers.priority import PriorityScheduler
-from repro.sim.tracer import Tracer, group_log, segment_sums
+from repro.sim.tracer import ReplayTable, group_log, segment_sums
 from repro.units import MTU, TIME_EPSILON
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -153,12 +152,13 @@ class RecordedSchedule:
         (in event order), and the schedule's runs are gathered from the
         routes and the groups.  A delivered packet must have transmitted
         once per link of its route: fewer means the tracer was off for
-        part of its journey, and its hops cannot be told apart.
+        part of its journey, and its hops cannot be told apart.  Columns are
+        read through ``np.asarray`` views, which die here: a viewed array cannot grow.
         """
         tracer = network.tracer
         exit = tracer.exit_times()
-        pid = np.array(tracer.pid, dtype=np.int64)
-        created = np.array(tracer.created, dtype=np.float64)
+        pid = np.asarray(tracer.pid)
+        created = np.asarray(tracer.created)
         slots = np.flatnonzero(~np.isnan(exit))
         slots = slots[np.lexsort((pid[slots], created[slots]))]
         ends = [(tracer.src[k], tracer.dst[k]) for k in slots.tolist()]
@@ -178,13 +178,13 @@ class RecordedSchedule:
                               "travelled?)")
         path = route_codes[_runs(route_counts, row_route)]
         hop_entries = tx_order[_runs(tx_counts, slots)]
-        size = np.array(tracer.size, dtype=np.int64)[slots]
+        size = np.asarray(tracer.size)[slots]
         return cls(
             threshold, description, nodes,
-            pid[slots], np.array(tracer.flow_id, dtype=np.int64)[slots],
+            pid[slots], np.asarray(tracer.flow_id)[slots],
             size, size, created[slots], exit[slots], hops, path,
-            np.array(tracer.hop_tx, dtype=np.float64)[hop_entries],
-            np.array(tracer.hop_waits, dtype=np.float64)[hop_entries],
+            np.asarray(tracer.hop_tx)[hop_entries],
+            np.asarray(tracer.hop_waits)[hop_entries],
         )
 
     def __len__(self) -> int:
@@ -341,8 +341,8 @@ class ReplayResult:
         replay_log: tuple,
     ) -> None:
         """``replay_outputs``: ``o'(p)`` of each schedule row, in row order;
-        ``replay_log``: the replay's transmit log (a detached ``Tracer``) and
-        each row's slot in it, summed into waits only when asked for."""
+        ``replay_log``: the replay's transmit log (a detached ``ReplayTable``)
+        and each row's slot in it, summed into waits only when asked for."""
         self.schedule = schedule
         self.mode = mode
         self.lateness = replay_outputs - schedule.output
@@ -428,21 +428,22 @@ def _install_mode(network: "Network", mode: str) -> None:
 
 
 def _verify_routes(schedule: RecordedSchedule, network: "Network",
-                   pairs: list[tuple[str, str]]) -> None:
-    """Check, once per src/dst pair, that ``network`` routes along the
-    path the pair's first packet was recorded on."""
-    first = dict(zip(reversed(pairs), reversed(range(len(pairs)))))
+                   src: np.ndarray, dst: np.ndarray) -> None:
+    """Check, once per src/dst pair (node codes, one per row), that
+    ``network`` routes along the path the pair's first packet was recorded on."""
+    _, first = np.unique(src * len(schedule.nodes) + dst, return_index=True)
     starts = schedule._path_starts()
-    for (src, dst), row in sorted(first.items(), key=itemgetter(1)):
+    for row in sorted(first.tolist()):
+        start = int(starts[row])
+        recorded = tuple([schedule.nodes[k] for k in schedule.path[
+            start:start + int(schedule.hops[row]) + 1].tolist()])
+        src, dst = recorded[0], recorded[-1]
         try:
             route = network.route(src, dst)
         except RoutingError as exc:
             raise ReplayError(
                 f"replay network cannot route {src!r}->{dst!r}: {exc}"
             ) from exc
-        start = int(starts[row])
-        recorded = tuple([schedule.nodes[k] for k in schedule.path[
-            start:start + int(schedule.hops[row]) + 1].tolist()])
         if route != recorded:
             raise ReplayError(
                 f"replay network routes {src!r}->{dst!r} via {route}, but "
@@ -450,56 +451,43 @@ def _verify_routes(schedule: RecordedSchedule, network: "Network",
             )
 
 
-def _schedule_injections(schedule: RecordedSchedule, network: "Network",
-                         mode: str, targets: np.ndarray | None) -> None:
-    """Stamp a packet per schedule row and schedule its injection at
-    ``i(p)``.  Its set-up columns die on return, before the replay runs."""
-    stamped = schedule.output if targets is None else targets
-    src, dst = schedule.endpoints()
-    sizes = schedule.size.tolist()
-    _verify_routes(schedule, network, list(zip(src, dst)))
-    # One header value per row (slack, priority or timetable), plus the
-    # deadline the slack modes also carry.
-    deadlines = repeat(None)
-    if mode in _SLACK_MODES:
-        keys = list(zip(src, dst, sizes))
-        tmin = {key: network.tmin(*key) for key in dict.fromkeys(keys)}
-        values, deadlines = (column.tolist() for column in replay_headers(
-            schedule.ingress, stamped,
-            np.fromiter(map(tmin.__getitem__, keys), np.float64, len(keys)),
-            degraded=targets is not None))
-    elif mode == "priority":
-        values = stamped.tolist()
-    else:
-        hop_tx = schedule.hop_tx.tolist()
-        values = [tuple(hop_tx[end - k:end]) for end, k in zip(
-            np.cumsum(schedule.hops).tolist(), schedule.hops.tolist())]
+def _typed(column: np.ndarray) -> array:
+    """``column`` as an ``array`` (a numpy type character names the same C
+    type as the ``array`` typecode it equals)."""
+    return array(column.dtype.char, column.tobytes())
 
-    schedule_at = network.engine.schedule_at
-    inject = {name: network.host(name).inject for name in dict.fromkeys(src)}
-    slack_headers = mode in _SLACK_MODES
-    # Everything this loop allocates (packets, heap entries) lives until
-    # injection, so a cyclic collection in it could free nothing.
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        for pid, flow_id, flow_size, size, s, d, i, value, deadline in zip(
-                schedule.pid.tolist(), schedule.flow_id.tolist(),
-                schedule.flow_size.tolist(), sizes, src, dst,
-                schedule.ingress.tolist(), values, deadlines):
-            packet = Packet(flow_id, size, s, d, i, pid=pid)
-            packet.flow_size = flow_size
-            if slack_headers:
-                packet.slack = value
-                packet.deadline = deadline
-            elif mode == "priority":
-                packet.priority = value
-            else:
-                packet.hop_times = value
-            schedule_at(i, inject[s], packet)
-    finally:
-        if collecting:
-            gc.enable()
+
+def _stream_injections(schedule: RecordedSchedule, network: "Network",
+                       mode: str, targets: np.ndarray | None) -> None:
+    """Stamp each row's header into typed columns (a :class:`PacketRows`)
+    and stream the rows into ``network``, each built and injected at ``i(p)``."""
+    stamped = schedule.output if targets is None else targets
+    nodes, starts = schedule.nodes, schedule._path_starts()
+    src, dst = schedule.path[starts], schedule.path[starts + schedule.hops]
+    _verify_routes(schedule, network, src, dst)
+    columns = {name: _typed(getattr(schedule, name))
+               for name in ("pid", "flow_id", "size", "flow_size")}
+    if mode in _SLACK_MODES:
+        # return_index makes numpy sort stably, as the recorder does; its
+        # default quicksort would page in a sort kernel for this alone.
+        keys, _, key_of = np.unique(np.stack((src, dst, schedule.size)), axis=1,
+                                    return_index=True, return_inverse=True)
+        tmin = np.array([network.tmin(nodes[s], nodes[d], size)
+                         for s, d, size in keys.T.tolist()])
+        slack, deadline = replay_headers(schedule.ingress, stamped, tmin[key_of.reshape(-1)],
+                                         degraded=targets is not None)
+        columns["headers"] = (("slack", _typed(slack)), ("deadline", _typed(deadline)))
+    elif mode == "priority":
+        columns["headers"] = (("priority", _typed(stamped)),)
+    else:
+        columns["hop_tx"] = _typed(schedule.hop_tx)
+        columns["bounds"] = _typed(np.concatenate(([0], np.cumsum(schedule.hops))))
+    rows = PacketRows(
+        names=nodes, created=_typed(schedule.ingress), src=_typed(src), dst=_typed(dst),
+        injectors={k: network.host(nodes[k]).inject
+                   for k in np.flatnonzero(np.bincount(src)).tolist()},
+        **columns)
+    network.engine.schedule_stream(rows.created, rows.inject)
 
 
 def replay_schedule(
@@ -547,11 +535,12 @@ def replay_schedule(
             raise ReplayError("targets must be finite: a NaN or infinite "
                               "header leaves the queue order undefined")
     network = network_factory()
+    network.trace_into(ReplayTable())
     _install_mode(network, mode)
-    _schedule_injections(schedule, network, mode, targets)
+    _stream_injections(schedule, network, mode, targets)
     network.run()
-    # Injections fire in row order, so slot k is row k; align by pid only
-    # when the replay network traced anything else.
+    # Injections fire in (i, row) order, so slot k is row k; align by pid
+    # only when rows are out of ingress order or other traffic was traced.
     with network:  # the replay network dies here
         tracer = network.tracer
         slots = np.arange(len(schedule))
@@ -563,7 +552,7 @@ def replay_schedule(
         outputs = np.append(tracer.exit_times(), np.nan)[slots]
         # release() rebinds the tracer's columns: the log keeps these,
         # and nothing keeps the network.
-        log = Tracer()
+        log = ReplayTable()
         log.pid, log.tx_slot, log.hop_waits = tracer.pid, tracer.tx_slot, tracer.hop_waits
     missing = int(np.isnan(outputs).sum())
     if missing:

@@ -100,20 +100,26 @@ class ScheduleStore(ContentStore):
     RETIRED_SUFFIXES = (".json",)  # the pre-columnar JSON entries
     LOG_NAME = "recordings.log"
 
-    def encode(self, schedule: RecordedSchedule) -> bytes:
+    def encode(self, schedule: RecordedSchedule) -> bytearray:
         """The store-entry bytes: the schedule's columns as they are (a
-        :class:`RecordedSchedule` only holds what the layout gives back)."""
+        :class:`RecordedSchedule` only holds what the layout gives back),
+        cast straight into one preallocated buffer and checksummed there."""
         header = json.dumps({
             "description": schedule.description,
             "threshold": schedule.threshold, "nodes": list(schedule.nodes),
             "packets": len(schedule), "hops": len(schedule.hop_tx),
         }).encode()
-        body = b"".join([
-            len(header).to_bytes(4, "little"), header,
-            *(getattr(schedule, name).astype(code).tobytes()
-              for name, code in zip(RecordedSchedule.COLUMNS, _LAYOUT)),
-        ])
-        return _MAGIC + zlib.crc32(body).to_bytes(4, "little") + body
+        columns = [getattr(schedule, name) for name in RecordedSchedule.COLUMNS]
+        at = len(_MAGIC) + 8 + len(header)
+        entry = bytearray(at + sum(len(column) * int(code[-1])
+                                   for column, code in zip(columns, _LAYOUT)))
+        entry[:at] = _MAGIC + bytes(4) + len(header).to_bytes(4, "little") + header
+        for column, code in zip(columns, _LAYOUT):
+            np.frombuffer(entry, code, len(column), at)[:] = column
+            at += len(column) * int(code[-1])
+        entry[len(_MAGIC):len(_MAGIC) + 4] = zlib.crc32(
+            memoryview(entry)[len(_MAGIC) + 4:]).to_bytes(4, "little")
+        return entry
 
     def load(self, path: Path) -> RecordedSchedule:
         """Read a store entry, checksum first: a foreign, truncated or

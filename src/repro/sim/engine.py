@@ -17,13 +17,15 @@ client: at service start it pushes the far end's ``receive`` onto
 next ``_seq`` for a completion it only pushes if something is waiting —
 so an uncontended hop costs one heap entry and no engine call.
 
-Two scheduling paths share the heap:
+Three scheduling paths share the heap:
 
 * :meth:`Engine.schedule` / :meth:`Engine.schedule_at` — the hot path.
   Entries are plain tuples; no per-event object is allocated and nothing
   is returned.  The overwhelming majority of events (propagation
   deliveries, packet injections) are never cancelled, so they never need
   a handle.
+* :meth:`Engine.schedule_stream` — one event per row of a column of times,
+  one entry pending at a time: how a replay injects packets as it needs them.
 * :meth:`Engine.schedule_cancellable` /
   :meth:`Engine.schedule_cancellable_at` — returns an
   :class:`EventHandle` whose :meth:`~EventHandle.cancel` marks the entry
@@ -38,12 +40,13 @@ being comparable themselves.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from contextlib import contextmanager
 from heapq import heappop, heappush
 from math import inf
 from time import perf_counter
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, Sequence
 
 from repro.errors import SimulationError
 
@@ -188,6 +191,31 @@ class Engine:
             raise SimulationError(f"cannot schedule an event at {time!r} (now={self.now!r})")
         self._seq = seq = self._seq + 1
         heappush(self._heap, (time, self.now, seq, callback, args))
+
+    def schedule_stream(self, times: Sequence[float], fire: Callable[[int], None]) -> None:
+        """The events ``schedule_at(times[k], fire, k)`` for each ``k`` in turn
+        would make — same keys, so same order — held one at a time: a row's
+        entry is pushed as the row before it fires.  Every time is checked
+        first.  The stream is a tuple of ``array`` columns and ``fire``, so
+        it pickles with a snapshot."""
+        for time in times:
+            if not time >= self.now:  # NaN too
+                raise SimulationError(f"cannot schedule an event at {time!r} (now={self.now!r})")
+        order = array("q", sorted(range(len(times)), key=times.__getitem__))
+        first, self._seq = self._seq + 1, self._seq + len(times)
+        stream = (times, order, self.now, first, fire)
+        if times:
+            heappush(self._heap, (times[order[0]], self.now, first + order[0],
+                                  self._stream_next, (stream, 0)))
+
+    def _stream_next(self, stream: tuple, k: int) -> None:
+        """Push the entry of ``stream``'s ``k + 1``-th row, then fire its ``k``-th."""
+        times, order, born, first, fire = stream
+        if k + 1 < len(order):
+            row = order[k + 1]
+            heappush(self._heap, (times[row], born, first + row,
+                                  self._stream_next, (stream, k + 1)))
+        fire(order[k])
 
     def schedule_cancellable(
         self, delay: float, callback: Callable[..., None], *args: Any

@@ -173,6 +173,17 @@ class Network:
             node.invalidate_route_cache()
         self._preemptive = True
 
+    def trace_into(self, tracer: Tracer) -> None:
+        """Trace into ``tracer`` (enabled as the current one is) — in every
+        node and port, which cache the table.  Only before any packet is traced."""
+        if len(self.tracer):
+            raise ConfigurationError("cannot swap the packet table mid-run")
+        tracer.enabled, self.tracer = self.tracer.enabled, tracer
+        for node in self.nodes.values():
+            node._tracer = tracer
+            for port in node.ports.values():
+                port._tracer = tracer
+
     def set_buffers(
         self,
         buffer_bytes: float,

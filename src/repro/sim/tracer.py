@@ -30,6 +30,9 @@ until then; ``src``/``dst`` hold the node names the network shares.
 Consumers read the columns through numpy, where ``np.asarray`` of an
 array is zero-copy (:meth:`Tracer.exit_times`, :meth:`Tracer.wait_totals`,
 :func:`group_log`); nothing builds an object per packet.
+
+A replay traces into a :class:`ReplayTable`: ``pid``, ``exit`` and the
+log ``(tx_slot, hop_waits)``, all its judge reads.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.packet import Packet
 
-__all__ = ["Tracer", "group_log", "segment_sums"]
+__all__ = ["ReplayTable", "Tracer", "group_log", "segment_sums"]
 
 
 def group_log(slots: Sequence[int], rows: int) -> tuple[np.ndarray, np.ndarray]:
@@ -176,3 +179,26 @@ class Tracer:
 
     def __len__(self) -> int:
         return len(self.pid)
+
+
+class ReplayTable(Tracer):
+    """A replay's packet table: the :class:`Tracer` columns its judge reads
+    (``pid``, ``exit``, ``tx_slot``, ``hop_waits``) and no others."""
+
+    ROWS, LOGS = ("pid", "exit"), ("tx_slot", "hop_waits")
+    __slots__ = ()
+
+    def on_created(self, packet: "Packet") -> None:
+        if self.enabled:
+            packet.trace = len(self.pid)
+            self.pid.append(packet.pid)
+            self.exit.append(None)
+
+    def on_tx_start(self, packet: "Packet", wait: float, now: float) -> None:
+        if self.enabled and packet.trace is not None:
+            self.tx_slot.append(packet.trace)
+            self.hop_waits.append(wait)
+
+    def on_drop(self, packet: "Packet", node: str) -> None:
+        if self.enabled:
+            self.drops += 1

@@ -23,6 +23,7 @@ the forward-path comparison.
 
 from __future__ import annotations
 
+from itertools import takewhile
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.core.flow import Flow
@@ -178,9 +179,11 @@ class TcpSender:
 
     def _sample_rtt(self, acked_to: int) -> None:
         # Karn's rule by construction: samples only from first transmissions.
-        stale = [s for s in self._send_times if s + self._mss <= acked_to]
+        # Keys go in ascending, never re-inserted: the covered ones are a prefix.
+        mss = self._mss
+        covered = list(takewhile(lambda seq: seq + mss <= acked_to, self._send_times))
         sample = None
-        for seq in stale:
+        for seq in covered:
             sample = self._network.engine.now - self._send_times.pop(seq)
         if sample is None:
             return

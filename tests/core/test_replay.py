@@ -3,17 +3,20 @@
 from __future__ import annotations
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.core.flow import Flow
+from repro.core import replay
 from repro.core.replay import (
     REPLAY_MODES,
+    RecordedSchedule,
     record_schedule,
     replay_schedule,
 )
-from repro.errors import ReplayError
+from repro.errors import ReplayError, SimulationError
 from repro.experiments.replayability import ReplayScenario, build_recorded_schedule
 from repro.scenarios import build_scenario_network
 from repro.sim.network import Network
@@ -35,6 +38,16 @@ def _loaded_dumbbell(seed=3, duration=0.03, pairs=4):
     )
     install_udp_flows(net, flows)
     return net, make
+
+
+def _rows(schedule, order):
+    """``schedule`` with its rows (and their path and hop runs) in ``order``."""
+    hop_at = replay._runs(schedule.hops, order)
+    path_at = replay._runs(schedule.hops + 1, order)
+    return RecordedSchedule(
+        schedule.threshold, schedule.description, schedule.nodes,
+        *(getattr(schedule, name)[order] for name in RecordedSchedule.COLUMNS[:7]),
+        schedule.path[path_at], schedule.hop_tx[hop_at], schedule.hop_waits[hop_at])
 
 
 class TestRecord:
@@ -171,11 +184,26 @@ class TestReplay:
             replay_schedule(schedule, bigger, mode="lstf")
 
     def test_all_modes_run(self):
+        """Every mode replays.  Rows out of ingress order replay to the same
+        per-pid outcome, since injections go in ``(i, row)`` order; a NaN
+        ingress raises before the run, as one ``schedule_at`` would."""
         net, make = _loaded_dumbbell(duration=0.01)
         schedule = record_schedule(net)
+        n = len(schedule)
+        # Latest ingress first; rows sharing an ingress keep their order.
+        backwards = _rows(schedule, np.lexsort((np.arange(n), -schedule.ingress)))
+        assert not np.all(np.diff(backwards.ingress) >= 0)
+        nan = _rows(schedule, np.arange(n))
+        nan.ingress[n // 2] = np.nan
         for mode in REPLAY_MODES:
             result = replay_schedule(schedule, make, mode=mode)
             assert result.num_packets == len(schedule)
+            moved = replay_schedule(backwards, make, mode=mode)
+            for column in ("lateness", "_replay_waits"):
+                assert dict(zip(backwards.pid.tolist(), getattr(moved, column).tolist())) \
+                    == dict(zip(schedule.pid.tolist(), getattr(result, column).tolist()))
+            with pytest.raises(SimulationError, match="nan"):
+                replay_schedule(nan, make, mode=mode)
 
     def test_a_schedule_faster_than_the_replay_topology_is_not_viable(self):
         """Recorded on i2-1g-10g, replayed where every link is half as
@@ -194,6 +222,42 @@ class TestReplay:
         assert degraded.num_packets == len(schedule)
         on_its_own = replay_schedule(schedule, scenario.network, mode="lstf")
         assert on_its_own.num_packets == len(schedule)
+
+
+def test_a_replay_holds_the_packets_in_flight_not_every_row():
+    """4 096 packets, 4 ms apart, over a two-hop 8 Mb/s path: about one is
+    in flight at a time.  Streamed injections build each packet when it
+    enters, so the replay peaks near 150 bytes a row (columns, the
+    replay's table, the judge's arrays); a packet and a heap entry built
+    per row up front cost over 600."""
+    def make():
+        net = Network()
+        for host in ("a", "b"):
+            net.add_host(host)
+        net.add_router("SW")
+        net.add_link("a", "SW", 8 * MBPS, 0.0)
+        net.add_link("SW", "b", 8 * MBPS, 0.0)
+        return net
+
+    n = 4096
+    tmin = make().tmin("a", "b", 1500)
+    ingress = np.arange(n) * 0.004
+    ids = np.arange(1, n + 1)
+    schedule = RecordedSchedule(
+        tmin / 2, "", ("SW", "a", "b"), ids, ids, np.full(n, 1500),
+        np.full(n, 1500), ingress, ingress + tmin, np.full(n, 2),
+        np.tile([1, 0, 2], n), np.stack([ingress, ingress + tmin / 2], 1).ravel(),
+        np.zeros(2 * n))
+    replay_schedule(_rows(schedule, np.arange(16)), make)  # lazy imports, caches
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        result = replay_schedule(schedule, make, mode="lstf")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.perfect
+    assert peak - start <= 300 * n, f"{(peak - start) / n:.0f} bytes a row"
 
 
 class TestJudge:

@@ -361,6 +361,29 @@ def test_hashing_a_deep_schedule_holds_a_block_not_the_document():
     assert peak - start <= 4 * 2**20, f"{(peak - start) / 2**20:.1f} MB"
 
 
+def test_encoding_holds_one_entry_not_three():
+    """``encode`` casts the columns into one preallocated buffer and
+    checksums it in place: it peaks within 1.3x the entry it returns.
+    Joining ``tobytes()`` copies and prefixing the checksum held about
+    twice that."""
+    n = 4096
+    ids = np.arange(n, dtype=np.int64)
+    times = np.arange(2 * n, dtype=np.float64) * 1e-4
+    schedule = RecordedSchedule(
+        0.0012, "deep", ["a", "b", "sw"], ids, ids // 8, np.full(n, 12_000),
+        np.full(n, 1500), times[::2], times[1::2] + 1e-3, np.full(n, 2),
+        np.tile([0, 2, 1], n), times, times / 10)
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        entry = pack(schedule)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert _columns(unpack(entry)) == _columns(schedule)
+    assert peak - start <= 1.3 * len(entry), f"{(peak - start) / len(entry):.3f}x"
+
+
 @pytest.mark.parametrize("where", ["i", "o", "hop_tx", "hop_waits", "threshold"],
                          ids=["ingress_time", "output_time", "hop_tx", "hop_waits",
                               "threshold"])

@@ -3,11 +3,19 @@
 from __future__ import annotations
 
 import math
+import os
+from array import array
+from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.sim.engine import Engine
+
+#: Scale knob for the scheduled CI stress job.
+SCALE = max(1, int(os.environ.get("REPRO_STRESS_SCALE", "1")))
 
 
 def test_events_fire_in_time_order():
@@ -47,16 +55,20 @@ def test_cannot_schedule_in_the_past():
 
 
 @pytest.mark.parametrize("method", [
-    "schedule", "schedule_at", "schedule_cancellable_at", "schedule_sample"])
+    "schedule", "schedule_at", "schedule_cancellable_at", "schedule_sample",
+    "schedule_stream"])
 def test_a_nan_event_time_is_refused(method):
     """NaN compares False against everything, so a ``time < now`` guard
     would let it into the heap, where it fires out of order and sets
-    ``now`` to NaN."""
+    ``now`` to NaN.  A stream refuses all its rows, the good one too."""
     engine = Engine()
     fired = []
     engine.schedule_at(1.0, fired.append, 1.0)
+    schedule = getattr(engine, method)
+    if method == "schedule_stream":
+        schedule = lambda time, fire: engine.schedule_stream(array("d", [1.5, time]), fire)
     with pytest.raises(SimulationError, match="nan"):
-        getattr(engine, method)(math.nan, lambda *_: fired.append(math.nan))
+        schedule(math.nan, lambda *_: fired.append(math.nan))
     engine.schedule_at(2.0, fired.append, 2.0)
     engine.run()
     assert fired == [1.0, 2.0]
@@ -373,3 +385,60 @@ class TestSameInstantOrder:
         assert fired == [0, 1, 2, 3] and engine.now == 3.0  # never pinned
         engine.run(until=4.5)
         assert fired == [0, 1, 2, 3, 4] and engine.now == 4.5  # pinned
+
+
+class TestEventStream:
+    """``schedule_stream`` holds one heap entry at a time, yet fires as the
+    ``schedule_at`` calls it replaces would: same order, same ``_seq``."""
+
+    @staticmethod
+    def _run(plan, streamed):
+        start, times, spawns, before, after, cut = plan
+        engine = Engine()
+        engine.run(until=start)
+        log = []
+
+        def fire(row):
+            log.append(("row", row, engine.now))
+            for j, delay in enumerate(spawns[row]):
+                if delay is None:
+                    engine.defer(partial(log.append, ("decision", row, j)))
+                else:
+                    engine.schedule(delay, log.append, ("spawn", row, j))
+
+        for k, time in enumerate(before):
+            engine.schedule_at(time, log.append, ("before", k))
+        if streamed:
+            engine.schedule_stream(array("d", times), fire)
+        else:
+            for row, time in enumerate(times):
+                engine.schedule_at(time, fire, row)
+        for k, time in enumerate(after):
+            engine.schedule_at(time, log.append, ("after", k))
+        seq = engine._seq
+        engine.run(until=cut)
+        engine.run()
+        return log, seq, engine._seq, engine.events_processed, engine.now
+
+    @settings(max_examples=100 * SCALE, deadline=None)
+    @given(data=st.data())
+    def test_streamed_rows_fire_like_upfront_schedule_at(self, data):
+        start = data.draw(st.sampled_from([0.0, 0.5]))
+        instants = st.sampled_from([start, start + 0.5, start + 1.0, start + 2.0])
+        times = data.draw(st.lists(instants, max_size=24))
+        spawns = data.draw(st.lists(
+            st.lists(st.sampled_from([0.0, 0.0, 0.5, None]), max_size=3),
+            min_size=len(times), max_size=len(times)))
+        before = data.draw(st.lists(instants, max_size=4))
+        after = data.draw(st.lists(instants, max_size=4))
+        cut = data.draw(instants)
+        plan = (start, times, spawns, before, after, cut)
+        assert self._run(plan, streamed=True) == self._run(plan, streamed=False)
+
+    def test_a_stream_holds_one_entry_and_fires_in_time_then_row_order(self):
+        engine = Engine()
+        fired = []
+        engine.schedule_stream(array("d", [2.0, 1.0, 2.0, 1.0, 0.0]), fired.append)
+        assert engine.pending_events == 1 and engine._seq == 5
+        engine.run()
+        assert fired == [4, 1, 3, 0, 2]

@@ -97,3 +97,31 @@ def test_mean_fct_requires_completions():
     stats = install_tcp_flows(net, [Flow(1, "a", "b", 1000, start=10.0)])
     with pytest.raises(ValueError):
         stats.mean_fct()
+
+
+def test_send_times_stay_in_ascending_seq_order(monkeypatch):
+    """RTT sampling stops at the first seq an ACK does not cover, which is
+    sound only while ``_send_times`` keeps its keys ascending — through
+    fast retransmits and timeouts alike."""
+    seen = {"sample": 0, "timeout": 0, "fast": 0}
+
+    def checked(name, method):
+        def wrapper(self, *args):
+            # A timeout counts only if it retransmits.
+            seen[name] += name != "timeout" or (
+                not self._done and self.highest_acked < self.next_seq)
+            result = method(self, *args)
+            keys = list(self._send_times)
+            assert keys == sorted(keys), f"keys out of order after {name}"
+            return result
+        return wrapper
+
+    for name, attr in (("sample", "_sample_rtt"), ("timeout", "_on_timeout"),
+                       ("fast", "_fast_retransmit")):
+        monkeypatch.setattr(TcpSender, attr, checked(name, getattr(TcpSender, attr)))
+    net = _net(buffer_bytes=6_000)
+    stats = install_tcp_flows(net, [Flow(1, "a", "b", 300_000, start=0.0)],
+                              min_rto=0.05)
+    net.run(until=20.0)
+    assert stats.completed == 1
+    assert seen["timeout"] and seen["fast"] and seen["sample"]

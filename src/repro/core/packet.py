@@ -123,12 +123,16 @@ class Packet:
 
 
 class PacketRows:
-    """Packets as typed columns (``array``s: they pickle with a snapshot).
-    Each ``(field, column)`` of ``headers`` sets a header field; with
-    ``bounds``, row ``k``'s ``hop_times`` is ``hop_tx[bounds[k]:bounds[k + 1]]``."""
+    """Packets as columns that pickle with a snapshot: ``array``s, and
+    lists whose rows share one number object per distinct value, so a
+    packet's field points at what its flow's packets share.  Row ``k``
+    travels ``ends[pair[k]]``, a ``(src, dst, inject)`` per src/dst pair
+    (``inject``: the source host's).  Each ``(field, column)`` of
+    ``headers`` sets a header field; with ``bounds``, row ``k``'s
+    ``hop_times`` is ``hop_tx[bounds[k]:bounds[k + 1]]``."""
 
-    __slots__ = ("names", "injectors", "headers", "bounds", "hop_tx", "pid",
-                 "flow_id", "size", "flow_size", "src", "dst", "created")
+    __slots__ = ("ends", "headers", "bounds", "hop_tx", "pid", "pair",
+                 "flow_id", "size", "flow_size", "created")
 
     def __init__(self, **fields: Any) -> None:
         self.headers, self.bounds = (), None
@@ -136,17 +140,16 @@ class PacketRows:
             setattr(self, name, value)
 
     def inject(self, row: int) -> None:
-        """Build row ``row``'s packet and hand it to ``injectors[src[row]]``."""
-        src = self.src[row]
-        packet = Packet(self.flow_id[row], self.size[row], self.names[src],
-                        self.names[self.dst[row]], self.created[row],
-                        pid=self.pid[row])
+        """Build row ``row``'s packet and hand it to its source host."""
+        src, dst, inject = self.ends[self.pair[row]]
+        packet = Packet(self.flow_id[row], self.size[row], src, dst,
+                        self.created[row], pid=self.pid[row])
         packet.flow_size = self.flow_size[row]
         for name, column in self.headers:
             setattr(packet, name, column[row])
         if self.bounds is not None:
             packet.hop_times = tuple(self.hop_tx[self.bounds[row]:self.bounds[row + 1]])
-        self.injectors[src](packet)
+        inject(packet)
 
 
 def reset_packet_ids() -> None:

@@ -91,7 +91,7 @@ SCHEDULE_FORMAT_VERSION = 2
 
 #: Rows per block of the canonical document (``RecordedSchedule._blocks``):
 #: what hashing a schedule holds in memory at once.
-_BLOCK_ROWS = 2048
+_BLOCK_ROWS = 256
 
 
 def _texts(column: np.ndarray) -> list[str]:
@@ -156,20 +156,24 @@ class RecordedSchedule:
         read through ``np.asarray`` views, which die here: a viewed array cannot grow.
         """
         tracer = network.tracer
-        exit = tracer.exit_times()
+        exit = np.asarray(tracer.exit, dtype=float)
         pid = np.asarray(tracer.pid)
         created = np.asarray(tracer.created)
         slots = np.flatnonzero(~np.isnan(exit))
         slots = slots[np.lexsort((pid[slots], created[slots]))]
-        ends = [(tracer.src[k], tracer.dst[k]) for k in slots.tolist()]
-        pairs = {pair: k for k, pair in enumerate(dict.fromkeys(ends))}
-        routes = [network.route(*pair) for pair in pairs]
+        names = list(network.nodes)
+        index = {name: k for k, name in enumerate(names)}.__getitem__
+        pairs, _, row_route = np.unique(
+            np.fromiter(map(index, tracer.src), np.int64, len(exit))[slots] * len(names)
+            + np.fromiter(map(index, tracer.dst), np.int64, len(exit))[slots],
+            return_index=True, return_inverse=True)  # return_index: the stable sort
+        routes = [network.route(names[k // len(names)], names[k % len(names)])
+                  for k in pairs.tolist()]
         nodes = sorted({name for route in routes for name in route})
         code = {name: k for k, name in enumerate(nodes)}
         route_codes = np.array([code[name] for route in routes for name in route],
                                dtype=np.int64)
         route_counts = np.array(list(map(len, routes)), dtype=np.int64)
-        row_route = np.fromiter(map(pairs.__getitem__, ends), np.int64, len(ends))
         tx_order, tx_counts = group_log(tracer.tx_slot, len(tracer))
         hops = tx_counts[slots]
         if not np.array_equal(route_counts[row_route], hops + 1):
@@ -428,10 +432,9 @@ def _install_mode(network: "Network", mode: str) -> None:
 
 
 def _verify_routes(schedule: RecordedSchedule, network: "Network",
-                   src: np.ndarray, dst: np.ndarray) -> None:
-    """Check, once per src/dst pair (node codes, one per row), that
-    ``network`` routes along the path the pair's first packet was recorded on."""
-    _, first = np.unique(src * len(schedule.nodes) + dst, return_index=True)
+                   first: np.ndarray) -> None:
+    """Check, once per src/dst pair (``first``: the row of its first
+    packet), that ``network`` routes along the path that packet was recorded on."""
     starts = schedule._path_starts()
     for row in sorted(first.tolist()):
         start = int(starts[row])
@@ -452,42 +455,58 @@ def _verify_routes(schedule: RecordedSchedule, network: "Network",
 
 
 def _typed(column: np.ndarray) -> array:
-    """``column`` as an ``array`` (a numpy type character names the same C
-    type as the ``array`` typecode it equals)."""
-    return array(column.dtype.char, column.tobytes())
+    """``column`` as an ``array``, copied once (a numpy type character
+    names the same C type as the ``array`` typecode it equals)."""
+    typed = array(column.dtype.char)
+    typed.frombytes(memoryview(np.ascontiguousarray(column)).cast("B"))
+    return typed
 
 
-def _stream_injections(schedule: RecordedSchedule, network: "Network",
-                       mode: str, targets: np.ndarray | None) -> None:
-    """Stamp each row's header into typed columns (a :class:`PacketRows`)
-    and stream the rows into ``network``, each built and injected at ``i(p)``."""
-    stamped = schedule.output if targets is None else targets
+def _shared(column: np.ndarray) -> list:
+    """``column`` as a list holding one Python number per distinct value,
+    each row pointing at its value's."""
+    values, _, inverse = np.unique(column, return_index=True, return_inverse=True)
+    return np.array(values.tolist(), dtype=object)[inverse].tolist()
+
+
+def _injections(schedule: RecordedSchedule, network: "Network", mode: str,
+                targets: np.ndarray | None) -> tuple[list, Callable[[int], None]]:
+    """The times and injector of a stream of the rows (a :class:`PacketRows`
+    stamped with the header ``mode``'s scheduler reads).  Keys are one int64
+    per row; return_index makes numpy sort stably, as the recorder does (its
+    default quicksort would page in a sort kernel for this alone)."""
     nodes, starts = schedule.nodes, schedule._path_starts()
     src, dst = schedule.path[starts], schedule.path[starts + schedule.hops]
-    _verify_routes(schedule, network, src, dst)
-    columns = {name: _typed(getattr(schedule, name))
-               for name in ("pid", "flow_id", "size", "flow_size")}
+    _, first, pair = np.unique(src * len(nodes) + dst, return_index=True,
+                               return_inverse=True)
+    _verify_routes(schedule, network, first)
+    columns = {name: _shared(getattr(schedule, name))
+               for name in ("flow_id", "size", "ingress")}
+    columns["flow_size"] = (columns["size"] if np.array_equal(schedule.flow_size, schedule.size)
+                            else _shared(schedule.flow_size))  # equal in every recording
+    inject = {k: network.host(nodes[k]).inject for k in dict.fromkeys(src[first].tolist())}
+    columns["ends"] = [(nodes[s], nodes[d], inject[s])
+                       for s, d in zip(src[first].tolist(), dst[first].tolist())]
+    stamped = schedule.output if targets is None else targets
     if mode in _SLACK_MODES:
-        # return_index makes numpy sort stably, as the recorder does; its
-        # default quicksort would page in a sort kernel for this alone.
-        keys, _, key_of = np.unique(np.stack((src, dst, schedule.size)), axis=1,
-                                    return_index=True, return_inverse=True)
-        tmin = np.array([network.tmin(nodes[s], nodes[d], size)
-                         for s, d, size in keys.T.tolist()])
-        slack, deadline = replay_headers(schedule.ingress, stamped, tmin[key_of.reshape(-1)],
+        size = schedule.size
+        _, row, key_of = np.unique(pair * (int(size.max()) + 1) + size,
+                                   return_index=True, return_inverse=True)
+        tmin = np.array([network.tmin(nodes[s], nodes[d], z) for s, d, z in zip(
+            src[row].tolist(), dst[row].tolist(), size[row].tolist())])
+        slack, deadline = replay_headers(schedule.ingress, stamped, tmin[key_of],
                                          degraded=targets is not None)
-        columns["headers"] = (("slack", _typed(slack)), ("deadline", _typed(deadline)))
+        columns["headers"] = ((("slack", _typed(slack)),) if mode.startswith("lstf")
+                              else (("deadline", _typed(deadline)),))
     elif mode == "priority":
         columns["headers"] = (("priority", _typed(stamped)),)
     else:
         columns["hop_tx"] = _typed(schedule.hop_tx)
         columns["bounds"] = _typed(np.concatenate(([0], np.cumsum(schedule.hops))))
-    rows = PacketRows(
-        names=nodes, created=_typed(schedule.ingress), src=_typed(src), dst=_typed(dst),
-        injectors={k: network.host(nodes[k]).inject
-                   for k in np.flatnonzero(np.bincount(src)).tolist()},
-        **columns)
-    network.engine.schedule_stream(rows.created, rows.inject)
+    rows = PacketRows(pair=_typed(pair.astype(np.min_scalar_type(len(first)))),
+                      pid=_typed(schedule.pid), created=columns.pop("ingress"),
+                      **columns)
+    return rows.created, rows.inject
 
 
 def replay_schedule(
@@ -537,13 +556,15 @@ def replay_schedule(
     network = network_factory()
     network.trace_into(ReplayTable())
     _install_mode(network, mode)
-    _stream_injections(schedule, network, mode, targets)
+    # Each row is built and injected at i(p); the set-up's numpy
+    # temporaries are gone before the stream sorts its times.
+    network.engine.schedule_stream(*_injections(schedule, network, mode, targets))
     network.run()
     # Injections fire in (i, row) order, so slot k is row k; align by pid
     # only when rows are out of ingress order or other traffic was traced.
     with network:  # the replay network dies here
         tracer = network.tracer
-        slots = np.arange(len(schedule))
+        slots = slice(len(schedule))
         if not np.array_equal(tracer.pid, schedule.pid):
             slot_of = dict(zip(tracer.pid, range(len(tracer))))
             slots = np.fromiter(

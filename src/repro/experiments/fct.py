@@ -80,17 +80,17 @@ def run_fct_experiment(
             # D = 1 second per flow byte dwarfs any queueing delay, exactly
             # the paper's "D much larger than the delay seen by any packet".
             slack_policy = FlowSizeSlack(d=1.0) if lstf_slack is None else lstf_slack
-        network = build_scenario_network(setting, bandwidth_scale)
-        network.tracer.enabled = False  # FCTs come from the TCP agents
-        install_router_schedulers(network, scheme, seed)
-        network.set_buffers(buffer_bytes, node_filter=lambda n: isinstance(n, Router))
-        stats = install_tcp_flows(
-            network, flows, slack_policy=slack_policy, min_rto=0.05
-        )
-        # Closed-loop flows with retransmission timers can in principle
-        # tail on; run long enough for every flow to finish several times
-        # over, then stop.
-        network.run(until=duration * 50)
+        with build_scenario_network(setting, bandwidth_scale) as network:
+            network.tracer.enabled = False  # FCTs come from the TCP agents
+            install_router_schedulers(network, scheme, seed)
+            network.set_buffers(buffer_bytes, node_filter=lambda n: isinstance(n, Router))
+            stats = install_tcp_flows(
+                network, flows, slack_policy=slack_policy, min_rto=0.05
+            )
+            # Closed-loop flows with retransmission timers can in principle
+            # tail on; run long enough for every flow to finish several
+            # times over, then stop.
+            network.run(until=duration * 50)
         result = FctExperimentResult(scheme=scheme, stats=stats)
         result.buckets = bucket_mean_fct(stats)
         results[scheme] = result

@@ -261,6 +261,9 @@ class Scheduler:
         """Static urgency key for preemptive service; ``None`` = unsupported."""
         return None
 
+    def charge_wait(self, packet: "Packet", wait: float) -> None:
+        """Charge ``wait`` seconds at a preemptive port to a dynamic header."""
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} len={len(self)}>"
 

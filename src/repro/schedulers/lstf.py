@@ -70,6 +70,9 @@ class LstfScheduler(KeyedScheduler):
     def preemption_key(self, packet: Packet) -> float:
         return self._key(packet)
 
+    def charge_wait(self, packet: Packet, wait: float) -> None:
+        packet.slack -= wait
+
     # --- queue operations ------------------------------------------------------
 
     def pop(self, now: float) -> Optional[Packet]:

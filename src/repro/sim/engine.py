@@ -48,6 +48,8 @@ from math import inf
 from time import perf_counter
 from typing import Any, Callable, Iterator, Sequence
 
+import numpy as np
+
 from repro.errors import SimulationError
 
 __all__ = ["Engine", "EventHandle", "EnginePerf", "ENGINE_PERF"]
@@ -195,13 +197,14 @@ class Engine:
     def schedule_stream(self, times: Sequence[float], fire: Callable[[int], None]) -> None:
         """The events ``schedule_at(times[k], fire, k)`` for each ``k`` in turn
         would make — same keys, so same order — held one at a time: a row's
-        entry is pushed as the row before it fires.  Every time is checked
-        first.  The stream is a tuple of ``array`` columns and ``fire``, so
-        it pickles with a snapshot."""
+        entry is pushed as the row before it fires, keyed by ``times[row]``
+        itself.  Every time is checked first.  The stream is a tuple of
+        ``times``, an ``array`` of the firing order and ``fire``: it pickles."""
         for time in times:
             if not time >= self.now:  # NaN too
                 raise SimulationError(f"cannot schedule an event at {time!r} (now={self.now!r})")
-        order = array("q", sorted(range(len(times)), key=times.__getitem__))
+        order = array("q")
+        order.frombytes(memoryview(np.argsort(times, kind="stable")).cast("B"))
         first, self._seq = self._seq + 1, self._seq + len(times)
         stream = (times, order, self.now, first, fire)
         if times:
@@ -368,6 +371,15 @@ class Engine:
         finally:
             self._events_processed += processed
             ENGINE_PERF.record(processed, perf_counter() - start)  # repro: allow(DET-WALLCLOCK) ENGINE_PERF accounting, never feeds simulation state
+
+    def clear(self) -> None:
+        """Drop every pending event and decision, cancelling timers first: a
+        timer's owner holds its handle, whose callback holds the owner."""
+        for _time, _born, _seq, callback, args in self._heap:
+            if args is _CANCELLABLE:
+                callback.cancel()
+        self._heap.clear()
+        self._deferred.clear()
 
     def stop(self) -> None:
         """Stop :meth:`run` after the currently executing event returns."""

@@ -315,14 +315,21 @@ class Network:
         self.engine.run(until=until)
 
     def release(self) -> None:
-        """Let go of a network that has been read: empty its packet table.
+        """Let go of a network that has been read: empty its packet table,
+        its pending events and its hosts' transport agents.
 
         A dropped network is freed only by a full cyclic collection, which
         its table (few objects, many bytes) does little to bring on, so
         code that builds a network and drops it releases it first —
-        usually as ``with network:``, which releases on exit.
+        usually as ``with network:``, which releases on exit.  A
+        :class:`Blueprint`'s shared topology is left alone.
         """
         self.tracer.clear()
+        self.engine.clear()
+        for node in self.nodes.values():
+            if isinstance(node, Host):
+                node._senders.clear()
+                node._receivers.clear()
 
     def __enter__(self) -> "Network":
         return self

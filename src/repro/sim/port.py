@@ -311,8 +311,8 @@ class Port:
 class PreemptivePort(Port):
     """Preemptive-resume service ordered by the scheduler's static keys.
 
-    The attached scheduler is consulted only for ``preemption_key`` (and
-    for header rewriting conventions); the port keeps its own heap so that
+    The attached scheduler is consulted only for ``preemption_key`` and
+    ``charge_wait`` (its header rewrite); the port keeps its own heap so that
     pausing and resuming does not disturb the scheduler's queue invariants.
     ``_queued`` mirrors that heap's length, as :class:`Port` mirrors its
     scheduler's, for the telemetry queue-depth gauge — nothing here reads
@@ -325,9 +325,9 @@ class PreemptivePort(Port):
 
     def __init__(self, node, link, scheduler, buffer_bytes: float = math.inf) -> None:
         super().__init__(node, link, scheduler, buffer_bytes)
-        # (key, seq, packet, remaining_tx, served): the remaining work, and
-        # whether its service start was traced, ride in the entry itself.
-        self._heap: list[tuple[float, int, "Packet", float, bool]] = []
+        # (key, seq, packet, remaining_tx, served): the remaining work (None:
+        # all of it) and whether its service start was traced ride in the entry.
+        self._heap: list[tuple[float, int, "Packet", float | None, bool]] = []
         self._seq = 0
         self._current: tuple | None = None  # the entry on the wire
         self._serve_start = 0.0
@@ -358,7 +358,7 @@ class PreemptivePort(Port):
                 f"scheduler {self.scheduler.name} does not support preemption"
             )
         self._seq += 1
-        heappush(self._heap, (key, self._seq, packet, tx, False))
+        heappush(self._heap, (key, self._seq, packet, None, False))
         self._queued += 1
         self._request_decision()
 
@@ -386,8 +386,10 @@ class PreemptivePort(Port):
     def _start_best(self, now: float) -> None:
         if not self._heap:
             return
-        self._current = entry = heappop(self._heap)
-        _key, _seq, packet, remaining_tx, served = entry
+        key, seq, packet, remaining_tx, served = heappop(self._heap)
+        if remaining_tx is None:
+            remaining_tx = packet.size * self._tx_per_byte
+        self._current = (key, seq, packet, remaining_tx, served)
         self._queued -= 1
         if not served:
             wait = now - packet.enqueue_time
@@ -409,18 +411,13 @@ class PreemptivePort(Port):
         # (Appendix D: slack drains whenever the last bit is not on the wire).
         total_wait = (now - packet.enqueue_time) - packet.size * self._tx_per_byte
         packet.queue_wait += total_wait
-        self._apply_dynamic_state(packet, total_wait)
+        self.scheduler.charge_wait(packet, total_wait)
         if self._prop == 0.0:
             self._peer_receive()(packet)
         else:
             self._engine.schedule(self._prop, self._peer_receive(), packet)
         if self._heap:
             self._request_decision()
-
-    def _apply_dynamic_state(self, packet: "Packet", total_wait: float) -> None:
-        """Rewrite dynamic headers the way the scheduler's discipline requires."""
-        if self.scheduler.name == "lstf":
-            packet.slack -= total_wait
 
     def _try_send(self) -> None:  # pragma: no cover - defensive
         raise SimulationError("PreemptivePort manages its own service loop")

@@ -22,22 +22,25 @@ object per packet.  The tracer is a table: one *row* per traced packet at
 a dense *slot* (``pid, flow_id, size, src, dst, created, exit,
 dropped_at``; the packet carries its slot in ``packet.trace``), and one
 log in event order, the transmit log ``(slot, hop_tx, wait)``, one entry
-per service start.  The append-only columns are typed ``array.array``s
+per service start.  The number columns are typed ``array.array``s
 (:attr:`Tracer.TYPES`): a cell costs its 8 bytes, not a pointer and a
 boxed number, for tens of nanoseconds more per append than a list's.
-``exit`` and ``dropped_at`` stay lists, written by slot and ``None``
-until then; ``src``/``dst`` hold the node names the network shares.
+``exit`` is one of them, written by slot and NaN until then (a version-7
+snapshot's ``exit`` is a list holding ``None``, which every reader below
+also takes); ``dropped_at`` stays a list, ``None`` until a drop, and
+``src``/``dst`` hold the node names the network shares.
 Consumers read the columns through numpy, where ``np.asarray`` of an
 array is zero-copy (:meth:`Tracer.exit_times`, :meth:`Tracer.wait_totals`,
 :func:`group_log`); nothing builds an object per packet.
 
 A replay traces into a :class:`ReplayTable`: ``pid``, ``exit`` and the
-log ``(tx_slot, hop_waits)``, all its judge reads.
+log ``(tx_slot, hop_waits)``, all its judge reads (``tx_slot`` in 32 bits).
 """
 
 from __future__ import annotations
 
 from array import array
+from math import nan
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -94,7 +97,7 @@ class Tracer:
     LOGS = ("tx_slot", "hop_tx", "hop_waits")
     #: The ``array`` typecode of each typed column; the others are lists.
     TYPES = {"pid": "q", "flow_id": "q", "size": "q", "created": "d",
-             "tx_slot": "q", "hop_tx": "d", "hop_waits": "d"}
+             "exit": "d", "tx_slot": "q", "hop_tx": "d", "hop_waits": "d"}
 
     __slots__ = ("enabled", "drops", *ROWS, *LOGS)
 
@@ -123,7 +126,7 @@ class Tracer:
         self.src.append(packet.src)
         self.dst.append(packet.dst)
         self.created.append(packet.created)
-        self.exit.append(None)
+        self.exit.append(nan)
         self.dropped_at.append(None)
 
     # Every per-hop hook below guards the same two ways: a disabled
@@ -162,7 +165,7 @@ class Tracer:
     # --- the table, column-wise ----------------------------------------------
 
     def exit_times(self) -> np.ndarray:
-        """``exit`` per slot as float64; NaN where the packet has not left."""
+        """``exit`` per slot as float64; NaN (or a version-7 ``None``) until it left."""
         return np.array(self.exit, dtype=float)
 
     def delivered_slots(self) -> np.ndarray:
@@ -175,7 +178,7 @@ class Tracer:
         return segment_sums(np.asarray(self.hop_waits, dtype=float)[order], counts)
 
     def delivered_count(self) -> int:
-        return len(self.exit) - self.exit.count(None)
+        return int(np.count_nonzero(~np.isnan(self.exit_times())))
 
     def __len__(self) -> int:
         return len(self.pid)
@@ -186,13 +189,14 @@ class ReplayTable(Tracer):
     (``pid``, ``exit``, ``tx_slot``, ``hop_waits``) and no others."""
 
     ROWS, LOGS = ("pid", "exit"), ("tx_slot", "hop_waits")
+    TYPES = {**Tracer.TYPES, "tx_slot": "i"}  # a replay's slots fit 32 bits
     __slots__ = ()
 
     def on_created(self, packet: "Packet") -> None:
         if self.enabled:
             packet.trace = len(self.pid)
             self.pid.append(packet.pid)
-            self.exit.append(None)
+            self.exit.append(nan)
 
     def on_tx_start(self, packet: "Packet", wait: float, now: float) -> None:
         if self.enabled and packet.trace is not None:

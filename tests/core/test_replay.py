@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import functools
+import gc
+import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -22,10 +25,13 @@ from repro.scenarios import build_scenario_network
 from repro.sim.network import Network
 from repro.topology.simple import build_dumbbell, build_single_switch
 from repro.transport.udp import install_udp_flows
-from repro.units import MBPS
+from repro.units import INFINITY, MBPS
 from repro.workload.distributions import BoundedPareto
 from repro.workload.flows import PoissonWorkload, poisson_flows
 from tests.conftest import make_packet
+
+#: Scales the standing queue's depth (CI's stress job raises it).
+SCALE = max(1, int(os.environ.get("REPRO_STRESS_SCALE", "1")))
 
 
 def _loaded_dumbbell(seed=3, duration=0.03, pairs=4):
@@ -258,6 +264,83 @@ def test_a_replay_holds_the_packets_in_flight_not_every_row():
         tracemalloc.stop()
     assert result.perfect
     assert peak - start <= 300 * n, f"{(peak - start) / n:.0f} bytes a row"
+
+
+def _incast(senders=8):
+    """``senders`` hosts into one switch over infinitely fast uplinks, so
+    whatever they send stands in the switch's 8 Mb/s port at once."""
+    net = Network()
+    net.add_router("SW")
+    net.add_host("dst")
+    net.add_link("SW", "dst", 8 * MBPS, 0.0)
+    for h in range(senders):
+        net.add_host(f"h{h}")
+        net.add_link(f"h{h}", "SW", math.inf, 0.0)
+    return net
+
+
+@pytest.mark.parametrize("mode", ["lstf", "lstf-preemptive"])
+def test_a_replayed_standing_queue_costs_its_packets_own_numbers(mode):
+    """2 000 x REPRO_STRESS_SCALE packets stand in one port, counted when
+    the queue is deepest: everything the replay then holds, per queued
+    packet, is <= 470 bytes — the packet and its own pid, slack and slot,
+    its queue entry, its row.  With every row's fields boxed afresh, a
+    deadline stamped for LSTF and a float per preemptive entry, it is
+    over 540.  Free lists are emptied first, so the count is the same at
+    any depth."""
+    n = 2000 * SCALE
+    net = _incast()
+    install_udp_flows(net, [Flow(fid=h + 1, src=f"h{h}", dst="dst",
+                                 size=n // 8 * 1500, start=0.0) for h in range(8)])
+    schedule = record_schedule(net)
+    seen = {}
+
+    def probed():
+        network = _incast()
+
+        def probe():  # half a transmission in: all but one packet queued
+            seen["depth"] = network.nodes["SW"].ports["dst"]._queued
+            seen["held"] = tracemalloc.get_traced_memory()[0]
+        network.engine.schedule_at(0.5e-3, probe)
+        return network
+
+    replay_schedule(schedule, probed, mode=mode)  # lazy imports, caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        result = replay_schedule(schedule, probed, mode=mode)
+    finally:
+        tracemalloc.stop()
+    assert result.perfect and seen["depth"] == n - 1
+    per_packet = (seen["held"] - start) / seen["depth"]
+    assert per_packet <= 470, f"{per_packet:.0f} bytes a queued packet"
+
+
+@pytest.mark.parametrize("mode", ["lstf", "edf"])
+def test_a_flow_s_replayed_packets_share_its_numbers(mode):
+    """A replayed packet's ``flow_id``, ``size``, ``flow_size`` and
+    ``created`` are the objects its flow's other packets hold, and only
+    the header the mode's scheduler reads is stamped."""
+    net = _incast(2)
+    install_udp_flows(net, [Flow(fid=300 + h, src=f"h{h}", dst="dst",
+                                 size=6000, start=1e-3 * h) for h in range(2)])
+    schedule = record_schedule(net)
+    delivered = []
+
+    def watched():
+        network = _incast(2)
+        network.host("dst").on_deliver = delivered.append
+        return network
+
+    assert replay_schedule(schedule, watched, mode=mode).perfect
+    assert len(delivered) == len(schedule) == 8
+    for flow_id in (300, 301):
+        packets = [p for p in delivered if p.flow_id == flow_id]
+        for name in ("flow_id", "size", "flow_size", "created"):
+            assert all(getattr(p, name) is getattr(packets[0], name) for p in packets), name
+    unstamped = "deadline" if mode == "lstf" else "slack"
+    assert all(getattr(p, unstamped) == INFINITY for p in delivered)
 
 
 class TestJudge:

@@ -21,6 +21,7 @@ library itself never builds a record per packet.
 from __future__ import annotations
 
 import json
+import math
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -130,8 +131,10 @@ def records(tracer: "Tracer", network: "Network | None" = None
             ) -> dict[int, ReferenceRecord]:
     """``pid -> ReferenceRecord`` read back from a columnar tracer's
     table, in slot order; with ``network``, each ``path`` is the packet's
-    route (for one that was dropped, the route it was on)."""
+    route (for one that was dropped, the route it was on).  An ``exit``
+    the table holds as NaN (not yet) reads as ``None``, as a record's does."""
     rows = len(tracer)
+    exits = [None if math.isnan(t) else t for t in tracer.exit_times().tolist()]
     paths = ([list(network.route(s, d)) for s, d in zip(tracer.src, tracer.dst)]
              if network is not None else [None] * rows)
     hop_tx: list[list[float]] = [[] for _ in range(rows)]
@@ -142,7 +145,7 @@ def records(tracer: "Tracer", network: "Network | None" = None
     return {
         row[0]: ReferenceRecord.from_row(*row)
         for row in zip(tracer.pid, tracer.flow_id, tracer.size, tracer.src,
-                       tracer.dst, tracer.created, tracer.exit, paths, hop_tx,
+                       tracer.dst, tracer.created, exits, paths, hop_tx,
                        hop_waits, tracer.dropped_at)
     }
 

@@ -119,3 +119,25 @@ def test_work_conservation_under_preemption():
     last_exit = max(records(net.tracer)[p.pid].exit for p in packets)
     # 5 packets x 1ms back to back from t~0 (host link is instant-ish).
     assert last_exit == pytest.approx(5e-3, rel=1e-2)
+
+
+def test_a_queued_entry_carrying_its_remaining_work_serves_alike():
+    """A fresh entry carries ``None`` for its remaining work — all of it.
+    A version-7 snapshot's fresh entries carry that work as a float; the
+    port serves them identically."""
+    def run(rewrite):
+        net = _preemptive_net()
+        packets = [make_packet(slack=s) for s in (10e-3, 1e-3, 4e-3, 2e-3)]
+        for at, packet in zip((0.0, 0.0, 0.1e-3, 1.2e-3), packets):
+            net.inject_at(at, packet)
+        net.run(until=0.5e-3)
+        port = net.nodes["SW"].ports["b"]
+        assert any(entry[3] is None for entry in port._heap)
+        if rewrite:
+            port._heap = [(key, seq, p, p.size * port._tx_per_byte if left is None
+                           else left, served)
+                          for key, seq, p, left, served in port._heap]
+        net.run()
+        return [(records(net.tracer)[p.pid].exit, p.slack) for p in packets]
+
+    assert run(rewrite=True) == run(rewrite=False)

@@ -22,6 +22,7 @@ import pytest
 
 from repro.core.packet import Packet, reset_packet_ids
 from repro.schedulers import LstfScheduler
+from repro.schedulers.pheap import PHeapLstfScheduler
 from repro.sim.network import Network
 from repro.units import MBPS
 from tests.sim.reference_tracer import records
@@ -29,7 +30,7 @@ from tests.sim.reference_tracer import records
 BOTTLENECK_BPS = 8 * MBPS  # 1000 B = 1 ms
 
 
-def _preemptive_net() -> Network:
+def _preemptive_net(make=LstfScheduler) -> Network:
     net = Network()
     net.add_host("a")
     net.add_host("b")
@@ -39,7 +40,7 @@ def _preemptive_net() -> Network:
     # identity below has no first-hop term.
     net.add_link("a", "SW", math.inf, 0.0)
     net.add_link("SW", "b", BOTTLENECK_BPS, 0.0)
-    net.use_preemptive_ports(LstfScheduler)
+    net.use_preemptive_ports(make)
     return net
 
 
@@ -150,3 +151,23 @@ def test_property_preemptive_runs_are_deterministic(seed):
         return [(pid, records(net.tracer)[pid].exit) for pid in pids]
 
     assert run_once() == run_once()
+
+
+@pytest.mark.parametrize("make", [LstfScheduler, PHeapLstfScheduler])
+def test_every_lstf_backend_charges_waits_to_slack(make):
+    """The p-heap backend is LSTF on another queue: on a preemptive port it
+    leaves each packet the slack and exit ``LstfScheduler`` does.  The
+    urgent packet goes first, the 0.1 ms late one waits 0.9 ms, the lax
+    one 2 ms — each wait comes off its slack."""
+    net = _preemptive_net(make)
+    packets = []
+    for at, slack in ((0.0, 10e-3), (0.0, 1e-3), (0.1e-3, 4e-3)):
+        packet = Packet(1 + len(packets), 1000, "a", "b", at)
+        packet.slack = slack
+        net.inject_at(at, packet)
+        packets.append(packet)
+    net.run()
+    table = records(net.tracer)
+    assert [p.slack for p in packets] == pytest.approx([8e-3, 1e-3, 3.1e-3], abs=1e-12)
+    assert [table[p.pid].exit for p in packets] == pytest.approx(
+        [3e-3, 1e-3, 2e-3], abs=1e-12)

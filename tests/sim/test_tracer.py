@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import functools
+import gc
+import math
 import operator
 import sys
 import tracemalloc
@@ -153,6 +155,40 @@ def test_columns_agree_with_the_records_view_and_clear_forgets():
     assert tracer.wait_totals().tolist() == [r.total_wait for r in rows]
     tracer.clear()
     assert len(tracer) == 0 and tracer.drops == 0 and not records(tracer)
+
+
+def test_a_delivered_packet_s_exit_is_a_machine_number():
+    """``exit`` is a float64 column, NaN until the packet leaves: the only
+    object it points at is its type, none per delivered packet."""
+    net = _net()
+    for _ in range(3):
+        net.inject_at(0.0, make_packet())
+    net.run(until=2.5e-3)  # some delivered, some still queued
+    exit = net.tracer.exit
+    assert exit.typecode == "d" and gc.get_referents(exit) == [type(exit)]
+    assert 0 < net.tracer.delivered_count() < len(exit)
+    assert np.array_equal(np.isnan(net.tracer.exit_times()),
+                          [not r.delivered for r in records(net.tracer).values()])
+
+
+def test_a_version_7_exit_list_reads_like_the_column():
+    """A version-7 snapshot's ``exit`` is a list, ``None`` until the packet
+    leaves; the readers take it as they take the column, and a restored
+    run goes on appending to it."""
+    net = _net()
+    for _ in range(4):
+        net.inject_at(0.0, make_packet())
+    net.run(until=2.5e-3)
+    tracer = net.tracer
+    exits, delivered = tracer.exit_times(), tracer.delivered_count()
+    tracer.exit = [None if math.isnan(t) else t for t in tracer.exit]
+    assert None in tracer.exit
+    np.testing.assert_array_equal(tracer.exit_times(), exits)
+    assert tracer.delivered_count() == delivered
+    net.inject_at(3e-3, make_packet())
+    net.run()
+    assert tracer.delivered_count() == len(tracer) == 5
+    assert tracer.delivered_slots().tolist() == list(range(5))
 
 
 def test_a_traced_packet_costs_its_bytes_not_a_boxed_number_per_cell():

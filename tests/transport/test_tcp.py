@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
+
 import pytest
 
 from repro.core.flow import Flow
@@ -125,3 +128,32 @@ def test_send_times_stay_in_ascending_seq_order(monkeypatch):
     net.run(until=20.0)
     assert stats.completed == 1
     assert seen["timeout"] and seen["fast"] and seen["sample"]
+
+
+def test_a_released_tcp_run_returns_its_bytes_without_a_collection():
+    """A network is a cycle (nodes point back at it), freed only by a full
+    collection.  Releasing it empties what points at a run's agents — the
+    engine's pending events, the hosts' sender and receiver tables — so
+    the agents and their timers go by reference count the moment its
+    ``with network:`` block exits; only the topology and what its queues
+    hold wait for the collector."""
+    flows = [Flow(fid, "a", "b", 20_000, start=fid * 2e-4) for fid in range(1, 201)]
+    install_tcp_flows(_net(), flows[:1], min_rto=0.05)  # lazy imports, caches
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        net = _net(buffer_bytes=6_000)
+        net.tracer.enabled = False
+        start, _ = tracemalloc.get_traced_memory()
+        with net:
+            stats = install_tcp_flows(net, flows, min_rto=0.05)
+            net.run(until=0.2)  # mid-run: timers pending, packets queued
+            held = tracemalloc.get_traced_memory()[0] - start
+        left = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert 0 < stats.completed < len(flows)
+    assert left < held / 3, f"{left} of {held} bytes held after release"
+    assert net.engine.pending_events == 0

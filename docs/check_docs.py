@@ -24,9 +24,9 @@ Seven checks, all cheap enough for every CI run:
    experiment-facing surface: ``--out``, ``--force``, …)
    must appear verbatim somewhere in the corpus, so a new runner knob
    cannot ship undocumented either.
-6. **Scenario catalogue × registry** — the first column of the
+6. **Scenario catalogue × listing** — the first column of the
    catalogue table in ``docs/scenarios.md`` must equal the names
-   ``repro list --scenarios`` prints, so a newly registered scenario
+   ``repro list --scenarios`` prints, so a new catalogue scenario
    cannot ship undocumented and the docs cannot name ghosts.
 7. **Docstrings × files** — every ``*.md`` file a docstring under
    ``src/`` names (``docs/replay.md``, ``benchmarks/suite/README.md``)
@@ -188,7 +188,7 @@ def check_run_flags(paths: list[Path]) -> list[str]:
 
 
 def check_scenarios(doc_path: Path) -> list[str]:
-    """scenarios.md's catalogue table == the scenario registry, exactly.
+    """scenarios.md's catalogue table == the scenario catalogue, exactly.
 
     Only the table under the catalogue heading counts — the pattern
     table earlier in the page also backticks its first column.
@@ -216,7 +216,7 @@ def check_scenarios(doc_path: Path) -> list[str]:
         )
     for missing in sorted(registered - documented):
         problems.append(
-            f"{doc_path.relative_to(REPO)}: registered scenario "
+            f"{doc_path.relative_to(REPO)}: catalogue scenario "
             f"{missing!r} is missing from the catalogue table"
         )
     if not documented:

@@ -13,8 +13,8 @@ rebuilds their entire evaluation stack in pure Python:
 * the paper's topologies, workloads, transports, metrics, the appendix
   counter-example gadgets (:mod:`repro.theory`), and experiment drivers
   for every table and figure (:mod:`repro.experiments`),
-* a unified experiment API (:mod:`repro.api`): declarative specs, a
-  registry of every paper artefact, a serial/parallel runner, and
+* a unified experiment API (:mod:`repro.api`): declarative specs, one
+  table of every paper artefact, a serial/parallel runner, and
   structured JSON artifacts,
 * queue-backed distributed execution (:mod:`repro.cluster`): a durable
   SQLite job queue with crash-safe leases, worker daemons
@@ -32,7 +32,7 @@ rebuilds their entire evaluation stack in pure Python:
   content-addressed artifacts in a shared :class:`CheckpointStore`, and
   a ``run_many`` pre-pass that warms each ``branch`` sweep's shared
   prefix exactly once (see ``docs/checkpointing.md``),
-* declarative scenarios (:mod:`repro.scenarios`): registry-enumerable
+* declarative scenarios (:mod:`repro.scenarios`): a fixed catalogue of
   (topology × traffic pattern × flow-size distribution × impairments)
   bundles whose flow lists are deterministic functions of the seed, a
   ``scenarios`` sweep axis on :class:`ExperimentSpec`, and the
@@ -116,7 +116,6 @@ from repro.scenarios import (
     Scenario,
     build_scenario_network,
     get_scenario,
-    register_scenario,
     scenario_flows,
     scenario_names,
 )
@@ -249,7 +248,6 @@ __all__ = [
     "poisson_flows",
     "record_schedule",
     "register_experiment",
-    "register_scenario",
     "replay_schedule",
     "restore_snapshot",
     "run",

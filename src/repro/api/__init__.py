@@ -1,4 +1,4 @@
-"""The unified experiment API: spec → registry → runner → artifact.
+"""The unified experiment API: spec → experiment table → runner → artifact.
 
 Every paper artefact (and every future scenario) is driven the same way::
 
@@ -16,8 +16,9 @@ The pieces:
 
 * :mod:`repro.api.spec` — :class:`ExperimentSpec`, the frozen,
   JSON-round-trippable description of one run or sweep;
-* :mod:`repro.api.registry` — ``@register_experiment`` and
-  :func:`get`, mapping names like ``"fig2"`` to spec-driven drivers;
+* :mod:`repro.api.registry` — ``@register_experiment``, :func:`get`
+  and :func:`experiment_names`, the one table mapping names like
+  ``"fig2"`` to spec-driven drivers;
 * :mod:`repro.api.runner` — :func:`run` / :func:`run_many`, serial,
   ``multiprocessing`` or job-queue execution with wall-time capture;
 * :mod:`repro.api.results` — :class:`RunArtifact`, the structured
@@ -26,8 +27,6 @@ The pieces:
 """
 
 from repro.api.registry import (
-    REGISTRY,
-    ExperimentRegistry,
     RegisteredExperiment,
     experiment_names,
     get,
@@ -38,9 +37,7 @@ from repro.api.runner import cached_artifact, run, run_many
 from repro.api.spec import ExperimentSpec
 
 __all__ = [
-    "ExperimentRegistry",
     "ExperimentSpec",
-    "REGISTRY",
     "RegisteredExperiment",
     "RunArtifact",
     "cached_artifact",

@@ -1,6 +1,6 @@
-"""The experiment registry: names → spec-driven drivers.
+"""The experiment table: names → spec-driven drivers.
 
-Every paper artefact registers itself with::
+Every paper artefact adds itself with::
 
     @register_experiment("table1", help="Table 1: LSTF replayability rows")
     def run_table1(spec: ExperimentSpec) -> Table: ...
@@ -9,37 +9,37 @@ A driver takes an :class:`~repro.api.spec.ExperimentSpec` and returns a
 :class:`~repro.analysis.tables.Table` (optionally ``(table, metadata)``);
 the runner wraps that into a :class:`~repro.api.results.RunArtifact`.
 
+:func:`get` and :func:`experiment_names` are the table's only lookups:
 ``repro.api.get("fig2")`` replaces scattered ``from repro.experiments.fct
-import …`` imports, and the CLI auto-generates one subcommand per
-registered name.  Built-in experiments load lazily on first lookup, so
-importing :mod:`repro.api` stays cheap and forked/spawned worker
-processes self-populate.
+import …`` imports, and the CLI generates one subcommand per name.  The
+built-in drivers are imported on the first lookup, so importing
+:mod:`repro.api` stays cheap and forked/spawned worker processes fill
+their own table.
 """
 
 from __future__ import annotations
 
 import importlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.errors import ConfigurationError
 
 __all__ = [
-    "ExperimentRegistry",
     "RegisteredExperiment",
-    "REGISTRY",
     "register_experiment",
     "get",
     "experiment_names",
 ]
 
-# Importing these modules runs their @register_experiment decorators.
-_BUILTIN_MODULES = ("repro.experiments",)
+#: Name → entry; :func:`register_experiment` fills it as the driver
+#: modules are imported.
+_EXPERIMENTS: dict[str, "RegisteredExperiment"] = {}
 
 
 @dataclass(frozen=True, slots=True)
 class RegisteredExperiment:
-    """One registry entry: the driver plus its CLI-facing description.
+    """One table entry: the driver plus its CLI-facing description.
 
     ``options`` declares the ``ExperimentSpec.options`` keys the driver
     reads; the runner rejects specs carrying any other key, so a knob
@@ -68,77 +68,12 @@ class RegisteredExperiment:
     params: tuple[str, ...] = ()
     prerequisites: Callable | None = None
 
-    def __call__(self, spec):
-        """Run the driver on ``spec`` (sugar for ``entry.fn(spec)``)."""
-        return self.fn(spec)
 
-
-@dataclass
-class ExperimentRegistry:
-    """A name → driver mapping with decorator-based registration."""
-
-    _entries: dict[str, RegisteredExperiment] = field(default_factory=dict)
-    _loaded: bool = False
-
-    def register(
-        self,
-        name: str,
-        *,
-        help: str = "",
-        options: tuple[str, ...] = (),
-        params: tuple[str, ...] = (),
-        prerequisites: Callable | None = None,
-    ) -> Callable[[Callable], Callable]:
-        """Decorator: register ``fn`` as the driver for ``name``."""
-
-        def decorator(fn: Callable) -> Callable:
-            if name in self._entries:
-                raise ConfigurationError(
-                    f"experiment {name!r} is already registered"
-                )
-            self._entries[name] = RegisteredExperiment(
-                name=name, fn=fn, help=help, options=tuple(options),
-                params=tuple(params), prerequisites=prerequisites,
-            )
-            return fn
-
-        return decorator
-
-    def _load_builtins(self) -> None:
-        if self._loaded:
-            return
-        self._loaded = True
-        for module in _BUILTIN_MODULES:
-            importlib.import_module(module)
-
-    def get(self, name: str) -> RegisteredExperiment:
-        """Resolve a name to its entry (loading built-ins)."""
-        self._load_builtins()
-        try:
-            return self._entries[name]
-        except KeyError:
-            raise ConfigurationError(
-                f"unknown experiment {name!r}; registered: {self.names()}"
-            ) from None
-
-    def names(self) -> tuple[str, ...]:
-        """Registered names, sorted."""
-        self._load_builtins()
-        return tuple(sorted(self._entries))
-
-    def entries(self) -> tuple[RegisteredExperiment, ...]:
-        """Every registry entry, in name order."""
-        self._load_builtins()
-        return tuple(self._entries[n] for n in self.names())
-
-    def __contains__(self, name: str) -> bool:
-        """True when ``name`` is a registered name."""
-        self._load_builtins()
-        return name in self._entries
-
-
-#: The process-wide registry the decorators below write into.
-REGISTRY = ExperimentRegistry()
+def _table() -> dict[str, RegisteredExperiment]:
+    """The experiment table, with the built-in drivers imported (their
+    ``@register_experiment`` decorators fill it)."""
+    importlib.import_module("repro.experiments")
+    return _EXPERIMENTS
 
 
 def register_experiment(
@@ -149,25 +84,40 @@ def register_experiment(
     params: tuple[str, ...] = (),
     prerequisites: Callable | None = None,
 ) -> Callable[[Callable], Callable]:
-    """Register a driver on the global :data:`REGISTRY` (decorator).
+    """Add a driver to the experiment table (decorator).
 
     ``name`` is the experiment id; ``help`` is the one-liner ``repro
     list`` shows; ``options`` and ``params`` declare the spec
     options/fields the driver reads (anything else is rejected loudly);
     ``prerequisites`` is the build-once hook — see
-    :class:`RegisteredExperiment`.
+    :class:`RegisteredExperiment`.  A name already in the table is an
+    error, so two drivers can never shadow each other silently.
     """
-    return REGISTRY.register(
-        name, help=help, options=options, params=params,
-        prerequisites=prerequisites,
-    )
+
+    def decorator(fn: Callable) -> Callable:
+        if name in _EXPERIMENTS:
+            raise ConfigurationError(
+                f"experiment {name!r} is already registered"
+            )
+        _EXPERIMENTS[name] = RegisteredExperiment(
+            name=name, fn=fn, help=help, options=tuple(options),
+            params=tuple(params), prerequisites=prerequisites,
+        )
+        return fn
+
+    return decorator
 
 
 def get(name: str) -> RegisteredExperiment:
-    """Look up a registered experiment by name."""
-    return REGISTRY.get(name)
+    """The entry for experiment ``name``; unknown names raise."""
+    try:
+        return _table()[name]
+    except KeyError:
+        raise ConfigurationError(
+            f"unknown experiment {name!r}; registered: {experiment_names()}"
+        ) from None
 
 
 def experiment_names() -> tuple[str, ...]:
-    """All registered experiment names."""
-    return REGISTRY.names()
+    """Every experiment name, sorted."""
+    return tuple(sorted(_table()))

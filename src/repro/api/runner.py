@@ -1,6 +1,6 @@
 """Execute experiment specs, serially or across worker processes.
 
-:func:`run` resolves a spec against the registry, resets the global
+:func:`run` resolves a spec against the experiment table, resets the global
 packet-id counter (so every run sees the same id stream no matter what
 ran before it in the process — the determinism the artifact contract
 depends on), executes the driver under a wall-clock timer, and wraps the
@@ -36,7 +36,7 @@ import time
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
-from repro.api.registry import REGISTRY
+from repro.api import registry
 from repro.api.results import ArtifactStore, RunArtifact, spec_run_id
 from repro.api.spec import ExperimentSpec
 from repro.core.packet import reset_packet_ids
@@ -155,7 +155,7 @@ def _run_leg(spec: ExperimentSpec, dirs: dict[str, Path | None],
     may be the sweep's temporary ones rather than ``out_dir``'s."""
     every_events = (None if checkpoint_policy is None
                     else parse_checkpoint_every(checkpoint_policy))
-    entry = REGISTRY.get(spec.experiment)
+    entry = registry.get(spec.experiment)
     unknown = [key for key, _ in spec.options if key not in entry.options]
     if unknown:
         accepted = ", ".join(entry.options) or "none"
@@ -264,7 +264,7 @@ def _plan_sweep(
             if artifact is not None:
                 cached[index] = artifact
                 continue
-        hook = REGISTRY.get(spec.experiment).prerequisites
+        hook = registry.get(spec.experiment).prerequisites
         for kind, builders in (hook(spec) if hook is not None else {}).items():
             if not needed[kind].keys().isdisjoint(builders):
                 shared.add(kind)

@@ -147,13 +147,14 @@ class ExperimentSpec:
         object.__setattr__(self, "replay_modes", modes)
         scens = tuple(str(s) for s in self.scenarios)
         if scens:
-            from repro.scenarios import SCENARIOS
+            from repro.scenarios import scenario_names
 
-            unknown_scens = [s for s in scens if s not in SCENARIOS]
+            names = scenario_names()
+            unknown_scens = [s for s in scens if s not in names]
             if unknown_scens:
                 raise ConfigurationError(
                     f"unknown scenario(s) {unknown_scens}; "
-                    f"choose from {list(SCENARIOS.names())}"
+                    f"choose from {list(names)}"
                 )
         object.__setattr__(self, "scenarios", scens)
         raw = self.options

@@ -1,6 +1,6 @@
 """Command-line interface: regenerate any paper artefact from the shell.
 
-Subcommands are generated from the experiment registry
+Subcommands are generated from the experiment table
 (:mod:`repro.api.registry`), so a newly registered experiment appears
 here with no CLI changes.  Examples::
 
@@ -11,7 +11,7 @@ here with no CLI changes.  Examples::
     python -m repro fig2                     # FCT comparison
     python -m repro gadgets                  # Figures 5/6/7 theorems
 
-Distributed sweeps ride the same registry through the job queue of
+Distributed sweeps ride the same table through the job queue of
 :mod:`repro.cluster`::
 
     python -m repro submit fig3 --seeds 1 2 3 4 --queue runs/q   # enqueue
@@ -71,7 +71,13 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.analysis.tables import Table
-from repro.api import REGISTRY, ExperimentSpec, run_many, spec_run_id
+from repro.api import (
+    ExperimentSpec,
+    experiment_names,
+    get,
+    run_many,
+    spec_run_id,
+)
 from repro.api.results import ArtifactStore
 from repro.cluster.worker import DEFAULT_BATCH_SIZE
 from repro.core.trace_io import ScheduleStore
@@ -212,12 +218,12 @@ def spec_from_args(experiment: str, args: argparse.Namespace) -> ExperimentSpec:
     rows = getattr(args, "rows", None)
     if rows:  # a bare `--rows` (no indices) means "all rows", like before
         options["rows"] = tuple(rows)
-    scenarios = tuple(
-        name
-        for token in (getattr(args, "scenarios", None) or ())
-        for name in token.split(",")
-        if name
-    )
+    tokens = getattr(args, "scenarios", None)
+    scenarios = tuple(name for token in tokens or () for name in token.split(",")
+                      if name)
+    if tokens is not None and not scenarios:
+        raise ConfigurationError(f"--scenarios {' '.join(tokens)!r} names no "
+                                 f"scenario; see `repro list --scenarios`")
     return ExperimentSpec(
         experiment=experiment,
         schedulers=tuple(args.schedulers) if args.schedulers else (),
@@ -276,13 +282,13 @@ def _out_file(path: str, flag: str) -> Path:
 
 
 def _legs(experiment: str, args: argparse.Namespace):
-    """``(registry entry, one spec per leg)`` for an invocation.
+    """``(experiment entry, one spec per leg)`` for an invocation.
 
     The lookup comes first, so an unknown name fails before any work with
     the list of valid names; then flags the experiment ignores are
     rejected, and the spec's seed/replay-mode/scenario axes expanded.
     """
-    entry = REGISTRY.get(experiment)
+    entry = get(experiment)
     _reject_unused_flags(entry, args)
     return entry, spec_from_args(experiment, args).sweep()
 
@@ -591,17 +597,17 @@ def _cmd_record(args: argparse.Namespace) -> int:
 
 def _cmd_list(args: argparse.Namespace) -> int:
     if getattr(args, "scenarios", False):
-        from repro.scenarios import SCENARIOS
+        from repro.scenarios import get_scenario, scenario_names
 
         table = Table(["scenario", "pattern", "distribution", "topology"],
                       title="Registered scenarios")
-        for scenario in SCENARIOS.entries():
+        for scenario in map(get_scenario, scenario_names()):
             table.add_row([scenario.name, scenario.pattern,
                            scenario.size_law, scenario.topology])
         print(table.render())
         return 0
     table = Table(["experiment", "description"], title="Registered experiments")
-    for entry in REGISTRY.entries():
+    for entry in map(get, experiment_names()):
         table.add_row([entry.name, entry.help])
     print(table.render())
     return 0
@@ -771,7 +777,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # One legacy-style alias per registered experiment (`repro table1` ==
     # `repro run table1`), so existing invocations keep working.
-    for entry in REGISTRY.entries():
+    for entry in map(get, experiment_names()):
         p = sub.add_parser(entry.name, help=entry.help or f"regenerate {entry.name}")
         _add_experiment_args(p, with_rows="rows" in entry.options)
         p.set_defaults(fn=_cmd_experiment, experiment=entry.name)

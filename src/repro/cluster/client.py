@@ -223,7 +223,7 @@ def _keep_sets(queue: JobQueue) -> dict[str, tuple]:
     store again (a done job never retries, a ``--force`` resubmission
     rebuilds from scratch).
     """
-    from repro.api.registry import REGISTRY
+    from repro.api import registry
     from repro.api.runner import STORE_KINDS
     from repro.cluster.jobs import PENDING, RUNNING
 
@@ -235,7 +235,7 @@ def _keep_sets(queue: JobQueue) -> dict[str, tuple]:
     # would make every gc run O(history)
     for state in (PENDING, RUNNING):
         for job in queue.jobs(state=state):
-            hook = REGISTRY.get(job.spec.experiment).prerequisites
+            hook = registry.get(job.spec.experiment).prerequisites
             if hook is not None:
                 for kind, builders in hook(job.spec).items():
                     declared[kind].update(builders)

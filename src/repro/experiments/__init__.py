@@ -2,7 +2,7 @@
 
 Every module exposes a laptop-scale ``run_*`` entry point used by the
 ``examples/`` scripts.  None builds a network or traffic inline: each
-names a registered :class:`~repro.scenarios.Scenario` — one of the
+names a catalogue :class:`~repro.scenarios.Scenario` — one of the
 paper's five topologies under Poisson load, or the long-lived dumbbell —
 and varies it with ``with_()``, so the scenario catalogue is the one
 description of every simulated setting.  What a driver keeps is what

@@ -26,6 +26,7 @@ from repro.analysis.tables import Table
 from repro.api.registry import register_experiment
 from repro.api.spec import ExperimentSpec
 from repro.core.heuristics import VirtualClockSlack
+from repro.errors import ConfigurationError
 from repro.metrics.fairness import fairness_timeseries, jain_index, throughput_timeseries
 from repro.scenarios import (
     build_scenario_network,
@@ -91,9 +92,12 @@ def run_weighted_fairness_experiment(
     """
     num_flows = len(weights)
     if num_flows < 2:
-        raise ValueError("need at least two flows for a weighted comparison")
+        raise ConfigurationError(
+            "need at least two flows for a weighted comparison")
     if scheme not in ("lstf", "fq"):
-        raise ValueError(f"unknown weighted-fairness scheme {scheme!r}")
+        raise ConfigurationError(
+            f"unknown weighted-fairness scheme {scheme!r}; choose from "
+            f"('lstf', 'fq')")
     setting = get_scenario("long-lived-dumbbell").with_(hosts=num_flows)
     fair_share = scenario_bottleneck(setting) / sum(weights)
 

@@ -79,7 +79,7 @@ __all__ = [
 
 ORIGINALS = ("random", "fifo", "fq", "sjf", "lifo", "fq+fifo+")
 
-#: Table 1 in the paper's order: (row label, registered scenario,
+#: Table 1 in the paper's order: (row label, catalogue scenario,
 #: utilisation, original scheduler).
 TABLE1_ROWS = (
     ("I2 1G-10G / 70% / Random", "i2-1g-10g", 0.7, "random"),
@@ -310,7 +310,7 @@ def validate_row_indices(rows: object, count: int,
 
 def spec_recording(spec: ExperimentSpec, scheduler: str) -> ReplayScenario:
     """The recording a single-setting spec asks for under ``scheduler``:
-    the registered scenario ``spec.topology`` at ``spec.utilization``."""
+    the catalogue scenario ``spec.topology`` at ``spec.utilization``."""
     return ReplayScenario(
         name=f"{spec.label}/{scheduler}",
         scenario=get_scenario(spec.topology).with_(

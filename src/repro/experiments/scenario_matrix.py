@@ -1,6 +1,6 @@
 """The scenario matrix: declarative scenarios × schedulers × seeds.
 
-Each leg simulates one registered :class:`~repro.scenarios.Scenario`
+Each leg simulates one catalogue :class:`~repro.scenarios.Scenario`
 under each requested scheduler and reports the evaluation-methodology
 staples: Jain's fairness index over per-flow delivered throughput and
 per-link utilisation, both embedded (rounded, sorted) in the
@@ -20,6 +20,7 @@ import numpy as np
 from repro.analysis.tables import Table
 from repro.api.registry import register_experiment
 from repro.api.spec import ExperimentSpec
+from repro.errors import ConfigurationError
 from repro.metrics.congestion import link_utilisation
 from repro.metrics.fairness import artifact_fairness, flow_throughputs
 from repro.scenarios import Scenario, get_scenario, udp_network
@@ -72,6 +73,12 @@ def run_scenario_leg(
 )
 def _run_scenario_matrix(spec: ExperimentSpec) -> tuple[Table, dict]:
     scenario = get_scenario(spec.scenario)
+    if scenario.pattern == "long-lived":
+        # its flows never finish, so a leg would run without end
+        raise ConfigurationError(
+            f"scenario {scenario.name!r} is long-lived; the matrix measures "
+            f"flows that finish, so it takes round-based and poisson "
+            f"scenarios only")
     schedulers = spec.schedulers or DEFAULT_SCHEDULERS
     table = Table(
         ["scenario", "pattern", "scheduler", "seed", "flows", "delivered",

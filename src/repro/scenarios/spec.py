@@ -2,12 +2,11 @@
 
 A :class:`Scenario` bundles everything that defines an evaluation
 setting — a topology, a traffic pattern, a flow-size law, a load, and
-link impairments — into a frozen, hashable, JSON-round-trippable value,
-exactly like :class:`~repro.api.spec.ExperimentSpec` does for experiment
-runs::
+link impairments — into a frozen, hashable value, validated on
+construction::
 
     s = Scenario("demo", pattern="incast", distribution="web-search")
-    assert Scenario.from_dict(s.to_dict()) == s
+    assert s.with_(hosts=8).hosts == 8
 
 Scenarios deliberately do *not* carry a seed or a duration: those are
 run-time axes owned by the experiment spec, so one scenario definition
@@ -20,9 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Any, Mapping
 
-from repro.errors import ConfigurationError, require_fields
+from repro.errors import ConfigurationError
 
 __all__ = [
     "GADGET_PATTERNS",
@@ -65,14 +63,6 @@ _READS: dict[str, tuple[str, ...]] = {
     **dict.fromkeys(PAPER_TOPOLOGIES, ()),
 }
 _OWNED = frozenset(name for names in _READS.values() for name in names)
-
-#: The JSON kind of every field :meth:`Scenario.from_dict` reads.
-_FIELD_KINDS = {
-    **dict.fromkeys(("name", "pattern", "distribution", "topology"), "string"),
-    **dict.fromkeys(("hosts", "flows_per_host", "size_cap"), "integer"),
-    **dict.fromkeys(("interval", "jitter", "delay", "bottleneck_scale",
-                     "utilization"), "number"),
-}
 
 
 def _require_number(name: str, value: object, *, minimum: float | None = None,
@@ -190,15 +180,3 @@ class Scenario:
         """A copy with fields replaced (scenarios are frozen)."""
         return replace(self, **changes)
 
-    # -- serialisation ----------------------------------------------------
-
-    def to_dict(self) -> dict[str, Any]:
-        """A JSON-serialisable dict; lossless under :meth:`from_dict`."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "Scenario":
-        """Rebuild a scenario from :meth:`to_dict` output (or hand JSON);
-        a malformed document raises :class:`ConfigurationError`."""
-        return cls(**require_fields("scenario", data, _FIELD_KINDS,
-                                    required=("name",)))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import ExperimentSpec, REGISTRY, run_many
+from repro.api import ExperimentSpec, experiment_names, get, run_many
 from repro.api.results import ArtifactStore
 from repro.api.runner import STORE_KINDS
 
@@ -46,7 +46,7 @@ def _run(legs, tmp_path, executor, **kwargs):
 
 
 def test_every_hook_tags_its_entries_with_a_known_store_kind():
-    for entry in REGISTRY.entries():
+    for entry in map(get, experiment_names()):
         if entry.prerequisites is None:
             continue
         spec = ExperimentSpec(entry.name)

@@ -1,16 +1,21 @@
-"""Registry: registration rules, lookup, and completeness.
+"""The experiment table: registration rules, lookup, and completeness.
 
 The completeness test is the important one: every registered experiment
 must actually run end-to-end from a tiny declarative spec — no driver
-can rot behind the registry without this suite noticing.
+can rot behind the table without this suite noticing.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.api import ExperimentSpec, REGISTRY, get, run
-from repro.api.registry import ExperimentRegistry
+from repro.api import (
+    ExperimentSpec,
+    experiment_names,
+    get,
+    register_experiment,
+    run,
+)
 from repro.errors import ConfigurationError
 
 EXPECTED = {
@@ -41,11 +46,11 @@ TINY = {
 
 
 def test_every_paper_artefact_is_registered():
-    assert set(REGISTRY.names()) == EXPECTED
+    assert set(experiment_names()) == EXPECTED
 
 
 def test_expected_tiny_overrides_cover_registry():
-    assert set(TINY) == set(REGISTRY.names())
+    assert set(TINY) == set(experiment_names())
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED))
@@ -58,21 +63,24 @@ def test_registered_experiment_runs_from_a_tiny_spec(name):
     assert artifact.wall_time_s > 0
 
 
-def test_get_resolves_and_rejects():
-    assert get("table1").name == "table1"
-    assert "table1" in REGISTRY
-    assert "nosuch" not in REGISTRY
-    with pytest.raises(ConfigurationError):
+def test_get_resolves_every_name_and_names_are_sorted():
+    names = experiment_names()
+    assert names == tuple(sorted(set(names)))
+    assert [get(name).name for name in names] == list(names)
+
+
+def test_unknown_experiment_message_is_unchanged():
+    with pytest.raises(ConfigurationError) as info:
         get("nosuch")
+    assert str(info.value) == (
+        "unknown experiment 'nosuch'; registered: ('branch', 'fig1', "
+        "'fig2', 'fig3', 'fig4', 'gadgets', 'info', 'scenario-matrix', "
+        "'table1', 'weighted')")
 
 
-def test_duplicate_registration_rejected():
-    registry = ExperimentRegistry()
-
-    @registry.register("demo", help="x")
-    def _demo(spec):
-        raise AssertionError("never run")
+def test_duplicate_registration_rejected_and_table_unchanged():
+    before = {name: get(name) for name in experiment_names()}
 
     with pytest.raises(ConfigurationError, match="already registered"):
-        registry.register("demo")(lambda spec: None)
-    assert registry.get("demo").fn is _demo
+        register_experiment("table1", help="x")(lambda spec: None)
+    assert {name: get(name) for name in experiment_names()} == before

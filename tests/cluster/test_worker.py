@@ -87,6 +87,21 @@ def test_config_errors_fail_terminally_without_retries(tmp_path):
     assert "ConfigurationError" in job.error
 
 
+def test_an_unknown_weighted_scheme_fails_terminally_at_once(tmp_path):
+    """The weighted driver refuses a scheme it has no slack rule for with
+    a ConfigurationError, so the job is not retried to its budget."""
+    bad = ExperimentSpec("weighted", schedulers=("nope",),
+                         options={"horizon": 0.4})
+    queue = JobQueue(tmp_path, max_attempts=3)
+    (job_id,) = queue.submit([bad])
+    assert Worker(queue).drain() == 1
+    job = queue.job(job_id)
+    assert job.state == FAILED
+    assert job.attempts == 1
+    assert "ConfigurationError" in job.error
+    assert "unknown weighted-fairness scheme 'nope'" in job.error
+
+
 def test_run_batch_claims_up_to_batch_size_and_reports_once(tmp_path, monkeypatch):
     """One claim transaction and one report transaction cover the batch."""
     sweep = ExperimentSpec(

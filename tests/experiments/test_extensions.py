@@ -39,11 +39,11 @@ class TestWeightedFairness:
         np.testing.assert_allclose(normalised * np.asarray(weights), achieved)
 
     def test_requires_two_flows(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="at least two flows"):
             run_weighted_fairness_experiment(weights=(1.0,), horizon=0.5)
 
     def test_unknown_scheme_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="scheme 'drr'"):
             run_weighted_fairness_experiment(scheme="drr", horizon=0.5)
 
 

@@ -1,11 +1,11 @@
 """The JSON loaders refuse bad input cleanly.
 
-``ExperimentSpec.from_dict`` and ``Scenario.from_dict`` accept
-hand-written JSON, and ``RunArtifact.from_dict`` reads whatever an
-``--out`` cache or a queue's artifact directory holds, so a document
-with one field dropped or replaced by an arbitrary JSON value must
-either load — into a value whose own ``to_dict`` round-trips losslessly
-(and that hashes, if its class does) — or raise
+``ExperimentSpec.from_dict`` accepts hand-written JSON, and
+``RunArtifact.from_dict`` reads whatever an ``--out`` cache or a
+queue's artifact directory holds, so a document with one field dropped
+or replaced by an arbitrary JSON value must either load — into a value
+whose own ``to_dict`` round-trips losslessly (and that hashes, if its
+class does) — or raise
 :class:`~repro.errors.ConfigurationError`; never a ``TypeError``,
 ``AttributeError`` or ``ValueError`` from inside a constructor.
 """
@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 from repro.api.results import RunArtifact
 from repro.api.spec import ExperimentSpec
 from repro.errors import ConfigurationError
-from repro.scenarios import SCENARIOS, Scenario
 
 _SPECS = [
     ExperimentSpec("table1"),
@@ -80,12 +79,6 @@ def test_spec_loader_loads_or_raises_configuration_error(document):
     _loads_or_refuses(ExperimentSpec, document)
 
 
-@settings(max_examples=300, deadline=None)
-@given(document=_mutated([s.to_dict() for s in SCENARIOS.entries()]))
-def test_scenario_loader_loads_or_raises_configuration_error(document):
-    _loads_or_refuses(Scenario, document)
-
-
 _ARTIFACTS = [
     RunArtifact(_SPECS[1], "Table 1", ["row", "overdue"], [[0, 0.25], ["x", None]],
                 metadata={"engine_events": 7}, wall_time_s=0.5,
@@ -101,7 +94,6 @@ def test_artifact_loader_loads_or_raises_configuration_error(document):
 
 
 _SPEC = ExperimentSpec("table1").to_dict()
-_SCENARIO = SCENARIOS.entries()[0].to_dict()
 _ARTIFACT = _ARTIFACTS[0].to_dict()
 
 
@@ -122,7 +114,6 @@ _ESCAPES = {
     "spec-slack-policy-grammar": (ExperimentSpec,
                                   {**_SPEC, "slack_policy": "constant:abc"}),
     "spec-options-array": (ExperimentSpec, {**_SPEC, "options": []}),
-    "scenario-no-name": (Scenario, _without(_SCENARIO, "name")),
     "artifact-timings-array": (RunArtifact, {**_ARTIFACT, "timings": []}),
     "artifact-timings-text": (RunArtifact,
                               {**_ARTIFACT, "timings": {"wall_time_s": "1"}}),
@@ -164,7 +155,7 @@ def test_a_negative_json_seed_is_a_configuration_error():
         ExperimentSpec.from_dict({**_SPEC, "seeds": [3, -1]})
 
 
-@pytest.mark.parametrize("cls", [ExperimentSpec, Scenario, RunArtifact])
+@pytest.mark.parametrize("cls", [ExperimentSpec, RunArtifact])
 @pytest.mark.parametrize("document", [[], "table1", None])
 def test_a_document_that_is_not_an_object_is_refused(cls, document):
     with pytest.raises(ConfigurationError, match="JSON object"):

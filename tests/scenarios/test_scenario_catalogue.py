@@ -1,31 +1,29 @@
-"""Scenario DSL + registry: validation, round-trips, completeness.
+"""Scenario DSL + catalogue: validation, lookup, completeness.
 
-The completeness tests mirror ``tests/api/test_registry.py``: every
-built-in scenario must JSON-round-trip losslessly, names must be unique,
-and nothing can rot behind the registry unnoticed.
+The completeness tests mirror ``tests/api/test_registry.py``: names must
+be unique, every one must resolve, and ``repro list --scenarios`` must
+print exactly the catalogue, so nothing can rot behind it unnoticed.
 """
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
+from repro.cli import main
 from repro.errors import ConfigurationError
 from repro.scenarios import (
     GADGET_TOPOLOGIES,
     PAPER_TOPOLOGIES,
     PATTERNS,
-    SCENARIOS,
     SCENARIO_TOPOLOGIES,
     Scenario,
-    ScenarioRegistry,
     build_scenario_network,
     get_scenario,
     scenario_bottleneck,
     scenario_hosts,
     scenario_names,
 )
+from repro.scenarios.builtin import CATALOGUE
 
 EXPECTED = {
     "websearch-incast",
@@ -44,21 +42,10 @@ EXPECTED = {
 
 
 class TestScenarioSpec:
-    def test_round_trip_is_lossless(self):
-        s = Scenario("demo", pattern="permutation", distribution="internet",
-                     topology="parking-lot", hosts=3, flows_per_host=4,
-                     size_cap=123, interval=0.004, jitter=0.002,
-                     delay=0.001, bottleneck_scale=0.25)
-        assert Scenario.from_dict(json.loads(json.dumps(s.to_dict()))) == s
-
     def test_with_replaces_fields(self):
         s = get_scenario("websearch-incast").with_(hosts=9)
         assert s.hosts == 9
         assert s.name == "websearch-incast"
-
-    def test_from_dict_rejects_unknown_fields(self):
-        with pytest.raises(ConfigurationError, match="unknown scenario"):
-            Scenario.from_dict({"name": "x", "nope": 1})
 
     @pytest.mark.parametrize("bad", [
         dict(name=""),
@@ -107,35 +94,34 @@ class TestScenarioSpec:
         assert get_scenario("long-lived-dumbbell").size_law == "unbounded"
 
 
-class TestRegistry:
+class TestCatalogue:
     def test_builtin_catalogue(self):
         assert set(scenario_names()) == EXPECTED
-        assert scenario_names() == tuple(sorted(EXPECTED))  # unique + sorted
 
-    def test_every_registered_scenario_round_trips(self):
-        for scenario in SCENARIOS.entries():
-            payload = json.loads(json.dumps(scenario.to_dict()))
-            assert Scenario.from_dict(payload) == scenario
+    def test_names_are_unique(self):
+        names = [scenario.name for scenario in CATALOGUE]
+        assert len(names) == len(set(names)) == len(EXPECTED)
 
-    def test_entries_align_with_names(self):
-        assert tuple(s.name for s in SCENARIOS.entries()) == scenario_names()
+    def test_names_are_sorted_and_match_the_listing(self, capsys):
+        assert scenario_names() == tuple(sorted(scenario_names()))
+        assert main(["list", "--scenarios"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        # title, header, rule, then one row per scenario
+        rows = [line.split()[0] for line in lines[3:]]
+        assert tuple(rows) == scenario_names()
 
-    def test_contains_and_lookup(self):
-        assert "websearch-incast" in SCENARIOS
-        assert "nosuch" not in SCENARIOS
-        with pytest.raises(ConfigurationError, match="unknown scenario"):
+    @pytest.mark.parametrize("name", sorted(EXPECTED))
+    def test_every_builtin_name_resolves(self, name):
+        assert get_scenario(name).name == name
+
+    def test_unknown_scenario_message_is_unchanged(self):
+        with pytest.raises(ConfigurationError) as info:
             get_scenario("nosuch")
-
-    def test_duplicate_registration_rejected(self):
-        registry = ScenarioRegistry()
-        registry.register(lambda: Scenario("dup"))
-        with pytest.raises(ConfigurationError, match="already registered"):
-            registry.register(lambda: Scenario("dup"))
-
-    def test_factory_must_return_a_scenario(self):
-        registry = ScenarioRegistry()
-        with pytest.raises(ConfigurationError, match="must return a Scenario"):
-            registry.register(lambda: {"name": "not-a-scenario"})
+        assert str(info.value) == (
+            "unknown scenario 'nosuch'; choose from ['datamining-a2a', "
+            "'datamining-incast-slow', 'fattree', 'i2-10g-10g', 'i2-1g-10g', "
+            "'i2-1g-1g', 'internet-permutation', 'long-lived-dumbbell', "
+            "'pareto-burst', 'rocketfuel', 'websearch-incast']")
 
 
 class TestTopologies:
@@ -175,7 +161,7 @@ class TestTopologies:
 
     def test_every_pattern_and_topology_is_covered_by_a_builtin(self):
         """The catalogue spans the DSL: each pattern and each topology
-        appears in at least one registered scenario."""
-        entries = SCENARIOS.entries()
+        appears in at least one catalogue scenario."""
+        entries = CATALOGUE
         assert {s.pattern for s in entries} == set(PATTERNS)
         assert {s.topology for s in entries} == set(SCENARIO_TOPOLOGIES)

@@ -1,16 +1,21 @@
 """Tests for the ``python -m repro`` command-line interface.
 
-The CLI is a thin dispatcher over the experiment registry: one generic
+The CLI is a thin dispatcher over the experiment table: one generic
 ``run`` subcommand plus an auto-generated legacy alias per experiment.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
-from repro.api import REGISTRY, ExperimentSpec
+from repro.api import ExperimentSpec, experiment_names
 from repro.cli import build_parser, main
 
 LEGACY_COMMANDS = {"table1", "fig1", "fig2", "fig3", "fig4", "gadgets", "info",
@@ -39,7 +44,7 @@ def test_every_registered_experiment_has_an_alias():
     sub = next(
         a for a in parser._actions if isinstance(a, type(parser._subparsers._group_actions[0]))
     )
-    assert set(REGISTRY.names()) <= set(sub.choices)
+    assert set(experiment_names()) <= set(sub.choices)
 
 
 def test_list_command(capsys):
@@ -432,7 +437,7 @@ def test_spec_verbs_reject_flags_the_experiment_ignores(
 def test_run_bench_is_an_unknown_experiment(capsys):
     """The substrate micro-benchmarks are not a registered experiment;
     ``benchmarks/suite/`` measures the simulator end to end instead."""
-    assert "bench" not in REGISTRY.names()
+    assert "bench" not in experiment_names()
     assert main(["run", "bench"]) == 2
     assert capsys.readouterr().err.startswith(
         "error: unknown experiment 'bench'")
@@ -513,6 +518,12 @@ def test_bench_has_no_legacy_alias(capsys):
     (["gc", "--queue", "{tmp}/typo"], "is not a job queue"),
     (["tail", "{tmp}/typo", "--once"], "is not a job queue"),
     (["lint", "{tmp}/missing.py"], "missing.py' does not exist"),
+    # an unknown weighted scheme used to leave as a ValueError traceback
+    (["run", "weighted", "--schedulers", "nope"],
+     "unknown weighted-fairness scheme 'nope'"),
+    # a --scenarios that names nothing used to run the default scenario
+    (["run", "scenario-matrix", "--scenarios", ","],
+     "--scenarios ',' names no scenario"),
 ], ids=["run-workers", "run-batch-size", "run-duration-nan",
         "run-duration-inf", "run-scale-nan", "run-scale-inf",
         "run-seed-negative", "run-seeds-negative", "profile-top-negative",
@@ -524,7 +535,8 @@ def test_bench_has_no_legacy_alias(capsys):
         "worker",
         "worker-lease-nan", "worker-lease-inf", "worker-poll-negative",
         "worker-max-jobs-zero", "worker-max-jobs-negative", "status",
-        "gather", "gc", "tail", "lint"])
+        "gather", "gc", "tail", "lint", "run-weighted-scheme",
+        "run-scenarios-empty"])
 def test_handler_errors_are_one_stderr_line_and_exit_2(
         argv, message, tmp_path, capsys):
     """Every verb's configuration error leaves through ``main()`` the
@@ -536,6 +548,27 @@ def test_handler_errors_are_one_stderr_line_and_exit_2(
     assert captured.err.startswith("error: ")
     assert captured.err.endswith("\n") and captured.err.count("\n") == 1
     assert message in captured.err
+
+
+def test_scenario_matrix_refuses_a_long_lived_scenario_at_once():
+    """A long-lived scenario's flows never finish, so its matrix leg used
+    to run without end; it is refused before anything is simulated.  A
+    child process under a timeout keeps a regression from hanging the
+    suite."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep
+           + os.environ.get("PYTHONPATH", "")}
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "run", "scenario-matrix",
+         "--scenarios", "long-lived-dumbbell", "--duration", "0.01"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert time.monotonic() - start < 30
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith(
+        "error: scenario 'long-lived-dumbbell' is long-lived")
 
 
 @pytest.mark.parametrize("timeout", ["nan", "inf", "0", "-1"])

@@ -13,15 +13,16 @@ from __future__ import annotations
 
 from repro.analysis.plots import ascii_series
 from repro.analysis.tables import Table
+from repro.api import ExperimentSpec
 from repro.experiments.fairness import run_fairness_experiment
 
 
 def main() -> None:
-    results = run_fairness_experiment(
-        rest_fractions=(1.0, 0.5, 0.1, 0.05, 0.01),
-        baselines=("fifo", "fq", "drr"),
-        horizon=2.5,
-    )
+    results = run_fairness_experiment(ExperimentSpec(
+        "fig4",
+        schedulers=("fifo", "fq", "drr"),
+        options={"rest_fractions": (1.0, 0.5, 0.1, 0.05, 0.01), "horizon": 2.5},
+    ))
     table = Table(
         ["scheme", "final Jain index", "time to 0.95 (s)"],
         title="Fairness of 10 long-lived TCP flows over one bottleneck",

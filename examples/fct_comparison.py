@@ -11,13 +11,14 @@ Run:  python examples/fct_comparison.py
 from __future__ import annotations
 
 from repro.analysis.tables import Table
+from repro.api import ExperimentSpec
 from repro.experiments.fct import run_fct_experiment
 
 
 def main() -> None:
     # Note: at 1/100 scale a handful of elephant flows dominate the mean,
     # so individual seeds are noisy; the bench harness averages seeds.
-    results = run_fct_experiment(duration=0.3, seed=1)
+    results = run_fct_experiment(ExperimentSpec("fig2", duration=0.3))
 
     summary = Table(
         ["scheme", "flows done", "mean FCT (s)", "retransmissions"],

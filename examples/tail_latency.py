@@ -13,13 +13,13 @@ from __future__ import annotations
 
 from repro.analysis.plots import ascii_cdf
 from repro.analysis.tables import Table
+from repro.api import ExperimentSpec
 from repro.experiments.tail import run_tail_experiment
 
 
 def main() -> None:
-    results = run_tail_experiment(
-        schemes=("fifo", "lstf-constant", "fifo+"), duration=0.3, seed=5
-    )
+    # Every scheme of Figure 3: FIFO, LSTF-constant and FIFO+.
+    results = run_tail_experiment(ExperimentSpec("fig3", duration=0.3, seeds=(5,)))
     table = Table(
         ["scheme", "packets", "mean (s)", "p99 (s)", "p99.9 (s)", "max (s)"],
         title="End-to-end packet delay, Internet2 at 70% utilisation (1/100 scale)",

@@ -44,8 +44,9 @@ class RegisteredExperiment:
     ``options`` declares the ``ExperimentSpec.options`` keys the driver
     reads; the runner rejects specs carrying any other key, so a knob
     can never be silently ignored.  ``params`` declares which spec
-    *fields* the driver reads (``"duration"``, ``"seeds"``, …); the CLI
-    uses it to reject flags an experiment would ignore.
+    *fields* the driver reads (``"duration"``, ``"seeds"``, …); the
+    runner rejects a spec that moves any other field off its default,
+    and the CLI the flags that would set one.
 
     ``prerequisites`` is the build-once/share-many hook: it maps a spec
     to what must exist before the driver runs, grouped by store kind —

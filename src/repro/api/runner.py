@@ -27,6 +27,7 @@ serial ones (guarded by the test suite).
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import functools
 import multiprocessing
 import os
@@ -86,6 +87,13 @@ STORE_KINDS: dict[str, tuple[str, type[ContentStore], str]] = {
     "schedule": (SCHEDULE_SUBDIR, ScheduleStore, "record-schedules"),
     "checkpoint": (CHECKPOINT_SUBDIR, CheckpointStore, "build-checkpoints"),
 }
+
+
+#: Spec fields a driver may leave out of its ``params`` at any value:
+#: the experiment name and the label, ``options`` (checked on its own),
+#: and ``seeds``, the sweep axis every experiment takes — a seed sweep of
+#: the exact gadgets is one artifact per seed (each pinned).
+_UNDECLARED = ("experiment", "name", "options", "seeds")
 
 
 def cached_artifact(spec: ExperimentSpec, out_dir: str | Path) -> RunArtifact | None:
@@ -162,6 +170,14 @@ def _run_leg(spec: ExperimentSpec, dirs: dict[str, Path | None],
         raise ConfigurationError(
             f"experiment {entry.name!r} does not read option(s) "
             f"{', '.join(map(repr, unknown))} (accepted: {accepted})"
+        )
+    unread = [f.name for f in dataclasses.fields(spec)
+              if f.name not in _UNDECLARED and f.name not in entry.params
+              and getattr(spec, f.name) != f.default]
+    if unread:
+        raise ConfigurationError(
+            f"experiment {entry.name!r} does not read spec field(s) "
+            f"{', '.join(map(repr, unread))}; leave them at their defaults"
         )
     if out_dir is not None and not force:
         cached = cached_artifact(spec, out_dir)

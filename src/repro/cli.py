@@ -209,11 +209,12 @@ def _add_experiment_args(parser: argparse.ArgumentParser, with_rows: bool) -> No
 
 
 def spec_from_args(experiment: str, args: argparse.Namespace) -> ExperimentSpec:
-    """Build the declarative spec an invocation describes."""
-    if args.seeds:
-        seeds = _expand_seeds(args.seeds)
-    else:
-        seeds = (args.seed,) if args.seed is not None else (1,)
+    """Build the declarative spec an invocation describes; a flag not
+    given leaves its field at the spec's default."""
+    given = {"duration": args.duration, "bandwidth_scale": args.scale,
+             "slack_policy": args.slack,
+             "seeds": _expand_seeds(args.seeds) if args.seeds else (
+                 None if args.seed is None else (args.seed,))}
     options: dict[str, object] = {}
     rows = getattr(args, "rows", None)
     if rows:  # a bare `--rows` (no indices) means "all rows", like before
@@ -226,14 +227,11 @@ def spec_from_args(experiment: str, args: argparse.Namespace) -> ExperimentSpec:
                                  f"scenario; see `repro list --scenarios`")
     return ExperimentSpec(
         experiment=experiment,
-        schedulers=tuple(args.schedulers) if args.schedulers else (),
-        duration=args.duration if args.duration is not None else 0.2,
-        seeds=seeds,
-        bandwidth_scale=args.scale if args.scale is not None else 0.01,
-        slack_policy=args.slack,
-        replay_modes=tuple(args.replay_modes) if args.replay_modes else (),
+        schedulers=tuple(args.schedulers or ()),
+        replay_modes=tuple(args.replay_modes or ()),
         scenarios=scenarios,
         options=options,
+        **{field: value for field, value in given.items() if value is not None},
     )
 
 

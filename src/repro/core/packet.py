@@ -129,10 +129,12 @@ class PacketRows:
     travels ``ends[pair[k]]``, a ``(src, dst, inject)`` per src/dst pair
     (``inject``: the source host's).  Each ``(field, column)`` of
     ``headers`` sets a header field; with ``bounds``, row ``k``'s
-    ``hop_times`` is ``hop_tx[bounds[k]:bounds[k + 1]]``."""
+    ``hop_times`` is ``hop_tx[bounds[k]:bounds[k + 1]]``.  A packet's
+    ``flow_size`` is its ``size``, as for every packet built: no replay
+    mode's scheduler reads it."""
 
     __slots__ = ("ends", "headers", "bounds", "hop_tx", "pid", "pair",
-                 "flow_id", "size", "flow_size", "created")
+                 "flow_id", "size", "created")
 
     def __init__(self, **fields: Any) -> None:
         self.headers, self.bounds = (), None
@@ -144,7 +146,6 @@ class PacketRows:
         src, dst, inject = self.ends[self.pair[row]]
         packet = Packet(self.flow_id[row], self.size[row], src, dst,
                         self.created[row], pid=self.pid[row])
-        packet.flow_size = self.flow_size[row]
         for name, column in self.headers:
             setattr(packet, name, column[row])
         if self.bounds is not None:

@@ -482,8 +482,6 @@ def _injections(schedule: RecordedSchedule, network: "Network", mode: str,
     _verify_routes(schedule, network, first)
     columns = {name: _shared(getattr(schedule, name))
                for name in ("flow_id", "size", "ingress")}
-    columns["flow_size"] = (columns["size"] if np.array_equal(schedule.flow_size, schedule.size)
-                            else _shared(schedule.flow_size))  # equal in every recording
     inject = {k: network.host(nodes[k]).inject for k in dict.fromkeys(src[first].tolist())}
     columns["ends"] = [(nodes[s], nodes[d], inject[s])
                        for s, d in zip(src[first].tolist(), dst[first].tolist())]

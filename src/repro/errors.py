@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from typing import Mapping
+from typing import Iterable, Mapping, Sequence
 
 
 class ReproError(Exception):
@@ -114,6 +114,15 @@ def require_positive_finite(value: object, name: str) -> float:
             or not (value > 0 and math.isfinite(value))):
         raise ConfigurationError(f"{name} must be finite and > 0, got {value!r}")
     return float(value)
+
+
+def require_choice(values: Iterable[object], choices: Sequence, what: str) -> None:
+    """Refuse the first of ``values`` outside ``choices``: a
+    :class:`ConfigurationError` reading ``unknown <what> …; choose from …``."""
+    for value in values:
+        if value not in choices:
+            raise ConfigurationError(
+                f"unknown {what} {value!r}; choose from {choices}")
 
 
 #: The JSON value kinds :func:`require_fields` checks (a bool is none of them).

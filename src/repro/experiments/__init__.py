@@ -1,19 +1,22 @@
 """Experiment orchestration: one module per paper artefact.
 
-Every module exposes a laptop-scale ``run_*`` entry point used by the
-``examples/`` scripts.  None builds a network or traffic inline: each
-names a catalogue :class:`~repro.scenarios.Scenario` — one of the
-paper's five topologies under Poisson load, or the long-lived dumbbell —
-and varies it with ``with_()``, so the scenario catalogue is the one
-description of every simulated setting.  What a driver keeps is what
-its comparison varies: the scheduler, transport, buffers and slack
-policy (docs/paper-map.md has the scaling argument: all bandwidth
-ratios, utilisations, and scheduler logic are preserved; only the event
-count shrinks).
+Every module registers a declarative driver with
+:mod:`repro.api.registry` (``table1``, ``fig1`` … ``gadgets``) that reads
+one :class:`~repro.api.spec.ExperimentSpec`, the single place its
+defaults live.  Where a caller wants more than the artefact's table, the
+module's ``run_*`` function (``run_fct_experiment(spec)`` …) takes the
+same spec and returns the structured results the driver renders; the
+``examples/`` scripts and the paper-shape tests call those.  No module
+builds a network or traffic inline: each names a catalogue
+:class:`~repro.scenarios.Scenario` — one of the paper's five topologies
+under Poisson load, or the long-lived dumbbell — and varies it with
+``with_()``, so the scenario catalogue is the one description of every
+simulated setting.  What a driver keeps is what its comparison varies:
+the scheduler, transport, buffers and slack policy (docs/paper-map.md
+has the scaling argument: all bandwidth ratios, utilisations, and
+scheduler logic are preserved; only the event count shrinks).
 
-Each module also registers a declarative driver with
-:mod:`repro.api.registry` (``table1``, ``fig1`` … ``gadgets``), so the
-preferred entry point is now::
+The artefact itself comes from the runner::
 
     from repro.api import ExperimentSpec, run
     artifact = run(ExperimentSpec("fig2", duration=0.2))
@@ -53,7 +56,7 @@ from repro.experiments.fairness import (
     run_weighted_fairness_experiment,
 )
 from repro.experiments.information import QuantisationPoint, run_information_experiment
-from repro.experiments.gadgets import run_gadget_experiment
+from repro.experiments import gadgets  # noqa: F401 - registers the "gadgets" driver
 from repro.experiments.branch import (
     BranchPrefix,
     branch_checkpoint_key,
@@ -79,7 +82,6 @@ __all__ = [
     "get_recorded_schedule",
     "run_fairness_experiment",
     "run_fct_experiment",
-    "run_gadget_experiment",
     "run_information_experiment",
     "run_replay",
     "run_scenario_leg",

@@ -193,7 +193,8 @@ def _leg_flows(prefix: BranchPrefix, spec: ExperimentSpec):
     "branch",
     help="Branch-from-checkpoint sweep: one shared warm-up, one leg per seed",
     options=("warmup", "warmup_seed"),
-    params=("duration", "seeds", "bandwidth_scale", "schedulers"),
+    params=("duration", "seeds", "bandwidth_scale", "schedulers",
+            "topology", "utilization"),
     prerequisites=_branch_prerequisites,
 )
 def _run_branch(spec: ExperimentSpec) -> tuple[Table, dict]:

@@ -13,7 +13,9 @@ default (the registered ``long-lived-dumbbell`` scenario) shares a 10 Mbps
 dumbbell bottleneck among ``num_flows`` flows, preserving the
 one-shared-bottleneck structure that determines convergence while keeping
 the event count tractable.  (The congestion in the paper's setup is also
-engineered to happen only in the core.)
+engineered to happen only in the core.)  The ``fig4`` and ``weighted``
+drivers render what :func:`run_fairness_experiment` and
+:func:`run_weighted_fairness_experiment` compute from their specs.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from repro.analysis.tables import Table
 from repro.api.registry import register_experiment
 from repro.api.spec import ExperimentSpec
 from repro.core.heuristics import VirtualClockSlack
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, require_choice
 from repro.metrics.fairness import fairness_timeseries, jain_index, throughput_timeseries
 from repro.scenarios import (
     build_scenario_network,
@@ -70,87 +72,91 @@ class FairnessExperimentResult:
         return None
 
 
+def _weights(spec: ExperimentSpec) -> tuple:
+    """The ``weights`` option as given, (1, 2, 4) when unset: one weight
+    per flow, flow ``i`` (by flow id) carrying ``weights[i]``."""
+    return spec.option("weights", (1.0, 2.0, 4.0))
+
+
 def run_weighted_fairness_experiment(
-    weights: tuple[float, ...] = (1.0, 2.0, 4.0),
-    scheme: str = "lstf",
-    horizon: float = 3.0,
-    seed: int = 1,
-) -> tuple[np.ndarray, np.ndarray, FairnessExperimentResult]:
-    """§3.3's weighted-fairness extension.
+    spec: ExperimentSpec,
+) -> dict[str, tuple[np.ndarray, np.ndarray, FairnessExperimentResult]]:
+    """§3.3's weighted-fairness extension, once per scheme of ``spec``.
 
     "We can also extend the slack assignment heuristic to achieve weighted
     fairness by using different values of r_est for different flows, in
     proportion to the desired weights."  Each flow ``i`` gets
     ``r_est_i = weight_i * r* / 10`` (via ``Flow.weight``
-    feeding :class:`~repro.core.heuristics.VirtualClockSlack`), or, for
-    ``scheme="fq"``, the corresponding weighted-FQ configuration.
+    feeding :class:`~repro.core.heuristics.VirtualClockSlack`) under
+    ``"lstf"``, or the corresponding weighted-FQ configuration under
+    ``"fq"``.  The schemes are ``spec.schedulers`` (both when empty); the
+    options are ``weights`` (see :func:`_weights`) and ``horizon`` (3 s).
 
-    Returns ``(achieved_rates, weights_normalised, result)`` where
-    ``achieved_rates`` are mean per-flow throughputs over the second half
-    of the horizon and ``result`` carries the Jain index of the
+    Returns, by scheme, ``(achieved_rates, weights_normalised, result)``
+    where ``achieved_rates`` are mean per-flow throughputs over the second
+    half of the horizon and ``result`` carries the Jain index of the
     *weight-normalised* rates (1.0 = perfect weighted fairness).
     """
-    num_flows = len(weights)
-    if num_flows < 2:
+    schemes = spec.schedulers or ("lstf", "fq")
+    weights = tuple(float(w) for w in _weights(spec))
+    horizon = float(spec.option("horizon", 3.0))
+    if len(weights) < 2:
         raise ConfigurationError(
             "need at least two flows for a weighted comparison")
-    if scheme not in ("lstf", "fq"):
-        raise ConfigurationError(
-            f"unknown weighted-fairness scheme {scheme!r}; choose from "
-            f"('lstf', 'fq')")
-    setting = get_scenario("long-lived-dumbbell").with_(hosts=num_flows)
+    require_choice(schemes, ("lstf", "fq"), "weighted-fairness scheme")
+    setting = get_scenario("long-lived-dumbbell").with_(hosts=len(weights))
     fair_share = scenario_bottleneck(setting) / sum(weights)
-
-    network = build_scenario_network(setting)
     flows = [replace(flow, weight=weights[flow.fid - 1])
-             for flow in scenario_flows(setting, seed=seed, duration=horizon)]
-    install_router_schedulers(network, scheme, seed)
-    policy = None
-    if scheme == "lstf":
-        policy = VirtualClockSlack(fair_share * 0.1)
-    else:
-        for router in network.routers:
-            for port in router.ports.values():
-                for flow in flows:
-                    port.scheduler.set_weight(flow.fid, flow.weight)
-
-    install_tcp_flows(network, flows, slack_policy=policy, min_rto=0.05)
-    network.run(until=horizon)
-
+             for flow in scenario_flows(setting, seed=spec.seed, duration=horizon)]
     # long_lived_flows sorts by start time; align the rate columns and the
     # weight vector by flow id so index i is flow i's entitlement.
     by_fid = sorted(flows, key=lambda f: f.fid)
-    with network:
-        times, rates = throughput_timeseries(
-            network.tracer, [f.fid for f in by_fid], INTERVAL, horizon
-        )
-    steady = rates[len(rates) // 2:]
-    achieved = steady.mean(axis=0)
     weight_vec = np.asarray([f.weight for f in by_fid], dtype=float)
-    normalised = achieved / weight_vec
-    fairness = np.array(
-        [jain_index(r / weight_vec) if r.any() else 0.0 for r in rates]
-    )
-    result = FairnessExperimentResult(f"weighted-{scheme}", times, fairness)
-    return achieved, normalised, result
+
+    results = {}
+    for scheme in dict.fromkeys(schemes):
+        with build_scenario_network(setting) as network:
+            install_router_schedulers(network, scheme, spec.seed)
+            policy = None
+            if scheme == "lstf":
+                policy = VirtualClockSlack(fair_share * 0.1)
+            else:
+                for router in network.routers:
+                    for port in router.ports.values():
+                        for flow in flows:
+                            port.scheduler.set_weight(flow.fid, flow.weight)
+            install_tcp_flows(network, flows, slack_policy=policy, min_rto=0.05)
+            network.run(until=horizon)
+            times, rates = throughput_timeseries(
+                network.tracer, [f.fid for f in by_fid], INTERVAL, horizon
+            )
+        achieved = rates[len(rates) // 2:].mean(axis=0)
+        fairness = np.array(
+            [jain_index(r / weight_vec) if r.any() else 0.0 for r in rates]
+        )
+        results[scheme] = (achieved, achieved / weight_vec,
+                           FairnessExperimentResult(f"weighted-{scheme}", times,
+                                                    fairness))
+    return results
 
 
-def run_fairness_experiment(
-    rest_fractions: tuple[float, ...] = (1.0, 0.5, 0.1, 0.05, 0.01),
-    baselines: tuple[str, ...] = ("fifo", "fq"),
-    num_flows: int = 10,
-    horizon: float = 3.0,
-    seed: int = 1,
-) -> dict[str, FairnessExperimentResult]:
-    """Run each discipline on the same long-lived-flow workload.
+def run_fairness_experiment(spec: ExperimentSpec) -> dict[str, FairnessExperimentResult]:
+    """Run each of ``spec``'s disciplines on the same long-lived-flow workload.
 
-    LSTF entries are keyed ``"lstf@<fraction>"`` where the fraction is
-    ``r_est / r*`` (``r*`` = the bottleneck over ``num_flows``).
+    The baselines are ``spec.schedulers`` (FIFO and FQ when empty), then
+    LSTF at each ``rest_fractions`` option entry (default 1, 0.5, 0.1,
+    0.05, 0.01), keyed ``"lstf@<fraction>"`` where the fraction is
+    ``r_est / r*`` (``r*`` = the bottleneck over the ``num_flows`` option,
+    default 10); the ``horizon`` option (default 3 s) is the run length.
     """
+    rest_fractions = tuple(float(f) for f in spec.option(
+        "rest_fractions", (1.0, 0.5, 0.1, 0.05, 0.01)))
+    num_flows = spec.option("num_flows", 10)
+    horizon = spec.option("horizon", 3.0)
     setting = get_scenario("long-lived-dumbbell").with_(hosts=num_flows)
     fair_share = scenario_bottleneck(setting) / num_flows
-    flows = scenario_flows(setting, seed=seed, duration=horizon)
-    schemes = [(b, b, None) for b in baselines] + [
+    flows = scenario_flows(setting, seed=spec.seed, duration=horizon)
+    schemes = [(b, b, None) for b in spec.schedulers or ("fifo", "fq")] + [
         (f"lstf@{frac:g}", "lstf", VirtualClockSlack(fair_share * frac))
         for frac in rest_fractions
     ]
@@ -158,7 +164,7 @@ def run_fairness_experiment(
     results: dict[str, FairnessExperimentResult] = {}
     for name, scheduler, slack_policy in schemes:
         with build_scenario_network(setting) as network:
-            install_router_schedulers(network, scheduler, seed)
+            install_router_schedulers(network, scheduler, spec.seed)
             install_tcp_flows(network, flows, slack_policy=slack_policy,
                               min_rto=0.05)
             network.run(until=horizon)
@@ -176,17 +182,7 @@ def run_fairness_experiment(
     params=("seeds", "schedulers"),
 )
 def _run_fig4(spec: ExperimentSpec) -> tuple[Table, dict]:
-    kwargs: dict = {"seed": spec.seed}
-    if spec.schedulers:
-        kwargs["baselines"] = tuple(spec.schedulers)
-    rest = spec.option("rest_fractions")
-    if rest is not None:
-        kwargs["rest_fractions"] = tuple(float(f) for f in rest)
-    for key in ("horizon", "num_flows"):
-        value = spec.option(key)
-        if value is not None:
-            kwargs[key] = value
-    results = run_fairness_experiment(**kwargs)
+    results = run_fairness_experiment(spec)
     table = Table(["scheme", "final Jain", "t(0.95) s"],
                   title="Figure 4 — convergence to fairness")
     for name, res in results.items():
@@ -201,20 +197,14 @@ def _run_fig4(spec: ExperimentSpec) -> tuple[Table, dict]:
     params=("seeds", "schedulers"),
 )
 def _run_weighted(spec: ExperimentSpec) -> tuple[Table, dict]:
-    schemes = spec.schedulers or ("lstf", "fq")
-    weights = spec.option("weights", (1.0, 2.0, 4.0))
+    results = run_weighted_fairness_experiment(spec)
+    weights = _weights(spec)
     weight_label = "/".join(f"{w:g}" for w in weights)
     table = Table(
         ["scheme", f"rates (Mbps, weights {weight_label})", "weighted Jain"],
         title="§3.3 extension — weighted fairness",
     )
-    horizon = spec.option("horizon")
-    extra = {} if horizon is None else {"horizon": float(horizon)}
-    for scheme in schemes:
-        achieved, _norm, res = run_weighted_fairness_experiment(
-            weights=tuple(float(w) for w in weights), scheme=scheme,
-            seed=spec.seed, **extra,
-        )
+    for scheme, (achieved, _norm, res) in results.items():
         rates = "/".join(f"{a / 1e6:.2f}" for a in achieved)
         table.add_row([scheme, rates, res.final_fairness])
-    return table, {"schemes": list(schemes), "weights": list(weights)}
+    return table, {"schemes": list(results), "weights": list(weights)}

@@ -11,8 +11,9 @@ the live simulator and reports whether each claim holds:
   inputs demand opposite decisions, so LSTF fails at least one case
   while the omniscient replay passes both.
 
-The gadgets take no workload parameters, so the spec's duration/seed
-knobs are ignored — the constructions are exact.
+The gadgets take no workload parameters — the constructions are exact —
+so the runner refuses a spec that moves a field other than ``seeds`` off
+its default.
 """
 
 from __future__ import annotations
@@ -21,10 +22,14 @@ from repro.analysis.tables import Table
 from repro.api.registry import register_experiment
 from repro.api.spec import ExperimentSpec
 
-__all__ = ["run_gadget_experiment"]
+__all__: list[str] = []
 
 
-def run_gadget_experiment() -> Table:
+@register_experiment(
+    "gadgets",
+    help="Appendix counter-examples: Figures 5/6/7 as executable theorems",
+)
+def _run_gadgets(_spec: ExperimentSpec) -> tuple[Table, dict]:
     """Evaluate every appendix construction; one table row per claim."""
     from repro.theory.blackbox import blackbox_gadget
     from repro.theory.lstf_failure import lstf_three_congestion_gadget
@@ -48,13 +53,4 @@ def run_gadget_experiment() -> Table:
     omni_both = all(blackbox_gadget(c).replay("omniscient").perfect for c in (1, 2))
     table.add_row(["Figure 5", "LSTF fails at least one case", not lstf_both])
     table.add_row(["Figure 5", "omniscient passes both cases", omni_both])
-    return table
-
-
-@register_experiment(
-    "gadgets",
-    help="Appendix counter-examples: Figures 5/6/7 as executable theorems",
-)
-def _run_gadgets(_spec: ExperimentSpec) -> tuple[Table, dict]:
-    table = run_gadget_experiment()
     return table, {"claims": len(table.rows)}

@@ -19,7 +19,8 @@ so results are scale-free:
 
 Both rounding directions are supported: ``"down"`` (targets can only get
 *tighter*, so failures mean packets the original schedule could still
-have satisfied) and ``"nearest"`` (unbiased noise).
+have satisfied) and ``"nearest"`` (unbiased noise).  The ``info`` driver
+renders what :func:`run_information_experiment` computes from its spec.
 """
 
 from __future__ import annotations
@@ -59,31 +60,44 @@ class QuantisationPoint:
 _ROUNDINGS = {"down": np.floor, "nearest": np.rint}
 
 
-def run_information_experiment(
-    steps_in_t: tuple[float, ...] = (0.0, 0.5, 1.0, 4.0, 16.0, 64.0),
-    rounding: str = "down",
-    scenario: ReplayScenario | None = None,
-) -> list[QuantisationPoint]:
+def _rounding(spec: ExperimentSpec) -> str:
+    """The ``rounding`` option: ``"down"`` when unset."""
+    return str(spec.option("rounding", "down"))
+
+
+def _info_scenario(spec: ExperimentSpec) -> ReplayScenario:
+    """The single recording an info spec sweeps over."""
+    return spec_recording(
+        spec, spec.schedulers[0] if spec.schedulers else "random")
+
+
+def run_information_experiment(spec: ExperimentSpec) -> list[QuantisationPoint]:
     """Sweep quantisation steps and measure LSTF replay degradation.
 
-    Returns one :class:`QuantisationPoint` per step (in units of the
-    schedule's bottleneck transmission time ``T``).
+    Replays the recording ``spec`` names (its setting under its first
+    scheduler, ``"random"`` when it has none) once per ``steps_in_t``
+    option entry (default 0, 0.5, 1, 4, 16, 64), rounding per the
+    ``rounding`` option; returns one :class:`QuantisationPoint` per step
+    (in units of the schedule's bottleneck transmission time ``T``).
     """
-    if scenario is None:
-        scenario = ReplayScenario(name="information", duration=0.15, seed=1)
+    steps_in_t = tuple(float(s) for s in spec.option(
+        "steps_in_t", (0.0, 0.5, 1.0, 4.0, 16.0, 64.0)))
+    rounding = _rounding(spec)
+    for step_t in steps_in_t:
+        if not 0 <= step_t < math.inf:  # NaN compares false; inf * 0 is NaN
+            raise ConfigurationError(
+                f"quantisation step must be finite and >= 0, got {step_t!r}")
+    if rounding not in _ROUNDINGS and any(steps_in_t):  # step 0 never rounds
+        raise ConfigurationError(
+            f"rounding must be 'down' or 'nearest', got {rounding!r}")
+    scenario = _info_scenario(spec)
     schedule = get_recorded_schedule(scenario)
     threshold = schedule.threshold
 
     points: list[QuantisationPoint] = []
     for step_t in steps_in_t:
-        if not 0 <= step_t < math.inf:  # NaN compares false; inf * 0 is NaN
-            raise ConfigurationError(
-                f"quantisation step must be finite and >= 0, got {step_t!r}")
         targets = None
         if step_t != 0:
-            if rounding not in _ROUNDINGS:
-                raise ConfigurationError(
-                    f"rounding must be 'down' or 'nearest', got {rounding!r}")
             step = step_t * threshold
             targets = _ROUNDINGS[rounding](schedule.output / step) * step
         result = replay_schedule(schedule, scenario.network, mode="lstf",
@@ -97,12 +111,6 @@ def run_information_experiment(
             )
         )
     return points
-
-
-def _info_scenario(spec: ExperimentSpec) -> ReplayScenario:
-    """The single recording an info spec sweeps over."""
-    return spec_recording(
-        spec, spec.schedulers[0] if spec.schedulers else "random")
 
 
 def _info_prerequisites(spec: ExperimentSpec) -> dict:
@@ -119,17 +127,11 @@ def _info_prerequisites(spec: ExperimentSpec) -> dict:
     prerequisites=_info_prerequisites,
 )
 def _run_info(spec: ExperimentSpec) -> tuple[Table, dict]:
-    scenario = _info_scenario(spec)
-    rounding = spec.option("rounding", "down")
-    steps = spec.option("steps_in_t")
-    kwargs: dict = {"scenario": scenario, "rounding": str(rounding)}
-    if steps is not None:
-        kwargs["steps_in_t"] = tuple(float(s) for s in steps)
     table = Table(
         ["quantisation (T)", "overdue", "overdue > T", "max lateness (s)"],
         title="§5 extension — replay vs information precision",
     )
-    for point in run_information_experiment(**kwargs):
+    for point in run_information_experiment(spec):
         table.add_row([point.step_in_t, point.fraction_overdue,
                        point.fraction_overdue_beyond_t, point.max_lateness])
-    return table, {"rounding": str(rounding)}
+    return table, {"rounding": _rounding(spec)}

@@ -50,7 +50,7 @@ from repro.core.replay import (
 )
 from repro.core.store import CLEAN, content_key
 from repro.core.trace_io import ScheduleStore
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, require_choice
 from repro.scenarios import (
     PAPER_TOPOLOGIES,
     Scenario,
@@ -103,14 +103,8 @@ def check_original_setting(topology: str, scheduler: str) -> None:
     """Refuse a setting the paper's replay experiments do not define: a
     topology outside its five (a gadget, the long-lived dumbbell) or an
     original scheduler outside :data:`ORIGINALS`."""
-    if topology not in PAPER_TOPOLOGIES:
-        raise ConfigurationError(
-            f"unknown topology {topology!r}; choose from {PAPER_TOPOLOGIES}"
-        )
-    if scheduler not in ORIGINALS:
-        raise ConfigurationError(
-            f"unknown original scheduler {scheduler!r}; choose from {ORIGINALS}"
-        )
+    require_choice((topology,), PAPER_TOPOLOGIES, "topology")
+    require_choice((scheduler,), ORIGINALS, "original scheduler")
 
 
 @dataclass(frozen=True, slots=True)
@@ -267,27 +261,6 @@ def run_replay(
     return ReplayOutcome(scenario=scenario, mode=mode, schedule=schedule, result=result)
 
 
-def table1_scenarios(
-    duration: float = 0.25, seed: int = 1, bandwidth_scale: float = 0.01,
-    rows: Iterable[int] | None = None,
-) -> list[ReplayScenario]:
-    """Table 1's rows in the paper's order: all fourteen, or the ``rows``
-    (0-based indices) in the order given."""
-    indices = range(len(TABLE1_ROWS)) if rows is None else rows
-    return [
-        ReplayScenario(
-            name=label,
-            scenario=get_scenario(setting).with_(utilization=utilization),
-            scheduler=scheduler,
-            duration=duration,
-            seed=seed,
-            bandwidth_scale=bandwidth_scale,
-        )
-        for label, setting, utilization, scheduler in map(
-            TABLE1_ROWS.__getitem__, indices)
-    ]
-
-
 def validate_row_indices(rows: object, count: int,
                          table: str = "Table 1") -> tuple[int, ...]:
     """Check a ``rows`` option (one 0-based index or a tuple of them)
@@ -322,14 +295,25 @@ def spec_recording(spec: ExperimentSpec, scheduler: str) -> ReplayScenario:
     )
 
 
-def _table1_row_scenarios(spec: ExperimentSpec) -> list[ReplayScenario]:
-    """The scenarios a table1 spec runs (only the rows it asks for)."""
+def table1_scenarios(spec: ExperimentSpec) -> list[ReplayScenario]:
+    """The Table 1 rows a table1 spec runs, in the paper's order: all
+    fourteen, or the ``rows`` option's (0-based indices) in the order
+    given — each recorded over the spec's duration, seed and scale."""
     rows = spec.option("rows")
-    return table1_scenarios(
-        duration=spec.duration, seed=spec.seed,
-        bandwidth_scale=spec.bandwidth_scale,
-        rows=None if rows is None else validate_row_indices(rows, len(TABLE1_ROWS)),
-    )
+    indices = (range(len(TABLE1_ROWS)) if rows is None
+               else validate_row_indices(rows, len(TABLE1_ROWS)))
+    return [
+        ReplayScenario(
+            name=label,
+            scenario=get_scenario(setting).with_(utilization=utilization),
+            scheduler=scheduler,
+            duration=spec.duration,
+            seed=spec.seed,
+            bandwidth_scale=spec.bandwidth_scale,
+        )
+        for label, setting, utilization, scheduler in map(
+            TABLE1_ROWS.__getitem__, indices)
+    ]
 
 
 def schedule_prerequisites(scenarios: Iterable[ReplayScenario]) -> dict:
@@ -340,7 +324,7 @@ def schedule_prerequisites(scenarios: Iterable[ReplayScenario]) -> dict:
 
 def _table1_prerequisites(spec: ExperimentSpec) -> dict:
     """Registry hook: the recordings a table1 spec needs."""
-    return schedule_prerequisites(_table1_row_scenarios(spec))
+    return schedule_prerequisites(table1_scenarios(spec))
 
 
 @register_experiment(
@@ -352,7 +336,7 @@ def _table1_prerequisites(spec: ExperimentSpec) -> dict:
 )
 def _run_table1(spec: ExperimentSpec) -> tuple[Table, dict]:
     mode = spec.replay_mode
-    scenarios = _table1_row_scenarios(spec)
+    scenarios = table1_scenarios(spec)
     table = Table(
         ["scenario", "packets", "overdue", "overdue > T"],
         title=f"Table 1 — {mode} replayability",

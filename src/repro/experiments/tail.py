@@ -4,7 +4,8 @@ UDP flows (so the offered load is identical under both disciplines, the
 paper's point about a fair in-network comparison), Internet2 at 70%
 utilisation.  Expected shape: nearly identical means, with LSTF/FIFO+
 trimming the high percentiles because packets that already waited upstream
-get priority downstream.
+get priority downstream.  The ``fig3`` driver renders what
+:func:`run_tail_experiment` computes from its spec.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ import numpy as np
 from repro.analysis.tables import Table
 from repro.api.registry import register_experiment
 from repro.api.spec import ExperimentSpec
-from repro.core.heuristics import ConstantSlack, SlackPolicy, parse_slack_policy
-from repro.errors import ConfigurationError
+from repro.core.heuristics import ConstantSlack, parse_slack_policy
+from repro.errors import require_choice
 from repro.metrics.delay import packet_delays, percentile
 from repro.scenarios import (
     build_scenario_network,
@@ -58,38 +59,32 @@ class TailExperimentResult:
         return float(self.delays.max())
 
 
-def run_tail_experiment(
-    schemes: tuple[str, ...] = ("fifo", "lstf-constant"),
-    utilization: float = 0.7,
-    duration: float = 0.3,
-    seed: int = 1,
-    bandwidth_scale: float = 0.01,
-    lstf_slack: SlackPolicy | None = None,
-) -> dict[str, TailExperimentResult]:
-    """Identical UDP workload under each scheme; returns results by name.
+def run_tail_experiment(spec: ExperimentSpec) -> dict[str, TailExperimentResult]:
+    """Identical UDP workload under each of ``spec``'s schemes; results by name.
 
-    ``"lstf-constant"`` is LSTF with the §3.2 slack initialisation (all
-    packets get the same large slack), which the paper notes is identical
-    to FIFO+; ``"fifo+"`` runs the direct FIFO+ implementation so the
-    equivalence can be checked as an ablation.  ``lstf_slack`` replaces
-    the default :class:`ConstantSlack` for the ``"lstf-constant"`` scheme
-    (e.g. a flow-size policy, to see size-awareness reshape the tail).
+    The schemes are ``spec.schedulers`` (all of :data:`TAIL_SCHEMES` when
+    empty).  ``"lstf-constant"`` is LSTF with the §3.2 slack
+    initialisation (all packets get the same large slack), which the
+    paper notes is identical to FIFO+; ``"fifo+"`` runs the direct FIFO+
+    implementation so the equivalence can be checked as an ablation.
+    ``spec.slack_policy`` replaces the default :class:`ConstantSlack` for
+    the ``"lstf-constant"`` scheme (e.g. a flow-size policy, to see
+    size-awareness reshape the tail).
     """
-    setting = get_scenario("i2-1g-10g").with_(utilization=utilization)
-    flows = scenario_flows(setting, seed=seed, duration=duration,
-                           bandwidth_scale=bandwidth_scale)
+    schemes = spec.schedulers or TAIL_SCHEMES
+    require_choice(schemes, TAIL_SCHEMES, "tail scheme")
+    setting = get_scenario("i2-1g-10g").with_(utilization=spec.utilization)
+    flows = scenario_flows(setting, seed=spec.seed, duration=spec.duration,
+                           bandwidth_scale=spec.bandwidth_scale)
 
     results: dict[str, TailExperimentResult] = {}
-    for scheme in schemes:
-        if scheme not in TAIL_SCHEMES:
-            raise ConfigurationError(
-                f"unknown tail scheme {scheme!r}; choose from {TAIL_SCHEMES}"
-            )
+    for scheme in dict.fromkeys(schemes):
         slack_policy = None
         if scheme == "lstf-constant":
-            slack_policy = ConstantSlack(1.0) if lstf_slack is None else lstf_slack
-        with build_scenario_network(setting, bandwidth_scale) as network:
-            install_router_schedulers(network, _SCHEDULERS[scheme], seed)
+            slack_policy = (parse_slack_policy(spec.slack_policy)
+                            if spec.slack_policy else ConstantSlack(1.0))
+        with build_scenario_network(setting, spec.bandwidth_scale) as network:
+            install_router_schedulers(network, _SCHEDULERS[scheme], spec.seed)
             install_udp_flows(network, flows, slack_policy=slack_policy)
             network.run()
             delays = packet_delays(network.tracer)
@@ -104,19 +99,9 @@ def run_tail_experiment(
             "utilization", "slack_policy"),
 )
 def _run_fig3(spec: ExperimentSpec) -> tuple[Table, dict]:
-    schemes = spec.schedulers or TAIL_SCHEMES
-    results = run_tail_experiment(
-        schemes=tuple(schemes),
-        utilization=spec.utilization,
-        duration=spec.duration,
-        seed=spec.seed,
-        bandwidth_scale=spec.bandwidth_scale,
-        lstf_slack=(
-            parse_slack_policy(spec.slack_policy) if spec.slack_policy else None
-        ),
-    )
+    results = run_tail_experiment(spec)
     table = Table(["scheme", "mean (s)", "p99 (s)", "p99.9 (s)"],
                   title="Figure 3 — tail packet delays")
     for name, res in results.items():
         table.add_row([name, res.mean, res.p99, res.p999])
-    return table, {"schemes": list(schemes), "slack_policy": spec.slack_policy}
+    return table, {"schemes": list(results), "slack_policy": spec.slack_policy}

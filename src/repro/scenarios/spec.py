@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, require_choice
 
 __all__ = [
     "GADGET_PATTERNS",
@@ -125,16 +125,8 @@ class Scenario:
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigurationError("scenario needs a non-empty name")
-        if self.pattern not in PATTERNS:
-            raise ConfigurationError(
-                f"unknown traffic pattern {self.pattern!r}; "
-                f"choose from {PATTERNS}"
-            )
-        if self.topology not in SCENARIO_TOPOLOGIES:
-            raise ConfigurationError(
-                f"unknown scenario topology {self.topology!r}; "
-                f"choose from {SCENARIO_TOPOLOGIES}"
-            )
+        require_choice((self.pattern,), PATTERNS, "traffic pattern")
+        require_choice((self.topology,), SCENARIO_TOPOLOGIES, "scenario topology")
         if self.topology in PAPER_TOPOLOGIES and self.pattern != "poisson":
             raise ConfigurationError(
                 f"topology {self.topology!r} carries only poisson traffic, "

@@ -33,7 +33,7 @@ from __future__ import annotations
 import random
 
 from repro.core.store import CLEAN
-from repro.errors import ConfigurationError, require_positive_finite
+from repro.errors import require_choice, require_positive_finite
 from repro.scenarios.spec import PAPER_TOPOLOGIES, Scenario
 from repro.schedulers import (
     FifoPlusScheduler,
@@ -165,12 +165,7 @@ def install_router_schedulers(network: Network, scheduler: str,
     ``fq+fifo+``; ``random`` ports share one ``random.Random(seed)``, so
     the run stays deterministic.
     """
-    known = scheduler_names()
-    if scheduler != _SPLIT_ORIGINAL and scheduler not in known:
-        raise ConfigurationError(
-            f"unknown scheduler {scheduler!r}; choose from "
-            f"{known + [_SPLIT_ORIGINAL]}"
-        )
+    require_choice((scheduler,), scheduler_names() + [_SPLIT_ORIGINAL], "scheduler")
     rng = random.Random(seed)
     routers = frozenset(router.name for router in network.routers)
 

@@ -159,15 +159,14 @@ class Engine:
         engine.run(until=10.0)
     """
 
-    __slots__ = ("now", "_heap", "_seq", "_events_processed", "_stopped",
-                 "_deferred", "_flight")
+    __slots__ = ("now", "_heap", "_seq", "_events_processed", "_deferred",
+                 "_flight")
 
     def __init__(self) -> None:
         self.now: float = 0.0
         self._heap: list[tuple] = []
         self._seq: int = 0
         self._events_processed: int = 0
-        self._stopped: bool = False
         self._deferred: deque[Callable[[], None]] = deque()
         self._flight = None  # optional FlightRecorder (see repro.obs.flight)
 
@@ -283,7 +282,6 @@ class Engine:
         stay queued.  Deferred callbacks queued at exactly ``until`` always
         flush before the clock is pinned (see :meth:`_drain`).
         """
-        self._stopped = False
         self._drain(until, inf)
         if until is not None and self.now < until:
             self.now = until
@@ -302,9 +300,6 @@ class Engine:
         * the loop only breaks with an **empty deferred queue** (neither
           budget nor horizon is consulted while same-instant decisions
           are pending), so a snapshot never serialises decision closures.
-
-        Unlike :meth:`run` the stop flag is *not* reset on entry — a
-        phase spans many slices and its owner resets the flag once.
         """
         self._drain(until, inf if max_events is None else max_events)
 
@@ -339,8 +334,6 @@ class Engine:
                         # lies beyond `until`, so same-instant decisions
                         # are never lost at the horizon.
                         deferred.popleft()()
-                        if self._stopped:
-                            break
                         continue
                 elif not heap or heap[0][0] > limit or processed >= budget:
                     break
@@ -358,16 +351,12 @@ class Engine:
                     self.now = time
                     callback()
                     self.now = now
-                    if self._stopped:
-                        break
                     continue
                 self.now = now = time
                 processed += 1
                 if flight is not None:
                     flight.note(time, callback)
                 callback(*args)
-                if self._stopped:
-                    break
         finally:
             self._events_processed += processed
             ENGINE_PERF.record(processed, perf_counter() - start)  # repro: allow(DET-WALLCLOCK) ENGINE_PERF accounting, never feeds simulation state
@@ -380,10 +369,6 @@ class Engine:
                 callback.cancel()
         self._heap.clear()
         self._deferred.clear()
-
-    def stop(self) -> None:
-        """Stop :meth:`run` after the currently executing event returns."""
-        self._stopped = True
 
     # --- checkpoint / restore ---------------------------------------------
 
@@ -422,7 +407,6 @@ class Engine:
             "heap": heap,
             "seq": self._seq,
             "events_processed": self._events_processed,
-            "stopped": self._stopped,
             "deferred": list(self._deferred),
         }
 
@@ -433,7 +417,8 @@ class Engine:
         module's live sentinel, so the run loop's identity test keeps
         working on restored entries.  The entry order is preserved
         as-is: the (time, born, seq) sort keys were untouched, so the list is
-        still a valid heap.
+        still a valid heap.  A ``"stopped"`` entry, which engines with a
+        stop flag wrote, is ignored.
         """
         self.now = state["now"]
         self._heap = [
@@ -443,7 +428,6 @@ class Engine:
         ]
         self._seq = state["seq"]
         self._events_processed = state["events_processed"]
-        self._stopped = state["stopped"]
         self._deferred = deque(state["deferred"])
         # Unpickled engines skip __init__, so the slot may not exist yet;
         # a restored engine never inherits the checkpoint's observer.

@@ -329,7 +329,6 @@ class ResumeSession:
         }
         try:
             index = self._try_resume(network, prefix)
-            engine._stopped = False
             while True:
                 if network.obs is not None:
                     network.obs.ensure_sampling(network)
@@ -348,8 +347,6 @@ class ResumeSession:
 
     @staticmethod
     def _phase_finished(engine: Engine, until: float | None) -> bool:
-        if engine._stopped:
-            return True
         if engine.pending_deferred:
             return False
         heap = engine._heap

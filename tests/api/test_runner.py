@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.api import ExperimentSpec, RunArtifact, load_artifact, run, run_many
+from repro.api import registry
 from repro.errors import ConfigurationError
 
 TINY_TABLE1 = ExperimentSpec("table1", duration=0.04, options={"rows": (0,)})
@@ -61,6 +63,30 @@ def test_run_rejects_options_the_driver_does_not_read():
         run(ExperimentSpec("fig1", duration=0.04, options={"rows": (0,)}))
     with pytest.raises(ConfigurationError, match="accepted: rows"):
         run(ExperimentSpec("table1", duration=0.04, options={"warp": 9}))
+
+
+def test_run_rejects_spec_fields_the_driver_does_not_read(tmp_path, monkeypatch):
+    """A field outside the driver's ``params`` that differs from its
+    default fails before the driver runs and before anything is saved:
+    the gadgets ran the default construction under a ``duration: 9.0``
+    spec and a run-id of its own."""
+    entry = registry.get("gadgets")
+    calls = []
+    monkeypatch.setitem(registry._EXPERIMENTS, "gadgets", dataclasses.replace(
+        entry, fn=lambda spec: calls.append(spec) or entry.fn(spec)))
+    for field in ({"duration": 9.0}, {"topology": "fattree"},
+                  {"schedulers": ("fifo",)}, {"replay_modes": ("edf",)}):
+        with pytest.raises(ConfigurationError,
+                           match=f"does not read spec field.*{next(iter(field))!r}"):
+            run(ExperimentSpec("gadgets", **field), out_dir=tmp_path)
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
+    # a field left at its default, or one the driver declares, still runs
+    run(ExperimentSpec("gadgets", duration=0.2, seeds=(2,)))
+    assert len(calls) == 1
+    with pytest.raises(ConfigurationError, match="'slack_policy'"):
+        run(ExperimentSpec("table1", duration=0.04, slack_policy="constant",
+                           options={"rows": (0,)}))
 
 
 def test_run_many_rejects_bad_worker_count():

@@ -102,6 +102,19 @@ def test_an_unknown_weighted_scheme_fails_terminally_at_once(tmp_path):
     assert "unknown weighted-fairness scheme 'nope'" in job.error
 
 
+def test_a_spec_field_the_driver_does_not_read_fails_terminally_at_once(tmp_path):
+    """The queue takes a gadgets spec with a duration (only the CLI
+    refuses the flag); its worker refuses it with a ConfigurationError at
+    attempt 1 instead of saving the default construction under it."""
+    queue = JobQueue(tmp_path, max_attempts=3)
+    (job_id,) = queue.submit([ExperimentSpec("gadgets", duration=9.0)])
+    assert Worker(queue).drain() == 1
+    job = queue.job(job_id)
+    assert job.state == FAILED
+    assert job.attempts == 1
+    assert "does not read spec field(s) 'duration'" in job.error
+
+
 def test_run_batch_claims_up_to_batch_size_and_reports_once(tmp_path, monkeypatch):
     """One claim transaction and one report transaction cover the batch."""
     sweep = ExperimentSpec(

@@ -68,7 +68,8 @@ class TestReplayability:
         assert preempt.fraction_overdue < 0.5 * plain.fraction_overdue
 
     @pytest.mark.parametrize(
-        "scenario", table1_scenarios(duration=0.05), ids=lambda s: s.name)
+        "scenario", table1_scenarios(ExperimentSpec("table1", duration=0.05)),
+        ids=lambda s: s.name)
     def test_table1_row_is_mostly_on_time(self, scenario):
         """§2.3's summary of Table 1: "in almost all cases, less than 1%
         of the packets are overdue with LSTF by more than T" — with slack
@@ -88,7 +89,7 @@ class TestReplayability:
         assert np.quantile(ratios, 0.5) <= 1.1
 
     def test_table1_has_every_paper_row(self):
-        rows = table1_scenarios()
+        rows = table1_scenarios(ExperimentSpec("table1"))
         assert len(rows) == 14
         topologies = {r.scenario.topology for r in rows}
         assert topologies == {
@@ -131,14 +132,14 @@ class TestReplayability:
             ReplayScenario(name="t", scenario=get_scenario(topology))
 
     def test_default_request_is_table1_row_0(self):
-        row0 = table1_scenarios()[0]
+        row0 = table1_scenarios(ExperimentSpec("table1", duration=0.25))[0]
         assert ReplayScenario(name=row0.name) == row0
         assert row0.scenario == get_scenario("i2-1g-10g")
 
 
 class TestFct:
     def test_size_aware_schemes_beat_fifo(self):
-        results = run_fct_experiment(duration=0.12)
+        results = run_fct_experiment(ExperimentSpec("fig2", duration=0.12))
         fifo = results["fifo"].mean_fct
         assert results["sjf"].mean_fct < fifo
         assert results["srpt"].mean_fct < fifo
@@ -146,14 +147,15 @@ class TestFct:
 
     def test_lstf_tracks_best_size_aware_scheme(self):
         """Figure 2's headline: LSTF ~ SJF/SRPT, far from FIFO."""
-        results = run_fct_experiment(duration=0.12)
+        results = run_fct_experiment(ExperimentSpec("fig2", duration=0.12))
         best = min(results["sjf"].mean_fct, results["srpt"].mean_fct)
         fifo = results["fifo"].mean_fct
         lstf = results["lstf"].mean_fct
         assert lstf - best < 0.5 * (fifo - best)
 
     def test_buckets_present(self):
-        results = run_fct_experiment(schemes=("fifo",), duration=0.12)
+        results = run_fct_experiment(
+            ExperimentSpec("fig2", schedulers=("fifo",), duration=0.12))
         assert results["fifo"].buckets
         assert sum(b.count for b in results["fifo"].buckets) == len(
             results["fifo"].stats.fct
@@ -161,59 +163,58 @@ class TestFct:
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ConfigurationError):
-            run_fct_experiment(schemes=("wfq",), duration=0.05)
+            run_fct_experiment(
+                ExperimentSpec("fig2", schedulers=("wfq",), duration=0.05))
 
 
 class TestTail:
     def test_lstf_constant_slack_trims_the_tail(self):
         """Figure 3: means comparable, p99 lower for LSTF/FIFO+."""
-        results = run_tail_experiment(duration=0.15)
+        results = run_tail_experiment(ExperimentSpec(
+            "fig3", schedulers=("fifo", "lstf-constant"), duration=0.15))
         fifo, lstf = results["fifo"], results["lstf-constant"]
         assert lstf.p99 < fifo.p99
         assert abs(lstf.mean - fifo.mean) < 0.25 * fifo.mean
 
     def test_lstf_constant_matches_fifo_plus(self):
         """§3.2: constant-slack LSTF is FIFO+ (up to size tie-breaks)."""
-        results = run_tail_experiment(
-            schemes=("lstf-constant", "fifo+"), duration=0.1
-        )
+        results = run_tail_experiment(ExperimentSpec(
+            "fig3", schedulers=("lstf-constant", "fifo+"), duration=0.1))
         a, b = results["lstf-constant"], results["fifo+"]
         assert a.p99 == pytest.approx(b.p99, rel=0.15)
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ConfigurationError):
-            run_tail_experiment(schemes=("red",), duration=0.05)
+            run_tail_experiment(
+                ExperimentSpec("fig3", schedulers=("red",), duration=0.05))
 
 
 class TestFairness:
     def test_lstf_converges_for_every_rate_estimate(self):
         """Figure 4: asymptotic fairness for any r_est <= r*."""
-        results = run_fairness_experiment(
-            rest_fractions=(1.0, 0.01), horizon=1.5, num_flows=6
-        )
+        results = run_fairness_experiment(ExperimentSpec("fig4", options={
+            "rest_fractions": (1.0, 0.01), "horizon": 1.5, "num_flows": 6}))
         for frac in (1.0, 0.01):
             assert results[f"lstf@{frac:g}"].final_fairness > 0.9
 
     def test_fifo_stays_unfair_while_fq_converges(self):
-        results = run_fairness_experiment(
-            rest_fractions=(), baselines=("fifo", "fq"), horizon=1.5, num_flows=6
-        )
+        results = run_fairness_experiment(ExperimentSpec(
+            "fig4", schedulers=("fifo", "fq"),
+            options={"rest_fractions": (), "horizon": 1.5, "num_flows": 6}))
         assert results["fq"].final_fairness > 0.9
         assert results["fifo"].final_fairness < results["fq"].final_fairness
 
     def test_conclusion_does_not_depend_on_the_fair_baseline(self):
         """Figure 4 against DRR instead of FQ: same convergence."""
-        results = run_fairness_experiment(
-            rest_fractions=(0.1,), baselines=("fq", "drr"), horizon=1.5,
-            num_flows=6,
-        )
+        results = run_fairness_experiment(ExperimentSpec(
+            "fig4", schedulers=("fq", "drr"),
+            options={"rest_fractions": (0.1,), "horizon": 1.5, "num_flows": 6}))
         for name in ("fq", "drr", "lstf@0.1"):
             assert results[name].final_fairness > 0.9, name
 
     def test_closer_estimate_converges_no_later(self):
-        results = run_fairness_experiment(
-            rest_fractions=(1.0, 0.01), baselines=(), horizon=1.5, num_flows=6
-        )
+        results = run_fairness_experiment(ExperimentSpec("fig4", options={
+            "rest_fractions": (1.0, 0.01), "horizon": 1.5, "num_flows": 6}))
         t_good = results["lstf@1"].time_to_reach(0.9)
         t_rough = results["lstf@0.01"].time_to_reach(0.9)
         assert t_good is not None and t_rough is not None

@@ -90,8 +90,8 @@ class TestExactlyOnce:
         run_many(_legs(), **kwargs)
         assert ScheduleStore(store_root).built_keys() == [
             scenario_schedule_key(replayability.table1_scenarios(
-                duration=0.03, seed=1, bandwidth_scale=0.01
-            )[0])
+                ExperimentSpec("table1", duration=0.03, seeds=(1,),
+                               bandwidth_scale=0.01))[0])
         ]
 
     def test_warm_schedule_store_records_nothing(
@@ -143,7 +143,8 @@ class TestByteIdentity:
     def test_recordings_are_pid_stream_independent(self):
         """A recording is byte-identical no matter what ran before it in
         the process — the property the shared store depends on."""
-        scenario = replayability.table1_scenarios(duration=0.03)[0]
+        scenario = replayability.table1_scenarios(
+            ExperimentSpec("table1", duration=0.03))[0]
         first = build_recorded_schedule(scenario)
         # pollute the packet-id counter with an unrelated simulation
         run(ExperimentSpec("table1", duration=0.02, options={"rows": (0,)}))

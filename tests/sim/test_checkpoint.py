@@ -128,6 +128,16 @@ class TestEngineCheckpointRestore:
         fresh.run()
         assert fresh.events_processed == 3  # the clone's handle still fired
 
+    def test_a_payload_with_a_stop_flag_still_restores(self):
+        """Version-7 payloads written by engines that had ``stop()`` carry
+        a ``"stopped"`` entry; restoring one ignores it."""
+        engine, log, _handle = _fire_log_engine()
+        state = {**engine.checkpoint(), "stopped": False}
+        fresh = Engine()
+        fresh.restore(state)
+        fresh.run()
+        assert log == ["d", "a", "b", "c"]
+
     def test_restore_resumes_mid_run(self):
         engine, log, _handle = _fire_log_engine()
         engine.run(until=0.003)

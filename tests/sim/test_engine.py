@@ -142,17 +142,6 @@ def test_events_scheduled_during_run_are_processed():
     assert fired == [1.0, 2.0, 3.0]
 
 
-def test_stop_halts_processing():
-    engine = Engine()
-    fired = []
-    engine.schedule(1.0, lambda: (fired.append("a"), engine.stop()))
-    engine.schedule(2.0, fired.append, "b")
-    engine.run()
-    assert fired == ["a"]
-    engine.run()
-    assert fired == ["a", "b"]
-
-
 def test_pending_and_processed_counters():
     engine = Engine()
     engine.schedule(1.0, lambda: None)

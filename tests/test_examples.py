@@ -1,8 +1,9 @@
 """Smoke tests: the example scripts run and print their expected shapes.
 
-Only the fastest examples run in-process here (the full set is exercised
-manually / by CI at longer horizons); this guards against the examples
-drifting out of sync with the library API.  Every example, run or not,
+Only the fastest examples run in-process here; the others are imported
+only, and CI's "Examples" step runs them end to end outside tier-1's time
+budget.  This guards against the examples drifting out of sync with the
+library API.  Every example, run or not,
 has each name it imports from ``repro`` resolved against the library.
 """
 

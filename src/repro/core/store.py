@@ -16,7 +16,8 @@ stated once for :class:`~repro.core.trace_io.ScheduleStore`,
   as a miss; :meth:`ContentStore.get_or_build` rebuilds and the atomic
   put heals it.  A read the filesystem refuses (``EIO``, ``EACCES``) is
   not a miss: it raises :class:`~repro.errors.StoreError`, since a
-  rebuild would only fail again at the put.
+  rebuild would only fail again at the put; a refused write raises it
+  too, and leaves no temp file and no partial entry.
 * **Audit log** — an append-only ``<op> <key> pid=<pid>`` line per store
   mutation: ``put`` (a value actually built), ``prune``/``roll`` (an
   entry retired), ``resume`` (a mid-run snapshot adopted).  Counting
@@ -61,20 +62,29 @@ def atomic_write(path: Path, data: bytes) -> Path:
     0o666 (kernel-masked by umask, no global state touched) keeps a
     shared store readable by other workers' users.  The temp name is
     dot-prefixed, which is how :meth:`ContentStore.keys` tells in-flight
-    writes from entries.
+    writes from entries.  A write the filesystem refuses (``ENOSPC``,
+    ``EROFS``, ``EIO``, a short write that cannot finish) raises
+    :class:`~repro.errors.StoreError` and leaves neither the temp file
+    nor a partial entry behind.
     """
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp_name = str(
         path.parent / f".{path.name}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp"
     )
-    fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+        finally:
+            os.close(fd)
         os.replace(tmp_name, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(OSError):
             os.unlink(tmp_name)
+        if isinstance(exc, OSError):
+            raise StoreError(f"cannot write store entry {path}: {exc}") from exc
         raise
     return path
 

@@ -59,11 +59,11 @@ class CheckpointError(ReproError):
 
 
 class StoreError(ReproError):
-    """A content-store entry exists but the filesystem refuses to read it.
+    """The filesystem refuses to read a content-store entry, or to write one.
 
-    Examples: ``EIO`` from a failing disk, or ``EACCES`` on an entry
-    another user wrote.  A missing or corrupt entry is not this error —
-    it is a miss the store rebuilds and heals.
+    Examples: ``EIO`` from a failing disk, ``EACCES`` on an entry another
+    user wrote, ``ENOSPC`` or ``EROFS`` at a put.  A missing or corrupt
+    entry is not this error — it is a miss the store rebuilds and heals.
     """
 
 

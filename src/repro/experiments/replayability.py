@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, Iterator
 
 from repro.analysis.tables import Table
@@ -121,9 +121,6 @@ class ReplayScenario:
 
     def __post_init__(self) -> None:
         check_original_setting(self.scenario.topology, self.scheduler)
-
-    def with_(self, **kwargs) -> "ReplayScenario":
-        return replace(self, **kwargs)
 
     def network(self) -> Network:
         """A fresh, idle build of the setting's topology at this scale."""

@@ -149,7 +149,7 @@ class PHeapLstfScheduler(LstfScheduler):
     (same keys, same FIFO tie-breaking via a push counter); only the
     priority queue implementation differs.  The equivalence is enforced by
     the property tests of ``tests/schedulers/test_pheap.py`` and, hop by
-    hop in a network, by ``tests/sim/test_port_differential.py``.
+    hop in a network, by ``tests/sim/test_against_oracle.py``.
     """
 
     __slots__ = ("_pheap",)

@@ -34,6 +34,17 @@ SWEEP = ExperimentSpec(
     "table1", duration=0.04, seeds=(1, 2, 3, 4), options={"rows": (0,)}
 ).sweep()
 
+_SERIAL: dict[str, str] = {}
+
+
+def _serial(specs) -> list[str]:
+    """The canonical JSON of each spec run serially — the byte-for-byte
+    reference — built once per module however many tests compare to it."""
+    missing = [spec for spec in specs if spec_run_id(spec) not in _SERIAL]
+    for spec, artifact in zip(missing, run_many(missing)):
+        _SERIAL[spec_run_id(spec)] = artifact.canonical_json()
+    return [_SERIAL[spec_run_id(spec)] for spec in specs]
+
 
 def _worker_process(queue_dir: Path, *extra: str) -> subprocess.Popen:
     """A real `repro worker` OS process against ``queue_dir``."""
@@ -61,11 +72,8 @@ def _wait_for(predicate, timeout: float, what: str) -> None:
 class TestDeterminism:
     def test_queue_executor_matches_serial_byte_for_byte(self, tmp_path):
         """The headline guarantee: distribution changes nothing."""
-        serial = run_many(SWEEP)
         queued = run_many(SWEEP, workers=2, queue_dir=tmp_path / "q")
-        assert [a.canonical_json() for a in queued] == [
-            a.canonical_json() for a in serial
-        ]
+        assert [a.canonical_json() for a in queued] == _serial(SWEEP)
         # and the sweep really sharded: >= 2 distinct worker identities
         # or at minimum every job terminal and done
         jobs = JobQueue(tmp_path / "q").jobs()
@@ -238,6 +246,7 @@ class TestCrashSafety:
             assert len(held_by) == 1  # one claim_batch took all four
             victim.kill()  # SIGKILL mid-batch: no report, no heartbeat
             victim.wait(timeout=10.0)
+            want = _serial(sweep)  # built while the victim's lease runs out
             _wait_for(
                 lambda: queue.reap() or all(
                     state == "pending"
@@ -259,9 +268,7 @@ class TestCrashSafety:
         assert {job.worker for job in jobs} == {"survivor"}
         assert [job.attempts for job in jobs] == [2] * 4  # retry advanced once
         gathered = gather(tmp_path, job_ids, timeout=5)
-        assert [a.canonical_json() for a in gathered] == [
-            a.canonical_json() for a in run_many(sweep)
-        ]
+        assert [a.canonical_json() for a in gathered] == want
 
     def test_sigterm_drains_a_daemon_worker_gracefully(self, tmp_path):
         queue = JobQueue(tmp_path)
@@ -307,9 +314,7 @@ class TestCli:
             "table1", duration=0.04, seeds=(1, 2), options={"rows": (0,)}
         ).sweep()
         gathered = gather(queue_dir, handle["jobs"], timeout=5)
-        assert [a.canonical_json() for a in gathered] == [
-            a.canonical_json() for a in run_many(sweep)
-        ]
+        assert [a.canonical_json() for a in gathered] == _serial(sweep)
 
     def test_submit_wait_prints_artifacts_when_a_worker_runs(self, tmp_path, capsys):
         queue_dir = str(tmp_path / "q")

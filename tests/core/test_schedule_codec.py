@@ -55,25 +55,41 @@ _ints = st.one_of(
 )
 
 
-@st.composite
-def rows(draw, nodes, floats):
-    """One packet row of the canonical document."""
-    path = draw(st.lists(st.sampled_from(nodes), min_size=2, max_size=12))
-    hops = st.lists(floats, min_size=len(path) - 1, max_size=len(path) - 1)
-    return {"dst": path[-1], "flow_id": draw(_ints), "flow_size": draw(_ints),
-            "hop_tx": draw(hops), "hop_waits": draw(hops), "i": draw(floats),
-            "o": draw(floats), "path": path, "pid": draw(_ints),
-            "size": draw(_ints), "src": path[0]}
+def _rows(floats, hop_floats):
+    """The packet rows of a canonical document, each path as indices into
+    the document's node table.  The edge values ride in ``i``, ``o`` and
+    the threshold; the hop logs, formatted and packed by the same code,
+    draw plain floats, one choice a value where ``floats`` takes two."""
+    hops = [st.lists(hop_floats, min_size=k, max_size=k) for k in range(12)]
+
+    @st.composite
+    def row(draw):
+        at = draw(st.binary(min_size=2, max_size=12))  # one choice, not 24
+        return {"flow_id": draw(_ints), "flow_size": draw(_ints),
+                "hop_tx": draw(hops[len(at) - 1]),
+                "hop_waits": draw(hops[len(at) - 1]), "i": draw(floats),
+                "o": draw(floats), "path": list(at), "pid": draw(_ints),
+                "size": draw(_ints)}
+
+    return st.lists(row(), min_size=1, max_size=8)
+
+
+_ROWS = {_floats: _rows(_floats, st.floats(allow_nan=False)),
+         _finite: _rows(_finite, st.floats(allow_nan=False, allow_infinity=False))}
+_NODES = st.lists(st.text(max_size=6), min_size=1, max_size=12, unique=True)
 
 
 @st.composite
 def documents(draw, floats=_floats):
-    nodes = draw(st.lists(st.text(max_size=6), min_size=1, max_size=12,
-                          unique=True))
+    nodes = draw(_NODES)
+    packets = draw(_ROWS[floats])
+    for row in packets:
+        row["path"] = path = [nodes[k % len(nodes)] for k in row["path"]]
+        row["src"], row["dst"] = path[0], path[-1]
     return {
         "description": draw(st.text(max_size=20)), "format": SCHEDULE_FORMAT,
-        "packets": draw(st.lists(rows(nodes, floats), min_size=1, max_size=8)),
-        "threshold": draw(floats), "version": SCHEDULE_FORMAT_VERSION,
+        "packets": packets, "threshold": draw(floats),
+        "version": SCHEDULE_FORMAT_VERSION,
     }
 
 
@@ -336,51 +352,49 @@ def test_the_document_is_the_same_across_block_edges(monkeypatch, count):
         schedule.canonical_json().encode()).hexdigest()
 
 
-def test_hashing_a_deep_schedule_holds_a_block_not_the_document():
-    """``content_hash`` of a 16 384-packet, 2-hop schedule peaks within
-    4 MB of where it starts; building the whole text to hash it took
-    about 20 MB."""
+@pytest.fixture(scope="module")
+def deep() -> RecordedSchedule:
+    """A 16 384-packet, 2-hop schedule, built once for the module."""
     n = 16_384
     rng = np.random.default_rng(1)
     ingress = np.sort(rng.random(n)) * 0.01
     hop_tx = (ingress[:, None] + rng.random((n, 2)) * 1e-3).ravel()
     hop_waits = rng.random(2 * n) * 1e-4
     ids = np.arange(n, dtype=np.int64)
-    schedule = RecordedSchedule(
+    return RecordedSchedule(
         0.0012, "deep", ["a", "b", "sw"], ids, ids // 8,
         np.full(n, 12_000), np.full(n, 1500), ingress, hop_tx[1::2] + 1e-3,
         np.full(n, 2), np.tile([0, 2, 1], n), hop_tx, hop_waits)
+
+
+def test_hashing_a_deep_schedule_holds_a_block_not_the_document(deep):
+    """``content_hash`` of a 16 384-packet, 2-hop schedule peaks within
+    4 MB of where it starts; building the whole text to hash it took
+    about 20 MB."""
     tracemalloc.start()
     try:
         start, _ = tracemalloc.get_traced_memory()
-        digest = schedule.content_hash()
+        digest = deep.content_hash()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert digest == hashlib.sha256(schedule.canonical_json().encode()).hexdigest()
+    assert digest == hashlib.sha256(deep.canonical_json().encode()).hexdigest()
     assert peak - start <= 4 * 2**20, f"{(peak - start) / 2**20:.1f} MB"
 
 
-def test_encoding_holds_one_entry_not_three():
+def test_encoding_holds_one_entry_not_three(deep):
     """``encode`` casts the columns into one preallocated buffer and
     checksums it in place: it peaks within 1.3x the entry it returns.
     Joining ``tobytes()`` copies and prefixing the checksum held about
     twice that."""
-    n = 4096
-    ids = np.arange(n, dtype=np.int64)
-    times = np.arange(2 * n, dtype=np.float64) * 1e-4
-    schedule = RecordedSchedule(
-        0.0012, "deep", ["a", "b", "sw"], ids, ids // 8, np.full(n, 12_000),
-        np.full(n, 1500), times[::2], times[1::2] + 1e-3, np.full(n, 2),
-        np.tile([0, 2, 1], n), times, times / 10)
     tracemalloc.start()
     try:
         start, _ = tracemalloc.get_traced_memory()
-        entry = pack(schedule)
+        entry = pack(deep)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert _columns(unpack(entry)) == _columns(schedule)
+    assert _columns(unpack(entry)) == _columns(deep)
     assert peak - start <= 1.3 * len(entry), f"{(peak - start) / len(entry):.3f}x"
 
 

@@ -1,21 +1,14 @@
-"""The object-per-packet tracer the columnar :class:`~repro.sim.tracer.Tracer`
-replaced, and the tests' one way to read that table a packet at a time.
+"""The tests' one way to read the packet table a packet at a time.
 
-Test-only.  Every traced packet is a :class:`ReferenceRecord` with two
-growing lists, cached on ``packet.trace`` and keyed by pid in
-``records``; the hooks append to them in event order.  It implements the
-same hook protocol, so a network runs with either tracer, and
-``tests/sim/test_tracer_differential.py`` demands that both tell every
-packet's story identically.  Neither tracer logs a packet's path: routing
-is deterministic, so the path is ``network.route(src, dst)``.
-
-:func:`records` is the column → record glue: it reads a columnar
-tracer's table back as the same ``pid -> ReferenceRecord`` mapping, for
-tests that assert on one packet at a time, with each record's ``path``
-derived from the route when given the network; :func:`rows` does the same
-for a recorded schedule, and :func:`schedule` is its inverse: a schedule
-built through the column constructor from a document's rows.  The
-library itself never builds a record per packet.
+Test-only.  The columnar :class:`~repro.sim.tracer.Tracer` keeps no
+object per packet; :func:`records` reads its table back as a ``pid ->``
+:class:`ReferenceRecord` mapping, for tests that assert on one packet at
+a time, with each record's ``path`` derived from the route when given
+the network (no tracer logs a path: routing is deterministic, so the
+path is ``network.route(src, dst)``).  :func:`rows` does the same for a
+recorded schedule, and :func:`schedule` is its inverse: a schedule built
+through the column constructor from a document's rows.  The library
+itself never builds a record per packet.
 """
 
 from __future__ import annotations
@@ -25,13 +18,11 @@ import math
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.packet import Packet
     from repro.core.replay import RecordedSchedule
     from repro.sim.network import Network
     from repro.sim.tracer import Tracer
 
-__all__ = ["ReferenceRecord", "ReferenceTracer", "delivered", "records", "rows",
-           "schedule"]
+__all__ = ["ReferenceRecord", "delivered", "records", "rows", "schedule"]
 
 
 class ReferenceRecord:
@@ -40,26 +31,10 @@ class ReferenceRecord:
     __slots__ = ("pid", "flow_id", "size", "src", "dst", "created", "exit",
                  "path", "hop_tx", "hop_waits", "dropped_at")
 
-    def __init__(self, packet: "Packet") -> None:
-        self.pid = packet.pid
-        self.flow_id = packet.flow_id
-        self.size = packet.size
-        self.src = packet.src
-        self.dst = packet.dst
-        self.created = packet.created
-        self.exit: float | None = None
-        self.path: list[str] | None = None  # see records(tracer, network)
-        self.hop_tx: list[float] = []
-        self.hop_waits: list[float] = []
-        self.dropped_at: str | None = None
-
-    @classmethod
-    def from_row(cls, *row) -> "ReferenceRecord":
+    def __init__(self, *row) -> None:
         """A record holding ``row``, one value per slot in ``__slots__`` order."""
-        rec = cls.__new__(cls)
-        for name, value in zip(cls.__slots__, row, strict=True):
-            setattr(rec, name, value)
-        return rec
+        for name, value in zip(self.__slots__, row, strict=True):
+            setattr(self, name, value)
 
     @property
     def delivered(self) -> bool:
@@ -82,51 +57,6 @@ class ReferenceRecord:
         return sum(1 for w in self.hop_waits if w > epsilon)
 
 
-class ReferenceTracer:
-    """Collects :class:`ReferenceRecord` objects for a simulation run."""
-
-    def __init__(self, enabled: bool = True) -> None:
-        self.records: dict[int, ReferenceRecord] = {}
-        self.drops = 0
-        self.enabled = enabled
-
-    def on_created(self, packet: "Packet") -> None:
-        if not self.enabled:
-            return
-        rec = ReferenceRecord(packet)
-        self.records[packet.pid] = rec
-        packet.trace = rec
-
-    def on_tx_start(self, packet: "Packet", wait: float, now: float) -> None:
-        if not self.enabled:
-            return
-        rec = packet.trace
-        if rec is not None:
-            rec.hop_tx.append(now)
-            rec.hop_waits.append(wait)
-
-    def on_exit(self, packet: "Packet", now: float) -> None:
-        if not self.enabled:
-            return
-        rec = packet.trace
-        if rec is not None:
-            rec.exit = now
-
-    def on_drop(self, packet: "Packet", node: str) -> None:
-        if not self.enabled:
-            return
-        self.drops += 1
-        rec = packet.trace
-        if rec is not None:
-            rec.dropped_at = node
-
-    def delivered_count(self) -> int:
-        return sum(1 for r in self.records.values() if r.exit is not None)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-
 def records(tracer: "Tracer", network: "Network | None" = None
             ) -> dict[int, ReferenceRecord]:
     """``pid -> ReferenceRecord`` read back from a columnar tracer's
@@ -143,7 +73,7 @@ def records(tracer: "Tracer", network: "Network | None" = None
         hop_tx[slot].append(now)
         hop_waits[slot].append(wait)
     return {
-        row[0]: ReferenceRecord.from_row(*row)
+        row[0]: ReferenceRecord(*row)
         for row in zip(tracer.pid, tracer.flow_id, tracer.size, tracer.src,
                        tracer.dst, tracer.created, exits, paths, hop_tx,
                        hop_waits, tracer.dropped_at)

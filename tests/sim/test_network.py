@@ -2,15 +2,32 @@
 
 from __future__ import annotations
 
-import pytest
+import functools
+import os
+from unittest import mock
 
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from repro.core.flow import Flow
 from repro.errors import ConfigurationError, RoutingError
 from repro.schedulers import FifoScheduler, LstfScheduler
+from repro.sim.checkpoint import (
+    restore_snapshot,
+    snapshot_from_bytes,
+    snapshot_network,
+    snapshot_to_bytes,
+)
 from repro.sim.network import Network
-from repro.sim.node import Router
+from repro.sim.node import Node, Router
+from repro.transport.tcp import install_tcp_flows
 from repro.units import GBPS, MBPS
 from tests.conftest import make_packet
 from tests.sim.reference_tracer import records
+from tests.sim.test_against_oracle import GRID, build_network, scenarios
+
+SCALE = max(1, int(os.environ.get("REPRO_STRESS_SCALE", "1")))
 
 
 def _diamond() -> Network:
@@ -176,3 +193,77 @@ class TestInstallation:
                 for port in node.ports.values()} == {5000}
         with pytest.raises(ConfigurationError):
             net.set_buffers(0)
+
+
+# --- a packet's path is its route --------------------------------------------
+
+
+@st.composite
+def cases(draw):
+    """A scenario of ``test_against_oracle``, TCP flows beside its
+    bursts, and a few stops at which the run pauses: at each, the tracer
+    flips on or off, or the network goes through a checkpoint and the
+    run carries on with the restored copy."""
+    scenario = draw(scenarios())
+    assume(scenario["mode"][0] != "omniscient")  # TCP packets carry no timetable
+    pair = st.lists(st.integers(0, scenario["hosts"] - 1), min_size=2, max_size=2,
+                    unique=True)
+    tcp = [Flow(fid=100 + fid, src=f"h{src}", dst=f"h{dst}",
+                size=1024 * draw(st.integers(1, 8)),
+                start=float(draw(st.integers(0, 12)) * GRID))
+           for fid, (src, dst) in enumerate(draw(st.lists(pair, max_size=2)))]
+    stops = sorted(draw(st.lists(st.integers(1, 40), max_size=4, unique=True)))
+    actions = st.sampled_from(("flip", "checkpoint"))
+    return scenario, tcp, [(float(at * GRID), draw(actions)) for at in stops]
+
+
+def _run_case(case, checkpoints=True) -> Network:
+    scenario, tcp, stops = case
+    net, _ = build_network(scenario, {})
+    install_tcp_flows(net, tcp)
+    for at, action in stops:
+        net.run(until=at)
+        if action == "flip":
+            net.tracer.enabled = not net.tracer.enabled
+        elif checkpoints:
+            net = restore_snapshot(snapshot_from_bytes(
+                snapshot_to_bytes(snapshot_network(net))))
+    net.run(until=0.2)  # TCP's retransmission timers would tick forever
+    return net
+
+
+@settings(max_examples=150 * SCALE, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(case=cases())
+def test_every_packet_travels_its_route(case):
+    """What the recorder takes on trust: the nodes ``Node.receive`` sees a
+    packet at, after its source, are its route — all of it once it is
+    delivered, a prefix while it is in flight or once it is dropped.  A
+    restored checkpoint re-binds ``receive`` by name, so the packets of
+    the restored copy are watched too, and its packet table carries on as
+    if the run had never stopped."""
+    travelled: dict[int, tuple[str, list[str]]] = {}
+    receive = Node.receive
+
+    @functools.wraps(receive)  # so the checkpoint loader takes it for the original
+    def watched(self, packet, tail=False):
+        travelled.setdefault(packet.pid, (packet.dst, [packet.src]))[1].append(
+            self.name)
+        receive(self, packet, tail)
+
+    with mock.patch.object(Node, "receive", watched):
+        net = _run_case(case)
+    for dst, nodes in travelled.values():
+        assert nodes == list(net.route(nodes[0], dst))[:len(nodes)]
+    tracer = net.tracer
+    for slot in tracer.delivered_slots().tolist():
+        dst, nodes = travelled[tracer.pid[slot]]
+        assert nodes == list(net.route(tracer.src[slot], dst))
+    if any(action == "checkpoint" for _, action in case[2]):
+        straight = _run_case(case, checkpoints=False).tracer
+
+        def table(tracer):
+            return [[getattr(r, name) for name in r.__slots__]
+                    for r in records(tracer).values()], tracer.drops
+
+        assert table(tracer) == table(straight)

@@ -85,6 +85,25 @@ def test_disabled_tracer_does_not_count_drops():
     assert enabled.drops == 1
 
 
+def test_a_tracer_switched_off_mid_flight_records_no_more_of_a_packet():
+    """A packet traced at ingress keeps only what happened while the
+    tracer was on: no later service start, no exit, no drop."""
+    net = _net()
+    net.set_buffers(1000, lambda node: node.name == "SW")  # one waiting packet
+    for _ in range(3):
+        net.inject_at(0.0, make_packet())
+    # The first is on the bottleneck, the second waits at the switch, the
+    # third is still on the first link: it is dropped once tracing is off.
+    net.run(until=0.25e-3)
+    tracer = net.tracer
+    tracer.enabled = False
+    net.run()
+    after = list(records(tracer).values())
+    assert [len(r.hop_tx) for r in after] == [2, 1, 1]
+    assert not any(r.delivered or r.dropped_at for r in after)
+    assert tracer.drops == 0
+
+
 def test_hooks_tolerate_packets_without_a_trace_record():
     """Packets created while disabled survive an enable mid-run.
 

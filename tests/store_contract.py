@@ -239,6 +239,39 @@ class StoreContract:
         with pytest.raises(StoreError):
             store.readable("k")
 
+    @pytest.mark.parametrize("fault", ["ENOSPC", "EROFS", "short-write", "EIO-replace"])
+    def test_refused_write_is_an_error_that_leaves_nothing(self, tmp_path,
+                                                           monkeypatch, fault):
+        """A put the filesystem refuses — a full disk, a read-only
+        directory, a short write it cannot finish, a failing rename —
+        raises StoreError, which the CLI prints as one ``error:`` line,
+        and leaves no temp file, no partial entry and no ``put`` line."""
+        store = self.STORE(tmp_path)
+        store.put("other", self.value())
+        before = sorted(os.listdir(tmp_path))
+        name, code = {"ENOSPC": ("write", errno.ENOSPC),
+                      "EROFS": ("open", errno.EROFS),
+                      "short-write": ("write", errno.ENOSPC),
+                      "EIO-replace": ("replace", errno.EIO)}[fault]
+        error = OSError(code, os.strerror(code))
+        real = getattr(os, name)
+        calls = []
+
+        def faulty(*args, **kwargs):
+            calls.append(name)
+            if fault == "short-write" and len(calls) == 1:
+                fd, data = args
+                return real(fd, data[:len(data) // 2])  # half, then the disk fills
+            raise error
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, name, faulty)
+            with pytest.raises(StoreError, match="cannot write") as info:
+                store.get_or_build("k", self.value)
+        assert info.value.__cause__ is error  # the fault was met
+        assert sorted(os.listdir(tmp_path)) == before
+        assert store.get("k") is None and store.built_keys() == []
+
     # -- the run context and fetch ---------------------------------------------
 
     def test_run_context_nests_and_restores(self, tmp_path):

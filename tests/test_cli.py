@@ -6,6 +6,7 @@ The CLI is a thin dispatcher over the experiment table: one generic
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import subprocess
@@ -548,6 +549,21 @@ def test_handler_errors_are_one_stderr_line_and_exit_2(
     assert captured.err.startswith("error: ")
     assert captured.err.endswith("\n") and captured.err.count("\n") == 1
     assert message in captured.err
+
+
+def test_a_full_disk_at_the_artifact_save_is_one_error_line(tmp_path, capsys,
+                                                            monkeypatch):
+    """``ENOSPC`` while ``run --out`` saves its artifact is a StoreError,
+    so the user reads one ``error:`` line, not a traceback."""
+    def full(*_args):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(os, "write", full)
+    assert main(["run", "gadgets", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write store entry")
+    assert err.count("\n") == 1 and "No space left" in err
+    assert os.listdir(tmp_path) == []
 
 
 def test_scenario_matrix_refuses_a_long_lived_scenario_at_once():

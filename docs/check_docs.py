@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation lint: links resolve, the paper map matches the registry.
 
-Seven checks, all cheap enough for every CI run:
+Eight checks, all cheap enough for every CI run:
 
 1. **Internal links** — every relative markdown link in ``docs/*.md``
    and ``README.md`` must point at a file or directory that exists
@@ -32,6 +32,13 @@ Seven checks, all cheap enough for every CI run:
    ``src/`` names (``docs/replay.md``, ``benchmarks/suite/README.md``)
    must exist, as a path from the repository root — the corpus once
    carried eight pointers to a ``DESIGN.md`` that was never written.
+8. **References × package** — every fully qualified ``repro.…`` name
+   must resolve (``pkgutil.resolve_name``: import the longest module
+   prefix, then look the rest up as attributes): the target of a Sphinx role (``:func:``,
+   ``:class:``, ``:meth:``, ``:data:``, ``:mod:``, ``:attr:``,
+   ``:exc:``) in a docstring under ``src/``, and every backticked
+   dotted ``repro.…`` span in ``docs/*.md`` and ``README.md`` — so a
+   deleted or renamed name cannot linger in the prose that cites it.
 
 Usage::
 
@@ -62,6 +69,12 @@ _SCENARIO_ROW = re.compile(r"^\|\s*`([a-z0-9_-]+)`\s*\|")
 _CATALOGUE_HEADING = "## The built-in catalogue"
 #: A markdown file named in prose: ``docs/replay.md``, ``README.md``.
 _MD_FILE = re.compile(r"(?<![\w./*-])[\w.-]+(?:/[\w.-]+)*\.md\b")
+#: A Sphinx role naming ``repro.…``: ``:func:`~repro.x.f```,
+#: ``:meth:`title <repro.x.C.m>```.
+_ROLE_REF = re.compile(r":(?:func|class|meth|data|mod|attr|exc):"
+                       r"`~?(?:[^`<]*<)?(repro(?:\.\w+)+)>?`")
+#: A backticked dotted ``repro.…`` span in markdown.
+_SPAN_REF = re.compile(r"`(repro(?:\.\w+)+)`")
 
 
 def check_links(paths: list[Path]) -> list[str]:
@@ -249,6 +262,42 @@ def check_docstring_files(source_root: Path, repo: Path = REPO) -> list[str]:
     return problems
 
 
+def _resolves(name: str) -> bool:
+    """``name`` is a module, or a module followed by attribute lookups."""
+    import pkgutil
+
+    try:
+        pkgutil.resolve_name(name)
+    except (ImportError, AttributeError):
+        return False
+    return True
+
+
+def check_references(source_root: Path, markdown: list[Path],
+                     repo: Path = REPO) -> list[str]:
+    """Every ``repro.…`` a docstring role or a markdown span names resolves."""
+    cited = []
+    for path in sorted(source_root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.Module, ast.ClassDef,
+                                     ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            text = ast.get_docstring(node, clean=False)
+            if text is None:
+                continue
+            first = node.body[0].lineno
+            for match in _ROLE_REF.finditer(text):
+                line = first + text.count("\n", 0, match.start())
+                cited.append((path, line, match.group(1)))
+    for path in markdown:
+        text = path.read_text()
+        for match in _SPAN_REF.finditer(text):
+            line = 1 + text.count("\n", 0, match.start())
+            cited.append((path, line, match.group(1)))
+    return [f"{path.relative_to(repo)}:{line}: {name} does not resolve"
+            for path, line, name in cited if not _resolves(name)]
+
+
 def main() -> int:
     """Run all checks; print problems; 0 iff the docs are clean."""
     markdown = sorted(DOCS.glob("*.md")) + [REPO / "README.md"]
@@ -259,6 +308,7 @@ def main() -> int:
     problems += check_run_flags(markdown)
     problems += check_scenarios(DOCS / "scenarios.md")
     problems += check_docstring_files(REPO / "src")
+    problems += check_references(REPO / "src", markdown)
     for problem in problems:
         print(problem, file=sys.stderr)
     if problems:
@@ -266,7 +316,7 @@ def main() -> int:
         return 1
     print(f"docs OK: {len(markdown)} files, links + paper map + rule "
           f"table + CLI verbs + run flags + scenario catalogue + "
-          f"docstring file references verified")
+          f"docstring file references + repro.* references verified")
     return 0
 
 

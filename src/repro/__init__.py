@@ -153,7 +153,6 @@ from repro.topology import (
     build_dumbbell,
     build_fattree,
     build_internet2,
-    build_linear,
     build_parking_lot,
     build_rocketfuel,
     build_single_switch,
@@ -229,7 +228,6 @@ __all__ = [
     "build_dumbbell",
     "build_fattree",
     "build_internet2",
-    "build_linear",
     "build_parking_lot",
     "build_rocketfuel",
     "build_scenario_network",

@@ -218,63 +218,24 @@ class ExperimentSpec:
 
     # -- sweeps -----------------------------------------------------------
 
-    def sweep(
-        self,
-        seeds: Iterable[int] | None = None,
-        schedulers: Iterable[str] | None = None,
-        replay_modes: Iterable[str] | None = None,
-        scenarios: Iterable[str] | None = None,
-    ) -> list["ExperimentSpec"]:
-        """Expand into one spec per (scenario, seed, scheduler, mode) leg.
+    def sweep(self) -> list["ExperimentSpec"]:
+        """Expand into one spec per (scenario, seed, mode) leg.
 
-        With no arguments this expands :attr:`scenarios`, :attr:`seeds`
-        and :attr:`replay_modes` (each multi-valued axis becomes one spec
-        per value); pass ``schedulers`` to also split the scheduler sweep
-        into per-scheduler specs (for experiments whose drivers loop over
-        schemes, splitting lets :func:`~repro.api.runner.run_many`
-        parallelise across them).
+        Each multi-valued axis of :attr:`scenarios`, :attr:`seeds` and
+        :attr:`replay_modes` becomes one spec per value; the scheduler
+        sweep stays whole in every leg (drivers loop over schemes).
 
         Scenario legs are emitted outermost — each scenario's whole
-        seed × scheduler × mode block is contiguous — and replay-mode
-        legs innermost, so the legs sharing one recorded schedule sit
-        next to each other and the runner's record-once pre-pass (see
+        seed × mode block is contiguous — and replay-mode legs
+        innermost, so the legs sharing one recorded schedule sit next to
+        each other and the runner's record-once pre-pass (see
         :func:`~repro.api.runner.run_many`) simulates each unique
         original schedule exactly once for all of them.
         """
-        seed_axis = tuple(seeds) if seeds is not None else self.seeds
-        if schedulers is not None:
-            sched_axis: tuple[tuple[str, ...], ...] = tuple(
-                (s,) for s in schedulers
-            )
-        else:
-            sched_axis = (self.schedulers,)
-        mode_source = (
-            tuple(replay_modes) if replay_modes is not None else self.replay_modes
-        )
-        mode_axis: tuple[tuple[str, ...], ...] = (
-            tuple((m,) for m in mode_source) if mode_source else (self.replay_modes,)
-        )
-        scen_source = (
-            tuple(scenarios) if scenarios is not None else self.scenarios
-        )
-        scen_axis: tuple[tuple[str, ...], ...] = (
-            tuple((s,) for s in scen_source) if scen_source else (self.scenarios,)
-        )
-        out = []
-        for scens in scen_axis:
-            for seed in seed_axis:
-                for scheds in sched_axis:
-                    for modes in mode_axis:
-                        out.append(
-                            replace(
-                                self,
-                                seeds=(seed,),
-                                schedulers=scheds,
-                                replay_modes=modes,
-                                scenarios=scens,
-                            )
-                        )
-        return out
+        scen_axis = tuple((s,) for s in self.scenarios) or (self.scenarios,)
+        mode_axis = tuple((m,) for m in self.replay_modes) or (self.replay_modes,)
+        return [replace(self, seeds=(seed,), replay_modes=modes, scenarios=scens)
+                for scens in scen_axis for seed in self.seeds for modes in mode_axis]
 
     # -- serialisation ----------------------------------------------------
 

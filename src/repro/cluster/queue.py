@@ -62,9 +62,9 @@ from __future__ import annotations
 import json
 import sqlite3
 import time
-from contextlib import closing
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.api.results import spec_run_id
 from repro.api.spec import ExperimentSpec
@@ -146,7 +146,7 @@ class JobQueue:
             )
         self.queue_dir.mkdir(parents=True, exist_ok=True)
         self.artifact_dir.mkdir(parents=True, exist_ok=True)
-        with closing(self._connect()) as conn:
+        with self._connect() as conn:
             # WAL is a persistent database property: set it once here
             # rather than per connection, so the per-operation connects
             # stay pure open/query/close.
@@ -177,14 +177,27 @@ class JobQueue:
         except OSError:  # pragma: no cover - e.g. read-only queue dir
             pass
 
-    def _connect(self) -> sqlite3.Connection:
+    @contextmanager
+    def _connect(self) -> Iterator[sqlite3.Connection]:
+        """One connection for one operation, closed on exit (closing an
+        uncommitted transaction rolls it back).  An SQLite operational
+        fault -- a lock held past the busy timeout, a disk I/O error --
+        leaves as a :class:`~repro.errors.ClusterError` naming the queue."""
         # autocommit mode + explicit BEGIN IMMEDIATE where atomicity
         # spans a read-modify-write; WAL (set at queue init — it is a
         # persistent database property) lets readers coexist with the
         # single writer.
-        conn = sqlite3.connect(self.db_path, timeout=30.0, isolation_level=None)
-        conn.execute("PRAGMA synchronous=NORMAL")
-        return conn
+        conn = None
+        try:
+            conn = sqlite3.connect(self.db_path, timeout=30.0,
+                                   isolation_level=None)
+            conn.execute("PRAGMA synchronous=NORMAL")
+            yield conn
+        except sqlite3.OperationalError as exc:
+            raise ClusterError(f"job queue {self.queue_dir}: {exc}") from exc
+        finally:
+            if conn is not None:
+                conn.close()
 
     # -- producing ---------------------------------------------------------
 
@@ -217,7 +230,7 @@ class JobQueue:
         ]
         if not rows:
             return []
-        with closing(self._connect()) as conn:
+        with self._connect() as conn:
             conn.execute("BEGIN IMMEDIATE")
             first = None
             for row in rows:
@@ -296,7 +309,7 @@ class JobQueue:
         require_positive_int(n, "claim_batch n")
         lease = self._lease(lease_s)
         now = time.time()
-        with closing(self._connect()) as conn:
+        with self._connect() as conn:
             conn.execute("BEGIN IMMEDIATE")
             events = self._reclaim_expired(conn, now)
             rows = conn.execute(
@@ -351,7 +364,7 @@ class JobQueue:
         """
         lease = self._lease(lease_s)
         now = time.time()
-        with closing(self._connect()) as conn:
+        with self._connect() as conn:
             conn.execute("BEGIN IMMEDIATE")
             renewed = conn.execute(
                 "UPDATE jobs SET lease_expires_at = ?"
@@ -385,7 +398,7 @@ class JobQueue:
         now = time.time()
         out: dict[int, bool] = {}
         events: list[dict] = []
-        with closing(self._connect()) as conn:
+        with self._connect() as conn:
             conn.execute("BEGIN IMMEDIATE")
             for job_id, error, retry in results:
                 if error is None:
@@ -434,7 +447,7 @@ class JobQueue:
     # -- observing ---------------------------------------------------------
 
     def job(self, job_id: int) -> Job:
-        with closing(self._connect()) as conn:
+        with self._connect() as conn:
             row = conn.execute(
                 f"SELECT {_COLS} FROM jobs WHERE id = ?", (job_id,)
             ).fetchone()
@@ -465,7 +478,7 @@ class JobQueue:
         if clauses:
             query += " WHERE " + " AND ".join(clauses)
         query += " ORDER BY id"
-        with closing(self._connect()) as conn:
+        with self._connect() as conn:
             rows = conn.execute(query, params).fetchall()
         found = [job_from_row(row) for row in rows]
         if ids is not None and len(found) != len(set(ids)):
@@ -489,7 +502,7 @@ class JobQueue:
                 return {}
             query += f" WHERE id IN ({', '.join('?' * len(ids))})"
             params = tuple(ids)
-        with closing(self._connect()) as conn:
+        with self._connect() as conn:
             rows = conn.execute(query, params).fetchall()
         found = dict(rows)
         if ids is not None and len(found) != len(set(ids)):
@@ -506,14 +519,14 @@ class JobQueue:
         — still drive crashed jobs to pending/failed instead of watching
         them stay 'running' forever.
         """
-        with closing(self._connect()) as conn:
+        with self._connect() as conn:
             conn.execute("BEGIN IMMEDIATE")
             self._log_events(self._reclaim_expired(conn, time.time()))
             conn.execute("COMMIT")
 
     def counts(self) -> dict[str, int]:
         """``{state: number of jobs}`` with every state present."""
-        with closing(self._connect()) as conn:
+        with self._connect() as conn:
             rows = conn.execute(
                 "SELECT state, COUNT(*) FROM jobs GROUP BY state"
             ).fetchall()
@@ -532,7 +545,7 @@ class JobQueue:
         write transaction that reclaims and recounts.
         """
         now = time.time()
-        with closing(self._connect()) as conn:
+        with self._connect() as conn:
             live, expired = conn.execute(
                 "SELECT COUNT(*),"
                 " SUM(state = ? AND lease_expires_at < ?)"

@@ -93,6 +93,9 @@ SCHEDULE_FORMAT_VERSION = 2
 #: what hashing a schedule holds in memory at once.
 _BLOCK_ROWS = 256
 
+#: A hop whose recorded wait exceeds this (seconds) is a congestion point.
+_CONGESTION_EPSILON = 1e-12
+
 
 def _texts(column: np.ndarray) -> list[str]:
     """The JSON text of each float: ``float.__repr__``, as ``json`` writes it."""
@@ -200,29 +203,23 @@ class RecordedSchedule:
     def _path_starts(self) -> np.ndarray:
         return np.cumsum(self.hops + 1) - (self.hops + 1)
 
-    def endpoints(self) -> tuple[list[str], list[str]]:
-        """Per packet, the names of its source and destination hosts."""
-        starts = self._path_starts()
-        nodes = self.nodes
-        return ([nodes[k] for k in self.path[starts].tolist()],
-                [nodes[k] for k in self.path[starts + self.hops].tolist()])
-
     def total_waits(self) -> np.ndarray:
         """Per packet, its queueing delays summed hop by hop (``sum`` order)."""
         return segment_sums(self.hop_waits, self.hops)
 
-    def congestion_points(self, epsilon: float = 1e-12) -> np.ndarray:
-        """Per packet, the hops at which it waited more than ``epsilon`` (§2.2)."""
+    def congestion_points(self) -> np.ndarray:
+        """Per packet, the hops at which it waited more than 1e-12 s (§2.2)."""
         owner = np.repeat(np.arange(len(self)), self.hops)
-        return np.bincount(owner[self.hop_waits > epsilon], minlength=len(self))
+        return np.bincount(owner[self.hop_waits > _CONGESTION_EPSILON],
+                           minlength=len(self))
 
     def max_congestion_points(self) -> int:
         """Largest per-packet congestion point count (drives replayability)."""
         return int(self.congestion_points().max())
 
-    def congestion_point_histogram(self, epsilon: float = 1e-12) -> dict[int, int]:
+    def congestion_point_histogram(self) -> dict[int, int]:
         """Map congestion-point count → number of packets with that count."""
-        counts = np.bincount(self.congestion_points(epsilon))
+        counts = np.bincount(self.congestion_points())
         return {k: int(c) for k, c in enumerate(counts.tolist()) if c}
 
     # -- the schedule's identity --------------------------------------------
@@ -373,10 +370,6 @@ class ReplayResult:
     def fraction_overdue_beyond_threshold(self) -> float:
         """Fraction overdue by more than ``T`` (Table 1, column 2)."""
         return float(np.mean(self.lateness > self.schedule.threshold + TIME_EPSILON))
-
-    def fraction_overdue_beyond(self, threshold: float) -> float:
-        """Fraction of packets overdue by more than an arbitrary threshold."""
-        return float(np.mean(self.lateness > threshold + TIME_EPSILON))
 
     @property
     def max_lateness(self) -> float:

@@ -38,7 +38,6 @@ The artefact itself comes from the runner::
 """
 
 from repro.experiments.replayability import (
-    ReplayOutcome,
     ReplayScenario,
     build_recorded_schedule,
     get_recorded_schedule,
@@ -71,7 +70,6 @@ __all__ = [
     "FairnessExperimentResult",
     "FctExperimentResult",
     "QuantisationPoint",
-    "ReplayOutcome",
     "ReplayScenario",
     "TailExperimentResult",
     "branch_checkpoint_key",

@@ -62,7 +62,6 @@ from repro.sim.engine import ENGINE_PERF
 from repro.sim.network import Network
 
 __all__ = [
-    "ReplayOutcome",
     "ReplayScenario",
     "build_recorded_schedule",
     "builder_network",
@@ -125,24 +124,6 @@ class ReplayScenario:
     def network(self) -> Network:
         """A fresh, idle build of the setting's topology at this scale."""
         return build_scenario_network(self.scenario, self.bandwidth_scale)
-
-
-@dataclass(slots=True)
-class ReplayOutcome:
-    """A Table 1 row's worth of results."""
-
-    scenario: ReplayScenario
-    mode: str
-    schedule: RecordedSchedule
-    result: ReplayResult
-
-    @property
-    def fraction_overdue(self) -> float:
-        return self.result.fraction_overdue
-
-    @property
-    def fraction_overdue_beyond_t(self) -> float:
-        return self.result.fraction_overdue_beyond_threshold
 
 
 def scenario_schedule_key(scenario: ReplayScenario) -> str:
@@ -227,35 +208,17 @@ def prerequisites(kind: str, key: Callable, build: Callable,
                    for request in requests}}
 
 
-def run_replay(
-    scenario: ReplayScenario,
-    mode: str = "lstf",
-    schedule: RecordedSchedule | None = None,
-    **replay_kwargs,
-) -> ReplayOutcome:
-    """Record (or reuse) the original schedule and replay it under ``mode``.
+def run_replay(scenario: ReplayScenario, mode: str = "lstf") -> ReplayResult:
+    """Replay the scenario's recorded schedule under ``mode`` (one of
+    :data:`repro.core.replay.REPLAY_MODES`).
 
-    Parameters
-    ----------
-    scenario:
-        The Table 1 row to run.
-    mode:
-        One of :data:`repro.core.replay.REPLAY_MODES`.
-    schedule:
-        A pre-recorded schedule to reuse.  When given, *no recording
-        happens* — this is the record-once path: record (or load) the
-        scenario's schedule once, then call ``run_replay(schedule=...)``
-        for every mode under test.  ``None`` fetches the schedule via
-        :func:`get_recorded_schedule`.
-    replay_kwargs:
-        Forwarded to :func:`repro.core.replay.replay_schedule`.
+    The schedule comes from :func:`get_recorded_schedule`, so every
+    replay-mode leg of a sweep replays the same recording.  A caller
+    that already holds a schedule calls
+    :func:`~repro.core.replay.replay_schedule` on it directly.
     """
-    if schedule is None:
-        schedule = get_recorded_schedule(scenario)
-    result = replay_schedule(
-        schedule, scenario.network, mode=mode, **replay_kwargs
-    )
-    return ReplayOutcome(scenario=scenario, mode=mode, schedule=schedule, result=result)
+    return replay_schedule(get_recorded_schedule(scenario), scenario.network,
+                           mode=mode)
 
 
 def validate_row_indices(rows: object, count: int,
@@ -342,13 +305,13 @@ def _run_table1(spec: ExperimentSpec) -> tuple[Table, dict]:
         # Record once, replay many: run_replay fetches the schedule
         # through the store, so every replay-mode leg of a sweep replays
         # the same recorded artifact.
-        outcome = run_replay(scenario, mode=mode)
+        result = run_replay(scenario, mode=mode)
         table.add_row(
             [
                 scenario.name,
-                outcome.result.num_packets,
-                outcome.fraction_overdue,
-                outcome.fraction_overdue_beyond_t,
+                result.num_packets,
+                result.fraction_overdue,
+                result.fraction_overdue_beyond_threshold,
             ]
         )
     return table, {"mode": mode, "scenarios": [s.name for s in scenarios]}
@@ -382,7 +345,7 @@ def _run_fig1(spec: ExperimentSpec) -> tuple[Table, dict]:
         title=f"Figure 1 — {mode}:original queueing delay ratio",
     )
     for scenario in scenarios:
-        ratios = run_replay(scenario, mode=mode).result.queueing_delay_ratios()
+        ratios = run_replay(scenario, mode=mode).queueing_delay_ratios()
         q = np.quantile(ratios, [0.1, 0.5, 0.9, 0.99])
         table.add_row([scenario.scheduler, q[0], q[1], q[2], q[3],
                        float(np.mean(ratios <= 1.0 + 1e-9))])

@@ -1,7 +1,6 @@
-"""Packet delay metrics: distributions, CDFs, CCDFs, percentiles.
+"""Packet delay metrics: end-to-end delays and their percentiles.
 
-Used by Figure 1 (queueing-delay-ratio CDF) and Figure 3 (packet-delay
-CCDF / tail percentiles).
+Used by Figure 3 (packet-delay tail percentiles).
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ import numpy as np
 
 from repro.sim.tracer import Tracer
 
-__all__ = ["ccdf", "cdf", "packet_delays", "percentile", "queueing_delays"]
+__all__ = ["packet_delays", "percentile"]
 
 
 def packet_delays(tracer: Tracer, data_only: bool = True) -> np.ndarray:
@@ -26,26 +25,6 @@ def packet_delays(tracer: Tracer, data_only: bool = True) -> np.ndarray:
     if data_only:
         keep &= np.asarray(tracer.size) > 64
     return exit[keep] - np.asarray(tracer.created, dtype=float)[keep]
-
-
-def queueing_delays(tracer: Tracer) -> np.ndarray:
-    """Total queueing delay per delivered packet."""
-    return tracer.wait_totals()[tracer.delivered_slots()]
-
-
-def cdf(samples: Iterable[float]) -> tuple[np.ndarray, np.ndarray]:
-    """Empirical CDF: returns ``(sorted_values, cumulative_probabilities)``."""
-    values = np.sort(np.asarray(list(samples), dtype=float))
-    if values.size == 0:
-        raise ValueError("cannot build a CDF from zero samples")
-    probs = np.arange(1, values.size + 1) / values.size
-    return values, probs
-
-
-def ccdf(samples: Iterable[float]) -> tuple[np.ndarray, np.ndarray]:
-    """Complementary CDF (Figure 3's y-axis): ``P(X > x)``."""
-    values, probs = cdf(samples)
-    return values, 1.0 - probs + 1.0 / values.size
 
 
 def percentile(samples: Iterable[float], q: float) -> float:

@@ -1,8 +1,8 @@
 """Flow completion time metrics (Figure 2).
 
 The figure buckets flows by size and reports the mean FCT per bucket plus
-the overall mean.  Bucket edges default to the flow sizes the paper labels
-on its x-axis.
+the overall mean.  Bucket edges are the flow sizes the paper labels on its
+x-axis.
 """
 
 from __future__ import annotations
@@ -43,14 +43,12 @@ def mean_fct(stats: TcpStats) -> float:
     return stats.mean_fct()
 
 
-def bucket_mean_fct(
-    stats: TcpStats,
-    edges: tuple[float, ...] = PAPER_BUCKET_EDGES,
-) -> list[FctBucket]:
-    """Mean FCT per flow-size bucket; empty buckets are omitted."""
+def bucket_mean_fct(stats: TcpStats) -> list[FctBucket]:
+    """Mean FCT per :data:`PAPER_BUCKET_EDGES` flow-size bucket; empty
+    buckets are omitted."""
     buckets: list[FctBucket] = []
     low = 0.0
-    for high in edges:
+    for high in PAPER_BUCKET_EDGES:
         fcts = [
             fct
             for fid, fct in stats.fct.items()

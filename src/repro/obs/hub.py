@@ -37,9 +37,9 @@ holds a hub attaches itself, and a restored one is re-attached.
 from __future__ import annotations
 
 from array import array
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
-from repro.errors import ConfigurationError, require_positive_finite
+from repro.errors import require_positive_finite
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.flight import FlightRecorder
@@ -48,15 +48,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.network import Network
 
 __all__ = ["MetricsHub"]
-
-_BUILT_IN = ("queue_depth:", "link_util:")  # written by the sampler tick only
-
-
-def _custom(name: str) -> str:
-    if name.startswith(_BUILT_IN):
-        raise ConfigurationError(f"series {name!r} is built in (sampler tick only)")
-    return name
-
 
 class _Segment:
     """One sampler arm: a network's ports in sorted (node, peer) order,
@@ -108,8 +99,8 @@ class _NetSampler:
             engine.schedule_sample(engine.now + hub.interval, self.tick)
 
     def tick(self) -> None:
-        """Append one row (queue depth and bytes sent per port), then
-        sample the custom gauges; re-arm while the simulation has work."""
+        """Append one row (queue depth and bytes sent per port); re-arm
+        while the simulation has work."""
         engine = self.network.engine
         now = engine.now
         hub = self.hub
@@ -118,8 +109,6 @@ class _NetSampler:
         segment.depth.append(array("q", [port._queued for port in segment.ports]))
         pop = hub._tx_window.pop
         segment.sent.append(array("q", [pop(key, 0) for key in segment.keys]))
-        for name, fn in hub._samplers:
-            hub.record(name, now, fn(now))
         if engine.pending_events or engine.pending_deferred:
             engine.schedule_sample(now + hub.interval, self.tick)
         else:
@@ -127,7 +116,7 @@ class _NetSampler:
 
 
 class MetricsHub:
-    """Counters, gauges, and periodic sim-time samplers for a run.
+    """Counters and periodic sim-time samplers for a run.
 
     ``interval`` is the sampling period in simulated seconds.
     ``flight`` optionally carries a
@@ -135,8 +124,8 @@ class MetricsHub:
     into each attached network's engine.
     """
 
-    __slots__ = ("interval", "flight", "counters", "_samplers", "_gauges",
-                 "_segments", "_net_samplers", "_tx_window", "_link_keys")
+    __slots__ = ("interval", "flight", "counters", "_segments",
+                 "_net_samplers", "_tx_window", "_link_keys")
 
     def __init__(self, interval: float = 0.001,
                  flight: "FlightRecorder | None" = None) -> None:
@@ -146,9 +135,6 @@ class MetricsHub:
         #: Monotonic event counters, e.g. ``"drops"``,
         #: ``"drops.overflow:r1->r2"``, ``"tx_bytes:h1->r1"``.
         self.counters: dict[str, int] = {}
-        self._samplers: list[tuple[str, Callable[[float], float]]] = []
-        #: Custom gauge name -> its sample times and values.
-        self._gauges: dict[str, tuple[list[float], list[float]]] = {}
         #: The built-in series, one segment per sampler arm, oldest first.
         self._segments: list[_Segment] = []
         self._net_samplers: list[tuple["Network", _NetSampler]] = []
@@ -190,23 +176,7 @@ class MetricsHub:
                 sampler.ensure()
                 return
 
-    def add_sampler(self, name: str, fn: Callable[[float], float]) -> None:
-        """Register a custom gauge: ``fn(now) -> value``, sampled each tick.
-
-        The callback runs on the engine's sampler path and must not
-        mutate simulation state: a run's bytes are the same with
-        telemetry on and off
-        (``test_run_bytes_identical_with_obs_on_and_off``).
-        """
-        self._gauges.setdefault(_custom(name), ([], []))
-        self._samplers.append((name, fn))
-
     # -- hot-path hooks (called by ports, only while attached) -------------
-
-    def count(self, name: str, value: int = 1) -> None:
-        """Add ``value`` to counter ``name``."""
-        counters = self.counters
-        counters[name] = counters.get(name, 0) + value
 
     def drop(self, link: "Link") -> None:
         """One packet dropped on ``link`` by buffer overflow."""
@@ -227,12 +197,6 @@ class MetricsHub:
         window = self._tx_window
         window[key] = window.get(key, 0) + size
 
-    def record(self, name: str, now: float, value: float) -> None:
-        """Append one ``(now, value)`` sample to custom series ``name``."""
-        times, values = self._gauges.setdefault(_custom(name), ([], []))
-        times.append(now)
-        values.append(value)
-
     # -- reporting ---------------------------------------------------------
 
     def series_points(self, name: str) -> list[tuple[float, float]]:
@@ -241,10 +205,10 @@ class MetricsHub:
 
     def _column(self, name: str) -> tuple[list[float], list[float]]:
         """Series ``name`` as its sample times and its values."""
-        if not name.startswith(_BUILT_IN):
-            return self._gauges.get(name, ([], []))
         kind, _, key = name.partition(":")
         times, values = [], []
+        if kind not in ("queue_depth", "link_util"):
+            return times, values
         for segment in self._segments:
             if key in segment.keys:
                 i = segment.keys.index(key)
@@ -263,9 +227,9 @@ class MetricsHub:
         return {name: self.series_points(name) for name in self._names()}
 
     def _names(self) -> list[str]:
-        built_in = {kind + key for segment in self._segments
-                    for key in segment.keys for kind in _BUILT_IN}
-        return sorted(built_in.union(self._gauges))
+        return sorted({kind + key for segment in self._segments
+                       for key in segment.keys
+                       for kind in ("queue_depth:", "link_util:")})
 
     def summary(self) -> dict:
         """A deterministic digest for the artifact's ``obs`` section.

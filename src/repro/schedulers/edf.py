@@ -49,8 +49,5 @@ class EdfScheduler(KeyedScheduler):
             self._tmin_cache[key] = remaining
         return packet.deadline - remaining + packet.size * self._tx_per_byte
 
-    # kept for callers that used the descriptive name
-    _local_priority = _key
-
     def preemption_key(self, packet: Packet) -> float:
         return self._key(packet)

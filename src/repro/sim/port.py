@@ -146,7 +146,7 @@ class Port:
         self.scheduler = scheduler
 
     def set_buffer(self, buffer_bytes: float) -> None:
-        if buffer_bytes <= 0:
+        if not buffer_bytes > 0:  # NaN too: it would compare as never full
             raise ConfigurationError(
                 f"port {self.link.src}->{self.link.dst}: buffer must be "
                 f"positive bytes or inf")

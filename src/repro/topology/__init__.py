@@ -11,7 +11,6 @@ from repro.topology.rocketfuel import RocketFuelConfig, build_rocketfuel
 from repro.topology.fattree import FatTreeConfig, build_fattree
 from repro.topology.simple import (
     build_dumbbell,
-    build_linear,
     build_parking_lot,
     build_single_switch,
 )
@@ -23,7 +22,6 @@ __all__ = [
     "build_dumbbell",
     "build_fattree",
     "build_internet2",
-    "build_linear",
     "build_parking_lot",
     "build_rocketfuel",
     "build_single_switch",

@@ -25,7 +25,7 @@ count to laptop scale — see the scaling note in docs/paper-map.md.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError, require_positive_finite
 from repro.sim.network import Network
@@ -63,10 +63,6 @@ class Internet2Config:
     access_prop: float = 1 * MILLISECONDS
     host_prop: float = 0.05 * MILLISECONDS
     bandwidth_scale: float = 1.0
-
-    def scaled(self, factor: float) -> "Internet2Config":
-        """A copy with every bandwidth multiplied by ``factor``."""
-        return replace(self, bandwidth_scale=self.bandwidth_scale * factor)
 
     @property
     def bottleneck_bw(self) -> float:

@@ -7,7 +7,6 @@
   when each host terminates one flow (the regime of the LSTF ≤ 2 theorem).
 * :func:`build_parking_lot` — a chain of switches with per-hop on/off
   ramps: packets can hit three or more congestion points.
-* :func:`build_linear` — a bare host-switch-...-switch-host chain.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from repro.units import MBPS
 
 __all__ = [
     "build_dumbbell",
-    "build_linear",
     "build_parking_lot",
     "build_single_switch",
 ]
@@ -90,24 +88,4 @@ def build_parking_lot(
         net.add_link(f"SW_{i}", h_out, host_bw, prop)
     for i in range(num_hops):
         net.add_link(f"SW_{i}", f"SW_{i+1}", core_bw, prop)
-    return net
-
-
-def build_linear(
-    num_switches: int = 2,
-    bw: float = 10 * MBPS,
-    prop: float = 1e-5,
-) -> Network:
-    """``src -> SW_0 -> ... -> SW_<n-1> -> dst`` with uniform links."""
-    if num_switches < 1:
-        raise ConfigurationError("need at least one switch")
-    net = Network()
-    net.add_host("src")
-    net.add_host("dst")
-    for i in range(num_switches):
-        net.add_router(f"SW_{i}")
-    net.add_link("src", "SW_0", bw, prop)
-    for i in range(num_switches - 1):
-        net.add_link(f"SW_{i}", f"SW_{i+1}", bw, prop)
-    net.add_link(f"SW_{num_switches - 1}", "dst", bw, prop)
     return net

@@ -21,7 +21,6 @@ import numpy as np
 
 from repro.core.flow import Flow
 from repro.errors import WorkloadError
-from repro.units import MTU
 from repro.workload.distributions import SizeDistribution
 
 __all__ = ["PoissonWorkload", "long_lived_flows", "poisson_flows"]
@@ -51,7 +50,6 @@ def poisson_flows(
     hosts: list[str],
     sizes: SizeDistribution,
     workload: PoissonWorkload,
-    mtu: int = MTU,
 ) -> list[Flow]:
     """Generate Poisson flow arrivals for every host.
 
@@ -81,7 +79,7 @@ def poisson_flows(
             dst = others[int(rng.integers(len(others)))]
             fid += 1
             flows.append(
-                Flow(fid=fid, src=src, dst=dst, size=sizes.sample(rng), start=t, mtu=mtu)
+                Flow(fid=fid, src=src, dst=dst, size=sizes.sample(rng), start=t)
             )
     flows.sort(key=lambda f: (f.start, f.fid))
     if not flows:
@@ -96,7 +94,6 @@ def long_lived_flows(
     size: int,
     jitter: float = 0.005,
     seed: int = 1,
-    mtu: int = MTU,
 ) -> list[Flow]:
     """Permanent flows with jittered starts (fairness experiment, §3.3).
 
@@ -116,7 +113,6 @@ def long_lived_flows(
                 dst=dst,
                 size=size,
                 start=float(rng.uniform(0.0, jitter)),
-                mtu=mtu,
             )
         )
     flows.sort(key=lambda f: (f.start, f.fid))

@@ -317,6 +317,116 @@ class TestObservation:
         assert reopened.counts()[PENDING] == 1
 
 
+class _FaultyConnection:
+    """A real connection whose ``execute`` raises ``OperationalError``
+    on every statement that starts with ``fail_on`` ("" fails them all)."""
+
+    def __init__(self, conn, fail_on: str, message: str) -> None:
+        self._conn, self._fail_on, self._message = conn, fail_on, message
+
+    def execute(self, sql, *args):
+        if sql.lstrip().startswith(self._fail_on):
+            raise sqlite3.OperationalError(self._message)
+        return self._conn.execute(sql, *args)
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
+
+
+def _inject(monkeypatch, fail_on: str, message: str = "database is locked"):
+    """Make every connection the queue opens fail on ``fail_on``; the
+    real busy timeout is never waited on."""
+    real = sqlite3.connect
+    monkeypatch.setattr(
+        sqlite3, "connect",
+        lambda *a, **k: _FaultyConnection(real(*a, **k), fail_on, message))
+
+
+class TestSqliteFaults:
+    """An SQLite operational fault leaves as a ``ClusterError`` naming
+    the queue, and a failed write transaction leaves nothing behind."""
+
+    def test_a_failed_submit_leaves_no_job_row(self, tmp_path, monkeypatch):
+        queue = JobQueue(tmp_path)
+        with monkeypatch.context() as patch:
+            _inject(patch, "COMMIT", "disk I/O error")
+            with pytest.raises(ClusterError, match="disk I/O error") as info:
+                queue.submit(SWEEP)
+        assert str(tmp_path) in str(info.value)
+        assert queue.jobs() == []
+        assert sum(queue.counts().values()) == 0
+
+    def test_claim_batch_and_report_batch_raise_cluster_error(
+            self, tmp_path, monkeypatch):
+        queue = JobQueue(tmp_path)
+        (job_id,) = queue.submit([TINY])
+        with monkeypatch.context() as patch:
+            _inject(patch, "BEGIN IMMEDIATE")
+            with pytest.raises(ClusterError, match="database is locked"):
+                queue.claim_batch("w1", 1)
+        assert queue.job(job_id).state == PENDING
+        queue.claim_batch("w1", 1)
+        with monkeypatch.context() as patch:
+            _inject(patch, "BEGIN IMMEDIATE")
+            with pytest.raises(ClusterError, match="database is locked"):
+                queue.report_batch("w1", [(job_id, None, True)])
+        assert queue.job(job_id).state == RUNNING
+
+    def test_status_on_a_faulty_queue_is_one_error_line(
+            self, tmp_path, monkeypatch, capsys):
+        from repro.cli import main
+
+        JobQueue(tmp_path).submit([TINY])
+        _inject(monkeypatch, "")
+        assert main(["status", "--queue", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and "database is locked" in line
+
+    @pytest.mark.parametrize("argv", [
+        ["submit", "table1", "--rows", "0", "--duration", "0.04"],
+        ["worker", "--drain"],
+    ], ids=["submit", "worker"])
+    def test_submit_and_worker_on_a_faulty_queue_are_one_error_line(
+            self, tmp_path, monkeypatch, capsys, argv):
+        from repro.cli import main
+
+        JobQueue(tmp_path)
+        _inject(monkeypatch, "")
+        assert main(argv + ["--queue", str(tmp_path)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and "database is locked" in line
+
+    def test_a_fault_closes_its_connection(self, tmp_path, monkeypatch):
+        queue = JobQueue(tmp_path)
+        opened = []
+        real = sqlite3.connect
+
+        def connect(*args, **kwargs):
+            opened.append(real(*args, **kwargs))
+            return _FaultyConnection(opened[-1], "SELECT", "disk I/O error")
+
+        monkeypatch.setattr(sqlite3, "connect", connect)
+        with pytest.raises(ClusterError, match="disk I/O error"):
+            queue.counts()
+        (conn,) = opened
+        with pytest.raises(sqlite3.ProgrammingError, match="closed"):
+            conn.execute("SELECT 1")
+
+    def test_a_database_that_will_not_open_is_a_cluster_error(
+            self, tmp_path, monkeypatch):
+        queue = JobQueue(tmp_path)
+
+        def refuse(*args, **kwargs):
+            raise sqlite3.OperationalError("unable to open database file")
+
+        monkeypatch.setattr(sqlite3, "connect", refuse)
+        with pytest.raises(ClusterError, match="unable to open") as info:
+            queue.jobs()
+        assert str(tmp_path) in str(info.value)
+
+
 def _parent_queue_db(queue_dir, spec, lease_expires_at):
     """A ``queue.db`` in the schema that still carried a ``leases`` table
     (one row per worker beside the per-job deadline), holding one job

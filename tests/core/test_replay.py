@@ -387,11 +387,6 @@ class TestReplayResultMetrics:
         r = self._result()
         assert 0.0 <= r.fraction_overdue_beyond_threshold <= r.fraction_overdue <= 1.0
 
-    def test_custom_threshold_monotone(self):
-        r = self._result()
-        t = r.schedule.threshold
-        assert r.fraction_overdue_beyond(2 * t) <= r.fraction_overdue_beyond(t)
-
     def test_queueing_delay_ratios_nonnegative(self):
         ratios = self._result().queueing_delay_ratios()
         assert len(ratios) > 0

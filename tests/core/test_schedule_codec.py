@@ -148,8 +148,9 @@ def test_unpack_of_pack_is_the_schedule(doc):
     packets = doc["packets"]
     for key, column in (("pid", back.pid), ("i", back.ingress), ("o", back.output)):
         assert repr(column.tolist()) == repr([row[key] for row in packets])
-    assert back.endpoints() == ([row["src"] for row in packets],
-                                [row["dst"] for row in packets])
+    paths = np.split(back.path, np.cumsum(back.hops + 1)[:-1])
+    assert [[back.nodes[k] for k in path.tolist()] for path in paths] == [
+        row["path"] for row in packets]
     assert (back.threshold, back.description) == (
         schedule.threshold, schedule.description)
     assert pack(back) == data

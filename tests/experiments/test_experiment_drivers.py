@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.api import ExperimentSpec, run
+from repro.core.replay import replay_schedule
 from repro.errors import ConfigurationError
 from repro.experiments.fairness import run_fairness_experiment
 from repro.experiments.fct import run_fct_experiment
@@ -33,38 +34,39 @@ TINY = dict(duration=0.08, seed=1)
 
 class TestReplayability:
     def test_default_scenario_lstf_mostly_on_time(self):
-        outcome = run_replay(ReplayScenario(name="t", **TINY))
-        assert outcome.fraction_overdue < 0.25
-        assert outcome.fraction_overdue_beyond_t < 0.05
+        result = run_replay(ReplayScenario(name="t", **TINY))
+        assert result.fraction_overdue < 0.25
+        assert result.fraction_overdue_beyond_threshold < 0.05
 
     def test_omniscient_is_perfect_on_internet2(self):
         sc = ReplayScenario(name="t", **TINY)
-        outcome = run_replay(sc, mode="omniscient")
-        assert outcome.result.perfect
+        result = run_replay(sc, mode="omniscient")
+        assert result.perfect
 
     def test_lstf_beats_intuitive_priorities(self):
         """§2.3(7): priority(p) = o(p) replays far worse than LSTF."""
         sc = ReplayScenario(name="t", **TINY)
         schedule = build_recorded_schedule(sc)
-        lstf = run_replay(sc, mode="lstf", schedule=schedule)
-        prio = run_replay(sc, mode="priority", schedule=schedule)
+        lstf = replay_schedule(schedule, sc.network, mode="lstf")
+        prio = replay_schedule(schedule, sc.network, mode="priority")
         assert prio.fraction_overdue > lstf.fraction_overdue
-        assert prio.fraction_overdue_beyond_t > lstf.fraction_overdue_beyond_t
+        assert (prio.fraction_overdue_beyond_threshold
+                > lstf.fraction_overdue_beyond_threshold)
 
     def test_preemption_rescues_sjf_replay(self):
         """§2.3(5): preemption collapses SJF's failure rate."""
         sc = ReplayScenario(name="t", scheduler="sjf", **TINY)
         schedule = build_recorded_schedule(sc)
-        plain = run_replay(sc, mode="lstf", schedule=schedule)
-        preempt = run_replay(sc, mode="lstf-preemptive", schedule=schedule)
+        plain = replay_schedule(schedule, sc.network, mode="lstf")
+        preempt = replay_schedule(schedule, sc.network, mode="lstf-preemptive")
         assert preempt.fraction_overdue <= plain.fraction_overdue
 
     def test_preemption_collapses_lifo_failures(self):
         """§2.3(5), the other half: LIFO originals collapse too."""
         sc = ReplayScenario(name="t", scheduler="lifo", **TINY)
         schedule = build_recorded_schedule(sc)
-        plain = run_replay(sc, mode="lstf", schedule=schedule)
-        preempt = run_replay(sc, mode="lstf-preemptive", schedule=schedule)
+        plain = replay_schedule(schedule, sc.network, mode="lstf")
+        preempt = replay_schedule(schedule, sc.network, mode="lstf-preemptive")
         assert preempt.fraction_overdue < 0.5 * plain.fraction_overdue
 
     @pytest.mark.parametrize(
@@ -74,9 +76,9 @@ class TestReplayability:
         """§2.3's summary of Table 1: "in almost all cases, less than 1%
         of the packets are overdue with LSTF by more than T" — with slack
         for 1/100-scale noise, but catching regressions an order away."""
-        outcome = run_replay(scenario)
-        assert outcome.fraction_overdue_beyond_t < 0.10
-        assert outcome.fraction_overdue < 0.5
+        result = run_replay(scenario)
+        assert result.fraction_overdue_beyond_threshold < 0.10
+        assert result.fraction_overdue < 0.5
 
     @pytest.mark.parametrize(
         "scheduler", ["random", "fifo", "fq", "sjf", "lifo", "fq+fifo+"])
@@ -85,7 +87,7 @@ class TestReplayability:
     ):
         """§2.3(6), Figure 1's shape: LSTF eliminates "wasted waiting"."""
         sc = ReplayScenario(name="t", scheduler=scheduler, **TINY)
-        ratios = run_replay(sc).result.queueing_delay_ratios()
+        ratios = run_replay(sc).queueing_delay_ratios()
         assert np.quantile(ratios, 0.5) <= 1.1
 
     def test_table1_has_every_paper_row(self):
@@ -102,13 +104,13 @@ class TestReplayability:
     def test_each_topology_variant_records_and_replays(self, topology):
         sc = ReplayScenario(name="t", scenario=get_scenario(topology),
                             duration=0.04)
-        outcome = run_replay(sc)
-        assert outcome.result.num_packets > 50
+        result = run_replay(sc)
+        assert result.num_packets > 50
 
     def test_mixed_fq_fifoplus_original(self):
         sc = ReplayScenario(name="t", scheduler="fq+fifo+", duration=0.05)
-        outcome = run_replay(sc)
-        assert outcome.result.num_packets > 50
+        result = run_replay(sc)
+        assert result.num_packets > 50
 
     def test_unknown_topology_or_scheduler_rejected(self):
         with pytest.raises(ConfigurationError):

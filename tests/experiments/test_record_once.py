@@ -14,6 +14,7 @@ import pytest
 
 from repro.api import ExperimentSpec, run, run_many
 from repro.core import trace_io
+from repro.core.replay import replay_schedule
 from repro.core.store import RunContext
 from repro.core.trace_io import ScheduleStore
 from repro.errors import ConfigurationError
@@ -152,33 +153,22 @@ class TestByteIdentity:
         assert first.content_hash() == second.content_hash()
 
 
-class TestRunReplayScheduleKwarg:
-    """Regression: ``run_replay(schedule=...)`` must never re-record."""
-
-    def _scenario(self):
-        return ReplayScenario(name="kwarg-path", duration=0.03, seed=1)
-
-    def test_given_schedule_is_not_rerecorded(self, recorder_calls):
-        scenario = self._scenario()
-        schedule = build_recorded_schedule(scenario)
-        recorder_calls.clear()
-        outcome = run_replay(scenario, mode="lstf", schedule=schedule)
-        assert len(recorder_calls) == 0  # recorder invoked zero times
-        assert outcome.schedule is schedule
+class TestReplayingAHeldSchedule:
+    """A schedule recorded once and replayed under every mode judges
+    exactly as fresh recordings do."""
 
     def test_reuse_across_modes_equals_fresh_recordings(self, recorder_calls):
-        scenario = self._scenario()
+        scenario = ReplayScenario(name="held", duration=0.03, seed=1)
         schedule = build_recorded_schedule(scenario)
         recorder_calls.clear()
-        reused = [
-            run_replay(scenario, mode=m, schedule=schedule) for m in MODES
-        ]
-        assert len(recorder_calls) == 0
+        reused = [replay_schedule(schedule, scenario.network, mode=m)
+                  for m in MODES]
         fresh = [run_replay(scenario, mode=m) for m in MODES]
         assert len(recorder_calls) == len(MODES)  # one recording per call
         for a, b in zip(reused, fresh):
             assert a.fraction_overdue == b.fraction_overdue
-            assert a.fraction_overdue_beyond_t == b.fraction_overdue_beyond_t
+            assert (a.fraction_overdue_beyond_threshold
+                    == b.fraction_overdue_beyond_threshold)
 
 
 class TestScheduleKeyAndStore:

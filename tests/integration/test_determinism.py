@@ -37,8 +37,8 @@ def test_recording_is_byte_identical_across_runs():
     first, _ = _record_once(seed=5)
     second, _ = _record_once(seed=5)
     assert len(first) == len(second)
-    assert first.endpoints() == second.endpoints()
-    for name in ("pid", "size", "ingress", "output", "hop_tx"):
+    assert first.nodes == second.nodes
+    for name in ("pid", "size", "ingress", "output", "path", "hop_tx"):
         assert np.array_equal(getattr(first, name), getattr(second, name)), name
 
 

@@ -1,32 +1,14 @@
-"""Unit tests for delay distribution metrics (Figures 1 and 3 support)."""
+"""Unit tests for packet delay metrics (Figure 3 support)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.metrics.delay import ccdf, cdf, packet_delays, percentile, queueing_delays
+from repro.metrics.delay import packet_delays, percentile
 from repro.sim.network import Network
 from repro.units import MBPS
 from tests.conftest import make_packet
-
-
-def test_cdf_is_monotone_and_normalised():
-    values, probs = cdf([3.0, 1.0, 2.0, 2.0])
-    assert list(values) == [1.0, 2.0, 2.0, 3.0]
-    assert probs[-1] == pytest.approx(1.0)
-    assert np.all(np.diff(probs) >= 0)
-
-
-def test_cdf_rejects_empty():
-    with pytest.raises(ValueError):
-        cdf([])
-
-
-def test_ccdf_complements_cdf():
-    values, tail = ccdf([1.0, 2.0, 3.0, 4.0])
-    assert tail[0] == pytest.approx(1.0)
-    assert tail[-1] == pytest.approx(1.0 / 4.0)
 
 
 def test_percentile():
@@ -49,15 +31,20 @@ def test_packet_delays_from_tracer_skips_acks():
     assert len(packet_delays(net.tracer, data_only=False)) == 2
 
 
-def test_queueing_delays_from_tracer():
-    net = Network()
-    net.add_host("a")
-    net.add_host("b")
-    net.add_link("a", "b", 8 * MBPS, 0.0)
-    p1, p2 = make_packet(), make_packet()
-    net.inject_at(0.0, p1)
-    net.inject_at(0.0, p2)
+
+@pytest.mark.xfail(strict=True, reason="FOUND in CHANGES.md: the ACK filter "
+                   "(size <= 64) drops a small UDP data segment")
+def test_a_small_last_udp_segment_is_data_not_an_ack():
+    """A 1 510-byte UDP flow sends a 1 500-byte and a 10-byte segment,
+    and no ACK at all: both segments count as delivered data."""
+    from repro.core.flow import Flow
+    from repro.metrics.fairness import flow_throughputs
+    from repro.topology.simple import build_dumbbell
+    from repro.transport.udp import install_udp_flows
+
+    net = build_dumbbell(num_pairs=1)
+    install_udp_flows(net, [Flow(1, "s_0", "d_0", 1510, start=0.0)])
     net.run()
-    waits = sorted(queueing_delays(net.tracer))
-    assert waits[0] == pytest.approx(0.0)
-    assert waits[1] == pytest.approx(0.001)
+    assert sorted(np.asarray(net.tracer.size).tolist()) == [10, 1500]
+    assert len(packet_delays(net.tracer)) == 2
+    assert flow_throughputs(net.tracer, [1], horizon=1.0) == {1: 1510 * 8.0}

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.flow import Flow
-from repro.metrics.fct import bucket_mean_fct, mean_fct
+from repro.metrics.fct import PAPER_BUCKET_EDGES, bucket_mean_fct, mean_fct
 from repro.transport.tcp import TcpStats
 
 
@@ -50,7 +50,14 @@ def test_empty_buckets_omitted():
     assert len(buckets) == 1
 
 
-def test_custom_edges():
-    stats = _stats([(1, 500, 0.1), (2, 5_000, 0.2)])
-    buckets = bucket_mean_fct(stats, edges=(1_000, float("inf")))
-    assert [b.count for b in buckets] == [1, 1]
+def test_a_flow_on_a_paper_edge_falls_in_the_bucket_it_closes():
+    """Buckets are Figure 2's ``(low, high]`` ranges: a flow exactly as
+    large as an edge closes that edge's bucket, so one flow per finite
+    edge plus one beyond the last fills every bucket once."""
+    finite = PAPER_BUCKET_EDGES[:-1]
+    sizes = [int(edge) for edge in finite] + [int(finite[-1]) + 1]
+    stats = _stats([(fid, size, 0.1) for fid, size in enumerate(sizes)])
+    buckets = bucket_mean_fct(stats)
+    assert [b.high for b in buckets] == list(PAPER_BUCKET_EDGES)
+    assert [b.low for b in buckets] == [0.0, *finite]
+    assert all(b.count == 1 for b in buckets)

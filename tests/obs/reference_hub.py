@@ -1,9 +1,8 @@
 """The tuple-list metrics hub :class:`~repro.obs.hub.MetricsHub` replaced.
 
 Test-only.  Every tick appends one ``(t, value)`` tuple per port to
-each of two series lists (``queue_depth:`` and ``link_util:``), and a
-custom gauge's samples go through :meth:`ReferenceHub.record` into the
-same ``series`` table.  ``tests/obs/test_hub_differential.py`` drives
+each of two series lists (``queue_depth:`` and ``link_util:``).
+``tests/obs/test_hub_differential.py`` drives
 both hubs over the same runs and demands equal ``series_points`` for
 every name, equal ``summary()`` and equal ``counters``: the row layout
 is legal exactly as far as it cannot be told apart from this one.
@@ -12,8 +11,6 @@ Attach it like the real hub: ``RunContext(hub=ReferenceHub()).entered()``.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 __all__ = ["ReferenceHub"]
 
@@ -57,8 +54,6 @@ class _NetSampler:
             sent = window.pop(key, 0)
             util.append(
                 (now, link.utilisation(sent, interval) if sent else 0.0))
-        for name, fn in hub._samplers:
-            hub.record(name, now, fn(now))
         if engine.pending_events or engine.pending_deferred:
             engine.schedule_sample(now + interval, self.tick)
         else:
@@ -73,7 +68,6 @@ class ReferenceHub:
         self.flight = flight
         self.counters: dict[str, int] = {}
         self.series: dict[str, list[tuple[float, float]]] = {}
-        self._samplers: list[tuple[str, Callable[[float], float]]] = []
         self._net_samplers: list[tuple] = []
         self._tx_window: dict[str, int] = {}
         self._link_keys: dict = {}
@@ -98,9 +92,6 @@ class ReferenceHub:
                 sampler.ensure()
                 return
 
-    def add_sampler(self, name: str, fn: Callable[[float], float]) -> None:
-        self._samplers.append((name, fn))
-
     def drop(self, link) -> None:
         counters = self.counters
         counters["drops"] = counters.get("drops", 0) + 1
@@ -123,9 +114,6 @@ class ReferenceHub:
         if series is None:
             series = self.series[name] = []
         return series
-
-    def record(self, name: str, now: float, value: float) -> None:
-        self._series(name).append((now, value))
 
     def series_points(self, name: str) -> list[tuple[float, float]]:
         return list(self.series.get(name, ()))

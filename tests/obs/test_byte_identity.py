@@ -184,12 +184,19 @@ def test_obs_summary_is_the_same_on_a_cold_and_a_warm_store(tmp_path):
     assert warm.obs == cold.obs
 
 
-def test_obs_on_branch_run_with_a_closure_sampler_completes(tmp_path):
-    """A hub holding a lambda cannot be pickled; the warm-up the run puts
-    into its checkpoint store must not try."""
+def test_obs_on_branch_run_with_a_closure_sampler_completes(tmp_path, monkeypatch):
+    """A hub that cannot be pickled (as one holding a closure could not
+    be); the warm-up the run puts into its checkpoint store must not try."""
+    import pickle
+
+    def refuse(hub, protocol):
+        raise pickle.PicklingError("a metrics hub is never pickled")
+
     hub = MetricsHub()
-    hub.add_sampler("c", lambda now: 1.0)
+    monkeypatch.setattr(MetricsHub, "__reduce_ex__", refuse)
+    with pytest.raises(pickle.PicklingError):
+        pickle.dumps(hub)
     on = run(BRANCH_FQ, out_dir=tmp_path / "on", obs=hub)
     off = run(BRANCH_FQ, out_dir=tmp_path / "off")
     assert on.canonical_json() == off.canonical_json()
-    assert hub.series_points("c")
+    assert hub.summary()["series"]

@@ -4,7 +4,7 @@ replaced.
 Hypothesis draws small runs -- one or two networks under one hub (the
 first runs again after the second), an empty first run followed by
 ``use_preemptive_ports``, ``run(until=...)`` phases with traffic
-injected between them, finite buffers that drop, a custom gauge -- and
+injected between them, finite buffers that drop -- and
 drives each once under :class:`~repro.obs.hub.MetricsHub` and once under
 :class:`tests.obs.reference_hub.ReferenceHub`.  Every series name must
 give the same ``series_points``, and ``summary()`` and ``counters`` must
@@ -40,7 +40,6 @@ cases = st.fixed_dictionaries({
     "buffer": st.sampled_from((None, 1500, 3000)),  # bytes at SW
     "phases": st.lists(st.sampled_from((0.002, 0.005, None)),
                        min_size=1, max_size=3),
-    "gauge": st.booleans(),
     "interval": st.sampled_from((0.0005, 0.001)),
 })
 
@@ -70,12 +69,9 @@ def _drive(hub, case: dict):
     rng = random.Random(case["seed"])
     nets = []
     with RunContext(hub=hub).entered():
-        for n in range(case["networks"]):
+        for _ in range(case["networks"]):
             net = _network(case, rng)
             nets.append(net)
-            if case["gauge"]:
-                hub.add_sampler(f"pending.{n}", lambda now, engine=net.engine:
-                                float(engine.pending_events) + now)
             if case["preempt"]:
                 net.run()  # arms the sampler on the original ports
                 net.use_preemptive_ports(LstfScheduler)
@@ -92,13 +88,13 @@ def _drive(hub, case: dict):
     return hub
 
 
-#: Fixed corners: two networks sharing link names, a gauge and drops;
+#: Fixed corners: two networks sharing link names, and drops;
 #: an empty first run, then preemptive ports, then phases.
 DROPS = {"seed": 0, "networks": 2, "hosts": 3, "preempt": False,
-         "buffer": 1500, "phases": [0.002, None], "gauge": True,
+         "buffer": 1500, "phases": [0.002, None],
          "interval": 0.0005}
 PREEMPT = {"seed": 1, "networks": 1, "hosts": 4, "preempt": True,
-           "buffer": None, "phases": [0.002, 0.005], "gauge": False,
+           "buffer": None, "phases": [0.002, 0.005],
            "interval": 0.001}
 
 
@@ -120,7 +116,6 @@ def test_row_hub_reads_exactly_like_the_tuple_list_hub(case):
 def test_the_fixed_corners_are_not_empty():
     hub = _drive(MetricsHub(interval=DROPS["interval"]), DROPS)
     assert hub.counters["drops"] > 0
-    assert hub.series_points("pending.1")
     assert len(hub._net_samplers) == 2
     # First network, second, then the first again: three segments.
     assert [len(segment.times) > 0 for segment in hub._segments] == [True] * 3

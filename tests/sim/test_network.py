@@ -194,6 +194,29 @@ class TestInstallation:
         with pytest.raises(ConfigurationError):
             net.set_buffers(0)
 
+    def test_a_nan_buffer_is_refused_at_both_entry_points(self):
+        """A NaN buffer would compare as never full, so the port would
+        never drop: both ``Port.set_buffer`` and ``Network.set_buffers``
+        refuse it, and the port keeps its buffer."""
+        net = _diamond()
+        port = net.nodes["A"].ports["N"]
+        with pytest.raises(ConfigurationError, match="positive bytes"):
+            port.set_buffer(float("nan"))
+        with pytest.raises(ConfigurationError, match="positive bytes"):
+            net.set_buffers(float("nan"))
+        assert port.buffer_bytes == float("inf")
+
+    def test_an_infinite_buffer_lifts_a_finite_one(self):
+        net = _diamond()
+        port = net.nodes["A"].ports["N"]
+        net.set_buffers(5000)
+        port.set_buffer(float("inf"))
+        assert port.buffer_bytes == float("inf")
+        assert net.nodes["A"].ports["S"].buffer_bytes == 5000
+        with pytest.raises(ConfigurationError, match="positive bytes"):
+            port.set_buffer(-1)
+        assert port.buffer_bytes == float("inf")
+
 
 # --- a packet's path is its route --------------------------------------------
 

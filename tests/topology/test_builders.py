@@ -10,7 +10,6 @@ from repro.topology.internet2 import CORE_LINKS, CORE_ROUTERS, Internet2Config, 
 from repro.topology.rocketfuel import RocketFuelConfig, build_rocketfuel
 from repro.topology.simple import (
     build_dumbbell,
-    build_linear,
     build_parking_lot,
     build_single_switch,
 )
@@ -43,7 +42,7 @@ class TestInternet2:
             assert 4 <= router_hops <= 7, route
 
     def test_bandwidth_scale_preserves_ratios(self):
-        cfg = Internet2Config(edges_per_core=1).scaled(0.01)
+        cfg = Internet2Config(edges_per_core=1, bandwidth_scale=0.01)
         net = build_internet2(cfg)
         access = net.links[("SEAT", "e_SEAT_0")].bandwidth
         host = net.links[("e_SEAT_0", "h_SEAT_0_0")].bandwidth
@@ -151,10 +150,6 @@ class TestSimpleTopologies:
             "SW_0", "SW_1", "SW_2", "SW_3"
         ]
 
-    def test_linear(self):
-        net = build_linear(num_switches=3)
-        assert net.route("src", "dst") == ("src", "SW_0", "SW_1", "SW_2", "dst")
-
     def test_degenerate_sizes_rejected(self):
         with pytest.raises(ConfigurationError):
             build_single_switch(num_senders=0)
@@ -162,5 +157,3 @@ class TestSimpleTopologies:
             build_dumbbell(num_pairs=0)
         with pytest.raises(ConfigurationError):
             build_parking_lot(num_hops=0)
-        with pytest.raises(ConfigurationError):
-            build_linear(num_switches=0)

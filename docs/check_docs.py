@@ -29,9 +29,13 @@ Eight checks, all cheap enough for every CI run:
    ``repro list --scenarios`` prints, so a new catalogue scenario
    cannot ship undocumented and the docs cannot name ghosts.
 7. **Docstrings × files** — every ``*.md`` file a docstring under
-   ``src/`` names (``docs/replay.md``, ``benchmarks/suite/README.md``)
-   must exist, as a path from the repository root — the corpus once
-   carried eight pointers to a ``DESIGN.md`` that was never written.
+   ``src/`` names (``docs/replay.md``, ``benchmarks/suite/README.md``),
+   and every ``*.py`` file it names from the top of the tree
+   (``tests/sim/test_checkpoint.py``; a ``src/``, ``tests/``,
+   ``examples/``, ``benchmarks/`` or ``docs/`` path), must exist, as a
+   path from the repository root — the corpus once carried eight
+   pointers to a ``DESIGN.md`` that was never written, and one to a
+   test module that was never written.
 8. **References × package** — every fully qualified ``repro.…`` name
    must resolve (``pkgutil.resolve_name``: import the longest module
    prefix, then look the rest up as attributes): the target of a Sphinx role (``:func:``,
@@ -67,8 +71,11 @@ _RULE_ROW = re.compile(r"^\|\s*`([A-Z]+(?:-[A-Z]+)+)`\s*\|")
 _SCENARIO_ROW = re.compile(r"^\|\s*`([a-z0-9_-]+)`\s*\|")
 #: The heading that opens the scenario catalogue table.
 _CATALOGUE_HEADING = "## The built-in catalogue"
-#: A markdown file named in prose: ``docs/replay.md``, ``README.md``.
-_MD_FILE = re.compile(r"(?<![\w./*-])[\w.-]+(?:/[\w.-]+)*\.md\b")
+#: A markdown file named in prose: ``docs/replay.md``, ``README.md``;
+#: or a Python file named from the top of the tree: ``tests/x/test_y.py``.
+_NAMED_FILE = re.compile(
+    r"(?<![\w./*-])(?:[\w.-]+(?:/[\w.-]+)*\.md"
+    r"|(?:src|tests|examples|benchmarks|docs)(?:/[\w.-]+)+\.py)\b")
 #: A Sphinx role naming ``repro.…``: ``:func:`~repro.x.f```,
 #: ``:meth:`title <repro.x.C.m>```.
 _ROLE_REF = re.compile(r":(?:func|class|meth|data|mod|attr|exc):"
@@ -241,7 +248,8 @@ def check_scenarios(doc_path: Path) -> list[str]:
 
 
 def check_docstring_files(source_root: Path, repo: Path = REPO) -> list[str]:
-    """Every ``*.md`` a docstring under ``source_root`` names exists."""
+    """Every ``*.md``, and every ``*.py`` rooted at a top-level directory,
+    that a docstring under ``source_root`` names exists."""
     problems = []
     for path in sorted(source_root.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -253,7 +261,7 @@ def check_docstring_files(source_root: Path, repo: Path = REPO) -> list[str]:
                 continue
             first = node.body[0].lineno
             for offset, line in enumerate(text.splitlines()):
-                for target in _MD_FILE.findall(line):
+                for target in _NAMED_FILE.findall(line):
                     if not (repo / target).is_file():
                         problems.append(
                             f"{path.relative_to(repo)}:{first + offset}: "

@@ -53,7 +53,7 @@ from repro.sim.resume import ResumeSession, parse_checkpoint_every
 __all__ = ["cached_artifact", "obs_enabled_from_env", "run", "run_many"]
 
 #: Environment switch for run telemetry: set to anything but ""/"0" and
-#: ``run(obs=None)`` attaches a fresh :class:`~repro.obs.hub.MetricsHub`.
+#: ``run(obs=None)`` collects into a fresh :class:`~repro.obs.hub.MetricsHub`.
 #: An env var (rather than a parameter threaded through ``run_many``)
 #: because it must reach forked pool children and queue drain workers
 #: without touching their picklable call signatures.

@@ -68,7 +68,6 @@ class Packet:
         "path_pos",
         "enqueue_time",
         "queue_wait",
-        "retx",
         "trace",
     )
 
@@ -109,7 +108,6 @@ class Packet:
         self.path_pos: int = 0
         self.enqueue_time: float = 0.0
         self.queue_wait: float = 0.0
-        self.retx: int = 0
         # The packet's row (slot) in the tracer's table, set at ingress;
         # None while untraced (see Tracer.on_created).
         self.trace = None

@@ -295,10 +295,10 @@ class RunContext:
     :class:`~repro.obs.hub.MetricsHub` and its
     :class:`~repro.sim.resume.ResumeSession` — each possibly absent.
 
-    Read in four places: :meth:`ContentStore.fetch`, network
-    construction (a new network attaches the hub), ``Network.run`` (a
-    phase runs under the session) and the restore path
-    (:func:`~repro.sim.checkpoint.reinstate`).
+    Read in three places: :meth:`ContentStore.fetch`, ``Network.run``
+    (a phase runs under the session, or is sampled by the hub) and the
+    session's phase loop (:meth:`~repro.sim.resume.ResumeSession.run_phase`
+    has the hub sample each slice).
     """
 
     __slots__ = ("stores", "hub", "session")

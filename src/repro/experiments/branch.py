@@ -136,8 +136,8 @@ def get_branch_network(prefix: BranchPrefix) -> Network:
     per key) or, with none, simulated in memory and branched live.
     Either way it goes through
     :func:`~repro.sim.checkpoint.restore_snapshot`, so the packet-id
-    counter, the ``ENGINE_PERF`` credit and the attached hub are
-    identical."""
+    counter and the ``ENGINE_PERF`` credit are identical, and the run's
+    hub counts none of the warm-up."""
     return restore_snapshot(CheckpointStore.fetch(
         branch_checkpoint_key(prefix),
         functools.partial(build_branch_snapshot, prefix),

@@ -4,11 +4,11 @@ Observability for the repro stack, in four pieces — all disabled by
 default, all proven (by the byte-identity suite) to never perturb a
 run's artifacts:
 
-* :class:`~repro.obs.hub.MetricsHub` — sim-time counters, gauges and
+* :class:`~repro.obs.hub.MetricsHub` — sim-time counters and
   engine-scheduled periodic samplers producing deterministic time
-  series of per-port queue depth, per-link utilisation and drops.  The
-  hot path (:mod:`repro.sim.port`) pays exactly one ``is None`` check
-  per instrumented event while a hub is not attached.
+  series of per-port queue depth and per-link utilisation, and counts
+  of bytes sent and drops.  It only reads: ports count what they send
+  and drop (:mod:`repro.sim.port`), and the hot path never calls it.
 * :class:`~repro.obs.spans.SpanRecorder` — wall-clock phase/span
   tracing around the experiment pipeline, exported as Chrome trace
   event JSON (loadable in Perfetto / ``chrome://tracing``).
@@ -25,9 +25,11 @@ sampler ticks ride the engine heap but are excluded from every
 accounting surface, telemetry lives in the artifact's non-canonical
 ``obs`` section, sampler callbacks must be pure readers (every
 experiment's bytes are compared with telemetry on and off by
-``test_run_bytes_identical_with_obs_on_and_off``), and the hub — which reaches a run's networks
-through its :class:`~repro.core.store.RunContext` — never observes a
-prerequisite build and never rides in a snapshot.
+``test_run_bytes_identical_with_obs_on_and_off``), and the hub — which
+reaches a run's networks through its
+:class:`~repro.core.store.RunContext`, and which no network or port
+holds — never observes a prerequisite build and never rides in a
+snapshot.
 """
 
 from repro.obs.events import (

@@ -2,36 +2,36 @@
 
 A :class:`MetricsHub` collects what the paper's analysis talks about
 but the figures never show: per-port queue depth over time, per-link
-utilisation, and where drops happen.  It is
-*sim-time* telemetry — samples are taken by callbacks riding the
-engine's own event heap (:meth:`repro.sim.engine.Engine.schedule_sample`),
-so the recorded series are a deterministic function of the simulation,
-not of wall-clock scheduling.
+utilisation, and where drops happen.  It is *sim-time* telemetry that
+only reads: every port counts the bytes whose transmission it started
+and the packets its buffer dropped (``Port.sent``, ``Port.dropped``),
+and the hub samples those counts and each port's queue depth from
+callbacks riding the engine's own event heap
+(:meth:`repro.sim.engine.Engine.schedule_sample`).  The recorded series
+are therefore a deterministic function of the simulation, not of
+wall-clock scheduling.
 
 The determinism contract (guarded by the byte-identity suite):
 
 * Sampler events are excluded from every accounting surface — they do
   not increment ``events_processed``, are invisible to ``ENGINE_PERF``
   and the flight recorder, and are dropped from checkpoints.  A run
-  with a hub attached therefore reports the *same*
+  with a hub therefore reports the *same*
   ``metadata["engine_events"]`` as one without.
-* Instrumentation in the packet hot path costs exactly one ``is None``
-  check per event while no hub is attached (ports cache the hub in a
-  slot at construction) — the zero-allocation-when-off guard.
 * The hub's :meth:`summary` is embedded in the artifact's
   non-canonical ``obs`` section, next to ``timings`` — never part of
   :meth:`~repro.api.results.RunArtifact.canonical_json`.
-* Sampler callbacks must be pure readers of simulation state; every
-  experiment's artifact bytes are compared with telemetry on and off
+* The sampler tick only reads simulation state; every experiment's
+  artifact bytes are compared with telemetry on and off
   (``test_run_bytes_identical_with_obs_on_and_off``).
 * A prerequisite build is never observed, and no snapshot carries the
-  hub: builds run in the clean run context, and a pickled network or
-  port leaves its hub behind.
+  hub: builds run in the clean run context, and no network or port
+  holds a hub.
 
-A hub reaches the networks an experiment driver builds internally
-through the run's :class:`~repro.core.store.RunContext`: every
-:class:`~repro.sim.network.Network` constructed while the context
-holds a hub attaches itself, and a restored one is re-attached.
+The hub reaches the networks an experiment driver builds through the
+run's :class:`~repro.core.store.RunContext`: ``Network.run`` and the
+resume session's phase loop call :meth:`MetricsHub.ensure_sampling`,
+the hub's one entry point, whenever the context holds one.
 """
 
 from __future__ import annotations
@@ -43,9 +43,8 @@ from repro.errors import require_positive_finite
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.flight import FlightRecorder
-    from repro.sim.engine import Engine
-    from repro.sim.link import Link
     from repro.sim.network import Network
+    from repro.sim.port import Port
 
 __all__ = ["MetricsHub"]
 
@@ -53,7 +52,7 @@ class _Segment:
     """One sampler arm: a network's ports in sorted (node, peer) order,
     their keys, the interval, and three lists each tick appends to --
     its time, a row of queue depths and a row of bytes sent since each
-    link's last sample (an ``array`` each: 8 bytes a sample)."""
+    port's previous sample (an ``array`` each: 8 bytes a sample)."""
 
     __slots__ = ("keys", "ports", "interval", "times", "depth", "sent")
 
@@ -68,20 +67,23 @@ class _Segment:
 
 
 class _NetSampler:
-    """The periodic sampling loop bound to one attached network.
+    """The periodic sampling loop bound to one sampled network.
 
-    One per :meth:`MetricsHub.attach` call.  The tick re-arms itself
-    only while the engine still has work queued, so sampling can never
-    keep :meth:`Engine.run` alive on its own; the hub re-arms it at the
-    top of every :meth:`Network.run`.
+    The tick re-arms itself only while the engine still has work
+    queued, so sampling can never keep :meth:`Engine.run` alive on its
+    own; :meth:`MetricsHub.ensure_sampling` re-arms it at the top of
+    every :meth:`Network.run`.
     """
 
-    __slots__ = ("hub", "network", "pending", "segment")
+    __slots__ = ("hub", "network", "queue", "segment")
 
     def __init__(self, hub: "MetricsHub", network: "Network") -> None:
         self.hub = hub
         self.network = network
-        self.pending = False
+        # The engine heap the next tick waits in, or None.  A resume
+        # grafts a snapshot onto the live engine with a new heap and no
+        # tick, so a tick is queued only while that heap is the engine's.
+        self.queue: list | None = None
         self.segment: _Segment | None = None
 
     def ensure(self) -> None:
@@ -93,26 +95,34 @@ class _NetSampler:
         if not (newest and segment.ports == self.segment.ports):
             self.segment = segment
             hub._segments.append(segment)
-        if not self.pending:
-            engine = self.network.engine
-            self.pending = True
+            for port in segment.ports:
+                if port not in hub._marks:
+                    hub._marks[port] = [port.sent, port.dropped, port.sent]
+        engine = self.network.engine
+        engine.flight = hub.flight
+        if self.queue is not engine._heap:
+            self.queue = engine._heap
             engine.schedule_sample(engine.now + hub.interval, self.tick)
 
     def tick(self) -> None:
-        """Append one row (queue depth and bytes sent per port); re-arm
-        while the simulation has work."""
+        """Append one row (queue depth and bytes sent per port since its
+        previous sample); re-arm while the simulation has work."""
         engine = self.network.engine
         now = engine.now
-        hub = self.hub
         segment = self.segment
         segment.times.append(now)
         segment.depth.append(array("q", [port._queued for port in segment.ports]))
-        pop = hub._tx_window.pop
-        segment.sent.append(array("q", [pop(key, 0) for key in segment.keys]))
+        marks = self.hub._marks
+        row = array("q")
+        for port in segment.ports:
+            mark, sent = marks[port], port.sent
+            row.append(sent - mark[2])
+            mark[2] = sent
+        segment.sent.append(row)
         if engine.pending_events or engine.pending_deferred:
-            engine.schedule_sample(now + hub.interval, self.tick)
+            engine.schedule_sample(now + self.hub.interval, self.tick)
         else:
-            self.pending = False
+            self.queue = None
 
 
 class MetricsHub:
@@ -120,84 +130,53 @@ class MetricsHub:
 
     ``interval`` is the sampling period in simulated seconds.
     ``flight`` optionally carries a
-    :class:`~repro.obs.flight.FlightRecorder` that :meth:`attach` wires
-    into each attached network's engine.
+    :class:`~repro.obs.flight.FlightRecorder` that
+    :meth:`ensure_sampling` wires into each sampled network's engine.
     """
 
-    __slots__ = ("interval", "flight", "counters", "_segments",
-                 "_net_samplers", "_tx_window", "_link_keys")
+    __slots__ = ("interval", "flight", "_segments", "_net_samplers",
+                 "_marks")
 
     def __init__(self, interval: float = 0.001,
                  flight: "FlightRecorder | None" = None) -> None:
         require_positive_finite(interval, "sampling interval")
         self.interval = interval
         self.flight = flight
-        #: Monotonic event counters, e.g. ``"drops"``,
-        #: ``"drops.overflow:r1->r2"``, ``"tx_bytes:h1->r1"``.
-        self.counters: dict[str, int] = {}
         #: The built-in series, one segment per sampler arm, oldest first.
         self._segments: list[_Segment] = []
         self._net_samplers: list[tuple["Network", _NetSampler]] = []
-        #: Bytes transmitted per link since that link's last sample —
-        #: drained by the sampler tick.
-        self._tx_window: dict[str, int] = {}
-        #: link -> (counter key, window key), built on first transmission.
-        self._link_keys: dict["Link", tuple[str, str]] = {}
-
-    # -- wiring ------------------------------------------------------------
-
-    def attach(self, network: "Network") -> "MetricsHub":
-        """Instrument ``network``: ports report here, sampling is armed.
-
-        Idempotent while ``network`` stays wired to this hub.  Called
-        from :class:`~repro.sim.network.Network` construction while the
-        run context holds this hub, and again after a restore
-        (:func:`~repro.sim.checkpoint.reinstate`): a restored network
-        carries no hub, and its engine no sampler tick, so it gets a
-        fresh sampler that the next :meth:`ensure_sampling` arms.
-        """
-        if network.obs is self:
-            return self
-        network.obs = self
-        for node in network.nodes.values():
-            for port in node.ports.values():
-                port._obs = self
-        network.engine.flight = self.flight
-        self._net_samplers = [entry for entry in self._net_samplers
-                              if entry[0] is not network]
-        self._net_samplers.append((network, _NetSampler(self, network)))
-        return self
+        #: Every port ever sampled -> [its ``sent`` and ``dropped`` when
+        #: first seen, its ``sent`` at its previous sample].
+        self._marks: dict["Port", list[int]] = {}
 
     def ensure_sampling(self, network: "Network") -> None:
-        """Arm the periodic sampler for ``network`` (idempotent)."""
-        self.attach(network)
+        """Sample ``network`` from now on (idempotent): note the counts
+        of the ports not seen before, and arm the periodic tick unless
+        one is queued.  A network not seen before — a fresh build, a
+        restored clone — gets a sampler of its own."""
         for seen, sampler in self._net_samplers:
             if seen is network:
-                sampler.ensure()
-                return
+                break
+        else:
+            sampler = _NetSampler(self, network)
+            self._net_samplers.append((network, sampler))
+        sampler.ensure()
 
-    # -- hot-path hooks (called by ports, only while attached) -------------
-
-    def drop(self, link: "Link") -> None:
-        """One packet dropped on ``link`` by buffer overflow."""
-        counters = self.counters
-        counters["drops"] = counters.get("drops", 0) + 1
-        key = f"drops.overflow:{link.src}->{link.dst}"
-        counters[key] = counters.get(key, 0) + 1
-
-    def tx(self, link: "Link", size: int) -> None:
-        """``size`` bytes put on the wire of ``link``."""
-        keys = self._link_keys.get(link)
-        if keys is None:
-            key = f"{link.src}->{link.dst}"
-            keys = self._link_keys[link] = (f"tx_bytes:{key}", key)
-        ckey, key = keys
-        counters = self.counters
-        counters[ckey] = counters.get(ckey, 0) + size
-        window = self._tx_window
-        window[key] = window.get(key, 0) + size
-
-    # -- reporting ---------------------------------------------------------
+    @property
+    def counters(self) -> dict[str, int]:
+        """What the sampled ports did since the hub first saw them:
+        ``"tx_bytes:<src>-><dst>"`` bytes sent, ``"drops"`` and
+        ``"drops.overflow:<src>-><dst>"`` buffer-overflow drops.  A count
+        that stayed 0 has no key; links of one name add up."""
+        counters: dict[str, int] = {}
+        for port, (sent, dropped, _) in self._marks.items():
+            key = f"{port.link.src}->{port.link.dst}"
+            sent, dropped = port.sent - sent, port.dropped - dropped
+            for name, count in ((f"tx_bytes:{key}", sent), ("drops", dropped),
+                                (f"drops.overflow:{key}", dropped)):
+                if count:
+                    counters[name] = counters.get(name, 0) + count
+        return counters
 
     def series_points(self, name: str) -> list[tuple[float, float]]:
         """The raw samples of one series (empty if never sampled)."""
@@ -250,9 +229,10 @@ class MetricsHub:
                 "max": round(max(values), 9),
                 "mean": round(sum(values) / len(values), 9),
             }
+        counters = self.counters
         return {
             "interval": self.interval,
-            "counters": {k: self.counters[k] for k in sorted(self.counters)},
+            "counters": {k: counters[k] for k in sorted(counters)},
             "series": series,
         }
 

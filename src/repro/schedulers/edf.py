@@ -9,8 +9,8 @@ priority from static topology knowledge:
 Appendix E proves this is *equivalent* to LSTF — both pick the same packet
 at every instant — because ``slack(p, α, t) = priority(p, α) − t`` and the
 ``−t`` shift is common to all queued packets.  The property test
-``tests/schedulers/test_edf_lstf_equivalence.py`` exercises this theorem
-end-to-end on random networks.
+``tests/properties/test_replay_properties.py::test_edf_and_lstf_replays_are_identical``
+exercises this theorem end-to-end on random networks.
 
 The router-side ``tmin`` lookups are served by ``Network.tmin`` from the
 router itself and memoised per (destination, size).

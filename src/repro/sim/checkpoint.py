@@ -12,10 +12,10 @@ snapshot.
 * :func:`snapshot_network` / :func:`restore_snapshot` — the in-memory
   protocol.  Restoring (:func:`reinstate`, shared with the resume
   session) credits the warm-up's deterministic event count to
-  :data:`~repro.sim.engine.ENGINE_PERF`, reinstalls the packet-id
-  counter and attaches the run's metrics hub, so a branched leg's
-  ``engine_events``, pids and telemetry are identical to a from-scratch
-  run's.  Builders run in the clean run context, under
+  :data:`~repro.sim.engine.ENGINE_PERF` and reinstalls the packet-id
+  counter, so a branched leg's ``engine_events`` and pids are identical
+  to a from-scratch run's; the run's metrics hub samples it from its
+  first ``Network.run``.  Builders run in the clean run context, under
   ``ENGINE_PERF.paused()``, for the same reason: the warm-up is
   accounted exactly once per leg, through the credit, never through
   live accumulation, and never observed.
@@ -57,7 +57,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from repro.core.packet import packet_id_counter, set_packet_id_counter
-from repro.core.store import ContentStore, run_context
+from repro.core.store import ContentStore
 from repro.errors import CheckpointError
 from repro.sim.engine import ENGINE_PERF
 
@@ -73,7 +73,9 @@ __all__ = [
 ]
 
 #: On-disk format name and version, written into every header and checked
-#: on load; bump the version when the payload encoding changes shape (7:
+#: on load; bump the version when the payload encoding changes shape (8:
+#: ports count bytes sent and packets dropped and hold no hub, networks
+#: no hub, packets no ``retx`` flag, hosts no ``on_deliver`` hook; 7:
 #: typed tracer columns, preemptive heap entries carry remaining work; 6:
 #: ports carry no early-drop queue-manager slot; 5: the tracer keeps no
 #: path log; 4: the tracer is a table of columns; 3: heap entries carry
@@ -81,17 +83,17 @@ __all__ = [
 #: does (2: per-packet data travels by value) — another walk's index
 #: would graft onto the wrong object.
 CHECKPOINT_FORMAT = "repro-checkpoint"
-CHECKPOINT_VERSION = 7
+CHECKPOINT_VERSION = 8
 
 #: The modules whose classes a simulation's state pickles to: the network
 #: graph, schedulers, and transports with their flows and slack policies.
-#: Telemetry never rides along (a pickled network or port leaves its hub
-#: behind, an engine its flight recorder).  None of them opens a file,
-#: starts a process or touches a socket (``tests/sim/test_checkpoint.py``
-#: checks their imports), so building their objects and calling their
-#: methods only computes.  The one way from them to disk is ``Network.run``
-#: handing a phase to the run's resume session, which writes its own
-#: snapshots.
+#: Telemetry never rides along (no network or port holds a hub, and a
+#: pickled engine leaves its flight recorder behind).  None of them opens
+#: a file, starts a process or touches a socket
+#: (``tests/sim/test_checkpoint.py`` checks their imports), so building
+#: their objects and calling their methods only computes.  The one way
+#: from them to disk is ``Network.run`` handing a phase to the run's
+#: resume session, which writes its own snapshots.
 _STATE_MODULES = frozenset({
     "repro.core.flow", "repro.core.heuristics", "repro.core.packet",
     "repro.sim.engine", "repro.sim.link", "repro.sim.network",
@@ -231,7 +233,7 @@ def reinstate(network: "Network", packet_counter: int,
     """Put process state back after a restore — a branch from a warm-up
     or a resume from a mid-run snapshot — and return ``network``.
 
-    Three things happen beyond handing back the graph, and all are what
+    Two things happen beyond handing back the graph, and both are what
     make a restored run byte-identical to a from-scratch one:
 
     * the process-global packet-id counter is set to ``packet_counter``,
@@ -240,18 +242,18 @@ def reinstate(network: "Network", packet_counter: int,
     * ``engine_events`` — the restored work this run did not simulate —
       is credited to ``ENGINE_PERF`` (with zero wall time), so the run's
       ``engine_events`` is the same whether that work was simulated
-      live, served from memory, or reloaded from a file;
-    * the run context's metrics hub, if any, is attached: a pickled
-      network carries none, and one built in memory was built unobserved.
-      Telemetry never changes the restored simulation — sampler events
-      are excluded from checkpoints and from all event accounting (see
-      :meth:`repro.sim.engine.Engine.checkpoint`).
+      live, served from memory, or reloaded from a file.
+
+    Telemetry needs nothing here: the network holds no hub, and the run
+    context's, if any, samples it from its next ``Network.run``.  A
+    branch leg's warm-up is therefore not counted; a resumed phase's
+    restored work is, as the straight run counted it
+    (:meth:`~repro.sim.resume.ResumeSession.run_phase`).  Sampler events
+    are excluded from checkpoints and from all event accounting (see
+    :meth:`repro.sim.engine.Engine.checkpoint`).
     """
     set_packet_id_counter(packet_counter)
     ENGINE_PERF.record(engine_events, 0.0)
-    hub = run_context().hub
-    if hub is not None:
-        hub.attach(network)
     return network
 
 

@@ -30,7 +30,7 @@ from repro.schedulers.fifo import FifoScheduler
 from repro.sim.engine import Engine
 from repro.sim.link import Link
 from repro.sim.node import Host, Node, Router
-from repro.sim.port import Port, PreemptivePort, state_without_hub
+from repro.sim.port import Port, PreemptivePort
 from repro.sim.tracer import Tracer
 from repro.units import MTU, tx_time
 
@@ -45,15 +45,12 @@ SchedulerFactory = Callable[[str, str], Scheduler | None]
 class Network:
     """A simulated network of hosts and routers."""
 
-    __slots__ = ("engine", "tracer", "obs", "nodes", "links", "_upstream",
+    __slots__ = ("engine", "tracer", "nodes", "links", "_upstream",
                  "_next_hop", "_tmin_cache", "_preemptive", "_blueprint")
 
     def __init__(self, engine: Engine | None = None, tracer: Tracer | None = None) -> None:
         self.engine = engine if engine is not None else Engine()
         self.tracer = tracer if tracer is not None else Tracer()
-        #: The attached :class:`~repro.obs.hub.MetricsHub`, or None —
-        #: telemetry is off by default; ports cache this at construction.
-        self.obs = None
         self.nodes: dict[str, Node] = {}
         self.links: dict[tuple[str, str], Link] = {}
         self._upstream: dict[str, list[str]] = {}  # v -> sorted [u: u->v]
@@ -61,17 +58,14 @@ class Network:
         self._tmin_cache: dict[tuple[str, str, int], float] = {}
         self._preemptive = False
         self._blueprint: Blueprint | None = None  # whose tables it reads
-        hub = run_context().hub
-        if hub is not None:
-            hub.attach(self)
 
     def __getstate__(self) -> tuple:
         # Route memos are derived (a blueprint's hold what the process has
         # asked so far): a snapshot carries none; a restore refills its own.
-        _dict, slots = state_without_hub(self, "obs")
-        del slots["_blueprint"]
+        slots = {name: getattr(self, name) for name in self.__slots__
+                 if name != "_blueprint"}
         slots.update(_next_hop={}, _tmin_cache={})
-        return _dict, slots
+        return None, slots
 
     def __setstate__(self, state: tuple) -> None:
         for name, value in state[1].items():
@@ -304,14 +298,15 @@ class Network:
         (:mod:`repro.sim.resume`) the phase executes as snapshot-separated
         slices — same event sequence, same final clock — and may
         fast-forward through a snapshot a killed attempt left behind.
-        Otherwise it is a plain ``Engine.run``.
+        Otherwise it is a plain ``Engine.run``.  Either way a metrics hub
+        in the run context samples the phase.
         """
-        session = run_context().session
-        if session is not None:
-            session.run_phase(self, until=until)
+        context = run_context()
+        if context.session is not None:
+            context.session.run_phase(self, until=until)
             return
-        if self.obs is not None:
-            self.obs.ensure_sampling(self)
+        if context.hub is not None:
+            context.hub.ensure_sampling(self)
         self.engine.run(until=until)
 
     def release(self) -> None:

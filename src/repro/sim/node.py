@@ -18,7 +18,7 @@ service start and at its exit.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Protocol
+from typing import TYPE_CHECKING, Protocol
 
 from repro.errors import ConfigurationError, SimulationError
 
@@ -99,7 +99,7 @@ class Router(Node):
 class Host(Node):
     """An end host: traffic source, traffic sink, transport agent carrier."""
 
-    __slots__ = ("_senders", "_receivers", "on_deliver")
+    __slots__ = ("_senders", "_receivers")
 
     kind = "host"
 
@@ -107,7 +107,6 @@ class Host(Node):
         super().__init__(name, network)
         self._senders: dict[int, _Agent] = {}
         self._receivers: dict[int, _Agent] = {}
-        self.on_deliver: Callable[["Packet"], None] | None = None
 
     # --- injection ------------------------------------------------------------
 
@@ -142,7 +141,5 @@ class Host(Node):
         agent = agents.get(packet.flow_id)
         if agent is not None:
             agent.on_packet(packet)
-        elif self.on_deliver is not None:
-            self.on_deliver(packet)
         # Otherwise the host is a plain sink: the tracer has already
         # recorded the exit, which is all the open-loop experiments need.

@@ -42,7 +42,6 @@ packet is paused — only time spent actually transmitting is "free"
 
 from __future__ import annotations
 
-import copyreg
 import math
 from heapq import heappop, heappush
 from typing import TYPE_CHECKING
@@ -63,25 +62,14 @@ __all__ = ["Port", "PreemptivePort"]
 _IDLE, _ARMED = -math.inf, math.inf
 
 
-def state_without_hub(obj: object, slot: str) -> tuple:
-    """``obj``'s default pickle state, slot ``slot`` (its metrics hub)
-    cleared: a snapshot describes the simulation, never its observer, and
-    a restore attaches the run's own hub.  The state has the default's
-    shape, so a snapshot's bytes are the same with telemetry on or off."""
-    slots = {name: getattr(obj, name) for name in copyreg._slotnames(type(obj))
-             if hasattr(obj, name)}
-    slots[slot] = None
-    return getattr(obj, "__dict__", None) or None, slots
-
-
 class Port:
     """Non-preemptive output port (the default service model)."""
 
     __slots__ = (
-        "node", "link", "scheduler", "buffer_bytes", "buffered",
-        "_queued", "_wakeup", "_decision_pending",
+        "node", "link", "scheduler", "buffer_bytes", "buffered", "sent",
+        "dropped", "_queued", "_wakeup", "_decision_pending",
         "_free_at", "_done_born", "_done_seq",
-        "_receive", "_engine", "_tracer", "_obs", "_tx_per_byte", "_prop",
+        "_receive", "_engine", "_tracer", "_tx_per_byte", "_prop",
     )
 
     def __init__(
@@ -96,6 +84,10 @@ class Port:
         self.scheduler = scheduler
         self.set_buffer(buffer_bytes)
         self.buffered = 0
+        # What the port did, for the metrics hub to read (repro.obs.hub):
+        # bytes whose transmission it started, packets its buffer dropped.
+        self.sent = 0
+        self.dropped = 0
         # Queue depth mirrored here: the port mediates every scheduler
         # mutation, and an int attribute beats two Python calls per len().
         self._queued = 0
@@ -110,16 +102,9 @@ class Port:
         self._receive = None  # the peer's bound ``receive``, resolved lazily
         self._engine = node.network.engine
         self._tracer = node.network.tracer
-        # The metrics hub, cached like the tracer: None (one is-None test
-        # per instrumented event — the zero-cost-when-off guard) unless a
-        # hub attached itself to the network (see repro.obs.hub).
-        self._obs = node.network.obs
         self._tx_per_byte = link.tx_per_byte
         self._prop = link.propagation
         scheduler.attach(self)
-
-    def __getstate__(self) -> tuple:
-        return state_without_hub(self, "_obs")
 
     # --- wiring -----------------------------------------------------------
 
@@ -180,8 +165,7 @@ class Port:
         while self.buffered + packet.size > self.buffer_bytes:
             victim = scheduler.drop_victim(packet, now)
             tracer.on_drop(victim, self.node.name)
-            if self._obs is not None:
-                self._obs.drop(self.link)
+            self.dropped += 1
             if victim is packet:
                 return
             self.buffered -= victim.size
@@ -240,8 +224,7 @@ class Port:
             wait = now - packet.enqueue_time
             packet.queue_wait += wait
             tracer.on_tx_start(packet, wait, now)
-            if self._obs is not None:
-                self._obs.tx(self.link, packet.size)
+            self.sent += packet.size
             tx = packet.size * self._tx_per_byte
             prop = self._prop
             receive = self._receive or self._peer_receive()
@@ -315,8 +298,8 @@ class PreemptivePort(Port):
     ``charge_wait`` (its header rewrite); the port keeps its own heap so that
     pausing and resuming does not disturb the scheduler's queue invariants.
     ``_queued`` mirrors that heap's length, as :class:`Port` mirrors its
-    scheduler's, for the telemetry queue-depth gauge — nothing here reads
-    it.
+    scheduler's, for the telemetry queue-depth series — nothing here
+    reads it.
     Finite buffers are deliberately unsupported — preemption is used only
     by the replay/theory machinery, which runs dropless.
     """
@@ -394,8 +377,7 @@ class PreemptivePort(Port):
         if not served:
             wait = now - packet.enqueue_time
             self._tracer.on_tx_start(packet, wait, now)
-            if self._obs is not None:
-                self._obs.tx(self.link, packet.size)
+            self.sent += packet.size
         self._serve_start = now
         self._free_at = _ARMED  # busy until _finish; preemption moves the end
         self._done_handle = self._engine.schedule_cancellable(

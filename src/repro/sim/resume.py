@@ -22,10 +22,10 @@ Correctness rests on two invariants:
   asserts it.
 * **Snapshots describe the simulation, never the observer.**  Sampler
   entries and the flight recorder are excluded by
-  :meth:`Engine.checkpoint`, and a pickled network or port leaves its
-  metrics hub behind, so the anchor walk and the snapshot bytes are the
-  same with telemetry on or off; a restore re-attaches the run's hub
-  (:func:`~repro.sim.checkpoint.reinstate`).
+  :meth:`Engine.checkpoint`, and no network or port holds the metrics
+  hub, so the anchor walk and the snapshot bytes are the same with
+  telemetry on or off.  The run's hub, if any, samples every slice,
+  re-arming its tick after a restore dropped it.
 
 Restoring has a constraint branch checkpoints do not: the retry's driver
 has already rebuilt the experiment and holds references into it (the
@@ -73,6 +73,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Iterable
 
 from repro.core.packet import Packet
+from repro.core.store import run_context
 from repro.errors import CheckpointError, ConfigurationError
 from repro.sim.checkpoint import (
     CheckpointStore,
@@ -318,20 +319,25 @@ class ResumeSession:
             f"{CheckpointStore.RUN_PREFIX}{self.run_id}-p{phase}-"
             f"{_entry_fingerprint(engine, until)}-n"
         )
-        # The walk sees the graph the way snapshots pickle it — without
-        # the hub — so a retry numbers anchors alike whatever its
-        # REPRO_OBS setting.  It must happen before the resume below
-        # mutates entry state.
+        # The graph holds no observer, so a retry numbers anchors alike
+        # whatever its REPRO_OBS setting.  The walk must happen before
+        # the resume below mutates entry state.
         self._anchors = _anchor_walk(network)
         self._anchor_ids = {
             id(obj): i  # repro: allow(DET-ID-ORDER) identity lookup only; the index is walk order
             for i, obj in enumerate(self._anchors)
         }
+        hub = run_context().hub
         try:
+            if hub is not None:
+                # Seen before a resume grafts the killed attempt's counts
+                # onto the ports, so the hub counts the restored work as
+                # the uninterrupted run did.
+                hub.ensure_sampling(network)
             index = self._try_resume(network, prefix)
             while True:
-                if network.obs is not None:
-                    network.obs.ensure_sampling(network)
+                if hub is not None:
+                    hub.ensure_sampling(network)
                 engine.run_bounded(until=until, max_events=self.every_events)
                 if self._phase_finished(engine, until):
                     break

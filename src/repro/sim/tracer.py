@@ -168,10 +168,6 @@ class Tracer:
         """``exit`` per slot as float64; NaN (or a version-7 ``None``) until it left."""
         return np.array(self.exit, dtype=float)
 
-    def delivered_slots(self) -> np.ndarray:
-        """Slots of the packets that exited the network, ascending."""
-        return np.flatnonzero(~np.isnan(self.exit_times()))
-
     def wait_totals(self) -> np.ndarray:
         """Per slot, its queueing delays summed hop by hop (``sum`` order)."""
         order, counts = group_log(self.tx_slot, len(self.pid))

@@ -123,7 +123,7 @@ class TcpSender:
         self._stats.record_start(self._flow)
         self._send_window()
 
-    def _make_segment(self, seq: int, retx: bool) -> Packet:
+    def _make_segment(self, seq: int) -> Packet:
         flow = self._flow
         size = min(self._mss, flow.size - seq)
         now = self._network.engine.now
@@ -133,7 +133,6 @@ class TcpSender:
         )
         packet.flow_size = flow.size
         packet.remaining_flow = flow.size - self.highest_acked
-        packet.retx = 1 if retx else 0
         if self._slack_policy is not None:
             self._slack_policy.assign(packet, flow, now)
         return packet
@@ -144,7 +143,7 @@ class TcpSender:
             and self._inflight_segments() < int(self.cwnd)
         ):
             seq = self.next_seq
-            packet = self._make_segment(seq, retx=False)
+            packet = self._make_segment(seq)
             self._send_times[seq] = self._network.engine.now
             self._host.inject(packet)
             self.next_seq = min(seq + self._mss, self._flow.size)
@@ -210,7 +209,7 @@ class TcpSender:
         self._stats.retransmissions[self._flow.fid] = (
             self._stats.retransmissions.get(self._flow.fid, 0) + 1
         )
-        self._host.inject(self._make_segment(seq, retx=True))
+        self._host.inject(self._make_segment(seq))
 
     # --- timer ----------------------------------------------------------------
 

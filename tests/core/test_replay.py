@@ -328,9 +328,14 @@ def test_a_flow_s_replayed_packets_share_its_numbers(mode):
     schedule = record_schedule(net)
     delivered = []
 
+    class Sink:
+        def on_packet(self, packet):
+            delivered.append(packet)
+
     def watched():
         network = _incast(2)
-        network.host("dst").on_deliver = delivered.append
+        for flow_id in (300, 301):
+            network.host("dst").register_receiver(flow_id, Sink())
         return network
 
     assert replay_schedule(schedule, watched, mode=mode).perfect

@@ -1,13 +1,15 @@
 """The tuple-list metrics hub :class:`~repro.obs.hub.MetricsHub` replaced.
 
 Test-only.  Every tick appends one ``(t, value)`` tuple per port to
-each of two series lists (``queue_depth:`` and ``link_util:``).
+each of two series lists (``queue_depth:`` and ``link_util:``), the
+utilisation from the bytes the port's ``sent`` count grew by since its
+previous sample.
 ``tests/obs/test_hub_differential.py`` drives
 both hubs over the same runs and demands equal ``series_points`` for
 every name, equal ``summary()`` and equal ``counters``: the row layout
 is legal exactly as far as it cannot be told apart from this one.
 
-Attach it like the real hub: ``RunContext(hub=ReferenceHub()).entered()``.
+Use it like the real hub: ``RunContext(hub=ReferenceHub()).entered()``.
 """
 
 from __future__ import annotations
@@ -47,11 +49,11 @@ class _NetSampler:
         engine = self.network.engine
         now = engine.now
         hub = self.hub
-        window = hub._tx_window
         interval = hub.interval
         for port, link, key, depth, util in self.plan:
             depth.append((now, port._queued))
-            sent = window.pop(key, 0)
+            sent = port.sent - hub._sampled[port]
+            hub._sampled[port] = port.sent
             util.append(
                 (now, link.utilisation(sent, interval) if sent else 0.0))
         if engine.pending_events or engine.pending_deferred:
@@ -66,48 +68,40 @@ class ReferenceHub:
     def __init__(self, interval: float = 0.001, flight=None) -> None:
         self.interval = interval
         self.flight = flight
-        self.counters: dict[str, int] = {}
         self.series: dict[str, list[tuple[float, float]]] = {}
         self._net_samplers: list[tuple] = []
-        self._tx_window: dict[str, int] = {}
-        self._link_keys: dict = {}
-
-    def attach(self, network) -> "ReferenceHub":
-        if network.obs is self:
-            return self
-        network.obs = self
-        for node in network.nodes.values():
-            for port in node.ports.values():
-                port._obs = self
-        network.engine.flight = self.flight
-        self._net_samplers = [entry for entry in self._net_samplers
-                              if entry[0] is not network]
-        self._net_samplers.append((network, _NetSampler(self, network)))
-        return self
+        #: port -> its (sent, dropped) when first sampled
+        self._first: dict = {}
+        #: port -> its sent at its previous sample
+        self._sampled: dict = {}
 
     def ensure_sampling(self, network) -> None:
-        self.attach(network)
+        for node in network.nodes.values():
+            for port in node.ports.values():
+                if port not in self._first:
+                    self._first[port] = (port.sent, port.dropped)
+                    self._sampled[port] = port.sent
+        network.engine.flight = self.flight
         for seen, sampler in self._net_samplers:
             if seen is network:
-                sampler.ensure()
-                return
+                break
+        else:
+            sampler = _NetSampler(self, network)
+            self._net_samplers.append((network, sampler))
+        sampler.ensure()
 
-    def drop(self, link) -> None:
-        counters = self.counters
-        counters["drops"] = counters.get("drops", 0) + 1
-        key = f"drops.overflow:{link.src}->{link.dst}"
-        counters[key] = counters.get(key, 0) + 1
-
-    def tx(self, link, size: int) -> None:
-        keys = self._link_keys.get(link)
-        if keys is None:
-            key = f"{link.src}->{link.dst}"
-            keys = self._link_keys[link] = (f"tx_bytes:{key}", key)
-        ckey, key = keys
-        counters = self.counters
-        counters[ckey] = counters.get(ckey, 0) + size
-        window = self._tx_window
-        window[key] = window.get(key, 0) + size
+    @property
+    def counters(self) -> dict[str, int]:
+        counters: dict[str, int] = {}
+        for port, (sent, dropped) in self._first.items():
+            link = f"{port.link.src}->{port.link.dst}"
+            if port.sent > sent:
+                key = f"tx_bytes:{link}"
+                counters[key] = counters.get(key, 0) + port.sent - sent
+            if port.dropped > dropped:
+                for key in ("drops", f"drops.overflow:{link}"):
+                    counters[key] = counters.get(key, 0) + port.dropped - dropped
+        return counters
 
     def _series(self, name: str) -> list[tuple[float, float]]:
         series = self.series.get(name)
@@ -132,8 +126,9 @@ class ReferenceHub:
                 "max": round(max(values), 9),
                 "mean": round(sum(values) / len(values), 9),
             }
+        counters = self.counters
         return {
             "interval": self.interval,
-            "counters": {k: self.counters[k] for k in sorted(self.counters)},
+            "counters": {k: counters[k] for k in sorted(counters)},
             "series": series,
         }

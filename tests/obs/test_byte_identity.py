@@ -129,7 +129,7 @@ def test_sampler_entries_are_dropped_from_checkpoints():
     assert samples == [0.001, 0.003]
 
 
-def test_branch_from_pickled_checkpoint_reports_into_the_live_hub():
+def test_branch_from_pickled_checkpoint_is_sampled_by_the_live_hub():
     base = _loaded_net()
     base.run(until=0.001)
     plain = restore_snapshot(snapshot_network(base))
@@ -144,10 +144,27 @@ def test_branch_from_pickled_checkpoint_reports_into_the_live_hub():
         branch = restore_snapshot(snapshot_from_bytes(frozen))
         assert branch is not warm  # an independent, unpickled copy
         branch.run()
-    # The restored leg reports into the live hub yet counts identically.
+    # The hub samples the restored leg, which counts identically.
     assert branch.engine.events_processed == baseline_events
-    assert branch.obs is hub
+    assert [network for network, _ in hub._net_samplers] == [warm, branch]
     assert hub.series_points("queue_depth:a->b")
+
+
+def test_a_branch_leg_restored_under_a_hub_counts_no_warm_up_bytes():
+    """The warm-up runs unobserved, as a prerequisite build does; the
+    leg restored from it under a hub counts only what it sends itself."""
+    warm = _loaded_net()
+    warm.run(until=0.0015)  # two of the four 1000-byte packets started
+    frozen = snapshot_to_bytes(snapshot_network(warm))
+    hub = MetricsHub()
+    with RunContext(hub=hub).entered():
+        branch = restore_snapshot(snapshot_from_bytes(frozen))
+        branch.run()
+    assert sum(branch.tracer.size[slot] for slot in branch.tracer.tx_slot) == 4000
+    assert hub.counters == {"tx_bytes:a->b": 2000}
+    bytes_per_sample = [row[0] for segment in hub._segments
+                        for row in segment.sent]
+    assert sum(bytes_per_sample) == 2000
 
 
 # --- prerequisite builds are never observed, snapshots never carry the hub --

@@ -72,59 +72,68 @@ def test_a_trailing_tick_never_moves_the_clock():
     assert _clock_after_run(MetricsHub()) == bare
 
 
-def test_run_context_hub_attaches_to_networks_built_inside_the_block():
+def _sampled(hub: MetricsHub) -> list[Network]:
+    return [network for network, _ in hub._net_samplers]
+
+
+def test_a_network_run_inside_a_hub_s_context_is_sampled():
     hub = MetricsHub()
     with RunContext(hub=hub).entered() as context:
         assert run_context() is context and context.hub is hub
         net = _net()
-        assert net.obs is hub
+        assert _sampled(hub) == []  # building is not observing
+        net.run()
         with CLEAN.entered():  # how a prerequisite build runs
             assert run_context().hub is None
-            assert _net().obs is None
+            _net().run()
         assert run_context() is context
     assert run_context() is CLEAN
-    outside = _net()
-    assert outside.obs is None
+    _net().run()
+    assert _sampled(hub) == [net]
 
 
-def test_a_pickled_network_or_port_never_carries_its_hub(monkeypatch):
+def test_a_pickled_observed_network_never_reaches_its_hub(monkeypatch):
+    """No network or port holds a hub, and a pickled engine drops its
+    queued sampler tick: an observed network pickles even while its hub
+    cannot be pickled, and a clone counts what the original did."""
     import pickle
 
-    bare = _net()
     hub = MetricsHub()
     monkeypatch.setattr(MetricsHub, "__reduce_ex__", _refuse_pickling)
     with pytest.raises(pickle.PicklingError):
         pickle.dumps(hub)
     with RunContext(hub=hub).entered():
         observed = _net()
-    port = observed.nodes["SW"].ports["b"]
-    assert port._obs is hub
-    assert pickle.dumps(observed) == pickle.dumps(bare)
-    assert pickle.loads(pickle.dumps(port))._obs is None
-    assert observed.obs is hub and port._obs is hub  # the live graph keeps it
+        observed.inject_at(0.0, make_packet())
+        observed.run(until=0.0005)  # a tick is queued for t = 0.001
+    (_, sampler), = hub._net_samplers
+    assert sampler.queue is observed.engine._heap
+    clone = pickle.loads(pickle.dumps(observed))
+    assert clone.nodes["a"].ports["SW"].sent == 1000
+    assert not hasattr(clone, "obs")
 
 
-def test_reattaching_a_restored_network_arms_a_fresh_sampler():
-    """A restore grafts hub-free state onto the graph and drops the
-    engine's sampler tick; attaching again must re-arm sampling."""
+def test_a_restored_clone_gets_its_own_sampler_and_counts_from_the_restore():
+    """A clone carries no sampler tick; its first run under the hub arms
+    a sampler of its own, and what its ports had sent before is not
+    counted again."""
     import pickle
 
     hub = MetricsHub()
     with RunContext(hub=hub).entered():
         net = _net()
-        net.inject_at(0.0, make_packet())
-        net.run(until=0.0005)  # a tick is queued for t = 0.001
-        (_, before), = hub._net_samplers
-        assert before.pending
+        for _ in range(2):
+            net.inject_at(0.0, make_packet())
+        net.run(until=0.0005)  # both sent on a->SW, one on SW->b
         clone = pickle.loads(pickle.dumps(net))
-        assert clone.obs is None
-        hub.attach(net)  # still wired: a no-op
-        assert hub._net_samplers == [(net, before)]
-        hub.attach(clone)
         clone.run()
-    (_, _), (seen, after) = hub._net_samplers
-    assert seen is clone and after is not before
-    assert clone.obs is hub and hub.series_points("queue_depth:SW->b")
+    (first, before), (seen, after) = hub._net_samplers
+    assert (first, seen) == (net, clone) and after is not before
+    assert hub.series_points("queue_depth:SW->b")[-1][0] > 0.001
+    # The clone adds only the second packet on SW->b; counted from zero,
+    # it would add 2000 bytes on a->SW and 2000 on SW->b.
+    assert hub.counters["tx_bytes:a->SW"] == 2000
+    assert hub.counters["tx_bytes:SW->b"] == 2000
 
 
 def test_counters_and_series_populate_during_a_run():
@@ -231,12 +240,30 @@ def test_run_without_hub_records_nothing_and_matches_event_count():
     assert observed.engine.events_processed == bare.engine.events_processed
 
 
-def test_attach_is_idempotent_per_network():
+def test_ensure_sampling_is_idempotent_per_network():
+    from repro.sim.engine import _SAMPLER
+
     hub = MetricsHub()
     net = _net()
-    hub.attach(net)
-    hub.attach(net)
-    assert len(hub._net_samplers) == 1
+    hub.ensure_sampling(net)
+    hub.ensure_sampling(net)
+    assert len(hub._net_samplers) == 1 and len(hub._segments) == 1
+    assert [entry[4] for entry in net.engine._heap] == [_SAMPLER]
+
+
+def test_an_engine_restore_under_a_queued_tick_re_arms_sampling():
+    """A resume grafts a snapshot onto the live engine: its heap, and the
+    tick queued in it, are replaced.  The next run must arm a new tick."""
+    hub = MetricsHub()
+    with RunContext(hub=hub).entered():
+        net = _net()
+        for _ in range(5):
+            net.inject_at(0.0, make_packet())
+        net.run(until=0.0005)  # a tick is queued for t = 0.001
+        net.engine.restore(net.engine.checkpoint())
+        net.run()
+    times = [t for t, _ in hub.series_points("queue_depth:SW->b")]
+    assert times[-1] > 0.0051  # the last packet leaves SW at 0.0051
 
 
 def test_the_first_tick_fires_one_interval_after_the_start():
@@ -318,15 +345,90 @@ def test_plan_is_rebuilt_after_a_port_swap():
     assert len(hub._segments) == 2 and hub._segments[-1] is sampler.segment
 
 
-def test_no_link_key_is_built_until_a_link_transmits():
+def test_a_cut_network_s_bytes_never_reach_the_next_network_s_samples():
+    """Two networks with the same link names under one hub.  The first
+    is cut by ``run(until=)`` after its last tick, mid-transmission; the
+    second network's first ``link_util`` sample counts only its own
+    bytes (one 1-byte packet), not the first network's."""
+    hub = MetricsHub()
+    with RunContext(hub=hub).entered():
+        first = _net()
+        for _ in range(3):
+            first.inject_at(0.0, make_packet())
+        first.run(until=0.0015)  # ticks at 0.001; SW->b starts a packet at 0.0014
+        second = _net()
+        second.inject_at(0.0, make_packet(size=1))
+        second.run()
+    util = hub.series_points("link_util:SW->b")
+    link = second.links["SW", "b"]
+    assert util[1] == (pytest.approx(0.001), link.utilisation(1, hub.interval))
+
+
+def _samples_per_port(hub: MetricsHub) -> dict:
+    """Each sampled port's bytes, added up over every row it is in."""
+    total: dict = {}
+    for segment in hub._segments:
+        for i, port in enumerate(segment.ports):
+            total[port] = total.get(port, 0) + sum(row[i] for row in segment.sent)
+    return total
+
+
+def test_each_port_s_samples_add_up_to_what_it_sent():
+    """Two networks, alternating, each cut twice before it drains: every
+    byte a port sends lands in exactly one of that port's samples, and
+    the ``tx_bytes`` counter of a link name adds up its ports."""
+    rng = random.Random(11)
+    hub = MetricsHub(interval=0.0005)
+    with RunContext(hub=hub).entered():
+        nets = [_net(), _net()]
+        for net in nets:
+            net.set_buffers(3000, node_filter=lambda node: node.name == "SW")
+        for phase in (0.0013, 0.0031, None):
+            for net in nets:
+                for _ in range(rng.randint(1, 6)):
+                    net.inject_at(net.engine.now + rng.uniform(0.0, 0.002),
+                                  make_packet(size=rng.choice((100, 700, 1500))))
+                net.run(until=phase and net.engine.now + phase)
+    per_port = _samples_per_port(hub)
+    ports = [port for net in nets for node in net.nodes.values()
+             for port in node.ports.values()]
+    assert set(per_port) == set(ports)
+    assert all(per_port[port] == port.sent for port in ports)
+    for key in ("a->SW", "SW->b"):
+        mine = [p for p in ports if f"{p.link.src}->{p.link.dst}" == key]
+        assert hub.counters[f"tx_bytes:{key}"] == sum(p.sent for p in mine) > 0
+
+
+def test_tx_bytes_on_a_finite_link_are_the_packet_table_s_bytes_on_it():
+    """The hop ``k`` of a packet's transmit log is link ``k`` of its
+    route.  An infinitely fast idle hop is delivered without a service
+    start, so only finite-bandwidth links are held to the table."""
+    rng = random.Random(7)
     hub = MetricsHub()
     with RunContext(hub=hub).entered():
         net = _net()
-        assert hub._link_keys == {}
-        net.inject_at(0.0, make_packet())
+        net.add_host("c")
+        net.add_link("SW", "c", float("inf"), 0.0)
+        net.set_buffers(4000, node_filter=lambda node: node.name == "SW")
+        for k in range(40):
+            src, dst = rng.choice((("a", "b"), ("a", "c"), ("c", "b")))
+            net.inject_at(0.0002 * k, make_packet(
+                src=src, dst=dst, size=rng.choice((200, 900, 1500))))
         net.run()
-    assert sorted(hub._link_keys.values()) == [
-        ("tx_bytes:SW->b", "SW->b"), ("tx_bytes:a->SW", "a->SW")]
+    tracer = net.tracer
+    table: dict[str, int] = {}
+    hops: dict[int, int] = {}
+    for slot in tracer.tx_slot:
+        hop = hops[slot] = hops.get(slot, -1) + 1
+        route = net.route(tracer.src[slot], tracer.dst[slot])
+        key = f"tx_bytes:{route[hop]}->{route[hop + 1]}"
+        table[key] = table.get(key, 0) + tracer.size[slot]
+    finite = {f"tx_bytes:{u}->{v}" for (u, v), link in net.links.items()
+              if link.bandwidth != float("inf")}
+    counted = {k: v for k, v in hub.counters.items() if k in finite}
+    assert counted == {k: v for k, v in table.items() if k in finite}
+    assert net.tracer.drops and set(counted) == {
+        "tx_bytes:a->SW", "tx_bytes:SW->b"}
 
 
 def test_a_stored_sample_costs_at_most_16_bytes():

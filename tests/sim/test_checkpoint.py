@@ -223,19 +223,19 @@ class TestSnapshotRoundTrip:
     def test_what_a_port_pickles_is_pinned_to_the_checkpoint_version(self):
         """A port's pickled shape is part of the checkpoint format: adding
         or removing a slot must come with a ``CHECKPOINT_VERSION`` bump
-        (7: a preemptive port keeps no per-packet state dict; 6: ports
-        carry no AQM slot), and then an update of this pin."""
+        (8: ports count ``sent`` and ``dropped`` and hold no hub; 7: a
+        preemptive port keeps no per-packet state dict; 6: ports carry no
+        AQM slot), and then an update of this pin."""
         port = _tiny_network().nodes["a"].ports["b"]
         _dict, slots = port.__getstate__()
-        assert CHECKPOINT_VERSION == 7
+        assert CHECKPOINT_VERSION == 8
         common = (
             "node", "link", "scheduler", "buffer_bytes", "buffered",
-            "_queued", "_wakeup", "_decision_pending",
+            "sent", "dropped", "_queued", "_wakeup", "_decision_pending",
             "_free_at", "_done_born", "_done_seq",
-            "_receive", "_engine", "_tracer", "_obs", "_tx_per_byte", "_prop",
+            "_receive", "_engine", "_tracer", "_tx_per_byte", "_prop",
         )
         assert sorted(slots) == sorted(common)
-        assert slots["_obs"] is None
         net = Network()
         net.add_host("a")
         net.add_host("b")
@@ -446,8 +446,14 @@ class TestCheckpointStore(StoreContract):
         """Nor one whose tracer columns are lists of boxed numbers and
         whose preemptive ports keep a state object per packet (v6);
         version 7 pickles typed columns and self-contained heap entries."""
-        assert CHECKPOINT_VERSION == 7
         self._relabelled_entry_is_a_miss_and_heals(tmp_path, 6)
+
+    def test_version_7_entry_reads_as_a_miss_and_is_rebuilt(self, tmp_path):
+        """Nor one whose ports and network hold a metrics hub slot, whose
+        packets carry a ``retx`` flag and whose hosts an ``on_deliver``
+        hook (v7); version 8 pickles ports that count what they send."""
+        assert CHECKPOINT_VERSION == 8
+        self._relabelled_entry_is_a_miss_and_heals(tmp_path, 7)
 
     @pytest.mark.parametrize("via", ["os.system", "ContentStore"])
     def test_a_payload_naming_a_foreign_global_is_a_miss_and_heals(

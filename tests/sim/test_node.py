@@ -92,16 +92,6 @@ def test_duplicate_agent_registration_rejected():
         net.host("b").register_receiver(1, Agent())
 
 
-def test_fallback_deliver_callback():
-    net = _net()
-    seen = []
-    net.host("b").on_deliver = lambda p: seen.append(p.pid)
-    p = make_packet(flow_id=42)
-    net.inject_at(0.0, p)
-    net.run()
-    assert seen == [p.pid]
-
-
 def test_path_position_advances_per_hop():
     net = _net()
     p = make_packet()

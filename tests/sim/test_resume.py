@@ -20,8 +20,10 @@ from repro.api import ExperimentSpec, run
 from repro.api.runner import CHECKPOINT_SUBDIR
 from repro.core.flow import Flow
 from repro.core.packet import Packet, reset_packet_ids
+from repro.core.store import RunContext
 from repro.errors import ConfigurationError
 from repro.experiments.branch import BranchPrefix, build_branch_snapshot
+from repro.obs import MetricsHub
 from repro.sim.checkpoint import (
     _OTHER_GLOBALS,
     CHECKPOINT_VERSION,
@@ -354,6 +356,44 @@ class TestResumeIdentity:
         # either way the trail — stale snapshots included — is retired
         assert {k for op, k in log if op in ("roll", "prune")} >= set(left)
         assert not [key for key in store.keys() if key.startswith("resume-")]
+
+    def test_a_resumed_run_under_a_hub_counts_what_the_straight_one_does(
+            self, tmp_path, monkeypatch):
+        """Two phases, the second killed after its second snapshot; the
+        retry resumes both under a hub.  The hub notes the ports before
+        each resume grafts the killed attempt's counts onto them, so its
+        counters are the straight run's, and the restored engines, which
+        carry no sampler tick, are sampled to the end."""
+        def two_phases(network: Network) -> None:
+            network.run(until=0.03)
+            network.run()
+
+        straight_hub = MetricsHub()
+        with RunContext(hub=straight_hub).entered():
+            two_phases(_tcp_network()[0])
+
+        original = ResumeSession._record
+
+        def record_then_crash(self, network, prefix, index):
+            original(self, network, prefix, index)
+            if self._phase == 1 and index == 2:
+                raise _Crash
+
+        monkeypatch.setattr(ResumeSession, "_record", record_then_crash)
+        store = CheckpointStore(tmp_path)
+        with RunContext(session=ResumeSession("r1", self.EVERY, store)).entered():
+            with pytest.raises(_Crash):
+                two_phases(_tcp_network()[0])
+        monkeypatch.undo()
+
+        hub = MetricsHub()
+        retry = ResumeSession("r1", self.EVERY, store)
+        network, _ = _tcp_network()
+        with RunContext(hub=hub, session=retry).entered():
+            two_phases(network)
+        assert len(retry.resumed_keys) == 2
+        assert hub.counters == straight_hub.counters
+        assert hub.series_points("queue_depth:r->b")[-1][0] >= network.engine.now
 
 
 @pytest.mark.parametrize("obs", [False, True], ids=["obs-off", "obs-on"])

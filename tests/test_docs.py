@@ -50,6 +50,25 @@ def test_dangling_markdown_reference_in_a_docstring_is_flagged(tmp_path):
     ]
 
 
+def test_dangling_python_path_in_a_docstring_is_flagged(tmp_path):
+    """A ``.py`` path rooted at a top-level directory must exist; one
+    relative to the package (``sim/engine.py``) is not a path from the
+    root and is never checked."""
+    check_docs = _check_docs()
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_real.py").write_text("")
+    source = tmp_path / "src" / "pkg"
+    source.mkdir(parents=True)
+    (source / "mod.py").write_text(
+        '"""Proven by ``tests/test_real.py::test_x``.\n\n'
+        "Also by ``tests/test_gone.py``, next to ``sim/engine.py``.\n"
+        '"""\n'
+    )
+    assert check_docs.check_docstring_files(tmp_path / "src", tmp_path) == [
+        "src/pkg/mod.py:3: docstring names tests/test_gone.py, which does not exist"
+    ]
+
+
 def test_dangling_repro_reference_is_flagged(tmp_path):
     """A role target in a docstring and a backticked span in markdown
     must both resolve; a module, a class, a method and a module

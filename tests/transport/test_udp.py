@@ -12,6 +12,16 @@ from repro.units import MBPS
 from tests.sim.reference_tracer import delivered
 
 
+class _Sink:
+    """A receiver agent keeping every packet delivered to it."""
+
+    def __init__(self) -> None:
+        self.packets = []
+
+    def on_packet(self, packet) -> None:
+        self.packets.append(packet)
+
+
 def _net():
     net = Network()
     net.add_host("a")
@@ -48,9 +58,10 @@ def test_slack_policy_applied_per_packet():
     flow = Flow(1, "a", "b", 3000, start=0.0)
     sources = install_udp_flows(net, [flow], slack_policy=ConstantSlack(0.25))
     assert len(sources) == 1
-    captured = []
-    net.host("b").on_deliver = lambda p: captured.append(p.slack)
+    sink = _Sink()
+    net.host("b").register_receiver(1, sink)
     net.run()
+    captured = [p.slack for p in sink.packets]
     # Slack headers drained by queueing at the host uplink but started at 0.25.
     assert len(captured) == 2  # 3000B -> two segments
     assert max(captured) <= 0.25 + 1e-9
@@ -60,11 +71,11 @@ def test_flow_metadata_stamped():
     net = _net()
     flow = Flow(7, "a", "b", 4000, start=0.0)
     install_udp_flows(net, [flow])
-    seen = []
-    net.host("b").on_deliver = lambda p: seen.append(
-        (p.flow_id, p.flow_size, p.remaining_flow, p.seq)
-    )
+    sink = _Sink()
+    net.host("b").register_receiver(7, sink)
     net.run()
+    seen = [(p.flow_id, p.flow_size, p.remaining_flow, p.seq)
+            for p in sink.packets]
     assert [s[0] for s in seen] == [7, 7, 7]
     assert all(s[1] == 4000 for s in seen)
     # remaining_flow decreases along the flow; seq tracks byte offsets.

@@ -153,10 +153,10 @@ class RecordedSchedule:
         A packet's path is its route, looked up once per distinct
         ``(src, dst)``; one stable argsort groups the transmit log by slot
         (in event order), and the schedule's runs are gathered from the
-        routes and the groups.  A delivered packet must have transmitted
-        once per link of its route: fewer means the tracer was off for
-        part of its journey, and its hops cannot be told apart.  Columns are
-        read through ``np.asarray`` views, which die here: a viewed array cannot grow.
+        routes and the groups.  A delivered packet has transmitted once
+        per link of its route, since a traced packet is traced to its exit;
+        that invariant is checked, not assumed.  Columns are read through
+        ``np.asarray`` views, which die here: a viewed array cannot grow.
         """
         tracer = network.tracer
         exit = np.asarray(tracer.exit, dtype=float)
@@ -181,8 +181,7 @@ class RecordedSchedule:
         hops = tx_counts[slots]
         if not np.array_equal(route_counts[row_route], hops + 1):
             raise ReplayError("a delivered packet transmitted other than once per "
-                              "link of its route (was the tracer toggled while it "
-                              "travelled?)")
+                              "link of its route")
         path = route_codes[_runs(route_counts, row_route)]
         hop_entries = tx_order[_runs(tx_counts, slots)]
         size = np.asarray(tracer.size)[slots]
@@ -315,9 +314,11 @@ def record_schedule(
     """
     network.run(until=until)
     tracer = network.tracer
-    if tracer.drops:
+    dropped = sum(port.dropped for node in network.nodes.values()
+                  for port in node.ports.values())
+    if dropped:
         raise ReplayError(
-            f"original run dropped {tracer.drops} packets; replay is only "
+            f"original run dropped {dropped} packets; replay is only "
             "defined for dropless schedules (use larger buffers)"
         )
     undelivered = len(tracer) - tracer.delivered_count()

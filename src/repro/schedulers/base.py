@@ -191,14 +191,13 @@ class IndexedHeapQueue:
 class Scheduler:
     """Abstract base for per-port packet schedulers."""
 
-    __slots__ = ("_port", "_push_seq")
+    __slots__ = ("_port",)
 
     #: Registry/display name; subclasses override.
     name = "base"
 
     def __init__(self) -> None:
         self._port: "Port | None" = None
-        self._push_seq = 0
 
     # --- wiring -------------------------------------------------------------
 
@@ -221,10 +220,6 @@ class Scheduler:
         if self._port is None:
             raise SchedulerError(f"{self.name} scheduler is not attached to a port")
         return self._port
-
-    def _next_seq(self) -> int:
-        self._push_seq += 1
-        return self._push_seq
 
     # --- queue operations (subclass responsibility) ---------------------------
 

@@ -152,16 +152,18 @@ class PHeapLstfScheduler(LstfScheduler):
     hop in a network, by ``tests/sim/test_against_oracle.py``.
     """
 
-    __slots__ = ("_pheap",)
+    __slots__ = ("_pheap", "_seq")
 
     name = "lstf-pheap"
 
     def __init__(self, capacity: int = 4096) -> None:
         super().__init__()
         self._pheap = PHeap(capacity)
+        self._seq = 0  # the push counter that breaks key ties FIFO
 
     def push(self, packet: Packet, now: float) -> None:
-        self._pheap.push((self._key(packet), self._next_seq()), packet)
+        self._seq += 1
+        self._pheap.push((self._key(packet), self._seq), packet)
 
     def pop(self, now: float) -> Optional[Packet]:
         if not len(self._pheap):

@@ -73,17 +73,19 @@ __all__ = [
 ]
 
 #: On-disk format name and version, written into every header and checked
-#: on load; bump the version when the payload encoding changes shape (8:
-#: ports count bytes sent and packets dropped and hold no hub, networks
-#: no hub, packets no ``retx`` flag, hosts no ``on_deliver`` hook; 7:
-#: typed tracer columns, preemptive heap entries carry remaining work; 6:
-#: ports carry no early-drop queue-manager slot; 5: the tracer keeps no
-#: path log; 4: the tracer is a table of columns; 3: heap entries carry
-#: ``born``, ports ``_free_at``), or the resume session's anchor numbering
-#: does (2: per-packet data travels by value) — another walk's index
-#: would graft onto the wrong object.
+#: on load; bump the version when the payload encoding changes shape (9:
+#: the tracer keeps no drop count or drop-node column, schedulers no
+#: push counter, TCP receivers no completion hook; 8: ports count bytes
+#: sent and packets dropped and hold no hub, networks no hub, packets no
+#: ``retx`` flag, hosts no ``on_deliver`` hook; 7: typed tracer columns,
+#: preemptive heap entries carry remaining work; 6: ports carry no
+#: early-drop queue-manager slot; 5: the tracer keeps no path log; 4: the
+#: tracer is a table of columns; 3: heap entries carry ``born``, ports
+#: ``_free_at``), or the resume session's anchor numbering does (2:
+#: per-packet data travels by value) — another walk's index would graft
+#: onto the wrong object.
 CHECKPOINT_FORMAT = "repro-checkpoint"
-CHECKPOINT_VERSION = 8
+CHECKPOINT_VERSION = 9
 
 #: The modules whose classes a simulation's state pickles to: the network
 #: graph, schedulers, and transports with their flows and slack policies.

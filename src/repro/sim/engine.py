@@ -417,8 +417,7 @@ class Engine:
         module's live sentinel, so the run loop's identity test keeps
         working on restored entries.  The entry order is preserved
         as-is: the (time, born, seq) sort keys were untouched, so the list is
-        still a valid heap.  A ``"stopped"`` entry, which engines with a
-        stop flag wrote, is ignored.
+        still a valid heap.
         """
         self.now = state["now"]
         self._heap = [

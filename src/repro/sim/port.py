@@ -164,7 +164,6 @@ class Port:
             return
         while self.buffered + packet.size > self.buffer_bytes:
             victim = scheduler.drop_victim(packet, now)
-            tracer.on_drop(victim, self.node.name)
             self.dropped += 1
             if victim is packet:
                 return

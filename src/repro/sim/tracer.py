@@ -9,8 +9,10 @@ is built on (Appendix A notation in parentheses):
   (``o(p, α)``), which feeds the omniscient replay of Appendix B,
 * ``hop_waits`` — per transmitting hop, the queueing delay, which feeds the
   congestion-point analysis (§2.2) and the queueing-delay-ratio CDF
-  (Figure 1),
-* drop bookkeeping for the finite-buffer experiments of §3.
+  (Figure 1).
+
+Drops are not recorded here: each port counts its own
+(:attr:`Port.dropped <repro.sim.port.Port.dropped>`).
 
 The paper's ``path(p)`` is not recorded: routing is deterministic, so a
 packet travels ``network.route(src, dst)``, and the recorder and the
@@ -19,22 +21,26 @@ the run decides.
 
 Millions of packets flow through one experiment, so none of this is an
 object per packet.  The tracer is a table: one *row* per traced packet at
-a dense *slot* (``pid, flow_id, size, src, dst, created, exit,
-dropped_at``; the packet carries its slot in ``packet.trace``), and one
-log in event order, the transmit log ``(slot, hop_tx, wait)``, one entry
-per service start.  The number columns are typed ``array.array``s
+a dense *slot* (``pid, flow_id, size, src, dst, created, exit``; the
+packet carries its slot in ``packet.trace``), and one log in event
+order, the transmit log ``(slot, hop_tx, wait)``, one entry per service
+start.  The number columns are typed ``array.array``s
 (:attr:`Tracer.TYPES`): a cell costs its 8 bytes, not a pointer and a
 boxed number, for tens of nanoseconds more per append than a list's.
-``exit`` is one of them, written by slot and NaN until then (a version-7
-snapshot's ``exit`` is a list holding ``None``, which every reader below
-also takes); ``dropped_at`` stays a list, ``None`` until a drop, and
-``src``/``dst`` hold the node names the network shares.
+``exit`` is one of them, written by slot and NaN until then;
+``src``/``dst`` are lists of the node names the network shares.
 Consumers read the columns through numpy, where ``np.asarray`` of an
 array is zero-copy (:meth:`Tracer.exit_times`, :meth:`Tracer.wait_totals`,
 :func:`group_log`); nothing builds an object per packet.
 
 A replay traces into a :class:`ReplayTable`: ``pid``, ``exit`` and the
 log ``(tx_slot, hop_waits)``, all its judge reads (``tx_slot`` in 32 bits).
+
+Whether a packet is traced is decided once, at its ingress: ``enabled``
+is read there and nowhere after.  A packet traced at ingress is traced
+until it exits, even if the tracer is switched off meanwhile, and one
+that entered while it was off never gets a row, so a row is whole or
+absent.
 """
 
 from __future__ import annotations
@@ -92,14 +98,13 @@ class Tracer:
     """Collects a simulation run's packet table (see the module docstring)."""
 
     #: Row columns, one entry per slot, then the transmit log.
-    ROWS = ("pid", "flow_id", "size", "src", "dst", "created", "exit",
-            "dropped_at")
+    ROWS = ("pid", "flow_id", "size", "src", "dst", "created", "exit")
     LOGS = ("tx_slot", "hop_tx", "hop_waits")
     #: The ``array`` typecode of each typed column; the others are lists.
     TYPES = {"pid": "q", "flow_id": "q", "size": "q", "created": "d",
              "exit": "d", "tx_slot": "q", "hop_tx": "d", "hop_waits": "d"}
 
-    __slots__ = ("enabled", "drops", *ROWS, *LOGS)
+    __slots__ = ("enabled", *ROWS, *LOGS)
 
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
@@ -108,7 +113,6 @@ class Tracer:
     def clear(self) -> None:
         """Forget every packet (see :meth:`Network.release
         <repro.sim.network.Network.release>`)."""
-        self.drops = 0
         for name in self.ROWS + self.LOGS:
             code = self.TYPES.get(name)
             setattr(self, name, [] if code is None else array(code))
@@ -127,19 +131,9 @@ class Tracer:
         self.dst.append(packet.dst)
         self.created.append(packet.created)
         self.exit.append(nan)
-        self.dropped_at.append(None)
-
-    # Every per-hop hook below guards the same two ways: a disabled
-    # tracer records nothing (not even the ``drops`` counter — a
-    # disabled tracer must be a pure no-op, so enabled/disabled runs
-    # differ only in what is *observed*), and ``packet.trace`` may be
-    # ``None`` for a packet created while the tracer was disabled (or
-    # toggled mid-run) — such packets are simply invisible.
 
     def on_tx_start(self, packet: "Packet", wait: float, now: float) -> None:
         """Packet selected for transmission after ``wait`` seconds in queue."""
-        if not self.enabled:
-            return
         slot = packet.trace
         if slot is not None:
             self.tx_slot.append(slot)
@@ -148,24 +142,14 @@ class Tracer:
 
     def on_exit(self, packet: "Packet", now: float) -> None:
         """Last bit of the packet delivered at its destination."""
-        if not self.enabled:
-            return
         slot = packet.trace
         if slot is not None:
             self.exit[slot] = now
 
-    def on_drop(self, packet: "Packet", node: str) -> None:
-        if not self.enabled:
-            return
-        self.drops += 1
-        slot = packet.trace
-        if slot is not None:
-            self.dropped_at[slot] = node
-
     # --- the table, column-wise ----------------------------------------------
 
     def exit_times(self) -> np.ndarray:
-        """``exit`` per slot as float64; NaN (or a version-7 ``None``) until it left."""
+        """``exit`` per slot as float64; NaN until the packet left."""
         return np.array(self.exit, dtype=float)
 
     def wait_totals(self) -> np.ndarray:
@@ -195,10 +179,7 @@ class ReplayTable(Tracer):
             self.exit.append(nan)
 
     def on_tx_start(self, packet: "Packet", wait: float, now: float) -> None:
-        if self.enabled and packet.trace is not None:
-            self.tx_slot.append(packet.trace)
+        slot = packet.trace
+        if slot is not None:
+            self.tx_slot.append(slot)
             self.hop_waits.append(wait)
-
-    def on_drop(self, packet: "Packet", node: str) -> None:
-        if self.enabled:
-            self.drops += 1

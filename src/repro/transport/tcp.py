@@ -24,7 +24,7 @@ the forward-path comparison.
 from __future__ import annotations
 
 from itertools import takewhile
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.core.flow import Flow
 from repro.core.heuristics import SlackPolicy
@@ -243,17 +243,14 @@ class TcpReceiver:
         network: "Network",
         flow: Flow,
         stats: TcpStats,
-        on_complete: Callable[[int, float], None] | None = None,
     ) -> None:
         self._network = network
         self._flow = flow
         self._stats = stats
-        self._on_complete = on_complete
         self._host = network.host(flow.dst)
         self._host.register_receiver(flow.fid, self)
         self._expected = 0
         self._out_of_order: dict[int, int] = {}  # seq -> size
-        self.bytes_in_order = 0
 
     def on_packet(self, packet: Packet) -> None:
         seq, size = packet.seq, packet.size
@@ -263,14 +260,9 @@ class TcpReceiver:
                 self._expected += self._out_of_order.pop(self._expected)
         elif seq > self._expected:
             self._out_of_order.setdefault(seq, size)
-        self.bytes_in_order = self._expected
         self._send_ack()
         if self._expected >= self._flow.size:
-            now = self._network.engine.now
-            self._stats.record_completion(self._flow.fid, now)
-            if self._on_complete is not None:
-                self._on_complete(self._flow.fid, now)
-                self._on_complete = None
+            self._stats.record_completion(self._flow.fid, self._network.engine.now)
 
     def _send_ack(self) -> None:
         now = self._network.engine.now

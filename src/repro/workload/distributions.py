@@ -20,6 +20,7 @@ string: :func:`make_distribution` constructs by name and
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -58,10 +59,10 @@ class BoundedPareto(SizeDistribution):
     """
 
     def __init__(self, alpha: float = 1.2, low: int = 1_000, high: int = 10_000_000) -> None:
-        if alpha <= 0:
-            raise WorkloadError(f"alpha must be positive, got {alpha!r}")
-        if not 0 < low < high:
-            raise WorkloadError(f"need 0 < low < high, got low={low!r}, high={high!r}")
+        if not (alpha > 0 and math.isfinite(alpha)):
+            raise WorkloadError(f"alpha must be positive and finite, got {alpha!r}")
+        if not 0 < low < high < math.inf:  # an infinite bound samples NaN
+            raise WorkloadError(f"need 0 < low < high < inf, got low={low!r}, high={high!r}")
         self.alpha = alpha
         self.low = float(low)
         self.high = float(high)
@@ -119,8 +120,8 @@ class ExponentialSize(SizeDistribution):
     """Light-tailed ablation baseline."""
 
     def __init__(self, mean_bytes: float = 30_000.0) -> None:
-        if mean_bytes <= 0:
-            raise WorkloadError(f"mean must be positive, got {mean_bytes!r}")
+        if not (mean_bytes > 0 and math.isfinite(mean_bytes)):
+            raise WorkloadError(f"mean must be positive and finite, got {mean_bytes!r}")
         self._mean = mean_bytes
 
     def sample(self, rng: np.random.Generator) -> int:

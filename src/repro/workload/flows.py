@@ -15,6 +15,7 @@ simulation horizon).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,10 +41,12 @@ class PoissonWorkload:
             raise WorkloadError(
                 f"utilization should be a fraction like 0.7, got {self.utilization!r}"
             )
-        if self.reference_bandwidth <= 0:
-            raise WorkloadError("reference bandwidth must be positive")
-        if self.duration <= 0:
-            raise WorkloadError("duration must be positive")
+        # NaN and inf pass a plain ``<= 0`` test, and either would make
+        # :func:`poisson_flows` generate forever.
+        if not (self.reference_bandwidth > 0 and math.isfinite(self.reference_bandwidth)):
+            raise WorkloadError("reference bandwidth must be positive and finite")
+        if not (self.duration > 0 and math.isfinite(self.duration)):
+            raise WorkloadError("duration must be positive and finite")
 
 
 def poisson_flows(

@@ -12,6 +12,7 @@ import pytest
 
 from repro.api import ExperimentSpec, spec_run_id
 from repro.cluster import DONE, FAILED, PENDING, RUNNING, JobQueue
+from repro.cluster import queue as queue_module
 from repro.errors import ClusterError, ConfigurationError
 
 TINY = ExperimentSpec("table1", duration=0.04, options={"rows": (0,)})
@@ -264,23 +265,42 @@ class TestRetries:
         assert queue.job(job_id).state == RUNNING
 
 
+class _Clock:
+    """``time`` as :mod:`repro.cluster.queue` sees it: a wall clock that
+    moves only when the test advances it, so a lease expires exactly
+    when the test says and never because the host was slow."""
+
+    def __init__(self) -> None:
+        self.now = time.time()
+
+    def time(self) -> float:
+        return self.now
+
+
+@pytest.fixture
+def clock(monkeypatch) -> _Clock:
+    clock = _Clock()
+    monkeypatch.setattr(queue_module, "time", clock)
+    return clock
+
+
 class TestLeases:
-    def test_expired_lease_is_reclaimed_by_the_next_claim(self, tmp_path):
+    def test_expired_lease_is_reclaimed_by_the_next_claim(self, tmp_path, clock):
         queue = JobQueue(tmp_path)
         (job_id,) = queue.submit([TINY])
         queue.claim_batch("w1", 1, lease_s=0.05)
         assert queue.claim_batch("w2", 1) == []  # still leased
-        time.sleep(0.08)
+        clock.now += 0.08
         (job,) = queue.claim_batch("w2", 1)
         assert job.id == job_id
         assert job.worker == "w2"
         assert job.attempts == 2  # the lost lease burned an attempt
 
-    def test_expiry_with_no_budget_left_is_terminal(self, tmp_path):
+    def test_expiry_with_no_budget_left_is_terminal(self, tmp_path, clock):
         queue = JobQueue(tmp_path, max_attempts=1)
         (job_id,) = queue.submit([TINY])
         queue.claim_batch("w1", 1, lease_s=0.05)
-        time.sleep(0.08)
+        clock.now += 0.08
         assert queue.claim_batch("w2", 1) == []
         state = queue.job(job_id)
         assert state.state == FAILED

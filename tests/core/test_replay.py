@@ -77,24 +77,49 @@ class TestRecord:
     def test_rejects_drops(self):
         net, _make = _loaded_dumbbell()
         net.set_buffers(3000)
-        with pytest.raises(ReplayError):
+        with pytest.raises(ReplayError, match="original run dropped") as caught:
             record_schedule(net)
+        dropped = sum(port.dropped for node in net.nodes.values()
+                      for port in node.ports.values())
+        assert dropped and f"dropped {dropped} packets" in str(caught.value)
 
-    def test_refuses_a_router_hop_the_tracer_missed(self):
-        """A tracer off for exactly one router hop loses that hop's
-        transmit: one transmit for a two-link route is refused, never
-        recorded as a path ``a -> b`` whose one hop is no link."""
+    @staticmethod
+    def _two_links():
         net = Network()
         for host in ("a", "b"):
             net.add_host(host)
         net.add_router("SW")
-        net.add_link("a", "SW", 8 * MBPS, 0.0)
+        net.add_link("a", "SW", 80 * MBPS, 0.0)
         net.add_link("SW", "b", 8 * MBPS, 0.0)
-        net.inject_at(0.0, make_packet())
-        net.run(until=0.0005)  # on the wire a -> SW
+        return net
+
+    def test_rejects_a_drop_no_row_saw(self):
+        """The ports count the drops, traced or not: a packet dropped at
+        the switch while the tracer was off is refused, though every row
+        the table holds was delivered whole."""
+        net = self._two_links()
+        net.set_buffers(1000, lambda node: node.name == "SW")
         net.tracer.enabled = False
-        net.run(until=0.0015)  # received by SW and sent on
+        for _ in range(3):  # one on the wire, one queued, one dropped
+            net.inject_at(0.0, make_packet())
+        net.run(until=1e-3)
         net.tracer.enabled = True
+        net.inject_at(5e-3, make_packet())
+        with pytest.raises(ReplayError, match="original run dropped 1 packets"):
+            record_schedule(net)
+        assert len(net.tracer) == net.tracer.delivered_count() == 1
+
+    def test_refuses_a_row_missing_a_transmit(self):
+        """A row whose transmit log lacks one hop is refused, never
+        recorded as a path ``a -> b`` whose one hop is no link: the
+        recorder checks that every delivered row is whole."""
+        net = self._two_links()
+        net.inject_at(0.0, make_packet())
+        net.run()
+        tracer = net.tracer
+        assert list(tracer.tx_slot) == [0, 0]
+        for log in (tracer.tx_slot, tracer.hop_tx, tracer.hop_waits):
+            del log[1]
         with pytest.raises(ReplayError, match="once per link of its route"):
             record_schedule(net)
 

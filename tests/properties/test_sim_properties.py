@@ -90,7 +90,8 @@ def test_every_scheduler_conserves_packets(scheduler_cls, n_packets, seed):
         net.inject_at(p.created, p)
     net.run()
     assert net.tracer.delivered_count() == n_packets
-    assert net.tracer.drops == 0
+    assert not any(port.dropped for node in net.nodes.values()
+                   for port in node.ports.values())
 
 
 @settings(max_examples=20, deadline=None)

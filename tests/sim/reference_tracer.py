@@ -29,7 +29,7 @@ class ReferenceRecord:
     """Trace of one packet's traversal."""
 
     __slots__ = ("pid", "flow_id", "size", "src", "dst", "created", "exit",
-                 "path", "hop_tx", "hop_waits", "dropped_at")
+                 "path", "hop_tx", "hop_waits")
 
     def __init__(self, *row) -> None:
         """A record holding ``row``, one value per slot in ``__slots__`` order."""
@@ -39,6 +39,16 @@ class ReferenceRecord:
     @property
     def delivered(self) -> bool:
         return self.exit is not None
+
+    @property
+    def dropped_at(self) -> str | None:
+        """Once the network has drained, the node whose port dropped an
+        undelivered packet, read off its path: the node after its last
+        transmitting hop, ``path[len(hop_tx)]``.  ``None`` for a delivered
+        packet.  Needs the path (:func:`records` given the network)."""
+        if self.exit is not None:
+            return None
+        return self.path[len(self.hop_tx)]
 
     @property
     def total_delay(self) -> float:
@@ -76,7 +86,7 @@ def records(tracer: "Tracer", network: "Network | None" = None
         row[0]: ReferenceRecord(*row)
         for row in zip(tracer.pid, tracer.flow_id, tracer.size, tracer.src,
                        tracer.dst, tracer.created, exits, paths, hop_tx,
-                       hop_waits, tracer.dropped_at)
+                       hop_waits)
     }
 
 

@@ -7,8 +7,11 @@ deadlines and injection instants all lie on a dyadic grid, so every time
 ``repro.sim`` computes in floats is a machine number, its arithmetic is
 exact, and exact ties are common.  Each scenario runs once on
 ``repro.sim`` and once on the oracle, which keeps time in fractions; every
-packet must show the same ``(i(p), o(p), hop_tx, hop_waits, dropped_at)``
-and leave with the same slack header, compared with ``==``.
+packet must show the same ``(i(p), o(p), hop_tx, hop_waits)``, be dropped
+at the same node (on the ``repro`` side the node after its last transmit,
+read off its route) and leave with the same slack header, compared with
+``==``; and each node's ports must count as many drops as the oracle
+dropped there.
 
 Bounded examples here; the nightly stress job scales them up with
 ``REPRO_STRESS_SCALE``.
@@ -186,12 +189,13 @@ def build_network(scenario, hop_times) -> tuple[Network, list[Packet]]:
 
 
 def _repro(scenario, hop_times):
-    """The same stories from ``repro.sim``, and its network."""
+    """The same stories from ``repro.sim``, and its network.  A drop node is
+    read off the route, which holds once the network has drained."""
     net, packets = build_network(scenario, hop_times)
     net.run()
     slack = {p.pid: p.slack for p in packets}
     return {pid: (r.created, r.exit, tuple(r.hop_tx), tuple(r.hop_waits), r.dropped_at,
-                  slack[pid]) for pid, r in records(net.tracer).items()}, net
+                  slack[pid]) for pid, r in records(net.tracer, net).items()}, net
 
 
 @settings(max_examples=150 * SCALE, deadline=None,
@@ -211,6 +215,9 @@ def test_every_packet_leaves_when_the_oracle_says(scenario):
     assert got == want
     assert not any(port.busy or port._queued for node in net.nodes.values()
                    for port in node.ports.values())
+    assert {name: sum(port.dropped for port in node.ports.values())
+            for name, node in net.nodes.items()} == {
+        name: [story[4] for story in want.values()].count(name) for name in net.nodes}
     if preemptive:
         # One event per injection, service end and delivery, as here.
         assert net.engine.events_processed == sim.fired

@@ -33,6 +33,8 @@ from repro.core.store import ContentStore
 from repro.errors import CheckpointError
 from repro.obs.hub import MetricsHub
 from repro.schedulers import LstfScheduler
+from repro.schedulers.base import Scheduler
+from repro.schedulers.pheap import PHeapLstfScheduler
 from repro.sim.checkpoint import (
     _STATE_MODULES,
     CHECKPOINT_VERSION,
@@ -128,16 +130,6 @@ class TestEngineCheckpointRestore:
         fresh.run()
         assert fresh.events_processed == 3  # the clone's handle still fired
 
-    def test_a_payload_with_a_stop_flag_still_restores(self):
-        """Version-7 payloads written by engines that had ``stop()`` carry
-        a ``"stopped"`` entry; restoring one ignores it."""
-        engine, log, _handle = _fire_log_engine()
-        state = {**engine.checkpoint(), "stopped": False}
-        fresh = Engine()
-        fresh.restore(state)
-        fresh.run()
-        assert log == ["d", "a", "b", "c"]
-
     def test_restore_resumes_mid_run(self):
         engine, log, _handle = _fire_log_engine()
         engine.run(until=0.003)
@@ -206,9 +198,10 @@ class TestSnapshotRoundTrip:
                 net.inject_at(0.0005 * (k // 4), make_packet(slack=float(k % 5)))
             return net
 
-        def outcome(net):
+        def outcome(net):  # read once the network has drained
             return {pid: (r.dropped_at, r.exit)
-                    for pid, r in records(net.tracer).items()}
+                    for pid, r in records(net.tracer, net).items()
+                    }, net.nodes["SW"].ports["b"].dropped
 
         straight = build()
         straight.run()
@@ -217,7 +210,7 @@ class TestSnapshotRoundTrip:
         assert net.nodes["SW"].ports["b"].buffered == 2000  # the queue is full
         restored = restore_snapshot(_reloaded(snapshot_network(net)))
         restored.run()
-        assert straight.tracer.drops > 0
+        assert straight.nodes["SW"].ports["b"].dropped > 0
         assert outcome(restored) == outcome(straight)
 
     def test_what_a_port_pickles_is_pinned_to_the_checkpoint_version(self):
@@ -228,7 +221,7 @@ class TestSnapshotRoundTrip:
         AQM slot), and then an update of this pin."""
         port = _tiny_network().nodes["a"].ports["b"]
         _dict, slots = port.__getstate__()
-        assert CHECKPOINT_VERSION == 8
+        assert CHECKPOINT_VERSION == 9
         common = (
             "node", "link", "scheduler", "buffer_bytes", "buffered",
             "sent", "dropped", "_queued", "_wakeup", "_decision_pending",
@@ -244,6 +237,17 @@ class TestSnapshotRoundTrip:
         _dict, slots = net.nodes["a"].ports["b"].__getstate__()
         assert sorted(slots) == sorted((
             *common, "_heap", "_seq", "_current", "_serve_start", "_done_handle"))
+
+    def test_what_the_tracer_and_a_scheduler_pickle_is_pinned_too(self):
+        """So are the tracer's and the schedulers' slots (9: the tracer
+        keeps no drop count or ``dropped_at`` column, and only the p-heap
+        LSTF scheduler a push counter)."""
+        assert CHECKPOINT_VERSION == 9
+        assert Tracer.__slots__ == (
+            "enabled", "pid", "flow_id", "size", "src", "dst", "created", "exit",
+            "tx_slot", "hop_tx", "hop_waits")
+        assert Scheduler.__slots__ == ("_port",)
+        assert PHeapLstfScheduler.__slots__ == ("_pheap", "_seq")
 
     def test_restore_reinstalls_packet_counter(self):
         net = _tiny_network()
@@ -452,8 +456,14 @@ class TestCheckpointStore(StoreContract):
         """Nor one whose ports and network hold a metrics hub slot, whose
         packets carry a ``retx`` flag and whose hosts an ``on_deliver``
         hook (v7); version 8 pickles ports that count what they send."""
-        assert CHECKPOINT_VERSION == 8
         self._relabelled_entry_is_a_miss_and_heals(tmp_path, 7)
+
+    def test_version_8_entry_reads_as_a_miss_and_is_rebuilt(self, tmp_path):
+        """Nor one whose tracer still counts drops and keeps a
+        ``dropped_at`` column, and whose schedulers all carry a push
+        counter (v8); version 9 pickles neither."""
+        assert CHECKPOINT_VERSION == 9
+        self._relabelled_entry_is_a_miss_and_heals(tmp_path, 8)
 
     @pytest.mark.parametrize("via", ["os.system", "ContentStore"])
     def test_a_payload_naming_a_foreign_global_is_a_miss_and_heals(

@@ -265,7 +265,8 @@ def test_every_packet_travels_its_route(case):
     delivered, a prefix while it is in flight or once it is dropped.  A
     restored checkpoint re-binds ``receive`` by name, so the packets of
     the restored copy are watched too, and its packet table carries on as
-    if the run had never stopped."""
+    if the run had never stopped.  However the tracer flips, a delivered
+    row logs one transmit per link: it is traced from ingress to exit."""
     travelled: dict[int, tuple[str, list[str]]] = {}
     receive = Node.receive
 
@@ -280,14 +281,18 @@ def test_every_packet_travels_its_route(case):
     for dst, nodes in travelled.values():
         assert nodes == list(net.route(nodes[0], dst))[:len(nodes)]
     tracer = net.tracer
+    hops = np.bincount(np.asarray(tracer.tx_slot, dtype=np.int64),
+                       minlength=len(tracer))
     for slot in np.flatnonzero(~np.isnan(tracer.exit_times())).tolist():
         dst, nodes = travelled[tracer.pid[slot]]
         assert nodes == list(net.route(tracer.src[slot], dst))
+        assert hops[slot] == len(nodes) - 1  # traced from ingress to exit, flips or not
     if any(action == "checkpoint" for _, action in case[2]):
-        straight = _run_case(case, checkpoints=False).tracer
+        straight = _run_case(case, checkpoints=False)
 
-        def table(tracer):
+        def table(net):
             return [[getattr(r, name) for name in r.__slots__]
-                    for r in records(tracer).values()], tracer.drops
+                    for r in records(net.tracer).values()], [
+                port.dropped for node in net.nodes.values() for port in node.ports.values()]
 
-        assert table(tracer) == table(straight)
+        assert table(net) == table(straight)

@@ -68,8 +68,8 @@ def test_tail_drop_on_full_buffer():
     delivered = net.tracer.delivered_count()
     # One transmits immediately, two queue, one is tail-dropped.
     assert delivered == 3
-    assert net.tracer.drops == 1
-    dropped = [r for r in records(net.tracer).values() if r.dropped_at]
+    assert net.nodes["SW"].ports["b"].dropped == 1
+    dropped = [r for r in records(net.tracer, net).values() if r.dropped_at]
     assert dropped and dropped[0].dropped_at == "SW"
 
 
@@ -85,7 +85,7 @@ def test_lstf_drop_victim_is_highest_slack():
     net.inject_at(0.0, lax)
     net.inject_at(0.0, urgent[2])
     net.run()
-    lax_rec = records(net.tracer)[lax.pid]
+    lax_rec = records(net.tracer, net)[lax.pid]
     assert lax_rec.dropped_at == "SW"
     assert all(records(net.tracer)[p.pid].delivered for p in urgent)
 
@@ -113,9 +113,10 @@ def test_tail_drop_discards_the_arrival_under(name):
     assert port.buffered == 2000
     assert port._queued == len(port.scheduler) == 2
     net.run()
-    dropped = [p.pid for p in packets if records(net.tracer)[p.pid].dropped_at]
+    recs = records(net.tracer, net)
+    dropped = [p.pid for p in packets if recs[p.pid].dropped_at]
     assert dropped == [packets[3].pid]
-    assert records(net.tracer)[packets[3].pid].dropped_at == "SW"
+    assert recs[packets[3].pid].dropped_at == "SW" and port.dropped == 1
     assert net.tracer.delivered_count() == 3
     assert port.buffered == 0 and port._queued == 0
 
@@ -147,10 +148,10 @@ def test_lstf_arrival_evicts_as_many_queued_packets_as_it_needs():
     assert port.buffered == 2000
     assert port._queued == len(port.scheduler) == 1
     net.run()
-    recs = records(net.tracer)
+    recs = records(net.tracer, net)
     assert [recs[p.pid].dropped_at for p in lax] == ["SW", "SW"]
     assert recs[head.pid].delivered and recs[urgent.pid].delivered
-    assert net.tracer.drops == 2
+    assert port.dropped == 2
     assert port.buffered == 0 and port._queued == 0
 
 
@@ -166,7 +167,7 @@ def test_lstf_drops_an_arrival_laxer_than_everything_queued():
     net.engine.run(until=0.0001)
     assert port.buffered == 2000 and port._queued == 2
     net.run()
-    recs = records(net.tracer)
+    recs = records(net.tracer, net)
     assert recs[lax.pid].dropped_at == "SW"
     assert all(recs[p.pid].delivered for p in urgent)
 

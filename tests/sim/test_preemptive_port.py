@@ -122,9 +122,10 @@ def test_work_conservation_under_preemption():
 
 
 def test_a_queued_entry_carrying_its_remaining_work_serves_alike():
-    """A fresh entry carries ``None`` for its remaining work — all of it.
-    A version-7 snapshot's fresh entries carry that work as a float; the
-    port serves them identically."""
+    """A fresh entry carries ``None`` for its remaining work — all of it;
+    a preempted one carries what is left as a float.  The two forms serve
+    alike: writing every fresh entry's work out as a float changes
+    nothing."""
     def run(rewrite):
         net = _preemptive_net()
         packets = [make_packet(slack=s) for s in (10e-3, 1e-3, 4e-3, 2e-3)]

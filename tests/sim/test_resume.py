@@ -250,9 +250,10 @@ def _observable(network: Network, stats: TcpStats) -> dict:
         "events": network.engine.events_processed,
         # records are read back from the table: later hops never reach them
         "records": [(r.pid, r.flow_id, r.size, r.src, r.dst, r.created,
-                     r.exit, r.hop_tx, r.hop_waits, r.dropped_at)
+                     r.exit, r.hop_tx, r.hop_waits)
                     for r in records(network.tracer).values()],
         "queued": port._queued,
+        "dropped": port.dropped,
         "acked": sender.highest_acked,
         "starts": dict(stats.start),
         "fct": dict(stats.fct),

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import functools
 import gc
-import math
 import operator
 import sys
 import tracemalloc
@@ -15,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.network import Network
+from repro.sim.tracer import ReplayTable, Tracer
 from repro.transport.udp import install_udp_flows
 from repro.units import MBPS
 from repro.workload.flows import Flow
@@ -73,55 +73,53 @@ def test_disabled_tracer_records_nothing():
     assert len(net.tracer) == 0
 
 
-def test_disabled_tracer_does_not_count_drops():
-    """A disabled tracer is a pure no-op — including the drops counter."""
-    from repro.sim.tracer import Tracer
-
-    tracer = Tracer(enabled=False)
-    tracer.on_drop(make_packet(), "SW")
-    assert tracer.drops == 0
-    enabled = Tracer()
-    enabled.on_drop(make_packet(), "SW")
-    assert enabled.drops == 1
+def _hops_and_exits(tracer):
+    """Per row, how many service starts it logged and whether it exited
+    (columns both tables keep)."""
+    hops = np.bincount(np.asarray(tracer.tx_slot, dtype=np.int64),
+                       minlength=len(tracer)).tolist()
+    return hops, (~np.isnan(tracer.exit_times())).tolist()
 
 
-def test_a_tracer_switched_off_mid_flight_records_no_more_of_a_packet():
-    """A packet traced at ingress keeps only what happened while the
-    tracer was on: no later service start, no exit, no drop."""
+@pytest.mark.parametrize("table", [Tracer, ReplayTable])
+def test_a_row_open_when_the_tracer_switches_off_runs_to_its_exit(table):
+    """Tracing is decided at ingress: the three packets that entered while
+    the tracer was on are traced to the end, the one that enters after it
+    is switched off gets no row."""
     net = _net()
+    net.trace_into(table())
     net.set_buffers(1000, lambda node: node.name == "SW")  # one waiting packet
     for _ in range(3):
         net.inject_at(0.0, make_packet())
+    late = make_packet()
+    net.inject_at(5e-3, late)
     # The first is on the bottleneck, the second waits at the switch, the
-    # third is still on the first link: it is dropped once tracing is off.
+    # third is still on the first link: it is dropped at the switch.
     net.run(until=0.25e-3)
     tracer = net.tracer
     tracer.enabled = False
     net.run()
-    after = list(records(tracer).values())
-    assert [len(r.hop_tx) for r in after] == [2, 1, 1]
-    assert not any(r.delivered or r.dropped_at for r in after)
-    assert tracer.drops == 0
+    assert late.trace is None and len(tracer) == 3
+    assert _hops_and_exits(tracer) == ([2, 2, 1], [True, True, False])
+    assert net.nodes["SW"].ports["b"].dropped == 1
 
 
-def test_hooks_tolerate_packets_without_a_trace_record():
-    """Packets created while disabled survive an enable mid-run.
-
-    Every hook must null-check ``packet.trace`` the same way: the packet
-    simply stays invisible, rather than crashing the simulation.
-    """
-    from repro.sim.tracer import Tracer
-
-    tracer = Tracer(enabled=False)
-    p = make_packet()
-    tracer.on_created(p)  # disabled: no record, p.trace stays None
-    assert p.trace is None
-    tracer.enabled = True
-    tracer.on_tx_start(p, wait=0.0, now=0.0)
-    tracer.on_exit(p, now=1.0)
-    tracer.on_drop(p, "SW")
-    assert len(tracer) == 0
-    assert tracer.drops == 1  # the drop happened, even if unattributed
+def test_a_packet_that_entered_while_the_tracer_was_off_never_gets_a_row():
+    net = _net()
+    net.tracer.enabled = False
+    early = [make_packet() for _ in range(2)]
+    for p in early:
+        net.inject_at(0.0, p)
+    late = make_packet()
+    net.inject_at(5e-3, late)
+    net.run(until=0.25e-3)  # both early packets still in flight
+    net.tracer.enabled = True
+    net.run()
+    assert [p.trace for p in early] == [None, None] and late.trace == 0
+    rows = list(records(net.tracer, net).values())
+    assert [r.pid for r in rows] == [late.pid]
+    assert rows[0].delivered and len(rows[0].hop_tx) == 2
+    assert list(net.tracer.tx_slot) == [0, 0]
 
 
 def test_delivered_records_iterates_only_exited():
@@ -173,7 +171,7 @@ def test_columns_agree_with_the_records_view_and_clear_forgets():
     assert 0 < tracer.delivered_count() < len(packets)
     assert tracer.wait_totals().tolist() == [r.total_wait for r in rows]
     tracer.clear()
-    assert len(tracer) == 0 and tracer.drops == 0 and not records(tracer)
+    assert len(tracer) == 0 and not records(tracer)
 
 
 def test_a_delivered_packet_s_exit_is_a_machine_number():
@@ -188,26 +186,6 @@ def test_a_delivered_packet_s_exit_is_a_machine_number():
     assert 0 < net.tracer.delivered_count() < len(exit)
     assert np.array_equal(np.isnan(net.tracer.exit_times()),
                           [not r.delivered for r in records(net.tracer).values()])
-
-
-def test_a_version_7_exit_list_reads_like_the_column():
-    """A version-7 snapshot's ``exit`` is a list, ``None`` until the packet
-    leaves; the readers take it as they take the column, and a restored
-    run goes on appending to it."""
-    net = _net()
-    for _ in range(4):
-        net.inject_at(0.0, make_packet())
-    net.run(until=2.5e-3)
-    tracer = net.tracer
-    exits, delivered = tracer.exit_times(), tracer.delivered_count()
-    tracer.exit = [None if math.isnan(t) else t for t in tracer.exit]
-    assert None in tracer.exit
-    np.testing.assert_array_equal(tracer.exit_times(), exits)
-    assert tracer.delivered_count() == delivered
-    net.inject_at(3e-3, make_packet())
-    net.run()
-    assert tracer.delivered_count() == len(tracer) == 5
-    assert np.flatnonzero(~np.isnan(tracer.exit_times())).tolist() == list(range(5))
 
 
 def test_a_traced_packet_costs_its_bytes_not_a_boxed_number_per_cell():

@@ -71,7 +71,8 @@ def test_loss_triggers_retransmission_and_recovery():
     net.run(until=20.0)
     assert stats.completed == 1, "flow must recover from drops and finish"
     assert stats.retransmissions[1] > 0
-    assert net.tracer.drops > 0
+    assert any(port.dropped for node in net.nodes.values()
+               for port in node.ports.values())
 
 
 def test_competing_flows_share_bottleneck():

@@ -57,6 +57,16 @@ class TestBoundedPareto:
         with pytest.raises(WorkloadError):
             BoundedPareto(low=100, high=100)
 
+    def test_rejects_an_infinite_upper_bound(self):
+        """It would sample NaN, which no flow size can be."""
+        with pytest.raises(WorkloadError, match="< inf"):
+            BoundedPareto(high=float("inf"))
+
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+    def test_rejects_a_nan_or_infinite_alpha(self, alpha):
+        with pytest.raises(WorkloadError, match="finite"):
+            BoundedPareto(alpha=alpha)
+
 
 class TestEmpiricalCdf:
     def test_preset_distributions_sample_in_range(self):
@@ -96,6 +106,11 @@ class TestExponentialSize:
     def test_rejects_nonpositive_mean(self):
         with pytest.raises(WorkloadError):
             ExponentialSize(0)
+
+    @pytest.mark.parametrize("mean", [float("nan"), float("inf")])
+    def test_rejects_a_nan_or_infinite_mean(self, mean):
+        with pytest.raises(WorkloadError, match="finite"):
+            ExponentialSize(mean)
 
 
 @settings(max_examples=25)

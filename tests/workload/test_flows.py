@@ -67,6 +67,15 @@ class TestPoissonFlows:
         with pytest.raises(WorkloadError):
             _workload(reference_bandwidth=0.0)
 
+    @pytest.mark.parametrize("field", ["duration", "reference_bandwidth"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_a_nan_or_infinite_workload_is_refused_at_construction(self, field, value):
+        """Either would pass a ``<= 0`` test and make ``poisson_flows``
+        append flows forever: ``t >= nan`` is never true, and an infinite
+        bandwidth makes every inter-arrival time 0."""
+        with pytest.raises(WorkloadError, match="finite"):
+            _workload(**{field: value})
+
 
 class TestLongLivedFlows:
     def test_jittered_starts(self):

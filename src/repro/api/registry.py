@@ -20,17 +20,27 @@ their own table.
 from __future__ import annotations
 
 import importlib
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING, Callable
 
 from repro.errors import ConfigurationError
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.api.spec import ExperimentSpec
 
 __all__ = [
     "RegisteredExperiment",
     "register_experiment",
     "get",
+    "check_spec",
     "experiment_names",
 ]
+
+#: Spec fields a driver may leave out of its ``params`` at any value:
+#: the experiment name and the label, ``options`` (checked on its own),
+#: and ``seeds``, the sweep axis every experiment takes — a seed sweep of
+#: the exact gadgets is one artifact per seed (each pinned).
+_UNDECLARED = ("experiment", "name", "options", "seeds")
 
 #: Name → entry; :func:`register_experiment` fills it as the driver
 #: modules are imported.
@@ -42,11 +52,11 @@ class RegisteredExperiment:
     """One table entry: the driver plus its CLI-facing description.
 
     ``options`` declares the ``ExperimentSpec.options`` keys the driver
-    reads; the runner rejects specs carrying any other key, so a knob
-    can never be silently ignored.  ``params`` declares which spec
-    *fields* the driver reads (``"duration"``, ``"seeds"``, …); the
-    runner rejects a spec that moves any other field off its default,
-    and the CLI the flags that would set one.
+    reads; :func:`check_spec` rejects specs carrying any other key, so a
+    knob can never be silently ignored.  ``params`` declares which spec
+    *fields* the driver reads (``"duration"``, ``"seeds"``, …);
+    :func:`check_spec` rejects a spec that moves any other field off its
+    default, and the CLI the flags that would set one.
 
     ``prerequisites`` is the build-once/share-many hook: it maps a spec
     to what must exist before the driver runs, grouped by store kind —
@@ -117,6 +127,28 @@ def get(name: str) -> RegisteredExperiment:
         raise ConfigurationError(
             f"unknown experiment {name!r}; registered: {experiment_names()}"
         ) from None
+
+
+def check_spec(spec: "ExperimentSpec") -> None:
+    """Raise :class:`ConfigurationError` unless ``spec``'s experiment reads
+    all of it: every option key declared, every undeclared field at its
+    default.  ``run``, ``run_many`` and ``submit`` call it first."""
+    entry = get(spec.experiment)
+    unknown = [key for key, _ in spec.options if key not in entry.options]
+    if unknown:
+        accepted = ", ".join(entry.options) or "none"
+        raise ConfigurationError(
+            f"experiment {entry.name!r} does not read option(s) "
+            f"{', '.join(map(repr, unknown))} (accepted: {accepted})"
+        )
+    unread = [f.name for f in fields(spec)
+              if f.name not in _UNDECLARED and f.name not in entry.params
+              and getattr(spec, f.name) != f.default]
+    if unread:
+        raise ConfigurationError(
+            f"experiment {entry.name!r} does not read spec field(s) "
+            f"{', '.join(map(repr, unread))}; leave them at their defaults"
+        )
 
 
 def experiment_names() -> tuple[str, ...]:

@@ -157,9 +157,10 @@ class RunArtifact:
             obs=data.get("obs"),
         )
 
-    def to_json(self, indent: int | None = 2, include_timings: bool = True) -> str:
-        """The artifact as a JSON string (pretty by default; see :meth:`to_dict`)."""
-        return json.dumps(self.to_dict(include_timings=include_timings), indent=indent)
+    def to_json(self) -> str:
+        """The whole artifact, timings included, as JSON indented by 2 (the
+        saved form; :meth:`canonical_json` is the timing-free one)."""
+        return json.dumps(self.to_dict(), indent=2)
 
     def canonical_json(self) -> str:
         """Timing-free, key-sorted JSON — byte-identical across reruns."""
@@ -193,7 +194,7 @@ class ArtifactStore(ContentStore):
     LOG_NAME = "artifacts.log"
 
     def encode(self, artifact: RunArtifact) -> bytes:
-        return (artifact.to_json(indent=2) + "\n").encode()
+        return (artifact.to_json() + "\n").encode()
 
     def load(self, path: Path) -> RunArtifact:
         return RunArtifact.from_dict(json.loads(path.read_bytes()))

@@ -27,7 +27,6 @@ serial ones (guarded by the test suite).
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import functools
 import multiprocessing
 import os
@@ -89,13 +88,6 @@ STORE_KINDS: dict[str, tuple[str, type[ContentStore], str]] = {
 }
 
 
-#: Spec fields a driver may leave out of its ``params`` at any value:
-#: the experiment name and the label, ``options`` (checked on its own),
-#: and ``seeds``, the sweep axis every experiment takes — a seed sweep of
-#: the exact gadgets is one artifact per seed (each pinned).
-_UNDECLARED = ("experiment", "name", "options", "seeds")
-
-
 def cached_artifact(spec: ExperimentSpec, out_dir: str | Path) -> RunArtifact | None:
     """The saved artifact for ``spec`` in the :class:`ArtifactStore` at
     ``out_dir``, or None: a store miss, or an entry whose embedded spec
@@ -150,6 +142,7 @@ def run(
     suite proves it).  It is checked before the artifact cache is
     consulted, so a bad one fails against a warm ``out_dir`` too.
     """
+    registry.check_spec(spec)
     dirs = {kind: _store_dir(kind, out_dir) for kind in STORE_KINDS}
     return _run_leg(spec, dirs, out_dir, force, checkpoint_policy, obs)
 
@@ -158,27 +151,13 @@ def _run_leg(spec: ExperimentSpec, dirs: dict[str, Path | None],
              out_dir: str | Path | None, force: bool,
              checkpoint_policy: str | None,
              obs: "bool | MetricsHub | None" = None) -> RunArtifact:
-    """:func:`run` with the prerequisite stores at ``dirs`` (kind →
-    directory, or None to build in memory): a sweep's leg, whose stores
-    may be the sweep's temporary ones rather than ``out_dir``'s."""
+    """:func:`run` of a checked ``spec`` with the prerequisite stores at
+    ``dirs`` (kind → directory, or None to build in memory): a sweep's
+    leg, whose stores may be the sweep's temporary ones rather than
+    ``out_dir``'s."""
     every_events = (None if checkpoint_policy is None
                     else parse_checkpoint_every(checkpoint_policy))
     entry = registry.get(spec.experiment)
-    unknown = [key for key, _ in spec.options if key not in entry.options]
-    if unknown:
-        accepted = ", ".join(entry.options) or "none"
-        raise ConfigurationError(
-            f"experiment {entry.name!r} does not read option(s) "
-            f"{', '.join(map(repr, unknown))} (accepted: {accepted})"
-        )
-    unread = [f.name for f in dataclasses.fields(spec)
-              if f.name not in _UNDECLARED and f.name not in entry.params
-              and getattr(spec, f.name) != f.default]
-    if unread:
-        raise ConfigurationError(
-            f"experiment {entry.name!r} does not read spec field(s) "
-            f"{', '.join(map(repr, unread))}; leave them at their defaults"
-        )
     if out_dir is not None and not force:
         cached = cached_artifact(spec, out_dir)
         if cached is not None:
@@ -429,6 +408,8 @@ def run_many(
                 "the policy is guarding against), and queue workers take "
                 "no policy"
             )
+    for spec in spec_list:
+        registry.check_spec(spec)
     base = out_dir if queue_dir is None else Path(queue_dir) / "artifacts"
     results, shared = _plan_sweep(spec_list, out_dir, force)
     misses = [i for i in range(len(spec_list)) if i not in results]

@@ -25,6 +25,7 @@ from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 from repro.analysis.tables import Table
+from repro.api.registry import check_spec
 from repro.api.results import ArtifactStore, RunArtifact
 from repro.api.spec import ExperimentSpec
 from repro.cluster.jobs import DONE, FAILED, STATES, Job
@@ -50,8 +51,12 @@ def submit(
 
     ``queue_dir`` is the directory the workers share; ``force=True``
     makes workers re-simulate even on an artifact-cache hit;
-    ``max_attempts`` overrides the per-job retry budget (default 3).
+    ``max_attempts`` overrides the per-job retry budget (default 3).  A
+    spec :func:`~repro.api.registry.check_spec` refuses enqueues nothing.
     """
+    specs = list(specs)
+    for spec in specs:
+        check_spec(spec)
     return JobQueue(queue_dir).submit(
         specs, force=force, max_attempts=max_attempts
     )

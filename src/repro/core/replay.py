@@ -54,7 +54,7 @@ from repro.schedulers.lstf import LstfScheduler
 from repro.schedulers.omniscient import OmniscientScheduler
 from repro.schedulers.priority import PriorityScheduler
 from repro.sim.tracer import ReplayTable, group_log, segment_sums
-from repro.units import MTU, TIME_EPSILON
+from repro.units import TIME_EPSILON
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.network import Network
@@ -328,7 +328,7 @@ def record_schedule(
             "schedule to completion (until=None) before recording"
         )
     return RecordedSchedule.from_network(
-        network, threshold=network.bottleneck_tx_time(MTU), description=description
+        network, threshold=network.bottleneck_tx_time(), description=description
     )
 
 

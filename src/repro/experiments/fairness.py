@@ -125,7 +125,7 @@ def run_weighted_fairness_experiment(
                     for port in router.ports.values():
                         for flow in flows:
                             port.scheduler.set_weight(flow.fid, flow.weight)
-            install_tcp_flows(network, flows, slack_policy=policy, min_rto=0.05)
+            install_tcp_flows(network, flows, slack_policy=policy)
             network.run(until=horizon)
             times, rates = throughput_timeseries(
                 network.tracer, [f.fid for f in by_fid], INTERVAL, horizon
@@ -165,8 +165,7 @@ def run_fairness_experiment(spec: ExperimentSpec) -> dict[str, FairnessExperimen
     for name, scheduler, slack_policy in schemes:
         with build_scenario_network(setting) as network:
             install_router_schedulers(network, scheduler, spec.seed)
-            install_tcp_flows(network, flows, slack_policy=slack_policy,
-                              min_rto=0.05)
+            install_tcp_flows(network, flows, slack_policy=slack_policy)
             network.run(until=horizon)
             times, fairness = fairness_timeseries(
                 network.tracer, [f.fid for f in flows], INTERVAL, horizon

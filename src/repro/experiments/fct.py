@@ -87,9 +87,7 @@ def run_fct_experiment(spec: ExperimentSpec) -> dict[str, FctExperimentResult]:
             network.tracer.enabled = False  # FCTs come from the TCP agents
             install_router_schedulers(network, scheme, spec.seed)
             network.set_buffers(buffer_bytes, node_filter=lambda n: isinstance(n, Router))
-            stats = install_tcp_flows(
-                network, flows, slack_policy=slack_policy, min_rto=0.05
-            )
+            stats = install_tcp_flows(network, flows, slack_policy=slack_policy)
             # Closed-loop flows with retransmission timers can in principle
             # tail on; run long enough for every flow to finish several
             # times over, then stop.

@@ -14,16 +14,14 @@ from repro.sim.tracer import Tracer
 __all__ = ["packet_delays", "percentile"]
 
 
-def packet_delays(tracer: Tracer, data_only: bool = True) -> np.ndarray:
-    """End-to-end delays of delivered packets.
+def packet_delays(tracer: Tracer) -> np.ndarray:
+    """End-to-end delays of delivered data packets.
 
-    ``data_only`` skips ACKs (flows' reverse-path 40-byte packets), which
-    is what the tail-latency comparison plots.
+    ACKs (flows' reverse-path 40-byte packets) are skipped: the
+    tail-latency comparison plots data packets only.
     """
     exit = tracer.exit_times()
-    keep = ~np.isnan(exit)
-    if data_only:
-        keep &= np.asarray(tracer.size) > 64
+    keep = ~np.isnan(exit) & (np.asarray(tracer.size) > 64)
     return exit[keep] - np.asarray(tracer.created, dtype=float)[keep]
 
 

@@ -49,9 +49,8 @@ def throughput_timeseries(
     flow_ids: Sequence[int],
     interval: float,
     horizon: float,
-    data_only: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Delivered bits/second per flow per interval.
+    """Delivered data bits/second per flow per interval (ACKs skipped).
 
     Returns ``(times, rates)`` where ``times`` has one entry per interval
     end and ``rates`` has shape ``(num_intervals, num_flows)``.
@@ -60,7 +59,7 @@ def throughput_timeseries(
         raise ValueError("interval and horizon must be positive")
     num_bins = int(np.ceil(horizon / interval))
     bytes_per_bin = np.zeros((num_bins, len(flow_ids)))
-    exits, cols, sizes = _delivered(tracer, flow_ids, data_only)
+    exits, cols, sizes = _delivered(tracer, flow_ids)
     bins = (exits / interval).astype(np.int64)  # int(), not floor division
     inside = bins < num_bins
     # Byte counts are integers, exact in float64 in any order.
@@ -73,9 +72,8 @@ def flow_throughputs(
     tracer: Tracer,
     flow_ids: Sequence[int],
     horizon: float,
-    data_only: bool = True,
 ) -> dict[int, float]:
-    """Average delivered bits/second per flow over ``[0, horizon]``.
+    """Average delivered data bits/second per flow over ``[0, horizon]``.
 
     The whole-run analogue of :func:`throughput_timeseries`: one rate per
     flow id (0.0 when nothing was delivered), which is what per-leg
@@ -83,25 +81,23 @@ def flow_throughputs(
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    exits, cols, sizes = _delivered(tracer, flow_ids, data_only)
+    exits, cols, sizes = _delivered(tracer, flow_ids)
     inside = exits <= horizon
     delivered = np.bincount(cols[inside], sizes[inside], minlength=len(flow_ids))
     return {fid: nbytes * 8.0 / horizon
             for fid, nbytes in zip(flow_ids, delivered.tolist())}
 
 
-def _delivered(tracer: Tracer, flow_ids: Sequence[int], data_only: bool
+def _delivered(tracer: Tracer, flow_ids: Sequence[int]
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(exits, columns, sizes)`` of the delivered packets of ``flow_ids``
-    (column = position in ``flow_ids``), ACKs skipped if ``data_only``."""
+    """``(exits, columns, sizes)`` of the delivered data packets of
+    ``flow_ids`` (column = position in ``flow_ids``); ACKs are skipped."""
     index = {fid: k for k, fid in enumerate(flow_ids)}
     cols = np.fromiter(map(index.get, tracer.flow_id, repeat(-1)), np.int64,
                        len(tracer))
     exits = tracer.exit_times()
     sizes = np.array(tracer.size, dtype=np.int64)
-    keep = (cols >= 0) & ~np.isnan(exits)
-    if data_only:
-        keep &= sizes > 64
+    keep = (cols >= 0) & ~np.isnan(exits) & (sizes > 64)
     return exits[keep], cols[keep], sizes[keep]
 
 

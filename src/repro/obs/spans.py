@@ -53,30 +53,30 @@ SPANS_FILENAME = "spans.jsonl"
 
 
 def span_record(name: str, start_s: float, dur_s: float, *, cat: str = "phase",
-                pid: int | None = None, tid: str = "main",
-                args: dict | None = None) -> dict:
-    """One Chrome trace event (``ph: "X"``) from wall-clock seconds."""
+                tid: str = "main", args: dict | None = None) -> dict:
+    """One Chrome trace event (``ph: "X"``) from wall-clock seconds, under
+    this process's pid."""
     return {
         "name": name,
         "cat": cat,
         "ph": "X",
         "ts": round(start_s * 1e6, 1),
         "dur": round(dur_s * 1e6, 1),
-        "pid": os.getpid() if pid is None else pid,
+        "pid": os.getpid(),
         "tid": tid,
         "args": args or {},
     }
 
 
 class SpanRecorder:
-    """Collects spans; disabled (and therefore free) by default."""
+    """Collects ``"phase"`` spans on the ``"main"`` lane; disabled (and
+    therefore free) by default."""
 
-    __slots__ = ("enabled", "records", "tid")
+    __slots__ = ("enabled", "records")
 
-    def __init__(self, tid: str = "main") -> None:
+    def __init__(self) -> None:
         self.enabled = False
         self.records: list[dict] = []
-        self.tid = tid
 
     def enable(self) -> None:
         self.enabled = True
@@ -88,7 +88,7 @@ class SpanRecorder:
         self.records = []
 
     @contextmanager
-    def span(self, name: str, cat: str = "phase", **args) -> Iterator[None]:
+    def span(self, name: str, **args) -> Iterator[None]:
         """Record the block as one span (no-op while disabled)."""
         if not self.enabled:
             yield
@@ -99,9 +99,7 @@ class SpanRecorder:
             yield
         finally:
             self.records.append(span_record(
-                name, start_s, time.perf_counter() - t0,
-                cat=cat, tid=self.tid, args=args,
-            ))
+                name, start_s, time.perf_counter() - t0, args=args))
 
     def breakdown(self) -> list[tuple[str, float]]:
         """Total wall seconds per span name, longest first."""

@@ -274,9 +274,14 @@ class KeyedScheduler(Scheduler):
 
     __slots__ = ("_queue",)
 
+    #: The queue behind ``push``/``pop``: anything with the
+    #: :class:`IndexedHeapQueue` ``push(key, packet)`` / ``pop()`` /
+    #: ``len`` surface (the p-heap LSTF backend swaps in its own).
+    _queue_class = IndexedHeapQueue
+
     def __init__(self) -> None:
         super().__init__()
-        self._queue = IndexedHeapQueue()
+        self._queue = self._queue_class()
 
     def _key(self, packet: "Packet"):
         raise NotImplementedError

@@ -21,22 +21,16 @@ __all__ = ["DrrScheduler"]
 class DrrScheduler(Scheduler):
     """Deficit round robin over flows.
 
-    Parameters
-    ----------
-    quantum:
-        Bytes added to a flow's deficit each round; defaults to one MTU,
-        the standard choice guaranteeing O(1) work per dequeue.
+    Each round adds one MTU to a flow's deficit: the standard quantum,
+    which guarantees O(1) work per dequeue.
     """
 
-    __slots__ = ("_quantum", "_flows", "_deficit", "_size")
+    __slots__ = ("_flows", "_deficit", "_size")
 
     name = "drr"
 
-    def __init__(self, quantum: int = MTU) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        if quantum <= 0:
-            raise ValueError(f"quantum must be positive, got {quantum!r}")
-        self._quantum = quantum
         # Active list keyed by flow id; OrderedDict gives deterministic
         # round-robin order with O(1) membership checks.
         self._flows: "OrderedDict[int, deque[Packet]]" = OrderedDict()
@@ -57,7 +51,7 @@ class DrrScheduler(Scheduler):
             return None
         while True:
             flow_id, fifo = next(iter(self._flows.items()))
-            deficit = self._deficit[flow_id] + self._quantum
+            deficit = self._deficit[flow_id] + MTU
             head = fifo[0]
             if head.size <= deficit:
                 fifo.popleft()
@@ -65,7 +59,7 @@ class DrrScheduler(Scheduler):
                 if fifo:
                     # Flow keeps its remaining deficit but we only charge
                     # a fresh quantum when it returns to the head.
-                    self._deficit[flow_id] = deficit - head.size - self._quantum
+                    self._deficit[flow_id] = deficit - head.size - MTU
                 else:
                     del self._flows[flow_id]
                     del self._deficit[flow_id]

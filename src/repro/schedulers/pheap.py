@@ -142,6 +142,24 @@ class PHeap:
         return f"<PHeap {self._count}/{self.capacity}>"
 
 
+class _PHeapQueue(PHeap):
+    """A :class:`PHeap` with the scheduler queue's surface: FIFO among
+    equal keys through a push counter, and ``None`` from an empty pop."""
+
+    __slots__ = ("_seq",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._seq = 0
+
+    def push(self, key, packet: Packet) -> None:
+        self._seq += 1
+        super().push((key, self._seq), packet)
+
+    def pop(self) -> Optional[Packet]:
+        return super().pop()[1] if self._count else None
+
+
 class PHeapLstfScheduler(LstfScheduler):
     """LSTF on a p-heap backend — the §5 hardware-feasibility model.
 
@@ -152,28 +170,11 @@ class PHeapLstfScheduler(LstfScheduler):
     hop in a network, by ``tests/sim/test_against_oracle.py``.
     """
 
-    __slots__ = ("_pheap", "_seq")
+    __slots__ = ()
 
     name = "lstf-pheap"
 
-    def __init__(self, capacity: int = 4096) -> None:
-        super().__init__()
-        self._pheap = PHeap(capacity)
-        self._seq = 0  # the push counter that breaks key ties FIFO
-
-    def push(self, packet: Packet, now: float) -> None:
-        self._seq += 1
-        self._pheap.push((self._key(packet), self._seq), packet)
-
-    def pop(self, now: float) -> Optional[Packet]:
-        if not len(self._pheap):
-            return None
-        _key, packet = self._pheap.pop()
-        packet.slack -= now - packet.enqueue_time
-        return packet
-
-    def __len__(self) -> int:
-        return len(self._pheap)
+    _queue_class = _PHeapQueue
 
     def drop_victim(self, arriving: Packet, now: float) -> Packet:
         raise SchedulerError(

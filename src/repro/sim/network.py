@@ -48,8 +48,8 @@ class Network:
     __slots__ = ("engine", "tracer", "nodes", "links", "_upstream",
                  "_next_hop", "_tmin_cache", "_preemptive", "_blueprint")
 
-    def __init__(self, engine: Engine | None = None, tracer: Tracer | None = None) -> None:
-        self.engine = engine if engine is not None else Engine()
+    def __init__(self, tracer: Tracer | None = None) -> None:
+        self.engine = Engine()
         self.tracer = tracer if tracer is not None else Tracer()
         self.nodes: dict[str, Node] = {}
         self.links: dict[tuple[str, str], Link] = {}
@@ -278,13 +278,13 @@ class Network:
             raise ConfigurationError(f"{name!r} is a {node.kind}, not a host")
         return node
 
-    def bottleneck_tx_time(self, size: int = MTU) -> float:
-        """Transmission time of one packet on the slowest link — the
-        overdue threshold ``T`` of §2.3."""
+    def bottleneck_tx_time(self) -> float:
+        """Transmission time of one MTU on the slowest link — the overdue
+        threshold ``T`` of §2.3."""
         if not self.links:
             raise ConfigurationError("network has no links")
         slowest = min(link.bandwidth for link in self.links.values())
-        return tx_time(size, slowest)
+        return tx_time(MTU, slowest)
 
     def inject_at(self, time: float, packet) -> None:
         """Schedule ``packet`` to enter the network at its source host."""

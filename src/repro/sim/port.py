@@ -1,8 +1,9 @@
 """Output ports.
 
 A :class:`Port` is the attachment point of one unidirectional link to its
-transmitting node.  It owns a scheduler, a (possibly finite) byte buffer,
-and the busy/idle state machine of the transmitter:
+transmitting node.  It owns a scheduler, a byte buffer (unbounded until
+:meth:`Port.set_buffer` bounds it), and the busy/idle state machine of
+the transmitter:
 
 * ``enqueue`` — a fully received packet is handed to the scheduler (after
   the drop policy has made room if the buffer is full),
@@ -72,17 +73,11 @@ class Port:
         "_receive", "_engine", "_tracer", "_tx_per_byte", "_prop",
     )
 
-    def __init__(
-        self,
-        node: "Node",
-        link: "Link",
-        scheduler: "Scheduler",
-        buffer_bytes: float = math.inf,
-    ) -> None:
+    def __init__(self, node: "Node", link: "Link", scheduler: "Scheduler") -> None:
         self.node = node
         self.link = link
         self.scheduler = scheduler
-        self.set_buffer(buffer_bytes)
+        self.buffer_bytes = math.inf  # until set_buffer bounds it
         self.buffered = 0
         # What the port did, for the metrics hub to read (repro.obs.hub):
         # bytes whose transmission it started, packets its buffer dropped.
@@ -210,50 +205,39 @@ class Port:
 
     def _try_send(self) -> None:
         engine = self._engine
-        scheduler = self.scheduler
-        tracer = self._tracer
         now = engine.now
-        while self._queued and now > self._free_at:
-            packet = scheduler.pop(now)
-            if packet is None:
-                self._arm_wakeup(now)
-                return
-            self._queued -= 1
-            self.buffered -= packet.size
-            wait = now - packet.enqueue_time
-            packet.queue_wait += wait
-            tracer.on_tx_start(packet, wait, now)
-            self.sent += packet.size
-            tx = packet.size * self._tx_per_byte
-            prop = self._prop
-            receive = self._receive or self._peer_receive()
-            if tx == 0.0 and prop == 0.0:
-                # Infinitely fast hop: deliver synchronously.  Routing
-                # same-instant traversals through the event heap would let
-                # a packet arriving at time t lose a tie against a
-                # transmit-completion at t purely by event-creation order;
-                # the theory gadgets (and common sense) require arrivals at
-                # t to be visible to scheduling decisions at t.
-                receive(packet)
-                continue
-            # One event for the whole hop: the far end receives at
-            # (now + tx) + prop, born when the last bit leaves (over zero
-            # propagation: at service start, like the completion that
-            # used to deliver it).  The next sequence number is the
-            # completion's, pushed now only if a packet already waits.
-            t_done = now + tx
-            engine._seq = seq = engine._seq + 2
-            heappush(engine._heap, (
-                t_done + prop, t_done if prop else now, seq - 1,
-                receive, (packet, True)))
-            if self._queued:
-                heappush(engine._heap, (t_done, now, seq, self._complete, ()))
-                self._free_at = _ARMED
-            else:
-                self._free_at = t_done
-                self._done_born = now
-                self._done_seq = seq
+        if not self._queued or now <= self._free_at:
             return
+        packet = self.scheduler.pop(now)
+        if packet is None:
+            self._arm_wakeup(now)
+            return
+        self._queued -= 1
+        self.buffered -= packet.size
+        wait = now - packet.enqueue_time
+        packet.queue_wait += wait
+        self._tracer.on_tx_start(packet, wait, now)
+        self.sent += packet.size
+        prop = self._prop
+        # One event for the whole hop: the far end receives at
+        # (now + tx) + prop, born when the last bit leaves (over zero
+        # propagation: at service start, like the completion that used to
+        # deliver it).  The next sequence number is the completion's,
+        # pushed now only if a packet already waits.  No hop here is
+        # instant: enqueue's fast path takes every packet on a link with
+        # neither serialisation nor propagation delay, so none queues.
+        t_done = now + packet.size * self._tx_per_byte
+        engine._seq = seq = engine._seq + 2
+        heappush(engine._heap, (
+            t_done + prop, t_done if prop else now, seq - 1,
+            self._receive or self._peer_receive(), (packet, True)))
+        if self._queued:
+            heappush(engine._heap, (t_done, now, seq, self._complete, ()))
+            self._free_at = _ARMED
+        else:
+            self._free_at = t_done
+            self._done_born = now
+            self._done_seq = seq
 
     def _complete(self) -> None:
         """The last bit has left and a packet is waiting (one was queued
@@ -305,8 +289,8 @@ class PreemptivePort(Port):
 
     __slots__ = ("_heap", "_seq", "_current", "_serve_start", "_done_handle")
 
-    def __init__(self, node, link, scheduler, buffer_bytes: float = math.inf) -> None:
-        super().__init__(node, link, scheduler, buffer_bytes)
+    def __init__(self, node, link, scheduler) -> None:
+        super().__init__(node, link, scheduler)
         # (key, seq, packet, remaining_tx, served): the remaining work (None:
         # all of it) and whether its service start was traced ride in the entry.
         self._heap: list[tuple[float, int, "Packet", float | None, bool]] = []
@@ -316,7 +300,7 @@ class PreemptivePort(Port):
         self._done_handle = None
 
     def set_buffer(self, buffer_bytes: float) -> None:
-        """Finite buffers are refused here, at construction and after."""
+        """Finite buffers are refused here: the port stays unbounded."""
         if buffer_bytes != math.inf:
             raise ConfigurationError("PreemptivePort does not support finite buffers")
         self.buffer_bytes = buffer_bytes
@@ -328,7 +312,7 @@ class PreemptivePort(Port):
         tx = packet.size * self._tx_per_byte
         if tx == 0.0 and self._prop == 0.0:
             # Infinitely fast hop: never a contention point; deliver
-            # synchronously (same rationale as Port._try_send).
+            # synchronously (same rationale as Port.enqueue).
             packet.enqueue_time = now
             self._tracer.on_tx_start(packet, 0.0, now)
             self._peer_receive()(packet)

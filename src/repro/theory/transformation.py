@@ -161,7 +161,6 @@ def _find_violation(schedule: Schedule, jobs: dict[int, BitJob]) -> tuple[int, i
 def transform_to_lstf(
     schedule: Schedule,
     jobs: dict[int, BitJob],
-    max_swaps: int | None = None,
 ) -> tuple[Schedule, int]:
     """Run the Appendix G.2 swap loop to its fixed point.
 
@@ -173,7 +172,7 @@ def transform_to_lstf(
     if not is_feasible(schedule, jobs):
         raise TransformationError("initial schedule is not feasible")
     work = list(schedule)
-    limit = max_swaps if max_swaps is not None else len(work) ** 2 + len(work)
+    limit = len(work) ** 2 + len(work)
     swaps = 0
     while True:
         found = _find_violation(work, jobs)

@@ -72,7 +72,10 @@ class TcpSender:
     INITIAL_SSTHRESH = 1e9
     MIN_CWND = 1.0
     DUPACK_THRESHOLD = 3
-    #: RTO is clamped to [min_rto, MAX_RTO_FACTOR * min_rto]; congested-run
+    #: The RTO floor, in seconds, for every closed-loop experiment (Figs 2
+    #: and 4 drive one TCP).
+    MIN_RTO = 0.05
+    #: RTO is clamped to [MIN_RTO, MAX_RTO_FACTOR * MIN_RTO]; congested-run
     #: RTT samples otherwise inflate the estimator and strand a flow for
     #: tens of simulated seconds after a burst loss.
     MAX_RTO_FACTOR = 20.0
@@ -84,7 +87,6 @@ class TcpSender:
         flow: Flow,
         stats: TcpStats,
         slack_policy: SlackPolicy | None = None,
-        min_rto: float = 0.01,
     ) -> None:
         self._network = network
         self._flow = flow
@@ -100,10 +102,9 @@ class TcpSender:
         self._dupacks = 0
         self._done = False
 
-        self._min_rto = min_rto
         self._srtt: float | None = None
         self._rttvar = 0.0
-        self._rto = 4 * min_rto
+        self._rto = 4 * self.MIN_RTO
         self._backoff = 1.0
         self._timer = None
         self._send_times: dict[int, float] = {}  # seq -> send time (RTT samples)
@@ -193,8 +194,8 @@ class TcpSender:
             self._rttvar = 0.75 * self._rttvar + 0.25 * abs(self._srtt - sample)
             self._srtt = 0.875 * self._srtt + 0.125 * sample
         self._rto = min(
-            max(self._min_rto, self._srtt + 4 * self._rttvar),
-            self.MAX_RTO_FACTOR * self._min_rto,
+            max(self.MIN_RTO, self._srtt + 4 * self._rttvar),
+            self.MAX_RTO_FACTOR * self.MIN_RTO,
         )
 
     def _fast_retransmit(self) -> None:
@@ -288,11 +289,10 @@ def install_tcp_flows(
     network: "Network",
     flows: Sequence[Flow],
     slack_policy: SlackPolicy | None = None,
-    min_rto: float = 0.01,
 ) -> TcpStats:
     """Create a sender/receiver pair per flow; returns the shared stats."""
     stats = TcpStats()
     for flow in flows:
         TcpReceiver(network, flow, stats)
-        TcpSender(network, flow, stats, slack_policy=slack_policy, min_rto=min_rto)
+        TcpSender(network, flow, stats, slack_policy=slack_policy)
     return stats

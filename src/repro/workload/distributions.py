@@ -117,18 +117,16 @@ class EmpiricalCdf(SizeDistribution):
 
 
 class ExponentialSize(SizeDistribution):
-    """Light-tailed ablation baseline."""
+    """Light-tailed ablation baseline: exponential sizes of mean
+    :attr:`MEAN_BYTES`."""
 
-    def __init__(self, mean_bytes: float = 30_000.0) -> None:
-        if not (mean_bytes > 0 and math.isfinite(mean_bytes)):
-            raise WorkloadError(f"mean must be positive and finite, got {mean_bytes!r}")
-        self._mean = mean_bytes
+    MEAN_BYTES = 30_000.0
 
     def sample(self, rng: np.random.Generator) -> int:
-        return max(1, int(round(rng.exponential(self._mean))))
+        return max(1, int(round(rng.exponential(self.MEAN_BYTES))))
 
     def mean(self) -> float:
-        return self._mean
+        return self.MEAN_BYTES
 
 
 def web_search_distribution() -> EmpiricalCdf:

@@ -203,7 +203,7 @@ class TestArtifactStore(StoreContract):
         artifact = self.value()
         path = artifact.save(tmp_path)
         assert path == ArtifactStore(tmp_path).path(artifact.run_id())
-        assert path.read_bytes() == (artifact.to_json(indent=2) + "\n").encode()
+        assert path.read_bytes() == (artifact.to_json() + "\n").encode()
         assert load_artifact(path) == ArtifactStore(tmp_path).get(
             artifact.run_id()) == artifact
 

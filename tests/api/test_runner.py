@@ -89,6 +89,16 @@ def test_run_rejects_spec_fields_the_driver_does_not_read(tmp_path, monkeypatch)
                            options={"rows": (0,)}))
 
 
+def test_run_many_refuses_every_spec_before_any_leg_runs(tmp_path):
+    """A sweep whose second spec its experiment would refuse simulates
+    and saves nothing, not its first leg."""
+    with pytest.raises(ConfigurationError, match="does not read option"):
+        run_many([ExperimentSpec("gadgets"),
+                  ExperimentSpec("fig3", options={"rows": (1,)})],
+                 out_dir=tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_run_many_rejects_bad_worker_count():
     with pytest.raises(ConfigurationError):
         run_many([TINY_TABLE1], workers=0)

@@ -22,6 +22,29 @@ SWEEP = ExperimentSpec(
 
 
 class TestSubmit:
+    def test_a_spec_its_experiment_refuses_is_never_enqueued(self, tmp_path):
+        """``run()`` would fail the job in the first worker; ``submit``
+        refuses it up front, and its sweep-mates with it."""
+        from repro.cluster.client import submit
+
+        bad = ExperimentSpec("fig3", options={"rows": (1,)})
+        with pytest.raises(ConfigurationError,
+                           match="'fig3' does not read option.*'rows'"):
+            submit([TINY, bad], tmp_path)
+        assert JobQueue(tmp_path).jobs() == []
+
+    def test_cli_submit_of_a_refused_spec_is_one_error_line(self, tmp_path,
+                                                            capsys):
+        from repro.cli import main
+
+        argv = ["submit", "fig3", "--rows", "1", "--queue", str(tmp_path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and "'rows'" in line
+        assert "queued" not in captured.out
+        assert JobQueue(tmp_path).jobs() == []
+
     def test_ids_come_back_in_spec_order(self, tmp_path):
         queue = JobQueue(tmp_path)
         ids = queue.submit(SWEEP)

@@ -31,7 +31,7 @@ def test_recorder_disabled_records_nothing():
 
 
 def test_recorder_enabled_records_and_breaks_down():
-    recorder = SpanRecorder(tid="t")
+    recorder = SpanRecorder()
     recorder.enable()
     with recorder.span("outer", legs=2):
         with recorder.span("inner"):
@@ -39,6 +39,7 @@ def test_recorder_enabled_records_and_breaks_down():
     recorder.disable()
     assert [r["name"] for r in recorder.records] == ["inner", "outer"]
     assert recorder.records[1]["args"] == {"legs": 2}
+    assert {(r["cat"], r["tid"]) for r in recorder.records} == {("phase", "main")}
     names = [name for name, _ in recorder.breakdown()]
     assert set(names) == {"inner", "outer"}
 

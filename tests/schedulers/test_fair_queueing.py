@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.schedulers import DrrScheduler, FqScheduler
+from repro.units import MTU
 from tests.conftest import make_packet
 
 
@@ -67,9 +68,9 @@ def test_fq_resets_virtual_time_when_idle():
 
 
 def test_drr_round_robins_equal_sizes():
-    s = DrrScheduler(quantum=1000)
-    f1 = [make_packet(flow_id=1, size=1000, seq=i) for i in range(3)]
-    f2 = [make_packet(flow_id=2, size=1000, seq=i) for i in range(3)]
+    s = DrrScheduler()
+    f1 = [make_packet(flow_id=1, size=MTU, seq=i) for i in range(3)]
+    f2 = [make_packet(flow_id=2, size=MTU, seq=i) for i in range(3)]
     for p in f1 + f2:
         s.push(p, 0.0)
     order = [p.flow_id for p in _drain(s)]
@@ -77,25 +78,20 @@ def test_drr_round_robins_equal_sizes():
 
 
 def test_drr_banks_deficit_for_large_packets():
-    s = DrrScheduler(quantum=500)
-    big = make_packet(flow_id=1, size=1000)
+    s = DrrScheduler()
+    big = make_packet(flow_id=1, size=2 * MTU)
     small = [make_packet(flow_id=2, size=400, seq=i) for i in range(2)]
     s.push(big, 0.0)
     for p in small:
         s.push(p, 0.0)
     order = [(p.flow_id, p.size) for p in _drain(s)]
-    # Flow 1 needs two quanta before its 1000B packet can go.
+    # Flow 1 needs two quanta (one MTU each) before its packet can go.
     assert order[0] == (2, 400)
-    assert (1, 1000) in order
-
-
-def test_drr_rejects_bad_quantum():
-    with pytest.raises(ValueError):
-        DrrScheduler(quantum=0)
+    assert (1, 2 * MTU) in order
 
 
 def test_drr_single_flow_drains():
-    s = DrrScheduler(quantum=100)
+    s = DrrScheduler()
     packets = [make_packet(flow_id=1, size=1500, seq=i) for i in range(3)]
     for p in packets:
         s.push(p, 0.0)

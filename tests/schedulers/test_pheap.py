@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SchedulerError
+from repro.schedulers.base import IndexedHeapQueue
 from repro.schedulers.pheap import PHeap, PHeapLstfScheduler
 from tests.sim.reference_tracer import delivered, rows
 
@@ -106,7 +107,7 @@ def test_property_pheap_lstf_matches_list_heap_lstf(seed):
 
     reference = LstfScheduler()
     reference.attach(port)
-    pheap = PHeapLstfScheduler(capacity=255)
+    pheap = PHeapLstfScheduler()
     pheap.attach(port)
 
     rng = np.random.default_rng(seed)
@@ -125,6 +126,18 @@ def test_property_pheap_lstf_matches_list_heap_lstf(seed):
             reference.push(p1, float(step))
             pheap.push(p2, float(step))
             live += 1
+
+
+def test_the_pheap_scheduler_holds_one_queue_and_it_is_a_pheap():
+    """The p-heap is the scheduler's only queue, at its default capacity:
+    no unused binary heap is built (or pickled) beside it."""
+    scheduler = PHeapLstfScheduler()
+    held = [getattr(scheduler, slot) for cls in type(scheduler).__mro__
+            for slot in getattr(cls, "__slots__", ())]
+    assert not any(isinstance(value, IndexedHeapQueue) for value in held)
+    assert [type(value) for value in held if isinstance(value, PHeap)] == [
+        type(scheduler._queue)]
+    assert scheduler._queue.capacity == PHeap().capacity >= 4096
 
 
 def test_pheap_scheduler_end_to_end_matches_lstf():

@@ -34,6 +34,7 @@ from repro.errors import CheckpointError
 from repro.obs.hub import MetricsHub
 from repro.schedulers import LstfScheduler
 from repro.schedulers.base import Scheduler
+from repro.schedulers.drr import DrrScheduler
 from repro.schedulers.pheap import PHeapLstfScheduler
 from repro.sim.checkpoint import (
     _STATE_MODULES,
@@ -221,7 +222,7 @@ class TestSnapshotRoundTrip:
         AQM slot), and then an update of this pin."""
         port = _tiny_network().nodes["a"].ports["b"]
         _dict, slots = port.__getstate__()
-        assert CHECKPOINT_VERSION == 9
+        assert CHECKPOINT_VERSION == 10
         common = (
             "node", "link", "scheduler", "buffer_bytes", "buffered",
             "sent", "dropped", "_queued", "_wakeup", "_decision_pending",
@@ -239,15 +240,18 @@ class TestSnapshotRoundTrip:
             *common, "_heap", "_seq", "_current", "_serve_start", "_done_handle"))
 
     def test_what_the_tracer_and_a_scheduler_pickle_is_pinned_too(self):
-        """So are the tracer's and the schedulers' slots (9: the tracer
-        keeps no drop count or ``dropped_at`` column, and only the p-heap
-        LSTF scheduler a push counter)."""
-        assert CHECKPOINT_VERSION == 9
+        """So are the tracer's and the schedulers' slots (10: the p-heap
+        LSTF scheduler holds no slot of its own, its p-heap being its one
+        queue, and DRR no quantum; 9: the tracer keeps no drop count or
+        ``dropped_at`` column, and only the p-heap LSTF scheduler a push
+        counter)."""
+        assert CHECKPOINT_VERSION == 10
         assert Tracer.__slots__ == (
             "enabled", "pid", "flow_id", "size", "src", "dst", "created", "exit",
             "tx_slot", "hop_tx", "hop_waits")
         assert Scheduler.__slots__ == ("_port",)
-        assert PHeapLstfScheduler.__slots__ == ("_pheap", "_seq")
+        assert PHeapLstfScheduler.__slots__ == ()
+        assert DrrScheduler.__slots__ == ("_flows", "_deficit", "_size")
 
     def test_restore_reinstalls_packet_counter(self):
         net = _tiny_network()
@@ -462,8 +466,14 @@ class TestCheckpointStore(StoreContract):
         """Nor one whose tracer still counts drops and keeps a
         ``dropped_at`` column, and whose schedulers all carry a push
         counter (v8); version 9 pickles neither."""
-        assert CHECKPOINT_VERSION == 9
         self._relabelled_entry_is_a_miss_and_heals(tmp_path, 8)
+
+    def test_version_9_entry_reads_as_a_miss_and_is_rebuilt(self, tmp_path):
+        """Nor one whose p-heap LSTF schedulers hold an unused binary heap
+        beside the p-heap, whose DRR schedulers a quantum and whose TCP
+        senders an RTO floor (v9); version 10 pickles none of them."""
+        assert CHECKPOINT_VERSION == 10
+        self._relabelled_entry_is_a_miss_and_heals(tmp_path, 9)
 
     @pytest.mark.parametrize("via", ["os.system", "ContentStore"])
     def test_a_payload_naming_a_foreign_global_is_a_miss_and_heals(

@@ -162,7 +162,7 @@ class TestTmin:
         net.add_host("a")
         net.add_host("b")
         net.add_link("a", "b", 8 * MBPS)
-        assert net.bottleneck_tx_time(1000) == pytest.approx(0.001)
+        assert net.bottleneck_tx_time() == pytest.approx(0.0015)  # 1500 B at 8 Mb/s
 
 
 class TestInstallation:

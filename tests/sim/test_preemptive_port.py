@@ -83,8 +83,10 @@ def test_preemptive_port_rejects_finite_buffers():
     net.add_link("a", "SW", 8 * MBPS, 0.0)
     node = net.nodes["a"]
     link = node.ports["SW"].link
+    port = PreemptivePort(node, link, LstfScheduler())
+    assert port.buffer_bytes == float("inf")
     with pytest.raises(ConfigurationError):
-        PreemptivePort(node, link, LstfScheduler(), buffer_bytes=1000)
+        port.set_buffer(1000)
 
 
 def test_preemptive_ports_refuse_finite_buffers_set_afterwards():

@@ -4,6 +4,8 @@ exists, and the README quickstart runs."""
 from __future__ import annotations
 
 import functools
+import importlib
+import inspect
 
 import repro
 
@@ -37,3 +39,36 @@ def test_scheduler_registry_is_exported():
     names = repro.scheduler_names()
     assert "lstf" in names and "fifo" in names
     assert repro.make_scheduler("lstf").name == "lstf"
+
+
+#: Parameters every production caller set to one value, now that value:
+#: a test needing another patches the constant (``TcpSender.MIN_RTO``).
+FIXED_PARAMETERS = [
+    ("repro.transport.tcp:TcpSender", "min_rto"),
+    ("repro.transport.tcp:install_tcp_flows", "min_rto"),
+    ("repro.metrics.delay:packet_delays", "data_only"),
+    ("repro.metrics.fairness:throughput_timeseries", "data_only"),
+    ("repro.metrics.fairness:flow_throughputs", "data_only"),
+    ("repro.api.results:RunArtifact.to_json", "indent"),
+    ("repro.api.results:RunArtifact.to_json", "include_timings"),
+    ("repro.theory.transformation:transform_to_lstf", "max_swaps"),
+    ("repro.obs.spans:SpanRecorder.span", "cat"),
+    ("repro.obs.spans:span_record", "pid"),
+    ("repro.obs.spans:SpanRecorder", "tid"),
+    ("repro.sim.network:Network.bottleneck_tx_time", "size"),
+    ("repro.schedulers.drr:DrrScheduler", "quantum"),
+    ("repro.schedulers.pheap:PHeapLstfScheduler", "capacity"),
+    ("repro.sim.network:Network", "engine"),
+    ("repro.sim.port:Port", "buffer_bytes"),
+    ("repro.sim.port:PreemptivePort", "buffer_bytes"),
+    ("repro.workload.distributions:ExponentialSize", "mean_bytes"),
+]
+
+
+def test_no_signature_takes_a_parameter_production_never_varies():
+    for target, parameter in FIXED_PARAMETERS:
+        module, _, path = target.partition(":")
+        obj = importlib.import_module(module)
+        for attr in path.split("."):
+            obj = getattr(obj, attr)
+        assert parameter not in inspect.signature(obj).parameters, target

@@ -29,7 +29,7 @@ def _net(bottleneck=8 * MBPS, prop=0.0005, buffer_bytes=None):
 def test_short_flow_completes():
     net = _net()
     flow = Flow(1, "a", "b", 10_000, start=0.0)
-    stats = install_tcp_flows(net, [flow], min_rto=0.05)
+    stats = install_tcp_flows(net, [flow])
     net.run(until=5.0)
     assert stats.completed == 1
     assert stats.fct[1] > 0
@@ -38,7 +38,7 @@ def test_short_flow_completes():
 def test_fct_accounts_from_flow_start():
     net = _net()
     flow = Flow(1, "a", "b", 3_000, start=0.25)
-    stats = install_tcp_flows(net, [flow], min_rto=0.05)
+    stats = install_tcp_flows(net, [flow])
     net.run(until=5.0)
     # FCT excludes the pre-start idle time.
     assert stats.fct[1] < 0.1
@@ -47,15 +47,16 @@ def test_fct_accounts_from_flow_start():
 def test_bytes_arrive_in_order_at_receiver():
     net = _net()
     flow = Flow(1, "a", "b", 60_000, start=0.0)
-    stats = install_tcp_flows(net, [flow], min_rto=0.05)
+    stats = install_tcp_flows(net, [flow])
     net.run(until=5.0)
     assert stats.completed == 1
 
 
-def test_slow_start_doubles_window():
+def test_slow_start_doubles_window(monkeypatch):
+    monkeypatch.setattr(TcpSender, "MIN_RTO", 0.1)
     net = _net(prop=0.01)  # 20ms RTT so rounds are visible
     flow = Flow(1, "a", "b", 500_000, start=0.0)
-    stats = install_tcp_flows(net, [flow], min_rto=0.1)
+    stats = install_tcp_flows(net, [flow])
     sender = None
     # grab the sender agent off the host
     sender = net.host("a")._senders[1]
@@ -67,7 +68,7 @@ def test_slow_start_doubles_window():
 def test_loss_triggers_retransmission_and_recovery():
     net = _net(buffer_bytes=6_000)  # tiny buffer forces drops
     flow = Flow(1, "a", "b", 300_000, start=0.0)
-    stats = install_tcp_flows(net, [flow], min_rto=0.05)
+    stats = install_tcp_flows(net, [flow])
     net.run(until=20.0)
     assert stats.completed == 1, "flow must recover from drops and finish"
     assert stats.retransmissions[1] > 0
@@ -81,7 +82,7 @@ def test_competing_flows_share_bottleneck():
         Flow(1, "a", "b", 150_000, start=0.0),
         Flow(2, "a", "b", 150_000, start=0.0),
     ]
-    stats = install_tcp_flows(net, flows, min_rto=0.05)
+    stats = install_tcp_flows(net, flows)
     net.run(until=30.0)
     assert stats.completed == 2
 
@@ -89,7 +90,7 @@ def test_competing_flows_share_bottleneck():
 def test_acks_are_small_and_urgent():
     net = _net()
     flow = Flow(1, "a", "b", 3_000, start=0.0)
-    install_tcp_flows(net, [flow], min_rto=0.05)
+    install_tcp_flows(net, [flow])
     net.run(until=2.0)
     acks = [r for r in records(net.tracer).values() if r.size == 40]
     assert acks, "receiver should have generated ACKs"
@@ -124,8 +125,7 @@ def test_send_times_stay_in_ascending_seq_order(monkeypatch):
                        ("fast", "_fast_retransmit")):
         monkeypatch.setattr(TcpSender, attr, checked(name, getattr(TcpSender, attr)))
     net = _net(buffer_bytes=6_000)
-    stats = install_tcp_flows(net, [Flow(1, "a", "b", 300_000, start=0.0)],
-                              min_rto=0.05)
+    stats = install_tcp_flows(net, [Flow(1, "a", "b", 300_000, start=0.0)])
     net.run(until=20.0)
     assert stats.completed == 1
     assert seen["timeout"] and seen["fast"] and seen["sample"]
@@ -139,7 +139,7 @@ def test_a_released_tcp_run_returns_its_bytes_without_a_collection():
     ``with network:`` block exits; only the topology and what its queues
     hold wait for the collector."""
     flows = [Flow(fid, "a", "b", 20_000, start=fid * 2e-4) for fid in range(1, 201)]
-    install_tcp_flows(_net(), flows[:1], min_rto=0.05)  # lazy imports, caches
+    install_tcp_flows(_net(), flows[:1])  # lazy imports, caches
     gc.collect()
     gc.disable()
     tracemalloc.start()
@@ -148,7 +148,7 @@ def test_a_released_tcp_run_returns_its_bytes_without_a_collection():
         net.tracer.enabled = False
         start, _ = tracemalloc.get_traced_memory()
         with net:
-            stats = install_tcp_flows(net, flows, min_rto=0.05)
+            stats = install_tcp_flows(net, flows)
             net.run(until=0.2)  # mid-run: timers pending, packets queued
             held = tracemalloc.get_traced_memory()[0] - start
         left = tracemalloc.get_traced_memory()[0] - start

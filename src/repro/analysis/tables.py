@@ -1,17 +1,15 @@
 """Minimal tabular reporting for experiment output.
 
 A :class:`Table` accumulates *raw* cells and renders them on demand:
-aligned ASCII for terminals (:meth:`Table.render`), JSON for artifacts
-and tooling (:meth:`Table.to_json`), CSV for spreadsheets
-(:meth:`Table.to_csv`).  All three share one formatting pipeline, so the
-``--json`` CLI path can never drift from what the ASCII table shows.
+aligned ASCII for terminals (:meth:`Table.render`), CSV for spreadsheets
+(:meth:`Table.to_csv`).  Both share one formatting pipeline; the raw
+cells (:attr:`Table.rows`) are what an artifact's JSON carries.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 from typing import Sequence
 
 __all__ = ["Table"]
@@ -92,17 +90,6 @@ class Table:
         lines.append("-+-".join("-" * w for w in widths))
         lines.extend(fmt(r) for r in formatted)
         return "\n".join(lines)
-
-    def to_json(self, indent: int | None = None) -> str:
-        """Serialise title, headers, and *raw* rows as a JSON object.
-
-        >>> t = Table(["name", "value"], title="demo")
-        >>> t.add_row(["alpha", 1.5])
-        >>> t.to_json()
-        '{"title": "demo", "headers": ["name", "value"], "rows": [["alpha", 1.5]]}'
-        """
-        payload = {"title": self.title, "headers": self.headers, "rows": self.rows}
-        return json.dumps(payload, indent=indent)
 
     def to_csv(self) -> str:
         """Serialise as CSV, cells formatted exactly like :meth:`render`.

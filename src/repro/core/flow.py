@@ -25,7 +25,6 @@ class Flow:
     dst: str
     size: int
     start: float
-    mtu: int = MTU
     weight: float = field(default=1.0, compare=False)
 
     def __post_init__(self) -> None:
@@ -37,7 +36,7 @@ class Flow:
     @property
     def num_packets(self) -> int:
         """Number of MTU-sized segments the flow occupies."""
-        return packets_for(self.size, self.mtu)
+        return packets_for(self.size)
 
     def segment_sizes(self) -> list[int]:
         """Sizes of the individual segments; the last may be short.
@@ -45,8 +44,8 @@ class Flow:
         >>> Flow(1, "a", "b", 3200, 0.0).segment_sizes()
         [1500, 1500, 200]
         """
-        full, rem = divmod(self.size, self.mtu)
-        sizes = [self.mtu] * full
+        full, rem = divmod(self.size, MTU)
+        sizes = [MTU] * full
         if rem or not sizes:
             sizes.append(rem if rem else self.size)
         return sizes

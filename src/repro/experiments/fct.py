@@ -25,7 +25,6 @@ from repro.scenarios import (
     install_router_schedulers,
     scenario_flows,
 )
-from repro.sim.node import Router
 from repro.transport.tcp import TcpStats, install_tcp_flows
 from repro.units import MB
 
@@ -86,7 +85,7 @@ def run_fct_experiment(spec: ExperimentSpec) -> dict[str, FctExperimentResult]:
         with build_scenario_network(setting, spec.bandwidth_scale) as network:
             network.tracer.enabled = False  # FCTs come from the TCP agents
             install_router_schedulers(network, scheme, spec.seed)
-            network.set_buffers(buffer_bytes, node_filter=lambda n: isinstance(n, Router))
+            network.set_buffers(buffer_bytes)
             stats = install_tcp_flows(network, flows, slack_policy=slack_policy)
             # Closed-loop flows with retransmission timers can in principle
             # tail on; run long enough for every flow to finish several

@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.transport.tcp import TcpStats
 
-__all__ = ["FctBucket", "PAPER_BUCKET_EDGES", "bucket_mean_fct", "mean_fct"]
+__all__ = ["FctBucket", "PAPER_BUCKET_EDGES", "bucket_mean_fct"]
 
 #: Bucket boundaries (bytes) matching Figure 2's x-axis labels.
 PAPER_BUCKET_EDGES = (
@@ -36,11 +36,6 @@ class FctBucket:
         if self.high == float("inf"):
             return f">{int(self.low)}"
         return f"<={int(self.high)}"
-
-
-def mean_fct(stats: TcpStats) -> float:
-    """Mean flow completion time over completed flows."""
-    return stats.mean_fct()
 
 
 def bucket_mean_fct(stats: TcpStats) -> list[FctBucket]:

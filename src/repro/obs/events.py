@@ -24,7 +24,7 @@ import json
 import os
 import time
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Iterator
 
 __all__ = [
     "EVENTS_FILENAME",
@@ -39,6 +39,9 @@ __all__ = [
 
 #: File (inside a queue directory) holding one event record per line.
 EVENTS_FILENAME = "events.jsonl"
+
+#: Seconds :func:`follow_events` sleeps while the log has nothing new.
+FOLLOW_POLL_S = 0.2
 
 
 def events_path(queue_dir: str | Path) -> Path:
@@ -86,34 +89,29 @@ def append_events(queue_dir: str | Path, events: list[dict]) -> None:
     append_jsonl(events_path(queue_dir), events)
 
 
-def read_events(queue_dir: str | Path, limit: int | None = None,
-                kinds: tuple[str, ...] | None = None) -> list[dict]:
-    """The (filtered) tail of the event log, oldest first.
+def read_events(queue_dir: str | Path, limit: int | None = None) -> list[dict]:
+    """The tail of the event log, oldest first.
 
-    ``limit`` keeps the last N matching records (0: none); ``kinds``
-    filters by the ``kind`` field.  An absent log is an empty history,
-    not an error — a fresh queue simply has no events yet.
+    ``limit`` keeps the last N records (0: none).  An absent log is an
+    empty history, not an error — a fresh queue simply has no events yet.
     """
-    events = [event for event in read_jsonl(events_path(queue_dir))
-              if kinds is None or event.get("kind") in kinds]
+    events = read_jsonl(events_path(queue_dir))
     return events if limit is None else events[max(len(events) - limit, 0):]
 
 
-def follow_events(queue_dir: str | Path, poll_s: float = 0.2,
-                  from_start: bool = False,
-                  stop: Callable[[], bool] | None = None) -> Iterator[dict]:
+def follow_events(queue_dir: str | Path) -> Iterator[dict]:
     """Yield event records as they are appended (``tail -f`` semantics).
 
-    Starts at the end of the log unless ``from_start``; polls every
-    ``poll_s`` seconds; returns when ``stop()`` goes true (runs forever
-    without one — the CLI's ``repro tail`` leaves it to Ctrl-C).
-    Partial lines (a writer mid-append) are left in the buffer until
-    their newline arrives; a line that is torn for good is skipped.
+    Starts at the end of the log and polls every :data:`FOLLOW_POLL_S`
+    seconds until its consumer stops iterating (the CLI's ``repro tail``
+    leaves that to Ctrl-C).  Partial lines (a writer mid-append) are left
+    in the buffer until their newline arrives; a line that is torn for
+    good is skipped.
     """
     path = events_path(queue_dir)
-    offset = 0 if from_start or not path.is_file() else path.stat().st_size
+    offset = path.stat().st_size if path.is_file() else 0
     buffer = ""
-    while stop is None or not stop():
+    while True:
         size = path.stat().st_size if path.is_file() else 0
         if size < offset:  # truncated/rotated: start over
             offset, buffer = 0, ""
@@ -127,7 +125,7 @@ def follow_events(queue_dir: str | Path, poll_s: float = 0.2,
                 if record is not None:
                     yield record
         else:
-            time.sleep(poll_s)
+            time.sleep(FOLLOW_POLL_S)
 
 
 def format_event(event: dict) -> str:

@@ -74,8 +74,7 @@ _PAPER_CONFIGS = {
         edges_per_core=2, host_bw=1 * GBPS, bandwidth_scale=scale),
     "i2-10g-10g": lambda scale: Internet2Config(
         edges_per_core=2, access_bw=10 * GBPS, bandwidth_scale=scale),
-    "rocketfuel": lambda scale: RocketFuelConfig(
-        num_hosts=20, bandwidth_scale=scale),
+    "rocketfuel": lambda scale: RocketFuelConfig(bandwidth_scale=scale),
     "fattree": lambda scale: FatTreeConfig(k=4, bandwidth_scale=scale),
 }
 _PAPER_BUILDERS = {Internet2Config: build_internet2,

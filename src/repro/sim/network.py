@@ -46,7 +46,7 @@ class Network:
     """A simulated network of hosts and routers."""
 
     __slots__ = ("engine", "tracer", "nodes", "links", "_upstream",
-                 "_next_hop", "_tmin_cache", "_preemptive", "_blueprint")
+                 "_next_hop", "_tmin_cache", "_blueprint")
 
     def __init__(self, tracer: Tracer | None = None) -> None:
         self.engine = Engine()
@@ -56,7 +56,6 @@ class Network:
         self._upstream: dict[str, list[str]] = {}  # v -> sorted [u: u->v]
         self._next_hop: dict[str, dict[str, str]] = {}  # dst -> {node: next}
         self._tmin_cache: dict[tuple[str, str, int], float] = {}
-        self._preemptive = False
         self._blueprint: Blueprint | None = None  # whose tables it reads
 
     def __getstate__(self) -> tuple:
@@ -165,7 +164,6 @@ class Network:
         # Replacing port objects orphans any cached next-hop ports.
         for node in self.nodes.values():
             node.invalidate_route_cache()
-        self._preemptive = True
 
     def trace_into(self, tracer: Tracer) -> None:
         """Trace into ``tracer`` (enabled as the current one is) — in every
@@ -178,16 +176,11 @@ class Network:
             for port in node.ports.values():
                 port._tracer = tracer
 
-    def set_buffers(
-        self,
-        buffer_bytes: float,
-        node_filter: Callable[[Node], bool] | None = None,
-    ) -> None:
-        """Set finite buffers, optionally only on nodes matching ``node_filter``."""
-        for node in self.nodes.values():
-            if node_filter is not None and not node_filter(node):
-                continue
-            for port in node.ports.values():
+    def set_buffers(self, buffer_bytes: float) -> None:
+        """Bound every router port's buffer.  Host uplinks stay unbounded,
+        like a NIC; ``Port.set_buffer`` bounds one port."""
+        for router in self.routers:
+            for port in router.ports.values():
                 port.set_buffer(buffer_bytes)
 
     # --- routing ------------------------------------------------------------------

@@ -21,15 +21,17 @@ from repro.units import GBPS, MICROSECONDS
 
 __all__ = ["FatTreeConfig", "build_fattree"]
 
+#: Every link's speed (full bisection) and the propagation delays.
+LINK_BW = 10 * GBPS
+LINK_PROP = 1 * MICROSECONDS
+HOST_PROP = 0.5 * MICROSECONDS
+
 
 @dataclass(frozen=True, slots=True)
 class FatTreeConfig:
     """Parameters for :func:`build_fattree`."""
 
     k: int = 4
-    link_bw: float = 10 * GBPS
-    link_prop: float = 1 * MICROSECONDS
-    host_prop: float = 0.5 * MICROSECONDS
     bandwidth_scale: float = 1.0
 
     @property
@@ -38,7 +40,7 @@ class FatTreeConfig:
 
     @property
     def bottleneck_bw(self) -> float:
-        return self.link_bw * self.bandwidth_scale
+        return LINK_BW * self.bandwidth_scale
 
     def host_names(self) -> list[str]:
         """Every host :func:`build_fattree` creates, sorted as
@@ -55,7 +57,7 @@ def build_fattree(config: FatTreeConfig | None = None) -> Network:
     if k < 2 or k % 2:
         raise ConfigurationError(f"fat-tree arity must be even and >= 2, got {k}")
     scale = require_positive_finite(cfg.bandwidth_scale, "bandwidth_scale")
-    bw = cfg.link_bw * scale
+    bw = LINK_BW * scale
     half = k // 2
 
     net = Network()
@@ -70,14 +72,14 @@ def build_fattree(config: FatTreeConfig | None = None) -> Network:
             net.add_router(name)
         for agg in aggs:
             for edge in edges:
-                net.add_link(agg, edge, bw, cfg.link_prop)
+                net.add_link(agg, edge, bw, LINK_PROP)
         # Aggregation switch i connects to core row i.
         for i, agg in enumerate(aggs):
             for j in range(half):
-                net.add_link(f"c_{i}_{j}", agg, bw, cfg.link_prop)
+                net.add_link(f"c_{i}_{j}", agg, bw, LINK_PROP)
         for e_idx, edge in enumerate(edges):
             for h in range(half):
                 host = f"h_{pod}_{e_idx}_{h}"
                 net.add_host(host)
-                net.add_link(edge, host, bw, cfg.host_prop)
+                net.add_link(edge, host, bw, HOST_PROP)
     return net

@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Sequence
 from repro.core.flow import Flow
 from repro.core.heuristics import SlackPolicy
 from repro.core.packet import Packet
-from repro.units import ACK_SIZE
+from repro.units import ACK_SIZE, MTU
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.network import Network
@@ -113,12 +113,8 @@ class TcpSender:
 
     # --- helpers ----------------------------------------------------------
 
-    @property
-    def _mss(self) -> int:
-        return self._flow.mtu
-
     def _inflight_segments(self) -> int:
-        return -(-(self.next_seq - self.highest_acked) // self._mss)
+        return -(-(self.next_seq - self.highest_acked) // MTU)
 
     def _start(self) -> None:
         self._stats.record_start(self._flow)
@@ -126,7 +122,7 @@ class TcpSender:
 
     def _make_segment(self, seq: int) -> Packet:
         flow = self._flow
-        size = min(self._mss, flow.size - seq)
+        size = min(MTU, flow.size - seq)
         now = self._network.engine.now
         packet = Packet(
             flow_id=flow.fid, size=size, src=flow.src, dst=flow.dst,
@@ -147,7 +143,7 @@ class TcpSender:
             packet = self._make_segment(seq)
             self._send_times[seq] = self._network.engine.now
             self._host.inject(packet)
-            self.next_seq = min(seq + self._mss, self._flow.size)
+            self.next_seq = min(seq + MTU, self._flow.size)
         if not self._done and self.next_seq > self.highest_acked:
             self._arm_timer()
 
@@ -180,8 +176,7 @@ class TcpSender:
     def _sample_rtt(self, acked_to: int) -> None:
         # Karn's rule by construction: samples only from first transmissions.
         # Keys go in ascending, never re-inserted: the covered ones are a prefix.
-        mss = self._mss
-        covered = list(takewhile(lambda seq: seq + mss <= acked_to, self._send_times))
+        covered = list(takewhile(lambda seq: seq + MTU <= acked_to, self._send_times))
         sample = None
         for seq in covered:
             sample = self._network.engine.now - self._send_times.pop(seq)

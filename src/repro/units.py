@@ -71,7 +71,7 @@ def bits(size_bytes: float) -> float:
     return 8.0 * size_bytes
 
 
-def packets_for(flow_bytes: int, mtu: int = MTU) -> int:
+def packets_for(flow_bytes: int) -> int:
     """Number of MTU-sized segments needed to carry ``flow_bytes``.
 
     Always at least one packet, matching how the workload generators
@@ -84,4 +84,4 @@ def packets_for(flow_bytes: int, mtu: int = MTU) -> int:
     """
     if flow_bytes <= 0:
         return 1
-    return -(-flow_bytes // mtu)  # ceil division
+    return -(-flow_bytes // MTU)  # ceil division

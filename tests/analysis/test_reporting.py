@@ -48,24 +48,11 @@ def test_table_keeps_raw_rows():
     assert t.headers == ["name", "value"]
 
 
-def test_table_to_json_shares_rows_with_render():
-    t = Table(["name", "value"], title="demo")
-    t.add_row(["alpha", 0.00001234])
-    payload = json.loads(t.to_json())
-    assert payload == {
-        "title": "demo",
-        "headers": ["name", "value"],
-        "rows": [["alpha", 0.00001234]],
-    }
-    # render() formats the very same cell the JSON carries raw
-    assert "1.23e-05" in t.render()
-
-
-def test_table_to_json_coerces_numpy_scalars():
+def test_table_rows_coerce_numpy_scalars():
     np = pytest.importorskip("numpy")
-    t = Table(["x"])
-    t.add_row([np.float64(0.5)])
-    assert json.loads(t.to_json())["rows"] == [[0.5]]
+    t = Table(["x", "n", "ok"])
+    t.add_row([np.float64(0.5), np.int64(3), np.bool_(True)])
+    assert json.dumps(t.rows) == "[[0.5, 3, true]]"
 
 
 def test_table_to_csv_matches_render_formatting():

@@ -47,11 +47,6 @@ def test_flow_smaller_than_mtu():
     assert f.num_packets == 1
 
 
-def test_flow_custom_mtu():
-    f = Flow(1, "a", "b", 2500, 0.0, mtu=1000)
-    assert f.segment_sizes() == [1000, 1000, 500]
-
-
 def test_flow_rejects_bad_parameters():
     with pytest.raises(ValueError):
         Flow(1, "a", "b", 0, 0.0)

@@ -98,7 +98,7 @@ class TestRecord:
         the switch while the tracer was off is refused, though every row
         the table holds was delivered whole."""
         net = self._two_links()
-        net.set_buffers(1000, lambda node: node.name == "SW")
+        net.set_buffers(1000)
         net.tracer.enabled = False
         for _ in range(3):  # one on the wire, one queued, one dropped
             net.inject_at(0.0, make_packet())

@@ -61,7 +61,7 @@ def test_per_router_scheduler_mix_replays():
 def test_edf_on_rocketfuel_matches_lstf():
     """EDF's per-router tmin lookups agree with LSTF's dynamic slack on a
     large irregular topology (83 routers)."""
-    cfg = RocketFuelConfig(num_hosts=12, bandwidth_scale=0.01)
+    cfg = RocketFuelConfig(bandwidth_scale=0.01)
     make = functools.partial(build_rocketfuel, cfg)
     net = make()
     _load(net, duration=0.04, ref_bw=6.22e6)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.flow import Flow
-from repro.metrics.fct import PAPER_BUCKET_EDGES, bucket_mean_fct, mean_fct
+from repro.metrics.fct import PAPER_BUCKET_EDGES, bucket_mean_fct
 from repro.transport.tcp import TcpStats
 
 
@@ -21,7 +21,7 @@ def _stats(entries):
 
 def test_mean_fct():
     stats = _stats([(1, 1000, 0.1), (2, 1000, 0.3)])
-    assert mean_fct(stats) == pytest.approx(0.2)
+    assert stats.mean_fct() == pytest.approx(0.2)
 
 
 def test_completion_is_idempotent():

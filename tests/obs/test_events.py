@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import threading
-
+from repro.obs import events
 from repro.obs.events import (
     append_events,
     events_path,
@@ -38,71 +37,70 @@ def test_read_limit_zero_keeps_nothing(tmp_path):
     assert read_events(tmp_path, limit=0) == []
 
 
-def test_read_and_follow_skip_a_torn_line(tmp_path):
+def _sleep_appends(monkeypatch, *writes):
+    """Each poll's sleep runs the next of ``writes`` instead of waiting,
+    and checks it was asked for :data:`~repro.obs.events.FOLLOW_POLL_S`."""
+    monkeypatch.setattr(events, "FOLLOW_POLL_S", 0.125)
+    pending = iter(writes)
+
+    def sleep(seconds):
+        assert seconds == 0.125
+        next(pending)()
+
+    monkeypatch.setattr(events.time, "sleep", sleep)
+
+
+def test_read_and_follow_skip_a_torn_line(tmp_path, monkeypatch):
     """A short append leaves a torn line; the records around it survive."""
-    append_events(tmp_path, [{"ts": 1.0, "kind": "submit"}])
-    with open(events_path(tmp_path), "a") as log:
-        log.write('{"kind": "cla\n[]\n')
-    append_events(tmp_path, [{"ts": 2.0, "kind": "ack"}])
+    def torn_append():
+        append_events(tmp_path, [{"ts": 1.0, "kind": "submit"}])
+        with open(events_path(tmp_path), "a") as log:
+            log.write('{"kind": "cla\n[]\n')
+        append_events(tmp_path, [{"ts": 2.0, "kind": "ack"}])
+
+    _sleep_appends(monkeypatch, torn_append)
+    follow = follow_events(tmp_path)
+    assert [next(follow)["kind"], next(follow)["kind"]] == ["submit", "ack"]
     assert [e["kind"] for e in read_events(tmp_path)] == ["submit", "ack"]
-    flags = iter([False, True])
-    followed = list(follow_events(tmp_path, poll_s=0.0, from_start=True,
-                                  stop=lambda: next(flags)))
-    assert [e["kind"] for e in followed] == ["submit", "ack"]
-
-
-def test_read_kinds_filters(tmp_path):
-    append_events(tmp_path, [
-        {"ts": 1.0, "kind": "claim", "job": 1},
-        {"ts": 2.0, "kind": "heartbeat", "worker": "w"},
-        {"ts": 3.0, "kind": "ack", "job": 1},
-    ])
-    kinds = [e["kind"] for e in read_events(tmp_path, kinds=("claim", "ack"))]
-    assert kinds == ["claim", "ack"]
 
 
 def test_read_missing_log_is_empty_history(tmp_path):
     assert read_events(tmp_path) == []
 
 
-def test_follow_yields_appended_records(tmp_path):
+def test_follow_starts_at_the_end_and_yields_what_is_appended(tmp_path, monkeypatch):
     append_events(tmp_path, [{"ts": 1.0, "kind": "old"}])
-    seen: list[dict] = []
-    done = threading.Event()
-
-    def drain():
-        for event in follow_events(tmp_path, poll_s=0.01, from_start=True,
-                                   stop=done.is_set):
-            seen.append(event)
-            if len(seen) == 3:
-                done.set()
-
-    thread = threading.Thread(target=drain)
-    thread.start()
-    append_events(tmp_path, [{"ts": 2.0, "kind": "claim", "job": 1}])
-    append_events(tmp_path, [{"ts": 3.0, "kind": "ack", "job": 1}])
-    thread.join(timeout=5.0)
-    done.set()
-    assert not thread.is_alive()
-    assert [e["kind"] for e in seen] == ["old", "claim", "ack"]
+    _sleep_appends(
+        monkeypatch,
+        lambda: append_events(tmp_path, [{"ts": 2.0, "kind": "claim", "job": 1}]),
+        lambda: append_events(tmp_path, [{"ts": 3.0, "kind": "ack", "job": 1}]),
+    )
+    follow = follow_events(tmp_path)
+    assert [next(follow)["kind"], next(follow)["kind"]] == ["claim", "ack"]
+    follow.close()
 
 
-def test_follow_without_from_start_skips_existing_records(tmp_path):
-    append_events(tmp_path, [{"ts": 1.0, "kind": "old"}])
-    # One poll cycle, then stop: the pre-existing record is never yielded
-    # (the offset starts at the end of the log).
-    flags = iter([False, True])
-    events = list(follow_events(tmp_path, poll_s=0.0,
-                                stop=lambda: next(flags)))
-    assert events == []
+def test_follow_holds_a_partial_line_until_its_newline(tmp_path, monkeypatch):
+    path = events_path(tmp_path)
+
+    def half():
+        path.write_text('{"kind": "cl')
+
+    def rest():
+        with open(path, "a") as log:
+            log.write('aim"}\n')
+
+    _sleep_appends(monkeypatch, half, rest)
+    assert next(follow_events(tmp_path)) == {"kind": "claim"}
 
 
-def test_follow_from_start_replays_history(tmp_path):
-    append_events(tmp_path, [{"ts": 1.0, "kind": "submit", "job": 1}])
-    stop_after_first = iter([False, True])
-    events = list(follow_events(tmp_path, poll_s=0.01, from_start=True,
-                                stop=lambda: next(stop_after_first)))
-    assert [e["kind"] for e in events] == ["submit"]
+def test_follow_starts_over_when_the_log_is_truncated(tmp_path, monkeypatch):
+    append_events(tmp_path, [{"ts": 1.0, "kind": "old"}, {"ts": 2.0, "kind": "old"}])
+    _sleep_appends(
+        monkeypatch,
+        lambda: events_path(tmp_path).write_text('{"kind": "new"}\n'),
+    )
+    assert next(follow_events(tmp_path)) == {"kind": "new"}
 
 
 def test_format_event_renders_sorted_details():

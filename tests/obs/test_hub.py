@@ -197,7 +197,7 @@ def test_drop_counters_match_the_tracer_per_link_under_sustained_overflow(name):
         net.add_host("c")
         net.add_link("SW", "c", 8 * MBPS, 0.0)
         net.install_uniform(lambda: make_scheduler(name))
-        net.set_buffers(3000, node_filter=lambda node: node.name == "SW")
+        net.set_buffers(3000)
         for k in range(60):
             net.inject_at(0.0002 * k, make_packet(
                 dst="bc"[k % 2], size=rng.choice((500, 1000, 1500)),
@@ -384,7 +384,7 @@ def test_each_port_s_samples_add_up_to_what_it_sent():
     with RunContext(hub=hub).entered():
         nets = [_net(), _net()]
         for net in nets:
-            net.set_buffers(3000, node_filter=lambda node: node.name == "SW")
+            net.set_buffers(3000)
         for phase in (0.0013, 0.0031, None):
             for net in nets:
                 for _ in range(rng.randint(1, 6)):
@@ -411,7 +411,7 @@ def test_tx_bytes_on_a_finite_link_are_the_packet_table_s_bytes_on_it():
         net = _net()
         net.add_host("c")
         net.add_link("SW", "c", float("inf"), 0.0)
-        net.set_buffers(4000, node_filter=lambda node: node.name == "SW")
+        net.set_buffers(4000)
         for k in range(40):
             src, dst = rng.choice((("a", "b"), ("a", "c"), ("c", "b")))
             net.inject_at(0.0002 * k, make_packet(

@@ -26,6 +26,7 @@ from repro.core.store import RunContext
 from repro.obs import MetricsHub
 from repro.schedulers import LstfScheduler, make_scheduler
 from repro.sim.network import Network
+from repro.sim.port import PreemptivePort
 from repro.units import MBPS
 from tests.conftest import make_packet
 from tests.obs.reference_hub import ReferenceHub
@@ -76,8 +77,7 @@ def _drive(hub, case: dict):
                 net.run()  # arms the sampler on the original ports
                 net.use_preemptive_ports(LstfScheduler)
             elif case["buffer"] is not None:  # PreemptivePort refuses a finite one
-                net.set_buffers(case["buffer"],
-                                node_filter=lambda node: node.name == "SW")
+                net.set_buffers(case["buffer"])
             for until in case["phases"]:
                 _inject(net, case, rng, net.engine.now)
                 net.run(until=None if until is None else net.engine.now + until)
@@ -122,6 +122,7 @@ def test_the_fixed_corners_are_not_empty():
     hub = _drive(MetricsHub(interval=PREEMPT["interval"]), PREEMPT)
     (network, sampler), = hub._net_samplers
     # The empty run's ports, then the preemptive ones for every phase.
-    assert network._preemptive and len(hub._segments) == 2
+    assert isinstance(network.nodes["SW"].ports["h0"], PreemptivePort)
+    assert len(hub._segments) == 2
     assert any(depth for name, points in hub.series.items()
                if name.startswith("queue_depth:") for _, depth in points)

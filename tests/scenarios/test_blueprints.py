@@ -69,8 +69,8 @@ def test_editing_one_instance_leaves_its_siblings_alone(cold_memo, setting):
     edited.run()
     hops = edited.tracer.tx_slot
     assert hops.count(0) == len(before[0]) - 1 and hops.count(1) == 2
-    assert all(port.buffer_bytes == 3000 for node in edited.nodes.values()
-               for port in node.ports.values())
+    assert all(port.buffer_bytes == 3000 for router in edited.routers
+               for port in router.ports.values())
     assert all(type(port) is PreemptivePort for node in preempted.nodes.values()
                for port in node.ports.values())
 

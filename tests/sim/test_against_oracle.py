@@ -174,7 +174,9 @@ def build_network(scenario, hop_times) -> tuple[Network, list[Packet]]:
         net.use_preemptive_ports(lambda: make_scheduler(name))
     else:
         net.install_uniform(lambda: make_scheduler(name))
-        net.set_buffers(scenario["buffer"])
+        for node in net.nodes.values():
+            for port in node.ports.values():
+                port.set_buffer(scenario["buffer"])
     packets = []
     for spec in scenario["packets"]:
         packet = Packet(spec["flow_id"], spec["size"], spec["src"], spec["dst"],

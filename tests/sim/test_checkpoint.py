@@ -17,6 +17,7 @@ own ``checkpoint()``/``restore()`` hooks:
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib.util
 import os
 import pickle
@@ -27,6 +28,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.core.flow import Flow
 from repro.core.packet import (packet_id_counter, reset_packet_ids,
                                set_packet_id_counter)
 from repro.core.store import ContentStore
@@ -222,7 +224,7 @@ class TestSnapshotRoundTrip:
         AQM slot), and then an update of this pin."""
         port = _tiny_network().nodes["a"].ports["b"]
         _dict, slots = port.__getstate__()
-        assert CHECKPOINT_VERSION == 10
+        assert CHECKPOINT_VERSION == 11
         common = (
             "node", "link", "scheduler", "buffer_bytes", "buffered",
             "sent", "dropped", "_queued", "_wakeup", "_decision_pending",
@@ -245,13 +247,24 @@ class TestSnapshotRoundTrip:
         queue, and DRR no quantum; 9: the tracer keeps no drop count or
         ``dropped_at`` column, and only the p-heap LSTF scheduler a push
         counter)."""
-        assert CHECKPOINT_VERSION == 10
+        assert CHECKPOINT_VERSION == 11
         assert Tracer.__slots__ == (
             "enabled", "pid", "flow_id", "size", "src", "dst", "created", "exit",
             "tx_slot", "hop_tx", "hop_waits")
         assert Scheduler.__slots__ == ("_port",)
         assert PHeapLstfScheduler.__slots__ == ()
         assert DrrScheduler.__slots__ == ("_flows", "_deficit", "_size")
+
+    def test_what_a_network_and_a_flow_pickle_is_pinned_too(self):
+        """And a network's slots and a flow's fields (11: a flow carries no
+        MTU, a network no preemptive flag)."""
+        assert CHECKPOINT_VERSION == 11
+        _none, slots = _tiny_network().__getstate__()
+        assert sorted(slots) == sorted((
+            "engine", "tracer", "nodes", "links", "_upstream", "_next_hop",
+            "_tmin_cache"))
+        assert [field.name for field in dataclasses.fields(Flow)] == [
+            "fid", "src", "dst", "size", "start", "weight"]
 
     def test_restore_reinstalls_packet_counter(self):
         net = _tiny_network()
@@ -472,8 +485,13 @@ class TestCheckpointStore(StoreContract):
         """Nor one whose p-heap LSTF schedulers hold an unused binary heap
         beside the p-heap, whose DRR schedulers a quantum and whose TCP
         senders an RTO floor (v9); version 10 pickles none of them."""
-        assert CHECKPOINT_VERSION == 10
         self._relabelled_entry_is_a_miss_and_heals(tmp_path, 9)
+
+    def test_version_10_entry_reads_as_a_miss_and_is_rebuilt(self, tmp_path):
+        """Nor one whose flows carry an MTU and whose networks a preemptive
+        flag (v10); version 11 pickles neither."""
+        assert CHECKPOINT_VERSION == 11
+        self._relabelled_entry_is_a_miss_and_heals(tmp_path, 10)
 
     @pytest.mark.parametrize("via", ["os.system", "ContentStore"])
     def test_a_payload_naming_a_foreign_global_is_a_miss_and_heals(

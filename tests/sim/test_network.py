@@ -181,17 +181,12 @@ class TestInstallation:
         assert net.nodes["A"].ports["N"].scheduler.name == "lstf"
         assert net.nodes["B"].ports["hb"].scheduler.name == "fifo"
 
-    def test_set_buffers_with_filter(self):
-        net = _diamond()
-        net.set_buffers(5000, node_filter=lambda n: isinstance(n, Router))
-        assert net.nodes["A"].ports["N"].buffer_bytes == 5000
-        assert net.nodes["ha"].ports["A"].buffer_bytes == float("inf")
-
-    def test_set_buffers_without_filter_bounds_every_port(self):
+    def test_set_buffers_bounds_router_ports_only(self):
         net = _diamond()
         net.set_buffers(5000)
-        assert {port.buffer_bytes for node in net.nodes.values()
-                for port in node.ports.values()} == {5000}
+        for node in net.nodes.values():
+            bound = 5000 if isinstance(node, Router) else float("inf")
+            assert {port.buffer_bytes for port in node.ports.values()} == {bound}
         with pytest.raises(ConfigurationError):
             net.set_buffers(0)
 

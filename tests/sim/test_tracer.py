@@ -88,7 +88,7 @@ def test_a_row_open_when_the_tracer_switches_off_runs_to_its_exit(table):
     is switched off gets no row."""
     net = _net()
     net.trace_into(table())
-    net.set_buffers(1000, lambda node: node.name == "SW")  # one waiting packet
+    net.set_buffers(1000)  # one waiting packet
     for _ in range(3):
         net.inject_at(0.0, make_packet())
     late = make_packet()

@@ -3,6 +3,7 @@ exists, and the README quickstart runs."""
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import importlib
 import inspect
@@ -62,13 +63,52 @@ FIXED_PARAMETERS = [
     ("repro.sim.port:Port", "buffer_bytes"),
     ("repro.sim.port:PreemptivePort", "buffer_bytes"),
     ("repro.workload.distributions:ExponentialSize", "mean_bytes"),
+    ("repro.units:packets_for", "mtu"),
+    ("repro.obs.events:follow_events", "poll_s"),
+    ("repro.obs.events:follow_events", "from_start"),
+    ("repro.obs.events:follow_events", "stop"),
+    ("repro.obs.events:read_events", "kinds"),
+    ("repro.sim.network:Network.set_buffers", "node_filter"),
 ]
+
+#: Config fields every production caller set to one value, now module
+#: constants beside the config (``repro.topology.internet2.CORE_PROP``).
+FIXED_FIELDS = {
+    "repro.topology.internet2:Internet2Config": (
+        "hosts_per_edge", "core_bw_fast", "core_bw_slow", "core_prop",
+        "access_prop", "host_prop"),
+    "repro.topology.rocketfuel:RocketFuelConfig": (
+        "num_routers", "num_core_links", "num_hosts", "access_bw", "host_bw",
+        "core_bw_fast", "core_bw_slow", "core_prop", "access_prop", "host_prop",
+        "seed"),
+    "repro.topology.fattree:FatTreeConfig": ("link_bw", "link_prop", "host_prop"),
+    "repro.core.flow:Flow": ("mtu",),
+}
+
+
+def _resolve(target: str):
+    """``module:Name.attr``; a target that no longer resolves fails."""
+    module, _, path = target.partition(":")
+    obj = importlib.import_module(module)
+    for attr in path.split("."):
+        obj = getattr(obj, attr)
+    return obj
 
 
 def test_no_signature_takes_a_parameter_production_never_varies():
     for target, parameter in FIXED_PARAMETERS:
-        module, _, path = target.partition(":")
-        obj = importlib.import_module(module)
-        for attr in path.split("."):
-            obj = getattr(obj, attr)
-        assert parameter not in inspect.signature(obj).parameters, target
+        assert parameter not in inspect.signature(_resolve(target)).parameters, target
+
+
+def test_table_has_no_json_writer():
+    # Table.to_json(indent=) had no production caller; artifacts carry
+    # tables through Table.rows.
+    from repro.analysis.tables import Table
+
+    assert not hasattr(Table, "to_json")
+
+
+def test_no_config_object_has_a_field_production_never_varies():
+    for target, names in FIXED_FIELDS.items():
+        fields = {field.name for field in dataclasses.fields(_resolve(target))}
+        assert not fields.intersection(names), target

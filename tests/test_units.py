@@ -50,9 +50,6 @@ class TestPacketsFor:
         assert packets_for(0) == 1
         assert packets_for(1) == 1
 
-    def test_custom_mtu(self):
-        assert packets_for(2500, mtu=1000) == 3
-
 
 class TestErrorHierarchy:
     def test_all_derive_from_repro_error(self):

@@ -5,15 +5,24 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.topology import fattree, internet2, rocketfuel
 from repro.topology.fattree import FatTreeConfig, build_fattree
 from repro.topology.internet2 import CORE_LINKS, CORE_ROUTERS, Internet2Config, build_internet2
-from repro.topology.rocketfuel import RocketFuelConfig, build_rocketfuel
+from repro.topology.rocketfuel import ACCESS_BW, NUM_HOSTS, RocketFuelConfig, build_rocketfuel
 from repro.topology.simple import (
     build_dumbbell,
     build_parking_lot,
     build_single_switch,
 )
 from repro.units import GBPS
+
+
+def _link_classes(net, kind):
+    """``{kind(u, v): {(bandwidth, propagation), ...}}`` over every link."""
+    classes: dict[str, set] = {}
+    for (u, v), link in net.links.items():
+        classes.setdefault(kind(u, v), set()).add((link.bandwidth, link.propagation))
+    return classes
 
 
 class TestInternet2:
@@ -23,7 +32,7 @@ class TestInternet2:
         assert len(CORE_LINKS) == 16
 
     def test_default_build_structure(self):
-        cfg = Internet2Config(edges_per_core=2, hosts_per_edge=1)
+        cfg = Internet2Config(edges_per_core=2)
         net = build_internet2(cfg)
         assert len(net.routers) == 10 + 10 * 2  # core + edge routers
         assert len(net.hosts) == 10 * 2
@@ -53,6 +62,32 @@ class TestInternet2:
         ten_ten = build_internet2(Internet2Config(edges_per_core=1, access_bw=10 * GBPS))
         assert ten_ten.links[("SEAT", "e_SEAT_0")].bandwidth == pytest.approx(10 * GBPS)
 
+    def test_one_host_behind_each_edge_router(self):
+        cfg = Internet2Config(edges_per_core=2)
+        net = build_internet2(cfg)
+        assert [h.name for h in net.hosts] == cfg.host_names()
+        for core in CORE_ROUTERS:
+            for i in range(2):
+                assert net.route(f"h_{core}_{i}_0", core) == (
+                    f"h_{core}_{i}_0", f"e_{core}_{i}", core)
+
+    def test_links_carry_the_paper_constants(self):
+        scale = 0.01
+        cfg = Internet2Config(edges_per_core=2, access_bw=10 * GBPS,
+                              bandwidth_scale=scale)
+
+        def kind(u, v):
+            if u in CORE_ROUTERS and v in CORE_ROUTERS:
+                return "core"
+            return "host" if "h_" in (u[:2], v[:2]) else "access"
+
+        assert _link_classes(build_internet2(cfg), kind) == {
+            "core": {(internet2.CORE_BW_FAST * scale, internet2.CORE_PROP),
+                     (internet2.CORE_BW_SLOW * scale, internet2.CORE_PROP)},
+            "access": {(10 * GBPS * scale, internet2.ACCESS_PROP)},
+            "host": {(cfg.host_bw * scale, internet2.HOST_PROP)},
+        }
+
     def test_invalid_config_rejected(self):
         with pytest.raises(ConfigurationError):
             build_internet2(Internet2Config(edges_per_core=0))
@@ -68,7 +103,7 @@ class TestInternet2:
 
 class TestRocketFuel:
     def test_paper_dimensions(self):
-        net = build_rocketfuel(RocketFuelConfig(num_hosts=10))
+        net = build_rocketfuel()
         routers = [r for r in net.routers if r.name.startswith("r_")]
         core_links = [
             (u, v) for (u, v) in net.links
@@ -76,33 +111,46 @@ class TestRocketFuel:
         ]
         assert len(routers) == 83
         assert len(core_links) == 131
+        assert [h.name for h in net.hosts] == [f"h_{k:02d}" for k in range(NUM_HOSTS)]
 
     def test_half_core_links_slower_than_access(self):
-        cfg = RocketFuelConfig(num_hosts=10)
-        net = build_rocketfuel(cfg)
+        net = build_rocketfuel()
         core_bws = [
             link.bandwidth for (u, v), link in net.links.items()
             if u.startswith("r_") and v.startswith("r_") and u < v
         ]
-        slower = sum(1 for bw in core_bws if bw < cfg.access_bw)
+        slower = sum(1 for bw in core_bws if bw < ACCESS_BW)
         assert slower == pytest.approx(len(core_bws) / 2, abs=1)
 
     def test_all_hosts_reachable(self):
-        net = build_rocketfuel(RocketFuelConfig(num_hosts=8))
+        net = build_rocketfuel()
         hosts = [h.name for h in net.hosts]
         route = net.route(hosts[0], hosts[-1])
         assert route[0] == hosts[0] and route[-1] == hosts[-1]
 
     def test_deterministic_given_seed(self):
-        a = build_rocketfuel(RocketFuelConfig(num_hosts=6, seed=5))
-        b = build_rocketfuel(RocketFuelConfig(num_hosts=6, seed=5))
-        assert set(a.links) == set(b.links)
+        assert list(build_rocketfuel().links) == list(build_rocketfuel().links)
+
+    def test_links_carry_the_paper_constants(self):
+        scale = 0.01
+        net = build_rocketfuel(RocketFuelConfig(bandwidth_scale=scale))
+
+        def kind(u, v):
+            if u.startswith("r_") and v.startswith("r_"):
+                return "core"
+            return "host" if "h_" in (u[:2], v[:2]) else "access"
+
+        assert _link_classes(net, kind) == {
+            "core": {(rocketfuel.CORE_BW_FAST * scale, rocketfuel.CORE_PROP),
+                     (rocketfuel.CORE_BW_SLOW * scale, rocketfuel.CORE_PROP)},
+            "access": {(ACCESS_BW * scale, rocketfuel.ACCESS_PROP)},
+            "host": {(rocketfuel.HOST_BW * scale, rocketfuel.HOST_PROP)},
+        }
 
     def test_invalid_configs(self):
-        with pytest.raises(ConfigurationError):
-            build_rocketfuel(RocketFuelConfig(num_core_links=10))
-        with pytest.raises(ConfigurationError):
-            build_rocketfuel(RocketFuelConfig(num_hosts=1))
+        for scale in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError):
+                build_rocketfuel(RocketFuelConfig(bandwidth_scale=scale))
 
 
 class TestFatTree:
@@ -117,6 +165,18 @@ class TestFatTree:
         net = build_fattree(FatTreeConfig(k=4))
         bws = {link.bandwidth for link in net.links.values()}
         assert len(bws) == 1
+
+    def test_links_carry_the_paper_constants(self):
+        scale = 0.01
+        net = build_fattree(FatTreeConfig(k=4, bandwidth_scale=scale))
+
+        def kind(u, v):
+            return "host" if "h_" in (u[:2], v[:2]) else "switch"
+
+        assert _link_classes(net, kind) == {
+            "switch": {(fattree.LINK_BW * scale, fattree.LINK_PROP)},
+            "host": {(fattree.LINK_BW * scale, fattree.HOST_PROP)},
+        }
 
     def test_inter_pod_route_goes_through_core(self):
         net = build_fattree(FatTreeConfig(k=4))

@@ -3,16 +3,13 @@
 
 The paper's replayability and FCT claims rest on sweeps — the same
 experiment across many seeds — and those are embarrassingly parallel.
-This example shards one sweep three ways and shows they all agree
-byte-for-byte:
+This example runs one sweep through the queue's one door and shows it
+agrees byte-for-byte with the serial run:
 
-1. the one-liner: ``run_many(..., queue_dir=...)`` (a queue directory
-   picks the queue mode: it submits, spawns local drain workers,
-   gathers);
-2. the explicit client API: ``submit`` → ``Worker.drain`` → ``status``
-   → ``gather``, the same calls `repro submit/worker/status` make from
-   the shell;
-3. the serial reference run.
+1. the client API: ``submit`` → ``Worker.drain`` → ``status`` →
+   ``gather``, the same calls `repro submit/worker/status/gather` make
+   from the shell;
+2. the serial reference run.
 
 Everything happens in a temporary queue directory; in real use the
 queue directory lives on shared storage and ``repro worker`` daemons
@@ -36,14 +33,8 @@ def main() -> None:
     ).sweep()
 
     with tempfile.TemporaryDirectory() as tmp:
-        # --- 1. the one-liner: run_many through a queue directory ---------
-        queue_dir = Path(tmp) / "q1"
-        distributed = run_many(sweep, workers=2, queue_dir=queue_dir)
-        print(f"queue executor: gathered {len(distributed)} artifacts "
-              f"via {queue_dir}")
-
-        # --- 2. the explicit trio: submit -> worker -> status/gather ------
-        queue_dir = Path(tmp) / "q2"
+        # --- 1. submit -> worker -> status/gather -------------------------
+        queue_dir = Path(tmp) / "q"
         job_ids = submit(sweep, queue_dir)
         print(f"submitted jobs {job_ids}")
         # In production these are `repro worker --queue ...` daemons on
@@ -52,16 +43,12 @@ def main() -> None:
         print(status(queue_dir).render())
         gathered = gather(queue_dir, job_ids, timeout=60)
 
-        # --- 3. the reference: a serial run of the same sweep -------------
+        # --- 2. the reference: a serial run of the same sweep -------------
         serial = run_many(sweep)
 
-    identical = (
-        [a.canonical_json() for a in distributed]
-        == [a.canonical_json() for a in gathered]
-        == [a.canonical_json() for a in serial]
-    )
-    print(f"\nserial ≡ queue-executor ≡ submit/gather, byte-for-byte: "
-          f"{identical}")
+    identical = ([a.canonical_json() for a in gathered]
+                 == [a.canonical_json() for a in serial])
+    print(f"\nserial ≡ submit/gather, byte-for-byte: {identical}")
     print(gathered[0].table().render())
 
 

@@ -18,14 +18,13 @@ rebuilds their entire evaluation stack in pure Python:
   structured JSON artifacts,
 * queue-backed distributed execution (:mod:`repro.cluster`): a durable
   SQLite job queue with crash-safe leases, worker daemons
-  (``repro worker``), and ``run_many(..., queue_dir=...)`` /
-  ``submit``/``status``/``gather`` for sharding sweeps across local
-  processes — byte-identical to serial runs,
+  (``repro worker``), and ``submit``/``status``/``gather`` for sharding
+  sweeps across local processes — byte-identical to serial runs,
 * record-once/replay-many (:mod:`repro.core.trace_io`): recorded
   schedules are content-addressed artifacts in a shared
   :class:`ScheduleStore`, ``ExperimentSpec(replay_modes=...)`` sweeps
   candidate UPSes over one recording, and ``run_many`` simulates each
-  unique original schedule exactly once in every execution mode (see
+  unique original schedule exactly once, serially or over its pool (see
   ``docs/replay.md``),
 * simulate-once/branch-many (:mod:`repro.sim.checkpoint`): engine and
   network state checkpoint/restore, warm-up snapshots as hash-verified

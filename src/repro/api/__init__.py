@@ -19,8 +19,8 @@ The pieces:
 * :mod:`repro.api.registry` — ``@register_experiment``, :func:`get`
   and :func:`experiment_names`, the one table mapping names like
   ``"fig2"`` to spec-driven drivers;
-* :mod:`repro.api.runner` — :func:`run` / :func:`run_many`, serial,
-  ``multiprocessing`` or job-queue execution with wall-time capture;
+* :mod:`repro.api.runner` — :func:`run` / :func:`run_many`, serial or
+  ``multiprocessing`` execution with wall-time capture;
 * :mod:`repro.api.results` — :class:`RunArtifact`, the structured
   result that serialises to JSON and renders through
   :class:`~repro.analysis.tables.Table`.

@@ -16,12 +16,12 @@ already holds the spec's run-id the saved artifact *is* the answer.
 
 :func:`run_many` maps :func:`run` over a list of specs — a seed or
 scheduler sweep built with :meth:`ExperimentSpec.sweep` — in this
-process, via a ``multiprocessing`` pool (``workers > 1``), or through
-the durable job queue of :mod:`repro.cluster` (``queue_dir=``).  Worker
+process or via a ``multiprocessing`` pool (``workers > 1``).  Worker
 processes are safe because the simulator is deterministic and
 single-threaded per run and specs/artifacts are plain picklable data;
-parallel and distributed results are required to be byte-identical to
-serial ones (guarded by the test suite).
+parallel results are required to be byte-identical to serial ones
+(guarded by the test suite).  The durable job queue is a layer above:
+its workers call :func:`run`, one job at a time.
 """
 
 from __future__ import annotations
@@ -54,8 +54,8 @@ __all__ = ["cached_artifact", "obs_enabled_from_env", "run", "run_many"]
 #: Environment switch for run telemetry: set to anything but ""/"0" and
 #: ``run(obs=None)`` collects into a fresh :class:`~repro.obs.hub.MetricsHub`.
 #: An env var (rather than a parameter threaded through ``run_many``)
-#: because it must reach forked pool children and queue drain workers
-#: without touching their picklable call signatures.
+#: because it must reach forked pool children and ``repro worker``
+#: processes without touching their picklable call signatures.
 OBS_ENV = "REPRO_OBS"
 
 
@@ -74,8 +74,8 @@ def _resolve_obs(obs: "bool | MetricsHub | None") -> MetricsHub | None:
         return None
     return obs
 
-#: Subdirectories (of an ``out_dir`` or a queue's ``artifacts/``) holding
-#: a sweep's shared recorded-schedule and warm-up checkpoint caches.
+#: Subdirectories of an ``out_dir`` (a queue's is its ``artifacts/``)
+#: holding a sweep's shared recorded-schedule and warm-up checkpoint caches.
 SCHEDULE_SUBDIR = "schedules"
 CHECKPOINT_SUBDIR = "checkpoints"
 
@@ -268,17 +268,16 @@ def _plan_sweep(
                     if kind in shared}
 
 
-def _store_dir(kind: str, base: str | Path | None) -> Path | None:
-    """Where the ``kind`` store of a sweep lives: under ``base`` (an
-    ``out_dir`` or a queue's ``artifacts/``), else nowhere (``None`` —
-    build in memory)."""
-    return None if base is None else Path(base) / STORE_KINDS[kind][0]
+def _store_dir(kind: str, out_dir: str | Path | None) -> Path | None:
+    """Where the ``kind`` store of a run lives: under its ``out_dir``,
+    else nowhere (``None`` — build in memory)."""
+    return None if out_dir is None else Path(out_dir) / STORE_KINDS[kind][0]
 
 
 @contextlib.contextmanager
 def _sweep_store_dirs(
     shared: dict[str, dict[str, Callable]],
-    base: str | Path | None,
+    out_dir: str | Path | None,
 ) -> Iterator[dict[str, Path | None]]:
     """Where this sweep's prerequisite stores live, by kind.
 
@@ -291,7 +290,7 @@ def _sweep_store_dirs(
     with contextlib.ExitStack() as stack:
         dirs = {}
         for kind, (subdir, _cls, _span) in STORE_KINDS.items():
-            dirs[kind] = _store_dir(kind, base)
+            dirs[kind] = _store_dir(kind, out_dir)
             if dirs[kind] is None and kind in shared:
                 dirs[kind] = Path(stack.enter_context(
                     tempfile.TemporaryDirectory(prefix=f"repro-{subdir}-")))
@@ -313,8 +312,8 @@ def _build_prerequisites(
     once.
 
     Runs before any leg of the sweep, so concurrently executing legs
-    (process pool, queue workers) only ever *read* a shared entry and the
-    "recorded / warmed up exactly once" guarantee holds in every mode.
+    (process pool) only ever *read* a shared entry and the "recorded /
+    warmed up exactly once" guarantee holds in both modes.
     Missing means *no readable entry* — a torn file is rebuilt here,
     once, not by every leg that trips over it.  Builds are independent,
     so with ``workers > 1`` and several missing entries of a kind the
@@ -340,33 +339,19 @@ def run_many(
     workers: int = 1,
     out_dir: str | Path | None = None,
     force: bool = False,
-    queue_dir: str | Path | None = None,
-    batch_size: int | None = None,
     checkpoint_policy: str | None = None,
 ) -> list[RunArtifact]:
-    """Execute several specs; the inputs pick how.
+    """Execute several specs: over a local ``multiprocessing`` pool when
+    ``workers > 1``, else in this process, one spec at a time.
 
-    * ``queue_dir`` given — the durable job queue there
-      (:mod:`repro.cluster`): specs are enqueued, ``workers`` local
-      drain-worker processes are spawned, and the call blocks until the
-      sweep's artifacts can be gathered.  External ``repro worker``
-      daemons already pointed at the same queue pitch in too.
-      ``batch_size`` caps how many jobs each drain worker leases per
-      broker round trip (``1`` recovers the per-job protocol) —
-      batching amortises the queue's claim/heartbeat/report cost across
-      jobs without changing results.  When not given, the default
-      (:data:`repro.cluster.worker.DEFAULT_BATCH_SIZE`) is clamped to
-      ``ceil(jobs / workers)`` so batching never serialises a sweep
-      onto fewer workers than requested.
-    * else ``workers > 1`` — a local ``multiprocessing`` pool;
-    * else this process, one spec at a time.
-
-    Whatever the mode, results come back in input order and are
-    byte-identical (``canonical_json``) across modes — the determinism
-    contract the test suite guards.  ``out_dir``/``force`` behave as in
-    :func:`run`: ``out_dir``'s :class:`~repro.api.results.ArtifactStore`
-    answers every leg it holds, so a sweep only simulates the specs it
-    has never seen.
+    Either way, results come back in input order and are byte-identical
+    (``canonical_json``) — the determinism contract the test suite
+    guards.  ``out_dir``/``force`` behave as in :func:`run`:
+    ``out_dir``'s :class:`~repro.api.results.ArtifactStore` answers every
+    leg it holds, so a sweep only simulates the specs it has never seen.
+    (A sweep that outlives this process, or that other processes
+    share, goes through the job queue's own commands instead:
+    ``repro submit`` → ``repro worker`` → ``repro gather``.)
 
     Build once, share many: one body plans the sweep (each experiment's
     registered ``prerequisites`` hook), pre-passes, then runs the legs.
@@ -374,123 +359,44 @@ def run_many(
     once, before fan-out, into the sweep's store of its kind — recorded
     schedules into a :class:`~repro.core.trace_io.ScheduleStore`, warm-up
     prefixes into a :class:`~repro.sim.checkpoint.CheckpointStore` —
-    rooted under ``out_dir``, the queue's ``artifacts/``, or a temporary
-    directory scoped to this call (which is why a leg is :func:`run`
-    with its stores passed in, not derived from ``out_dir``); a
-    prerequisite only one leg needs is built by that leg, into the same
-    store.  So a ``replay_modes`` sweep
+    rooted under ``out_dir``, or a temporary directory scoped to this
+    call (which is why a leg is :func:`run` with its stores passed in,
+    not derived from ``out_dir``); a prerequisite only one leg needs is
+    built by that leg, into the same store.  So a ``replay_modes`` sweep
     over M modes pays the recording cost once, not M times, and an N-leg
-    branch sweep costs O(horizon + N × delta), not O(N × horizon), in
-    every mode.  ``batch_size`` without ``queue_dir`` is refused.
+    branch sweep costs O(horizon + N × delta), not O(N × horizon), with
+    or without the pool.
 
     ``checkpoint_policy`` arms preemption-safe resume for every leg (see
     :func:`run`): each leg writes periodic mid-flight snapshots into
     ``out_dir``'s checkpoint store, and a retried leg resumes from the
-    newest valid one instead of t=0.  It needs ``out_dir`` and is
-    refused with ``queue_dir``: queue workers take no policy.
+    newest valid one instead of t=0.  It needs ``out_dir``.
     """
     spec_list: Sequence[ExperimentSpec] = list(specs)
     require_positive_int(workers, "workers")
-    if batch_size is not None:
-        require_positive_int(batch_size, "batch_size")
-    if queue_dir is None and batch_size is not None:
-        raise ConfigurationError(
-            "batch_size= only applies with queue_dir= (it sizes the jobs "
-            "a queue worker leases at once)"
-        )
     if checkpoint_policy is not None:
         parse_checkpoint_every(checkpoint_policy)  # refuse it before any leg
-        if queue_dir is not None or out_dir is None:
+        if out_dir is None:
             raise ConfigurationError(
-                "checkpoint_policy needs out_dir= and no queue_dir=: its "
-                "snapshots go into out_dir's checkpoint store (a "
-                "sweep-scoped temporary store would die with the process "
-                "the policy is guarding against), and queue workers take "
-                "no policy"
+                "checkpoint_policy needs out_dir=: its snapshots go into "
+                "out_dir's checkpoint store (a sweep-scoped temporary store "
+                "would die with the process the policy is guarding against)"
             )
     for spec in spec_list:
         registry.check_spec(spec)
-    base = out_dir if queue_dir is None else Path(queue_dir) / "artifacts"
     results, shared = _plan_sweep(spec_list, out_dir, force)
     misses = [i for i in range(len(spec_list)) if i not in results]
     missed = [spec_list[i] for i in misses]
-    with _sweep_store_dirs(shared, base) as dirs:
+    with _sweep_store_dirs(shared, out_dir) as dirs:
         _build_prerequisites(shared, dirs, workers, legs=len(missed))
-        if queue_dir is not None:
-            fresh = _through_queue(missed, queue_dir, workers, force,
-                                   batch_size)
-        else:
-            leg = functools.partial(
-                _run_leg, dirs=dirs, out_dir=out_dir, force=force,
-                checkpoint_policy=checkpoint_policy,
-            )
-            if workers == 1 or len(missed) <= 1:
-                fresh = [leg(spec) for spec in missed]
-            else:
-                with _pool(min(workers, len(missed))) as pool:
-                    fresh = pool.map(leg, missed)
-    results.update(zip(misses, fresh))
-    if queue_dir is not None and out_dir is not None \
-            and Path(out_dir).resolve() != base.resolve():
-        for index in misses:
-            results[index].save(out_dir)
-    return [results[i] for i in range(len(spec_list))]
-
-
-def _through_queue(
-    specs: Sequence[ExperimentSpec],
-    queue_dir: str | Path,
-    workers: int,
-    force: bool,
-    batch_size: int | None,
-) -> list[RunArtifact]:
-    """The queue mode's legs: submit, spawn local drain workers, gather.
-
-    Imports :mod:`repro.cluster` lazily — the cluster package is built on
-    top of this module, so a top-level import would be circular.
-    """
-    if not specs:
-        return []
-    from repro.cluster.client import gather, submit
-    from repro.cluster.worker import DEFAULT_BATCH_SIZE, drain_queue
-
-    if batch_size is None:
-        # The default trades broker round trips against work-sharing
-        # granularity — but it must never cost parallelism the caller
-        # asked for.  Clamp so all `workers` drain workers can claim a
-        # batch (an explicit batch_size= is honored as given).
-        per_worker = -(-len(specs) // workers)  # ceil division
-        batch_size = max(1, min(DEFAULT_BATCH_SIZE, per_worker))
-    with SPANS.span("queue-submit", jobs=len(specs)):
-        job_ids = submit(specs, queue_dir, force=force)
-    context = multiprocessing.get_context()
-    # Workers beyond one per claimable batch can never claim on the
-    # happy path (the first ceil(jobs/batch) claims empty the queue), so
-    # don't pay their fork/poll/join.  poll_s well under the drain
-    # default: these workers exist only for this call, and every poll
-    # interval they sleep after the last job lands is latency the
-    # gathering caller eats.
-    batches = -(-len(specs) // batch_size)  # ceil division
-    procs = [
-        context.Process(
-            target=drain_queue,
-            args=(str(queue_dir),),
-            kwargs={"batch_size": batch_size, "poll_s": 0.05},
+        leg = functools.partial(
+            _run_leg, dirs=dirs, out_dir=out_dir, force=force,
+            checkpoint_policy=checkpoint_policy,
         )
-        for _ in range(min(workers, batches))
-    ]
-    for proc in procs:
-        proc.start()
-    try:
-        # A tight poll ceiling: the workers are local children, the
-        # state read is two indexed columns, and every interval past the
-        # last report is pure caller latency.
-        with SPANS.span("queue-gather", jobs=len(specs)):
-            return gather(queue_dir, job_ids, poll_s=0.02)
-    finally:
-        for proc in procs:
-            proc.join(timeout=60.0)
-        for proc in procs:
-            if proc.is_alive():  # a wedged drain; don't hang the caller
-                proc.terminate()
-                proc.join(timeout=5.0)
+        if workers == 1 or len(missed) <= 1:
+            fresh = [leg(spec) for spec in missed]
+        else:
+            with _pool(min(workers, len(missed))) as pool:
+                fresh = pool.map(leg, missed)
+    results.update(zip(misses, fresh))
+    return [results[i] for i in range(len(spec_list))]

@@ -11,8 +11,9 @@ here with no CLI changes.  Examples::
     python -m repro fig2                     # FCT comparison
     python -m repro gadgets                  # Figures 5/6/7 theorems
 
-Distributed sweeps ride the same table through the job queue of
-:mod:`repro.cluster`::
+Sweeps that outlive one process, or that several processes share, ride
+the same table through the job queue of :mod:`repro.cluster`, whose one
+door is submit → worker → gather::
 
     python -m repro submit fig3 --seeds 1 2 3 4 --queue runs/q   # enqueue
     python -m repro worker --queue runs/q &                      # N daemons
@@ -20,7 +21,6 @@ Distributed sweeps ride the same table through the job queue of
     python -m repro gather runs/q                                # collect
     python -m repro gc --queue runs/q                            # GC schedules
     python -m repro submit fig3 --seeds 1 2 3 4 --queue runs/q --wait
-    python -m repro run fig3 --seeds 1 2 3 4 --queue runs/q
 
 Workers lease jobs in batches (``--batch-size``, default 4) that share
 one deadline, which amortises the broker's claim/heartbeat/report cost
@@ -45,8 +45,7 @@ run per candidate UPS, all legs sharing each recorded original schedule
 declarative-scenario sweep for scenario-driven experiments; enumerate
 with ``repro list --scenarios``, semantics in ``docs/scenarios.md``),
 ``--workers`` (parallel seed sweeps via
-multiprocessing; with ``--queue DIR``, drain workers of the job queue
-there), ``--json`` / ``--csv`` (emit the RunArtifact or a CSV
+multiprocessing), ``--json`` / ``--csv`` (emit the RunArtifact or a CSV
 table instead of ASCII), and ``--out DIR`` (persist artifacts as JSON
 files).  ``--out`` doubles as a content-addressed cache keyed by the
 spec's run-id: re-running the same spec answers from the saved artifact
@@ -64,6 +63,7 @@ catalogue: ``docs/determinism.md``).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -187,17 +187,7 @@ def _add_experiment_args(parser: argparse.ArgumentParser, with_rows: bool) -> No
     _add_spec_args(parser, with_rows)
     parser.add_argument("--workers", type=int, default=1,
                         help="worker processes for seed sweeps (default 1: "
-                             "serial; more: a process pool, or drain workers "
-                             "with --queue)")
-    parser.add_argument("--queue", default=None, metavar="DIR",
-                        help="run the sweep through the job queue in DIR; "
-                             "local drain workers are spawned and external "
-                             "`repro worker` daemons join in")
-    parser.add_argument("--batch-size", type=int, default=None, metavar="N",
-                        dest="batch_size",
-                        help="with --queue: jobs each worker leases per "
-                             "broker round trip (default 4; 1 = the per-job "
-                             "protocol)")
+                             "serial; more: a process pool)")
     _add_output_args(parser)
     parser.add_argument("--out", default=None, metavar="DIR",
                         help="persist each artifact under DIR; DIR doubles "
@@ -295,10 +285,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     _, specs = _legs(args.experiment, args)
     if args.out:
         _out_dir(args.out, "the directory to save the artifacts into")
-    artifacts = run_many(
-        specs, workers=args.workers, out_dir=args.out, force=args.force,
-        queue_dir=args.queue, batch_size=args.batch_size,
-    )
+    artifacts = run_many(specs, workers=args.workers, out_dir=args.out,
+                         force=args.force)
     if args.out:
         store = ArtifactStore(args.out)
         for artifact in artifacts:
@@ -418,19 +406,22 @@ def _cmd_tail(args: argparse.Namespace) -> int:
     if args.lines < 0:
         raise ConfigurationError(f"--lines must be >= 0, got {args.lines}")
     JobQueue(args.queue, create=False)  # typo'd path -> clean error
-    printed = 0
-    for event in read_events(args.queue, limit=args.lines):
-        print(format_event(event))
-        printed += 1
     if args.once:
-        if not printed and args.lines:
+        events = read_events(args.queue, limit=args.lines)
+        for event in events:
+            print(format_event(event))
+        if not events and args.lines:
             # A queue that exists but has not logged yet (no events.jsonl,
             # or an empty one) is not an error — say so instead of exiting
             # in silence that looks like a crash.
             print(f"no events in {args.queue}")
         return 0
+    # The follower reads the log from its first record: skipping all but
+    # the last --lines of the records counted now prints those, and every
+    # record appended from here on, exactly once.
+    skip = max(len(read_events(args.queue)) - args.lines, 0)
     try:
-        for event in follow_events(args.queue):
+        for event in itertools.islice(follow_events(args.queue), skip, None):
             print(format_event(event), flush=True)
     except KeyboardInterrupt:
         pass

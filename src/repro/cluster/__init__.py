@@ -7,11 +7,8 @@ ack with crash-safe leases (:mod:`repro.cluster.worker`), and a client
 API (:mod:`repro.cluster.client`) whose :func:`gather` returns sweep
 artifacts byte-identical to a serial ``run_many``.
 
-Three ways in:
+Two ways in, one door — submit → worker → gather:
 
-* **Library** — ``run_many(specs, queue_dir=...)`` submits, spawns
-  local drain workers, and gathers: the third execution mode next to
-  serial and multiprocessing, picked by passing a queue directory.
 * **CLI** — ``repro submit`` / ``repro worker`` / ``repro status`` shard
   a sweep across any processes on the host that share the queue
   directory (single-host scope: the SQLite/WAL broker cannot span
@@ -33,7 +30,7 @@ from repro.cluster.client import (
 )
 from repro.cluster.jobs import DONE, FAILED, PENDING, RUNNING, STATES, Job
 from repro.cluster.queue import JobQueue
-from repro.cluster.worker import DEFAULT_BATCH_SIZE, Worker, drain_queue
+from repro.cluster.worker import DEFAULT_BATCH_SIZE, Worker
 
 __all__ = [
     "DEFAULT_BATCH_SIZE",
@@ -46,7 +43,6 @@ __all__ = [
     "RUNNING",
     "STATES",
     "Worker",
-    "drain_queue",
     "gather",
     "prune_stores",
     "status",

@@ -28,9 +28,8 @@ Two loops:
 
 * :meth:`Worker.drain` — run until the queue has nothing pending *and*
   nothing running (it waits out other workers' running jobs, because a
-  failure would requeue them), then return.  This is what
-  ``run_many(queue_dir=...)`` spawns and what ``repro worker --drain``
-  runs.
+  failure would requeue them), then return.  ``repro worker --drain``
+  runs this.
 * :meth:`Worker.serve` — poll forever (a daemon).  ``repro worker``
   runs this; SIGTERM/SIGINT request a *graceful drain*: the current
   batch finishes and reports (claimed jobs are ours to finish — a
@@ -60,7 +59,7 @@ from repro.obs.flight import FlightRecorder
 from repro.obs.hub import MetricsHub
 from repro.obs.spans import append_span_record, span_record
 
-__all__ = ["DEFAULT_BATCH_SIZE", "Worker", "drain_queue"]
+__all__ = ["DEFAULT_BATCH_SIZE", "Worker"]
 
 #: How many jobs one loop iteration claims (and one report commits) by
 #: default.  Measured on a tiny-job queue sweep, batches of 4+ put the
@@ -278,24 +277,3 @@ class Worker:
                 self._stop.wait(self.poll_s)
         return self.jobs_run
 
-
-def drain_queue(
-    queue_dir: str | Path,
-    lease_s: float | None = None,
-    poll_s: float = 0.2,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-) -> int:
-    """Module-level drain entry point (picklable for ``multiprocessing``).
-
-    ``lease_s`` / ``poll_s`` / ``batch_size`` configure the
-    :class:`Worker` exactly as its constructor does.  Installs the
-    graceful-drain signal handlers: a parent that ``terminate()``\\ s
-    this process (SIGTERM) lets the current batch finish and report
-    instead of aborting it mid-run — which matters on a shared queue,
-    where the aborted jobs could belong to someone else's sweep and
-    would be charged a retry attempt for our impatience.
-    """
-    worker = Worker(JobQueue(queue_dir), lease_s=lease_s, poll_s=poll_s,
-                    batch_size=batch_size)
-    worker.install_signal_handlers()
-    return worker.drain()

@@ -100,17 +100,19 @@ def read_events(queue_dir: str | Path, limit: int | None = None) -> list[dict]:
 
 
 def follow_events(queue_dir: str | Path) -> Iterator[dict]:
-    """Yield event records as they are appended (``tail -f`` semantics).
+    """Yield every record of the event log, then each one appended later
+    (``tail -f`` semantics).
 
-    Starts at the end of the log and polls every :data:`FOLLOW_POLL_S`
-    seconds until its consumer stops iterating (the CLI's ``repro tail``
-    leaves that to Ctrl-C).  Partial lines (a writer mid-append) are left
-    in the buffer until their newline arrives; a line that is torn for
-    good is skipped.
+    Reads from the log's first record, so a consumer that skips the
+    first N records it counted sees every later one exactly once, however
+    late its first poll comes (``repro tail`` does that).  Polls every
+    :data:`FOLLOW_POLL_S` seconds until its consumer stops iterating (the
+    CLI leaves that to Ctrl-C).  Partial lines (a writer mid-append) are
+    left in the buffer until their newline arrives; a line that is torn
+    for good is skipped.
     """
     path = events_path(queue_dir)
-    offset = path.stat().st_size if path.is_file() else 0
-    buffer = ""
+    offset, buffer = 0, ""
     while True:
         size = path.stat().st_size if path.is_file() else 0
         if size < offset:  # truncated/rotated: start over

@@ -35,10 +35,6 @@ class FatTreeConfig:
     bandwidth_scale: float = 1.0
 
     @property
-    def num_hosts(self) -> int:
-        return self.k**3 // 4
-
-    @property
     def bottleneck_bw(self) -> float:
         return LINK_BW * self.bandwidth_scale
 

@@ -4,9 +4,10 @@ Whatever an experiment needs built before its legs fan out — a recorded
 schedule, a warm-up checkpoint — goes through the same plan
 (:func:`repro.api.runner._plan_sweep`) and the same pre-pass, so the
 guarantees are stated once, over both kinds: built exactly once per
-sweep in every execution mode (serial, process pool, queue), a torn
-entry healed exactly once *before* fan-out, and a warm artifact cache
-consulted exactly once per spec.
+sweep, serially or over the process pool, a torn entry healed exactly
+once *before* fan-out, and a warm artifact cache consulted exactly once
+per spec.  The job queue, whose one worker here runs the legs one after
+another into the queue's stores, keeps the same counts.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import pytest
 from repro.api import ExperimentSpec, experiment_names, get, run_many
 from repro.api.results import ArtifactStore
 from repro.api.runner import STORE_KINDS
+from tests.queue_sweep import run_through_queue
 
 MODES = ("lstf", "priority", "edf", "omniscient")
 
@@ -31,16 +33,16 @@ SWEEPS = {
 }
 
 
-def _run(legs, tmp_path, executor, **kwargs):
+def _run(legs, tmp_path, executor, force=False):
     """Run ``legs`` in the ``executor`` mode ("serial", "process",
     "queue"); returns (artifacts, {kind: that kind's store})."""
     if executor == "queue":
-        kwargs["queue_dir"] = tmp_path / "q"
+        artifacts = run_through_queue(legs, tmp_path / "q", force=force)
         base = tmp_path / "q" / "artifacts"
     else:
-        kwargs["out_dir"] = base = tmp_path / "out"
-    workers = 1 if executor == "serial" else 4
-    artifacts = run_many(legs, workers=workers, **kwargs)
+        base = tmp_path / "out"
+        artifacts = run_many(legs, workers=1 if executor == "serial" else 4,
+                             out_dir=base, force=force)
     return artifacts, {kind: store_cls(base / subdir)
                        for kind, (subdir, store_cls, _) in STORE_KINDS.items()}
 

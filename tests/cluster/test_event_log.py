@@ -6,11 +6,14 @@ import re
 import time
 from pathlib import Path
 
+import pytest
+
 from repro.api import ExperimentSpec, spec_run_id
 from repro.cli import main
 from repro.cluster import JobQueue
 from repro.cluster.client import status
-from repro.obs.events import events_path, format_event, read_events
+from repro.obs import events
+from repro.obs.events import append_events, events_path, format_event, read_events
 
 DOCS = Path(__file__).resolve().parents[2] / "docs"
 OBSERVABILITY_DOC = DOCS / "observability.md"
@@ -114,6 +117,44 @@ def test_tail_prints_the_last_lines_and_status_none(tmp_path, capsys):
     snap = status(tmp_path)
     assert "events" not in snap.to_dict()
     assert "events" not in snap.render()
+
+
+@pytest.mark.parametrize("logged, lines", [(1, []), (3, ["--lines", "1"])],
+                         ids=["short-log", "long-log"])
+def test_tail_prints_every_event_appended_after_it_starts_once(
+        tmp_path, capsys, monkeypatch, logged, lines):
+    """The last ``--lines`` records of the log, then a ``claim`` appended
+    between the tail's printout of the log and the follower's first poll,
+    then an ``ack`` appended at that poll: each printed once, in order."""
+    JobQueue(tmp_path)
+    old = [{"ts": 1.0, "kind": "submit", "job": job}
+           for job in range(1, logged + 1)]
+    append_events(tmp_path, old)
+    real_read = events.read_events
+    late = [{"ts": 2.0, "kind": "claim", "job": 1}]
+
+    def read_then_append(*args, **kwargs):
+        records = real_read(*args, **kwargs)
+        append_events(tmp_path, late[:])
+        late.clear()
+        return records
+
+    acks = [{"ts": 3.0, "kind": "ack", "job": 1}]
+
+    def sleep(seconds):
+        """The first idle poll appends an ``ack``; the next one is Ctrl-C."""
+        if not acks:
+            raise KeyboardInterrupt
+        append_events(tmp_path, acks[:])
+        acks.clear()
+
+    expected = [format_event(event) for event in
+                [old[-1], {"ts": 2.0, "kind": "claim", "job": 1},
+                 {"ts": 3.0, "kind": "ack", "job": 1}]]
+    monkeypatch.setattr(events, "read_events", read_then_append)
+    monkeypatch.setattr(events.time, "sleep", sleep)
+    assert main(["tail", str(tmp_path), *lines]) == 0
+    assert capsys.readouterr().out.splitlines() == expected
 
 
 def test_event_log_failure_does_not_poison_the_transaction(tmp_path, monkeypatch):

@@ -1,9 +1,10 @@
-"""The queue execution mode end to end: determinism, crashes, the CLI.
+"""The job queue end to end: determinism, crashes, the CLI.
 
 These are the acceptance tests of the distributed subsystem:
 
-* ``run_many(queue_dir=...)`` with concurrent worker processes is
-  byte-identical to the serial path (the determinism suite, extended);
+* a sweep through submit → concurrent worker processes → gather is
+  byte-identical to a serial ``run_many`` (the determinism suite,
+  extended);
 * a worker SIGKILLed mid-job loses its lease and a surviving worker
   completes the job;
 * a daemon worker drains gracefully on SIGTERM;
@@ -27,8 +28,9 @@ import pytest
 
 from repro.api import ExperimentSpec, run_many, spec_run_id
 from repro.cli import main
-from repro.cluster import DONE, RUNNING, JobQueue, Worker, gather, status, submit
+from repro.cluster import DONE, RUNNING, JobQueue, Worker, gather, submit
 from repro.errors import ClusterError, ConfigurationError, StoreError
+from tests.queue_sweep import run_through_queue
 
 SWEEP = ExperimentSpec(
     "table1", duration=0.04, seeds=(1, 2, 3, 4), options={"rows": (0,)}
@@ -72,44 +74,21 @@ def _wait_for(predicate, timeout: float, what: str) -> None:
 class TestDeterminism:
     def test_queue_executor_matches_serial_byte_for_byte(self, tmp_path):
         """The headline guarantee: distribution changes nothing."""
-        queued = run_many(SWEEP, workers=2, queue_dir=tmp_path / "q")
+        queued = run_through_queue(SWEEP, tmp_path / "q", workers=2)
         assert [a.canonical_json() for a in queued] == _serial(SWEEP)
-        # and the sweep really sharded: >= 2 distinct worker identities
-        # or at minimum every job terminal and done
         jobs = JobQueue(tmp_path / "q").jobs()
         assert [j.state for j in jobs] == [DONE] * len(SWEEP)
 
     def test_queue_dir_doubles_as_warm_cache_across_sweeps(self, tmp_path):
         queue_dir = tmp_path / "q"
-        first = run_many(SWEEP, queue_dir=queue_dir)
-        again = run_many(SWEEP, queue_dir=queue_dir)
+        first = run_through_queue(SWEEP, queue_dir)
+        again = run_through_queue(SWEEP, queue_dir)
         assert [a.canonical_json() for a in again] == [
             a.canonical_json() for a in first
         ]
         # 8 jobs total, but only 4 artifacts: the rerun hit the cache
         files = list((queue_dir / "artifacts").glob("*.json"))
         assert len(files) == len(SWEEP)
-
-    def test_out_dir_receives_copies_of_gathered_artifacts(self, tmp_path):
-        out = tmp_path / "out"
-        run_many(SWEEP[:2], queue_dir=tmp_path / "q", out_dir=out)
-        assert sorted(p.name for p in out.glob("*.json")) == sorted(
-            f"{spec_run_id(s)}.json" for s in SWEEP[:2]
-        )
-
-    def test_warm_out_dir_cache_short_circuits_the_queue(self, tmp_path):
-        """out_dir keeps its cache contract under the queue executor: a
-        fully warm cache means nothing is ever enqueued or simulated."""
-        out = tmp_path / "out"
-        warm = run_many(SWEEP, out_dir=out)  # serial warm-up
-        queue_dir = tmp_path / "q"
-        answered = run_many(SWEEP, workers=2, queue_dir=queue_dir,
-                            out_dir=out)
-        assert all(a.from_cache for a in answered)
-        assert [a.canonical_json() for a in answered] == [
-            a.canonical_json() for a in warm
-        ]
-        assert JobQueue(queue_dir).jobs() == []  # no jobs were submitted
 
     def test_gather_on_a_nonexistent_queue_raises(self, tmp_path):
         with pytest.raises(ClusterError, match="not a job queue"):
@@ -123,7 +102,7 @@ class TestDeterminism:
         shape is a ``ClusterError`` naming the file, not an
         ``AttributeError``."""
         queue_dir = tmp_path / "q"
-        (artifact,) = run_many(SWEEP[:1], queue_dir=queue_dir)
+        (artifact,) = run_through_queue(SWEEP[:1], queue_dir)
         path = queue_dir / "artifacts" / f"{spec_run_id(SWEEP[0])}.json"
         path.write_text(json.dumps(damage(artifact.to_dict())))
         with pytest.raises(ClusterError, match="unreadable/corrupt"):
@@ -131,7 +110,7 @@ class TestDeterminism:
 
     def test_gather_names_the_job_whose_artifact_is_truncated(self, tmp_path):
         queue_dir = tmp_path / "q"
-        run_many(SWEEP[:1], queue_dir=queue_dir)
+        run_through_queue(SWEEP[:1], queue_dir)
         path = queue_dir / "artifacts" / f"{spec_run_id(SWEEP[0])}.json"
         path.write_bytes(path.read_bytes()[:-50])
         with pytest.raises(ClusterError, match="job 1 is done but its "
@@ -143,7 +122,7 @@ class TestDeterminism:
         """A done job's artifact the filesystem refuses to read is the
         store's error, not a damaged artifact."""
         queue_dir = tmp_path / "q"
-        run_many(SWEEP[:1], queue_dir=queue_dir)
+        run_through_queue(SWEEP[:1], queue_dir)
         path = queue_dir / "artifacts" / f"{spec_run_id(SWEEP[0])}.json"
         refused = OSError(errno.EIO, "Input/output error")
         real_open = Path.open
@@ -160,33 +139,24 @@ class TestDeterminism:
 
     def test_per_job_protocol_matches_batched_byte_for_byte(self, tmp_path):
         """--batch-size is an overhead knob, never a results knob."""
-        batched = run_many(SWEEP, workers=2,
-                           queue_dir=tmp_path / "qb")  # default batch
-        per_job = run_many(SWEEP, workers=2, queue_dir=tmp_path / "q1",
-                           batch_size=1)
+        batched = run_through_queue(SWEEP, tmp_path / "qb",
+                                    workers=2)  # default batch
+        per_job = run_through_queue(SWEEP, tmp_path / "q1", workers=2,
+                                    batch_size=1)
         assert [a.canonical_json() for a in per_job] == [
             a.canonical_json() for a in batched
         ]
 
-    def test_executor_validation(self, tmp_path):
+    def test_executor_validation(self):
         """The mode follows from the inputs; what is left to check is a
         combination the inputs can still get wrong."""
         with pytest.raises(ConfigurationError, match="workers must be"):
             run_many(SWEEP, workers=0)
         with pytest.raises(ConfigurationError, match="workers must be"):
             run_many(SWEEP, workers=2.5)
-        with pytest.raises(ConfigurationError, match="batch_size must be"):
-            run_many(SWEEP, queue_dir=tmp_path / "q", batch_size=0)
-        with pytest.raises(ConfigurationError, match="batch_size= only applies"):
-            run_many(SWEEP, workers=2, batch_size=4)
         with pytest.raises(ConfigurationError, match="needs out_dir="):
             run_many(SWEEP, checkpoint_policy="100ev")
-        # queue workers take no policy, not even with a durable out_dir
-        with pytest.raises(ConfigurationError, match="no queue_dir="):
-            run_many(SWEEP, queue_dir=tmp_path / "q", out_dir=tmp_path / "o",
-                     checkpoint_policy="100ev")
-        assert not (tmp_path / "q").exists()  # refused before any work
-        assert run_many([], queue_dir=tmp_path / "q") == []
+        assert run_many([]) == []
 
 
 class TestCrashSafety:
@@ -328,16 +298,6 @@ class TestCli:
         finally:
             daemon.terminate()
             daemon.wait(timeout=30)
-
-    def test_run_queue_flag(self, tmp_path, capsys):
-        queue_dir = str(tmp_path / "q")
-        assert main(["run", "table1", "--rows", "0", "--duration", "0.04",
-                     "--seeds", "1", "2", "--workers", "2",
-                     "--queue", queue_dir, "--json"]) == 0
-        payloads = json.loads(capsys.readouterr().out)
-        assert len(payloads) == 2
-        counts = status(queue_dir).counts
-        assert counts["done"] == 2
 
     def test_run_rejects_nonpositive_workers_cleanly(self, capsys):
         """A clear ConfigurationError, not a multiprocessing traceback."""

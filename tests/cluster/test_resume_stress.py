@@ -24,8 +24,8 @@ import pytest
 
 from repro.api import ExperimentSpec, run
 from repro.cluster import DONE, JobQueue, gather, submit
-from repro.cluster.worker import drain_queue
 from repro.sim.checkpoint import CheckpointStore
+from tests.queue_sweep import drain
 
 pytestmark = pytest.mark.slow
 
@@ -70,7 +70,7 @@ def test_sigkilled_branch_sweep_resumes_byte_identical(
     # batch_size=1 so the victim holds exactly the job it is running —
     # the kill window (≥1 done, ≥1 pending) stays wide open
     proc = ctx.Process(
-        target=drain_queue, args=(str(tmp_path / "q"),),
+        target=drain, args=(str(tmp_path / "q"),),
         kwargs={"batch_size": 1, "lease_s": LEASE_S},
     )
     proc.start()
@@ -87,7 +87,7 @@ def test_sigkilled_branch_sweep_resumes_byte_identical(
 
     # the victim's held job sits behind its lease until expiry
     time.sleep(LEASE_S * 1.5)
-    drain_queue(str(tmp_path / "q"), lease_s=LEASE_S, batch_size=2)
+    drain(tmp_path / "q", lease_s=LEASE_S, batch_size=2)
     artifacts = gather(tmp_path / "q", job_ids, timeout=120.0)
 
     assert queue.counts()[DONE] == len(legs)

@@ -3,8 +3,8 @@
 The contract: a ``branch`` sweep over N seeds simulates its shared
 warm-up prefix *exactly once* (the checkpoint store's audit log) and
 every branched leg's artifact is *byte-identical* to simulating that leg
-from scratch — across schedulers × topologies and in all three
-execution modes.
+from scratch — across schedulers × topologies, serially, over the
+process pool, and through the job queue.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from repro.experiments.branch import (
     build_branch_snapshot,
     prefix_from_spec,
 )
+from tests.queue_sweep import run_through_queue
 
 WARMUP = 0.02
 DURATION = 0.01
@@ -58,12 +59,11 @@ class TestByteIdentity:
     def test_executors_match_scratch(self, tmp_path, executor):
         legs = _legs(schedulers=("fq",))
         reference = [run(s).canonical_json() for s in legs]
-        kwargs: dict = {"workers": 1 if executor == "serial" else 2}
         if executor == "queue":
-            kwargs["queue_dir"] = tmp_path / "q"
+            artifacts = run_through_queue(legs, tmp_path / "q", workers=2)
         else:
-            kwargs["out_dir"] = tmp_path / "out"
-        artifacts = run_many(legs, **kwargs)
+            artifacts = run_many(legs, workers=1 if executor == "serial" else 2,
+                                 out_dir=tmp_path / "out")
         assert [a.canonical_json() for a in artifacts] == reference
 
     def test_snapshots_are_pid_stream_independent(self):

@@ -3,7 +3,8 @@
 The contract: a replay-mode sweep over M modes records each unique
 original schedule *exactly once* (recorder call counts / the store's
 ``recordings.log``) and its gathered artifacts are *byte-identical* to
-the record-per-leg path, in all three execution modes.
+the record-per-leg path, serially, over the process pool, and through
+the job queue (submit → one worker → gather).
 """
 
 from __future__ import annotations
@@ -26,10 +27,13 @@ from repro.experiments.replayability import (
     run_replay,
     scenario_schedule_key,
 )
+from tests.queue_sweep import run_through_queue
 
 MODES = ("lstf", "priority", "edf")
 
-#: Workers per execution mode; the queue mode also passes a queue_dir.
+#: Workers per execution mode.  The queue's build-once count drains
+#: with one in-process worker: concurrent workers that miss the same key
+#: each build it.
 WORKERS = {"serial": 1, "process": 2, "queue": 2}
 
 
@@ -81,14 +85,13 @@ class TestExactlyOnce:
     def test_store_log_shows_one_recording_per_executor(
         self, tmp_path, executor
     ):
-        kwargs: dict = {"workers": WORKERS[executor]}
         if executor == "queue":
-            kwargs["queue_dir"] = tmp_path / "q"
+            run_through_queue(_legs(), tmp_path / "q")
             store_root = tmp_path / "q" / "artifacts" / "schedules"
         else:
-            kwargs["out_dir"] = tmp_path / "out"
+            run_many(_legs(), workers=WORKERS[executor],
+                     out_dir=tmp_path / "out")
             store_root = tmp_path / "out" / "schedules"
-        run_many(_legs(), **kwargs)
         assert ScheduleStore(store_root).built_keys() == [
             scenario_schedule_key(replayability.table1_scenarios(
                 ExperimentSpec("table1", duration=0.03, seeds=(1,),
@@ -120,10 +123,11 @@ class TestByteIdentity:
     def test_executors_match_per_leg_recording(
         self, tmp_path, executor, per_leg_reference
     ):
-        kwargs: dict = {"workers": WORKERS[executor]}
         if executor == "queue":
-            kwargs["queue_dir"] = tmp_path / "q"
-        artifacts = run_many(_legs(), **kwargs)
+            artifacts = run_through_queue(_legs(), tmp_path / "q",
+                                          workers=WORKERS[executor])
+        else:
+            artifacts = run_many(_legs(), workers=WORKERS[executor])
         assert [a.canonical_json() for a in artifacts] == per_leg_reference
 
     def test_built_memo_hit_and_cold_read_schedules_give_one_artifact(

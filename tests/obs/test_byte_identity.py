@@ -26,6 +26,7 @@ from repro.sim.network import Network
 from repro.units import MBPS
 from tests.api.test_registry import TINY as TINY_SPECS
 from tests.conftest import make_packet
+from tests.queue_sweep import run_through_queue
 
 TINY = ExperimentSpec("table1", duration=0.04, options={"rows": (0,)})
 SWEEP = ExperimentSpec("table1", duration=0.04, seeds=(1, 2),
@@ -89,15 +90,17 @@ def test_caller_supplied_hub_is_used_and_populated():
     assert artifact.obs == hub.summary()
 
 
-@pytest.mark.parametrize("kwargs", [{"workers": 2}, {"queue_dir": "q"}])
+@pytest.mark.parametrize("executor", ["process", "queue"])
 def test_executors_byte_identical_with_obs_enabled(tmp_path, monkeypatch,
-                                                   kwargs):
-    if "queue_dir" in kwargs:
-        kwargs = dict(queue_dir=tmp_path / "q", out_dir=tmp_path / "artifacts")
+                                                   executor):
     monkeypatch.delenv(OBS_ENV, raising=False)
     baseline = run_many(SWEEP, workers=1)
     monkeypatch.setenv(OBS_ENV, "1")
-    observed = run_many(SWEEP, **kwargs)
+    if executor == "queue":
+        observed = run_through_queue(SWEEP, tmp_path / "q", workers=2)
+    else:
+        observed = run_many(SWEEP, workers=2)
+    assert all(a.obs is not None for a in observed)  # telemetry was on
     assert _canonical(observed) == _canonical(baseline)
 
 

@@ -68,7 +68,7 @@ def test_read_missing_log_is_empty_history(tmp_path):
     assert read_events(tmp_path) == []
 
 
-def test_follow_starts_at_the_end_and_yields_what_is_appended(tmp_path, monkeypatch):
+def test_follow_yields_the_log_then_what_is_appended(tmp_path, monkeypatch):
     append_events(tmp_path, [{"ts": 1.0, "kind": "old"}])
     _sleep_appends(
         monkeypatch,
@@ -76,7 +76,7 @@ def test_follow_starts_at_the_end_and_yields_what_is_appended(tmp_path, monkeypa
         lambda: append_events(tmp_path, [{"ts": 3.0, "kind": "ack", "job": 1}]),
     )
     follow = follow_events(tmp_path)
-    assert [next(follow)["kind"], next(follow)["kind"]] == ["claim", "ack"]
+    assert [next(follow)["kind"] for _ in range(3)] == ["old", "claim", "ack"]
     follow.close()
 
 
@@ -100,7 +100,8 @@ def test_follow_starts_over_when_the_log_is_truncated(tmp_path, monkeypatch):
         monkeypatch,
         lambda: events_path(tmp_path).write_text('{"kind": "new"}\n'),
     )
-    assert next(follow_events(tmp_path)) == {"kind": "new"}
+    follow = follow_events(tmp_path)
+    assert [next(follow)["kind"] for _ in range(3)] == ["old", "old", "new"]
 
 
 def test_format_event_renders_sorted_details():

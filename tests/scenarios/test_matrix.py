@@ -17,6 +17,7 @@ from repro.api import ExperimentSpec, run, run_many
 from repro.errors import ConfigurationError
 from repro.experiments import run_scenario_leg
 from repro.scenarios import get_scenario
+from tests.queue_sweep import run_through_queue
 
 #: Nightly-stress multiplier (1 in tier-1; the stress job raises it).
 SCALE = max(1, int(os.environ.get("REPRO_STRESS_SCALE", "1")))
@@ -101,7 +102,7 @@ class TestByteIdentity:
 
     def test_queue_executor_matches_serial(self, tmp_path):
         serial = run_many(SWEEP)
-        queued = run_many(SWEEP, workers=2, queue_dir=tmp_path / "q")
+        queued = run_through_queue(SWEEP, tmp_path / "q", workers=2)
         assert [a.canonical_json() for a in queued] == [
             a.canonical_json() for a in serial
         ]
@@ -123,7 +124,7 @@ def test_stress_scaled_matrix_stays_byte_identical(tmp_path):
         bandwidth_scale=0.01,
     ).sweep()
     serial = run_many(sweep)
-    queued = run_many(sweep, workers=4, queue_dir=tmp_path / "q")
+    queued = run_through_queue(sweep, tmp_path / "q", workers=4)
     assert [a.canonical_json() for a in queued] == [
         a.canonical_json() for a in serial
     ]

@@ -451,11 +451,25 @@ def test_bench_has_no_legacy_alias(capsys):
     assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "gadgets", "--queue", "q"],
+    ["gadgets", "--queue", "q"],
+    ["run", "gadgets", "--batch-size", "4"],
+], ids=["run-queue", "alias-queue", "run-batch-size"])
+def test_run_has_no_queue_mode(argv, tmp_path, capsys, monkeypatch):
+    """A sweep runs serially or over the pool; the queue is reached only
+    through ``repro submit`` / ``repro worker`` / ``repro gather``."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []  # no queue created
+
+
 @pytest.mark.parametrize("argv, message", [
     (["run", "table1", "--workers", "0"],
      "workers must be an integer >= 1, got 0"),
-    (["run", "table1", "--batch-size", "4"],
-     "batch_size= only applies with queue_dir="),
     # non-finite horizons and scales used to hang, a negative seed to
     # crash in numpy: all are refused when the spec is built
     (["run", "table1", "--rows", "0", "--duration", "nan"],
@@ -525,7 +539,7 @@ def test_bench_has_no_legacy_alias(capsys):
     # a --scenarios that names nothing used to run the default scenario
     (["run", "scenario-matrix", "--scenarios", ","],
      "--scenarios ',' names no scenario"),
-], ids=["run-workers", "run-batch-size", "run-duration-nan",
+], ids=["run-workers", "run-duration-nan",
         "run-duration-inf", "run-scale-nan", "run-scale-inf",
         "run-seed-negative", "run-seeds-negative", "profile-top-negative",
         "run-slack-constant-nan", "run-slack-constant-inf",

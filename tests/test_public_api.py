@@ -69,6 +69,9 @@ FIXED_PARAMETERS = [
     ("repro.obs.events:follow_events", "stop"),
     ("repro.obs.events:read_events", "kinds"),
     ("repro.sim.network:Network.set_buffers", "node_filter"),
+    # a sweep runs serially or over the pool; the queue has its own door
+    ("repro.api.runner:run_many", "queue_dir"),
+    ("repro.api.runner:run_many", "batch_size"),
 ]
 
 #: Config fields every production caller set to one value, now module
@@ -98,6 +101,16 @@ def _resolve(target: str):
 def test_no_signature_takes_a_parameter_production_never_varies():
     for target, parameter in FIXED_PARAMETERS:
         assert parameter not in inspect.signature(_resolve(target)).parameters, target
+
+
+def test_the_queue_is_drained_only_by_a_worker():
+    # run_many's local drain processes were the only callers of the
+    # module-level drain; `repro worker --drain` builds a Worker.
+    import repro.cluster
+    import repro.cluster.worker
+
+    assert not hasattr(repro.cluster, "drain_queue")
+    assert not hasattr(repro.cluster.worker, "drain_queue")
 
 
 def test_table_has_no_json_writer():

@@ -157,7 +157,7 @@ class TestFatTree:
     def test_k4_dimensions(self):
         cfg = FatTreeConfig(k=4)
         net = build_fattree(cfg)
-        assert len(net.hosts) == cfg.num_hosts == 16
+        assert len(net.hosts) == len(cfg.host_names()) == 16
         # 4 core + 8 agg + 8 edge switches
         assert len(net.routers) == 20
 

@@ -26,8 +26,7 @@ Three scheduling paths share the heap:
   a handle.
 * :meth:`Engine.schedule_stream` — one event per row of a column of times,
   one entry pending at a time: how a replay injects packets as it needs them.
-* :meth:`Engine.schedule_cancellable` /
-  :meth:`Engine.schedule_cancellable_at` — returns an
+* :meth:`Engine.schedule_cancellable_at` — returns an
   :class:`EventHandle` whose :meth:`~EventHandle.cancel` marks the entry
   dead (lazy deletion).  This is how TCP retransmission timers are
   restarted and how preemptive ports abort an in-flight
@@ -176,8 +175,8 @@ class Engine:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now.
 
         Hot path: no handle is allocated and the event cannot be
-        cancelled.  Use :meth:`schedule_cancellable` for timers that may
-        need to be aborted.
+        cancelled.  Use :meth:`schedule_cancellable_at` for timers that
+        may need to be aborted.
         """
         now = self.now
         time = now + delay
@@ -218,12 +217,6 @@ class Engine:
             heappush(self._heap, (times[row], born, first + row,
                                   self._stream_next, (stream, k + 1)))
         fire(order[k])
-
-    def schedule_cancellable(
-        self, delay: float, callback: Callable[..., None], *args: Any
-    ) -> EventHandle:
-        """Like :meth:`schedule`, but returns a cancellable handle."""
-        return self.schedule_cancellable_at(self.now + delay, callback, *args)
 
     def schedule_cancellable_at(
         self, time: float, callback: Callable[..., None], *args: Any

@@ -152,9 +152,12 @@ class Network:
         """Replace every port with a :class:`PreemptivePort` running ``make()``.
 
         Used by the theoretical replay mode (§2.1 allows the candidate UPS
-        to preempt).  Must be called before any packet is injected.
+        to preempt).  Must be called before any packet is injected: once
+        a port has queued, sent or dropped a packet, traced or not, this
+        refuses.
         """
-        if len(self.tracer):
+        if any(port._queued or port.sent or port.dropped
+               for node in self.nodes.values() for port in node.ports.values()):
             raise ConfigurationError("cannot switch to preemptive ports mid-run")
         for name in sorted(self.nodes):
             node = self.nodes[name]

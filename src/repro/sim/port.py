@@ -31,6 +31,13 @@ Non-work-conserving schedulers (the timetable oracle used by the theory
 gadgets) may decline to hand over a packet; the port then schedules a
 wake-up at ``scheduler.earliest_release``.
 
+Every port decides when to serve in one place,
+:meth:`Port._request_decision`: after every arrival at the current
+instant (a deferred decision), or at once when a request comes from the
+tail of a heap event with nothing else due (``docs/determinism.md``,
+"Decide now").  A link with neither serialisation nor propagation delay
+is crossed synchronously by both port classes (:meth:`Port._passed_through`).
+
 :class:`PreemptivePort` implements the preemptive service model the
 theoretical results assume for the candidate UPS (§2.1 footnote 3): if a
 packet with a strictly smaller static urgency key arrives while another is
@@ -38,7 +45,8 @@ being transmitted, the transmission is paused and resumed later with its
 remaining serialisation time intact.  Slack continues to drain while a
 packet is paused — only time spent actually transmitting is "free"
 (Appendix D).  It works with any scheduler exposing ``preemption_key``
-(LSTF, EDF, static priorities, omniscient).
+(LSTF, EDF, static priorities, omniscient).  It shares :class:`Port`'s
+decision rule and pass-through and replaces only the serve step.
 """
 
 from __future__ import annotations
@@ -118,7 +126,7 @@ class Port:
 
     def set_scheduler(self, scheduler: "Scheduler") -> None:
         """Swap the scheduling discipline.  Only legal on an empty, idle port."""
-        if self.busy or len(self.scheduler):
+        if self.busy or self._queued:
             raise ConfigurationError(
                 f"cannot replace scheduler on active port {self.link.src}->{self.link.dst}"
             )
@@ -138,25 +146,12 @@ class Port:
         """Admit a fully received packet; apply the drop policy if full.
         ``tail``: nothing follows within this event (:meth:`Node.receive`)."""
         now = self._engine.now
-        tracer = self._tracer
+        if self._prop == 0.0 and self._passed_through(packet, now):
+            return
         scheduler = self.scheduler
         # At now == _free_at an unobserved completion still counts as
         # ahead of this arrival: it is pushed below and fires next.
         idle = now > self._free_at
-        if (
-            idle
-            and self._queued == 0
-            and self._prop == 0.0
-            and packet.size * self._tx_per_byte == 0.0
-        ):
-            # Infinitely fast idle hop: never a contention point; deliver
-            # synchronously so the packet is visible at its next real
-            # queue within the event that produced it (the simultaneity
-            # convention — see Engine.defer).
-            packet.enqueue_time = now
-            tracer.on_tx_start(packet, 0.0, now)
-            self._peer_receive()(packet)
-            return
         while self.buffered + packet.size > self.buffer_bytes:
             victim = scheduler.drop_victim(packet, now)
             self.dropped += 1
@@ -178,15 +173,35 @@ class Port:
                 self._complete, ()))
             self._free_at = _ARMED
 
+    def _passed_through(self, packet: "Packet", now: float) -> bool:
+        """Cross an instant hop at once; False if this hop is not one.
+
+        On a link without propagation delay (the caller checks that, to
+        keep the call off every hop with some), an idle, empty port whose
+        serialisation of ``packet`` takes no time is never a contention
+        point: the packet is delivered synchronously, so it is visible at
+        its next real queue within the event that produced it (the
+        simultaneity convention — see Engine.defer).
+        """
+        if self._queued or now <= self._free_at or packet.size * self._tx_per_byte:
+            return False
+        packet.enqueue_time = now
+        self._tracer.on_tx_start(packet, 0.0, now)
+        self._peer_receive()(packet)
+        return True
+
     def _request_decision(self, tail: bool = False) -> None:
-        """Decide the next service at the end of this timestamp.
+        """Decide the next service (:meth:`_try_send`) at the end of this
+        timestamp — the one decision rule of both port classes.
 
         All packets arriving at the current instant must be queued before
         the scheduler chooses (the paper's simultaneity convention); the
         engine's two-phase loop guarantees that for deferred callbacks.
         From an event's ``tail``, with no decision queued anywhere and no
         further event at this instant, the deferred decision would be the
-        very next thing to run — so it runs now.
+        very next thing to run — so it runs now.  Every caller dispatched
+        from the heap asks from its tail: a delivery, a completion, a
+        timetable wake-up, a preemptive port's finish.
         """
         if self._decision_pending:
             return
@@ -265,12 +280,12 @@ class Port:
 
     def _on_wakeup(self) -> None:
         self._wakeup = None
-        self._request_decision()
+        self._request_decision(True)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<Port {self.link.src}->{self.link.dst} sched={self.scheduler.name} "
-            f"queued={len(self.scheduler)} busy={self.busy}>"
+            f"<{type(self).__name__} {self.link.src}->{self.link.dst} "
+            f"sched={self.scheduler.name} queued={self._queued} busy={self.busy}>"
         )
 
 
@@ -281,8 +296,13 @@ class PreemptivePort(Port):
     ``charge_wait`` (its header rewrite); the port keeps its own heap so that
     pausing and resuming does not disturb the scheduler's queue invariants.
     ``_queued`` mirrors that heap's length, as :class:`Port` mirrors its
-    scheduler's, for the telemetry queue-depth series — nothing here
-    reads it.
+    scheduler's, so the active-port guard, the pass-through and the
+    telemetry queue-depth series read both classes alike.
+    What preemption adds is the serve step (:meth:`_try_send`: start the
+    best entry, or preempt the one on the wire) and its ``_preempt`` /
+    ``_start_best`` / ``_finish``; :class:`Port` decides when it runs —
+    after an arrival, or from ``_finish``'s tail.  The finished packet's
+    delivery carries the tail flag like :class:`Port`'s.
     Finite buffers are deliberately unsupported — preemption is used only
     by the replay/theory machinery, which runs dropless.
     """
@@ -309,13 +329,7 @@ class PreemptivePort(Port):
 
     def enqueue(self, packet: "Packet", tail: bool = False) -> None:
         now = self._engine.now
-        tx = packet.size * self._tx_per_byte
-        if tx == 0.0 and self._prop == 0.0:
-            # Infinitely fast hop: never a contention point; deliver
-            # synchronously (same rationale as Port.enqueue).
-            packet.enqueue_time = now
-            self._tracer.on_tx_start(packet, 0.0, now)
-            self._peer_receive()(packet)
+        if self._prop == 0.0 and self._passed_through(packet, now):
             return
         packet.enqueue_time = now  # must precede the key: LSTF keys use it
         key = self.scheduler.preemption_key(packet)
@@ -326,17 +340,15 @@ class PreemptivePort(Port):
         self._seq += 1
         heappush(self._heap, (key, self._seq, packet, None, False))
         self._queued += 1
-        self._request_decision()
+        self._request_decision(tail)
 
-    def _decide(self) -> None:
-        self._decision_pending = False
-        self._consider(self._engine.now)
-
-    def _consider(self, now: float) -> None:
+    def _try_send(self) -> None:
+        """Serve the best entry on an idle wire, or let it preempt the one
+        on the wire if its key is strictly smaller."""
+        now = self._engine.now
         if self._current is None:
             self._start_best(now)
-            return
-        if self._heap and self._heap[0][0] < self._current[0] - TIME_EPSILON:
+        elif self._heap and self._heap[0][0] < self._current[0] - TIME_EPSILON:
             self._preempt(now)
             self._start_best(now)
 
@@ -363,8 +375,8 @@ class PreemptivePort(Port):
             self.sent += packet.size
         self._serve_start = now
         self._free_at = _ARMED  # busy until _finish; preemption moves the end
-        self._done_handle = self._engine.schedule_cancellable(
-            remaining_tx, self._finish, packet
+        self._done_handle = self._engine.schedule_cancellable_at(
+            now + remaining_tx, self._finish, packet
         )
 
     def _finish(self, packet: "Packet") -> None:
@@ -380,15 +392,6 @@ class PreemptivePort(Port):
         if self._prop == 0.0:
             self._peer_receive()(packet)
         else:
-            self._engine.schedule(self._prop, self._peer_receive(), packet)
-        if self._heap:
-            self._request_decision()
-
-    def _try_send(self) -> None:  # pragma: no cover - defensive
-        raise SimulationError("PreemptivePort manages its own service loop")
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<PreemptivePort {self.link.src}->{self.link.dst} "
-            f"sched={self.scheduler.name} queued={len(self._heap)} busy={self.busy}>"
-        )
+            self._engine.schedule(self._prop, self._peer_receive(), packet, True)
+        if self._queued:
+            self._request_decision(True)

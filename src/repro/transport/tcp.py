@@ -212,7 +212,8 @@ class TcpSender:
     def _arm_timer(self) -> None:
         self._cancel_timer()
         timeout = min(self._rto * self._backoff, self.RTO_BACKOFF_CAP * self._rto)
-        self._timer = self._network.engine.schedule_cancellable(timeout, self._on_timeout)
+        engine = self._network.engine
+        self._timer = engine.schedule_cancellable_at(engine.now + timeout, self._on_timeout)
 
     def _cancel_timer(self) -> None:
         if self._timer is not None:

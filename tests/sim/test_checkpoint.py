@@ -96,7 +96,7 @@ def _fire_log_engine() -> tuple[Engine, list]:
     engine.defer(partial(log.append, "d"))  # deferred beats the heap
     engine.schedule(0.002, log.append, "a")
     engine.schedule(0.004, log.append, "b")
-    handle = engine.schedule_cancellable(0.006, log.append, "c")
+    handle = engine.schedule_cancellable_at(0.006, log.append, "c")
     return engine, log, handle
 
 

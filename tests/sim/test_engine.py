@@ -78,7 +78,7 @@ def test_a_nan_event_time_is_refused(method):
 def test_cancelled_events_do_not_fire():
     engine = Engine()
     fired = []
-    handle = engine.schedule_cancellable(1.0, fired.append, "x")
+    handle = engine.schedule_cancellable_at(1.0, fired.append, "x")
     handle.cancel()
     assert handle.cancelled
     engine.run()
@@ -100,7 +100,7 @@ def test_cancellable_and_fast_events_share_the_clock():
     engine = Engine()
     order = []
     engine.schedule(1.0, order.append, "fast")
-    engine.schedule_cancellable(1.0, order.append, "cancellable")
+    engine.schedule_cancellable_at(1.0, order.append, "cancellable")
     engine.schedule(1.0, order.append, "fast2")
     engine.run()
     assert order == ["fast", "cancellable", "fast2"]
@@ -109,7 +109,7 @@ def test_cancellable_and_fast_events_share_the_clock():
 def test_event_can_cancel_a_later_event_mid_run():
     engine = Engine()
     fired = []
-    victim = engine.schedule_cancellable(2.0, fired.append, "victim")
+    victim = engine.schedule_cancellable_at(2.0, fired.append, "victim")
     engine.schedule(1.0, victim.cancel)
     engine.run()
     assert fired == []
@@ -276,7 +276,7 @@ class TestCancelDeterminism:
             delay = rng.random() * 10.0
             if rng.random() < 0.5:
                 handles.append(
-                    engine.schedule_cancellable(delay, fired.append, ("c", i))
+                    engine.schedule_cancellable_at(delay, fired.append, ("c", i))
                 )
             else:
                 engine.schedule(delay, fired.append, ("f", i))
@@ -304,7 +304,7 @@ class TestCancelDeterminism:
             handles = []
             for i in range(200):
                 t = rng.random() * 5.0
-                handles.append(engine.schedule_cancellable(t, fired.append, i))
+                handles.append(engine.schedule_cancellable_at(t, fired.append, i))
             # events that cancel other events mid-run
             for _ in range(60):
                 t = rng.random() * 5.0

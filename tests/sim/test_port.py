@@ -308,23 +308,37 @@ def test_busy_is_a_read_only_comparison_against_the_clock():
         port.busy = True
 
 
-def test_tail_delivery_decides_at_once_only_when_nothing_else_is_due(monkeypatch):
-    """A lone delivery finds the deferred queue empty and no other event
-    at its instant: the port starts service without a deferred decision.
-    Two same-instant deliveries must both be queued before it chooses."""
+def _deferred_decisions(monkeypatch) -> list:
+    """The ports whose decisions go through ``Engine.defer``, in order, by
+    the ``src`` of their link."""
     from repro.sim.engine import Engine
 
     deferred = []
     real_defer = Engine.defer
-    monkeypatch.setattr(
-        Engine, "defer", lambda self, cb: (deferred.append(cb), real_defer(self, cb)))
+    monkeypatch.setattr(Engine, "defer", lambda self, cb: (
+        deferred.append(cb.__self__.link.src), real_defer(self, cb)))
+    return deferred
 
+
+@pytest.mark.parametrize("install", [
+    lambda net: net.install_uniform(LstfScheduler),
+    lambda net: net.use_preemptive_ports(LstfScheduler),
+], ids=["port", "preemptive"])
+def test_tail_delivery_decides_at_once_only_when_nothing_else_is_due(
+        monkeypatch, install):
+    """A lone delivery finds the deferred queue empty and no other event
+    at its instant: the port starts service without a deferred decision.
+    Two same-instant deliveries must both be queued before it chooses.
+    Both port classes decide by the one rule, ``Port._request_decision``;
+    a preemptive port's finish asks from its tail too."""
+    deferred = _deferred_decisions(monkeypatch)
     lone = _wan_net()
-    lone.inject_at(0.0, make_packet())
+    install(lone)
+    lone.inject_at(0.0, make_packet(slack=0.0))
     lone.run()
     # The host's decision follows a synchronous inject (deferred); SW's
     # follows a delivery in tail position with nothing else due (not).
-    assert [cb.__self__.link.src for cb in deferred] == ["a"]
+    assert deferred == ["a"]
 
     del deferred[:]
     net = Network()
@@ -334,7 +348,7 @@ def test_tail_delivery_decides_at_once_only_when_nothing_else_is_due(monkeypatch
     net.add_link("a1", "SW", 80 * MBPS, 0.001)
     net.add_link("a2", "SW", 80 * MBPS, 0.001)
     net.add_link("SW", "b", 8 * MBPS, 0.001)
-    net.install_uniform(LstfScheduler)
+    install(net)
     lax = make_packet(src="a1", slack=9.0)
     urgent = make_packet(src="a2", slack=0.0)
     net.inject_at(0.0, lax)
@@ -342,6 +356,23 @@ def test_tail_delivery_decides_at_once_only_when_nothing_else_is_due(monkeypatch
     net.run()
     # Both reach SW at the same instant, the lax one first: its delivery
     # sees the other still due and defers, so LSTF chooses between both.
-    assert [cb.__self__.link.src for cb in deferred] == ["a1", "a2", "SW"]
+    # The urgent one's completion (or finish) then serves the lax one at
+    # once: nothing else is due at that instant.
+    assert deferred == ["a1", "a2", "SW"]
     sw_tx = {p.pid: records(net.tracer)[p.pid].hop_tx[1] for p in (lax, urgent)}
     assert sw_tx[urgent.pid] < sw_tx[lax.pid]
+
+
+def test_timetable_wakeup_decides_at_once(monkeypatch):
+    """A timetable wake-up is a heap event, so its decision is asked from
+    its tail: with nothing else due at the release time, the port serves
+    without a deferred decision."""
+    deferred = _deferred_decisions(monkeypatch)
+    net = _wan_net()
+    p = make_packet()
+    net.nodes["SW"].ports["b"].set_scheduler(TimetableScheduler({p.pid: 0.005}))
+    net.inject_at(0.0, p)
+    net.run()
+    # SW declines at the delivery (decided at once) and serves at 0.005.
+    assert deferred == ["a"]
+    assert records(net.tracer)[p.pid].hop_tx[1] == 0.005

@@ -98,6 +98,39 @@ def test_preemptive_ports_refuse_finite_buffers_set_afterwards():
                for node in net.nodes.values() for port in node.ports.values())
 
 
+def test_switch_to_preemptive_ports_is_refused_once_packets_entered_untraced():
+    """Whether a packet has entered is read off the ports, not the tracer:
+    with tracing off, packets queued at the bottleneck still refuse the
+    switch, which would drop them with the old ports."""
+    from repro.core.flow import Flow
+    from repro.topology.simple import build_dumbbell
+    from repro.transport.udp import install_udp_flows
+
+    net = build_dumbbell(num_pairs=2)
+    net.tracer.enabled = False
+    install_udp_flows(net, [Flow(i, f"s_{i}", f"d_{i}", 150_000, start=0.0)
+                            for i in range(2)])
+    net.run(until=0.001)
+    assert len(net.tracer) == 0
+    assert net.nodes["L"].ports["R"]._queued > 0
+    with pytest.raises(ConfigurationError, match="mid-run"):
+        net.use_preemptive_ports(LstfScheduler)
+
+
+def test_a_preemptive_port_holding_a_packet_refuses_a_new_scheduler():
+    """The active-port guard reads ``_queued``: a preemptive port queues
+    in its own heap, never in its scheduler."""
+    net = _preemptive_net()
+    host = net.nodes["a"]
+    port = host.ports["SW"]
+    host.inject(make_packet())  # its decision is deferred: the packet waits
+    assert port._queued == 1 and not port.busy
+    with pytest.raises(ConfigurationError, match="active port"):
+        port.set_scheduler(LstfScheduler())
+    net.run()
+    port.set_scheduler(LstfScheduler())
+
+
 def test_preemptive_port_requires_preemption_keys():
     net = Network()
     net.add_host("a")

@@ -113,6 +113,22 @@ def test_the_queue_is_drained_only_by_a_worker():
     assert not hasattr(repro.cluster.worker, "drain_queue")
 
 
+def test_a_cancellable_event_has_one_door():
+    # The delay form was sugar over schedule_cancellable_at(now + delay).
+    from repro.sim.engine import Engine
+
+    assert not hasattr(Engine, "schedule_cancellable")
+
+
+def test_every_port_decides_by_one_rule():
+    # PreemptivePort replaces only the serve step (_try_send); when to
+    # serve is Port's _request_decision / _decide.
+    from repro.sim.port import PreemptivePort
+
+    assert "_decide" not in PreemptivePort.__dict__
+    assert "_request_decision" not in PreemptivePort.__dict__
+
+
 def test_table_has_no_json_writer():
     # Table.to_json(indent=) had no production caller; artifacts carry
     # tables through Table.rows.

@@ -167,9 +167,9 @@ def _add_spec_args(parser: argparse.ArgumentParser, with_rows: bool) -> None:
                              "--scenarios websearch-incast,datamining-a2a")
     if with_rows:
         parser.add_argument("--rows", type=int, nargs="*", default=None,
-                            help="row/scheme indices (0-based) to run, for "
+                            help="Table 1 row indices (0-based) to run, for "
                                  "experiments that declare a 'rows' option "
-                                 "(table1, fig2, ...); default all")
+                                 "(table1); default all")
 
 
 def _add_output_args(parser: argparse.ArgumentParser) -> None:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.units import MTU, packets_for
+from repro.units import MTU
 
 __all__ = ["Flow"]
 
@@ -32,11 +32,6 @@ class Flow:
             raise ValueError(f"flow size must be positive, got {self.size}")
         if self.src == self.dst:
             raise ValueError(f"flow endpoints must differ, got {self.src!r}")
-
-    @property
-    def num_packets(self) -> int:
-        """Number of MTU-sized segments the flow occupies."""
-        return packets_for(self.size)
 
     def segment_sizes(self) -> list[int]:
         """Sizes of the individual segments; the last may be short.

@@ -28,7 +28,7 @@ from repro.analysis.tables import Table
 from repro.api.registry import register_experiment
 from repro.api.spec import ExperimentSpec
 from repro.core.heuristics import VirtualClockSlack
-from repro.errors import ConfigurationError, require_choice
+from repro.errors import ConfigurationError, require_choice, require_positive_finite
 from repro.metrics.fairness import fairness_timeseries, jain_index, throughput_timeseries
 from repro.scenarios import (
     build_scenario_network,
@@ -74,8 +74,12 @@ class FairnessExperimentResult:
 
 def _weights(spec: ExperimentSpec) -> tuple:
     """The ``weights`` option as given, (1, 2, 4) when unset: one weight
-    per flow, flow ``i`` (by flow id) carrying ``weights[i]``."""
-    return spec.option("weights", (1.0, 2.0, 4.0))
+    per flow, flow ``i`` (by flow id) carrying ``weights[i]``; each one
+    finite and > 0, or a :class:`ConfigurationError`."""
+    weights = spec.option("weights", (1.0, 2.0, 4.0))
+    for weight in weights:
+        require_positive_finite(weight, "weight")
+    return weights
 
 
 def run_weighted_fairness_experiment(
@@ -99,7 +103,7 @@ def run_weighted_fairness_experiment(
     """
     schemes = spec.schedulers or ("lstf", "fq")
     weights = tuple(float(w) for w in _weights(spec))
-    horizon = float(spec.option("horizon", 3.0))
+    horizon = require_positive_finite(spec.option("horizon", 3.0), "horizon")
     if len(weights) < 2:
         raise ConfigurationError(
             "need at least two flows for a weighted comparison")
@@ -149,10 +153,12 @@ def run_fairness_experiment(spec: ExperimentSpec) -> dict[str, FairnessExperimen
     ``r_est / r*`` (``r*`` = the bottleneck over the ``num_flows`` option,
     default 10); the ``horizon`` option (default 3 s) is the run length.
     """
-    rest_fractions = tuple(float(f) for f in spec.option(
-        "rest_fractions", (1.0, 0.5, 0.1, 0.05, 0.01)))
+    rest_fractions = tuple(
+        require_positive_finite(f, "rest_fractions entry")
+        for f in spec.option("rest_fractions", (1.0, 0.5, 0.1, 0.05, 0.01)))
     num_flows = spec.option("num_flows", 10)
     horizon = spec.option("horizon", 3.0)
+    require_positive_finite(horizon, "horizon")
     setting = get_scenario("long-lived-dumbbell").with_(hosts=num_flows)
     fair_share = scenario_bottleneck(setting) / num_flows
     flows = scenario_flows(setting, seed=spec.seed, duration=horizon)

@@ -17,7 +17,6 @@ from repro.api.registry import register_experiment
 from repro.api.spec import ExperimentSpec
 from repro.core.heuristics import FlowSizeSlack, parse_slack_policy
 from repro.errors import require_choice
-from repro.experiments.replayability import validate_row_indices
 from repro.metrics.fct import FctBucket, bucket_mean_fct
 from repro.scenarios import (
     build_scenario_network,
@@ -50,8 +49,7 @@ def run_fct_experiment(spec: ExperimentSpec) -> dict[str, FctExperimentResult]:
     """Run ``spec``'s TCP workload under each of its schemes; results by name.
 
     The schemes are ``spec.schedulers`` (all of :data:`FCT_SCHEMES` when
-    empty), cut to the ``rows`` option's 0-based indices into that sweep
-    when it is set.  The workload (flow arrival times, sizes, endpoints)
+    empty).  The workload (flow arrival times, sizes, endpoints)
     is identical across schemes — only the router scheduling discipline
     (and, for LSTF, the ingress slack heuristic) changes, mirroring the
     paper's comparison.  ``spec.slack_policy`` overrides the default
@@ -59,12 +57,6 @@ def run_fct_experiment(spec: ExperimentSpec) -> dict[str, FctExperimentResult]:
     a constant slack).
     """
     schemes = spec.schedulers or FCT_SCHEMES
-    rows = spec.option("rows")
-    if rows is not None:
-        # Like table1's --rows, so `repro profile fig2 --rows 1` runs a
-        # single-scheme slice.
-        schemes = tuple(schemes[i] for i in validate_row_indices(
-            rows, len(schemes), f"fig2's scheme sweep {schemes}"))
     require_choice(schemes, FCT_SCHEMES, "FCT scheme")
     setting = get_scenario("i2-1g-10g").with_(
         utilization=spec.utilization, size_cap=2_500_000)
@@ -102,7 +94,6 @@ def run_fct_experiment(spec: ExperimentSpec) -> dict[str, FctExperimentResult]:
     help="Figure 2: mean flow completion time (FIFO / SJF / SRPT / LSTF)",
     params=("duration", "seeds", "bandwidth_scale", "schedulers",
             "utilization", "slack_policy"),
-    options=("rows",),
 )
 def _run_fig2(spec: ExperimentSpec) -> tuple[Table, dict]:
     results = run_fct_experiment(spec)

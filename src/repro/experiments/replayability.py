@@ -221,12 +221,9 @@ def run_replay(scenario: ReplayScenario, mode: str = "lstf") -> ReplayResult:
                            mode=mode)
 
 
-def validate_row_indices(rows: object, count: int,
-                         table: str = "Table 1") -> tuple[int, ...]:
+def validate_row_indices(rows: object, count: int) -> tuple[int, ...]:
     """Check a ``rows`` option (one 0-based index or a tuple of them)
-    against ``count``; raise a clean error.
-
-    Shared by the Table 1 and Figure 2 drivers so a typo like
+    against Table 1's ``count`` rows; raise a clean error, so a typo like
     ``--rows 99`` reports the valid range instead of an ``IndexError``.
     """
     indices = rows if isinstance(rows, tuple) else (rows,)
@@ -235,7 +232,7 @@ def validate_row_indices(rows: object, count: int,
             raise ConfigurationError(f"row index {index!r} is not an integer")
         if not 0 <= index < count:
             raise ConfigurationError(
-                f"row index {index} out of range; {table} has {count} rows "
+                f"row index {index} out of range; Table 1 has {count} rows "
                 f"(valid: 0..{count - 1})"
             )
     return indices

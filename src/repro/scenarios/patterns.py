@@ -36,6 +36,8 @@ in their own draw order and keep their numbering (fids from 1):
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.core.flow import Flow
@@ -86,8 +88,8 @@ def scenario_flows(scenario: Scenario, seed: int, duration: float,
     Same arguments ⇒ byte-identical list; for the gadget patterns,
     distinct seeds ⇒ disjoint flow-id ranges (:data:`SEED_FID_STRIDE`).
     """
-    if duration <= 0:
-        raise WorkloadError(f"duration must be positive, got {duration!r}")
+    if not (duration > 0 and math.isfinite(duration)):  # NaN or ∞ never ends
+        raise WorkloadError(f"duration must be finite and positive, got {duration!r}")
     senders, receivers = scenario_hosts(scenario)
     if scenario.pattern == "poisson":
         return poisson_flows(

@@ -4,15 +4,17 @@ A scheduler owns the set of packets queued at one output port and decides
 which packet the port transmits next.  The contract:
 
 * :meth:`push` / :meth:`pop` — called by the port with the current time.
-  ``pop`` may return ``None`` only for non-work-conserving schedulers (the
-  theory gadgets' :class:`~repro.schedulers.timetable.TimetableScheduler`);
-  in that case :meth:`earliest_release` says when to try again.
+  The port calls ``pop`` only while the scheduler holds a packet, and
+  ``pop`` always returns one: every discipline is work-conserving.  (The
+  theory gadgets' :class:`~repro.schedulers.timetable.TimetableScheduler`
+  raises :class:`~repro.errors.SchedulerError` when asked before a
+  packet's programmed time, as it refuses a late arrival.)
 * :meth:`drop_victim` — on buffer overflow, which packet to sacrifice.
   The default is the arriving packet (tail drop).  LSTF overrides this to
   drop the queued packet with the highest remaining slack, as §3 specifies.
-* :meth:`preemption_key` — static urgency key for schedulers that support
-  the preemptive port (smaller is more urgent); ``None`` disables
-  preemption support.
+* :meth:`charge_wait` — the header rewrite for a wait at a preemptive
+  port, which runs only a :class:`KeyedScheduler` and preempts by its
+  static key (smaller is more urgent).
 
 Determinism: every scheduler breaks ties FIFO via a monotone push counter,
 so identical inputs produce identical schedules.
@@ -27,8 +29,9 @@ O(log n) with no linear scans anywhere:
   drop policies never scan the queue and dropless runs (the common case)
   pay nothing for the mirror.
 * :class:`KeyedScheduler` — a Scheduler subclass implementing
-  ``push``/``pop``/``__len__``/``preemption_key`` on top of that queue;
-  concrete disciplines only supply :meth:`KeyedScheduler._key`.
+  ``push``/``pop``/``__len__`` on top of that queue; concrete disciplines
+  only supply :meth:`KeyedScheduler._key`, which is also the key a
+  preemptive port orders by.
 """
 
 from __future__ import annotations
@@ -226,22 +229,14 @@ class Scheduler:
     def push(self, packet: "Packet", now: float) -> None:
         raise NotImplementedError
 
-    def pop(self, now: float) -> Optional["Packet"]:
+    def pop(self, now: float) -> "Packet":
+        """The next packet to transmit; called only on a non-empty queue."""
         raise NotImplementedError
 
     def __len__(self) -> int:
         raise NotImplementedError
 
     # --- optional behaviours ---------------------------------------------------
-
-    def earliest_release(self, now: float) -> float | None:
-        """Next time a ``pop`` could succeed, for non-work-conserving
-        schedulers that just returned ``None`` despite a non-empty queue.
-
-        Work-conserving schedulers (everything except the timetable oracle)
-        never need this and return ``None``.
-        """
-        return None
 
     def drop_victim(self, arriving: "Packet", now: float) -> "Packet":
         """Choose the packet to drop when the port buffer is full.
@@ -251,10 +246,6 @@ class Scheduler:
         that packet from its queue and the port should admit ``arriving``.
         """
         return arriving
-
-    def preemption_key(self, packet: "Packet") -> float | None:
-        """Static urgency key for preemptive service; ``None`` = unsupported."""
-        return None
 
     def charge_wait(self, packet: "Packet", wait: float) -> None:
         """Charge ``wait`` seconds at a preemptive port to a dynamic header."""
@@ -268,8 +259,8 @@ class KeyedScheduler(Scheduler):
 
     Subclasses implement :meth:`_key`; enqueue/dequeue ride on the shared
     :class:`IndexedHeapQueue`, so both are O(log n) with FIFO tie-breaking
-    and no linear scans.  Disciplines that support the preemptive port
-    typically implement ``preemption_key`` as the same function.
+    and no linear scans.  The same key is the preemption key: a
+    :class:`~repro.sim.port.PreemptivePort` orders its own heap by it.
     """
 
     __slots__ = ("_queue",)
@@ -284,12 +275,14 @@ class KeyedScheduler(Scheduler):
         self._queue = self._queue_class()
 
     def _key(self, packet: "Packet"):
+        """The static key the queue serves by (smaller first); a preemptive
+        port reads it once the packet's ``enqueue_time`` is stamped."""
         raise NotImplementedError
 
     def push(self, packet: "Packet", now: float) -> None:
         self._queue.push(self._key(packet), packet)
 
-    def pop(self, now: float) -> Optional["Packet"]:
+    def pop(self, now: float) -> "Packet":
         return self._queue.pop()
 
     def __len__(self) -> int:

@@ -48,6 +48,3 @@ class EdfScheduler(KeyedScheduler):
             remaining = network.tmin(self.port.node.name, packet.dst, packet.size)
             self._tmin_cache[key] = remaining
         return packet.deadline - remaining + packet.size * self._tx_per_byte
-
-    def preemption_key(self, packet: Packet) -> float:
-        return self._key(packet)

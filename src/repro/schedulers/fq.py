@@ -41,7 +41,7 @@ class FqScheduler(Scheduler):
 
     def set_weight(self, flow_id: int, weight: float) -> None:
         """Assign a relative weight to a flow (before its packets arrive)."""
-        if weight <= 0:
+        if not weight > 0:  # NaN too
             raise ValueError(f"weight must be positive, got {weight!r}")
         self._weights[flow_id] = weight
 

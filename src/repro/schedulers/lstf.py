@@ -67,9 +67,6 @@ class LstfScheduler(KeyedScheduler):
         # slack + arrival time at this port + transmission time here.
         return packet.slack + packet.enqueue_time + packet.size * self._tx_per_byte
 
-    def preemption_key(self, packet: Packet) -> float:
-        return self._key(packet)
-
     def charge_wait(self, packet: Packet, wait: float) -> None:
         packet.slack -= wait
 

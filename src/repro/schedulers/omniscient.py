@@ -43,6 +43,3 @@ class OmniscientScheduler(KeyedScheduler):
                 f"timetable has only {len(packet.hop_times)} entries — the "
                 "replay topology routed it differently than the recording"
             ) from None
-
-    def preemption_key(self, packet: Packet) -> float:
-        return self._key(packet)

@@ -27,7 +27,3 @@ class PriorityScheduler(KeyedScheduler):
 
     def _key(self, packet: Packet) -> float:
         return packet.priority
-
-    def preemption_key(self, packet: Packet) -> float:
-        """Priorities are static, so they double as preemption keys."""
-        return packet.priority

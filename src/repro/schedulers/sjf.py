@@ -26,6 +26,3 @@ class SjfScheduler(KeyedScheduler):
 
     def _key(self, packet: Packet) -> int:
         return packet.flow_size
-
-    def preemption_key(self, packet: Packet) -> float:
-        return float(packet.flow_size)

@@ -7,14 +7,15 @@ counter-examples of Appendices C, F and G exploit that freedom — they are
 specified as explicit tables of (arrival time, scheduling time) per node.
 
 :class:`TimetableScheduler` realises such a table: each packet has a fixed
-release time at this node and is transmitted exactly then, never earlier.
-It is deliberately *non*-work-conserving; the port cooperates through the
-:meth:`earliest_release` hook.
+release time at this node and is transmitted exactly then.  The port asks
+for a packet only when its wire is free and a packet waits (the
+port-scheduler contract of :mod:`repro.schedulers.base`), so a table must
+be work-conserving: a packet arriving after its release time, or a port
+asking before the head's release time (which would idle the link), raises
+:class:`~repro.errors.SchedulerError` — the gadget's table is infeasible.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from repro.core.packet import Packet
 from repro.errors import SchedulerError
@@ -60,16 +61,12 @@ class TimetableScheduler(KeyedScheduler):
             )
         self._queue.push(release, packet)
 
-    def pop(self, now: float) -> Optional[Packet]:
-        entry = self._queue.peek_entry()
-        if entry is None:
-            return None
-        if entry[0] > now + TIME_EPSILON:
-            return None  # nothing due yet; port will retry at earliest_release
+    def pop(self, now: float) -> Packet:
+        release, packet = self._queue.peek_entry()
+        if release > now + TIME_EPSILON:
+            raise SchedulerError(
+                f"packet {packet.pid} is timetabled for {release:.9f} but its "
+                f"port is free at {now:.9f}; the gadget's original schedule "
+                "must be work-conserving (no idle link while a packet waits)"
+            )
         return self._queue.pop()
-
-    def earliest_release(self, now: float) -> float | None:
-        entry = self._queue.peek_entry()
-        if entry is None:
-            return None
-        return max(entry[0], now)

@@ -73,8 +73,9 @@ __all__ = [
 ]
 
 #: On-disk format name and version, written into every header and checked
-#: on load; bump the version when the payload encoding changes shape (11:
-#: flows carry no MTU and networks no preemptive flag; 10: the p-heap
+#: on load; bump the version when the payload encoding changes shape (12:
+#: ports hold no wake-up handle; 11: flows carry no MTU and networks no
+#: preemptive flag; 10: the p-heap
 #: LSTF scheduler's one queue is its p-heap, DRR keeps no quantum and TCP
 #: senders no RTO floor; 9: the tracer keeps no drop count
 #: or drop-node column, schedulers no push counter, TCP receivers no
@@ -87,7 +88,7 @@ __all__ = [
 #: session's anchor numbering does (2: per-packet data travels by value) —
 #: another walk's index would graft onto the wrong object.
 CHECKPOINT_FORMAT = "repro-checkpoint"
-CHECKPOINT_VERSION = 11
+CHECKPOINT_VERSION = 12
 
 #: The modules whose classes a simulation's state pickles to: the network
 #: graph, schedulers, and transports with their flows and slack policies.

@@ -27,9 +27,11 @@ invariant for the port's lifetime — the engine, the tracer, the link's
 per-byte serialisation cost, the peer node's bound ``receive`` — instead
 of chasing ``node.network.engine``-style attribute chains per event.
 
-Non-work-conserving schedulers (the timetable oracle used by the theory
-gadgets) may decline to hand over a packet; the port then schedules a
-wake-up at ``scheduler.earliest_release``.
+The port-scheduler contract: the port calls ``scheduler.pop(now)`` only
+while it holds a packet (``_queued > 0``), and ``pop`` always returns one.
+Every discipline here is work-conserving — the wire never idles while a
+packet waits — so the port keeps no wake-up timer (the timetable oracle
+of the theory gadgets refuses an early ``pop`` instead of idling).
 
 Every port decides when to serve in one place,
 :meth:`Port._request_decision`: after every arrival at the current
@@ -44,9 +46,11 @@ packet with a strictly smaller static urgency key arrives while another is
 being transmitted, the transmission is paused and resumed later with its
 remaining serialisation time intact.  Slack continues to drain while a
 packet is paused — only time spent actually transmitting is "free"
-(Appendix D).  It works with any scheduler exposing ``preemption_key``
-(LSTF, EDF, static priorities, omniscient).  It shares :class:`Port`'s
-decision rule and pass-through and replaces only the serve step.
+(Appendix D).  It runs any :class:`~repro.schedulers.base.KeyedScheduler`
+(LSTF, EDF, FIFO+, static priorities, omniscient, …), whose static key
+``_key`` is the preemption key, and refuses any other scheduler when it
+is built or handed one.  It shares :class:`Port`'s decision rule and
+pass-through and replaces only the serve step.
 """
 
 from __future__ import annotations
@@ -55,7 +59,8 @@ import math
 from heapq import heappop, heappush
 from typing import TYPE_CHECKING
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
+from repro.schedulers.base import KeyedScheduler
 from repro.units import TIME_EPSILON
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -76,7 +81,7 @@ class Port:
 
     __slots__ = (
         "node", "link", "scheduler", "buffer_bytes", "buffered", "sent",
-        "dropped", "_queued", "_wakeup", "_decision_pending",
+        "dropped", "_queued", "_decision_pending",
         "_free_at", "_done_born", "_done_seq",
         "_receive", "_engine", "_tracer", "_tx_per_byte", "_prop",
     )
@@ -94,7 +99,6 @@ class Port:
         # Queue depth mirrored here: the port mediates every scheduler
         # mutation, and an int attribute beats two Python calls per len().
         self._queued = 0
-        self._wakeup = None
         self._decision_pending = False
         # When the wire frees: the last-bit departure time while the
         # completion is not (yet) an event — its reserved heap key is
@@ -201,7 +205,7 @@ class Port:
         further event at this instant, the deferred decision would be the
         very next thing to run — so it runs now.  Every caller dispatched
         from the heap asks from its tail: a delivery, a completion, a
-        timetable wake-up, a preemptive port's finish.
+        preemptive port's finish.
         """
         if self._decision_pending:
             return
@@ -224,9 +228,6 @@ class Port:
         if not self._queued or now <= self._free_at:
             return
         packet = self.scheduler.pop(now)
-        if packet is None:
-            self._arm_wakeup(now)
-            return
         self._queued -= 1
         self.buffered -= packet.size
         wait = now - packet.enqueue_time
@@ -260,28 +261,6 @@ class Port:
         self._free_at = _IDLE
         self._request_decision(True)
 
-    # --- non-work-conserving support --------------------------------------
-
-    def _arm_wakeup(self, now: float) -> None:
-        release = self.scheduler.earliest_release(now)
-        if release is None:
-            raise SimulationError(
-                f"scheduler {self.scheduler.name} at {self.link.src}->"
-                f"{self.link.dst} returned no packet and no release time "
-                f"despite holding {len(self.scheduler)} packets"
-            )
-        if self._wakeup is not None and not self._wakeup.cancelled:
-            if self._wakeup.time <= release + TIME_EPSILON:
-                return
-            self._wakeup.cancel()
-        self._wakeup = self._engine.schedule_cancellable_at(
-            max(release, now), self._on_wakeup
-        )
-
-    def _on_wakeup(self) -> None:
-        self._wakeup = None
-        self._request_decision(True)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<{type(self).__name__} {self.link.src}->{self.link.dst} "
@@ -292,9 +271,12 @@ class Port:
 class PreemptivePort(Port):
     """Preemptive-resume service ordered by the scheduler's static keys.
 
-    The attached scheduler is consulted only for ``preemption_key`` and
-    ``charge_wait`` (its header rewrite); the port keeps its own heap so that
-    pausing and resuming does not disturb the scheduler's queue invariants.
+    The attached scheduler must be a
+    :class:`~repro.schedulers.base.KeyedScheduler`: it is consulted only
+    for its static key ``_key`` (the one it serves by is the one this port
+    preempts by) and ``charge_wait`` (its header rewrite); the port keeps
+    its own heap so that pausing and resuming does not disturb the
+    scheduler's queue invariants.
     ``_queued`` mirrors that heap's length, as :class:`Port` mirrors its
     scheduler's, so the active-port guard, the pass-through and the
     telemetry queue-depth series read both classes alike.
@@ -310,6 +292,7 @@ class PreemptivePort(Port):
     __slots__ = ("_heap", "_seq", "_current", "_serve_start", "_done_handle")
 
     def __init__(self, node, link, scheduler) -> None:
+        _require_keyed(scheduler)
         super().__init__(node, link, scheduler)
         # (key, seq, packet, remaining_tx, served): the remaining work (None:
         # all of it) and whether its service start was traced ride in the entry.
@@ -318,6 +301,10 @@ class PreemptivePort(Port):
         self._current: tuple | None = None  # the entry on the wire
         self._serve_start = 0.0
         self._done_handle = None
+
+    def set_scheduler(self, scheduler: "Scheduler") -> None:
+        _require_keyed(scheduler)
+        super().set_scheduler(scheduler)
 
     def set_buffer(self, buffer_bytes: float) -> None:
         """Finite buffers are refused here: the port stays unbounded."""
@@ -332,13 +319,9 @@ class PreemptivePort(Port):
         if self._prop == 0.0 and self._passed_through(packet, now):
             return
         packet.enqueue_time = now  # must precede the key: LSTF keys use it
-        key = self.scheduler.preemption_key(packet)
-        if key is None:
-            raise ConfigurationError(
-                f"scheduler {self.scheduler.name} does not support preemption"
-            )
         self._seq += 1
-        heappush(self._heap, (key, self._seq, packet, None, False))
+        heappush(self._heap, (self.scheduler._key(packet), self._seq, packet,
+                              None, False))
         self._queued += 1
         self._request_decision(tail)
 
@@ -395,3 +378,11 @@ class PreemptivePort(Port):
             self._engine.schedule(self._prop, self._peer_receive(), packet, True)
         if self._queued:
             self._request_decision(True)
+
+
+def _require_keyed(scheduler: "Scheduler") -> None:
+    """A preemptive port orders by a static key: refuse a scheduler without one."""
+    if not isinstance(scheduler, KeyedScheduler):
+        raise ConfigurationError(
+            f"scheduler {scheduler.name} has no static key to preempt by; a "
+            "preemptive port runs a keyed discipline (lstf, edf, priority, ...)")

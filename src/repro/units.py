@@ -64,24 +64,3 @@ def tx_time(size_bytes: float, bandwidth_bps: float) -> float:
     if math.isinf(bandwidth_bps):
         return 0.0
     return 8.0 * size_bytes / bandwidth_bps
-
-
-def bits(size_bytes: float) -> float:
-    """Convert bytes to bits."""
-    return 8.0 * size_bytes
-
-
-def packets_for(flow_bytes: int) -> int:
-    """Number of MTU-sized segments needed to carry ``flow_bytes``.
-
-    Always at least one packet, matching how the workload generators
-    segment flows.
-
-    >>> packets_for(4000)
-    3
-    >>> packets_for(0)
-    1
-    """
-    if flow_bytes <= 0:
-        return 1
-    return -(-flow_bytes // MTU)  # ceil division

@@ -32,19 +32,16 @@ def test_packet_defaults():
 def test_flow_segmentation_exact_multiple():
     f = Flow(1, "a", "b", 3000, 0.0)
     assert f.segment_sizes() == [1500, 1500]
-    assert f.num_packets == 2
 
 
 def test_flow_segmentation_with_remainder():
     f = Flow(1, "a", "b", 3200, 0.0)
     assert f.segment_sizes() == [1500, 1500, 200]
-    assert f.num_packets == 3
 
 
 def test_flow_smaller_than_mtu():
     f = Flow(1, "a", "b", 200, 0.0)
     assert f.segment_sizes() == [200]
-    assert f.num_packets == 1
 
 
 def test_flow_rejects_bad_parameters():

@@ -168,6 +168,11 @@ class TestFct:
             run_fct_experiment(
                 ExperimentSpec("fig2", schedulers=("wfq",), duration=0.05))
 
+    def test_a_slice_is_chosen_by_scheme_not_by_row(self):
+        """``--schedulers sjf`` selects one scheme; fig2 reads no ``rows``."""
+        with pytest.raises(ConfigurationError, match="rows"):
+            run(ExperimentSpec("fig2", duration=0.05, options={"rows": (1,)}))
+
 
 class TestTail:
     def test_lstf_constant_slack_trims_the_tail(self):
@@ -213,6 +218,23 @@ class TestFairness:
             options={"rest_fractions": (0.1,), "horizon": 1.5, "num_flows": 6}))
         for name in ("fq", "drr", "lstf@0.1"):
             assert results[name].final_fairness > 0.9, name
+
+    @pytest.mark.parametrize("options", [
+        {"horizon": float("nan")}, {"horizon": float("inf")},
+        {"rest_fractions": (float("nan"),)}, {"rest_fractions": (0.0,)},
+    ], ids=["nan-horizon", "inf-horizon", "nan-fraction", "zero-fraction"])
+    def test_bad_values_are_refused_before_simulating(self, options, monkeypatch):
+        """A configuration error, which a queue worker fails terminally;
+        a NaN or ∞ horizon used to hang in the workload generator."""
+        import repro.experiments.fairness as fairness
+
+        def no_simulation(*_args, **_kwargs):
+            raise AssertionError("reached the workload")
+
+        monkeypatch.setattr(fairness, "scenario_flows", no_simulation)
+        with pytest.raises(ConfigurationError):
+            run(ExperimentSpec("fig4", schedulers=("fifo",),
+                               options={"num_flows": 3, **options}))
 
     def test_closer_estimate_converges_no_later(self):
         results = run_fairness_experiment(ExperimentSpec("fig4", options={

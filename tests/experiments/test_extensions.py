@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.api import ExperimentSpec
+from repro.api import ExperimentSpec, run
 from repro.errors import ConfigurationError
 from repro.experiments.fairness import run_weighted_fairness_experiment
 from repro.experiments.information import _ROUNDINGS, run_information_experiment
@@ -52,6 +52,25 @@ class TestWeightedFairness:
         with pytest.raises(ConfigurationError, match="scheme 'drr'"):
             run_weighted_fairness_experiment(ExperimentSpec(
                 "weighted", schedulers=("drr",), options={"horizon": 0.5}))
+
+    @pytest.mark.parametrize("options", [
+        {"weights": (1.0, math.nan)}, {"weights": (1.0, math.inf)},
+        {"weights": (1.0, 0)}, {"weights": (1.0, -2.0)},
+        {"horizon": math.nan}, {"horizon": math.inf},
+    ], ids=["nan-weight", "inf-weight", "zero-weight", "negative-weight",
+            "nan-horizon", "inf-horizon"])
+    def test_bad_values_are_refused_before_simulating(self, options, monkeypatch):
+        """A configuration error, which a queue worker fails terminally,
+        where a NaN weight saved a NaN Jain index, ∞ a degenerate split,
+        0 or -2 a bare ValueError, and a NaN or ∞ horizon hung."""
+        import repro.experiments.fairness as fairness
+
+        def no_simulation(*_args, **_kwargs):
+            raise AssertionError("reached the workload")
+
+        monkeypatch.setattr(fairness, "scenario_flows", no_simulation)
+        with pytest.raises(ConfigurationError):
+            run(ExperimentSpec("weighted", options=options))
 
 
 class TestInformationExperiment:

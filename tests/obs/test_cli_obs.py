@@ -32,8 +32,8 @@ def test_profile_prints_phases_and_top_callbacks(capsys):
     assert "top callbacks" in out
 
 
-def test_profile_fig2_single_row_slice(capsys):
-    assert main(["profile", "fig2", "--rows", "1",
+def test_profile_fig2_single_scheme_slice(capsys):
+    assert main(["profile", "fig2", "--schedulers", "sjf",
                  "--duration", "0.02"]) == 0
     out = capsys.readouterr().out
     assert "1 leg(s)" in out
@@ -69,7 +69,7 @@ def test_profile_reports_the_garbage_collector(capsys):
 
 
 def test_profile_rejects_bad_rows(capsys):
-    assert main(["profile", "fig2", "--rows", "99",
+    assert main(["profile", "table1", "--rows", "99",
                  "--duration", "0.02"]) == 2
     assert "out of range" in capsys.readouterr().err
 

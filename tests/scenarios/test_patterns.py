@@ -99,6 +99,14 @@ def test_rejects_nonpositive_duration():
         scenario_flows(get_scenario("websearch-incast"), 1, 0.0)
 
 
+@pytest.mark.parametrize("duration", [float("nan"), float("inf")])
+def test_rejects_a_duration_that_never_ends(duration):
+    """NaN and ∞ passed ``duration <= 0`` and then never stopped
+    generating rounds (fig4 and weighted hung)."""
+    with pytest.raises(WorkloadError, match="duration"):
+        scenario_flows(get_scenario("long-lived-dumbbell"), 1, duration)
+
+
 def test_every_builtin_generates_under_every_seed():
     for name in scenario_names():
         for seed in (1, 2):

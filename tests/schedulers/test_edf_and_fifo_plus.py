@@ -38,13 +38,13 @@ def test_edf_local_priority_uses_the_router_s_tmin():
     # priority = o(p) - tmin(SW,b) + T(SW)  [Appendix E]
     tmin_rest = net.tmin("SW", "b", 1000)
     t_here = net.links[("SW", "b")].tx_time(1000)
-    assert s.preemption_key(p) == pytest.approx(0.050 - tmin_rest + t_here)
+    assert s._key(p) == pytest.approx(0.050 - tmin_rest + t_here)
 
 
 def test_edf_caches_tmin_lookups():
     net, s = _edf_net()
     p = make_packet(deadline=0.050)
-    s.preemption_key(p)
+    s._key(p)
     assert ("b", 1000) in s._tmin_cache
 
 

@@ -51,9 +51,10 @@ def test_fq_weighted_flows():
     assert order[:3].count(1) == 2
 
 
-def test_fq_rejects_bad_weight():
+@pytest.mark.parametrize("weight", [0.0, -2.0, float("nan")])
+def test_fq_rejects_bad_weight(weight):
     with pytest.raises(ValueError):
-        FqScheduler().set_weight(1, 0.0)
+        FqScheduler().set_weight(1, weight)
 
 
 def test_fq_resets_virtual_time_when_idle():

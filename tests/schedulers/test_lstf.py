@@ -98,8 +98,9 @@ def test_drop_victim_on_empty_queue_is_arriving():
     assert s.drop_victim(arriving, 0.0) is arriving
 
 
-def test_preemption_key_matches_heap_key():
+def test_the_key_is_slack_plus_arrival_plus_tx_here():
+    """One static key: the heap's, and a preemptive port's."""
     _net, port, s = _port_with_lstf()
     p = make_packet(slack=0.25, enqueue_time=0.5, size=1000)
     expected = 0.25 + 0.5 + port.link.tx_time(1000)
-    assert s.preemption_key(p) == pytest.approx(expected)
+    assert s._key(p) == pytest.approx(expected)

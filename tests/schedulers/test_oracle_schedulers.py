@@ -32,13 +32,15 @@ def test_omniscient_detects_route_divergence():
         s.push(p, 0.0)
 
 
-def test_timetable_releases_at_programmed_time():
+def test_timetable_refuses_an_early_pop():
+    """Asked before the head's programmed time, a timetable raises, as a
+    late arrival does: idling the link is not the port's to do."""
     p = make_packet()
     s = TimetableScheduler({p.pid: 5.0})
     s.push(p, 0.0)
-    assert s.pop(0.0) is None           # not due yet
-    assert s.earliest_release(0.0) == 5.0
-    assert s.pop(5.0) is p
+    with pytest.raises(SchedulerError, match="work-conserving"):
+        s.pop(0.0)
+    assert s.pop(5.0) is p  # the refusal left the queue as it was
 
 
 def test_timetable_orders_by_release():
@@ -61,8 +63,3 @@ def test_timetable_rejects_late_arrival():
     s = TimetableScheduler({p.pid: 1.0})
     with pytest.raises(SchedulerError):
         s.push(p, 2.0)  # arrived after its programmed transmission
-
-
-def test_timetable_empty_earliest_release():
-    s = TimetableScheduler({})
-    assert s.earliest_release(0.0) is None

@@ -219,15 +219,16 @@ class TestSnapshotRoundTrip:
     def test_what_a_port_pickles_is_pinned_to_the_checkpoint_version(self):
         """A port's pickled shape is part of the checkpoint format: adding
         or removing a slot must come with a ``CHECKPOINT_VERSION`` bump
-        (8: ports count ``sent`` and ``dropped`` and hold no hub; 7: a
+        (12: ports hold no wake-up handle; 8: ports count ``sent`` and
+        ``dropped`` and hold no hub; 7: a
         preemptive port keeps no per-packet state dict; 6: ports carry no
         AQM slot), and then an update of this pin."""
         port = _tiny_network().nodes["a"].ports["b"]
         _dict, slots = port.__getstate__()
-        assert CHECKPOINT_VERSION == 11
+        assert CHECKPOINT_VERSION == 12
         common = (
             "node", "link", "scheduler", "buffer_bytes", "buffered",
-            "sent", "dropped", "_queued", "_wakeup", "_decision_pending",
+            "sent", "dropped", "_queued", "_decision_pending",
             "_free_at", "_done_born", "_done_seq",
             "_receive", "_engine", "_tracer", "_tx_per_byte", "_prop",
         )
@@ -247,7 +248,7 @@ class TestSnapshotRoundTrip:
         queue, and DRR no quantum; 9: the tracer keeps no drop count or
         ``dropped_at`` column, and only the p-heap LSTF scheduler a push
         counter)."""
-        assert CHECKPOINT_VERSION == 11
+        assert CHECKPOINT_VERSION == 12
         assert Tracer.__slots__ == (
             "enabled", "pid", "flow_id", "size", "src", "dst", "created", "exit",
             "tx_slot", "hop_tx", "hop_waits")
@@ -258,7 +259,7 @@ class TestSnapshotRoundTrip:
     def test_what_a_network_and_a_flow_pickle_is_pinned_too(self):
         """And a network's slots and a flow's fields (11: a flow carries no
         MTU, a network no preemptive flag)."""
-        assert CHECKPOINT_VERSION == 11
+        assert CHECKPOINT_VERSION == 12
         _none, slots = _tiny_network().__getstate__()
         assert sorted(slots) == sorted((
             "engine", "tracer", "nodes", "links", "_upstream", "_next_hop",
@@ -490,8 +491,13 @@ class TestCheckpointStore(StoreContract):
     def test_version_10_entry_reads_as_a_miss_and_is_rebuilt(self, tmp_path):
         """Nor one whose flows carry an MTU and whose networks a preemptive
         flag (v10); version 11 pickles neither."""
-        assert CHECKPOINT_VERSION == 11
         self._relabelled_entry_is_a_miss_and_heals(tmp_path, 10)
+
+    def test_version_11_entry_reads_as_a_miss_and_is_rebuilt(self, tmp_path):
+        """Nor one whose ports hold a timetable wake-up handle (v11);
+        version 12 pickles ports without it."""
+        assert CHECKPOINT_VERSION == 12
+        self._relabelled_entry_is_a_miss_and_heals(tmp_path, 11)
 
     @pytest.mark.parametrize("via", ["os.system", "ContentStore"])
     def test_a_payload_naming_a_foreign_global_is_a_miss_and_heals(

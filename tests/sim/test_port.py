@@ -188,18 +188,17 @@ def test_cannot_swap_scheduler_on_active_port():
         port.set_scheduler(FifoScheduler())
 
 
-def test_timetable_port_waits_for_release_time():
-    """A non-work-conserving scheduler keeps the port idle until release."""
+def test_a_timetable_that_would_idle_the_link_is_refused():
+    """The port asks for a packet as soon as one waits and the wire is
+    free; a timetable programming a later start would idle the link, so
+    its pop refuses and the run stops."""
     net = _simple_net()
     p = make_packet()
     sw_port = net.nodes["SW"].ports["b"]
     sw_port.set_scheduler(TimetableScheduler({p.pid: 0.005}))
     net.inject_at(0.0, p)
-    net.run()
-    rec = records(net.tracer)[p.pid]
-    assert rec.exit == pytest.approx(0.005 + 0.001)
-    # The wait before transmission is the idle-until-release time.
-    assert max(rec.hop_waits) == pytest.approx(0.005, rel=1e-3)
+    with pytest.raises(SchedulerError, match="work-conserving"):
+        net.run()
 
 
 def test_zero_delay_link_is_synchronous():
@@ -361,18 +360,3 @@ def test_tail_delivery_decides_at_once_only_when_nothing_else_is_due(
     assert deferred == ["a1", "a2", "SW"]
     sw_tx = {p.pid: records(net.tracer)[p.pid].hop_tx[1] for p in (lax, urgent)}
     assert sw_tx[urgent.pid] < sw_tx[lax.pid]
-
-
-def test_timetable_wakeup_decides_at_once(monkeypatch):
-    """A timetable wake-up is a heap event, so its decision is asked from
-    its tail: with nothing else due at the release time, the port serves
-    without a deferred decision."""
-    deferred = _deferred_decisions(monkeypatch)
-    net = _wan_net()
-    p = make_packet()
-    net.nodes["SW"].ports["b"].set_scheduler(TimetableScheduler({p.pid: 0.005}))
-    net.inject_at(0.0, p)
-    net.run()
-    # SW declines at the delivery (decided at once) and serves at 0.005.
-    assert deferred == ["a"]
-    assert records(net.tracer)[p.pid].hop_tx[1] == 0.005

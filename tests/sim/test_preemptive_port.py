@@ -5,22 +5,22 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.schedulers import FifoScheduler, LstfScheduler
+from repro.schedulers import FifoPlusScheduler, FifoScheduler, LstfScheduler
 from repro.sim.network import Network
-from repro.sim.port import PreemptivePort
+from repro.sim.port import Port, PreemptivePort
 from repro.units import MBPS
 from tests.conftest import make_packet
 from tests.sim.reference_tracer import records
 
 
-def _preemptive_net():
+def _preemptive_net(make=LstfScheduler):
     net = Network()
     net.add_host("a")
     net.add_host("b")
     net.add_router("SW")
     net.add_link("a", "SW", 8000 * MBPS, 0.0)
     net.add_link("SW", "b", 8 * MBPS, 0.0)  # 1000 B = 1 ms
-    net.use_preemptive_ports(LstfScheduler)
+    net.use_preemptive_ports(make)
     return net
 
 
@@ -131,17 +131,47 @@ def test_a_preemptive_port_holding_a_packet_refuses_a_new_scheduler():
     port.set_scheduler(LstfScheduler())
 
 
-def test_preemptive_port_requires_preemption_keys():
+def test_preemptive_ports_refuse_an_unkeyed_scheduler_when_built():
+    """FIFO has no static key to preempt by: the swap is refused before
+    any packet is injected, and no port is replaced."""
     net = Network()
     net.add_host("a")
     net.add_host("b")
     net.add_router("SW")
     net.add_link("a", "SW", 8000 * MBPS, 0.0)
     net.add_link("SW", "b", 8 * MBPS, 0.0)
-    net.use_preemptive_ports(FifoScheduler)  # FIFO: preemption_key is None
-    net.inject_at(0.0, make_packet())
-    with pytest.raises(ConfigurationError):
-        net.run()
+    with pytest.raises(ConfigurationError, match="no static key"):
+        net.use_preemptive_ports(FifoScheduler)
+    ports = [port for node in net.nodes.values() for port in node.ports.values()]
+    assert ports and all(type(port) is Port for port in ports)
+
+
+def test_a_preemptive_port_refuses_an_unkeyed_scheduler_when_handed_one():
+    net = _preemptive_net()
+    port = net.nodes["SW"].ports["b"]
+    with pytest.raises(ConfigurationError, match="no static key"):
+        port.set_scheduler(FifoScheduler())
+    assert isinstance(port.scheduler, LstfScheduler)
+    port.set_scheduler(FifoPlusScheduler())  # a keyed discipline is taken
+
+
+def test_a_fifo_plus_preemptive_port_serves_in_fifo_plus_key_order():
+    """FIFO+'s key, arrival here minus the wait upstream, is its
+    preemption key: a packet that waited long upstream preempts one that
+    did not, and a lightly delayed later arrival does not."""
+    net = _preemptive_net(FifoPlusScheduler)
+    first = make_packet()
+    light = make_packet(queue_wait=0.1e-3)  # key 0.1 ms after first's
+    heavy = make_packet(queue_wait=2e-3)    # key 1.5 ms before first's
+    net.inject_at(0.0, first)
+    net.inject_at(0.2e-3, light)
+    net.inject_at(0.5e-3, heavy)
+    net.run()
+    exits = {p.pid: records(net.tracer)[p.pid].exit for p in (first, light, heavy)}
+    # heavy preempts first (0.5 ms left) at 0.5 ms; first resumes, then light.
+    assert exits[heavy.pid] == pytest.approx(1.5e-3, rel=1e-3)
+    assert exits[first.pid] == pytest.approx(2.0e-3, rel=1e-3)
+    assert exits[light.pid] == pytest.approx(3.0e-3, rel=1e-3)
 
 
 def test_work_conservation_under_preemption():

@@ -63,7 +63,6 @@ FIXED_PARAMETERS = [
     ("repro.sim.port:Port", "buffer_bytes"),
     ("repro.sim.port:PreemptivePort", "buffer_bytes"),
     ("repro.workload.distributions:ExponentialSize", "mean_bytes"),
-    ("repro.units:packets_for", "mtu"),
     ("repro.obs.events:follow_events", "poll_s"),
     ("repro.obs.events:follow_events", "from_start"),
     ("repro.obs.events:follow_events", "stop"),
@@ -127,6 +126,31 @@ def test_every_port_decides_by_one_rule():
 
     assert "_decide" not in PreemptivePort.__dict__
     assert "_request_decision" not in PreemptivePort.__dict__
+
+
+def test_one_port_scheduler_contract():
+    # pop always serves (no wake-up path), and a keyed discipline's key
+    # is its preemption key (no second hook).
+    import repro.schedulers
+    from repro.sim.port import Port
+
+    for name in repro.schedulers.__all__:
+        cls = getattr(repro.schedulers, name)
+        if isinstance(cls, type) and issubclass(cls, repro.schedulers.Scheduler):
+            assert not hasattr(cls, "earliest_release"), name
+            assert not hasattr(cls, "preemption_key"), name
+    assert not hasattr(Port, "_arm_wakeup")
+    assert not hasattr(Port, "_on_wakeup")
+
+
+def test_the_test_only_unit_helpers_are_gone():
+    # Nothing outside the tests called them.
+    import repro.units
+    from repro.core.flow import Flow
+
+    assert not hasattr(repro.units, "bits")
+    assert not hasattr(repro.units, "packets_for")
+    assert not hasattr(Flow, "num_packets")
 
 
 def test_table_has_no_json_writer():

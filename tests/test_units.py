@@ -7,12 +7,7 @@ import math
 import pytest
 
 from repro import errors
-from repro.units import (
-    MTU,
-    bits,
-    packets_for,
-    tx_time,
-)
+from repro.units import tx_time
 
 
 class TestTxTime:
@@ -33,22 +28,6 @@ class TestTxTime:
     def test_negative_size(self):
         with pytest.raises(ValueError):
             tx_time(-1, 1e9)
-
-
-def test_bits():
-    assert bits(1500) == 12_000
-
-
-class TestPacketsFor:
-    def test_exact_multiple(self):
-        assert packets_for(3 * MTU) == 3
-
-    def test_remainder_rounds_up(self):
-        assert packets_for(MTU + 1) == 2
-
-    def test_minimum_one_packet(self):
-        assert packets_for(0) == 1
-        assert packets_for(1) == 1
 
 
 class TestErrorHierarchy:

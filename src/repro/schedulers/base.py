@@ -4,8 +4,10 @@ A scheduler owns the set of packets queued at one output port and decides
 which packet the port transmits next.  The contract:
 
 * :meth:`push` / :meth:`pop` — called by the port with the current time.
-  The port calls ``pop`` only while the scheduler holds a packet, and
-  ``pop`` always returns one: every discipline is work-conserving.  (The
+  The port owns the count: it counts the queued packets in
+  ``Port._queued`` and calls ``pop`` only while that is positive, so a
+  scheduler keeps no ``__len__`` and no empty-queue branch, and ``pop``
+  always returns a packet: every discipline is work-conserving.  (The
   theory gadgets' :class:`~repro.schedulers.timetable.TimetableScheduler`
   raises :class:`~repro.errors.SchedulerError` when asked before a
   packet's programmed time, as it refuses a late arrival.)
@@ -29,7 +31,7 @@ O(log n) with no linear scans anywhere:
   drop policies never scan the queue and dropless runs (the common case)
   pay nothing for the mirror.
 * :class:`KeyedScheduler` — a Scheduler subclass implementing
-  ``push``/``pop``/``__len__`` on top of that queue; concrete disciplines
+  ``push``/``pop`` only, on top of that queue; concrete disciplines
   only supply :meth:`KeyedScheduler._key`, which is also the key a
   preemptive port orders by.
 """
@@ -37,7 +39,7 @@ O(log n) with no linear scans anywhere:
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.errors import SchedulerError
 
@@ -93,34 +95,34 @@ class IndexedHeapQueue:
         if self._worst is not None:
             heappush(self._worst, (-key, -seq, packet))
 
-    def pop(self) -> Optional["Packet"]:
-        """Remove and return the minimum-key live packet — O(log n) am."""
+    def pop(self) -> "Packet":
+        """Remove and return the minimum-key live packet — O(log n) am.
+
+        Like :meth:`pop_entry` and :meth:`peek_entry`, called only while a
+        live packet is queued: the port owns the count.
+        """
         heap = self._heap
         live = self._live
         if live is None:
-            return heappop(heap)[2] if heap else None
-        while heap:
+            return heappop(heap)[2]
+        while True:
             _key, seq, packet = heappop(heap)
             if live.get(packet.pid) == seq:
                 del live[packet.pid]
                 return packet
-        return None
 
     def pop_entry(self):
-        """Like :meth:`pop` but returns ``(key, packet)`` (or ``None``)."""
+        """Like :meth:`pop` but returns ``(key, packet)``."""
         heap = self._heap
         live = self._live
         if live is None:
-            if not heap:
-                return None
             key, _seq, packet = heappop(heap)
             return key, packet
-        while heap:
+        while True:
             key, seq, packet = heappop(heap)
             if live.get(packet.pid) == seq:
                 del live[packet.pid]
                 return key, packet
-        return None
 
     def peek_entry(self):
         """``(key, packet)`` of the minimum live entry without removing it.
@@ -131,20 +133,13 @@ class IndexedHeapQueue:
         heap = self._heap
         live = self._live
         if live is None:
-            if not heap:
-                return None
             key, _seq, packet = heap[0]
             return key, packet
-        while heap:
+        while True:
             key, seq, packet = heap[0]
             if live.get(packet.pid) == seq:
                 return key, packet
             heappop(heap)
-        return None
-
-    def peek(self) -> Optional["Packet"]:
-        entry = self.peek_entry()
-        return entry[1] if entry is not None else None
 
     def evict(self, pid: int) -> bool:
         """Lazily remove the entry for ``pid`` — O(1) amortised.
@@ -233,9 +228,6 @@ class Scheduler:
         """The next packet to transmit; called only on a non-empty queue."""
         raise NotImplementedError
 
-    def __len__(self) -> int:
-        raise NotImplementedError
-
     # --- optional behaviours ---------------------------------------------------
 
     def drop_victim(self, arriving: "Packet", now: float) -> "Packet":
@@ -250,9 +242,6 @@ class Scheduler:
     def charge_wait(self, packet: "Packet", wait: float) -> None:
         """Charge ``wait`` seconds at a preemptive port to a dynamic header."""
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<{type(self).__name__} len={len(self)}>"
-
 
 class KeyedScheduler(Scheduler):
     """Serve packets in increasing order of a static per-packet key.
@@ -266,8 +255,8 @@ class KeyedScheduler(Scheduler):
     __slots__ = ("_queue",)
 
     #: The queue behind ``push``/``pop``: anything with the
-    #: :class:`IndexedHeapQueue` ``push(key, packet)`` / ``pop()`` /
-    #: ``len`` surface (the p-heap LSTF backend swaps in its own).
+    #: :class:`IndexedHeapQueue` ``push(key, packet)`` / ``pop()``
+    #: surface (the p-heap LSTF backend swaps in its own).
     _queue_class = IndexedHeapQueue
 
     def __init__(self) -> None:
@@ -284,6 +273,3 @@ class KeyedScheduler(Scheduler):
 
     def pop(self, now: float) -> "Packet":
         return self._queue.pop()
-
-    def __len__(self) -> int:
-        return len(self._queue)

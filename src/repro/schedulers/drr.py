@@ -9,7 +9,6 @@ precision of the fairness baseline.
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from typing import Optional
 
 from repro.core.packet import Packet
 from repro.schedulers.base import Scheduler
@@ -25,7 +24,7 @@ class DrrScheduler(Scheduler):
     which guarantees O(1) work per dequeue.
     """
 
-    __slots__ = ("_flows", "_deficit", "_size")
+    __slots__ = ("_flows", "_deficit")
 
     name = "drr"
 
@@ -35,7 +34,6 @@ class DrrScheduler(Scheduler):
         # round-robin order with O(1) membership checks.
         self._flows: "OrderedDict[int, deque[Packet]]" = OrderedDict()
         self._deficit: dict[int, float] = {}
-        self._size = 0
 
     def push(self, packet: Packet, now: float) -> None:
         fifo = self._flows.get(packet.flow_id)
@@ -44,18 +42,14 @@ class DrrScheduler(Scheduler):
             self._deficit[packet.flow_id] = 0.0
         else:
             fifo.append(packet)
-        self._size += 1
 
-    def pop(self, now: float) -> Optional[Packet]:
-        if self._size == 0:
-            return None
+    def pop(self, now: float) -> Packet:
         while True:
             flow_id, fifo = next(iter(self._flows.items()))
             deficit = self._deficit[flow_id] + MTU
             head = fifo[0]
             if head.size <= deficit:
                 fifo.popleft()
-                self._size -= 1
                 if fifo:
                     # Flow keeps its remaining deficit but we only charge
                     # a fresh quantum when it returns to the head.
@@ -67,6 +61,3 @@ class DrrScheduler(Scheduler):
             # Not enough deficit: bank it and rotate the flow to the back.
             self._deficit[flow_id] = deficit
             self._flows.move_to_end(flow_id)
-
-    def __len__(self) -> int:
-        return self._size

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional
 
 from repro.core.packet import Packet
 from repro.schedulers.base import Scheduler
@@ -31,10 +30,5 @@ class FifoScheduler(Scheduler):
     def push(self, packet: Packet, now: float) -> None:
         self._queue.append(packet)
 
-    def pop(self, now: float) -> Optional[Packet]:
-        if not self._queue:
-            return None
+    def pop(self, now: float) -> Packet:
         return self._queue.popleft()
-
-    def __len__(self) -> int:
-        return len(self._queue)

@@ -17,8 +17,6 @@ packets by the transports (defaults to 1.0).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core.packet import Packet
 from repro.schedulers.base import IndexedHeapQueue, Scheduler
 
@@ -52,17 +50,11 @@ class FqScheduler(Scheduler):
         self._finish_tags[packet.flow_id] = finish
         self._queue.push(finish, packet)
 
-    def pop(self, now: float) -> Optional[Packet]:
-        entry = self._queue.pop_entry()
-        if entry is None:
-            return None
-        finish, packet = entry
+    def pop(self, now: float) -> Packet:
+        finish, packet = self._queue.pop_entry()
         self._vtime = finish
         if not len(self._queue):
             # Idle port: reset virtual time so tags don't grow unboundedly.
             self._vtime = 0.0
             self._finish_tags.clear()
         return packet
-
-    def __len__(self) -> int:
-        return len(self._queue)

@@ -8,8 +8,6 @@ is among the hardest schedules for non-preemptive LSTF to replay.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core.packet import Packet
 from repro.schedulers.base import Scheduler
 
@@ -30,10 +28,5 @@ class LifoScheduler(Scheduler):
     def push(self, packet: Packet, now: float) -> None:
         self._stack.append(packet)
 
-    def pop(self, now: float) -> Optional[Packet]:
-        if not self._stack:
-            return None
+    def pop(self, now: float) -> Packet:
         return self._stack.pop()
-
-    def __len__(self) -> int:
-        return len(self._stack)

@@ -38,8 +38,6 @@ highest slack are dropped when the buffer is full", implemented in
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core.packet import Packet
 from repro.schedulers.base import KeyedScheduler
 
@@ -72,11 +70,10 @@ class LstfScheduler(KeyedScheduler):
 
     # --- queue operations ------------------------------------------------------
 
-    def pop(self, now: float) -> Optional[Packet]:
+    def pop(self, now: float) -> Packet:
         packet = self._queue.pop()
-        if packet is not None:
-            # Dynamic packet state: charge the wait at this hop to the header.
-            packet.slack -= now - packet.enqueue_time
+        # Dynamic packet state: charge the wait at this hop to the header.
+        packet.slack -= now - packet.enqueue_time
         return packet
 
     # --- finite buffers ----------------------------------------------------------

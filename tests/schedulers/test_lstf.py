@@ -80,16 +80,19 @@ def test_drop_victim_prefers_highest_slack_queued():
     arriving = make_packet(slack=1.0, enqueue_time=0.0)
     victim = s.drop_victim(arriving, 0.0)
     assert victim is lax
-    assert len(s) == 1
-    assert s.pop(0.0) is urgent
+    later = make_packet(slack=20.0, enqueue_time=0.0)
+    s.push(later, 0.0)
+    # lax (slack 9) is gone: the next served after urgent is the laxer later.
+    assert [s.pop(0.0), s.pop(0.0)] == [urgent, later]
 
 
 def test_drop_victim_is_arriving_when_it_has_most_slack():
     _net, _port, s = _port_with_lstf()
-    s.push(make_packet(slack=0.0, enqueue_time=0.0), 0.0)
+    queued = make_packet(slack=0.0, enqueue_time=0.0)
+    s.push(queued, 0.0)
     arriving = make_packet(slack=50.0, enqueue_time=0.0)
     assert s.drop_victim(arriving, 0.0) is arriving
-    assert len(s) == 1
+    assert s.pop(0.0) is queued
 
 
 def test_drop_victim_on_empty_queue_is_arriving():

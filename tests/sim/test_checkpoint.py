@@ -225,7 +225,7 @@ class TestSnapshotRoundTrip:
         AQM slot), and then an update of this pin."""
         port = _tiny_network().nodes["a"].ports["b"]
         _dict, slots = port.__getstate__()
-        assert CHECKPOINT_VERSION == 12
+        assert CHECKPOINT_VERSION == 13
         common = (
             "node", "link", "scheduler", "buffer_bytes", "buffered",
             "sent", "dropped", "_queued", "_decision_pending",
@@ -243,23 +243,24 @@ class TestSnapshotRoundTrip:
             *common, "_heap", "_seq", "_current", "_serve_start", "_done_handle"))
 
     def test_what_the_tracer_and_a_scheduler_pickle_is_pinned_too(self):
-        """So are the tracer's and the schedulers' slots (10: the p-heap
+        """So are the tracer's and the schedulers' slots (13: DRR keeps no
+        packet count, the port owning the queue count; 10: the p-heap
         LSTF scheduler holds no slot of its own, its p-heap being its one
         queue, and DRR no quantum; 9: the tracer keeps no drop count or
         ``dropped_at`` column, and only the p-heap LSTF scheduler a push
         counter)."""
-        assert CHECKPOINT_VERSION == 12
+        assert CHECKPOINT_VERSION == 13
         assert Tracer.__slots__ == (
             "enabled", "pid", "flow_id", "size", "src", "dst", "created", "exit",
             "tx_slot", "hop_tx", "hop_waits")
         assert Scheduler.__slots__ == ("_port",)
         assert PHeapLstfScheduler.__slots__ == ()
-        assert DrrScheduler.__slots__ == ("_flows", "_deficit", "_size")
+        assert DrrScheduler.__slots__ == ("_flows", "_deficit")
 
     def test_what_a_network_and_a_flow_pickle_is_pinned_too(self):
         """And a network's slots and a flow's fields (11: a flow carries no
         MTU, a network no preemptive flag)."""
-        assert CHECKPOINT_VERSION == 12
+        assert CHECKPOINT_VERSION == 13
         _none, slots = _tiny_network().__getstate__()
         assert sorted(slots) == sorted((
             "engine", "tracer", "nodes", "links", "_upstream", "_next_hop",
@@ -496,8 +497,13 @@ class TestCheckpointStore(StoreContract):
     def test_version_11_entry_reads_as_a_miss_and_is_rebuilt(self, tmp_path):
         """Nor one whose ports hold a timetable wake-up handle (v11);
         version 12 pickles ports without it."""
-        assert CHECKPOINT_VERSION == 12
         self._relabelled_entry_is_a_miss_and_heals(tmp_path, 11)
+
+    def test_version_12_entry_reads_as_a_miss_and_is_rebuilt(self, tmp_path):
+        """Nor one whose DRR schedulers count their packets (v12); version
+        13 pickles DRR without the count, which its port owns."""
+        assert CHECKPOINT_VERSION == 13
+        self._relabelled_entry_is_a_miss_and_heals(tmp_path, 12)
 
     @pytest.mark.parametrize("via", ["os.system", "ContentStore"])
     def test_a_payload_naming_a_foreign_global_is_a_miss_and_heals(

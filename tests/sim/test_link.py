@@ -36,6 +36,9 @@ def test_rejects_nan_bandwidth():
         Link("a", "b", bandwidth=math.nan, propagation=0.0)
 
 
-def test_rejects_negative_propagation():
-    with pytest.raises(ConfigurationError):
-        Link("a", "b", bandwidth=1e6, propagation=-0.1)
+@pytest.mark.parametrize("propagation", [-0.1, math.nan, math.inf])
+def test_rejects_negative_propagation(propagation):
+    """An infinite delay would deliver at t = inf: the port pushes its
+    deliveries onto the engine heap directly, past the schedule check."""
+    with pytest.raises(ConfigurationError, match="propagation"):
+        Link("a", "b", bandwidth=1e6, propagation=propagation)

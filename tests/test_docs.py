@@ -92,3 +92,40 @@ def test_dangling_repro_reference_is_flagged(tmp_path):
         "guide.md:2: repro.topology.simple.build_linear does not resolve",
         "guide.md:2: repro.api.spec.ExperimentSpec.sweeps does not resolve",
     ]
+
+
+def test_reach_map_reports_exactly_the_lines_not_run(tmp_path):
+    """``docs/reach.py``'s arithmetic on a fixture: the branch not taken
+    is unreached, module-level lines count, and a ``pragma: no cover``
+    block is not executable.  (The full scan runs in the nightly job.)"""
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("reach", REPO / "docs" / "reach.py")
+    reach = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reach)
+    package = tmp_path / "pkg"
+    package.mkdir()
+    fixture = package / "mod.py"
+    fixture.write_text(
+        '"""A fixture."""\n'
+        "import os\n"
+        "\n"
+        "\n"
+        "def sign(x):\n"
+        "    if x < 0:\n"
+        "        x = -x\n"
+        "        return 'negative'\n"
+        "    return 'positive'\n"
+        "\n"
+        "\n"
+        "def where():  # pragma: no cover\n"
+        "    return os.getcwd()\n"
+    )
+    module_spec = importlib.util.spec_from_file_location("mod", fixture)
+    module = importlib.util.module_from_spec(module_spec)
+    with reach.Tracer(package) as tracer:
+        module_spec.loader.exec_module(module)
+        assert module.sign(1) == "positive"
+    assert reach.executable_lines(fixture) == {1, 2, 5, 6, 7, 8, 9}
+    assert reach.report(package, tracer.hits) == [
+        "mod.py: 2/7  7-8", "total: 2/7 executable lines unreached"]

@@ -143,6 +143,26 @@ def test_one_port_scheduler_contract():
     assert not hasattr(Port, "_on_wakeup")
 
 
+def test_the_port_owns_the_queue_count():
+    # The port calls pop only while Port._queued > 0, so no scheduler
+    # counts its own packets (nor may one be tested for truthiness: without
+    # __len__ it is always true), and no queue answers an empty read.
+    from repro.schedulers import Scheduler, make_scheduler, scheduler_names
+    from repro.schedulers.base import IndexedHeapQueue
+    from repro.sim.engine import EventHandle
+
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    registered = {type(make_scheduler(name)) for name in scheduler_names()}
+    for cls in registered | {Scheduler, *subclasses(Scheduler)}:
+        assert not hasattr(cls, "__len__"), cls.__name__
+    assert not hasattr(IndexedHeapQueue, "peek")
+    assert not hasattr(EventHandle, "cancelled")
+
+
 def test_the_test_only_unit_helpers_are_gone():
     # Nothing outside the tests called them.
     import repro.units

@@ -177,6 +177,9 @@ def run_examples() -> None:
 
 
 def run_cli(tmp: Path) -> None:
+    """The ``repro`` verbs .github/workflows/ci.yml runs.  The two lists
+    change together; tests/test_docs.py checks that they name the same
+    verbs."""
     from repro.cli import main
 
     def verb(*argv, status: int = 0) -> None:
@@ -217,6 +220,7 @@ def run_cli(tmp: Path) -> None:
     verb("gather", queue, "--json")
     verb("gc", "--queue", queue, "--dry-run")
     verb("gc", "--queue", queue)
+
 
 def main() -> None:
     spec = importlib.util.find_spec("repro")

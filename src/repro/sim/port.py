@@ -157,7 +157,9 @@ class Port:
         # ahead of this arrival: it is pushed below and fires next.
         idle = now > self._free_at
         while self.buffered + packet.size > self.buffer_bytes:
-            victim = scheduler.drop_victim(packet, now)
+            # Too big for an empty buffer: dropped, evicting nobody.
+            victim = (packet if packet.size > self.buffer_bytes
+                      else scheduler.drop_victim(packet, now))
             self.dropped += 1
             if victim is packet:
                 return
@@ -225,8 +227,10 @@ class Port:
     def _try_send(self) -> None:
         """Serve the next packet.  Runs only with one queued on a free
         wire: a decision is asked for by an arrival at an idle port or by
-        a completion with a packet waiting, and ``_decision_pending``
-        keeps a second one from serving before the first has run."""
+        a completion with a packet waiting, ``_decision_pending`` keeps a
+        second one from serving before the first has run, and nothing but
+        service empties a queue (:meth:`enqueue`'s drop loop never evicts
+        the last queued packet for an arrival it then drops)."""
         engine = self._engine
         now = engine.now
         packet = self.scheduler.pop(now)
@@ -259,7 +263,7 @@ class Port:
 
     def _complete(self) -> None:
         """The last bit has left and a packet is waiting (one was queued
-        when this event was pushed, and queues only shrink by service)."""
+        when this event was pushed, and only service empties a queue)."""
         self._free_at = _IDLE
         self._request_decision(True)
 

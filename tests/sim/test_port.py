@@ -155,6 +155,28 @@ def test_lstf_arrival_evicts_as_many_queued_packets_as_it_needs():
     assert port.buffered == 0 and port._queued == 0
 
 
+def test_lstf_an_arrival_larger_than_the_buffer_evicts_nobody():
+    """A 3 000-byte urgent arrival fits no 2 500-byte buffer, empty or not:
+    it is dropped, and the two lax packets it would have evicted stay and
+    are served (the queue never empties under the armed completion)."""
+    net = _simple_net()
+    port = net.nodes["SW"].ports["b"]
+    port.set_scheduler(LstfScheduler())
+    port.set_buffer(2500)
+    head = make_packet(slack=0.0)
+    lax = [make_packet(slack=9.0) for _ in range(2)]
+    urgent = make_packet(size=3000, slack=0.0)
+    for p in (head, *lax, urgent):
+        net.inject_at(0.0, p)
+    net.engine.run(until=0.0001)
+    assert port.buffered == 2000 and port._queued == 2
+    net.run()
+    recs = records(net.tracer, net)
+    assert recs[urgent.pid].dropped_at == "SW" and port.dropped == 1
+    assert all(recs[p.pid].delivered for p in (head, *lax))
+    assert port.buffered == 0 and port._queued == 0
+
+
 def test_lstf_drops_an_arrival_laxer_than_everything_queued():
     net = _simple_net()
     port = net.nodes["SW"].ports["b"]

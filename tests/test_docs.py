@@ -94,15 +94,22 @@ def test_dangling_repro_reference_is_flagged(tmp_path):
     ]
 
 
+def _reach():
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("reach", REPO / "docs" / "reach.py")
+    reach = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reach)
+    return reach
+
+
 def test_reach_map_reports_exactly_the_lines_not_run(tmp_path):
     """``docs/reach.py``'s arithmetic on a fixture: the branch not taken
     is unreached, module-level lines count, and a ``pragma: no cover``
     block is not executable.  (The full scan runs in the nightly job.)"""
     import importlib.util
 
-    spec = importlib.util.spec_from_file_location("reach", REPO / "docs" / "reach.py")
-    reach = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(reach)
+    reach = _reach()
     package = tmp_path / "pkg"
     package.mkdir()
     fixture = package / "mod.py"
@@ -129,3 +136,15 @@ def test_reach_map_reports_exactly_the_lines_not_run(tmp_path):
     assert reach.executable_lines(fixture) == {1, 2, 5, 6, 7, 8, 9}
     assert reach.report(package, tracer.hits) == [
         "mod.py: 2/7  7-8", "total: 2/7 executable lines unreached"]
+
+
+def test_reach_map_runs_every_repro_verb_ci_runs():
+    """The map's CLI leg is a hand-kept copy of the workflow's verbs: a
+    verb CI starts running (or stops running) must change both."""
+    import inspect
+    import re
+
+    workflow = (REPO / ".github" / "workflows" / "ci.yml").read_text()
+    in_ci = set(re.findall(r"python -m repro ([a-z-]+)", workflow))
+    in_map = set(re.findall(r'verb\("([a-z-]+)"', inspect.getsource(_reach().run_cli)))
+    assert in_ci == in_map

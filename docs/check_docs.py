@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation lint: links resolve, the paper map matches the registry.
 
-Eight checks, all cheap enough for every CI run:
+Seven checks, all cheap enough for every CI run:
 
 1. **Internal links** — every relative markdown link in ``docs/*.md``
    and ``README.md`` must point at a file or directory that exists
@@ -12,23 +12,21 @@ Eight checks, all cheap enough for every CI run:
    experiment (the same set ``repro list`` prints), and every
    registered experiment must appear in the map, so the map can neither
    name ghosts nor silently omit a new artefact.
-3. **Rule table × lint registry** — the rule column of the table in
-   ``docs/determinism.md`` must equal the ids ``repro lint
-   --list-rules`` knows, so the invariant catalogue can neither
-   document retired rules nor silently omit a new one.
-4. **CLI verbs × docs** — every non-experiment subcommand of ``python
+3. **CLI verbs × docs** — every non-experiment subcommand of ``python
    -m repro`` (``run``, ``gc``, ``record``, …) must be mentioned as
    ``repro <verb>`` somewhere in the documentation corpus, so a new
-   verb cannot ship undocumented.
-5. **Run flags × docs** — every long option of ``repro run`` (the
+   verb cannot ship undocumented; and every anchored mention
+   (`` `repro X``, ``$ repro X``, ``-m repro X``) must name a verb or
+   an experiment, so a deleted verb cannot linger in the prose.
+4. **Run flags × docs** — every long option of ``repro run`` (the
    experiment-facing surface: ``--out``, ``--force``, …)
    must appear verbatim somewhere in the corpus, so a new runner knob
    cannot ship undocumented either.
-6. **Scenario catalogue × listing** — the first column of the
+5. **Scenario catalogue × listing** — the first column of the
    catalogue table in ``docs/scenarios.md`` must equal the names
    ``repro list --scenarios`` prints, so a new catalogue scenario
    cannot ship undocumented and the docs cannot name ghosts.
-7. **Docstrings × files** — every ``*.md`` file a docstring under
+6. **Docstrings × files** — every ``*.md`` file a docstring under
    ``src/`` names (``docs/replay.md``, ``benchmarks/suite/README.md``),
    and every ``*.py`` file it names from the top of the tree
    (``tests/sim/test_checkpoint.py``; a ``src/``, ``tests/``,
@@ -36,7 +34,7 @@ Eight checks, all cheap enough for every CI run:
    path from the repository root — the corpus once carried eight
    pointers to a ``DESIGN.md`` that was never written, and one to a
    test module that was never written.
-8. **References × package** — every fully qualified ``repro.…`` name
+7. **References × package** — every fully qualified ``repro.…`` name
    must resolve (``pkgutil.resolve_name``: import the longest module
    prefix, then look the rest up as attributes): the target of a Sphinx role (``:func:``,
    ``:class:``, ``:meth:``, ``:data:``, ``:mod:``, ``:attr:``,
@@ -65,8 +63,9 @@ DOCS = REPO / "docs"
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 #: A table row whose second cell is a backticked name.
 _MAP_ROW = re.compile(r"^\|[^|]*\|\s*`([a-z0-9_-]+)`\s*\|")
-#: A determinism.md table row whose first cell is a backticked rule id.
-_RULE_ROW = re.compile(r"^\|\s*`([A-Z]+(?:-[A-Z]+)+)`\s*\|")
+#: An anchored mention of a CLI verb: `` `repro X``, ``$ repro X``,
+#: ``-m repro X``.
+_VERB_MENTION = re.compile(r"(?:`|\$ |-m )repro ([a-z][\w-]*)")
 #: A scenarios.md catalogue row whose first cell is a backticked name.
 _SCENARIO_ROW = re.compile(r"^\|\s*`([a-z0-9_-]+)`\s*\|")
 #: The heading that opens the scenario catalogue table.
@@ -127,35 +126,9 @@ def check_paper_map(map_path: Path) -> list[str]:
     return problems
 
 
-def check_rule_table(doc_path: Path) -> list[str]:
-    """determinism.md's rule column == the lint registry, exactly."""
-    from repro.lintkit import rule_ids
-
-    documented = set()
-    for line in doc_path.read_text().splitlines():
-        match = _RULE_ROW.match(line.strip())
-        if match:
-            documented.add(match.group(1))
-    registered = set(rule_ids())
-    problems = []
-    for ghost in sorted(documented - registered):
-        problems.append(
-            f"{doc_path.relative_to(REPO)}: documents unregistered lint "
-            f"rule {ghost!r} (repro lint --list-rules knows: "
-            f"{sorted(registered)})"
-        )
-    for missing in sorted(registered - documented):
-        problems.append(
-            f"{doc_path.relative_to(REPO)}: lint rule {missing!r} is "
-            f"missing from the invariant table"
-        )
-    if not documented:
-        problems.append(f"{doc_path.relative_to(REPO)}: no rule rows found")
-    return problems
-
-
 def check_cli_verbs(paths: list[Path]) -> list[str]:
-    """Every non-experiment CLI verb appears as ``repro <verb>`` somewhere."""
+    """Every non-experiment CLI verb appears as ``repro <verb>`` somewhere,
+    and every anchored ``repro X`` names a verb or an experiment."""
     import argparse
 
     from repro.api import experiment_names
@@ -167,9 +140,14 @@ def check_cli_verbs(paths: list[Path]) -> list[str]:
     )
     # experiment aliases (`repro table1` == `repro run table1`) are
     # documented through the paper map; only the real verbs need prose
-    verbs = set(subparsers.choices) - set(experiment_names())
+    names = set(subparsers.choices) | set(experiment_names())
+    verbs = names - set(experiment_names())
     corpus = "\n".join(path.read_text() for path in paths)
-    problems = []
+    problems = [
+        f"'repro {ghost}' is documented, but {ghost!r} is no CLI verb or "
+        f"experiment"
+        for ghost in sorted(set(_VERB_MENTION.findall(corpus)) - names)
+    ]
     for verb in sorted(verbs):
         if not re.search(rf"\brepro {re.escape(verb)}\b", corpus):
             problems.append(
@@ -311,7 +289,6 @@ def main() -> int:
     markdown = sorted(DOCS.glob("*.md")) + [REPO / "README.md"]
     problems = check_links(markdown)
     problems += check_paper_map(DOCS / "paper-map.md")
-    problems += check_rule_table(DOCS / "determinism.md")
     problems += check_cli_verbs(markdown)
     problems += check_run_flags(markdown)
     problems += check_scenarios(DOCS / "scenarios.md")
@@ -322,8 +299,8 @@ def main() -> int:
     if problems:
         print(f"{len(problems)} documentation problem(s)", file=sys.stderr)
         return 1
-    print(f"docs OK: {len(markdown)} files, links + paper map + rule "
-          f"table + CLI verbs + run flags + scenario catalogue + "
+    print(f"docs OK: {len(markdown)} files, links + paper map + "
+          f"CLI verbs + run flags + scenario catalogue + "
           f"docstring file references + repro.* references verified")
     return 0
 

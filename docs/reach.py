@@ -188,9 +188,6 @@ def run_cli(tmp: Path) -> None:
         assert got == status, f"repro {' '.join(argv)} exited {got}, not {status}"
 
     art, rec, queue = tmp / "artifacts", tmp / "rec", tmp / "qdir"
-    planted = tmp / "planted" / "sim"
-    planted.mkdir(parents=True)
-    (planted / "bad.py").write_text("import random\nx = random.random()\n")
     verb("list")
     verb("list", "--scenarios")
     verb("run", "scenario-matrix", "--scenarios", "long-lived-dumbbell", status=2)
@@ -204,10 +201,6 @@ def run_cli(tmp: Path) -> None:
     verb("run", "table1", "--rows", "0", "--duration", "0.04", "--out", rec)
     verb("profile", "fig2", "--schedulers", "sjf", "--duration", "0.02",
          "--trace", tmp / "profile_trace.json")
-    verb("lint", REPO / "src", "--format", "json")
-    verb("lint", planted.parent, status=1)
-    verb("lint", REPO / "tests" / "cluster")
-    verb("lint", "--list-rules")
     # The queue verbs come last: `repro worker` installs its signal
     # handlers in this process.
     verb("submit", "table1", "--rows", "0", "--duration", "0.04",

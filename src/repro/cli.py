@@ -52,12 +52,10 @@ spec's run-id: re-running the same spec answers from the saved artifact
 (``--force`` re-simulates), and its ``schedules/`` subdirectory caches
 recorded schedules the same way.
 
-Two maintenance verbs round out the surface: ``repro record EXPERIMENT
+A maintenance verb rounds out the surface: ``repro record EXPERIMENT
 --out DIR`` records a record-once experiment's original schedule(s) into
 the schedule store at ``DIR`` (what ``repro run --out D`` reads from
-``D/schedules``), and ``repro lint [PATHS]`` runs the
-determinism/concurrency analyzer of :mod:`repro.lintkit` (rule
-catalogue: ``docs/determinism.md``).
+``D/schedules``).
 """
 
 from __future__ import annotations
@@ -520,39 +518,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    """Run the determinism/concurrency analyzer (see docs/determinism.md).
-
-    Exit codes follow lint convention: 0 clean, 1 unsuppressed findings,
-    2 usage/configuration error — so CI can distinguish "the tree is
-    dirty" from "the invocation is broken".
-    """
-    from repro.lintkit import JSON_SCHEMA_VERSION, lint_paths
-    from repro.lintkit.rules import load_rules
-
-    if args.list_rules:
-        rules = load_rules()
-        if args.format == "json":
-            print(json.dumps(
-                {"version": JSON_SCHEMA_VERSION,
-                 "rules": [rules[rid].to_dict() for rid in sorted(rules)]},
-                indent=2))
-        else:
-            table = Table(["rule", "scopes", "summary"],
-                          title="repro lint rules")
-            for rule_id in sorted(rules):
-                rule = rules[rule_id]
-                table.add_row([rule.id, ",".join(rule.scopes), rule.summary])
-            print(table.render())
-        return 0
-    report = lint_paths(args.paths or ["src"])
-    if args.format == "json":
-        print(json.dumps(report.to_dict(), indent=2))
-    else:
-        print(report.render(verbose=args.verbose))
-    return 0 if report.clean else 1
-
-
 def _cmd_record(args: argparse.Namespace) -> int:
     """Record an experiment's original schedule(s) into a schedule store:
     ``repro record table1 --out D/schedules`` warms ``repro run table1
@@ -691,19 +656,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_gc)
 
     p = sub.add_parser(
-        "lint",
-        help="run the determinism/concurrency analyzer over Python sources")
-    p.add_argument("paths", nargs="*", metavar="PATH",
-                   help="files or directories to lint (default: src)")
-    p.add_argument("--format", choices=("text", "json"), default="text",
-                   help="report format (default: text)")
-    p.add_argument("--list-rules", action="store_true", dest="list_rules",
-                   help="print the rule registry instead of linting")
-    p.add_argument("--verbose", action="store_true",
-                   help="text format: also show suppressed findings")
-    p.set_defaults(fn=_cmd_lint)
-
-    p = sub.add_parser(
         "record",
         help="record an experiment's original schedule(s) into a schedule "
              "store")
@@ -779,7 +731,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.fn(args)
     except ReproError as exc:
         # Every handler's usage/configuration errors end here, as one
-        # line on stderr and exit 2 (lint's exit 1 means findings).
+        # line on stderr and exit 2.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -276,7 +276,7 @@ class JobQueue:
                 "job": job_id, "worker": worker,
                 "error": "lease expired" if terminal else None,
             })
-        conn.execute(  # repro: allow(SQL-TXN) caller holds BEGIN IMMEDIATE, per contract above
+        conn.execute(
             "UPDATE jobs SET state = ?, error ="
             " 'lease expired after ' || attempts || ' attempt(s); worker '"
             " || COALESCE(worker, '?') || ' presumed dead',"
@@ -284,7 +284,7 @@ class JobQueue:
             " WHERE state = ? AND lease_expires_at < ? AND attempts >= max_attempts",
             (FAILED, now, RUNNING, now),
         )
-        conn.execute(  # repro: allow(SQL-TXN) caller holds BEGIN IMMEDIATE, per contract above
+        conn.execute(
             "UPDATE jobs SET state = ?, worker = NULL, lease_expires_at = NULL"
             " WHERE state = ? AND lease_expires_at < ?",
             (PENDING, RUNNING, now),

@@ -155,7 +155,7 @@ class Engine:
     """
 
     __slots__ = ("now", "_heap", "_seq", "_events_processed", "_deferred",
-                 "_flight")
+                 "flight")
 
     def __init__(self) -> None:
         self.now: float = 0.0
@@ -163,7 +163,11 @@ class Engine:
         self._seq: int = 0
         self._events_processed: int = 0
         self._deferred: deque[Callable[[], None]] = deque()
-        self._flight = None  # optional FlightRecorder (see repro.obs.flight)
+        #: An attached :class:`~repro.obs.flight.FlightRecorder`, or None:
+        #: the run loop notes each dispatched event's ``(time, callback)``
+        #: into it, sampler ticks excluded, from the next :meth:`run` on
+        #: (the loop hoists the recorder into a local).
+        self.flight = None
 
     # --- scheduling -------------------------------------------------------
 
@@ -306,14 +310,14 @@ class Engine:
         """
         heap = self._heap
         deferred = self._deferred
-        flight = self._flight
+        flight = self.flight
         limit = inf if until is None else until
         now = self.now
         # Locals beat per-event LOAD_GLOBALs in the dispatch below.
         cancellable = _CANCELLABLE
         sampler = _SAMPLER
         processed = 0
-        start = perf_counter()  # repro: allow(DET-WALLCLOCK) ENGINE_PERF accounting, never feeds simulation state
+        start = perf_counter()
         try:
             while True:
                 if deferred:
@@ -348,7 +352,7 @@ class Engine:
                 callback(*args)
         finally:
             self._events_processed += processed
-            ENGINE_PERF.record(processed, perf_counter() - start)  # repro: allow(DET-WALLCLOCK) ENGINE_PERF accounting, never feeds simulation state
+            ENGINE_PERF.record(processed, perf_counter() - start)
 
     def clear(self) -> None:
         """Drop every pending event and decision, cancelling timers first: a
@@ -419,7 +423,7 @@ class Engine:
         self._deferred = deque(state["deferred"])
         # Unpickled engines skip __init__, so the slot may not exist yet;
         # a restored engine never inherits the checkpoint's observer.
-        self._flight = getattr(self, "_flight", None)
+        self.flight = getattr(self, "flight", None)
 
     def __getstate__(self) -> dict:
         return self.checkpoint()
@@ -443,21 +447,6 @@ class Engine:
     def events_processed(self) -> int:
         """Number of events that have fired since construction."""
         return self._events_processed
-
-    @property
-    def flight(self):
-        """The attached :class:`~repro.obs.flight.FlightRecorder` (or None).
-
-        While attached, the run loop notes every dispatched event's
-        ``(time, callback)`` into the recorder's ring — sampler ticks
-        excluded.  Attachment takes effect at the next :meth:`run` call
-        (the loop hoists the recorder into a local).
-        """
-        return self._flight
-
-    @flight.setter
-    def flight(self, recorder) -> None:
-        self._flight = recorder
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Engine now={self.now:.9f} pending={len(self._heap)}>"

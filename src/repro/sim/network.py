@@ -218,8 +218,6 @@ class Network:
         if src not in self.nodes or dst not in self.nodes:
             missing = src if src not in self.nodes else dst
             raise RoutingError(f"unknown node {missing!r}")
-        if src == dst:
-            return (src,)
         path = [src]
         node = src
         while node != dst:

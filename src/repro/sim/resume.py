@@ -217,7 +217,7 @@ def _anchor_walk(root: object) -> list[object]:
                 kind = kinds[cls] = _walk_kind(cls)
             if kind == _LEAF:
                 continue
-            oid = id(obj)  # repro: allow(DET-ID-ORDER) membership key only; numbering comes from walk order
+            oid = id(obj)
             if oid in seen:
                 continue
             seen.add(oid)
@@ -268,7 +268,7 @@ class _AnchorPickler(pickle.Pickler):
         self._anchor_ids = anchor_ids
 
     def reducer_override(self, obj: object):
-        index = self._anchor_ids.get(id(obj))  # repro: allow(DET-ID-ORDER) identity lookup only; the index is walk order
+        index = self._anchor_ids.get(id(obj))
         if index is None:
             return NotImplemented
         return (_load_anchor, (index,), _object_state(obj))
@@ -324,7 +324,7 @@ class ResumeSession:
         # the resume below mutates entry state.
         self._anchors = _anchor_walk(network)
         self._anchor_ids = {
-            id(obj): i  # repro: allow(DET-ID-ORDER) identity lookup only; the index is walk order
+            id(obj): i
             for i, obj in enumerate(self._anchors)
         }
         hub = run_context().hub

@@ -532,7 +532,6 @@ def test_run_has_no_queue_mode(argv, tmp_path, capsys, monkeypatch):
     (["gather", "{tmp}/typo"], "is not a job queue"),
     (["gc", "--queue", "{tmp}/typo"], "is not a job queue"),
     (["tail", "{tmp}/typo", "--once"], "is not a job queue"),
-    (["lint", "{tmp}/missing.py"], "missing.py' does not exist"),
     # an unknown weighted scheme used to leave as a ValueError traceback
     (["run", "weighted", "--schedulers", "nope"],
      "unknown weighted-fairness scheme 'nope'"),
@@ -550,7 +549,7 @@ def test_run_has_no_queue_mode(argv, tmp_path, capsys, monkeypatch):
         "worker",
         "worker-lease-nan", "worker-lease-inf", "worker-poll-negative",
         "worker-max-jobs-zero", "worker-max-jobs-negative", "status",
-        "gather", "gc", "tail", "lint", "run-weighted-scheme",
+        "gather", "gc", "tail", "run-weighted-scheme",
         "run-scenarios-empty"])
 def test_handler_errors_are_one_stderr_line_and_exit_2(
         argv, message, tmp_path, capsys):

@@ -148,3 +148,22 @@ def test_reach_map_runs_every_repro_verb_ci_runs():
     in_ci = set(re.findall(r"python -m repro ([a-z-]+)", workflow))
     in_map = set(re.findall(r'verb\("([a-z-]+)"', inspect.getsource(_reach().run_cli)))
     assert in_ci == in_map
+
+
+def test_a_documented_verb_the_cli_lacks_is_flagged(tmp_path):
+    """An anchored ``repro X`` must name a verb or an experiment; a bare
+    ``repro`` in prose is not anchored and is never checked."""
+    doc = tmp_path / "guide.md"
+    doc.write_text(
+        "Run `repro lint src/`, then `repro run table1`.\n"
+        "```console\n$ repro frobnicate --all\n"
+        "$ PYTHONPATH=src python -m repro table1 --rows 0\n```\n"
+        "The repro gremlin is not a verb.\n"
+    )
+    ghosts = [problem for problem in _check_docs().check_cli_verbs([doc])
+              if "is documented" in problem]
+    assert ghosts == [
+        "'repro frobnicate' is documented, but 'frobnicate' is no CLI verb "
+        "or experiment",
+        "'repro lint' is documented, but 'lint' is no CLI verb or experiment",
+    ]

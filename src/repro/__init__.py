@@ -110,7 +110,7 @@ from repro.errors import (
     SimulationError,
     WorkloadError,
 )
-from repro.obs import FlightRecorder, MetricsHub
+from repro.obs import MetricsHub
 from repro.scenarios import (
     Scenario,
     build_scenario_network,
@@ -187,7 +187,6 @@ __all__ = [
     "FatTreeConfig",
     "FifoPlusScheduler",
     "FifoScheduler",
-    "FlightRecorder",
     "Flow",
     "FlowSizeSlack",
     "FqScheduler",

@@ -430,20 +430,17 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     """Run an experiment under full telemetry and print the breakdown.
 
     All legs run serially in-process under one shared
-    :class:`~repro.obs.hub.MetricsHub` + flight recorder, with phase
-    spans enabled — profiling trades parallelism for attribution.
+    :class:`~repro.obs.hub.MetricsHub`, with phase spans enabled —
+    profiling trades parallelism for attribution.
     """
     from repro.api.runner import run
-    from repro.obs.flight import FlightRecorder
     from repro.obs.hub import MetricsHub
     from repro.obs.spans import SPANS, gc_activity, write_chrome_trace
 
-    if args.top < 0:
-        raise ConfigurationError(f"--top must be >= 0, got {args.top}")
     _, specs = _legs(args.experiment, args)
     if args.trace:  # refuse it before the first leg
         _out_file(args.trace, "--trace")
-    hub = MetricsHub(flight=FlightRecorder(capacity=1024))
+    hub = MetricsHub()
     events, wall = 0, 0.0
     SPANS.clear()
     SPANS.enable()
@@ -457,7 +454,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         SPANS.disable()
     breakdown = SPANS.breakdown()
     rate = events / wall if wall > 0 else 0.0
-    top = hub.flight.top(args.top)
     if args.trace:
         write_chrome_trace(args.trace, SPANS.records)
         print(f"wrote {args.trace} ({len(SPANS.records)} span(s)) — "
@@ -470,7 +466,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             "wall_time_s": wall,
             "events_per_sec": rate,
             "phases": [{"name": n, "seconds": s} for n, s in breakdown],
-            "top_callbacks": [{"name": n, "events": c} for n, c in top],
             "gc": gc_stats,
             "obs": hub.summary(),
         }, indent=2))
@@ -488,13 +483,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     for generation, count in enumerate(gc_stats["collections"]):
         collector.add_row([generation, count])
     print(collector.render())
-    if top:
-        attribution = Table(["callback", "events", "share"],
-                            title="top callbacks (flight recorder)")
-        for name, count in top:
-            attribution.add_row(
-                [name, count, f"{100 * count / max(events, 1):.1f}%"])
-        print(attribution.render())
     return 0
 
 
@@ -692,15 +680,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "profile",
         help="run an experiment under full telemetry and print the "
-             "phase/throughput/callback breakdown")
+             "phase/throughput/GC breakdown")
     p.add_argument("experiment", help="a name from `repro list`")
     _add_spec_args(p, with_rows=True)
     p.add_argument("--trace", default=None, metavar="FILE",
                    help="also write the phase spans as Chrome trace-event "
                         "JSON (load in Perfetto / chrome://tracing)")
-    p.add_argument("--top", type=int, default=10, metavar="N",
-                   help="callbacks to show in the attribution table "
-                        "(default 10)")
     p.add_argument("--json", action="store_true", dest="as_json",
                    help="emit the profile as JSON instead of tables")
     p.set_defaults(fn=_cmd_profile)

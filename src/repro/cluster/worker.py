@@ -39,6 +39,7 @@ Two loops:
 
 from __future__ import annotations
 
+import faulthandler
 import os
 import signal
 import socket
@@ -47,7 +48,7 @@ import threading
 import time
 from pathlib import Path
 
-from repro.api.runner import obs_enabled_from_env, run
+from repro.api.runner import run
 from repro.cluster.jobs import Job
 from repro.cluster.queue import JobQueue
 from repro.errors import (
@@ -55,8 +56,6 @@ from repro.errors import (
     require_positive_finite,
     require_positive_int,
 )
-from repro.obs.flight import FlightRecorder
-from repro.obs.hub import MetricsHub
 from repro.obs.spans import append_span_record, span_record
 
 __all__ = ["DEFAULT_BATCH_SIZE", "Worker"]
@@ -92,11 +91,6 @@ class Worker:
         self.poll_s = require_positive_finite(poll_s, "poll_s")
         self.jobs_run = 0
         self._stop = threading.Event()
-        #: Bounded ring of the current job's recent engine events — the
-        #: crash flight recorder (:mod:`repro.obs.flight`).  Armed by the
-        #: REPRO_OBS environment switch; its dump rides along on failure
-        #: reports and answers SIGUSR1 while a job is running.
-        self.flight = FlightRecorder() if obs_enabled_from_env() else None
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -113,26 +107,20 @@ class Worker:
         """SIGTERM/SIGINT → :meth:`request_stop` (daemon entry points only:
         signal handlers are process-global and main-thread-only).
 
-        Also binds SIGUSR1 to dump the flight recorder to stderr — "what
-        is this wedged worker doing right now?" without killing it."""
+        Also makes SIGUSR1 print every thread's Python stack to stderr
+        (:mod:`faulthandler`) — "what is this wedged worker doing right
+        now?" without killing it.  It writes to ``sys.__stderr__``, the
+        process's own stream, which has a file descriptor even while
+        ``sys.stderr`` is swapped for one that has none."""
 
         def handler(signum, frame):  # noqa: ARG001 - signal API
             self.request_stop()
 
-        def dump(signum, frame):  # noqa: ARG001 - signal API
-            if self.flight is not None:
-                print(self.flight.dump(), file=sys.stderr, flush=True)
-            else:
-                print(
-                    f"[{self.worker_id}] flight recorder off "
-                    "(start the worker with REPRO_OBS=1 to arm it)",
-                    file=sys.stderr, flush=True,
-                )
-
         signal.signal(signal.SIGTERM, handler)
         signal.signal(signal.SIGINT, handler)
         if hasattr(signal, "SIGUSR1"):  # not on every platform
-            signal.signal(signal.SIGUSR1, dump)
+            faulthandler.register(signal.SIGUSR1, file=sys.__stderr__,
+                                  all_threads=True)
 
     # -- the claim-execute step -------------------------------------------
 
@@ -148,39 +136,23 @@ class Worker:
                 lease_lost.set()
                 return
 
-    def _failure(self, exc: BaseException) -> str:
-        """The error string a failed attempt reports — plus, with the
-        flight recorder armed, the tail of engine events that led here."""
-        error = f"{type(exc).__name__}: {exc}"
-        if self.flight is not None and self.flight.total:
-            error += "\n" + self.flight.dump()
-        return error
-
     def _execute(self, job: Job) -> tuple[int, str | None, bool]:
         """Run one claimed job; returns its ``report_batch`` triple.
 
         Every execution — success or failure — appends one wall-clock
         span record to the queue's ``spans.jsonl``, which is what lets
         ``repro trace QUEUE_DIR`` render a sweep as per-worker timelines
-        after the fact.  With REPRO_OBS set, the run collects into a
-        fresh :class:`~repro.obs.hub.MetricsHub` wired to this worker's
-        flight recorder (cleared per job, so a dump always describes the
-        job that was running).
+        after the fact.  A failed attempt reports ``"<Type>: <message>"``;
+        telemetry is :func:`~repro.api.runner.run`'s to arm (REPRO_OBS).
         """
-        obs: MetricsHub | bool = False
-        if self.flight is not None:
-            self.flight.clear()
-            obs = MetricsHub(flight=self.flight)
         wall_start = time.time()
         start = time.perf_counter()
         result: tuple[int, str | None, bool]
         try:
-            run(job.spec, out_dir=self.queue.artifact_dir, force=job.force,
-                obs=obs)
-        except ConfigurationError as exc:
-            result = (job.id, self._failure(exc), False)
+            run(job.spec, out_dir=self.queue.artifact_dir, force=job.force)
         except Exception as exc:  # noqa: BLE001 - the queue is the error record
-            result = (job.id, self._failure(exc), True)
+            retry = not isinstance(exc, ConfigurationError)
+            result = (job.id, f"{type(exc).__name__}: {exc}", retry)
         else:
             result = (job.id, None, True)
         record = span_record(

@@ -1,6 +1,6 @@
 """Deterministic run telemetry.
 
-Observability for the repro stack, in four pieces — all disabled by
+Observability for the repro stack, in three pieces — all disabled by
 default, all proven (by the byte-identity suite) to never perturb a
 run's artifacts:
 
@@ -16,9 +16,6 @@ run's artifacts:
   (claim/ack/fail/heartbeat/lease-expiry/reclaim), written by
   :class:`~repro.cluster.queue.JobQueue` inside its transactions and
   surfaced by ``repro tail``.
-* :class:`~repro.obs.flight.FlightRecorder` — a bounded ring buffer of
-  recent engine events for post-mortem of hung or crashed legs,
-  attached to worker failure records and dumpable via ``SIGUSR1``.
 
 The determinism contract is spelled out in ``docs/observability.md``:
 sampler ticks ride the engine heap but are excluded from every
@@ -40,7 +37,6 @@ from repro.obs.events import (
     format_event,
     read_events,
 )
-from repro.obs.flight import FlightRecorder
 from repro.obs.hub import MetricsHub
 from repro.obs.spans import (
     SPANS,
@@ -54,7 +50,6 @@ from repro.obs.spans import (
 
 __all__ = [
     "EVENTS_FILENAME",
-    "FlightRecorder",
     "MetricsHub",
     "SPANS",
     "SpanRecorder",

@@ -14,10 +14,9 @@ wall-clock scheduling.
 The determinism contract (guarded by the byte-identity suite):
 
 * Sampler events are excluded from every accounting surface — they do
-  not increment ``events_processed``, are invisible to ``ENGINE_PERF``
-  and the flight recorder, and are dropped from checkpoints.  A run
-  with a hub therefore reports the *same*
-  ``metadata["engine_events"]`` as one without.
+  not increment ``events_processed``, are invisible to ``ENGINE_PERF``,
+  and are dropped from checkpoints.  A run with a hub therefore reports
+  the *same* ``metadata["engine_events"]`` as one without.
 * The hub's :meth:`summary` is embedded in the artifact's
   non-canonical ``obs`` section, next to ``timings`` — never part of
   :meth:`~repro.api.results.RunArtifact.canonical_json`.
@@ -42,7 +41,6 @@ from typing import TYPE_CHECKING
 from repro.errors import require_positive_finite
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.obs.flight import FlightRecorder
     from repro.sim.network import Network
     from repro.sim.port import Port
 
@@ -99,7 +97,6 @@ class _NetSampler:
                 if port not in hub._marks:
                     hub._marks[port] = [port.sent, port.dropped, port.sent]
         engine = self.network.engine
-        engine.flight = hub.flight
         if self.queue is not engine._heap:
             self.queue = engine._heap
             engine.schedule_sample(engine.now + hub.interval, self.tick)
@@ -129,19 +126,13 @@ class MetricsHub:
     """Counters and periodic sim-time samplers for a run.
 
     ``interval`` is the sampling period in simulated seconds.
-    ``flight`` optionally carries a
-    :class:`~repro.obs.flight.FlightRecorder` that
-    :meth:`ensure_sampling` wires into each sampled network's engine.
     """
 
-    __slots__ = ("interval", "flight", "_segments", "_net_samplers",
-                 "_marks")
+    __slots__ = ("interval", "_segments", "_net_samplers", "_marks")
 
-    def __init__(self, interval: float = 0.001,
-                 flight: "FlightRecorder | None" = None) -> None:
+    def __init__(self, interval: float = 0.001) -> None:
         require_positive_finite(interval, "sampling interval")
         self.interval = interval
-        self.flight = flight
         #: The built-in series, one segment per sampler arm, oldest first.
         self._segments: list[_Segment] = []
         self._net_samplers: list[tuple["Network", _NetSampler]] = []

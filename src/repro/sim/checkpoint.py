@@ -93,7 +93,7 @@ CHECKPOINT_VERSION = 13
 #: The modules whose classes a simulation's state pickles to: the network
 #: graph, schedulers, and transports with their flows and slack policies.
 #: Telemetry never rides along (no network or port holds a hub, and a
-#: pickled engine leaves its flight recorder behind).  None of them opens
+#: pickled engine drops its sampler ticks).  None of them opens
 #: a file, starts a process or touches a socket
 #: (``tests/sim/test_checkpoint.py`` checks their imports), so building
 #: their objects and calling their methods only computes.  The one way

@@ -154,8 +154,7 @@ class Engine:
         engine.run(until=10.0)
     """
 
-    __slots__ = ("now", "_heap", "_seq", "_events_processed", "_deferred",
-                 "flight")
+    __slots__ = ("now", "_heap", "_seq", "_events_processed", "_deferred")
 
     def __init__(self) -> None:
         self.now: float = 0.0
@@ -163,11 +162,6 @@ class Engine:
         self._seq: int = 0
         self._events_processed: int = 0
         self._deferred: deque[Callable[[], None]] = deque()
-        #: An attached :class:`~repro.obs.flight.FlightRecorder`, or None:
-        #: the run loop notes each dispatched event's ``(time, callback)``
-        #: into it, sampler ticks excluded, from the next :meth:`run` on
-        #: (the loop hoists the recorder into a local).
-        self.flight = None
 
     # --- scheduling -------------------------------------------------------
 
@@ -235,9 +229,9 @@ class Engine:
         Sampler entries share the heap, so they fire in deterministic
         time order relative to simulation events — but they are excluded
         from every accounting surface: they do not increment
-        :attr:`events_processed`, are invisible to :data:`ENGINE_PERF`
-        and the flight recorder, and :meth:`checkpoint` drops them (the
-        metrics hub re-arms sampling after a restore).  Telemetry
+        :attr:`events_processed`, are invisible to :data:`ENGINE_PERF`,
+        and :meth:`checkpoint` drops them (the metrics hub re-arms
+        sampling after a restore).  Telemetry
         therefore cannot perturb a run's deterministic event counts.
         The clock is ``time`` only while it runs: a tick never moves it.
         The callback must be a pure reader of simulation state; the
@@ -305,12 +299,14 @@ class Engine:
         decision).  Horizon and budget are read only with the deferred
         queue empty, the horizon by peeking ``heap[0]``.  Processed events
         land in :attr:`events_processed` and :data:`ENGINE_PERF`;
-        cancelled entries and sampler ticks are invisible to both and to
-        the flight recorder.
+        cancelled entries and sampler ticks are invisible to both.  A NaN
+        ``until`` is refused: no event time compares greater than it, so
+        it would stop nothing.
         """
+        if until != until:  # NaN
+            raise SimulationError(f"cannot run until {until!r}")
         heap = self._heap
         deferred = self._deferred
-        flight = self.flight
         limit = inf if until is None else until
         now = self.now
         # Locals beat per-event LOAD_GLOBALs in the dispatch below.
@@ -347,8 +343,6 @@ class Engine:
                     continue
                 self.now = now = time
                 processed += 1
-                if flight is not None:
-                    flight.note(time, callback)
                 callback(*args)
         finally:
             self._events_processed += processed
@@ -379,9 +373,8 @@ class Engine:
 
         Telemetry is excluded by design: pending sampler entries
         (:meth:`schedule_sample`) are dropped — the metrics hub re-arms
-        sampling on the next run — and the flight recorder is not part
-        of engine state.  A checkpoint's bytes describe the simulation,
-        never the observer.
+        sampling on the next run.  A checkpoint's bytes describe the
+        simulation, never the observer.
         """
         heap = [
             (time, born, seq, callback,
@@ -421,9 +414,6 @@ class Engine:
         self._seq = state["seq"]
         self._events_processed = state["events_processed"]
         self._deferred = deque(state["deferred"])
-        # Unpickled engines skip __init__, so the slot may not exist yet;
-        # a restored engine never inherits the checkpoint's observer.
-        self.flight = getattr(self, "flight", None)
 
     def __getstate__(self) -> dict:
         return self.checkpoint()

@@ -46,7 +46,7 @@ class Network:
     """A simulated network of hosts and routers."""
 
     __slots__ = ("engine", "tracer", "nodes", "links", "_upstream",
-                 "_next_hop", "_tmin_cache", "_blueprint")
+                 "_next_hop", "_tmin_cache")
 
     def __init__(self, tracer: Tracer | None = None) -> None:
         self.engine = Engine()
@@ -56,33 +56,26 @@ class Network:
         self._upstream: dict[str, list[str]] = {}  # v -> sorted [u: u->v]
         self._next_hop: dict[str, dict[str, str]] = {}  # dst -> {node: next}
         self._tmin_cache: dict[tuple[str, str, int], float] = {}
-        self._blueprint: Blueprint | None = None  # whose tables it reads
 
     def __getstate__(self) -> tuple:
         # Route memos are derived (a blueprint's hold what the process has
         # asked so far): a snapshot carries none; a restore refills its own.
-        slots = {name: getattr(self, name) for name in self.__slots__
-                 if name != "_blueprint"}
+        slots = {name: getattr(self, name) for name in self.__slots__}
         slots.update(_next_hop={}, _tmin_cache={})
         return None, slots
 
     def __setstate__(self, state: tuple) -> None:
         for name, value in state[1].items():
             setattr(self, name, value)
-        self._blueprint = None
 
     def _before_edit(self) -> None:
-        """Forget the routes a topology edit may change; a blueprint's tables
-        are copied, never edited.  Route caches fill through next_hop/tmin:
-        while both are empty (all of construction) nothing is stale."""
-        if self._blueprint is not None:
-            self._blueprint = None
-            self.links = dict(self.links)
-            self._upstream = {v: list(us) for v, us in self._upstream.items()}
+        """Refuse a topology edit once the network has routes.  A stamped
+        network reads its blueprint's shared tables, which are never
+        empty; a hand-built one fills its tables at its first route."""
         if self._next_hop or self._tmin_cache:
-            self._next_hop, self._tmin_cache = {}, {}
-            for node in self.nodes.values():
-                node.invalidate_route_cache()
+            raise ConfigurationError(
+                "cannot change the topology of a network that has routes; "
+                "build a new network")
 
     # --- topology construction -------------------------------------------------
 
@@ -354,7 +347,6 @@ class Blueprint:
         network = Network()
         network.links, network._upstream = self.links, self.upstream
         network._next_hop, network._tmin_cache = self.next_hop, self.tmin
-        network._blueprint = self
         nodes = network.nodes
         for name, kind in self.nodes:
             nodes[name] = kind(name, network)

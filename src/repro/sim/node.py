@@ -75,7 +75,7 @@ class Node:
         port.enqueue(packet)
 
     def invalidate_route_cache(self) -> None:
-        """Drop cached next-hop ports (topology or port objects changed)."""
+        """Drop cached next-hop ports (the port objects were replaced)."""
         self._out_port.clear()
 
     def deliver(self, packet: "Packet") -> None:

@@ -21,8 +21,7 @@ Correctness rests on two invariants:
   (``tests/cluster/test_resume_points.py``) proves this, not just
   asserts it.
 * **Snapshots describe the simulation, never the observer.**  Sampler
-  entries and the flight recorder are excluded by
-  :meth:`Engine.checkpoint`, and no network or port holds the metrics
+  entries are excluded by :meth:`Engine.checkpoint`, and no network or port holds the metrics
   hub, so the anchor walk and the snapshot bytes are the same with
   telemetry on or off.  The run's hub, if any, samples every slice,
   re-arming its tick after a restore dropped it.

@@ -65,9 +65,8 @@ class _NetSampler:
 class ReferenceHub:
     """Counters plus ``series``: name -> list of ``(t, value)`` tuples."""
 
-    def __init__(self, interval: float = 0.001, flight=None) -> None:
+    def __init__(self, interval: float = 0.001) -> None:
         self.interval = interval
-        self.flight = flight
         self.series: dict[str, list[tuple[float, float]]] = {}
         self._net_samplers: list[tuple] = []
         #: port -> its (sent, dropped) when first sampled
@@ -81,7 +80,6 @@ class ReferenceHub:
                 if port not in self._first:
                     self._first[port] = (port.sent, port.dropped)
                     self._sampled[port] = port.sent
-        network.engine.flight = self.flight
         for seen, sampler in self._net_samplers:
             if seen is network:
                 break

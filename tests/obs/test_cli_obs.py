@@ -22,14 +22,13 @@ def _chrome_doc(path):
     return doc
 
 
-def test_profile_prints_phases_and_top_callbacks(capsys):
+def test_profile_prints_phases_and_engine_events(capsys):
     assert main(["profile", "table1", "--rows", "0",
                  "--duration", "0.04"]) == 0
     out = capsys.readouterr().out
     assert "repro profile table1" in out
     assert "simulate" in out
     assert "engine events:" in out
-    assert "top callbacks" in out
 
 
 def test_profile_fig2_single_scheme_slice(capsys):
@@ -48,7 +47,6 @@ def test_profile_json_payload_and_trace_export(tmp_path, capsys):
     assert payload["legs"] == 1
     assert payload["engine_events"] > 0
     assert payload["phases"]
-    assert payload["top_callbacks"]
     assert payload["obs"]["counters"]
     doc = _chrome_doc(trace)
     assert any(e["name"] == "simulate" for e in doc["traceEvents"])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.core.flow import Flow
 from repro.core.packet import Packet
-from repro.errors import RoutingError
+from repro.errors import ConfigurationError, RoutingError
 from repro.metrics.fairness import jain_index
 from repro.schedulers import (
     DrrScheduler,
@@ -226,17 +226,26 @@ def _topologies(draw):
 @given(topology=_topologies())
 def test_build_tree_equals_the_brute_force_bfs(topology):
     names, links = topology
-    net = Network()
-    for name in names:
-        net.add_router(name)
+
+    def build(links):
+        net = Network()
+        for name in names:
+            net.add_router(name)
+        for u, v in links:
+            net.add_link(u, v, 8 * MBPS, bidirectional=False)
+        return net
+
+    # Routes cached half-way through construction can never go stale:
+    # a network that has routes refuses a topology edit.
     split = len(links) // 2
-    for u, v in links[:split]:
-        net.add_link(u, v, 8 * MBPS, bidirectional=False)
-    # Routes cached half-way through construction must not go stale.
+    half = build(links[:split])
     for dst in names:
-        net._next_hop[dst] = net._build_tree(dst)
-    for u, v in links[split:]:
-        net.add_link(u, v, 8 * MBPS, bidirectional=False)
+        half._next_hop[dst] = half._build_tree(dst)
+    with pytest.raises(ConfigurationError, match="has routes"):
+        half.add_link(*links[split], 8 * MBPS, bidirectional=False)
+    with pytest.raises(ConfigurationError, match="has routes"):
+        half.add_router("late")
+    net = build(links)
     for dst in names:
         reference = _reference_tree(net, dst)
         assert net._build_tree(dst) == reference

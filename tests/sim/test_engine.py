@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.sim.engine import Engine
+from repro.sim.network import Network
 
 #: Scale knob for the scheduled CI stress job.
 SCALE = max(1, int(os.environ.get("REPRO_STRESS_SCALE", "1")))
@@ -73,6 +74,45 @@ def test_a_nan_event_time_is_refused(method):
     engine.run()
     assert fired == [1.0, 2.0]
     assert engine.now == 2.0
+
+
+@pytest.mark.parametrize("method", [
+    "Engine.run", "Engine.run_bounded", "Network.run"])
+def test_a_nan_horizon_is_refused(method):
+    """No event time compares greater than NaN, so ``until=nan`` used to
+    fire every event and leave the clock at the last one."""
+    network = Network()
+    engine = network.engine
+    fired = []
+    engine.schedule_at(1.0, fired.append, 1.0)
+    engine.schedule_at(5.0, fired.append, 5.0)
+    run = {"Engine.run": engine.run, "Engine.run_bounded": engine.run_bounded,
+           "Network.run": network.run}[method]
+    with pytest.raises(SimulationError, match="nan"):
+        run(until=math.nan)
+    assert fired == [] and engine.now == 0.0
+    assert engine.events_processed == 0
+
+
+@pytest.mark.parametrize("method", [
+    "Engine.run", "Engine.run_bounded", "Network.run"])
+def test_a_refused_nan_horizon_leaves_the_engine_usable(method):
+    """The refusal comes before the loop touches the heap or the clock, so
+    the same engine runs on to a finite horizon and then to the end."""
+    network = Network()
+    engine = network.engine
+    fired = []
+    engine.schedule_at(1.0, fired.append, 1.0)
+    engine.schedule_at(5.0, fired.append, 5.0)
+    run = {"Engine.run": engine.run, "Engine.run_bounded": engine.run_bounded,
+           "Network.run": network.run}[method]
+    with pytest.raises(SimulationError, match="nan"):
+        run(until=math.nan)
+    run(until=3.0)
+    assert fired == [1.0]
+    run()
+    assert fired == [1.0, 5.0] and engine.now == 5.0
+    assert engine.events_processed == 2
 
 
 def test_cancelled_events_do_not_fire():

@@ -92,6 +92,54 @@ class TestConstruction:
         assert list(net.links) == [("a", "b")]
         assert "a" not in net.nodes["b"].ports
 
+    @pytest.mark.parametrize("edit", [
+        lambda net: net.add_host("x"),
+        lambda net: net.add_router("x"),
+        lambda net: net.add_link("ha", "B", GBPS),
+    ], ids=["add_host", "add_router", "add_link"])
+    @pytest.mark.parametrize("routed", [
+        lambda net: net.route("ha", "hb"),
+        lambda net: net.next_hop("A", "hb"),
+        lambda net: net.tmin("ha", "hb", 1500),
+    ], ids=["route", "next_hop", "tmin"])
+    def test_a_network_with_routes_refuses_a_topology_edit(self, routed, edit):
+        """A route cached before an edit could go stale, so the topology
+        is fixed from the first route on."""
+        net = _diamond()
+        routed(net)
+        with pytest.raises(ConfigurationError, match="has routes"):
+            edit(net)
+        assert "x" not in net.nodes and ("ha", "B") not in net.links
+
+    def test_a_network_with_routes_still_sets_its_buffers(self):
+        net = _diamond()
+        path = net.route("ha", "hb")
+        net.set_buffers(3000)
+        assert all(port.buffer_bytes == 3000 for router in net.routers
+                   for port in router.ports.values())
+        p = make_packet(src="ha", dst="hb", size=1500)
+        net.inject_at(0.0, p)
+        net.run()
+        assert records(net.tracer)[p.pid].delivered
+        assert net.route("ha", "hb") == path
+
+    def test_a_network_with_routes_still_switches_its_ports(self):
+        """Routes name next hops, not port objects, so they survive the
+        switch, and the packet leaves every hop through a new port."""
+        net = _diamond()
+        path = net.route("ha", "hb")
+        net.use_preemptive_ports(LstfScheduler)
+        p = make_packet(src="ha", dst="hb", size=1500)
+        net.inject_at(0.0, p)
+        net.run()
+        assert records(net.tracer)[p.pid].delivered
+        assert net.route("ha", "hb") == path
+        assert [net.nodes[u].ports[v].sent
+                for u, v in zip(path, path[1:])] == [1500] * (len(path) - 1)
+        assert all(type(port).__name__ == "PreemptivePort"
+                   for node in net.nodes.values()
+                   for port in node.ports.values())
+
     def test_host_accessor_type_checks(self):
         net = Network()
         net.add_router("r")

@@ -451,6 +451,15 @@ def test_bench_has_no_legacy_alias(capsys):
     assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
+def test_profile_has_no_top_flag(capsys):
+    """``repro profile`` prints no callback table, so it takes no
+    ``--top``: which code the time went to is a per-layer question."""
+    with pytest.raises(SystemExit) as exc:
+        main(["profile", "gadgets", "--top", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --top 3" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["run", "gadgets", "--queue", "q"],
     ["gadgets", "--queue", "q"],
@@ -484,7 +493,6 @@ def test_run_has_no_queue_mode(argv, tmp_path, capsys, monkeypatch):
      "seeds must be >= 0, got (-1,)"),
     (["run", "table1", "--rows", "0", "--seeds", "-1"],
      "seeds must be >= 0, got (-1,)"),
-    (["profile", "gadgets", "--top", "-1"], "--top must be >= 0, got -1"),
     # a non-finite slack used to run, its table computed from NaN keys
     (["run", "fig2", "--duration", "0.01", "--slack", "constant:nan"],
      "constant slack must be finite and >= 0, got nan"),
@@ -540,7 +548,7 @@ def test_run_has_no_queue_mode(argv, tmp_path, capsys, monkeypatch):
      "--scenarios ',' names no scenario"),
 ], ids=["run-workers", "run-duration-nan",
         "run-duration-inf", "run-scale-nan", "run-scale-inf",
-        "run-seed-negative", "run-seeds-negative", "profile-top-negative",
+        "run-seed-negative", "run-seeds-negative",
         "run-slack-constant-nan", "run-slack-constant-inf",
         "run-slack-flow-size-inf", "run-slack-virtual-clock-nan",
         "run-out-file", "gather-out-file", "trace-out-missing-dir",

@@ -71,6 +71,8 @@ FIXED_PARAMETERS = [
     # a sweep runs serially or over the pool; the queue has its own door
     ("repro.api.runner:run_many", "queue_dir"),
     ("repro.api.runner:run_many", "batch_size"),
+    # the engine loop has no observer hook, so the hub carries none
+    ("repro.obs.hub:MetricsHub", "flight"),
 ]
 
 #: Config fields every production caller set to one value, now module
@@ -110,6 +112,17 @@ def test_the_queue_is_drained_only_by_a_worker():
 
     assert not hasattr(repro.cluster, "drain_queue")
     assert not hasattr(repro.cluster.worker, "drain_queue")
+
+
+def test_the_engine_loop_has_no_observer_hook():
+    # The flight recorder counted engine callbacks that no artefact read;
+    # a wedged worker's SIGUSR1 prints its stack through faulthandler.
+    import repro.obs
+    from repro.sim.engine import Engine
+
+    assert "FlightRecorder" not in repro.__all__
+    assert "FlightRecorder" not in repro.obs.__all__
+    assert "flight" not in Engine.__slots__
 
 
 def test_a_cancellable_event_has_one_door():
